@@ -83,15 +83,8 @@ def _spec(scenario) -> SortSpec:
     return SortSpec.of(*[part.strip() for part in scenario.order_by.split(",")])
 
 
-def assert_identical(
-    actual: Table, expected: Table, context: str, strict: bool = True
-) -> None:
-    """Byte-identity between a path's output and the scalar oracle.
-
-    ``strict=False`` (the Top-N cell, which rebuilds rows instead of
-    gathering them) still compares validity exactly and every valid
-    value byte-for-byte, but ignores the data bytes under NULL masks.
-    """
+def assert_identical(actual: Table, expected: Table, context: str) -> None:
+    """Byte-identity between a path's output and the scalar oracle."""
     assert actual.num_rows == expected.num_rows, (
         f"{context}: {actual.num_rows} rows != {expected.num_rows}"
     )
@@ -101,11 +94,7 @@ def assert_identical(
         assert np.array_equal(left.validity, right.validity), (
             f"{context}: column {name!r} validity diverged"
         )
-        left_data, right_data = left.data, right.data
-        if not strict:
-            valid = right.validity
-            left_data, right_data = left_data[valid], right_data[valid]
-        assert np.array_equal(left_data, right_data), (
+        assert np.array_equal(left.data, right.data), (
             f"{context}: column {name!r} values diverged"
         )
 
@@ -171,8 +160,9 @@ def _run_topn(table, spec, rows):
     operator = TopNOperator(table.schema, spec, TOPN_LIMIT, TOPN_OFFSET)
     for chunk in chunk_table(table):
         operator.sink(chunk)
-    # The heap keeps no run/dispatch counters; the cell records time only.
-    return operator.finalize(), None, {"limit": TOPN_LIMIT, "offset": TOPN_OFFSET}
+    result = operator.finalize()
+    extras = {"limit": TOPN_LIMIT, "offset": TOPN_OFFSET}
+    return result, _dispatch_summary(operator.stats), extras
 
 
 def _run_parallel(table, spec, rows):
@@ -272,7 +262,7 @@ def bench_cell(path, scenario, table, spec, oracle, rows):
             expected = oracle.take(
                 np.arange(TOPN_OFFSET, TOPN_OFFSET + TOPN_LIMIT)
             )
-            assert_identical(result, expected, context, strict=False)
+            assert_identical(result, expected, context)
         elif path == "service":
             for result_table in result:
                 assert_identical(result_table, oracle, context)
@@ -350,13 +340,14 @@ def test_matrix_smoke(tmp_path, capsys):
             assert cell["identical"] is True
             assert cell["seconds"] > 0
     # The dispatch counters the regression gate keys on must be present
-    # on every full-sort path (Top-N legitimately records none).
+    # on every path (Top-N generates no runs, but its compactions
+    # dispatch through the same vector-sort chooser).
     for numbers in results["scenarios"].values():
         for path, cell in numbers["paths"].items():
+            assert cell["dispatch"] is not None
             if path == "topn":
-                assert cell["dispatch"] is None
+                assert cell["dispatch"]["vector_sort_paths"]
             else:
-                assert cell["dispatch"] is not None
                 assert cell["dispatch"]["runs_generated"] > 0
 
 

@@ -19,6 +19,11 @@ pipeline regressed:
   heuristics changed; an *intended* change must ship with a regenerated
   baseline in the same commit (the "artifact update" that makes the
   gate pass).
+* **Top-N slower than the sort it avoids** -- a candidate scenario whose
+  ``topn`` cell records fewer rows/s than its own ``in_memory`` cell.
+  Both cells time the same table in the same run, so no baseline or
+  normalization is involved: a Top-N that loses to fully sorting its
+  input is a bug whatever the machine.
 * **Shape loss** -- a scenario, path, or byte-identity flag present in
   the baseline but missing (or false) in the candidate.
 * **Scale mismatch** -- candidate recorded at different (rows, seed):
@@ -106,6 +111,15 @@ def compare(
         if cand_entry is None:
             violations.append(f"{scenario}: scenario missing from candidate")
             continue
+        topn = cand_entry["paths"].get("topn")
+        in_memory = cand_entry["paths"].get("in_memory")
+        if topn and in_memory and topn["seconds"] > in_memory["seconds"]:
+            rows = candidate["rows"]
+            violations.append(
+                f"{scenario}/topn: Top-N slower than the full in-memory "
+                f"sort of the same table ({rows / topn['seconds']:,.0f} < "
+                f"{rows / in_memory['seconds']:,.0f} rows/s)"
+            )
         for path, base_cell in base_entry["paths"].items():
             cand_cell = cand_entry["paths"].get(path)
             cell = f"{scenario}/{path}"

@@ -222,6 +222,14 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the query plan instead of executing",
     )
+    sql_cmd.add_argument(
+        "--stats",
+        action="store_true",
+        help=(
+            "print each sort, Top-N, join and group-by operator's sort "
+            "statistics to stderr, in plan order"
+        ),
+    )
 
     serve_cmd = commands.add_parser(
         "serve",
@@ -490,7 +498,11 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     if args.explain:
         print(database.explain(args.query))
         return 0
-    _emit(database.execute(args.query), args.output)
+    result, operator_stats = database.execute_detailed(args.query)
+    _emit(result, args.output)
+    if args.stats:
+        for stats in operator_stats:
+            _print_sort_stats(stats)
     return 0
 
 

@@ -197,13 +197,16 @@ class Database:
                 sinks.append(operator)
             return operator
         if isinstance(logical, planmod.LogicalTopN):
-            return TopNExecOperator(
+            operator = TopNExecOperator(
                 child(),
                 logical.spec,
                 logical.limit,
                 logical.offset,
                 config,
             )
+            if sinks is not None:
+                sinks.append(operator)
+            return operator
         raise EngineError(f"no physical operator for {logical!r}")
 
     def referenced_tables(self, logical: planmod.LogicalPlan) -> tuple[str, ...]:
@@ -251,8 +254,8 @@ class Database:
         """Execute an already-bound plan, returning (result, sort stats).
 
         The stats list holds one ``SortStats`` per sort-bearing pipeline
-        breaker (full/elided/refined sorts, merge joins, presorted
-        group-bys), in plan order; Top-N and streaming operators
+        breaker (full/elided/refined sorts, Top-N, merge joins,
+        presorted group-bys), in plan order; streaming operators
         contribute none.  The service layer plans once (for the cache
         key's table set), then executes here under its per-query
         config.

@@ -202,11 +202,12 @@ class SortExecOperator(PhysicalOperator):
 
 
 class TopNExecOperator(PhysicalOperator):
-    """ORDER BY + LIMIT fused into the bounded-heap top-N operator.
+    """ORDER BY + LIMIT fused into the cutoff-pruning top-N operator.
 
     The config carries the cooperative cancellation event (checked per
     sunk chunk), so a service can abort a long Top-N scan mid-stream
-    just like a full sort.
+    just like a full sort.  ``last_stats`` holds the operator's
+    ``SortStats`` (compaction sorts and string tie repair) once drained.
     """
 
     def __init__(
@@ -223,6 +224,7 @@ class TopNExecOperator(PhysicalOperator):
         self.limit = limit
         self.offset = offset
         self.config = config or SortConfig()
+        self.last_stats = None
 
     def chunks(self) -> Iterator[DataChunk]:
         top = TopNOperator(
@@ -231,7 +233,8 @@ class TopNExecOperator(PhysicalOperator):
         for chunk in self.child.chunks():
             top.sink(chunk)
         result = top.finalize()
-        yield from chunk_table(result)
+        self.last_stats = top.stats
+        yield from chunk_table(result, self.config.vector_size)
 
 
 class LimitOperator(PhysicalOperator):

@@ -39,6 +39,7 @@ from repro.sort.kernels import (
     RADIX_FINISH_ROWS,
     KWayBlockStats,
     argsort_rows,
+    cutoff_mask,
     kway_merge_blocks,
     merge_indices,
     merge_matrices,
@@ -113,6 +114,7 @@ __all__ = [
     "KWayStats",
     "KWayBlockStats",
     "argsort_rows",
+    "cutoff_mask",
     "kway_merge_blocks",
     "merge_indices",
     "merge_matrices",

@@ -144,6 +144,7 @@ from repro.sort.spillfile import (
 from repro.sort.stringsort import (
     inexact_prefix_end,
     refine_key_order,
+    refine_table_order,
     refinement_must_defer,
 )
 from repro.table.chunk import DataChunk, chunk_table
@@ -841,7 +842,9 @@ class ExternalSortOperator:
                 # kernel cannot merge (no longer byte-sorted); such
                 # sorts spill raw and the merge's settled-batch
                 # refinement produces the exact order instead.
-                order = self._refine_run_order(table, keys, order)
+                order = refine_table_order(
+                    table, keys.matrix, keys.layout, order, self.stats
+                )
             sorted_keys = np.ascontiguousarray(keys.matrix[order])
             ovc = (
                 ovc_codes(sorted_keys[:, : keys.layout.key_width])
@@ -1038,30 +1041,6 @@ class ExternalSortOperator:
             )
             base += len(selected)
         return _concat_tables(parts).take(gather)
-
-    def _refine_run_order(self, table, keys, order) -> np.ndarray:
-        """Exact-string repair of one run's prefix-sorted permutation.
-
-        Same contract as ``SortOperator._refine_run_order``: rows tied on
-        the truncated VARCHAR prefixes are re-encoded against the full
-        strings (:func:`repro.sort.stringsort.refine_key_order`), so the
-        spilled run is in exact string order before its bytes hit disk.
-        """
-        order = np.asarray(order, dtype=np.int64)
-        width = keys.layout.key_width
-        matrix = np.ascontiguousarray(keys.matrix[order][:, :width])
-
-        def fetch_tied(tied):
-            source = order[tied]
-
-            def get(name):
-                column = table.column(name)
-                return column.data[source], column.validity[source]
-
-            return get
-
-        perm = refine_key_order(matrix, keys.layout, fetch_tied, self.stats)
-        return order if perm is None else order[perm]
 
     def _store_run(
         self,

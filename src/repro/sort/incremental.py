@@ -40,7 +40,6 @@ the service's worker pool under its memory governor -- see
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +50,7 @@ from repro.sort.heuristic import vector_sort_rows
 from repro.sort.kernels import KWayBlockStats
 from repro.sort.kway import kway_merge_indices
 from repro.sort.operator import SortConfig, SortStats, raise_if_cancelled
-from repro.sort.stringsort import refine_key_order
+from repro.sort.stringsort import and_prefix_exact, refine_key_order
 from repro.table.table import Table
 from repro.types.datatypes import TypeId
 from repro.types.schema import Schema
@@ -230,18 +229,10 @@ class IncrementalSorter:
         """Accumulate the pessimistic layout for view refinement."""
         if self._refine_layout is None:
             self._refine_layout = layout
-            return
-        merged = tuple(
-            dataclasses.replace(
-                kept, prefix_exact=kept.prefix_exact and new.prefix_exact
+        else:
+            self._refine_layout = and_prefix_exact(
+                self._refine_layout, layout
             )
-            for kept, new in zip(
-                self._refine_layout.segments, layout.segments
-            )
-        )
-        self._refine_layout = dataclasses.replace(
-            self._refine_layout, segments=merged
-        )
 
     # ------------------------------------------------------------------ #
     # Compaction / view
@@ -289,24 +280,15 @@ class IncrementalSorter:
         merged_keys = np.concatenate(
             [run.keys for run in self._runs], axis=0
         )[gather]
-        merged_table = self._concat_tables(
-            [run.table for run in self._runs]
-        ).take(gather)
+        merged_table = (
+            self._runs[0]
+            .table.concat(*(run.table for run in self._runs[1:]))
+            .take(gather)
+        )
         self.stats.compactions += 1
         self.stats.runs_compacted += len(self._runs)
         self.stats.rows_compacted += len(merged_keys)
         self._runs = [_SortedRun(merged_keys, merged_table)]
-
-    @staticmethod
-    def _concat_tables(parts: list[Table]) -> Table:
-        while len(parts) > 1:
-            parts = [
-                parts[i].concat(parts[i + 1])
-                if i + 1 < len(parts)
-                else parts[i]
-                for i in range(0, len(parts), 2)
-            ]
-        return parts[0]
 
     def _refine(
         self, matrix: np.ndarray, table: Table, layout

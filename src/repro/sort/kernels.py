@@ -12,6 +12,8 @@ covering the row -- field-by-field comparison of big-endian words is
 exactly byte-wise memcmp.  On top of it:
 
 * :func:`argsort_rows` -- stable whole-matrix argsort (one ``np.argsort``),
+* :func:`cutoff_mask` -- which rows sort before one cutoff key (Top-N's
+  pruning filter),
 * :func:`merge_indices` -- merge two sorted matrices via two
   ``np.searchsorted`` calls (O(n log m) comparisons, all in C), returning
   the gather permutation over the concatenated inputs.
@@ -43,6 +45,7 @@ from repro.errors import SortError
 __all__ = [
     "void_view",
     "argsort_rows",
+    "cutoff_mask",
     "radix_argsort_rows",
     "RADIX_FINISH_ROWS",
     "merge_indices",
@@ -144,6 +147,36 @@ def argsort_rows(matrix: np.ndarray) -> np.ndarray:
     else:
         order = np.lexsort(tuple(reversed(columns)))
     return order.astype(np.int64, copy=False)
+
+
+def cutoff_mask(
+    matrix: np.ndarray, cutoff: np.ndarray, inclusive: bool
+) -> np.ndarray:
+    """Mask of key rows sorting before a cutoff key (memcmp order).
+
+    ``cutoff`` is one key row of ``matrix``'s width.  Rows equal to it
+    are selected only when ``inclusive``.  This is Top-N's pruning
+    filter: the lexicographic ``<`` is evaluated word column by word
+    column (``below |= tied & (word < bound)``), stopping at the first
+    word that leaves no row tied with the cutoff -- on high-entropy keys
+    that is the first one.
+    """
+    _check_matrix(matrix)
+    if cutoff.shape != (matrix.shape[1],):
+        raise SortError(
+            f"cutoff key of shape {cutoff.shape} does not match key "
+            f"width {matrix.shape[1]}"
+        )
+    bounds = _chunk_columns(cutoff[None, :])
+    columns = _chunk_columns(matrix)
+    below = columns[0] < bounds[0]
+    tied = columns[0] == bounds[0]
+    for column, bound in zip(columns[1:], bounds[1:]):
+        if not tied.any():
+            break
+        below |= tied & (column < bound)
+        tied &= column == bound
+    return below | tied if inclusive else below
 
 
 RADIX_FINISH_ROWS = 1 << 10

@@ -38,7 +38,11 @@ from repro.keys.normalizer import MAX_STRING_PREFIX, NormalizedKeys, normalize_k
 from repro.rows.block import RowBlock
 from repro.sort.heuristic import vector_sort_rows
 from repro.sort.kernels import merge_indices
-from repro.sort.stringsort import refine_key_order, refinement_must_defer
+from repro.sort.stringsort import (
+    refine_key_order,
+    refine_table_order,
+    refinement_must_defer,
+)
 from repro.sort.parallel_exec import (
     DEFAULT_MORSEL_ROWS as DEFAULT_PARALLEL_MORSEL_ROWS,
     ParallelSortExecutor,
@@ -762,7 +766,9 @@ class SortOperator:
                 # later key bytes after the truncated segment the repair
                 # would break the run's memcmp sortedness, so it is
                 # deferred to the final merged result (finalize).
-                order = self._refine_run_order(table, keys, order)
+                order = refine_table_order(
+                    table, keys.matrix, keys.layout, order, self.stats
+                )
             sorted_keys = keys.matrix[order]
             payload = RowBlock.from_table(table).take(np.asarray(order))
         self._runs.append(
@@ -779,7 +785,7 @@ class SortOperator:
         When every string fit its prefix the key bytes (which end in the
         unique row id) order rows exactly.  On the vector path, inexact
         prefixes are sorted by their bytes here and the byte-equal tie
-        groups repaired afterwards by :meth:`_refine_run_order`.  Only the
+        groups repaired afterwards by ``refine_table_order``.  Only the
         ``use_vector_kernels=False`` oracle walks the key *segments*
         per row: a VARCHAR segment whose truncated prefixes tie is
         resolved on the full strings before any later key column is
@@ -805,27 +811,6 @@ class SortOperator:
             pdqsort(order, lambda i, j: raw[i] < raw[j])
             return np.asarray(order, dtype=np.int64)
         return _segmented_argsort(table, keys, self.spec)
-
-    def _refine_run_order(
-        self, table: Table, keys: NormalizedKeys, order
-    ) -> np.ndarray:
-        """Repair a prefix-only permutation to exact full-string order."""
-        order = np.asarray(order, dtype=np.int64)
-        matrix = keys.matrix[order][:, : keys.layout.key_width]
-
-        def fetch_tied(tied: np.ndarray):
-            source = order[tied]
-
-            def get(name: str):
-                column = table.column(name)
-                return column.data[source], column.validity[source]
-
-            return get
-
-        perm = refine_key_order(matrix, keys.layout, fetch_tied, self.stats)
-        if perm is None:
-            return order
-        return order[perm]
 
     # ------------------------------------------------------------------ #
     # Merge

@@ -215,7 +215,10 @@ class BlockPrefetcher:
             # Scheduler starvation: fetch the remainder on the critical
             # path (counted as a miss, timed as plain spill_io).
             self._stats.prefetch_misses += 1
-            lo = min(start, state.row_delivered)
+            # Rows below row_delivered are already in the window (a
+            # consumer holding rows back re-requests them): re-reading
+            # them would put the same rows in the buffer twice.
+            lo = max(start, state.row_delivered)
             block = self._row_fetch(index, lo, stop, self._stats)
             buffer.append((lo, block))
             state.row_delivered = stop

@@ -17,6 +17,8 @@ external sort).  This module makes the vector path exact instead:
   them, so a full string always outranks every later ORDER BY column.  Work
   per round is proportional to the rows still tied: unique-prefix inputs pay
   nothing, pathological shared-prefix inputs pay ``O(ties * extra_bytes)``.
+  :func:`refine_table_order` is the same repair for the common caller
+  shape: a table, its key matrix and a stable prefix-sorted permutation.
 * :func:`exact_group_changed` is the boundary-detection analogue for
   GROUP BY / PARTITION BY consumers: the prefix boundary mask ORed with an
   exact elementwise string comparison on the inexact segments.
@@ -30,6 +32,7 @@ their relative order falls back to the stable row-id tiebreak.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 import numpy as np
@@ -38,9 +41,11 @@ from repro.keys.encoding import utf8_byte_lengths
 
 __all__ = [
     "CHUNK_WIDTH",
+    "and_prefix_exact",
     "exact_group_changed",
     "inexact_prefix_end",
     "refine_key_order",
+    "refine_table_order",
     "refinement_must_defer",
 ]
 
@@ -62,6 +67,23 @@ def inexact_prefix_end(layout) -> int | None:
         if not segment.prefix_exact:
             return segment.offset + segment.total_width
     return None
+
+
+def and_prefix_exact(kept, new):
+    """``kept`` with each segment's ``prefix_exact`` AND-ed with ``new``'s.
+
+    Consumers that encode one stream batch by batch under a fixed string
+    prefix (Top-N chunks, incremental deltas) get layouts that differ
+    only in these flags; the AND is the layout under which every batch
+    seen so far may be refined together.
+    """
+    segments = tuple(
+        dataclasses.replace(
+            a, prefix_exact=a.prefix_exact and b.prefix_exact
+        )
+        for a, b in zip(kept.segments, new.segments)
+    )
+    return dataclasses.replace(kept, segments=segments)
 
 
 def refinement_must_defer(layout) -> bool:
@@ -254,6 +276,34 @@ def refine_key_order(
     perm = np.arange(len(matrix), dtype=np.int64)
     perm[tied] = tied[order]
     return perm
+
+
+def refine_table_order(
+    table, matrix: np.ndarray, layout, order: np.ndarray, stats=None
+) -> np.ndarray:
+    """Exact-string repair of a prefix-sorted permutation of ``table``.
+
+    ``matrix`` holds ``table``'s keys under ``layout`` (a row-id suffix
+    is ignored) and ``order`` is a stable sort of its rows, so every
+    prefix tie group arrives ordered by its remaining key bytes and then
+    arrival -- the precondition of :func:`refine_key_order`, whose
+    permutation is folded into the returned one.
+    """
+    order = np.asarray(order, dtype=np.int64)
+
+    def fetch_tied(tied: np.ndarray):
+        source = order[tied]
+
+        def get(name: str):
+            column = table.column(name)
+            return column.data[source], column.validity[source]
+
+        return get
+
+    perm = refine_key_order(
+        matrix[order][:, : layout.key_width], layout, fetch_tied, stats
+    )
+    return order if perm is None else order[perm]
 
 
 def exact_group_changed(sorted_table, norm) -> np.ndarray:

@@ -1,74 +1,71 @@
-"""Top-N: the specialized operator that replaces a full sort for LIMIT.
+"""Top-N: run generation with a cutoff filter and no merge.
 
 The paper notes that ``ORDER BY ... LIMIT 1`` "will typically trigger a
 specialized top N operator rather than the 'normal' sort operator" -- which
 is exactly why its benchmark query adds OFFSET 1.  This module provides that
-operator: a bounded max-heap keeps only the best ``limit + offset`` rows
-seen so far, so memory is O(limit + offset) rather than O(n) and the cost
-is O(n log(limit + offset)).
+operator.  Its win is in what never enters a sort: with
+``capacity = limit + offset``, every chunk is filtered on its normalized
+keys before any payload is touched.
 
-Heap entries compare on the normalized key bytes first (a memcmp, the fast
-path); with VARCHAR keys the memcmp stops at the end of the first string
-segment -- a byte difference past it is *not* decisive, because the
-truncated strings may still differ where the prefix ended and a full
-string outranks every later ORDER BY column.  Rows equal on the decisive
-bytes fall back to an exact tuple comparison and finally to arrival
-order, so results are exact even when VARCHAR values exceed the encoded
-prefix.
+* **Encode once.**  Each chunk is normalized under the fixed
+  :data:`~repro.keys.normalizer.MAX_STRING_PREFIX`, so key bytes compare
+  across chunks.
+* **Cutoff filter.**  Once ``capacity`` rows are held, the key of the
+  ``capacity``-th best of them is the cutoff, and
+  :func:`repro.sort.kernels.cutoff_mask` drops every row of a new chunk
+  that cannot beat it; only the survivors are gathered.  Rows are
+  compared on the *decisive* key prefix: the bytes up to the end of the
+  first VARCHAR segment some chunk truncated (a difference past it
+  decides nothing, because the full string outranks every later ORDER BY
+  column), or the whole key when no string was truncated.  When the
+  whole key is decisive the test is a strict ``<``: a row equal to the
+  cutoff arrived later than it and ties resolve to arrival order, so it
+  can never displace it.  When a truncated VARCHAR ends the decisive
+  prefix the test is ``<=``: an equal prefix may hide a smaller string.
+* **Compaction.**  When the buffer reaches ``2 * capacity`` rows it is
+  sorted with one stable vector sort (kept rows are concatenated before
+  newer survivors, so stability *is* the arrival-order tie rule),
+  truncated-VARCHAR tie groups are repaired on the full strings, the
+  best ``capacity`` rows are kept and the cutoff is re-read from the
+  last of them.  The cutoff only tightens at a compaction; in between a
+  stale cutoff lets extra rows through, never too few.
+
+Memory stays O(limit + offset): at most ``2 * capacity`` buffered rows
+plus the survivors of one chunk.  ``finalize`` is one last compaction
+and a slice.
 """
 
 from __future__ import annotations
 
-import functools
-import heapq
-from typing import Any
+import numpy as np
 
 from repro.errors import SortError
 from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
-from repro.types.datatypes import TypeId
-from repro.sort.operator import SortConfig, raise_if_cancelled
+from repro.sort.heuristic import vector_sort_rows
+from repro.sort.kernels import cutoff_mask
+from repro.sort.operator import SortConfig, SortStats, raise_if_cancelled
+from repro.sort.stringsort import (
+    and_prefix_exact,
+    inexact_prefix_end,
+    refine_table_order,
+)
 from repro.table.chunk import DataChunk, chunk_table
 from repro.table.table import Table
 from repro.types.schema import Schema
-from repro.types.sortspec import SortSpec, tuple_compare
+from repro.types.sortspec import SortSpec
 
 __all__ = ["TopNOperator", "top_n"]
 
 
-class _HeapEntry:
-    """Max-heap adapter: heapq is a min-heap, so comparisons are inverted."""
-
-    __slots__ = ("prefix", "key_values", "sequence", "row", "spec")
-
-    def __init__(
-        self,
-        prefix: bytes,
-        key_values: tuple[Any, ...],
-        sequence: int,
-        row: tuple[Any, ...],
-        spec: SortSpec,
-    ) -> None:
-        self.prefix = prefix
-        self.key_values = key_values
-        self.sequence = sequence
-        self.row = row
-        self.spec = spec
-
-    def sorts_before(self, other: "_HeapEntry") -> bool:
-        """Exact 'comes earlier in sort order' test."""
-        if self.prefix != other.prefix:
-            return self.prefix < other.prefix
-        cmp = tuple_compare(self.key_values, other.key_values, self.spec)
-        if cmp != 0:
-            return cmp < 0
-        return self.sequence < other.sequence
-
-    def __lt__(self, other: "_HeapEntry") -> bool:
-        return other.sorts_before(self)  # inverted: heap root = worst kept
-
-
 class TopNOperator:
-    """Streaming ORDER BY ... LIMIT ... OFFSET with bounded memory."""
+    """Streaming ORDER BY ... LIMIT ... OFFSET with bounded memory.
+
+    ``stats`` reports the sorts the pruning did not avoid:
+    ``rows_sorted`` counts rows entering compaction sorts (set it against
+    the rows sunk), ``vector_sort_paths`` / ``vector_sort_reasons`` the
+    kernel each compaction dispatched to, and the exact-string counters
+    the tie repair.
+    """
 
     def __init__(
         self,
@@ -85,77 +82,87 @@ class TopNOperator:
         self.limit = limit
         self.offset = offset
         self.config = config or SortConfig()
+        self.stats = SortStats()
         self._capacity = limit + offset
-        self._heap: list[_HeapEntry] = []
-        self._seen = 0
-        self._key_indices = [schema.index_of(n) for n in spec.column_names]
-        # Bytes of the normalized key that are decisive on their own:
-        # everything up to the end of the first VARCHAR segment (whose
-        # truncated prefix may hide a difference that outranks every
-        # later key byte), or the whole key when no string key exists.
-        # None until the first chunk's layout pins the offsets.
-        self._decisive: int | None = None
-        self._has_string_key = any(
-            schema.column(name).dtype.type_id is TypeId.VARCHAR
-            for name in spec.column_names
-        )
+        # Kept rows first, then survivors in arrival order; part i of
+        # the tables and of the key matrices describe the same rows.
+        self._tables: list[Table] = []
+        self._matrices: list[np.ndarray] = []
+        self._held = 0
+        # The chunks' common key layout, prefix_exact AND-ed over them.
+        self._layout = None
+        self._decisive = 0
+        self._cutoff: np.ndarray | None = None
 
     def sink(self, chunk: DataChunk) -> None:
-        """Offer one vector batch; keeps at most limit+offset best rows."""
+        """Offer one vector batch; keeps only rows that beat the cutoff."""
         raise_if_cancelled(self.config)
-        if len(chunk) == 0 or self._capacity == 0:
-            self._seen += len(chunk)
+        if len(chunk) == 0 or self.limit == 0:
             return
         table = chunk.to_table()
-        # A fixed prefix keeps keys comparable across chunks.
         keys = normalize_keys(
             table,
             self.spec,
             string_prefix=MAX_STRING_PREFIX,
             include_row_id=False,
         )
-        if self._decisive is None:
-            self._decisive = keys.layout.key_width
-            if self._has_string_key:
-                for segment in keys.layout.segments:
-                    if segment.dtype.type_id is TypeId.VARCHAR:
-                        self._decisive = (
-                            segment.offset + segment.total_width
-                        )
-                        break
-        for i in range(len(table)):
-            row = table.row(i)
-            entry = _HeapEntry(
-                keys.key_bytes(i)[: self._decisive],
-                tuple(row[j] for j in self._key_indices),
-                self._seen + i,
-                row,
-                self.spec,
+        if self._layout is None or not keys.prefix_exact:
+            self._layout = (
+                keys.layout
+                if self._layout is None
+                else and_prefix_exact(self._layout, keys.layout)
             )
-            if len(self._heap) < self._capacity:
-                heapq.heappush(self._heap, entry)
-            elif entry.sorts_before(self._heap[0]):
-                heapq.heapreplace(self._heap, entry)
-        self._seen += len(table)
+            truncated_end = inexact_prefix_end(self._layout)
+            self.stats.prefix_exact = truncated_end is None
+            self._decisive = truncated_end or self._layout.key_width
+        matrix = keys.matrix
+        if self._cutoff is not None:
+            survivors = np.flatnonzero(
+                cutoff_mask(
+                    matrix[:, : self._decisive],
+                    self._cutoff[: self._decisive],
+                    inclusive=not self.stats.prefix_exact,
+                )
+            )
+            if len(survivors) == 0:
+                return
+            if len(survivors) < len(matrix):
+                table = table.take(survivors)
+                matrix = matrix[survivors]
+        self._tables.append(table)
+        self._matrices.append(matrix)
+        self._held += len(matrix)
+        if self._held >= 2 * self._capacity:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Sort the buffer, keep the best ``capacity`` rows, reset the cutoff."""
+        if not self._tables:
+            return
+        table = self._tables[0].concat(*self._tables[1:])
+        matrix = np.concatenate(self._matrices)
+        self.stats.rows_sorted += len(matrix)
+        order = vector_sort_rows(
+            matrix, self._layout.key_width, self.stats, self.stats.radix
+        )
+        if not self.stats.prefix_exact:
+            order = refine_table_order(
+                table, matrix, self._layout, order, self.stats
+            )
+        order = order[: self._capacity]
+        self._tables = [table.take(order)]
+        self._matrices = [matrix[order]]
+        self._held = len(order)
+        if self._held == self._capacity:
+            self._cutoff = self._matrices[0][-1]
 
     def finalize(self) -> Table:
         """The LIMIT rows after OFFSET, in sorted order."""
         raise_if_cancelled(self.config)
-        ordered = sorted(
-            self._heap,
-            key=functools.cmp_to_key(
-                lambda a, b: -1 if a.sorts_before(b) else 1
-            ),
-        )
-        selected = ordered[self.offset : self.offset + self.limit]
-        if not selected:
+        self._compact()
+        if not self._tables:
             return Table.empty(self.schema)
-        data: dict[str, list[Any]] = {name: [] for name in self.schema.names}
-        for entry in selected:
-            for name, value in zip(self.schema.names, entry.row):
-                data[name].append(value)
-        dtypes = {c.name: c.dtype for c in self.schema}
-        return Table.from_pydict(data, dtypes)
+        return self._tables[0].slice(self.offset, self.offset + self.limit)
 
 
 def top_n(

@@ -139,16 +139,18 @@ class ColumnVector:
             self.dtype, self.data[start:stop], self.validity[start:stop]
         )
 
-    def concat(self, other: "ColumnVector") -> "ColumnVector":
-        """This column followed by ``other`` (types must match)."""
-        if other.dtype.type_id is not self.dtype.type_id:
-            raise TypeError_(
-                f"cannot concat {self.dtype.name} with {other.dtype.name}"
-            )
+    def concat(self, *others: "ColumnVector") -> "ColumnVector":
+        """This column followed by ``others`` (types must match)."""
+        for other in others:
+            if other.dtype.type_id is not self.dtype.type_id:
+                raise TypeError_(
+                    f"cannot concat {self.dtype.name} with {other.dtype.name}"
+                )
+        parts = (self, *others)
         return ColumnVector(
             self.dtype,
-            np.concatenate([self.data, other.data]),
-            np.concatenate([self.validity, other.validity]),
+            np.concatenate([part.data for part in parts]),
+            np.concatenate([part.validity for part in parts]),
         )
 
     def equals(self, other: "ColumnVector") -> bool:

@@ -143,12 +143,19 @@ class Table:
     def slice(self, start: int, stop: int) -> "Table":
         return Table(self.schema, [c.slice(start, stop) for c in self._columns])
 
-    def concat(self, other: "Table") -> "Table":
-        if self.schema.names != other.schema.names:
-            raise SchemaError("cannot concat tables with different schemas")
+    def concat(self, *others: "Table") -> "Table":
+        """This table followed by ``others``, each column copied once."""
+        for other in others:
+            if self.schema.names != other.schema.names:
+                raise SchemaError(
+                    "cannot concat tables with different schemas"
+                )
         return Table(
             self.schema,
-            [a.concat(b) for a, b in zip(self._columns, other._columns)],
+            [
+                column.concat(*(other._columns[i] for other in others))
+                for i, column in enumerate(self._columns)
+            ],
         )
 
     def equals(self, other: "Table") -> bool:

@@ -203,6 +203,18 @@ class TestCli:
         assert code == 0
         assert "TopN" in capsys.readouterr().out
 
+    def test_sql_stats_reports_topn(self, tmp_path, capsys):
+        source = make_csv(tmp_path)
+        code = main(
+            ["sql", "SELECT year FROM c ORDER BY year LIMIT 2",
+             "--table", f"c={source}", "--stats"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 3  # header + 2 rows
+        assert "rows_sorted: " in captured.err
+        assert "rows_sorted: 0" not in captured.err
+
     def test_sql_bad_table_spec(self, capsys):
         assert main(["sql", "SELECT 1 FROM t", "--table", "oops"]) == 1
         assert "error:" in capsys.readouterr().err

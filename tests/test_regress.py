@@ -5,7 +5,8 @@ baseline.  These tests drive it with synthetic matrices: the required
 negative test (an injected >15% hot-path slowdown MUST fail the gate),
 the hardware-robustness property (a uniformly slower machine must NOT
 fail it, because cells are normalized by the same run's reference
-cell), and the dispatch-flip / shape-loss / scale-mismatch rules.
+cell), and the dispatch-flip / shape-loss / scale-mismatch /
+Top-N-vs-in-memory rules.
 """
 
 from __future__ import annotations
@@ -148,6 +149,21 @@ def test_identity_loss_fails():
     candidate["scenarios"]["uniform"]["paths"]["external"]["identical"] = False
     violations = compare(baseline, candidate)
     assert any("not byte-identical" in v for v in violations)
+
+
+def test_topn_slower_than_in_memory_fails():
+    """Top-N must not lose to fully sorting the same table."""
+    baseline = make_matrix()
+    candidate = copy.deepcopy(baseline)
+    paths = candidate["scenarios"]["near_sorted"]["paths"]
+    # Sub-floor on purpose: the rule compares two cells of one run, so
+    # the timer-noise skip of the cross-run rule does not apply.
+    paths["in_memory"]["seconds"] = 0.010
+    paths["topn"]["seconds"] = 0.012
+    violations = compare(baseline, candidate, threshold=10.0)
+    assert len(violations) == 1
+    assert "near_sorted/topn" in violations[0]
+    assert "Top-N slower" in violations[0]
 
 
 def test_scale_mismatch_refused():

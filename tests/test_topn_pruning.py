@@ -1,0 +1,264 @@
+"""Top-N as run generation with a cutoff: the boundaries pruning created.
+
+The per-row heap compared every row exactly; the vectorized operator
+decides whole chunks against one cutoff key, so what needs pinning is
+everything that happens *at* the cutoff: equal keys arriving later,
+truncated-VARCHAR tie groups straddling it, the decisive prefix
+shrinking mid-stream, inputs where nothing or everything is pruned, and
+degenerate capacities and vector sizes.  Every case is checked against
+the tuple-key ``sorted()`` oracle byte for byte.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from test_external_kway import assert_byte_identical
+from test_oracle import oracle_sort
+from repro.engine.database import Database
+from repro.engine.operators import ScanOperator, TopNExecOperator
+from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
+from repro.sort.operator import SortConfig
+from repro.sort.stringsort import inexact_prefix_end
+from repro.sort.topn import TopNOperator
+from repro.table.chunk import chunk_table
+from repro.table.table import Table
+from repro.types.sortspec import SortSpec
+from repro.workloads.scenarios import SCENARIOS
+
+
+def spec_of(order_by: str) -> SortSpec:
+    return SortSpec.of(*[part.strip() for part in order_by.split(",")])
+
+
+def run_topn(table, spec, limit, offset=0, vector_size=1024):
+    operator = TopNOperator(table.schema, spec, limit, offset)
+    for chunk in chunk_table(table, vector_size):
+        operator.sink(chunk)
+    return operator.finalize(), operator
+
+
+def assert_matches_oracle(table, spec, limit, offset, vector_size, context=""):
+    expected = oracle_sort(table, spec).slice(offset, offset + limit)
+    actual, _ = run_topn(table, spec, limit, offset, vector_size)
+    try:
+        assert actual.num_rows == expected.num_rows
+        assert_byte_identical(expected, actual)
+    except AssertionError as exc:
+        raise AssertionError(
+            f"Top-N diverged from the oracle ({context} rows={table.num_rows} "
+            f"limit={limit} offset={offset} vector_size={vector_size}): {exc}"
+        ) from exc
+
+
+def straddled_capacity(table, spec) -> int:
+    """A capacity whose cutoff row sits inside a truncated-prefix tie group.
+
+    Returns ``i`` such that oracle rows ``i - 1`` (the cutoff) and ``i``
+    (the first row that must lose) are equal on the key bytes up to the
+    end of the first truncated VARCHAR segment.
+    """
+    ordered = oracle_sort(table, spec)
+    keys = normalize_keys(
+        ordered, spec, string_prefix=MAX_STRING_PREFIX, include_row_id=False
+    )
+    end = inexact_prefix_end(keys.layout)
+    assert end is not None, "scenario no longer truncates its strings"
+    prefix = keys.matrix[:, :end]
+    tied = np.flatnonzero(np.all(prefix[1:] == prefix[:-1], axis=1)) + 1
+    # Past the first vector, so the cutoff exists before later chunks.
+    late = tied[tied > 64]
+    assert len(late), "no tie group away from the head of the order"
+    return int(late[0])
+
+
+class TestTiesAtTheCutoff:
+    def test_cutoff_duplicates_in_later_chunks_keep_arrival_order(self):
+        keys = SCENARIOS["dup_heavy"].table(5000, seed=3).column("a").data
+        table = Table.from_numpy(
+            {"a": keys, "seq": np.arange(len(keys), dtype=np.int64)}
+        )
+        # 16 distinct keys over 5000 rows: the cutoff key has hundreds
+        # of duplicates, most of them in chunks after the cutoff is set.
+        for limit, offset in ((400, 0), (50, 300), (1, 0)):
+            result, operator = run_topn(
+                table, spec_of("a"), limit, offset, vector_size=256
+            )
+            stable = np.argsort(keys, kind="stable")[offset : offset + limit]
+            assert result.column("seq").data.tolist() == stable.tolist()
+            assert result.column("a").data.tolist() == keys[stable].tolist()
+        # Strict '<' on a fully decisive key: after the first chunk set
+        # the cutoff to the smallest key, none of its ~300 later
+        # duplicates was gathered (the last sort is finalize's, of the
+        # one kept row).
+        assert keys[:256].min() == keys.min()
+        assert operator.stats.rows_sorted == 256 + 1
+
+    @pytest.mark.parametrize(
+        "name,order_by",
+        [
+            ("long_string", "s, p"),
+            ("mixed_null", "a NULLS FIRST, f DESC, s"),
+        ],
+    )
+    @pytest.mark.parametrize("vector_size", [97, 1024])
+    def test_truncated_tie_group_straddles_cutoff(
+        self, name, order_by, vector_size
+    ):
+        table = SCENARIOS[name].table(3000, seed=11)
+        spec = spec_of(order_by)
+        capacity = straddled_capacity(table, spec)
+        for limit, offset in ((capacity, 0), (5, capacity - 5)):
+            assert_matches_oracle(
+                table, spec, limit, offset, vector_size, f"scenario={name}"
+            )
+
+    def test_later_column_never_preempts_a_truncated_string(self):
+        stem = "m" * MAX_STRING_PREFIX
+        # Sorted by (s, k DESC): 'ma' rows beat 'mb' rows whatever k is,
+        # yet their key bytes differ only in the k segment.
+        strings = [stem + "b"] * 6 + [stem + "a"] * 6 + ["zz"] * 4
+        ks = [9, 8, 7, 6, 5, 4, 1, 2, 3, 1, 2, 3, 0, 0, 0, 0]
+        table = Table.from_pydict(
+            {"s": strings, "k": ks, "seq": list(range(len(ks)))}
+        )
+        for limit in range(1, 9):
+            assert_matches_oracle(
+                table, spec_of("s, k DESC"), limit, 0, vector_size=6
+            )
+
+
+class TestDecisivePrefixShrinks:
+    def test_exact_chunk_then_truncating_chunk(self):
+        stem = "m" * MAX_STRING_PREFIX
+        first = ["b", "c", stem, "q", "r", "s", "t", "u"]
+        second = [stem + "a", stem[:-1], stem, "zzz", "a", stem + "0", "d", "e"]
+        table = Table.from_pydict(
+            {
+                "s": first + second,
+                "k": [5, 5, 5, 5, 5, 5, 5, 5, 9, 1, 7, 1, 1, 0, 1, 1],
+            }
+        )
+        spec = spec_of("s, k DESC")
+        operator = TopNOperator(table.schema, spec, 3)
+        chunks = list(chunk_table(table, 8))
+        operator.sink(chunks[0])
+        assert operator.stats.prefix_exact
+        operator.sink(chunks[1])
+        assert not operator.stats.prefix_exact
+        expected = oracle_sort(table, spec).slice(0, 3)
+        assert_byte_identical(expected, operator.finalize())
+        for limit in range(1, 10):
+            for offset in (0, 2):
+                assert_matches_oracle(table, spec, limit, offset, 8)
+
+
+class TestPruningExtremes:
+    def test_reverse_input_every_row_survives(self):
+        table = SCENARIOS["reverse"].table(4000, seed=0)
+        spec = spec_of("a, p")
+        assert_matches_oracle(table, spec, 100, 7, 512, "scenario=reverse")
+        _, operator = run_topn(table, spec, 100, 7, 512)
+        # No row is ever pruned, yet memory stays bounded: each
+        # compaction sorts one chunk plus the kept rows.
+        assert operator.stats.rows_sorted >= table.num_rows
+
+    def test_sorted_input_prunes_everything_after_the_first_compaction(self):
+        values = np.arange(5000, dtype=np.int64)
+        table = Table.from_numpy({"a": values, "p": values[::-1].copy()})
+        result, operator = run_topn(table, spec_of("a"), 10, 2, 500)
+        assert result.column("a").data.tolist() == list(range(2, 12))
+        # One compaction of the first chunk, plus finalize re-sorting
+        # the 12 kept rows; the other nine chunks never reach a sort.
+        assert operator.stats.rows_sorted == 500 + 12
+
+    @pytest.mark.parametrize("vector_size", [1, 7, 1024])
+    def test_buffer_stays_below_twice_capacity(self, vector_size):
+        table = SCENARIOS["uniform"].table(3000, seed=5)
+        capacity = 40
+        operator = TopNOperator(table.schema, spec_of("a, p"), 33, 7)
+        for chunk in chunk_table(table, vector_size):
+            operator.sink(chunk)
+            assert operator._held < max(2 * capacity, len(chunk) + capacity)
+            assert operator._held == sum(map(len, operator._matrices))
+
+
+class TestDegenerateShapes:
+    @pytest.mark.parametrize("vector_size", [1, 7, 1024])
+    @pytest.mark.parametrize(
+        "limit,offset",
+        [(0, 0), (0, 5), (1, 0), (1, 1), (300, 0), (10, 295), (10, 400)],
+    )
+    def test_limits_offsets_and_vector_sizes(self, limit, offset, vector_size):
+        table = SCENARIOS["mixed_null"].table(300, seed=9)
+        spec = spec_of("a NULLS FIRST, f DESC, s")
+        assert_matches_oracle(table, spec, limit, offset, vector_size)
+
+    def test_zero_limit_touches_nothing(self):
+        table = SCENARIOS["uniform"].table(2000, seed=1)
+        result, operator = run_topn(table, spec_of("a"), 0, 9)
+        assert result.num_rows == 0
+        assert result.schema.names == table.schema.names
+        assert operator.stats.rows_sorted == 0
+
+    def test_empty_input(self):
+        table = SCENARIOS["uniform"].table(10, seed=1).slice(0, 0)
+        result, _ = run_topn(table, spec_of("a"), 5)
+        assert result.num_rows == 0
+        assert result.schema.names == table.schema.names
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    rows=st.integers(1, 1500),
+    limit=st.integers(0, 200),
+    offset=st.integers(0, 60),
+    vector_size=st.sampled_from([7, 64, 256, 1024]),
+)
+def test_differential_against_oracle(name, seed, rows, limit, offset, vector_size):
+    scenario = SCENARIOS[name]
+    table = scenario.table(rows, seed=seed)
+    assert_matches_oracle(
+        table,
+        spec_of(scenario.order_by),
+        limit,
+        offset,
+        vector_size,
+        f"scenario={name} seed={seed}",
+    )
+
+
+class TestEngineSurface:
+    def test_result_chunks_follow_configured_vector_size(self):
+        table = SCENARIOS["uniform"].table(2000, seed=2)
+        operator = TopNExecOperator(
+            ScanOperator(table),
+            spec_of("a, p"),
+            limit=250,
+            config=SortConfig(vector_size=100),
+        )
+        assert [len(chunk) for chunk in operator.chunks()] == [100, 100, 50]
+
+    def test_stats_reach_execute_detailed(self):
+        db = Database()
+        db.register("t", SCENARIOS["long_string"].table(3000, seed=4))
+        result, stats = db.execute_detailed(
+            "SELECT * FROM t ORDER BY s, p LIMIT 20 OFFSET 3"
+        )
+        assert result.num_rows == 20
+        assert len(stats) == 1
+        topn = stats[0]
+        assert topn.rows_sorted > 0
+        assert sum(topn.vector_sort_paths.values()) >= 1
+        assert topn.vector_sort_paths.keys() <= {
+            "argsort-1word", "lexsort", "radix"
+        }
+        # Every string shares its first 12 bytes: the order came from
+        # the tie-group refinement, and the counters say so.
+        assert not topn.prefix_exact
+        assert topn.reencoded_rows > 0
+        assert topn.full_key_compares > 0
