@@ -6,7 +6,8 @@ rows, in-memory) and on the external spill path (same data forced
 through disk runs), for 2 and 4 workers:
 
 * **in-memory** -- ``sort_table`` end-to-end, serial vs. parallel
-  morsel-driven run generation + Merge-Path cascade merges,
+  morsel-driven run generation (each run's sorted morsels combined by
+  Merge-Path-partitioned rounds); the k-way merge of the runs is shared,
 * **external** -- ``ExternalSortOperator`` with a small run threshold so
   run generation dominates; the parallel side sorts each spilled run's
   key matrix across workers while the k-way merge stays shared.

@@ -130,8 +130,8 @@ def bench_long_strings(rows: int) -> dict:
         sides[label] = {
             "seconds": seconds,
             "rows_per_s": rows / seconds,
-            "scalar_merges": stats.scalar_merges,
-            "kernel_merges": stats.kernel_merges,
+            "scalar_kway_merges": stats.scalar_kway_merges,
+            "kernel_kway_merges": stats.kernel_kway_merges,
             "reencoded_rows": stats.reencoded_rows,
             "full_key_compares": stats.full_key_compares,
         }
@@ -140,8 +140,8 @@ def bench_long_strings(rows: int) -> dict:
     ].column("s").to_pylist(), (
         "vector string sort diverged from the scalar oracle"
     )
-    assert sides["vector"]["scalar_merges"] == 0, (
-        "vector side demoted to scalar merges"
+    assert sides["vector"]["scalar_kway_merges"] == 0, (
+        "vector side demoted to the scalar merge"
     )
     speedup = sides["scalar"]["seconds"] / sides["vector"]["seconds"]
     summary = {

@@ -57,7 +57,7 @@ def main() -> None:
     print(f"  sorted runs:        {stats.runs_generated}")
     print(f"  run-sort algorithm: {stats.algorithm} "
           "(pdqsort because a key column is VARCHAR)")
-    print(f"  merge rounds:       {stats.merge_rounds}")
+    print(f"  k-way merge passes: {stats.merge_passes}")
     print(f"  string prefixes exact: {stats.prefix_exact}")
 
     assert result.is_sorted_by(spec)

@@ -206,7 +206,10 @@ def ablation_heuristic_chooser(num_rows: int = 50_000) -> FigureResult:
 
     Runs the real operator with each policy on two adversarial workloads:
     narrow low-cardinality keys (radix's home turf) and a wide multi-key
-    sort of a small input (where pdqsort wins).
+    sort of a small input (where pdqsort wins).  The policies are timed
+    on the scalar reference path: that is where ``force_algorithm``
+    selects radix, pdqsort or the chooser; with the vector kernels on,
+    all three would run the same ``vector_sort_rows`` call.
     """
     from repro.sort.operator import SortConfig, sort_table
     from repro.table.table import Table
@@ -241,7 +244,9 @@ def ablation_heuristic_chooser(num_rows: int = 50_000) -> FigureResult:
             from repro.sort.operator import SortOperator
             from repro.table.chunk import chunk_table
 
-            config = SortConfig(force_algorithm=policy)
+            config = SortConfig(
+                force_algorithm=policy, use_vector_kernels=False
+            )
             operator = SortOperator(table.schema, spec, config)
             start = time.perf_counter()
             for chunk in chunk_table(table):

@@ -443,9 +443,9 @@ def _print_sort_stats(stats) -> None:
     print(f"prefix_exact: {stats.prefix_exact}", file=err)
     print(
         "merges: "
-        f"kernel={stats.kernel_merges} scalar={stats.scalar_merges} "
         f"kway_kernel={stats.kernel_kway_merges} "
-        f"kway_scalar={stats.scalar_kway_merges}",
+        f"kway_scalar={stats.scalar_kway_merges} "
+        f"kway_rounds={stats.kway_rounds}",
         file=err,
     )
     print(

@@ -17,7 +17,12 @@ import numpy as np
 from repro.errors import EngineError
 from repro.sort.operator import SortConfig, SortOperator
 from repro.sort.topn import TopNOperator
-from repro.table.chunk import VECTOR_SIZE, DataChunk, chunk_table
+from repro.table.chunk import (
+    VECTOR_SIZE,
+    DataChunk,
+    chunk_table,
+    concat_chunks,
+)
 from repro.table.column import ColumnVector
 from repro.table.table import Table
 from repro.types.datatypes import BIGINT
@@ -51,13 +56,10 @@ class PhysicalOperator:
 
 def collect(operator: PhysicalOperator) -> Table:
     """Drain an operator into one table (the client's result set)."""
-    result: Table | None = None
-    for chunk in operator.chunks():
-        table = chunk.to_table()
-        result = table if result is None else result.concat(table)
-    if result is None:
+    chunks = list(operator.chunks())
+    if not chunks:
         return Table.empty(operator.schema)
-    return result
+    return concat_chunks(chunks)
 
 
 class ScanOperator(PhysicalOperator):
@@ -115,8 +117,8 @@ class SortExecOperator(PhysicalOperator):
     reachable end-to-end from ``Database(sort_config=...)``.
 
     ``SortConfig.num_workers > 1`` routes either operator's run
-    generation (and the in-memory cascade merges) through the
-    multi-core executor of :mod:`repro.sort.parallel_exec`; the
+    generation through the multi-core executor of
+    :mod:`repro.sort.parallel_exec`; the
     measured parallel schedule lands in ``last_stats`` next to the
     usual counters.
 

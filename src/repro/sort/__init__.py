@@ -64,7 +64,6 @@ from repro.sort.operator import (
     SortConfig,
     SortOperator,
     SortStats,
-    SortedRun,
     sort_table,
 )
 from repro.sort.pdqsort import PdqStats, pdq_argsort, pdqsort
@@ -136,7 +135,6 @@ __all__ = [
     "SortConfig",
     "SortOperator",
     "SortStats",
-    "SortedRun",
     "sort_table",
     "PdqStats",
     "pdq_argsort",

@@ -85,7 +85,7 @@ class IncrementalStats:
 
 
 @dataclass
-class _SortedRun:
+class _DeltaRun:
     """One sorted run of the view: full-width keys plus payload rows."""
 
     keys: np.ndarray  # (n, total_width) uint8, sorted, row-id suffix included
@@ -130,7 +130,7 @@ class IncrementalSorter:
             schema.column(name)  # raises SchemaError on unknown columns
         self.compact_threshold = compact_threshold
         self.stats = IncrementalStats()
-        self._runs: list[_SortedRun] = []
+        self._runs: list[_DeltaRun] = []
         self._next_row_id = 0
         self._key_width: int | None = None
         self._view_cache: Table | None = None
@@ -213,7 +213,7 @@ class IncrementalSorter:
         table = delta.take(order)
         self._next_row_id += delta.num_rows
         self._view_cache = None
-        self._runs.append(_SortedRun(matrix, table))
+        self._runs.append(_DeltaRun(matrix, table))
         self.stats.deltas_inserted += 1
         self.stats.rows_inserted += delta.num_rows
         # Each delta is one sorted run; mirror the operator counters so
@@ -288,7 +288,7 @@ class IncrementalSorter:
         self.stats.compactions += 1
         self.stats.runs_compacted += len(self._runs)
         self.stats.rows_compacted += len(merged_keys)
-        self._runs = [_SortedRun(merged_keys, merged_table)]
+        self._runs = [_DeltaRun(merged_keys, merged_table)]
 
     def _refine(
         self, matrix: np.ndarray, table: Table, layout

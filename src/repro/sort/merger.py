@@ -1,0 +1,519 @@
+"""The merger: one k-way pass over sorted runs, whatever store holds them.
+
+Both sort operators finish through :class:`RunMerger`.  It streams every
+run's key blocks -- resident (:class:`~repro.sort.rungen.InMemoryRun`),
+spilled (:class:`~repro.sort.external.SpilledRun`) or a mix -- through
+the block-streaming frontier kernel
+(:func:`repro.sort.kway.kway_merge_stream`): each round refills at most
+one key block per run, finds the global cutoff from the frontier tails
+and emits everything below it with one lexsort, so every row is moved
+once and the key working set is ``k * block_rows`` rows no matter how
+large the runs are.
+
+* **Layout rebase** -- runs encoded under a narrower compressed key
+  layout are re-encoded onto the final one block by block as they
+  stream; stored offset-value codes ride along only for runs already on
+  the final layout (rebasing moves word boundaries).
+* **Exact strings** -- runs arrive sorted by key bytes, so rows tied
+  on the bytes up to the first truncated VARCHAR segment may still
+  reorder once the full strings are consulted, and such a tie group can
+  straddle a round boundary.  Each round's trailing tie group is held
+  back (the carry); every settled batch is refined with the adaptive
+  re-encode loop (:func:`repro.sort.stringsort.refine_key_order`)
+  against the full strings decoded from the payload, then emitted.
+  This is the sort's one string repair: a tie group reaches it ordered
+  by its remaining key bytes, then run, then row id -- the stable
+  refinement's precondition -- whereas repairing runs first would hand
+  the kernel runs that are no longer byte-sorted whenever key bytes
+  follow the truncated segment.
+* **Payload** -- per round, one contiguous read per contributing run
+  (served from the read-ahead window when the store provides a
+  prefetcher) and one vectorized gather back into merge order.
+  Key-carried runs gather their full key rows instead and the table is
+  decoded from those.  String heaps are concatenated once at the end and
+  each row's offsets shifted by its run's base.
+
+With ``SortConfig.use_vector_kernels`` off the merge *order* comes from
+the classic per-row tournament heap over the same streamed blocks (the
+reference the kernel is tested against); payload handling is shared.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
+
+from repro.keys.compression import decode_key_table, rebase_matrix
+from repro.keys.normalizer import KeyLayout
+from repro.rows.block import RowBlock
+from repro.rows.layout import RowLayout
+from repro.sort.kernels import KWayBlockStats, ovc_codes
+from repro.sort.kway import kway_merge_stream
+from repro.sort.rungen import InMemoryRun, RunGenerator
+from repro.sort.stringsort import inexact_prefix_end, refine_key_order
+from repro.table.table import Table
+
+__all__ = ["RunMerger"]
+
+
+class RunMerger:
+    """K-way merge of sorted runs into the result table (or one new run).
+
+    Finishes what ``generator`` began: the run format (the key layout
+    covering every run, whether runs carry compressed layouts to rebase
+    from, whether they are key-carried), the config, the stats and the
+    cancellation checkpoint are the generator's.  ``block_rows`` bounds
+    each run's frontier block.  ``make_prefetcher(runs, key_fetch,
+    row_fetch)`` is the spilling store's read-ahead hook; it may return
+    ``None``.
+    """
+
+    def __init__(
+        self,
+        generator: RunGenerator,
+        block_rows: int,
+        make_prefetcher: Callable | None = None,
+    ) -> None:
+        self.schema = generator.schema
+        self.config = config = generator.config
+        self.stats = generator.stats
+        self.key_layout = key_layout = generator.layout
+        self.compressed = generator.compress
+        self.key_carried = generator.key_carried
+        self.block_rows = block_rows
+        self._check_cancelled = generator.check_cancelled
+        self._make_prefetcher = make_prefetcher
+        self._row_layout = RowLayout.for_schema(self.schema)
+        self._has_strings = any(
+            slot.is_string for slot in self._row_layout.slots
+        )
+        #: First inexact key byte, or ``None`` when byte order is exact.
+        self.refine_end = (
+            inexact_prefix_end(key_layout) if config.exact_varchar else None
+        )
+
+    # ------------------------------------------------------------------ #
+    # Entry points
+    # ------------------------------------------------------------------ #
+
+    def merge(self, runs: Sequence) -> Table:
+        """The final pass: every run merged into the sorted output table."""
+        self.stats.merge_passes += 1
+        keys, rows, heap = self._merge(runs, want_keys=self.key_carried)
+        if self.key_carried:
+            return decode_key_table(keys, self.key_layout, self.schema)
+        return RowBlock(self._row_layout, rows, heap).to_table()
+
+    def merge_to_run(self, runs: Sequence) -> InMemoryRun:
+        """An intermediate pass: one group of runs merged into a new run.
+
+        The run is self-contained -- full-width keys on the final
+        layout, offset-value codes recomputed for the merged order, its
+        own heap -- so later passes treat it like any other.
+        """
+        keys, rows, heap = self._merge(runs, want_keys=True)
+        ovc = ovc_codes(keys[:, : self.key_layout.key_width])
+        layout = self.key_layout if self.compressed else None
+        return InMemoryRun(keys, rows, heap, layout, ovc)
+
+    # ------------------------------------------------------------------ #
+    # Streaming reads
+    # ------------------------------------------------------------------ #
+
+    def _stale(self, run) -> bool:
+        """Was the run encoded under a narrower layout than the final?"""
+        return run.layout is not None and run.layout != self.key_layout
+
+    def _full_keys(self, run, start: int, stop: int, stats) -> np.ndarray:
+        """Full-width key rows rebased onto the final layout."""
+        block = run.read_key_block(start, stop, stats)
+        if self._stale(run):
+            block = rebase_matrix(block, run.layout, self.key_layout)
+        return block
+
+    def _key_block(
+        self, run, start: int, stop: int, stats
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """One merge-ready key block and its slice of the stored codes.
+
+        The merge compares key bytes only: every run carries a row-id
+        suffix that ascends with run order, so the kernel's stable
+        earlier-run-first tie handling reproduces full-key memcmp order
+        without the suffix.  (Prefetch workers call this with a
+        thread-private ``stats``.)
+        """
+        block = self._full_keys(run, start, stop, stats)
+        codes = None if run.ovc is None or self._stale(run) else run.ovc
+        return (
+            block[:, : self.key_layout.key_width],
+            None if codes is None else codes[start:stop],
+        )
+
+    @staticmethod
+    def _rows(run, start: int, stop: int, stats) -> np.ndarray:
+        return run.read_row_block(start, stop, stats)
+
+    def _key_source(self, run) -> Iterator[tuple]:
+        for start in range(0, run.num_rows, self.block_rows):
+            stop = min(start + self.block_rows, run.num_rows)
+            yield self._key_block(run, start, stop, self.stats)
+
+    def _gather(
+        self, runs, run_ids, row_ids, read, prefetcher
+    ) -> np.ndarray:
+        """One emitted round's rows (payload or full keys) in merge order.
+
+        Each contributing run's rows form one contiguous range (a prefix
+        of its frontier -- exact-string refinement may permute rows
+        within the range but never leaves it), so the round needs one
+        contiguous read per run; interleaving back into merge order is a
+        single vectorized gather.
+        """
+        parts: list[np.ndarray] = []
+        bases = np.zeros(len(runs), dtype=np.int64)
+        cursor = 0
+        for index in np.unique(run_ids):
+            positions = row_ids[run_ids == index]
+            lo, hi = int(positions.min()), int(positions.max()) + 1
+            if prefetcher is not None:
+                parts.append(prefetcher.read_rows(int(index), lo, hi))
+            else:
+                parts.append(read(runs[index], lo, hi, self.stats))
+            bases[index] = cursor - lo
+            cursor += hi - lo
+        return _concat(parts)[bases[run_ids] + row_ids]
+
+    # ------------------------------------------------------------------ #
+    # The pass
+    # ------------------------------------------------------------------ #
+
+    def _merge(
+        self, runs: Sequence, want_keys: bool
+    ) -> tuple[np.ndarray | None, np.ndarray, bytes]:
+        """One pass over ``runs``: ``(full keys | None, rows, heap)``."""
+        stats = self.stats
+        want_rows = not self.key_carried
+        for run in runs:
+            if self._stale(run):
+                stats.key_layout_rebases += 1
+        # Heaps stay resident while rows stream: string offsets are
+        # run-relative, so the bytes must remain addressable until the
+        # merged heap is assembled.  Read them before the prefetcher
+        # exists: a read error here must not leak its pool.
+        heaps = (
+            [run.read_heap(stats) for run in runs]
+            if self._has_strings and want_rows
+            else None
+        )
+        prefetcher = None
+        if self.config.use_vector_kernels and self._make_prefetcher:
+            # The prefetcher's row stream carries the dominant per-round
+            # I/O: the payload rows, or -- for key-carried runs, which
+            # hold no payload -- the full-width key rows.
+            row_read = self._rows if want_rows else self._full_keys
+            prefetcher = self._make_prefetcher(
+                runs,
+                lambda i, lo, hi, s: self._key_block(runs[i], lo, hi, s),
+                lambda i, lo, hi, s: row_read(runs[i], lo, hi, s),
+            )
+        key_parts: list[np.ndarray] = []
+        row_parts: list[np.ndarray] = []
+        run_parts: list[np.ndarray] = []
+        if self.config.use_vector_kernels:
+            rounds = self._kernel_rounds(runs, prefetcher, heaps)
+        else:
+            rounds = self._scalar_rounds(runs)
+        try:
+            for run_ids, row_ids in rounds:
+                if want_keys:
+                    key_parts.append(
+                        self._gather(
+                            runs,
+                            run_ids,
+                            row_ids,
+                            self._full_keys,
+                            None if want_rows else prefetcher,
+                        )
+                    )
+                if want_rows:
+                    row_parts.append(
+                        self._gather(
+                            runs, run_ids, row_ids, self._rows, prefetcher
+                        )
+                    )
+                    run_parts.append(run_ids)
+        finally:
+            # kway_merge_stream also closes the prefetcher when the
+            # stream ends; this covers errors raised from the gathers
+            # before the stream is exhausted.  close() is idempotent.
+            if prefetcher is not None:
+                prefetcher.close()
+        keys = _concat(key_parts) if want_keys else None
+        if not want_rows:
+            return keys, np.empty((len(keys), 0), dtype=np.uint8), b""
+        rows = _concat(row_parts)  # freshly gathered, safe to patch
+        if heaps is None:
+            return keys, rows, b""
+        return keys, rows, self._merge_heaps(rows, _concat(run_parts), heaps)
+
+    def _merge_heaps(
+        self, rows: np.ndarray, run_ids: np.ndarray, heaps: list[bytes]
+    ) -> bytes:
+        """Concatenate the run heaps; point ``rows`` into the result.
+
+        Every string slot holds a run-relative heap offset; adding the
+        run's base in the concatenated heap re-targets it without
+        touching a string byte.
+        """
+        sizes = np.fromiter(map(len, heaps), dtype=np.int64, count=len(heaps))
+        shift = (np.cumsum(sizes) - sizes).astype(np.uint32)[run_ids]
+        layout = self._row_layout
+        for col_index, slot in enumerate(layout.slots):
+            if not slot.is_string:
+                continue
+            byte_off, bit = layout.validity_position(col_index)
+            valid = ((rows[:, byte_off] >> np.uint8(bit)) & 1).astype(bool)
+            view = rows[:, slot.offset : slot.offset + 4]
+            offsets = np.ascontiguousarray(view).view(np.uint32).reshape(-1)
+            offsets = offsets + np.where(valid, shift, np.uint32(0))
+            view[:] = offsets.view(np.uint8).reshape(-1, 4)
+        return b"".join(heaps)
+
+    # ------------------------------------------------------------------ #
+    # Kernel (block-streaming) merge order
+    # ------------------------------------------------------------------ #
+
+    def _kernel_rounds(
+        self, runs, prefetcher, heaps
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        stats = self.stats
+        if prefetcher is not None:
+            sources = [prefetcher.key_source(i) for i in range(len(runs))]
+        else:
+            sources = [self._key_source(run) for run in runs]
+        kernel_stats = KWayBlockStats()
+        refine_end = self.refine_end
+        rounds = kway_merge_stream(
+            sources,
+            kernel_stats,
+            on_round=self._check_cancelled,
+            use_ovc=self.config.use_ovc,
+            emit_keys=refine_end is not None,
+            prefetcher=prefetcher,
+        )
+        if refine_end is None:
+            yield from rounds
+        else:
+            width = self.key_layout.key_width
+            # (run_ids, row_ids, key_bytes) slices of the open tie group.
+            carry: list[tuple[np.ndarray, ...]] = []
+
+            def settle(parts):
+                columns = (_concat(list(column)) for column in zip(*parts))
+                return self._refine_settled(runs, *columns, heaps)
+
+            for run_ids, row_ids, words in rounds:
+                batch = (run_ids, row_ids, _words_to_bytes(words, width))
+                prefix = batch[2][:, :refine_end]
+                tail = _trailing_tie_start(prefix)
+                if tail == 0 and (
+                    not carry
+                    or np.array_equal(carry[-1][2][-1, :refine_end], prefix[0])
+                ):
+                    carry.append(batch)  # the open group runs on
+                    continue
+                carry.append(tuple(part[:tail] for part in batch))
+                yield settle(carry)
+                carry = [tuple(part[tail:] for part in batch)]
+            if carry:
+                yield settle(carry)
+        stats.kernel_kway_merges += 1
+        stats.kway_rounds += kernel_stats.rounds
+        stats.ovc_compares += kernel_stats.ovc_compares
+        stats.ovc_ties += kernel_stats.ovc_ties
+        stats.kway_peak_frontier_rows = max(
+            stats.kway_peak_frontier_rows, kernel_stats.peak_frontier_rows
+        )
+
+    def _refine_settled(
+        self, runs, run_ids, row_ids, key_bytes, heaps
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact-string repair of one settled merge batch.
+
+        ``key_bytes`` are the batch's merged key rows; only the tied
+        rows' payload is read back (one contiguous range per
+        contributing run) and decoded for their full strings.
+        """
+
+        def fetch_tied(tied):
+            tied_runs = run_ids[tied]
+            tied_rows = row_ids[tied]
+            decoded: list[tuple[np.ndarray, Table]] = []
+            for index in np.unique(tied_runs):
+                selected = np.flatnonzero(tied_runs == index)
+                positions = tied_rows[selected]
+                lo, hi = int(positions.min()), int(positions.max()) + 1
+                rows = runs[index].read_row_block(lo, hi, self.stats)
+                block = RowBlock(
+                    self._row_layout, rows[positions - lo], heaps[index]
+                )
+                decoded.append((selected, block.to_table()))
+
+            def get(name):
+                values = np.empty(len(tied), dtype=object)
+                valid = np.zeros(len(tied), dtype=bool)
+                for selected, table in decoded:
+                    column = table.column(name)
+                    values[selected] = column.data
+                    valid[selected] = column.validity
+                return values, valid
+
+            return get
+
+        perm = refine_key_order(
+            key_bytes, self.key_layout, fetch_tied, self.stats
+        )
+        if perm is None:
+            return run_ids, row_ids
+        return run_ids[perm], row_ids[perm]
+
+    # ------------------------------------------------------------------ #
+    # Scalar (tournament heap) merge order
+    # ------------------------------------------------------------------ #
+
+    def _scalar_rounds(
+        self, runs
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The heap's merge order, batched ``block_rows`` rows at a time."""
+        self.stats.scalar_kway_merges += 1
+        run_ids: list[int] = []
+        row_ids: list[int] = []
+        for run_index, position in self._heap_order(runs):
+            self._check_cancelled()
+            run_ids.append(run_index)
+            row_ids.append(position)
+            if len(run_ids) >= self.block_rows:
+                yield (
+                    np.asarray(run_ids, dtype=np.int64),
+                    np.asarray(row_ids, dtype=np.int64),
+                )
+                run_ids, row_ids = [], []
+        if run_ids:
+            yield (
+                np.asarray(run_ids, dtype=np.int64),
+                np.asarray(row_ids, dtype=np.int64),
+            )
+
+    def _heap_order(self, runs) -> Iterator[tuple[int, int]]:
+        """Scalar merge order: a tournament heap over per-row key bytes.
+
+        Keys stream block-by-block from the runs (same bounded reads as
+        the kernel path); each popped row costs one Python heap
+        operation and one ``tobytes`` -- the per-tuple overhead the
+        kernel path eliminates.  When the key layout truncates a VARCHAR
+        prefix (and ``SortConfig.exact_varchar`` holds), the heap keys
+        are augmented per row: each truncated segment's bytes are
+        replaced by the full terminated string encoding
+        (:func:`_augmented_key`), so the scalar merge is exact too.
+        """
+        augment = self.refine_end is not None
+
+        def raw_rows(run) -> Iterator[bytes]:
+            # Full-width rows (row-id suffix included, globally ascending)
+            # so heap ties never happen; compressed runs rebase onto the
+            # final layout first so bytes compare across runs.
+            heap = run.read_heap(self.stats) if augment else b""
+            for start in range(0, run.num_rows, self.block_rows):
+                stop = min(start + self.block_rows, run.num_rows)
+                block = self._full_keys(run, start, stop, self.stats)
+                if not augment:
+                    for i in range(len(block)):
+                        yield block[i].tobytes()
+                    continue
+                rows = np.ascontiguousarray(
+                    run.read_row_block(start, stop, self.stats)
+                )
+                decoded = RowBlock(self._row_layout, rows, heap).to_table()
+                for i in range(len(block)):
+                    yield _augmented_key(
+                        block[i], self.key_layout, decoded, i
+                    )
+
+        streams = [raw_rows(run) for run in runs]
+        heap: list[tuple[bytes, int, int]] = []
+        for run_index, stream in enumerate(streams):
+            first = next(stream, None)
+            if first is not None:
+                heap.append((first, run_index, 0))
+        heapq.heapify(heap)
+        while heap:
+            _, run_index, position = heapq.heappop(heap)
+            yield run_index, position
+            following = next(streams[run_index], None)
+            if following is not None:
+                heapq.heappush(
+                    heap, (following, run_index, position + 1)
+                )
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` that hands a lone part through uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _words_to_bytes(words: np.ndarray, width: int) -> np.ndarray:
+    """Merged uint64 key words back to their big-endian key byte rows."""
+    count, word_count = words.shape
+    return (
+        words.astype(">u8")
+        .view(np.uint8)
+        .reshape(count, word_count * 8)[:, :width]
+    )
+
+
+def _trailing_tie_start(prefix: np.ndarray) -> int:
+    """First row of the trailing maximal group of equal prefix rows.
+
+    Returns 0 when every row of ``prefix`` belongs to one tied group
+    (the whole batch must be carried into the next merge round).
+    """
+    if len(prefix) < 2:
+        return 0
+    distinct = np.flatnonzero(np.any(prefix[1:] != prefix[:-1], axis=1))
+    return int(distinct[-1]) + 1 if len(distinct) else 0
+
+
+def _augmented_key(
+    key_row: np.ndarray, key_layout: KeyLayout, decoded: Table, i: int
+) -> bytes:
+    """Variable-length comparable key bytes with full strings inlined.
+
+    Byte-wise identical semantics to the normalized key, except every
+    truncated VARCHAR segment's value bytes are replaced by the full
+    UTF-8 encoding plus a terminator: ``0x00`` ascending, ``0xFF`` after
+    byte-wise inversion descending.  Neither terminator can occur inside
+    the encoded value (UTF-8 of NUL-free text has no zero byte; inverted
+    bytes are at most 0xFE), so a comparison either decides inside the
+    string region or falls through to the next segment with alignment
+    intact.  NULL rows keep only the segment's null-marker byte, which
+    already separates them from every valid row.
+    """
+    parts: list[bytes] = []
+    cursor = 0
+    for segment in key_layout.segments:
+        if segment.prefix_exact:
+            continue
+        start = segment.offset + segment.total_width - segment.value_width
+        parts.append(key_row[cursor:start].tobytes())
+        cursor = segment.offset + segment.total_width
+        column = decoded.column(segment.key.column)
+        if column.validity[i]:
+            encoded = str(column.data[i]).encode("utf-8")
+            if segment.key.descending:
+                parts.append(bytes(255 - b for b in encoded) + b"\xff")
+            else:
+                parts.append(encoded + b"\x00")
+    parts.append(key_row[cursor:].tobytes())
+    return b"".join(parts)

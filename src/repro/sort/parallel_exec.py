@@ -38,8 +38,7 @@ matrix, never from a schema-computed width, so compressed (narrower)
 key matrices just make the shared segment smaller.
 
 Fallback rules (the caller degrades to the serial kernels whenever
-:meth:`ParallelSortExecutor.argsort` / :meth:`merge_two` return
-``None``):
+:meth:`ParallelSortExecutor.argsort` returns ``None``):
 
 * ``num_workers <= 1`` or fewer than two morsels of input;
 * the platform lacks POSIX shared memory or the ``fork`` start method
@@ -73,9 +72,6 @@ __all__ = [
 
 DEFAULT_MORSEL_ROWS = 1 << 15
 """Rows per run-generation morsel when the config does not override it."""
-
-MIN_PARALLEL_MERGE_ROWS = 1 << 14
-"""Below this many total rows a 2-way merge is not worth dispatching."""
 
 SHM_PREFIX = "repro-sort-"
 """Name prefix of every shared-memory segment the executor creates."""
@@ -161,29 +157,21 @@ def _merge_slice_task(task) -> tuple[int, float, int]:
     """Merge one Merge-Path partition of a 2-way merge into the output.
 
     ``task`` is ``(keys_name, n, width, src_name, dst_name, a_lo, a_hi,
-    b_lo, b_hi, out_lo)``.  With ``src_name`` set, the half-open ranges
-    index the *source order buffer* (run rows are ``keys[src[i]]``);
-    without it they index the key matrix directly and the written values
-    are positions in the matrix.  Ties take the ``a`` side first -- the
-    same rule :func:`merge_path_partitions` cut the diagonals with, so
-    concatenating every partition's output is the stable full merge.
-    Returns ``(worker_slot, seconds, rows)``.
+    b_lo, b_hi, out_lo)``.  The half-open ranges index the *source order
+    buffer* (run rows are ``keys[src[i]]``).  Ties take the ``a`` side
+    first -- the same rule :func:`merge_path_partitions` cut the
+    diagonals with, so concatenating every partition's output is the
+    stable full merge.  Returns ``(worker_slot, seconds, rows)``.
     """
     keys_name, n, width, src_name, dst_name, a_lo, a_hi, b_lo, b_hi, out_lo = task
     began = time.perf_counter()
     keys = _keys_view(keys_name, n, width)
     dst = _order_view(dst_name, n)
-    if src_name is None:
-        idx_a = np.arange(a_lo, a_hi, dtype=np.int64)
-        idx_b = np.arange(b_lo, b_hi, dtype=np.int64)
-        keys_a = keys[a_lo:a_hi]
-        keys_b = keys[b_lo:b_hi]
-    else:
-        src = _order_view(src_name, n)
-        idx_a = src[a_lo:a_hi]
-        idx_b = src[b_lo:b_hi]
-        keys_a = keys[idx_a]
-        keys_b = keys[idx_b]
+    src = _order_view(src_name, n)
+    idx_a = src[a_lo:a_hi]
+    idx_b = src[b_lo:b_hi]
+    keys_a = keys[idx_a]
+    keys_b = keys[idx_b]
     total = len(idx_a) + len(idx_b)
     if len(idx_a) == 0:
         dst[out_lo : out_lo + total] = idx_b
@@ -203,20 +191,16 @@ def _merge_slice_task(task) -> tuple[int, float, int]:
 class _KeyRows:
     """Sequence view of sorted key rows for Merge-Path binary searches.
 
-    Each item is the row's key bytes (memcmp order under ``<``).  With an
-    ``order`` array the view follows the indirection of a sorted run held
-    as indices; only O(log n) items are ever materialized per partition
+    Each item is the row's key bytes (memcmp order under ``<``).  The
+    view follows the indirection of a sorted run held as indices into
+    ``order``; only O(log n) items are ever materialized per partition
     search, so the per-item ``tobytes`` cost is negligible.
     """
 
     __slots__ = ("_keys", "_order", "_lo", "_hi")
 
     def __init__(
-        self,
-        keys: np.ndarray,
-        lo: int,
-        hi: int,
-        order: np.ndarray | None = None,
+        self, keys: np.ndarray, lo: int, hi: int, order: np.ndarray
     ) -> None:
         self._keys = keys
         self._order = order
@@ -227,10 +211,7 @@ class _KeyRows:
         return self._hi - self._lo
 
     def __getitem__(self, index: int) -> bytes:
-        position = self._lo + index
-        if self._order is not None:
-            position = int(self._order[position])
-        return self._keys[position].tobytes()
+        return self._keys[int(self._order[self._lo + index])].tobytes()
 
 
 @dataclass
@@ -534,71 +515,3 @@ class ParallelSortExecutor:
             )
         )
         return next_runs
-
-    def merge_two(
-        self,
-        left: np.ndarray,
-        right: np.ndarray,
-        key_width: int,
-        stats=None,
-    ) -> np.ndarray | None:
-        """Parallel Merge-Path merge of two sorted key matrices.
-
-        Same contract as :func:`repro.sort.kernels.merge_indices`: returns
-        the gather permutation over ``concatenate([left, right])``, ties
-        stable toward ``left``.  ``None`` means fall back to the serial
-        kernel (too small, single worker, or platform unavailable).
-        """
-        n, m = len(left), len(right)
-        total = n + m
-        if (
-            not self.available
-            or n == 0
-            or m == 0
-            or total < max(MIN_PARALLEL_MERGE_ROWS, 2 * self.num_workers)
-        ):
-            return None
-        try:
-            keys_segment = self._create_segment(total * key_width)
-            keys = np.ndarray(
-                (total, key_width), dtype=np.uint8, buffer=keys_segment.buf
-            )
-            keys[:n] = left[:, :key_width]
-            keys[n:] = right[:, :key_width]
-            dst_segment, dst = self._shared_order(total)
-        except (OSError, ValueError):
-            self._release_segments()
-            self._unavailable = True
-            return None
-        try:
-            points = merge_path_partitions(
-                _KeyRows(keys, 0, n), _KeyRows(keys, n, total), self.num_workers
-            )
-            tasks = []
-            rows = []
-            for (i0, j0), (i1, j1) in zip(points, points[1:]):
-                size = (i1 - i0) + (j1 - j0)
-                if size == 0:
-                    continue
-                tasks.append(
-                    (
-                        keys_segment.name,
-                        total,
-                        key_width,
-                        None,
-                        dst_segment.name,
-                        i0,
-                        i1,
-                        n + j0,
-                        n + j1,
-                        i0 + j0,
-                    )
-                )
-                rows.append(size)
-            phase = self._run_phase("merge_two", _merge_slice_task, tasks, rows)
-            result = dst.copy()
-        finally:
-            keys = dst = None
-            self._release_segments()
-        self._record(stats, [phase])
-        return result

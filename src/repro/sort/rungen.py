@@ -1,4 +1,24 @@
-"""Replacement-selection run generation over normalized-key matrices.
+"""Run generation: the stage both sort operators share.
+
+:class:`RunGenerator` turns a buffer of input chunks into one sorted run
+in the row format of the paper's Figure 11 -- one ``Table.concat``, key
+statistics and normalization (:mod:`repro.keys`), a stable vectorized
+sort of the key bytes (or the morsel-parallel argsort), and the payload
+reordered into key order -- and hands it over as an
+:class:`InMemoryRun`.  Runs are sorted by their key *bytes*: where a
+VARCHAR prefix truncates, the exact-string repair happens once, in the
+merger, on tie groups that by then span all runs.  What happens to
+the run next is the *store's* business: :class:`~repro.sort.operator.
+SortOperator` keeps it resident, :class:`~repro.sort.external.
+ExternalSortOperator` spills it (and may regroup rows into longer runs
+with replacement selection first, below).  The run format -- key
+layout, key-carried payload, offset-value codes -- is decided here once
+for both.  ``SortConfig.use_vector_kernels=False`` selects the scalar
+reference (radix / pdqsort / segment-wise comparator), kept as the
+oracle the vector path is tested against.
+
+Replacement-selection run generation over normalized-key matrices
+-----------------------------------------------------------------
 
 The external sort's default run generation cuts a run at a fixed row
 threshold: buffer ``run_threshold`` rows, argsort, spill, repeat.  That
@@ -55,18 +75,47 @@ wins only when runs actually get longer, so the operator switches at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from repro.sort.kernels import argsort_rows
+from repro.keys.compression import (
+    KeyStatsAccumulator,
+    key_carried_eligible,
+    plain_key_width,
+)
+from repro.keys.normalizer import (
+    MAX_STRING_PREFIX,
+    KeyLayout,
+    NormalizedKeys,
+    normalize_keys,
+)
+from repro.rows.block import RowBlock
+from repro.sort.heuristic import choose_algorithm, vector_sort_rows
+from repro.sort.kernels import argsort_rows, ovc_codes
+from repro.sort.parallel_exec import ParallelSortExecutor
+from repro.sort.pdqsort import pdqsort
+from repro.sort.radix import radix_argsort
+from repro.sort.stringsort import and_prefix_exact
+from repro.table.chunk import DataChunk, concat_chunks
+from repro.table.table import Table
+from repro.types.datatypes import TypeId
+from repro.types.schema import Schema
+from repro.types.sortspec import SortSpec, compare_values
 
 __all__ = [
     "PROBE_THRESHOLD",
+    "ROW_ID_WIDTH",
     "RUN_CAP_FACTOR",
+    "InMemoryRun",
     "ReplacementSelection",
+    "RunGenerator",
     "SelectionRun",
     "presortedness",
 ]
+
+ROW_ID_WIDTH = 8
+"""Bytes of the row-id suffix every run appends to its keys."""
 
 RUN_CAP_FACTOR = 4
 """A replacement-selection run closes at this multiple of the run
@@ -160,9 +209,7 @@ class SelectionRun:
     """One closed run: keys in emission order plus payload references.
 
     ``keys`` is ready to spill as-is; row ``i``'s payload is row
-    ``positions[i]`` of ``tables[table_ids[i]]``.  Within one table the
-    emitted positions ascend, so the operator gathers payload with one
-    ``take`` per source table plus one interleaving gather.
+    ``positions[i]`` of ``tables[table_ids[i]]`` (:meth:`payload`).
     """
 
     keys: np.ndarray
@@ -170,6 +217,30 @@ class SelectionRun:
     positions: np.ndarray
     layout: object | None
     tables: dict[int, object] = field(default_factory=dict)
+
+    def payload(self) -> Table:
+        """The run's payload rows in emission order, one gather per table.
+
+        Within each source table the emitted positions ascend (a sorted
+        segment is consumed front to back), so one ``take`` per table
+        plus one interleaving gather reconstructs emission order.
+        """
+        unique = np.unique(self.table_ids)
+        if len(unique) == 1:
+            return self.tables[int(unique[0])].take(self.positions)
+        parts: list[Table] = []
+        gather = np.empty(len(self.table_ids), dtype=np.int64)
+        base = 0
+        for table_id in unique:
+            selected = np.flatnonzero(self.table_ids == table_id)
+            parts.append(
+                self.tables[int(table_id)].take(self.positions[selected])
+            )
+            gather[selected] = base + np.arange(
+                len(selected), dtype=np.int64
+            )
+            base += len(selected)
+        return parts[0].concat(*parts[1:]).take(gather)
 
 
 class ReplacementSelection:
@@ -393,3 +464,351 @@ class ReplacementSelection:
             if table_id in keep
         }
         return run
+
+
+# ---------------------------------------------------------------------- #
+# The shared run generator
+# ---------------------------------------------------------------------- #
+
+
+class InMemoryRun:
+    """A sorted run held resident: what :class:`RunGenerator` produces.
+
+    Sorted full-width key rows (row-id suffix included), the payload
+    row matrix in key order, and the string heap the rows point into.
+    :class:`~repro.sort.operator.SortOperator` keeps its runs in this
+    form; :class:`~repro.sort.external.ExternalSortOperator` writes the
+    three sections to a spill file, or keeps the run when no spill
+    target is writable.  ``read_key_block`` / ``read_row_block`` /
+    ``read_heap`` are the reads :class:`~repro.sort.external.SpilledRun`
+    implements too, so the merger works unchanged over any mix of the
+    two.
+    """
+
+    on_disk = False
+    path = "<memory>"
+
+    def __init__(
+        self,
+        keys: np.ndarray,
+        rows: np.ndarray,
+        heap: bytes,
+        layout: KeyLayout | None = None,
+        ovc: np.ndarray | None = None,
+    ) -> None:
+        self.keys = np.ascontiguousarray(keys)
+        self.rows = np.ascontiguousarray(rows)
+        self.heap = heap
+        #: the run's compressed key layout (``None`` for uncompressed
+        #: runs, which all share one locked layout).
+        self.layout = layout
+        #: offset-value codes of the key rows
+        #: (:func:`repro.sort.kernels.ovc_codes`), or ``None``.
+        self.ovc = ovc
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.keys)
+
+    @property
+    def key_width(self) -> int:
+        return self.keys.shape[1]
+
+    @property
+    def row_width(self) -> int:
+        return self.rows.shape[1]
+
+    @property
+    def heap_bytes(self) -> int:
+        return len(self.heap)
+
+    def read_key_block(self, start: int, stop: int, stats=None) -> np.ndarray:
+        return self.keys[start:stop]
+
+    def read_row_block(self, start: int, stop: int, stats=None) -> np.ndarray:
+        return self.rows[start:stop]
+
+    def read_heap(self, stats=None) -> bytes:
+        return self.heap
+
+
+def _segmented_compare(raw_a, raw_b, layout, fetch_a, fetch_b) -> int:
+    """Three-way compare of two normalized keys, segment by segment.
+
+    Fixed-width segments are decided by their bytes.  A VARCHAR segment
+    whose (possibly truncated) prefix bytes tie falls back to comparing
+    the full string values -- fetched lazily via ``fetch_a``/``fetch_b``
+    (called with the key-column ordinal) -- before any later key column is
+    consulted.  This is the order DuckDB's "compare the rest of the string
+    only if the prefixes are equal" implies.
+    """
+    for col, segment in enumerate(layout.segments):
+        start = segment.offset
+        stop = start + segment.total_width
+        seg_a = raw_a[start:stop]
+        seg_b = raw_b[start:stop]
+        if seg_a != seg_b:
+            return -1 if seg_a < seg_b else 1
+        if segment.dtype.type_id is TypeId.VARCHAR:
+            cmp = compare_values(fetch_a(col), fetch_b(col), segment.key)
+            if cmp != 0:
+                return cmp
+    return 0
+
+
+def _segmented_argsort(table: Table, keys, spec: SortSpec) -> np.ndarray:
+    """Scalar pdqsort with segment-wise full-string tie-breaks.
+
+    The per-row comparator for inexact string prefixes.  Production
+    sorts use the vectorized prefix sort plus
+    :func:`repro.sort.stringsort.refine_key_order` instead; this remains
+    as the ``use_vector_kernels=False`` reference oracle.
+    """
+    n = len(keys)
+    matrix = keys.matrix
+    raw = [matrix[i].tobytes() for i in range(n)]
+    key_table = table.select(spec.column_names)
+    layout = keys.layout
+
+    def less(i: int, j: int) -> bool:
+        cmp = _segmented_compare(
+            raw[i],
+            raw[j],
+            layout,
+            lambda col: key_table.column_at(col).value(i),
+            lambda col: key_table.column_at(col).value(j),
+        )
+        if cmp != 0:
+            return cmp < 0
+        return raw[i][layout.key_width:] < raw[j][layout.key_width:]
+
+    order = list(range(n))
+    pdqsort(order, less)
+    return np.asarray(order, dtype=np.int64)
+
+
+class RunGenerator:
+    """Buffered chunks in, one sorted :class:`InMemoryRun` out.
+
+    Holds what must be shared *across* the runs of one sort: the
+    monotone key-statistics accumulator (so compressed layouts only ever
+    widen and every earlier run rebases losslessly onto :attr:`layout`),
+    the global row-id counter (unique ascending ids make every merge
+    stable), the lazily created multi-core executor, and the run-format
+    decisions (:attr:`compress`, :attr:`key_carried`).  ``stats`` is the
+    owning operator's :class:`~repro.sort.operator.SortStats`;
+    ``check_cancelled`` its cooperative-cancellation checkpoint.
+    """
+
+    def __init__(
+        self,
+        schema: Schema,
+        spec: SortSpec,
+        config,
+        stats,
+        check_cancelled: Callable[[], None],
+    ) -> None:
+        self.schema = schema
+        self.spec = spec
+        self.config = config
+        self.stats = stats
+        self.check_cancelled = check_cancelled
+        self.has_string_key = any(
+            schema.column(name).dtype.type_id is TypeId.VARCHAR
+            for name in spec.column_names
+        )
+        #: Stats-driven key compression.  A user-forced ``string_prefix``
+        #: pins the layout the statistics pass would choose, so it
+        #: disables compression.
+        self.compress = config.compress_keys and config.string_prefix is None
+        self._key_acc = (
+            KeyStatsAccumulator(schema, spec) if self.compress else None
+        )
+        #: Key-carried runs: when the key segments alone reconstruct
+        #: every column exactly, a run carries its sorted keys and no
+        #: payload rows at all.
+        self.key_carried = (
+            self.compress
+            and config.use_vector_kernels
+            and key_carried_eligible(schema, spec)
+        )
+        #: The key layout covering every run generated so far: the
+        #: accumulator's latest (widest) compressed layout, or the one
+        #: locked uncompressed layout with each VARCHAR segment's
+        #: ``prefix_exact`` AND-ed across runs.  ``None`` before the
+        #: first run.
+        self.layout: KeyLayout | None = None
+        self._next_row_id = 0
+        self._parallel: ParallelSortExecutor | None = None
+
+    def close(self) -> None:
+        """Release the worker pool and shared memory; idempotent."""
+        if self._parallel is not None:
+            self._parallel.close()
+            self._parallel = None
+
+    def encode(
+        self, chunks: list[DataChunk]
+    ) -> tuple[Table, NormalizedKeys]:
+        """Concatenate the buffered chunks once and normalize their keys."""
+        self.check_cancelled()
+        table = concat_chunks(chunks)
+        stats = self.stats
+        with stats.time_phase("encode"):
+            layout = None
+            # Uncompressed runs must share one key layout so the merge
+            # can memcmp across them; with VARCHAR keys and no explicit
+            # prefix the prefix is locked to DuckDB's 12-byte cap rather
+            # than letting each run pick its own width from its data.
+            string_prefix = self.config.string_prefix
+            if self._key_acc is not None:
+                # The accumulator has seen every row so far, so this
+                # run's layout is at least as wide as every earlier
+                # run's; the merge rebases narrower runs onto the last.
+                self._key_acc.update(table)
+                layout = self._key_acc.build_layout(
+                    include_row_id=True, row_id_width=ROW_ID_WIDTH
+                )
+            elif string_prefix is None and self.has_string_key:
+                string_prefix = MAX_STRING_PREFIX
+            keys = normalize_keys(
+                table,
+                self.spec,
+                string_prefix=string_prefix,
+                include_row_id=True,
+                row_id_base=self._next_row_id,
+                row_id_width=ROW_ID_WIDTH,
+                layout=layout,
+            )
+        self._next_row_id += len(table)
+        if self.compress or self.layout is None:
+            self.layout = keys.layout
+        else:
+            self.layout = and_prefix_exact(self.layout, keys.layout)
+        stats.key_width_used = keys.layout.key_width
+        stats.key_width_full = plain_key_width(keys.layout)
+        stats.prefix_exact = stats.prefix_exact and keys.prefix_exact
+        stats.rows_sorted += len(table)
+        return table, keys
+
+    def argsort(self, keys: NormalizedKeys) -> np.ndarray:
+        """Stable vectorized sort of the key bytes.
+
+        The row-id suffix ascends with row index, so a stable sort of
+        the key bytes alone is byte-identical to memcmp over the full
+        row -- whichever kernel the width/row-count/skew heuristic
+        picks, and for any worker count of the morsel-parallel path
+        (stable morsel sorts, merges resolving ties to the earlier
+        morsel).  Truncated VARCHAR prefixes sort by their bytes here;
+        the merger repairs the tie groups.
+        """
+        key_width = keys.layout.key_width
+        order = None
+        if self.config.num_workers > 1:
+            if self._parallel is None:
+                self._parallel = ParallelSortExecutor(
+                    self.config.num_workers,
+                    self.config.parallel_morsel_rows,
+                    cancel_check=self.check_cancelled,
+                )
+            order = self._parallel.argsort(keys.matrix, key_width, self.stats)
+            if order is not None:
+                self.stats.algorithm = "parallel-morsel"
+        if order is None:
+            order = vector_sort_rows(
+                keys.matrix[:, :key_width],
+                key_width,
+                self.stats,
+                self.stats.radix,
+            )
+        return np.asarray(order, dtype=np.int64)
+
+    def _choose_algorithm(self, keys: NormalizedKeys) -> str:
+        forced = self.config.force_algorithm
+        if forced == "heuristic":
+            algorithm = choose_algorithm(keys.matrix, keys.layout.key_width)
+        elif forced is not None:
+            algorithm = forced
+        else:
+            # DuckDB's rule: pdqsort when strings are present, else radix.
+            algorithm = "pdqsort" if self.has_string_key else "radix"
+        if not keys.prefix_exact and not (
+            self.config.use_vector_kernels and self.config.exact_varchar
+        ):
+            # Radix cannot tie-break truncated string prefixes, and
+            # without the vector path's tie repair the only exact option
+            # is pdqsort with full-string comparisons.
+            algorithm = "pdqsort"
+        return algorithm
+
+    def _scalar_argsort(
+        self, table: Table, keys: NormalizedKeys, algorithm: str
+    ) -> np.ndarray:
+        """The ``use_vector_kernels=False`` reference: row-at-a-time sorts.
+
+        Radix is stable, so only the key bytes are sorted.  pdqsort
+        compares whole rows (the unique row id breaks ties); with
+        truncated prefixes it walks the key *segments* instead,
+        resolving a tied VARCHAR prefix on the full strings before any
+        later key column is consulted.
+        """
+        matrix = keys.matrix
+        if algorithm == "radix":
+            return radix_argsort(
+                matrix[:, : keys.layout.key_width],
+                self.stats.radix,
+                self.config.lsd_threshold,
+                vector_threshold=None,
+            )
+        if keys.prefix_exact or not self.config.exact_varchar:
+            raw = [matrix[i].tobytes() for i in range(len(matrix))]
+            order = list(range(len(matrix)))
+            pdqsort(order, lambda i, j: raw[i] < raw[j])
+            return np.asarray(order, dtype=np.int64)
+        return _segmented_argsort(table, keys, self.spec)
+
+    def sort_run(self, table: Table, keys: NormalizedKeys) -> InMemoryRun:
+        """Sort one encoded batch into a run."""
+        algorithm = self._choose_algorithm(keys)
+        self.stats.algorithm = algorithm
+        with self.stats.time_phase("run_gen"):
+            if self.config.use_vector_kernels:
+                order = self.argsort(keys)
+            else:
+                order = self._scalar_argsort(table, keys, algorithm)
+            return self.pack(
+                keys.matrix[order],
+                keys.layout if self.compress else None,
+                table,
+                order,
+            )
+
+    def pack(
+        self,
+        sorted_keys: np.ndarray,
+        layout: KeyLayout | None,
+        payload: Table,
+        order: np.ndarray | None = None,
+    ) -> InMemoryRun:
+        """Seal a run: sorted keys plus ``payload`` rows in key order.
+
+        ``payload`` is gathered through ``order`` when given, else it
+        already is in key order (replacement-selection runs).
+        """
+        sorted_keys = np.ascontiguousarray(sorted_keys)
+        stats = self.stats
+        ovc = None
+        if self.config.use_vector_kernels:
+            ovc = ovc_codes(sorted_keys[:, : sorted_keys.shape[1] - ROW_ID_WIDTH])
+        if self.key_carried:
+            rows = np.empty((len(sorted_keys), 0), dtype=np.uint8)
+            heap = b""
+            stats.key_carried_runs += 1
+        else:
+            block = RowBlock.from_table(payload)
+            if order is not None:
+                block = block.take(order)
+            rows, heap = block.rows, block.heap
+        stats.runs_generated += 1
+        stats.run_lengths.append(len(sorted_keys))
+        return InMemoryRun(sorted_keys, rows, heap, layout, ovc)

@@ -17,7 +17,7 @@ from repro.table.column import ColumnVector
 from repro.table.table import Table
 from repro.types.schema import Schema
 
-__all__ = ["VECTOR_SIZE", "DataChunk", "chunk_table"]
+__all__ = ["VECTOR_SIZE", "DataChunk", "chunk_table", "concat_chunks"]
 
 VECTOR_SIZE = 1024
 """Default number of rows per vector batch."""
@@ -75,7 +75,5 @@ def concat_chunks(chunks: list[DataChunk]) -> Table:
     """Reassemble chunks into one table (inverse of :func:`chunk_table`)."""
     if not chunks:
         raise SchemaError("cannot concat zero chunks")
-    table = chunks[0].to_table()
-    for chunk in chunks[1:]:
-        table = table.concat(chunk.to_table())
-    return table
+    head, *rest = (chunk.to_table() for chunk in chunks)
+    return head.concat(*rest) if rest else head

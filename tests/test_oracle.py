@@ -11,7 +11,9 @@ pipeline reproduces via the row-id key suffix.
 Each seed-deterministic random table is then pushed through the
 in-memory operator (vector kernels on and off), the spilling external
 operator, the parallel (multi-core) configuration, and Top-N, and each
-result must match the oracle byte for byte.
+result must match the oracle byte for byte.  The two operators share
+their run generator and merger; one grid drives both classes over every
+catalog scenario x {1, 2, 7 runs} x key compression on/off.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 import pytest
 
 from test_external_kway import assert_byte_identical
-from repro.sort.external import external_sort_table
-from repro.sort.operator import SortConfig, sort_table
+from repro.sort.external import ExternalSortOperator, external_sort_table
+from repro.sort.operator import SortConfig, SortOperator, sort_table
 from repro.sort.parallel_exec import parallel_platform_supported
 from repro.sort.topn import TopNOperator
 from repro.table.chunk import chunk_table
@@ -248,6 +250,45 @@ def test_scenario_external_matches_oracle(tmp_path, name):
         table, spec, SortConfig(run_threshold=400), str(tmp_path)
     )
     _assert_oracle(expected, result, name, "external")
+
+
+@pytest.mark.parametrize("compress_keys", [True, False])
+@pytest.mark.parametrize("runs", [1, 2, 7])
+@pytest.mark.parametrize("operator_class", [SortOperator, ExternalSortOperator])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_shared_stages_match_oracle(
+    tmp_path, name, operator_class, runs, compress_keys
+):
+    # Both operators are the same generator and merger around a
+    # different run store, so each must hit the oracle for one run
+    # (nothing to merge), two, and an odd count, on compressed
+    # (rebased, key-carried) and plain (AND-ed prefix flags) layouts.
+    table, spec = _scenario_case(name)
+    expected = oracle_sort(table, spec)
+    chunk_rows = -(-table.num_rows // runs)
+    config = SortConfig(run_threshold=chunk_rows, compress_keys=compress_keys)
+    if operator_class is ExternalSortOperator:
+        operator = ExternalSortOperator(
+            table.schema, spec, config, str(tmp_path)
+        )
+    else:
+        operator = SortOperator(table.schema, spec, config)
+    for chunk in chunk_table(table, chunk_rows):
+        operator.sink(chunk)
+    result = operator.finalize()
+    stats = operator.stats
+    _assert_oracle(
+        expected,
+        result,
+        name,
+        f"{operator_class.__name__}(runs={runs}, compress={compress_keys})",
+    )
+    assert stats.runs_generated == runs or (
+        stats.rungen_path == "replacement_selection"
+    )
+    assert stats.merge_passes == 1
+    assert stats.kernel_kway_merges == 1
+    assert stats.scalar_kway_merges == 0
 
 
 @pytest.mark.skipif(

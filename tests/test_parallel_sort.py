@@ -23,7 +23,7 @@ from test_external_kway import assert_byte_identical, mixed_table
 from repro.errors import SortError
 from repro.engine.parallel import makespan, sort_phase_model
 from repro.sort.external import external_sort_table
-from repro.sort.kernels import argsort_rows, merge_indices
+from repro.sort.kernels import argsort_rows
 from repro.sort.operator import SortConfig, SortOperator, sort_table
 from repro.sort.parallel_exec import (
     SHM_PREFIX,
@@ -166,15 +166,6 @@ class TestExecutorKernelEquivalence:
             order = executor.argsort(matrix, 9)
             assert order is not None
             assert (order == argsort_rows(matrix)).all()
-
-    def test_merge_two_matches_kernel(self, rng):
-        matrix = rng.integers(0, 3, (40_000, 9), dtype=np.uint8)
-        a = matrix[argsort_rows(matrix)][:25_000]
-        b = matrix[argsort_rows(matrix)][25_000:]
-        with ParallelSortExecutor(4) as executor:
-            perm = executor.merge_two(a, b, 9)
-            assert perm is not None
-            assert (perm == merge_indices(a, b)).all()
 
     def test_no_shared_memory_leaks(self, rng):
         matrix = rng.integers(0, 255, (4000, 9), dtype=np.uint8)

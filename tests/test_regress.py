@@ -6,7 +6,7 @@ negative test (an injected >15% hot-path slowdown MUST fail the gate),
 the hardware-robustness property (a uniformly slower machine must NOT
 fail it, because cells are normalized by the same run's reference
 cell), and the dispatch-flip / shape-loss / scale-mismatch /
-Top-N-vs-in-memory rules.
+Top-N-vs-in-memory / in-memory-vs-external rules.
 """
 
 from __future__ import annotations
@@ -164,6 +164,21 @@ def test_topn_slower_than_in_memory_fails():
     assert len(violations) == 1
     assert "near_sorted/topn" in violations[0]
     assert "Top-N slower" in violations[0]
+
+
+def test_in_memory_slower_than_external_fails():
+    """The resident store is the spilling one minus the I/O."""
+    baseline = make_matrix()
+    paths = baseline["scenarios"]["long_string"]["paths"]
+    # Within the noise allowance: spill I/O is a thin margin on strings.
+    paths["in_memory"]["seconds"] = paths["external"]["seconds"] * 1.05
+    assert compare(baseline, copy.deepcopy(baseline), threshold=0.15) == []
+    # Baseline and candidate agree, so only the same-run rule can fire.
+    paths["in_memory"]["seconds"] = paths["external"]["seconds"] * 1.3
+    violations = compare(baseline, copy.deepcopy(baseline), threshold=0.15)
+    assert len(violations) == 1
+    assert "long_string/in_memory" in violations[0]
+    assert "slower than the external sort" in violations[0]
 
 
 def test_scale_mismatch_refused():

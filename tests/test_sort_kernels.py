@@ -290,8 +290,9 @@ class TestOperatorCrossCheck:
         for chunk in chunk_table(table, 64):
             op.sink(chunk)
         op.finalize()
-        assert op.stats.kernel_merges > 0
-        assert op.stats.scalar_merges == 0
+        assert op.stats.merge_passes == 1
+        assert op.stats.kernel_kway_merges == 1
+        assert op.stats.scalar_kway_merges == 0
 
     def test_inexact_prefix_stays_on_kernel_path(self):
         # Strings tying beyond the 12-byte prefix used to demote every
@@ -303,8 +304,9 @@ class TestOperatorCrossCheck:
         for chunk in chunk_table(table, 32):
             op.sink(chunk)
         result = op.finalize()
-        assert op.stats.scalar_merges == 0
-        assert op.stats.kernel_merges > 0
+        assert op.stats.merge_passes == 1
+        assert op.stats.kernel_kway_merges == 1
+        assert op.stats.scalar_kway_merges == 0
         assert op.stats.full_key_compares > 0
         assert result.column("s").to_pylist() == sorted(values)
 
