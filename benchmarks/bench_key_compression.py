@@ -12,8 +12,11 @@ kernel dispatch it feeds:
   (keys only, no row payload), so both time and spill bytes drop.
 * **kernel_radix_vs_lexsort** -- the two wide-key argsort kernels
   (:func:`repro.sort.kernels.radix_argsort_rows` vs. the lexsort-based
-  :func:`repro.sort.kernels.argsort_rows`) on the same random key
-  matrix, permutation equality asserted.
+  :func:`repro.sort.kernels.argsort_rows`) on the same 16-byte key
+  matrix, one cell per row count (matrix scale, one production run, the
+  acceptance scale) x key distribution (uniform, 1000 distinct values),
+  permutation equality asserted.  One cell cannot carry the verdict:
+  which kernel wins flips with the row count.
 * **bytes_per_key** -- ``key_width_used`` vs. ``key_width_full`` for
   int-, float- and string-flavoured column mixes (row-id suffix
   excluded), straight from :class:`repro.sort.operator.SortStats`.
@@ -60,6 +63,11 @@ ACCEPTANCE_ROWS = 1_000_000  # gate the speedup/spill assertions here
 ROUNDS = 3  # best-of for every timed side
 SPEEDUP_FLOOR = 1.5
 SPILL_REDUCTION_FLOOR = 2.0
+# kernel_radix_vs_lexsort sweep: the matrix scale, one production run
+# (2 x DEFAULT_RUN_THRESHOLD) and the acceptance scale.
+KERNEL_ROWS = (24_000, 250_000, 1_000_000)
+KERNEL_KEY_BYTES = 16
+KERNEL_DISTINCT = 1000
 
 
 def _best_of(fn, rounds=ROUNDS):
@@ -148,31 +156,48 @@ def bench_external(table: Table, spec: SortSpec, rows: int) -> dict:
     return summary
 
 
-def bench_kernels(rng: np.random.Generator, rows: int) -> dict:
-    """Radix vs. lexsort argsort kernels on one wide random key matrix."""
-    width = 16
-    matrix = rng.integers(0, 256, (rows, width), dtype=np.uint8)
-    # Row-id suffix keeps every row distinct, like real normalized keys.
-    matrix[:, width - 8 :] = (
-        np.arange(rows, dtype=np.uint64)
-        .byteswap()
-        .view(np.uint8)
-        .reshape(rows, 8)
-    )
-    radix_s, radix_order = _best_of(lambda: radix_argsort_rows(matrix))
-    lexsort_s, lexsort_order = _best_of(lambda: argsort_rows(matrix))
-    assert (radix_order == lexsort_order).all(), (
-        "radix and lexsort kernels disagree on the permutation"
-    )
-    return {
-        "rows": rows,
-        "key_bytes": width,
-        "radix_s": radix_s,
-        "radix_rows_per_s": rows / radix_s,
-        "lexsort_s": lexsort_s,
-        "lexsort_rows_per_s": rows / lexsort_s,
-        "radix_speedup_vs_lexsort": lexsort_s / radix_s,
-    }
+def bench_kernels(rng: np.random.Generator, max_rows: int) -> list[dict]:
+    """Radix vs. lexsort argsort kernels: rows x key distribution.
+
+    The matrices are key bytes only, as run generation sorts them: both
+    kernels are stable, so the row-id suffix is not part of the sorted
+    width (and an ascending suffix would hand lexsort a presorted
+    least-significant word).
+    """
+    cells = []
+    for rows in KERNEL_ROWS:
+        if rows > max_rows:
+            continue
+        distinct = rng.integers(
+            0, 256, (KERNEL_DISTINCT, KERNEL_KEY_BYTES), dtype=np.uint8
+        )
+        matrices = {
+            "uniform": rng.integers(
+                0, 256, (rows, KERNEL_KEY_BYTES), dtype=np.uint8
+            ),
+            f"{KERNEL_DISTINCT}_distinct": distinct[
+                rng.integers(0, KERNEL_DISTINCT, rows)
+            ],
+        }
+        for distribution, matrix in matrices.items():
+            radix_s, radix_order = _best_of(lambda: radix_argsort_rows(matrix))
+            lexsort_s, lexsort_order = _best_of(lambda: argsort_rows(matrix))
+            assert (radix_order == lexsort_order).all(), (
+                "radix and lexsort kernels disagree on the permutation"
+            )
+            cells.append(
+                {
+                    "rows": rows,
+                    "key_bytes": KERNEL_KEY_BYTES,
+                    "distribution": distribution,
+                    "radix_s": radix_s,
+                    "radix_rows_per_s": rows / radix_s,
+                    "lexsort_s": lexsort_s,
+                    "lexsort_rows_per_s": rows / lexsort_s,
+                    "radix_speedup_vs_lexsort": lexsort_s / radix_s,
+                }
+            )
+    return cells
 
 
 def bench_bytes_per_key(rng: np.random.Generator, rows: int) -> dict:
@@ -238,12 +263,14 @@ def main(rows: int = DEFAULT_ROWS) -> dict:
         f"({ext['speedup']:.2f}x faster, "
         f"{ext['spill_reduction']:.2f}x fewer spill bytes)"
     )
-    kern = results["kernel_radix_vs_lexsort"]
-    print(
-        f"kernel_radix_vs_lexsort: radix {kern['radix_rows_per_s']:,.0f} "
-        f"rows/s, lexsort {kern['lexsort_rows_per_s']:,.0f} rows/s "
-        f"({kern['radix_speedup_vs_lexsort']:.2f}x)"
-    )
+    for kern in results["kernel_radix_vs_lexsort"]:
+        print(
+            f"kernel_radix_vs_lexsort[{kern['rows']:,} x "
+            f"{kern['distribution']}]: radix "
+            f"{kern['radix_rows_per_s']:,.0f} rows/s, lexsort "
+            f"{kern['lexsort_rows_per_s']:,.0f} rows/s "
+            f"({kern['radix_speedup_vs_lexsort']:.2f}x)"
+        )
     for name, stats in results["bytes_per_key"].items():
         print(
             f"bytes_per_key[{name}]: {stats['bytes_per_key_compressed']} vs "
@@ -261,7 +288,10 @@ def test_compression_bench_smoke(capsys):
     # Output equality and the spill-byte floor are asserted inside main();
     # here only completeness of the recorded sections.
     assert results["external_narrow_int64"]["spill_reduction"] >= 2.0
-    assert results["kernel_radix_vs_lexsort"]["radix_rows_per_s"] > 0
+    kernel_cells = results["kernel_radix_vs_lexsort"]
+    assert kernel_cells and all(
+        cell["radix_rows_per_s"] > 0 for cell in kernel_cells
+    )
     assert set(results["bytes_per_key"]) == {
         "int64_narrow",
         "int64_float64",

@@ -2,9 +2,9 @@
 
 Sweeps every scenario in the catalog (:mod:`repro.workloads.scenarios`)
 across every sort path the repo grew -- in-memory multi-run, external
-spilling, streaming Top-N, multi-core parallel, the concurrent query
-service, and the incremental (maintained-view) sorter -- and records one
-cell per (scenario, path):
+spilling, streaming Top-N, the concurrent query service, and the
+incremental (maintained-view) sorter -- and records one cell per
+(scenario, path):
 
 * wall-clock seconds and rows/s (best of ``REPS`` measured runs, so a
   single scheduler hiccup does not poison the recorded artifact);
@@ -52,7 +52,6 @@ from repro.service import SortService  # noqa: E402
 from repro.sort.external import ExternalSortOperator  # noqa: E402
 from repro.sort.incremental import IncrementalSorter  # noqa: E402
 from repro.sort.operator import SortConfig, SortOperator, sort_table  # noqa: E402
-from repro.sort.parallel_exec import parallel_platform_supported  # noqa: E402
 from repro.sort.topn import TopNOperator  # noqa: E402
 from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
@@ -69,7 +68,7 @@ DEFAULT_ROWS = 24_000
 SEED = 17
 REPS = 2
 
-PATHS = ("in_memory", "external", "topn", "parallel", "service", "incremental")
+PATHS = ("in_memory", "external", "topn", "service", "incremental")
 REFERENCE_CELL = ("uniform", "in_memory")
 
 TOPN_LIMIT = 100
@@ -165,21 +164,6 @@ def _run_topn(table, spec, rows):
     return result, _dispatch_summary(operator.stats), extras
 
 
-def _run_parallel(table, spec, rows):
-    config = SortConfig(
-        num_workers=2, parallel_morsel_rows=max(2048, rows // 4)
-    )
-    operator = SortOperator(table.schema, spec, config)
-    for chunk in chunk_table(table, config.vector_size):
-        operator.sink(chunk)
-    result = operator.finalize()
-    extras = {
-        "parallel_supported": parallel_platform_supported(),
-        "parallel_workers": operator.stats.parallel_workers,
-    }
-    return result, _dispatch_summary(operator.stats), extras
-
-
 def _run_service(table, spec, rows, scenario):
     config = SortConfig(external=True, run_threshold=max(2048, rows // 4))
     db = Database(sort_config=config)
@@ -249,8 +233,6 @@ def bench_cell(path, scenario, table, spec, oracle, rows):
             result, dispatch, extras = _run_external(table, spec, rows)
         elif path == "topn":
             result, dispatch, extras = _run_topn(table, spec, rows)
-        elif path == "parallel":
-            result, dispatch, extras = _run_parallel(table, spec, rows)
         elif path == "service":
             result, dispatch, extras = _run_service(table, spec, rows, scenario)
         elif path == "incremental":

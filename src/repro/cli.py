@@ -185,17 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sort_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for multi-core sorting (morsel-driven run "
-            "generation + Merge-Path merges over shared memory; 1 = serial, "
-            "output is byte-identical either way)"
-        ),
-    )
-    sort_cmd.add_argument(
         "--stats",
         action="store_true",
         help=(
@@ -346,10 +335,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         kwargs["force_algorithm"] = args.algorithm
     if args.run_threshold:
         kwargs["run_threshold"] = args.run_threshold
-    if args.workers < 1:
-        raise ReproError("--workers must be at least 1")
-    if args.workers > 1:
-        kwargs["num_workers"] = args.workers
     if args.prefetch_blocks is not None:
         kwargs["prefetch_blocks"] = args.prefetch_blocks
     if args.replacement_selection != "auto":

@@ -10,6 +10,7 @@ describes.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from typing import Iterator
 
 import numpy as np
@@ -116,12 +117,6 @@ class SortExecOperator(PhysicalOperator):
     policy, checksum verification), so the fault-tolerance ladder is
     reachable end-to-end from ``Database(sort_config=...)``.
 
-    ``SortConfig.num_workers > 1`` routes either operator's run
-    generation through the multi-core executor of
-    :mod:`repro.sort.parallel_exec`; the
-    measured parallel schedule lands in ``last_stats`` next to the
-    usual counters.
-
     The optimizer's order-propagation pass downgrades the operator via
     ``mode``:
 
@@ -131,8 +126,8 @@ class SortExecOperator(PhysicalOperator):
     * ``"refine"``: the input is exactly sorted by ``refine_prefix``, a
       leading prefix of ``spec`` -- run the vectorized tie-group
       refinement (:func:`repro.sort.refine.refine_sorted`) and fall
-      back to the full sort (counting ``refine_fallbacks``) when that
-      pass declines.
+      back to the full sort -- the same in-memory-or-spilling choice --
+      counting ``refine_fallbacks`` when that pass declines.
     """
 
     def __init__(
@@ -175,32 +170,31 @@ class SortExecOperator(PhysicalOperator):
                 self.last_stats = stats
                 yield from chunk_table(refined, self.config.vector_size)
                 return
-            # The refinement pass declined; run the full sort operator.
-            sorter = SortOperator(self.schema, self.spec, self.config)
-            for chunk in chunk_table(source, self.config.vector_size):
-                sorter.sink(chunk)
-            result = sorter.finalize()
-            sorter.stats.refine_fallbacks += 1
-            self.last_stats = sorter.stats
-            yield from chunk_table(result, self.config.vector_size)
-            return
-        if self.config.external:
-            from repro.sort.external import ExternalSortOperator
-
-            with ExternalSortOperator(
-                self.schema, self.spec, self.config
-            ) as sorter:
-                for chunk in self.child.chunks():
-                    sorter.sink(chunk)
-                result = sorter.finalize()
-                self.last_stats = sorter.stats
+            # The refinement pass declined; run the full sort.
+            result = self._full_sort(
+                chunk_table(source, self.config.vector_size)
+            )
+            self.last_stats.refine_fallbacks += 1
         else:
-            sorter = SortOperator(self.schema, self.spec, self.config)
-            for chunk in self.child.chunks():
+            result = self._full_sort(self.child.chunks())
+        yield from chunk_table(result, self.config.vector_size)
+
+    def _full_sort(self, chunks: Iterator[DataChunk]) -> Table:
+        """Run ``chunks`` through the configured full sort."""
+        with ExitStack() as stack:
+            if self.config.external:
+                from repro.sort.external import ExternalSortOperator
+
+                sorter = stack.enter_context(
+                    ExternalSortOperator(self.schema, self.spec, self.config)
+                )
+            else:
+                sorter = SortOperator(self.schema, self.spec, self.config)
+            for chunk in chunks:
                 sorter.sink(chunk)
             result = sorter.finalize()
             self.last_stats = sorter.stats
-        yield from chunk_table(result, self.config.vector_size)
+            return result
 
 
 class TopNExecOperator(PhysicalOperator):

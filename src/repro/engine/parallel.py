@@ -29,7 +29,6 @@ __all__ = [
     "makespan",
     "PhaseModel",
     "merge_tree_makespan",
-    "sort_phase_model",
 ]
 
 
@@ -90,61 +89,6 @@ def merge_tree_makespan(
         total += makespan(tasks, num_threads)  # barrier per round
         sizes = next_sizes
     return total
-
-
-def sort_phase_model(
-    num_rows: int,
-    num_workers: int,
-    morsel_rows: int,
-    cost_per_row: float = 1.0,
-) -> "PhaseModel":
-    """Predicted schedule of the *real* parallel sort executor.
-
-    Mirrors, task for task, what
-    :class:`repro.sort.parallel_exec.ParallelSortExecutor.argsort` will
-    dispatch for ``num_rows`` keys: one ``run_gen`` task per morsel,
-    then one ``merge_round_<r>`` phase per cascade round whose adjacent
-    run pairs are each cut into ``ceil(num_workers / num_pairs)``
-    Merge-Path partitions of ``ceil(pair_rows / partitions)`` rows
-    (zero-size partitions are skipped; an odd leftover run passes
-    through without a task).  Task costs are ``rows * cost_per_row``, so
-    on an equal-cost workload the model's per-phase task multiset must
-    equal the executor's measured ``SortStats.parallel_task_rows`` --
-    the cross-check the tier-1 suite pins.
-
-    The prediction is exact on task *placement shape* (phases, task
-    counts, rows per task); wall-clock equivalence is not claimed --
-    that is what the measured ``parallel_task_seconds`` are for.
-    """
-    if num_rows < 0:
-        raise SimulationError("num_rows cannot be negative")
-    if morsel_rows <= 0:
-        raise SimulationError("morsel_rows must be positive")
-    model = PhaseModel(num_threads=num_workers)
-    runs = [
-        min(start + morsel_rows, num_rows) - start
-        for start in range(0, num_rows, morsel_rows)
-    ]
-    model.phase("run_gen", [rows * cost_per_row for rows in runs])
-    round_index = 0
-    while len(runs) > 1:
-        pairs = [
-            runs[i] + runs[i + 1] for i in range(0, len(runs) - 1, 2)
-        ]
-        partitions = max(1, -(-num_workers // len(pairs)))
-        tasks: list[float] = []
-        for total in pairs:
-            step = -(-total // partitions)
-            for p in range(partitions):
-                size = min((p + 1) * step, total) - min(p * step, total)
-                if size:
-                    tasks.append(size * cost_per_row)
-        model.phase(f"merge_round_{round_index}", tasks)
-        if len(runs) % 2 == 1:
-            pairs.append(runs[-1])
-        runs = pairs
-        round_index += 1
-    return model
 
 
 @dataclass

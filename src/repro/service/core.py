@@ -28,7 +28,7 @@ than peak speed.
 
 Cancellation and deadlines use the sort layer's cooperative checkpoints:
 the per-query ``SortConfig.cancel_event`` is polled at sink, run
-generation, merge rounds, prefetch scheduling and parallel dispatch, so
+generation, merge rounds and prefetch scheduling, so
 ``QueryTicket.cancel()`` (or an expired deadline) aborts the sort at the
 next checkpoint, the operator's ``finally`` paths remove every spill
 file and join every helper thread, and the worker releases the grant.

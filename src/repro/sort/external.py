@@ -507,7 +507,6 @@ class ExternalSortOperator:
         if self._closed:
             return
         self._closed = True
-        self._generator.close()
         self._selection = None
         self._buffer.clear()
         self._buffered_rows = 0
@@ -672,17 +671,17 @@ class ExternalSortOperator:
         here, not in the shared generator.  It needs the vectorized
         kernels (each fed batch is argsorted) and keys whose byte order
         *is* the sort order -- a truncated VARCHAR prefix would require
-        exact-string refinement across segment boundaries, so sorts that
-        might need it (string keys under ``exact_varchar``) stay on the
-        argsort path.  Within those gates: ``config.replacement_selection``
-        forces the choice, and ``None`` probes the first buffered
-        batch's presortedness (:func:`repro.sort.rungen.presortedness`)
-        -- replacement selection only pays off when ascending stretches
-        let runs grow past the threshold.
+        exact-string refinement across segment boundaries, so sorts with
+        string keys stay on the argsort path.  Within those gates:
+        ``config.replacement_selection`` forces the choice, and ``None``
+        probes the first buffered batch's presortedness
+        (:func:`repro.sort.rungen.presortedness`) -- replacement
+        selection only pays off when ascending stretches let runs grow
+        past the threshold.
         """
         config = self.config
-        eligible = config.use_vector_kernels and not (
-            self._generator.has_string_key and config.exact_varchar
+        eligible = (
+            config.use_vector_kernels and not self._generator.has_string_key
         )
         probe = -1.0
         if not eligible or config.replacement_selection is False:

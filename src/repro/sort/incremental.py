@@ -194,12 +194,6 @@ class IncrementalSorter:
                 f"{self._key_width}"
             )
         if not keys.prefix_exact:
-            if not self.config.exact_varchar:
-                raise SortError(
-                    "exact_varchar=False is not supported by the "
-                    "incremental sorter: prefix-only views drift as "
-                    "deltas arrive"
-                )
             self._merge_refine_layout(keys.layout)
         order = vector_sort_rows(
             keys.matrix[:, :width],

@@ -10,13 +10,12 @@ The partition point on diagonal ``d`` is found with a binary search for the
 "intersection" of the runs: the split (i, j), i + j = d, such that every
 element taken from A is <= every remaining element of B and vice versa.
 
-Two consumers share these partitions: the virtual-time scheduler in
-:mod:`repro.engine.parallel` (modelled parallelism) and the real
-multi-core executor in :mod:`repro.sort.parallel_exec`, which hands each
-partition's sub-merge to a worker process over shared memory.  Both rely
-on the same stability convention encoded in the binary search below:
-ties are taken from ``a`` first, so partitioned sub-merges concatenate
-into exactly the stable full merge.
+The parallelism is modelled, not executed: :func:`parallel_merge` runs
+each partition's sub-merge serially, and the virtual-time scheduler in
+:mod:`repro.engine.parallel` charges the same equal partitions to
+simulated threads.  Both rely on the stability convention encoded in the
+binary search below: ties are taken from ``a`` first, so partitioned
+sub-merges concatenate into exactly the stable full merge.
 """
 
 from __future__ import annotations

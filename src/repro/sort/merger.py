@@ -77,7 +77,7 @@ class RunMerger:
         make_prefetcher: Callable | None = None,
     ) -> None:
         self.schema = generator.schema
-        self.config = config = generator.config
+        self.config = generator.config
         self.stats = generator.stats
         self.key_layout = key_layout = generator.layout
         self.compressed = generator.compress
@@ -90,9 +90,7 @@ class RunMerger:
             slot.is_string for slot in self._row_layout.slots
         )
         #: First inexact key byte, or ``None`` when byte order is exact.
-        self.refine_end = (
-            inexact_prefix_end(key_layout) if config.exact_varchar else None
-        )
+        self.refine_end = inexact_prefix_end(key_layout)
 
     # ------------------------------------------------------------------ #
     # Entry points
@@ -413,10 +411,10 @@ class RunMerger:
         the kernel path); each popped row costs one Python heap
         operation and one ``tobytes`` -- the per-tuple overhead the
         kernel path eliminates.  When the key layout truncates a VARCHAR
-        prefix (and ``SortConfig.exact_varchar`` holds), the heap keys
-        are augmented per row: each truncated segment's bytes are
-        replaced by the full terminated string encoding
-        (:func:`_augmented_key`), so the scalar merge is exact too.
+        prefix, the heap keys are augmented per row: each truncated
+        segment's bytes are replaced by the full terminated string
+        encoding (:func:`_augmented_key`), so the scalar merge is exact
+        too.
         """
         augment = self.refine_end is not None
 

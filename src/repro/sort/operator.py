@@ -34,9 +34,6 @@ from typing import Sequence
 
 from repro.errors import SortCancelledError, SortError
 from repro.sort.merger import RunMerger
-from repro.sort.parallel_exec import (
-    DEFAULT_MORSEL_ROWS as DEFAULT_PARALLEL_MORSEL_ROWS,
-)
 from repro.sort.radix import LSD_WIDTH_THRESHOLD, RadixStats
 from repro.sort.rungen import InMemoryRun, RunGenerator
 from repro.table.chunk import VECTOR_SIZE, DataChunk, chunk_table
@@ -58,8 +55,8 @@ def raise_if_cancelled(config: "SortConfig") -> None:
     """Raise :class:`SortCancelledError` when the config's event is set.
 
     The shared cooperative-cancellation checkpoint: every sort consumer
-    (in-memory operator, external operator, Top-N, prefetch scheduler,
-    parallel dispatch) calls this at its natural yield points.
+    (in-memory operator, external operator, Top-N, prefetch scheduler)
+    calls this at its natural yield points.
     """
     event = config.cancel_event
     if event is not None and event.is_set():
@@ -133,20 +130,6 @@ class SortConfig:
         allow_memory_fallback: when no spill target is writable, keep
             runs in memory (reduced-memory degradation) instead of
             raising :class:`repro.errors.SpillCapacityError`.
-        num_workers: worker processes for the multi-core parallel path
-            (:mod:`repro.sort.parallel_exec`): morsel-driven run
-            generation, the sorted morsels of one run combined by
-            Merge-Path-partitioned merge rounds over shared memory.  The
-            merge of the *runs* stays the serial k-way pass.  ``1`` (the
-            default) keeps everything serial; any
-            value is byte-identical to the serial kernels, and the
-            parallel path silently falls back to serial when vector
-            kernels are off or the platform lacks ``fork``/POSIX shared
-            memory.  Truncated string prefixes run in parallel: the
-            workers sort key bytes and the parent repairs prefix ties
-            afterwards (:mod:`repro.sort.stringsort`), same as serial.
-        parallel_morsel_rows: rows per run-generation morsel of the
-            parallel path.
         compress_keys: shrink normalized keys from runtime statistics
             (paper, Section V): each fixed-width key column is biased to
             unsigned and stored at the minimal byte width its observed
@@ -156,15 +139,6 @@ class SortConfig:
             full-width layout bit-for-bit.  Ignored (treated as off) when
             ``string_prefix`` forces a fixed VARCHAR prefix, since the
             compressed layout chooses prefixes from the data.
-        exact_varchar: repair truncated VARCHAR prefixes on the vector
-            path (:mod:`repro.sort.stringsort`): byte-equal tie groups are
-            re-encoded at progressively wider string offsets until the
-            order is exact, on every settled batch of the merge.  On
-            by default -- string sorts are exact without the per-row
-            scalar comparator.  Turning it off is the documented escape
-            hatch for approximate prefix-only ordering and *requires* a
-            forced ``string_prefix`` (so the truncation is an explicit
-            choice, never an accident).
         use_ovc: apply offset-value coding in the merge kernel
             (:func:`repro.sort.kernels.kway_merge_blocks`): uint64 words
             shared by every frontier
@@ -195,13 +169,13 @@ class SortConfig:
         cancel_event: cooperative cancellation flag (any object with an
             ``is_set()`` method, typically a ``threading.Event``).  Both
             sort operators poll it at their checkpoints -- sink, run
-            generation, every round of the k-way merge, prefetch
-            scheduling, and parallel phase dispatch -- and raise
+            generation, every round of the k-way merge, and prefetch
+            scheduling -- and raise
             :class:`repro.errors.SortCancelledError` when it is set, so
             a query service can abort a sort from another thread
             without reaching into operator internals.  Cleanup follows
             the operator's normal failure paths (temp files removed,
-            prefetch pools joined, shared memory released).
+            prefetch pools joined).
         memory_grant: per-operator memory grant from a global governor
             (any object with ``effective_run_threshold(base_rows)`` and
             ``record_spill(nbytes)``, see
@@ -237,10 +211,7 @@ class SortConfig:
     spill_retry_backoff_s: float = 0.01
     verify_spill_checksums: bool = True
     allow_memory_fallback: bool = True
-    num_workers: int = 1
-    parallel_morsel_rows: int = DEFAULT_PARALLEL_MORSEL_ROWS
     compress_keys: bool = True
-    exact_varchar: bool = True
     use_ovc: bool = True
     prefetch_blocks: int = 1
     replacement_selection: bool | None = None
@@ -251,15 +222,6 @@ class SortConfig:
     def __post_init__(self) -> None:
         if self.run_threshold <= 0:
             raise SortError("run_threshold must be positive")
-        if not self.exact_varchar and self.string_prefix is None:
-            raise SortError(
-                "exact_varchar=False sorts by prefix bytes only; force a "
-                "string_prefix to make the truncation explicit"
-            )
-        if self.num_workers < 1:
-            raise SortError("num_workers must be at least 1")
-        if self.parallel_morsel_rows < 1:
-            raise SortError("parallel_morsel_rows must be at least 1")
         if self.force_algorithm not in (None, "radix", "pdqsort", "heuristic"):
             raise SortError(
                 f"force_algorithm must be None, 'radix', 'pdqsort' or "
@@ -303,17 +265,6 @@ class SortStats:
     ``checksum_failures`` (CRC32 pages checked on spill reads), and
     ``cleanup_errors`` (temp files/directories that could not be
     removed -- recorded, warned about, never silently swallowed).
-
-    The parallel counters describe the multi-core executor
-    (:mod:`repro.sort.parallel_exec`) when ``SortConfig.num_workers > 1``
-    actually ran work: ``parallel_workers`` (pool size),
-    ``parallel_task_rows`` / ``parallel_task_seconds`` (per parallel
-    phase, the rows and wall-clock of every dispatched task in
-    submission order), ``parallel_worker_seconds`` (busy time per pool
-    worker slot), and ``parallel_makespan_s`` (parent-observed
-    wall-clock of all parallel phases) -- the measured schedule that
-    :class:`repro.engine.parallel.PhaseModel` predictions are checked
-    against.
 
     The key-compression counters: ``key_width_used`` / ``key_width_full``
     are the final layout's key bytes per row with and without compression
@@ -388,13 +339,6 @@ class SortStats:
     cleanup_errors: list[str] = field(default_factory=list)
     radix: RadixStats = field(default_factory=RadixStats)
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    parallel_workers: int = 0
-    parallel_task_rows: dict[str, list[int]] = field(default_factory=dict)
-    parallel_task_seconds: dict[str, list[float]] = field(
-        default_factory=dict
-    )
-    parallel_worker_seconds: dict[int, float] = field(default_factory=dict)
-    parallel_makespan_s: float = 0.0
     key_width_used: int = 0
     key_width_full: int = 0
     key_layout_rebases: int = 0
@@ -521,20 +465,16 @@ class SortOperator:
         if self._finalized:
             raise SortError("sort already finalized")
         self._finalized = True
-        generator = self._generator
-        try:
-            if self._buffer:
-                self._cut_run()
-            if not self._runs:
-                return Table.empty(self.schema)
-            # Resident runs are their own frontier blocks: the store
-            # already holds every key row, so there is no working set to
-            # bound and the merge takes one round per run.
-            block_rows = max(run.num_rows for run in self._runs)
-            with self.stats.time_phase("merge"):
-                return RunMerger(generator, block_rows).merge(self._runs)
-        finally:
-            generator.close()
+        if self._buffer:
+            self._cut_run()
+        if not self._runs:
+            return Table.empty(self.schema)
+        # Resident runs are their own frontier blocks: the store
+        # already holds every key row, so there is no working set to
+        # bound and the merge takes one round per run.
+        block_rows = max(run.num_rows for run in self._runs)
+        with self.stats.time_phase("merge"):
+            return RunMerger(self._generator, block_rows).merge(self._runs)
 
 
 def sort_table(

@@ -26,15 +26,14 @@ reproduces stable arrival-order ties.
 
 The pass declines (returns ``None``; the caller runs a full sort and
 counts a ``refine_fallbacks``) exactly where the cheap path cannot
-guarantee the operator's exact semantics: scalar-only configs, inexact
-keys under ``exact_varchar=False`` (the operator's byte-order output is
-not derivable from exact prefix groups), and suffixes where
-:func:`repro.sort.stringsort.refinement_must_defer` reports key bytes
-*after* a truncated VARCHAR segment.  The must-defer check is consulted
-on the *suffix* layout (the prepended group ordinal is always exact):
-a truncated suffix VARCHAR as the last key refines in place, while one
-followed by further ORDER BY columns hands the sort back to the full
-operator -- the same boundary the external sort draws for its runs.
+guarantee the operator's exact semantics: scalar-only configs, and
+suffixes where :func:`repro.sort.stringsort.refinement_must_defer`
+reports key bytes *after* a truncated VARCHAR segment.  The must-defer
+check is consulted on the *suffix* layout (the prepended group ordinal
+is always exact): a truncated suffix VARCHAR as the last key refines in
+place, while one followed by further ORDER BY columns hands the sort
+back to the full operator -- the same boundary the external sort draws
+for its runs.
 """
 
 from __future__ import annotations
@@ -111,10 +110,6 @@ def refine_sorted(
         include_row_id=True,
         row_id_width=8,
     )
-    if not config.exact_varchar and not (
-        pre.prefix_exact and suf.prefix_exact
-    ):
-        return None
     if not suf.prefix_exact and refinement_must_defer(suf.layout):
         return None
 

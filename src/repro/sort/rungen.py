@@ -3,19 +3,18 @@
 :class:`RunGenerator` turns a buffer of input chunks into one sorted run
 in the row format of the paper's Figure 11 -- one ``Table.concat``, key
 statistics and normalization (:mod:`repro.keys`), a stable vectorized
-sort of the key bytes (or the morsel-parallel argsort), and the payload
-reordered into key order -- and hands it over as an
-:class:`InMemoryRun`.  Runs are sorted by their key *bytes*: where a
-VARCHAR prefix truncates, the exact-string repair happens once, in the
-merger, on tie groups that by then span all runs.  What happens to
-the run next is the *store's* business: :class:`~repro.sort.operator.
-SortOperator` keeps it resident, :class:`~repro.sort.external.
-ExternalSortOperator` spills it (and may regroup rows into longer runs
-with replacement selection first, below).  The run format -- key
-layout, key-carried payload, offset-value codes -- is decided here once
-for both.  ``SortConfig.use_vector_kernels=False`` selects the scalar
-reference (radix / pdqsort / segment-wise comparator), kept as the
-oracle the vector path is tested against.
+sort of the key bytes, and the payload reordered into key order -- and
+hands it over as an :class:`InMemoryRun`.  Runs are sorted by their key
+*bytes*: where a VARCHAR prefix truncates, the exact-string repair
+happens once, in the merger, on tie groups that by then span all runs.
+What happens to the run next is the *store's* business:
+:class:`~repro.sort.operator.SortOperator` keeps it resident,
+:class:`~repro.sort.external.ExternalSortOperator` spills it (and may
+regroup rows into longer runs with replacement selection first, below).
+The run format -- key layout, key-carried payload, offset-value codes --
+is decided here once for both.  ``SortConfig.use_vector_kernels=False``
+selects the scalar reference (radix / pdqsort / segment-wise comparator),
+kept as the oracle the vector path is tested against.
 
 Replacement-selection run generation over normalized-key matrices
 -----------------------------------------------------------------
@@ -93,7 +92,6 @@ from repro.keys.normalizer import (
 from repro.rows.block import RowBlock
 from repro.sort.heuristic import choose_algorithm, vector_sort_rows
 from repro.sort.kernels import argsort_rows, ovc_codes
-from repro.sort.parallel_exec import ParallelSortExecutor
 from repro.sort.pdqsort import pdqsort
 from repro.sort.radix import radix_argsort
 from repro.sort.stringsort import and_prefix_exact
@@ -594,10 +592,10 @@ class RunGenerator:
     monotone key-statistics accumulator (so compressed layouts only ever
     widen and every earlier run rebases losslessly onto :attr:`layout`),
     the global row-id counter (unique ascending ids make every merge
-    stable), the lazily created multi-core executor, and the run-format
-    decisions (:attr:`compress`, :attr:`key_carried`).  ``stats`` is the
-    owning operator's :class:`~repro.sort.operator.SortStats`;
-    ``check_cancelled`` its cooperative-cancellation checkpoint.
+    stable), and the run-format decisions (:attr:`compress`,
+    :attr:`key_carried`).  ``stats`` is the owning operator's
+    :class:`~repro.sort.operator.SortStats`; ``check_cancelled`` its
+    cooperative-cancellation checkpoint.
     """
 
     def __init__(
@@ -639,13 +637,6 @@ class RunGenerator:
         #: first run.
         self.layout: KeyLayout | None = None
         self._next_row_id = 0
-        self._parallel: ParallelSortExecutor | None = None
-
-    def close(self) -> None:
-        """Release the worker pool and shared memory; idempotent."""
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
 
     def encode(
         self, chunks: list[DataChunk]
@@ -697,30 +688,16 @@ class RunGenerator:
         The row-id suffix ascends with row index, so a stable sort of
         the key bytes alone is byte-identical to memcmp over the full
         row -- whichever kernel the width/row-count/skew heuristic
-        picks, and for any worker count of the morsel-parallel path
-        (stable morsel sorts, merges resolving ties to the earlier
-        morsel).  Truncated VARCHAR prefixes sort by their bytes here;
+        picks.  Truncated VARCHAR prefixes sort by their bytes here;
         the merger repairs the tie groups.
         """
         key_width = keys.layout.key_width
-        order = None
-        if self.config.num_workers > 1:
-            if self._parallel is None:
-                self._parallel = ParallelSortExecutor(
-                    self.config.num_workers,
-                    self.config.parallel_morsel_rows,
-                    cancel_check=self.check_cancelled,
-                )
-            order = self._parallel.argsort(keys.matrix, key_width, self.stats)
-            if order is not None:
-                self.stats.algorithm = "parallel-morsel"
-        if order is None:
-            order = vector_sort_rows(
-                keys.matrix[:, :key_width],
-                key_width,
-                self.stats,
-                self.stats.radix,
-            )
+        order = vector_sort_rows(
+            keys.matrix[:, :key_width],
+            key_width,
+            self.stats,
+            self.stats.radix,
+        )
         return np.asarray(order, dtype=np.int64)
 
     def _choose_algorithm(self, keys: NormalizedKeys) -> str:
@@ -732,9 +709,7 @@ class RunGenerator:
         else:
             # DuckDB's rule: pdqsort when strings are present, else radix.
             algorithm = "pdqsort" if self.has_string_key else "radix"
-        if not keys.prefix_exact and not (
-            self.config.use_vector_kernels and self.config.exact_varchar
-        ):
+        if not keys.prefix_exact and not self.config.use_vector_kernels:
             # Radix cannot tie-break truncated string prefixes, and
             # without the vector path's tie repair the only exact option
             # is pdqsort with full-string comparisons.
@@ -760,7 +735,7 @@ class RunGenerator:
                 self.config.lsd_threshold,
                 vector_threshold=None,
             )
-        if keys.prefix_exact or not self.config.exact_varchar:
+        if keys.prefix_exact:
             raw = [matrix[i].tobytes() for i in range(len(matrix))]
             order = list(range(len(matrix)))
             pdqsort(order, lambda i, j: raw[i] < raw[j])

@@ -61,27 +61,25 @@ def reference_sort(table: Table, spec: SortSpec) -> Table:
 
 @pytest.fixture(autouse=True, scope="session")
 def no_resource_leaks():
-    """Session guard: tests must not leak spill dirs, shm, or threads.
+    """Session guard: tests must not leak spill dirs or threads.
 
-    Any ``repro-spill-*`` directory under the system temp root or
-    ``repro-sort-*`` POSIX shared-memory segment created during the run
-    and still present at teardown is a cleanup bug in an operator (or a
-    test that bypassed ``tmp_path``), so the whole session fails.  The
-    same goes for background threads: every ``repro-service-*`` worker
-    or deadline timer and every ``spill-prefetch-*`` pool thread must
-    have been joined by the service/operator that started it.
+    Any ``repro-spill-*`` directory under the system temp root created
+    during the run and still present at teardown is a cleanup bug in an
+    operator (or a test that bypassed ``tmp_path``), so the whole
+    session fails.  The same goes for background threads: every
+    ``repro-service-*`` worker or deadline timer and every
+    ``spill-prefetch-*`` pool thread must have been joined by the
+    service/operator that started it.
     """
     import glob
     import tempfile
     import threading
 
     spill_pattern = os.path.join(tempfile.gettempdir(), "repro-spill-*")
-    shm_pattern = "/dev/shm/repro-sort-*"
-    before = set(glob.glob(spill_pattern)) | set(glob.glob(shm_pattern))
+    before = set(glob.glob(spill_pattern))
     yield
-    after = set(glob.glob(spill_pattern)) | set(glob.glob(shm_pattern))
-    leaked = sorted(after - before)
-    assert not leaked, f"tests leaked spill/shared-memory resources: {leaked}"
+    leaked = sorted(set(glob.glob(spill_pattern)) - before)
+    assert not leaked, f"tests leaked spill directories: {leaked}"
     leaked_threads = sorted(
         thread.name
         for thread in threading.enumerate()

@@ -69,19 +69,6 @@ def test_delta_schema_must_match():
         sorter.insert(_table({"b": [1]}))
 
 
-def test_prefix_only_views_rejected():
-    # exact_varchar=False would let truncated prefixes decide the view
-    # order, which drifts as deltas arrive; the sorter refuses.
-    table = _table({"s": ["x" * 20, "y" * 20], "p": [0, 1]})
-    sorter = IncrementalSorter(
-        table.schema,
-        "s",
-        config=SortConfig(exact_varchar=False, string_prefix=4),
-    )
-    with pytest.raises(SortError, match="exact_varchar"):
-        sorter.insert(table)
-
-
 # --------------------------------------------------------------------- #
 # Run buffering, compaction, caching
 # --------------------------------------------------------------------- #

@@ -8,7 +8,7 @@ The two invariants every compressed layout must preserve:
    direction, NULL placement, and all-NULL columns.
 2. **Identity**: the sort pipelines produce byte-identical output with
    compression on and off (same permutation, so same gathered bytes),
-   in memory, external, scalar-merge, and parallel.
+   in memory, external, and scalar-merge.
 
 Plus the machinery around them: width/mode selection, progressive layout
 widening with per-run rebasing, spill-header layout round-trips, and
@@ -43,7 +43,6 @@ from repro.keys.normalizer import (
 from repro.sort.external import ExternalSortOperator, external_sort_table
 from repro.sort.operator import SortConfig, SortOperator, sort_table
 from repro.sort.spillfile import EXTRA_TAG_LAYOUT, unpack_extra
-from repro.sort.parallel_exec import parallel_platform_supported
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec, tuple_compare
@@ -363,27 +362,6 @@ class TestPipelineIdentity:
         )
         assert_byte_identical(in_memory, uncompressed)
         assert external.equals(uncompressed)
-
-    @pytest.mark.skipif(
-        not parallel_platform_supported(),
-        reason="platform lacks fork/POSIX shared memory",
-    )
-    @pytest.mark.parametrize("spec", SPECS)
-    def test_parallel_pipeline(self, rng, spec):
-        table = mixed_table(rng, 5000)
-        parallel = sort_table(
-            table,
-            spec,
-            SortConfig(
-                run_threshold=1500,
-                num_workers=2,
-                parallel_morsel_rows=400,
-            ),
-        )
-        serial_off = sort_table(
-            table, spec, SortConfig(run_threshold=1500, compress_keys=False)
-        )
-        assert_byte_identical(parallel, serial_off)
 
 
 class TestKeyCarriedExternal:

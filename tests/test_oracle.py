@@ -10,10 +10,10 @@ pipeline reproduces via the row-id key suffix.
 
 Each seed-deterministic random table is then pushed through the
 in-memory operator (vector kernels on and off), the spilling external
-operator, the parallel (multi-core) configuration, and Top-N, and each
-result must match the oracle byte for byte.  The two operators share
-their run generator and merger; one grid drives both classes over every
-catalog scenario x {1, 2, 7 runs} x key compression on/off.
+operator, and Top-N, and each result must match the oracle byte for
+byte.  The two operators share their run generator and merger; one grid
+drives both classes over every catalog scenario x {1, 2, 7 runs} x key
+compression on/off.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import pytest
 from test_external_kway import assert_byte_identical
 from repro.sort.external import ExternalSortOperator, external_sort_table
 from repro.sort.operator import SortConfig, SortOperator, sort_table
-from repro.sort.parallel_exec import parallel_platform_supported
 from repro.sort.topn import TopNOperator
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
@@ -150,26 +149,6 @@ def test_external_matches_oracle(tmp_path, spec_text):
     assert_byte_identical(expected, result)
 
 
-@pytest.mark.skipif(
-    not parallel_platform_supported(),
-    reason="platform lacks fork/POSIX shared memory",
-)
-@pytest.mark.parametrize("spec_text", ["i DESC", "f, s DESC"])
-def test_parallel_matches_oracle(spec_text):
-    rng = np.random.default_rng(hash(spec_text) % (1 << 32))
-    table = random_table(rng, 1600)
-    spec = SortSpec.of(*[p.strip() for p in spec_text.split(",")])
-    expected = oracle_sort(table, spec)
-    result = sort_table(
-        table,
-        spec,
-        SortConfig(
-            run_threshold=800, num_workers=2, parallel_morsel_rows=300
-        ),
-    )
-    assert_byte_identical(expected, result)
-
-
 @pytest.mark.parametrize("limit,offset", [(10, 0), (25, 5), (1000, 0), (7, 3)])
 def test_topn_matches_oracle_prefix(limit, offset):
     rng = np.random.default_rng(limit * 100 + offset)
@@ -289,24 +268,6 @@ def test_scenario_shared_stages_match_oracle(
     assert stats.merge_passes == 1
     assert stats.kernel_kway_merges == 1
     assert stats.scalar_kway_merges == 0
-
-
-@pytest.mark.skipif(
-    not parallel_platform_supported(),
-    reason="platform lacks fork/POSIX shared memory",
-)
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_parallel_matches_oracle(name):
-    table, spec = _scenario_case(name)
-    expected = oracle_sort(table, spec)
-    result = sort_table(
-        table,
-        spec,
-        SortConfig(
-            run_threshold=600, num_workers=2, parallel_morsel_rows=300
-        ),
-    )
-    _assert_oracle(expected, result, name, "parallel")
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -24,7 +24,7 @@ import pytest
 
 from repro.engine import Database
 from repro.service import SortService
-from repro.sort.operator import sort_table
+from repro.sort.operator import SortConfig, sort_table
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
 from repro.window.functions import WindowFunction, WindowSpec, window
@@ -44,11 +44,16 @@ def _first_key(order_by: str) -> str:
     return order_by.split(",")[0].strip()
 
 
-def _view_db(scenario: str, declared: str | None = None, rows: int = ROWS):
+def _view_db(
+    scenario: str,
+    declared: str | None = None,
+    rows: int = ROWS,
+    config: SortConfig | None = None,
+):
     """A database with view ``v``: the scenario table sorted+declared."""
     sc = SCENARIOS[scenario]
     declared = declared or sc.order_by
-    db = Database()
+    db = Database(config)
     db.register("v", sort_table(sc.table(rows, seed=SEED), _spec(declared)))
     db.declare_ordering("v", declared)
     return db, sc
@@ -142,6 +147,27 @@ class TestSortElision:
         counters = _counters(stats)
         assert counters["fallbacks"] == 1
         assert counters["refined"] == 0
+
+    def test_fallback_honours_external_config(self, tmp_path):
+        """A declined refinement runs the *configured* full sort.
+
+        With ``SortConfig.external`` the fallback must spill like any
+        other ORDER BY on the same database (spill reads are CRC-checked,
+        so ``checksum_verifications`` observes them), not quietly sort
+        in memory.
+        """
+        config = SortConfig(
+            external=True,
+            run_threshold=500,
+            spill_directories=(str(tmp_path),),
+        )
+        db, _ = _view_db("mixed_null", declared="a NULLS FIRST", config=config)
+        sql = "SELECT * FROM v ORDER BY a NULLS FIRST, s, f DESC"
+        forced = db.execute(sql, propagate_order=False)
+        result, stats = db.execute_detailed(sql)
+        assert result.equals(forced)
+        assert _counters(stats)["fallbacks"] == 1
+        assert sum(s.checksum_verifications for s in stats) > 0
 
     def test_propagation_off_is_the_oracle(self):
         """``propagate_order=False`` plans contain no elision markers."""

@@ -1,11 +1,10 @@
 """Exact string sorting on the vector path.
 
 Randomized byte-identity checks of every sort path -- in-memory,
-external, Top-N, parallel -- against the tuple-compare oracle on string
+external, Top-N -- against the tuple-compare oracle on string
 workloads the key prefix cannot decide (long strings, shared prefixes,
 duplicate-heavy distributions, NULLs, DESC / NULLS FIRST), plus property
-tests of the offset-value coding used by the merges and the escape hatch
-that restores the old truncated-prefix semantics.
+tests of the offset-value coding used by the merges.
 
 No workload here may demote to a scalar merge: the stats assertions pin
 the vector path (``scalar_kway_merges == 0``)
@@ -22,7 +21,6 @@ import pytest
 
 from conftest import reference_sort
 from repro.aggregate.groupby import Aggregate, group_by
-from repro.errors import SortError
 from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
 from repro.sort.external import (
     ExternalSortOperator,
@@ -36,7 +34,6 @@ from repro.sort.kernels import (
     ovc_codes,
 )
 from repro.sort.operator import SortConfig, SortOperator, SortStats, sort_table
-from repro.sort.parallel_exec import parallel_platform_supported
 from repro.sort.spillfile import (
     EXTRA_TAG_LAYOUT,
     EXTRA_TAG_OVC,
@@ -149,7 +146,7 @@ class TestInMemoryExact:
 
     def test_forced_prefix_still_sorts_exactly(self):
         # A forced (short) prefix changes the key bytes, not the result:
-        # exact_varchar refines the ties the narrow prefix leaves.
+        # tie-group refinement repairs the ties the narrow prefix leaves.
         table = string_table(5, 1500)
         spec = spec_of("s DESC")
         result = sort_table(table, spec, SortConfig(string_prefix=4))
@@ -309,23 +306,6 @@ class TestTopNAndParallel:
                 == expected.column(name).to_pylist()[5:42]
             )
 
-    @pytest.mark.skipif(
-        not parallel_platform_supported(),
-        reason="shared-memory parallel executor unsupported here",
-    )
-    @pytest.mark.parametrize("spec_str", ["s", "s DESC NULLS LAST, i DESC"])
-    def test_parallel_matches_serial(self, spec_str):
-        table = string_table(21, 6000)
-        spec = spec_of(spec_str)
-        serial = sort_table(table, spec, SortConfig())
-        parallel = sort_table(table, spec, SortConfig(num_workers=3))
-        for name in table.schema.names:
-            assert (
-                serial.column(name).to_pylist()
-                == parallel.column(name).to_pylist()
-            )
-        assert_matches_oracle(parallel, table, spec)
-
 
 class TestOffsetValueCoding:
     def wide_sorted_matrix(self, rng, n, width, distinct):
@@ -390,32 +370,6 @@ class TestOffsetValueCoding:
             assert np.array_equal(ra, rb)
             assert np.array_equal(ia, ib)
         assert stats.ovc_compares + stats.ovc_ties > 0
-
-
-class TestEscapeHatch:
-    def test_inexact_without_forced_prefix_rejected(self):
-        with pytest.raises(SortError):
-            SortConfig(exact_varchar=False)
-
-    def test_truncated_semantics_are_explicit(self):
-        # exact_varchar=False + a forced prefix restores the documented
-        # old behaviour: order is decided by the prefix bytes alone,
-        # ties fall back to arrival order (the row id).
-        values = ["prefix_AAAA_z", "prefix_AAAA_a", "prefix_BBBB"]
-        table = Table.from_pydict({"s": values})
-        config = SortConfig(exact_varchar=False, string_prefix=7)
-        result = sort_table(table, "s", config)
-        # All three tie on "prefix_"; arrival order is kept.
-        assert result.column("s").to_pylist() == values
-        exact = sort_table(table, "s", SortConfig(string_prefix=7))
-        assert exact.column("s").to_pylist() == sorted(values)
-
-    def test_external_escape_hatch(self, tmp_path):
-        values = ["prefix_AAAA_z", "prefix_AAAA_a", "prefix_BBBB"]
-        table = Table.from_pydict({"s": values})
-        config = SortConfig(exact_varchar=False, string_prefix=7)
-        result = external_sort_table(table, "s", config, str(tmp_path))
-        assert result.column("s").to_pylist() == values
 
 
 class TestGroupingConsumers:
