@@ -41,8 +41,8 @@ import numpy as np
 from repro.errors import KeyEncodingError
 from repro.keys.encoding import (
     _WIDTH_TO_UNSIGNED,
+    encode_utf8_column,
     fixed_column_codes,
-    utf8_byte_lengths,
 )
 from repro.keys.normalizer import (
     MAX_STRING_PREFIX,
@@ -144,20 +144,21 @@ class KeyStatsAccumulator:
         for name, acc in self._columns.items():
             column = table.column(name)
             dtype = self.schema.column(name).dtype
-            if column.has_nulls:
-                acc.has_nulls = True
-                data = column.data[column.validity]
-            else:
-                data = column.data
+            has_nulls = column.has_nulls
+            acc.has_nulls = acc.has_nulls or has_nulls
+            if dtype.type_id is TypeId.VARCHAR:
+                _, lengths = encode_utf8_column(
+                    column.data, column.validity, name
+                )
+                acc.max_len = max(acc.max_len, int(lengths.max(initial=0)))
+                continue
+            data = column.data[column.validity] if has_nulls else column.data
             if len(data) == 0:
                 continue
-            if dtype.type_id is TypeId.VARCHAR:
-                acc.max_len = max(acc.max_len, int(utf8_byte_lengths(data).max()))
-            else:
-                codes = fixed_column_codes(data, dtype)
-                lo, hi = int(codes.min()), int(codes.max())
-                acc.min_code = lo if acc.min_code is None else min(acc.min_code, lo)
-                acc.max_code = hi if acc.max_code is None else max(acc.max_code, hi)
+            codes = fixed_column_codes(data, dtype)
+            lo, hi = int(codes.min()), int(codes.max())
+            acc.min_code = lo if acc.min_code is None else min(acc.min_code, lo)
+            acc.max_code = hi if acc.max_code is None else max(acc.max_code, hi)
 
     def build_layout(
         self, include_row_id: bool = True, row_id_width: int = 8

@@ -40,7 +40,8 @@ __all__ = [
     "encode_fixed_column",
     "fixed_column_codes",
     "encode_string_column",
-    "utf8_byte_lengths",
+    "encode_utf8_column",
+    "gather_windows",
     "invert_bytes",
     "F32_CANONICAL_NAN",
     "F64_CANONICAL_NAN",
@@ -185,87 +186,83 @@ def encode_fixed_column(values: np.ndarray, dtype: DataType) -> np.ndarray:
     return np.ascontiguousarray(big_endian).view(np.uint8).reshape(len(values), width)
 
 
-def _as_unicode_array(values: np.ndarray) -> np.ndarray:
-    """Coerce a column to a fixed-width unicode array (``str`` per value)."""
-    arr = np.asarray(values)
-    if arr.dtype.kind != "U":
-        arr = arr.astype(np.str_)
-    return arr
+def encode_utf8_column(
+    values, validity: np.ndarray | None = None, column: str = ""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's one UTF-8 column codec: ``(buffer, lengths)``.
 
-
-def utf8_byte_lengths(values: np.ndarray) -> np.ndarray:
-    """Per-value UTF-8 byte length of a string column, vectorized.
-
-    The column is converted once to a fixed-width unicode array (for
-    object arrays this applies ``str`` element-wise in C); each value's
-    UTF-8 length is its character count plus one extra byte per codepoint
-    >= U+0080, >= U+0800 and >= U+10000, computed with whole-array numpy
-    reductions.
-
-    Fixed-width unicode arrays cannot represent *trailing* NUL codepoints
-    (they are indistinguishable from padding), so when the input needed
-    conversion the vectorized sum is checked against the true encoded
-    total -- stripping can only under-count, so an equal total proves
-    every per-value length exact -- and the vanishingly rare NUL-suffixed
-    column falls back to a per-value scan.
+    ``buffer`` is the uint8 view of the column's values joined and encoded
+    in one pass (``str`` applied to non-string objects), ``lengths`` the int64
+    UTF-8 byte length of every value, back to back in row order.  Rows
+    ``validity`` marks NULL contribute no bytes and length 0.  Lengths are
+    character counts when the buffer is ASCII, else read off the UTF-8
+    lead bytes (every byte but a ``10xxxxxx`` continuation starts a
+    character): exact for embedded or trailing NULs and every plane.  A
+    lone surrogate raises :class:`KeyEncodingError` naming ``column`` and
+    the first such row.
     """
-    source = np.asarray(values)
-    arr = _as_unicode_array(source)
-    n = len(arr)
-    if n == 0:
-        return np.zeros(n, dtype=np.int64)
-    if arr.itemsize == 0:
-        lengths = np.zeros(n, dtype=np.int64)
-    else:
-        codepoints = np.ascontiguousarray(arr).view(np.uint32).reshape(n, -1)
-        str_len = getattr(np, "strings", np.char).str_len
-        lengths = (
-            str_len(arr)
-            + (codepoints >= 0x80).sum(axis=1)
-            + (codepoints >= 0x800).sum(axis=1)
-            + (codepoints >= 0x10000).sum(axis=1)
-        ).astype(np.int64)
-    if arr is not source:
-        originals = source.tolist()
-        actual = len("".join(map(str, originals)).encode("utf-8"))
-        if actual != int(lengths.sum()):
-            lengths = np.array(
-                [len(str(v).encode("utf-8")) for v in originals],
-                dtype=np.int64,
-            )
-    return lengths
+    values = np.asarray(values, dtype=object)
+    rows = slice(None) if validity is None else np.flatnonzero(validity)
+    items = values[rows].tolist()
+    try:
+        chars = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
+        encoded = "".join(items).encode("utf-8")
+    except TypeError:  # non-str objects in the column: encode their str()
+        return encode_utf8_column(list(map(str, values)), validity, column)
+    except UnicodeEncodeError as exc:
+        row = np.searchsorted(np.cumsum(chars), exc.start, side="right")
+        row = np.arange(len(values))[rows][row]
+        raise KeyEncodingError(
+            f"column {column!r} row {row}: not encodable as UTF-8 ({exc.reason})"
+        ) from None
+    buffer = np.frombuffer(encoded, dtype=np.uint8)
+    if len(buffer) > chars.sum():
+        char_starts = np.flatnonzero((buffer & 0xC0) != 0x80)
+        ends = np.append(char_starts, len(buffer))[np.cumsum(chars)]
+        chars = np.diff(ends, prepend=0)
+    lengths = np.zeros(len(values), dtype=np.int64)
+    lengths[rows] = chars
+    return buffer, lengths
 
 
-def encode_string_column(values: np.ndarray, prefix_len: int) -> np.ndarray:
+def gather_windows(
+    buffer: np.ndarray, starts: np.ndarray, take: np.ndarray, width: int
+) -> np.ndarray:
+    """Row ``i`` is ``buffer[starts[i]:][:take[i]]`` zero-padded to ``width``.
+
+    One fixed-width window read per row instead of one fancy index per
+    byte.  ``take`` is at most ``width``; where it is 0, ``starts`` may
+    point anywhere (past the buffer's end for an exhausted string).
+    Windows overrunning the buffer (its last few strings) are copied singly.
+    """
+    if len(buffer) < width:
+        buffer = np.pad(buffer, (0, width - len(buffer)))
+    last = len(buffer) - width
+    windows = np.lib.stride_tricks.sliding_window_view(buffer, width)
+    out = windows[np.minimum(starts, last)]
+    for row in np.flatnonzero((starts > last) & (take > 0)).tolist():
+        out[row, : take[row]] = buffer[starts[row] : starts[row] + take[row]]
+    if len(take) and take.min() < width:
+        out[np.arange(width) >= take[:, None]] = 0
+    return out
+
+
+def encode_string_column(
+    values: np.ndarray,
+    prefix_len: int,
+    validity: np.ndarray | None = None,
+    column: str = "",
+) -> np.ndarray:
     """Encode a VARCHAR column into an (n, prefix_len) uint8 prefix matrix.
 
-    One ``"".join``-encoded UTF-8 buffer for the whole column, then pure
-    offset arithmetic: each value's prefix bytes are located in the flat
-    buffer via the vectorized :func:`utf8_byte_lengths` cumsum and
-    scattered into the output matrix with a single fancy-indexing pass --
-    no per-row Python loop.
+    One :func:`encode_utf8_column` buffer for the whole column; each
+    value's prefix is one :func:`gather_windows` read at its cumsum
+    offset.  NULL rows (per ``validity``) encode as all zero.
     """
     if prefix_len <= 0:
         raise KeyEncodingError(f"prefix_len must be positive, got {prefix_len}")
-    source = np.asarray(values)
-    n = len(source)
-    out = np.zeros((n, prefix_len), dtype=np.uint8)
-    if n == 0:
-        return out
-    # Lengths and buffer both come from the original values: fixed-width
-    # unicode arrays would strip trailing NUL codepoints and desync them.
-    lengths = utf8_byte_lengths(source)
-    take = np.minimum(lengths, prefix_len)
-    total = int(take.sum())
-    if total == 0:
-        return out
-    buffer = np.frombuffer(
-        "".join(map(str, source.tolist())).encode("utf-8"), dtype=np.uint8
-    )
+    buffer, lengths = encode_utf8_column(values, validity, column)
     starts = np.cumsum(lengths) - lengths
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(take) - take, take
+    return gather_windows(
+        buffer, starts, np.minimum(lengths, prefix_len), prefix_len
     )
-    rows = np.repeat(np.arange(n, dtype=np.int64), take)
-    out[rows, within] = buffer[np.repeat(starts, take) + within]
-    return out

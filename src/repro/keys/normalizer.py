@@ -30,9 +30,9 @@ from repro.keys.encoding import (
     encode_fixed_column,
     encode_scalar,
     encode_string_column,
+    encode_utf8_column,
     fixed_column_codes,
     invert_bytes,
-    utf8_byte_lengths,
 )
 from repro.table.table import Table
 from repro.types.datatypes import DataType, TypeId
@@ -147,20 +147,20 @@ class KeyLayout:
         return self.row_id_width > 0
 
 
-def _max_utf8_length(values: np.ndarray) -> int:
-    """Maximum UTF-8 byte length over a string column, vectorized.
+def _max_utf8_length(values: np.ndarray, column: str = "") -> int:
+    """Maximum UTF-8 byte length over a string column.
 
-    One whole-column :func:`repro.keys.encoding.utf8_byte_lengths` scan --
-    the same kernel :func:`encode_string_column` uses to place its encoded
-    buffer, so the prefix choice and the encoding agree by construction.
+    The lengths of :func:`repro.keys.encoding.encode_utf8_column` -- the
+    codec :func:`encode_string_column` places its prefixes with, so the
+    prefix choice and the encoding agree by construction.
     """
     if len(values) == 0:
         return 0
-    return int(utf8_byte_lengths(values).max())
+    return int(encode_utf8_column(values, column=column)[1].max())
 
 
 def _string_prefix_for(
-    values: np.ndarray, requested: int | None
+    values: np.ndarray, requested: int | None, column: str = ""
 ) -> tuple[int, bool]:
     """Choose a VARCHAR prefix length and report whether it is exact.
 
@@ -168,7 +168,7 @@ def _string_prefix_for(
     capped at 12 bytes.  We do the same: use the maximum UTF-8 length if it
     is <= MAX_STRING_PREFIX (making prefix comparison exact), else the cap.
     """
-    max_len = max(1, _max_utf8_length(values))
+    max_len = max(1, _max_utf8_length(values, column))
     if requested is not None:
         width = requested
     else:
@@ -200,7 +200,7 @@ def build_layout(
             # One vectorized scan chooses the width AND settles exactness;
             # normalize_keys reuses the stored flag instead of rescanning.
             width, exact = _string_prefix_for(
-                table.column(key.column).data, string_prefix
+                table.column(key.column).data, string_prefix, key.column
             )
         else:
             assert dtype.fixed_width is not None
@@ -360,7 +360,9 @@ def normalize_keys(
         )
         # Value bytes.
         if segment.dtype.type_id is TypeId.VARCHAR:
-            encoded = encode_string_column(column.data, segment.value_width)
+            encoded = encode_string_column(
+                column.data, segment.value_width, valid, segment.key.column
+            )
         else:
             encoded = encode_fixed_column(column.data, segment.dtype)
         if segment.key.descending:

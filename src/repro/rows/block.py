@@ -18,76 +18,65 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConversionError
-from repro.keys.encoding import utf8_byte_lengths
+from repro.keys.encoding import encode_utf8_column
 from repro.rows.layout import RowLayout
 from repro.table.column import ColumnVector
 from repro.table.table import Table
 from repro.types.datatypes import TypeId
 from repro.types.schema import Schema
 
-__all__ = ["RowBlock", "gather_slices"]
+__all__ = ["RowBlock", "heap_bases", "string_slots"]
 
 
-def gather_slices(
-    buffer: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Concatenate ``buffer[offsets[i] : offsets[i] + lengths[i]]`` slices.
+def heap_bases(sizes) -> np.ndarray:
+    """Start of each heap once heaps of ``sizes`` bytes are concatenated.
 
-    One fancy-indexing gather instead of a per-slice Python loop: the flat
-    source index of every output byte is its slice's start offset plus its
-    position within the slice, both built with ``repeat``/``cumsum``.
+    Computed in int64: string slots hold uint32 offsets, so a combined
+    heap past 4 GiB raises instead of letting an offset wrap around.
     """
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=buffer.dtype)
-    ends = np.cumsum(lengths)
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        ends - lengths, lengths
-    )
-    return buffer[np.repeat(offsets, lengths) + within]
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    if len(ends) and ends[-1] > np.iinfo(np.uint32).max:
+        raise ConversionError(
+            f"string heap of {int(ends[-1])} bytes exceeds the 4 GiB that "
+            "32-bit row slot offsets can address"
+        )
+    return ends - sizes
+
+
+def string_slots(rows: np.ndarray, slot) -> tuple[np.ndarray, np.ndarray]:
+    """Writable uint32 ``(offsets, lengths)`` views of a string slot."""
+    pairs = rows[:, slot.offset : slot.offset + 8].view(np.uint32)
+    return pairs[:, 0], pairs[:, 1]
 
 
 def _decode_string_slot(
-    heap: bytes,
-    offsets: np.ndarray,
-    lengths: np.ndarray,
-    validity: np.ndarray,
+    heap: bytes, offsets: np.ndarray, lengths: np.ndarray, validity: np.ndarray
 ) -> np.ndarray:
-    """Decode one string column out of the heap, vectorized.
+    """Decode one string column out of the heap.
 
-    The referenced heap slices are gathered into a zero-padded
-    ``(n, max_len)`` byte matrix with one fancy-indexing pass and decoded
-    with a single ``np.strings.decode`` over an ``S``-dtype view.  Because
-    the ``S`` view strips trailing NULs, any 0x00 byte *inside* a string
-    falls back to the per-row decode loop (NULs are vanishingly rare in
-    real text, so the vectorized path dominates).
+    The heap span the rows reference is decoded once and sliced per row.
+    Byte offsets are character offsets when the span is ASCII; otherwise
+    they map to character offsets through one cumsum over the span's
+    UTF-8 lead bytes.  NULL and empty rows decode as ``""``.
     """
-    n = len(offsets)
-    data = np.empty(n, dtype=object)
-    data.fill("")
-    valid_indices = np.flatnonzero(validity & (lengths > 0))
-    if not len(valid_indices):
+    data = np.empty(len(offsets), dtype=object)
+    live = validity & (lengths > 0)
+    if not live.any():
+        data.fill("")
         return data
-    starts = offsets[valid_indices].astype(np.int64)
-    sizes = lengths[valid_indices].astype(np.int64)
-    heap_array = np.frombuffer(heap, dtype=np.uint8)
-    gathered = gather_slices(heap_array, starts, sizes)
-    if (gathered == 0).any():
-        for index, start, size in zip(
-            valid_indices.tolist(), starts.tolist(), sizes.tolist()
-        ):
-            data[index] = heap[start : start + size].decode("utf-8")
-        return data
-    width = int(sizes.max())
-    padded = np.zeros((len(valid_indices), width), dtype=np.uint8)
-    ends = np.cumsum(sizes)
-    within = np.arange(len(gathered), dtype=np.int64) - np.repeat(
-        ends - sizes, sizes
-    )
-    padded[np.repeat(np.arange(len(valid_indices)), sizes), within] = gathered
-    decode = getattr(np, "strings", np.char).decode
-    decoded = decode(padded.view(f"S{width}").reshape(-1), "utf-8")
-    data[valid_indices] = decoded.astype(object)
+    starts = offsets.astype(np.int64)
+    ends = starts + lengths
+    lo = int(starts[live].min())
+    span = heap[lo : int(ends[live].max())]
+    text = span.decode("utf-8")
+    starts = np.where(live, starts - lo, 0)
+    ends = np.where(live, ends - lo, 0)
+    if len(text) != len(span):
+        lead = (np.frombuffer(span, dtype=np.uint8) & 0xC0) != 0x80
+        char_at = np.concatenate(([0], np.cumsum(lead)))
+        starts, ends = char_at[starts], char_at[ends]
+    data[:] = [text[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
     return data
 
 
@@ -138,23 +127,18 @@ class RowBlock:
                 column.validity.astype(np.uint8) << np.uint8(bit)
             )
             if slot.is_string:
-                offsets = np.zeros(n, dtype=np.uint32)
-                lengths = np.zeros(n, dtype=np.uint32)
-                valid_indices = np.flatnonzero(column.validity)
-                if len(valid_indices):
-                    # One join-encoded buffer for the whole column; the
-                    # per-value (offset, length) slots follow from the
-                    # vectorized UTF-8 byte lengths by offset arithmetic.
-                    values = column.data[valid_indices]
-                    byte_lengths = utf8_byte_lengths(values)
-                    encoded = "".join(map(str, values)).encode("utf-8")
-                    ends = np.cumsum(byte_lengths)
-                    offsets[valid_indices] = len(heap) + ends - byte_lengths
-                    lengths[valid_indices] = byte_lengths
-                    heap.extend(encoded)
-                view = rows[:, slot.offset : slot.offset + 8]
-                view[:, :4] = offsets.view(np.uint8).reshape(n, 4)
-                view[:, 4:] = lengths.view(np.uint8).reshape(n, 4)
+                # One codec pass for the whole column; the per-value
+                # (offset, length) slots follow by offset arithmetic.
+                encoded, lengths = encode_utf8_column(
+                    column.data, column.validity, slot.name
+                )
+                base = heap_bases([len(heap), len(encoded)])[1]
+                offset_slots, length_slots = string_slots(rows, slot)
+                offset_slots[:] = np.where(
+                    column.validity, base + np.cumsum(lengths) - lengths, 0
+                )
+                length_slots[:] = lengths
+                heap.extend(encoded)
             else:
                 width = slot.width
                 data = np.ascontiguousarray(column.data)
@@ -175,13 +159,8 @@ class RowBlock:
             validity = (self.rows[:, byte_off] >> np.uint8(bit)) & 1
             validity = validity.astype(bool)
             if slot.is_string:
-                view = self.rows[:, slot.offset : slot.offset + 8]
-                offsets = np.ascontiguousarray(view[:, :4]).view(np.uint32)
-                lengths = np.ascontiguousarray(view[:, 4:]).view(np.uint32)
-                offsets = offsets.reshape(-1)
-                lengths = lengths.reshape(-1)
                 data = _decode_string_slot(
-                    self.heap, offsets, lengths, validity
+                    self.heap, *string_slots(self.rows, slot), validity
                 )
             else:
                 raw = np.ascontiguousarray(
@@ -209,17 +188,13 @@ class RowBlock:
         if other.schema.names != self.schema.names:
             raise ConversionError("cannot concat row blocks of different schemas")
         shifted = other.rows.copy()
-        heap_base = len(self.heap)
+        heap_base = heap_bases([len(self.heap), len(other.heap)])[1]
         for col_index, slot in enumerate(self.layout.slots):
             if not slot.is_string:
                 continue
             byte_off, bit = self.layout.validity_position(col_index)
             valid = ((shifted[:, byte_off] >> np.uint8(bit)) & 1).astype(bool)
-            view = shifted[:, slot.offset : slot.offset + 4]
-            offsets = np.ascontiguousarray(view).view(np.uint32).reshape(-1)
-            offsets = offsets + np.uint32(heap_base)
-            raw = offsets.astype(np.uint32).view(np.uint8).reshape(-1, 4)
-            shifted[valid, slot.offset : slot.offset + 4] = raw[valid]
+            string_slots(shifted, slot)[0][valid] += np.uint32(heap_base)
         return RowBlock(
             self.layout,
             np.concatenate([self.rows, shifted]),

@@ -876,7 +876,9 @@ class ExternalSortOperator:
             # Overlapped background reads ("spill_io_overlap")
             # deliberately do NOT subtract -- they happened concurrently
             # with merge compute.
-            with self.stats.time_phase("merge", ("spill_io", "io_wait")):
+            with self.stats.time_phase(
+                "merge", ("spill_io", "io_wait") + merger.NESTED_PHASES
+            ):
                 self._collapse_runs(merger)
                 return merger.merge(self._runs)
         finally:

@@ -22,7 +22,7 @@ Ordering semantics match the one-shot operator bit for bit:
   rows violate -- the same reason the external sort gates its multipass
   merges on inexactness), and the exact full-string order is produced
   at ``view()`` time by one adaptive tie-break re-encoding pass
-  (:func:`repro.sort.stringsort.refine_key_order`) over the compacted
+  (:func:`repro.sort.stringsort.refine_table_order`) over the compacted
   view, cached until the next insert.  Long-string views are exact.
 
 Amortization: deltas accumulate as sorted runs until
@@ -50,7 +50,7 @@ from repro.sort.heuristic import vector_sort_rows
 from repro.sort.kernels import KWayBlockStats
 from repro.sort.kway import kway_merge_indices
 from repro.sort.operator import SortConfig, SortStats, raise_if_cancelled
-from repro.sort.stringsort import and_prefix_exact, refine_key_order
+from repro.sort.stringsort import and_prefix_exact, refine_table_order
 from repro.table.table import Table
 from repro.types.datatypes import TypeId
 from repro.types.schema import Schema
@@ -249,7 +249,7 @@ class IncrementalSorter:
             self._view_cache = (
                 run.table
                 if self._refine_layout is None
-                else self._refine(run.keys, run.table, self._refine_layout)[1]
+                else self._refine(run)
             )
         return self._view_cache
 
@@ -284,24 +284,13 @@ class IncrementalSorter:
         self.stats.rows_compacted += len(merged_keys)
         self._runs = [_DeltaRun(merged_keys, merged_table)]
 
-    def _refine(
-        self, matrix: np.ndarray, table: Table, layout
-    ) -> tuple[np.ndarray, Table]:
-        """Repair byte-order to exact full-string order (sorted input)."""
-
-        def fetch_tied(tied: np.ndarray):
-            def get(name: str):
-                column = table.column(name)
-                return column.data[tied], column.validity[tied]
-
-            return get
-
-        perm = refine_key_order(
-            matrix[:, : self._key_width],
-            layout,
-            fetch_tied,
+    def _refine(self, run: _DeltaRun) -> Table:
+        """Repair the run's byte order to exact full-string order."""
+        order = refine_table_order(
+            run.table,
+            run.keys,
+            self._refine_layout,
+            np.arange(len(run.keys)),
             self.stats.sort,
         )
-        if perm is None:
-            return matrix, table
-        return matrix[perm], table.take(perm)
+        return run.table.take(order)

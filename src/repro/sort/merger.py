@@ -20,7 +20,8 @@ large the runs are.
   straddle a round boundary.  Each round's trailing tie group is held
   back (the carry); every settled batch is refined with the adaptive
   re-encode loop (:func:`repro.sort.stringsort.refine_key_order`)
-  against the full strings decoded from the payload, then emitted.
+  on the tied rows' string bytes -- their ``(offset, length)`` slots
+  into the joined run heaps, no ``str`` decoded -- then emitted.
   This is the sort's one string repair: a tie group reaches it ordered
   by its remaining key bytes, then run, then row id -- the stable
   refinement's precondition -- whereas repairing runs first would hand
@@ -30,8 +31,8 @@ large the runs are.
   (served from the read-ahead window when the store provides a
   prefetcher) and one vectorized gather back into merge order.
   Key-carried runs gather their full key rows instead and the table is
-  decoded from those.  String heaps are concatenated once at the end and
-  each row's offsets shifted by its run's base.
+  decoded from those.  String heaps are concatenated once up front and
+  each row's offsets shifted by its run's base at the end.
 
 With ``SortConfig.use_vector_kernels`` off the merge *order* comes from
 the classic per-row tournament heap over the same streamed blocks (the
@@ -47,7 +48,7 @@ import numpy as np
 
 from repro.keys.compression import decode_key_table, rebase_matrix
 from repro.keys.normalizer import KeyLayout
-from repro.rows.block import RowBlock
+from repro.rows.block import RowBlock, heap_bases, string_slots
 from repro.rows.layout import RowLayout
 from repro.sort.kernels import KWayBlockStats, ovc_codes
 from repro.sort.kway import kway_merge_stream
@@ -61,6 +62,11 @@ __all__ = ["RunMerger"]
 class RunMerger:
     """K-way merge of sorted runs into the result table (or one new run).
 
+    ``phase_seconds["refine"]`` (exact-string repair, spill reads
+    excluded) and ``["decode"]`` (the result table) are timed here;
+    callers timing a ``"merge"`` phase around a pass declare it net of
+    :attr:`NESTED_PHASES`.
+
     Finishes what ``generator`` began: the run format (the key layout
     covering every run, whether runs carry compressed layouts to rebase
     from, whether they are key-carried), the config, the stats and the
@@ -69,6 +75,8 @@ class RunMerger:
     row_fetch)`` is the spilling store's read-ahead hook; it may return
     ``None``.
     """
+
+    NESTED_PHASES = ("refine", "decode")
 
     def __init__(
         self,
@@ -100,9 +108,10 @@ class RunMerger:
         """The final pass: every run merged into the sorted output table."""
         self.stats.merge_passes += 1
         keys, rows, heap = self._merge(runs, want_keys=self.key_carried)
-        if self.key_carried:
-            return decode_key_table(keys, self.key_layout, self.schema)
-        return RowBlock(self._row_layout, rows, heap).to_table()
+        with self.stats.time_phase("decode"):
+            if self.key_carried:
+                return decode_key_table(keys, self.key_layout, self.schema)
+            return RowBlock(self._row_layout, rows, heap).to_table()
 
     def merge_to_run(self, runs: Sequence) -> InMemoryRun:
         """An intermediate pass: one group of runs merged into a new run.
@@ -196,15 +205,17 @@ class RunMerger:
         for run in runs:
             if self._stale(run):
                 stats.key_layout_rebases += 1
-        # Heaps stay resident while rows stream: string offsets are
-        # run-relative, so the bytes must remain addressable until the
-        # merged heap is assembled.  Read them before the prefetcher
-        # exists: a read error here must not leak its pool.
-        heaps = (
-            [run.read_heap(stats) for run in runs]
-            if self._has_strings and want_rows
-            else None
-        )
+        # The run heaps, joined, stay resident while rows stream: string
+        # offsets are run-relative (``bases`` re-targets them), and
+        # refinement reads tied strings' bytes out of the joined heap.
+        # Read them before the prefetcher exists: a read error here must
+        # not leak its pool.
+        heap, bases = b"", None
+        if self._has_strings and want_rows:
+            heaps = [run.read_heap(stats) for run in runs]
+            bases = heap_bases([len(part) for part in heaps])
+            heap = b"".join(heaps)
+            del heaps
         prefetcher = None
         if self.config.use_vector_kernels and self._make_prefetcher:
             # The prefetcher's row stream carries the dominant per-round
@@ -220,7 +231,7 @@ class RunMerger:
         row_parts: list[np.ndarray] = []
         run_parts: list[np.ndarray] = []
         if self.config.use_vector_kernels:
-            rounds = self._kernel_rounds(runs, prefetcher, heaps)
+            rounds = self._kernel_rounds(runs, prefetcher, heap, bases)
         else:
             rounds = self._scalar_rounds(runs)
         try:
@@ -252,39 +263,32 @@ class RunMerger:
         if not want_rows:
             return keys, np.empty((len(keys), 0), dtype=np.uint8), b""
         rows = _concat(row_parts)  # freshly gathered, safe to patch
-        if heaps is None:
-            return keys, rows, b""
-        return keys, rows, self._merge_heaps(rows, _concat(run_parts), heaps)
+        if bases is not None:
+            self._shift_offsets(rows, bases[_concat(run_parts)])
+        return keys, rows, heap
 
-    def _merge_heaps(
-        self, rows: np.ndarray, run_ids: np.ndarray, heaps: list[bytes]
-    ) -> bytes:
-        """Concatenate the run heaps; point ``rows`` into the result.
+    def _shift_offsets(self, rows: np.ndarray, shift: np.ndarray) -> None:
+        """Point ``rows`` into the joined heap.
 
         Every string slot holds a run-relative heap offset; adding the
-        run's base in the concatenated heap re-targets it without
+        row's run's base in the joined heap re-targets it without
         touching a string byte.
         """
-        sizes = np.fromiter(map(len, heaps), dtype=np.int64, count=len(heaps))
-        shift = (np.cumsum(sizes) - sizes).astype(np.uint32)[run_ids]
+        shift = shift.astype(np.uint32)
         layout = self._row_layout
         for col_index, slot in enumerate(layout.slots):
             if not slot.is_string:
                 continue
             byte_off, bit = layout.validity_position(col_index)
             valid = ((rows[:, byte_off] >> np.uint8(bit)) & 1).astype(bool)
-            view = rows[:, slot.offset : slot.offset + 4]
-            offsets = np.ascontiguousarray(view).view(np.uint32).reshape(-1)
-            offsets = offsets + np.where(valid, shift, np.uint32(0))
-            view[:] = offsets.view(np.uint8).reshape(-1, 4)
-        return b"".join(heaps)
+            string_slots(rows, slot)[0][valid] += shift[valid]
 
     # ------------------------------------------------------------------ #
     # Kernel (block-streaming) merge order
     # ------------------------------------------------------------------ #
 
     def _kernel_rounds(
-        self, runs, prefetcher, heaps
+        self, runs, prefetcher, heap, bases
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         stats = self.stats
         if prefetcher is not None:
@@ -308,9 +312,12 @@ class RunMerger:
             # (run_ids, row_ids, key_bytes) slices of the open tie group.
             carry: list[tuple[np.ndarray, ...]] = []
 
+            heap = np.frombuffer(heap, dtype=np.uint8)
+
             def settle(parts):
                 columns = (_concat(list(column)) for column in zip(*parts))
-                return self._refine_settled(runs, *columns, heaps)
+                with stats.time_phase("refine", ("spill_io", "io_wait")):
+                    return self._refine_settled(runs, *columns, heap, bases)
 
             for run_ids, row_ids, words in rounds:
                 batch = (run_ids, row_ids, _words_to_bytes(words, width))
@@ -336,37 +343,28 @@ class RunMerger:
         )
 
     def _refine_settled(
-        self, runs, run_ids, row_ids, key_bytes, heaps
+        self, runs, run_ids, row_ids, key_bytes, heap, bases
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact-string repair of one settled merge batch.
 
         ``key_bytes`` are the batch's merged key rows; only the tied
         rows' payload is read back (one contiguous range per
-        contributing run) and decoded for their full strings.
+        contributing run), and only for its string slots: the bytes
+        they point at in ``heap`` are compared where they lie.
         """
 
         def fetch_tied(tied):
             tied_runs = run_ids[tied]
-            tied_rows = row_ids[tied]
-            decoded: list[tuple[np.ndarray, Table]] = []
-            for index in np.unique(tied_runs):
-                selected = np.flatnonzero(tied_runs == index)
-                positions = tied_rows[selected]
-                lo, hi = int(positions.min()), int(positions.max()) + 1
-                rows = runs[index].read_row_block(lo, hi, self.stats)
-                block = RowBlock(
-                    self._row_layout, rows[positions - lo], heaps[index]
-                )
-                decoded.append((selected, block.to_table()))
+            rows = self._gather(
+                runs, tied_runs, row_ids[tied], self._rows, None
+            )
 
             def get(name):
-                values = np.empty(len(tied), dtype=object)
-                valid = np.zeros(len(tied), dtype=bool)
-                for selected, table in decoded:
-                    column = table.column(name)
-                    values[selected] = column.data
-                    valid[selected] = column.validity
-                return values, valid
+                offsets, lengths = string_slots(
+                    rows, self._row_layout.slot(name)
+                )
+                starts = bases[tied_runs] + offsets
+                return heap, starts, lengths.astype(np.int64)
 
             return get
 

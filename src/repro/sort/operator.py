@@ -254,8 +254,12 @@ class SortStats:
     heap); ``kway_rounds`` and ``kway_peak_frontier_rows`` describe the
     kernel's frontier loop.  ``phase_seconds`` accumulates wall-clock per
     pipeline phase: ``encode`` (key normalization), ``run_gen`` (sorting
-    runs), ``merge`` (merging runs, I/O excluded), and ``spill_io``
-    (reading/writing spill files).
+    runs), ``merge`` (merging runs and gathering their payload; I/O,
+    ``refine`` and ``decode`` excluded), ``refine`` (exact-string repair
+    of prefix-tied rows inside the merge), ``decode`` (the merged rows
+    or keys turned back into the result table) and ``spill_io``
+    (reading/writing spill files).  The phases partition the sort's
+    wall clock.
 
     The fault counters describe the external sort's degradation ladder:
     ``spill_retries`` (write attempts retried after a transient error),
@@ -473,7 +477,7 @@ class SortOperator:
         # already holds every key row, so there is no working set to
         # bound and the merge takes one round per run.
         block_rows = max(run.num_rows for run in self._runs)
-        with self.stats.time_phase("merge"):
+        with self.stats.time_phase("merge", RunMerger.NESTED_PHASES):
             return RunMerger(self._generator, block_rows).merge(self._runs)
 
 

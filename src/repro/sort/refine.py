@@ -16,7 +16,7 @@ prefix groups:
    so the sort only permutes within groups.
 3. Truncated VARCHAR suffix keys are repaired by the same adaptive
    tie-break re-encoding the one-shot operator uses
-   (:func:`repro.sort.stringsort.refine_key_order`), against a layout
+   (:func:`repro.sort.stringsort.refine_table_order`), against a layout
    shifted past the group-ordinal bytes.
 
 The result is byte-identical to a stable full sort: the group ordinal
@@ -47,7 +47,7 @@ from repro.sort.heuristic import vector_sort_rows
 from repro.sort.operator import SortConfig, SortStats
 from repro.sort.stringsort import (
     exact_group_changed,
-    refine_key_order,
+    refine_table_order,
     refinement_must_defer,
 )
 from repro.table.table import Table
@@ -125,24 +125,10 @@ def refine_sorted(
     order = vector_sort_rows(
         matrix, _GROUP_WIDTH + suf.layout.key_width, stats, stats.radix
     )
-    result = table.take(order)
     stats.sorts_refined += 1
     stats.rows_sorted += n
-
     if not suf.prefix_exact:
-        sorted_matrix = matrix[order]
-        layout = _shifted_layout(suf.layout)
-
-        def fetch_tied(tied: np.ndarray):
-            def get(name: str):
-                column = result.column(name)
-                return column.data[tied], column.validity[tied]
-
-            return get
-
-        perm = refine_key_order(
-            sorted_matrix[:, : layout.key_width], layout, fetch_tied, stats
+        order = refine_table_order(
+            table, matrix, _shifted_layout(suf.layout), order, stats
         )
-        if perm is not None:
-            result = result.take(perm)
-    return result
+    return table.take(order)

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.keys.encoding import utf8_byte_lengths
+from repro.keys.encoding import encode_utf8_column, gather_windows
 
 __all__ = [
     "CHUNK_WIDTH",
@@ -128,8 +128,9 @@ def _tie_groups(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 def _refine_segment(
     order: np.ndarray,
     groups: np.ndarray,
-    values: np.ndarray,
-    validity: np.ndarray,
+    buffer: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
     descending: bool,
     start_byte: int,
     stats,
@@ -137,24 +138,15 @@ def _refine_segment(
     """One segment's chunked re-encode loop over the current tie groups.
 
     ``order`` maps sorted slot -> tied-row index; ``groups`` is the
-    non-decreasing group id per slot.  The sort is stable, so rows whose
-    string tails are fully equal keep their current relative order -- which
-    is their order on the remaining key bytes (later ORDER BY columns, then
-    the row id).  Returns the refined ``(order, groups)`` pair, with groups
-    subdivided down to string-tail equality classes.
+    non-decreasing group id per slot.  Tied row ``i``'s UTF-8 bytes are
+    ``buffer[starts[i]:][:lengths[i]]`` (NULLs have length 0: the key
+    prefix's NULL byte already separated them into their own groups, so
+    they simply stay tied and keep stable order).  The sort is stable, so
+    rows whose string tails are fully equal keep their current relative
+    order -- which is their order on the remaining key bytes (later ORDER
+    BY columns, then the row id).  Returns the refined ``(order, groups)``
+    pair, with groups subdivided down to string-tail equality classes.
     """
-    # Flat UTF-8 buffer for the tied rows only (NULLs encode as empty:
-    # the key prefix's NULL byte already separated them into their own
-    # groups, so they simply stay tied and keep stable order).
-    texts = [
-        str(v) if ok else ""
-        for v, ok in zip(values.tolist(), np.asarray(validity).tolist())
-    ]
-    source = np.asarray(texts, dtype=object)
-    lengths = utf8_byte_lengths(source).astype(np.int64)
-    buffer = np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8)
-    starts = np.cumsum(lengths) - lengths
-
     pos = int(start_byte)
     while True:
         counts = np.bincount(groups)
@@ -167,14 +159,7 @@ def _refine_segment(
         rows = np.flatnonzero(multi)
         idx = order[rows]
         take = np.clip(lengths[idx] - pos, 0, CHUNK_WIDTH)
-        chunk = np.zeros((len(rows), CHUNK_WIDTH), dtype=np.uint8)
-        total = int(take.sum())
-        if total:
-            within = np.arange(total) - np.repeat(np.cumsum(take) - take, take)
-            dest = np.repeat(np.arange(len(rows)), take)
-            chunk[dest, within] = buffer[
-                np.repeat(starts[idx] + pos, take) + within
-            ]
+        chunk = gather_windows(buffer, starts[idx] + pos, take, CHUNK_WIDTH)
         if descending:
             np.subtract(255, chunk, out=chunk)
         # Stable sort: group id is the primary key (ids are non-decreasing
@@ -207,7 +192,7 @@ def _refine_segment(
 def refine_key_order(
     matrix: np.ndarray,
     layout,
-    fetch_tied: Callable[[np.ndarray], Callable[[str], tuple[np.ndarray, np.ndarray]]],
+    fetch_tied: Callable[[np.ndarray], Callable[[str], tuple[np.ndarray, ...]]],
     stats=None,
 ) -> np.ndarray | None:
     """Turn a prefix-sorted permutation into an exact one.
@@ -218,8 +203,10 @@ def refine_key_order(
         layout: the :class:`~repro.keys.normalizer.KeyLayout` that produced
             it; only segments with ``prefix_exact=False`` are refined.
         fetch_tied: called once with the tied row positions; returns a
-            getter ``get(column_name) -> (values, validity)`` for those rows
-            (lets callers gather from tables, row blocks, or spilled runs).
+            getter ``get(column_name) -> (buffer, starts, lengths)``: tied
+            row ``i``'s UTF-8 bytes are ``buffer[starts[i]:][:lengths[i]]``
+            (length 0 for NULL).  The merger answers from row slots and
+            run heaps, :func:`refine_table_order` by encoding the column.
         stats: optional ``SortStats``; ``full_key_compares`` counts the tied
             rows whose full strings were consulted, ``reencode_rounds`` /
             ``reencoded_rows`` the re-encode work.
@@ -263,12 +250,10 @@ def refine_key_order(
             covered = end
         if np.bincount(groups).max() <= 1:
             break
-        values, validity = get(segment.key.column)
         order, groups = _refine_segment(
             order,
             groups,
-            values,
-            validity,
+            *get(segment.key.column),
             segment.key.descending,
             segment.value_width,
             stats,
@@ -296,7 +281,10 @@ def refine_table_order(
 
         def get(name: str):
             column = table.column(name)
-            return column.data[source], column.validity[source]
+            buffer, lengths = encode_utf8_column(
+                column.data[source], column.validity[source], name
+            )
+            return buffer, np.cumsum(lengths) - lengths, lengths
 
         return get
 

@@ -16,9 +16,26 @@ from repro.keys.encoding import (
     encode_string,
     encode_string_column,
     encode_unsigned,
+    encode_utf8_column,
+    gather_windows,
     invert_bytes,
 )
-from repro.types.datatypes import DOUBLE, FLOAT, INTEGER, SMALLINT
+from repro.keys.normalizer import normalize_keys, normalized_key_for_row
+from repro.table.table import Table
+from repro.types.datatypes import DOUBLE, FLOAT, INTEGER, SMALLINT, VARCHAR
+from repro.types.sortspec import SortSpec
+
+# NULLs, empty strings, embedded/trailing NULs, 1/2/3/4-byte code points
+# and objects that are not ``str``.
+STRING_COLUMN = st.lists(
+    st.one_of(
+        st.none(),
+        st.text(max_size=20),
+        st.text(alphabet="a\x00é日😀", max_size=12),
+        st.integers(-99, 99),
+    ),
+    max_size=30,
+)
 
 
 class TestUnsigned:
@@ -173,6 +190,67 @@ class TestVectorizedEncoders:
         values = np.array(["héllo"], dtype=object)
         matrix = encode_string_column(values, 3)
         assert matrix[0].tobytes() == "héllo".encode("utf-8")[:3]
+
+    @given(STRING_COLUMN)
+    def test_utf8_column_codec(self, values):
+        data = np.empty(len(values), dtype=object)
+        data[:] = ["" if v is None else v for v in values]
+        validity = np.array([v is not None for v in values], dtype=bool)
+        texts = ["" if v is None else str(v) for v in values]
+        buffer, lengths = encode_utf8_column(data, validity)
+        assert lengths.tolist() == [len(t.encode()) for t in texts]
+        assert buffer.tobytes() == "".join(texts).encode()
+        # Without a validity mask every slot encodes (filler included).
+        assert encode_utf8_column(data)[1].tolist() == lengths.tolist()
+
+    @given(STRING_COLUMN, st.integers(1, 14), st.booleans())
+    def test_string_column_matches_scalar_key(self, values, prefix, desc):
+        table = Table.from_pydict(
+            {"s": [None if v is None else str(v) for v in values]},
+            dtypes={"s": VARCHAR},
+        )
+        spec = SortSpec.of("s DESC" if desc else "s")
+        keys = normalize_keys(
+            table, spec, string_prefix=prefix, include_row_id=False
+        )
+        for i, (value,) in enumerate(table.iter_rows()):
+            expected = normalized_key_for_row((value,), spec, keys.layout)
+            assert keys.matrix[i].tobytes() == expected
+        column = table.column("s")
+        prefixes = encode_string_column(column.data, prefix, column.validity)
+        for i, (value,) in enumerate(table.iter_rows()):
+            scalar = encode_string(value or "", prefix)
+            assert prefixes[i].tobytes() == scalar
+
+    def test_unencodable_value_names_column_and_row(self):
+        data = np.array(["a", "filler\ud800", "b\ud800", "c"], dtype=object)
+        validity = np.array([True, False, True, True])
+        with pytest.raises(KeyEncodingError, match=r"'s' row 2"):
+            encode_utf8_column(data, validity, "s")
+        with pytest.raises(KeyEncodingError, match=r"'s' row 1"):
+            encode_string_column(data, 4, column="s")
+
+    def test_gather_windows(self):
+        buffer = np.frombuffer(b"abcdefghij", dtype=np.uint8)
+        starts = np.array([0, 4, 8, 9, 10, 500, 7])
+        take = np.array([4, 2, 2, 1, 0, 0, 3])
+        out = gather_windows(buffer, starts, take, 4)
+        assert [row.tobytes() for row in out] == [
+            b"abcd", b"ef\0\0", b"ij\0\0", b"j\0\0\0",
+            b"\0\0\0\0", b"\0\0\0\0", b"hij\0",
+        ]
+
+    def test_gather_windows_take_zero_past_the_end(self):
+        # An exhausted string's next chunk starts past the buffer: the
+        # start is clamped, not indexed (this broke the first prototype).
+        buffer = np.frombuffer(b"xy", dtype=np.uint8)
+        out = gather_windows(buffer, np.array([2, 99]), np.array([0, 0]), 16)
+        assert not out.any() and out.shape == (2, 16)
+        empty = np.empty(0, dtype=np.uint8)
+        out = gather_windows(empty, np.array([0]), np.array([0]), 8)
+        assert out.tolist() == [[0] * 8]
+        none = np.empty(0, dtype=np.int64)
+        assert gather_windows(buffer, none, none, 4).shape == (0, 4)
 
     def test_varchar_via_fixed_raises(self):
         from repro.types.datatypes import VARCHAR

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import time
+
 from conftest import reference_sort
-from repro.errors import SortError
+from repro.engine.database import Database
+from repro.errors import KeyEncodingError, SortError
 from repro.sort.operator import SortConfig, SortOperator, sort_table
 from repro.table.chunk import DataChunk, chunk_table
 from repro.table.table import Table
 from repro.types.datatypes import FLOAT, INTEGER, VARCHAR
 from repro.types.sortspec import SortSpec
+from repro.workloads.scenarios import scenario_table
 
 
 class TestSortConfig:
@@ -165,6 +169,49 @@ class TestStringTruncation:
         table = Table.from_pydict({"s": values})
         result = sort_table(table, "s DESC", SortConfig(string_prefix=6))
         assert result.column("s").to_pylist() == sorted(values, reverse=True)
+
+
+    @pytest.mark.parametrize("config", [SortConfig(), SortConfig(compress_keys=False)])
+    def test_unencodable_string_is_a_typed_error(self, config):
+        # A lone surrogate has no UTF-8 encoding: a ReproError naming the
+        # column and row, not a raw UnicodeEncodeError from some join.
+        table = Table.from_pydict({"s": ["a", "\ud800b", "c"], "p": [1, 2, 3]})
+        with pytest.raises(KeyEncodingError, match=r"'s' row 1"):
+            sort_table(table, "s", config)
+        database = Database()
+        database.register("t", table)
+        with pytest.raises(KeyEncodingError, match=r"'s' row 1"):
+            database.execute("SELECT * FROM t ORDER BY s")
+        # As payload only, the row format trips over it instead.
+        with pytest.raises(KeyEncodingError, match=r"'s' row 1"):
+            sort_table(table, "p", config)
+
+
+class TestPhaseAttribution:
+    def test_phases_cover_a_long_string_sort(self):
+        # Refinement and the result decode are timed net of "merge", so
+        # the phases partition the sort's wall clock (ROADMAP 1(b): most
+        # of a long-string sort used to sit in layers nobody timed).
+        table = scenario_table("long_string", 20_000, 17)
+        chunks = list(chunk_table(table, 2048))
+        coverage = []
+        for _ in range(3):  # a preemption outside every phase skews one try
+            operator = SortOperator(
+                table.schema,
+                SortSpec.of("s", "p"),
+                SortConfig(run_threshold=8192),
+            )
+            start = time.perf_counter()
+            for chunk in chunks:
+                operator.sink(chunk)
+            operator.finalize()
+            wall = time.perf_counter() - start
+            phases = operator.stats.phase_seconds
+            assert set(phases) == {"encode", "run_gen", "merge", "refine", "decode"}
+            assert all(seconds >= 0 for seconds in phases.values())
+            assert sum(phases.values()) <= wall
+            coverage.append(sum(phases.values()) / wall)
+        assert max(coverage) >= 0.95, coverage
 
 
 MIXED_SPECS = [

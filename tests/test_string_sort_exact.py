@@ -22,6 +22,7 @@ import pytest
 from conftest import reference_sort
 from repro.aggregate.groupby import Aggregate, group_by
 from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
+from repro.rows.block import RowBlock, string_slots
 from repro.sort.external import (
     ExternalSortOperator,
     SpilledRun,
@@ -41,8 +42,10 @@ from repro.sort.spillfile import (
 )
 from repro.sort.stringsort import (
     exact_group_changed,
+    CHUNK_WIDTH,
     inexact_prefix_end,
     refine_key_order,
+    refine_table_order,
 )
 from repro.sort.topn import top_n
 from repro.table.chunk import chunk_table
@@ -143,6 +146,35 @@ class TestInMemoryExact:
         operator.finalize()
         assert operator.stats.reencoded_rows == 0
         assert operator.stats.full_key_compares == 0
+
+    @pytest.mark.parametrize("spec_str", ["s, i", "s DESC NULLS LAST, i DESC"])
+    def test_non_ascii_strings_with_embedded_nuls(self, spec_str, tmp_path):
+        # 2/3/4-byte code points and NULs inside the strings, behind a
+        # shared prefix longer than the key prefix: heap offsets are byte
+        # offsets, the decoded text's are character offsets.  (No string
+        # ends in NUL: the zero key pad makes those tie.)
+        rng = random.Random(23)
+
+        def one():
+            tail = "".join(rng.choice("aé日😀\x00") for _ in range(rng.randrange(24)))
+            return rng.choice(["共有プレフィックス-", "é" * 7, ""]) + tail + "z"
+
+        n = 3000
+        table = Table.from_pydict(
+            {
+                "s": [None if rng.random() < 0.05 else one() for _ in range(n)],
+                "i": [rng.randrange(4) for _ in range(n)],
+            }
+        )
+        spec = spec_of(spec_str)
+        config = SortConfig(run_threshold=700)
+        assert_matches_oracle(sort_table(table, spec, config), table, spec)
+        spilled = external_sort_table(table, spec, config, str(tmp_path))
+        assert_matches_oracle(spilled, table, spec)
+        expected = reference_sort(table, spec)
+        assert top_n(table, spec, limit=50, offset=3).equals(
+            expected.slice(3, 53)
+        )
 
     def test_forced_prefix_still_sorts_exactly(self):
         # A forced (short) prefix changes the key bytes, not the result:
@@ -468,3 +500,51 @@ class TestRefineKeyOrderUnit:
             raise AssertionError("no ties to fetch")
 
         assert refine_key_order(matrix, keys.layout, fetch) is None
+
+    @pytest.mark.parametrize("spec_str", SPECS)
+    def test_refine_from_row_slots_and_heap(self, spec_str):
+        """The byte contract answered the merger's way -- ``(offset,
+        length)`` slots into a heap, no ``str`` -- gives the permutation
+        ``refine_table_order`` gets by encoding the decoded table."""
+        rng = random.Random(5)
+        deep = "shared_prefix_" + "=" * (3 * CHUNK_WIDTH)  # > 2 chunk rounds
+        svals = [
+            rng.choice([None, "", "shared_prefix_é日😀", deep + "a", deep + "b", deep])
+            for _ in range(200)
+        ]
+        base = string_table(11, 200)
+        table = base.concat(
+            Table.from_pydict({"s": svals, "i": [i % 3 for i in range(200)]})
+        )
+        spec = spec_of(spec_str)
+        keys = normalize_keys(
+            table, spec, string_prefix=MAX_STRING_PREFIX, include_row_id=False
+        )
+        order = np.argsort(
+            [row.tobytes() for row in keys.matrix], kind="stable"
+        )
+        expected_stats, stats = SortStats(), SortStats()
+        expected = refine_table_order(
+            table, keys.matrix, keys.layout, order, expected_stats
+        )
+        block = RowBlock.from_table(table).take(order)
+        heap = np.frombuffer(block.heap, dtype=np.uint8)
+
+        def fetch(tied):
+            def get(name):
+                offsets, lengths = string_slots(
+                    block.rows[tied], block.layout.slot(name)
+                )
+                return heap, offsets.astype(np.int64), lengths.astype(np.int64)
+
+            return get
+
+        perm = refine_key_order(keys.matrix[order], keys.layout, fetch, stats)
+        assert perm is not None
+        assert order[perm].tolist() == expected.tolist()
+        assert stats.reencode_rounds > 2
+        assert (stats.full_key_compares, stats.reencoded_rows) == (
+            expected_stats.full_key_compares,
+            expected_stats.reencoded_rows,
+        )
+        assert_matches_oracle(table.take(order[perm]), table, spec)
