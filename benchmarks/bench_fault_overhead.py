@@ -10,11 +10,6 @@ same process, so machine noise hits both sides equally.  The headline
 number is the end-to-end overhead ratio, which the tier-2 ``slow``
 test asserts stays under 10%.
 
-For trajectory, the verified run is also recorded next to the
-fault-free ``kway_merge`` timing in ``BENCH_kernels.json`` when that
-baseline file exists (informational: the two are from different
-processes, so only the in-run on/off ratio is asserted).
-
 Results land in ``BENCH_faults.json`` at the repository root.  Runs
 standalone (``python benchmarks/bench_fault_overhead.py``) or under
 pytest.
@@ -44,9 +39,8 @@ from repro.types.sortspec import SortSpec  # noqa: E402
 from scenarios import uniform_values  # noqa: E402
 
 OUTPUT = os.path.join(os.path.dirname(_SRC), "BENCH_faults.json")
-KERNELS_BASELINE = os.path.join(os.path.dirname(_SRC), "BENCH_kernels.json")
 
-KWAY_RUNS = 8  # matches the BENCH_kernels.json kway_merge workload
+KWAY_RUNS = 8
 KWAY_RUN_ROWS = 50_000
 ROUNDS = 3  # best-of on both sides: the ratio is the deliverable
 MAX_OVERHEAD = 0.10  # acceptance bar: checksums+header cost < 10%
@@ -96,7 +90,7 @@ def bench_checksum_overhead():
     assert verified_stats.checksum_verifications > 0
     assert verified_stats.checksum_failures == 0
 
-    result = {
+    return {
         "rows": rows,
         "runs": KWAY_RUNS,
         "rows_per_run": KWAY_RUN_ROWS,
@@ -108,15 +102,6 @@ def bench_checksum_overhead():
         "checksum_verifications": verified_stats.checksum_verifications,
         "spill_io_seconds": verified_stats.phase_seconds.get("spill_io", 0.0),
     }
-    if os.path.exists(KERNELS_BASELINE):
-        with open(KERNELS_BASELINE) as fh:
-            baseline = json.load(fh).get("kway_merge", {})
-        if "kernel_rows_per_s" in baseline:
-            result["baseline_kway_rows_per_s"] = baseline["kernel_rows_per_s"]
-            result["verified_vs_baseline_merge"] = (
-                baseline["kernel_rows_per_s"] / result["verified_rows_per_s"]
-            )
-    return result
 
 
 def main():

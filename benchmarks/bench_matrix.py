@@ -10,15 +10,15 @@ incremental (maintained-view) sorter -- and records one cell per
   single scheduler hiccup does not poison the recorded artifact);
 * the heuristic dispatch decisions that run actually made
   (``vector_sort_paths`` / ``vector_sort_reasons`` per generated run,
-  the external ``rungen_path`` + presortedness probe, the chosen
-  algorithm) -- these are **deterministic** for a given (rows, seed),
+  the external ``rungen_path`` + presortedness probe) -- these are
+  **deterministic** for a given (rows, seed),
   which is what lets ``benchmarks/regress.py`` gate on them;
 * the run-length histogram summary, merge passes, k-way rounds, and the
   degradation/spill counters.
 
 Every cell's output is asserted **byte-identical** to the scalar oracle
-(``SortConfig(use_vector_kernels=False)`` -- the row-at-a-time reference
-path) before its timing is recorded; the Top-N cell compares against the
+(:func:`repro.sort.reference.reference_sort` -- the row-at-a-time
+reference sort) before its timing is recorded; the Top-N cell compares against the
 oracle's ``[offset, offset+limit)`` slice.  A cell that diverges raises
 with the scenario name, path, rows, and seed in the message.
 
@@ -51,7 +51,8 @@ from repro.engine import Database  # noqa: E402
 from repro.service import SortService  # noqa: E402
 from repro.sort.external import ExternalSortOperator  # noqa: E402
 from repro.sort.incremental import IncrementalSorter  # noqa: E402
-from repro.sort.operator import SortConfig, SortOperator, sort_table  # noqa: E402
+from repro.sort.operator import SortConfig, SortOperator  # noqa: E402
+from repro.sort.reference import reference_sort  # noqa: E402
 from repro.sort.topn import TopNOperator  # noqa: E402
 from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
@@ -112,7 +113,6 @@ def _run_lengths_summary(lengths) -> dict:
 def _dispatch_summary(stats) -> dict:
     """The gate-visible slice of a ``SortStats``: dispatch + run shape."""
     return {
-        "algorithm": stats.algorithm,
         "vector_sort_paths": dict(stats.vector_sort_paths),
         "vector_sort_reasons": dict(stats.vector_sort_reasons),
         "rungen_path": stats.rungen_path,
@@ -265,7 +265,7 @@ def bench_scenario(scenario, rows):
     table = scenario.table(rows, seed=SEED)
     spec = _spec(scenario)
     started = time.perf_counter()
-    oracle = sort_table(table, spec, SortConfig(use_vector_kernels=False))
+    oracle = reference_sort(table, spec)
     oracle_s = time.perf_counter() - started
     cells = {
         path: bench_cell(path, scenario, table, spec, oracle, rows)

@@ -1,8 +1,8 @@
 """Real wall-clock benchmarks of the production sort operator itself.
 
 Unlike the figure benchmarks (which time the simulation harness), these
-time the actual numpy-backed sort: radix vs pdqsort run generation,
-multi-run merging, top-N, and external sort.
+time the actual numpy-backed sort: run generation, multi-run merging,
+top-N, and external sort, plus the scalar reference sort beside it.
 """
 
 import numpy as np
@@ -10,6 +10,7 @@ import pytest
 
 from repro.sort.external import external_sort_table
 from repro.sort.operator import SortConfig, sort_table
+from repro.sort.reference import reference_sort
 from repro.sort.topn import top_n
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
@@ -78,7 +79,7 @@ def test_external_sort(benchmark, int_table, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Vectorized kernels: before/after comparison (see repro.sort.kernels)
+# Vectorized pipeline vs. the scalar reference sort on one table
 # --------------------------------------------------------------------- #
 
 KERNEL_N = 200_000
@@ -98,36 +99,9 @@ def test_kernel_sort_200k_int64(benchmark, int64_table):
     assert result.is_sorted_by(spec)
 
 
-def test_scalar_sort_200k_int64(benchmark, int64_table):
+def test_reference_sort_200k_int64(benchmark, int64_table):
     spec = SortSpec.of("v")
-    config = SortConfig(use_vector_kernels=False)
     result = benchmark.pedantic(
-        lambda: sort_table(int64_table, spec, config), rounds=1, iterations=1
+        lambda: reference_sort(int64_table, spec), rounds=1, iterations=1
     )
     assert result.is_sorted_by(spec)
-
-
-def test_kernel_speedup_200k_int64(int64_table, capsys):
-    """The headline number: kernels on vs. off, measured in one process."""
-    import time
-
-    spec = SortSpec.of("v")
-
-    def best_of(config, rounds=3):
-        times = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            result = sort_table(int64_table, spec, config)
-            times.append(time.perf_counter() - start)
-        assert result.is_sorted_by(spec)
-        return min(times)
-
-    kernel = best_of(SortConfig())
-    scalar = best_of(SortConfig(use_vector_kernels=False), rounds=1)
-    speedup = scalar / kernel
-    with capsys.disabled():
-        print(
-            f"\n200k int64 end-to-end: kernels {KERNEL_N / kernel:,.0f} rows/s, "
-            f"scalar {KERNEL_N / scalar:,.0f} rows/s, speedup {speedup:.1f}x"
-        )
-    assert speedup >= 5.0

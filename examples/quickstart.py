@@ -6,7 +6,7 @@ Run with::
 
 Builds a small table with strings, integers, and NULLs, sorts it with the
 normalized-key row-based sort operator, and shows what happened under the
-hood (algorithm choice, runs, merge work).
+hood (sort kernel dispatch, runs, merge work).
 """
 
 from repro import SortConfig, SortSpec, Table
@@ -55,8 +55,7 @@ def main() -> None:
     print("\nWhat the pipeline did (paper, Figure 11):")
     print(f"  rows sorted:        {stats.rows_sorted}")
     print(f"  sorted runs:        {stats.runs_generated}")
-    print(f"  run-sort algorithm: {stats.algorithm} "
-          "(pdqsort because a key column is VARCHAR)")
+    print(f"  run-sort kernels:   {stats.vector_sort_paths}")
     print(f"  k-way merge passes: {stats.merge_passes}")
     print(f"  string prefixes exact: {stats.prefix_exact}")
 

@@ -204,14 +204,14 @@ def ablation_block_size(
 def ablation_heuristic_chooser(num_rows: int = 50_000) -> FigureResult:
     """DuckDB's fixed rule vs the cost-based chooser (future work, IX).
 
-    Runs the real operator with each policy on two adversarial workloads:
-    narrow low-cardinality keys (radix's home turf) and a wide multi-key
-    sort of a small input (where pdqsort wins).  The policies are timed
-    on the scalar reference path: that is where ``force_algorithm``
-    selects radix, pdqsort or the chooser; with the vector kernels on,
-    all three would run the same ``vector_sort_rows`` call.
+    Runs the scalar reference sort
+    (:func:`repro.sort.reference.reference_sort`, where radix, pdqsort
+    and the chooser are three different sorts) with each policy on two
+    adversarial workloads: narrow low-cardinality keys (radix's home
+    turf) and a wide multi-key sort of a small input (where pdqsort
+    wins).
     """
-    from repro.sort.operator import SortConfig, sort_table
+    from repro.sort.reference import ReferenceStats, reference_sort
     from repro.table.table import Table
 
     rng = np.random.default_rng(11)
@@ -241,17 +241,9 @@ def ablation_heuristic_chooser(num_rows: int = 50_000) -> FigureResult:
     for name, (table, spec) in workloads.items():
         reference = None
         for policy in ("radix", "pdqsort", "heuristic"):
-            from repro.sort.operator import SortOperator
-            from repro.table.chunk import chunk_table
-
-            config = SortConfig(
-                force_algorithm=policy, use_vector_kernels=False
-            )
-            operator = SortOperator(table.schema, spec, config)
+            stats = ReferenceStats()
             start = time.perf_counter()
-            for chunk in chunk_table(table):
-                operator.sink(chunk)
-            output = operator.finalize()
+            output = reference_sort(table, spec, policy, stats)
             elapsed = time.perf_counter() - start
             if reference is None:
                 reference = output
@@ -260,7 +252,7 @@ def ablation_heuristic_chooser(num_rows: int = 50_000) -> FigureResult:
             result.add(
                 workload=name,
                 policy=policy,
-                algorithm_used=operator.stats.algorithm,
+                algorithm_used=stats.algorithm,
                 seconds=elapsed,
             )
     return result

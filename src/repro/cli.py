@@ -113,11 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "-o", "--output", help="output CSV path (default: stdout)"
     )
     sort_cmd.add_argument(
-        "--algorithm",
-        choices=["radix", "pdqsort", "heuristic"],
-        help="override the run-sort algorithm choice",
-    )
-    sort_cmd.add_argument(
         "--external",
         action="store_true",
         help="spill sorted runs to disk (out-of-core sort)",
@@ -331,8 +326,6 @@ def _emit(table: Table, output: str | None) -> None:
 def _cmd_sort(args: argparse.Namespace) -> int:
     table = read_csv(args.input)
     kwargs = {}
-    if args.algorithm:
-        kwargs["force_algorithm"] = args.algorithm
     if args.run_threshold:
         kwargs["run_threshold"] = args.run_threshold
     if args.prefetch_blocks is not None:
@@ -423,13 +416,10 @@ def _print_sort_stats(stats) -> None:
             f"peak_blocks={stats.prefetch_peak_blocks}",
             file=err,
         )
-    if stats.algorithm:
-        print(f"algorithm: {stats.algorithm}", file=err)
     print(f"prefix_exact: {stats.prefix_exact}", file=err)
     print(
         "merges: "
         f"kway_kernel={stats.kernel_kway_merges} "
-        f"kway_scalar={stats.scalar_kway_merges} "
         f"kway_rounds={stats.kway_rounds}",
         file=err,
     )

@@ -164,7 +164,7 @@ class SortExecOperator(PhysicalOperator):
             source = collect(self.child)
             stats = SortStats()
             refined = refine_sorted(
-                source, self.spec, self.refine_prefix, self.config, stats
+                source, self.spec, self.refine_prefix, stats
             )
             if refined is not None:
                 self.last_stats = stats

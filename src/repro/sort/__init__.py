@@ -42,18 +42,10 @@ from repro.sort.kernels import (
     cutoff_mask,
     kway_merge_blocks,
     merge_indices,
-    merge_matrices,
     radix_argsort_rows,
     void_view,
 )
-from repro.sort.kway import (
-    KWayStats,
-    cascade_merge,
-    cascade_merge_indices,
-    kway_merge,
-    kway_merge_indices,
-    kway_merge_stream,
-)
+from repro.sort.kway import kway_merge_indices, kway_merge_stream
 from repro.sort.merge_path import (
     merge_partitioned,
     merge_path_partition,
@@ -77,6 +69,7 @@ from repro.sort.radix import (
     msd_radix_argsort,
     radix_argsort,
 )
+from repro.sort.reference import ReferenceStats, reference_sort
 from repro.sort.topn import TopNOperator, top_n
 
 __all__ = [
@@ -110,19 +103,14 @@ __all__ = [
     "IntroStats",
     "intro_argsort",
     "introsort",
-    "KWayStats",
     "KWayBlockStats",
     "argsort_rows",
     "cutoff_mask",
     "kway_merge_blocks",
     "merge_indices",
-    "merge_matrices",
     "radix_argsort_rows",
     "RADIX_FINISH_ROWS",
     "void_view",
-    "cascade_merge",
-    "cascade_merge_indices",
-    "kway_merge",
     "kway_merge_indices",
     "kway_merge_stream",
     "merge_partitioned",
@@ -146,6 +134,8 @@ __all__ = [
     "lsd_radix_argsort",
     "msd_radix_argsort",
     "radix_argsort",
+    "ReferenceStats",
+    "reference_sort",
     "TopNOperator",
     "top_n",
 ]

@@ -41,8 +41,8 @@ merge repairs them with the adaptive re-encode loop
 bytes up to the first truncated segment are held in a carry buffer
 across round boundaries, refined against the full strings decoded from
 the spilled payload, then emitted.  Each run's header also stores its
-offset-value codes (Do & Graefe, arXiv 2209.08420) as a format-v3
-tagged frame; the merge kernel combines them with a per-round
+offset-value codes (Do & Graefe, arXiv 2209.08420) as a tagged
+frame; the merge kernel combines them with a per-round
 first/last-word scan to drop the key words all frontier rows share, so
 duplicate-heavy merges compare only the distinguishing suffix.
 
@@ -73,10 +73,6 @@ point for the tests).  The degradation ladder on write failure:
 The operator is a context manager; ``close()`` (idempotent, also run by
 ``finalize`` and ``cancel``) always removes the temp files, recording any
 removal failure in ``SortStats.cleanup_errors`` instead of swallowing it.
-
-With ``SortConfig.use_vector_kernels`` off (or for cross-checking), the
-merger takes its order from the classic per-row tournament heap over the
-same streamed blocks.
 """
 
 from __future__ import annotations
@@ -213,7 +209,7 @@ class SpilledRun:
             raise SpillIOError(
                 f"spill header read failed: {error}", path
             ) from error
-        frames = unpack_extra(header.extra, header.version, path)
+        frames = unpack_extra(header.extra, path)
         layout = None
         blob = frames.get(EXTRA_TAG_LAYOUT)
         if blob and schema is not None and spec is not None:
@@ -668,11 +664,10 @@ class ExternalSortOperator:
 
         Replacement selection buys fewer spill files and merge passes,
         which only a spilling store pays for -- so the choice lives
-        here, not in the shared generator.  It needs the vectorized
-        kernels (each fed batch is argsorted) and keys whose byte order
-        *is* the sort order -- a truncated VARCHAR prefix would require
-        exact-string refinement across segment boundaries, so sorts with
-        string keys stay on the argsort path.  Within those gates:
+        here, not in the shared generator.  It needs keys whose byte
+        order *is* the sort order -- a truncated VARCHAR prefix would
+        require exact-string refinement across segment boundaries, so
+        sorts with string keys stay on the argsort path.  Otherwise
         ``config.replacement_selection`` forces the choice, and ``None``
         probes the first buffered batch's presortedness
         (:func:`repro.sort.rungen.presortedness`) -- replacement
@@ -680,11 +675,11 @@ class ExternalSortOperator:
         past the threshold.
         """
         config = self.config
-        eligible = (
-            config.use_vector_kernels and not self._generator.has_string_key
-        )
         probe = -1.0
-        if not eligible or config.replacement_selection is False:
+        if (
+            self._generator.has_string_key
+            or config.replacement_selection is False
+        ):
             choice = False
         elif config.replacement_selection:
             choice = True
@@ -896,13 +891,12 @@ class ExternalSortOperator:
         extra I/O that fewer, longer replacement-selection runs avoid.
         Exact-string refinement permutes rows *within* prefix-tied
         groups, which would break the intermediate runs' key-byte
-        sortedness, so such sorts stay single-pass, as does the scalar
-        reference.
+        sortedness, so such sorts stay single-pass.
         """
         fan_in = self.config.merge_fan_in
         if fan_in < 2 or len(self._runs) <= fan_in:
             return
-        if merger.refine_end is not None or not self.config.use_vector_kernels:
+        if merger.refine_end is not None:
             return
         while len(self._runs) > fan_in:
             self._check_cancelled()

@@ -101,10 +101,6 @@ class IncrementalSorter:
         sorter.insert(first_batch)
         sorter.insert(second_batch)
         snapshot = sorter.view()   # sorted over both batches
-
-    Requires the vector kernels (``SortConfig.use_vector_kernels``); the
-    scalar path survives only as the one-shot oracle the differential
-    tests compare against.
     """
 
     def __init__(
@@ -121,11 +117,6 @@ class IncrementalSorter:
         self.schema = schema
         self.spec = spec
         self.config = config or SortConfig()
-        if not self.config.use_vector_kernels:
-            raise SortError(
-                "IncrementalSorter requires use_vector_kernels=True; the "
-                "scalar path is the one-shot oracle, not a maintained view"
-            )
         for name in spec.column_names:
             schema.column(name)  # raises SchemaError on unknown columns
         self.compact_threshold = compact_threshold

@@ -49,7 +49,6 @@ __all__ = [
     "radix_argsort_rows",
     "RADIX_FINISH_ROWS",
     "merge_indices",
-    "merge_matrices",
     "ovc_codes",
     "KWayBlockStats",
     "kway_merge_blocks",
@@ -396,16 +395,6 @@ def merge_indices(
     # lexsort is stable and both halves are sorted, so this IS the merge,
     # with a's rows winning ties.
     return np.lexsort(combined).astype(np.int64, copy=False)
-
-
-def merge_matrices(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge two sorted key matrices; returns ``(merged, perm)``.
-
-    Convenience wrapper over :func:`merge_indices` that also gathers the
-    merged key matrix.
-    """
-    perm = merge_indices(a, b)
-    return np.concatenate([a, b])[perm], perm
 
 
 # ---------------------------------------------------------------------- #

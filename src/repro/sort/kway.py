@@ -1,10 +1,10 @@
 """K-way merging of sorted runs.
 
 ClickHouse, HyPer, and Umbra merge their thread-local sorted runs with a
-k-way merge (paper, Section VII); DuckDB instead cascades 2-way merges.
-Both are provided here.  The k-way merge uses a binary tournament heap, so
-each output element costs about log2(k) comparisons -- the ``comp_B`` term
-of the paper's Section II analysis.
+k-way merge (paper, Section VII); DuckDB instead cascades 2-way merges
+(modelled in :mod:`repro.engine.parallel` and :mod:`repro.simsort`).
+This module drives the vectorized k-way kernel
+(:func:`repro.sort.kernels.kway_merge_blocks`).
 
 Stability: runs are merged with run index as the tiebreaker, so the merge
 is stable across runs if each run is internally stable and runs are given
@@ -13,183 +13,19 @@ in input order.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.sort.kernels import KWayBlockStats, kway_merge_blocks, merge_indices
+from repro.sort.kernels import KWayBlockStats, kway_merge_blocks
 
 __all__ = [
-    "KWayStats",
-    "kway_merge",
-    "cascade_merge",
-    "cascade_merge_indices",
     "kway_merge_indices",
     "kway_merge_stream",
 ]
 
 DEFAULT_FRONTIER_ROWS = 4096
 """Frontier block size of the streaming k-way kernel (rows per run)."""
-
-Less = Callable[[Any, Any], bool]
-
-
-class KWayStats:
-    """Counters describing a merge phase."""
-
-    __slots__ = ("comparisons", "moves", "rounds")
-
-    def __init__(self) -> None:
-        self.comparisons = 0
-        self.moves = 0
-        self.rounds = 0
-
-
-class _HeapKey:
-    """Adapter making an arbitrary ``less`` usable inside heapq."""
-
-    __slots__ = ("value", "run", "less", "stats")
-
-    def __init__(self, value: Any, run: int, less: Less, stats) -> None:
-        self.value = value
-        self.run = run
-        self.less = less
-        self.stats = stats
-
-    def __lt__(self, other: "_HeapKey") -> bool:
-        if self.stats is not None:
-            self.stats.comparisons += 1
-        if self.less(self.value, other.value):
-            return True
-        if self.less(other.value, self.value):
-            return False
-        return self.run < other.run  # stability across runs
-
-
-def _default_less(a: Any, b: Any) -> bool:
-    return a < b
-
-
-def kway_merge(
-    runs: Sequence[Iterable[Any]],
-    less: Less | None = None,
-    stats: KWayStats | None = None,
-) -> list[Any]:
-    """Merge ``k`` sorted runs into one sorted list with a tournament heap."""
-    less = less or _default_less
-    iterators = [iter(run) for run in runs]
-    heap: list[_HeapKey] = []
-    for run_index, iterator in enumerate(iterators):
-        try:
-            first = next(iterator)
-        except StopIteration:
-            continue
-        heap.append(_HeapKey(first, run_index, less, stats))
-    heapq.heapify(heap)
-    out: list[Any] = []
-    while heap:
-        head = heap[0]
-        out.append(head.value)
-        if stats is not None:
-            stats.moves += 1
-        try:
-            replacement = next(iterators[head.run])
-        except StopIteration:
-            heapq.heappop(heap)
-            continue
-        heapq.heapreplace(
-            heap, _HeapKey(replacement, head.run, less, stats)
-        )
-    return out
-
-
-def cascade_merge(
-    runs: Sequence[list[Any]],
-    less: Less | None = None,
-    stats: KWayStats | None = None,
-) -> list[Any]:
-    """DuckDB-style cascaded 2-way merge: pair up runs until one remains.
-
-    Each round merges adjacent pairs (preserving run order for stability).
-    With r runs there are ceil(log2(r)) rounds; every round streams all n
-    elements once, which is why the cascade is easy to parallelize with
-    Merge Path but does more data movement than one k-way pass.
-    """
-    from repro.sort.mergesort import merge_runs
-
-    base_less = less or _default_less
-    if stats is not None:
-        def counting_less(x: Any, y: Any) -> bool:
-            stats.comparisons += 1
-            return base_less(x, y)
-        effective_less: Less = counting_less
-    else:
-        effective_less = base_less
-    current = [list(run) for run in runs]
-    if not current:
-        return []
-    while len(current) > 1:
-        if stats is not None:
-            stats.rounds += 1
-        paired: list[list[Any]] = []
-        for i in range(0, len(current) - 1, 2):
-            merged = merge_runs(current[i], current[i + 1], effective_less)
-            if stats is not None:
-                stats.moves += len(merged)
-            paired.append(merged)
-        if len(current) % 2 == 1:
-            paired.append(current[-1])
-        current = paired
-    return current[0]
-
-
-def cascade_merge_indices(
-    runs: Sequence[np.ndarray], stats: KWayStats | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized cascaded 2-way merge of sorted normalized-key matrices.
-
-    ``runs`` holds k row-sorted ``(n_i, width)`` uint8 key matrices of one
-    shared width.  Returns ``(run_ids, row_ids)``: output position ``p``
-    takes row ``row_ids[p]`` of ``runs[run_ids[p]]``.  Ties resolve to the
-    earlier run (stable), matching :func:`cascade_merge` -- but each round
-    is two ``np.searchsorted`` calls per pair
-    (:func:`repro.sort.kernels.merge_indices`) instead of a Python loop.
-    """
-    entries = [
-        (
-            np.ascontiguousarray(keys),
-            np.full(len(keys), index, dtype=np.int64),
-            np.arange(len(keys), dtype=np.int64),
-        )
-        for index, keys in enumerate(runs)
-        if len(keys)
-    ]
-    if not entries:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    while len(entries) > 1:
-        if stats is not None:
-            stats.rounds += 1
-        paired = []
-        for i in range(0, len(entries) - 1, 2):
-            keys_a, runs_a, rows_a = entries[i]
-            keys_b, runs_b, rows_b = entries[i + 1]
-            perm = merge_indices(keys_a, keys_b)
-            paired.append(
-                (
-                    np.concatenate([keys_a, keys_b])[perm],
-                    np.concatenate([runs_a, runs_b])[perm],
-                    np.concatenate([rows_a, rows_b])[perm],
-                )
-            )
-            if stats is not None:
-                stats.moves += len(perm)
-        if len(entries) % 2 == 1:
-            paired.append(entries[-1])
-        entries = paired
-    _, run_ids, row_ids = entries[0]
-    return run_ids, row_ids
 
 
 def kway_merge_stream(
@@ -237,17 +73,17 @@ def kway_merge_stream(
 def kway_merge_indices(
     runs: Sequence[np.ndarray],
     block_rows: int = DEFAULT_FRONTIER_ROWS,
-    stats: KWayStats | None = None,
     block_stats: KWayBlockStats | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-pass vectorized k-way merge of sorted normalized-key matrices.
 
-    Same contract as :func:`cascade_merge_indices` -- ``(run_ids, row_ids)``
-    with ties stable toward the earlier run -- but built on the
-    block-streaming frontier kernel
+    ``runs`` holds k row-sorted ``(n_i, width)`` uint8 key matrices of one
+    shared width.  Returns ``(run_ids, row_ids)``: output position ``p``
+    takes row ``row_ids[p]`` of ``runs[run_ids[p]]``; ties resolve to the
+    earlier run (stable).  Built on the block-streaming frontier kernel
     (:func:`repro.sort.kernels.kway_merge_blocks`): every row is touched
-    once instead of once per cascade round, and the kernel's working set is
-    ``k * block_rows`` key rows regardless of run sizes.
+    once, and the kernel's working set is ``k * block_rows`` key rows
+    regardless of run sizes.
     """
 
     def blocks_of(matrix: np.ndarray):
@@ -264,9 +100,6 @@ def kway_merge_indices(
     for run_ids, row_ids in kway_merge_blocks(sources, kernel_stats):
         run_parts.append(remap[run_ids])
         row_parts.append(row_ids)
-    if stats is not None:
-        stats.rounds += kernel_stats.rounds
-        stats.moves += kernel_stats.rows_emitted
     if not run_parts:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy()

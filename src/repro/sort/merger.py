@@ -33,21 +33,15 @@ large the runs are.
   Key-carried runs gather their full key rows instead and the table is
   decoded from those.  String heaps are concatenated once up front and
   each row's offsets shifted by its run's base at the end.
-
-With ``SortConfig.use_vector_kernels`` off the merge *order* comes from
-the classic per-row tournament heap over the same streamed blocks (the
-reference the kernel is tested against); payload handling is shared.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.keys.compression import decode_key_table, rebase_matrix
-from repro.keys.normalizer import KeyLayout
 from repro.rows.block import RowBlock, heap_bases, string_slots
 from repro.rows.layout import RowLayout
 from repro.sort.kernels import KWayBlockStats, ovc_codes
@@ -217,7 +211,7 @@ class RunMerger:
             heap = b"".join(heaps)
             del heaps
         prefetcher = None
-        if self.config.use_vector_kernels and self._make_prefetcher:
+        if self._make_prefetcher:
             # The prefetcher's row stream carries the dominant per-round
             # I/O: the payload rows, or -- for key-carried runs, which
             # hold no payload -- the full-width key rows.
@@ -230,12 +224,10 @@ class RunMerger:
         key_parts: list[np.ndarray] = []
         row_parts: list[np.ndarray] = []
         run_parts: list[np.ndarray] = []
-        if self.config.use_vector_kernels:
-            rounds = self._kernel_rounds(runs, prefetcher, heap, bases)
-        else:
-            rounds = self._scalar_rounds(runs)
         try:
-            for run_ids, row_ids in rounds:
+            for run_ids, row_ids in self._rounds(
+                runs, prefetcher, heap, bases
+            ):
                 if want_keys:
                     key_parts.append(
                         self._gather(
@@ -284,12 +276,13 @@ class RunMerger:
             string_slots(rows, slot)[0][valid] += shift[valid]
 
     # ------------------------------------------------------------------ #
-    # Kernel (block-streaming) merge order
+    # Merge order
     # ------------------------------------------------------------------ #
 
-    def _kernel_rounds(
+    def _rounds(
         self, runs, prefetcher, heap, bases
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The block-streaming kernel's rounds, string ties repaired."""
         stats = self.stats
         if prefetcher is not None:
             sources = [prefetcher.key_source(i) for i in range(len(runs))]
@@ -375,84 +368,6 @@ class RunMerger:
             return run_ids, row_ids
         return run_ids[perm], row_ids[perm]
 
-    # ------------------------------------------------------------------ #
-    # Scalar (tournament heap) merge order
-    # ------------------------------------------------------------------ #
-
-    def _scalar_rounds(
-        self, runs
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The heap's merge order, batched ``block_rows`` rows at a time."""
-        self.stats.scalar_kway_merges += 1
-        run_ids: list[int] = []
-        row_ids: list[int] = []
-        for run_index, position in self._heap_order(runs):
-            self._check_cancelled()
-            run_ids.append(run_index)
-            row_ids.append(position)
-            if len(run_ids) >= self.block_rows:
-                yield (
-                    np.asarray(run_ids, dtype=np.int64),
-                    np.asarray(row_ids, dtype=np.int64),
-                )
-                run_ids, row_ids = [], []
-        if run_ids:
-            yield (
-                np.asarray(run_ids, dtype=np.int64),
-                np.asarray(row_ids, dtype=np.int64),
-            )
-
-    def _heap_order(self, runs) -> Iterator[tuple[int, int]]:
-        """Scalar merge order: a tournament heap over per-row key bytes.
-
-        Keys stream block-by-block from the runs (same bounded reads as
-        the kernel path); each popped row costs one Python heap
-        operation and one ``tobytes`` -- the per-tuple overhead the
-        kernel path eliminates.  When the key layout truncates a VARCHAR
-        prefix, the heap keys are augmented per row: each truncated
-        segment's bytes are replaced by the full terminated string
-        encoding (:func:`_augmented_key`), so the scalar merge is exact
-        too.
-        """
-        augment = self.refine_end is not None
-
-        def raw_rows(run) -> Iterator[bytes]:
-            # Full-width rows (row-id suffix included, globally ascending)
-            # so heap ties never happen; compressed runs rebase onto the
-            # final layout first so bytes compare across runs.
-            heap = run.read_heap(self.stats) if augment else b""
-            for start in range(0, run.num_rows, self.block_rows):
-                stop = min(start + self.block_rows, run.num_rows)
-                block = self._full_keys(run, start, stop, self.stats)
-                if not augment:
-                    for i in range(len(block)):
-                        yield block[i].tobytes()
-                    continue
-                rows = np.ascontiguousarray(
-                    run.read_row_block(start, stop, self.stats)
-                )
-                decoded = RowBlock(self._row_layout, rows, heap).to_table()
-                for i in range(len(block)):
-                    yield _augmented_key(
-                        block[i], self.key_layout, decoded, i
-                    )
-
-        streams = [raw_rows(run) for run in runs]
-        heap: list[tuple[bytes, int, int]] = []
-        for run_index, stream in enumerate(streams):
-            first = next(stream, None)
-            if first is not None:
-                heap.append((first, run_index, 0))
-        heapq.heapify(heap)
-        while heap:
-            _, run_index, position = heapq.heappop(heap)
-            yield run_index, position
-            following = next(streams[run_index], None)
-            if following is not None:
-                heapq.heappush(
-                    heap, (following, run_index, position + 1)
-                )
-
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
     """``np.concatenate`` that hands a lone part through uncopied."""
@@ -479,37 +394,3 @@ def _trailing_tie_start(prefix: np.ndarray) -> int:
         return 0
     distinct = np.flatnonzero(np.any(prefix[1:] != prefix[:-1], axis=1))
     return int(distinct[-1]) + 1 if len(distinct) else 0
-
-
-def _augmented_key(
-    key_row: np.ndarray, key_layout: KeyLayout, decoded: Table, i: int
-) -> bytes:
-    """Variable-length comparable key bytes with full strings inlined.
-
-    Byte-wise identical semantics to the normalized key, except every
-    truncated VARCHAR segment's value bytes are replaced by the full
-    UTF-8 encoding plus a terminator: ``0x00`` ascending, ``0xFF`` after
-    byte-wise inversion descending.  Neither terminator can occur inside
-    the encoded value (UTF-8 of NUL-free text has no zero byte; inverted
-    bytes are at most 0xFE), so a comparison either decides inside the
-    string region or falls through to the next segment with alignment
-    intact.  NULL rows keep only the segment's null-marker byte, which
-    already separates them from every valid row.
-    """
-    parts: list[bytes] = []
-    cursor = 0
-    for segment in key_layout.segments:
-        if segment.prefix_exact:
-            continue
-        start = segment.offset + segment.total_width - segment.value_width
-        parts.append(key_row[cursor:start].tobytes())
-        cursor = segment.offset + segment.total_width
-        column = decoded.column(segment.key.column)
-        if column.validity[i]:
-            encoded = str(column.data[i]).encode("utf-8")
-            if segment.key.descending:
-                parts.append(bytes(255 - b for b in encoded) + b"\xff")
-            else:
-                parts.append(encoded + b"\x00")
-    parts.append(key_row[cursor:].tobytes())
-    return b"".join(parts)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 from repro.errors import SortCancelledError, SortError
 from repro.sort.merger import RunMerger
-from repro.sort.radix import LSD_WIDTH_THRESHOLD, RadixStats
+from repro.sort.radix import RadixStats
 from repro.sort.rungen import InMemoryRun, RunGenerator
 from repro.table.chunk import VECTOR_SIZE, DataChunk, chunk_table
 from repro.table.table import Table
@@ -92,25 +92,7 @@ class SortConfig:
         run_threshold: rows accumulated before a sorted run is cut.
         string_prefix: forced VARCHAR prefix length in normalized keys
             (default: chosen from the data, capped at 12 like DuckDB).
-        lsd_threshold: key byte width at or below which LSD radix is used.
-        force_algorithm: override DuckDB's algorithm choice; one of None
-            (DuckDB's rule: pdqsort iff strings present), "radix",
-            "pdqsort", or "heuristic" (the cost-based chooser of
-            :mod:`repro.sort.heuristic`, the paper's future-work item).
-            The choice selects code only on the scalar reference path
-            (``use_vector_kernels=False``), where radix, pdqsort and the
-            chooser are three different sorts.  With the vector kernels
-            on, every run is sorted by
-            :func:`repro.sort.heuristic.vector_sort_rows`, which picks
-            its own kernel, and the knob only labels
-            ``SortStats.algorithm``.
         vector_size: chunk granularity used by :func:`sort_table`.
-        use_vector_kernels: use the numpy kernels of
-            :mod:`repro.sort.kernels` (whole-row argsort, vectorized MSD
-            radix, block-streaming k-way merge); off forces the scalar
-            row-at-a-time reference -- radix/pdqsort run generation and
-            the tournament-heap merge -- that the kernels are tested
-            against.
         external: make the engine's ORDER BY run through the
             spilling :class:`repro.sort.external.ExternalSortOperator`
             instead of the in-memory operator.
@@ -194,17 +176,13 @@ class SortConfig:
             that re-spill merged runs -- each pass re-reads and re-writes
             its input, which is exactly the I/O replacement selection's
             longer runs avoid (``SortStats.merge_passes`` records the
-            pass count).  Ignored on the scalar path and when truncated
-            VARCHAR prefixes require exact-string refinement (those
-            merges stay single-pass).
+            pass count).  Ignored when truncated VARCHAR prefixes require
+            exact-string refinement (those merges stay single-pass).
     """
 
     run_threshold: int = DEFAULT_RUN_THRESHOLD
     string_prefix: int | None = None
-    lsd_threshold: int = LSD_WIDTH_THRESHOLD
-    force_algorithm: str | None = None
     vector_size: int = VECTOR_SIZE
-    use_vector_kernels: bool = True
     external: bool = False
     spill_directories: tuple[str, ...] = ()
     spill_retries: int = 2
@@ -222,11 +200,8 @@ class SortConfig:
     def __post_init__(self) -> None:
         if self.run_threshold <= 0:
             raise SortError("run_threshold must be positive")
-        if self.force_algorithm not in (None, "radix", "pdqsort", "heuristic"):
-            raise SortError(
-                f"force_algorithm must be None, 'radix', 'pdqsort' or "
-                f"'heuristic', got {self.force_algorithm!r}"
-            )
+        if self.vector_size <= 0:
+            raise SortError("vector_size must be positive")
         if self.spill_retries < 0:
             raise SortError("spill_retries must be non-negative")
         if self.prefetch_blocks < 0:
@@ -243,16 +218,16 @@ class SortConfig:
 
 @dataclass
 class SortStats:
-    """What the operator did: run counts, algorithm, merge work.
+    """What the operator did: run counts, dispatch, merge work.
 
     Both operators run the same pipeline, so every counter means the
     same thing for a resident and a spilling store; the spill, fault and
     prefetch counters simply stay zero when nothing is spilled.
 
-    ``kernel_kway_merges`` / ``scalar_kway_merges`` count k-way merge
-    passes by path (block-streaming kernel vs. per-row tournament
-    heap); ``kway_rounds`` and ``kway_peak_frontier_rows`` describe the
-    kernel's frontier loop.  ``phase_seconds`` accumulates wall-clock per
+    ``kernel_kway_merges`` counts k-way merge passes of the
+    block-streaming kernel; ``kway_rounds`` and
+    ``kway_peak_frontier_rows`` describe its frontier loop.
+    ``phase_seconds`` accumulates wall-clock per
     pipeline phase: ``encode`` (key normalization), ``run_gen`` (sorting
     runs), ``merge`` (merging runs and gathering their payload; I/O,
     ``refine`` and ``decode`` excluded), ``refine`` (exact-string repair
@@ -324,14 +299,12 @@ class SortStats:
     proper prefix of the spec was provided, and ``refine_fallbacks``
     refine attempts that fell back to a full sort (truncated-VARCHAR
     suffixes where :func:`repro.sort.stringsort.refinement_must_defer`
-    says byte order is inexact, or a scalar-only config).
+    says byte order is inexact).
     """
 
     rows_sorted: int = 0
     runs_generated: int = 0
-    algorithm: str = ""
     kernel_kway_merges: int = 0
-    scalar_kway_merges: int = 0
     kway_rounds: int = 0
     kway_peak_frontier_rows: int = 0
     prefix_exact: bool = True

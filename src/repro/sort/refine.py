@@ -26,9 +26,9 @@ reproduces stable arrival-order ties.
 
 The pass declines (returns ``None``; the caller runs a full sort and
 counts a ``refine_fallbacks``) exactly where the cheap path cannot
-guarantee the operator's exact semantics: scalar-only configs, and
-suffixes where :func:`repro.sort.stringsort.refinement_must_defer`
-reports key bytes *after* a truncated VARCHAR segment.  The must-defer
+guarantee the operator's exact semantics: suffixes where
+:func:`repro.sort.stringsort.refinement_must_defer` reports key bytes
+*after* a truncated VARCHAR segment.  The must-defer
 check is consulted on the *suffix* layout (the prepended group ordinal
 is always exact): a truncated suffix VARCHAR as the last key refines in
 place, while one followed by further ORDER BY columns hands the sort
@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
 from repro.sort.heuristic import vector_sort_rows
-from repro.sort.operator import SortConfig, SortStats
+from repro.sort.operator import SortStats
 from repro.sort.stringsort import (
     exact_group_changed,
     refine_table_order,
@@ -74,7 +74,6 @@ def refine_sorted(
     table: Table,
     spec: SortSpec,
     prefix: SortSpec,
-    config: SortConfig | None = None,
     stats: SortStats | None = None,
 ) -> Table | None:
     """Sort ``table`` by ``spec``, given it is already exactly sorted by
@@ -85,14 +84,11 @@ def refine_sorted(
     is unavailable and the caller must fall back to a full sort (see
     module docstring for the exact decline rules).
     """
-    config = config or SortConfig()
     stats = stats if stats is not None else SortStats()
     if len(prefix.keys) >= len(spec.keys):
         # Nothing to refine: the prefix already covers the spec.
         stats.sorts_refined += 1
         return table
-    if not config.use_vector_kernels:
-        return None
 
     n = table.num_rows
     suffix = SortSpec(spec.keys[len(prefix.keys):])

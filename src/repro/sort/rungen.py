@@ -12,9 +12,7 @@ What happens to the run next is the *store's* business:
 :class:`~repro.sort.external.ExternalSortOperator` spills it (and may
 regroup rows into longer runs with replacement selection first, below).
 The run format -- key layout, key-carried payload, offset-value codes --
-is decided here once for both.  ``SortConfig.use_vector_kernels=False``
-selects the scalar reference (radix / pdqsort / segment-wise comparator),
-kept as the oracle the vector path is tested against.
+is decided here once for both.
 
 Replacement-selection run generation over normalized-key matrices
 -----------------------------------------------------------------
@@ -90,16 +88,14 @@ from repro.keys.normalizer import (
     normalize_keys,
 )
 from repro.rows.block import RowBlock
-from repro.sort.heuristic import choose_algorithm, vector_sort_rows
+from repro.sort.heuristic import vector_sort_rows
 from repro.sort.kernels import argsort_rows, ovc_codes
-from repro.sort.pdqsort import pdqsort
-from repro.sort.radix import radix_argsort
 from repro.sort.stringsort import and_prefix_exact
 from repro.table.chunk import DataChunk, concat_chunks
 from repro.table.table import Table
 from repro.types.datatypes import TypeId
 from repro.types.schema import Schema
-from repro.types.sortspec import SortSpec, compare_values
+from repro.types.sortspec import SortSpec
 
 __all__ = [
     "PROBE_THRESHOLD",
@@ -530,61 +526,6 @@ class InMemoryRun:
         return self.heap
 
 
-def _segmented_compare(raw_a, raw_b, layout, fetch_a, fetch_b) -> int:
-    """Three-way compare of two normalized keys, segment by segment.
-
-    Fixed-width segments are decided by their bytes.  A VARCHAR segment
-    whose (possibly truncated) prefix bytes tie falls back to comparing
-    the full string values -- fetched lazily via ``fetch_a``/``fetch_b``
-    (called with the key-column ordinal) -- before any later key column is
-    consulted.  This is the order DuckDB's "compare the rest of the string
-    only if the prefixes are equal" implies.
-    """
-    for col, segment in enumerate(layout.segments):
-        start = segment.offset
-        stop = start + segment.total_width
-        seg_a = raw_a[start:stop]
-        seg_b = raw_b[start:stop]
-        if seg_a != seg_b:
-            return -1 if seg_a < seg_b else 1
-        if segment.dtype.type_id is TypeId.VARCHAR:
-            cmp = compare_values(fetch_a(col), fetch_b(col), segment.key)
-            if cmp != 0:
-                return cmp
-    return 0
-
-
-def _segmented_argsort(table: Table, keys, spec: SortSpec) -> np.ndarray:
-    """Scalar pdqsort with segment-wise full-string tie-breaks.
-
-    The per-row comparator for inexact string prefixes.  Production
-    sorts use the vectorized prefix sort plus
-    :func:`repro.sort.stringsort.refine_key_order` instead; this remains
-    as the ``use_vector_kernels=False`` reference oracle.
-    """
-    n = len(keys)
-    matrix = keys.matrix
-    raw = [matrix[i].tobytes() for i in range(n)]
-    key_table = table.select(spec.column_names)
-    layout = keys.layout
-
-    def less(i: int, j: int) -> bool:
-        cmp = _segmented_compare(
-            raw[i],
-            raw[j],
-            layout,
-            lambda col: key_table.column_at(col).value(i),
-            lambda col: key_table.column_at(col).value(j),
-        )
-        if cmp != 0:
-            return cmp < 0
-        return raw[i][layout.key_width:] < raw[j][layout.key_width:]
-
-    order = list(range(n))
-    pdqsort(order, less)
-    return np.asarray(order, dtype=np.int64)
-
-
 class RunGenerator:
     """Buffered chunks in, one sorted :class:`InMemoryRun` out.
 
@@ -626,9 +567,7 @@ class RunGenerator:
         #: every column exactly, a run carries its sorted keys and no
         #: payload rows at all.
         self.key_carried = (
-            self.compress
-            and config.use_vector_kernels
-            and key_carried_eligible(schema, spec)
+            self.compress and key_carried_eligible(schema, spec)
         )
         #: The key layout covering every run generated so far: the
         #: accumulator's latest (widest) compressed layout, or the one
@@ -700,57 +639,10 @@ class RunGenerator:
         )
         return np.asarray(order, dtype=np.int64)
 
-    def _choose_algorithm(self, keys: NormalizedKeys) -> str:
-        forced = self.config.force_algorithm
-        if forced == "heuristic":
-            algorithm = choose_algorithm(keys.matrix, keys.layout.key_width)
-        elif forced is not None:
-            algorithm = forced
-        else:
-            # DuckDB's rule: pdqsort when strings are present, else radix.
-            algorithm = "pdqsort" if self.has_string_key else "radix"
-        if not keys.prefix_exact and not self.config.use_vector_kernels:
-            # Radix cannot tie-break truncated string prefixes, and
-            # without the vector path's tie repair the only exact option
-            # is pdqsort with full-string comparisons.
-            algorithm = "pdqsort"
-        return algorithm
-
-    def _scalar_argsort(
-        self, table: Table, keys: NormalizedKeys, algorithm: str
-    ) -> np.ndarray:
-        """The ``use_vector_kernels=False`` reference: row-at-a-time sorts.
-
-        Radix is stable, so only the key bytes are sorted.  pdqsort
-        compares whole rows (the unique row id breaks ties); with
-        truncated prefixes it walks the key *segments* instead,
-        resolving a tied VARCHAR prefix on the full strings before any
-        later key column is consulted.
-        """
-        matrix = keys.matrix
-        if algorithm == "radix":
-            return radix_argsort(
-                matrix[:, : keys.layout.key_width],
-                self.stats.radix,
-                self.config.lsd_threshold,
-                vector_threshold=None,
-            )
-        if keys.prefix_exact:
-            raw = [matrix[i].tobytes() for i in range(len(matrix))]
-            order = list(range(len(matrix)))
-            pdqsort(order, lambda i, j: raw[i] < raw[j])
-            return np.asarray(order, dtype=np.int64)
-        return _segmented_argsort(table, keys, self.spec)
-
     def sort_run(self, table: Table, keys: NormalizedKeys) -> InMemoryRun:
         """Sort one encoded batch into a run."""
-        algorithm = self._choose_algorithm(keys)
-        self.stats.algorithm = algorithm
         with self.stats.time_phase("run_gen"):
-            if self.config.use_vector_kernels:
-                order = self.argsort(keys)
-            else:
-                order = self._scalar_argsort(table, keys, algorithm)
+            order = self.argsort(keys)
             return self.pack(
                 keys.matrix[order],
                 keys.layout if self.compress else None,
@@ -772,9 +664,7 @@ class RunGenerator:
         """
         sorted_keys = np.ascontiguousarray(sorted_keys)
         stats = self.stats
-        ovc = None
-        if self.config.use_vector_kernels:
-            ovc = ovc_codes(sorted_keys[:, : sorted_keys.shape[1] - ROW_ID_WIDTH])
+        ovc = ovc_codes(sorted_keys[:, : sorted_keys.shape[1] - ROW_ID_WIDTH])
         if self.key_carried:
             rows = np.empty((len(sorted_keys), 0), dtype=np.uint8)
             heap = b""

@@ -13,9 +13,8 @@ versioned header::
     | page CRC32 table: crc_count x u32                            |
     |   (keys pages, then rows pages, then heap pages)             |
     +--------------------------------------------------------------+
-    | extra: header_bytes - 48 - 4*crc_count opaque bytes          |
-    |   v2: the serialized compressed key layout, raw              |
-    |   v3: tagged frames  (tag u8 | length u32 | payload)*        |
+    | extra: header_bytes - 48 - 4*crc_count bytes of tagged       |
+    |   frames  (tag u8 | length u32 | payload)*                   |
     |       tag 1 = serialized key layout                          |
     |       tag 2 = offset-value codes (u16 per key row)           |
     +--------------------------------------------------------------+
@@ -24,15 +23,13 @@ versioned header::
     | heap  section: heap_bytes bytes                              |
     +--------------------------------------------------------------+
 
-Format version 2 adds the variable-length ``extra`` blob between the CRC
-table and the data sections; readers locate it purely from
-``header_bytes`` (which version-1 files pin at ``48 + 4*crc_count``, i.e.
-an empty blob), so all versions parse with one code path.  Version 3
-structures the blob as self-describing tagged frames
-(:func:`pack_extra` / :func:`unpack_extra`) so independent metadata --
-the key layout, the run's offset-value codes -- can coexist; unknown
-tags are skipped, making future additions backward-readable.  A v2 blob
-is interpreted as a single layout frame, so v2 files stay readable.
+The variable-length ``extra`` blob sits between the CRC table and the
+data sections; readers locate it purely from ``header_bytes``.  It is
+structured as self-describing tagged frames (:func:`pack_extra` /
+:func:`unpack_extra`) so independent metadata -- the key layout, the
+run's offset-value codes -- can coexist.  Spill files are private to the
+process that wrote them (randomly named, removed on ``close``), so there
+is one format version and :func:`read_header` rejects any other.
 
 Integrity is page-granular *within* each section: section bytes are
 covered by CRC32 checksums over ``page_size``-byte pages (the last page
@@ -72,7 +69,6 @@ __all__ = [
 
 MAGIC = b"RSPL"
 FORMAT_VERSION = 3
-_READABLE_VERSIONS = (1, 2, 3)
 
 EXTRA_TAG_LAYOUT = 1
 """Extra frame holding the serialized compressed key layout."""
@@ -158,9 +154,8 @@ class SpillHeader:
 
     ``page_crcs`` holds one CRC tuple per section, in
     :data:`SECTION_NAMES` order.  All byte offsets below are absolute
-    file offsets.  ``extra`` is the opaque metadata blob (empty for v1
-    files); its interpretation depends on ``version`` -- see
-    :func:`unpack_extra` -- and it is covered by ``header_crc32``.
+    file offsets.  ``extra`` is the metadata blob of tagged frames (see
+    :func:`unpack_extra`); it is covered by ``header_crc32``.
     """
 
     num_rows: int
@@ -170,7 +165,6 @@ class SpillHeader:
     page_size: int
     page_crcs: tuple[tuple[int, ...], ...]
     extra: bytes = b""
-    version: int = FORMAT_VERSION
 
     @property
     def crc_count(self) -> int:
@@ -205,7 +199,7 @@ class SpillHeader:
         )
         fixed_fields = (
             MAGIC,
-            self.version,
+            FORMAT_VERSION,
             self.header_bytes,
             self.num_rows,
             self.key_width,
@@ -276,10 +270,10 @@ def read_header(io, path: str) -> SpillHeader:
         raise SpillCorruptionError(
             f"bad spill magic {magic!r} (expected {MAGIC!r})", path
         )
-    if version not in _READABLE_VERSIONS:
+    if version != FORMAT_VERSION:
         raise SpillCorruptionError(
             f"unsupported spill format version {version} "
-            f"(this build reads versions {_READABLE_VERSIONS})",
+            f"(this build reads version {FORMAT_VERSION})",
             path,
         )
     if page_size <= 0 or header_bytes < _FIXED.size + 4 * crc_count:
@@ -287,10 +281,6 @@ def read_header(io, path: str) -> SpillHeader:
             "inconsistent spill header geometry", path
         )
     extra_bytes = header_bytes - _FIXED.size - 4 * crc_count
-    if version == 1 and extra_bytes:
-        raise SpillCorruptionError(
-            "inconsistent spill header geometry", path
-        )
     tail = io.read(path, _FIXED.size, 4 * crc_count + extra_bytes)
     if len(tail) != 4 * crc_count + extra_bytes:
         raise SpillCorruptionError("truncated spill page-CRC table", path)
@@ -323,12 +313,11 @@ def read_header(io, path: str) -> SpillHeader:
         page_size=page_size,
         page_crcs=tuple(crcs),
         extra=bytes(extra),
-        version=version,
     )
 
 
 def pack_extra(frames: dict[int, bytes]) -> bytes:
-    """Serialize extra-blob frames in the version-3 tagged layout.
+    """Serialize extra-blob frames in the tagged layout.
 
     Frames are written in ascending tag order so the blob is
     deterministic.  An empty dict packs to an empty blob.
@@ -343,18 +332,12 @@ def pack_extra(frames: dict[int, bytes]) -> bytes:
     return b"".join(parts)
 
 
-def unpack_extra(extra: bytes, version: int, path: str) -> dict[int, bytes]:
+def unpack_extra(extra: bytes, path: str) -> dict[int, bytes]:
     """Parse a header's extra blob into ``{tag: payload}`` frames.
 
-    Version 3 blobs are tagged frames; a duplicate tag or a frame running
-    past the blob raises :class:`SpillCorruptionError`.  A non-empty
-    version-2 blob is the serialized key layout by definition, returned
-    as a single :data:`EXTRA_TAG_LAYOUT` frame; version 1 never has one.
+    A duplicate tag or a frame running past the blob raises
+    :class:`SpillCorruptionError`.
     """
-    if not extra:
-        return {}
-    if version < 3:
-        return {EXTRA_TAG_LAYOUT: bytes(extra)}
     frames: dict[int, bytes] = {}
     view = memoryview(extra)
     cursor = 0

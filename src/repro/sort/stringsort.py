@@ -26,8 +26,10 @@ external sort).  This module makes the vector path exact instead:
 String order here is zero-padded UTF-8 byte order, identical to Python's
 ``str`` ordering for text without embedded NUL characters (UTF-8 preserves
 codepoint order and the zero pad byte sorts before every real byte).
-Strings that differ only by trailing NUL codepoints are treated as equal;
-their relative order falls back to the stable row-id tiebreak.
+Strings that differ only by trailing NUL codepoints are treated as equal:
+such a tie falls through to the next ORDER BY column first, and to the
+stable row-id tiebreak only after the last one (a known limitation, see
+"Reference sort" in ``docs/sort-pipeline.md``).
 """
 
 from __future__ import annotations

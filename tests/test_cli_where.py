@@ -174,8 +174,7 @@ class TestCli:
     def test_sort_external_and_algorithm(self, tmp_path, capsys):
         source = make_csv(tmp_path)
         code = main(
-            ["sort", source, "--by", "year", "--algorithm", "pdqsort",
-             "--run-threshold", "2"]
+            ["sort", source, "--by", "year", "--run-threshold", "2"]
         )
         assert code == 0
 

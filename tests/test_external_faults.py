@@ -366,8 +366,7 @@ class TestLifecycleAndCleanup:
         with pytest.raises(SortCancelledError):
             operator.finalize()
 
-    @pytest.mark.parametrize("use_vector_kernels", [True, False])
-    def test_cancel_mid_merge(self, rng, tmp_path, use_vector_kernels):
+    def test_cancel_mid_merge(self, rng, tmp_path):
         table = mixed_table(rng, 2000)
         state = {"operator": None, "merge_reads": 0}
 
@@ -380,12 +379,7 @@ class TestLifecycleAndCleanup:
                 operator.cancel()
 
         injector = FaultInjector(on_op=on_op)
-        operator = build_operator(
-            table,
-            tmp_path,
-            io=injector,
-            config=fast_config(use_vector_kernels=use_vector_kernels),
-        )
+        operator = build_operator(table, tmp_path, io=injector)
         state["operator"] = operator
         with pytest.raises(SortCancelledError):
             run_sort(operator, table)
@@ -485,14 +479,9 @@ class TestRandomizedSingleFault:
 
     KINDS = ("enospc", "short_write", "truncate", "bitflip", "short_read")
 
-    @pytest.mark.parametrize("use_vector_kernels", [True, False])
-    def test_any_single_fault_recovers_or_raises_typed(
-        self, rng, tmp_path, use_vector_kernels
-    ):
+    def test_any_single_fault_recovers_or_raises_typed(self, rng, tmp_path):
         table = mixed_table(rng, 1500)
-        config = fast_config(
-            run_threshold=400, use_vector_kernels=use_vector_kernels
-        )
+        config = fast_config(run_threshold=400)
 
         # Fault-free pass: learn the op counts and the expected bytes.
         baseline_io = FaultInjector()
@@ -508,7 +497,7 @@ class TestRandomizedSingleFault:
         }
         assert op_counts["write"] >= 3 and op_counts["read"] >= 6
 
-        draw = np.random.default_rng(20260806 + use_vector_kernels)
+        draw = np.random.default_rng(20260807)
         for trial in range(24):
             kind = self.KINDS[int(draw.integers(len(self.KINDS)))]
             op = "write" if kind in ("enospc", "short_write", "truncate") else "read"

@@ -1,7 +1,7 @@
 """Cross-checks of the block-streaming external k-way merge.
 
 The kernel path (frontier blocks + cutoff + one lexsort per round) must be
-byte-identical to the scalar tournament-heap fallback on every workload the
+byte-identical to the scalar reference sort on every workload the
 external sort accepts, and its working set must stay bounded by
 ``k * merge_block_rows`` key rows no matter the input size.
 """
@@ -12,8 +12,9 @@ import pytest
 from conftest import reference_sort
 from repro.sort.external import ExternalSortOperator, external_sort_table
 from repro.sort.kernels import KWayBlockStats, kway_merge_blocks
-from repro.sort.kway import cascade_merge_indices, kway_merge_indices
+from repro.sort.kway import kway_merge_indices
 from repro.sort.operator import SortConfig, sort_table
+from repro.sort.reference import reference_sort as scalar_reference_sort
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
@@ -45,17 +46,15 @@ SPECS = [
 ]
 
 
-def run_external(
-    table, spec, use_vector_kernels, tmp_path, run_threshold,
-    merge_block_rows=4096,
-):
+def spec_of(text):
+    return SortSpec.of(*[part.strip() for part in text.split(",")])
+
+
+def run_external(table, spec, tmp_path, run_threshold, merge_block_rows=4096):
     operator = ExternalSortOperator(
         table.schema,
-        SortSpec.of(*[part.strip() for part in spec.split(",")]),
-        SortConfig(
-            run_threshold=run_threshold,
-            use_vector_kernels=use_vector_kernels,
-        ),
+        spec_of(spec),
+        SortConfig(run_threshold=run_threshold),
         spill_directory=str(tmp_path),
         merge_block_rows=merge_block_rows,
     )
@@ -80,18 +79,17 @@ class TestKernelVsScalarHeap:
     @pytest.mark.parametrize("spec", SPECS)
     def test_randomized_byte_identical(self, rng, tmp_path, spec):
         table = mixed_table(rng, 6000)
-        kernel, op_kernel = run_external(table, spec, True, tmp_path, 1000)
-        scalar, op_scalar = run_external(table, spec, False, tmp_path, 1000)
+        kernel, op_kernel = run_external(table, spec, tmp_path, 1000)
+        scalar = scalar_reference_sort(table, spec_of(spec))
         assert op_kernel.stats.runs_generated >= 4
         assert op_kernel.stats.kernel_kway_merges == 1
-        assert op_scalar.stats.scalar_kway_merges == 1
         assert_byte_identical(kernel, scalar)
 
     def test_matches_reference_and_in_memory(self, rng, tmp_path):
         table = mixed_table(rng, 1200)
         spec = SortSpec.of("a NULLS FIRST", "s DESC")
         result, _ = run_external(
-            table, "a NULLS FIRST, s DESC", True, tmp_path, 300
+            table, "a NULLS FIRST, s DESC", tmp_path, 300
         )
         assert result.equals(reference_sort(table, spec))
         assert result.equals(sort_table(table, spec))
@@ -115,7 +113,7 @@ class TestBoundedMemory:
     def test_frontier_never_exceeds_k_blocks(self, rng, tmp_path):
         table = mixed_table(rng, 8000)
         _, operator = run_external(
-            table, "a, s", True, tmp_path, 1000, merge_block_rows=128
+            table, "a, s", tmp_path, 1000, merge_block_rows=128
         )
         runs = operator.stats.runs_generated
         assert runs >= 4
@@ -152,9 +150,8 @@ class TestKernelSmoke:
     def test_spilled_sort_takes_kernel_kway_path(self, rng, tmp_path):
         """Tier-1 smoke: the block-streaming path actually runs."""
         table = mixed_table(rng, 3000)
-        result, operator = run_external(table, "a, f DESC", True, tmp_path, 500)
+        result, operator = run_external(table, "a, f DESC", tmp_path, 500)
         assert operator.stats.kernel_kway_merges > 0
-        assert operator.stats.scalar_kway_merges == 0
         assert operator.stats.kway_rounds > 0
         assert result.num_rows == table.num_rows
 
@@ -170,10 +167,16 @@ class TestKWayMergeIndices:
                 if length:
                     matrix = matrix[np.lexsort(tuple(reversed(matrix.T)))]
                 runs.append(matrix)
-            kway = kway_merge_indices(runs, block_rows=100)
-            cascade = cascade_merge_indices(runs)
-            assert (kway[0] == cascade[0]).all()
-            assert (kway[1] == cascade[1]).all()
+            run_ids, row_ids = kway_merge_indices(runs, block_rows=100)
+            # A stable argsort of the concatenated runs is the merge:
+            # equal keys keep run order, then row order.
+            stacked = np.concatenate(runs)
+            order = np.lexsort(tuple(reversed(stacked.T)))
+            lengths = [len(run) for run in runs]
+            owner = np.repeat(np.arange(len(runs)), lengths)
+            start = np.cumsum([0] + lengths[:-1])
+            assert (run_ids == owner[order]).all()
+            assert (row_ids == order - start[owner[order]]).all()
 
     def test_empty(self):
         run_ids, row_ids = kway_merge_indices([])
@@ -207,7 +210,7 @@ class TestSpillFormat:
 
     def test_phase_timings_recorded(self, rng, tmp_path):
         table = mixed_table(rng, 2000)
-        _, operator = run_external(table, "a, s", True, tmp_path, 400)
+        _, operator = run_external(table, "a, s", tmp_path, 400)
         phases = operator.stats.phase_seconds
         for phase in ("encode", "run_gen", "merge", "spill_io"):
             assert phases.get(phase, 0.0) > 0.0, phase

@@ -17,7 +17,7 @@ from repro.engine.database import Database
 from repro.errors import SchemaError, ServiceError, SortError
 from repro.service.core import SortService
 from repro.sort.incremental import IncrementalSorter
-from repro.sort.operator import SortConfig, sort_table
+from repro.sort.reference import reference_sort
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
 
@@ -34,7 +34,7 @@ def _ints(n: int, start: int = 0) -> Table:
 
 def oracle(table: Table, spec: str) -> Table:
     parsed = SortSpec.of(*[p.strip() for p in spec.split(",")])
-    return sort_table(table, parsed, SortConfig(use_vector_kernels=False))
+    return reference_sort(table, parsed)
 
 
 # --------------------------------------------------------------------- #
@@ -46,14 +46,6 @@ def test_compact_threshold_must_be_at_least_two():
     table = _ints(4)
     with pytest.raises(SortError, match="at least 2"):
         IncrementalSorter(table.schema, "a", compact_threshold=1)
-
-
-def test_requires_vector_kernels():
-    table = _ints(4)
-    with pytest.raises(SortError, match="use_vector_kernels"):
-        IncrementalSorter(
-            table.schema, "a", config=SortConfig(use_vector_kernels=False)
-        )
 
 
 def test_unknown_sort_column_rejected_at_construction():

@@ -9,7 +9,8 @@ stable, the oracle also pins tie order to input order, which every
 pipeline reproduces via the row-id key suffix.
 
 Each seed-deterministic random table is then pushed through the
-in-memory operator (vector kernels on and off), the spilling external
+in-memory operator, the scalar reference sort
+(:func:`repro.sort.reference.reference_sort`), the spilling external
 operator, and Top-N, and each result must match the oracle byte for
 byte.  The two operators share their run generator and merger; one grid
 drives both classes over every catalog scenario x {1, 2, 7 runs} x key
@@ -24,8 +25,10 @@ import numpy as np
 import pytest
 
 from test_external_kway import assert_byte_identical
+from repro.errors import SortError
 from repro.sort.external import ExternalSortOperator, external_sort_table
 from repro.sort.operator import SortConfig, SortOperator, sort_table
+from repro.sort.reference import ALGORITHMS, ReferenceStats, reference_sort
 from repro.sort.topn import TopNOperator
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
@@ -128,13 +131,9 @@ def test_in_memory_matches_oracle(spec_text, size):
     table = random_table(rng, size)
     spec = SortSpec.of(*[p.strip() for p in spec_text.split(",")])
     expected = oracle_sort(table, spec)
-    for use_kernels in (True, False):
-        result = sort_table(
-            table,
-            spec,
-            SortConfig(run_threshold=500, use_vector_kernels=use_kernels),
-        )
-        assert_byte_identical(expected, result)
+    result = sort_table(table, spec, SortConfig(run_threshold=500))
+    assert_byte_identical(expected, result)
+    assert_byte_identical(expected, reference_sort(table, spec))
 
 
 @pytest.mark.parametrize("spec_text", ["i", "f DESC, s", "s NULLS FIRST, f"])
@@ -166,13 +165,13 @@ def test_topn_matches_oracle_prefix(limit, offset):
 
 def test_oracle_agrees_with_reference_sort():
     """The tuple-key oracle and the cmp-based reference must coincide."""
-    from conftest import reference_sort
+    from conftest import reference_sort as cmp_reference_sort
 
     rng = np.random.default_rng(99)
     table = random_table(rng, 400)
     spec = SortSpec.of("f DESC NULLS FIRST", "s", "i DESC")
     assert_byte_identical(
-        reference_sort(table, spec), oracle_sort(table, spec)
+        cmp_reference_sort(table, spec), oracle_sort(table, spec)
     )
 
 
@@ -209,16 +208,62 @@ def _assert_oracle(expected: Table, actual: Table, name: str, path: str):
 @pytest.mark.parametrize("use_kernels", [True, False])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_in_memory_matches_oracle(name, use_kernels):
+    # False: the scalar reference sort under DuckDB's algorithm rule.
     table, spec = _scenario_case(name)
     expected = oracle_sort(table, spec)
-    result = sort_table(
-        table,
-        spec,
-        SortConfig(run_threshold=500, use_vector_kernels=use_kernels),
-    )
+    if use_kernels:
+        result = sort_table(table, spec, SortConfig(run_threshold=500))
+    else:
+        result = reference_sort(table, spec)
     _assert_oracle(
         expected, result, name, f"in_memory(kernels={use_kernels})"
     )
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS[1:])  # None: above
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_reference_sort_matches_oracle(name, algorithm):
+    table, spec = _scenario_case(name)
+    stats = ReferenceStats()
+    result = reference_sort(table, spec, algorithm, stats)
+    _assert_oracle(
+        oracle_sort(table, spec), result, name, f"reference({algorithm})"
+    )
+    assert stats.algorithm in ("radix", "pdqsort")
+    if algorithm == "pdqsort":
+        assert stats.algorithm == "pdqsort"
+
+
+# Embedded NULs, never a pair that differs by trailing NULs only (those
+# tie in zero-padded key bytes: docs/sort-pipeline.md, "Reference").
+NUL_STRINGS = {
+    "fits_prefix": ["a\0b", "a", "a\0a", "ab", None, "\0a", "b", "a\0b"],
+    "truncates": [
+        "p" * 13 + tail for tail in ("\0b", "", "\0a", "b", "a", "\0b")
+    ]
+    + [None],
+}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("order_by", ["s", "s DESC NULLS FIRST"])
+@pytest.mark.parametrize("case", sorted(NUL_STRINGS))
+def test_reference_sort_embedded_nuls_match_oracle(case, order_by, algorithm):
+    values = NUL_STRINGS[case]
+    table = Table.from_pydict({"s": values, "k": list(range(len(values)))})
+    spec = SortSpec.of(order_by, "k DESC")
+    stats = ReferenceStats()
+    result = reference_sort(table, spec, algorithm, stats)
+    assert_byte_identical(oracle_sort(table, spec), result)
+    if case == "truncates":
+        # Radix cannot break a truncated prefix's ties.
+        assert stats.algorithm == "pdqsort"
+
+
+def test_reference_sort_rejects_unknown_algorithm():
+    table = Table.from_pydict({"a": [2, 1]})
+    with pytest.raises(SortError, match="algorithm"):
+        reference_sort(table, SortSpec.of("a"), "timsort")
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -267,7 +312,6 @@ def test_scenario_shared_stages_match_oracle(
     )
     assert stats.merge_passes == 1
     assert stats.kernel_kway_merges == 1
-    assert stats.scalar_kway_merges == 0
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -3,7 +3,8 @@
 The contract of :mod:`repro.sort.kernels` is byte-identical results: every
 kernel (whole-row argsort, searchsorted merge, radix bucket finisher, the
 operator and external-sort fast paths) must reproduce exactly what the
-scalar row-at-a-time code produces, across mixed types, DESC keys, NULLS
+scalar row-at-a-time code (:func:`repro.sort.reference.reference_sort`
+end to end) produces, across mixed types, DESC keys, NULLS
 FIRST/LAST, duplicate keys, and truncated VARCHAR prefixes.
 """
 
@@ -23,13 +24,12 @@ from repro.sort.kernels import (
     cutoff_mask,
     kway_merge_blocks,
     merge_indices,
-    merge_matrices,
     radix_argsort_rows,
     void_view,
 )
-from repro.sort.kway import KWayStats, cascade_merge_indices
 from repro.sort.operator import SortConfig, SortOperator, sort_table
 from repro.sort.radix import RadixStats, lsd_radix_argsort, msd_radix_argsort
+from repro.sort.reference import reference_sort as scalar_reference_sort
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
 from repro.types.datatypes import FLOAT, INTEGER, VARCHAR
@@ -155,44 +155,11 @@ class TestMergeIndices:
                     f"left row after right row for duplicate key {key!r}"
                 )
 
-    def test_merge_matrices_gathers(self, rng):
-        a = random_matrix(rng, 50, 6)
-        b = random_matrix(rng, 70, 6)
-        a, b = a[argsort_rows(a)], b[argsort_rows(b)]
-        merged, perm = merge_matrices(a, b)
-        assert merged.tobytes() == np.concatenate([a, b])[perm].tobytes()
-
     def test_width_mismatch_raises(self):
         with pytest.raises(SortError):
             merge_indices(
                 np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 4), dtype=np.uint8)
             )
-
-
-class TestCascadeMergeIndices:
-    def test_matches_global_sort(self, rng):
-        runs = []
-        for _ in range(7):  # odd count exercises the bye run
-            matrix = random_matrix(rng, int(rng.integers(0, 80)), 5, alphabet=4)
-            runs.append(matrix[argsort_rows(matrix)] if len(matrix) else matrix)
-        stats = KWayStats()
-        run_ids, row_ids = cascade_merge_indices(runs, stats)
-        merged = [runs[r][p].tobytes() for r, p in zip(run_ids, row_ids)]
-        everything = [row for run in runs for row in row_bytes(run)]
-        assert merged == sorted(everything)
-        assert stats.rounds >= 3
-        assert len(run_ids) == len(everything)
-
-    def test_tie_breaks_prefer_earlier_run(self):
-        run_a = np.full((3, 2), 7, dtype=np.uint8)
-        run_b = np.full((2, 2), 7, dtype=np.uint8)
-        run_ids, row_ids = cascade_merge_indices([run_a, run_b])
-        assert run_ids.tolist() == [0, 0, 0, 1, 1]
-        assert row_ids.tolist() == [0, 1, 2, 0, 1]
-
-    def test_empty(self):
-        run_ids, row_ids = cascade_merge_indices([])
-        assert len(run_ids) == 0 and len(row_ids) == 0
 
 
 class TestRadixVectorFinish:
@@ -226,23 +193,14 @@ MIXED_SPECS = [
 
 
 class TestOperatorCrossCheck:
-    """Kernel and scalar operator paths must be byte-identical end to end."""
+    """The operator and the scalar reference must be byte-identical."""
 
     def _cross_check(self, table, spec, run_threshold):
         spec = SortSpec.of(*[part.strip() for part in spec.split(",")])
         on = sort_table(
             table, spec, SortConfig(run_threshold=run_threshold, vector_size=16)
         )
-        off = sort_table(
-            table,
-            spec,
-            SortConfig(
-                run_threshold=run_threshold,
-                vector_size=16,
-                use_vector_kernels=False,
-            ),
-        )
-        assert on.equals(off)
+        assert on.equals(scalar_reference_sort(table, spec))
         assert on.equals(reference_sort(table, spec))
 
     @settings(max_examples=25, deadline=None)
@@ -270,8 +228,8 @@ class TestOperatorCrossCheck:
         self._cross_check(table, spec_text, run_threshold)
 
     def test_truncated_varchar_prefixes(self, rng):
-        # Strings sharing a >12-byte prefix force the inexact scalar
-        # fallback in BOTH configurations; outputs must still agree.
+        # Strings sharing a >12-byte prefix: tie-group refinement on the
+        # operator, the segment-wise comparator in the scalar reference.
         values = [f"{'common-prefix-x'}{int(i):04d}" for i in rng.integers(0, 40, 400)]
         table = Table.from_pydict({"s": values, "seq": list(range(400))})
         self._cross_check(table, "s DESC, seq", 64)
@@ -292,12 +250,10 @@ class TestOperatorCrossCheck:
         op.finalize()
         assert op.stats.merge_passes == 1
         assert op.stats.kernel_kway_merges == 1
-        assert op.stats.scalar_kway_merges == 0
 
     def test_inexact_prefix_stays_on_kernel_path(self):
-        # Strings tying beyond the 12-byte prefix used to demote every
-        # merge to the scalar comparator; the vector path now repairs the
-        # tie groups instead and the scalar merge never runs.
+        # Strings tying beyond the 12-byte prefix: the merge repairs the
+        # tie groups on the full strings.
         values = [f"{'y' * 13}{i:03d}" for i in range(300)]
         table = Table.from_pydict({"s": values})
         op = SortOperator(table.schema, SortSpec.of("s"), SortConfig(run_threshold=64))
@@ -306,7 +262,6 @@ class TestOperatorCrossCheck:
         result = op.finalize()
         assert op.stats.merge_passes == 1
         assert op.stats.kernel_kway_merges == 1
-        assert op.stats.scalar_kway_merges == 0
         assert op.stats.full_key_compares > 0
         assert result.column("s").to_pylist() == sorted(values)
 
@@ -321,10 +276,8 @@ class TestExternalCrossCheck:
         )
         spec = SortSpec.of("a DESC", "b")
         config_on = SortConfig(run_threshold=256)
-        config_off = SortConfig(run_threshold=256, use_vector_kernels=False)
         on = external_sort_table(table, spec, config_on, str(tmp_path_mk(tmp_path, "on")))
-        off = external_sort_table(table, spec, config_off, str(tmp_path_mk(tmp_path, "off")))
-        assert on.equals(off)
+        assert on.equals(scalar_reference_sort(table, spec))
         assert on.equals(reference_sort(table, spec))
 
     def test_strings(self, rng, tmp_path):
@@ -335,13 +288,7 @@ class TestExternalCrossCheck:
         on = external_sort_table(
             table, spec, SortConfig(run_threshold=128), str(tmp_path_mk(tmp_path, "on"))
         )
-        off = external_sort_table(
-            table,
-            spec,
-            SortConfig(run_threshold=128, use_vector_kernels=False),
-            str(tmp_path_mk(tmp_path, "off")),
-        )
-        assert on.equals(off)
+        assert on.equals(scalar_reference_sort(table, spec))
         assert on.equals(reference_sort(table, spec))
 
 

@@ -1,11 +1,10 @@
-"""Tests for Merge Path partitioning and the k-way / cascaded merges."""
+"""Tests for Merge Path partitioning."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SortError
-from repro.sort.kway import KWayStats, cascade_merge, kway_merge
 from repro.sort.merge_path import (
     merge_partitioned,
     merge_path_partition,
@@ -79,61 +78,3 @@ class TestMergePartitioned:
 
     def test_single_partition(self):
         assert merge_partitioned([1, 3], [2], 1) == [1, 2, 3]
-
-
-class TestKWayMerge:
-    def test_empty_runs(self):
-        assert kway_merge([]) == []
-        assert kway_merge([[], []]) == []
-
-    def test_merges(self):
-        runs = [[1, 4, 7], [2, 5, 8], [3, 6, 9]]
-        assert kway_merge(runs) == list(range(1, 10))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(sorted_lists, max_size=6))
-    def test_matches_sorted(self, runs):
-        merged = kway_merge(runs)
-        assert merged == sorted(x for run in runs for x in run)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.lists(st.integers(0, 3), max_size=10).map(sorted), max_size=4))
-    def test_stability_across_runs(self, runs):
-        tagged = [
-            [(value, run_index, pos) for pos, value in enumerate(run)]
-            for run_index, run in enumerate(runs)
-        ]
-        merged = kway_merge(tagged, less=lambda x, y: x[0] < y[0])
-        for (v1, r1, p1), (v2, r2, p2) in zip(merged, merged[1:]):
-            if v1 == v2:
-                assert (r1, p1) < (r2, p2)
-
-    def test_comparison_count_is_logarithmic(self):
-        stats = KWayStats()
-        runs = [[i + 16 * j for j in range(64)] for i in range(16)]
-        kway_merge(runs, stats=stats)
-        n = 16 * 64
-        # About log2(16) = 4 comparisons per element, not 16.
-        assert stats.comparisons < 6 * n
-
-
-class TestCascadeMerge:
-    def test_empty(self):
-        assert cascade_merge([]) == []
-
-    def test_single_run(self):
-        assert cascade_merge([[3, 1]]) == [3, 1]  # untouched
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(sorted_lists, min_size=1, max_size=9))
-    def test_matches_sorted(self, runs):
-        assert cascade_merge(runs) == sorted(x for run in runs for x in run)
-
-    def test_round_count(self):
-        stats = KWayStats()
-        cascade_merge([[i] for i in range(8)], stats=stats)
-        assert stats.rounds == 3  # log2(8)
-
-    def test_odd_run_count(self):
-        runs = [[1, 5], [2, 6], [3, 7]]
-        assert cascade_merge(runs) == [1, 2, 3, 5, 6, 7]

