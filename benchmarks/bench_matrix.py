@@ -138,9 +138,8 @@ def _dispatch_summary(stats) -> dict:
 
 
 def _run_in_memory(table, spec, rows):
-    config = SortConfig(run_threshold=max(2048, rows // 4))
-    operator = SortOperator(table.schema, spec, config)
-    for chunk in chunk_table(table, config.vector_size):
+    operator = SortOperator(table.schema, spec)
+    for chunk in chunk_table(table):
         operator.sink(chunk)
     result = operator.finalize()
     return result, _dispatch_summary(operator.stats), {}

@@ -1,8 +1,8 @@
 """Real wall-clock benchmarks of the production sort operator itself.
 
 Unlike the figure benchmarks (which time the simulation harness), these
-time the actual numpy-backed sort: run generation, multi-run merging,
-top-N, and external sort, plus the scalar reference sort beside it.
+time the actual numpy-backed sort: run generation, top-N, and the
+external sort's multi-run merge, plus the scalar reference sort beside it.
 """
 
 import numpy as np
@@ -33,13 +33,6 @@ def int_table():
 def test_radix_sort_two_int_keys(benchmark, int_table):
     spec = SortSpec.of("a", "b")
     result = benchmark(lambda: sort_table(int_table, spec))
-    assert result.is_sorted_by(spec)
-
-
-def test_multi_run_merge(benchmark, int_table):
-    spec = SortSpec.of("a", "b")
-    config = SortConfig(run_threshold=N // 8)
-    result = benchmark(lambda: sort_table(int_table, spec, config))
     assert result.is_sorted_by(spec)
 
 

@@ -109,8 +109,8 @@ def _duplicate_heavy_table(seed: int, rows: int) -> Table:
     return Table.from_pydict({"s": [rng.choice(domain) for _ in range(rows)]})
 
 
-def _sort_in_memory(table: Table, config: SortConfig):
-    operator = SortOperator(table.schema, SortSpec.of("s"), config)
+def _sort_in_memory(table: Table):
+    operator = SortOperator(table.schema, SortSpec.of("s"))
     for chunk in chunk_table(table, 16_384):
         operator.sink(chunk)
     return operator.finalize(), operator.stats
@@ -118,10 +118,7 @@ def _sort_in_memory(table: Table, config: SortConfig):
 
 def bench_long_strings(rows: int) -> dict:
     table = _long_string_table(11, rows)
-    config = SortConfig(run_threshold=max(rows // 8, 1024))
-    seconds, (vector, stats) = _best_of(
-        lambda: _sort_in_memory(table, config)
-    )
+    seconds, (vector, stats) = _best_of(lambda: _sort_in_memory(table))
     scalar_seconds, scalar = _best_of(
         lambda: reference_sort(table, SortSpec.of("s"))
     )
@@ -154,11 +151,7 @@ def bench_long_strings(rows: int) -> dict:
 
 def bench_shared_prefix(rows: int) -> dict:
     table = _shared_prefix_table(13, rows)
-    seconds, (result, stats) = _best_of(
-        lambda: _sort_in_memory(
-            table, SortConfig(run_threshold=max(rows // 8, 1024))
-        )
-    )
+    seconds, (result, stats) = _best_of(lambda: _sort_in_memory(table))
     values = result.column("s").to_pylist()
     assert values == sorted(values), "shared-prefix sort is not exact"
     return {

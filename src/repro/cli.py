@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--run-threshold",
         type=int,
         default=None,
-        help="rows per sorted run (forces multi-run merging when small)",
+        help="rows per spilled run (--external; an in-memory sort is one run)",
     )
     sort_cmd.add_argument(
         "--no-compress-keys",
@@ -287,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--run-threshold",
         type=int,
         default=None,
-        help="rows per sorted run before the governor shrinks it",
+        help="rows per spilled run before the governor shrinks it (--external)",
     )
     serve_cmd.add_argument(
         "-o",

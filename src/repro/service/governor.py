@@ -12,12 +12,14 @@ One :class:`MemoryGovernor` owns a fixed byte budget.  Each admitted
 query acquires a :class:`MemoryGrant` before it executes; the governor
 splits the budget fairly across the live grants, so admitting a new
 query **revokes** part of every running query's grant -- the grant's
-``granted_bytes`` simply shrinks, and because the sort operators re-read
+``granted_bytes`` simply shrinks, and because the external sort re-reads
 ``SortConfig.memory_grant.effective_run_threshold(...)`` at every sink
 checkpoint, the revocation takes effect at the next buffered chunk: runs
-are cut (and spilled) earlier, via the degradation machinery that
-already exists.  No operator code ever blocks on the governor; pressure
-propagates purely by shrinking numbers.
+are cut and spilled earlier, via the degradation machinery that already
+exists.  (The in-memory operator has nothing to give back -- cutting a
+resident run frees no memory -- and ignores the grant.)  No operator
+code ever blocks on the governor; pressure propagates purely by
+shrinking numbers.
 
 Admission blocks (bounded by a timeout) only when the budget cannot fit
 another *minimum* grant; a timed-out acquire raises

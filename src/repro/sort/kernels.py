@@ -12,8 +12,8 @@ covering the row -- field-by-field comparison of big-endian words is
 exactly byte-wise memcmp.  On top of it:
 
 * :func:`argsort_rows` -- stable whole-matrix argsort (one ``np.argsort``),
-* :func:`cutoff_mask` -- which rows sort before one cutoff key (Top-N's
-  pruning filter),
+* :func:`cutoff_mask` / :func:`smallest_mask` -- which rows sort before
+  one cutoff key, or may be among the ``count`` smallest (Top-N's filters),
 * :func:`merge_indices` -- merge two sorted matrices via two
   ``np.searchsorted`` calls (O(n log m) comparisons, all in C), returning
   the gather permutation over the concatenated inputs.
@@ -46,6 +46,7 @@ __all__ = [
     "void_view",
     "argsort_rows",
     "cutoff_mask",
+    "smallest_mask",
     "radix_argsort_rows",
     "RADIX_FINISH_ROWS",
     "merge_indices",
@@ -176,6 +177,15 @@ def cutoff_mask(
         below |= tied & (column < bound)
         tied &= column == bound
     return below | tied if inclusive else below
+
+
+def smallest_mask(matrix: np.ndarray, count: int) -> np.ndarray:
+    """Mask keeping a superset of the ``count`` smallest key rows: a row
+    whose leading uint64 word exceeds the ``count``-th smallest word has
+    ``count`` rows strictly before it (Top-N selects before it sorts)."""
+    _check_matrix(matrix)
+    words = _chunk_columns(matrix[:, :8])[0]
+    return words <= np.partition(words, count - 1)[count - 1]
 
 
 RADIX_FINISH_ROWS = 1 << 10

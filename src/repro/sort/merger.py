@@ -44,7 +44,7 @@ import numpy as np
 from repro.keys.compression import decode_key_table, rebase_matrix
 from repro.rows.block import RowBlock, heap_bases, string_slots
 from repro.rows.layout import RowLayout
-from repro.sort.kernels import KWayBlockStats, ovc_codes
+from repro.sort.kernels import KWayBlockStats
 from repro.sort.kway import kway_merge_stream
 from repro.sort.rungen import InMemoryRun, RunGenerator
 from repro.sort.stringsort import inexact_prefix_end, refine_key_order
@@ -99,9 +99,18 @@ class RunMerger:
     # ------------------------------------------------------------------ #
 
     def merge(self, runs: Sequence) -> Table:
-        """The final pass: every run merged into the sorted output table."""
-        self.stats.merge_passes += 1
-        keys, rows, heap = self._merge(runs, want_keys=self.key_carried)
+        """The final pass: every run merged into the sorted output table.
+
+        One resident run on the final layout whose byte order is exact
+        *is* the output: decoded as it stands, no pass counted.  (A
+        truncating prefix takes the rounds: the one string repair.)
+        """
+        run, exact = runs[0], self.refine_end is None
+        if len(runs) == 1 and exact and not (run.on_disk or self._stale(run)):
+            keys, rows, heap = run.keys, run.rows, run.heap
+        else:
+            self.stats.merge_passes += 1
+            keys, rows, heap = self._merge(runs, want_keys=self.key_carried)
         with self.stats.time_phase("decode"):
             if self.key_carried:
                 return decode_key_table(keys, self.key_layout, self.schema)
@@ -111,13 +120,11 @@ class RunMerger:
         """An intermediate pass: one group of runs merged into a new run.
 
         The run is self-contained -- full-width keys on the final
-        layout, offset-value codes recomputed for the merged order, its
-        own heap -- so later passes treat it like any other.
+        layout, its own heap -- so later passes treat it like any other.
         """
         keys, rows, heap = self._merge(runs, want_keys=True)
-        ovc = ovc_codes(keys[:, : self.key_layout.key_width])
         layout = self.key_layout if self.compressed else None
-        return InMemoryRun(keys, rows, heap, layout, ovc)
+        return InMemoryRun(keys, rows, heap, layout)
 
     # ------------------------------------------------------------------ #
     # Streaming reads
@@ -135,9 +142,9 @@ class RunMerger:
         return block
 
     def _key_block(
-        self, run, start: int, stop: int, stats
+        self, run, start: int, stop: int, stats, coded: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """One merge-ready key block and its slice of the stored codes.
+        """One merge-ready key block and, if ``coded``, its run's codes.
 
         The merge compares key bytes only: every run carries a row-id
         suffix that ascends with run order, so the kernel's stable
@@ -146,20 +153,19 @@ class RunMerger:
         thread-private ``stats``.)
         """
         block = self._full_keys(run, start, stop, stats)
-        codes = None if run.ovc is None or self._stale(run) else run.ovc
-        return (
-            block[:, : self.key_layout.key_width],
-            None if codes is None else codes[start:stop],
-        )
+        codes = None
+        if coded and not self._stale(run) and run.ovc is not None:
+            codes = run.ovc[start:stop]
+        return block[:, : self.key_layout.key_width], codes
 
     @staticmethod
     def _rows(run, start: int, stop: int, stats) -> np.ndarray:
         return run.read_row_block(start, stop, stats)
 
-    def _key_source(self, run) -> Iterator[tuple]:
+    def _key_source(self, run, coded: bool) -> Iterator[tuple]:
         for start in range(0, run.num_rows, self.block_rows):
             stop = min(start + self.block_rows, run.num_rows)
-            yield self._key_block(run, start, stop, self.stats)
+            yield self._key_block(run, start, stop, self.stats, coded)
 
     def _gather(
         self, runs, run_ids, row_ids, read, prefetcher
@@ -210,6 +216,7 @@ class RunMerger:
             bases = heap_bases([len(part) for part in heaps])
             heap = b"".join(heaps)
             del heaps
+        coded = len(runs) > 1  # one run merges nothing: codes stay unread
         prefetcher = None
         if self._make_prefetcher:
             # The prefetcher's row stream carries the dominant per-round
@@ -218,7 +225,9 @@ class RunMerger:
             row_read = self._rows if want_rows else self._full_keys
             prefetcher = self._make_prefetcher(
                 runs,
-                lambda i, lo, hi, s: self._key_block(runs[i], lo, hi, s),
+                lambda i, lo, hi, s: self._key_block(
+                    runs[i], lo, hi, s, coded
+                ),
                 lambda i, lo, hi, s: row_read(runs[i], lo, hi, s),
             )
         key_parts: list[np.ndarray] = []
@@ -226,7 +235,7 @@ class RunMerger:
         run_parts: list[np.ndarray] = []
         try:
             for run_ids, row_ids in self._rounds(
-                runs, prefetcher, heap, bases
+                runs, prefetcher, heap, bases, coded
             ):
                 if want_keys:
                     key_parts.append(
@@ -280,14 +289,14 @@ class RunMerger:
     # ------------------------------------------------------------------ #
 
     def _rounds(
-        self, runs, prefetcher, heap, bases
+        self, runs, prefetcher, heap, bases, coded
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The block-streaming kernel's rounds, string ties repaired."""
         stats = self.stats
         if prefetcher is not None:
             sources = [prefetcher.key_source(i) for i in range(len(runs))]
         else:
-            sources = [self._key_source(run) for run in runs]
+            sources = [self._key_source(run, coded) for run in runs]
         kernel_stats = KWayBlockStats()
         refine_end = self.refine_end
         rounds = kway_merge_stream(

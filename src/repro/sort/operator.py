@@ -3,25 +3,26 @@
 The operator is a pipeline breaker: it sinks all input as vector chunks,
 then produces the fully sorted table.  The stages mirror the paper:
 
-1. **Materialize** -- incoming vectors are buffered; when a buffer reaches
-   the run threshold it is converted to row formats: the ORDER BY columns
-   become *normalized keys* (one order-preserving byte string per row, with
-   a row-id suffix), all output columns become fixed-width NSM *payload
-   rows* with a string heap.
-2. **Run generation** -- the normalized keys of each buffer are sorted and
-   the payload is immediately reordered, yielding fully sorted runs
+1. **Materialize** -- incoming vectors are buffered, then converted to
+   row formats: the ORDER BY columns become *normalized keys* (one
+   order-preserving byte string per row, with a row-id suffix), all
+   output columns become fixed-width NSM *payload rows* with a string
+   heap.
+2. **Run generation** -- the normalized keys are sorted and the payload
+   is immediately reordered, yielding a fully sorted run
    (:class:`repro.sort.rungen.RunGenerator`, shared with the external
    sort).
-3. **Merge** -- the sorted runs are merged in one k-way pass comparing
-   key bytes with memcmp (full strings break prefix ties) and the merged
+3. **Merge** -- sorted runs are merged in one k-way pass comparing key
+   bytes with memcmp (full strings break prefix ties) and the merged
    row block is converted back to vectors/columns
    (:class:`repro.sort.merger.RunMerger`, likewise shared).
 
 :class:`SortOperator` is that pipeline with a run store that never
-spills: every run stays resident as the
-:class:`~repro.sort.rungen.InMemoryRun` the generator produced.
+spills.  Runs are a unit of spilling (DuckDB's come from 48 threads and
+a memory limit), so it sorts everything as one run and the merger
+decodes that run as the result;
 :class:`repro.sort.external.ExternalSortOperator` is the same pipeline
-with a store that writes runs to disk.  ``sort_table`` wraps the
+spilling a run every ``run_threshold`` rows.  ``sort_table`` wraps the
 operator for one-shot use.
 """
 
@@ -35,7 +36,7 @@ from typing import Sequence
 from repro.errors import SortCancelledError, SortError
 from repro.sort.merger import RunMerger
 from repro.sort.radix import RadixStats
-from repro.sort.rungen import InMemoryRun, RunGenerator
+from repro.sort.rungen import RunGenerator
 from repro.table.chunk import VECTOR_SIZE, DataChunk, chunk_table
 from repro.table.table import Table
 from repro.types.schema import Schema
@@ -66,10 +67,10 @@ def raise_if_cancelled(config: "SortConfig") -> None:
 def effective_run_threshold(config: "SortConfig") -> int:
     """The live run threshold: the configured one, shrunk by the grant.
 
-    Re-evaluated at every sink so a governor revoking grant bytes
-    mid-query takes effect at the next checkpoint -- the run is cut
-    (and spilled, on the external path) earlier than the static
-    configuration would have.
+    The external sort re-evaluates it at every sink, so a governor
+    revoking grant bytes mid-query takes effect at the next checkpoint:
+    the run is cut and spilled earlier than the static configuration
+    would have.  (The in-memory operator cuts no run and never asks.)
     """
     threshold = config.run_threshold
     grant = config.memory_grant
@@ -81,7 +82,7 @@ def effective_run_threshold(config: "SortConfig") -> int:
 
 
 DEFAULT_RUN_THRESHOLD = 1 << 17
-"""Rows buffered per thread before a sorted run is generated."""
+"""Rows the spilling store buffers before it sorts and spills a run."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,10 @@ class SortConfig:
     """Tuning knobs of the sort operator.
 
     Attributes:
-        run_threshold: rows accumulated before a sorted run is cut.
+        run_threshold: rows the external sort accumulates before it
+            cuts a sorted run and spills it.  Ignored in memory, where
+            a cut frees nothing (buffered chunks become keys plus
+            payload of the same size): everything is one run.
         string_prefix: forced VARCHAR prefix length in normalized keys
             (default: chosen from the data, capped at 12 like DuckDB).
         vector_size: chunk granularity used by :func:`sort_table`.
@@ -161,15 +165,15 @@ class SortConfig:
         memory_grant: per-operator memory grant from a global governor
             (any object with ``effective_run_threshold(base_rows)`` and
             ``record_spill(nbytes)``, see
-            :class:`repro.service.governor.MemoryGrant`).  The operator
-            treats ``min(run_threshold, grant.effective_run_threshold(
-            run_threshold))`` as its live run threshold, re-read at
-            every sink -- so a governor shrinking the grant under
-            memory pressure forces runs (and the prefetch budget
-            derived from the threshold) to shrink mid-query, spilling
-            earlier via the existing degradation ladder.
-            ``SortStats.governor_forced_spills`` counts runs cut below
-            the configured threshold because of the grant.
+            :class:`repro.service.governor.MemoryGrant`).  The external
+            sort treats ``min(run_threshold,
+            grant.effective_run_threshold(run_threshold))`` as its live
+            run threshold, re-read at every sink -- so a governor
+            shrinking the grant under memory pressure forces runs (and
+            the prefetch budget derived from the threshold) to shrink
+            mid-query, spilling earlier via the existing degradation
+            ladder (``SortStats.governor_forced_spills`` counts the
+            runs so cut).  Ignored in memory, like ``run_threshold``.
         merge_fan_in: maximum runs merged per k-way pass of the external
             sort.  ``0`` (default) merges all runs in one pass.  With a
             limit, excess runs are first combined in intermediate passes
@@ -281,13 +285,14 @@ class SortStats:
     ``rungen_path`` names the dispatched generator (``"argsort"`` or
     ``"replacement_selection"``) and ``rungen_probe`` the measured
     presortedness in [0, 1] (-1 before any probe ran).
-    ``merge_passes`` counts k-way merge passes over the data (1 for
-    any number of runs, unless ``SortConfig.merge_fan_in`` makes the
-    spilling store insert intermediate passes).
-    ``governor_forced_spills`` counts runs cut below the configured
-    ``run_threshold`` because a shrinking memory grant
-    (``SortConfig.memory_grant``) lowered the live threshold -- the
-    governor forcing an early spill.
+    ``merge_passes`` counts k-way merge passes over the data: 0 when
+    one resident run with exact byte order is the result (in-memory
+    sorts without a truncated VARCHAR prefix), else 1, plus the
+    intermediate passes ``SortConfig.merge_fan_in`` makes the spilling
+    store insert.  ``governor_forced_spills`` counts runs the external
+    sort cut below the configured ``run_threshold`` because a shrinking
+    memory grant (``SortConfig.memory_grant``) lowered the live
+    threshold -- the governor forcing an early spill.
 
     The order-propagation counters describe planner-level sortedness
     reuse (:mod:`repro.engine.plan`): ``sorts_elided`` counts sorts
@@ -381,11 +386,9 @@ class SortOperator:
             op.sink(chunk)
         result = op.finalize()
 
-    Composes the two stages it shares with the external sort -- a
-    :class:`~repro.sort.rungen.RunGenerator` cutting a sorted run per
-    ``run_threshold`` buffered rows and a
-    :class:`~repro.sort.merger.RunMerger` finishing with one k-way pass
-    -- around a store that simply keeps every run.
+    ``sink`` buffers; ``finalize`` runs the two stages shared with the
+    external sort: :class:`~repro.sort.rungen.RunGenerator` sorts it all
+    as one run, :class:`~repro.sort.merger.RunMerger` returns it.
     """
 
     def __init__(
@@ -404,8 +407,6 @@ class SortOperator:
             schema, spec, self.config, self.stats, self._check_cancelled
         )
         self._buffer: list[DataChunk] = []
-        self._buffered_rows = 0
-        self._runs: list[InMemoryRun] = []
         self._finalized = False
 
     def _check_cancelled(self) -> None:
@@ -421,37 +422,23 @@ class SortOperator:
                 f"operator schema {self.schema.names}"
             )
         self._check_cancelled()
-        if len(chunk) == 0:
-            return
-        self._buffer.append(chunk)
-        self._buffered_rows += len(chunk)
-        threshold = effective_run_threshold(self.config)
-        if self._buffered_rows >= threshold:
-            if threshold < self.config.run_threshold:
-                self.stats.governor_forced_spills += 1
-            self._cut_run()
-
-    def _cut_run(self) -> None:
-        generator = self._generator
-        self._runs.append(generator.sort_run(*generator.encode(self._buffer)))
-        self._buffer = []
-        self._buffered_rows = 0
+        if len(chunk):
+            self._buffer.append(chunk)
 
     def finalize(self) -> Table:
-        """Sort any remaining buffer, merge all runs, return the table."""
+        """Sort the buffered input as one run and return it as a table."""
         if self._finalized:
             raise SortError("sort already finalized")
         self._finalized = True
-        if self._buffer:
-            self._cut_run()
-        if not self._runs:
+        if not self._buffer:
             return Table.empty(self.schema)
-        # Resident runs are their own frontier blocks: the store
-        # already holds every key row, so there is no working set to
-        # bound and the merge takes one round per run.
-        block_rows = max(run.num_rows for run in self._runs)
+        generator = self._generator
+        table, keys = generator.encode(self._buffer)
+        self._buffer = []
+        run = generator.sort_run(table, keys)
+        del table, keys
         with self.stats.time_phase("merge", RunMerger.NESTED_PHASES):
-            return RunMerger(self._generator, block_rows).merge(self._runs)
+            return RunMerger(generator, run.num_rows).merge([run])
 
 
 def sort_table(

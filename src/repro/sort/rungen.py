@@ -11,8 +11,8 @@ What happens to the run next is the *store's* business:
 :class:`~repro.sort.operator.SortOperator` keeps it resident,
 :class:`~repro.sort.external.ExternalSortOperator` spills it (and may
 regroup rows into longer runs with replacement selection first, below).
-The run format -- key layout, key-carried payload, offset-value codes --
-is decided here once for both.
+The run format -- key layout, key-carried payload -- is decided here
+once for both (offset-value codes derive from the keys on first read).
 
 Replacement-selection run generation over normalized-key matrices
 -----------------------------------------------------------------
@@ -72,6 +72,7 @@ wins only when runs actually get longer, so the operator switches at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -488,7 +489,6 @@ class InMemoryRun:
         rows: np.ndarray,
         heap: bytes,
         layout: KeyLayout | None = None,
-        ovc: np.ndarray | None = None,
     ) -> None:
         self.keys = np.ascontiguousarray(keys)
         self.rows = np.ascontiguousarray(rows)
@@ -496,9 +496,13 @@ class InMemoryRun:
         #: the run's compressed key layout (``None`` for uncompressed
         #: runs, which all share one locked layout).
         self.layout = layout
-        #: offset-value codes of the key rows
-        #: (:func:`repro.sort.kernels.ovc_codes`), or ``None``.
-        self.ovc = ovc
+
+    @cached_property
+    def ovc(self) -> np.ndarray:
+        """Offset-value codes (:func:`repro.sort.kernels.ovc_codes`) of
+        the key bytes, computed when a spill write or a merge of several
+        runs first reads them; a run returned as the result never pays."""
+        return ovc_codes(self.keys[:, : self.key_width - ROW_ID_WIDTH])
 
     @property
     def num_rows(self) -> int:
@@ -662,9 +666,7 @@ class RunGenerator:
         ``payload`` is gathered through ``order`` when given, else it
         already is in key order (replacement-selection runs).
         """
-        sorted_keys = np.ascontiguousarray(sorted_keys)
         stats = self.stats
-        ovc = ovc_codes(sorted_keys[:, : sorted_keys.shape[1] - ROW_ID_WIDTH])
         if self.key_carried:
             rows = np.empty((len(sorted_keys), 0), dtype=np.uint8)
             heap = b""
@@ -676,4 +678,4 @@ class RunGenerator:
             rows, heap = block.rows, block.heap
         stats.runs_generated += 1
         stats.run_lengths.append(len(sorted_keys))
-        return InMemoryRun(sorted_keys, rows, heap, layout, ovc)
+        return InMemoryRun(sorted_keys, rows, heap, layout)

@@ -7,32 +7,36 @@ operator.  Its win is in what never enters a sort: with
 ``capacity = limit + offset``, every chunk is filtered on its normalized
 keys before any payload is touched.
 
-* **Encode once.**  Each chunk is normalized under the fixed
+* **Encode once per batch.**  ``sink`` buffers; every :data:`BATCH_ROWS`
+  rows are concatenated and normalized in one call (per vector, encoding
+  cost more than the sorts it saved) under the fixed
   :data:`~repro.keys.normalizer.MAX_STRING_PREFIX`, so key bytes compare
-  across chunks.
+  across batches.
 * **Cutoff filter.**  Once ``capacity`` rows are held, the key of the
   ``capacity``-th best of them is the cutoff, and
-  :func:`repro.sort.kernels.cutoff_mask` drops every row of a new chunk
+  :func:`repro.sort.kernels.cutoff_mask` drops every row of a new batch
   that cannot beat it; only the survivors are gathered.  Rows are
   compared on the *decisive* key prefix: the bytes up to the end of the
-  first VARCHAR segment some chunk truncated (a difference past it
+  first VARCHAR segment some batch truncated (a difference past it
   decides nothing, because the full string outranks every later ORDER BY
   column), or the whole key when no string was truncated.  When the
   whole key is decisive the test is a strict ``<``: a row equal to the
   cutoff arrived later than it and ties resolve to arrival order, so it
   can never displace it.  When a truncated VARCHAR ends the decisive
   prefix the test is ``<=``: an equal prefix may hide a smaller string.
-* **Compaction.**  When the buffer reaches ``2 * capacity`` rows it is
-  sorted with one stable vector sort (kept rows are concatenated before
-  newer survivors, so stability *is* the arrival-order tie rule),
-  truncated-VARCHAR tie groups are repaired on the full strings, the
-  best ``capacity`` rows are kept and the cutoff is re-read from the
-  last of them.  The cutoff only tightens at a compaction; in between a
-  stale cutoff lets extra rows through, never too few.
+* **Compaction.**  When ``2 * capacity`` rows are held,
+  :func:`repro.sort.kernels.smallest_mask` first drops every row with
+  ``capacity`` rows strictly ahead of it on the leading key word; the
+  rest go through one stable vector sort (kept rows come before newer
+  survivors, all in arrival order, so stability *is* the arrival-order
+  tie rule), truncated-VARCHAR tie groups are repaired on the full
+  strings, the best ``capacity`` rows are kept and the cutoff is re-read
+  from the last of them.  The cutoff only tightens at a compaction; in
+  between a stale cutoff lets extra rows through, never too few.
 
-Memory stays O(limit + offset): at most ``2 * capacity`` buffered rows
-plus the survivors of one chunk.  ``finalize`` is one last compaction
-and a slice.
+Memory stays O(limit + offset + :data:`BATCH_ROWS`): one unencoded
+batch, at most ``2 * capacity`` held rows and one batch's survivors.
+``finalize`` absorbs the last partial batch, compacts and slices.
 """
 
 from __future__ import annotations
@@ -42,19 +46,22 @@ import numpy as np
 from repro.errors import SortError
 from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
 from repro.sort.heuristic import vector_sort_rows
-from repro.sort.kernels import cutoff_mask
+from repro.sort.kernels import cutoff_mask, smallest_mask
 from repro.sort.operator import SortConfig, SortStats, raise_if_cancelled
 from repro.sort.stringsort import (
     and_prefix_exact,
     inexact_prefix_end,
     refine_table_order,
 )
-from repro.table.chunk import DataChunk, chunk_table
+from repro.table import VECTOR_SIZE, DataChunk, chunk_table, concat_chunks
 from repro.table.table import Table
 from repro.types.schema import Schema
 from repro.types.sortspec import SortSpec
 
-__all__ = ["TopNOperator", "top_n"]
+__all__ = ["BATCH_ROWS", "TopNOperator", "top_n"]
+
+BATCH_ROWS = 8 * VECTOR_SIZE
+"""Rows ``sink`` buffers before one encode + cutoff filter."""
 
 
 class TopNOperator:
@@ -84,22 +91,36 @@ class TopNOperator:
         self.config = config or SortConfig()
         self.stats = SortStats()
         self._capacity = limit + offset
+        # Chunks sunk since the last batch was encoded.
+        self._pending: list[DataChunk] = []
+        self._pending_rows = 0
         # Kept rows first, then survivors in arrival order; part i of
         # the tables and of the key matrices describe the same rows.
         self._tables: list[Table] = []
         self._matrices: list[np.ndarray] = []
         self._held = 0
-        # The chunks' common key layout, prefix_exact AND-ed over them.
+        # The batches' common key layout, prefix_exact AND-ed over them.
         self._layout = None
         self._decisive = 0
         self._cutoff: np.ndarray | None = None
 
     def sink(self, chunk: DataChunk) -> None:
-        """Offer one vector batch; keeps only rows that beat the cutoff."""
+        """Buffer one vector batch; every ``BATCH_ROWS`` rows are filtered."""
         raise_if_cancelled(self.config)
         if len(chunk) == 0 or self.limit == 0:
             return
-        table = chunk.to_table()
+        self._pending.append(chunk)
+        self._pending_rows += len(chunk)
+        if self._pending_rows >= BATCH_ROWS:
+            self._absorb()
+
+    def _absorb(self) -> None:
+        """Encode the pending chunks once; keep rows that beat the cutoff."""
+        if not self._pending:
+            return
+        table = concat_chunks(self._pending)
+        self._pending = []
+        self._pending_rows = 0
         keys = normalize_keys(
             table,
             self.spec,
@@ -117,18 +138,15 @@ class TopNOperator:
             self._decisive = truncated_end or self._layout.key_width
         matrix = keys.matrix
         if self._cutoff is not None:
-            survivors = np.flatnonzero(
-                cutoff_mask(
-                    matrix[:, : self._decisive],
-                    self._cutoff[: self._decisive],
-                    inclusive=not self.stats.prefix_exact,
-                )
+            mask = cutoff_mask(
+                matrix[:, : self._decisive],
+                self._cutoff[: self._decisive],
+                inclusive=not self.stats.prefix_exact,
             )
-            if len(survivors) == 0:
+            if not mask.any():
                 return
-            if len(survivors) < len(matrix):
-                table = table.take(survivors)
-                matrix = matrix[survivors]
+            if not mask.all():
+                table, matrix = table.take(np.flatnonzero(mask)), matrix[mask]
         self._tables.append(table)
         self._matrices.append(matrix)
         self._held += len(matrix)
@@ -141,6 +159,12 @@ class TopNOperator:
             return
         table = self._tables[0].concat(*self._tables[1:])
         matrix = np.concatenate(self._matrices)
+        if len(matrix) > 2 * self._capacity:
+            # Select before sorting: a dropped row has `capacity` rows
+            # strictly ahead of it inside the decisive prefix.
+            mask = smallest_mask(matrix[:, : self._decisive], self._capacity)
+            if not mask.all():
+                table, matrix = table.take(np.flatnonzero(mask)), matrix[mask]
         self.stats.rows_sorted += len(matrix)
         order = vector_sort_rows(
             matrix, self._layout.key_width, self.stats, self.stats.radix
@@ -159,6 +183,7 @@ class TopNOperator:
     def finalize(self) -> Table:
         """The LIMIT rows after OFFSET, in sorted order."""
         raise_if_cancelled(self.config)
+        self._absorb()
         self._compact()
         if not self._tables:
             return Table.empty(self.schema)

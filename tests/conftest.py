@@ -14,6 +14,10 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.sort.merger import RunMerger  # noqa: E402
+from repro.sort.operator import SortConfig, SortStats  # noqa: E402
+from repro.sort.rungen import RunGenerator  # noqa: E402
+from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
 from repro.types.sortspec import SortSpec, tuple_compare  # noqa: E402
 
@@ -57,6 +61,27 @@ def reference_sort(table: Table, spec: SortSpec) -> Table:
 
     rows.sort(key=functools.cmp_to_key(compare))
     return table.take(np.array(rows, dtype=np.int64))
+
+
+def sort_resident_runs(table: Table, spec: SortSpec, runs: int, config=None):
+    """Sort through ``runs`` resident runs; returns ``(result, stats)``.
+
+    ``SortOperator`` cuts one run, so the k-way merge of *resident* runs
+    (what the external sort's memory-fallback runs take) is reached by
+    driving the two shared stages directly: one
+    ``RunGenerator.encode`` / ``sort_run`` per slice of the table, one
+    ``RunMerger.merge`` over the runs, each run its own frontier block.
+    """
+    stats = SortStats()
+    generator = RunGenerator(
+        table.schema, spec, config or SortConfig(), stats, lambda: None
+    )
+    resident = [
+        generator.sort_run(*generator.encode([chunk]))
+        for chunk in chunk_table(table, -(-table.num_rows // runs))
+    ]
+    block_rows = max(run.num_rows for run in resident)
+    return RunMerger(generator, block_rows).merge(resident), stats
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import reference_sort
+from conftest import reference_sort, sort_resident_runs
 from repro.errors import KeyEncodingError
 from repro.keys.compression import (
     KeyStatsAccumulator,
@@ -255,13 +255,12 @@ class TestProgressiveWidening:
         return Table.from_pydict({"a": values, "seq": list(range(len(values)))})
 
     def test_in_memory_rebases_runs_to_final_layout(self):
+        # Resident runs under widening layouts: the stages driven
+        # directly, since SortOperator cuts one run (one layout).
         table = self.chunked_widening_table(300)
-        config = SortConfig(run_threshold=300)
-        op = SortOperator(table.schema, SortSpec.of("a DESC"), config)
-        for chunk in chunk_table(table, 300):
-            op.sink(chunk)
-        result = op.finalize()
-        assert op.stats.key_layout_rebases >= 1
+        result, stats = sort_resident_runs(table, SortSpec.of("a DESC"), 3)
+        assert stats.runs_generated == 3
+        assert stats.key_layout_rebases >= 1
         assert_byte_identical(
             result, sort_table(table, "a DESC", SortConfig(compress_keys=False))
         )

@@ -14,7 +14,8 @@ in-memory operator, the scalar reference sort
 operator, and Top-N, and each result must match the oracle byte for
 byte.  The two operators share their run generator and merger; one grid
 drives both classes over every catalog scenario x {1, 2, 7 runs} x key
-compression on/off.
+compression on/off, and a second drives the stages themselves over 2
+and 7 *resident* runs (the in-memory operator cuts one).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sort_resident_runs
 from test_external_kway import assert_byte_identical
 from repro.errors import SortError
 from repro.sort.external import ExternalSortOperator, external_sort_table
@@ -284,9 +286,13 @@ def test_scenario_shared_stages_match_oracle(
     tmp_path, name, operator_class, runs, compress_keys
 ):
     # Both operators are the same generator and merger around a
-    # different run store, so each must hit the oracle for one run
-    # (nothing to merge), two, and an odd count, on compressed
-    # (rebased, key-carried) and plain (AND-ed prefix flags) layouts.
+    # different run store, so each must hit the oracle under a
+    # run_threshold of the whole input, half of it and a seventh, on
+    # compressed (rebased, key-carried) and plain (AND-ed prefix flags)
+    # layouts.  The spilling store cuts that many runs and merges them
+    # in one pass; the resident store cuts one whatever the threshold
+    # and hands it back unmerged (a truncating prefix still takes the
+    # round loop, the one string repair).
     table, spec = _scenario_case(name)
     expected = oracle_sort(table, spec)
     chunk_rows = -(-table.num_rows // runs)
@@ -307,9 +313,36 @@ def test_scenario_shared_stages_match_oracle(
         name,
         f"{operator_class.__name__}(runs={runs}, compress={compress_keys})",
     )
-    assert stats.runs_generated == runs or (
-        stats.rungen_path == "replacement_selection"
+    if operator_class is SortOperator:
+        assert stats.runs_generated == 1
+        passes = 0 if stats.prefix_exact else 1
+    else:
+        assert stats.runs_generated == runs or (
+            stats.rungen_path == "replacement_selection"
+        )
+        passes = 1
+    assert stats.merge_passes == passes
+    assert stats.kernel_kway_merges == passes
+
+
+@pytest.mark.parametrize("compress_keys", [True, False])
+@pytest.mark.parametrize("runs", [2, 7])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_resident_runs_match_oracle(name, runs, compress_keys):
+    # Merging several *resident* runs is real where the external sort
+    # falls back to memory, so the stages are driven directly: k runs on
+    # compressed (rebased, key-carried) and plain layouts, one k-way pass.
+    table, spec = _scenario_case(name)
+    result, stats = sort_resident_runs(
+        table, spec, runs, SortConfig(compress_keys=compress_keys)
     )
+    _assert_oracle(
+        oracle_sort(table, spec),
+        result,
+        name,
+        f"resident(runs={runs}, compress={compress_keys})",
+    )
+    assert stats.runs_generated == runs
     assert stats.merge_passes == 1
     assert stats.kernel_kway_merges == 1
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_sort
+from conftest import reference_sort, sort_resident_runs
 from repro.errors import SortError
 from repro.sort import kernels
 from repro.sort.external import external_sort_table
@@ -202,6 +202,10 @@ class TestOperatorCrossCheck:
         )
         assert on.equals(scalar_reference_sort(table, spec))
         assert on.equals(reference_sort(table, spec))
+        if table.num_rows:
+            # ... and as resident runs of run_threshold rows, merged.
+            runs = -(-table.num_rows // run_threshold)
+            assert sort_resident_runs(table, spec, runs)[0].equals(on)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -244,12 +248,19 @@ class TestOperatorCrossCheck:
         table = Table.from_numpy(
             {"a": rng.integers(0, 100, 1000).astype(np.int32)}
         )
+        # The operator's one run is the result: no kernel pass to count.
         op = SortOperator(table.schema, SortSpec.of("a"), SortConfig(run_threshold=100))
         for chunk in chunk_table(table, 64):
             op.sink(chunk)
         op.finalize()
-        assert op.stats.merge_passes == 1
-        assert op.stats.kernel_kway_merges == 1
+        assert op.stats.runs_generated == 1
+        assert op.stats.merge_passes == 0
+        assert op.stats.kernel_kway_merges == 0
+        # Ten resident runs through the same stages: one pass, counted.
+        _, stats = sort_resident_runs(table, SortSpec.of("a"), 10)
+        assert stats.runs_generated == 10
+        assert stats.merge_passes == 1
+        assert stats.kernel_kway_merges == 1
 
     def test_inexact_prefix_stays_on_kernel_path(self):
         # Strings tying beyond the 12-byte prefix: the merge repairs the

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import time
 
-from conftest import reference_sort
+from conftest import reference_sort, sort_resident_runs
 from repro.engine.database import Database
 from repro.errors import KeyEncodingError, SortError
 from repro.sort.operator import SortConfig, SortOperator, sort_table
@@ -97,7 +97,8 @@ class TestBasicSorting:
 
 
 class TestMultiRunMerging:
-    """Small run thresholds force many runs and exercise the merge."""
+    """Many resident runs exercise the merge (stages driven directly:
+    the operator itself cuts one run, see ``TestOneRun``)."""
 
     def test_many_runs_integer(self, rng):
         table = Table.from_numpy(
@@ -107,15 +108,11 @@ class TestMultiRunMerging:
             }
         )
         spec = SortSpec.of("a", "b DESC")
-        config = SortConfig(run_threshold=128, vector_size=64)
-        operator = SortOperator(table.schema, spec, config)
-        for chunk in chunk_table(table, 64):
-            operator.sink(chunk)
-        result = operator.finalize()
-        assert operator.stats.runs_generated >= 20
-        # Twenty-odd runs still merge in one k-way pass, on the kernel.
-        assert operator.stats.merge_passes == 1
-        assert operator.stats.kernel_kway_merges == 1
+        result, stats = sort_resident_runs(table, spec, 24)
+        assert stats.runs_generated == 24
+        # Two dozen runs still merge in one k-way pass, on the kernel.
+        assert stats.merge_passes == 1
+        assert stats.kernel_kway_merges == 1
         assert result.equals(reference_sort(table, spec))
 
     def test_stability_across_runs(self, rng):
@@ -125,8 +122,8 @@ class TestMultiRunMerging:
         table = Table.from_pydict(
             {"k": [1] * n, "seq": list(range(n))}
         )
-        config = SortConfig(run_threshold=64)
-        result = sort_table(table, SortSpec.of("k"), config)
+        result, stats = sort_resident_runs(table, SortSpec.of("k"), 8)
+        assert stats.runs_generated == 8
         assert result.column("seq").to_pylist() == list(range(n))
 
     def test_algorithm_choice_radix_for_fixed(self, rng):
@@ -248,3 +245,8 @@ def test_operator_matches_reference(rows, spec_text, run_threshold):
     config = SortConfig(run_threshold=run_threshold, vector_size=16)
     result = sort_table(table, spec, config)
     assert result.equals(reference_sort(table, spec))
+    if table.num_rows:
+        # The operator cuts one run; the same rows as resident runs of
+        # run_threshold each must merge to the same table.
+        runs = -(-table.num_rows // run_threshold)
+        assert sort_resident_runs(table, spec, runs, config)[0].equals(result)

@@ -1,15 +1,22 @@
 """Top-N as run generation with a cutoff: the boundaries pruning created.
 
 The per-row heap compared every row exactly; the vectorized operator
-decides whole chunks against one cutoff key, so what needs pinning is
+decides whole batches against one cutoff key, so what needs pinning is
 everything that happens *at* the cutoff: equal keys arriving later,
 truncated-VARCHAR tie groups straddling it, the decisive prefix
 shrinking mid-stream, inputs where nothing or everything is pruned, and
 degenerate capacities and vector sizes.  Every case is checked against
 the tuple-key ``sorted()`` oracle byte for byte.
+
+The operator filters every ``topn.BATCH_ROWS`` rows (eight default
+vectors).  The inputs here are a few thousand rows, so :func:`batches_of`
+shrinks the constant -- to eight of the *test's* vectors unless a case
+says otherwise -- and the cutoff is live while most of the input arrives.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +29,7 @@ from repro.engine.operators import ScanOperator, TopNExecOperator
 from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
 from repro.sort.operator import SortConfig
 from repro.sort.stringsort import inexact_prefix_end
+from repro.sort import topn
 from repro.sort.topn import TopNOperator
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
@@ -33,11 +41,17 @@ def spec_of(order_by: str) -> SortSpec:
     return SortSpec.of(*[part.strip() for part in order_by.split(",")])
 
 
+def batches_of(rows: int):
+    """Filter every ``rows`` sunk rows instead of every ``BATCH_ROWS``."""
+    return mock.patch.object(topn, "BATCH_ROWS", rows)
+
+
 def run_topn(table, spec, limit, offset=0, vector_size=1024):
     operator = TopNOperator(table.schema, spec, limit, offset)
-    for chunk in chunk_table(table, vector_size):
-        operator.sink(chunk)
-    return operator.finalize(), operator
+    with batches_of(8 * vector_size):
+        for chunk in chunk_table(table, vector_size):
+            operator.sink(chunk)
+        return operator.finalize(), operator
 
 
 def assert_matches_oracle(table, spec, limit, offset, vector_size, context=""):
@@ -89,12 +103,14 @@ class TestTiesAtTheCutoff:
             stable = np.argsort(keys, kind="stable")[offset : offset + limit]
             assert result.column("seq").data.tolist() == stable.tolist()
             assert result.column("a").data.tolist() == keys[stable].tolist()
-        # Strict '<' on a fully decisive key: after the first chunk set
-        # the cutoff to the smallest key, none of its ~300 later
+        # Strict '<' on a fully decisive key: after the first batch set
+        # the cutoff to the smallest key, none of its ~200 later
         # duplicates was gathered (the last sort is finalize's, of the
-        # one kept row).
-        assert keys[:256].min() == keys.min()
-        assert operator.stats.rows_sorted == 256 + 1
+        # one kept row).  The 16 keys share their leading word, so the
+        # selection before the first sort dropped nothing.
+        batch = 8 * 256
+        assert keys[:batch].min() == keys.min()
+        assert operator.stats.rows_sorted == batch + 1
 
     @pytest.mark.parametrize(
         "name,order_by",
@@ -144,12 +160,13 @@ class TestDecisivePrefixShrinks:
         spec = spec_of("s, k DESC")
         operator = TopNOperator(table.schema, spec, 3)
         chunks = list(chunk_table(table, 8))
-        operator.sink(chunks[0])
-        assert operator.stats.prefix_exact
-        operator.sink(chunks[1])
-        assert not operator.stats.prefix_exact
-        expected = oracle_sort(table, spec).slice(0, 3)
-        assert_byte_identical(expected, operator.finalize())
+        with batches_of(8):  # one vector per batch: a flip between sinks
+            operator.sink(chunks[0])
+            assert operator.stats.prefix_exact
+            operator.sink(chunks[1])
+            assert not operator.stats.prefix_exact
+            expected = oracle_sort(table, spec).slice(0, 3)
+            assert_byte_identical(expected, operator.finalize())
         for limit in range(1, 10):
             for offset in (0, 2):
                 assert_matches_oracle(table, spec, limit, offset, 8)
@@ -159,30 +176,39 @@ class TestPruningExtremes:
     def test_reverse_input_every_row_survives(self):
         table = SCENARIOS["reverse"].table(4000, seed=0)
         spec = spec_of("a, p")
-        assert_matches_oracle(table, spec, 100, 7, 512, "scenario=reverse")
-        _, operator = run_topn(table, spec, 100, 7, 512)
-        # No row is ever pruned, yet memory stays bounded: each
-        # compaction sorts one chunk plus the kept rows.
-        assert operator.stats.rows_sorted >= table.num_rows
+        assert_matches_oracle(table, spec, 100, 7, 64, "scenario=reverse")
+        _, operator = run_topn(table, spec, 100, 7, 64)
+        # No row is ever pruned by the cutoff (each batch beats it
+        # whole), yet no compaction sorts a whole batch: selection on
+        # the leading key word keeps the 107 best plus at most the 255
+        # rows tied with the last of them on everything but a's low byte.
+        compactions = -(-table.num_rows // (8 * 64)) + 1
+        assert operator.stats.rows_sorted >= compactions * 107
+        assert operator.stats.rows_sorted <= compactions * (107 + 255)
 
     def test_sorted_input_prunes_everything_after_the_first_compaction(self):
         values = np.arange(5000, dtype=np.int64)
         table = Table.from_numpy({"a": values, "p": values[::-1].copy()})
         result, operator = run_topn(table, spec_of("a"), 10, 2, 500)
         assert result.column("a").data.tolist() == list(range(2, 12))
-        # One compaction of the first chunk, plus finalize re-sorting
-        # the 12 kept rows; the other nine chunks never reach a sort.
-        assert operator.stats.rows_sorted == 500 + 12
+        # One compaction of the first batch (eight chunks), which sorts
+        # only the 256 rows sharing the smallest leading key word (a's
+        # upper seven bytes), plus finalize re-sorting the 12 kept rows;
+        # the last two chunks are filtered out whole.
+        assert operator.stats.rows_sorted == 256 + 12
 
     @pytest.mark.parametrize("vector_size", [1, 7, 1024])
     def test_buffer_stays_below_twice_capacity(self, vector_size):
         table = SCENARIOS["uniform"].table(3000, seed=5)
         capacity = 40
+        batch = 8 * vector_size
         operator = TopNOperator(table.schema, spec_of("a, p"), 33, 7)
-        for chunk in chunk_table(table, vector_size):
-            operator.sink(chunk)
-            assert operator._held < max(2 * capacity, len(chunk) + capacity)
-            assert operator._held == sum(map(len, operator._matrices))
+        with batches_of(batch):
+            for chunk in chunk_table(table, vector_size):
+                operator.sink(chunk)
+                assert operator._pending_rows < batch
+                assert operator._held < max(2 * capacity, batch + capacity)
+                assert operator._held == sum(map(len, operator._matrices))
 
 
 class TestDegenerateShapes:
