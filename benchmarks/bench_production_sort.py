@@ -8,7 +8,6 @@ external sort's multi-run merge, plus the scalar reference sort beside it.
 import numpy as np
 import pytest
 
-from repro.sort.external import external_sort_table
 from repro.sort.operator import SortConfig, sort_table
 from repro.sort.reference import reference_sort
 from repro.sort.topn import top_n
@@ -58,13 +57,11 @@ def test_top_100(benchmark, int_table):
     assert result.num_rows == 100
 
 
-def test_external_sort(benchmark, int_table, tmp_path):
+def test_external_sort(benchmark, int_table):
     spec = SortSpec.of("a", "b")
-    config = SortConfig(run_threshold=N // 4)
+    config = SortConfig(external=True, run_threshold=N // 4)
     result = benchmark.pedantic(
-        lambda: external_sort_table(
-            int_table, spec, config, spill_directory=str(tmp_path)
-        ),
+        lambda: sort_table(int_table, spec, config),
         rounds=1,
         iterations=1,
     )

@@ -38,15 +38,13 @@ import json
 import os
 import random
 import sys
-import tempfile
 import time
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.sort.external import ExternalSortOperator  # noqa: E402
-from repro.sort.operator import SortConfig, SortOperator  # noqa: E402
+from repro.sort.operator import SortConfig, make_sort_operator  # noqa: E402
 from repro.sort.reference import reference_sort  # noqa: E402
 from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
@@ -109,16 +107,18 @@ def _duplicate_heavy_table(seed: int, rows: int) -> Table:
     return Table.from_pydict({"s": [rng.choice(domain) for _ in range(rows)]})
 
 
-def _sort_in_memory(table: Table):
-    operator = SortOperator(table.schema, SortSpec.of("s"))
-    for chunk in chunk_table(table, 16_384):
-        operator.sink(chunk)
-    return operator.finalize(), operator.stats
+def _sort(table: Table, config: SortConfig | None = None):
+    with make_sort_operator(
+        table.schema, SortSpec.of("s"), config
+    ) as operator:
+        for chunk in chunk_table(table, 16_384):
+            operator.sink(chunk)
+        return operator.finalize(), operator.stats
 
 
 def bench_long_strings(rows: int) -> dict:
     table = _long_string_table(11, rows)
-    seconds, (vector, stats) = _best_of(lambda: _sort_in_memory(table))
+    seconds, (vector, stats) = _best_of(lambda: _sort(table))
     scalar_seconds, scalar = _best_of(
         lambda: reference_sort(table, SortSpec.of("s"))
     )
@@ -151,7 +151,7 @@ def bench_long_strings(rows: int) -> dict:
 
 def bench_shared_prefix(rows: int) -> dict:
     table = _shared_prefix_table(13, rows)
-    seconds, (result, stats) = _best_of(lambda: _sort_in_memory(table))
+    seconds, (result, stats) = _best_of(lambda: _sort(table))
     values = result.column("s").to_pylist()
     assert values == sorted(values), "shared-prefix sort is not exact"
     return {
@@ -165,18 +165,10 @@ def bench_shared_prefix(rows: int) -> dict:
 
 
 def _external_sort(table: Table, rows: int, use_ovc: bool):
-    run_threshold = max(rows // 8, 1024)
-    with tempfile.TemporaryDirectory(prefix="bench_strings_") as spill_dir:
-        with ExternalSortOperator(
-            table.schema,
-            SortSpec.of("s"),
-            SortConfig(run_threshold=run_threshold, use_ovc=use_ovc),
-            spill_directory=spill_dir,
-        ) as operator:
-            for chunk in chunk_table(table, 16_384):
-                operator.sink(chunk)
-            result = operator.finalize()
-            return result, operator.stats
+    config = SortConfig(
+        external=True, run_threshold=max(rows // 8, 1024), use_ovc=use_ovc
+    )
+    return _sort(table, config)
 
 
 def bench_duplicate_kway(rows: int) -> dict:

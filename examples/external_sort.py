@@ -31,18 +31,19 @@ def main() -> None:
     spec = SortSpec.of("key")
 
     # Pretend memory only holds 50k rows: every full buffer becomes a
-    # sorted run on disk.
-    config = SortConfig(run_threshold=50_000)
-    operator = ExternalSortOperator(table.schema, spec, config)
-
+    # sorted run on disk; what is still buffered at the end is merged
+    # from memory.  (``sort_table(table, spec, config)`` is the one-call
+    # form; the operator is used here to look at the spill.)
+    config = SortConfig(external=True, run_threshold=50_000)
     start = time.perf_counter()
-    for chunk in chunk_table(table):
-        operator.sink(chunk)
-    print(
-        f"Spilled {operator.spilled_runs} sorted runs, "
-        f"{operator.spilled_bytes / 1e6:.1f} MB on disk"
-    )
-    result = operator.finalize()
+    with ExternalSortOperator(table.schema, spec, config) as operator:
+        for chunk in chunk_table(table):
+            operator.sink(chunk)
+        print(
+            f"Spilled {operator.spilled_runs} sorted runs, "
+            f"{operator.spilled_bytes / 1e6:.1f} MB on disk"
+        )
+        result = operator.finalize()
     elapsed = time.perf_counter() - start
 
     assert result.is_sorted_by(spec)

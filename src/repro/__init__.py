@@ -40,7 +40,6 @@ from repro.keys import normalize_keys
 from repro.sort import (
     SortConfig,
     SortOperator,
-    external_sort_table,
     sort_table,
     top_n,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "normalize_keys",
     "SortConfig",
     "SortOperator",
-    "external_sort_table",
     "sort_table",
     "top_n",
     "DataChunk",

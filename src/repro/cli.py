@@ -49,8 +49,7 @@ from repro.bench import (
 )
 from repro.engine import Database
 from repro.errors import ReproError
-from repro.sort.external import ExternalSortOperator, external_sort_table
-from repro.sort.operator import SortConfig, SortOperator, sort_table
+from repro.sort.operator import SortConfig, make_sort_operator
 from repro.table.chunk import chunk_table
 from repro.table.io import read_csv, table_to_csv_string, write_csv
 from repro.table.table import Table
@@ -115,7 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sort_cmd.add_argument(
         "--external",
         action="store_true",
-        help="spill sorted runs to disk (out-of-core sort)",
+        help=(
+            "let the sort spill: input past --run-threshold rows goes to "
+            "disk as sorted runs (out-of-core sort)"
+        ),
     )
     sort_cmd.add_argument(
         "--spill-dir",
@@ -281,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--external",
         action="store_true",
-        help="run sorts out-of-core (spill runs to disk)",
+        help="let sorts spill runs to disk once a run threshold is reached",
     )
     serve_cmd.add_argument(
         "--run-threshold",
@@ -341,30 +343,14 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         compress_keys=not args.no_compress_keys,
         **kwargs,
     )
-    if not args.stats:
-        if config.external:
-            result = external_sort_table(table, args.by, config)
-        else:
-            result = sort_table(table, args.by, config)
-        _emit(result, args.output)
-        return 0
-    # --stats drives the operators directly: the one-shot helpers do
-    # not hand their SortStats back.
     spec = SortSpec.of(*[part.strip() for part in args.by.split(",")])
-    if config.external:
-        with ExternalSortOperator(table.schema, spec, config) as operator:
-            for chunk in chunk_table(table, config.vector_size):
-                operator.sink(chunk)
-            result = operator.finalize()
-            stats = operator.stats
-    else:
-        operator = SortOperator(table.schema, spec, config)
+    with make_sort_operator(table.schema, spec, config) as operator:
         for chunk in chunk_table(table, config.vector_size):
             operator.sink(chunk)
         result = operator.finalize()
-        stats = operator.stats
     _emit(result, args.output)
-    _print_sort_stats(stats)
+    if args.stats:
+        _print_sort_stats(operator.stats)
     return 0
 
 

@@ -10,13 +10,12 @@ describes.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from typing import Iterator
 
 import numpy as np
 
 from repro.errors import EngineError
-from repro.sort.operator import SortConfig, SortOperator
+from repro.sort.operator import SortConfig, make_sort_operator
 from repro.sort.topn import TopNOperator
 from repro.table.chunk import (
     VECTOR_SIZE,
@@ -111,11 +110,11 @@ class FilterOperator(PhysicalOperator):
 class SortExecOperator(PhysicalOperator):
     """The full-sort pipeline breaker wrapping the paper's sort operator.
 
-    With ``SortConfig.external`` set, ORDER BY runs through the spilling
-    :class:`repro.sort.external.ExternalSortOperator` instead -- same
-    config object carries the spill knobs (failover directories, retry
-    policy, checksum verification), so the fault-tolerance ladder is
-    reachable end-to-end from ``Database(sort_config=...)``.
+    With ``SortConfig.external`` set, ORDER BY may spill
+    (:func:`repro.sort.operator.make_sort_operator`) -- the same config
+    object carries the spill knobs (failover directories, retry policy,
+    checksum verification), so the fault-tolerance ladder is reachable
+    end-to-end from ``Database(sort_config=...)``.
 
     The optimizer's order-propagation pass downgrades the operator via
     ``mode``:
@@ -126,7 +125,7 @@ class SortExecOperator(PhysicalOperator):
     * ``"refine"``: the input is exactly sorted by ``refine_prefix``, a
       leading prefix of ``spec`` -- run the vectorized tie-group
       refinement (:func:`repro.sort.refine.refine_sorted`) and fall
-      back to the full sort -- the same in-memory-or-spilling choice --
+      back to the full sort -- which may spill like any other --
       counting ``refine_fallbacks`` when that pass declines.
     """
 
@@ -181,15 +180,7 @@ class SortExecOperator(PhysicalOperator):
 
     def _full_sort(self, chunks: Iterator[DataChunk]) -> Table:
         """Run ``chunks`` through the configured full sort."""
-        with ExitStack() as stack:
-            if self.config.external:
-                from repro.sort.external import ExternalSortOperator
-
-                sorter = stack.enter_context(
-                    ExternalSortOperator(self.schema, self.spec, self.config)
-                )
-            else:
-                sorter = SortOperator(self.schema, self.spec, self.config)
+        with make_sort_operator(self.schema, self.spec, self.config) as sorter:
             for chunk in chunks:
                 sorter.sink(chunk)
             result = sorter.finalize()

@@ -12,7 +12,6 @@ from repro.sort.external import (
     ExternalSortOperator,
     InMemoryRun,
     SpilledRun,
-    external_sort_table,
 )
 from repro.sort.faults import (
     FAULT_KINDS,
@@ -45,7 +44,7 @@ from repro.sort.kernels import (
     radix_argsort_rows,
     void_view,
 )
-from repro.sort.kway import kway_merge_indices, kway_merge_stream
+from repro.sort.kway import kway_merge_stream
 from repro.sort.merge_path import (
     merge_partitioned,
     merge_path_partition,
@@ -56,6 +55,7 @@ from repro.sort.operator import (
     SortConfig,
     SortOperator,
     SortStats,
+    make_sort_operator,
     sort_table,
 )
 from repro.sort.pdqsort import PdqStats, pdq_argsort, pdqsort
@@ -82,7 +82,6 @@ __all__ = [
     "ExternalSortOperator",
     "InMemoryRun",
     "SpilledRun",
-    "external_sort_table",
     "FAULT_KINDS",
     "FaultInjector",
     "FaultStats",
@@ -111,7 +110,6 @@ __all__ = [
     "radix_argsort_rows",
     "RADIX_FINISH_ROWS",
     "void_view",
-    "kway_merge_indices",
     "kway_merge_stream",
     "merge_partitioned",
     "merge_path_partition",
@@ -123,6 +121,7 @@ __all__ = [
     "SortConfig",
     "SortOperator",
     "SortStats",
+    "make_sort_operator",
     "sort_table",
     "PdqStats",
     "pdq_argsort",

@@ -5,18 +5,25 @@ The paper's future-work section calls for blocking operators whose
 limit", using the unified row format "to offload the data to secondary
 storage".  This module implements that design for the sort operator:
 
-* runs come from the same :class:`repro.sort.rungen.RunGenerator` the
-  in-memory :class:`repro.sort.operator.SortOperator` uses (normalized
-  keys + row-format payload), but once sorted each run is **spilled** to
-  a temporary file instead of held in memory;
-* finalization streams the spilled runs back block-by-block through the
-  same :class:`repro.sort.merger.RunMerger` (the block-streaming k-way
+* :class:`ExternalSortOperator` *extends* the resident
+  :class:`repro.sort.operator.SortOperator` (same construction,
+  validation, buffer, :class:`repro.sort.rungen.RunGenerator` and
+  cancellation checkpoint): its ``sink`` is the inherited one plus "the
+  buffer reached the live run threshold: cut a run and **spill** it";
+* input that never reaches the threshold is finished by the inherited
+  ``finalize`` -- one resident run, returned unmerged, no file written,
+  no directory made: spilling is what the sort does on overflow;
+* otherwise the rows still buffered at ``finalize`` become one more
+  *resident* run beside the spilled ones (sorting them is the memory
+  peak either way, and writing them afterwards frees nothing the return
+  does not), and all runs stream block-by-block through the shared
+  :class:`repro.sort.merger.RunMerger` (the block-streaming k-way
   kernel, :func:`repro.sort.kernels.kway_merge_blocks`), so the merge
-  working set is O(num_runs * block_rows) key rows instead of O(n), with
-  zero per-row Python between frontier refills.
+  working set is O(num_runs * block_rows) key rows instead of O(n),
+  with zero per-row Python between frontier refills.
 
-What this module adds to those two stages is the spilling *run store*:
-the spill-file reader (:class:`SpilledRun`), the temp-directory
+What this module adds to the inherited stages is the spilling *run
+store*: the spill-file reader (:class:`SpilledRun`), the temp-directory
 lifecycle, the write ladder below, header/CRC verification, the
 read-ahead hook (:mod:`repro.sort.prefetch`), fan-in-limited merge
 pre-passes, and replacement-selection run generation -- which buys
@@ -104,6 +111,7 @@ from repro.sort.faults import SpillIO
 from repro.sort.merger import RunMerger
 from repro.sort.operator import (
     SortConfig,
+    SortOperator,
     SortStats,
     effective_run_threshold,
 )
@@ -113,7 +121,6 @@ from repro.sort.rungen import (
     RUN_CAP_FACTOR,
     InMemoryRun,
     ReplacementSelection,
-    RunGenerator,
     presortedness,
 )
 from repro.sort.spillfile import (
@@ -127,7 +134,7 @@ from repro.sort.spillfile import (
     read_header,
     unpack_extra,
 )
-from repro.table.chunk import DataChunk, chunk_table
+from repro.table.chunk import DataChunk
 from repro.table.table import Table
 from repro.types.schema import Schema
 from repro.types.sortspec import SortSpec
@@ -136,7 +143,6 @@ __all__ = [
     "SpilledRun",
     "InMemoryRun",
     "ExternalSortOperator",
-    "external_sort_table",
 ]
 
 _BACKOFF_CAP_S = 1.0
@@ -397,42 +403,21 @@ class SpilledRun:
         """The whole string heap (offsets in rows are run-relative)."""
         return self._read_section(_HEAP, 0, self.heap_bytes, stats)
 
-    def iter_key_blocks(
-        self,
-        block_rows: int,
-        key_bytes: int | None = None,
-        stats: SortStats | None = None,
-    ) -> Iterator[np.ndarray]:
-        """Yield (m, width) key blocks of at most ``block_rows`` rows.
 
-        ``key_bytes`` truncates each row to its leading bytes (the merge
-        drops the row-id suffix).  One seek+read per block.
-        """
-        for start in range(0, self.num_rows, block_rows):
-            stop = min(start + block_rows, self.num_rows)
-            block = self.read_key_block(start, stop, stats)
-            if key_bytes is not None and key_bytes != self.key_width:
-                block = block[:, :key_bytes]
-            yield block
+class ExternalSortOperator(SortOperator):
+    """The sort that may spill: sorted runs go to disk, the merge streams.
 
-
-class ExternalSortOperator:
-    """Sort that spills sorted runs to disk and streams the merge.
-
-    The public protocol matches :class:`~repro.sort.operator.SortOperator`
-    -- ``sink`` chunks, then ``finalize`` -- and so do the stages: runs
-    come from the shared :class:`~repro.sort.rungen.RunGenerator` and the
-    result from the shared :class:`~repro.sort.merger.RunMerger`.  This
-    class is the *spilling run store* between them, plus a
-    fault-tolerant lifecycle: the operator is a context manager,
-    ``close()`` always removes its temp files (recording failures in
-    ``SortStats.cleanup_errors``), and ``cancel()`` aborts the sort at
-    the next merge checkpoint with guaranteed cleanup.
-    ``spill_directory`` defaults to a fresh temporary directory;
-    ``SortConfig.spill_directories`` names failover targets tried in
-    order when writes to the primary keep failing, after which runs fall
-    back to memory.  ``stats`` records run counts, kernel-vs-scalar
-    k-way merges, the merge's peak frontier size, per-phase
+    A :class:`~repro.sort.operator.SortOperator` whose run store spills
+    (see the module docstring for ``sink`` and ``finalize``), with a
+    fault-tolerant lifecycle: ``close()`` always removes its temp files
+    (recording failures in ``SortStats.cleanup_errors``), and
+    ``cancel()`` aborts the sort at the next merge checkpoint with
+    guaranteed cleanup.
+    ``spill_directory`` defaults to a fresh temporary directory, made by
+    the first spill; ``SortConfig.spill_directories`` names failover
+    targets tried in order when writes to the primary keep failing,
+    after which runs fall back to memory.  ``stats`` records run
+    counts, k-way merges, the merge's peak frontier size, per-phase
     (encode / run_gen / merge / spill_io) wall-clock, and the fault
     counters (retries, failovers, memory fallbacks, checksum
     verifications/failures, cleanup errors).
@@ -449,17 +434,13 @@ class ExternalSortOperator:
     ) -> None:
         if merge_block_rows <= 0:
             raise SortError("merge_block_rows must be positive")
-        self.schema = schema
-        self.spec = spec
-        self.config = config or SortConfig()
+        super().__init__(schema, spec, config)
         self._io = io or SpillIO()
-        self._own_dir = spill_directory is None
-        self._dir = spill_directory or tempfile.mkdtemp(prefix="repro-spill-")
+        self._spill_directory = spill_directory
+        self._own_dir: str | None = None  # made by the first spill
         self.merge_block_rows = merge_block_rows
-        self._buffer: list[DataChunk] = []
         self._buffered_rows = 0
         self._runs: list[SpilledRun | InMemoryRun] = []
-        self._finalized = False
         self._closed = False
         self._cancelled = False
         self._merging = False
@@ -476,21 +457,10 @@ class ExternalSortOperator:
         # must never write the same filename, so every operator salts
         # its run files with a per-instance random token.
         self._spill_token = secrets.token_hex(4)
-        self.stats = SortStats()
-        self._generator = RunGenerator(
-            schema, spec, self.config, self.stats, self._check_cancelled
-        )
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-
-    def __enter__(self) -> "ExternalSortOperator":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
 
     def close(self) -> None:
         """Release all resources: buffered chunks, spill files, temp dir.
@@ -505,17 +475,26 @@ class ExternalSortOperator:
         self._closed = True
         self._selection = None
         self._buffer.clear()
-        self._buffered_rows = 0
         for run in self._runs:
             if run.on_disk:
                 self._remove_file(run.path)
-        if self._own_dir:
+        if self._own_dir is not None:
             try:
-                os.rmdir(self._dir)
+                os.rmdir(self._own_dir)
             except FileNotFoundError:
                 pass
             except OSError as error:
-                self._record_cleanup_error(self._dir, error)
+                self._record_cleanup_error(self._own_dir, error)
+
+    @property
+    def _dir(self) -> str:
+        """The primary spill directory; an own one is made on first use
+        (the first spill), so a sort that never spills makes none."""
+        if self._spill_directory is None:
+            self._spill_directory = self._own_dir = tempfile.mkdtemp(
+                prefix="repro-spill-"
+            )
+        return self._spill_directory
 
     def cancel(self) -> None:
         """Abort the sort; temp files are removed, results are refused.
@@ -532,11 +511,9 @@ class ExternalSortOperator:
             self.close()
 
     def _check_cancelled(self) -> None:
-        event = self.config.cancel_event
-        if event is not None and event.is_set():
-            self._cancelled = True
         if self._cancelled:
             raise SortCancelledError("external sort was cancelled")
+        super()._check_cancelled()
 
     def _record_cleanup_error(self, target: str, error: OSError) -> None:
         message = f"{target}: {error}"
@@ -587,14 +564,10 @@ class ExternalSortOperator:
         return max(1, threshold // 2) if self._degraded else threshold
 
     def sink(self, chunk: DataChunk) -> None:
-        self._check_cancelled()
-        if self._finalized:
-            raise SortError("cannot sink into a finalized sort")
-        if self._closed:
+        """Accept one vector batch; cut and spill a run at the threshold."""
+        if self._closed and not (self._finalized or self._cancelled):
             raise SortError("cannot sink into a closed sort")
-        if len(chunk) == 0:
-            return
-        self._buffer.append(chunk)
+        super().sink(chunk)
         self._buffered_rows += len(chunk)
         if self._buffered_rows >= self._run_threshold:
             if effective_run_threshold(self.config) < self.config.run_threshold:
@@ -643,8 +616,6 @@ class ExternalSortOperator:
         return None
 
     def _spill_run(self) -> None:
-        if not self._buffer:
-            return
         table, keys = self._generator.encode(self._buffer)
         self._buffer = []
         self._buffered_rows = 0
@@ -835,8 +806,13 @@ class ExternalSortOperator:
     # ------------------------------------------------------------------ #
 
     def finalize(self) -> Table:
-        """Stream-merge the spilled runs into the sorted output table.
+        """The sorted output table: resident if nothing spilled, else merged.
 
+        Nothing stored and no selection open means the input never
+        reached the threshold: the inherited finish sorts it as one
+        resident run and no file is written.  Otherwise the buffered
+        tail becomes one more resident run (it holds the latest row
+        ids, so it goes last) and every run streams through one merge.
         Cleanup is guaranteed: whether the merge succeeds, raises, or is
         cancelled, ``close()`` runs and removes every temp file.
         """
@@ -845,18 +821,18 @@ class ExternalSortOperator:
         self._check_cancelled()
         if self._closed:
             raise SortError("cannot finalize a closed sort")
-        self._finalized = True
         self._merging = True
         try:
-            if self._buffer:
-                self._spill_run()
+            if not self._runs and self._selection is None:
+                return super().finalize()
+            self._finalized = True
             if self._selection is not None:
                 # Replacement selection: the working set still holds up
                 # to a threshold of rows; drain it into final run(s).
                 self._rs_drain(final=True)
                 self._selection = None
-            if not self._runs:
-                return Table.empty(self.schema)
+            if self._buffer:
+                self._runs.append(self._sort_buffer())
             if self.config.verify_spill_checksums:
                 # Re-validate every on-disk header before trusting it.
                 for run in self._runs:
@@ -953,21 +929,3 @@ class ExternalSortOperator:
             self.stats,
             cancel_event=self.config.cancel_event,
         )
-
-
-def external_sort_table(
-    table: Table,
-    spec: SortSpec | str,
-    config: SortConfig | None = None,
-    spill_directory: str | None = None,
-) -> Table:
-    """One-shot external sort of a table (spills runs to disk)."""
-    if isinstance(spec, str):
-        spec = SortSpec.of(*[part.strip() for part in spec.split(",")])
-    config = config or SortConfig()
-    with ExternalSortOperator(
-        table.schema, spec, config, spill_directory
-    ) as operator:
-        for chunk in chunk_table(table, config.vector_size):
-            operator.sink(chunk)
-        return operator.finalize()

@@ -19,13 +19,7 @@ import numpy as np
 
 from repro.sort.kernels import KWayBlockStats, kway_merge_blocks
 
-__all__ = [
-    "kway_merge_indices",
-    "kway_merge_stream",
-]
-
-DEFAULT_FRONTIER_ROWS = 4096
-"""Frontier block size of the streaming k-way kernel (rows per run)."""
+__all__ = ["kway_merge_stream"]
 
 
 def kway_merge_stream(
@@ -68,39 +62,3 @@ def kway_merge_stream(
     finally:
         if prefetcher is not None:
             prefetcher.close()
-
-
-def kway_merge_indices(
-    runs: Sequence[np.ndarray],
-    block_rows: int = DEFAULT_FRONTIER_ROWS,
-    block_stats: KWayBlockStats | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-pass vectorized k-way merge of sorted normalized-key matrices.
-
-    ``runs`` holds k row-sorted ``(n_i, width)`` uint8 key matrices of one
-    shared width.  Returns ``(run_ids, row_ids)``: output position ``p``
-    takes row ``row_ids[p]`` of ``runs[run_ids[p]]``; ties resolve to the
-    earlier run (stable).  Built on the block-streaming frontier kernel
-    (:func:`repro.sort.kernels.kway_merge_blocks`): every row is touched
-    once, and the kernel's working set is ``k * block_rows`` key rows
-    regardless of run sizes.
-    """
-
-    def blocks_of(matrix: np.ndarray):
-        contiguous = np.ascontiguousarray(matrix)
-        for start in range(0, len(contiguous), block_rows):
-            yield contiguous[start : start + block_rows]
-
-    kernel_stats = block_stats or KWayBlockStats()
-    run_parts: list[np.ndarray] = []
-    row_parts: list[np.ndarray] = []
-    sources = [blocks_of(matrix) for matrix in runs if len(matrix)]
-    alive = [index for index, matrix in enumerate(runs) if len(matrix)]
-    remap = np.asarray(alive, dtype=np.int64)
-    for run_ids, row_ids in kway_merge_blocks(sources, kernel_stats):
-        run_parts.append(remap[run_ids])
-        row_parts.append(row_ids)
-    if not run_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    return np.concatenate(run_parts), np.concatenate(row_parts)

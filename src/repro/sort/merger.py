@@ -1,6 +1,7 @@
 """The merger: one k-way pass over sorted runs, whatever store holds them.
 
-Both sort operators finish through :class:`RunMerger`.  It streams every
+Every run store -- resident, spilling, compacting -- finishes through
+:class:`RunMerger`.  It streams every
 run's key blocks -- resident (:class:`~repro.sort.rungen.InMemoryRun`),
 spilled (:class:`~repro.sort.external.SpilledRun`) or a mix -- through
 the block-streaming frontier kernel
@@ -22,7 +23,9 @@ large the runs are.
   re-encode loop (:func:`repro.sort.stringsort.refine_key_order`)
   on the tied rows' string bytes -- their ``(offset, length)`` slots
   into the joined run heaps, no ``str`` decoded -- then emitted.
-  This is the sort's one string repair: a tie group reaches it ordered
+  This is the sort's one string repair, made by the final pass only
+  (:meth:`RunMerger.merge`; an intermediate :meth:`~RunMerger.merge_to_run`
+  leaves byte order alone): a tie group reaches it ordered
   by its remaining key bytes, then run, then row id -- the stable
   refinement's precondition -- whereas repairing runs first would hand
   the kernel runs that are no longer byte-sorted whenever key bytes
@@ -110,7 +113,7 @@ class RunMerger:
             keys, rows, heap = run.keys, run.rows, run.heap
         else:
             self.stats.merge_passes += 1
-            keys, rows, heap = self._merge(runs, want_keys=self.key_carried)
+            keys, rows, heap = self._merge(runs, final=True)
         with self.stats.time_phase("decode"):
             if self.key_carried:
                 return decode_key_table(keys, self.key_layout, self.schema)
@@ -120,9 +123,11 @@ class RunMerger:
         """An intermediate pass: one group of runs merged into a new run.
 
         The run is self-contained -- full-width keys on the final
-        layout, its own heap -- so later passes treat it like any other.
+        layout, its own heap -- and, like every run, in key-*byte*
+        order: strings a prefix truncates are repaired by the final
+        pass alone, so later passes treat it like any other.
         """
-        keys, rows, heap = self._merge(runs, want_keys=True)
+        keys, rows, heap = self._merge(runs, final=False)
         layout = self.key_layout if self.compressed else None
         return InMemoryRun(keys, rows, heap, layout)
 
@@ -197,11 +202,17 @@ class RunMerger:
     # ------------------------------------------------------------------ #
 
     def _merge(
-        self, runs: Sequence, want_keys: bool
+        self, runs: Sequence, final: bool
     ) -> tuple[np.ndarray | None, np.ndarray, bytes]:
-        """One pass over ``runs``: ``(full keys | None, rows, heap)``."""
+        """One pass over ``runs``: ``(full keys | None, rows, heap)``.
+
+        The ``final`` pass repairs truncated-VARCHAR tie groups and
+        gathers only what the result decodes from; an intermediate one
+        keeps byte order and gathers the new run's full keys too.
+        """
         stats = self.stats
         want_rows = not self.key_carried
+        want_keys = self.key_carried or not final
         for run in runs:
             if self._stale(run):
                 stats.key_layout_rebases += 1
@@ -235,7 +246,7 @@ class RunMerger:
         run_parts: list[np.ndarray] = []
         try:
             for run_ids, row_ids in self._rounds(
-                runs, prefetcher, heap, bases, coded
+                runs, prefetcher, heap, bases, coded, refine=final
             ):
                 if want_keys:
                     key_parts.append(
@@ -289,7 +300,7 @@ class RunMerger:
     # ------------------------------------------------------------------ #
 
     def _rounds(
-        self, runs, prefetcher, heap, bases, coded
+        self, runs, prefetcher, heap, bases, coded, refine
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The block-streaming kernel's rounds, string ties repaired."""
         stats = self.stats
@@ -298,7 +309,7 @@ class RunMerger:
         else:
             sources = [self._key_source(run, coded) for run in runs]
         kernel_stats = KWayBlockStats()
-        refine_end = self.refine_end
+        refine_end = self.refine_end if refine else None
         rounds = kway_merge_stream(
             sources,
             kernel_stats,

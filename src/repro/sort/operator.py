@@ -17,13 +17,16 @@ then produces the fully sorted table.  The stages mirror the paper:
    row block is converted back to vectors/columns
    (:class:`repro.sort.merger.RunMerger`, likewise shared).
 
-:class:`SortOperator` is that pipeline with a run store that never
-spills.  Runs are a unit of spilling (DuckDB's come from 48 threads and
-a memory limit), so it sorts everything as one run and the merger
-decodes that run as the result;
-:class:`repro.sort.external.ExternalSortOperator` is the same pipeline
-spilling a run every ``run_threshold`` rows.  ``sort_table`` wraps the
-operator for one-shot use.
+One operator family runs those stages; what differs is the *run store*
+between them.  :class:`SortOperator` is the resident store: runs are a
+unit of spilling (DuckDB's come from 48 threads and a memory limit), so
+it sorts everything as one run and the merger decodes that run as the
+result.  :class:`repro.sort.external.ExternalSortOperator` extends it
+with the spilling store (the same sink plus "cut and spill a run once
+``run_threshold`` rows are buffered", the same finalize while nothing
+was spilled); :class:`repro.sort.incremental.IncrementalSorter` is the
+third, compacting, store.  :func:`make_sort_operator` picks between the
+first two from ``SortConfig.external``; ``sort_table`` wraps it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Sequence
 from repro.errors import SortCancelledError, SortError
 from repro.sort.merger import RunMerger
 from repro.sort.radix import RadixStats
-from repro.sort.rungen import RunGenerator
+from repro.sort.rungen import InMemoryRun, RunGenerator
 from repro.table.chunk import VECTOR_SIZE, DataChunk, chunk_table
 from repro.table.table import Table
 from repro.types.schema import Schema
@@ -46,6 +49,7 @@ __all__ = [
     "SortConfig",
     "SortStats",
     "SortOperator",
+    "make_sort_operator",
     "sort_table",
     "effective_run_threshold",
     "raise_if_cancelled",
@@ -90,16 +94,21 @@ class SortConfig:
     """Tuning knobs of the sort operator.
 
     Attributes:
-        run_threshold: rows the external sort accumulates before it
-            cuts a sorted run and spills it.  Ignored in memory, where
-            a cut frees nothing (buffered chunks become keys plus
-            payload of the same size): everything is one run.
+        run_threshold: rows a sort that may spill (``external``)
+            accumulates before it cuts a sorted run and spills it.
+            Ignored otherwise: a resident cut frees nothing (buffered
+            chunks become keys plus payload of the same size), so
+            everything is one run.
         string_prefix: forced VARCHAR prefix length in normalized keys
             (default: chosen from the data, capped at 12 like DuckDB).
         vector_size: chunk granularity used by :func:`sort_table`.
-        external: make the engine's ORDER BY run through the
-            spilling :class:`repro.sort.external.ExternalSortOperator`
-            instead of the in-memory operator.
+        external: the sort may spill.  Input that reaches the live run
+            threshold is cut into runs that go to disk and stream back
+            through the k-way merge; input that never reaches it is
+            sorted exactly as without the flag (no file, no directory).
+            Honoured wherever a full sort runs (:func:`sort_table`, the
+            engine's ORDER BY, GROUP BY, window and merge-join sorts)
+            through :func:`make_sort_operator`, its one reader.
         spill_directories: ordered failover targets for spill files.
             The external sort writes each run to its primary directory
             first; on persistent write failure (e.g. ``ENOSPC``) it
@@ -282,17 +291,18 @@ class SortStats:
     The run-generation shape: ``run_lengths`` holds the row count of
     every run in generation order (the run-length histogram --
     replacement selection shows up as runs longer than the threshold);
-    ``rungen_path`` names the dispatched generator (``"argsort"`` or
-    ``"replacement_selection"``) and ``rungen_probe`` the measured
+    ``rungen_path`` names the generator dispatched at the first spill
+    (``"argsort"`` or ``"replacement_selection"``; ``""`` for a sort
+    that never spilled) and ``rungen_probe`` the measured
     presortedness in [0, 1] (-1 before any probe ran).
     ``merge_passes`` counts k-way merge passes over the data: 0 when
-    one resident run with exact byte order is the result (in-memory
-    sorts without a truncated VARCHAR prefix), else 1, plus the
-    intermediate passes ``SortConfig.merge_fan_in`` makes the spilling
-    store insert.  ``governor_forced_spills`` counts runs the external
-    sort cut below the configured ``run_threshold`` because a shrinking
-    memory grant (``SortConfig.memory_grant``) lowered the live
-    threshold -- the governor forcing an early spill.
+    one resident run with exact byte order is the result (a sort that
+    never spilled, without a truncated VARCHAR prefix), else 1, plus
+    the intermediate passes ``SortConfig.merge_fan_in`` makes the
+    spilling store insert.  ``governor_forced_spills`` counts runs the
+    external sort cut below the configured ``run_threshold`` because a
+    shrinking memory grant (``SortConfig.memory_grant``) lowered the
+    live threshold -- the governor forcing an early spill.
 
     The order-propagation counters describe planner-level sortedness
     reuse (:mod:`repro.engine.plan`): ``sorts_elided`` counts sorts
@@ -386,9 +396,11 @@ class SortOperator:
             op.sink(chunk)
         result = op.finalize()
 
-    ``sink`` buffers; ``finalize`` runs the two stages shared with the
-    external sort: :class:`~repro.sort.rungen.RunGenerator` sorts it all
-    as one run, :class:`~repro.sort.merger.RunMerger` returns it.
+    ``sink`` buffers; ``finalize`` runs the two shared stages:
+    :class:`~repro.sort.rungen.RunGenerator` sorts it all as one run,
+    :class:`~repro.sort.merger.RunMerger` returns it.  A resident store
+    holds nothing to release: ``close()`` and the context manager are
+    no-ops here, for the spilling subclass to override.
     """
 
     def __init__(
@@ -408,6 +420,16 @@ class SortOperator:
         )
         self._buffer: list[DataChunk] = []
         self._finalized = False
+
+    def __enter__(self) -> "SortOperator":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
+
+    def close(self) -> None:
+        """Release what the store holds: nothing, for a resident one."""
 
     def _check_cancelled(self) -> None:
         raise_if_cancelled(self.config)
@@ -432,13 +454,30 @@ class SortOperator:
         self._finalized = True
         if not self._buffer:
             return Table.empty(self.schema)
-        generator = self._generator
-        table, keys = generator.encode(self._buffer)
-        self._buffer = []
-        run = generator.sort_run(table, keys)
-        del table, keys
+        run = self._sort_buffer()
         with self.stats.time_phase("merge", RunMerger.NESTED_PHASES):
-            return RunMerger(generator, run.num_rows).merge([run])
+            return RunMerger(self._generator, run.num_rows).merge([run])
+
+    def _sort_buffer(self) -> InMemoryRun:
+        """Everything buffered as one resident run; the buffer is released."""
+        table, keys = self._generator.encode(self._buffer)
+        self._buffer = []
+        return self._generator.sort_run(table, keys)
+
+
+def make_sort_operator(
+    schema: Schema, spec: SortSpec, config: SortConfig | None = None
+) -> SortOperator:
+    """The full-sort operator ``config`` asks for; use it as a context.
+
+    The one reader of ``SortConfig.external`` (the spilling subclass is
+    imported here because it extends :class:`SortOperator`).
+    """
+    if config is not None and config.external:
+        from repro.sort.external import ExternalSortOperator
+
+        return ExternalSortOperator(schema, spec, config)
+    return SortOperator(schema, spec, config)
 
 
 def sort_table(
@@ -447,12 +486,13 @@ def sort_table(
     """Sort a table by an ORDER BY spec; the one-call public entry point.
 
     ``spec`` may be a :class:`SortSpec` or text like
-    ``"country DESC NULLS LAST, birth_year"``.
+    ``"country DESC NULLS LAST, birth_year"``; with
+    ``SortConfig.external`` the sort may spill.
     """
     if isinstance(spec, str):
         spec = SortSpec.of(*[part.strip() for part in spec.split(",")])
     config = config or SortConfig()
-    operator = SortOperator(table.schema, spec, config)
-    for chunk in chunk_table(table, config.vector_size):
-        operator.sink(chunk)
-    return operator.finalize()
+    with make_sort_operator(table.schema, spec, config) as operator:
+        for chunk in chunk_table(table, config.vector_size):
+            operator.sink(chunk)
+        return operator.finalize()

@@ -1,4 +1,4 @@
-"""Run generation: the stage both sort operators share.
+"""Run generation: the stage every run store shares.
 
 :class:`RunGenerator` turns a buffer of input chunks into one sorted run
 in the row format of the paper's Figure 11 -- one ``Table.concat``, key
@@ -10,9 +10,10 @@ happens once, in the merger, on tie groups that by then span all runs.
 What happens to the run next is the *store's* business:
 :class:`~repro.sort.operator.SortOperator` keeps it resident,
 :class:`~repro.sort.external.ExternalSortOperator` spills it (and may
-regroup rows into longer runs with replacement selection first, below).
-The run format -- key layout, key-carried payload -- is decided here
-once for both (offset-value codes derive from the keys on first read).
+regroup rows into longer runs with replacement selection first, below),
+:class:`~repro.sort.incremental.IncrementalSorter` compacts it with its
+neighbours.  The run format -- key layout, key-carried payload -- is
+decided here once for all (offset-value codes derive on first read).
 
 Replacement-selection run generation over normalized-key matrices
 -----------------------------------------------------------------
@@ -471,13 +472,14 @@ class InMemoryRun:
 
     Sorted full-width key rows (row-id suffix included), the payload
     row matrix in key order, and the string heap the rows point into.
-    :class:`~repro.sort.operator.SortOperator` keeps its runs in this
-    form; :class:`~repro.sort.external.ExternalSortOperator` writes the
-    three sections to a spill file, or keeps the run when no spill
-    target is writable.  ``read_key_block`` / ``read_row_block`` /
-    ``read_heap`` are the reads :class:`~repro.sort.external.SpilledRun`
-    implements too, so the merger works unchanged over any mix of the
-    two.
+    :class:`~repro.sort.operator.SortOperator` and the incremental
+    sorter keep their runs in this form;
+    :class:`~repro.sort.external.ExternalSortOperator` writes a cut
+    run's three sections to a spill file (keeping it when no spill
+    target is writable) and keeps the tail run.  ``read_key_block`` /
+    ``read_row_block`` / ``read_heap`` are the reads
+    :class:`~repro.sort.external.SpilledRun` implements too, so the
+    merger works unchanged over any mix of the two.
     """
 
     on_disk = False

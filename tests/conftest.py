@@ -14,6 +14,8 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.sort.external import ExternalSortOperator  # noqa: E402
+from repro.sort.kernels import kway_merge_blocks  # noqa: E402
 from repro.sort.merger import RunMerger  # noqa: E402
 from repro.sort.operator import SortConfig, SortStats  # noqa: E402
 from repro.sort.rungen import RunGenerator  # noqa: E402
@@ -82,6 +84,48 @@ def sort_resident_runs(table: Table, spec: SortSpec, runs: int, config=None):
     ]
     block_rows = max(run.num_rows for run in resident)
     return RunMerger(generator, block_rows).merge(resident), stats
+
+
+def sort_spilling(
+    table: Table, spec, config=None, spill_directory: str | None = None
+) -> Table:
+    """One-shot ``ExternalSortOperator`` sort into a chosen directory.
+
+    ``sort_table(..., SortConfig(external=True))`` is the public way to
+    a sort that may spill; a test that wants its files under
+    ``tmp_path`` builds the operator, here.
+    """
+    if isinstance(spec, str):
+        spec = SortSpec.of(*[part.strip() for part in spec.split(",")])
+    config = config or SortConfig()
+    with ExternalSortOperator(
+        table.schema, spec, config, spill_directory
+    ) as operator:
+        for chunk in chunk_table(table, config.vector_size):
+            operator.sink(chunk)
+        return operator.finalize()
+
+
+def merge_run_indices(runs, block_rows: int = 4096):
+    """``(run_ids, row_ids)`` of one k-way merge of sorted key matrices.
+
+    Drives ``kernels.kway_merge_blocks`` directly: every non-empty run
+    streams in ``block_rows`` blocks, and the kernel's ids (which number
+    its sources) are mapped back to positions in ``runs``.
+    """
+
+    def blocks(run):
+        run = np.ascontiguousarray(run)
+        for start in range(0, len(run), block_rows):
+            yield run[start : start + block_rows]
+
+    alive = np.flatnonzero([len(run) for run in runs])
+    sources = [blocks(runs[index]) for index in alive]
+    rounds = list(kway_merge_blocks(sources))
+    if not rounds:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    run_ids, row_ids = (np.concatenate(parts) for parts in zip(*rounds))
+    return alive[run_ids], row_ids
 
 
 @pytest.fixture(autouse=True, scope="session")

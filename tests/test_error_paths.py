@@ -18,7 +18,9 @@ from repro.sort.analysis import (
     run_generation_comparisons,
     run_generation_share,
 )
+from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig, SortOperator, sort_table
+from repro.table.chunk import DataChunk
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
 
@@ -149,6 +151,24 @@ class TestOperatorEdgeCases:
             operator.sink(chunk)
         operator.finalize()
         assert not operator.stats.prefix_exact
+
+    @pytest.mark.parametrize("good_chunks", [0, 1], ids=["first", "later"])
+    @pytest.mark.parametrize(
+        "operator_class", [SortOperator, ExternalSortOperator]
+    )
+    def test_wrong_chunk_is_rejected_at_sink(self, operator_class, good_chunks):
+        # Both operators refuse a chunk of another schema when it is
+        # sunk, with the same error -- not at the next spill or at
+        # finalize, after buffering it.
+        table = Table.from_pydict({"a": [3, 1, 2], "b": [1, 2, 3]})
+        wrong = Table.from_pydict({"a": [3, 1, 2], "c": [1, 2, 3]})
+        with operator_class(table.schema, SortSpec.of("a")) as operator:
+            for _ in range(good_chunks):
+                operator.sink(DataChunk.from_table(table))
+            with pytest.raises(SortError, match="does not match"):
+                operator.sink(DataChunk.from_table(wrong))
+            result = operator.finalize()
+        assert result.num_rows == 3 * good_chunks
 
 
 class TestTopNSmallCapacities:

@@ -9,10 +9,9 @@ external sort accepts, and its working set must stay bounded by
 import numpy as np
 import pytest
 
-from conftest import reference_sort
-from repro.sort.external import ExternalSortOperator, external_sort_table
+from conftest import merge_run_indices, reference_sort
+from repro.sort.external import ExternalSortOperator
 from repro.sort.kernels import KWayBlockStats, kway_merge_blocks
-from repro.sort.kway import kway_merge_indices
 from repro.sort.operator import SortConfig, sort_table
 from repro.sort.reference import reference_sort as scalar_reference_sort
 from repro.table.chunk import chunk_table
@@ -167,7 +166,7 @@ class TestKWayMergeIndices:
                 if length:
                     matrix = matrix[np.lexsort(tuple(reversed(matrix.T)))]
                 runs.append(matrix)
-            run_ids, row_ids = kway_merge_indices(runs, block_rows=100)
+            run_ids, row_ids = merge_run_indices(runs, block_rows=100)
             # A stable argsort of the concatenated runs is the merge:
             # equal keys keep run order, then row order.
             stacked = np.concatenate(runs)
@@ -179,7 +178,7 @@ class TestKWayMergeIndices:
             assert (row_ids == order - start[owner[order]]).all()
 
     def test_empty(self):
-        run_ids, row_ids = kway_merge_indices([])
+        run_ids, row_ids = merge_run_indices([])
         assert len(run_ids) == 0 and len(row_ids) == 0
 
 
@@ -196,7 +195,12 @@ class TestSpillFormat:
             operator.sink(chunk)
         run = operator._runs[0]
         whole_keys = run.read_key_block(0, run.num_rows)
-        streamed = np.concatenate(list(run.iter_key_blocks(97)))
+        streamed = np.concatenate(
+            [
+                run.read_key_block(start, min(start + 97, run.num_rows))
+                for start in range(0, run.num_rows, 97)
+            ]
+        )
         assert (whole_keys == streamed).all()
         assert whole_keys.shape == (run.num_rows, run.key_width)
         rows = run.read_row_block(5, 25)

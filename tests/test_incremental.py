@@ -10,16 +10,26 @@ governed tickets).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from test_external_kway import assert_byte_identical
+from test_oracle import oracle_sort
 from repro.engine.database import Database
-from repro.errors import SchemaError, ServiceError, SortError
+from repro.errors import (
+    SchemaError,
+    ServiceError,
+    SortCancelledError,
+    SortError,
+)
 from repro.service.core import SortService
 from repro.sort.incremental import IncrementalSorter
+from repro.sort.operator import SortConfig
 from repro.sort.reference import reference_sort
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
+from repro.workloads.scenarios import SCENARIOS
 
 
 def _table(values: dict) -> Table:
@@ -131,6 +141,140 @@ def test_deferred_string_refinement_through_compaction():
         sorter.insert(table.slice(start, start + 6))
     assert_byte_identical(oracle(table, "s, p"), sorter.view())
     assert sorter.stats.sort.full_key_compares >= 0  # refine ran per view
+
+
+# --------------------------------------------------------------------- #
+# The compacting store over the shared stages
+# --------------------------------------------------------------------- #
+
+
+def _scenario(name: str, rows: int = 1500):
+    scenario = SCENARIOS[name]
+    table = scenario.table(rows, seed=29)
+    spec = SortSpec.of(*[p.strip() for p in scenario.order_by.split(",")])
+    return table, spec
+
+
+def _assert_both_oracles(table: Table, spec: SortSpec, view: Table):
+    assert_byte_identical(oracle_sort(table, spec), view)
+    assert_byte_identical(reference_sort(table, spec), view)
+
+
+@pytest.mark.parametrize("compress_keys", [True, False])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_view_matches_both_oracles(name, compress_keys):
+    table, spec = _scenario(name)
+    sorter = IncrementalSorter(
+        table.schema,
+        spec,
+        SortConfig(compress_keys=compress_keys),
+        compact_threshold=3,
+    )
+    for start in range(0, table.num_rows, 250):
+        sorter.insert(table.slice(start, start + 250))
+    _assert_both_oracles(table, spec, sorter.view())
+    assert sorter.stats.compactions >= 2
+
+
+def test_uniform_view_is_compressed_and_key_carried():
+    table, spec = _scenario("uniform")
+    sorter = IncrementalSorter(table.schema, spec, compact_threshold=3)
+    for start in range(0, table.num_rows, 300):
+        sorter.insert(table.slice(start, start + 300))
+    _assert_both_oracles(table, spec, sorter.view())
+    stats = sorter.stats.sort
+    assert stats.key_width_used < stats.key_width_full
+    assert stats.key_carried_runs == sorter.stats.deltas_inserted > 0
+    assert stats.runs_generated == sorter.stats.deltas_inserted
+    assert stats.rows_sorted == sorter.num_rows == table.num_rows
+
+
+def test_widening_layout_rebases_earlier_runs():
+    # Each delta's values need one more byte than the last, so every
+    # earlier run is rebased onto the wider layout when compacted.
+    values = [7, 3, 300, 70_000, 2, 5_000_000_000, 1, 9]
+    table = _table({"a": values, "p": list(range(len(values)))})
+    sorter = IncrementalSorter(table.schema, "a", compact_threshold=4)
+    for start in range(0, len(values), 2):
+        sorter.insert(table.slice(start, start + 2))
+    assert sorter.stats.compactions == 1
+    assert sorter.stats.sort.key_layout_rebases >= 1
+    assert_byte_identical(oracle(table, "a, p"), sorter.view())
+
+
+def _tied_strings(rows: int = 1400) -> tuple[Table, SortSpec]:
+    """Few full strings, one shared 12-byte prefix, a trailing key."""
+    strings = [f"prefix-{'pad' * 4}-{i * 7 % 5:02d}" for i in range(rows)]
+    table = _table({"s": strings, "p": [(i * 37) % 101 for i in range(rows)]})
+    return table, SortSpec.of("s", "p")
+
+
+@pytest.mark.parametrize(
+    "case, config",
+    [
+        (_tied_strings, SortConfig()),
+        (lambda: _scenario("mixed_null", 1400), SortConfig()),
+        (lambda: _scenario("mixed_null", 1400), SortConfig(compress_keys=False)),
+        # Truncated VARCHARs followed by later ORDER BY columns.
+        (lambda: _scenario("long_string", 1400), SortConfig()),
+        (lambda: _scenario("tpcds_customer", 1400), SortConfig(string_prefix=2)),
+    ],
+    ids=[
+        "tied_strings",
+        "mixed_null",
+        "mixed_null-plain",
+        "long_string",
+        "tpcds_customer",
+    ],
+)
+def test_compacted_runs_stay_in_key_byte_order(case, config):
+    # Compaction must not repair strings: a refined intermediate run is
+    # no longer sorted by its key bytes, and the next compaction (or the
+    # view's own repair) would merge it wrongly.
+    table, spec = case()
+    head, tail = table.slice(0, 1200), table.slice(1200, 1400)
+    sorter = IncrementalSorter(
+        table.schema, spec, config, compact_threshold=2
+    )
+    for start in range(0, head.num_rows, 200):
+        sorter.insert(head.slice(start, start + 200))
+    assert sorter.stats.compactions >= 2
+    assert not sorter.stats.sort.prefix_exact
+    _assert_both_oracles(head, spec, sorter.view())
+    sorter.insert(tail)
+    _assert_both_oracles(table, spec, sorter.view())
+    assert sorter.stats.sort.full_key_compares > 0
+
+
+class _SetAfter:
+    """A cancel event that reads set from its ``polls + 1``-th poll on."""
+
+    def __init__(self, polls: int) -> None:
+        self.polls = polls
+
+    def is_set(self) -> bool:
+        self.polls -= 1
+        return self.polls < 0
+
+
+def test_cancellation_reads_the_current_config():
+    # A service swaps ``sorter.config`` per call to carry that call's
+    # cancel event.  The sorter's own entry check takes the first poll;
+    # the second comes from the run generator (insert) or the merger's
+    # round hook (view), which must see the swapped config too.
+    table = _ints(40)
+    sorter = IncrementalSorter(table.schema, "a", compact_threshold=3)
+    quiet = sorter.config
+    sorter.insert(table.slice(0, 10))
+    sorter.insert(table.slice(10, 20))
+    for call in (lambda: sorter.insert(table.slice(20, 30)), sorter.view):
+        sorter.config = dataclasses.replace(quiet, cancel_event=_SetAfter(1))
+        with pytest.raises(SortCancelledError):
+            call()
+        assert sorter.num_rows == 20 and sorter.pending_runs == 2
+    sorter.config = quiet
+    sorter.insert(table.slice(20, 40))
+    assert_byte_identical(oracle(table, "a, p"), sorter.view())
 
 
 # --------------------------------------------------------------------- #

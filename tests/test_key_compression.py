@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import reference_sort, sort_resident_runs
+from conftest import reference_sort, sort_resident_runs, sort_spilling
 from repro.errors import KeyEncodingError
 from repro.keys.compression import (
     KeyStatsAccumulator,
@@ -40,7 +40,7 @@ from repro.keys.normalizer import (
     normalize_keys,
     normalized_key_for_row,
 )
-from repro.sort.external import ExternalSortOperator, external_sort_table
+from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig, SortOperator, sort_table
 from repro.sort.reference import reference_sort as scalar_reference_sort
 from repro.sort.spillfile import EXTRA_TAG_LAYOUT, unpack_extra
@@ -318,10 +318,10 @@ class TestPipelineIdentity:
     @pytest.mark.parametrize("spec", SPECS)
     def test_external_kernel_merge(self, rng, tmp_path, spec):
         table = mixed_table(rng, 4000)
-        on = external_sort_table(
+        on = sort_spilling(
             table, spec, SortConfig(run_threshold=700), mkdir(tmp_path, "on")
         )
-        off = external_sort_table(
+        off = sort_spilling(
             table,
             spec,
             SortConfig(run_threshold=700, compress_keys=False),
@@ -336,7 +336,7 @@ class TestPipelineIdentity:
         spec = SortSpec.of("a DESC NULLS FIRST", "s")
         scalar = scalar_reference_sort(table, spec)
         for compress_keys in (True, False):
-            result = external_sort_table(
+            result = sort_spilling(
                 table,
                 spec,
                 SortConfig(run_threshold=600, compress_keys=compress_keys),
@@ -348,7 +348,7 @@ class TestPipelineIdentity:
         table = mixed_table(rng, 1500, all_null_column=True)
         spec = "a NULLS FIRST, s DESC"
         in_memory = sort_table(table, spec, SortConfig(run_threshold=400))
-        external = external_sort_table(
+        external = sort_spilling(
             table, spec, SortConfig(run_threshold=400), str(tmp_path)
         )
         uncompressed = sort_table(

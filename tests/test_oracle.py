@@ -25,10 +25,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sort_resident_runs
+from conftest import sort_resident_runs, sort_spilling
 from test_external_kway import assert_byte_identical
 from repro.errors import SortError
-from repro.sort.external import ExternalSortOperator, external_sort_table
+from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig, SortOperator, sort_table
 from repro.sort.reference import ALGORITHMS, ReferenceStats, reference_sort
 from repro.sort.topn import TopNOperator
@@ -144,7 +144,7 @@ def test_external_matches_oracle(tmp_path, spec_text):
     table = random_table(rng, 1400)
     spec = SortSpec.of(*[p.strip() for p in spec_text.split(",")])
     expected = oracle_sort(table, spec)
-    result = external_sort_table(
+    result = sort_spilling(
         table, spec, SortConfig(run_threshold=400), str(tmp_path)
     )
     assert_byte_identical(expected, result)
@@ -272,7 +272,7 @@ def test_reference_sort_rejects_unknown_algorithm():
 def test_scenario_external_matches_oracle(tmp_path, name):
     table, spec = _scenario_case(name)
     expected = oracle_sort(table, spec)
-    result = external_sort_table(
+    result = sort_spilling(
         table, spec, SortConfig(run_threshold=400), str(tmp_path)
     )
     _assert_oracle(expected, result, name, "external")
@@ -351,11 +351,24 @@ def test_scenario_resident_runs_match_oracle(name, runs, compress_keys):
 def test_scenario_incremental_matches_oracle(name):
     table, spec = _scenario_case(name)
     expected = oracle_sort(table, spec)
-    sorter = IncrementalSorter(table.schema, spec, compact_threshold=3)
-    step = max(1, table.num_rows // 5)
-    for start in range(0, table.num_rows, step):
-        sorter.insert(table.slice(start, min(start + step, table.num_rows)))
-    _assert_oracle(expected, sorter.view(), name, "incremental")
+    for compress_keys in (True, False):
+        sorter = IncrementalSorter(
+            table.schema,
+            spec,
+            SortConfig(compress_keys=compress_keys),
+            compact_threshold=3,
+        )
+        step = max(1, table.num_rows // 5)
+        for start in range(0, table.num_rows, step):
+            sorter.insert(
+                table.slice(start, min(start + step, table.num_rows))
+            )
+        _assert_oracle(
+            expected,
+            sorter.view(),
+            name,
+            f"incremental compress_keys={compress_keys}",
+        )
 
 
 def _value_equal(a, b) -> bool:

@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_sort, sort_resident_runs
+from conftest import reference_sort, sort_resident_runs, sort_spilling
 from repro.errors import SortError
 from repro.sort import kernels
-from repro.sort.external import external_sort_table
 from repro.sort.heuristic import choose_vector_path, vector_sort_rows
 from repro.sort.kernels import (
     KWayBlockStats,
@@ -287,7 +286,7 @@ class TestExternalCrossCheck:
         )
         spec = SortSpec.of("a DESC", "b")
         config_on = SortConfig(run_threshold=256)
-        on = external_sort_table(table, spec, config_on, str(tmp_path_mk(tmp_path, "on")))
+        on = sort_spilling(table, spec, config_on, str(tmp_path_mk(tmp_path, "on")))
         assert on.equals(scalar_reference_sort(table, spec))
         assert on.equals(reference_sort(table, spec))
 
@@ -296,7 +295,7 @@ class TestExternalCrossCheck:
         values = [words[i] for i in rng.integers(0, len(words), 900)]
         table = Table.from_pydict({"s": values, "seq": list(range(900))})
         spec = SortSpec.of("s NULLS FIRST", "seq")
-        on = external_sort_table(
+        on = sort_spilling(
             table, spec, SortConfig(run_threshold=128), str(tmp_path_mk(tmp_path, "on"))
         )
         assert on.equals(scalar_reference_sort(table, spec))

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_sort
+from conftest import reference_sort, sort_spilling
 from repro.errors import SortError
-from repro.sort.external import ExternalSortOperator, external_sort_table
+from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig, sort_table
 from repro.sort.topn import TopNOperator, top_n
 from repro.table.chunk import chunk_table
@@ -92,7 +92,7 @@ class TestExternalSort:
         table = random_table(rng)
         spec = SortSpec.of("a", "b DESC")
         config = SortConfig(run_threshold=256)
-        external = external_sort_table(
+        external = sort_spilling(
             table, spec, config, spill_directory=str(tmp_path)
         )
         assert external.equals(sort_table(table, spec, config))
@@ -131,7 +131,7 @@ class TestExternalSort:
             {"s": ["pear", "apple", None, "fig"], "v": [1, 2, 3, 4]}
         )
         spec = SortSpec.of("s NULLS FIRST")
-        result = external_sort_table(
+        result = sort_spilling(
             table, spec, spill_directory=str(tmp_path)
         )
         assert result.equals(reference_sort(table, spec))
@@ -152,7 +152,7 @@ class TestExternalSort:
 
     def test_empty_input(self, tmp_path):
         table = Table.from_pydict({"a": []})
-        result = external_sort_table(table, "a", spill_directory=str(tmp_path))
+        result = sort_spilling(table, "a", spill_directory=str(tmp_path))
         assert result.num_rows == 0
 
     def test_sink_after_finalize_raises(self, rng, tmp_path):
@@ -169,7 +169,7 @@ class TestExternalSort:
             {"a": [3, None, 1, None, 2], "s": ["x", None, "y", "z", None]}
         )
         spec = SortSpec.of("a NULLS FIRST")
-        result = external_sort_table(
+        result = sort_spilling(
             table, spec, SortConfig(run_threshold=2),
             spill_directory=str(tmp_path),
         )

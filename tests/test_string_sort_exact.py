@@ -18,14 +18,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import reference_sort
+from conftest import reference_sort, sort_spilling
 from repro.aggregate.groupby import Aggregate, group_by
 from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
 from repro.rows.block import RowBlock, string_slots
 from repro.sort.external import (
     ExternalSortOperator,
     SpilledRun,
-    external_sort_table,
 )
 from repro.sort.kernels import (
     KWayBlockStats,
@@ -167,7 +166,7 @@ class TestInMemoryExact:
         spec = spec_of(spec_str)
         config = SortConfig(run_threshold=700)
         assert_matches_oracle(sort_table(table, spec, config), table, spec)
-        spilled = external_sort_table(table, spec, config, str(tmp_path))
+        spilled = sort_spilling(table, spec, config, str(tmp_path))
         assert_matches_oracle(spilled, table, spec)
         expected = reference_sort(table, spec)
         assert top_n(table, spec, limit=50, offset=3).equals(
@@ -238,7 +237,7 @@ class TestExternalExact:
         table = Table.from_pydict({"s": values})
         config = SortConfig(run_threshold=50, compress_keys=False)
         for result in (
-            external_sort_table(table, "s DESC", config, str(tmp_path)),
+            sort_spilling(table, "s DESC", config, str(tmp_path)),
             sort_table(table, "s DESC", config),
         ):
             assert result.column("s").to_pylist() == sorted(
@@ -252,7 +251,7 @@ class TestExternalExact:
         for use_ovc in (True, False):
             config = SortConfig(run_threshold=900, use_ovc=use_ovc)
             results.append(
-                external_sort_table(table, spec, config, str(tmp_path))
+                sort_spilling(table, spec, config, str(tmp_path))
             )
         for name in table.schema.names:
             assert (
