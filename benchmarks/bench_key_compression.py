@@ -2,21 +2,23 @@
 
 Measures what the runtime key-compression layer
 (:mod:`repro.keys.compression`) buys on the acceptance workload -- a
-1M-row multi-column narrow-range int64 external sort -- plus the raw
-kernel dispatch it feeds:
+1M-row multi-column narrow-range int64 external sort -- plus the run
+sort kernel it feeds:
 
 * **external_narrow_int64** -- ``ExternalSortOperator`` end-to-end with
   ``compress_keys`` on vs. off: seconds, spilled bytes (captured before
   the merge), and the compressed key width.  With every column a
   fixed-width integer key, the compressed side spills key-carried runs
   (keys only, no row payload), so both time and spill bytes drop.
-* **kernel_radix_vs_lexsort** -- the two wide-key argsort kernels
-  (:func:`repro.sort.kernels.radix_argsort_rows` vs. the lexsort-based
-  :func:`repro.sort.kernels.argsort_rows`) on the same 16-byte key
-  matrix, one cell per row count (matrix scale, one production run, the
-  acceptance scale) x key distribution (uniform, 1000 distinct values),
-  permutation equality asserted.  One cell cannot carry the verdict:
-  which kernel wins flips with the row count.
+* **kernel_sweep** -- the packed-word run sort
+  (:func:`repro.sort.kernels.argsort_rows`) against an inline
+  ``np.lexsort`` over the same rows' uint64 word columns, one cell per
+  row count x key width x key distribution (:data:`KERNEL_ROWS`,
+  :data:`KERNEL_KEY_BYTES`, :func:`kernel_matrices`), permutation
+  equality asserted in every cell.  The kernel's speed is that of
+  numpy's value sort, which numpy dispatches on the CPU's SIMD features
+  at run time, so the section header records them beside the numpy
+  version.
 * **bytes_per_key** -- ``key_width_used`` vs. ``key_width_full`` for
   int-, float- and string-flavoured column mixes (row-id suffix
   excluded), straight from :class:`repro.sort.operator.SortStats`.
@@ -38,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -47,10 +50,11 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from repro.sort.external import ExternalSortOperator  # noqa: E402
-from repro.sort.kernels import argsort_rows, radix_argsort_rows  # noqa: E402
-from repro.sort.operator import SortConfig, SortOperator  # noqa: E402
+from repro.sort.kernels import argsort_rows  # noqa: E402
+from repro.sort.operator import SortConfig, SortOperator, SortStats  # noqa: E402
 from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
 from repro.types.datatypes import BIGINT  # noqa: E402
@@ -63,11 +67,13 @@ ACCEPTANCE_ROWS = 1_000_000  # gate the speedup/spill assertions here
 ROUNDS = 3  # best-of for every timed side
 SPEEDUP_FLOOR = 1.5
 SPILL_REDUCTION_FLOOR = 2.0
-# kernel_radix_vs_lexsort sweep: the matrix scale, one production run
-# (2 x DEFAULT_RUN_THRESHOLD) and the acceptance scale.
-KERNEL_ROWS = (24_000, 250_000, 1_000_000)
-KERNEL_KEY_BYTES = 16
+# kernel_sweep: the lexsort-finish row count, the matrix scale, one
+# production run (DEFAULT_RUN_THRESHOLD) and the acceptance scale; one
+# word, one word and a byte, two, three and five words of key.
+KERNEL_ROWS = (1_024, 24_000, 131_072, 1_000_000)
+KERNEL_KEY_BYTES = (5, 9, 16, 24, 40)
 KERNEL_DISTINCT = 1000
+KERNEL_STEMS = 16
 
 
 def _best_of(fn, rounds=ROUNDS):
@@ -156,11 +162,56 @@ def bench_external(table: Table, spec: SortSpec, rows: int) -> dict:
     return summary
 
 
-def bench_kernels(rng: np.random.Generator, max_rows: int) -> list[dict]:
-    """Radix vs. lexsort argsort kernels: rows x key distribution.
+def kernel_matrices(rng: np.random.Generator, rows: int, key_bytes: int) -> dict:
+    """The sweep's key distributions as ``(rows, key_bytes)`` byte matrices.
+
+    ``uniform``: independent random bytes (the first pass leaves no
+    ties).  ``1000_distinct`` / ``each_twice``: full-duplicate keys, few
+    and large tie groups vs. ``rows / 2`` groups of two.
+    ``shared_12B_prefix``: the leading 12 bytes (``key_bytes - 1`` for
+    narrower keys) drawn from 16 stems, so rows tie pass after pass
+    until the bytes behind the stem are reached -- VARCHAR keys past
+    their prefix.  ``near_sorted`` / ``reverse``: the sorted ``uniform``
+    keys displaced by at most 64 positions, and in descending order.
+    """
+    uniform = rng.integers(0, 256, (rows, key_bytes), dtype=np.uint8)
+    distinct = rng.integers(0, 256, (KERNEL_DISTINCT, key_bytes), dtype=np.uint8)
+    half = rng.integers(0, 256, ((rows + 1) // 2, key_bytes), dtype=np.uint8)
+    stem_bytes = min(12, key_bytes - 1)
+    stems = rng.integers(0, 256, (KERNEL_STEMS, stem_bytes), dtype=np.uint8)
+    shared = rng.integers(0, 256, (rows, key_bytes), dtype=np.uint8)
+    shared[:, :stem_bytes] = stems[rng.integers(0, KERNEL_STEMS, rows)]
+    ascending = uniform[argsort_rows(uniform)]
+    jitter = np.arange(rows) + rng.integers(-64, 65, rows)
+    return {
+        "uniform": uniform,
+        f"{KERNEL_DISTINCT}_distinct": distinct[
+            rng.integers(0, KERNEL_DISTINCT, rows)
+        ],
+        "each_twice": np.concatenate([half, half])[
+            rng.permutation(2 * len(half))[:rows]
+        ],
+        "shared_12B_prefix": shared,
+        "near_sorted": ascending[np.argsort(jitter, kind="stable")],
+        "reverse": np.ascontiguousarray(ascending[::-1]),
+    }
+
+
+def lexsort_rows(matrix: np.ndarray) -> np.ndarray:
+    """The comparison side: one stable ``np.lexsort`` over the rows'
+    big-endian uint64 words (zero-padded to whole words)."""
+    rows, width = matrix.shape
+    padded = np.zeros((rows, -(-width // 8) * 8), dtype=np.uint8)
+    padded[:, :width] = matrix
+    words = np.ascontiguousarray(padded.view(">u8").astype(np.uint64).T)
+    return np.lexsort(tuple(words[::-1]))
+
+
+def bench_kernel_sweep(rng: np.random.Generator, max_rows: int) -> dict:
+    """Packed-word kernel vs. inline lexsort: rows x key bytes x distribution.
 
     The matrices are key bytes only, as run generation sorts them: both
-    kernels are stable, so the row-id suffix is not part of the sorted
+    sides are stable, so the row-id suffix is not part of the sorted
     width (and an ascending suffix would hand lexsort a presorted
     least-significant word).
     """
@@ -168,36 +219,64 @@ def bench_kernels(rng: np.random.Generator, max_rows: int) -> list[dict]:
     for rows in KERNEL_ROWS:
         if rows > max_rows:
             continue
-        distinct = rng.integers(
-            0, 256, (KERNEL_DISTINCT, KERNEL_KEY_BYTES), dtype=np.uint8
-        )
-        matrices = {
-            "uniform": rng.integers(
-                0, 256, (rows, KERNEL_KEY_BYTES), dtype=np.uint8
-            ),
-            f"{KERNEL_DISTINCT}_distinct": distinct[
-                rng.integers(0, KERNEL_DISTINCT, rows)
-            ],
-        }
-        for distribution, matrix in matrices.items():
-            radix_s, radix_order = _best_of(lambda: radix_argsort_rows(matrix))
-            lexsort_s, lexsort_order = _best_of(lambda: argsort_rows(matrix))
-            assert (radix_order == lexsort_order).all(), (
-                "radix and lexsort kernels disagree on the permutation"
-            )
-            cells.append(
-                {
-                    "rows": rows,
-                    "key_bytes": KERNEL_KEY_BYTES,
-                    "distribution": distribution,
-                    "radix_s": radix_s,
-                    "radix_rows_per_s": rows / radix_s,
-                    "lexsort_s": lexsort_s,
-                    "lexsort_rows_per_s": rows / lexsort_s,
-                    "radix_speedup_vs_lexsort": lexsort_s / radix_s,
-                }
-            )
-    return cells
+        # A 1,024-row cell takes 0.03-0.3 ms: a best of 3, or of 100,
+        # records warm-up and scheduler noise, not the sort.
+        rounds = max(ROUNDS, 1_000_000 // rows)
+        for key_bytes in KERNEL_KEY_BYTES:
+            matrices = kernel_matrices(rng, rows, key_bytes)
+            for distribution, matrix in matrices.items():
+                stats = SortStats()
+                kernel_s, kernel_order = _best_of(
+                    lambda: argsort_rows(matrix, stats), rounds
+                )
+                lexsort_s, lexsort_order = _best_of(
+                    lambda: lexsort_rows(matrix), rounds
+                )
+                assert (kernel_order == lexsort_order).all(), (
+                    f"kernel and lexsort disagree on the permutation "
+                    f"({rows} x {key_bytes} B {distribution})"
+                )
+                cells.append(
+                    {
+                        "rows": rows,
+                        "key_bytes": key_bytes,
+                        "distribution": distribution,
+                        "kernel_s": kernel_s,
+                        "lexsort_s": lexsort_s,
+                        "kernel_speedup_vs_lexsort": lexsort_s / kernel_s,
+                        "sort_passes": stats.sort_passes // rounds,
+                        "tied_share": stats.sort_tied_rows / rounds / rows,
+                    }
+                )
+    return {
+        "numpy_version": np.__version__,
+        "numpy_simd": _numpy_simd_features(),
+        "cpu_count": os.cpu_count(),
+        "commit": _commit_id(),
+        "cells": cells,
+    }
+
+
+def _numpy_simd_features():
+    """SIMD extensions numpy detected on this CPU (``np.sort`` dispatches
+    on them), or None where the installed numpy cannot say (< 1.25)."""
+    try:
+        return np.show_config(mode="dicts").get("SIMD Extensions")
+    except TypeError:
+        return None
+
+
+def _commit_id() -> str:
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(_SRC),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
 
 
 def bench_bytes_per_key(rng: np.random.Generator, rows: int) -> dict:
@@ -248,7 +327,7 @@ def main(rows: int = DEFAULT_ROWS) -> dict:
     results = {
         "cpu_count": os.cpu_count(),
         "external_narrow_int64": bench_external(table, spec, rows),
-        "kernel_radix_vs_lexsort": bench_kernels(rng, rows),
+        "kernel_sweep": bench_kernel_sweep(rng, rows),
         "bytes_per_key": bench_bytes_per_key(rng, min(rows, 100_000)),
     }
     with open(OUTPUT, "w") as fh:
@@ -263,13 +342,14 @@ def main(rows: int = DEFAULT_ROWS) -> dict:
         f"({ext['speedup']:.2f}x faster, "
         f"{ext['spill_reduction']:.2f}x fewer spill bytes)"
     )
-    for kern in results["kernel_radix_vs_lexsort"]:
+    for kern in results["kernel_sweep"]["cells"]:
         print(
-            f"kernel_radix_vs_lexsort[{kern['rows']:,} x "
-            f"{kern['distribution']}]: radix "
-            f"{kern['radix_rows_per_s']:,.0f} rows/s, lexsort "
-            f"{kern['lexsort_rows_per_s']:,.0f} rows/s "
-            f"({kern['radix_speedup_vs_lexsort']:.2f}x)"
+            f"kernel_sweep[{kern['rows']:,} x {kern['key_bytes']} B x "
+            f"{kern['distribution']}]: kernel {kern['kernel_s'] * 1e3:.2f} ms, "
+            f"lexsort {kern['lexsort_s'] * 1e3:.2f} ms "
+            f"({kern['kernel_speedup_vs_lexsort']:.2f}x, "
+            f"{kern['sort_passes']} passes, "
+            f"tied {kern['tied_share']:.3f})"
         )
     for name, stats in results["bytes_per_key"].items():
         print(
@@ -288,16 +368,35 @@ def test_compression_bench_smoke(capsys):
     # Output equality and the spill-byte floor are asserted inside main();
     # here only completeness of the recorded sections.
     assert results["external_narrow_int64"]["spill_reduction"] >= 2.0
-    kernel_cells = results["kernel_radix_vs_lexsort"]
-    assert kernel_cells and all(
-        cell["radix_rows_per_s"] > 0 for cell in kernel_cells
-    )
+    kernel_cells = results["kernel_sweep"]["cells"]
+    assert kernel_cells and all(cell["kernel_s"] > 0 for cell in kernel_cells)
     assert set(results["bytes_per_key"]) == {
         "int64_narrow",
         "int64_float64",
         "string_int64",
     }
     assert os.path.exists(OUTPUT)
+
+
+@pytest.mark.slow
+def test_kernel_beats_lexsort_where_it_should():
+    """Same-process relations at one production run of 16-byte keys: the
+    value sort is at least 2x a lexsort when the first pass decides
+    every row, and no worse than 0.8x when every row stays tied."""
+    matrices = kernel_matrices(np.random.default_rng(29), 131_072, 16)
+    floors = {
+        "uniform": 2.0,
+        f"{KERNEL_DISTINCT}_distinct": 0.8,
+        "shared_12B_prefix": 0.8,
+    }
+    for distribution, floor in floors.items():
+        matrix = matrices[distribution]
+        kernel_s, _ = _best_of(lambda: argsort_rows(matrix))
+        lexsort_s, _ = _best_of(lambda: lexsort_rows(matrix))
+        assert lexsort_s / kernel_s >= floor, (
+            f"{distribution}: kernel {kernel_s * 1e3:.2f} ms vs lexsort "
+            f"{lexsort_s * 1e3:.2f} ms, below the {floor}x floor"
+        )
 
 
 if __name__ == "__main__":

@@ -8,11 +8,11 @@ incremental (maintained-view) sorter -- and records one cell per
 
 * wall-clock seconds and rows/s (best of ``REPS`` measured runs, so a
   single scheduler hiccup does not poison the recorded artifact);
-* the heuristic dispatch decisions that run actually made
-  (``vector_sort_paths`` / ``vector_sort_reasons`` per generated run,
-  the external ``rungen_path`` + presortedness probe) -- these are
-  **deterministic** for a given (rows, seed),
-  which is what lets ``benchmarks/regress.py`` gate on them;
+* what the run sort did and which run generator ran (``sort_passes`` /
+  ``sort_tied_rows`` summed over the generated runs, the external
+  ``rungen_path`` + presortedness probe) -- these are **deterministic**
+  for a given (rows, seed), which is what lets
+  ``benchmarks/regress.py`` gate on them;
 * the run-length histogram summary, merge passes, k-way rounds, and the
   degradation/spill counters.
 
@@ -25,7 +25,7 @@ with the scenario name, path, rows, and seed in the message.
 The recorded ``BENCH_matrix.json`` at the repository root is the
 committed trajectory baseline: CI re-runs this script at the same
 (rows, seed) and ``regress.py`` fails the build on a >15% normalized
-hot-path slowdown or a dispatch-path flip that arrives without an
+hot-path slowdown or a drift in those counts that arrives without an
 accompanying baseline update (see ``docs/sort-pipeline.md``).
 
 Runs standalone (``python benchmarks/bench_matrix.py [--rows N]
@@ -61,9 +61,9 @@ from repro.workloads.scenarios import SCENARIOS  # noqa: E402
 OUTPUT = os.path.join(os.path.dirname(_SRC), "BENCH_matrix.json")
 
 # The committed baseline and the CI gate run at exactly this scale and
-# seed: dispatch decisions (radix vs lexsort, replacement selection vs
-# argsort) depend on row count, so regress.py refuses to compare runs
-# recorded at different scales.
+# seed: the recorded counts (run-sort passes and tied rows, replacement
+# selection vs argsort) depend on row count, so regress.py refuses to
+# compare runs recorded at different scales.
 DEFAULT_ROWS = 24_000
 SEED = 17
 REPS = 2
@@ -112,8 +112,8 @@ def _run_lengths_summary(lengths) -> dict:
 def _dispatch_summary(stats) -> dict:
     """The gate-visible slice of a ``SortStats``: dispatch + run shape."""
     return {
-        "vector_sort_paths": dict(stats.vector_sort_paths),
-        "vector_sort_reasons": dict(stats.vector_sort_reasons),
+        "sort_passes": stats.sort_passes,
+        "sort_tied_rows": stats.sort_tied_rows,
         "rungen_path": stats.rungen_path,
         "rungen_probe": stats.rungen_probe,
         "runs_generated": stats.runs_generated,
@@ -320,15 +320,14 @@ def test_matrix_smoke(tmp_path, capsys):
         for cell in numbers["paths"].values():
             assert cell["identical"] is True
             assert cell["seconds"] > 0
-    # The dispatch counters the regression gate keys on must be present
-    # on every path (Top-N generates no runs, but its compactions
-    # dispatch through the same vector-sort chooser).
+    # The counters the regression gate keys on must be present on every
+    # path (Top-N generates no runs, but its compactions go through the
+    # same run sort).
     for numbers in results["scenarios"].values():
         for path, cell in numbers["paths"].items():
             assert cell["dispatch"] is not None
-            if path == "topn":
-                assert cell["dispatch"]["vector_sort_paths"]
-            else:
+            assert cell["dispatch"]["sort_passes"] > 0
+            if path != "topn":
                 assert cell["dispatch"]["runs_generated"] > 0
 
 

@@ -11,14 +11,15 @@ pipeline regressed:
   speed: a uniformly slower machine scales every cell including the
   reference and the ratios cancel.  Cells faster than ``--min-seconds``
   in both runs are skipped as timer noise (they are still checked for
-  identity and dispatch).
-* **Dispatch-path flip** -- a cell whose dominant vectorized sort
-  kernel (argmax of ``vector_sort_paths``) or external run-generation
-  path (``rungen_path``) differs from the baseline.  Dispatch is
-  deterministic for a given (rows, seed), so a flip means the
-  heuristics changed; an *intended* change must ship with a regenerated
-  baseline in the same commit (the "artifact update" that makes the
-  gate pass).
+  identity and counts).
+* **Count drift** -- a cell whose run-sort counts (``sort_passes``,
+  ``sort_tied_rows``: what the one sort kernel did on that scenario's
+  keys), external run-generation path (``rungen_path``) or elided-sort
+  count differs from the baseline.  All are exact and deterministic for
+  a given (rows, seed), so a drift means key encoding, compression, the
+  kernel's pass structure or a heuristic changed; an *intended* change
+  must ship with a regenerated baseline in the same commit (the
+  "artifact update" that makes the gate pass).
 * **Top-N slower than the sort it avoids** -- a candidate scenario whose
   ``topn`` cell records fewer rows/s than its own ``in_memory`` cell.
   Both cells time the same table in the same run, so no baseline or
@@ -36,8 +37,8 @@ pipeline regressed:
 * **Shape loss** -- a scenario, path, or byte-identity flag present in
   the baseline but missing (or false) in the candidate.
 * **Scale mismatch** -- candidate recorded at different (rows, seed):
-  dispatch choices are row-count dependent, so cross-scale comparison
-  is refused rather than fudged.
+  the counts are row-count dependent, so cross-scale comparison is
+  refused rather than fudged.
 
 The gate also covers the planner order-propagation cells
 (``BENCH_planner.json`` from ``bench_order_propagation.py``) when a
@@ -92,15 +93,10 @@ SAME_RUN_ORDER = (
 )
 
 
-def dominant_vector_path(dispatch: dict | None) -> str | None:
-    """The most-used vectorized sort kernel of a cell, or None."""
-    if not dispatch:
-        return None
-    paths = dispatch.get("vector_sort_paths") or {}
-    if not paths:
-        return None
-    # Deterministic argmax: highest count, ties broken by name.
-    return max(sorted(paths), key=lambda name: paths[name])
+EXACT_COUNTS = ("sort_passes", "sort_tied_rows", "rungen_path", "sorts_elided")
+"""``dispatch`` entries that repeat exactly per (rows, seed): what the run
+sort did, which run generator ran, and how many sorts the planner
+elided (a drop means it stopped eliding a sort it used to)."""
 
 
 def _reference_seconds(matrix: dict) -> float:
@@ -125,7 +121,7 @@ def compare(
         if baseline.get(field) != candidate.get(field):
             violations.append(
                 f"scale mismatch: baseline {field}={baseline.get(field)} "
-                f"vs candidate {field}={candidate.get(field)}; dispatch is "
+                f"vs candidate {field}={candidate.get(field)}; the counts are "
                 f"scale-dependent, re-run the candidate at the baseline scale"
             )
     if violations:
@@ -162,32 +158,18 @@ def compare(
                     f"{cell}: candidate output not byte-identical to the "
                     f"scalar oracle"
                 )
-            base_primary = dominant_vector_path(base_cell.get("dispatch"))
-            cand_primary = dominant_vector_path(cand_cell.get("dispatch"))
-            if base_primary != cand_primary:
-                violations.append(
-                    f"{cell}: dominant vector sort path flipped "
-                    f"{base_primary!r} -> {cand_primary!r} without a "
-                    f"baseline update"
-                )
-            base_rungen = (base_cell.get("dispatch") or {}).get("rungen_path")
-            cand_rungen = (cand_cell.get("dispatch") or {}).get("rungen_path")
-            if base_rungen != cand_rungen:
-                violations.append(
-                    f"{cell}: run-generation path flipped "
-                    f"{base_rungen!r} -> {cand_rungen!r} without a "
-                    f"baseline update"
-                )
-            # Order-propagation savings are deterministic per cell; a
-            # drop means the planner stopped eliding a sort it used to.
-            base_elided = (base_cell.get("dispatch") or {}).get("sorts_elided")
-            cand_elided = (cand_cell.get("dispatch") or {}).get("sorts_elided")
-            if base_elided is not None and cand_elided != base_elided:
-                violations.append(
-                    f"{cell}: sorts_elided changed "
-                    f"{base_elided!r} -> {cand_elided!r} without a "
-                    f"baseline update"
-                )
+            base_dispatch = base_cell.get("dispatch") or {}
+            cand_dispatch = cand_cell.get("dispatch") or {}
+            for count in EXACT_COUNTS:
+                if count not in base_dispatch:
+                    continue
+                if cand_dispatch.get(count) != base_dispatch[count]:
+                    violations.append(
+                        f"{cell}: {count} changed "
+                        f"{base_dispatch[count]!r} -> "
+                        f"{cand_dispatch.get(count)!r} without a "
+                        f"baseline update"
+                    )
             base_s = base_cell["seconds"]
             cand_s = cand_cell["seconds"]
             if (scenario, path) == tuple(
@@ -195,7 +177,7 @@ def compare(
             ):
                 continue  # the reference normalizes itself to 1.0
             if base_s < min_seconds and cand_s < min_seconds:
-                continue  # timer noise; identity+dispatch already checked
+                continue  # timer noise; identity and counts already checked
             base_norm = base_s / base_ref
             cand_norm = cand_s / cand_ref
             if cand_norm > base_norm * (1.0 + threshold):
@@ -307,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         for line in violations:
             print(f"  - {line}")
         print(
-            "If the dispatch or performance change is intended, regenerate "
+            "If the count or performance change is intended, regenerate "
             "the baseline (python benchmarks/bench_matrix.py and/or "
             "python benchmarks/bench_order_propagation.py) and commit the "
             "updated BENCH_*.json with this change."
@@ -315,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         f"regression gate passed: {cells} cells, no slowdown beyond "
-        f"{100 * arguments.threshold:.0f}% and no dispatch flips"
+        f"{100 * arguments.threshold:.0f}% and no count drift"
     )
     return 0
 

@@ -55,7 +55,7 @@ def main() -> None:
     print("\nWhat the pipeline did (paper, Figure 11):")
     print(f"  rows sorted:        {stats.rows_sorted}")
     print(f"  sorted runs:        {stats.runs_generated}")
-    print(f"  run-sort kernels:   {stats.vector_sort_paths}")
+    print(f"  run-sort passes:    {stats.sort_passes}")
     print(f"  k-way merge passes: {stats.merge_passes}")
     print(f"  string prefixes exact: {stats.prefix_exact}")
 

@@ -379,6 +379,8 @@ def _print_sort_stats(stats) -> None:
     err = sys.stderr
     print(f"rows_sorted: {stats.rows_sorted}", file=err)
     print(f"runs_generated: {stats.runs_generated}", file=err)
+    run_sort = f"passes={stats.sort_passes} tied_rows={stats.sort_tied_rows}"
+    print(f"run_sort: {run_sort}", file=err)
     if stats.rungen_path:
         probe = (
             f" probe={stats.rungen_probe:.3f}"

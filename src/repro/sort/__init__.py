@@ -25,23 +25,18 @@ from repro.sort.incremental import (
     IncrementalStats,
 )
 from repro.sort.heuristic import (
-    RADIX_MIN_ROWS,
-    RADIX_SKEW_LIMIT,
     KeyStatistics,
     choose_algorithm,
-    choose_vector_path,
     estimate_costs,
     vector_sort_rows,
 )
 from repro.sort.introsort import IntroStats, intro_argsort, introsort
 from repro.sort.kernels import (
-    RADIX_FINISH_ROWS,
     KWayBlockStats,
     argsort_rows,
     cutoff_mask,
     kway_merge_blocks,
     merge_indices,
-    radix_argsort_rows,
     void_view,
 )
 from repro.sort.kway import kway_merge_stream
@@ -92,11 +87,8 @@ __all__ = [
     "read_header",
     "KeyStatistics",
     "choose_algorithm",
-    "choose_vector_path",
     "estimate_costs",
     "vector_sort_rows",
-    "RADIX_MIN_ROWS",
-    "RADIX_SKEW_LIMIT",
     "IncrementalSorter",
     "IncrementalStats",
     "IntroStats",
@@ -107,8 +99,6 @@ __all__ = [
     "cutoff_mask",
     "kway_merge_blocks",
     "merge_indices",
-    "radix_argsort_rows",
-    "RADIX_FINISH_ROWS",
     "void_view",
     "kway_merge_stream",
     "merge_partitioned",

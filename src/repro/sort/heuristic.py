@@ -38,22 +38,11 @@ __all__ = [
     "KeyStatistics",
     "CostEstimate",
     "choose_algorithm",
-    "choose_vector_path",
     "vector_sort_rows",
-    "RADIX_MIN_ROWS",
-    "RADIX_SKEW_LIMIT",
 ]
 
 SAMPLE_LIMIT = 1 << 14
 """Statistics are measured on at most this many evenly spaced rows."""
-
-RADIX_MIN_ROWS = 1 << 12
-"""Below this row count the MSD bookkeeping cannot beat one lexsort."""
-
-RADIX_SKEW_LIMIT = 0.95
-"""If one leading-byte bucket holds at least this fraction of sampled rows,
-the first radix pass moves nearly everything for nearly no partitioning --
-prefer the comparison sort."""
 
 
 @dataclass(frozen=True)
@@ -168,63 +157,15 @@ def choose_algorithm(
     return estimate_costs(stats).choice
 
 
-# ---------------------------------------------------------------------- #
-# Vectorized in-kernel dispatch: MSD radix vs. argsort/lexsort
-# ---------------------------------------------------------------------- #
-
-
-def choose_vector_path(matrix: np.ndarray, key_bytes: int) -> tuple[str, str]:
-    """Pick the vectorized whole-row sort kernel for a key matrix.
-
-    Returns ``(path, reason)`` with ``path`` one of ``"argsort-1word"``,
-    ``"lexsort"`` or ``"radix"``.  The decision table (kept in sync with
-    ``docs/sort-pipeline.md``):
-
-    * key prefix fits one 8-byte word -> a single stable ``np.argsort``
-      beats everything (``"single-word"``) -- this is what key compression
-      usually buys;
-    * fewer than :data:`RADIX_MIN_ROWS` rows -> MSD bookkeeping cannot
-      amortize, use lexsort (``"few-rows"``);
-    * the sampled leading-byte histogram puts >= :data:`RADIX_SKEW_LIMIT`
-      of rows in one bucket -> the first radix pass degenerates, use
-      lexsort (``"skewed-leading-byte"``);
-    * otherwise MSD radix over the key bytes (``"wide-keys"``).
-
-    ``matrix`` may include a row-id suffix; only ``key_bytes`` leading
-    bytes (plus the suffix, sorted identically by every path since all are
-    stable over whole rows) drive the decision.
-    """
-    n = len(matrix)
-    if key_bytes <= 8:
-        return "argsort-1word", "single-word"
-    if n < RADIX_MIN_ROWS:
-        return "lexsort", "few-rows"
-    sample = matrix[:: max(1, n // SAMPLE_LIMIT), 0][:SAMPLE_LIMIT]
-    histogram = np.bincount(sample, minlength=256)
-    if int(histogram.max()) >= RADIX_SKEW_LIMIT * len(sample):
-        return "lexsort", "skewed-leading-byte"
-    return "radix", "wide-keys"
-
-
 def vector_sort_rows(
-    matrix: np.ndarray,
-    key_bytes: int,
-    sort_stats=None,
-    radix_stats=None,
+    matrix: np.ndarray, key_bytes: int, sort_stats=None
 ) -> np.ndarray:
-    """Stable argsort of whole key rows via the cheapest vector kernel.
+    """The run sort: stable argsort of key rows by their leading
+    ``key_bytes`` (:func:`repro.sort.kernels.argsort_rows`).
 
-    Dispatches per :func:`choose_vector_path`; every path is a stable sort
-    over the full rows (key prefix + any row-id suffix), so the returned
-    permutation is byte-identical regardless of which kernel ran.
-    ``sort_stats``, if given, must expose
-    ``record_vector_sort(path, reason)``
-    (:class:`repro.sort.operator.SortStats` does); ``radix_stats`` feeds
-    the MSD kernel's counters.
+    A row-id suffix past ``key_bytes`` ascends with the row index, so the
+    stable sort of the key bytes alone is the memcmp order of the whole
+    rows.  ``sort_stats``, if given, receives ``sort_passes`` /
+    ``sort_tied_rows`` (:class:`repro.sort.operator.SortStats`).
     """
-    path, reason = choose_vector_path(matrix, key_bytes)
-    if sort_stats is not None:
-        sort_stats.record_vector_sort(path, reason)
-    if path == "radix":
-        return kernels.radix_argsort_rows(matrix, radix_stats)
-    return kernels.argsort_rows(matrix)
+    return kernels.argsort_rows(matrix[:, :key_bytes], sort_stats)

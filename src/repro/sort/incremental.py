@@ -70,7 +70,7 @@ class IncrementalStats:
     amplification of the maintenance policy); ``peak_runs`` is the most
     sorted runs buffered at once.  ``sort`` holds what the shared stages
     recorded across every delta, compaction and view
-    (``vector_sort_paths``, ``key_width_used``, ``key_layout_rebases``,
+    (``sort_passes``, ``key_width_used``, ``key_layout_rebases``,
     ``kway_rounds``, ``full_key_compares``, ...).
     """
 

@@ -11,12 +11,15 @@ structured (void) scalar whose fields are big-endian unsigned integers
 covering the row -- field-by-field comparison of big-endian words is
 exactly byte-wise memcmp.  On top of it:
 
-* :func:`argsort_rows` -- stable whole-matrix argsort (one ``np.argsort``),
+* :func:`argsort_rows` / :func:`argsort_words` -- the one stable whole-row
+  sort: key bits and row position packed into one uint64 and sorted *by
+  value*, ties refined bit chunk by bit chunk (run generation, Top-N,
+  refinement and every k-way merge round go through it),
 * :func:`cutoff_mask` / :func:`smallest_mask` -- which rows sort before
   one cutoff key, or may be among the ``count`` smallest (Top-N's filters),
-* :func:`merge_indices` -- merge two sorted matrices via two
-  ``np.searchsorted`` calls (O(n log m) comparisons, all in C), returning
-  the gather permutation over the concatenated inputs.
+* :func:`kway_merge_blocks` -- the production merge: block-streaming, one
+  stable sort of the emittable frontier rows per round (the two-run
+  :func:`merge_indices` stays only because ``benchmarks/e2e`` binds it).
 
 Correctness requires that memcmp order over the key bytes is the intended
 order, i.e. the keys' ``prefix_exact`` flag holds; callers with truncated
@@ -45,10 +48,9 @@ from repro.errors import SortError
 __all__ = [
     "void_view",
     "argsort_rows",
+    "argsort_words",
     "cutoff_mask",
     "smallest_mask",
-    "radix_argsort_rows",
-    "RADIX_FINISH_ROWS",
     "merge_indices",
     "ovc_codes",
     "KWayBlockStats",
@@ -134,19 +136,198 @@ def _chunk_columns(matrix: np.ndarray) -> list[np.ndarray]:
     return [stacked[word] for word in range(words)]
 
 
-def argsort_rows(matrix: np.ndarray) -> np.ndarray:
-    """Stable argsort of whole key rows (memcmp order), fully vectorized.
+LEXSORT_FINISH_ROWS = 1 << 10
+"""Inputs and tie sets of at most this many rows finish with one
+``np.lexsort`` call instead of further packed passes (the paper's MSD
+radix finishes small buckets with insertion sort): a packed pass costs
+~20 us before it touches a row and 60-90 us once it has ties to book,
+a lexsort of a few hundred rows 10-30 us in all (Top-N compacts 100-800
+survivors at a time).  Measured crossover, 5- to 40-byte keys: 128-1,536
+rows when the pass leaves no ties, 1,024-4,096 when every row ties."""
 
-    One ``np.argsort`` for keys of at most 8 bytes, ``np.lexsort`` over
-    the uint64 word columns otherwise -- both stable, both running
-    type-specialized native sorts.
+_PACK_BITS = 64
+"""Bits of one packed sort word, ``[tie group | key bits | position]``."""
+
+
+class _MatrixWords:
+    """A key matrix's word columns (:func:`_chunk_columns`), each converted
+    on first use: a sort whose first pass leaves no ties reads word 0 only."""
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        _check_matrix(matrix)
+        self._matrix = matrix
+        self._columns: list = [None] * ((matrix.shape[1] + 7) // 8)
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+    def __getitem__(self, word: int) -> np.ndarray:
+        column = self._columns[word]
+        if column is None:
+            matrix = self._matrix
+            # The last word of a width that is no multiple of 8 is read
+            # as the row's final 8 bytes, shifted to drop the overlap.
+            offset = min(8 * word, matrix.shape[1] - 8)
+            if offset < 0 or matrix.strides[1] != 1:
+                offset = 8 * word
+                piece = matrix[:, offset : offset + 8]
+                chunk = np.zeros((len(matrix), 8), dtype=np.uint8)
+                chunk[:, : piece.shape[1]] = piece
+            else:
+                chunk = matrix[:, offset : offset + 8]
+            # A strided (n, 8) byte window views as (n, 1) big-endian words
+            # without a copy; the cast swaps and compacts in one go.
+            column = chunk.view(">u8")[:, 0].astype(np.uint64)
+            if offset < 8 * word:
+                column <<= np.uint64(8 * (8 * word - offset))
+            self._columns[word] = column
+        return column
+
+
+def _packed_pass(
+    packed: np.ndarray, take: int, index_bits: int, groups: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort positions by the top ``take`` bits of ``packed`` (overwritten).
+
+    Key bits and position (and the tie-group id above them, when given)
+    share one uint64, so ``np.sort`` *by value* is the argsort: it moves
+    what it compares, and packed words are unique, so it is stable.
+    Returns the sorted positions and, per adjacent pair, whether they tie.
     """
-    columns = _chunk_columns(matrix)
-    if len(columns) == 1:
-        order = np.argsort(columns[0], kind="stable")
-    else:
-        order = np.lexsort(tuple(reversed(columns)))
-    return order.astype(np.int64, copy=False)
+    packed >>= np.uint64(64 - take)
+    packed <<= np.uint64(index_bits)
+    if groups is not None:
+        packed |= groups << np.uint64(index_bits + take)
+    packed |= np.arange(len(packed), dtype=np.uint64)
+    packed.sort()
+    order = (packed & np.uint64((1 << index_bits) - 1)).view(np.int64)
+    packed >>= np.uint64(index_bits)
+    return order, packed[1:] == packed[:-1]
+
+
+def _split_groups(
+    columns: Sequence[np.ndarray],
+    first_word: int,
+    rows: np.ndarray,
+    heads: np.ndarray,
+) -> np.ndarray | None:
+    """Mask of tied ``rows`` whose tie group differs on a word from
+    ``first_word`` on; ``None`` when every group does.
+
+    One adjacent compare per word: a group equal on every remaining word
+    is already in its final (input) order, and without this check
+    full-duplicate keys wider than one pass ride through every later pass.
+    """
+    starts = np.flatnonzero(heads)
+    split = np.zeros(len(starts), dtype=bool)
+    differs = np.zeros(len(rows), dtype=bool)
+    for word in range(first_word, len(columns)):
+        values = columns[word][rows]
+        np.not_equal(values[1:], values[:-1], out=differs[1:])
+        differs[starts] = False  # a group's first row differs from no one
+        split |= np.logical_or.reduceat(differs, starts)
+        if split.all():
+            return None
+    return split[np.cumsum(heads) - 1]
+
+
+def argsort_words(columns: Sequence[np.ndarray], stats=None) -> np.ndarray:
+    """Stable argsort of rows given as uint64 word columns, most
+    significant first (memcmp order of the rows they decompose).
+
+    Each pass packs the next chunk of key bits above the row's position
+    into one uint64 and sorts by value (:func:`_packed_pass`); rows whose
+    chunks tie are refined on the next chunk inside their tie group only,
+    the group id packed above the key bits.  A pass starts at the first
+    bit that varies over the rows it sorts (min XOR max of the word), so
+    constant leading bytes and whole constant words cost nothing, and runs
+    on into the next word when this one has fewer bits left than fit.
+
+    Three exits: no ties left; the tie groups that remain are full
+    duplicates (:func:`_split_groups`, checked once, after the first
+    pass); a tie set of at most :data:`LEXSORT_FINISH_ROWS` rows -- or one
+    with no room for a key bit beside its group and position bits --
+    finishes with one ``np.lexsort``.
+
+    ``stats``, if given, must expose ``sort_passes`` (sort calls made)
+    and ``sort_tied_rows`` (rows the first pass left tied).
+    """
+    words, count = len(columns), len(columns[0])
+    order = None
+    # The rows still tied, in current order, the slots of ``order`` they
+    # fill and their tie-group ids; None at first: every row, one group.
+    rows = slots = groups = None
+    group_count, bit, passes, first_tied = 1, 0, 0, 0
+    while count > 1 and bit < 64 * words:
+        word, used = divmod(bit, 64)
+        index_bits = (count - 1).bit_length()
+        key_bits = _PACK_BITS - (group_count - 1).bit_length() - index_bits
+        if count <= LEXSORT_FINISH_ROWS or key_bits < 1:
+            keys = [
+                columns[w] if rows is None else columns[w][rows]
+                for w in range(words - 1, word - 1, -1)
+            ]
+            if groups is not None:
+                keys.append(groups)
+            perm = np.lexsort(keys).astype(np.int64, copy=False)
+            same, bit = None, 64 * words
+        else:
+            values = columns[word] if rows is None else columns[word][rows]
+            if used:  # drop the bits earlier passes sorted (a fresh gather)
+                values <<= np.uint64(used)
+            span = int(values.min()) ^ int(values.max())
+            if not span:
+                bit = 64 * (word + 1)
+                continue
+            skip = 64 - span.bit_length()
+            window = values << np.uint64(skip)
+            take = 64 - used - skip
+            if take < key_bits and word + 1 < words:
+                # Fill the bits the two shifts vacated from the next word.
+                following = columns[word + 1]
+                if rows is not None:
+                    following = following[rows]
+                window |= following >> np.uint64(take)
+                take = 64
+            take = min(take, key_bits)
+            perm, same = _packed_pass(
+                window, take, index_bits, groups if group_count > 1 else None
+            )
+            bit += skip + take
+        passes += 1
+        rows = perm if rows is None else rows[perm]
+        if slots is None:
+            order = rows
+        else:
+            order[slots] = rows
+        if bit == 64 * words or not same.any():
+            break
+        heads = np.concatenate(([True], ~same))  # first row of its group
+        tied = ~heads
+        tied[:-1] |= same
+        at = np.flatnonzero(tied)
+        rows, heads = rows[at], heads[at]
+        slots = at if slots is None else slots[at]
+        if passes == 1:
+            first_tied = len(at)
+            split = _split_groups(columns, bit // 64, rows, heads)
+            if split is not None:
+                rows, slots, heads = rows[split], slots[split], heads[split]
+        count = len(rows)
+        groups = (np.cumsum(heads) - 1).astype(np.uint64)
+        group_count = int(groups[-1]) + 1 if count else 1
+    if stats is not None:
+        stats.sort_passes += passes
+        stats.sort_tied_rows += first_tied
+    if order is None:  # at most one row, or every word constant
+        order = np.arange(len(columns[0]), dtype=np.int64)
+    return order
+
+
+def argsort_rows(matrix: np.ndarray, stats=None) -> np.ndarray:
+    """Stable argsort of whole key rows (memcmp order), fully vectorized:
+    :func:`argsort_words` over the matrix's lazily converted words."""
+    return argsort_words(_MatrixWords(matrix), stats)
 
 
 def cutoff_mask(
@@ -159,23 +340,22 @@ def cutoff_mask(
     filter: the lexicographic ``<`` is evaluated word column by word
     column (``below |= tied & (word < bound)``), stopping at the first
     word that leaves no row tied with the cutoff -- on high-entropy keys
-    that is the first one.
+    that is the first one, and the only one converted.
     """
-    _check_matrix(matrix)
+    columns = _MatrixWords(matrix)
     if cutoff.shape != (matrix.shape[1],):
         raise SortError(
             f"cutoff key of shape {cutoff.shape} does not match key "
             f"width {matrix.shape[1]}"
         )
     bounds = _chunk_columns(cutoff[None, :])
-    columns = _chunk_columns(matrix)
     below = columns[0] < bounds[0]
     tied = columns[0] == bounds[0]
-    for column, bound in zip(columns[1:], bounds[1:]):
+    for word in range(1, len(bounds)):
         if not tied.any():
             break
-        below |= tied & (column < bound)
-        tied &= column == bound
+        below |= tied & (columns[word] < bounds[word])
+        tied &= columns[word] == bounds[word]
     return below | tied if inclusive else below
 
 
@@ -183,99 +363,8 @@ def smallest_mask(matrix: np.ndarray, count: int) -> np.ndarray:
     """Mask keeping a superset of the ``count`` smallest key rows: a row
     whose leading uint64 word exceeds the ``count``-th smallest word has
     ``count`` rows strictly before it (Top-N selects before it sorts)."""
-    _check_matrix(matrix)
-    words = _chunk_columns(matrix[:, :8])[0]
+    words = _MatrixWords(matrix)[0]
     return words <= np.partition(words, count - 1)[count - 1]
-
-
-RADIX_FINISH_ROWS = 1 << 10
-"""Spans at or below this row count are finished with :func:`argsort_rows`
-over the remaining key bytes instead of further MSD partitioning."""
-
-
-def radix_argsort_rows(matrix: np.ndarray, stats=None) -> np.ndarray:
-    """Stable MSD radix argsort of whole key rows, fully vectorized.
-
-    The paper's Section VI-B radix sort, with every per-row step a numpy
-    primitive: the histogram of the active byte is one ``np.bincount``, and
-    the stable counting-sort scatter is numpy's stable ``np.argsort`` of
-    the uint8 column (which *is* a counting sort internally).  Recursion is
-    an explicit stack of ``(start, stop, byte)`` spans; per span:
-
-    * single occupied bucket -> skip-copy (no data movement), descend to
-      the next byte;
-    * otherwise scatter once, then split into bucket spans from the
-      histogram's cumulative sum.  Adjacent small buckets are coalesced
-      into one span so the finisher below amortizes across them.
-
-    Spans of at most :data:`RADIX_FINISH_ROWS` rows (and spans at the last
-    byte) are finished with :func:`argsort_rows` over the *remaining* bytes
-    -- starting at the span's current byte, because a coalesced span still
-    mixes leading-byte values.
-
-    ``stats``, if given, must expose the
-    :class:`repro.sort.radix.RadixStats` interface (duck-typed; this module
-    cannot import :mod:`repro.sort.radix`, which imports it).  The result
-    is byte-for-byte the permutation :func:`argsort_rows` returns -- both
-    are stable sorts of the same rows.
-    """
-    _check_matrix(matrix)
-    n, width = matrix.shape
-    order = np.arange(n, dtype=np.int64)
-    if n <= 1:
-        return order
-    contiguous = np.ascontiguousarray(matrix)
-    stack: list[tuple[int, int, int]] = [(0, n, 0)]
-    while stack:
-        start, stop, byte = stack.pop()
-        count = stop - start
-        if count <= 1:
-            continue
-        if count <= RADIX_FINISH_ROWS or byte >= width - 1:
-            span = order[start:stop]
-            suffix = contiguous[span, byte:]
-            order[start:stop] = span[argsort_rows(suffix)]
-            if stats is not None:
-                stats.vector_finished_buckets += 1
-                stats.rows_moved += count
-            continue
-        column = contiguous[order[start:stop], byte]
-        histogram = np.bincount(column, minlength=256)
-        occupied = np.flatnonzero(histogram)
-        if len(occupied) == 1:
-            # Skip-copy: one bucket holds every row, no movement needed.
-            if stats is not None:
-                stats.record_pass(0, skipped=True)
-            stack.append((start, stop, byte + 1))
-            continue
-        scatter = np.argsort(column, kind="stable")
-        order[start:stop] = order[start:stop][scatter]
-        if stats is not None:
-            stats.record_pass(count, skipped=False)
-        # Bucket spans from the histogram prefix sums.  Occupied buckets
-        # are adjacent in the scattered order, so small neighbours can be
-        # coalesced into one span for the argsort finisher.
-        ends = np.cumsum(histogram)
-        acc_start = acc_end = -1
-        for bucket in occupied:
-            bucket_end = start + int(ends[bucket])
-            bucket_start = bucket_end - int(histogram[bucket])
-            size = bucket_end - bucket_start
-            if size > RADIX_FINISH_ROWS:
-                if acc_start >= 0:
-                    stack.append((acc_start, acc_end, byte))
-                    acc_start = -1
-                stack.append((bucket_start, bucket_end, byte + 1))
-            elif acc_start < 0:
-                acc_start, acc_end = bucket_start, bucket_end
-            elif bucket_end - acc_start <= RADIX_FINISH_ROWS:
-                acc_end = bucket_end
-            else:
-                stack.append((acc_start, acc_end, byte))
-                acc_start, acc_end = bucket_start, bucket_end
-        if acc_start >= 0:
-            stack.append((acc_start, acc_end, byte))
-    return order
 
 
 def ovc_codes(matrix: np.ndarray) -> np.ndarray:
@@ -490,7 +579,7 @@ def kway_merge_blocks(
     find cross-run tie groups without re-reading the runs).
 
     With ``use_ovc`` (the default) each round applies the offset-value
-    prefix skip before its lexsort: words constant and equal across every
+    prefix skip before its sort: words constant and equal across every
     emitted prefix (first-vs-last induction, :func:`_common_prefix_words`)
     are dropped from the sort keys, and a round whose keys are all equal
     orders by run id alone -- ``np.arange``, zero comparisons.  Stored
@@ -509,9 +598,8 @@ def kway_merge_blocks(
        unread equal keys, or stability would break);
     3. the counts of emittable rows per frontier are found by binary
        search (:func:`_count_below`) and the selected prefixes of all
-       frontiers are ordered with one stable ``np.lexsort`` over the
-       uint64 word columns (ties resolve to the earlier run, matching the
-       scalar heap).
+       frontiers are ordered with one stable :func:`argsort_words` over
+       the uint64 word columns (ties resolve to the earlier run).
 
     Progress is guaranteed: the run holding the cutoff drains its whole
     frontier each round.  At most one block per run is buffered, so the
@@ -624,15 +712,18 @@ def kway_merge_blocks(
                 if stats is not None:
                     stats.ovc_ties += total
             else:
-                # One stable lexsort over the selected prefixes IS the
+                # One stable sort over the selected prefixes IS the
                 # k-way merge: each prefix is sorted, and concatenation in
                 # run order makes ties resolve to the earlier run.  Words
                 # the OVC skip decided are left out of the sort keys.
-                merged = tuple(
-                    np.concatenate([columns[word] for columns in emit_columns])
-                    for word in reversed(range(skip, words))
+                order = argsort_words(
+                    [
+                        np.concatenate(
+                            [columns[word] for columns in emit_columns]
+                        )
+                        for word in range(skip, words)
+                    ]
                 )
-                order = np.lexsort(merged)
                 if stats is not None:
                     stats.ovc_compares += total
             run_ids = np.concatenate(emit_runs)[order]

@@ -7,7 +7,7 @@ spilled (:class:`~repro.sort.external.SpilledRun`) or a mix -- through
 the block-streaming frontier kernel
 (:func:`repro.sort.kway.kway_merge_stream`): each round refills at most
 one key block per run, finds the global cutoff from the frontier tails
-and emits everything below it with one lexsort, so every row is moved
+and emits everything below it with one stable sort, so every row is moved
 once and the key working set is ``k * block_rows`` rows no matter how
 large the runs are.
 

@@ -38,7 +38,6 @@ from typing import Sequence
 
 from repro.errors import SortCancelledError, SortError
 from repro.sort.merger import RunMerger
-from repro.sort.radix import RadixStats
 from repro.sort.rungen import InMemoryRun, RunGenerator
 from repro.table.chunk import VECTOR_SIZE, DataChunk, chunk_table
 from repro.table.table import Table
@@ -142,11 +141,11 @@ class SortConfig:
             equivalence-test knob; results are identical either way).
         prefetch_blocks: read-ahead depth, in blocks per run per section,
             of the external merge's prefetch layer
-            (:mod:`repro.sort.prefetch`).  A small thread pool fetches and
-            CRC-verifies each run's *next* key block (and the payload rows
-            backing the frontier) while the merge kernel consumes the
-            current one; file reads and ``zlib.crc32`` release the GIL, so
-            the overlap is real in pure Python.  The total buffered
+            (:mod:`repro.sort.prefetch`).  Once reads prove slow, a small
+            thread pool fetches and CRC-verifies each run's *next* key
+            block (and the payload rows backing the frontier) while the
+            merge kernel consumes the current one; file reads release the
+            GIL, so the latency overlaps merge compute.  The total buffered
             read-ahead is additionally capped at ``run_threshold`` rows,
             so prefetch memory is charged against the same budget that
             sizes runs.  ``0`` disables prefetching (every spill read is
@@ -264,9 +263,9 @@ class SortStats:
     keys were re-encoded because later data widened the layout;
     ``key_carried_runs`` counts runs held as keys only (the payload
     reconstructed from the keys at merge time).
-    ``vector_sort_paths`` / ``vector_sort_reasons`` record which
-    vectorized sort kernel ran per run and why
-    (:func:`repro.sort.heuristic.vector_sort_rows`).
+    ``sort_passes`` / ``sort_tied_rows`` are the run sort's exact counts
+    (:func:`repro.sort.kernels.argsort_words`): sort calls made, and rows
+    each sort's first pass left tied (what the kernel's cost depends on).
 
     The exact-string counters: ``ovc_compares`` / ``ovc_ties`` are rows
     the merge kernels ordered through post-skip word comparisons vs. rows
@@ -329,14 +328,13 @@ class SortStats:
     checksum_verifications: int = 0
     checksum_failures: int = 0
     cleanup_errors: list[str] = field(default_factory=list)
-    radix: RadixStats = field(default_factory=RadixStats)
     phase_seconds: dict[str, float] = field(default_factory=dict)
     key_width_used: int = 0
     key_width_full: int = 0
     key_layout_rebases: int = 0
     key_carried_runs: int = 0
-    vector_sort_paths: dict[str, int] = field(default_factory=dict)
-    vector_sort_reasons: dict[str, int] = field(default_factory=dict)
+    sort_passes: int = 0
+    sort_tied_rows: int = 0
     ovc_compares: int = 0
     ovc_ties: int = 0
     full_key_compares: int = 0
@@ -354,12 +352,6 @@ class SortStats:
     sorts_subsumed: int = 0
     sorts_refined: int = 0
     refine_fallbacks: int = 0
-
-    def record_vector_sort(self, path: str, reason: str) -> None:
-        self.vector_sort_paths[path] = self.vector_sort_paths.get(path, 0) + 1
-        self.vector_sort_reasons[reason] = (
-            self.vector_sort_reasons.get(reason, 0) + 1
-        )
 
     def add_phase_seconds(self, phase: str, seconds: float) -> None:
         self.phase_seconds[phase] = (

@@ -2,11 +2,11 @@
 
 Every spill-page read used to happen synchronously on the k-way merge's
 critical path: the kernel asked for a run's next frontier block, waited
-for the seek + read + CRC32 verification, then resumed merging.  This
-module moves those reads off the critical path.  A small thread pool
-fetches and checksum-verifies blocks *ahead* of the merge -- real
-overlap even in pure Python, because both the file reads and
-``zlib.crc32`` release the GIL -- and the merge consumes them from
+for the seek + read + CRC32 verification, then resumed merging.  Where
+those reads wait on storage (:meth:`BlockPrefetcher._fetch_now` decides)
+this module moves them off the critical path: a small thread pool fetches
+and checksum-verifies blocks *ahead* of the merge -- file reads release
+the GIL, so the latency overlaps merge compute -- and the merge consumes
 per-run queues, waiting only when read-ahead could not keep up.
 
 Two block streams are prefetched per run, mirroring how the merge
@@ -73,6 +73,10 @@ __all__ = ["BlockPrefetcher", "prefetch_budget_blocks"]
 
 _MAX_WORKERS = 4
 """Thread-pool ceiling; more workers than this saturate one spill disk."""
+
+_SLOW_READ_S, _SLOW_STREAK = 1e-4, 3
+"""The pool starts after this many reads in a row took this long (the page
+cache answers in 30-50 us, and a read that was preempted comes alone)."""
 
 _STATS_ATTR = "_prefetch_local_stats"
 """Attribute a failed fetch task hangs its local counters on, so checksum
@@ -141,10 +145,10 @@ class BlockPrefetcher:
     ``(key block, ovc codes | None)`` for rows ``[start, stop)`` --
     rebased and truncated exactly as the merge wants them -- and
     ``row_fetch(index, start, stop, stats)`` the payload rows backing
-    the same range.  Both are called from worker threads with a private
-    stats object; they must only raise typed spill errors, which
-    re-surface on the consumer thread.  Runs with ``active`` false
-    (in-memory fallback runs) bypass the pool entirely.
+    the same range.  Both are called with the merge's stats on its own
+    thread and with a private stats object on a worker; they time their
+    raw read as ``spill_io`` (what starts the pool) and raise only typed
+    spill errors.  Inactive (in-memory fallback) runs bypass all of it.
     """
 
     def __init__(
@@ -172,16 +176,8 @@ class BlockPrefetcher:
         ]
         self._outstanding = 0  # submitted-but-unconsumed futures
         self._closed = False
-        workers = min(_MAX_WORKERS, max(1, sum(map(bool, active))))
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="spill-prefetch"
-            )
-            if budget_blocks > 0
-            else None
-        )
-        if self._pool is not None:
-            self._schedule()
+        self._pool: ThreadPoolExecutor | None = None  # see _fetch_now
+        self._streak = 0  # critical-path reads in a row that were slow
 
     # ------------------------------------------------------------------ #
     # Consumer API
@@ -201,7 +197,7 @@ class BlockPrefetcher:
         scheduler has not reached yet are read synchronously (a miss).
         """
         state = self._runs[index]
-        if self._pool is None or not state.active:
+        if self._budget <= 0 or not state.active:
             return self._row_fetch(index, start, stop, self._stats)
         buffer = state.row_buffer
         while buffer and buffer[0][0] + len(buffer[0][1]) <= start:
@@ -212,14 +208,12 @@ class BlockPrefetcher:
             buffer.append((lo, block))
             state.row_delivered = hi
         if state.row_delivered < stop:
-            # Scheduler starvation: fetch the remainder on the critical
-            # path (counted as a miss, timed as plain spill_io).
-            self._stats.prefetch_misses += 1
+            # Not read ahead: fetch the remainder on the critical path.
             # Rows below row_delivered are already in the window (a
             # consumer holding rows back re-requests them): re-reading
             # them would put the same rows in the buffer twice.
             lo = max(start, state.row_delivered)
-            block = self._row_fetch(index, lo, stop, self._stats)
+            block = self._fetch_now(self._row_fetch, index, lo, stop)
             buffer.append((lo, block))
             state.row_delivered = stop
             state.row_submitted = max(state.row_submitted, stop)
@@ -276,13 +270,11 @@ class BlockPrefetcher:
         state = self._runs[index]
         start = state.key_delivered * self._block_rows
         stop = min(start + self._block_rows, state.num_rows)
-        if self._pool is None or not state.active:
+        if self._budget <= 0 or not state.active:
             block, codes = self._key_fetch(index, start, stop, self._stats)
         elif not state.key_queue:
-            # Scheduler starvation (budget below the run count): fetch
-            # synchronously on the critical path.
-            self._stats.prefetch_misses += 1
-            block, codes = self._key_fetch(index, start, stop, self._stats)
+            # Not read ahead: fetch on the critical path.
+            block, codes = self._fetch_now(self._key_fetch, index, start, stop)
             state.key_submitted = max(
                 state.key_submitted, state.key_delivered + 1
             )
@@ -293,6 +285,26 @@ class BlockPrefetcher:
             state.tail = np.ascontiguousarray(block[-1]).tobytes()
         self._schedule()
         return block, codes
+
+    def _fetch_now(self, fetch, index: int, start: int, stop: int):
+        """A miss: fetch on the consumer thread (timed as plain spill_io).
+
+        Until reads prove slow no thread exists and every fetch comes
+        through here: a block the page cache holds is CPU work (4 KiB CRC
+        pages, views) a worker needs the GIL for, not latency to hide.
+        """
+        stats = self._stats
+        stats.prefetch_misses += 1
+        before = stats.phase_seconds.get("spill_io", 0.0)
+        result = fetch(index, start, stop, stats)
+        read_s = stats.phase_seconds.get("spill_io", 0.0) - before
+        self._streak = self._streak + 1 if read_s >= _SLOW_READ_S else 0
+        if self._streak == _SLOW_STREAK and self._pool is None:
+            workers = min(_MAX_WORKERS, sum(s.active for s in self._runs))
+            self._pool = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="spill-prefetch"
+            )
+        return result
 
     def _consume(self, future: Future):
         """Resolve one fetch future, accounting hit/miss and wait time."""
@@ -318,7 +330,7 @@ class BlockPrefetcher:
                 self._merge_local(local)
             raise
         self._merge_local(payload[-1])
-        return payload[:-1] if len(payload) == 3 else payload[0]
+        return payload[0]
 
     def _merge_local(self, local: SortStats) -> None:
         stats = self._stats
@@ -339,7 +351,7 @@ class BlockPrefetcher:
         )
 
     def _schedule(self) -> None:
-        if self._closed or self._pool is None:
+        if self._closed:
             return
         # A cancelled sort schedules nothing further: the merge raises
         # at its next checkpoint and the closing pool should not be
@@ -347,7 +359,7 @@ class BlockPrefetcher:
         event = self._cancel_event
         if event is not None and event.is_set():
             return
-        while self._buffered_blocks() < self._budget:
+        while self._pool and self._buffered_blocks() < self._budget:
             choice = self._pick()
             if choice is None:
                 break
@@ -356,7 +368,9 @@ class BlockPrefetcher:
             if kind == "rows":
                 lo = state.row_submitted
                 hi = min(lo + self._block_rows, state.num_rows)
-                future = self._pool.submit(self._row_task, index, lo, hi)
+                future = self._pool.submit(
+                    self._task, self._row_fetch, index, lo, hi
+                )
                 state.row_queue.append((lo, hi, future))
                 state.row_submitted = hi
                 self._outstanding += 1
@@ -364,7 +378,9 @@ class BlockPrefetcher:
                 block = state.key_submitted
                 lo = block * self._block_rows
                 hi = min(lo + self._block_rows, state.num_rows)
-                future = self._pool.submit(self._key_task, index, lo, hi)
+                future = self._pool.submit(
+                    self._task, self._key_fetch, index, lo, hi
+                )
                 state.key_queue.append(future)
                 state.key_submitted = block + 1
                 self._outstanding += 1
@@ -417,24 +433,10 @@ class BlockPrefetcher:
         ).reshape(len(candidates), -1)
         return candidates[int(argsort_rows(tails)[0])]
 
-    # ------------------------------------------------------------------ #
-    # Worker tasks
-    # ------------------------------------------------------------------ #
-
-    def _key_task(self, index: int, start: int, stop: int):
-        local = SortStats()
+    def _task(self, fetch, index: int, start: int, stop: int):
+        local = SortStats()  # a worker's counters stay thread-private
         try:
-            block, codes = self._key_fetch(index, start, stop, local)
+            return fetch(index, start, stop, local), local
         except BaseException as error:
             setattr(error, _STATS_ATTR, local)
             raise
-        return block, codes, local
-
-    def _row_task(self, index: int, start: int, stop: int):
-        local = SortStats()
-        try:
-            block = self._row_fetch(index, start, stop, local)
-        except BaseException as error:
-            setattr(error, _STATS_ATTR, local)
-            raise
-        return block, local

@@ -19,14 +19,6 @@ slightly" with long common prefixes and duplicate keys.
 The functions return a permutation (argsort) rather than moving the key
 matrix; callers gather keys and payload with it.  Statistics about the work
 performed are reported through an optional :class:`RadixStats`.
-
-This module is the *scalar* (simulated-cost) implementation.  The fully
-vectorized counterpart -- an iterative MSD counting sort built from
-``np.bincount`` histograms and offset scatters -- lives in
-:func:`repro.sort.kernels.radix_argsort_rows`; the runtime dispatch
-between it and the lexsort/argsort kernels is
-:func:`repro.sort.heuristic.vector_sort_rows`.  Both record into the same
-:class:`RadixStats`.
 """
 
 from __future__ import annotations

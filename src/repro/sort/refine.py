@@ -119,7 +119,7 @@ def refine_sorted(
     )
     matrix[:, _GROUP_WIDTH:] = suf.matrix
     order = vector_sort_rows(
-        matrix, _GROUP_WIDTH + suf.layout.key_width, stats, stats.radix
+        matrix, _GROUP_WIDTH + suf.layout.key_width, stats
     )
     stats.sorts_refined += 1
     stats.rows_sorted += n

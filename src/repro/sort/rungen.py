@@ -632,18 +632,12 @@ class RunGenerator:
 
         The row-id suffix ascends with row index, so a stable sort of
         the key bytes alone is byte-identical to memcmp over the full
-        row -- whichever kernel the width/row-count/skew heuristic
-        picks.  Truncated VARCHAR prefixes sort by their bytes here;
-        the merger repairs the tie groups.
+        row.  Truncated VARCHAR prefixes sort by their bytes here; the
+        merger repairs the tie groups.
         """
-        key_width = keys.layout.key_width
-        order = vector_sort_rows(
-            keys.matrix[:, :key_width],
-            key_width,
-            self.stats,
-            self.stats.radix,
+        return vector_sort_rows(
+            keys.matrix, keys.layout.key_width, self.stats
         )
-        return np.asarray(order, dtype=np.int64)
 
     def sort_run(self, table: Table, keys: NormalizedKeys) -> InMemoryRun:
         """Sort one encoded batch into a run."""

@@ -69,9 +69,8 @@ class TopNOperator:
 
     ``stats`` reports the sorts the pruning did not avoid:
     ``rows_sorted`` counts rows entering compaction sorts (set it against
-    the rows sunk), ``vector_sort_paths`` / ``vector_sort_reasons`` the
-    kernel each compaction dispatched to, and the exact-string counters
-    the tie repair.
+    the rows sunk), ``sort_passes`` / ``sort_tied_rows`` the work of the
+    compaction sorts, and the exact-string counters the tie repair.
     """
 
     def __init__(
@@ -166,9 +165,7 @@ class TopNOperator:
             if not mask.all():
                 table, matrix = table.take(np.flatnonzero(mask)), matrix[mask]
         self.stats.rows_sorted += len(matrix)
-        order = vector_sort_rows(
-            matrix, self._layout.key_width, self.stats, self.stats.radix
-        )
+        order = vector_sort_rows(matrix, self._layout.key_width, self.stats)
         if not self.stats.prefix_exact:
             order = refine_table_order(
                 table, matrix, self._layout, order, self.stats

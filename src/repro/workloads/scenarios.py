@@ -1,7 +1,7 @@
 """Scenario-diversity workload suite: the sort paths' stress catalog.
 
 Every benchmark recorded before this module ran mostly uniform-random
-int64, so the heuristic dispatch (radix vs lexsort vs argsort), the
+int64, so the run sort's tie refinement, the
 replacement-selection probe, offset-value coding, and key compression
 were never exercised on the skewed, near-sorted, duplicate-heavy, and
 string-heavy inputs the paper's TPC-DS evaluation targets.  This module
@@ -101,9 +101,8 @@ def zipf_dups_values(
 ) -> np.ndarray:
     """Zipf-skewed duplicate-heavy keys (clipped to 10k distinct values).
 
-    A few values dominate, so the leading-byte histogram is skewed (the
-    dispatch heuristic's lexsort guard) and merge tie-handling (OVC
-    ties, stable row ids) is exercised hard.
+    A few values dominate, so the leading key bytes are skewed and
+    merge tie-handling (OVC ties, stable row ids) is exercised hard.
     """
     return np.minimum(rng.zipf(alpha, n), 10_000).astype(np.int64)
 

@@ -1,19 +1,23 @@
-"""Heuristic dispatch stability: recorded decisions per scenario.
+"""Run-sort and run-generation stability: recorded counts per scenario.
 
-The vectorized sort dispatch (:func:`repro.sort.heuristic.
-vector_sort_rows`) and the external run-generation chooser are
-deterministic for a fixed (rows, seed) -- which makes them testable as a
-*recorded expectation table*: every scenario in the catalog pins the
-kernel it dispatches to (and why), plus the external ``rungen_path``.
-A heuristic change that flips any cell fails here with the full table
-in hand, forcing the flip to be reviewed and the expectations (and the
-committed ``BENCH_matrix.json`` baseline) updated deliberately --
-the same contract ``benchmarks/regress.py`` enforces at bench scale.
+The run sort (:func:`repro.sort.heuristic.vector_sort_rows`) has one
+kernel and no dispatch, so what a scenario can change is the work that
+kernel does: how many sort passes it makes and how many rows its first
+pass leaves tied.  Both are exact counts, deterministic for a fixed
+(rows, seed), as is the external run-generation chooser -- which makes
+them testable as a *recorded expectation table*.  A change in key
+encoding, key compression or the kernel's pass structure that moves any
+cell fails here with the full table in hand, forcing the move to be
+reviewed and the expectations (and the committed ``BENCH_matrix.json``
+baseline) updated deliberately -- the same contract
+``benchmarks/regress.py`` enforces at bench scale.
 
 The table is interesting because the catalog actually diversifies it:
-wide two-column int keys go to radix, the skewed-leading-byte string
-scenarios to lexsort, and TPC-DS catalog_sales compresses its four
-low-cardinality keys into a single word (argsort-1word).
+the integer scenarios and TPC-DS catalog_sales (four low-cardinality
+keys compressed into five bytes) put every deciding bit inside the first
+pass, ``long_string``'s shared stem is skipped as constant words,
+``mixed_null``'s NULL rows tie on their first word, and the two name
+columns of TPC-DS customer tie every row pass after pass.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import pytest
 
 from repro.sort.external import ExternalSortOperator
-from repro.sort.heuristic import RADIX_MIN_ROWS
 from repro.sort.operator import SortConfig, SortOperator
 from repro.table.chunk import chunk_table
 from repro.types.sortspec import SortSpec
@@ -31,19 +34,19 @@ ROWS = 6_000
 SEED = 7
 EXTERNAL_RUN_THRESHOLD = 1_500
 
-# scenario -> (in-memory path, in-memory reason, external rungen path).
-# In-memory sorts run as one ROWS-row run (above RADIX_MIN_ROWS, so the
-# radix gate is open); external runs are EXTERNAL_RUN_THRESHOLD rows.
+# scenario -> (in-memory sort_passes, sort_tied_rows, external rungen path).
+# In-memory sorts run as one ROWS-row run; external runs are
+# EXTERNAL_RUN_THRESHOLD rows.
 EXPECTED = {
-    "uniform": ("radix", "wide-keys", "argsort"),
-    "zipf_skew": ("radix", "wide-keys", "argsort"),
-    "near_sorted": ("radix", "wide-keys", "replacement_selection"),
-    "reverse": ("radix", "wide-keys", "argsort"),
-    "dup_heavy": ("radix", "wide-keys", "argsort"),
-    "long_string": ("lexsort", "skewed-leading-byte", "argsort"),
-    "mixed_null": ("radix", "wide-keys", "argsort"),
-    "tpcds_catalog": ("argsort-1word", "single-word", "argsort"),
-    "tpcds_customer": ("lexsort", "skewed-leading-byte", "argsort"),
+    "uniform": (1, 0, "argsort"),
+    "zipf_skew": (1, 0, "argsort"),
+    "near_sorted": (1, 0, "replacement_selection"),
+    "reverse": (1, 0, "argsort"),
+    "dup_heavy": (1, 0, "argsort"),
+    "long_string": (1, 0, "argsort"),
+    "mixed_null": (2, 230, "argsort"),
+    "tpcds_catalog": (1, 0, "argsort"),
+    "tpcds_customer": (5, 6000, "argsort"),
 }
 
 
@@ -53,7 +56,6 @@ def _spec(scenario) -> SortSpec:
 
 def test_expectation_table_covers_the_catalog():
     assert set(EXPECTED) == set(SCENARIOS)
-    assert ROWS > RADIX_MIN_ROWS  # the radix gate must be open
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -64,16 +66,16 @@ def test_in_memory_dispatch_matches_recorded(name):
     for chunk in chunk_table(table, 2048):
         operator.sink(chunk)
     operator.finalize()
-    expected_path, expected_reason, _ = EXPECTED[name]
-    paths = dict(operator.stats.vector_sort_paths)
-    reasons = dict(operator.stats.vector_sort_reasons)
-    assert paths == {expected_path: 1}, (
-        f"scenario {name!r} rows={ROWS} seed={SEED}: dispatch flipped to "
-        f"{paths} (reasons {reasons}); if intended, update EXPECTED and "
-        f"regenerate BENCH_matrix.json"
-    )
-    assert expected_reason in reasons, (
-        f"scenario {name!r}: reason {reasons} != {expected_reason!r}"
+    expected_passes, expected_tied, _ = EXPECTED[name]
+    stats = operator.stats
+    assert (stats.sort_passes, stats.sort_tied_rows) == (
+        expected_passes,
+        expected_tied,
+    ), (
+        f"scenario {name!r} rows={ROWS} seed={SEED}: the run sort made "
+        f"{stats.sort_passes} passes with {stats.sort_tied_rows} rows tied "
+        f"after the first (key width {stats.key_width_used}); if intended, "
+        f"update EXPECTED and regenerate BENCH_matrix.json"
     )
 
 

@@ -192,6 +192,56 @@ class TestSlowStorageOverlap:
         assert no_prefetch_threads()
 
 
+class TestPoolStartsOnSlowReads:
+    """No thread until three critical-path reads in a row were slow.
+
+    The fetch reports its raw read time the way ``SpilledRun`` does (as
+    ``spill_io`` seconds in the stats it is handed), so the test decides
+    which reads are slow and no clock is involved.
+    """
+
+    @staticmethod
+    def drive(read_seconds):
+        reads = iter(read_seconds)
+        stats = SortStats()
+
+        def key_fetch(index, start, stop, fetch_stats):
+            fetch_stats.add_phase_seconds("spill_io", next(reads))
+            return np.zeros((stop - start, 1), dtype=np.uint8), None
+
+        prefetcher = BlockPrefetcher(
+            [10 * len(read_seconds)], [True], 10, key_fetch, None,
+            depth=1, budget_blocks=2, stats=stats,
+        )
+        threads_seen = []
+        try:
+            for _ in prefetcher.key_source(0):
+                threads_seen.append(not no_prefetch_threads())
+        finally:
+            prefetcher.close()
+        assert no_prefetch_threads()
+        return stats, threads_seen
+
+    def test_page_cache_reads_start_no_thread(self):
+        stats, threads_seen = self.drive([3e-5] * 8)
+        assert not any(threads_seen)
+        assert (stats.prefetch_hits, stats.prefetch_misses) == (0, 8)
+        assert "spill_io_overlap" not in stats.phase_seconds
+        assert "io_wait" not in stats.phase_seconds
+
+    def test_a_lone_slow_read_resets_the_count(self):
+        slow, fast = 1e-3, 3e-5
+        stats, threads_seen = self.drive(
+            [slow, slow, fast, slow, slow, slow, slow, slow]
+        )
+        # Reads 4-6 are the first three slow ones in a row: the pool
+        # exists from the sixth delivery on and fetches blocks 7 and 8.
+        assert threads_seen == [False] * 5 + [True] * 3
+        assert stats.prefetch_hits + stats.prefetch_misses == 8
+        assert stats.prefetch_misses >= 6
+        assert stats.phase_seconds["spill_io_overlap"] == pytest.approx(2 * slow)
+
+
 class TestReplacementSelection:
     @pytest.mark.parametrize("spec", SPECS)
     def test_forced_rs_byte_identical(self, rng, tmp_path, spec):

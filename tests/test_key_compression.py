@@ -436,13 +436,12 @@ class TestStatsCounters:
         for chunk in chunk_table(table, 300):
             op.sink(chunk)
         op.finalize()
-        paths = op.stats.vector_sort_paths
-        assert sum(paths.values()) == op.stats.runs_generated
-        # One-byte compressed key: every run sorts via the 1-word argsort.
-        assert paths == {"argsort-1word": op.stats.runs_generated}
-        assert op.stats.vector_sort_reasons == {
-            "single-word": op.stats.runs_generated
-        }
+        # One-byte compressed key, twelve values and NULL over 2,000
+        # rows: one pass per run sorts the byte, every row ties with a
+        # full duplicate, and the duplicates check ends the sort there.
+        assert op.stats.key_width_used == 1
+        assert op.stats.sort_passes == op.stats.runs_generated
+        assert op.stats.sort_tied_rows == 2000
 
     def test_uncompressed_layout_matches_legacy_builder(self, rng):
         # compress_keys=False must preserve the seed layout bit-for-bit.

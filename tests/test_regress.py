@@ -5,7 +5,7 @@ baseline.  These tests drive it with synthetic matrices: the required
 negative test (an injected >15% hot-path slowdown MUST fail the gate),
 the hardware-robustness property (a uniformly slower machine must NOT
 fail it, because cells are normalized by the same run's reference
-cell), and the dispatch-flip / shape-loss / scale-mismatch /
+cell), and the count-drift / shape-loss / scale-mismatch /
 Top-N-vs-in-memory / in-memory-vs-external rules.
 """
 
@@ -25,17 +25,19 @@ _BENCHMARKS = os.path.join(
 if _BENCHMARKS not in sys.path:
     sys.path.insert(0, _BENCHMARKS)
 
-from regress import compare, dominant_vector_path, main  # noqa: E402
+from regress import compare, main  # noqa: E402
 
 
 def make_matrix() -> dict:
     """A small but structurally faithful BENCH_matrix.json payload."""
 
-    def cell(seconds, vector_paths=None, rungen=None):
+    def cell(seconds, sort_counts=None, rungen=None):
         dispatch = None
-        if vector_paths is not None:
+        if sort_counts is not None:
+            passes, tied_rows = sort_counts
             dispatch = {
-                "vector_sort_paths": vector_paths,
+                "sort_passes": passes,
+                "sort_tied_rows": tied_rows,
                 "rungen_path": rungen or "",
             }
         return {"seconds": seconds, "identical": True, "dispatch": dispatch}
@@ -47,24 +49,24 @@ def make_matrix() -> dict:
         "scenarios": {
             "uniform": {
                 "paths": {
-                    "in_memory": cell(0.10, {"radix": 2}),
-                    "external": cell(0.20, {"radix": 2}, rungen="argsort"),
+                    "in_memory": cell(0.10, (1, 0)),
+                    "external": cell(0.20, (4, 0), rungen="argsort"),
                     "topn": cell(0.05),
                 }
             },
             "near_sorted": {
                 "paths": {
-                    "in_memory": cell(0.08, {"radix": 2}),
+                    "in_memory": cell(0.08, (1, 0)),
                     "external": cell(
-                        0.15, {"radix": 1}, rungen="replacement_selection"
+                        0.15, (4, 0), rungen="replacement_selection"
                     ),
                     "topn": cell(0.04),
                 }
             },
             "long_string": {
                 "paths": {
-                    "in_memory": cell(0.40, {"lexsort": 2}),
-                    "external": cell(0.60, {"lexsort": 2}, rungen="argsort"),
+                    "in_memory": cell(0.40, (5, 24_000)),
+                    "external": cell(0.60, (20, 24_000), rungen="argsort"),
                     "topn": cell(0.30),
                 }
             },
@@ -115,13 +117,25 @@ def test_dispatch_flip_fails():
     baseline = make_matrix()
     candidate = copy.deepcopy(baseline)
     flipped = candidate["scenarios"]["long_string"]["paths"]["in_memory"]
-    flipped["dispatch"]["vector_sort_paths"] = {"radix": 2}
+    flipped["dispatch"]["sort_passes"] = 6
     violations = compare(baseline, candidate)
-    assert any(
-        "dominant vector sort path flipped" in v
-        and "long_string/in_memory" in v
-        for v in violations
-    )
+    assert violations == [
+        "long_string/in_memory: sort_passes changed 5 -> 6 without a "
+        "baseline update"
+    ]
+
+
+def test_tied_rows_drift_fails():
+    """A key-encoding change that unties rows moves an exact count."""
+    baseline = make_matrix()
+    candidate = copy.deepcopy(baseline)
+    cell = candidate["scenarios"]["long_string"]["paths"]["external"]
+    cell["dispatch"]["sort_tied_rows"] = 23_990
+    violations = compare(baseline, candidate)
+    assert violations == [
+        "long_string/external: sort_tied_rows changed 24000 -> 23990 "
+        "without a baseline update"
+    ]
 
 
 def test_rungen_flip_fails():
@@ -130,7 +144,9 @@ def test_rungen_flip_fails():
     cell = candidate["scenarios"]["near_sorted"]["paths"]["external"]
     cell["dispatch"]["rungen_path"] = "argsort"
     violations = compare(baseline, candidate)
-    assert any("run-generation path flipped" in v for v in violations)
+    assert any(
+        "near_sorted/external: rungen_path changed" in v for v in violations
+    )
 
 
 def test_missing_path_and_scenario_fail():
@@ -198,12 +214,6 @@ def test_sub_floor_cells_skip_timing_but_keep_dispatch():
             entry["paths"]["topn"]["seconds"] = 0.001
     candidate["scenarios"]["uniform"]["paths"]["topn"]["seconds"] = 0.01
     assert compare(baseline, candidate) == []
-
-
-def test_dominant_vector_path_tiebreak_deterministic():
-    assert dominant_vector_path({"vector_sort_paths": {"b": 2, "a": 2}}) == "a"
-    assert dominant_vector_path({"vector_sort_paths": {}}) is None
-    assert dominant_vector_path(None) is None
 
 
 def test_cli_exit_codes(tmp_path):

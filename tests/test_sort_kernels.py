@@ -1,7 +1,7 @@
 """Cross-checks of the vectorized kernel layer against the scalar paths.
 
 The contract of :mod:`repro.sort.kernels` is byte-identical results: every
-kernel (whole-row argsort, searchsorted merge, radix bucket finisher, the
+kernel (the packed-word whole-row sort, searchsorted merge, the
 operator and external-sort fast paths) must reproduce exactly what the
 scalar row-at-a-time code (:func:`repro.sort.reference.reference_sort`
 end to end) produces, across mixed types, DESC keys, NULLS
@@ -16,17 +16,17 @@ from hypothesis import strategies as st
 from conftest import reference_sort, sort_resident_runs, sort_spilling
 from repro.errors import SortError
 from repro.sort import kernels
-from repro.sort.heuristic import choose_vector_path, vector_sort_rows
+from repro.sort.heuristic import vector_sort_rows
 from repro.sort.kernels import (
     KWayBlockStats,
     argsort_rows,
+    argsort_words,
     cutoff_mask,
     kway_merge_blocks,
     merge_indices,
-    radix_argsort_rows,
     void_view,
 )
-from repro.sort.operator import SortConfig, SortOperator, sort_table
+from repro.sort.operator import SortConfig, SortOperator, SortStats, sort_table
 from repro.sort.radix import RadixStats, lsd_radix_argsort, msd_radix_argsort
 from repro.sort.reference import reference_sort as scalar_reference_sort
 from repro.table.chunk import chunk_table
@@ -366,64 +366,164 @@ class TestChunkColumns:
         assert max(calls) <= block_rows
 
 
-class TestRadixArgsortRows:
+def stable_reference(matrix):
+    """The contract: a stable sort of the rows as memcmp-ordered scalars."""
+    return np.argsort(void_view(matrix), kind="stable")
+
+
+def assert_kernel_matches(matrix):
+    expected = stable_reference(matrix).tolist()
+    by_rows = argsort_rows(matrix)
+    assert by_rows.dtype == np.int64
+    assert by_rows.tolist() == expected
+    by_words = argsort_words(kernels._chunk_columns(matrix))
+    assert by_words.dtype == np.int64
+    assert by_words.tolist() == expected
+
+
+def shared_prefix_matrix(rng, n, width):
+    """Rows equal on every byte but the last bit of the last byte."""
+    matrix = np.full((n, width), 0xAB, dtype=np.uint8)
+    matrix[:, -1] = rng.integers(0, 2, n)
+    return matrix
+
+
+@pytest.fixture(params=[None, 0, 1 << 62], ids=["measured", "never", "always"])
+def lexsort_finish(request, monkeypatch):
+    """Run a test with the measured small-input finish, with it disabled
+    (packed passes all the way down) and with it taken at once."""
+    if request.param is not None:
+        monkeypatch.setattr(kernels, "LEXSORT_FINISH_ROWS", request.param)
+
+
+class TestPackedWordSort:
+    """``argsort_rows`` / ``argsort_words`` against numpy's stable sort of
+    the same rows (CI runs this file under ``-W error::RuntimeWarning``:
+    no shift count may reach 64)."""
+
     @pytest.mark.parametrize("width", [9, 13, 16])
     @pytest.mark.parametrize("alphabet", [2, 5, 256])
-    def test_matches_argsort_rows(self, rng, width, alphabet):
-        matrix = random_matrix(rng, 3000, width, alphabet)
-        assert (
-            radix_argsort_rows(matrix).tolist()
-            == argsort_rows(matrix).tolist()
-        )
+    def test_matches_stable_void_argsort(self, rng, width, alphabet):
+        assert_kernel_matches(random_matrix(rng, 3000, width, alphabet))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1023, 1024, 1025])
+    def test_every_width_around_the_finish_row_count(self, rng, n):
+        for width in range(1, 41):
+            assert_kernel_matches(random_matrix(rng, n, width, alphabet=3))
+            assert_kernel_matches(random_matrix(rng, n, width))
+
+    @pytest.mark.parametrize("n", [65535, 65536, 65537])
+    @pytest.mark.parametrize("width", [1, 5, 8, 9, 23, 40])
+    def test_index_bits_boundary(self, rng, n, width):
+        assert_kernel_matches(random_matrix(rng, n, width, alphabet=4))
+
+    def test_all_rows_equal(self, lexsort_finish):
+        for width in (5, 8, 21):
+            matrix = np.full((3000, width), 7, dtype=np.uint8)
+            assert argsort_rows(matrix).tolist() == list(range(3000))
+
+    @pytest.mark.parametrize("width", [5, 9, 24, 40])
+    def test_every_key_twice_keeps_input_order(self, rng, width, lexsort_finish):
+        half = random_matrix(rng, 2000, width)
+        matrix = np.concatenate([half, half])[rng.permutation(4000)]
+        order = argsort_rows(matrix)
+        assert order.tolist() == stable_reference(matrix).tolist()
+        pairs = order.reshape(-1, 2)
+        assert (matrix[pairs[:, 0]] == matrix[pairs[:, 1]]).all()
+        assert (pairs[:, 0] < pairs[:, 1]).all()
+
+    @pytest.mark.parametrize("width", [9, 17, 33, 40])
+    def test_shared_prefix_longer_than_two_passes(
+        self, rng, width, lexsort_finish
+    ):
+        assert_kernel_matches(shared_prefix_matrix(rng, 3000, width))
+
+    @pytest.mark.parametrize("lead", [0x00, 0xFF])
+    def test_extreme_leading_bytes_and_constant_first_word(
+        self, rng, lead, lexsort_finish
+    ):
+        matrix = random_matrix(rng, 3000, 19, alphabet=3)
+        matrix[:, :3] = lead
+        assert_kernel_matches(matrix)
+        matrix[:, :8] = lead  # the whole first word constant
+        assert_kernel_matches(matrix)
 
     def test_stability_and_constant_prefix(self, rng):
         matrix = random_matrix(rng, 2500, 12, alphabet=3)
-        matrix[:, :6] = 77  # constant prefix: single-bucket skip path
-        assert (
-            radix_argsort_rows(matrix).tolist()
-            == argsort_rows(matrix).tolist()
-        )
-
-    def test_records_stats(self, rng):
-        matrix = random_matrix(rng, 5000, 10)
-        stats = RadixStats()
-        radix_argsort_rows(matrix, stats)
-        assert stats.vector_finished_buckets > 0
-        assert stats.rows_moved > 0
+        matrix[:, :6] = 77
+        assert_kernel_matches(matrix)
 
     def test_small_input_and_empty(self, rng):
-        small = random_matrix(rng, 7, 10)
-        assert radix_argsort_rows(small).tolist() == argsort_rows(small).tolist()
-        empty = np.zeros((0, 10), dtype=np.uint8)
-        assert radix_argsort_rows(empty).tolist() == []
+        assert_kernel_matches(random_matrix(rng, 7, 10))
+        assert argsort_rows(np.zeros((0, 10), dtype=np.uint8)).tolist() == []
 
+    @pytest.mark.parametrize("keep", [1, 7, 8, 9, 20])
+    def test_non_contiguous_views(self, rng, keep, lexsort_finish):
+        # What run generation passes: the key bytes of rows that carry a
+        # row-id suffix, a column slice that is not C-contiguous.
+        wide = random_matrix(rng, 2500, 29, alphabet=3)
+        assert_kernel_matches(wide[:, :keep])
+        assert_kernel_matches(wide[::2, 3 : 3 + keep])
+        assert_kernel_matches(wide[:, : 2 * keep : 2])  # strided bytes
 
-class TestVectorPathHeuristic:
-    def test_narrow_keys_use_single_word_argsort(self, rng):
-        matrix = random_matrix(rng, 10000, 6)
-        assert choose_vector_path(matrix, 6) == ("argsort-1word", "single-word")
+    @pytest.mark.parametrize("pack_bits", [14, 20, 33])
+    def test_no_room_for_a_key_bit_finishes_with_lexsort(
+        self, rng, monkeypatch, pack_bits
+    ):
+        # Shrink the packed word until group and position bits leave no
+        # room for a key bit (2**31 tied rows at the real 64).
+        monkeypatch.setattr(kernels, "_PACK_BITS", pack_bits)
+        for width, alphabet in ((3, 2), (9, 4), (24, 256)):
+            assert_kernel_matches(random_matrix(rng, 5000, width, alphabet))
+        assert_kernel_matches(shared_prefix_matrix(rng, 5000, 17))
 
-    def test_few_rows_use_lexsort(self, rng):
-        matrix = random_matrix(rng, 100, 16)
-        assert choose_vector_path(matrix, 16) == ("lexsort", "few-rows")
+    def test_counts_are_exact_and_repeat(self, rng):
+        def counts(matrix):
+            stats = SortStats()
+            argsort_rows(matrix, stats)
+            argsort_rows(matrix, stats)  # counts accumulate per call
+            return stats.sort_passes // 2, stats.sort_tied_rows // 2
 
-    def test_skewed_leading_byte_uses_lexsort(self, rng):
-        matrix = random_matrix(rng, 10000, 16)
-        matrix[:, 0] = 9  # every sampled leading byte identical
-        assert choose_vector_path(matrix, 16) == (
-            "lexsort",
-            "skewed-leading-byte",
-        )
-
-    def test_wide_uniform_keys_use_radix(self, rng):
-        matrix = random_matrix(rng, 10000, 16)
-        assert choose_vector_path(matrix, 16) == ("radix", "wide-keys")
+        assert counts(random_matrix(rng, 5000, 16)) == (1, 0)
+        assert counts(random_matrix(rng, 500, 16)) == (1, 0)  # one lexsort
+        # Four first words: every row tied after the first pass, the
+        # second word separates them.
+        stems = random_matrix(rng, 5000, 16)
+        stems[:, :8] = random_matrix(rng, 4, 8)[rng.integers(0, 4, 5000)]
+        assert counts(stems) == (2, 5000)
+        # Full duplicates are dropped by the adjacent compare: no pass.
+        twice = np.repeat(random_matrix(rng, 2500, 24), 2, axis=0)
+        assert counts(twice) == (1, 5000)
+        # Constant words are skipped; the one bit that varies ties every
+        # row with a full duplicate.
+        assert counts(shared_prefix_matrix(rng, 5000, 17)) == (1, 5000)
 
     @pytest.mark.parametrize("shape", [(100, 16), (6000, 6), (6000, 16)])
-    def test_dispatch_is_permutation_identical(self, rng, shape):
+    def test_vector_sort_rows_sorts_the_key_prefix(self, rng, shape):
+        # The run-sort entry orders by the leading key bytes only; an
+        # ascending row-id suffix makes that the order of the whole rows.
         n, width = shape
-        matrix = random_matrix(rng, n, width, alphabet=7)
-        assert (
-            vector_sort_rows(matrix, width).tolist()
-            == argsort_rows(matrix).tolist()
+        matrix = np.empty((n, width + 8), dtype=np.uint8)
+        matrix[:, :width] = random_matrix(rng, n, width, alphabet=7)
+        matrix[:, width:] = (
+            np.arange(n, dtype=">u8").view(np.uint8).reshape(n, 8)
         )
+        stats = SortStats()
+        order = vector_sort_rows(matrix, width, stats)
+        assert order.tolist() == stable_reference(matrix).tolist()
+        assert stats.sort_passes >= 1
+
+    @given(
+        data=st.data(),
+        n=st.integers(0, 3000),
+        width=st.integers(1, 40),
+        alphabet=st.sampled_from([1, 2, 3, 256]),
+        shared=st.integers(0, 39),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property(self, data, n, width, alphabet, shared):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        matrix = random_matrix(rng, n, width, alphabet)
+        matrix[:, : min(shared, width - 1)] = 0x5A
+        assert_kernel_matches(matrix)
