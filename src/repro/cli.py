@@ -404,6 +404,16 @@ def _print_sort_stats(stats) -> None:
             f"peak_blocks={stats.prefetch_peak_blocks}",
             file=err,
         )
+    if "spill_io" in stats.phase_seconds:  # a run file was written
+        print(
+            "spill: "
+            f"key_carried_runs={stats.key_carried_runs} "
+            f"layout_rebases={stats.key_layout_rebases} "
+            f"checksum_verifications={stats.checksum_verifications} "
+            f"retries={stats.spill_retries} "
+            f"failovers={stats.spill_failovers}",
+            file=err,
+        )
     print(f"prefix_exact: {stats.prefix_exact}", file=err)
     print(
         "merges: "

@@ -16,7 +16,11 @@ This module supplies the pieces the sort pipeline wires together:
   run by run.  Because min only decreases, max only increases and NULL
   presence only latches, the layout built after more data is always a
   *widening* of any earlier one (``nobyte`` -> ``folded`` -> ``plain``,
-  widths non-decreasing), which makes cheap re-basing possible.
+  widths non-decreasing), which makes cheap re-basing possible.  A
+  NULL-free segment that needs its type's full width anyway takes no
+  bias (``bias 0``, the whole code space): the bytes per key are the
+  same, and a later run that moves min or max no longer changes the
+  layout, so nothing encoded earlier has to be rebased.
 * :func:`rebase_matrix` -- rewrite a key matrix encoded under an earlier
   (narrower) layout into a later (wider) one, byte-identical to encoding
   the original values directly under the wider layout.
@@ -107,9 +111,14 @@ def _segment_for(
     hi = 0 if acc.max_code is None else acc.max_code
     code_range = hi - lo + 1
     if not acc.has_nulls:
+        width = _bytes_for(code_range - 1)
+        if width == dtype.fixed_width:
+            # The type's full width anyway: a bias would save no byte,
+            # and without one a later run that widens min or max leaves
+            # the layout as it is (no stale run, nothing to rebase).
+            lo, code_range = 0, 1 << (8 * width)
         return KeySegment(
-            key, dtype, offset, _bytes_for(code_range - 1), True,
-            MODE_NOBYTE, lo, code_range,
+            key, dtype, offset, width, True, MODE_NOBYTE, lo, code_range
         )
     if code_range < (1 << 64):  # headroom for the reserved NULL code
         return KeySegment(

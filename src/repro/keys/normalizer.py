@@ -89,9 +89,11 @@ class KeySegment:
             ``folded`` (see the module constants).  VARCHAR segments are
             always ``plain``.
         bias: for compressed modes, the minimum order-preserving code over
-            the column's valid values; stored codes are relative to it.
+            the column's valid values; stored codes are relative to it
+            (0 for a ``nobyte`` segment at its type's full width).
         code_range: for compressed modes, ``max_code - bias + 1`` -- the
-            number of distinct valid codes the segment can hold.  DESC is
+            number of distinct valid codes the segment can hold
+            (``2**(8 * width)`` at full width).  DESC is
             applied in this domain (``rel -> code_range - 1 - rel``) rather
             than by byte inversion.
     """

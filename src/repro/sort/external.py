@@ -911,12 +911,14 @@ class ExternalSortOperator(SortOperator):
             return None
         # The budget derives from the *live* (grant-shrunk) threshold,
         # so a governor revoking memory also shrinks the read-ahead
-        # window the moment the next merge starts.
+        # window the moment the next merge starts; it counts the streams
+        # this merge opens (key-carried runs have no payload stream).
         budget = prefetch_budget_blocks(
             depth,
             sum(active),
             self.merge_block_rows,
             effective_run_threshold(self.config),
+            streams=1 if row_fetch is None else 2,
         )
         return BlockPrefetcher(
             [run.num_rows for run in runs],

@@ -571,12 +571,17 @@ def kway_merge_blocks(
     ``(m, width)`` uint8 key-matrix blocks of that run in sorted order (all
     runs share one width) -- or ``(block, codes)`` pairs where ``codes`` is
     the block's slice of the run's :func:`ovc_codes` array (or ``None``).
-    Yields ``(run_ids, row_ids)`` int64 arrays: each round's
-    globally-sorted slice of the merge, where ``row_ids`` are absolute row
-    positions within their run.  With ``emit_keys`` each item gains a third
-    element, the round's merged key rows as an ``(m, words)`` uint64 word
-    matrix (callers doing exact-string tie repair need the merged keys to
-    find cross-run tie groups without re-reading the runs).
+    Yields one ``(order, spans)`` pair per round, the round's
+    globally-sorted slice of the merge: ``spans`` lists, ascending by run,
+    one ``(run, lo, hi)`` per contributing run -- the contiguous rows
+    ``[lo, hi)`` of that run (absolute positions), all cut from the block
+    the run delivered last -- and ``order`` is the int64 permutation that
+    puts the spans' rows, concatenated as listed, into merge order (one
+    entry per emitted row; the identity when a single run contributes).
+    With ``emit_keys`` each item gains a third element, the round's
+    merged key rows as an ``(m, words)`` uint64 word matrix (callers
+    doing exact-string tie repair need the merged keys to find cross-run
+    tie groups without re-reading the runs).
 
     With ``use_ovc`` (the default) each round applies the offset-value
     prefix skip before its sort: words constant and equal across every
@@ -660,8 +665,7 @@ def kway_merge_blocks(
                 cutoff_run = index
 
         emit_columns: list[tuple[np.ndarray, ...]] = []
-        emit_runs: list[np.ndarray] = []
-        emit_rows: list[np.ndarray] = []
+        spans: list[tuple[int, int, int]] = []
         dup_rows = 0  # rows stored codes prove equal to their predecessor
         for index in live:
             columns, codes = frontiers[index]
@@ -676,10 +680,7 @@ def kway_merge_blocks(
             emit_columns.append(tuple(column[:take] for column in columns))
             if codes is not None:
                 dup_rows += int(np.count_nonzero(codes[:take] >= len(columns)))
-            emit_runs.append(np.full(take, index, dtype=np.int64))
-            emit_rows.append(
-                np.arange(starts[index], starts[index] + take, dtype=np.int64)
-            )
+            spans.append((index, starts[index], starts[index] + take))
             starts[index] += take
             frontiers[index] = (
                 None
@@ -690,46 +691,37 @@ def kway_merge_blocks(
                 )
             )
 
-        if not emit_runs:
+        if not spans:
             # The run holding the cutoff always emits at least its tail
             # row, so an empty round means a source yielded unsorted data.
             raise SortError("k-way merge made no progress; runs not sorted?")
         words = len(emit_columns[0])
-        if len(emit_runs) == 1:
-            run_ids, row_ids = emit_runs[0], emit_rows[0]
-            order = None
+        total = sum(hi - lo for _, lo, hi in spans)
+        several = len(spans) > 1  # runs contributing: one needs no merge
+        skip = (
+            _common_prefix_words(emit_columns) if use_ovc and several else 0
+        )
+        if not several or skip == words:
+            # One run, or every emitted key the same value: concatenation
+            # in run order already is the stable merge.
+            order = np.arange(total, dtype=np.int64)
+            if stats is not None and several:
+                stats.ovc_ties += total
         else:
-            skip = (
-                _common_prefix_words(emit_columns)
-                if use_ovc
-                else 0
+            # One stable sort over the selected prefixes IS the k-way
+            # merge: each prefix is sorted, and concatenation in run order
+            # makes ties resolve to the earlier run.  Words the OVC skip
+            # decided are left out of the sort keys.
+            order = argsort_words(
+                [
+                    np.concatenate([columns[word] for columns in emit_columns])
+                    for word in range(skip, words)
+                ]
             )
-            total = sum(len(rows) for rows in emit_rows)
-            if skip == words:
-                # Every emitted key is the same value: concatenation in
-                # run order already is the stable merge.
-                order = np.arange(total, dtype=np.int64)
-                if stats is not None:
-                    stats.ovc_ties += total
-            else:
-                # One stable sort over the selected prefixes IS the
-                # k-way merge: each prefix is sorted, and concatenation in
-                # run order makes ties resolve to the earlier run.  Words
-                # the OVC skip decided are left out of the sort keys.
-                order = argsort_words(
-                    [
-                        np.concatenate(
-                            [columns[word] for columns in emit_columns]
-                        )
-                        for word in range(skip, words)
-                    ]
-                )
-                if stats is not None:
-                    stats.ovc_compares += total
-            run_ids = np.concatenate(emit_runs)[order]
-            row_ids = np.concatenate(emit_rows)[order]
+            if stats is not None:
+                stats.ovc_compares += total
         if stats is not None:
-            stats.rows_emitted += len(run_ids)
+            stats.rows_emitted += total
             stats.ovc_ties += dup_rows
         if emit_keys:
             merged_words = np.stack(
@@ -739,8 +731,8 @@ def kway_merge_blocks(
                 ],
                 axis=1,
             )
-            if order is not None:
+            if several:
                 merged_words = merged_words[order]
-            yield run_ids, row_ids, merged_words
+            yield order, spans, merged_words
         else:
-            yield run_ids, row_ids
+            yield order, spans

@@ -33,9 +33,9 @@ def kway_merge_stream(
 ):
     """Drive the block-streaming k-way kernel with per-round checkpoints.
 
-    Yields the kernel's rounds unchanged -- ``(run_ids, row_ids)``
-    tuples, or ``(run_ids, row_ids, merged_words)`` when ``emit_keys``
-    is set -- but invokes ``on_round`` before emitting each one.  The
+    Yields the kernel's rounds unchanged -- ``(order, spans)`` tuples,
+    or ``(order, spans, merged_words)`` when ``emit_keys`` is set -- but
+    invokes ``on_round`` before emitting each one.  The
     callback is the cooperative-cancellation (and progress) hook of
     long-running merges: the external sort raises
     :class:`repro.errors.SortCancelledError` from it, unwinding the

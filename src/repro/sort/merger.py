@@ -11,6 +11,12 @@ and emits everything below it with one stable sort, so every row is moved
 once and the key working set is ``k * block_rows`` rows no matter how
 large the runs are.
 
+* **A key byte is read once** -- the block a run hands the kernel is
+  read (CRC-checked, rebased) at full width and held while its frontier
+  drains; the kernel reports each round as one contiguous span per
+  contributing run plus one permutation, and the full key rows a round
+  needs (key-carried results, every intermediate run) are sliced out of
+  the held blocks: no second read, no second CRC pass, no second rebase.
 * **Layout rebase** -- runs encoded under a narrower compressed key
   layout are re-encoded onto the final one block by block as they
   stream; stored offset-value codes ride along only for runs already on
@@ -30,12 +36,12 @@ large the runs are.
   refinement's precondition -- whereas repairing runs first would hand
   the kernel runs that are no longer byte-sorted whenever key bytes
   follow the truncated segment.
-* **Payload** -- per round, one contiguous read per contributing run
-  (served from the read-ahead window when the store provides a
-  prefetcher) and one vectorized gather back into merge order.
-  Key-carried runs gather their full key rows instead and the table is
-  decoded from those.  String heaps are concatenated once up front and
-  each row's offsets shifted by its run's base at the end.
+* **Payload** -- per round, one contiguous read per span (served from
+  the read-ahead window when the store provides a prefetcher) put
+  through the round's permutation; key-carried runs hold no payload and
+  the table is decoded from their gathered key rows.  String heaps are
+  concatenated once up front and each row's offsets shifted by its run's
+  base at the end.
 """
 
 from __future__ import annotations
@@ -59,8 +65,8 @@ __all__ = ["RunMerger"]
 class RunMerger:
     """K-way merge of sorted runs into the result table (or one new run).
 
-    ``phase_seconds["refine"]`` (exact-string repair, spill reads
-    excluded) and ``["decode"]`` (the result table) are timed here;
+    ``phase_seconds["refine"]`` (exact-string repair) and
+    ``["decode"]`` (the result table) are timed here;
     callers timing a ``"merge"`` phase around a pass declare it net of
     :attr:`NESTED_PHASES`.
 
@@ -139,63 +145,42 @@ class RunMerger:
         """Was the run encoded under a narrower layout than the final?"""
         return run.layout is not None and run.layout != self.key_layout
 
-    def _full_keys(self, run, start: int, stop: int, stats) -> np.ndarray:
-        """Full-width key rows rebased onto the final layout."""
-        block = run.read_key_block(start, stop, stats)
-        if self._stale(run):
-            block = rebase_matrix(block, run.layout, self.key_layout)
-        return block
-
     def _key_block(
         self, run, start: int, stop: int, stats, coded: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """One merge-ready key block and, if ``coded``, its run's codes.
+        """Full-width key rows on the final layout and, if ``coded``, codes.
 
-        The merge compares key bytes only: every run carries a row-id
-        suffix that ascends with run order, so the kernel's stable
-        earlier-run-first tie handling reproduces full-key memcmp order
-        without the suffix.  (Prefetch workers call this with a
-        thread-private ``stats``.)
+        This is the one read (and CRC check, and rebase) of these key
+        bytes.  Stored offset-value codes ride along only for runs
+        already on the final layout: rebasing moves word boundaries.
+        (Prefetch workers call this with a thread-private ``stats``.)
         """
-        block = self._full_keys(run, start, stop, stats)
-        codes = None
-        if coded and not self._stale(run) and run.ovc is not None:
-            codes = run.ovc[start:stop]
-        return block[:, : self.key_layout.key_width], codes
-
-    @staticmethod
-    def _rows(run, start: int, stop: int, stats) -> np.ndarray:
-        return run.read_row_block(start, stop, stats)
+        block = run.read_key_block(start, stop, stats)
+        if self._stale(run):
+            return rebase_matrix(block, run.layout, self.key_layout), None
+        coded = coded and run.ovc is not None
+        return block, run.ovc[start:stop] if coded else None
 
     def _key_source(self, run, coded: bool) -> Iterator[tuple]:
         for start in range(0, run.num_rows, self.block_rows):
             stop = min(start + self.block_rows, run.num_rows)
             yield self._key_block(run, start, stop, self.stats, coded)
 
-    def _gather(
-        self, runs, run_ids, row_ids, read, prefetcher
-    ) -> np.ndarray:
-        """One emitted round's rows (payload or full keys) in merge order.
+    def _frontier(self, blocks, held: list, index: int) -> Iterator[tuple]:
+        """One run's key blocks as the kernel wants them, each one held.
 
-        Each contributing run's rows form one contiguous range (a prefix
-        of its frontier -- exact-string refinement may permute rows
-        within the range but never leaves it), so the round needs one
-        contiguous read per run; interleaving back into merge order is a
-        single vectorized gather.
+        The merge compares key bytes only: every run carries a row-id
+        suffix that ascends with run order, so the kernel's stable
+        earlier-run-first tie handling reproduces full-key memcmp order
+        without the suffix.  The full-width block is remembered at
+        delivery to the kernel, not at fetch: a read-ahead worker may be
+        a block ahead of the frontier the round's spans are cut from.
         """
-        parts: list[np.ndarray] = []
-        bases = np.zeros(len(runs), dtype=np.int64)
-        cursor = 0
-        for index in np.unique(run_ids):
-            positions = row_ids[run_ids == index]
-            lo, hi = int(positions.min()), int(positions.max()) + 1
-            if prefetcher is not None:
-                parts.append(prefetcher.read_rows(int(index), lo, hi))
-            else:
-                parts.append(read(runs[index], lo, hi, self.stats))
-            bases[index] = cursor - lo
-            cursor += hi - lo
-        return _concat(parts)[bases[run_ids] + row_ids]
+        width, start = self.key_layout.key_width, 0
+        for block, codes in blocks:
+            held[index] = (start, block)
+            start += len(block)
+            yield block[:, :width], codes
 
     # ------------------------------------------------------------------ #
     # The pass
@@ -230,53 +215,86 @@ class RunMerger:
         coded = len(runs) > 1  # one run merges nothing: codes stay unread
         prefetcher = None
         if self._make_prefetcher:
-            # The prefetcher's row stream carries the dominant per-round
-            # I/O: the payload rows, or -- for key-carried runs, which
-            # hold no payload -- the full-width key rows.
-            row_read = self._rows if want_rows else self._full_keys
+            # Payload rows are the one stream besides the key blocks, and
+            # key-carried runs hold none.
             prefetcher = self._make_prefetcher(
                 runs,
-                lambda i, lo, hi, s: self._key_block(
-                    runs[i], lo, hi, s, coded
-                ),
-                lambda i, lo, hi, s: row_read(runs[i], lo, hi, s),
+                lambda i, lo, hi, s: self._key_block(runs[i], lo, hi, s, coded),
+                (lambda i, lo, hi, s: runs[i].read_row_block(lo, hi, s))
+                if want_rows
+                else None,
             )
-        key_parts: list[np.ndarray] = []
-        row_parts: list[np.ndarray] = []
-        run_parts: list[np.ndarray] = []
-        try:
-            for run_ids, row_ids in self._rounds(
-                runs, prefetcher, heap, bases, coded, refine=final
-            ):
+        if prefetcher is not None:
+            blocks = [prefetcher.key_source(i) for i in range(len(runs))]
+            read_rows = prefetcher.read_rows
+        else:
+            blocks = [self._key_source(run, coded) for run in runs]
+
+            def read_rows(index, lo, hi):
+                return runs[index].read_row_block(lo, hi, stats)
+
+        #: per run, ``(first row, full-width block)`` delivered last.
+        held: list[tuple[int, np.ndarray] | None] = [None] * len(runs)
+
+        def key_rows(index, lo, hi):
+            first, block = held[index]
+            return block[lo - first : hi - first]
+
+        kernel_stats = KWayBlockStats()
+        refine_end = self.refine_end if final else None
+        rounds = kway_merge_stream(
+            [self._frontier(b, held, i) for i, b in enumerate(blocks)],
+            kernel_stats,
+            on_round=self._check_cancelled,
+            use_ovc=self.config.use_ovc,
+            emit_keys=refine_end is not None,
+            prefetcher=prefetcher,
+        )
+
+        def gathered() -> Iterator[tuple]:
+            """Each round's ``(full keys, rows, heap shifts, *words)``:
+            its spans' slices (key rows out of the held blocks, payload
+            rows one contiguous read each) through its permutation."""
+            for order, spans, *words in rounds:
+                keys = rows = shift = None
                 if want_keys:
-                    key_parts.append(
-                        self._gather(
-                            runs,
-                            run_ids,
-                            row_ids,
-                            self._full_keys,
-                            None if want_rows else prefetcher,
-                        )
-                    )
+                    keys = _gather([key_rows(*s) for s in spans], order)
                 if want_rows:
-                    row_parts.append(
-                        self._gather(
-                            runs, run_ids, row_ids, self._rows, prefetcher
-                        )
+                    rows = _gather([read_rows(*s) for s in spans], order)
+                if bases is not None:
+                    shift = _gather(
+                        [np.full(hi - lo, bases[i]) for i, lo, hi in spans],
+                        order,
                     )
-                    run_parts.append(run_ids)
+                yield (keys, rows, shift, *words)
+
+        batches = gathered()
+        if refine_end is not None:
+            batches = self._repaired(batches, heap)
+        parts: list[tuple] = []
+        try:
+            parts.extend(batches)
         finally:
             # kway_merge_stream also closes the prefetcher when the
-            # stream ends; this covers errors raised from the gathers
-            # before the stream is exhausted.  close() is idempotent.
+            # stream ends; this covers a stream abandoned by an error
+            # raised outside it.  close() is idempotent.
             if prefetcher is not None:
                 prefetcher.close()
-        keys = _concat(key_parts) if want_keys else None
+        stats.kernel_kway_merges += 1
+        stats.kway_rounds += kernel_stats.rounds
+        stats.ovc_compares += kernel_stats.ovc_compares
+        stats.ovc_ties += kernel_stats.ovc_ties
+        stats.kway_peak_frontier_rows = max(
+            stats.kway_peak_frontier_rows, kernel_stats.peak_frontier_rows
+        )
+        keys, rows, shift = (list(column) for column in zip(*parts))
+        keys = _concat(keys) if want_keys else None
         if not want_rows:
             return keys, np.empty((len(keys), 0), dtype=np.uint8), b""
-        rows = _concat(row_parts)  # freshly gathered, safe to patch
+        # A copy even of a lone span's view of its run: patched below.
+        rows = np.concatenate(rows)
         if bases is not None:
-            self._shift_offsets(rows, bases[_concat(run_parts)])
+            self._shift_offsets(rows, _concat(shift))
         return keys, rows, heap
 
     def _shift_offsets(self, rows: np.ndarray, shift: np.ndarray) -> None:
@@ -296,97 +314,78 @@ class RunMerger:
             string_slots(rows, slot)[0][valid] += shift[valid]
 
     # ------------------------------------------------------------------ #
-    # Merge order
+    # Exact strings
     # ------------------------------------------------------------------ #
 
-    def _rounds(
-        self, runs, prefetcher, heap, bases, coded, refine
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The block-streaming kernel's rounds, string ties repaired."""
-        stats = self.stats
-        if prefetcher is not None:
-            sources = [prefetcher.key_source(i) for i in range(len(runs))]
-        else:
-            sources = [self._key_source(run, coded) for run in runs]
-        kernel_stats = KWayBlockStats()
-        refine_end = self.refine_end if refine else None
-        rounds = kway_merge_stream(
-            sources,
-            kernel_stats,
-            on_round=self._check_cancelled,
-            use_ovc=self.config.use_ovc,
-            emit_keys=refine_end is not None,
-            prefetcher=prefetcher,
-        )
-        if refine_end is None:
-            yield from rounds
-        else:
-            width = self.key_layout.key_width
-            # (run_ids, row_ids, key_bytes) slices of the open tie group.
-            carry: list[tuple[np.ndarray, ...]] = []
+    def _repaired(self, batches, heap: bytes) -> Iterator[tuple]:
+        """``batches`` regrouped at tie-group boundaries, string ties repaired.
 
-            heap = np.frombuffer(heap, dtype=np.uint8)
+        Rows tied on the key bytes up to the first truncated VARCHAR
+        segment may reorder once the full strings are consulted, and
+        such a group can straddle a round boundary: each round's
+        trailing tie group is held back (the carry) until a later round
+        closes it, and every settled batch is refined, then emitted.
+        """
+        width, refine_end = self.key_layout.key_width, self.refine_end
+        heap = np.frombuffer(heap, dtype=np.uint8)
+        # (rows, heap shifts, key bytes) slices of the open tie group.
+        carry: list[tuple[np.ndarray, ...]] = []
 
-            def settle(parts):
-                columns = (_concat(list(column)) for column in zip(*parts))
-                with stats.time_phase("refine", ("spill_io", "io_wait")):
-                    return self._refine_settled(runs, *columns, heap, bases)
+        def settle(parts):
+            rows, shift, key_bytes = (
+                _concat(list(column)) for column in zip(*parts)
+            )
+            with self.stats.time_phase("refine"):
+                perm = self._refine_settled(rows, shift, key_bytes, heap)
+            if perm is not None:
+                rows, shift = rows[perm], shift[perm]
+            return None, rows, shift
 
-            for run_ids, row_ids, words in rounds:
-                batch = (run_ids, row_ids, _words_to_bytes(words, width))
-                prefix = batch[2][:, :refine_end]
-                tail = _trailing_tie_start(prefix)
-                if tail == 0 and (
-                    not carry
-                    or np.array_equal(carry[-1][2][-1, :refine_end], prefix[0])
-                ):
-                    carry.append(batch)  # the open group runs on
-                    continue
-                carry.append(tuple(part[:tail] for part in batch))
-                yield settle(carry)
-                carry = [tuple(part[tail:] for part in batch)]
-            if carry:
-                yield settle(carry)
-        stats.kernel_kway_merges += 1
-        stats.kway_rounds += kernel_stats.rounds
-        stats.ovc_compares += kernel_stats.ovc_compares
-        stats.ovc_ties += kernel_stats.ovc_ties
-        stats.kway_peak_frontier_rows = max(
-            stats.kway_peak_frontier_rows, kernel_stats.peak_frontier_rows
-        )
+        for _, rows, shift, words in batches:
+            batch = (rows, shift, _words_to_bytes(words, width))
+            prefix = batch[2][:, :refine_end]
+            tail = _trailing_tie_start(prefix)
+            if tail == 0 and (
+                not carry
+                or np.array_equal(carry[-1][2][-1, :refine_end], prefix[0])
+            ):
+                carry.append(batch)  # the open group runs on
+                continue
+            carry.append(tuple(part[:tail] for part in batch))
+            yield settle(carry)
+            carry = [tuple(part[tail:] for part in batch)]
+        if carry:
+            yield settle(carry)
 
     def _refine_settled(
-        self, runs, run_ids, row_ids, key_bytes, heap, bases
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact-string repair of one settled merge batch.
+        self, rows, shift, key_bytes, heap
+    ) -> np.ndarray | None:
+        """The exact-string permutation of one settled batch, if any.
 
-        ``key_bytes`` are the batch's merged key rows; only the tied
-        rows' payload is read back (one contiguous range per
-        contributing run), and only for its string slots: the bytes
-        they point at in ``heap`` are compared where they lie.
+        ``key_bytes`` are the batch's merged key rows and ``rows`` its
+        payload; only the tied rows' string slots are consulted, and the
+        bytes they point at in ``heap`` are compared where they lie.
         """
 
         def fetch_tied(tied):
-            tied_runs = run_ids[tied]
-            rows = self._gather(
-                runs, tied_runs, row_ids[tied], self._rows, None
-            )
+            tied_rows, tied_shift = rows[tied], shift[tied]
 
             def get(name):
                 offsets, lengths = string_slots(
-                    rows, self._row_layout.slot(name)
+                    tied_rows, self._row_layout.slot(name)
                 )
-                starts = bases[tied_runs] + offsets
-                return heap, starts, lengths.astype(np.int64)
+                return heap, tied_shift + offsets, lengths.astype(np.int64)
 
             return get
 
-        perm = refine_key_order(
+        return refine_key_order(
             key_bytes, self.key_layout, fetch_tied, self.stats
         )
-        if perm is None:
-            return run_ids, row_ids
-        return run_ids[perm], row_ids[perm]
+
+
+def _gather(parts: list[np.ndarray], order: np.ndarray) -> np.ndarray:
+    """A round's span slices in merge order (a lone span already is)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)[order]
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:

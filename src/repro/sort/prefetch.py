@@ -1,26 +1,25 @@
 """Overlapped, forecast-prioritized read-ahead for the external merge.
 
-Every spill-page read used to happen synchronously on the k-way merge's
-critical path: the kernel asked for a run's next frontier block, waited
-for the seek + read + CRC32 verification, then resumed merging.  Where
-those reads wait on storage (:meth:`BlockPrefetcher._fetch_now` decides)
-this module moves them off the critical path: a small thread pool fetches
-and checksum-verifies blocks *ahead* of the merge -- file reads release
-the GIL, so the latency overlaps merge compute -- and the merge consumes
-per-run queues, waiting only when read-ahead could not keep up.
+Where spill-page reads wait on storage (:meth:`BlockPrefetcher._fetch_now`
+decides), this module moves the seek + read + CRC32 verification off the
+k-way merge's critical path: a small thread pool fetches and verifies
+blocks *ahead* of the merge -- file reads release the GIL, so the latency
+overlaps merge compute -- and the merge consumes per-run queues, waiting
+only when read-ahead could not keep up.
 
-Two block streams are prefetched per run, mirroring how the merge
+Up to two block streams are prefetched per run, mirroring how the merge
 consumes a spilled run:
 
-* **key blocks** -- the frontier blocks :func:`~repro.sort.kernels.
-  kway_merge_blocks` refills from, consumed strictly in order through
+* **key blocks** -- the full-width frontier blocks :func:`~repro.sort.
+  kernels.kway_merge_blocks` refills from (the merge also slices the key
+  rows it emits out of them), consumed strictly in order through
   :meth:`BlockPrefetcher.key_source`;
 * **payload rows** -- each emitted round gathers one contiguous prefix
   of every contributing run's rows, so payload consumption trails key
   consumption run-by-run.  :meth:`BlockPrefetcher.read_rows` serves
   those gathers from a buffered window of payload blocks scheduled in
-  lockstep with the delivered key blocks (for key-carried runs the
-  "payload" is the keys section re-read at full width).
+  lockstep with the delivered key blocks.  Key-carried runs hold no
+  payload: their merge opens the key stream alone (``row_fetch=None``).
 
 **Forecasting.**  Read-ahead slots are a scarce resource (see budget
 below), so they go to the runs that will exhaust their buffered data
@@ -32,7 +31,7 @@ global minimum tail (one vectorized whole-row comparison via
 ascending tail order -- the run owning the cutoff drains its frontier
 every round, so its next block is needed soonest.
 
-**Memory budget.**  At most ``depth`` blocks per run per stream are in
+**Memory budget.**  At most ``depth`` blocks per run per open stream are in
 flight, and the *total* of in-flight fetches plus buffered-but-unread
 payload blocks never exceeds a global block budget the caller charges
 against ``SortConfig.run_threshold`` -- prefetch memory comes out of
@@ -84,26 +83,28 @@ failures observed inside a worker still reach the operator's stats."""
 
 
 def prefetch_budget_blocks(
-    depth: int, on_disk_runs: int, block_rows: int, run_threshold: int
+    depth: int,
+    on_disk_runs: int,
+    block_rows: int,
+    run_threshold: int,
+    streams: int = 2,
 ) -> int:
     """Global read-ahead budget in blocks, charged against run memory.
 
-    ``depth`` blocks per run per stream (keys + payload), capped at one
+    ``depth`` blocks per run per stream the merge opens (``streams``:
+    keys and payload, or keys alone for key-carried runs), capped at one
     run's memory allowance (``run_threshold`` rows' worth of blocks) --
-    but never below two blocks per run, the minimum for each run to
-    have one key and one payload block in flight.  That floor is
-    proportional to the merge kernel's own frontier working set
-    (``k * block_rows`` rows), so the prefetch layer stays within a
-    constant factor of memory the merge already commits; without it, a
-    small ``run_threshold`` would starve read-ahead into all-miss
-    synchronous fallbacks.  Zero depth disables.
+    but never below one block per run per stream, so that each has one
+    in flight.  That floor is proportional to the merge kernel's own
+    frontier working set (``k * block_rows`` rows), so the prefetch
+    layer stays within a constant factor of memory the merge already
+    commits; without it, a small ``run_threshold`` would starve
+    read-ahead into all-miss synchronous fallbacks.  Zero depth disables.
     """
     if depth <= 0 or on_disk_runs <= 0:
         return 0
-    want = depth * 2 * on_disk_runs
-    cap = max(
-        2 * on_disk_runs, run_threshold // max(1, block_rows)
-    )
+    want = depth * streams * on_disk_runs
+    cap = max(streams * on_disk_runs, run_threshold // max(1, block_rows))
     return max(1, min(want, cap))
 
 
@@ -143,9 +144,10 @@ class BlockPrefetcher:
 
     ``key_fetch(index, start, stop, stats)`` must return the run's
     ``(key block, ovc codes | None)`` for rows ``[start, stop)`` --
-    rebased and truncated exactly as the merge wants them -- and
+    rebased exactly as the merge wants them, every run's at one width
+    (the exhaustion forecast compares their tail rows) -- and
     ``row_fetch(index, start, stop, stats)`` the payload rows backing
-    the same range.  Both are called with the merge's stats on its own
+    the same range, or ``None`` when the runs hold none.  Both are called with the merge's stats on its own
     thread and with a private stats object on a worker; they time their
     raw read as ``spill_io`` (what starts the pool) and raise only typed
     spill errors.  Inactive (in-memory fallback) runs bypass all of it.
@@ -208,10 +210,9 @@ class BlockPrefetcher:
             buffer.append((lo, block))
             state.row_delivered = hi
         if state.row_delivered < stop:
-            # Not read ahead: fetch the remainder on the critical path.
-            # Rows below row_delivered are already in the window (a
-            # consumer holding rows back re-requests them): re-reading
-            # them would put the same rows in the buffer twice.
+            # Not read ahead: fetch the remainder on the critical path
+            # (rows below row_delivered are in the window already, and
+            # reading them again would buffer them twice).
             lo = max(start, state.row_delivered)
             block = self._fetch_now(self._row_fetch, index, lo, stop)
             buffer.append((lo, block))
@@ -282,7 +283,7 @@ class BlockPrefetcher:
             block, codes = self._consume(state.key_queue.popleft())
         state.key_delivered += 1
         if len(block):
-            state.tail = np.ascontiguousarray(block[-1]).tobytes()
+            state.tail = block[-1].tobytes()
         self._schedule()
         return block, codes
 

@@ -106,6 +106,19 @@ def sort_spilling(
         return operator.finalize()
 
 
+def round_ids(order, spans):
+    """``(run_ids, row_ids)`` per emitted row of one kernel round.
+
+    ``kway_merge_blocks`` reports a round as one ``(run, lo, hi)`` span
+    per contributing run plus the permutation over their concatenation.
+    """
+    run_ids = np.repeat(
+        [run for run, _, _ in spans], [hi - lo for _, lo, hi in spans]
+    )
+    row_ids = np.concatenate([np.arange(lo, hi) for _, lo, hi in spans])
+    return run_ids[order], row_ids[order]
+
+
 def merge_run_indices(runs, block_rows: int = 4096):
     """``(run_ids, row_ids)`` of one k-way merge of sorted key matrices.
 
@@ -121,7 +134,7 @@ def merge_run_indices(runs, block_rows: int = 4096):
 
     alive = np.flatnonzero([len(run) for run in runs])
     sources = [blocks(runs[index]) for index in alive]
-    rounds = list(kway_merge_blocks(sources))
+    rounds = [round_ids(*item) for item in kway_merge_blocks(sources)]
     if not rounds:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     run_ids, row_ids = (np.concatenate(parts) for parts in zip(*rounds))

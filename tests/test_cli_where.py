@@ -178,6 +178,37 @@ class TestCli:
         )
         assert code == 0
 
+    def test_sort_stats_spill_line(self, tmp_path, capsys):
+        # One ``spill:`` line, and only when a run file was written.
+        source = str(tmp_path / "ints.csv")
+        rows = 700
+        write_csv(
+            Table.from_pydict(
+                {
+                    "a": [(i * 37) % 101 for i in range(rows)],
+                    "b": list(range(rows)),
+                }
+            ),
+            source,
+        )
+        sort = ["sort", source, "--by", "a, b", "--external", "--stats"]
+        assert main(sort) == 0
+        assert "spill:" not in capsys.readouterr().err
+        assert main(sort + ["--run-threshold", "300"]) == 0
+        (line,) = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("spill:")
+        ]
+        fields = dict(part.split("=") for part in line.split()[1:])
+        assert list(fields) == [
+            "key_carried_runs", "layout_rebases", "checksum_verifications",
+            "retries", "failovers",
+        ]
+        assert int(fields["key_carried_runs"]) >= 1  # every column a key
+        assert int(fields["checksum_verifications"]) >= 2  # header + page
+        assert fields["retries"] == fields["failovers"] == "0"
+
     def test_sql(self, tmp_path, capsys):
         source = make_csv(tmp_path)
         code = main(

@@ -552,8 +552,13 @@ class TestRandomizedConcurrentFaults:
         table = mixed_table(rng, 1500)
         config = fast_config(run_threshold=400, prefetch_blocks=2)
 
+        def slow_reads():
+            # Latency on every read: the pool starts only once reads
+            # prove slow, and page-cached tmp files never do.
+            return InjectedFault("slow_io", at=0, times=None, delay_s=0.0005)
+
         # Fault-free pass: learn the read count and the expected bytes.
-        baseline_io = FaultInjector()
+        baseline_io = FaultInjector([slow_reads()])
         baseline_dir = tmp_path / "baseline"
         baseline_dir.mkdir()
         operator = build_operator(
@@ -562,9 +567,8 @@ class TestRandomizedConcurrentFaults:
         expected = run_sort(operator, table)
         reads = baseline_io.stats.reads
         assert reads >= 6
-        assert (
-            operator.stats.prefetch_hits + operator.stats.prefetch_misses
-        ) > 0
+        # Blocks were fetched (and CRC-verified) on worker threads.
+        assert operator.stats.phase_seconds["spill_io_overlap"] > 0
         self._assert_no_prefetch_threads()
 
         draw = np.random.default_rng(20260808)
@@ -574,7 +578,7 @@ class TestRandomizedConcurrentFaults:
             fault = InjectedFault(kind, at=at)
             if kind == "slow_io":
                 fault.delay_s = 0.001
-            injector = FaultInjector([fault], seed=100 + trial)
+            injector = FaultInjector([slow_reads(), fault], seed=100 + trial)
             spill_dir = tmp_path / f"trial-{trial}"
             spill_dir.mkdir()
             operator = build_operator(

@@ -135,8 +135,8 @@ class TestBoundedMemory:
 
         stats = KWayBlockStats()
         emitted = sum(
-            len(run_ids)
-            for run_ids, _ in kway_merge_blocks(
+            len(order)
+            for order, _ in kway_merge_blocks(
                 [blocks(matrix) for matrix in runs], stats
             )
         )

@@ -127,12 +127,13 @@ class TestPrefetchByteIdentity:
 
 
 class TestHeldBackRanges:
-    """A consumer that holds rows back re-requests them with the next range.
+    """A range that starts inside the window is not read or served twice.
 
-    The exact-string carry buffer does: with a truncated VARCHAR as the
-    last key it keeps a round's trailing tie group and asks for those
-    rows again, so ``start < row_delivered < stop``.  The starvation
-    branch used to re-read from ``start`` and hand back a row twice.
+    With ``start < row_delivered < stop`` the starvation branch must
+    read from ``row_delivered`` on: re-reading from ``start`` buffers
+    the overlap twice and hands a row back twice (found by the e2e
+    oracle on a consumer that re-requested held-back rows; the merge
+    now reads each span once, ``read_rows`` keeps the guard).
     """
 
     def test_read_rows_with_overlapping_range(self):

@@ -177,6 +177,43 @@ class TestWidthAndModeSelection:
         assert segment.mode == MODE_PLAIN
         assert segment.total_width == 9
 
+    def test_full_width_segment_takes_no_bias(self):
+        # A NULL-free segment that needs its type's whole width gains
+        # nothing from a bias, and without one a run that moves min or
+        # max leaves the layout as it is (nothing to rebase).
+        spec = SortSpec.of("a DESC", "b", "c")
+        first = Table.from_numpy(
+            {
+                "a": np.array([-(2**62), 2**62], dtype=np.int64),
+                "b": np.array([-(2**30), 2**30], dtype=np.int32),
+                "c": np.array([5, 2**40], dtype=np.int64),
+            }
+        )
+        acc = KeyStatsAccumulator(first.schema, spec)
+        acc.update(first)
+        layout = acc.build_layout()
+        a, b, c = layout.segments
+        assert (a.mode, a.value_width, a.bias, a.code_range) == (
+            MODE_NOBYTE, 8, 0, 1 << 64,
+        )
+        assert (b.mode, b.value_width, b.bias, b.code_range) == (
+            MODE_NOBYTE, 4, 0, 1 << 32,
+        )
+        # Narrower than its type: the bias is what saves the bytes.
+        assert (c.value_width, c.bias) == (5, (1 << 63) + 5)
+        assert deserialize_layout(
+            serialize_layout(layout), first.schema, spec
+        ) == layout
+        wider = Table.from_numpy(
+            {
+                "a": np.array([-(2**63), 2**63 - 1], dtype=np.int64),
+                "b": np.array([-(2**31), 2**31 - 1], dtype=np.int32),
+                "c": np.array([7, 2**40 - 1], dtype=np.int64),
+            }
+        )
+        acc.update(wider)
+        assert acc.build_layout() == layout
+
     def test_all_null_column_compresses_to_one_byte(self):
         table = Table.from_pydict({"a": [None, None, None]})
         layout = build_compressed_layout(
@@ -408,6 +445,31 @@ class TestKeyCarriedExternal:
         assert results["on"].equals(results["off"])
         assert results["on"].equals(reference_sort(table, spec))
         assert spilled["on"] < spilled["off"] / 2
+
+    @pytest.mark.parametrize("direction", ["", " DESC"])
+    def test_bias_free_segments_round_trip_at_the_extremes(self, direction):
+        int64, int32 = np.iinfo(np.int64), np.iinfo(np.int32)
+        table = Table.from_numpy(
+            {
+                "a": np.array(
+                    [0, int64.max, -1, int64.min, 1, int64.max - 1],
+                    dtype=np.int64,
+                ),
+                "b": np.array(
+                    [int32.max, 0, int32.min, -1, 1, int32.min + 1],
+                    dtype=np.int32,
+                ),
+            }
+        )
+        spec = SortSpec.of(f"a{direction}", f"b{direction}")
+        layout = build_compressed_layout(table, spec)
+        assert [s.bias for s in layout.segments] == [0, 0]
+        assert layout.key_width == 12
+        keys = normalize_keys(table, spec, layout=layout)
+        decoded = decode_key_table(keys.matrix, layout, table.schema)
+        assert_byte_identical(decoded, table)
+        order = np.lexsort(keys.matrix[:, : layout.key_width].T[::-1])
+        assert_byte_identical(table.take(order), reference_sort(table, spec))
 
     def test_decode_key_table_round_trip(self, rng):
         table = self.int_table(rng, 500)

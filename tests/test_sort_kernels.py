@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_sort, sort_resident_runs, sort_spilling
+from conftest import reference_sort, round_ids, sort_resident_runs, sort_spilling
 from repro.errors import SortError
 from repro.sort import kernels
 from repro.sort.heuristic import vector_sort_rows
@@ -350,8 +350,8 @@ class TestChunkColumns:
 
         stats = KWayBlockStats()
         emitted = [
-            (run_ids, row_ids)
-            for run_ids, row_ids in kway_merge_blocks(
+            round_ids(order, spans)
+            for order, spans in kway_merge_blocks(
                 [block_iter(run) for run in runs], stats
             )
         ]

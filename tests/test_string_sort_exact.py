@@ -18,7 +18,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import reference_sort, sort_spilling
+from conftest import reference_sort, round_ids, sort_spilling
 from repro.aggregate.groupby import Aggregate, group_by
 from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
 from repro.rows.block import RowBlock, string_slots
@@ -345,8 +345,8 @@ class TestOffsetValueCoding:
         def collect(use_ovc):
             stats = KWayBlockStats()
             out = [
-                (run_ids.copy(), row_ids.copy())
-                for run_ids, row_ids in kway_merge_blocks(
+                round_ids(order, spans)
+                for order, spans in kway_merge_blocks(
                     sources(), stats, use_ovc=use_ovc
                 )
             ]
