@@ -252,7 +252,7 @@ def bench_kernel_sweep(rng: np.random.Generator, max_rows: int) -> dict:
         "numpy_version": np.__version__,
         "numpy_simd": _numpy_simd_features(),
         "cpu_count": os.cpu_count(),
-        "commit": _commit_id(),
+        "commit": commit_id(),
         "cells": cells,
     }
 
@@ -266,7 +266,7 @@ def _numpy_simd_features():
         return None
 
 
-def _commit_id() -> str:
+def commit_id() -> str:
     try:
         return subprocess.run(
             ["git", "describe", "--always", "--dirty"],

@@ -10,7 +10,7 @@ incremental (maintained-view) sorter -- and records one cell per
   single scheduler hiccup does not poison the recorded artifact);
 * what the run sort did and which run generator ran (``sort_passes`` /
   ``sort_tied_rows`` summed over the generated runs, the external
-  ``rungen_path`` + presortedness probe) -- these are **deterministic**
+  ``rungen_path``) -- these are **deterministic**
   for a given (rows, seed), which is what lets
   ``benchmarks/regress.py`` gate on them;
 * the run-length histogram summary, merge passes, k-way rounds, and the
@@ -115,7 +115,6 @@ def _dispatch_summary(stats) -> dict:
         "sort_passes": stats.sort_passes,
         "sort_tied_rows": stats.sort_tied_rows,
         "rungen_path": stats.rungen_path,
-        "rungen_probe": stats.rungen_probe,
         "runs_generated": stats.runs_generated,
         "run_lengths": _run_lengths_summary(stats.run_lengths),
         "merge_passes": stats.merge_passes,

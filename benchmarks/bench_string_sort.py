@@ -1,8 +1,8 @@
 """Exact string-sort benchmark; writes BENCH_strings.json.
 
 Measures what the exact vector string path (adaptive tie-break
-re-encoding in :mod:`repro.sort.stringsort` plus offset-value coding in
-the merge kernels) buys over the scalar per-row comparator it replaced:
+re-encoding in :mod:`repro.sort.stringsort`) buys over the scalar
+per-row comparator it replaced:
 
 * **long_string_sort** -- a 200k-row sort on strings far past the
   12-byte key prefix: the vector path (kernel sort + targeted
@@ -14,16 +14,6 @@ the merge kernels) buys over the scalar per-row comparator it replaced:
 * **shared_prefix_worst_case** -- every row shares one long prefix, so
   every row enters refinement: records the re-encode work counters
   (rounds, rows, full-key compares) and the seconds they cost.
-* **duplicate_heavy_kway** -- an external multi-run sort on a tiny
-  string domain, offset-value coding on vs. off: nearly every row is a
-  duplicate of its run predecessor, so the stored codes settle it with
-  no word comparison at all.  Output equality is asserted, and the
-  merge win is gated on the deterministic work counter -- at acceptance
-  scale the codes must cut the rows ordered through full word
-  comparisons by >= 2x (``ovc_compares``); wall-clock is recorded
-  alongside but not gated, since the per-round savings are a few word
-  columns of ``np.lexsort`` and vanish into scheduling noise on small
-  CI boxes.
 
 Hardware varies across CI boxes, so timing numbers are *recorded, not
 gated* below acceptance scale.  Results land in ``BENCH_strings.json``
@@ -44,7 +34,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.sort.operator import SortConfig, make_sort_operator  # noqa: E402
+from repro.sort.operator import make_sort_operator  # noqa: E402
 from repro.sort.reference import reference_sort  # noqa: E402
 from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
@@ -56,7 +46,6 @@ DEFAULT_ROWS = 200_000
 ACCEPTANCE_ROWS = 200_000  # gate the speedup assertions here
 ROUNDS = 3  # best-of for every timed side
 SPEEDUP_FLOOR = 3.0
-COMPARE_REDUCTION_FLOOR = 2.0
 
 
 def _best_of(fn, rounds=ROUNDS):
@@ -95,22 +84,8 @@ def _shared_prefix_table(seed: int, rows: int) -> Table:
     return Table.from_pydict({"s": values})
 
 
-def _duplicate_heavy_table(seed: int, rows: int) -> Table:
-    """A four-value domain: nearly every row duplicates a predecessor.
-
-    The values stay inside the key prefix so the merge is the pure k-way
-    kernel -- no tie refinement -- and the offset-value codes are the
-    only thing separating the two sides.
-    """
-    rng = random.Random(seed)
-    domain = ["ok", "retry", "failed", "queued"]
-    return Table.from_pydict({"s": [rng.choice(domain) for _ in range(rows)]})
-
-
-def _sort(table: Table, config: SortConfig | None = None):
-    with make_sort_operator(
-        table.schema, SortSpec.of("s"), config
-    ) as operator:
+def _sort(table: Table):
+    with make_sort_operator(table.schema, SortSpec.of("s")) as operator:
         for chunk in chunk_table(table, 16_384):
             operator.sink(chunk)
         return operator.finalize(), operator.stats
@@ -164,64 +139,11 @@ def bench_shared_prefix(rows: int) -> dict:
     }
 
 
-def _external_sort(table: Table, rows: int, use_ovc: bool):
-    config = SortConfig(
-        external=True, run_threshold=max(rows // 8, 1024), use_ovc=use_ovc
-    )
-    return _sort(table, config)
-
-
-def bench_duplicate_kway(rows: int) -> dict:
-    table = _duplicate_heavy_table(17, rows)
-    sides = {}
-    results = {}
-    for label, use_ovc in (("off", False), ("on", True)):
-        seconds, (result, stats) = _best_of(
-            lambda u=use_ovc: _external_sort(table, rows, u)
-        )
-        results[label] = result
-        sides[label] = {
-            "seconds": seconds,
-            "rows_per_s": rows / seconds,
-            "merge_phase_s": stats.phase_seconds.get("merge", 0.0),
-            "ovc_compares": stats.ovc_compares,
-            "ovc_ties": stats.ovc_ties,
-            "kway_rounds": stats.kway_rounds,
-        }
-    assert results["on"].column("s").to_pylist() == results["off"].column(
-        "s"
-    ).to_pylist(), "OVC merge output diverged from the plain merge"
-    assert sides["on"]["ovc_ties"] > sides["off"]["ovc_ties"], (
-        "stored offset-value codes settled no extra rows"
-    )
-    compare_reduction = sides["off"]["ovc_compares"] / max(
-        sides["on"]["ovc_compares"], 1
-    )
-    merge_speedup = sides["off"]["merge_phase_s"] / max(
-        sides["on"]["merge_phase_s"], 1e-9
-    )
-    summary = {
-        "rows": rows,
-        "ovc_off": sides["off"],
-        "ovc_on": sides["on"],
-        "compare_reduction": compare_reduction,
-        "merge_speedup": merge_speedup,
-    }
-    if rows >= ACCEPTANCE_ROWS:
-        assert compare_reduction >= COMPARE_REDUCTION_FLOOR, (
-            f"offset-value codes cut full word comparisons only "
-            f"{compare_reduction:.2f}x, below the "
-            f"{COMPARE_REDUCTION_FLOOR}x acceptance floor"
-        )
-    return summary
-
-
 def main(rows: int = DEFAULT_ROWS) -> dict:
     results = {
         "cpu_count": os.cpu_count(),
         "long_string_sort": bench_long_strings(rows),
         "shared_prefix_worst_case": bench_shared_prefix(min(rows, 100_000)),
-        "duplicate_heavy_kway": bench_duplicate_kway(rows),
     }
     with open(OUTPUT, "w") as fh:
         json.dump(results, fh, indent=2)
@@ -239,14 +161,6 @@ def main(rows: int = DEFAULT_ROWS) -> dict:
         f"{shared['rows']:,} rows, {shared['reencode_rounds']} re-encode "
         f"rounds over {shared['reencoded_rows']:,} rows"
     )
-    kway = results["duplicate_heavy_kway"]
-    print(
-        f"duplicate_heavy_kway: {kway['ovc_off']['ovc_compares']:,} rows "
-        f"word-compared without OVC, {kway['ovc_on']['ovc_compares']:,} "
-        f"with ({kway['compare_reduction']:.2f}x fewer; merge "
-        f"{kway['ovc_off']['merge_phase_s']:.3f}s -> "
-        f"{kway['ovc_on']['merge_phase_s']:.3f}s)"
-    )
     print(f"wrote {OUTPUT} (cpu_count={results['cpu_count']})")
     return results
 
@@ -259,7 +173,6 @@ def test_string_bench_smoke(capsys):
     # of the recorded sections.
     assert results["long_string_sort"]["vector_exact"]["rows_per_s"] > 0
     assert results["shared_prefix_worst_case"]["reencoded_rows"] > 0
-    assert results["duplicate_heavy_kway"]["compare_reduction"] > 1.0
     assert os.path.exists(OUTPUT)
 
 

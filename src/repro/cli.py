@@ -161,13 +161,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sort_cmd.add_argument(
         "--replacement-selection",
-        choices=["auto", "on", "off"],
-        default="auto",
+        action="store_true",
         help=(
-            "run generation for --external: 'on' forces replacement "
-            "selection (longer runs on near-sorted input), 'off' forces "
-            "plain argsort runs, 'auto' probes the first spill's "
-            "presortedness (default)"
+            "generate --external runs by replacement selection (fewer, "
+            "longer runs on near-sorted input) instead of cutting plain "
+            "argsort runs at the threshold"
         ),
     )
     sort_cmd.add_argument(
@@ -185,9 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help=(
-            "print sort statistics to stderr (rows, runs, merge and "
-            "offset-value-coding counters, string re-encode work, "
-            "per-phase wall-clock)"
+            "print sort statistics to stderr (rows, runs, merge "
+            "counters, string re-encode work, per-phase wall-clock)"
         ),
     )
 
@@ -332,8 +329,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         kwargs["run_threshold"] = args.run_threshold
     if args.prefetch_blocks is not None:
         kwargs["prefetch_blocks"] = args.prefetch_blocks
-    if args.replacement_selection != "auto":
-        kwargs["replacement_selection"] = args.replacement_selection == "on"
     if args.merge_fan_in is not None:
         kwargs["merge_fan_in"] = args.merge_fan_in
     config = SortConfig(
@@ -341,6 +336,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         spill_directories=tuple(args.spill_dir),
         verify_spill_checksums=not args.no_spill_checksums,
         compress_keys=not args.no_compress_keys,
+        replacement_selection=args.replacement_selection,
         **kwargs,
     )
     spec = SortSpec.of(*[part.strip() for part in args.by.split(",")])
@@ -382,12 +378,7 @@ def _print_sort_stats(stats) -> None:
     run_sort = f"passes={stats.sort_passes} tied_rows={stats.sort_tied_rows}"
     print(f"run_sort: {run_sort}", file=err)
     if stats.rungen_path:
-        probe = (
-            f" probe={stats.rungen_probe:.3f}"
-            if stats.rungen_probe >= 0
-            else ""
-        )
-        print(f"rungen: path={stats.rungen_path}{probe}", file=err)
+        print(f"rungen: path={stats.rungen_path}", file=err)
     if stats.run_lengths:
         print(
             f"run_lengths: {_run_length_histogram(stats.run_lengths)}",
@@ -419,11 +410,6 @@ def _print_sort_stats(stats) -> None:
         "merges: "
         f"kway_kernel={stats.kernel_kway_merges} "
         f"kway_rounds={stats.kway_rounds}",
-        file=err,
-    )
-    print(
-        "offset_value_coding: "
-        f"compares={stats.ovc_compares} ties={stats.ovc_ties}",
         file=err,
     )
     print(

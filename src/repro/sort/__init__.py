@@ -39,7 +39,6 @@ from repro.sort.kernels import (
     merge_indices,
     void_view,
 )
-from repro.sort.kway import kway_merge_stream
 from repro.sort.merge_path import (
     merge_partitioned,
     merge_path_partition,
@@ -100,7 +99,6 @@ __all__ = [
     "kway_merge_blocks",
     "merge_indices",
     "void_view",
-    "kway_merge_stream",
     "merge_partitioned",
     "merge_path_partition",
     "merge_path_partitions",

@@ -26,8 +26,9 @@ What this module adds to the inherited stages is the spilling *run
 store*: the spill-file reader (:class:`SpilledRun`), the temp-directory
 lifecycle, the write ladder below, header/CRC verification, the
 read-ahead hook (:mod:`repro.sort.prefetch`), fan-in-limited merge
-pre-passes, and replacement-selection run generation -- which buys
-fewer files and passes, so only a store that pays for files uses it.
+pre-passes, and -- only under ``SortConfig.replacement_selection`` --
+replacement-selection run generation, which buys fewer files and
+passes, so only a store that pays for files can use it.
 
 Runs are encoded under the runtime key-compression layer
 (:mod:`repro.keys.compression`) unless ``SortConfig.compress_keys`` is
@@ -47,11 +48,7 @@ merge repairs them with the adaptive re-encode loop
 (:func:`repro.sort.stringsort.refine_key_order`) -- rows tied on the
 bytes up to the first truncated segment are held in a carry buffer
 across round boundaries, refined against the full strings decoded from
-the spilled payload, then emitted.  Each run's header also stores its
-offset-value codes (Do & Graefe, arXiv 2209.08420) as a tagged
-frame; the merge kernel combines them with a per-round
-first/last-word scan to drop the key words all frontier rows share, so
-duplicate-heavy merges compare only the distinguishing suffix.
+the spilled payload, then emitted.
 
 The spill format per run is one file of three contiguous data sections --
 the sorted key matrix, the payload row matrix, and the string heap --
@@ -117,15 +114,12 @@ from repro.sort.operator import (
 )
 from repro.sort.prefetch import BlockPrefetcher, prefetch_budget_blocks
 from repro.sort.rungen import (
-    PROBE_THRESHOLD,
     RUN_CAP_FACTOR,
     InMemoryRun,
     ReplacementSelection,
-    presortedness,
 )
 from repro.sort.spillfile import (
     EXTRA_TAG_LAYOUT,
-    EXTRA_TAG_OVC,
     SECTION_NAMES,
     SpillHeader,
     VerifiedTailCache,
@@ -174,7 +168,6 @@ class SpilledRun:
         io: SpillIO | None = None,
         verify: bool = True,
         layout: KeyLayout | None = None,
-        ovc: np.ndarray | None = None,
     ) -> None:
         self.path = path
         self.header = header
@@ -188,10 +181,6 @@ class SpilledRun:
         #: the run's compressed key layout (``None`` for uncompressed
         #: runs); also serialized in ``header.extra`` for re-attachment.
         self.layout = layout
-        #: the run's offset-value codes (one u16 per key row, see
-        #: :func:`repro.sort.kernels.ovc_codes`), or ``None``; also
-        #: stored as a tagged frame in ``header.extra``.
-        self.ovc = ovc
 
     @classmethod
     def open(
@@ -204,9 +193,8 @@ class SpilledRun:
     ) -> "SpilledRun":
         """Attach to an existing spill file, validating its header.
 
-        Metadata frames in the header's extra blob are re-attached:
-        the offset-value codes always, the key layout when ``schema``
-        and ``spec`` are given (deserializing a layout needs both).
+        The key layout in the header's extra blob is re-attached when
+        ``schema`` and ``spec`` are given (deserializing it needs both).
         """
         io = io or SpillIO()
         try:
@@ -220,17 +208,7 @@ class SpilledRun:
         blob = frames.get(EXTRA_TAG_LAYOUT)
         if blob and schema is not None and spec is not None:
             layout = deserialize_layout(blob, schema, spec)
-        ovc = None
-        blob = frames.get(EXTRA_TAG_OVC)
-        if blob is not None:
-            ovc = np.frombuffer(blob, dtype="<u2")
-            if len(ovc) != header.num_rows:
-                raise SpillCorruptionError(
-                    f"offset-value code frame holds {len(ovc)} codes "
-                    f"for {header.num_rows} rows",
-                    path,
-                )
-        return cls(path, header, io, verify, layout=layout, ovc=ovc)
+        return cls(path, header, io, verify, layout=layout)
 
     @property
     def num_rows(self) -> int:
@@ -446,10 +424,8 @@ class ExternalSortOperator(SortOperator):
         self._merging = False
         self._spilling = False
         self._degraded = False
-        # Replacement selection: decided once, on the first spill, by the
-        # presortedness probe (or forced by config); the selection object
-        # holds the working set of sorted segments between spills.
-        self._rs_active: bool | None = None
+        # Replacement selection: the selection object holds the working
+        # set of sorted segments between spills.
         self._selection: ReplacementSelection | None = None
         self._run_seq = 0  # spill filename counter (never reused)
         # Collision-proof spill names: concurrent sorts sharing a spill
@@ -619,51 +595,23 @@ class ExternalSortOperator(SortOperator):
         table, keys = self._generator.encode(self._buffer)
         self._buffer = []
         self._buffered_rows = 0
-        if self._rs_active is None:
-            self._rs_active = self._choose_rungen(keys)
-        if self._rs_active:
+        # Replacement selection needs keys whose byte order *is* the sort
+        # order: a truncated VARCHAR prefix would need exact-string
+        # refinement across segment boundaries, so sorts with string keys
+        # decline it.
+        if (
+            self.config.replacement_selection
+            and not self._generator.has_string_key
+        ):
+            self.stats.rungen_path = "replacement_selection"
             self._rs_feed(table, keys)
         else:
+            self.stats.rungen_path = "argsort"
             self._store_run(self._generator.sort_run(table, keys))
 
     # ------------------------------------------------------------------ #
     # Replacement-selection run generation
     # ------------------------------------------------------------------ #
-
-    def _choose_rungen(self, keys) -> bool:
-        """Pick the run generator for this sort, once, on the first spill.
-
-        Replacement selection buys fewer spill files and merge passes,
-        which only a spilling store pays for -- so the choice lives
-        here, not in the shared generator.  It needs keys whose byte
-        order *is* the sort order -- a truncated VARCHAR prefix would
-        require exact-string refinement across segment boundaries, so
-        sorts with string keys stay on the argsort path.  Otherwise
-        ``config.replacement_selection`` forces the choice, and ``None``
-        probes the first buffered batch's presortedness
-        (:func:`repro.sort.rungen.presortedness`) -- replacement
-        selection only pays off when ascending stretches let runs grow
-        past the threshold.
-        """
-        config = self.config
-        probe = -1.0
-        if (
-            self._generator.has_string_key
-            or config.replacement_selection is False
-        ):
-            choice = False
-        elif config.replacement_selection:
-            choice = True
-        else:
-            probe = presortedness(
-                keys.matrix[:, : keys.layout.key_width]
-            )
-            choice = probe >= PROBE_THRESHOLD
-        self.stats.rungen_probe = probe
-        self.stats.rungen_path = (
-            "replacement_selection" if choice else "argsort"
-        )
-        return choice
 
     def _rs_feed(self, table: Table, keys) -> None:
         """Sort one batch into the selection working set, then drain."""
@@ -743,8 +691,6 @@ class ExternalSortOperator(SortOperator):
                 frames: dict[int, bytes] = {}
                 if run.layout is not None:
                     frames[EXTRA_TAG_LAYOUT] = serialize_layout(run.layout)
-                if run.ovc is not None:
-                    frames[EXTRA_TAG_OVC] = run.ovc.astype("<u2").tobytes()
                 header = build_header(
                     run.num_rows,
                     run.key_width,
@@ -777,7 +723,6 @@ class ExternalSortOperator(SortOperator):
                 self._io,
                 verify=self.config.verify_spill_checksums,
                 layout=run.layout,
-                ovc=run.ovc,
             )
             self._runs.append(run)
             return run

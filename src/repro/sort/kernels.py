@@ -19,21 +19,13 @@ exactly byte-wise memcmp.  On top of it:
   one cutoff key, or may be among the ``count`` smallest (Top-N's filters),
 * :func:`kway_merge_blocks` -- the production merge: block-streaming, one
   stable sort of the emittable frontier rows per round (the two-run
-  :func:`merge_indices` stays only because ``benchmarks/e2e`` binds it).
+  :func:`merge_indices` and :func:`ovc_codes` have no caller and stay
+  only because ``benchmarks/e2e`` binds them).
 
 Correctness requires that memcmp order over the key bytes is the intended
 order, i.e. the keys' ``prefix_exact`` flag holds; callers with truncated
 VARCHAR prefixes run these kernels on the prefix bytes and then repair the
 byte-equal tie groups with :mod:`repro.sort.stringsort`.
-
-The merge kernels additionally understand **offset-value coding** (Do &
-Graefe, arXiv 2209.08420), adapted to whole-block operation: instead of a
-per-row (offset, value) pair driving a tournament tree, each merge round
-derives the number of leading uint64 words shared by *every* frontier row
-(:func:`ovc_codes` / the first-vs-last induction in the merge paths) and
-skips those words entirely, so duplicate-heavy keys cost one word compare --
-or none at all, when the round's keys are all equal -- instead of a full
-memcmp each.
 """
 
 from __future__ import annotations
@@ -368,17 +360,10 @@ def smallest_mask(matrix: np.ndarray, count: int) -> np.ndarray:
 
 
 def ovc_codes(matrix: np.ndarray) -> np.ndarray:
-    """Offset-value codes of a sorted key matrix, vectorized.
-
-    ``codes[i]`` is the index of the first uint64 word where row ``i``
-    differs from row ``i - 1`` (``codes[0]`` is 0); a code equal to the
-    word count marks the row as a full duplicate of its predecessor.  The
-    array is the block-friendly form of Do & Graefe's per-row offset-value
-    code: within a sorted run the offset alone identifies how much prefix a
-    successor shares, which is what the merge paths need to skip
-    already-decided words.  Computed with one adjacent-row comparison per
-    word column -- no per-row Python.
-    """
+    """Offset-value codes of a sorted key matrix: per row, the index of
+    the first uint64 word that differs from the row before (0 for row 0,
+    the word count for a full duplicate).  Uncalled: bound by
+    ``benchmarks/e2e``, goes with ROADMAP item A."""
     _check_matrix(matrix)
     n = len(matrix)
     codes = np.zeros(n, dtype=np.uint16)
@@ -393,62 +378,20 @@ def ovc_codes(matrix: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _common_prefix_words(column_lists: Sequence[Sequence[np.ndarray]]) -> int:
-    """Number of leading uint64 words shared by every row of every block.
-
-    Each entry of ``column_lists`` is the word-column decomposition of one
-    *sorted* block.  Word ``j`` of a sorted block is constant iff its first
-    and last entries are equal, provided all words before ``j`` are
-    constant -- which this loop establishes inductively -- so the check is
-    O(words * k) with no row scans.  Empty blocks impose no constraint.
-    """
-    words = min(len(columns) for columns in column_lists)
-    skip = 0
-    while skip < words:
-        value = None
-        for columns in column_lists:
-            column = columns[skip]
-            if not len(column):
-                continue
-            if column[0] != column[-1]:
-                return skip
-            if value is None:
-                value = column[0]
-            elif column[0] != value:
-                return skip
-        skip += 1
-    return skip
-
-
-def merge_indices(
-    a: np.ndarray,
-    b: np.ndarray,
-    stats=None,
-    use_ovc: bool = True,
-) -> np.ndarray:
-    """Gather permutation merging two sorted key matrices.
+def merge_indices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gather permutation merging two sorted key matrices.  Uncalled:
+    bound by ``benchmarks/e2e``, goes with ROADMAP item A.
 
     ``a`` and ``b`` must be row-sorted matrices of equal width.  Returns an
     int64 permutation ``perm`` of ``len(a) + len(b)`` such that
     ``np.concatenate([a, b])[perm]`` is the sorted merge.  Ties take rows
     of ``a`` first, so the merge is stable when ``a`` is the earlier run.
 
-    With ``use_ovc`` (the default) the offset-value-coding prefix skip
-    runs first: uint64 words constant and equal across both inputs
-    (established by the first-vs-last induction of
-    :func:`_common_prefix_words`) are excluded from the comparison, and
-    when *every* word is shared -- duplicate-heavy keys -- the merge
-    degenerates to ``np.arange``, no comparisons at all.  ``stats``, if
-    given, must expose ``ovc_compares`` / ``ovc_ties`` counters
-    (:class:`KWayBlockStats` or ``SortStats``): rows ordered through word
-    comparisons count as compares, rows settled with all words equal as
-    ties.
-
-    Keys that (after the skip) span at most 8 bytes merge with two
-    ``np.searchsorted`` binary searches (O(n log m) native word
-    comparisons); wider keys merge with a stable ``np.lexsort`` over the
-    uint64 word columns of the concatenation.  Either way the Python-level
-    cost is O(1) regardless of the row count.
+    Keys that span at most 8 bytes merge with two ``np.searchsorted``
+    binary searches (O(n log m) native word comparisons); wider keys merge
+    with a stable ``np.lexsort`` over the uint64 word columns of the
+    concatenation.  Either way the Python-level cost is O(1) regardless of
+    the row count.
     """
     if a.shape[1] != b.shape[1]:
         raise SortError(
@@ -458,19 +401,6 @@ def merge_indices(
     cols_a = _chunk_columns(a)
     cols_b = _chunk_columns(b)
     n, m = len(a), len(b)
-    if use_ovc and n and m:
-        skip = _common_prefix_words([cols_a, cols_b])
-        if skip == len(cols_a):
-            # Every key in both inputs is one value: concatenation in run
-            # order already is the stable merge.
-            if stats is not None:
-                stats.ovc_ties += n + m
-            return np.arange(n + m, dtype=np.int64)
-        if skip:
-            cols_a = cols_a[skip:]
-            cols_b = cols_b[skip:]
-        if stats is not None:
-            stats.ovc_compares += n + m
     if len(cols_a) == 1:
         va, vb = cols_a[0], cols_b[0]
         # Output slot of a[i]: i rows of a precede it, plus every b row
@@ -507,30 +437,15 @@ class KWayBlockStats:
     ``peak_frontier_rows`` is the maximum number of key rows buffered
     across all run frontiers at any point -- the merge's working set, which
     stays bounded by ``k * block_rows`` no matter how large the runs are.
-
-    ``ovc_compares`` counts rows ordered through uint64 word comparisons
-    after the offset-value prefix skip; ``ovc_ties`` counts rows settled
-    without any comparison -- rounds whose keys were all equal, plus rows
-    whose stored offset-value code marks them as duplicates of their run
-    predecessor.
     """
 
-    __slots__ = (
-        "rounds",
-        "rows_emitted",
-        "refills",
-        "peak_frontier_rows",
-        "ovc_compares",
-        "ovc_ties",
-    )
+    __slots__ = ("rounds", "rows_emitted", "refills", "peak_frontier_rows")
 
     def __init__(self) -> None:
         self.rounds = 0
         self.rows_emitted = 0
         self.refills = 0
         self.peak_frontier_rows = 0
-        self.ovc_compares = 0
-        self.ovc_ties = 0
 
 
 def _count_below(
@@ -559,18 +474,16 @@ def _count_below(
 
 
 def kway_merge_blocks(
-    sources: Sequence[Iterable],
+    sources: Sequence[Iterable[np.ndarray]],
     stats: KWayBlockStats | None = None,
     *,
-    use_ovc: bool = True,
     emit_keys: bool = False,
 ) -> Iterator[tuple]:
     """Streaming k-way merge of sorted runs, one bounded block at a time.
 
     ``sources`` holds one iterable per run, each yielding successive
     ``(m, width)`` uint8 key-matrix blocks of that run in sorted order (all
-    runs share one width) -- or ``(block, codes)`` pairs where ``codes`` is
-    the block's slice of the run's :func:`ovc_codes` array (or ``None``).
+    runs share one width).
     Yields one ``(order, spans)`` pair per round, the round's
     globally-sorted slice of the merge: ``spans`` lists, ascending by run,
     one ``(run, lo, hi)`` per contributing run -- the contiguous rows
@@ -582,14 +495,6 @@ def kway_merge_blocks(
     merged key rows as an ``(m, words)`` uint64 word matrix (callers
     doing exact-string tie repair need the merged keys to find cross-run
     tie groups without re-reading the runs).
-
-    With ``use_ovc`` (the default) each round applies the offset-value
-    prefix skip before its sort: words constant and equal across every
-    emitted prefix (first-vs-last induction, :func:`_common_prefix_words`)
-    are dropped from the sort keys, and a round whose keys are all equal
-    orders by run id alone -- ``np.arange``, zero comparisons.  Stored
-    codes additionally feed ``stats.ovc_ties`` with the rows they prove to
-    be duplicates of their run predecessor.
 
     Instead of a per-row tournament, every round works on the buffered
     *frontier* of each run:
@@ -604,7 +509,8 @@ def kway_merge_blocks(
     3. the counts of emittable rows per frontier are found by binary
        search (:func:`_count_below`) and the selected prefixes of all
        frontiers are ordered with one stable :func:`argsort_words` over
-       the uint64 word columns (ties resolve to the earlier run).
+       the uint64 word columns (ties resolve to the earlier run; words
+       and leading bits the round's rows share cost it nothing).
 
     Progress is guaranteed: the run holding the cutoff drains its whole
     frontier each round.  At most one block per run is buffered, so the
@@ -614,9 +520,8 @@ def kway_merge_blocks(
     """
     iterators = [iter(source) for source in sources]
     k = len(iterators)
-    # Each frontier is (word columns, ovc codes or None).
-    frontiers: list[tuple[tuple[np.ndarray, ...], np.ndarray | None] | None]
-    frontiers = [None] * k
+    # Each frontier is its block's unemitted rows as uint64 word columns.
+    frontiers: list[tuple[np.ndarray, ...] | None] = [None] * k
     starts = [0] * k  # absolute row index of each frontier's first row
     exhausted = [False] * k
 
@@ -624,27 +529,20 @@ def kway_merge_blocks(
         for index in range(k):
             if frontiers[index] is not None or exhausted[index]:
                 continue
-            while True:  # skip empty blocks a source may yield
-                try:
-                    item = next(iterators[index])
-                except StopIteration:
-                    exhausted[index] = True
-                    break
-                if isinstance(item, tuple):
-                    block, codes = item
-                else:
-                    block, codes = item, None
-                if len(block):
-                    frontiers[index] = (tuple(_chunk_columns(block)), codes)
-                    if stats is not None:
-                        stats.refills += 1
-                    break
+            # Skip empty blocks a source may yield.
+            block = next((b for b in iterators[index] if len(b)), None)
+            if block is None:
+                exhausted[index] = True
+                continue
+            frontiers[index] = tuple(_chunk_columns(block))
+            if stats is not None:
+                stats.refills += 1
         live = [index for index in range(k) if frontiers[index] is not None]
         if not live:
             return
         if stats is not None:
             stats.rounds += 1
-            buffered = sum(len(frontiers[i][0][0]) for i in live)
+            buffered = sum(len(frontiers[i][0]) for i in live)
             if buffered > stats.peak_frontier_rows:
                 stats.peak_frontier_rows = buffered
 
@@ -659,16 +557,15 @@ def kway_merge_blocks(
         for index in live:
             if exhausted[index]:
                 continue
-            tail = tuple(int(column[-1]) for column in frontiers[index][0])
+            tail = tuple(int(column[-1]) for column in frontiers[index])
             if cutoff is None or tail < cutoff:
                 cutoff = tail
                 cutoff_run = index
 
         emit_columns: list[tuple[np.ndarray, ...]] = []
         spans: list[tuple[int, int, int]] = []
-        dup_rows = 0  # rows stored codes prove equal to their predecessor
         for index in live:
-            columns, codes = frontiers[index]
+            columns = frontiers[index]
             length = len(columns[0])
             if cutoff is None:
                 take = length
@@ -678,59 +575,32 @@ def kway_merge_blocks(
             if take == 0:
                 continue
             emit_columns.append(tuple(column[:take] for column in columns))
-            if codes is not None:
-                dup_rows += int(np.count_nonzero(codes[:take] >= len(columns)))
             spans.append((index, starts[index], starts[index] + take))
             starts[index] += take
             frontiers[index] = (
                 None
                 if take == length
-                else (
-                    tuple(column[take:] for column in columns),
-                    None if codes is None else codes[take:],
-                )
+                else tuple(column[take:] for column in columns)
             )
 
         if not spans:
             # The run holding the cutoff always emits at least its tail
             # row, so an empty round means a source yielded unsorted data.
             raise SortError("k-way merge made no progress; runs not sorted?")
-        words = len(emit_columns[0])
-        total = sum(hi - lo for _, lo, hi in spans)
-        several = len(spans) > 1  # runs contributing: one needs no merge
-        skip = (
-            _common_prefix_words(emit_columns) if use_ovc and several else 0
-        )
-        if not several or skip == words:
-            # One run, or every emitted key the same value: concatenation
-            # in run order already is the stable merge.
-            order = np.arange(total, dtype=np.int64)
-            if stats is not None and several:
-                stats.ovc_ties += total
-        else:
+        several = len(spans) > 1
+        if several:
             # One stable sort over the selected prefixes IS the k-way
-            # merge: each prefix is sorted, and concatenation in run order
-            # makes ties resolve to the earlier run.  Words the OVC skip
-            # decided are left out of the sort keys.
-            order = argsort_words(
-                [
-                    np.concatenate([columns[word] for columns in emit_columns])
-                    for word in range(skip, words)
-                ]
-            )
-            if stats is not None:
-                stats.ovc_compares += total
+            # merge: each prefix is sorted, and concatenation in run
+            # order makes ties resolve to the earlier run.
+            merged = [np.concatenate(word) for word in zip(*emit_columns)]
+            order = argsort_words(merged)
+        else:  # one contributing run needs no merge
+            merged = emit_columns[0]
+            order = np.arange(len(merged[0]), dtype=np.int64)
         if stats is not None:
-            stats.rows_emitted += total
-            stats.ovc_ties += dup_rows
+            stats.rows_emitted += len(order)
         if emit_keys:
-            merged_words = np.stack(
-                [
-                    np.concatenate([columns[word] for columns in emit_columns])
-                    for word in range(words)
-                ],
-                axis=1,
-            )
+            merged_words = np.stack(merged, axis=1)
             if several:
                 merged_words = merged_words[order]
             yield order, spans, merged_words

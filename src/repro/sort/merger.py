@@ -5,7 +5,7 @@ Every run store -- resident, spilling, compacting -- finishes through
 run's key blocks -- resident (:class:`~repro.sort.rungen.InMemoryRun`),
 spilled (:class:`~repro.sort.external.SpilledRun`) or a mix -- through
 the block-streaming frontier kernel
-(:func:`repro.sort.kway.kway_merge_stream`): each round refills at most
+(:func:`repro.sort.kernels.kway_merge_blocks`): each round refills at most
 one key block per run, finds the global cutoff from the frontier tails
 and emits everything below it with one stable sort, so every row is moved
 once and the key working set is ``k * block_rows`` rows no matter how
@@ -19,8 +19,7 @@ large the runs are.
   the held blocks: no second read, no second CRC pass, no second rebase.
 * **Layout rebase** -- runs encoded under a narrower compressed key
   layout are re-encoded onto the final one block by block as they
-  stream; stored offset-value codes ride along only for runs already on
-  the final layout (rebasing moves word boundaries).
+  stream.
 * **Exact strings** -- runs arrive sorted by key bytes, so rows tied
   on the bytes up to the first truncated VARCHAR segment may still
   reorder once the full strings are consulted, and such a tie group can
@@ -53,8 +52,7 @@ import numpy as np
 from repro.keys.compression import decode_key_table, rebase_matrix
 from repro.rows.block import RowBlock, heap_bases, string_slots
 from repro.rows.layout import RowLayout
-from repro.sort.kernels import KWayBlockStats
-from repro.sort.kway import kway_merge_stream
+from repro.sort.kernels import KWayBlockStats, kway_merge_blocks
 from repro.sort.rungen import InMemoryRun, RunGenerator
 from repro.sort.stringsort import inexact_prefix_end, refine_key_order
 from repro.table.table import Table
@@ -145,28 +143,26 @@ class RunMerger:
         """Was the run encoded under a narrower layout than the final?"""
         return run.layout is not None and run.layout != self.key_layout
 
-    def _key_block(
-        self, run, start: int, stop: int, stats, coded: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Full-width key rows on the final layout and, if ``coded``, codes.
+    def _key_block(self, run, start: int, stop: int, stats) -> np.ndarray:
+        """Full-width key rows ``[start, stop)`` on the final layout.
 
         This is the one read (and CRC check, and rebase) of these key
-        bytes.  Stored offset-value codes ride along only for runs
-        already on the final layout: rebasing moves word boundaries.
-        (Prefetch workers call this with a thread-private ``stats``.)
+        bytes.  (Prefetch workers call this with a thread-private
+        ``stats``.)
         """
         block = run.read_key_block(start, stop, stats)
         if self._stale(run):
-            return rebase_matrix(block, run.layout, self.key_layout), None
-        coded = coded and run.ovc is not None
-        return block, run.ovc[start:stop] if coded else None
+            block = rebase_matrix(block, run.layout, self.key_layout)
+        return block
 
-    def _key_source(self, run, coded: bool) -> Iterator[tuple]:
+    def _key_source(self, run) -> Iterator[np.ndarray]:
         for start in range(0, run.num_rows, self.block_rows):
             stop = min(start + self.block_rows, run.num_rows)
-            yield self._key_block(run, start, stop, self.stats, coded)
+            yield self._key_block(run, start, stop, self.stats)
 
-    def _frontier(self, blocks, held: list, index: int) -> Iterator[tuple]:
+    def _frontier(
+        self, blocks, held: list, index: int
+    ) -> Iterator[np.ndarray]:
         """One run's key blocks as the kernel wants them, each one held.
 
         The merge compares key bytes only: every run carries a row-id
@@ -177,10 +173,10 @@ class RunMerger:
         a block ahead of the frontier the round's spans are cut from.
         """
         width, start = self.key_layout.key_width, 0
-        for block, codes in blocks:
+        for block in blocks:
             held[index] = (start, block)
             start += len(block)
-            yield block[:, :width], codes
+            yield block[:, :width]
 
     # ------------------------------------------------------------------ #
     # The pass
@@ -212,14 +208,13 @@ class RunMerger:
             bases = heap_bases([len(part) for part in heaps])
             heap = b"".join(heaps)
             del heaps
-        coded = len(runs) > 1  # one run merges nothing: codes stay unread
         prefetcher = None
         if self._make_prefetcher:
             # Payload rows are the one stream besides the key blocks, and
             # key-carried runs hold none.
             prefetcher = self._make_prefetcher(
                 runs,
-                lambda i, lo, hi, s: self._key_block(runs[i], lo, hi, s, coded),
+                lambda i, lo, hi, s: self._key_block(runs[i], lo, hi, s),
                 (lambda i, lo, hi, s: runs[i].read_row_block(lo, hi, s))
                 if want_rows
                 else None,
@@ -228,7 +223,7 @@ class RunMerger:
             blocks = [prefetcher.key_source(i) for i in range(len(runs))]
             read_rows = prefetcher.read_rows
         else:
-            blocks = [self._key_source(run, coded) for run in runs]
+            blocks = [self._key_source(run) for run in runs]
 
             def read_rows(index, lo, hi):
                 return runs[index].read_row_block(lo, hi, stats)
@@ -242,13 +237,10 @@ class RunMerger:
 
         kernel_stats = KWayBlockStats()
         refine_end = self.refine_end if final else None
-        rounds = kway_merge_stream(
+        rounds = kway_merge_blocks(
             [self._frontier(b, held, i) for i, b in enumerate(blocks)],
             kernel_stats,
-            on_round=self._check_cancelled,
-            use_ovc=self.config.use_ovc,
             emit_keys=refine_end is not None,
-            prefetcher=prefetcher,
         )
 
         def gathered() -> Iterator[tuple]:
@@ -256,6 +248,9 @@ class RunMerger:
             its spans' slices (key rows out of the held blocks, payload
             rows one contiguous read each) through its permutation."""
             for order, spans, *words in rounds:
+                # A cancelled sort unwinds between rounds, never
+                # mid-read: cleanup sees a consistent set of spill files.
+                self._check_cancelled()
                 keys = rows = shift = None
                 if want_keys:
                     keys = _gather([key_rows(*s) for s in spans], order)
@@ -275,15 +270,12 @@ class RunMerger:
         try:
             parts.extend(batches)
         finally:
-            # kway_merge_stream also closes the prefetcher when the
-            # stream ends; this covers a stream abandoned by an error
-            # raised outside it.  close() is idempotent.
+            # However the rounds end (exhaustion, a typed read error,
+            # cancellation), no fetch thread outlives the merge.
             if prefetcher is not None:
                 prefetcher.close()
         stats.kernel_kway_merges += 1
         stats.kway_rounds += kernel_stats.rounds
-        stats.ovc_compares += kernel_stats.ovc_compares
-        stats.ovc_ties += kernel_stats.ovc_ties
         stats.kway_peak_frontier_rows = max(
             stats.kway_peak_frontier_rows, kernel_stats.peak_frontier_rows
         )

@@ -133,12 +133,6 @@ class SortConfig:
             full-width layout bit-for-bit.  Ignored (treated as off) when
             ``string_prefix`` forces a fixed VARCHAR prefix, since the
             compressed layout chooses prefixes from the data.
-        use_ovc: apply offset-value coding in the merge kernel
-            (:func:`repro.sort.kernels.kway_merge_blocks`): uint64 words
-            shared by every frontier
-            row are skipped, so duplicate-heavy keys cost one word compare
-            or none.  Off forces full-width comparisons (benchmark /
-            equivalence-test knob; results are identical either way).
         prefetch_blocks: read-ahead depth, in blocks per run per section,
             of the external merge's prefetch layer
             (:mod:`repro.sort.prefetch`).  Once reads prove slow, a small
@@ -150,16 +144,15 @@ class SortConfig:
             so prefetch memory is charged against the same budget that
             sizes runs.  ``0`` disables prefetching (every spill read is
             synchronous on the merge's critical path).
-        replacement_selection: run-generation policy of the external
-            sort.  ``None`` (default) probes the presortedness of the
-            buffered input (sampled first-key-word diffs,
-            :func:`repro.sort.rungen.presortedness`) and switches to
-            replacement selection when the input arrives near-sorted --
-            runs then grow past ``run_threshold`` (up to
+        replacement_selection: generate the external sort's runs by
+            replacement selection instead of cutting them at the
+            threshold: on near-sorted input runs grow past
+            ``run_threshold`` (up to
             :data:`repro.sort.rungen.RUN_CAP_FACTOR` times it), so fewer
-            runs reach the merge.  ``True`` forces replacement selection,
-            ``False`` always cuts runs at the threshold (the argsort
-            path).  Output is byte-identical either way.
+            runs reach the merge.  Off by default: the selection steps
+            cost more than the run sort they replace on every input
+            measured (``BENCH_external.json``).  VARCHAR keys decline it;
+            output is byte-identical either way.
         cancel_event: cooperative cancellation flag (any object with an
             ``is_set()`` method, typically a ``threading.Event``).  Both
             sort operators poll it at their checkpoints -- sink, run
@@ -202,9 +195,8 @@ class SortConfig:
     verify_spill_checksums: bool = True
     allow_memory_fallback: bool = True
     compress_keys: bool = True
-    use_ovc: bool = True
     prefetch_blocks: int = 1
-    replacement_selection: bool | None = None
+    replacement_selection: bool = False
     merge_fan_in: int = 0
     cancel_event: object | None = field(default=None, compare=False)
     memory_grant: object | None = field(default=None, compare=False)
@@ -267,13 +259,10 @@ class SortStats:
     (:func:`repro.sort.kernels.argsort_words`): sort calls made, and rows
     each sort's first pass left tied (what the kernel's cost depends on).
 
-    The exact-string counters: ``ovc_compares`` / ``ovc_ties`` are rows
-    the merge kernels ordered through post-skip word comparisons vs. rows
-    settled with all key words equal (offset-value coding);
-    ``full_key_compares`` counts rows whose full string values were
-    consulted to break byte-equal prefix ties; ``reencode_rounds`` /
-    ``reencoded_rows`` count the adaptive tie-break re-encoding's chunk
-    rounds and the row-chunks they touched
+    The exact-string counters: ``full_key_compares`` counts rows whose
+    full string values were consulted to break byte-equal prefix ties;
+    ``reencode_rounds`` / ``reencoded_rows`` count the adaptive
+    tie-break re-encoding's chunk rounds and the row-chunks they touched
     (:mod:`repro.sort.stringsort`).
 
     The prefetch counters describe the external merge's read-ahead layer
@@ -290,10 +279,9 @@ class SortStats:
     The run-generation shape: ``run_lengths`` holds the row count of
     every run in generation order (the run-length histogram --
     replacement selection shows up as runs longer than the threshold);
-    ``rungen_path`` names the generator dispatched at the first spill
+    ``rungen_path`` names the generator that cut the spilled runs
     (``"argsort"`` or ``"replacement_selection"``; ``""`` for a sort
-    that never spilled) and ``rungen_probe`` the measured
-    presortedness in [0, 1] (-1 before any probe ran).
+    that never spilled).
     ``merge_passes`` counts k-way merge passes over the data: 0 when
     one resident run with exact byte order is the result (a sort that
     never spilled, without a truncated VARCHAR prefix), else 1, plus
@@ -335,8 +323,6 @@ class SortStats:
     key_carried_runs: int = 0
     sort_passes: int = 0
     sort_tied_rows: int = 0
-    ovc_compares: int = 0
-    ovc_ties: int = 0
     full_key_compares: int = 0
     reencode_rounds: int = 0
     reencoded_rows: int = 0
@@ -345,7 +331,6 @@ class SortStats:
     prefetch_peak_blocks: int = 0
     run_lengths: list[int] = field(default_factory=list)
     rungen_path: str = ""
-    rungen_probe: float = -1.0
     merge_passes: int = 0
     governor_forced_spills: int = 0
     sorts_elided: int = 0

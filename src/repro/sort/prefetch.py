@@ -142,13 +142,13 @@ class _RunState:
 class BlockPrefetcher:
     """Double-buffered read-ahead over one merge's spilled runs.
 
-    ``key_fetch(index, start, stop, stats)`` must return the run's
-    ``(key block, ovc codes | None)`` for rows ``[start, stop)`` --
-    rebased exactly as the merge wants them, every run's at one width
-    (the exhaustion forecast compares their tail rows) -- and
-    ``row_fetch(index, start, stop, stats)`` the payload rows backing
-    the same range, or ``None`` when the runs hold none.  Both are called with the merge's stats on its own
-    thread and with a private stats object on a worker; they time their
+    ``key_fetch(index, start, stop, stats)`` must return the run's key
+    block for rows ``[start, stop)`` -- rebased exactly as the merge
+    wants it, every run's at one width (the exhaustion forecast compares
+    their tail rows) -- and ``row_fetch(index, start, stop, stats)`` the
+    payload rows backing the same range, or ``None`` when the runs hold
+    none.  Both are called with the merge's stats on its own thread and
+    with a private stats object on a worker; they time their
     raw read as ``spill_io`` (what starts the pool) and raise only typed
     spill errors.  Inactive (in-memory fallback) runs bypass all of it.
     """
@@ -158,7 +158,7 @@ class BlockPrefetcher:
         num_rows: Sequence[int],
         active: Sequence[bool],
         block_rows: int,
-        key_fetch: Callable[[int, int, int, SortStats], tuple],
+        key_fetch: Callable[[int, int, int, SortStats], np.ndarray],
         row_fetch: Callable[[int, int, int, SortStats], np.ndarray] | None,
         depth: int,
         budget_blocks: int,
@@ -185,8 +185,8 @@ class BlockPrefetcher:
     # Consumer API
     # ------------------------------------------------------------------ #
 
-    def key_source(self, index: int) -> Iterator[tuple]:
-        """The run's ``(key block, codes)`` stream, served via read-ahead."""
+    def key_source(self, index: int) -> Iterator[np.ndarray]:
+        """The run's key blocks in order, served via read-ahead."""
         state = self._runs[index]
         while state.key_delivered < state.key_blocks:
             yield self._next_key_block(index)
@@ -267,25 +267,25 @@ class BlockPrefetcher:
     # Delivery
     # ------------------------------------------------------------------ #
 
-    def _next_key_block(self, index: int) -> tuple:
+    def _next_key_block(self, index: int) -> np.ndarray:
         state = self._runs[index]
         start = state.key_delivered * self._block_rows
         stop = min(start + self._block_rows, state.num_rows)
         if self._budget <= 0 or not state.active:
-            block, codes = self._key_fetch(index, start, stop, self._stats)
+            block = self._key_fetch(index, start, stop, self._stats)
         elif not state.key_queue:
             # Not read ahead: fetch on the critical path.
-            block, codes = self._fetch_now(self._key_fetch, index, start, stop)
+            block = self._fetch_now(self._key_fetch, index, start, stop)
             state.key_submitted = max(
                 state.key_submitted, state.key_delivered + 1
             )
         else:
-            block, codes = self._consume(state.key_queue.popleft())
+            block = self._consume(state.key_queue.popleft())
         state.key_delivered += 1
         if len(block):
             state.tail = block[-1].tobytes()
         self._schedule()
-        return block, codes
+        return block
 
     def _fetch_now(self, fetch, index: int, start: int, stop: int):
         """A miss: fetch on the consumer thread (timed as plain spill_io).

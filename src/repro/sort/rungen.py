@@ -13,22 +13,24 @@ What happens to the run next is the *store's* business:
 regroup rows into longer runs with replacement selection first, below),
 :class:`~repro.sort.incremental.IncrementalSorter` compacts it with its
 neighbours.  The run format -- key layout, key-carried payload -- is
-decided here once for all (offset-value codes derive on first read).
+decided here once for all.
 
 Replacement-selection run generation over normalized-key matrices
 -----------------------------------------------------------------
 
-The external sort's default run generation cuts a run at a fixed row
-threshold: buffer ``run_threshold`` rows, argsort, spill, repeat.  That
-ignores input order entirely -- a nearly sorted stream still produces
+The external sort's run generation cuts a run at a fixed row threshold:
+buffer ``run_threshold`` rows, argsort, spill, repeat.  That ignores
+input order entirely -- a nearly sorted stream still produces
 ``n / threshold`` runs.  Classic replacement selection (Knuth vol. 3,
 sec. 5.4.1; reaffirmed as one of the two big external-sort levers by
-Polyntsov et al., arXiv 2207.12713) does better: keep a selection
+Polyntsov et al., arXiv 2207.12713) makes fewer: keep a selection
 working set, repeatedly emit its smallest row that is still >= the last
 row written (the *fence*), and defer smaller rows to the next run.  On
 random input runs average twice the working set; on input whose
 disorder is smaller than the working set, one run can swallow the whole
-stream.
+stream.  Fewer runs buy nothing while one merge pass takes them all,
+and the selection steps cost more than the run sort they replace, so it
+runs only when ``SortConfig.replacement_selection`` asks for it.
 
 A row-at-a-time tournament tree is the textbook implementation, but a
 Python loop per row is exactly what this codebase avoids.  This module
@@ -61,19 +63,11 @@ its deferred ranges and unconsumed tail into a new sorted segment: the
 deferred ranges are ascending in position order and every one is below
 the fence the tail survived, so concatenation preserves sortedness
 without a re-sort.
-
-Dispatch between the two generators is a cheap presortedness probe
-(:func:`presortedness`): the fraction of non-decreasing adjacent pairs
-of the first key word over a bounded sample.  Near-sorted input scores
-near 1.0, random near 0.5, reversed near 0.0; replacement selection
-wins only when runs actually get longer, so the operator switches at
-:data:`PROBE_THRESHOLD`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -91,7 +85,7 @@ from repro.keys.normalizer import (
 )
 from repro.rows.block import RowBlock
 from repro.sort.heuristic import vector_sort_rows
-from repro.sort.kernels import argsort_rows, ovc_codes
+from repro.sort.kernels import argsort_rows
 from repro.sort.stringsort import and_prefix_exact
 from repro.table.chunk import DataChunk, concat_chunks
 from repro.table.table import Table
@@ -100,7 +94,6 @@ from repro.types.schema import Schema
 from repro.types.sortspec import SortSpec
 
 __all__ = [
-    "PROBE_THRESHOLD",
     "ROW_ID_WIDTH",
     "RUN_CAP_FACTOR",
     "InMemoryRun",
@@ -118,24 +111,13 @@ RUN_CAP_FACTOR = 4
 threshold even if rows are still eligible, bounding the key rows and
 payload references accumulated for one run."""
 
-PROBE_THRESHOLD = 0.80
-"""Minimum presortedness at which auto dispatch picks replacement
-selection.  Random input probes ~0.5 and gains nothing (expected run
-length 2x threshold does not offset the selection overhead here, where
-argsort is vectorized but selection adds bookkeeping); the probe must
-indicate genuinely long ascending stretches."""
-
 PROBE_SAMPLE = 4096
 """Pairs sampled by :func:`presortedness`."""
 
 PROBE_STRIDE = 256
-"""Distance between the rows of each sampled pair.  Replacement
-selection tolerates bounded local disorder -- a row displaced by a few
-hundred positions still lands above the fence, which trails the batch
-by far more than that -- so the probe must not punish local jitter.
-Comparing rows ``stride`` apart makes displacement smaller than the
-stride invisible while genuine global disorder still probes ~0.5
-(random) or ~0.0 (reverse)."""
+"""Distance between the rows of each sampled pair: displacement smaller
+than the stride is invisible, while genuine global disorder still probes
+~0.5 (random) or ~0.0 (reverse)."""
 
 DEFAULT_BATCH_ROWS = 1024
 """Candidate-window rows per segment per selection step."""
@@ -147,14 +129,11 @@ def presortedness(
     stride: int = PROBE_STRIDE,
 ) -> float:
     """Fraction of non-decreasing first-word pairs ``stride`` apart.
+    Uncalled: bound by ``benchmarks/e2e``, goes with ROADMAP item A.
 
     ``matrix`` is a normalized-key byte matrix (row-id suffix excluded
     by the caller); only the first 8 bytes -- the first comparison word
-    -- are inspected, so the probe costs one gather and one vectorized
-    compare regardless of key width.  Ties on the first word count as
-    in-order, which errs toward replacement selection; that is the
-    right bias, because duplicate-heavy input keeps rows eligible (>=
-    fence) and produces long runs too.
+    -- are inspected, and ties on it count as in-order.
     """
     n = len(matrix)
     if n < 2:
@@ -498,13 +477,6 @@ class InMemoryRun:
         #: the run's compressed key layout (``None`` for uncompressed
         #: runs, which all share one locked layout).
         self.layout = layout
-
-    @cached_property
-    def ovc(self) -> np.ndarray:
-        """Offset-value codes (:func:`repro.sort.kernels.ovc_codes`) of
-        the key bytes, computed when a spill write or a merge of several
-        runs first reads them; a run returned as the result never pays."""
-        return ovc_codes(self.keys[:, : self.key_width - ROW_ID_WIDTH])
 
     @property
     def num_rows(self) -> int:

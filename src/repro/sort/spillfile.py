@@ -16,7 +16,6 @@ versioned header::
     | extra: header_bytes - 48 - 4*crc_count bytes of tagged       |
     |   frames  (tag u8 | length u32 | payload)*                   |
     |       tag 1 = serialized key layout                          |
-    |       tag 2 = offset-value codes (u16 per key row)           |
     +--------------------------------------------------------------+
     | keys  section: num_rows x key_width bytes                    |
     | rows  section: num_rows x row_width bytes                    |
@@ -26,10 +25,10 @@ versioned header::
 The variable-length ``extra`` blob sits between the CRC table and the
 data sections; readers locate it purely from ``header_bytes``.  It is
 structured as self-describing tagged frames (:func:`pack_extra` /
-:func:`unpack_extra`) so independent metadata -- the key layout, the
-run's offset-value codes -- can coexist.  Spill files are private to the
-process that wrote them (randomly named, removed on ``close``), so there
-is one format version and :func:`read_header` rejects any other.
+:func:`unpack_extra`); the one frame written today is the run's key
+layout.  Spill files are private to the process that wrote them
+(randomly named, removed on ``close``), so there is one format version
+and :func:`read_header` rejects any other.
 
 Integrity is page-granular *within* each section: section bytes are
 covered by CRC32 checksums over ``page_size``-byte pages (the last page
@@ -54,7 +53,6 @@ from repro.errors import SpillCorruptionError
 
 __all__ = [
     "EXTRA_TAG_LAYOUT",
-    "EXTRA_TAG_OVC",
     "FORMAT_VERSION",
     "MAGIC",
     "SECTION_NAMES",
@@ -72,9 +70,6 @@ FORMAT_VERSION = 3
 
 EXTRA_TAG_LAYOUT = 1
 """Extra frame holding the serialized compressed key layout."""
-EXTRA_TAG_OVC = 2
-"""Extra frame holding the run's offset-value codes (little-endian u16
-per key row; see :func:`repro.sort.kernels.ovc_codes`)."""
 
 _FRAME = struct.Struct("<BI")
 SPILL_PAGE_SIZE = 1 << 12

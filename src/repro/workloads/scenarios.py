@@ -1,14 +1,14 @@
 """Scenario-diversity workload suite: the sort paths' stress catalog.
 
 Every benchmark recorded before this module ran mostly uniform-random
-int64, so the run sort's tie refinement, the
-replacement-selection probe, offset-value coding, and key compression
-were never exercised on the skewed, near-sorted, duplicate-heavy, and
-string-heavy inputs the paper's TPC-DS evaluation targets.  This module
-is the fix: a seed-deterministic generator suite, each input shape
-declared as a :class:`Scenario`, shared by the differential oracle
-tests, the bench matrix (``benchmarks/bench_matrix.py``), and the
-regression gate (``benchmarks/regress.py``).
+int64, so the run sort's tie refinement, replacement selection, the
+merge's tie handling, and key compression were never exercised on the
+skewed, near-sorted, duplicate-heavy, and string-heavy inputs the
+paper's TPC-DS evaluation targets.  This module is the fix: a
+seed-deterministic generator suite, each input shape declared as a
+:class:`Scenario`, shared by the differential oracle tests, the bench
+matrix (``benchmarks/bench_matrix.py``), and the regression gate
+(``benchmarks/regress.py``).
 
 Two layers:
 
@@ -102,7 +102,7 @@ def zipf_dups_values(
     """Zipf-skewed duplicate-heavy keys (clipped to 10k distinct values).
 
     A few values dominate, so the leading key bytes are skewed and
-    merge tie-handling (OVC ties, stable row ids) is exercised hard.
+    merge tie-handling (stable row ids) is exercised hard.
     """
     return np.minimum(rng.zipf(alpha, n), 10_000).astype(np.int64)
 
@@ -113,9 +113,8 @@ def dup_heavy_values(
     """Uniform draws from a tiny domain: almost every key is a duplicate.
 
     Unlike the Zipf scenario no value dominates, but with ``distinct``
-    values nearly every comparison ties -- offset-value coding's best
-    case, and the duplicate/skew stress Do & Graefe (arXiv 2209.08420)
-    motivate for it.
+    values nearly every comparison ties -- the duplicate/skew stress
+    Do & Graefe (arXiv 2209.08420) motivate offset-value coding with.
     """
     return rng.integers(0, distinct, n).astype(np.int64)
 
@@ -292,7 +291,7 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             "dup_heavy",
             "uniform draws from 16 distinct int64 values; nearly every "
-            "comparison ties (offset-value coding's best case)",
+            "comparison ties",
             "a, p",
             (ColumnSpec("a", "dup_heavy", (("distinct", 16),)),),
         ),

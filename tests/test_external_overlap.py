@@ -8,9 +8,9 @@ Three properties anchor every test here:
   feature configuration must therefore produce byte-identical output.
 * **Bounded resources.**  Read-ahead stays within its block budget, no
   prefetch thread survives a sort, and spill directories end empty.
-* **Honest dispatch.**  The presortedness probe picks replacement
-  selection only where it helps, and the exact-string gate keeps it
-  (and multipass merging) off paths whose key bytes are refined later.
+* **Honest dispatch.**  Replacement selection runs only when asked
+  for, and the exact-string gate keeps it (and multipass merging) off
+  paths whose key bytes are refined later.
 """
 
 from __future__ import annotations
@@ -28,11 +28,7 @@ from repro.sort.external import ExternalSortOperator
 from repro.sort.faults import SlowStorageIO
 from repro.sort.operator import SortConfig, SortStats
 from repro.sort.prefetch import BlockPrefetcher, prefetch_budget_blocks
-from repro.sort.rungen import (
-    PROBE_THRESHOLD,
-    RUN_CAP_FACTOR,
-    presortedness,
-)
+from repro.sort.rungen import RUN_CAP_FACTOR, presortedness
 from repro.sort.spillfile import VerifiedTailCache
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
@@ -142,7 +138,7 @@ class TestHeldBackRanges:
             [100],
             [True],
             10,
-            lambda index, start, stop, _: (np.zeros((stop - start, 1)), None),
+            lambda index, start, stop, _: np.zeros((stop - start, 1)),
             lambda index, start, stop, _: np.arange(start, stop),
             depth=1,
             # One slot, taken by the first key block: every payload
@@ -208,7 +204,7 @@ class TestPoolStartsOnSlowReads:
 
         def key_fetch(index, start, stop, fetch_stats):
             fetch_stats.add_phase_seconds("spill_io", next(reads))
-            return np.zeros((stop - start, 1), dtype=np.uint8), None
+            return np.zeros((stop - start, 1), dtype=np.uint8)
 
         prefetcher = BlockPrefetcher(
             [10 * len(read_seconds)], [True], 10, key_fetch, None,
@@ -274,24 +270,6 @@ class TestReplacementSelection:
         assert max(stats.run_lengths) > 1000  # beyond the run threshold
         # The cap closes a run within one selection step of the limit.
         assert max(stats.run_lengths) <= RUN_CAP_FACTOR * 1000 + 2048
-
-    def test_auto_dispatch_probes(self, rng, tmp_path):
-        near = near_sorted_table(rng, 6000)
-        _, near_stats = sort_external(table=near, spec="a", directory=tmp_path / "near")
-        assert near_stats.rungen_path == "replacement_selection"
-        assert near_stats.rungen_probe >= PROBE_THRESHOLD
-
-        random_table = Table.from_pydict(
-            {
-                "a": [int(v) for v in rng.integers(0, 1 << 40, 6000)],
-                "p": list(range(6000)),
-            }
-        )
-        _, random_stats = sort_external(
-            table=random_table, spec="a", directory=tmp_path / "random"
-        )
-        assert random_stats.rungen_path == "argsort"
-        assert 0.0 <= random_stats.rungen_probe < PROBE_THRESHOLD
 
     def test_desc_nulls_first(self, rng, tmp_path):
         values = [

@@ -14,6 +14,7 @@ here is differential -- against the tuple-key oracle
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 from conftest import reference_sort
 from test_external_kway import assert_byte_identical
 from repro.errors import SpillCorruptionError
-from repro.sort.external import ExternalSortOperator
+from repro.sort.external import ExternalSortOperator, SpilledRun
 from repro.sort.faults import (
     FaultInjector,
     InjectedFault,
@@ -32,6 +33,7 @@ from repro.sort.faults import (
 from repro.sort.incremental import IncrementalSorter
 from repro.sort.operator import SortConfig, sort_table
 from repro.sort.reference import reference_sort as scalar_reference_sort
+from repro.sort.spillfile import EXTRA_TAG_LAYOUT, unpack_extra
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
@@ -98,9 +100,6 @@ def spec_of(text):
 
 def spill_sort(table, spec, directory, io=None, **config):
     config.setdefault("run_threshold", RUN_ROWS)
-    # Cut every run at the threshold: one 256-row batch gives the
-    # presortedness probe a single pair to judge by.
-    config.setdefault("replacement_selection", False)
     operator = ExternalSortOperator(
         table.schema,
         spec,
@@ -152,6 +151,36 @@ class TestReadOnce:
         # One fetch per 4,096-row block, none per round.
         assert stats.prefetch_hits + stats.prefetch_misses == 3 * spilled
         assert stats.kway_rounds > 3 * spilled
+        assert result.equals(scalar_reference_sort(table, spec))
+
+    def test_key_carried_spill_file_is_header_plus_keys(self, tmp_path):
+        # Nothing per row rides beside the keys: the file is its header
+        # and ``rows * key_width`` key bytes, and the header's extra
+        # blob holds the run's key layout alone.
+        table = SCENARIOS["uniform"].table(20_000, 29)
+        spec = SortSpec.of("a", "p")
+        operator = ExternalSortOperator(
+            table.schema, spec, SortConfig(run_threshold=6000), str(tmp_path)
+        )
+        with operator:
+            for chunk in chunk_table(table, 2000):
+                operator.sink(chunk)
+            assert operator.spilled_runs == 3
+            for run in operator._runs:
+                header = run.header
+                assert os.path.getsize(run.path) == (
+                    len(header.pack()) + run.num_rows * run.key_width
+                )
+                frames = unpack_extra(header.extra, run.path)
+                assert set(frames) == {EXTRA_TAG_LAYOUT}
+                # Re-attachment reads the same header back.
+                reopened = SpilledRun.open(
+                    run.path, schema=table.schema, spec=spec
+                )
+                assert reopened.header == header
+                assert reopened.layout == run.layout
+            result = operator.finalize()
+        assert operator.stats.key_carried_runs == 4
         assert result.equals(scalar_reference_sort(table, spec))
 
     def test_flipped_bit_in_a_keys_page_names_the_run(self, tmp_path):

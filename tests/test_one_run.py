@@ -5,12 +5,12 @@
 resident run, and ``RunMerger.merge`` hands one resident run on the
 final layout back without a k-way pass.  What needs pinning is the edge
 of that shortcut: the truncated-VARCHAR repair that still takes the
-round loop, the external sort's lone memory-fallback run, offset-value
-codes that are now computed on first read, and cancellation with all
-the work in ``finalize``.  ``ExternalSortOperator`` extends that
-operator, so the other edge is the threshold itself: below it the sort
-is the resident one (no file, no directory, the same stats), at and
-above it every cut run is a file and the tail stays resident.
+round loop, the external sort's lone memory-fallback run, and
+cancellation with all the work in ``finalize``.
+``ExternalSortOperator`` extends that operator, so the other edge is
+the threshold itself: below it the sort is the resident one (no file,
+no directory, the same stats), at and above it every cut run is a file
+and the tail stays resident.
 """
 
 from __future__ import annotations
@@ -20,25 +20,20 @@ import functools
 import os
 import threading
 
-import numpy as np
 import pytest
 
 from test_external_kway import assert_byte_identical
 from test_oracle import oracle_sort
 from repro.aggregate.groupby import Aggregate, group_by
 from repro.errors import SortCancelledError
-from repro.sort import rungen
-from repro.sort.external import ExternalSortOperator, InMemoryRun
+from repro.sort.external import ExternalSortOperator
 from repro.sort.faults import FaultInjector, InjectedFault
-from repro.sort.kernels import ovc_codes
 from repro.sort.operator import (
     SortConfig,
     SortOperator,
     SortStats,
     sort_table,
 )
-from repro.sort.rungen import ROW_ID_WIDTH
-from repro.sort.spillfile import EXTRA_TAG_OVC, unpack_extra
 from repro.table.chunk import chunk_table
 from repro.types.sortspec import SortSpec
 from repro.workloads.scenarios import SCENARIOS
@@ -71,28 +66,13 @@ class SqueezedGrant:
         raise AssertionError("a resident store spilled")
 
 
-@pytest.fixture
-def ovc_calls(monkeypatch):
-    """Row counts of every ``ovc_codes`` call a run made."""
-    calls: list[int] = []
-
-    def spy(matrix):
-        calls.append(len(matrix))
-        return ovc_codes(matrix)
-
-    monkeypatch.setattr(rungen, "ovc_codes", spy)
-    return calls
-
-
 class TestNothingCutsAResidentRun:
     @pytest.mark.parametrize("compress_keys", [True, False])
     @pytest.mark.parametrize(
         "grant", [None, SqueezedGrant()], ids=["free", "squeezed"]
     )
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_threshold_and_grant_are_inert(
-        self, ovc_calls, name, grant, compress_keys
-    ):
+    def test_threshold_and_grant_are_inert(self, name, grant, compress_keys):
         table, spec, expected = scenario_case(name)
         config = SortConfig(
             run_threshold=1000, compress_keys=compress_keys, memory_grant=grant
@@ -107,7 +87,6 @@ class TestNothingCutsAResidentRun:
         # The run is the result; only a truncating prefix takes a pass.
         passes = 0 if stats.prefix_exact else 1
         assert stats.merge_passes == stats.kernel_kway_merges == passes
-        assert ovc_calls == []
 
     @pytest.mark.parametrize("name", ["long_string", "mixed_null"])
     def test_truncating_prefix_is_still_repaired(self, name):
@@ -167,9 +146,7 @@ class TestExternalMemoryFallback:
         )
         return operator, injector
 
-    def test_lone_fallback_run_is_the_result(
-        self, ovc_calls, tmp_path, recwarn
-    ):
+    def test_lone_fallback_run_is_the_result(self, tmp_path, recwarn):
         # Input below the threshold, spill target unwritable: no write
         # is attempted (so nothing degrades and nothing warns); the only
         # run is resident from the start and returns unmerged.
@@ -184,11 +161,8 @@ class TestExternalMemoryFallback:
         assert stats.runs_generated == 1
         assert stats.memory_run_fallbacks == 0
         assert stats.merge_passes == stats.kernel_kway_merges == 0
-        assert ovc_calls == []
 
-    def test_lone_fallback_run_at_the_threshold_still_warns(
-        self, ovc_calls, tmp_path
-    ):
+    def test_lone_fallback_run_at_the_threshold_still_warns(self, tmp_path):
         # Input that reaches the threshold on its last chunk: the cut
         # run's write fails, it falls back to memory, and being the only
         # run it still returns through the shortcut.
@@ -202,8 +176,6 @@ class TestExternalMemoryFallback:
         stats = operator.stats
         assert stats.runs_generated == stats.memory_run_fallbacks == 1
         assert stats.merge_passes == stats.kernel_kway_merges == 0
-        # The failed spill attempt is what read the codes.
-        assert ovc_calls == [ROWS]
 
 THRESHOLD = 2048  # a multiple of vector_size, so cuts land exactly on it
 BOUNDARY_ROWS = {
@@ -254,7 +226,6 @@ class TestThresholdBoundary:
             external=True,
             run_threshold=THRESHOLD,
             compress_keys=compress_keys,
-            replacement_selection=False,
         )
         io = FaultInjector()  # no faults armed: it only counts
         with ExternalSortOperator(
@@ -373,38 +344,3 @@ class TestThresholdBoundary:
         quiet = dataclasses.replace(config, external=False)
         assert_byte_identical(expected, sort_table(table, spec, quiet))
         assert len(grant.spilled) == 4
-
-
-class TestCodesOnFirstRead:
-    def test_resident_run_computes_codes_once_when_read(self, ovc_calls):
-        table, spec, _ = scenario_case("dup_heavy")
-        generator = rungen.RunGenerator(
-            table.schema, spec, SortConfig(), SortStats(), lambda: None
-        )
-        run = generator.sort_run(*generator.encode(list(chunk_table(table))))
-        assert isinstance(run, InMemoryRun)
-        assert ovc_calls == []
-        codes = run.ovc
-        assert ovc_calls == [ROWS]
-        assert np.array_equal(codes, ovc_codes(run.keys[:, :-ROW_ID_WIDTH]))
-        assert run.ovc is codes and ovc_calls == [ROWS]
-
-    @pytest.mark.parametrize("name", ["dup_heavy", "long_string"])
-    def test_spill_frame_holds_the_codes_of_the_spilled_keys(
-        self, name, tmp_path
-    ):
-        table, spec, expected = scenario_case(name)
-        with ExternalSortOperator(
-            table.schema, spec, SortConfig(run_threshold=3000), str(tmp_path)
-        ) as operator:
-            for chunk in chunk_table(table, 1000):
-                operator.sink(chunk)
-            assert operator.spilled_runs == 3
-            for run in operator._runs:
-                frames = unpack_extra(run.header.extra, run.path)
-                keys = run.read_key_block(0, run.num_rows)
-                assert (
-                    frames[EXTRA_TAG_OVC]
-                    == ovc_codes(keys[:, :-ROW_ID_WIDTH]).astype("<u2").tobytes()
-                )
-            assert_byte_identical(expected, operator.finalize())

@@ -317,9 +317,7 @@ def test_scenario_shared_stages_match_oracle(
         assert stats.runs_generated == 1
         passes = 0 if stats.prefix_exact else 1
     else:
-        assert stats.runs_generated == runs or (
-            stats.rungen_path == "replacement_selection"
-        )
+        assert stats.runs_generated == runs
         passes = 1
     assert stats.merge_passes == passes
     assert stats.kernel_kway_merges == passes
