@@ -1,15 +1,17 @@
 """Key-compression benchmark; writes BENCH_compression.json.
 
-Measures what the runtime key-compression layer
-(:mod:`repro.keys.compression`) buys on the acceptance workload -- a
+Records what the runtime key-compression layer
+(:mod:`repro.keys.compression`) does on the acceptance workload -- a
 1M-row multi-column narrow-range int64 external sort -- plus the run
 sort kernel it feeds:
 
-* **external_narrow_int64** -- ``ExternalSortOperator`` end-to-end with
-  ``compress_keys`` on vs. off: seconds, spilled bytes (captured before
-  the merge), and the compressed key width.  With every column a
-  fixed-width integer key, the compressed side spills key-carried runs
-  (keys only, no row payload), so both time and spill bytes drop.
+* **external_narrow_int64** -- ``ExternalSortOperator`` end-to-end:
+  seconds, rows/s, spilled bytes (captured before the merge), the
+  compressed key width beside the plain one and the key-carried run
+  count (every column a fixed-width integer key: keys only, no row
+  payload), byte identity with ``reference_sort`` asserted.  The
+  uncompressed run format this used to be set against is gone; the last
+  two-sided record is in EXPERIMENTS.md.
 * **kernel_sweep** -- the packed-word run sort
   (:func:`repro.sort.kernels.argsort_rows`) against an inline
   ``np.lexsort`` over the same rows' uint64 word columns, one cell per
@@ -24,11 +26,8 @@ sort kernel it feeds:
   excluded), straight from :class:`repro.sort.operator.SortStats`.
 
 Hardware varies across CI boxes, so the numbers are *recorded, not
-gated* -- except at full acceptance scale (``--rows`` at least
-1,000,000), where the >= 1.5x end-to-end speedup and >= 2x spill-byte
-reduction of the acceptance criteria ARE asserted.  Output equality
-between the compressed and uncompressed paths is asserted at every
-scale -- correctness does not vary with hardware.
+gated*.  Output identity is asserted at every scale -- correctness does
+not vary with hardware.
 
 Results land in ``BENCH_compression.json`` at the repository root.
 Runs standalone (``python benchmarks/bench_key_compression.py
@@ -55,6 +54,7 @@ import pytest  # noqa: E402
 from repro.sort.external import ExternalSortOperator  # noqa: E402
 from repro.sort.kernels import argsort_rows  # noqa: E402
 from repro.sort.operator import SortConfig, SortOperator, SortStats  # noqa: E402
+from repro.sort.reference import reference_sort  # noqa: E402
 from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
 from repro.types.datatypes import BIGINT  # noqa: E402
@@ -63,10 +63,7 @@ from repro.types.sortspec import SortSpec  # noqa: E402
 OUTPUT = os.path.join(os.path.dirname(_SRC), "BENCH_compression.json")
 
 DEFAULT_ROWS = 1_000_000
-ACCEPTANCE_ROWS = 1_000_000  # gate the speedup/spill assertions here
 ROUNDS = 3  # best-of for every timed side
-SPEEDUP_FLOOR = 1.5
-SPILL_REDUCTION_FLOOR = 2.0
 # kernel_sweep: the lexsort-finish row count, the matrix scale, one
 # production run (DEFAULT_RUN_THRESHOLD) and the acceptance scale; one
 # word, one word and a byte, two, three and five words of key.
@@ -97,14 +94,14 @@ def _narrow_table(rng: np.random.Generator, rows: int) -> Table:
     )
 
 
-def _external_sort(table: Table, spec: SortSpec, compress: bool, rows: int):
+def _external_sort(table: Table, spec: SortSpec, rows: int):
     """One external sort; returns (result, spilled_bytes, stats)."""
     run_threshold = max(rows // 8, 1024)
     with tempfile.TemporaryDirectory(prefix="bench_compress_") as spill_dir:
         operator = ExternalSortOperator(
             table.schema,
             spec,
-            SortConfig(run_threshold=run_threshold, compress_keys=compress),
+            SortConfig(run_threshold=run_threshold),
             spill_directory=spill_dir,
         )
         try:
@@ -118,48 +115,25 @@ def _external_sort(table: Table, spec: SortSpec, compress: bool, rows: int):
 
 
 def bench_external(table: Table, spec: SortSpec, rows: int) -> dict:
-    sides = {}
-    results = {}
-    for label, compress in (("off", False), ("on", True)):
-        seconds, (result, spilled, stats) = _best_of(
-            lambda c=compress: _external_sort(table, spec, c, rows)
-        )
-        results[label] = result
-        sides[label] = {
-            "seconds": seconds,
-            "rows_per_s": rows / seconds,
-            "spilled_bytes": spilled,
-            "spilled_runs": stats.runs_generated,
-            "key_carried_runs": stats.key_carried_runs,
-            "key_width_used": stats.key_width_used,
-            "key_width_full": stats.key_width_full,
-        }
-    # Key-carried runs reconstruct rows from key bytes, so compare values
-    # (for all-integer no-NULL keys the reconstruction is exact).
-    assert results["on"].equals(results["off"]), (
-        "compressed external sort output diverged from uncompressed"
+    seconds, (result, spilled, stats) = _best_of(
+        lambda: _external_sort(table, spec, rows)
     )
-    speedup = sides["off"]["seconds"] / sides["on"]["seconds"]
-    reduction = sides["off"]["spilled_bytes"] / max(
-        sides["on"]["spilled_bytes"], 1
+    # Key-carried runs rebuild rows from key bytes; for all-integer
+    # no-NULL keys equal values are equal bytes.
+    assert result.equals(reference_sort(table, spec)), (
+        "external sort output diverged from reference_sort"
     )
-    summary = {
+    return {
         "rows": rows,
-        "compress_off": sides["off"],
-        "compress_on": sides["on"],
-        "speedup": speedup,
-        "spill_reduction": reduction,
+        "commit": commit_id(),
+        "seconds": seconds,
+        "rows_per_s": rows / seconds,
+        "spilled_bytes": spilled,
+        "spilled_runs": stats.runs_generated,
+        "key_carried_runs": stats.key_carried_runs,
+        "key_width_used": stats.key_width_used,
+        "key_width_full": stats.key_width_full,
     }
-    assert reduction >= SPILL_REDUCTION_FLOOR, (
-        f"spill reduction {reduction:.2f}x below the "
-        f"{SPILL_REDUCTION_FLOOR}x acceptance floor"
-    )
-    if rows >= ACCEPTANCE_ROWS:
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"end-to-end speedup {speedup:.2f}x below the "
-            f"{SPEEDUP_FLOOR}x acceptance floor at full scale"
-        )
-    return summary
 
 
 def kernel_matrices(rng: np.random.Generator, rows: int, key_bytes: int) -> dict:
@@ -335,12 +309,11 @@ def main(rows: int = DEFAULT_ROWS) -> dict:
         fh.write("\n")
     ext = results["external_narrow_int64"]
     print(
-        f"external_narrow_int64: off {ext['compress_off']['seconds']:.3f}s "
-        f"/ {ext['compress_off']['spilled_bytes']:,} B spilled, "
-        f"on {ext['compress_on']['seconds']:.3f}s "
-        f"/ {ext['compress_on']['spilled_bytes']:,} B spilled "
-        f"({ext['speedup']:.2f}x faster, "
-        f"{ext['spill_reduction']:.2f}x fewer spill bytes)"
+        f"external_narrow_int64: {ext['seconds']:.3f}s "
+        f"({ext['rows_per_s']:,.0f} rows/s), "
+        f"{ext['spilled_bytes']:,} B spilled in {ext['spilled_runs']} runs "
+        f"({ext['key_carried_runs']} key-carried), key bytes "
+        f"{ext['key_width_used']} of {ext['key_width_full']}"
     )
     for kern in results["kernel_sweep"]["cells"]:
         print(
@@ -365,9 +338,11 @@ def test_compression_bench_smoke(capsys):
     with capsys.disabled():
         print()
         results = main(rows=120_000)
-    # Output equality and the spill-byte floor are asserted inside main();
-    # here only completeness of the recorded sections.
-    assert results["external_narrow_int64"]["spill_reduction"] >= 2.0
+    # Output identity is asserted inside main(); here only completeness
+    # of the recorded sections.
+    external = results["external_narrow_int64"]
+    assert external["key_carried_runs"] == external["spilled_runs"] > 1
+    assert external["key_width_used"] < external["key_width_full"]
     kernel_cells = results["kernel_sweep"]["cells"]
     assert kernel_cells and all(cell["kernel_s"] > 0 for cell in kernel_cells)
     assert set(results["bytes_per_key"]) == {

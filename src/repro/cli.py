@@ -141,15 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="rows per spilled run (--external; an in-memory sort is one run)",
     )
     sort_cmd.add_argument(
-        "--no-compress-keys",
-        action="store_true",
-        help=(
-            "disable runtime key compression (keep full-width normalized "
-            "keys; compression narrows key columns to the byte widths "
-            "their observed value ranges need)"
-        ),
-    )
-    sort_cmd.add_argument(
         "--prefetch-blocks",
         type=int,
         default=None,
@@ -335,7 +326,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         external=args.external,
         spill_directories=tuple(args.spill_dir),
         verify_spill_checksums=not args.no_spill_checksums,
-        compress_keys=not args.no_compress_keys,
         replacement_selection=args.replacement_selection,
         **kwargs,
     )

@@ -12,11 +12,12 @@ NULLS LAST the code one past the valid maximum means NULL.
 This module supplies the pieces the sort pipeline wires together:
 
 * :class:`KeyStatsAccumulator` -- a monotone per-column stats pass
-  (min/max code, NULL presence, VARCHAR max UTF-8 length) that can be fed
-  run by run.  Because min only decreases, max only increases and NULL
-  presence only latches, the layout built after more data is always a
-  *widening* of any earlier one (``nobyte`` -> ``folded`` -> ``plain``,
-  widths non-decreasing), which makes cheap re-basing possible.  A
+  (min/max code, NULL presence, VARCHAR max UTF-8 length and whether a
+  value ends in NUL) that can be fed run by run.  Because min only
+  decreases, max only increases and the flags only latch, the layout
+  built after more data is always a *widening* of any earlier one
+  (``nobyte`` -> ``folded`` -> ``plain``, widths non-decreasing), which
+  makes cheap re-basing possible.  A
   NULL-free segment that needs its type's full width anyway takes no
   bias (``bias 0``, the whole code space): the bytes per key are the
   same, and a later run that moves min or max no longer changes the
@@ -46,6 +47,7 @@ from repro.errors import KeyEncodingError
 from repro.keys.encoding import (
     _WIDTH_TO_UNSIGNED,
     encode_utf8_column,
+    ends_in_nul,
     fixed_column_codes,
 )
 from repro.keys.normalizer import (
@@ -84,13 +86,14 @@ __all__ = [
 class _ColumnAcc:
     """Running statistics of one key column, in the order-code domain."""
 
-    __slots__ = ("min_code", "max_code", "has_nulls", "max_len")
+    __slots__ = ("min_code", "max_code", "has_nulls", "max_len", "nul_tail")
 
     def __init__(self) -> None:
         self.min_code: int | None = None
         self.max_code: int | None = None
         self.has_nulls = False
         self.max_len = 0
+        self.nul_tail = False  # some VARCHAR value ends in a NUL byte
 
 
 def _bytes_for(max_code: int) -> int:
@@ -99,14 +102,23 @@ def _bytes_for(max_code: int) -> int:
 
 
 def _segment_for(
-    key: SortKey, dtype: DataType, offset: int, acc: _ColumnAcc
+    key: SortKey,
+    dtype: DataType,
+    offset: int,
+    acc: _ColumnAcc,
+    string_prefix: int | None,
 ) -> KeySegment:
     """The narrowest segment the statistics seen so far permit."""
     if dtype.type_id is TypeId.VARCHAR:
-        # Strings keep today's NULL byte + runtime prefix; the length scan
-        # already is the compression (prefix = max length, capped at 12).
-        width = min(max(1, acc.max_len), MAX_STRING_PREFIX)
-        return KeySegment(key, dtype, offset, width, acc.max_len <= width)
+        # Strings keep the NULL byte + a prefix: the forced width, else
+        # the length scan is the compression (max length, capped at 12).
+        # The zero pad hides a trailing NUL, so one makes byte order
+        # inexact even where every value fits.
+        width = string_prefix
+        if width is None:
+            width = min(max(1, acc.max_len), MAX_STRING_PREFIX)
+        exact = acc.max_len <= width and not acc.nul_tail
+        return KeySegment(key, dtype, offset, width, exact)
     lo = 0 if acc.min_code is None else acc.min_code
     hi = 0 if acc.max_code is None else acc.max_code
     code_range = hi - lo + 1
@@ -139,11 +151,16 @@ class KeyStatsAccumulator:
     all data seen so far.  Layouts built after more updates only ever
     widen earlier ones (see the module docstring), so runs encoded early
     can be re-based with :func:`rebase_matrix` instead of re-encoded.
+    ``string_prefix`` forces every VARCHAR segment's width instead of
+    choosing it from the lengths seen.
     """
 
-    def __init__(self, schema: Schema, spec: SortSpec) -> None:
+    def __init__(
+        self, schema: Schema, spec: SortSpec, string_prefix: int | None = None
+    ) -> None:
         self.schema = schema
         self.spec = spec
+        self.string_prefix = string_prefix
         self._columns: dict[str, _ColumnAcc] = {}
         for key in spec.keys:
             self._columns.setdefault(key.column, _ColumnAcc())
@@ -156,10 +173,11 @@ class KeyStatsAccumulator:
             has_nulls = column.has_nulls
             acc.has_nulls = acc.has_nulls or has_nulls
             if dtype.type_id is TypeId.VARCHAR:
-                _, lengths = encode_utf8_column(
+                buffer, lengths = encode_utf8_column(
                     column.data, column.validity, name
                 )
                 acc.max_len = max(acc.max_len, int(lengths.max(initial=0)))
+                acc.nul_tail = acc.nul_tail or ends_in_nul(buffer, lengths)
                 continue
             data = column.data[column.validity] if has_nulls else column.data
             if len(data) == 0:
@@ -177,7 +195,8 @@ class KeyStatsAccumulator:
         offset = 0
         for key in self.spec.keys:
             dtype = self.schema.column(key.column).dtype
-            segment = _segment_for(key, dtype, offset, self._columns[key.column])
+            acc = self._columns[key.column]
+            segment = _segment_for(key, dtype, offset, acc, self.string_prefix)
             segments.append(segment)
             offset += segment.total_width
         suffix = 0

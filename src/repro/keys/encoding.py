@@ -16,8 +16,9 @@ Transforms, for ascending order:
   We canonicalize -0.0 to +0.0 (SQL treats them equal) and every NaN to the
   positive quiet-NaN pattern so NaNs compare equal and sort after +inf.
 * strings: UTF-8 bytes of a fixed-length prefix, padded with 0x00.  Prefix
-  comparison is exact only when no string exceeds the prefix; callers must
-  tie-break longer strings (the sort operator does).
+  comparison is exact only when no string exceeds the prefix or ends in a
+  NUL (which the pad hides); callers must tie-break on the full strings
+  otherwise (the sort operator does).
 
 Descending order inverts the encoded value bytes (0xFF - b).
 """
@@ -41,6 +42,7 @@ __all__ = [
     "fixed_column_codes",
     "encode_string_column",
     "encode_utf8_column",
+    "ends_in_nul",
     "gather_windows",
     "invert_bytes",
     "F32_CANONICAL_NAN",
@@ -223,6 +225,16 @@ def encode_utf8_column(
     lengths = np.zeros(len(values), dtype=np.int64)
     lengths[rows] = chars
     return buffer, lengths
+
+
+def ends_in_nul(buffer: np.ndarray, lengths: np.ndarray) -> bool:
+    """Does a value of an :func:`encode_utf8_column` result end in NUL?
+
+    Zero-padded prefix bytes tie such a value with the same string minus
+    its trailing NULs, so a VARCHAR key segment holding one is inexact.
+    """
+    ends = np.cumsum(lengths)[lengths > 0] - 1
+    return not buffer[ends].all()
 
 
 def gather_windows(

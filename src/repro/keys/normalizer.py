@@ -14,9 +14,10 @@ within the row" of the paper's ``OrderKey`` struct.
 
 The result is a dense ``(n, width)`` uint8 matrix.  Comparing two rows of
 the matrix with memcmp is exactly ``tuple_compare`` on the original values,
-except when a VARCHAR key exceeds its prefix; then the key is "inexact" and
-ties must be broken on the full strings (``NormalizedKeys.prefix_exact``
-tells the sort operator whether that pass is needed).
+except when a VARCHAR key exceeds its prefix or ends in NUL; then the key
+is "inexact" and ties must be broken on the full strings
+(``NormalizedKeys.prefix_exact`` tells the sort operator whether that pass
+is needed).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.keys.encoding import (
     encode_scalar,
     encode_string_column,
     encode_utf8_column,
+    ends_in_nul,
     fixed_column_codes,
     invert_bytes,
 )
@@ -83,8 +85,8 @@ class KeySegment:
             byte for ``plain`` segments, the first value byte otherwise).
         value_width: bytes used by the encoded value (excludes the NULL byte).
         prefix_exact: True unless this is a VARCHAR segment whose prefix
-            truncates some value (memcmp on the segment then needs a
-            full-string tie-break).
+            truncates some value or whose zero pad hides a trailing NUL
+            (memcmp on the segment then needs a full-string tie-break).
         mode: ``plain`` (NULL byte + full-width encoding), ``nobyte`` or
             ``folded`` (see the module constants).  VARCHAR segments are
             always ``plain``.
@@ -149,33 +151,27 @@ class KeyLayout:
         return self.row_id_width > 0
 
 
-def _max_utf8_length(values: np.ndarray, column: str = "") -> int:
-    """Maximum UTF-8 byte length over a string column.
-
-    The lengths of :func:`repro.keys.encoding.encode_utf8_column` -- the
-    codec :func:`encode_string_column` places its prefixes with, so the
-    prefix choice and the encoding agree by construction.
-    """
-    if len(values) == 0:
-        return 0
-    return int(encode_utf8_column(values, column=column)[1].max())
-
-
 def _string_prefix_for(
-    values: np.ndarray, requested: int | None, column: str = ""
+    column, requested: int | None, name: str = ""
 ) -> tuple[int, bool]:
     """Choose a VARCHAR prefix length and report whether it is exact.
 
     DuckDB chooses the prefix at runtime from string-length statistics,
     capped at 12 bytes.  We do the same: use the maximum UTF-8 length if it
     is <= MAX_STRING_PREFIX (making prefix comparison exact), else the cap.
+    The lengths are :func:`repro.keys.encoding.encode_utf8_column`'s -- the
+    codec :func:`encode_string_column` places its prefixes with, so the
+    prefix choice and the encoding agree by construction.  A value ending
+    in NUL makes the segment inexact whatever the width: the zero pad ties
+    it with the string its trailing NULs extend.
     """
-    max_len = max(1, _max_utf8_length(values, column))
+    buffer, lengths = encode_utf8_column(column.data, column.validity, name)
+    max_len = max(1, int(lengths.max(initial=0)))
     if requested is not None:
         width = requested
     else:
         width = min(max_len, MAX_STRING_PREFIX)
-    return width, max_len <= width
+    return width, max_len <= width and not ends_in_nul(buffer, lengths)
 
 
 def build_layout(
@@ -202,7 +198,7 @@ def build_layout(
             # One vectorized scan chooses the width AND settles exactness;
             # normalize_keys reuses the stored flag instead of rescanning.
             width, exact = _string_prefix_for(
-                table.column(key.column).data, string_prefix, key.column
+                table.column(key.column), string_prefix, key.column
             )
         else:
             assert dtype.fixed_width is not None

@@ -31,12 +31,12 @@ replacement-selection run generation, which buys fewer files and
 passes, so only a store that pays for files can use it.
 
 Runs are encoded under the runtime key-compression layer
-(:mod:`repro.keys.compression`) unless ``SortConfig.compress_keys`` is
-off: each run's layout comes from one monotone statistics accumulator,
-so layouts only ever widen run-to-run and the merge rebases earlier
-(narrower) runs onto the final layout block-by-block as it streams them
--- spilled key bytes shrink without a re-spill pass.  Each spill header
-carries its run's serialized layout in the header ``extra`` blob.
+(:mod:`repro.keys.compression`): each run's layout comes from one
+monotone statistics accumulator, so layouts only ever widen run-to-run
+and the merge rebases earlier (narrower) runs onto the final layout
+block-by-block as it streams them -- spilled key bytes shrink without a
+re-spill pass.  A spill header's ``extra`` blob is its run's serialized
+layout.
 When the key segments alone can reconstruct every column exactly
 (``key_carried_eligible``: all columns are fixed-width non-float sort
 keys), runs are spilled **key-carried**: the payload row matrix and heap
@@ -92,6 +92,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.errors import (
+    KeyEncodingError,
     SortCancelledError,
     SortError,
     SpillCapacityError,
@@ -119,14 +120,11 @@ from repro.sort.rungen import (
     ReplacementSelection,
 )
 from repro.sort.spillfile import (
-    EXTRA_TAG_LAYOUT,
     SECTION_NAMES,
     SpillHeader,
     VerifiedTailCache,
     build_header,
-    pack_extra,
     read_header,
-    unpack_extra,
 )
 from repro.table.chunk import DataChunk
 from repro.table.table import Table
@@ -165,12 +163,15 @@ class SpilledRun:
         self,
         path: str,
         header: SpillHeader,
+        layout: KeyLayout,
         io: SpillIO | None = None,
         verify: bool = True,
-        layout: KeyLayout | None = None,
     ) -> None:
         self.path = path
         self.header = header
+        #: the key layout the run was encoded under; ``header.extra``
+        #: is its serialized form.
+        self.layout = layout
         self.io = io or SpillIO()
         self.verify = verify
         # One verified page of bytes per section: consecutive block reads
@@ -178,23 +179,21 @@ class SpilledRun:
         # instead of re-reading and re-verifying it (thread-safe; see
         # :class:`repro.sort.spillfile.VerifiedTailCache`).
         self._tail_cache = VerifiedTailCache()
-        #: the run's compressed key layout (``None`` for uncompressed
-        #: runs); also serialized in ``header.extra`` for re-attachment.
-        self.layout = layout
 
     @classmethod
     def open(
         cls,
         path: str,
+        schema: Schema,
+        spec: SortSpec,
         io: SpillIO | None = None,
         verify: bool = True,
-        schema: Schema | None = None,
-        spec: SortSpec | None = None,
     ) -> "SpilledRun":
         """Attach to an existing spill file, validating its header.
 
-        The key layout in the header's extra blob is re-attached when
-        ``schema`` and ``spec`` are given (deserializing it needs both).
+        The run's key layout is rebuilt from the header's extra blob and
+        cross-checked against ``schema`` and ``spec``; a blob that does
+        not describe this sort raises :class:`SpillCorruptionError`.
         """
         io = io or SpillIO()
         try:
@@ -203,12 +202,13 @@ class SpilledRun:
             raise SpillIOError(
                 f"spill header read failed: {error}", path
             ) from error
-        frames = unpack_extra(header.extra, path)
-        layout = None
-        blob = frames.get(EXTRA_TAG_LAYOUT)
-        if blob and schema is not None and spec is not None:
-            layout = deserialize_layout(blob, schema, spec)
-        return cls(path, header, io, verify, layout=layout)
+        try:
+            layout = deserialize_layout(header.extra, schema, spec)
+        except KeyEncodingError as error:
+            raise SpillCorruptionError(
+                f"spill header key layout: {error}", path
+            ) from error
+        return cls(path, header, layout, io, verify)
 
     @property
     def num_rows(self) -> int:
@@ -623,7 +623,7 @@ class ExternalSortOperator(SortOperator):
                 np.ascontiguousarray(keys.matrix[order]),
                 order,
                 table,
-                keys.layout if self._generator.compress else None,
+                keys.layout,
             )
         self._rs_drain(final=False)
 
@@ -688,15 +688,12 @@ class ExternalSortOperator(SortOperator):
             if not self._degraded:
                 keys_bytes = run.keys.tobytes()
                 rows_bytes = run.rows.tobytes()
-                frames: dict[int, bytes] = {}
-                if run.layout is not None:
-                    frames[EXTRA_TAG_LAYOUT] = serialize_layout(run.layout)
                 header = build_header(
                     run.num_rows,
                     run.key_width,
                     run.row_width,
                     (keys_bytes, rows_bytes, run.heap),
-                    extra=pack_extra(frames),
+                    extra=serialize_layout(run.layout),
                 )
                 path = self._write_run_file(
                     filename,
@@ -720,9 +717,9 @@ class ExternalSortOperator(SortOperator):
             run = SpilledRun(
                 path,
                 header,
+                run.layout,
                 self._io,
                 verify=self.config.verify_spill_checksums,
-                layout=run.layout,
             )
             self._runs.append(run)
             return run

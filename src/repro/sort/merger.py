@@ -17,9 +17,8 @@ large the runs are.
   contributing run plus one permutation, and the full key rows a round
   needs (key-carried results, every intermediate run) are sliced out of
   the held blocks: no second read, no second CRC pass, no second rebase.
-* **Layout rebase** -- runs encoded under a narrower compressed key
-  layout are re-encoded onto the final one block by block as they
-  stream.
+* **Layout rebase** -- runs encoded under a narrower key layout are
+  re-encoded onto the final one block by block as they stream.
 * **Exact strings** -- runs arrive sorted by key bytes, so rows tied
   on the bytes up to the first truncated VARCHAR segment may still
   reorder once the full strings are consulted, and such a tie group can
@@ -69,12 +68,11 @@ class RunMerger:
     :attr:`NESTED_PHASES`.
 
     Finishes what ``generator`` began: the run format (the key layout
-    covering every run, whether runs carry compressed layouts to rebase
-    from, whether they are key-carried), the config, the stats and the
-    cancellation checkpoint are the generator's.  ``block_rows`` bounds
-    each run's frontier block.  ``make_prefetcher(runs, key_fetch,
-    row_fetch)`` is the spilling store's read-ahead hook; it may return
-    ``None``.
+    covering every run, whether runs are key-carried), the config, the
+    stats and the cancellation checkpoint are the generator's.
+    ``block_rows`` bounds each run's frontier block.
+    ``make_prefetcher(runs, key_fetch, row_fetch)`` is the spilling
+    store's read-ahead hook; it may return ``None``.
     """
 
     NESTED_PHASES = ("refine", "decode")
@@ -89,7 +87,6 @@ class RunMerger:
         self.config = generator.config
         self.stats = generator.stats
         self.key_layout = key_layout = generator.layout
-        self.compressed = generator.compress
         self.key_carried = generator.key_carried
         self.block_rows = block_rows
         self._check_cancelled = generator.check_cancelled
@@ -132,8 +129,7 @@ class RunMerger:
         pass alone, so later passes treat it like any other.
         """
         keys, rows, heap = self._merge(runs, final=False)
-        layout = self.key_layout if self.compressed else None
-        return InMemoryRun(keys, rows, heap, layout)
+        return InMemoryRun(keys, rows, heap, self.key_layout)
 
     # ------------------------------------------------------------------ #
     # Streaming reads
@@ -141,7 +137,7 @@ class RunMerger:
 
     def _stale(self, run) -> bool:
         """Was the run encoded under a narrower layout than the final?"""
-        return run.layout is not None and run.layout != self.key_layout
+        return run.layout != self.key_layout
 
     def _key_block(self, run, start: int, stop: int, stats) -> np.ndarray:
         """Full-width key rows ``[start, stop)`` on the final layout.

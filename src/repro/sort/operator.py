@@ -100,6 +100,8 @@ class SortConfig:
             everything is one run.
         string_prefix: forced VARCHAR prefix length in normalized keys
             (default: chosen from the data, capped at 12 like DuckDB).
+            An input of the statistics layout like the data's own
+            lengths; the paper-face prefix ablation is its caller.
         vector_size: chunk granularity used by :func:`sort_table`.
         external: the sort may spill.  Input that reaches the live run
             threshold is cut into runs that go to disk and stream back
@@ -124,15 +126,6 @@ class SortConfig:
         allow_memory_fallback: when no spill target is writable, keep
             runs in memory (reduced-memory degradation) instead of
             raising :class:`repro.errors.SpillCapacityError`.
-        compress_keys: shrink normalized keys from runtime statistics
-            (paper, Section V): each fixed-width key column is biased to
-            unsigned and stored at the minimal byte width its observed
-            min/max needs, with the NULL indicator byte folded into the
-            value when a spare code point exists
-            (:mod:`repro.keys.compression`).  Off preserves the
-            full-width layout bit-for-bit.  Ignored (treated as off) when
-            ``string_prefix`` forces a fixed VARCHAR prefix, since the
-            compressed layout chooses prefixes from the data.
         prefetch_blocks: read-ahead depth, in blocks per run per section,
             of the external merge's prefetch layer
             (:mod:`repro.sort.prefetch`).  Once reads prove slow, a small
@@ -194,7 +187,6 @@ class SortConfig:
     spill_retry_backoff_s: float = 0.01
     verify_spill_checksums: bool = True
     allow_memory_fallback: bool = True
-    compress_keys: bool = True
     prefetch_blocks: int = 1
     replacement_selection: bool = False
     merge_fan_in: int = 0
@@ -249,9 +241,10 @@ class SortStats:
     ``cleanup_errors`` (temp files/directories that could not be
     removed -- recorded, warned about, never silently swallowed).
 
-    The key-compression counters: ``key_width_used`` / ``key_width_full``
-    are the final layout's key bytes per row with and without compression
-    (row-id suffix excluded); ``key_layout_rebases`` counts runs whose
+    The key-compression counters: ``key_width_used`` is the final
+    layout's key bytes per row and ``key_width_full`` what the plain
+    (NULL byte + full type width) layout would cost (row-id suffix
+    excluded); ``key_layout_rebases`` counts runs whose
     keys were re-encoded because later data widened the layout;
     ``key_carried_runs`` counts runs held as keys only (the payload
     reconstructed from the keys at merge time).

@@ -77,16 +77,10 @@ from repro.keys.compression import (
     key_carried_eligible,
     plain_key_width,
 )
-from repro.keys.normalizer import (
-    MAX_STRING_PREFIX,
-    KeyLayout,
-    NormalizedKeys,
-    normalize_keys,
-)
+from repro.keys.normalizer import KeyLayout, NormalizedKeys, normalize_keys
 from repro.rows.block import RowBlock
 from repro.sort.heuristic import vector_sort_rows
 from repro.sort.kernels import argsort_rows
-from repro.sort.stringsort import and_prefix_exact
 from repro.table.chunk import DataChunk, concat_chunks
 from repro.table.table import Table
 from repro.types.datatypes import TypeId
@@ -190,7 +184,7 @@ class SelectionRun:
     keys: np.ndarray
     table_ids: np.ndarray
     positions: np.ndarray
-    layout: object | None
+    layout: KeyLayout
     tables: dict[int, object] = field(default_factory=dict)
 
     def payload(self) -> Table:
@@ -225,7 +219,7 @@ class ReplacementSelection:
     :meth:`step` to emit one batch of the current run, watch
     :attr:`exhausted` / :attr:`run_rows` to decide when to
     :meth:`close_run`.  ``rebase`` (injected) widens every held matrix
-    when the compression layout grows -- layouts only ever widen, so
+    when the key layout grows -- layouts only ever widen, so
     re-encoding is lossless and order-preserving.
     """
 
@@ -265,7 +259,7 @@ class ReplacementSelection:
         matrix = np.ascontiguousarray(matrix)
         if self._layout is None:
             self._layout = layout
-        elif layout is not None and layout != self._layout:
+        elif layout != self._layout:
             # Eager rebase: the accumulator only widens layouts, so every
             # held matrix (segments, fence, the open run's batches)
             # re-encodes losslessly onto the new one.
@@ -469,13 +463,12 @@ class InMemoryRun:
         keys: np.ndarray,
         rows: np.ndarray,
         heap: bytes,
-        layout: KeyLayout | None = None,
+        layout: KeyLayout,
     ) -> None:
         self.keys = np.ascontiguousarray(keys)
         self.rows = np.ascontiguousarray(rows)
         self.heap = heap
-        #: the run's compressed key layout (``None`` for uncompressed
-        #: runs, which all share one locked layout).
+        #: the key layout the run's keys were encoded under.
         self.layout = layout
 
     @property
@@ -508,11 +501,11 @@ class RunGenerator:
     """Buffered chunks in, one sorted :class:`InMemoryRun` out.
 
     Holds what must be shared *across* the runs of one sort: the
-    monotone key-statistics accumulator (so compressed layouts only ever
-    widen and every earlier run rebases losslessly onto :attr:`layout`),
-    the global row-id counter (unique ascending ids make every merge
-    stable), and the run-format decisions (:attr:`compress`,
-    :attr:`key_carried`).  ``stats`` is the owning operator's
+    monotone key-statistics accumulator (so key layouts only ever widen
+    and every earlier run rebases losslessly onto :attr:`layout`), the
+    global row-id counter (unique ascending ids make every merge
+    stable), and the run-format decision (:attr:`key_carried`).
+    ``stats`` is the owning operator's
     :class:`~repro.sort.operator.SortStats`; ``check_cancelled`` its
     cooperative-cancellation checkpoint.
     """
@@ -534,24 +527,13 @@ class RunGenerator:
             schema.column(name).dtype.type_id is TypeId.VARCHAR
             for name in spec.column_names
         )
-        #: Stats-driven key compression.  A user-forced ``string_prefix``
-        #: pins the layout the statistics pass would choose, so it
-        #: disables compression.
-        self.compress = config.compress_keys and config.string_prefix is None
-        self._key_acc = (
-            KeyStatsAccumulator(schema, spec) if self.compress else None
-        )
+        self._key_acc = KeyStatsAccumulator(schema, spec, config.string_prefix)
         #: Key-carried runs: when the key segments alone reconstruct
         #: every column exactly, a run carries its sorted keys and no
         #: payload rows at all.
-        self.key_carried = (
-            self.compress and key_carried_eligible(schema, spec)
-        )
-        #: The key layout covering every run generated so far: the
-        #: accumulator's latest (widest) compressed layout, or the one
-        #: locked uncompressed layout with each VARCHAR segment's
-        #: ``prefix_exact`` AND-ed across runs.  ``None`` before the
-        #: first run.
+        self.key_carried = key_carried_eligible(schema, spec)
+        #: The key layout covering every run generated so far (the
+        #: accumulator's latest, widest one); ``None`` before the first.
         self.layout: KeyLayout | None = None
         self._next_row_id = 0
 
@@ -563,36 +545,20 @@ class RunGenerator:
         table = concat_chunks(chunks)
         stats = self.stats
         with stats.time_phase("encode"):
-            layout = None
-            # Uncompressed runs must share one key layout so the merge
-            # can memcmp across them; with VARCHAR keys and no explicit
-            # prefix the prefix is locked to DuckDB's 12-byte cap rather
-            # than letting each run pick its own width from its data.
-            string_prefix = self.config.string_prefix
-            if self._key_acc is not None:
-                # The accumulator has seen every row so far, so this
-                # run's layout is at least as wide as every earlier
-                # run's; the merge rebases narrower runs onto the last.
-                self._key_acc.update(table)
-                layout = self._key_acc.build_layout(
-                    include_row_id=True, row_id_width=ROW_ID_WIDTH
-                )
-            elif string_prefix is None and self.has_string_key:
-                string_prefix = MAX_STRING_PREFIX
+            # The accumulator has seen every row so far, so this run's
+            # layout is at least as wide as every earlier run's; the
+            # merge rebases narrower runs onto the last.
+            self._key_acc.update(table)
+            self.layout = self._key_acc.build_layout(
+                include_row_id=True, row_id_width=ROW_ID_WIDTH
+            )
             keys = normalize_keys(
                 table,
                 self.spec,
-                string_prefix=string_prefix,
-                include_row_id=True,
                 row_id_base=self._next_row_id,
-                row_id_width=ROW_ID_WIDTH,
-                layout=layout,
+                layout=self.layout,
             )
         self._next_row_id += len(table)
-        if self.compress or self.layout is None:
-            self.layout = keys.layout
-        else:
-            self.layout = and_prefix_exact(self.layout, keys.layout)
         stats.key_width_used = keys.layout.key_width
         stats.key_width_full = plain_key_width(keys.layout)
         stats.prefix_exact = stats.prefix_exact and keys.prefix_exact
@@ -615,17 +581,12 @@ class RunGenerator:
         """Sort one encoded batch into a run."""
         with self.stats.time_phase("run_gen"):
             order = self.argsort(keys)
-            return self.pack(
-                keys.matrix[order],
-                keys.layout if self.compress else None,
-                table,
-                order,
-            )
+            return self.pack(keys.matrix[order], keys.layout, table, order)
 
     def pack(
         self,
         sorted_keys: np.ndarray,
-        layout: KeyLayout | None,
+        layout: KeyLayout,
         payload: Table,
         order: np.ndarray | None = None,
     ) -> InMemoryRun:

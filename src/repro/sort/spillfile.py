@@ -13,9 +13,8 @@ versioned header::
     | page CRC32 table: crc_count x u32                            |
     |   (keys pages, then rows pages, then heap pages)             |
     +--------------------------------------------------------------+
-    | extra: header_bytes - 48 - 4*crc_count bytes of tagged       |
-    |   frames  (tag u8 | length u32 | payload)*                   |
-    |       tag 1 = serialized key layout                          |
+    | extra: header_bytes - 48 - 4*crc_count bytes, the run's      |
+    |   serialized key layout                                      |
     +--------------------------------------------------------------+
     | keys  section: num_rows x key_width bytes                    |
     | rows  section: num_rows x row_width bytes                    |
@@ -23,20 +22,19 @@ versioned header::
     +--------------------------------------------------------------+
 
 The variable-length ``extra`` blob sits between the CRC table and the
-data sections; readers locate it purely from ``header_bytes``.  It is
-structured as self-describing tagged frames (:func:`pack_extra` /
-:func:`unpack_extra`); the one frame written today is the run's key
-layout.  Spill files are private to the process that wrote them
-(randomly named, removed on ``close``), so there is one format version
-and :func:`read_header` rejects any other.
+data sections; readers locate it purely from ``header_bytes``.  It holds
+the run's key layout (:func:`repro.keys.compression.serialize_layout`),
+opaque to this module.  Spill files are private to the process that
+wrote them (randomly named, removed on ``close``), so there is one
+format version and :func:`read_header` rejects any other.
 
 Integrity is page-granular *within* each section: section bytes are
 covered by CRC32 checksums over ``page_size``-byte pages (the last page
 of a section may be short), so a block read verifies exactly the pages it
 touches -- no whole-file scan, and the merge's working set stays bounded.
-``header_crc32`` covers the fixed header (with the CRC field zeroed) plus
-the page table, so a damaged header is detected before any geometry
-derived from it is trusted.
+``header_crc32`` covers the fixed header (with the CRC field zeroed), the
+page table and ``extra``, so a damaged header is detected before any
+geometry derived from it is trusted.
 
 Every mismatch raises :class:`repro.errors.SpillCorruptionError` naming
 the file, instead of surfacing later as a numpy shape/decode error.
@@ -52,7 +50,6 @@ from dataclasses import dataclass
 from repro.errors import SpillCorruptionError
 
 __all__ = [
-    "EXTRA_TAG_LAYOUT",
     "FORMAT_VERSION",
     "MAGIC",
     "SECTION_NAMES",
@@ -60,18 +57,12 @@ __all__ = [
     "SpillHeader",
     "VerifiedTailCache",
     "build_header",
-    "pack_extra",
     "read_header",
-    "unpack_extra",
 ]
 
 MAGIC = b"RSPL"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
-EXTRA_TAG_LAYOUT = 1
-"""Extra frame holding the serialized compressed key layout."""
-
-_FRAME = struct.Struct("<BI")
 SPILL_PAGE_SIZE = 1 << 12
 """Default CRC page size (4 KiB).
 
@@ -149,8 +140,8 @@ class SpillHeader:
 
     ``page_crcs`` holds one CRC tuple per section, in
     :data:`SECTION_NAMES` order.  All byte offsets below are absolute
-    file offsets.  ``extra`` is the metadata blob of tagged frames (see
-    :func:`unpack_extra`); it is covered by ``header_crc32``.
+    file offsets.  ``extra`` is the run's serialized key layout; it is
+    covered by ``header_crc32``.
     """
 
     num_rows: int
@@ -219,7 +210,7 @@ def build_header(
     """Header for a run about to be written, CRCs computed per page.
 
     ``extra`` is an opaque blob stored (and CRC-protected) in the header;
-    the external sort puts the serialized compressed key layout there.
+    the external sort puts the run's serialized key layout there.
     """
     if page_size <= 0:
         raise ValueError("page_size must be positive")
@@ -309,50 +300,3 @@ def read_header(io, path: str) -> SpillHeader:
         page_crcs=tuple(crcs),
         extra=bytes(extra),
     )
-
-
-def pack_extra(frames: dict[int, bytes]) -> bytes:
-    """Serialize extra-blob frames in the tagged layout.
-
-    Frames are written in ascending tag order so the blob is
-    deterministic.  An empty dict packs to an empty blob.
-    """
-    parts = []
-    for tag in sorted(frames):
-        payload = frames[tag]
-        if not 0 <= tag <= 255:
-            raise ValueError(f"extra frame tag {tag} out of range")
-        parts.append(_FRAME.pack(tag, len(payload)))
-        parts.append(bytes(payload))
-    return b"".join(parts)
-
-
-def unpack_extra(extra: bytes, path: str) -> dict[int, bytes]:
-    """Parse a header's extra blob into ``{tag: payload}`` frames.
-
-    A duplicate tag or a frame running past the blob raises
-    :class:`SpillCorruptionError`.
-    """
-    frames: dict[int, bytes] = {}
-    view = memoryview(extra)
-    cursor = 0
-    while cursor < len(view):
-        if cursor + _FRAME.size > len(view):
-            raise SpillCorruptionError(
-                "truncated extra frame header in spill header blob", path
-            )
-        tag, length = _FRAME.unpack_from(view, cursor)
-        cursor += _FRAME.size
-        if cursor + length > len(view):
-            raise SpillCorruptionError(
-                f"extra frame (tag {tag}) runs past the spill header blob",
-                path,
-            )
-        if tag in frames:
-            raise SpillCorruptionError(
-                f"duplicate extra frame tag {tag} in spill header blob",
-                path,
-            )
-        frames[tag] = bytes(view[cursor : cursor + length])
-        cursor += length
-    return frames

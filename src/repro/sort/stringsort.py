@@ -23,13 +23,11 @@ external sort).  This module makes the vector path exact instead:
   GROUP BY / PARTITION BY consumers: the prefix boundary mask ORed with an
   exact elementwise string comparison on the inexact segments.
 
-String order here is zero-padded UTF-8 byte order, identical to Python's
-``str`` ordering for text without embedded NUL characters (UTF-8 preserves
-codepoint order and the zero pad byte sorts before every real byte).
-Strings that differ only by trailing NUL codepoints are treated as equal:
-such a tie falls through to the next ORDER BY column first, and to the
-stable row-id tiebreak only after the last one (a known limitation, see
-"Reference sort" in ``docs/sort-pipeline.md``).
+String order here is zero-padded UTF-8 byte order, then length: identical
+to Python's ``str`` ordering (UTF-8 preserves codepoint order, the zero pad
+byte sorts before every real byte, and strings the pad ties differ only by
+trailing NULs, where the shorter is the smaller).  A VARCHAR segment holding
+a value that ends in NUL is therefore inexact whatever its width.
 """
 
 from __future__ import annotations
@@ -147,12 +145,11 @@ def _refine_segment(
     rows whose string tails are fully equal keep their current relative
     order -- which is their order on the remaining key bytes (later ORDER
     BY columns, then the row id).  Returns the refined ``(order, groups)``
-    pair, with groups subdivided down to string-tail equality classes.
+    pair, with groups subdivided down to string equality classes.
     """
     pos = int(start_byte)
     while True:
-        counts = np.bincount(groups)
-        multi = counts[groups] > 1
+        multi = np.bincount(groups)[groups] > 1
         if not (multi & (lengths[order] > pos)).any():
             break
         # Every row of a still-multi group participates: rows whose string
@@ -164,31 +161,43 @@ def _refine_segment(
         chunk = gather_windows(buffer, starts[idx] + pos, take, CHUNK_WIDTH)
         if descending:
             np.subtract(255, chunk, out=chunk)
-        # Stable sort: group id is the primary key (ids are non-decreasing
-        # in slot order, so equal ids are contiguous), the chunk bytes the
-        # secondary keys, and the slot ordinal the explicit final tiebreak.
-        sub = np.lexsort(
-            (np.arange(len(rows)),)
-            + tuple(chunk.T[::-1])
-            + (groups[rows],)
-        )
-        order[rows] = idx[sub]
-        chunk_sorted = chunk[sub]
-        g_sorted = groups[rows][sub]
-
-        # Subdivide: a new boundary wherever the chunk (or group) changed.
-        changed = np.concatenate(([True], groups[1:] != groups[:-1]))
-        if len(rows) > 1:
-            diff = (g_sorted[1:] != g_sorted[:-1]) | np.any(
-                chunk_sorted[1:] != chunk_sorted[:-1], axis=1
-            )
-            changed[rows[1:]] |= diff
-        groups = np.cumsum(changed) - 1
+        groups = _sort_in_groups(order, groups, rows, chunk)
         pos += CHUNK_WIDTH
         if stats is not None:
             stats.reencode_rounds += 1
             stats.reencoded_rows += len(rows)
+    # Bytes exhausted: rows still tied hold one string extended by differing
+    # counts of trailing NULs, which the zero pad hides; the shorter is the
+    # smaller.
+    rows = np.flatnonzero(multi)
+    if len(rows):
+        length = lengths[order[rows], None]
+        groups = _sort_in_groups(
+            order, groups, rows, -length if descending else length
+        )
     return order, groups
+
+
+def _sort_in_groups(
+    order: np.ndarray, groups: np.ndarray, rows: np.ndarray, columns: np.ndarray
+) -> np.ndarray:
+    """Stable-sort the slots ``rows`` of ``order`` (in place) by ``columns``
+    inside their groups; returns ``groups`` subdivided where a column changed.
+    """
+    # Group id is the primary key (ids are non-decreasing in slot order, so
+    # equal ids are contiguous), the columns the secondary keys, and the
+    # slot ordinal the explicit final tiebreak.
+    sub = np.lexsort(
+        (np.arange(len(rows)),) + tuple(columns.T[::-1]) + (groups[rows],)
+    )
+    order[rows] = order[rows][sub]
+    columns, g_sorted = columns[sub], groups[rows][sub]
+    changed = np.concatenate(([True], groups[1:] != groups[:-1]))
+    if len(rows) > 1:
+        changed[rows[1:]] |= (g_sorted[1:] != g_sorted[:-1]) | np.any(
+            columns[1:] != columns[:-1], axis=1
+        )
+    return np.cumsum(changed) - 1
 
 
 def refine_key_order(

@@ -159,7 +159,9 @@ class TestSpillIntegrity:
             for chunk in chunk_table(table, 256):
                 operator.sink(chunk)
             original = operator._runs[0]
-            reopened = SpilledRun.open(original.path)
+            reopened = SpilledRun.open(
+                original.path, table.schema, operator.spec
+            )
             assert reopened.header == original.header
             assert MAGIC == b"RSPL"
             assert (

@@ -6,9 +6,9 @@ The two invariants every compressed layout must preserve:
    ``tuple_compare`` over the original values -- the same ground truth
    the plain normalized keys are held to -- for every type mix,
    direction, NULL placement, and all-NULL columns.
-2. **Identity**: the sort pipelines produce byte-identical output with
-   compression on and off (same permutation, so same gathered bytes),
-   in memory and external, and the same as the scalar reference sort.
+2. **Identity**: the sort pipelines, in memory and external, produce
+   output byte-identical to the tuple-key oracle and to the scalar
+   reference sort, which encodes plain (uncompressed) keys.
 
 Plus the machinery around them: width/mode selection, progressive layout
 widening with per-run rebasing, spill-header layout round-trips, and
@@ -43,7 +43,6 @@ from repro.keys.normalizer import (
 from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig, SortOperator, sort_table
 from repro.sort.reference import reference_sort as scalar_reference_sort
-from repro.sort.spillfile import EXTRA_TAG_LAYOUT, unpack_extra
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec, tuple_compare
@@ -86,10 +85,8 @@ def assert_byte_identical(left, right):
             assert col_l.data.tobytes() == col_r.data.tobytes(), name
 
 
-def mkdir(tmp_path, name):
-    path = tmp_path / name
-    path.mkdir(exist_ok=True)
-    return str(path)
+def spec_of(text):
+    return SortSpec.of(*[part.strip() for part in text.split(",")])
 
 
 def key_tuples(table, spec):
@@ -223,16 +220,62 @@ class TestWidthAndModeSelection:
         assert segment.mode == MODE_FOLDED
         assert segment.total_width == 1
 
-    def test_forced_string_prefix_disables_compression(self, rng):
+    def test_forced_string_prefix_feeds_the_layout(self, rng, tmp_path):
+        # The forced width replaces min(max_len, 12) and nothing else:
+        # the integer beside it is still narrowed, and runs still rebase.
         table = mixed_table(rng, 500)
+        table = table.concat(
+            Table.from_pydict(
+                {"a": [70_000], "s": ["key-long-0"], "f": [0.0], "seq": [500]}
+            )
+        )
+        spec = SortSpec.of("s", "a")
         config = SortConfig(run_threshold=200, string_prefix=8)
-        op = SortOperator(table.schema, SortSpec.of("s", "a"), config)
-        for chunk in chunk_table(table, 100):
-            op.sink(chunk)
-        result = op.finalize()
-        assert op.stats.key_width_used == op.stats.key_width_full
-        assert result.equals(
-            sort_table(table, "s, a", SortConfig(string_prefix=8))
+        with ExternalSortOperator(
+            table.schema, spec, config, str(tmp_path)
+        ) as op:
+            for chunk in chunk_table(table, 100):
+                op.sink(chunk)
+            assert op.spilled_runs == 2
+            s, a = op._runs[0].layout.segments
+            assert (s.value_width, s.prefix_exact) == (8, True)
+            assert a.mode == MODE_FOLDED and a.total_width == 1
+            result = op.finalize()
+        s, a = op._generator.layout.segments
+        assert (s.value_width, s.prefix_exact) == (8, False)
+        assert a.total_width == 3 < a.dtype.fixed_width
+        assert op.stats.key_width_used == 12 < op.stats.key_width_full == 14
+        assert op.stats.key_layout_rebases == 2
+        assert_byte_identical(result, reference_sort(table, spec))
+
+    @pytest.mark.parametrize("prefix", [2, 4, 8, 12])
+    @pytest.mark.parametrize("direction", ["", " DESC NULLS FIRST"])
+    def test_forced_prefix_segment_equals_the_plain_encoders(
+        self, prefix, direction
+    ):
+        # Law: under a forced width the statistics layout writes the
+        # VARCHAR segment normalize_keys(string_prefix=) writes.
+        values = ["", "ab", None, "abcd", "abcdefgh", "éé"]
+        table = Table.from_pydict({"s": values, "a": list(range(6))})
+        spec = SortSpec.of(f"s{direction}", "a")
+        acc = KeyStatsAccumulator(table.schema, spec, string_prefix=prefix)
+        acc.update(table)
+        stats = normalize_keys(
+            table, spec, layout=acc.build_layout(include_row_id=False)
+        )
+        plain = normalize_keys(
+            table, spec, string_prefix=prefix, include_row_id=False
+        )
+        ours, theirs = stats.layout.segments[0], plain.layout.segments[0]
+        assert (ours.offset, ours.total_width) == (0, 1 + prefix)
+        assert (ours.value_width, ours.prefix_exact) == (
+            theirs.value_width,
+            theirs.prefix_exact,
+        )
+        assert ours.prefix_exact == (prefix >= 8)
+        assert (
+            stats.matrix[:, : 1 + prefix].tobytes()
+            == plain.matrix[:, : 1 + prefix].tobytes()
         )
 
 
@@ -267,14 +310,8 @@ class TestLayoutSerialization:
                 op.sink(chunk)
             assert op.spilled_runs >= 2
             for run in op._runs:
-                assert run.header.extra
-                frames = unpack_extra(
-                    run.header.extra, run.path
-                )
                 assert (
-                    deserialize_layout(
-                        frames[EXTRA_TAG_LAYOUT], table.schema, spec
-                    )
+                    deserialize_layout(run.header.extra, table.schema, spec)
                     == run.layout
                 )
             result = op.finalize()
@@ -299,7 +336,7 @@ class TestProgressiveWidening:
         assert stats.runs_generated == 3
         assert stats.key_layout_rebases >= 1
         assert_byte_identical(
-            result, sort_table(table, "a DESC", SortConfig(compress_keys=False))
+            result, reference_sort(table, SortSpec.of("a DESC"))
         )
 
     def test_external_rebases_blocks_during_merge(self, tmp_path):
@@ -346,40 +383,26 @@ class TestPipelineIdentity:
     @pytest.mark.parametrize("spec", SPECS)
     def test_in_memory(self, rng, spec):
         table = mixed_table(rng, 4000)
-        on = sort_table(table, spec, SortConfig(run_threshold=900))
-        off = sort_table(
-            table, spec, SortConfig(run_threshold=900, compress_keys=False)
-        )
-        assert_byte_identical(on, off)
+        result = sort_table(table, spec, SortConfig(run_threshold=900))
+        assert_byte_identical(result, reference_sort(table, spec_of(spec)))
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_external_kernel_merge(self, rng, tmp_path, spec):
         table = mixed_table(rng, 4000)
-        on = sort_spilling(
-            table, spec, SortConfig(run_threshold=700), mkdir(tmp_path, "on")
+        result = sort_spilling(
+            table, spec, SortConfig(run_threshold=700), str(tmp_path)
         )
-        off = sort_spilling(
-            table,
-            spec,
-            SortConfig(run_threshold=700, compress_keys=False),
-            mkdir(tmp_path, "off"),
-        )
-        assert_byte_identical(on, off)
+        assert_byte_identical(result, reference_sort(table, spec_of(spec)))
 
     def test_external_scalar_merge(self, rng, tmp_path):
-        # Compressed and plain layouts against the scalar reference,
-        # which normalizes once, uncompressed.
+        # Against the scalar reference, which normalizes once,
+        # uncompressed.
         table = mixed_table(rng, 2500)
         spec = SortSpec.of("a DESC NULLS FIRST", "s")
-        scalar = scalar_reference_sort(table, spec)
-        for compress_keys in (True, False):
-            result = sort_spilling(
-                table,
-                spec,
-                SortConfig(run_threshold=600, compress_keys=compress_keys),
-                mkdir(tmp_path, f"compress-{compress_keys}"),
-            )
-            assert_byte_identical(result, scalar)
+        result = sort_spilling(
+            table, spec, SortConfig(run_threshold=600), str(tmp_path)
+        )
+        assert_byte_identical(result, scalar_reference_sort(table, spec))
 
     def test_all_null_key_column_full_pipelines(self, rng, tmp_path):
         table = mixed_table(rng, 1500, all_null_column=True)
@@ -388,11 +411,9 @@ class TestPipelineIdentity:
         external = sort_spilling(
             table, spec, SortConfig(run_threshold=400), str(tmp_path)
         )
-        uncompressed = sort_table(
-            table, spec, SortConfig(compress_keys=False)
-        )
-        assert_byte_identical(in_memory, uncompressed)
-        assert external.equals(uncompressed)
+        expected = reference_sort(table, spec_of(spec))
+        assert_byte_identical(in_memory, expected)
+        assert_byte_identical(external, expected)
 
 
 class TestKeyCarriedExternal:
@@ -422,29 +443,30 @@ class TestKeyCarriedExternal:
     def test_spills_keys_only_and_matches(self, rng, tmp_path):
         table = self.int_table(rng, 6000)
         spec = SortSpec.of("a", "b DESC NULLS FIRST")
-        spilled = {}
-        results = {}
-        for label, compress in (("on", True), ("off", False)):
-            with ExternalSortOperator(
-                table.schema,
-                spec,
-                SortConfig(run_threshold=1000, compress_keys=compress),
-                mkdir(tmp_path, label),
-            ) as op:
-                for chunk in chunk_table(table, 500):
-                    op.sink(chunk)
-                spilled[label] = op.spilled_bytes
-                results[label] = op.finalize()
-            if compress:
-                assert op.stats.key_carried_runs == op.stats.runs_generated
-                for run in op._runs:
-                    assert run.row_width == 0
-                    assert run.heap_bytes == 0
+        with ExternalSortOperator(
+            table.schema,
+            spec,
+            SortConfig(run_threshold=1000),
+            str(tmp_path),
+        ) as op:
+            for chunk in chunk_table(table, 500):
+                op.sink(chunk)
+            spilled = op.spilled_bytes
+            runs = list(op._runs)
+            result = op.finalize()
+        assert op.stats.key_carried_runs == op.stats.runs_generated
+        for run in runs:
+            assert run.row_width == 0
+            assert run.heap_bytes == 0
+        # a in [0, 150) is one byte, b in [-1000, 1000) with NULLs two,
+        # the row id eight: a file is its header and that many key bytes.
+        assert [run.key_width for run in runs] == [1 + 2 + 8] * 6
+        assert spilled == sum(
+            len(run.header.pack()) + run.num_rows * 11 for run in runs
+        )
         # Value-level equality: key-carried NULL rows decode with a zero
         # filler, so raw data bytes under NULL slots may differ.
-        assert results["on"].equals(results["off"])
-        assert results["on"].equals(reference_sort(table, spec))
-        assert spilled["on"] < spilled["off"] / 2
+        assert result.equals(reference_sort(table, spec))
 
     @pytest.mark.parametrize("direction", ["", " DESC"])
     def test_bias_free_segments_round_trip_at_the_extremes(self, direction):
@@ -506,7 +528,8 @@ class TestStatsCounters:
         assert op.stats.sort_tied_rows == 2000
 
     def test_uncompressed_layout_matches_legacy_builder(self, rng):
-        # compress_keys=False must preserve the seed layout bit-for-bit.
+        # The plain encoder (Top-N, refine, the reference sort) writes
+        # the seed layout bit-for-bit.
         table = mixed_table(rng, 300)
         spec = SortSpec.of("a DESC NULLS FIRST", "s")
         legacy = normalize_keys(table, spec)

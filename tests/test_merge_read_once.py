@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from conftest import reference_sort
-from test_external_kway import assert_byte_identical
 from repro.errors import SpillCorruptionError
+from repro.keys.compression import serialize_layout
 from repro.sort.external import ExternalSortOperator, SpilledRun
 from repro.sort.faults import (
     FaultInjector,
@@ -31,9 +31,9 @@ from repro.sort.faults import (
     SpillIO,
 )
 from repro.sort.incremental import IncrementalSorter
-from repro.sort.operator import SortConfig, sort_table
+from repro.sort.operator import SortConfig
 from repro.sort.reference import reference_sort as scalar_reference_sort
-from repro.sort.spillfile import EXTRA_TAG_LAYOUT, unpack_extra
+from repro.sort.spillfile import _FIXED
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
@@ -155,8 +155,7 @@ class TestReadOnce:
 
     def test_key_carried_spill_file_is_header_plus_keys(self, tmp_path):
         # Nothing per row rides beside the keys: the file is its header
-        # and ``rows * key_width`` key bytes, and the header's extra
-        # blob holds the run's key layout alone.
+        # and ``rows * key_width`` key bytes.
         table = SCENARIOS["uniform"].table(20_000, 29)
         spec = SortSpec.of("a", "p")
         operator = ExternalSortOperator(
@@ -167,21 +166,69 @@ class TestReadOnce:
                 operator.sink(chunk)
             assert operator.spilled_runs == 3
             for run in operator._runs:
-                header = run.header
-                assert os.path.getsize(run.path) == (
-                    len(header.pack()) + run.num_rows * run.key_width
-                )
-                frames = unpack_extra(header.extra, run.path)
-                assert set(frames) == {EXTRA_TAG_LAYOUT}
-                # Re-attachment reads the same header back.
-                reopened = SpilledRun.open(
-                    run.path, schema=table.schema, spec=spec
-                )
-                assert reopened.header == header
-                assert reopened.layout == run.layout
+                assert run.row_width == run.heap_bytes == 0
+                self.assert_file_is_header_plus_sections(run, table, spec)
             result = operator.finalize()
         assert operator.stats.key_carried_runs == 4
         assert result.equals(scalar_reference_sort(table, spec))
+
+    @staticmethod
+    def assert_file_is_header_plus_sections(run, table, spec):
+        # The header's extra blob *is* the run's serialized key layout
+        # (no frame around it), and re-attachment reads both back.
+        header = run.header
+        assert header.extra == serialize_layout(run.layout)
+        assert len(header.pack()) == (
+            _FIXED.size + 4 * header.crc_count + len(header.extra)
+        )
+        assert os.path.getsize(run.path) == (
+            len(header.pack())
+            + run.num_rows * (run.key_width + run.row_width)
+            + run.heap_bytes
+        )
+        reopened = SpilledRun.open(run.path, table.schema, spec)
+        assert reopened.header == header
+        assert reopened.layout == run.layout
+
+    def test_payload_spill_file_and_a_flipped_layout_byte(self, rng, tmp_path):
+        table, spec = payload_table(rng, 3 * RUN_ROWS), spec_of("a DESC, s")
+        operator = ExternalSortOperator(
+            table.schema, spec, SortConfig(run_threshold=RUN_ROWS), str(tmp_path)
+        )
+        with operator:
+            for chunk in chunk_table(table, BLOCK_ROWS):
+                operator.sink(chunk)
+            assert operator.spilled_runs == 3
+            for run in operator._runs:
+                assert run.row_width > 0 and run.heap_bytes > 0
+                self.assert_file_is_header_plus_sections(run, table, spec)
+            # The header CRC covers the blob: one flipped layout byte
+            # fails typed at re-attachment and at merge start.
+            victim = operator._runs[1]
+            position = _FIXED.size + 4 * victim.header.crc_count + 1
+            with open(victim.path, "r+b") as fh:
+                fh.seek(position)
+                byte = fh.read(1)[0]
+                fh.seek(position)
+                fh.write(bytes([byte ^ 0x04]))
+            with pytest.raises(SpillCorruptionError, match="header CRC"):
+                SpilledRun.open(victim.path, table.schema, spec)
+            with pytest.raises(SpillCorruptionError, match="header CRC"):
+                operator.finalize()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_layout_of_another_sort_is_spill_corruption(self, rng, tmp_path):
+        # CRC-valid, but the blob describes a different ORDER BY.
+        table, spec = int_table(rng, 2 * RUN_ROWS), spec_of("a DESC, b NULLS FIRST")
+        operator = ExternalSortOperator(
+            table.schema, spec, SortConfig(run_threshold=RUN_ROWS), str(tmp_path)
+        )
+        with operator:
+            for chunk in chunk_table(table, BLOCK_ROWS):
+                operator.sink(chunk)
+            path = operator._runs[0].path
+            with pytest.raises(SpillCorruptionError, match="key layout"):
+                SpilledRun.open(path, table.schema, spec_of("a, b NULLS FIRST"))
 
     def test_flipped_bit_in_a_keys_page_names_the_run(self, tmp_path):
         table = SCENARIOS["uniform"].table(20_000, 29)
@@ -302,9 +349,6 @@ class TestLayoutsThatWiden:
         result, stats = spill_sort(table, spec, tmp_path, prefetch_blocks=2)
         assert stats.runs_generated == 3
         assert stats.key_layout_rebases == 2  # both earlier runs are stale
-        assert_byte_identical(
-            result, sort_table(table, spec, SortConfig(compress_keys=False))
-        )
         assert_matches_both_oracles(result, table, spec)
 
     def test_sixteen_full_range_runs_rebase_nothing(self, tmp_path):

@@ -23,7 +23,7 @@ import threading
 import pytest
 
 from test_external_kway import assert_byte_identical
-from test_oracle import oracle_sort
+from test_oracle import oracle_sort, prefix_config
 from repro.aggregate.groupby import Aggregate, group_by
 from repro.errors import SortCancelledError
 from repro.sort.external import ExternalSortOperator
@@ -67,15 +67,15 @@ class SqueezedGrant:
 
 
 class TestNothingCutsAResidentRun:
-    @pytest.mark.parametrize("compress_keys", [True, False])
+    @pytest.mark.parametrize("forced_prefix", [True, False])
     @pytest.mark.parametrize(
         "grant", [None, SqueezedGrant()], ids=["free", "squeezed"]
     )
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_threshold_and_grant_are_inert(self, name, grant, compress_keys):
+    def test_threshold_and_grant_are_inert(self, name, grant, forced_prefix):
         table, spec, expected = scenario_case(name)
-        config = SortConfig(
-            run_threshold=1000, compress_keys=compress_keys, memory_grant=grant
+        config = prefix_config(
+            forced_prefix, run_threshold=1000, memory_grant=grant
         )
         operator = SortOperator(table.schema, spec, config)
         assert_byte_identical(expected, run_operator(operator, table))
@@ -214,18 +214,16 @@ class RecordingGrant:
 
 
 class TestThresholdBoundary:
-    @pytest.mark.parametrize("compress_keys", [True, False])
+    @pytest.mark.parametrize("forced_prefix", [True, False])
     @pytest.mark.parametrize("size", sorted(BOUNDARY_ROWS))
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_files_written_are_the_cut_runs(
-        self, name, size, compress_keys, tmp_path
+        self, name, size, forced_prefix, tmp_path
     ):
         rows = BOUNDARY_ROWS[size]
         table, spec, expected = boundary_case(name, rows)
-        config = SortConfig(
-            external=True,
-            run_threshold=THRESHOLD,
-            compress_keys=compress_keys,
+        config = prefix_config(
+            forced_prefix, external=True, run_threshold=THRESHOLD
         )
         io = FaultInjector()  # no faults armed: it only counts
         with ExternalSortOperator(

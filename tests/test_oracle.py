@@ -13,9 +13,9 @@ in-memory operator, the scalar reference sort
 (:func:`repro.sort.reference.reference_sort`), the spilling external
 operator, and Top-N, and each result must match the oracle byte for
 byte.  The two operators share their run generator and merger; one grid
-drives both classes over every catalog scenario x {1, 2, 7 runs} x key
-compression on/off, and a second drives the stages themselves over 2
-and 7 *resident* runs (the in-memory operator cuts one).
+drives both classes over every catalog scenario x {1, 2, 7 runs} x VARCHAR
+prefix chosen from the data or forced, and a second drives the stages
+themselves over 2 and 7 *resident* runs (the in-memory operator cuts one).
 """
 
 from __future__ import annotations
@@ -187,6 +187,13 @@ from repro.workloads.scenarios import SCENARIOS  # noqa: E402
 
 SCENARIO_ROWS = 1200
 SCENARIO_SEED = 23
+FORCED_PREFIX = 8  # a forced VARCHAR key width that truncates most strings
+
+
+def prefix_config(forced_prefix: bool, **config) -> SortConfig:
+    return SortConfig(
+        string_prefix=FORCED_PREFIX if forced_prefix else None, **config
+    )
 
 
 def _scenario_case(name: str):
@@ -236,10 +243,11 @@ def test_scenario_reference_sort_matches_oracle(name, algorithm):
         assert stats.algorithm == "pdqsort"
 
 
-# Embedded NULs, never a pair that differs by trailing NULs only (those
-# tie in zero-padded key bytes: docs/sort-pipeline.md, "Reference").
+# Embedded NULs, and pairs that differ by trailing NULs only (those tie
+# in zero-padded key bytes, so the segment is inexact at any width).
 NUL_STRINGS = {
     "fits_prefix": ["a\0b", "a", "a\0a", "ab", None, "\0a", "b", "a\0b"],
+    "trailing": ["a\0", "a", "a", "a\0", "", "\0", None, "\0\0"],
     "truncates": [
         "p" * 13 + tail for tail in ("\0b", "", "\0a", "b", "a", "\0b")
     ]
@@ -257,8 +265,8 @@ def test_reference_sort_embedded_nuls_match_oracle(case, order_by, algorithm):
     stats = ReferenceStats()
     result = reference_sort(table, spec, algorithm, stats)
     assert_byte_identical(oracle_sort(table, spec), result)
-    if case == "truncates":
-        # Radix cannot break a truncated prefix's ties.
+    if case != "fits_prefix":
+        # Radix cannot break an inexact prefix's ties.
         assert stats.algorithm == "pdqsort"
 
 
@@ -278,25 +286,26 @@ def test_scenario_external_matches_oracle(tmp_path, name):
     _assert_oracle(expected, result, name, "external")
 
 
-@pytest.mark.parametrize("compress_keys", [True, False])
+@pytest.mark.parametrize("forced_prefix", [True, False])
 @pytest.mark.parametrize("runs", [1, 2, 7])
 @pytest.mark.parametrize("operator_class", [SortOperator, ExternalSortOperator])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_shared_stages_match_oracle(
-    tmp_path, name, operator_class, runs, compress_keys
+    tmp_path, name, operator_class, runs, forced_prefix
 ):
     # Both operators are the same generator and merger around a
     # different run store, so each must hit the oracle under a
-    # run_threshold of the whole input, half of it and a seventh, on
-    # compressed (rebased, key-carried) and plain (AND-ed prefix flags)
-    # layouts.  The spilling store cuts that many runs and merges them
+    # run_threshold of the whole input, half of it and a seventh, with
+    # the VARCHAR prefix chosen from the data and forced (either way
+    # the layout is the statistics one: rebased, key-carried where
+    # eligible).  The spilling store cuts that many runs and merges them
     # in one pass; the resident store cuts one whatever the threshold
     # and hands it back unmerged (a truncating prefix still takes the
     # round loop, the one string repair).
     table, spec = _scenario_case(name)
     expected = oracle_sort(table, spec)
     chunk_rows = -(-table.num_rows // runs)
-    config = SortConfig(run_threshold=chunk_rows, compress_keys=compress_keys)
+    config = prefix_config(forced_prefix, run_threshold=chunk_rows)
     if operator_class is ExternalSortOperator:
         operator = ExternalSortOperator(
             table.schema, spec, config, str(tmp_path)
@@ -311,7 +320,7 @@ def test_scenario_shared_stages_match_oracle(
         expected,
         result,
         name,
-        f"{operator_class.__name__}(runs={runs}, compress={compress_keys})",
+        f"{operator_class.__name__}(runs={runs}, forced={forced_prefix})",
     )
     if operator_class is SortOperator:
         assert stats.runs_generated == 1
@@ -323,22 +332,22 @@ def test_scenario_shared_stages_match_oracle(
     assert stats.kernel_kway_merges == passes
 
 
-@pytest.mark.parametrize("compress_keys", [True, False])
+@pytest.mark.parametrize("forced_prefix", [True, False])
 @pytest.mark.parametrize("runs", [2, 7])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_resident_runs_match_oracle(name, runs, compress_keys):
+def test_scenario_resident_runs_match_oracle(name, runs, forced_prefix):
     # Merging several *resident* runs is real where the external sort
-    # falls back to memory, so the stages are driven directly: k runs on
-    # compressed (rebased, key-carried) and plain layouts, one k-way pass.
+    # falls back to memory, so the stages are driven directly: k runs
+    # (rebased, key-carried where eligible), one k-way pass.
     table, spec = _scenario_case(name)
     result, stats = sort_resident_runs(
-        table, spec, runs, SortConfig(compress_keys=compress_keys)
+        table, spec, runs, prefix_config(forced_prefix)
     )
     _assert_oracle(
         oracle_sort(table, spec),
         result,
         name,
-        f"resident(runs={runs}, compress={compress_keys})",
+        f"resident(runs={runs}, forced={forced_prefix})",
     )
     assert stats.runs_generated == runs
     assert stats.merge_passes == 1
@@ -349,11 +358,11 @@ def test_scenario_resident_runs_match_oracle(name, runs, compress_keys):
 def test_scenario_incremental_matches_oracle(name):
     table, spec = _scenario_case(name)
     expected = oracle_sort(table, spec)
-    for compress_keys in (True, False):
+    for forced_prefix in (False, True):
         sorter = IncrementalSorter(
             table.schema,
             spec,
-            SortConfig(compress_keys=compress_keys),
+            prefix_config(forced_prefix),
             compact_threshold=3,
         )
         step = max(1, table.num_rows // 5)
@@ -365,7 +374,7 @@ def test_scenario_incremental_matches_oracle(name):
             expected,
             sorter.view(),
             name,
-            f"incremental compress_keys={compress_keys}",
+            f"incremental forced_prefix={forced_prefix}",
         )
 
 

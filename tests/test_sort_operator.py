@@ -167,7 +167,7 @@ class TestStringTruncation:
         assert result.column("s").to_pylist() == sorted(values, reverse=True)
 
 
-    @pytest.mark.parametrize("config", [SortConfig(), SortConfig(compress_keys=False)])
+    @pytest.mark.parametrize("config", [SortConfig(), SortConfig(string_prefix=4)])
     def test_unencodable_string_is_a_typed_error(self, config):
         # A lone surrogate has no UTF-8 encoding: a ReproError naming the
         # column and row, not a raw UnicodeEncodeError from some join.

@@ -19,9 +19,12 @@ import pytest
 
 from conftest import reference_sort, sort_spilling
 from repro.aggregate.groupby import Aggregate, group_by
+from repro.engine.database import Database
+from repro.join.merge_join import merge_join
 from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
 from repro.rows.block import RowBlock, string_slots
 from repro.sort.external import ExternalSortOperator
+from repro.sort.incremental import IncrementalSorter
 from repro.sort.kernels import ovc_codes
 from repro.sort.operator import SortConfig, SortOperator, SortStats, sort_table
 from repro.sort.reference import reference_sort as scalar_reference_sort
@@ -135,13 +138,13 @@ class TestInMemoryExact:
     def test_non_ascii_strings_with_embedded_nuls(self, spec_str, tmp_path):
         # 2/3/4-byte code points and NULs inside the strings, behind a
         # shared prefix longer than the key prefix: heap offsets are byte
-        # offsets, the decoded text's are character offsets.  (No string
-        # ends in NUL: the zero key pad makes those tie.)
+        # offsets, the decoded text's are character offsets.  A fifth of
+        # the tails end in NUL, which the zero key pad hides.
         rng = random.Random(23)
 
         def one():
             tail = "".join(rng.choice("aé日😀\x00") for _ in range(rng.randrange(24)))
-            return rng.choice(["共有プレフィックス-", "é" * 7, ""]) + tail + "z"
+            return rng.choice(["共有プレフィックス-", "é" * 7, ""]) + tail
 
         n = 3000
         table = Table.from_pydict(
@@ -171,11 +174,13 @@ class TestInMemoryExact:
 
 class TestExternalExact:
     @pytest.mark.parametrize("spec_str", SPECS)
-    @pytest.mark.parametrize("compress", [True, False])
-    def test_byte_identity_vs_oracle(self, spec_str, compress, tmp_path):
+    @pytest.mark.parametrize("forced_prefix", [True, False])
+    def test_byte_identity_vs_oracle(self, spec_str, forced_prefix, tmp_path):
         table = string_table(7, 5000)
         spec = spec_of(spec_str)
-        config = SortConfig(run_threshold=1000, compress_keys=compress)
+        config = SortConfig(
+            run_threshold=1000, string_prefix=8 if forced_prefix else None
+        )
         with ExternalSortOperator(
             table.schema, spec, config, str(tmp_path)
         ) as operator:
@@ -213,15 +218,16 @@ class TestExternalExact:
     def test_plain_layout_truncation_is_remembered_across_runs(
         self, tmp_path, long_first
     ):
-        # Uncompressed runs share one locked layout but each reports its
-        # own ``prefix_exact``; a run of short strings beside a run that
-        # truncates must still get the merge-time tie repair (DESC: the
-        # 12-byte string sorts *after* the longer ones it prefixes).
+        # Under a forced prefix every run's VARCHAR segment has the same
+        # width and only ``prefix_exact`` can differ; a run of short
+        # strings beside a run that truncates must still get the
+        # merge-time tie repair (DESC: the 12-byte string sorts *after*
+        # the longer ones it prefixes).
         short = ["x" * MAX_STRING_PREFIX] * 10 + [f"s{i:03d}" for i in range(40)]
         long_ = [f"{'x' * MAX_STRING_PREFIX}{i * 37 % 50:03d}" for i in range(50)]
         values = long_ + short if long_first else short + long_
         table = Table.from_pydict({"s": values})
-        config = SortConfig(run_threshold=50, compress_keys=False)
+        config = SortConfig(run_threshold=50, string_prefix=MAX_STRING_PREFIX)
         for result in (
             sort_spilling(table, "s DESC", config, str(tmp_path)),
             sort_table(table, "s DESC", config),
@@ -229,6 +235,88 @@ class TestExternalExact:
             assert result.column("s").to_pylist() == sorted(
                 values, reverse=True
             )
+
+
+class TestTrailingNuls:
+    """Strings that differ only by trailing NULs tie in zero-padded key
+    bytes; the shorter is the smaller, before any later ORDER BY column."""
+
+    STEM = "x" * (MAX_STRING_PREFIX - 1)
+    VALUES = [
+        "a\0", "a", "a", "a\0",  # ROADMAP item F's example
+        "", "\0", None, "\0\0", "",
+        "abc\0", "abc", "abc\0\0",  # 4 and 5 bytes: string_prefix=4
+        STEM + "\0", STEM, STEM + "\0\0",  # 12 and 13: the default cap
+    ]
+
+    def table(self):
+        # k descends as the strings grow: falling through to it puts
+        # every NUL-extended string before the one it extends.
+        return Table.from_pydict(
+            {"s": self.VALUES, "k": [20 - len(v or "") for v in self.VALUES]}
+        )
+
+    @pytest.mark.parametrize(
+        "order_by", ["s, k", "s DESC NULLS FIRST, k DESC", "s DESC"]
+    )
+    def test_every_sort_path_matches_the_oracle(self, order_by, tmp_path):
+        table, spec = self.table(), spec_of(order_by)
+        expected = reference_sort(table, spec)
+        n = table.num_rows
+        database = Database()
+        database.register("t", table)
+        sorter = IncrementalSorter(table.schema, spec, compact_threshold=2)
+        for start in range(0, n, 2):
+            sorter.insert(table.slice(start, start + 2))
+        results = {
+            "resident": sort_table(table, spec),
+            "string_prefix=4": sort_table(table, spec, SortConfig(string_prefix=4)),
+            "spilled": sort_spilling(
+                table, spec, SortConfig(run_threshold=2), str(tmp_path)
+            ),
+            "spilled string_prefix=4": sort_spilling(
+                table,
+                spec,
+                SortConfig(run_threshold=4, string_prefix=4),
+                str(tmp_path),
+            ),
+            "sql": database.execute(f"SELECT s, k FROM t ORDER BY {order_by}"),
+            "top_n": top_n(table, spec, limit=n),
+            "top_n slice": top_n(table, spec, limit=5, offset=2),
+            "incremental": sorter.view(),
+            "reference_sort": scalar_reference_sort(table, spec),
+        }
+        for path, result in results.items():
+            want = expected.slice(2, 7) if path == "top_n slice" else expected
+            assert result.to_pydict() == want.to_pydict(), path
+
+    def test_top_n_cutoff_keeps_a_hidden_smaller_string(self, monkeypatch):
+        # The cutoff filter compares key bytes: a later batch's "a"
+        # ties with the held "a\0" and must still get in.
+        from repro.sort import topn
+
+        monkeypatch.setattr(topn, "BATCH_ROWS", 4)
+        values = ["a\0"] * 4 + ["b"] * 4 + ["a"] * 4
+        table = Table.from_pydict({"s": values, "k": list(range(12))})
+        operator = topn.TopNOperator(table.schema, SortSpec.of("s"), limit=2)
+        for chunk in chunk_table(table, 4):
+            operator.sink(chunk)
+        assert operator.finalize().to_pydict() == {"s": ["a", "a"], "k": [8, 9]}
+
+    def test_group_by_and_merge_join_keep_them_apart(self):
+        table = self.table()
+        grouped = group_by(table, ["s"], [Aggregate("count", None)])
+        distinct = sorted({v for v in self.VALUES if v is not None})
+        assert grouped.column("s").to_pylist() == distinct + [None]
+        assert grouped.column("count_star").to_pylist() == [
+            self.VALUES.count(v) for v in distinct
+        ] + [1]
+        joined = merge_join(table, table, ["s"], ["s"])
+        ordered = reference_sort(table, SortSpec.of("s"))
+        rows = [r for r in zip(*ordered.to_pydict().values()) if r[0] is not None]
+        assert list(zip(*joined.to_pydict().values())) == [
+            left + right for left in rows for right in rows if left[0] == right[0]
+        ]
 
 
 class TestTopNAndParallel:
