@@ -12,12 +12,13 @@ NULLS LAST the code one past the valid maximum means NULL.
 This module supplies the pieces the sort pipeline wires together:
 
 * :class:`KeyStatsAccumulator` -- a monotone per-column stats pass
-  (min/max code, NULL presence, VARCHAR max UTF-8 length and whether a
-  value ends in NUL) that can be fed run by run.  Because min only
-  decreases, max only increases and the flags only latch, the layout
-  built after more data is always a *widening* of any earlier one
-  (``nobyte`` -> ``folded`` -> ``plain``, widths non-decreasing), which
-  makes cheap re-basing possible.  A
+  (min/max code, NULL presence; VARCHAR: the bytes the first run's
+  values all start with, fixed from then on, the longest tail after
+  them and whether a value ends in NUL) that can be fed run by run.
+  Because min only decreases, max only increases and the flags only
+  latch, the layout built after more data is always a *widening* of any
+  earlier one (``nobyte`` -> ``folded`` -> ``plain``, widths
+  non-decreasing), which makes cheap re-basing possible.  A
   NULL-free segment that needs its type's full width anyway takes no
   bias (``bias 0``, the whole code space): the bytes per key are the
   same, and a later run that moves min or max no longer changes the
@@ -46,9 +47,11 @@ import numpy as np
 from repro.errors import KeyEncodingError
 from repro.keys.encoding import (
     _WIDTH_TO_UNSIGNED,
+    common_prefix,
     encode_utf8_column,
     ends_in_nul,
     fixed_column_codes,
+    prefix_classes,
 )
 from repro.keys.normalizer import (
     MAX_STRING_PREFIX,
@@ -86,14 +89,33 @@ __all__ = [
 class _ColumnAcc:
     """Running statistics of one key column, in the order-code domain."""
 
-    __slots__ = ("min_code", "max_code", "has_nulls", "max_len", "nul_tail")
+    __slots__ = (
+        "min_code", "max_code", "has_nulls", "max_len", "nul_tail", "skipped"
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, skip: bool = True) -> None:
         self.min_code: int | None = None
         self.max_code: int | None = None
         self.has_nulls = False
-        self.max_len = 0
+        self.max_len = 0  # longest VARCHAR window source, in bytes
         self.nul_tail = False  # some VARCHAR value ends in a NUL byte
+        #: Bytes a VARCHAR segment skips: undecided (``None``) until a
+        #: run holds a valid value, fixed from then on.
+        self.skipped: bytes | None = None if skip else b""
+
+    def fold_strings(
+        self, buffer: np.ndarray, lengths: np.ndarray, valid: np.ndarray
+    ) -> None:
+        """Fold in one run's encoded VARCHAR column."""
+        self.nul_tail = self.nul_tail or ends_in_nul(buffer, lengths)
+        starts = np.cumsum(lengths) - lengths
+        if self.skipped:
+            shares = prefix_classes(buffer, starts, lengths, self.skipped) == 0
+            lengths = lengths - len(self.skipped) * shares
+        elif self.skipped is None and valid.any():
+            self.skipped = common_prefix(buffer, starts[valid], lengths[valid])
+            lengths = lengths - len(self.skipped)  # NULL rows go negative
+        self.max_len = max(self.max_len, int(lengths.max(initial=0)))
 
 
 def _bytes_for(max_code: int) -> int:
@@ -110,15 +132,18 @@ def _segment_for(
 ) -> KeySegment:
     """The narrowest segment the statistics seen so far permit."""
     if dtype.type_id is TypeId.VARCHAR:
-        # Strings keep the NULL byte + a prefix: the forced width, else
-        # the length scan is the compression (max length, capped at 12).
-        # The zero pad hides a trailing NUL, so one makes byte order
-        # inexact even where every value fits.
+        # Strings keep the indicator byte + a window after the skipped
+        # bytes: the forced width, else the length scan is the
+        # compression (longest tail, capped at 12).  The zero pad hides
+        # a trailing NUL, so one makes byte order inexact even where
+        # every value fits.
         width = string_prefix
         if width is None:
             width = min(max(1, acc.max_len), MAX_STRING_PREFIX)
         exact = acc.max_len <= width and not acc.nul_tail
-        return KeySegment(key, dtype, offset, width, exact)
+        return KeySegment(
+            key, dtype, offset, width, exact, skipped=acc.skipped or b""
+        )
     lo = 0 if acc.min_code is None else acc.min_code
     hi = 0 if acc.max_code is None else acc.max_code
     code_range = hi - lo + 1
@@ -152,7 +177,7 @@ class KeyStatsAccumulator:
     widen earlier ones (see the module docstring), so runs encoded early
     can be re-based with :func:`rebase_matrix` instead of re-encoded.
     ``string_prefix`` forces every VARCHAR segment's width instead of
-    choosing it from the lengths seen.
+    choosing it from the lengths seen, and nothing is skipped.
     """
 
     def __init__(
@@ -163,21 +188,28 @@ class KeyStatsAccumulator:
         self.string_prefix = string_prefix
         self._columns: dict[str, _ColumnAcc] = {}
         for key in spec.keys:
-            self._columns.setdefault(key.column, _ColumnAcc())
+            self._columns.setdefault(
+                key.column, _ColumnAcc(skip=string_prefix is None)
+            )
 
-    def update(self, table: Table) -> None:
-        """Fold one table's key columns into the running statistics."""
+    def update(self, table: Table) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Fold one table's key columns into the running statistics.
+
+        Returns ``{column: (buffer, lengths)}``, the one UTF-8 encoding of
+        each VARCHAR key column: ``normalize_keys`` cuts the key windows
+        from it and the row block takes it as its heap.
+        """
+        encoded = {}
         for name, acc in self._columns.items():
             column = table.column(name)
             dtype = self.schema.column(name).dtype
             has_nulls = column.has_nulls
             acc.has_nulls = acc.has_nulls or has_nulls
             if dtype.type_id is TypeId.VARCHAR:
-                buffer, lengths = encode_utf8_column(
+                encoded[name] = encode_utf8_column(
                     column.data, column.validity, name
                 )
-                acc.max_len = max(acc.max_len, int(lengths.max(initial=0)))
-                acc.nul_tail = acc.nul_tail or ends_in_nul(buffer, lengths)
+                acc.fold_strings(*encoded[name], column.validity)
                 continue
             data = column.data[column.validity] if has_nulls else column.data
             if len(data) == 0:
@@ -186,6 +218,7 @@ class KeyStatsAccumulator:
             lo, hi = int(codes.min()), int(codes.max())
             acc.min_code = lo if acc.min_code is None else min(acc.min_code, lo)
             acc.max_code = hi if acc.max_code is None else max(acc.max_code, hi)
+        return encoded
 
     def build_layout(
         self, include_row_id: bool = True, row_id_width: int = 8
@@ -222,11 +255,12 @@ def build_compressed_layout(
 
 
 def plain_key_width(layout: KeyLayout) -> int:
-    """Key bytes per row the same spec costs without compression."""
+    """Key bytes per row the same spec costs without compression (a
+    VARCHAR window as long, but starting at byte 0: skipped bytes count)."""
     total = 0
     for segment in layout.segments:
         if segment.dtype.fixed_width is None:
-            total += 1 + segment.value_width
+            total += 1 + len(segment.skipped) + segment.value_width
         else:
             total += 1 + segment.dtype.fixed_width
     return total
@@ -313,6 +347,15 @@ def _rebase_segment(
 ) -> None:
     if old.key != new.key or old.dtype is not new.dtype:
         raise KeyEncodingError("layouts do not describe the same sort spec")
+    if old.skipped != new.skipped:
+        # The skipped bytes are fixed by the first run holding a valid
+        # value, so only all-NULL runs precede them.
+        null_rows = src[:, old.offset] == old.null_byte_for_null
+        if old.skipped or not null_rows.all():
+            raise KeyEncodingError("a segment's skipped bytes may not change")
+        dst[:, new.offset : new.offset + new.total_width] = 0
+        dst[:, new.offset] = new.null_byte_for_null
+        return
     if old.mode == MODE_PLAIN and new.mode == MODE_PLAIN:
         if old.value_width == new.value_width:
             dst[:, new.offset : new.offset + new.total_width] = src[
@@ -381,9 +424,10 @@ def rebase_matrix(
 # Layout serialization (spill-file header payload)
 # ---------------------------------------------------------------------- #
 
-_LAYOUT_VERSION = 1
+_LAYOUT_VERSION = 2
 _LAYOUT_HEADER = struct.Struct("<BBH")  # version, row_id_width, num segments
-_LAYOUT_SEGMENT = struct.Struct("<BBBQQ")  # flags, mode, width, bias, range-1
+# flags, mode, width, bias, range-1, count of skipped bytes (they follow)
+_LAYOUT_SEGMENT = struct.Struct("<BBBQQB")
 _MODE_CODES = {MODE_PLAIN: 0, MODE_NOBYTE: 1, MODE_FOLDED: 2}
 _MODE_NAMES = {code: mode for mode, code in _MODE_CODES.items()}
 _FLAG_DESC, _FLAG_NULLS_FIRST, _FLAG_PREFIX_EXACT = 1, 2, 4
@@ -393,9 +437,9 @@ def serialize_layout(layout: KeyLayout) -> bytes:
     """Pack a layout's geometry into the spill-header ``extra`` blob.
 
     Only geometry travels (column name, flags, mode, width, bias, code
-    range); identity -- the :class:`SortKey` and :class:`DataType` -- is
-    reconstructed from the live spec and schema on read, which every
-    merge participant already holds.  ``code_range`` can be ``2**64`` (a
+    range, skipped bytes); identity -- the :class:`SortKey` and
+    :class:`DataType` -- is reconstructed from the live spec and schema
+    on read, which every merge participant already holds.  ``code_range`` can be ``2**64`` (a
     full-width nobyte segment) so its predecessor is stored instead.
     """
     parts = [
@@ -419,8 +463,10 @@ def serialize_layout(layout: KeyLayout) -> bytes:
                 segment.value_width,
                 segment.bias,
                 segment.code_range - 1,
+                len(segment.skipped),
             )
         )
+        parts.append(segment.skipped)
     return b"".join(parts)
 
 
@@ -449,10 +495,14 @@ def deserialize_layout(blob: bytes, schema: Schema, spec: SortSpec) -> KeyLayout
             if len(name.encode("utf-8")) != name_len:
                 raise KeyEncodingError("truncated key-layout blob")
             cursor += name_len
-            flags, mode_code, value_width, bias, top = (
+            flags, mode_code, value_width, bias, top, skip = (
                 _LAYOUT_SEGMENT.unpack_from(blob, cursor)
             )
             cursor += _LAYOUT_SEGMENT.size
+            skipped = bytes(blob[cursor : cursor + skip])
+            cursor += skip
+            if len(skipped) != skip:
+                raise KeyEncodingError("truncated key-layout blob")
             if name != key.column:
                 raise KeyEncodingError(
                     f"layout column {name!r} != spec column {key.column!r}"
@@ -466,15 +516,21 @@ def deserialize_layout(blob: bytes, schema: Schema, spec: SortSpec) -> KeyLayout
                 )
             if mode_code not in _MODE_NAMES:
                 raise KeyEncodingError(f"unknown segment mode {mode_code}")
+            dtype = schema.column(name).dtype
+            if skip and dtype.type_id is not TypeId.VARCHAR:
+                raise KeyEncodingError(
+                    f"skipped bytes on non-VARCHAR segment {name!r}"
+                )
             segment = KeySegment(
                 key,
-                schema.column(name).dtype,
+                dtype,
                 offset,
                 value_width,
                 bool(flags & _FLAG_PREFIX_EXACT),
                 _MODE_NAMES[mode_code],
                 bias,
                 top + 1,
+                skipped,
             )
             segments.append(segment)
             offset += segment.total_width

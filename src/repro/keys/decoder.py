@@ -83,8 +83,9 @@ def decode_segment(raw: bytes, segment: KeySegment) -> Any:
 
     For ``plain`` segments ``raw`` is the NULL byte plus value bytes; for
     compressed segments it is the stored code bytes alone.  Returns
-    ``None`` for NULL.  VARCHAR returns the stored prefix with padding
-    stripped (which equals the original string only if it fit).
+    ``None`` for NULL.  VARCHAR returns the stored window, padding
+    stripped, after ``skipped`` unless the row is escaped (which equals
+    the original string only if it fit).
     """
     if len(raw) != segment.total_width:
         raise KeyEncodingError(
@@ -98,12 +99,17 @@ def decode_segment(raw: bytes, segment: KeySegment) -> Any:
     null_byte, value_bytes = raw[0], raw[1:]
     if null_byte == segment.null_byte_for_null:
         return None
-    if null_byte != segment.null_byte_for_valid:
+    # 0 for a present value, +-1 for one escaped from a skipped prefix.
+    step = null_byte - segment.null_byte_for_valid
+    if step and not (segment.skipped and abs(step) == 1):
         raise KeyEncodingError(f"invalid NULL indicator byte {null_byte:#x}")
     if segment.key.descending:
         value_bytes = bytes(0xFF - b for b in value_bytes)
     if segment.dtype.type_id is TypeId.VARCHAR:
-        return value_bytes.rstrip(b"\x00").decode("utf-8", errors="replace")
+        value_bytes = value_bytes.rstrip(b"\x00")
+        if not step:
+            value_bytes = segment.skipped + value_bytes
+        return value_bytes.decode("utf-8", errors="replace")
     return _decode_fixed(value_bytes, segment)
 
 

@@ -44,6 +44,10 @@ __all__ = [
     "encode_utf8_column",
     "ends_in_nul",
     "gather_windows",
+    "common_prefix",
+    "prefix_classes",
+    "CHUNK_WIDTH",
+    "MAX_SKIPPED",
     "invert_bytes",
     "F32_CANONICAL_NAN",
     "F64_CANONICAL_NAN",
@@ -56,6 +60,15 @@ F64_CANONICAL_NAN = np.uint64(0x7FF8000000000000)
 """Quiet-NaN bit pattern all float64 NaNs are canonicalized to."""
 
 _WIDTH_TO_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+#: String bytes read per row per step where strings are compared past their
+#: key bytes (:mod:`repro.sort.stringsort`'s refinement rounds, the escape
+#: scan below).  Wide enough that a typical tie resolves in one round, narrow
+#: enough that rows differing right after the prefix drag in no long tail.
+CHUNK_WIDTH = 16
+
+#: Most bytes a VARCHAR key segment skips (a one-byte count in the blob).
+MAX_SKIPPED = 255
 
 
 # ---------------------------------------------------------------------- #
@@ -204,7 +217,9 @@ def encode_utf8_column(
     the first such row.
     """
     values = np.asarray(values, dtype=object)
-    rows = slice(None) if validity is None else np.flatnonzero(validity)
+    # All valid: no index array, no fancy-index copy of the object array.
+    all_valid = validity is None or validity.all()
+    rows = slice(None) if all_valid else np.flatnonzero(validity)
     items = values[rows].tolist()
     try:
         chars = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
@@ -233,6 +248,8 @@ def ends_in_nul(buffer: np.ndarray, lengths: np.ndarray) -> bool:
     Zero-padded prefix bytes tie such a value with the same string minus
     its trailing NULs, so a VARCHAR key segment holding one is inexact.
     """
+    if np.count_nonzero(buffer) == len(buffer):
+        return False  # no NUL byte at all
     ends = np.cumsum(lengths)[lengths > 0] - 1
     return not buffer[ends].all()
 
@@ -257,6 +274,76 @@ def gather_windows(
     if len(take) and take.min() < width:
         out[np.arange(width) >= take[:, None]] = 0
     return out
+
+
+def _words_at(buffer: np.ndarray) -> np.ndarray:
+    """The little-endian uint64 at every byte offset of ``buffer``, which
+    is zero-padded so offsets up to ``MAX_SKIPPED`` past its end read."""
+    padded = np.zeros(len(buffer) + MAX_SKIPPED + 8, dtype=np.uint8)
+    padded[: len(buffer)] = buffer
+    return np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
+
+
+def common_prefix(
+    buffer: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> bytes:
+    """The bytes every value starts with, at most :data:`MAX_SKIPPED`.
+
+    Value ``i`` is ``buffer[starts[i]:][:lengths[i]]`` (at least one
+    value).  Compared one 8-byte word at a time against value 0,
+    stopping at the first word in which some value differs.
+    """
+    limit = min(int(lengths.min()), MAX_SKIPPED)
+    words = _words_at(buffer)
+    shared = 0
+    while shared < limit:
+        word = words[starts + shared]
+        differing = int(np.bitwise_or.reduce(word ^ word[0]))
+        if differing:  # its lowest set bit lies in the first byte that differs
+            shared += ((differing & -differing).bit_length() - 1) // 8
+            break
+        shared += 8
+    shared = min(shared, limit)
+    return buffer[starts[0] : starts[0] + shared].tobytes()
+
+
+def prefix_classes(
+    buffer: np.ndarray, starts: np.ndarray, lengths: np.ndarray, prefix: bytes
+) -> np.ndarray:
+    """Where each value sorts against the values starting with ``prefix``.
+
+    int8 per value: 0 when it starts with ``prefix``, -1 when it sorts
+    below every value that does (a value that ends inside ``prefix``
+    having matched that far included), +1 when above.  Word compares
+    find the values that start with it; the rest are read
+    :data:`CHUNK_WIDTH` bytes at a time up to their first mismatch.
+    """
+    words = _words_at(buffer)
+    shares = lengths >= len(prefix)
+    for at in range(0, len(prefix), 8):
+        part = prefix[at : at + 8]
+        word = words[starts + at]
+        if len(part) < 8:
+            word = word & np.uint64((1 << 8 * len(part)) - 1)
+        shares &= word == np.uint64(int.from_bytes(part, "little"))
+    classes = np.zeros(len(starts), dtype=np.int8)
+    live = np.flatnonzero(~shares)
+    want = np.frombuffer(prefix, dtype=np.uint8)
+    for at in range(0, len(want), CHUNK_WIDTH):
+        if not len(live):
+            break
+        part = want[at : at + CHUNK_WIDTH]
+        take = np.clip(lengths[live] - at, 0, len(part))
+        chunk = gather_windows(buffer, starts[live] + at, take, len(part))
+        # The zero pad of an exhausted value may equal a NUL of the
+        # prefix, so "ended" is a mismatch of its own.
+        differs = (chunk != part) | (np.arange(len(part)) >= take[:, None])
+        split = differs.any(axis=1)
+        first = differs[split].argmax(axis=1)
+        above = (first < take[split]) & (chunk[split, first] > part[first])
+        classes[live[split]] = np.where(above, 1, -1)
+        live = live[~split]
+    return classes
 
 
 def encode_string_column(

@@ -34,7 +34,9 @@ from repro.keys.encoding import (
     encode_utf8_column,
     ends_in_nul,
     fixed_column_codes,
+    gather_windows,
     invert_bytes,
+    prefix_classes,
 )
 from repro.table.table import Table
 from repro.types.datatypes import DataType, TypeId
@@ -84,7 +86,7 @@ class KeySegment:
         offset: byte offset of this segment within the key row (the NULL
             byte for ``plain`` segments, the first value byte otherwise).
         value_width: bytes used by the encoded value (excludes the NULL byte).
-        prefix_exact: True unless this is a VARCHAR segment whose prefix
+        prefix_exact: True unless this is a VARCHAR segment whose window
             truncates some value or whose zero pad hides a trailing NUL
             (memcmp on the segment then needs a full-string tie-break).
         mode: ``plain`` (NULL byte + full-width encoding), ``nobyte`` or
@@ -98,6 +100,16 @@ class KeySegment:
             (``2**(8 * width)`` at full width).  DESC is
             applied in this domain (``rel -> code_range - 1 - rel``) rather
             than by byte inversion.
+        skipped: VARCHAR under a statistics layout
+            (:class:`~repro.keys.compression.KeyStatsAccumulator`): bytes
+            the sort's first strings all start with.  A value ``s`` that
+            starts with them keeps ``s[len(skipped):][:value_width]``, the
+            bytes that distinguish rows; one that does not is *escaped*:
+            its window starts at byte 0 and its indicator byte says on
+            which side of the sharing values it sorts (five classes: NULL
+            if NULLS FIRST < below ``skipped`` < shares it < above it <
+            NULL if NULLS LAST; DESC swaps the two escaped ones).  Empty
+            everywhere else: the two-class NULL byte.
     """
 
     key: SortKey
@@ -108,6 +120,7 @@ class KeySegment:
     mode: str = MODE_PLAIN
     bias: int = 0
     code_range: int = 1
+    skipped: bytes = b""
 
     @property
     def total_width(self) -> int:
@@ -120,12 +133,20 @@ class KeySegment:
     @property
     def null_byte_for_null(self) -> int:
         """NULL indicator byte used for NULL values."""
-        return 0x00 if self.key.nulls_first else 0x01
+        if self.key.nulls_first:
+            return 0x00
+        return 0x03 if self.skipped else 0x01
 
     @property
     def null_byte_for_valid(self) -> int:
-        """NULL indicator byte used for present values."""
-        return 0x01 if self.key.nulls_first else 0x00
+        """Indicator byte of present values (that start with ``skipped``)."""
+        return (0x01 if self.key.nulls_first else 0x00) + bool(self.skipped)
+
+    def null_byte_for_escaped(self, above):
+        """Indicator byte of values sorting ``above`` (else below) the
+        ones that start with ``skipped``; elementwise over an array."""
+        step = (above != self.key.descending) * 2 - 1
+        return self.null_byte_for_valid + step
 
 
 @dataclass(frozen=True)
@@ -307,6 +328,30 @@ def write_compressed_segment(
     matrix[:, start : start + width] = big.reshape(len(codes), 8)[:, 8 - width :]
 
 
+def _string_windows(
+    segment: KeySegment,
+    buffer: np.ndarray,
+    lengths: np.ndarray,
+    valid: np.ndarray,
+    indicator: np.ndarray,
+) -> np.ndarray:
+    """A VARCHAR segment's ascending value bytes, cut from the encoded
+    column; escaped rows' class is written into ``indicator``."""
+    starts = np.cumsum(lengths) - lengths
+    if segment.skipped:
+        classes = prefix_classes(buffer, starts, lengths, segment.skipped)
+        escaped = valid & (classes != 0)
+        skip = len(segment.skipped)
+        if escaped.any():
+            indicator[escaped] = segment.null_byte_for_escaped(
+                classes[escaped] > 0
+            )
+            skip = np.where(escaped, 0, skip)
+        starts, lengths = starts + skip, lengths - skip
+    width = segment.value_width
+    return gather_windows(buffer, starts, np.clip(lengths, 0, width), width)
+
+
 def normalize_keys(
     table: Table,
     spec: SortSpec,
@@ -315,6 +360,7 @@ def normalize_keys(
     row_id_base: int = 0,
     row_id_width: int | None = None,
     layout: KeyLayout | None = None,
+    encoded: dict | None = None,
 ) -> NormalizedKeys:
     """Encode the sort-key columns of ``table`` into normalized keys.
 
@@ -329,6 +375,9 @@ def normalize_keys(
     (:mod:`repro.keys.compression`); ``string_prefix``/``row_id_width``
     are then ignored.  Compressed segments must cover the table's values
     (``bias``/``code_range`` from a stats pass that saw this table).
+    ``encoded`` maps VARCHAR key columns to the ``(buffer, lengths)``
+    already made of them (``KeyStatsAccumulator.update`` returns it):
+    their key windows are cut from that buffer, not a second encoding.
     """
     if layout is None:
         layout = build_layout(
@@ -349,29 +398,38 @@ def normalize_keys(
             write_compressed_segment(matrix, segment, codes, valid)
             continue
         start = segment.offset
-        # NULL indicator byte.
         valid = column.validity
+        # NULL indicator byte (VARCHAR: patched per class below).
         matrix[:, start] = np.where(
             valid,
             segment.null_byte_for_valid,
             segment.null_byte_for_null,
         )
         # Value bytes.
-        if segment.dtype.type_id is TypeId.VARCHAR:
-            encoded = encode_string_column(
-                column.data, segment.value_width, valid, segment.key.column
+        name = segment.key.column
+        pair = encoded.get(name) if encoded else None
+        if segment.dtype.type_id is not TypeId.VARCHAR:
+            value = encode_fixed_column(column.data, segment.dtype)
+        elif pair is None and not segment.skipped:
+            value = encode_string_column(
+                column.data, segment.value_width, valid, name
             )
         else:
-            encoded = encode_fixed_column(column.data, segment.dtype)
+            value = _string_windows(
+                segment,
+                *(pair or encode_utf8_column(column.data, valid, name)),
+                valid,
+                matrix[:, start],
+            )
         if segment.key.descending:
             # In-place byte inversion -- unless the encoder returned a view
             # aliasing the column's own buffer (possible for unsigned
             # types whose big-endian cast is a no-op, e.g. BOOLEAN).
-            if np.shares_memory(encoded, column.data):
-                encoded = 0xFF - encoded
+            if np.shares_memory(value, column.data):
+                value = 0xFF - value
             else:
-                np.subtract(0xFF, encoded, out=encoded)
-        matrix[:, start + 1 : start + 1 + segment.value_width] = encoded
+                np.subtract(0xFF, value, out=value)
+        matrix[:, start + 1 : start + 1 + segment.value_width] = value
         # NULL rows get constant (zero) value bytes so all NULLs tie.
         if column.has_nulls:
             matrix[~valid, start + 1 : start + 1 + segment.value_width] = 0
@@ -409,8 +467,19 @@ def normalized_key_for_row(
             out.append(segment.null_byte_for_null)
             out.extend(b"\x00" * segment.value_width)
             continue
-        out.append(segment.null_byte_for_valid)
+        indicator = segment.null_byte_for_valid
         encoded = encode_scalar(value, segment.dtype, segment.value_width)
+        if segment.skipped:
+            raw = str(value).encode("utf-8")
+            if raw.startswith(segment.skipped):
+                tail = raw[len(segment.skipped) :][: segment.value_width]
+                encoded = tail.ljust(segment.value_width, b"\x00")
+            else:
+                head = raw[: len(segment.skipped)]
+                indicator = segment.null_byte_for_escaped(
+                    head > segment.skipped
+                )
+        out.append(indicator)
         if segment.key.descending:
             encoded = invert_bytes(encoded)
         out.extend(encoded)

@@ -114,12 +114,17 @@ class RowBlock:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def from_table(cls, table: Table) -> "RowBlock":
-        """Convert a columnar table to rows (the paper's 'columns to rows')."""
+    def from_table(cls, table: Table, encoded: dict | None = None) -> "RowBlock":
+        """Convert a columnar table to rows (the paper's 'columns to rows').
+
+        ``encoded`` maps string columns to the ``(buffer, lengths)``
+        :func:`~repro.keys.encoding.encode_utf8_column` already made of
+        them (a sort's VARCHAR keys): the heap is those bytes as they are.
+        """
         layout = RowLayout.for_schema(table.schema)
         n = table.num_rows
         rows = np.zeros((n, layout.row_width), dtype=np.uint8)
-        heap = bytearray()
+        heaps: list[np.ndarray] = []
         for col_index, slot in enumerate(layout.slots):
             column = table.column_at(col_index)
             byte_off, bit = layout.validity_position(col_index)
@@ -129,22 +134,27 @@ class RowBlock:
             if slot.is_string:
                 # One codec pass for the whole column; the per-value
                 # (offset, length) slots follow by offset arithmetic.
-                encoded, lengths = encode_utf8_column(
+                pair = encoded.get(slot.name) if encoded else None
+                buffer, lengths = pair or encode_utf8_column(
                     column.data, column.validity, slot.name
                 )
-                base = heap_bases([len(heap), len(encoded)])[1]
+                base = heap_bases([sum(map(len, heaps)), len(buffer)])[1]
                 offset_slots, length_slots = string_slots(rows, slot)
                 offset_slots[:] = np.where(
                     column.validity, base + np.cumsum(lengths) - lengths, 0
                 )
                 length_slots[:] = lengths
-                heap.extend(encoded)
+                heaps.append(buffer)
             else:
                 width = slot.width
                 data = np.ascontiguousarray(column.data)
                 raw = data.view(np.uint8).reshape(n, width)
                 rows[:, slot.offset : slot.offset + width] = raw
-        return cls(layout, rows, bytes(heap))
+        # One string column: the bytes object the codec viewed is the heap.
+        heap = heaps[0].base if len(heaps) == 1 else None
+        if not isinstance(heap, bytes):  # several columns, or a slice
+            heap = b"".join(part.data for part in heaps)
+        return cls(layout, rows, heap)
 
     # ------------------------------------------------------------------ #
     # NSM -> DSM (gather)

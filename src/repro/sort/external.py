@@ -592,7 +592,7 @@ class ExternalSortOperator(SortOperator):
         return None
 
     def _spill_run(self) -> None:
-        table, keys = self._generator.encode(self._buffer)
+        table, keys, encoded = self._generator.encode(self._buffer)
         self._buffer = []
         self._buffered_rows = 0
         # Replacement selection needs keys whose byte order *is* the sort
@@ -607,7 +607,7 @@ class ExternalSortOperator(SortOperator):
             self._rs_feed(table, keys)
         else:
             self.stats.rungen_path = "argsort"
-            self._store_run(self._generator.sort_run(table, keys))
+            self._store_run(self._generator.sort_run(table, keys, encoded))
 
     # ------------------------------------------------------------------ #
     # Replacement-selection run generation

@@ -243,7 +243,8 @@ class SortStats:
 
     The key-compression counters: ``key_width_used`` is the final
     layout's key bytes per row and ``key_width_full`` what the plain
-    (NULL byte + full type width) layout would cost (row-id suffix
+    (NULL byte + full type width; a VARCHAR window at byte 0, so the
+    bytes its segment skips count) layout would cost (row-id suffix
     excluded); ``key_layout_rebases`` counts runs whose
     keys were re-encoded because later data widened the layout;
     ``key_carried_runs`` counts runs held as keys only (the payload
@@ -430,9 +431,9 @@ class SortOperator:
 
     def _sort_buffer(self) -> InMemoryRun:
         """Everything buffered as one resident run; the buffer is released."""
-        table, keys = self._generator.encode(self._buffer)
+        batch = self._generator.encode(self._buffer)
         self._buffer = []
-        return self._generator.sort_run(table, keys)
+        return self._generator.sort_run(*batch)
 
 
 def make_sort_operator(

@@ -539,8 +539,13 @@ class RunGenerator:
 
     def encode(
         self, chunks: list[DataChunk]
-    ) -> tuple[Table, NormalizedKeys]:
-        """Concatenate the buffered chunks once and normalize their keys."""
+    ) -> tuple[Table, NormalizedKeys, dict]:
+        """Concatenate the buffered chunks once and normalize their keys.
+
+        Third: the VARCHAR key columns' UTF-8 ``(buffer, lengths)``, the
+        run's one crossing from ``str``: made by the statistics pass,
+        read by the key windows and (through :meth:`sort_run`) the heap.
+        """
         self.check_cancelled()
         table = concat_chunks(chunks)
         stats = self.stats
@@ -548,7 +553,7 @@ class RunGenerator:
             # The accumulator has seen every row so far, so this run's
             # layout is at least as wide as every earlier run's; the
             # merge rebases narrower runs onto the last.
-            self._key_acc.update(table)
+            encoded = self._key_acc.update(table)
             self.layout = self._key_acc.build_layout(
                 include_row_id=True, row_id_width=ROW_ID_WIDTH
             )
@@ -557,13 +562,14 @@ class RunGenerator:
                 self.spec,
                 row_id_base=self._next_row_id,
                 layout=self.layout,
+                encoded=encoded,
             )
         self._next_row_id += len(table)
         stats.key_width_used = keys.layout.key_width
         stats.key_width_full = plain_key_width(keys.layout)
         stats.prefix_exact = stats.prefix_exact and keys.prefix_exact
         stats.rows_sorted += len(table)
-        return table, keys
+        return table, keys, encoded
 
     def argsort(self, keys: NormalizedKeys) -> np.ndarray:
         """Stable vectorized sort of the key bytes.
@@ -577,11 +583,15 @@ class RunGenerator:
             keys.matrix, keys.layout.key_width, self.stats
         )
 
-    def sort_run(self, table: Table, keys: NormalizedKeys) -> InMemoryRun:
+    def sort_run(
+        self, table: Table, keys: NormalizedKeys, encoded: dict | None = None
+    ) -> InMemoryRun:
         """Sort one encoded batch into a run."""
         with self.stats.time_phase("run_gen"):
             order = self.argsort(keys)
-            return self.pack(keys.matrix[order], keys.layout, table, order)
+            return self.pack(
+                keys.matrix[order], keys.layout, table, order, encoded
+            )
 
     def pack(
         self,
@@ -589,11 +599,13 @@ class RunGenerator:
         layout: KeyLayout,
         payload: Table,
         order: np.ndarray | None = None,
+        encoded: dict | None = None,
     ) -> InMemoryRun:
         """Seal a run: sorted keys plus ``payload`` rows in key order.
 
         ``payload`` is gathered through ``order`` when given, else it
         already is in key order (replacement-selection runs).
+        ``encoded`` is :meth:`encode`'s, when ``payload`` is its table.
         """
         stats = self.stats
         if self.key_carried:
@@ -601,7 +613,7 @@ class RunGenerator:
             heap = b""
             stats.key_carried_runs += 1
         else:
-            block = RowBlock.from_table(payload)
+            block = RowBlock.from_table(payload, encoded=encoded)
             if order is not None:
                 block = block.take(order)
             rows, heap = block.rows, block.heap

@@ -10,9 +10,11 @@ external sort).  This module makes the vector path exact instead:
   on the key bytes up to the first inexact VARCHAR segment are grouped with
   one vectorized adjacent-row comparison; each inexact segment is then
   resolved in key order -- its tie groups are re-encoded at progressively
-  wider string offsets (chunks of :data:`CHUNK_WIDTH` bytes past the already
-  compared prefix) and re-sorted with a stable ``np.lexsort``, subdividing
-  groups until every group is a singleton or the strings are exhausted.
+  wider string offsets (chunks of :data:`CHUNK_WIDTH` bytes past the key
+  window, which starts after the segment's ``skipped`` bytes unless the
+  row's indicator byte says it is escaped) and re-sorted with a stable
+  ``np.lexsort``, subdividing groups until every group is a singleton or
+  the strings are exhausted.
   Between segments the groups are extended with the key bytes separating
   them, so a full string always outranks every later ORDER BY column.  Work
   per round is proportional to the rows still tied: unique-prefix inputs pay
@@ -37,7 +39,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.keys.encoding import encode_utf8_column, gather_windows
+from repro.keys.encoding import (
+    CHUNK_WIDTH,
+    encode_utf8_column,
+    gather_windows,
+)
 
 __all__ = [
     "CHUNK_WIDTH",
@@ -48,11 +54,6 @@ __all__ = [
     "refine_table_order",
     "refinement_must_defer",
 ]
-
-#: Bytes of string tail re-encoded per refinement round.  Wide enough that a
-#: typical tie resolves in one round, narrow enough that rows differing right
-#: after the prefix do not drag in a long tail.
-CHUNK_WIDTH = 16
 
 
 def inexact_prefix_end(layout) -> int | None:
@@ -132,7 +133,7 @@ def _refine_segment(
     starts: np.ndarray,
     lengths: np.ndarray,
     descending: bool,
-    start_byte: int,
+    start_byte,
     stats,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One segment's chunked re-encode loop over the current tie groups.
@@ -141,13 +142,15 @@ def _refine_segment(
     non-decreasing group id per slot.  Tied row ``i``'s UTF-8 bytes are
     ``buffer[starts[i]:][:lengths[i]]`` (NULLs have length 0: the key
     prefix's NULL byte already separated them into their own groups, so
-    they simply stay tied and keep stable order).  The sort is stable, so
+    they simply stay tied and keep stable order); its key window ended at
+    byte ``start_byte`` (an int, or one per tied row: a group's rows share
+    their indicator byte, so they agree on it).  The sort is stable, so
     rows whose string tails are fully equal keep their current relative
     order -- which is their order on the remaining key bytes (later ORDER
     BY columns, then the row id).  Returns the refined ``(order, groups)``
     pair, with groups subdivided down to string equality classes.
     """
-    pos = int(start_byte)
+    starts, lengths, pos = starts + start_byte, lengths - start_byte, 0
     while True:
         multi = np.bincount(groups)[groups] > 1
         if not (multi & (lengths[order] > pos)).any():
@@ -261,12 +264,16 @@ def refine_key_order(
             covered = end
         if np.bincount(groups).max() <= 1:
             break
+        start_byte = segment.value_width
+        if segment.skipped:
+            shares = matrix[tied, segment.offset] == segment.null_byte_for_valid
+            start_byte = start_byte + len(segment.skipped) * shares
         order, groups = _refine_segment(
             order,
             groups,
             *get(segment.key.column),
             segment.key.descending,
-            segment.value_width,
+            start_byte,
             stats,
         )
     perm = np.arange(len(matrix), dtype=np.int64)

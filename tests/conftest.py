@@ -20,6 +20,7 @@ from repro.sort.merger import RunMerger  # noqa: E402
 from repro.sort.operator import SortConfig, SortStats  # noqa: E402
 from repro.sort.rungen import RunGenerator  # noqa: E402
 from repro.table.chunk import chunk_table  # noqa: E402
+from repro.table.column import ColumnVector  # noqa: E402
 from repro.table.table import Table  # noqa: E402
 from repro.types.sortspec import SortSpec, tuple_compare  # noqa: E402
 
@@ -63,6 +64,24 @@ def reference_sort(table: Table, spec: SortSpec) -> Table:
 
     rows.sort(key=functools.cmp_to_key(compare))
     return table.take(np.array(rows, dtype=np.int64))
+
+
+def stems_first(table: Table, column: str = "s") -> Table:
+    """``table`` with byte 15 of each ``column`` string copied to its front.
+
+    Byte 15 is where the catalog's ``long_string`` stems differ: the
+    result's stems differ in their first byte and share the next 15, so
+    its 12 key bytes tie whatever prefix the key statistics skip.
+    """
+    columns = list(table.columns)
+    index = table.schema.names.index(column)
+    old = columns[index]
+    data = np.array(
+        [v[15] + v if ok else v for v, ok in zip(old.data, old.validity)],
+        dtype=object,
+    )
+    columns[index] = ColumnVector(old.dtype, data, old.validity)
+    return Table(table.schema, columns)
 
 
 def sort_resident_runs(table: Table, spec: SortSpec, runs: int, config=None):

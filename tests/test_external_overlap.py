@@ -378,8 +378,10 @@ class TestMultipassMerge:
         # Strings longer than the key prefix need exact-varchar
         # refinement, which rewrites key bytes at the final merge;
         # intermediate runs cannot be cut from unrefined keys.
+        # (Two stems that differ in the first byte, so no skipped prefix
+        # makes the 12 key bytes decide.)
         long_strings = [
-            f"shared-long-prefix-{int(v):012d}"
+            f"{int(v) % 2}shared-long-prefix-{int(v):012d}"
             for v in rng.integers(0, 2000, 6000)
         ]
         table = Table.from_pydict(

@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from conftest import stems_first
 from test_external_kway import assert_byte_identical
 from test_oracle import oracle_sort, prefix_config
 from repro.engine.database import Database
@@ -155,6 +156,11 @@ def _scenario(name: str, rows: int = 1500):
     return table, spec
 
 
+def _stems_first_scenario(name: str, rows: int):
+    table, spec = _scenario(name, rows)
+    return stems_first(table), spec
+
+
 def _assert_both_oracles(table: Table, spec: SortSpec, view: Table):
     assert_byte_identical(oracle_sort(table, spec), view)
     assert_byte_identical(reference_sort(table, spec), view)
@@ -202,8 +208,11 @@ def test_widening_layout_rebases_earlier_runs():
 
 
 def _tied_strings(rows: int = 1400) -> tuple[Table, SortSpec]:
-    """Few full strings, one shared 12-byte prefix, a trailing key."""
-    strings = [f"prefix-{'pad' * 4}-{i * 7 % 5:02d}" for i in range(rows)]
+    """Few full strings, two stems that differ in the first byte and
+    share the next 20 (nothing to skip), a trailing key."""
+    strings = [
+        f"{i % 2}prefix-{'pad' * 4}-{i * 7 % 5:02d}" for i in range(rows)
+    ]
     table = _table({"s": strings, "p": [(i * 37) % 101 for i in range(rows)]})
     return table, SortSpec.of("s", "p")
 
@@ -215,8 +224,9 @@ def _tied_strings(rows: int = 1400) -> tuple[Table, SortSpec]:
         (lambda: _scenario("mixed_null", 1400), SortConfig()),
         # The prefix forced to the cap from the first delta on.
         (lambda: _scenario("mixed_null", 1400), SortConfig(string_prefix=12)),
-        # Truncated VARCHARs followed by later ORDER BY columns.
-        (lambda: _scenario("long_string", 1400), SortConfig()),
+        # Truncated VARCHARs followed by later ORDER BY columns (stems
+        # differing in the first byte: no skipped prefix unties them).
+        (lambda: _stems_first_scenario("long_string", 1400), SortConfig()),
         (lambda: _scenario("tpcds_customer", 1400), SortConfig(string_prefix=2)),
     ],
     ids=[

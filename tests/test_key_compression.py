@@ -17,6 +17,8 @@ key-carried (keys-only) external runs.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from repro.keys.compression import (
     rebase_matrix,
     serialize_layout,
 )
+from repro.keys.decoder import decode_key_row
 from repro.keys.normalizer import (
     MODE_FOLDED,
     MODE_NOBYTE,
@@ -45,6 +48,7 @@ from repro.sort.operator import SortConfig, SortOperator, sort_table
 from repro.sort.reference import reference_sort as scalar_reference_sort
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
+from repro.types.datatypes import VARCHAR
 from repro.types.sortspec import SortSpec, tuple_compare
 
 SPECS = [
@@ -277,6 +281,141 @@ class TestWidthAndModeSelection:
             stats.matrix[:, : 1 + prefix].tobytes()
             == plain.matrix[:, : 1 + prefix].tobytes()
         )
+
+
+# Shared first-run prefixes: none, every length around the 12-byte window
+# and the 16-byte scan chunk, past the 255-byte cap, one that ends inside a
+# 3-byte code point, one holding a NUL.
+SKIP_CASES = {
+    "none": "",
+    "1": "p",
+    "11": "p" * 11,
+    "12": "p" * 12,
+    "13": "p" * 13,
+    "40": "shared-" * 5 + "stem-",
+    "300": "0123456789" * 30,
+    "mid-code-point": "caf\u65e5",
+    "nul": "a\x00b\x00",
+    "single-row": "only-row-of-its-run",
+    "all-null": None,
+}
+
+
+class TestSkippedPrefix:
+    """A VARCHAR segment skips what the first run's values share; later
+    rows that do not share it are escaped, never re-based."""
+
+    @staticmethod
+    def runs(case):
+        stem = SKIP_CASES[case]
+        tails = ["", "a", "ab", "b" * 12, "b" * 13, "c" * 30, "\u65e5x", "a"]
+        if case == "mid-code-point":
+            # The stems agree up to the code point's first byte only.
+            first = [stem + t for t in tails] + ["caf\u6728", None]
+        elif case == "single-row":
+            first = [stem]
+        elif case == "all-null":
+            first, stem = [None, None], "shared-prefix-0"
+        else:
+            first = [stem + t for t in tails] + [None]
+        later = [stem + t for t in tails] + [
+            None, "", stem[:-1], stem[: len(stem) // 2], stem + "\x01",
+            "\x00", "a", "a" * 14, "t" * 5, "\U0001f600", stem[:-1] + "\x7f",
+        ]
+        tables = []
+        for base, values in ((0, first), (100, later)):
+            ids = list(range(base, base + len(values)))
+            tables.append(
+                Table.from_pydict({"s": values, "a": ids}, {"s": VARCHAR})
+            )
+        return tables
+
+    @pytest.mark.parametrize("case", sorted(SKIP_CASES))
+    @pytest.mark.parametrize("nulls", ["FIRST", "LAST"])
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    def test_laws(self, case, direction, nulls):
+        first, later = self.runs(case)
+        spec = SortSpec.of(f"s {direction} NULLS {nulls}", "a")
+        acc = KeyStatsAccumulator(first.schema, spec)
+        encoded = acc.update(first)
+        early = acc.build_layout(include_row_id=False)
+        acc.update(later)
+        layout = acc.build_layout(include_row_id=False)
+        segment = layout.segments[0]
+
+        # The first run holding a valid value decides, for good.
+        decider = later if case == "all-null" else first
+        raws = [v.encode() for v in decider.column("s").to_pylist() if v is not None]
+        assert segment.skipped == os.path.commonprefix(raws)[:255]
+        assert early.segments[0].skipped in (b"", segment.skipped)
+        assert plain_key_width(layout) == (
+            1 + len(segment.skipped) + segment.value_width
+            + 1 + layout.segments[1].dtype.fixed_width
+        )
+        blob = serialize_layout(layout)
+        assert deserialize_layout(blob, first.schema, spec) == layout
+
+        # One encoding, handed over, cuts the same windows; an earlier
+        # run rebases onto the final layout byte for byte.
+        under_early = normalize_keys(first, spec, layout=early, encoded=encoded)
+        assert np.array_equal(
+            under_early.matrix, normalize_keys(first, spec, layout=early).matrix
+        )
+        assert np.array_equal(
+            rebase_matrix(under_early.matrix, early, layout),
+            normalize_keys(first, spec, layout=layout).matrix,
+        )
+
+        table = first.concat(later)
+        keys = normalize_keys(table, spec, layout=layout)
+        assert keys.prefix_exact == segment.prefix_exact
+        rows = key_tuples(table, spec)
+        raw = [keys.key_bytes(i) for i in range(table.num_rows)]
+        width, skipped = segment.value_width, segment.skipped
+        for row, key in zip(rows, raw):
+            assert key == normalized_key_for_row(row, spec, layout)
+            value = row[0]
+            decoded = decode_key_row(key, layout)
+            assert decoded[1] == row[1]
+            if value is None:
+                assert decoded[0] is None
+                continue
+            start = len(skipped) if value.encode().startswith(skipped) else 0
+            window = value.encode()[start : start + width].rstrip(b"\x00")
+            kept = value.encode()[:start] + window
+            assert decoded[0] == kept.decode("utf-8", "replace")
+        # memcmp on the segment never contradicts the string order (it
+        # may tie where the window truncates); exact, on the whole key.
+        only_s = SortSpec.of(f"s {direction} NULLS {nulls}")
+        end = segment.total_width
+        for i, left in enumerate(rows):
+            for j, right in enumerate(rows):
+                cmp = tuple_compare(left[:1], right[:1], only_s)
+                if cmp < 0:
+                    assert raw[i][:end] <= raw[j][:end]
+                elif cmp == 0:
+                    assert raw[i][:end] == raw[j][:end]
+                if segment.prefix_exact and tuple_compare(left, right, spec) < 0:
+                    assert raw[i] < raw[j]
+
+    def test_forced_prefix_skips_nothing(self):
+        first, _ = self.runs("40")
+        spec = SortSpec.of("s", "a")
+        acc = KeyStatsAccumulator(first.schema, spec, string_prefix=12)
+        acc.update(first)
+        assert acc.build_layout().segments[0].skipped == b""
+
+    def test_blob_checks(self):
+        first, _ = self.runs("13")
+        spec = SortSpec.of("s", "a")
+        blob = serialize_layout(build_compressed_layout(first, spec))
+        for bad in (blob[:-1], blob[:-9], blob + b"p"):
+            with pytest.raises(KeyEncodingError):
+                deserialize_layout(bad, first.schema, spec)
+        # Skipped bytes on an integer segment: a blob from another sort.
+        swapped = Table.from_pydict({"s": [1, 2], "a": [3, 4]})
+        with pytest.raises(KeyEncodingError, match="non-VARCHAR"):
+            deserialize_layout(blob, swapped.schema, spec)
 
 
 class TestLayoutSerialization:

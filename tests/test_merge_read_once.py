@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_sort
-from repro.errors import SpillCorruptionError
+from repro.errors import KeyEncodingError, SpillCorruptionError
 from repro.keys.compression import serialize_layout
 from repro.sort.external import ExternalSortOperator, SpilledRun
 from repro.sort.faults import (
@@ -202,17 +202,24 @@ class TestReadOnce:
             for run in operator._runs:
                 assert run.row_width > 0 and run.heap_bytes > 0
                 self.assert_file_is_header_plus_sections(run, table, spec)
-            # The header CRC covers the blob: one flipped layout byte
-            # fails typed at re-attachment and at merge start.
+            # The header CRC covers the blob: one flipped layout byte --
+            # the row-id width, or the last of the bytes the VARCHAR
+            # segment skips -- fails typed at re-attachment and at merge
+            # start.
             victim = operator._runs[1]
-            position = _FIXED.size + 4 * victim.header.crc_count + 1
-            with open(victim.path, "r+b") as fh:
-                fh.seek(position)
-                byte = fh.read(1)[0]
-                fh.seek(position)
-                fh.write(bytes([byte ^ 0x04]))
-            with pytest.raises(SpillCorruptionError, match="header CRC"):
-                SpilledRun.open(victim.path, table.schema, spec)
+            blob = victim.header.extra
+            assert victim.layout.segments[1].skipped == blob[-1:] == b"s"
+            start = _FIXED.size + 4 * victim.header.crc_count
+            for position in (start + 1, start + len(blob) - 1):
+                with open(victim.path, "r+b") as fh:
+                    intact = fh.read()
+                    fh.seek(position)
+                    fh.write(bytes([intact[position] ^ 0x04]))
+                with pytest.raises(SpillCorruptionError, match="header CRC"):
+                    SpilledRun.open(victim.path, table.schema, spec)
+                if position == start + 1:
+                    with open(victim.path, "wb") as fh:
+                        fh.write(intact)
             with pytest.raises(SpillCorruptionError, match="header CRC"):
                 operator.finalize()
         assert list(tmp_path.iterdir()) == []
@@ -229,6 +236,37 @@ class TestReadOnce:
             path = operator._runs[0].path
             with pytest.raises(SpillCorruptionError, match="key layout"):
                 SpilledRun.open(path, table.schema, spec_of("a, b NULLS FIRST"))
+
+    def test_skipped_bytes_of_another_sort_never_give_a_wrong_answer(
+        self, rng, tmp_path
+    ):
+        # CRC-valid files of two sorts of one schema and ORDER BY whose
+        # first runs share different bytes: under a schema where the
+        # column is no VARCHAR the blob is corrupt; merged as one sort's
+        # runs, the stale run cannot be rebased.
+        tables = [
+            Table.from_pydict({"s": [f"{stem}{v:03d}" for v in range(RUN_ROWS)]})
+            for stem in ("left-", "right-")
+        ]
+        spec = spec_of("s")
+        left, right = (
+            ExternalSortOperator(
+                table.schema, spec, SortConfig(run_threshold=RUN_ROWS),
+                str(tmp_path),
+            )
+            for table in tables
+        )
+        with left, right:
+            for operator, table in ((left, tables[0]), (right, tables[1])):
+                operator.sink(next(chunk_table(table, RUN_ROWS)))
+                assert operator._runs[0].layout.segments[0].skipped
+            foreign = left._runs[0]
+            ints = Table.from_pydict({"s": [1]})
+            with pytest.raises(SpillCorruptionError, match="key layout"):
+                SpilledRun.open(foreign.path, ints.schema, spec)
+            right._runs.insert(0, foreign)
+            with pytest.raises(KeyEncodingError, match="skipped"):
+                right.finalize()
 
     def test_flipped_bit_in_a_keys_page_names_the_run(self, tmp_path):
         table = SCENARIOS["uniform"].table(20_000, 29)

@@ -22,6 +22,7 @@ import threading
 
 import pytest
 
+from conftest import stems_first
 from test_external_kway import assert_byte_identical
 from test_oracle import oracle_sort, prefix_config
 from repro.aggregate.groupby import Aggregate, group_by
@@ -90,9 +91,14 @@ class TestNothingCutsAResidentRun:
 
     @pytest.mark.parametrize("name", ["long_string", "mixed_null"])
     def test_truncating_prefix_is_still_repaired(self, name):
-        table, spec, expected = scenario_case(name)
+        # Stems differing in their first byte: no prefix to skip, and the
+        # 12 key bytes after it tie.
+        table, spec, _ = scenario_case(name)
+        table = stems_first(table)
         operator = SortOperator(table.schema, spec)
-        assert_byte_identical(expected, run_operator(operator, table))
+        assert_byte_identical(
+            oracle_sort(table, spec), run_operator(operator, table)
+        )
         stats = operator.stats
         assert not stats.prefix_exact
         assert stats.runs_generated == 1

@@ -264,7 +264,8 @@ class TestOperatorCrossCheck:
     def test_inexact_prefix_stays_on_kernel_path(self):
         # Strings tying beyond the 12-byte prefix: the merge repairs the
         # tie groups on the full strings.
-        values = [f"{'y' * 13}{i:03d}" for i in range(300)]
+        # (two stems that differ in the first byte: nothing to skip).
+        values = [f"{'xy'[i % 2]}{'y' * 12}{i:03d}" for i in range(300)]
         table = Table.from_pydict({"s": values})
         op = SortOperator(table.schema, SortSpec.of("s"), SortConfig(run_threshold=64))
         for chunk in chunk_table(table, 32):

@@ -13,15 +13,19 @@ byte-identical to the oracle.
 from __future__ import annotations
 
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import reference_sort, sort_spilling
+from conftest import reference_sort, sort_resident_runs, sort_spilling
+from test_external_kway import assert_byte_identical
+from test_oracle import oracle_sort
 from repro.aggregate.groupby import Aggregate, group_by
 from repro.engine.database import Database
 from repro.join.merge_join import merge_join
 from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
+from repro.service.core import SortService
 from repro.rows.block import RowBlock, string_slots
 from repro.sort.external import ExternalSortOperator
 from repro.sort.incremental import IncrementalSorter
@@ -37,6 +41,7 @@ from repro.sort.stringsort import (
 )
 from repro.sort.topn import top_n
 from repro.table.chunk import chunk_table
+from repro.workloads.scenarios import SCENARIOS
 from repro.table.table import Table
 from repro.types.sortspec import SortKey, SortSpec
 from repro.window.functions import WindowFunction, WindowSpec, window
@@ -65,8 +70,11 @@ def string_table(seed: int, n: int, *, null_rate=0.08, dup_heavy=False):
         "",
     ]
     if dup_heavy:
+        # Two stems that differ in the first byte: the key statistics
+        # find no prefix to skip, and the 12 key bytes tie.
         domain = [
-            "shared_prefix_alpha_______" + tail
+            first + "shared_prefix_alpha_______" + tail
+            for first in "mn"
             for tail in ("", "a", "aa", "b")
         ]
 
@@ -235,6 +243,170 @@ class TestExternalExact:
             assert result.column("s").to_pylist() == sorted(
                 values, reverse=True
             )
+
+
+class TestEscapedRows:
+    """The first run's strings share ``shared-prefix-0``; later runs hold
+    rows below it, above it, equal to it and NULL.  Their keys escape the
+    skipped prefix through the indicator byte: no run is re-based."""
+
+    RUN = 240
+    STEM = "shared-prefix-0"
+    SPECS = [
+        "s, k",
+        "s DESC NULLS FIRST, k DESC",
+        "s NULLS FIRST",
+        "s DESC NULLS LAST",
+    ]
+
+    @classmethod
+    def table(cls, tail: int) -> Table:
+        """Three runs' worth of rows; tails of ``tail`` bytes drawn from a
+        small pool, so full strings repeat across runs (stability) and
+        the 12-byte window truncates iff ``tail > 12``."""
+        rng = random.Random(tail)
+        pool = [
+            cls.STEM + "".join(rng.choice("ab") for _ in range(tail))
+            for _ in range(40)
+        ]
+        outside = [
+            None, "", "a", "a" * 12, "shared-pre", "shared-pref1", cls.STEM,
+            "shared-prey", "t", "tt" * 6,
+        ]
+        svals = [rng.choice(pool) for _ in range(cls.RUN)]
+        svals += [
+            rng.choice(pool if rng.random() < 0.5 else outside)
+            for _ in range(2 * cls.RUN)
+        ]
+        rows = len(svals)
+        return Table.from_pydict(
+            {"s": svals, "k": [i % 5 for i in range(rows)], "p": list(range(rows))}
+        )
+
+    def config(self, **extra) -> SortConfig:
+        return SortConfig(
+            external=True, run_threshold=self.RUN, vector_size=self.RUN, **extra
+        )
+
+    def expected(self, table, spec):
+        expected = oracle_sort(table, spec)
+        assert_byte_identical(expected, scalar_reference_sort(table, spec))
+        return expected
+
+    @pytest.mark.parametrize("tail", [12, 13], ids=["exact", "truncated"])
+    @pytest.mark.parametrize("spec_str", SPECS)
+    def test_sort_paths(self, tmp_path, spec_str, tail):
+        table, spec = self.table(tail), spec_of(spec_str)
+        expected = self.expected(table, spec)
+        assert_byte_identical(expected, sort_table(table, spec))
+        assert_byte_identical(expected, sort_table(table, spec, self.config()))
+        resident, stats = sort_resident_runs(table, spec, 3)
+        assert_byte_identical(expected, resident)
+        assert stats.key_layout_rebases == 0
+        with ExternalSortOperator(
+            table.schema, spec, self.config(merge_fan_in=2), str(tmp_path)
+        ) as operator:
+            for chunk in chunk_table(table, self.RUN):
+                operator.sink(chunk)
+            layouts = {run.layout for run in operator._runs}
+            assert_byte_identical(expected, operator.finalize())
+        stats = operator.stats
+        assert stats.runs_generated == 3 and stats.key_layout_rebases == 0
+        assert [seg.skipped for seg in layouts.pop().segments][0] == (
+            self.STEM.encode()
+        )
+        assert not layouts  # one layout, first run to last
+        # An intermediate pass ran unless the final repair forbids one.
+        assert stats.prefix_exact == (tail == 12)
+        assert stats.merge_passes == (2 if tail == 12 else 1)
+        assert (stats.full_key_compares > 0) == (tail == 13)
+
+    def test_refinement_starts_where_each_rows_window_ended(self):
+        # Sharing rows tie on the 12 bytes after a 40-byte stem, escaped
+        # rows on their first 12; each group differs in the next byte.
+        stem = "s" * 40
+        sharing = [stem + "w" * 12 + c for c in "dcba"]
+        values = sharing + ["e" * 12 + c for c in "zyx"] + sharing[::-1]
+        table = Table.from_pydict({"s": values + [stem], "p": list(range(12))})
+        result, stats = sort_resident_runs(table, SortSpec.of("s"), 3)
+        assert result.column("s").to_pylist() == sorted(values + [stem])
+        assert result.column("p").to_pylist()[-2:] == [0, 10]  # stable
+        assert stats.full_key_compares == 11
+        assert stats.reencode_rounds == 1  # one byte past each window
+
+    @pytest.mark.parametrize("spec_str", SPECS)
+    def test_database_incremental_and_service(self, spec_str):
+        table, spec = self.table(13), spec_of(spec_str)
+        expected = self.expected(table, spec)
+        db = Database(self.config())
+        db.register("t", table)
+        sql = f"SELECT s, k, p FROM t ORDER BY {spec_str}"
+        assert_byte_identical(expected, db.execute(sql))
+        with SortService(db, memory_budget=8 << 20, workers=1) as service:
+            assert_byte_identical(expected, service.execute(sql, timeout=30))
+        sorter = IncrementalSorter(table.schema, spec, compact_threshold=2)
+        for start in range(0, table.num_rows, self.RUN):
+            sorter.insert(table.slice(start, start + self.RUN))
+        assert_byte_identical(expected, sorter.view())
+        assert sorter.stats.compactions >= 1
+        assert sorter.stats.sort.key_layout_rebases == 0
+
+
+class TestEncodeOnce:
+    """A run crosses from ``str`` to UTF-8 once per VARCHAR key column:
+    the statistics pass encodes, the key windows and the row heap read."""
+
+    @pytest.fixture
+    def codec_calls(self, monkeypatch):
+        from repro.keys import encoding
+
+        real, calls = encoding.encode_utf8_column, []
+
+        def counting(values, validity=None, column=""):
+            calls.append(column)
+            return real(values, validity, column)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and (
+                getattr(module, "encode_utf8_column", None) is real
+            ):
+                monkeypatch.setattr(module, "encode_utf8_column", counting)
+        return calls
+
+    @pytest.mark.parametrize("spilled", [False, True])
+    @pytest.mark.parametrize(
+        "name, columns", [("long_string", 1), ("tpcds_customer", 2)]
+    )
+    def test_one_call_per_key_column_per_run(
+        self, codec_calls, tmp_path, name, columns, spilled
+    ):
+        scenario = SCENARIOS[name]
+        table, spec = scenario.table(3000, seed=17), spec_of(scenario.order_by)
+        config = SortConfig(external=spilled, run_threshold=1000)
+        with ExternalSortOperator(
+            table.schema, spec, config, str(tmp_path)
+        ) if spilled else SortOperator(table.schema, spec, config) as operator:
+            for chunk in chunk_table(table, 500):
+                operator.sink(chunk)
+            result = operator.finalize()
+        assert_byte_identical(oracle_sort(table, spec), result)
+        runs = operator.stats.runs_generated
+        assert runs == (3 if spilled else 1)
+        assert len(codec_calls) == columns * runs
+
+    def test_long_string_needs_no_refinement(self):
+        # The catalog's 15 shared bytes are skipped; the next 12 decide.
+        table = SCENARIOS["long_string"].table(62_500, seed=17)
+        operator = SortOperator(table.schema, SortSpec.of("s", "p"))
+        for chunk in chunk_table(table, 4096):
+            operator.sink(chunk)
+        result = operator.finalize()
+        assert result.column("s").to_pylist() == sorted(
+            table.column("s").to_pylist()
+        )
+        stats = operator.stats
+        assert (stats.reencoded_rows, stats.full_key_compares) == (0, 0)
+        assert (stats.key_width_used, stats.key_width_full) == (21, 37)
 
 
 class TestTrailingNuls:
