@@ -5,7 +5,7 @@ The library has two faces:
 
 * the **production face** -- a usable relational sort built the way the
   paper builds DuckDB's: normalized keys, radix sort / pdqsort run
-  generation, one-pass k-way merging, NSM payload handling, and a
+  generation, one-pass k-way merging, NSM payload rows for spilling, and a
   small vectorized SQL engine around it
   (:mod:`repro.table`, :mod:`repro.keys`, :mod:`repro.sort`,
   :mod:`repro.engine`);

@@ -3,8 +3,12 @@
 A :class:`RowBlock` holds ``n`` fixed-width rows as an ``(n, row_width)``
 uint8 matrix plus a string heap, per the layout in
 :mod:`repro.rows.layout`.  It provides the two conversions the paper's
-Figure 1 shows -- DSM (vectors) to NSM (rows) and back -- and the gather
-operation used to retrieve payload in sorted order.
+Figure 1 shows -- DSM (vectors) to NSM (rows) and back -- and a row
+gather.  In the sort it is the spill format: a run written to a spill
+file is converted once (:meth:`RowBlock.from_table`), and a merge that
+read spilled rows converts its result back (:meth:`RowBlock.to_table`).
+Resident runs keep their payload in columns and are gathered with
+``Table.take``.
 
 The scatter/gather is vectorized per column: each column's values are
 written into a strided view of the row matrix in one numpy operation, which

@@ -47,12 +47,17 @@ Truncated VARCHAR prefixes spill in key-byte order and the streamed
 merge repairs them with the adaptive re-encode loop
 (:func:`repro.sort.stringsort.refine_key_order`) -- rows tied on the
 bytes up to the first truncated segment are held in a carry buffer
-across round boundaries, refined against the full strings decoded from
-the spilled payload, then emitted.
+across round boundaries, refined against their full strings' bytes in
+the spilled heaps (no ``str`` decoded), then emitted.
 
 The spill format per run is one file of three contiguous data sections --
 the sorted key matrix, the payload row matrix, and the string heap --
 preceded by a versioned, checksummed header (:mod:`repro.sort.spillfile`).
+The NSM rows and heap exist for the file: a resident run keeps its
+payload in columns, and one ``RowBlock.from_table`` builds them when the
+run is written (:meth:`~repro.sort.rungen.InMemoryRun.to_row_run`), or
+once in the merge for a resident run (the tail, a memory fallback) that
+joins spilled ones.
 Sections are written with whole-buffer ``tobytes()`` calls and indexed by
 offset arithmetic, so any row range reads back with a single seek; every
 block read verifies the CRC32 pages it touches, so a truncated or
@@ -69,7 +74,7 @@ point for the tests).  The degradation ladder on write failure:
 2. **failover** -- on persistent failure (e.g. ``ENOSPC``) the run is
    redirected to the next directory in ``SortConfig.spill_directories``;
 3. **memory fallback** -- when no spill target is writable the run is
-   kept resident (:class:`InMemoryRun`, same streaming interface) and the
+   kept resident (:class:`InMemoryRun`, its payload still columnar) and the
    run threshold halves, degrading to a reduced-memory in-process merge
    rather than failing the query (raise instead with
    ``SortConfig.allow_memory_fallback=False``).
@@ -118,6 +123,7 @@ from repro.sort.rungen import (
     RUN_CAP_FACTOR,
     InMemoryRun,
     ReplacementSelection,
+    RowRun,
 )
 from repro.sort.spillfile import (
     SECTION_NAMES,
@@ -418,7 +424,7 @@ class ExternalSortOperator(SortOperator):
         self._own_dir: str | None = None  # made by the first spill
         self.merge_block_rows = merge_block_rows
         self._buffered_rows = 0
-        self._runs: list[SpilledRun | InMemoryRun] = []
+        self._runs: list[SpilledRun | InMemoryRun | RowRun] = []
         self._closed = False
         self._cancelled = False
         self._merging = False
@@ -663,11 +669,14 @@ class ExternalSortOperator(SortOperator):
     # The spilling run store
     # ------------------------------------------------------------------ #
 
-    def _store_run(self, run: InMemoryRun) -> "SpilledRun | InMemoryRun":
+    def _store_run(
+        self, run: "InMemoryRun | RowRun"
+    ) -> "SpilledRun | InMemoryRun | RowRun":
         """Spill one sorted run, degrading to memory when disk is gone.
 
         The stored run is appended to ``self._runs`` (so cleanup always
-        sees it) and returned; the fan-in-limited merge stores
+        sees it) and returned -- the run itself when it stays resident;
+        the fan-in-limited merge stores
         intermediate runs through the same ladder.  Filenames come from a never-reused
         sequence counter, not the live run count, because multi-pass
         merging shrinks the list while old files still exist; the
@@ -686,18 +695,21 @@ class ExternalSortOperator(SortOperator):
         self._spilling = True
         try:
             if not self._degraded:
-                keys_bytes = run.keys.tobytes()
-                rows_bytes = run.rows.tobytes()
+                with self.stats.time_phase("run_gen"):
+                    written = run.to_row_run()  # the run's NSM rows, once
+                sections = (
+                    written.keys.tobytes(),
+                    written.rows.tobytes(),
+                    written.heap,
+                )
                 header = build_header(
-                    run.num_rows,
-                    run.key_width,
-                    run.row_width,
-                    (keys_bytes, rows_bytes, run.heap),
+                    *written.keys.shape,
+                    written.rows.shape[1],
+                    sections,
                     extra=serialize_layout(run.layout),
                 )
                 path = self._write_run_file(
-                    filename,
-                    [header.pack(), keys_bytes, rows_bytes, run.heap],
+                    filename, [header.pack(), *sections]
                 )
         finally:
             self._spilling = False
@@ -822,7 +834,7 @@ class ExternalSortOperator(SortOperator):
             # (for cleanup visibility), and iterating the live list would
             # let a group slice swallow a run created earlier this pass.
             current = list(self._runs)
-            survivors: list[SpilledRun | InMemoryRun] = []
+            survivors: list[SpilledRun | InMemoryRun | RowRun] = []
             for start in range(0, len(current), fan_in):
                 group = current[start : start + fan_in]
                 if len(group) == 1:
@@ -838,7 +850,10 @@ class ExternalSortOperator(SortOperator):
             self.stats.merge_passes += 1
 
     def _make_prefetcher(
-        self, runs: "list[SpilledRun | InMemoryRun]", key_fetch, row_fetch
+        self,
+        runs: "list[SpilledRun | InMemoryRun | RowRun]",
+        key_fetch,
+        row_fetch,
     ) -> BlockPrefetcher | None:
         """Build the read-ahead layer for one merge over ``runs``.
 

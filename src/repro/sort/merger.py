@@ -25,8 +25,10 @@ large the runs are.
   straddle a round boundary.  Each round's trailing tie group is held
   back (the carry); every settled batch is refined with the adaptive
   re-encode loop (:func:`repro.sort.stringsort.refine_key_order`)
-  on the tied rows' string bytes -- their ``(offset, length)`` slots
-  into the joined run heaps, no ``str`` decoded -- then emitted.
+  on the tied rows' string bytes where they lie -- the UTF-8 buffers the
+  key statistics made of resident runs' VARCHAR key columns, or the
+  joined heaps spilled rows' ``(offset, length)`` slots point into; no
+  ``str`` decoded -- then emitted.
   This is the sort's one string repair, made by the final pass only
   (:meth:`RunMerger.merge`; an intermediate :meth:`~RunMerger.merge_to_run`
   leaves byte order alone): a tie group reaches it ordered
@@ -34,16 +36,24 @@ large the runs are.
   refinement's precondition -- whereas repairing runs first would hand
   the kernel runs that are no longer byte-sorted whenever key bytes
   follow the truncated segment.
-* **Payload** -- per round, one contiguous read per span (served from
-  the read-ahead window when the store provides a prefetcher) put
-  through the round's permutation; key-carried runs hold no payload and
-  the table is decoded from their gathered key rows.  String heaps are
-  concatenated once up front and each row's offsets shifted by its run's
-  base at the end.
+* **Payload** -- resident runs keep theirs in columns, so a merge of
+  resident runs (the in-memory sort, incremental compactions and
+  views, memory-fallback runs) moves row positions only: each round
+  gathers its rows' positions in the run tables joined end to end, and
+  the result is one ``Table.take`` by them (an intermediate pass keeps
+  the joined table and the positions as its run).  A merge that reads a
+  spilled run streams NSM rows instead, a resident run's built once
+  (:meth:`~repro.sort.rungen.InMemoryRun.to_row_run`): per round one
+  contiguous read per span (served from the read-ahead window when the
+  store provides a prefetcher) put through the round's permutation;
+  string heaps are concatenated once up front and each row's offsets
+  shifted by its run's base at the end.  Key-carried runs hold no
+  payload and the table is decoded from their gathered key rows.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -52,7 +62,7 @@ from repro.keys.compression import decode_key_table, rebase_matrix
 from repro.rows.block import RowBlock, heap_bases, string_slots
 from repro.rows.layout import RowLayout
 from repro.sort.kernels import KWayBlockStats, kway_merge_blocks
-from repro.sort.rungen import InMemoryRun, RunGenerator
+from repro.sort.rungen import InMemoryRun, RowRun, RunGenerator
 from repro.sort.stringsort import inexact_prefix_end, refine_key_order
 from repro.table.table import Table
 
@@ -91,10 +101,6 @@ class RunMerger:
         self.block_rows = block_rows
         self._check_cancelled = generator.check_cancelled
         self._make_prefetcher = make_prefetcher
-        self._row_layout = RowLayout.for_schema(self.schema)
-        self._has_strings = any(
-            slot.is_string for slot in self._row_layout.slots
-        )
         #: First inexact key byte, or ``None`` when byte order is exact.
         self.refine_end = inexact_prefix_end(key_layout)
 
@@ -106,30 +112,49 @@ class RunMerger:
         """The final pass: every run merged into the sorted output table.
 
         One resident run on the final layout whose byte order is exact
-        *is* the output: decoded as it stands, no pass counted.  (A
+        *is* the output: taken as it stands, no pass counted.  (A
         truncating prefix takes the rounds: the one string repair.)
         """
-        run, exact = runs[0], self.refine_end is None
-        if len(runs) == 1 and exact and not (run.on_disk or self._stale(run)):
-            keys, rows, heap = run.keys, run.rows, run.heap
+        runs, payload = self._payload(runs)
+        run = runs[0]
+        if (
+            len(runs) == 1
+            and self.refine_end is None
+            and isinstance(run, InMemoryRun)
+            and not self._stale(run)
+        ):
+            keys, columns = run.keys, ([run.positions],)
         else:
             self.stats.merge_passes += 1
-            keys, rows, heap = self._merge(runs, final=True)
+            keys, columns = self._merge(runs, payload, final=True)
         with self.stats.time_phase("decode"):
-            if self.key_carried:
-                return decode_key_table(keys, self.key_layout, self.schema)
-            return RowBlock(self._row_layout, rows, heap).to_table()
+            return payload.table(keys, columns)
 
-    def merge_to_run(self, runs: Sequence) -> InMemoryRun:
+    def merge_to_run(self, runs: Sequence):
         """An intermediate pass: one group of runs merged into a new run.
 
         The run is self-contained -- full-width keys on the final
-        layout, its own heap -- and, like every run, in key-*byte*
+        layout, its own payload -- and, like every run, in key-*byte*
         order: strings a prefix truncates are repaired by the final
         pass alone, so later passes treat it like any other.
         """
-        keys, rows, heap = self._merge(runs, final=False)
-        return InMemoryRun(keys, rows, heap, self.key_layout)
+        runs, payload = self._payload(runs)
+        keys, columns = self._merge(runs, payload, final=False)
+        return payload.run(keys, columns, self.key_layout)
+
+    def _payload(self, runs: Sequence):
+        """``(runs, payload)`` for one pass: what each round gathers.
+
+        Resident runs merged with a spilled one are read as NSM rows,
+        built here once per run.
+        """
+        if self.key_carried:
+            return runs, _KeyPayload(self.key_layout, self.schema)
+        if all(isinstance(run, InMemoryRun) for run in runs):
+            return runs, _PositionPayload(runs)
+        runs = [run if run.on_disk else run.to_row_run() for run in runs]
+        layout = RowLayout.for_schema(self.schema)
+        return runs, _RowPayload(runs, layout, self.stats)
 
     # ------------------------------------------------------------------ #
     # Streaming reads
@@ -179,50 +204,37 @@ class RunMerger:
     # ------------------------------------------------------------------ #
 
     def _merge(
-        self, runs: Sequence, final: bool
-    ) -> tuple[np.ndarray | None, np.ndarray, bytes]:
-        """One pass over ``runs``: ``(full keys | None, rows, heap)``.
+        self, runs: Sequence, payload, final: bool
+    ) -> tuple[np.ndarray | None, tuple[list[np.ndarray], ...]]:
+        """One pass over ``runs``: ``(full keys | None, payload columns)``.
 
         The ``final`` pass repairs truncated-VARCHAR tie groups and
-        gathers only what the result decodes from; an intermediate one
-        keeps byte order and gathers the new run's full keys too.
+        gathers only what the result is made from; an intermediate one
+        keeps byte order and gathers the new run's full keys too.  The
+        payload columns hold, per array ``payload.gather`` returns, its
+        settled batches in order.
         """
         stats = self.stats
-        want_rows = not self.key_carried
         want_keys = self.key_carried or not final
         for run in runs:
             if self._stale(run):
                 stats.key_layout_rebases += 1
-        # The run heaps, joined, stay resident while rows stream: string
-        # offsets are run-relative (``bases`` re-targets them), and
-        # refinement reads tied strings' bytes out of the joined heap.
-        # Read them before the prefetcher exists: a read error here must
-        # not leak its pool.
-        heap, bases = b"", None
-        if self._has_strings and want_rows:
-            heaps = [run.read_heap(stats) for run in runs]
-            bases = heap_bases([len(part) for part in heaps])
-            heap = b"".join(heaps)
-            del heaps
+        streams_rows = isinstance(payload, _RowPayload)
         prefetcher = None
         if self._make_prefetcher:
-            # Payload rows are the one stream besides the key blocks, and
-            # key-carried runs hold none.
+            # Payload rows are the one stream besides the key blocks;
+            # resident and key-carried payloads are not read.
             prefetcher = self._make_prefetcher(
                 runs,
                 lambda i, lo, hi, s: self._key_block(runs[i], lo, hi, s),
-                (lambda i, lo, hi, s: runs[i].read_row_block(lo, hi, s))
-                if want_rows
-                else None,
+                payload.fetch_rows if streams_rows else None,
             )
         if prefetcher is not None:
             blocks = [prefetcher.key_source(i) for i in range(len(runs))]
-            read_rows = prefetcher.read_rows
+            if streams_rows:
+                payload.read_rows = prefetcher.read_rows
         else:
             blocks = [self._key_source(run) for run in runs]
-
-            def read_rows(index, lo, hi):
-                return runs[index].read_row_block(lo, hi, stats)
 
         #: per run, ``(first row, full-width block)`` delivered last.
         held: list[tuple[int, np.ndarray] | None] = [None] * len(runs)
@@ -240,28 +252,21 @@ class RunMerger:
         )
 
         def gathered() -> Iterator[tuple]:
-            """Each round's ``(full keys, rows, heap shifts, *words)``:
-            its spans' slices (key rows out of the held blocks, payload
-            rows one contiguous read each) through its permutation."""
+            """Each round's ``(full keys, payload arrays, *words)``: its
+            spans' slices (key rows out of the held blocks) through its
+            permutation."""
             for order, spans, *words in rounds:
                 # A cancelled sort unwinds between rounds, never
                 # mid-read: cleanup sees a consistent set of spill files.
                 self._check_cancelled()
-                keys = rows = shift = None
+                keys = None
                 if want_keys:
                     keys = _gather([key_rows(*s) for s in spans], order)
-                if want_rows:
-                    rows = _gather([read_rows(*s) for s in spans], order)
-                if bases is not None:
-                    shift = _gather(
-                        [np.full(hi - lo, bases[i]) for i, lo, hi in spans],
-                        order,
-                    )
-                yield (keys, rows, shift, *words)
+                yield (keys, payload.gather(spans, order), *words)
 
         batches = gathered()
         if refine_end is not None:
-            batches = self._repaired(batches, heap)
+            batches = self._repaired(batches, payload)
         parts: list[tuple] = []
         try:
             parts.extend(batches)
@@ -275,37 +280,15 @@ class RunMerger:
         stats.kway_peak_frontier_rows = max(
             stats.kway_peak_frontier_rows, kernel_stats.peak_frontier_rows
         )
-        keys, rows, shift = (list(column) for column in zip(*parts))
-        keys = _concat(keys) if want_keys else None
-        if not want_rows:
-            return keys, np.empty((len(keys), 0), dtype=np.uint8), b""
-        # A copy even of a lone span's view of its run: patched below.
-        rows = np.concatenate(rows)
-        if bases is not None:
-            self._shift_offsets(rows, _concat(shift))
-        return keys, rows, heap
-
-    def _shift_offsets(self, rows: np.ndarray, shift: np.ndarray) -> None:
-        """Point ``rows`` into the joined heap.
-
-        Every string slot holds a run-relative heap offset; adding the
-        row's run's base in the joined heap re-targets it without
-        touching a string byte.
-        """
-        shift = shift.astype(np.uint32)
-        layout = self._row_layout
-        for col_index, slot in enumerate(layout.slots):
-            if not slot.is_string:
-                continue
-            byte_off, bit = layout.validity_position(col_index)
-            valid = ((rows[:, byte_off] >> np.uint8(bit)) & 1).astype(bool)
-            string_slots(rows, slot)[0][valid] += shift[valid]
+        keys, arrays = zip(*parts)
+        keys = _concat(list(keys)) if want_keys else None
+        return keys, tuple(list(column) for column in zip(*arrays))
 
     # ------------------------------------------------------------------ #
     # Exact strings
     # ------------------------------------------------------------------ #
 
-    def _repaired(self, batches, heap: bytes) -> Iterator[tuple]:
+    def _repaired(self, batches, payload) -> Iterator[tuple]:
         """``batches`` regrouped at tie-group boundaries, string ties repaired.
 
         Rows tied on the key bytes up to the first truncated VARCHAR
@@ -315,27 +298,32 @@ class RunMerger:
         closes it, and every settled batch is refined, then emitted.
         """
         width, refine_end = self.key_layout.key_width, self.refine_end
-        heap = np.frombuffer(heap, dtype=np.uint8)
-        # (rows, heap shifts, key bytes) slices of the open tie group.
+        # (key bytes, *payload arrays) slices of the open tie group.
         carry: list[tuple[np.ndarray, ...]] = []
 
         def settle(parts):
-            rows, shift, key_bytes = (
+            key_bytes, *arrays = (
                 _concat(list(column)) for column in zip(*parts)
             )
             with self.stats.time_phase("refine"):
-                perm = self._refine_settled(rows, shift, key_bytes, heap)
+                # Only the tied rows' strings are consulted.
+                perm = refine_key_order(
+                    key_bytes,
+                    self.key_layout,
+                    lambda tied: payload.fetch_tied(arrays, tied),
+                    self.stats,
+                )
             if perm is not None:
-                rows, shift = rows[perm], shift[perm]
-            return None, rows, shift
+                arrays = [array[perm] for array in arrays]
+            return None, tuple(arrays)
 
-        for _, rows, shift, words in batches:
-            batch = (rows, shift, _words_to_bytes(words, width))
-            prefix = batch[2][:, :refine_end]
+        for _, arrays, words in batches:
+            batch = (_words_to_bytes(words, width), *arrays)
+            prefix = batch[0][:, :refine_end]
             tail = _trailing_tie_start(prefix)
             if tail == 0 and (
                 not carry
-                or np.array_equal(carry[-1][2][-1, :refine_end], prefix[0])
+                or np.array_equal(carry[-1][0][-1, :refine_end], prefix[0])
             ):
                 carry.append(batch)  # the open group runs on
                 continue
@@ -345,30 +333,157 @@ class RunMerger:
         if carry:
             yield settle(carry)
 
-    def _refine_settled(
-        self, rows, shift, key_bytes, heap
-    ) -> np.ndarray | None:
-        """The exact-string permutation of one settled batch, if any.
 
-        ``key_bytes`` are the batch's merged key rows and ``rows`` its
-        payload; only the tied rows' string slots are consulted, and the
-        bytes they point at in ``heap`` are compared where they lie.
-        """
+# ---------------------------------------------------------------------- #
+# Payloads: what a pass gathers per round, and what it makes of them
+# ---------------------------------------------------------------------- #
 
-        def fetch_tied(tied):
-            tied_rows, tied_shift = rows[tied], shift[tied]
 
-            def get(name):
-                offsets, lengths = string_slots(
-                    tied_rows, self._row_layout.slot(name)
-                )
-                return heap, tied_shift + offsets, lengths.astype(np.int64)
+class _KeyPayload:
+    """Key-carried runs: no payload; the table is decoded from the keys."""
 
-            return get
+    def __init__(self, key_layout, schema) -> None:
+        self.key_layout, self.schema = key_layout, schema
 
-        return refine_key_order(
-            key_bytes, self.key_layout, fetch_tied, self.stats
+    def gather(self, spans, order) -> tuple:
+        return ()
+
+    def table(self, keys, columns) -> Table:
+        return decode_key_table(keys, self.key_layout, self.schema)
+
+    def run(self, keys, columns, key_layout) -> InMemoryRun:
+        return InMemoryRun(keys, key_layout)
+
+
+class _PositionPayload:
+    """Resident runs: each row's position in the run tables joined end
+    to end (run ``i``'s rows start at ``bases[i]``)."""
+
+    def __init__(self, runs: Sequence[InMemoryRun]) -> None:
+        self.runs = runs
+        sizes = [run.num_rows for run in runs]
+        self.bases = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
+
+    def gather(self, spans, order) -> tuple:
+        runs, bases = self.runs, self.bases
+        ids = [runs[i].positions[lo:hi] + bases[i] for i, lo, hi in spans]
+        return (_gather(ids, order),)
+
+    def fetch_tied(self, arrays, tied):
+        ids = arrays[0][tied]
+
+        def get(name):
+            buffer, starts, lengths = self._strings[name]
+            return buffer, starts[ids], lengths[ids]
+
+        return get
+
+    def table(self, keys, columns) -> Table:
+        return self._table().take(_concat(columns[0]))
+
+    def run(self, keys, columns, key_layout) -> InMemoryRun:
+        return InMemoryRun(
+            keys, key_layout, self._table(), _concat(columns[0]),
+            self._encoded(),
         )
+
+    def _table(self) -> Table:
+        tables = [run.table for run in self.runs]
+        return tables[0].concat(*tables[1:]) if len(tables) > 1 else tables[0]
+
+    def _encoded(self) -> dict:
+        """The runs' VARCHAR key encodings joined like their tables."""
+        encodings = [run.encoded for run in self.runs]
+        if len(encodings) == 1:
+            return encodings[0]
+        return {
+            name: tuple(
+                np.concatenate(part)
+                for part in zip(*(encoded[name] for encoded in encodings))
+            )
+            for name in encodings[0]
+        }
+
+    @functools.cached_property
+    def _strings(self) -> dict:
+        """``{column: (buffer, starts, lengths)}`` by joined position."""
+        return {
+            name: (buffer, np.cumsum(lengths) - lengths, lengths)
+            for name, (buffer, lengths) in self._encoded().items()
+        }
+
+
+class _RowPayload:
+    """NSM payload rows: a merge that reads a spilled run.
+
+    Each round reads one contiguous row block per span (through the
+    store's read-ahead window once one is attached, else ``fetch_rows``)
+    and puts them through its permutation.  String slots hold
+    run-relative heap offsets: the run heaps are joined once, up front,
+    and each row carries its run's base there (the shift), added at the
+    end.
+    """
+
+    def __init__(self, runs: Sequence, layout: RowLayout, stats) -> None:
+        self.runs, self.layout, self.stats = runs, layout, stats
+        # Read before any prefetcher exists: a read error here must not
+        # leak its pool.
+        self.heap, self.bases = b"", None
+        if any(slot.is_string for slot in layout.slots):
+            heaps = [run.read_heap(stats) for run in runs]
+            self.bases = heap_bases([len(part) for part in heaps])
+            self.heap = b"".join(heaps)
+
+    def fetch_rows(self, index, lo, hi, stats) -> np.ndarray:
+        return self.runs[index].read_row_block(lo, hi, stats)
+
+    def read_rows(self, index, lo, hi) -> np.ndarray:
+        return self.fetch_rows(index, lo, hi, self.stats)
+
+    def gather(self, spans, order) -> tuple:
+        rows = _gather([self.read_rows(*span) for span in spans], order)
+        if self.bases is None:
+            return (rows,)
+        shift = _gather(
+            [np.full(hi - lo, self.bases[i]) for i, lo, hi in spans], order
+        )
+        return rows, shift
+
+    def fetch_tied(self, arrays, tied):
+        rows, shift = arrays[0][tied], arrays[1][tied]
+        heap = np.frombuffer(self.heap, dtype=np.uint8)
+
+        def get(name):
+            offsets, lengths = string_slots(rows, self.layout.slot(name))
+            return heap, shift + offsets, lengths.astype(np.int64)
+
+        return get
+
+    def table(self, keys, columns) -> Table:
+        return RowBlock(self.layout, self._rows(columns), self.heap).to_table()
+
+    def run(self, keys, columns, key_layout) -> RowRun:
+        return RowRun(keys, self._rows(columns), self.heap, key_layout)
+
+    def _rows(self, columns) -> np.ndarray:
+        """The merged rows, string slots pointing into the joined heap.
+
+        Adding each row's run base re-targets its run-relative offsets
+        without touching a string byte.
+        """
+        # A copy even of a lone span's view of its run: patched below.
+        rows = np.concatenate(columns[0])
+        if self.bases is None:
+            return rows
+        shift = _concat(columns[1]).astype(np.uint32)
+        layout = self.layout
+        for col_index, slot in enumerate(layout.slots):
+            if not slot.is_string:
+                continue
+            byte_off, bit = layout.validity_position(col_index)
+            valid = ((rows[:, byte_off] >> np.uint8(bit)) & 1).astype(bool)
+            string_slots(rows, slot)[0][valid] += shift[valid]
+        return rows
 
 
 def _gather(parts: list[np.ndarray], order: np.ndarray) -> np.ndarray:
@@ -395,9 +510,15 @@ def _trailing_tie_start(prefix: np.ndarray) -> int:
     """First row of the trailing maximal group of equal prefix rows.
 
     Returns 0 when every row of ``prefix`` belongs to one tied group
-    (the whole batch must be carried into the next merge round).
+    (the whole batch must be carried into the next merge round).  Rows
+    are compared with the last one from the end, in growing steps: the
+    group is usually short, and the rows before it are never read.
     """
-    if len(prefix) < 2:
-        return 0
-    distinct = np.flatnonzero(np.any(prefix[1:] != prefix[:-1], axis=1))
-    return int(distinct[-1]) + 1 if len(distinct) else 0
+    end, step = len(prefix), 64
+    while end > 0:
+        start = max(0, end - step)
+        differs = np.any(prefix[start:end] != prefix[-1], axis=1)
+        if differs.any():
+            return start + int(np.flatnonzero(differs)[-1]) + 1
+        end, step = start, 2 * step
+    return 0

@@ -3,25 +3,25 @@
 The operator is a pipeline breaker: it sinks all input as vector chunks,
 then produces the fully sorted table.  The stages mirror the paper:
 
-1. **Materialize** -- incoming vectors are buffered, then converted to
-   row formats: the ORDER BY columns become *normalized keys* (one
-   order-preserving byte string per row, with a row-id suffix), all
-   output columns become fixed-width NSM *payload rows* with a string
-   heap.
-2. **Run generation** -- the normalized keys are sorted and the payload
-   is immediately reordered, yielding a fully sorted run
-   (:class:`repro.sort.rungen.RunGenerator`, shared with the external
-   sort).
+1. **Materialize** -- incoming vectors are buffered, then the ORDER BY
+   columns become *normalized keys*: one order-preserving byte string
+   per row, with a row-id suffix (the rows the sort moves).  The payload
+   stays in its columns; fixed-width NSM *payload rows* with a string
+   heap are the spill format, built only for a run that is written out.
+2. **Run generation** -- the normalized keys are sorted, yielding a
+   sorted run: key rows plus the positions of its payload rows in key
+   order (:class:`repro.sort.rungen.RunGenerator`, shared with the
+   external sort).
 3. **Merge** -- sorted runs are merged in one k-way pass comparing key
-   bytes with memcmp (full strings break prefix ties) and the merged
-   row block is converted back to vectors/columns
+   bytes with memcmp (full strings break prefix ties), and the payload
+   is fetched by row position once, with one ``Table.take``
    (:class:`repro.sort.merger.RunMerger`, likewise shared).
 
 One operator family runs those stages; what differs is the *run store*
 between them.  :class:`SortOperator` is the resident store: runs are a
 unit of spilling (DuckDB's come from 48 threads and a memory limit), so
-it sorts everything as one run and the merger decodes that run as the
-result.  :class:`repro.sort.external.ExternalSortOperator` extends it
+it sorts everything as one run and the merger takes the result from
+that run.  :class:`repro.sort.external.ExternalSortOperator` extends it
 with the spilling store (the same sink plus "cut and spill a run once
 ``run_threshold`` rows are buffered", the same finalize while nothing
 was spilled); :class:`repro.sort.incremental.IncrementalSorter` is the
@@ -224,11 +224,13 @@ class SortStats:
     block-streaming kernel; ``kway_rounds`` and
     ``kway_peak_frontier_rows`` describe its frontier loop.
     ``phase_seconds`` accumulates wall-clock per
-    pipeline phase: ``encode`` (key normalization), ``run_gen`` (sorting
+    pipeline phase: ``encode`` (the run's buffered chunks joined, its
+    key statistics and normalization), ``run_gen`` (sorting
     runs), ``merge`` (merging runs and gathering their payload; I/O,
     ``refine`` and ``decode`` excluded), ``refine`` (exact-string repair
-    of prefix-tied rows inside the merge), ``decode`` (the merged rows
-    or keys turned back into the result table) and ``spill_io``
+    of prefix-tied rows inside the merge), ``decode`` (the result table:
+    resident payload taken by row position, spilled rows or keys
+    decoded) and ``spill_io``
     (reading/writing spill files).  The phases partition the sort's
     wall clock.
 

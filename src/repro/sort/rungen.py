@@ -1,10 +1,14 @@
 """Run generation: the stage every run store shares.
 
 :class:`RunGenerator` turns a buffer of input chunks into one sorted run
-in the row format of the paper's Figure 11 -- one ``Table.concat``, key
-statistics and normalization (:mod:`repro.keys`), a stable vectorized
-sort of the key bytes, and the payload reordered into key order -- and
-hands it over as an :class:`InMemoryRun`.  Runs are sorted by their key
+-- one ``Table.concat``, key statistics and normalization
+(:mod:`repro.keys`), a stable vectorized sort of the key bytes -- and
+hands it over as an :class:`InMemoryRun`: the sorted key rows of the
+paper's Figure 11 (key bytes plus row id) beside the payload as it
+arrived, the table and the positions of its rows in key order.  NSM
+payload rows and a string heap are the spill format: built only for a
+run written to a spill file or merged with one
+(:meth:`InMemoryRun.to_row_run`).  Runs are sorted by their key
 *bytes*: where a VARCHAR prefix truncates, the exact-string repair
 happens once, in the merger, on tie groups that by then span all runs.
 What happens to the run next is the *store's* business:
@@ -92,6 +96,7 @@ __all__ = [
     "RUN_CAP_FACTOR",
     "InMemoryRun",
     "ReplacementSelection",
+    "RowRun",
     "RunGenerator",
     "SelectionRun",
     "presortedness",
@@ -443,16 +448,70 @@ class ReplacementSelection:
 class InMemoryRun:
     """A sorted run held resident: what :class:`RunGenerator` produces.
 
-    Sorted full-width key rows (row-id suffix included), the payload
-    row matrix in key order, and the string heap the rows point into.
+    Sorted full-width key rows (row-id suffix included) and the payload
+    in columns: ``table``, the rows as they arrived, ``positions``, the
+    int64 position in ``table`` of each key row, and ``encoded``, the
+    UTF-8 ``(buffer, lengths)`` of each VARCHAR *key* column in table
+    order (the key statistics pass made them; exact-string refinement
+    reads tied strings there).  No row matrix, no heap: a result made of
+    resident runs is one ``Table.take`` by position.  Key-carried runs
+    hold their keys alone (``table`` is ``None``).
     :class:`~repro.sort.operator.SortOperator` and the incremental
     sorter keep their runs in this form;
     :class:`~repro.sort.external.ExternalSortOperator` writes a cut
-    run's three sections to a spill file (keeping it when no spill
-    target is writable) and keeps the tail run.  ``read_key_block`` /
-    ``read_row_block`` / ``read_heap`` are the reads
-    :class:`~repro.sort.external.SpilledRun` implements too, so the
-    merger works unchanged over any mix of the two.
+    run's :meth:`to_row_run` to a spill file (keeping the run as it is
+    when no spill target is writable) and keeps the tail run.
+    """
+
+    on_disk = False
+    path = "<memory>"
+
+    def __init__(
+        self,
+        keys: np.ndarray,
+        layout: KeyLayout,
+        table: Table | None = None,
+        positions: np.ndarray | None = None,
+        encoded: dict | None = None,
+    ) -> None:
+        self.keys = np.ascontiguousarray(keys)
+        #: the key layout the run's keys were encoded under.
+        self.layout = layout
+        self.table = table
+        self.positions = positions
+        self.encoded = encoded or {}
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.keys)
+
+    def read_key_block(self, start: int, stop: int, stats=None) -> np.ndarray:
+        return self.keys[start:stop]
+
+    def to_row_run(self) -> "RowRun":
+        """The run in the spill format: NSM payload rows in key order.
+
+        Built for a run written to a spill file, or merged with one; the
+        heap is the run's string columns in table order, VARCHAR keys
+        from ``encoded`` as they are.
+        """
+        if self.table is None:
+            rows, heap = np.empty((self.num_rows, 0), dtype=np.uint8), b""
+        else:
+            block = RowBlock.from_table(self.table, self.encoded)
+            block = block.take(self.positions)
+            rows, heap = block.rows, block.heap
+        return RowRun(self.keys, rows, heap, self.layout)
+
+
+class RowRun:
+    """A resident run in the spill format: key rows, NSM rows, heap.
+
+    What :meth:`InMemoryRun.to_row_run` builds, and what a merge that
+    reads spilled runs makes of an intermediate pass (kept resident when
+    no spill target takes it).  ``read_key_block`` / ``read_row_block``
+    / ``read_heap`` are :class:`~repro.sort.external.SpilledRun`'s
+    reads, so such a merge streams any mix of the two alike.
     """
 
     on_disk = False
@@ -468,24 +527,14 @@ class InMemoryRun:
         self.keys = np.ascontiguousarray(keys)
         self.rows = np.ascontiguousarray(rows)
         self.heap = heap
-        #: the key layout the run's keys were encoded under.
         self.layout = layout
 
     @property
     def num_rows(self) -> int:
         return len(self.keys)
 
-    @property
-    def key_width(self) -> int:
-        return self.keys.shape[1]
-
-    @property
-    def row_width(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def heap_bytes(self) -> int:
-        return len(self.heap)
+    def to_row_run(self) -> "RowRun":
+        return self
 
     def read_key_block(self, start: int, stop: int, stats=None) -> np.ndarray:
         return self.keys[start:stop]
@@ -544,12 +593,13 @@ class RunGenerator:
 
         Third: the VARCHAR key columns' UTF-8 ``(buffer, lengths)``, the
         run's one crossing from ``str``: made by the statistics pass,
-        read by the key windows and (through :meth:`sort_run`) the heap.
+        read by the key windows, by exact-string refinement and, once the
+        run is written to a spill file, as its heap.
         """
         self.check_cancelled()
-        table = concat_chunks(chunks)
         stats = self.stats
         with stats.time_phase("encode"):
+            table = concat_chunks(chunks)
             # The accumulator has seen every row so far, so this run's
             # layout is at least as wide as every earlier run's; the
             # merge rebases narrower runs onto the last.
@@ -601,22 +651,19 @@ class RunGenerator:
         order: np.ndarray | None = None,
         encoded: dict | None = None,
     ) -> InMemoryRun:
-        """Seal a run: sorted keys plus ``payload`` rows in key order.
+        """Seal a run: sorted keys plus ``payload``'s rows in key order.
 
-        ``payload`` is gathered through ``order`` when given, else it
-        already is in key order (replacement-selection runs).
+        ``order`` holds those rows' positions in ``payload``; without it
+        ``payload`` already is in key order (replacement-selection runs).
         ``encoded`` is :meth:`encode`'s, when ``payload`` is its table.
+        Nothing is gathered or converted here.
         """
         stats = self.stats
-        if self.key_carried:
-            rows = np.empty((len(sorted_keys), 0), dtype=np.uint8)
-            heap = b""
-            stats.key_carried_runs += 1
-        else:
-            block = RowBlock.from_table(payload, encoded=encoded)
-            if order is not None:
-                block = block.take(order)
-            rows, heap = block.rows, block.heap
         stats.runs_generated += 1
         stats.run_lengths.append(len(sorted_keys))
-        return InMemoryRun(sorted_keys, rows, heap, layout)
+        if self.key_carried:
+            stats.key_carried_runs += 1
+            return InMemoryRun(sorted_keys, layout)
+        if order is None:
+            order = np.arange(len(sorted_keys), dtype=np.int64)
+        return InMemoryRun(sorted_keys, layout, payload, order, encoded)

@@ -9,13 +9,18 @@ keys before any payload is touched.
 
 * **Encode once per batch.**  ``sink`` buffers; every :data:`BATCH_ROWS`
   rows are concatenated and normalized in one call (per vector, encoding
-  cost more than the sorts it saved) under the fixed
-  :data:`~repro.keys.normalizer.MAX_STRING_PREFIX`, so key bytes compare
-  across batches.
+  cost more than the sorts it saved) under one layout for all batches:
+  plain segments, and VARCHAR windows of the fixed
+  :data:`~repro.keys.normalizer.MAX_STRING_PREFIX` bytes after the bytes
+  the first batch's strings all start with (skipped as the full sort's
+  statistics layout skips them; a later string without them is escaped),
+  so key bytes compare across batches.
 * **Cutoff filter.**  Once ``capacity`` rows are held, the key of the
   ``capacity``-th best of them is the cutoff, and
   :func:`repro.sort.kernels.cutoff_mask` drops every row of a new batch
-  that cannot beat it; only the survivors are gathered.  Rows are
+  that cannot beat it; only the survivors are gathered.  A fixed-width
+  leading key is encoded alone first and rows whose lead already sorts
+  after the cutoff's are dropped before the rest is encoded.  Rows are
   compared on the *decisive* key prefix: the bytes up to the end of the
   first VARCHAR segment some batch truncated (a difference past it
   decides nothing, because the full string outranks every later ORDER BY
@@ -44,7 +49,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SortError
-from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
+from repro.keys.encoding import (
+    common_prefix,
+    encode_utf8_column,
+    ends_in_nul,
+    prefix_classes,
+)
+from repro.keys.normalizer import (
+    MAX_STRING_PREFIX,
+    KeyLayout,
+    KeySegment,
+    normalize_keys,
+)
 from repro.sort.heuristic import vector_sort_rows
 from repro.sort.kernels import cutoff_mask, smallest_mask
 from repro.sort.operator import SortConfig, SortStats, raise_if_cancelled
@@ -55,6 +71,7 @@ from repro.sort.stringsort import (
 )
 from repro.table import VECTOR_SIZE, DataChunk, chunk_table, concat_chunks
 from repro.table.table import Table
+from repro.types.datatypes import TypeId
 from repro.types.schema import Schema
 from repro.types.sortspec import SortSpec
 
@@ -102,6 +119,8 @@ class TopNOperator:
         self._layout = None
         self._decisive = 0
         self._cutoff: np.ndarray | None = None
+        # VARCHAR key -> the bytes its segment skips (the first batch's).
+        self._skipped: dict[str, bytes] = {}
 
     def sink(self, chunk: DataChunk) -> None:
         """Buffer one vector batch; every ``BATCH_ROWS`` rows are filtered."""
@@ -120,11 +139,22 @@ class TopNOperator:
         table = concat_chunks(self._pending)
         self._pending = []
         self._pending_rows = 0
+        if self._cutoff is not None:
+            table = self._lead_filter(table)
+            if not table.num_rows:
+                return
+        encoded = {}
+        for key in self.spec.keys:
+            column = table.column(key.column)
+            if column.dtype.type_id is TypeId.VARCHAR:
+                encoded[key.column] = encode_utf8_column(
+                    column.data, column.validity, key.column
+                )
         keys = normalize_keys(
             table,
             self.spec,
-            string_prefix=MAX_STRING_PREFIX,
-            include_row_id=False,
+            layout=self._batch_layout(table, encoded),
+            encoded=encoded,
         )
         if self._layout is None or not keys.prefix_exact:
             self._layout = (
@@ -151,6 +181,56 @@ class TopNOperator:
         self._held += len(matrix)
         if self._held >= 2 * self._capacity:
             self._compact()
+
+    def _lead_filter(self, table: Table) -> Table:
+        """``table`` without the rows whose leading key sorts after the
+        cutoff's: those are never encoded in full.  (A VARCHAR lead is
+        left to the full filter: its encoding is the batch's cost.)"""
+        lead = self._layout.segments[0]
+        if lead.dtype.fixed_width is None:
+            return table
+        width = lead.total_width
+        head = normalize_keys(
+            table, self.spec, layout=KeyLayout((lead,), width, 0)
+        )
+        mask = cutoff_mask(head.matrix, self._cutoff[:width], inclusive=True)
+        return table if mask.all() else table.take(np.flatnonzero(mask))
+
+    def _batch_layout(self, table: Table, encoded: dict) -> KeyLayout:
+        """The one layout of every batch, this batch's exactness in it.
+
+        Plain segments; a VARCHAR window is :data:`MAX_STRING_PREFIX`
+        bytes after the bytes the first batch's strings all start with,
+        fixed from then on (a later string without them is escaped), so
+        key bytes compare across batches.
+        """
+        segments, offset = [], 0
+        for key in self.spec.keys:
+            dtype = self.schema.column(key.column).dtype
+            width, exact, skipped = dtype.fixed_width, True, b""
+            if key.column in encoded:
+                buffer, lengths = encoded[key.column]
+                starts = np.cumsum(lengths) - lengths
+                if key.column not in self._skipped:
+                    valid = table.column(key.column).validity
+                    self._skipped[key.column] = (
+                        common_prefix(buffer, starts[valid], lengths[valid])
+                        if valid.any()
+                        else b""
+                    )
+                skipped, tails = self._skipped[key.column], lengths
+                if skipped:
+                    shares = prefix_classes(buffer, starts, lengths, skipped)
+                    tails = lengths - len(skipped) * (shares == 0)
+                width = MAX_STRING_PREFIX
+                exact = int(tails.max(initial=0)) <= width and not ends_in_nul(
+                    buffer, lengths
+                )
+            segments.append(
+                KeySegment(key, dtype, offset, width, exact, skipped=skipped)
+            )
+            offset += segments[-1].total_width
+        return KeyLayout(tuple(segments), offset, 0)
 
     def _compact(self) -> None:
         """Sort the buffer, keep the best ``capacity`` rows, reset the cutoff."""

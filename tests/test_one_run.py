@@ -107,8 +107,8 @@ class TestNothingCutsAResidentRun:
         assert stats.full_key_compares > 0
 
     def test_row_payload_with_strings_and_nulls_decodes_unmerged(self):
-        # Not key-carried: the result comes from run.rows / run.heap,
-        # NULL strings among the keys and the payload.
+        # Not key-carried: the result is the run's table taken by its
+        # positions, NULL strings among the keys and the payload.
         table, spec, expected = scenario_case("tpcds_customer")
         operator = SortOperator(table.schema, spec)
         assert_byte_identical(expected, run_operator(operator, table))

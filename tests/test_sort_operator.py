@@ -1,5 +1,7 @@
 """Tests for the full sort operator (the paper's Figure 11 pipeline)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,9 +180,14 @@ class TestStringTruncation:
         database.register("t", table)
         with pytest.raises(KeyEncodingError, match=r"'s' row 1"):
             database.execute("SELECT * FROM t ORDER BY s")
-        # As payload only, the row format trips over it instead.
+        # As payload only, a resident sort never encodes it: the value
+        # comes back as it went in.  The spill format's heap encodes it,
+        # and trips over it instead.
+        result = sort_table(table, "p", config)
+        assert result.column("s").data[1] is table.column("s").data[1]
+        spilling = dataclasses.replace(config, external=True, run_threshold=1)
         with pytest.raises(KeyEncodingError, match=r"'s' row 1"):
-            sort_table(table, "p", config)
+            sort_table(table, "p", spilling)
 
 
 class TestPhaseAttribution:

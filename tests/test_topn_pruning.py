@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import stems_first
 from test_external_kway import assert_byte_identical
 from test_oracle import oracle_sort
 from repro.engine.database import Database
@@ -172,6 +173,47 @@ class TestDecisivePrefixShrinks:
                 assert_matches_oracle(table, spec, limit, offset, 8)
 
 
+class TestSkippedPrefix:
+    """The first batch's shared string bytes are skipped for good; a later
+    string without them is escaped through its indicator byte."""
+
+    @pytest.mark.parametrize("direction", ["", " DESC"])
+    def test_later_batches_without_the_prefix(self, direction):
+        rng = np.random.default_rng(3)
+        first = [
+            "shared-prefix-" + "".join(rng.choice(list("ab"), 14))
+            for _ in range(40)
+        ]
+        later = [None, "", "a", "shared-pre", "shared-prefix-", "t" * 14]
+        later.append("😀")
+        strings = first + later * 6 + first[:10]
+        table = Table.from_pydict(
+            {"s": strings, "k": [i % 3 for i in range(len(strings))]}
+        )
+        spec = spec_of(f"s{direction}, k")
+        operator = TopNOperator(table.schema, spec, 5)
+        with batches_of(40):
+            for chunk in chunk_table(table, 40):
+                operator.sink(chunk)
+            assert operator._layout.segments[0].skipped == b"shared-prefix-"
+        for limit in (1, 5, 30, 100):
+            for offset in (0, 3):
+                assert_matches_oracle(table, spec, limit, offset, 5)
+
+    def test_lead_filter_keeps_rows_tied_on_the_lead(self):
+        # Every row ties the cutoff's leading key: the lead filter keeps
+        # them all and the later keys decide.
+        table = Table.from_pydict(
+            {
+                "a": [7] * 600,
+                "b": list(range(600, 0, -1)),
+                "c": list(range(600)),
+            }
+        )
+        for limit in (1, 9, 50):
+            assert_matches_oracle(table, spec_of("a, b"), limit, 2, 16)
+
+
 class TestPruningExtremes:
     def test_reverse_input_every_row_survives(self):
         table = SCENARIOS["reverse"].table(4000, seed=0)
@@ -283,8 +325,17 @@ class TestEngineSurface:
         # kept), and the first leaves no prefix tie for the kernel: the
         # shared stem is skipped as constant words.
         assert (topn.sort_passes, topn.sort_tied_rows) == (2, 0)
-        # Every string shares its first 12 bytes: the order came from
-        # the tie-group refinement, and the counters say so.
+        # The strings share their first 15 bytes, which the key skips as
+        # the full sort's does: the 12 after them still truncate, but
+        # decide every row, so no string is consulted.
         assert not topn.prefix_exact
+        assert (topn.reencoded_rows, topn.full_key_compares) == (0, 0)
+        # Stems that differ in their first byte leave nothing to skip and
+        # tie on the 12 bytes after it: the order comes from the
+        # tie-group refinement, and the counters say so.
+        db.register("u", stems_first(db.table("t")))
+        sql = "SELECT * FROM u ORDER BY s, p LIMIT 20 OFFSET 3"
+        result, (topn,) = db.execute_detailed(sql)
+        assert result.equals(db.execute(sql.split(" LIMIT")[0]).slice(3, 23))
         assert topn.reencoded_rows > 0
         assert topn.full_key_compares > 0
