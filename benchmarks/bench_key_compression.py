@@ -51,10 +51,10 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from repro.scalar.reference import reference_sort  # noqa: E402
 from repro.sort.external import ExternalSortOperator  # noqa: E402
 from repro.sort.kernels import argsort_rows  # noqa: E402
 from repro.sort.operator import SortConfig, SortOperator, SortStats  # noqa: E402
-from repro.sort.reference import reference_sort  # noqa: E402
 from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
 from repro.types.datatypes import BIGINT  # noqa: E402

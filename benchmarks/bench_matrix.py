@@ -17,7 +17,7 @@ incremental (maintained-view) sorter -- and records one cell per
   degradation/spill counters.
 
 Every cell's output is asserted **byte-identical** to the scalar oracle
-(:func:`repro.sort.reference.reference_sort` -- the row-at-a-time
+(:func:`repro.scalar.reference.reference_sort` -- the row-at-a-time
 reference sort) before its timing is recorded; the Top-N cell compares against the
 oracle's ``[offset, offset+limit)`` slice.  A cell that diverges raises
 with the scenario name, path, rows, and seed in the message.
@@ -49,9 +49,9 @@ import pytest  # noqa: E402
 
 from repro.engine import Database  # noqa: E402
 from repro.service import SortService  # noqa: E402
+from repro.scalar.reference import reference_sort  # noqa: E402
 from repro.sort.incremental import IncrementalSorter  # noqa: E402
 from repro.sort.operator import SortConfig, make_sort_operator  # noqa: E402
-from repro.sort.reference import reference_sort  # noqa: E402
 from repro.sort.topn import TopNOperator  # noqa: E402
 from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402

@@ -8,7 +8,7 @@ per-row comparator it replaced:
   12-byte key window (three stems: the 10 bytes they share are skipped,
   the next 12 still tie): the vector path (kernel sort + targeted
   re-encoding of tied rows) vs. the scalar reference sort
-  (:func:`repro.sort.reference.reference_sort`: pdqsort with the
+  (:func:`repro.scalar.reference.reference_sort`: pdqsort with the
   per-row segment-wise string comparator).  This is the section that
   records refinement work (rows re-encoded, full-key compares).
   Output equality is asserted; at acceptance scale (``--rows`` at least
@@ -37,8 +37,8 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.scalar.reference import reference_sort  # noqa: E402
 from repro.sort.operator import make_sort_operator  # noqa: E402
-from repro.sort.reference import reference_sort  # noqa: E402
 from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
 from repro.types.sortspec import SortSpec  # noqa: E402

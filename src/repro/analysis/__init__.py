@@ -1,4 +1,6 @@
-"""Analyses of sorting's implicit benefits: RLE and zone maps."""
+"""Analyses of the paper's Section II: sorting's implicit benefits (RLE and
+zone maps, re-exported here) and, in :mod:`repro.analysis.comparisons`,
+the comparison counts of run generation against the merge."""
 
 from repro.analysis.compression import (
     SortingBenefit,

@@ -205,13 +205,13 @@ def ablation_heuristic_chooser(num_rows: int = 50_000) -> FigureResult:
     """DuckDB's fixed rule vs the cost-based chooser (future work, IX).
 
     Runs the scalar reference sort
-    (:func:`repro.sort.reference.reference_sort`, where radix, pdqsort
+    (:func:`repro.scalar.reference.reference_sort`, where radix, pdqsort
     and the chooser are three different sorts) with each policy on two
     adversarial workloads: narrow low-cardinality keys (radix's home
     turf) and a wide multi-key sort of a small input (where pdqsort
     wins).
     """
-    from repro.sort.reference import ReferenceStats, reference_sort
+    from repro.scalar.reference import ReferenceStats, reference_sort
     from repro.table.table import Table
 
     rng = np.random.default_rng(11)
@@ -262,7 +262,7 @@ def ablation_msd_pdq_fallback(
     num_rows: int = 30_000, key_bytes: int = 16
 ) -> FigureResult:
     """MSD radix with insertion-only vs pdqsort bucket fallback (IX)."""
-    from repro.sort.radix import RadixStats, msd_radix_argsort
+    from repro.scalar.radix import RadixStats, msd_radix_argsort
 
     rng = np.random.default_rng(13)
     matrix = rng.integers(0, 256, size=(num_rows, key_bytes)).astype(np.uint8)

@@ -622,7 +622,7 @@ def rungen_comparison_budget(
     thread_counts: Sequence[int] = (2, 16, 48),
 ) -> FigureResult:
     """Section II: share of comparisons spent in run generation."""
-    from repro.sort.analysis import comparison_budget
+    from repro.analysis.comparisons import comparison_budget
 
     result = FigureResult(
         "section-ii",

@@ -69,7 +69,8 @@ def insertion_sort_adapter(seq, begin: int = 0, end: int | None = None) -> None:
 
 
 def introsort_adapter(seq) -> None:
-    """Introsort over an adapter; mirrors :mod:`repro.sort.introsort`."""
+    """Introsort over an adapter: ``std::sort``'s median-of-3 quicksort,
+    heapsort past a depth of 2 log2(n), one final insertion sweep."""
     n = seq.n
     if n < 2:
         return
@@ -206,7 +207,7 @@ def _merge_between(
 def pdqsort_adapter(seq) -> None:
     """Pattern-defeating quicksort over an adapter.
 
-    Mirrors :mod:`repro.sort.pdqsort` (insertion base case, median-of-3 /
+    Mirrors :mod:`repro.scalar.pdqsort` (insertion base case, median-of-3 /
     ninther pivots, partition_left for equal runs, partial insertion sort
     on already-partitioned input, pattern-breaking swaps, heapsort
     fallback).

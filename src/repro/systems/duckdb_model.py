@@ -11,7 +11,7 @@ Architecture modelled, per Section VII:
 * final conversion back to vectors.
 
 Radix work (passes actually executed, skip-copy savings, rows moved) is
-*measured* by running the production radix sort of :mod:`repro.sort.radix`
+*measured* by running the scalar radix sort of :mod:`repro.scalar.radix`
 on the workload's real normalized keys, then costed per element.
 """
 
@@ -21,7 +21,7 @@ import math
 
 from repro.engine.parallel import PhaseModel, merge_tree_makespan
 from repro.keys.normalizer import normalize_keys
-from repro.sort.radix import RadixStats, radix_argsort
+from repro.scalar.radix import RadixStats, radix_argsort
 from repro.systems.base import SystemModel, WorkloadFacts
 from repro.table.table import Table
 

@@ -26,10 +26,10 @@ from repro.aggregate.groupby import Aggregate, group_by
 from repro.engine.database import Database
 from repro.rows.block import RowBlock
 from repro.service.core import SortService
+from repro.scalar.reference import reference_sort as scalar_reference_sort
 from repro.sort.external import ExternalSortOperator
 from repro.sort.incremental import IncrementalSorter
 from repro.sort.operator import SortConfig, sort_table
-from repro.sort.reference import reference_sort as scalar_reference_sort
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec

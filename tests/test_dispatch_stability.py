@@ -23,9 +23,11 @@ columns of TPC-DS customer tie every row pass after pass.
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import repro.sort
 from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig, SortOperator, SortStats
 from repro.table.chunk import chunk_table
@@ -106,3 +108,14 @@ def test_knob_and_counter_counts_only_go_down():
     # read.  These bounds are only ever lowered (ROADMAP item B).
     assert len(dataclasses.fields(SortConfig)) <= 14
     assert len(dataclasses.fields(SortStats)) <= 33
+
+
+def test_sort_package_lines_only_go_down():
+    # The same ratchet for the pipeline's size: ``sort/`` holds what
+    # sort_table, Top-N, IncrementalSorter and SortService reach and
+    # nothing else (ROADMAP items B and C lower the bound).
+    package = Path(repro.sort.__file__).parent
+    lines = sum(
+        len(path.read_text().splitlines()) for path in package.glob("*.py")
+    )
+    assert lines <= 5_300

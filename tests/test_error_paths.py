@@ -3,6 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.analysis.comparisons import (
+    comparison_budget,
+    crossover_runs,
+    merge_comparisons,
+    run_generation_comparisons,
+    run_generation_share,
+)
 from repro.errors import (
     KeyEncodingError,
     ReproError,
@@ -11,13 +18,6 @@ from repro.errors import (
 )
 from repro.keys.decoder import decode_key_row, decode_segment
 from repro.keys.normalizer import build_layout, normalize_keys
-from repro.sort.analysis import (
-    comparison_budget,
-    crossover_runs,
-    merge_comparisons,
-    run_generation_comparisons,
-    run_generation_share,
-)
 from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig, SortOperator, sort_table
 from repro.table.chunk import DataChunk

@@ -18,13 +18,14 @@ from repro.analysis import (
 )
 from repro.engine import Database
 from repro.errors import BindError, ReproError, SortError, TypeError_
-from repro.sort.heuristic import (
+from repro.scalar.radix import RadixStats, msd_radix_argsort
+from repro.scalar.reference import (
+    SAMPLE_LIMIT,
     KeyStatistics,
     choose_algorithm,
     estimate_costs,
+    reference_sort,
 )
-from repro.sort.radix import RadixStats, msd_radix_argsort
-from repro.sort.reference import reference_sort
 from repro.table.column import ColumnVector
 from repro.table.io import read_csv, table_to_csv_string, write_csv
 from repro.table.table import Table
@@ -46,6 +47,16 @@ class TestHeuristic:
         stats = KeyStatistics.measure(matrix)
         assert stats.duplicate_fraction > 0.9
         assert stats.distinct_ratio == pytest.approx(4 / 100)
+
+    def test_statistics_sample_spans_the_input(self):
+        # Between one and two sample windows the rows must still be drawn
+        # from the whole input, not just its first SAMPLE_LIMIT rows.
+        n = SAMPLE_LIMIT + SAMPLE_LIMIT // 2
+        matrix = np.zeros((n, 2), dtype=np.uint8)
+        matrix[SAMPLE_LIMIT:, 1] = np.arange(n - SAMPLE_LIMIT) % 251 + 1
+        stats = KeyStatistics.measure(matrix)
+        assert stats.effective_bytes == 1
+        assert stats.duplicate_fraction < 0.99
 
     def test_statistics_validation(self):
         with pytest.raises(SortError):

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import merge_run_indices, reference_sort
+from repro.scalar.reference import reference_sort as scalar_reference_sort
 from repro.sort.external import ExternalSortOperator
 from repro.sort.kernels import KWayBlockStats, kway_merge_blocks
 from repro.sort.operator import SortConfig, sort_table
-from repro.sort.reference import reference_sort as scalar_reference_sort
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec

@@ -25,9 +25,9 @@ from repro.errors import (
     SortError,
 )
 from repro.service.core import SortService
+from repro.scalar.reference import reference_sort
 from repro.sort.incremental import IncrementalSorter
 from repro.sort.operator import SortConfig
-from repro.sort.reference import reference_sort
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
 from repro.workloads.scenarios import SCENARIOS

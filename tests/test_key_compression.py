@@ -43,9 +43,9 @@ from repro.keys.normalizer import (
     normalize_keys,
     normalized_key_for_row,
 )
+from repro.scalar.reference import reference_sort as scalar_reference_sort
 from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig, SortOperator, sort_table
-from repro.sort.reference import reference_sort as scalar_reference_sort
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
 from repro.types.datatypes import VARCHAR

@@ -8,8 +8,9 @@ things can go wrong and neither shows as an exception: a span cut from
 the wrong block (a read-ahead worker is a block ahead of the frontier)
 and a layout that should have been rebased and was not.  So every sort
 here is differential -- against the tuple-key oracle
-(``conftest.reference_sort``) and the scalar ``repro.sort.reference_sort``
--- and the I/O claims are exact counts.
+(``conftest.reference_sort``) and the scalar
+``repro.scalar.reference.reference_sort`` -- and the I/O claims are
+exact counts.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 from conftest import reference_sort
 from repro.errors import KeyEncodingError, SpillCorruptionError
 from repro.keys.compression import serialize_layout
+from repro.scalar.reference import reference_sort as scalar_reference_sort
 from repro.sort.external import ExternalSortOperator, SpilledRun
 from repro.sort.faults import (
     FaultInjector,
@@ -32,7 +34,6 @@ from repro.sort.faults import (
 )
 from repro.sort.incremental import IncrementalSorter
 from repro.sort.operator import SortConfig
-from repro.sort.reference import reference_sort as scalar_reference_sort
 from repro.sort.spillfile import _FIXED
 from repro.table.chunk import chunk_table
 from repro.table.table import Table

@@ -10,7 +10,7 @@ pipeline reproduces via the row-id key suffix.
 
 Each seed-deterministic random table is then pushed through the
 in-memory operator, the scalar reference sort
-(:func:`repro.sort.reference.reference_sort`), the spilling external
+(:func:`repro.scalar.reference.reference_sort`), the spilling external
 operator, and Top-N, and each result must match the oracle byte for
 byte.  The two operators share their run generator and merger; one grid
 drives both classes over every catalog scenario x {1, 2, 7 runs} x VARCHAR
@@ -28,9 +28,9 @@ import pytest
 from conftest import sort_resident_runs, sort_spilling
 from test_external_kway import assert_byte_identical
 from repro.errors import SortError
+from repro.scalar.reference import ALGORITHMS, ReferenceStats, reference_sort
 from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig, SortOperator, sort_table
-from repro.sort.reference import ALGORITHMS, ReferenceStats, reference_sort
 from repro.sort.topn import TopNOperator
 from repro.table.chunk import chunk_table
 from repro.table.table import Table

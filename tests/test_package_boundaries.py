@@ -1,0 +1,87 @@
+"""The dependency direction between the sort pipeline and the paper face.
+
+``repro.sort`` is the production pipeline: it may import the layers under
+it (``keys``, ``rows``, ``table``, ``types``) and nothing the paper face
+is built from.  ``repro.scalar`` (the scalar algorithm family and the
+reference sort) sits beside it and shares only the key encoding, so the
+two never import each other.  Lazy imports inside functions count too.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro
+
+PACKAGE_ROOT = Path(repro.__file__).parent
+
+SORT_MUST_NOT_IMPORT = (
+    "repro.scalar",
+    "repro.simsort",
+    "repro.sim",
+    "repro.systems",
+    "repro.bench",
+    "repro.analysis",
+)
+
+
+def imported_modules(path: Path, root: Path = PACKAGE_ROOT) -> set[str]:
+    """Every absolute module name a file under ``root`` (the ``repro``
+    directory) imports, at any nesting depth."""
+    package = ".".join(path.relative_to(root.parent).parent.parts)
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
+            # ``from repro import scalar`` imports ``repro.scalar``.
+            modules.update(f"{base}.{alias.name}" for alias in node.names)
+            modules.add(base)
+    return modules
+
+
+def within(module: str, package: str) -> bool:
+    return module == package or module.startswith(package + ".")
+
+
+def violations(directory: str, forbidden: tuple[str, ...]) -> list[str]:
+    found = []
+    for path in sorted((PACKAGE_ROOT / directory).glob("*.py")):
+        for module in sorted(imported_modules(path)):
+            if any(within(module, package) for package in forbidden):
+                found.append(f"{path.name} imports {module}")
+    return found
+
+
+def test_sort_imports_nothing_from_the_paper_face():
+    assert violations("sort", SORT_MUST_NOT_IMPORT) == []
+
+
+def test_scalar_does_not_import_the_pipeline():
+    assert violations("scalar", ("repro.sort",)) == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("import repro.scalar.radix", "repro.scalar.radix"),
+        ("from repro.scalar import radix", "repro.scalar.radix"),
+        ("def f():\n    from repro.sim.machine import Machine\n", "repro.sim.machine"),
+        ("from ..scalar import reference", "repro.scalar.reference"),
+    ],
+)
+def test_import_scan_sees_every_form(tmp_path, source, expected):
+    # A file placed as repro/sort/probe.py: relative imports resolve
+    # against repro.sort, and nested (lazy) imports are found.
+    root = tmp_path / "repro"
+    (root / "sort").mkdir(parents=True)
+    probe = root / "sort" / "probe.py"
+    probe.write_text(source)
+    assert expected in imported_modules(probe, root)

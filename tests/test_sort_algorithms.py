@@ -1,5 +1,5 @@
-"""Tests for the production sorting algorithms: pdqsort, introsort,
-merge sort, radix sorts.
+"""Tests for the scalar sorting algorithms (:mod:`repro.scalar`):
+pdqsort and the LSD/MSD radix sorts.
 """
 
 import numpy as np
@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SortError
-from repro.sort.introsort import IntroStats, intro_argsort, introsort
-from repro.sort.mergesort import MergeStats, merge_argsort, merge_sort
-from repro.sort.pdqsort import PdqStats, pdq_argsort, pdqsort
-from repro.sort.radix import (
+from repro.scalar.pdqsort import PdqStats, pdq_argsort, pdqsort
+from repro.scalar.radix import (
     RadixStats,
     lsd_radix_argsort,
     msd_radix_argsort,
@@ -31,7 +29,7 @@ PATTERNS = {
 
 
 @pytest.mark.parametrize("name,pattern", PATTERNS.items())
-@pytest.mark.parametrize("sorter", [pdqsort, introsort, merge_sort])
+@pytest.mark.parametrize("sorter", [pdqsort])
 def test_patterns(sorter, name, pattern):
     items = list(pattern)
     sorter(items)
@@ -86,62 +84,6 @@ class TestPdqsort:
         pdqsort(data, stats=stats)
         # Already-partitioned detection: ~one pass, not n log n.
         assert stats.comparisons < 4096 * 4
-
-
-class TestIntrosort:
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.integers(-1000, 1000), max_size=300))
-    def test_matches_sorted(self, items):
-        data = list(items)
-        introsort(data)
-        assert data == sorted(items)
-
-    def test_stats(self):
-        stats = IntroStats()
-        data = [5, 3, 8, 1]
-        introsort(data, stats=stats)
-        assert stats.comparisons > 0
-
-    def test_argsort(self):
-        assert intro_argsort([3, 1, 2]) == [1, 2, 0]
-
-    def test_heapsort_fallback_on_adversarial_comparator(self):
-        # A comparator designed so median-of-3 keeps picking bad pivots
-        # cannot make introsort quadratic: depth limit forces heapsort.
-        stats = IntroStats()
-        n = 4096
-        data = list(range(n))
-        # Organ-pipe-of-organ-pipes pattern.
-        weird = [min(x, n - x) ^ (x & 0xF) for x in data]
-        introsort(weird, stats=stats)
-        assert weird == sorted(weird)
-        assert stats.comparisons < 40 * n * 12  # far from quadratic
-
-
-class TestMergeSort:
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.integers(-100, 100), max_size=300))
-    def test_matches_sorted(self, items):
-        data = list(items)
-        merge_sort(data)
-        assert data == sorted(items)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(0, 5), min_size=2, max_size=200))
-    def test_stability(self, keys):
-        pairs = [(k, i) for i, k in enumerate(keys)]
-        merge_sort(pairs, less=lambda a, b: a[0] < b[0])
-        for (k1, i1), (k2, i2) in zip(pairs, pairs[1:]):
-            assert k1 < k2 or (k1 == k2 and i1 < i2)
-
-    def test_argsort_is_stable(self):
-        assert merge_argsort([1, 0, 1, 0]) == [1, 3, 0, 2]
-
-    def test_stats(self):
-        stats = MergeStats()
-        data = [3, 1, 2] * 20
-        merge_sort(data, stats=stats)
-        assert stats.comparisons > 0 and stats.moves > 0
 
 
 def _random_matrix(rng, n, width, cardinality=256):

@@ -3,7 +3,7 @@
 The contract of :mod:`repro.sort.kernels` is byte-identical results: every
 kernel (the packed-word whole-row sort, searchsorted merge, the
 operator and external-sort fast paths) must reproduce exactly what the
-scalar row-at-a-time code (:func:`repro.sort.reference.reference_sort`
+scalar row-at-a-time code (:func:`repro.scalar.reference.reference_sort`
 end to end) produces, across mixed types, DESC keys, NULLS
 FIRST/LAST, duplicate keys, and truncated VARCHAR prefixes.
 """
@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import reference_sort, round_ids, sort_resident_runs, sort_spilling
 from repro.errors import SortError
+from repro.scalar.radix import RadixStats, lsd_radix_argsort
+from repro.scalar.reference import reference_sort as scalar_reference_sort
 from repro.sort import kernels
 from repro.sort.heuristic import vector_sort_rows
 from repro.sort.kernels import (
@@ -27,8 +29,6 @@ from repro.sort.kernels import (
     void_view,
 )
 from repro.sort.operator import SortConfig, SortOperator, SortStats, sort_table
-from repro.sort.radix import RadixStats, lsd_radix_argsort, msd_radix_argsort
-from repro.sort.reference import reference_sort as scalar_reference_sort
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
 from repro.types.datatypes import FLOAT, INTEGER, VARCHAR
@@ -162,15 +162,6 @@ class TestMergeIndices:
 
 
 class TestRadixVectorFinish:
-    @pytest.mark.parametrize("width", [5, 9, 16])
-    def test_msd_vector_finish_identical(self, rng, width):
-        matrix = random_matrix(rng, 800, width, alphabet=3)
-        scalar = msd_radix_argsort(matrix.copy())
-        stats = RadixStats()
-        vectorized = msd_radix_argsort(matrix.copy(), stats, vector_threshold=128)
-        assert vectorized.tolist() == scalar.tolist()
-        assert stats.vector_finished_buckets > 0
-
     def test_lsd_skip_copy_without_gather(self, rng):
         # Middle byte constant: its pass must be skipped, result unchanged.
         matrix = random_matrix(rng, 300, 3)

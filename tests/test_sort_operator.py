@@ -12,9 +12,9 @@ import time
 from conftest import reference_sort, sort_resident_runs
 from repro.engine.database import Database
 from repro.errors import KeyEncodingError, SortError
+from repro.scalar.reference import ReferenceStats
+from repro.scalar.reference import reference_sort as scalar_reference_sort
 from repro.sort.operator import SortConfig, SortOperator, sort_table
-from repro.sort.reference import ReferenceStats
-from repro.sort.reference import reference_sort as scalar_reference_sort
 from repro.table.chunk import DataChunk, chunk_table
 from repro.table.table import Table
 from repro.types.datatypes import FLOAT, INTEGER, VARCHAR
@@ -42,7 +42,7 @@ class TestSortConfig:
         ["use_vector" "_kernels", "force" "_algorithm", "lsd" "_threshold"],
     )
     def test_removed_knobs_rejected(self, removed):
-        # The scalar family is repro.sort.reference.reference_sort, not
+        # The scalar family is repro.scalar.reference.reference_sort, not
         # a mode of the operator.
         with pytest.raises(TypeError, match=removed):
             SortConfig(**{removed: None})

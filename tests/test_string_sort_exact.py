@@ -27,11 +27,11 @@ from repro.join.merge_join import merge_join
 from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
 from repro.service.core import SortService
 from repro.rows.block import RowBlock, string_slots
+from repro.scalar.reference import reference_sort as scalar_reference_sort
 from repro.sort.external import ExternalSortOperator
 from repro.sort.incremental import IncrementalSorter
 from repro.sort.kernels import ovc_codes
 from repro.sort.operator import SortConfig, SortOperator, SortStats, sort_table
-from repro.sort.reference import reference_sort as scalar_reference_sort
 from repro.sort.stringsort import (
     exact_group_changed,
     CHUNK_WIDTH,
