@@ -95,7 +95,8 @@ def _narrow_table(rng: np.random.Generator, rows: int) -> Table:
 
 
 def _external_sort(table: Table, spec: SortSpec, rows: int):
-    """One external sort; returns (result, spilled_bytes, stats)."""
+    """One external sort; returns (result, (spilled bytes, spilled runs),
+    stats)."""
     run_threshold = max(rows // 8, 1024)
     with tempfile.TemporaryDirectory(prefix="bench_compress_") as spill_dir:
         operator = ExternalSortOperator(
@@ -107,7 +108,7 @@ def _external_sort(table: Table, spec: SortSpec, rows: int):
         try:
             for chunk in chunk_table(table, 16_384):
                 operator.sink(chunk)
-            spilled = operator.spilled_bytes
+            spilled = operator.spilled_bytes, operator.spilled_runs
             result = operator.finalize()
             return result, spilled, operator.stats
         finally:
@@ -115,7 +116,7 @@ def _external_sort(table: Table, spec: SortSpec, rows: int):
 
 
 def bench_external(table: Table, spec: SortSpec, rows: int) -> dict:
-    seconds, (result, spilled, stats) = _best_of(
+    seconds, (result, (spilled, files), stats) = _best_of(
         lambda: _external_sort(table, spec, rows)
     )
     # Key-carried runs rebuild rows from key bytes; for all-integer
@@ -129,7 +130,7 @@ def bench_external(table: Table, spec: SortSpec, rows: int) -> dict:
         "seconds": seconds,
         "rows_per_s": rows / seconds,
         "spilled_bytes": spilled,
-        "spilled_runs": stats.runs_generated,
+        "spilled_runs": files,
         "key_carried_runs": stats.key_carried_runs,
         "key_width_used": stats.key_width_used,
         "key_width_full": stats.key_width_full,

@@ -192,12 +192,15 @@ class KeyStatsAccumulator:
                 key.column, _ColumnAcc(skip=string_prefix is None)
             )
 
-    def update(self, table: Table) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    def update(self, table: Table) -> dict:
         """Fold one table's key columns into the running statistics.
 
-        Returns ``{column: (buffer, lengths)}``, the one UTF-8 encoding of
-        each VARCHAR key column: ``normalize_keys`` cuts the key windows
-        from it and the row block takes it as its heap.
+        Returns what the pass made of each key column, for
+        :func:`~repro.keys.normalizer.key_words` to pack: a VARCHAR
+        column's one UTF-8 encoding ``(buffer, lengths)`` (the key
+        windows are cut from it and the row block takes it as its heap),
+        a fixed-width column's uint64 order codes, NULL rows' filler
+        included.
         """
         encoded = {}
         for name, acc in self._columns.items():
@@ -211,11 +214,11 @@ class KeyStatsAccumulator:
                 )
                 acc.fold_strings(*encoded[name], column.validity)
                 continue
-            data = column.data[column.validity] if has_nulls else column.data
-            if len(data) == 0:
+            codes = encoded[name] = fixed_column_codes(column.data, dtype)
+            live = codes[column.validity] if has_nulls else codes
+            if len(live) == 0:
                 continue
-            codes = fixed_column_codes(data, dtype)
-            lo, hi = int(codes.min()), int(codes.max())
+            lo, hi = int(live.min()), int(live.max())
             acc.min_code = lo if acc.min_code is None else min(acc.min_code, lo)
             acc.max_code = hi if acc.max_code is None else max(acc.max_code, hi)
         return encoded

@@ -12,12 +12,19 @@ sort of the keys stable with respect to the input order and doubles as the
 gather index used to re-order the payload afterwards -- the "pointer packed
 within the row" of the paper's ``OrderKey`` struct.
 
-The result is a dense ``(n, width)`` uint8 matrix.  Comparing two rows of
-the matrix with memcmp is exactly ``tuple_compare`` on the original values,
-except when a VARCHAR key exceeds its prefix or ends in NUL; then the key
-is "inexact" and ties must be broken on the full strings
-(``NormalizedKeys.prefix_exact`` tells the sort operator whether that pass
-is needed).
+One encoder (:func:`_key_fields`) turns each segment into fields of
+order codes, and two sinks lay them out.  :func:`key_words` packs them
+into the key's uint64 *words* (word ``w`` of a row is bytes ``[8w, 8w +
+8)`` of its key read big-endian, the last one zero-padded), so comparing
+two rows' word lists is memcmp on their key bytes: the sort keeps a
+resident run's keys in that form.  :func:`normalize_keys` writes them as
+bytes and appends the row-id suffix: a dense ``(n, width)`` uint8 matrix,
+what Top-N, GROUP BY, window, merge join, the reference sort and spill
+files read.  Comparing two rows of the matrix with memcmp is exactly
+``tuple_compare`` on the original values, except when a VARCHAR key
+exceeds its prefix or ends in NUL; then the key is "inexact" and ties
+must be broken on the full strings (``NormalizedKeys.prefix_exact`` tells
+the sort operator whether that pass is needed).
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ import numpy as np
 
 from repro.errors import KeyEncodingError
 from repro.keys.encoding import (
-    encode_fixed_column,
     encode_scalar,
     encode_string_column,
     encode_utf8_column,
@@ -52,8 +58,10 @@ __all__ = [
     "KeyLayout",
     "NormalizedKeys",
     "build_layout",
+    "key_words",
     "normalize_keys",
     "normalized_key_for_row",
+    "words_to_bytes",
     "write_compressed_segment",
 ]
 
@@ -293,26 +301,20 @@ class NormalizedKeys:
         return flat.astype(np.int64)
 
 
-def write_compressed_segment(
-    matrix: np.ndarray,
-    segment: KeySegment,
-    codes: np.ndarray,
-    valid: np.ndarray | None,
-) -> None:
-    """Write a compressed (``nobyte``/``folded``) segment's bytes.
+def _compressed_codes(
+    segment: KeySegment, codes: np.ndarray, valid: np.ndarray | None
+) -> np.ndarray:
+    """A compressed (``nobyte``/``folded``) segment's stored values.
 
     ``codes`` are the uint64 order-preserving codes of the column
     (:func:`repro.keys.encoding.fixed_column_codes`); ``valid`` is the
     validity mask or None for an all-valid column.  Rows where ``valid``
     is False may hold arbitrary codes (the column's NULL filler): their
     relative code may wrap during the bias subtraction, which is harmless
-    because they are unconditionally overwritten with the NULL code.
-
-    Shared by :func:`normalize_keys` and the layout-rebase path in
-    :mod:`repro.keys.compression` so both agree byte-for-byte.
+    because they take the NULL code.  ``codes`` is never written to (it
+    may be returned as it is).
     """
-    width = segment.value_width
-    rel = codes - np.uint64(segment.bias)
+    rel = codes - np.uint64(segment.bias) if segment.bias else codes
     if segment.key.descending:
         rel = np.uint64(segment.code_range - 1) - rel
     if segment.mode == MODE_FOLDED:
@@ -322,10 +324,20 @@ def write_compressed_segment(
         else:
             null_code = np.uint64(segment.code_range)
         if valid is not None and not valid.all():
-            rel[~valid] = null_code
-    big = np.ascontiguousarray(rel.astype(">u8")).view(np.uint8)
-    start = segment.offset
-    matrix[:, start : start + width] = big.reshape(len(codes), 8)[:, 8 - width :]
+            rel = np.where(valid, rel, null_code)
+    return rel
+
+
+def write_compressed_segment(
+    matrix: np.ndarray,
+    segment: KeySegment,
+    codes: np.ndarray,
+    valid: np.ndarray | None,
+) -> None:
+    """Write a compressed (``nobyte``/``folded``) segment's bytes: the
+    layout-rebase path of :mod:`repro.keys.compression` (spilled runs)."""
+    values = _compressed_codes(segment, codes, valid)
+    _write_field(matrix, segment.offset, segment.value_width, values)
 
 
 def _string_windows(
@@ -352,6 +364,155 @@ def _string_windows(
     return gather_windows(buffer, starts, np.clip(lengths, 0, width), width)
 
 
+def _string_bytes(segment: KeySegment, column, pair) -> np.ndarray:
+    """A VARCHAR segment's ``(n, 1 + value_width)`` bytes: the NULL (or
+    escape class) indicator byte, then the window."""
+    valid, width = column.validity, segment.value_width
+    block = np.empty((len(column), 1 + width), dtype=np.uint8)
+    indicator = block[:, 0]
+    indicator[:] = np.where(
+        valid, segment.null_byte_for_valid, segment.null_byte_for_null
+    )
+    name = segment.key.column
+    if pair is None and not segment.skipped:
+        value = encode_string_column(column.data, width, valid, name)
+    else:
+        value = _string_windows(
+            segment,
+            *(pair or encode_utf8_column(column.data, valid, name)),
+            valid,
+            indicator,
+        )
+    if segment.key.descending:
+        np.subtract(0xFF, value, out=value)
+    if column.has_nulls:
+        value[~valid] = 0  # all NULLs tie
+    block[:, 1:] = value
+    return block
+
+
+def _key_fields(table: Table, layout: KeyLayout, encoded: dict | None):
+    """The key encoder: every segment of every row as ``(offset, width,
+    values)`` fields, in byte order.
+
+    ``values`` is a big-endian field of at most 8 bytes held as uint64
+    order codes (an array, or one scalar for every row) -- a fixed-width
+    segment is encoded in the code domain: bias, DESC and the folded NULL
+    are arithmetic on its codes -- or the ``(n, width)`` uint8 bytes of a
+    VARCHAR segment.  :func:`key_words` packs the fields into words and
+    :func:`normalize_keys` writes them as bytes: two sinks of one encoder.
+    """
+    for segment in layout.segments:
+        name = segment.key.column
+        column = table.column(name)
+        given = encoded.get(name) if encoded else None
+        offset, width = segment.offset, segment.value_width
+        if segment.dtype.type_id is TypeId.VARCHAR:
+            yield offset, 1 + width, _string_bytes(segment, column, given)
+            continue
+        codes = given
+        if codes is None:
+            codes = fixed_column_codes(column.data, segment.dtype)
+        valid = column.validity if column.has_nulls else None
+        if not segment.has_null_byte:
+            yield offset, width, _compressed_codes(segment, codes, valid)
+            continue
+        # Plain: the NULL indicator byte, then the code, byte-inverted for
+        # DESC; NULL rows get zero value bytes so all NULLs tie.
+        indicator = np.uint64(segment.null_byte_for_valid)
+        if segment.key.descending:
+            codes = np.uint64((1 << 8 * width) - 1) - codes
+        if valid is not None:
+            null = np.uint64(segment.null_byte_for_null)
+            indicator = np.where(valid, indicator, null)
+            codes = np.where(valid, codes, np.uint64(0))
+        yield offset, 1, indicator
+        yield offset + 1, width, codes
+
+
+def _write_field(matrix: np.ndarray, offset: int, width: int, values) -> None:
+    """The byte sink: one field into its columns of the key matrix."""
+    if np.ndim(values) == 2:
+        matrix[:, offset : offset + width] = values
+    elif width == 1:
+        matrix[:, offset] = values
+    else:
+        big = values.astype(">u8").view(np.uint8).reshape(-1, 8)
+        matrix[:, offset : offset + width] = big[:, 8 - width :]
+
+
+def _fold_field(words: list, offset: int, width: int, values) -> None:
+    """The word sink: one field into the key words at byte ``offset``.
+
+    A field of at most 8 bytes spans at most two words; a VARCHAR block
+    is laid into the zeroed bytes of the words it spans and read back as
+    big-endian words.  The first field to reach a word *becomes* it:
+    either a fresh shifted array or, for a field that fills the word
+    exactly, ``values`` itself (nothing else reaches that word, so it is
+    never written to); later fields are OR-ed in.
+    """
+    if np.ndim(values) == 2:
+        first, lead = divmod(offset, 8)
+        span = -(-(lead + width) // 8)
+        padded = np.zeros((len(values), 8 * span), dtype=np.uint8)
+        padded[:, lead : lead + width] = values
+        for index, word in enumerate(padded.view(">u8").T, first):
+            _or_word(words, index, word.astype(np.uint64))
+        return
+    word, last = divmod(offset + width - 1, 8)
+    shift = 8 * (7 - last)  # bits after the field's last byte in its word
+    if offset < 8 * word:  # the field's leading bytes end the word before
+        _or_word(words, word - 1, values >> np.uint64(64 - shift))
+    _or_word(words, word, values << np.uint64(shift) if shift else values)
+
+
+def _or_word(words: list, index: int, part) -> None:
+    word = words[index]
+    if word is None:
+        words[index] = part
+    elif isinstance(word, np.ndarray):
+        word |= part
+    else:  # a scalar so far: every field before was one
+        words[index] = word | part
+
+
+def key_words(
+    table: Table, layout: KeyLayout, encoded: dict | None = None
+) -> list[np.ndarray]:
+    """The key of every row of ``table`` as uint64 word columns.
+
+    Word ``w`` of row ``i`` is bytes ``[8w, 8w + 8)`` of row ``i``'s key
+    (the ``layout.key_width`` bytes before any row id, the last word
+    zero-padded) read big-endian; the columns come most significant
+    first, so comparing rows' word lists is memcmp on their key bytes and
+    each column sorts at native speed.  A fixed-width segment is shifted
+    to its bit offset as codes, never written out as bytes; a column
+    whose codes fill a word exactly is that word, uncopied.
+
+    ``encoded`` maps key columns to what
+    :meth:`~repro.keys.compression.KeyStatsAccumulator.update` made of
+    them: a VARCHAR column's UTF-8 ``(buffer, lengths)`` (its windows are
+    cut from that buffer, not a second encoding), a fixed-width column's
+    uint64 order codes (not computed twice).  The words are read only.
+    """
+    words: list = [None] * ((layout.key_width + 7) // 8)
+    for field in _key_fields(table, layout, encoded):
+        _fold_field(words, *field)
+    return [
+        word if isinstance(word, np.ndarray)
+        else np.full(table.num_rows, word, dtype=np.uint64)
+        for word in words
+    ]
+
+
+def words_to_bytes(words, width: int) -> np.ndarray:
+    """Key word columns back to ``(n, width)`` big-endian key bytes."""
+    big = np.empty((len(words[0]), len(words)), dtype=">u8")
+    for index, word in enumerate(words):
+        big[:, index] = word
+    return big.view(np.uint8)[:, :width]
+
+
 def normalize_keys(
     table: Table,
     spec: SortSpec,
@@ -367,72 +528,27 @@ def normalize_keys(
     This is the paper's Figure 7 applied column-by-column, vectorized with
     numpy: each key column contributes a NULL byte and its value encoding
     (inverted for DESC), and an optional big-endian row-id suffix follows.
+    The key bytes are :func:`key_words`'s fields, written as bytes.
     ``row_id_base`` offsets the generated row ids (the sort operator gives
     each run a distinct base so ids are globally unique and stable).
 
-    When ``layout`` is given it is used as-is -- this is how the sort
-    operator applies a compressed layout built from column statistics
-    (:mod:`repro.keys.compression`); ``string_prefix``/``row_id_width``
-    are then ignored.  Compressed segments must cover the table's values
-    (``bias``/``code_range`` from a stats pass that saw this table).
-    ``encoded`` maps VARCHAR key columns to the ``(buffer, lengths)``
-    already made of them (``KeyStatsAccumulator.update`` returns it):
-    their key windows are cut from that buffer, not a second encoding.
+    When ``layout`` is given it is used as-is -- this is how a compressed
+    layout built from column statistics (:mod:`repro.keys.compression`)
+    is applied; ``string_prefix``/``row_id_width`` are then ignored.
+    Compressed segments must cover the table's values (``bias``/
+    ``code_range`` from a stats pass that saw this table).  ``encoded``
+    is :func:`key_words`'s.
     """
     if layout is None:
         layout = build_layout(
             table, spec, string_prefix, include_row_id, row_id_width
         )
     n = table.num_rows
-    # The matrix is written segment-by-segment below; only NULL value
-    # bytes and the row-id gap need explicit zeroing, so start from
-    # uninitialized memory instead of a zeroed page.
+    # Every key byte is written below; only the row ids remain.
     matrix = np.empty((n, layout.total_width), dtype=np.uint8)
-    prefix_exact = True
-    for segment in layout.segments:
-        column = table.column(segment.key.column)
-        prefix_exact = prefix_exact and segment.prefix_exact
-        if not segment.has_null_byte:
-            codes = fixed_column_codes(column.data, segment.dtype)
-            valid = column.validity if column.has_nulls else None
-            write_compressed_segment(matrix, segment, codes, valid)
-            continue
-        start = segment.offset
-        valid = column.validity
-        # NULL indicator byte (VARCHAR: patched per class below).
-        matrix[:, start] = np.where(
-            valid,
-            segment.null_byte_for_valid,
-            segment.null_byte_for_null,
-        )
-        # Value bytes.
-        name = segment.key.column
-        pair = encoded.get(name) if encoded else None
-        if segment.dtype.type_id is not TypeId.VARCHAR:
-            value = encode_fixed_column(column.data, segment.dtype)
-        elif pair is None and not segment.skipped:
-            value = encode_string_column(
-                column.data, segment.value_width, valid, name
-            )
-        else:
-            value = _string_windows(
-                segment,
-                *(pair or encode_utf8_column(column.data, valid, name)),
-                valid,
-                matrix[:, start],
-            )
-        if segment.key.descending:
-            # In-place byte inversion -- unless the encoder returned a view
-            # aliasing the column's own buffer (possible for unsigned
-            # types whose big-endian cast is a no-op, e.g. BOOLEAN).
-            if np.shares_memory(value, column.data):
-                value = 0xFF - value
-            else:
-                np.subtract(0xFF, value, out=value)
-        matrix[:, start + 1 : start + 1 + segment.value_width] = value
-        # NULL rows get constant (zero) value bytes so all NULLs tie.
-        if column.has_nulls:
-            matrix[~valid, start + 1 : start + 1 + segment.value_width] = 0
+    for field in _key_fields(table, layout, encoded):
+        _write_field(matrix, *field)
+    prefix_exact = all(segment.prefix_exact for segment in layout.segments)
     if layout.has_row_id:
         unsigned = np.uint32 if layout.row_id_width == 4 else np.uint64
         limit = 1 << (8 * layout.row_id_width)

@@ -598,7 +598,7 @@ class ExternalSortOperator(SortOperator):
         return None
 
     def _spill_run(self) -> None:
-        table, keys, encoded = self._generator.encode(self._buffer)
+        batch = self._generator.encode(self._buffer)
         self._buffer = []
         self._buffered_rows = 0
         # Replacement selection needs keys whose byte order *is* the sort
@@ -610,27 +610,29 @@ class ExternalSortOperator(SortOperator):
             and not self._generator.has_string_key
         ):
             self.stats.rungen_path = "replacement_selection"
-            self._rs_feed(table, keys)
+            self._rs_feed(*batch)
         else:
             self.stats.rungen_path = "argsort"
-            self._store_run(self._generator.sort_run(table, keys, encoded))
+            self._store_run(self._generator.sort_run(*batch))
 
     # ------------------------------------------------------------------ #
     # Replacement-selection run generation
     # ------------------------------------------------------------------ #
 
-    def _rs_feed(self, table: Table, keys) -> None:
-        """Sort one batch into the selection working set, then drain."""
+    def _rs_feed(self, table: Table, words, encoded, base: int) -> None:
+        """Sort one batch into the selection working set, then drain.
+
+        The selection works on the batch's key rows in the spill format
+        (key bytes plus row id), made here once.
+        """
         if self._selection is None:
             self._selection = ReplacementSelection(rebase=rebase_matrix)
+        layout = self._generator.layout
         with self.stats.time_phase("run_gen"):
-            order = self._generator.argsort(keys)
-            self._selection.feed(
-                np.ascontiguousarray(keys.matrix[order]),
-                order,
-                table,
-                keys.layout,
-            )
+            order = self._generator.argsort(words)
+            run = InMemoryRun(words, layout, table, order, encoded, base)
+            keys = run.to_row_run(keys_only=True).keys
+            self._selection.feed(keys, order, table, layout)
         self._rs_drain(final=False)
 
     def _rs_drain(self, final: bool) -> None:
@@ -696,7 +698,8 @@ class ExternalSortOperator(SortOperator):
         try:
             if not self._degraded:
                 with self.stats.time_phase("run_gen"):
-                    written = run.to_row_run()  # the run's NSM rows, once
+                    # The run's key bytes and NSM rows, once.
+                    written = run.to_row_run(self._generator.key_carried)
                 sections = (
                     written.keys.tobytes(),
                     written.rows.tobytes(),
@@ -719,6 +722,8 @@ class ExternalSortOperator(SortOperator):
             self.close()
             raise SortCancelledError("external sort was cancelled")
         if path is not None:
+            if self._generator.key_carried:
+                self.stats.key_carried_runs += 1
             grant = self.config.memory_grant
             if grant is not None:
                 try:

@@ -1,4 +1,4 @@
-"""The run sort's entry point: one stable argsort of a run's key rows."""
+"""The run sort's entry point: one stable argsort of a run's key words."""
 
 from __future__ import annotations
 
@@ -9,15 +9,15 @@ from repro.sort import kernels
 __all__ = ["vector_sort_rows"]
 
 
-def vector_sort_rows(
-    matrix: np.ndarray, key_bytes: int, sort_stats=None
-) -> np.ndarray:
-    """The run sort: stable argsort of key rows by their leading
-    ``key_bytes`` (:func:`repro.sort.kernels.argsort_rows`).
+def vector_sort_rows(words: list, sort_stats=None) -> np.ndarray:
+    """The run sort: stable argsort of a run's rows by their key words
+    (:func:`repro.sort.kernels.argsort_words`).
 
-    A row-id suffix past ``key_bytes`` ascends with the row index, so the
-    stable sort of the key bytes alone is the memcmp order of the whole
-    rows.  ``sort_stats``, if given, receives ``sort_passes`` /
-    ``sort_tied_rows`` (:class:`repro.sort.operator.SortStats`).
+    ``words`` are the uint64 word columns
+    :func:`repro.keys.normalizer.key_words` packs.  Row ids ascend with
+    the row index, so the stable sort of the key alone is the order of
+    the keys with their row ids.  ``sort_stats``, if given, receives
+    ``sort_passes`` / ``sort_tied_rows``
+    (:class:`repro.sort.operator.SortStats`).
     """
-    return kernels.argsort_rows(matrix[:, :key_bytes], sort_stats)
+    return kernels.argsort_words(words, sort_stats)

@@ -1,26 +1,26 @@
-"""Vectorized kernels over normalized-key byte matrices.
+"""Vectorized kernels over normalized keys: byte matrices and uint64 words.
 
 The whole point of normalized keys (paper, Section V) is that one memcmp
-decides a comparison.  These kernels push that one step further: an entire
-``(n, width)`` uint8 key matrix is reinterpreted so that **numpy scalar
-order is memcmp order**, and then merging and sorting become single numpy
-calls with zero Python-level per-row work.
+decides a comparison.  These kernels push that one step further: a key
+is a row of big-endian uint64 *words* (word ``w`` is key bytes ``[8w,
+8w + 8)``), so **numpy scalar order is memcmp order**, and merging and
+sorting become single numpy calls with zero Python-level per-row work.
 
-The reinterpretation (:func:`void_view`) views each key row as one
-structured (void) scalar whose fields are big-endian unsigned integers
-covering the row -- field-by-field comparison of big-endian words is
-exactly byte-wise memcmp.  On top of it:
+Resident runs hold their keys as such word columns
+(:func:`repro.keys.normalizer.key_words`); a key-byte matrix (a spilled
+block, Top-N's keys) is read as words by :func:`_chunk_columns` or, word
+by word on first use, ``_MatrixWords``.  On top of them:
 
-* :func:`argsort_rows` / :func:`argsort_words` -- the one stable whole-row
-  sort: key bits and row position packed into one uint64 and sorted *by
-  value*, ties refined bit chunk by bit chunk (run generation, Top-N,
-  refinement and every k-way merge round go through it),
+* :func:`argsort_words` / :func:`argsort_rows` -- the one stable
+  whole-row sort: key bits and row position packed into one uint64 and
+  sorted *by value*, ties refined bit chunk by bit chunk (run generation,
+  Top-N, refinement and every k-way merge round go through it),
 * :func:`cutoff_mask` / :func:`smallest_mask` -- which rows sort before
   one cutoff key, or may be among the ``count`` smallest (Top-N's filters),
-* :func:`kway_merge_blocks` -- the production merge: block-streaming, one
-  stable sort of the emittable frontier rows per round (the two-run
-  :func:`merge_indices` and :func:`ovc_codes` have no caller and stay
-  only because ``benchmarks/e2e`` binds them).
+* :func:`kway_merge_blocks` -- the production merge over word blocks:
+  block-streaming, one stable sort of the emittable frontier rows per
+  round (the two-run :func:`merge_indices` and :func:`ovc_codes` have no
+  caller and stay only because ``benchmarks/e2e`` binds them).
 
 Correctness requires that memcmp order over the key bytes is the intended
 order, i.e. the keys' ``prefix_exact`` flag holds; callers with truncated
@@ -113,7 +113,8 @@ def _chunk_columns(matrix: np.ndarray) -> list[np.ndarray]:
     byte-swapping cast, one transpose copy -- instead of a pad + cast per
     word.  The returned word columns are contiguous views sharing a single
     backing buffer (callers and tests rely on this: re-chunking a block
-    never allocates per-word temporaries).
+    never allocates per-word temporaries).  The merge runs it at the spill
+    boundary: a key block read from a spill file becomes words once, here.
     """
     _check_matrix(matrix)
     n, width = matrix.shape
@@ -481,9 +482,10 @@ def kway_merge_blocks(
 ) -> Iterator[tuple]:
     """Streaming k-way merge of sorted runs, one bounded block at a time.
 
-    ``sources`` holds one iterable per run, each yielding successive
-    ``(m, width)`` uint8 key-matrix blocks of that run in sorted order (all
-    runs share one width).
+    ``sources`` holds one iterable per run, each yielding successive key
+    blocks of that run in sorted order, as uint64 word columns (all runs
+    share one word count): a resident run's words as they are, a spilled
+    block's bytes converted once at read (:func:`_chunk_columns`).
     Yields one ``(order, spans)`` pair per round, the round's
     globally-sorted slice of the merge: ``spans`` lists, ascending by run,
     one ``(run, lo, hi)`` per contributing run -- the contiguous rows
@@ -492,9 +494,9 @@ def kway_merge_blocks(
     puts the spans' rows, concatenated as listed, into merge order (one
     entry per emitted row; the identity when a single run contributes).
     With ``emit_keys`` each item gains a third element, the round's
-    merged key rows as an ``(m, words)`` uint64 word matrix (callers
-    doing exact-string tie repair need the merged keys to find cross-run
-    tie groups without re-reading the runs).
+    merged key word columns (callers doing exact-string tie repair need
+    the merged keys to find cross-run tie groups without re-reading the
+    runs).
 
     Instead of a per-row tournament, every round works on the buffered
     *frontier* of each run:
@@ -530,11 +532,11 @@ def kway_merge_blocks(
             if frontiers[index] is not None or exhausted[index]:
                 continue
             # Skip empty blocks a source may yield.
-            block = next((b for b in iterators[index] if len(b)), None)
+            block = next((b for b in iterators[index] if len(b[0])), None)
             if block is None:
                 exhausted[index] = True
                 continue
-            frontiers[index] = tuple(_chunk_columns(block))
+            frontiers[index] = tuple(block)
             if stats is not None:
                 stats.refills += 1
         live = [index for index in range(k) if frontiers[index] is not None]
@@ -600,9 +602,8 @@ def kway_merge_blocks(
         if stats is not None:
             stats.rows_emitted += len(order)
         if emit_keys:
-            merged_words = np.stack(merged, axis=1)
             if several:
-                merged_words = merged_words[order]
-            yield order, spans, merged_words
+                merged = [word[order] for word in merged]
+            yield order, spans, merged
         else:
             yield order, spans

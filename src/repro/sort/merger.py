@@ -11,14 +11,17 @@ and emits everything below it with one stable sort, so every row is moved
 once and the key working set is ``k * block_rows`` rows no matter how
 large the runs are.
 
-* **A key byte is read once** -- the block a run hands the kernel is
-  read (CRC-checked, rebased) at full width and held while its frontier
-  drains; the kernel reports each round as one contiguous span per
-  contributing run plus one permutation, and the full key rows a round
-  needs (key-carried results, every intermediate run) are sliced out of
-  the held blocks: no second read, no second CRC pass, no second rebase.
+* **Keys are words, a key byte is read once** -- the kernel reads uint64
+  key word columns: a resident run's own, unconverted, or a spilled
+  block's, read (CRC-checked, rebased) at full width, converted once and
+  held while its frontier drains.  The kernel reports each round as one
+  contiguous span per contributing run plus one permutation, and the
+  full key rows a spilling round needs (key-carried results, every
+  intermediate run) are sliced out of the held blocks: no second read,
+  no second CRC pass, no second rebase.
 * **Layout rebase** -- runs encoded under a narrower key layout are
-  re-encoded onto the final one block by block as they stream.
+  re-encoded onto the final one: a resident run from its table, a
+  spilled one block by block as it streams.
 * **Exact strings** -- runs arrive sorted by key bytes, so rows tied
   on the bytes up to the first truncated VARCHAR segment may still
   reorder once the full strings are consulted, and such a tie group can
@@ -41,14 +44,15 @@ large the runs are.
   views, memory-fallback runs) moves row positions only: each round
   gathers its rows' positions in the run tables joined end to end, and
   the result is one ``Table.take`` by them (an intermediate pass keeps
-  the joined table and the positions as its run).  A merge that reads a
-  spilled run streams NSM rows instead, a resident run's built once
-  (:meth:`~repro.sort.rungen.InMemoryRun.to_row_run`): per round one
-  contiguous read per span (served from the read-ahead window when the
-  store provides a prefetcher) put through the round's permutation;
-  string heaps are concatenated once up front and each row's offsets
-  shifted by its run's base at the end.  Key-carried runs hold no
-  payload and the table is decoded from their gathered key rows.
+  the joined table, the runs' words and the positions as its run).  A
+  merge that reads a spilled run streams NSM rows instead, a resident
+  run's built once (:meth:`~repro.sort.rungen.InMemoryRun.to_row_run`):
+  per round one contiguous read per span (served from the read-ahead
+  window when the store provides a prefetcher) put through the round's
+  permutation; string heaps are concatenated once up front and each
+  row's offsets shifted by its run's base at the end.  Key-carried spill
+  files hold no payload, and such a merge decodes the table from its
+  gathered key rows.
 """
 
 from __future__ import annotations
@@ -59,9 +63,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.keys.compression import decode_key_table, rebase_matrix
+from repro.keys.normalizer import words_to_bytes
 from repro.rows.block import RowBlock, heap_bases, string_slots
 from repro.rows.layout import RowLayout
-from repro.sort.kernels import KWayBlockStats, kway_merge_blocks
+from repro.sort.kernels import KWayBlockStats, _chunk_columns, kway_merge_blocks
 from repro.sort.rungen import InMemoryRun, RowRun, RunGenerator
 from repro.sort.stringsort import inexact_prefix_end, refine_key_order
 from repro.table.table import Table
@@ -111,19 +116,17 @@ class RunMerger:
     def merge(self, runs: Sequence) -> Table:
         """The final pass: every run merged into the sorted output table.
 
-        One resident run on the final layout whose byte order is exact
-        *is* the output: taken as it stands, no pass counted.  (A
-        truncating prefix takes the rounds: the one string repair.)
+        One resident run whose byte order is exact *is* the output: its
+        table taken by its positions, no pass counted.  (A truncating
+        prefix takes the rounds: the one string repair.)
         """
         runs, payload = self._payload(runs)
-        run = runs[0]
         if (
             len(runs) == 1
             and self.refine_end is None
-            and isinstance(run, InMemoryRun)
-            and not self._stale(run)
+            and isinstance(payload, _PositionPayload)
         ):
-            keys, columns = run.keys, ([run.positions],)
+            keys, columns = None, ([runs[0].positions],)
         else:
             self.stats.merge_passes += 1
             keys, columns = self._merge(runs, payload, final=True)
@@ -145,14 +148,27 @@ class RunMerger:
     def _payload(self, runs: Sequence):
         """``(runs, payload)`` for one pass: what each round gathers.
 
-        Resident runs merged with a spilled one are read as NSM rows,
-        built here once per run.
+        A run on a narrower layout than the final is rebased: a resident
+        one packed anew here, a spilled one block by block as it streams.
+        Resident runs merged with a spilled one are read in the spill
+        format (key rows, NSM rows unless key-carried), built here once
+        per run.
         """
-        if self.key_carried:
-            return runs, _KeyPayload(self.key_layout, self.schema)
+        stale = [self._stale(run) for run in runs]
+        self.stats.key_layout_rebases += sum(stale)
+        runs = [
+            run.rebased(self.key_layout)
+            if old and isinstance(run, InMemoryRun) else run
+            for run, old in zip(runs, stale)
+        ]
         if all(isinstance(run, InMemoryRun) for run in runs):
             return runs, _PositionPayload(runs)
-        runs = [run if run.on_disk else run.to_row_run() for run in runs]
+        runs = [
+            run if run.on_disk else run.to_row_run(self.key_carried)
+            for run in runs
+        ]
+        if self.key_carried:
+            return runs, _KeyPayload(self.key_layout, self.schema)
         layout = RowLayout.for_schema(self.schema)
         return runs, _RowPayload(runs, layout, self.stats)
 
@@ -176,15 +192,17 @@ class RunMerger:
             block = rebase_matrix(block, run.layout, self.key_layout)
         return block
 
-    def _key_source(self, run) -> Iterator[np.ndarray]:
+    def _key_source(self, run) -> Iterator:
+        """A resident run's key words, else full-width key rows, by block."""
         for start in range(0, run.num_rows, self.block_rows):
             stop = min(start + self.block_rows, run.num_rows)
-            yield self._key_block(run, start, stop, self.stats)
+            if isinstance(run, InMemoryRun):
+                yield run.key_block(start, stop)
+            else:
+                yield self._key_block(run, start, stop, self.stats)
 
-    def _frontier(
-        self, blocks, held: list, index: int
-    ) -> Iterator[np.ndarray]:
-        """One run's key blocks as the kernel wants them, each one held.
+    def _frontier(self, blocks, held: list, index: int) -> Iterator[list]:
+        """A spilled run's key blocks as words, each full-width one held.
 
         The merge compares key bytes only: every run carries a row-id
         suffix that ascends with run order, so the kernel's stable
@@ -197,7 +215,7 @@ class RunMerger:
         for block in blocks:
             held[index] = (start, block)
             start += len(block)
-            yield block[:, :width]
+            yield _chunk_columns(block[:, :width])
 
     # ------------------------------------------------------------------ #
     # The pass
@@ -215,10 +233,11 @@ class RunMerger:
         settled batches in order.
         """
         stats = self.stats
-        want_keys = self.key_carried or not final
-        for run in runs:
-            if self._stale(run):
-                stats.key_layout_rebases += 1
+        # A spilling merge gathers key rows for a key-carried result or
+        # a new run; resident runs hold their keys as words.
+        want_keys = not isinstance(payload, _PositionPayload) and (
+            self.key_carried or not final
+        )
         streams_rows = isinstance(payload, _RowPayload)
         prefetcher = None
         if self._make_prefetcher:
@@ -236,8 +255,13 @@ class RunMerger:
         else:
             blocks = [self._key_source(run) for run in runs]
 
-        #: per run, ``(first row, full-width block)`` delivered last.
+        #: per spilled run, ``(first row, full-width block)`` delivered last.
         held: list[tuple[int, np.ndarray] | None] = [None] * len(runs)
+        sources = [
+            source if isinstance(run, InMemoryRun)
+            else self._frontier(source, held, index)
+            for index, (run, source) in enumerate(zip(runs, blocks))
+        ]
 
         def key_rows(index, lo, hi):
             first, block = held[index]
@@ -246,9 +270,7 @@ class RunMerger:
         kernel_stats = KWayBlockStats()
         refine_end = self.refine_end if final else None
         rounds = kway_merge_blocks(
-            [self._frontier(b, held, i) for i, b in enumerate(blocks)],
-            kernel_stats,
-            emit_keys=refine_end is not None,
+            sources, kernel_stats, emit_keys=refine_end is not None
         )
 
         def gathered() -> Iterator[tuple]:
@@ -318,7 +340,7 @@ class RunMerger:
             return None, tuple(arrays)
 
         for _, arrays, words in batches:
-            batch = (_words_to_bytes(words, width), *arrays)
+            batch = (words_to_bytes(words, width), *arrays)
             prefix = batch[0][:, :refine_end]
             tail = _trailing_tie_start(prefix)
             if tail == 0 and (
@@ -340,7 +362,8 @@ class RunMerger:
 
 
 class _KeyPayload:
-    """Key-carried runs: no payload; the table is decoded from the keys."""
+    """Key-carried spill files: no payload; the table is decoded from the
+    merged key rows."""
 
     def __init__(self, key_layout, schema) -> None:
         self.key_layout, self.schema = key_layout, schema
@@ -351,13 +374,14 @@ class _KeyPayload:
     def table(self, keys, columns) -> Table:
         return decode_key_table(keys, self.key_layout, self.schema)
 
-    def run(self, keys, columns, key_layout) -> InMemoryRun:
-        return InMemoryRun(keys, key_layout)
+    def run(self, keys, columns, key_layout) -> RowRun:
+        return RowRun.keys_only(keys, key_layout)
 
 
 class _PositionPayload:
     """Resident runs: each row's position in the run tables joined end
-    to end (run ``i``'s rows start at ``bases[i]``)."""
+    to end (run ``i``'s rows start at ``bases[i]``).  The runs come in
+    generation order, so the joined rows' ids run on from the first's."""
 
     def __init__(self, runs: Sequence[InMemoryRun]) -> None:
         self.runs = runs
@@ -382,9 +406,11 @@ class _PositionPayload:
         return self._table().take(_concat(columns[0]))
 
     def run(self, keys, columns, key_layout) -> InMemoryRun:
+        runs = self.runs
+        words = [_concat(list(word)) for word in zip(*(r.words for r in runs))]
         return InMemoryRun(
-            keys, key_layout, self._table(), _concat(columns[0]),
-            self._encoded(),
+            words, key_layout, self._table(), _concat(columns[0]),
+            self._encoded(), runs[0].row_id_base,
         )
 
     def _table(self) -> Table:
@@ -494,16 +520,6 @@ def _gather(parts: list[np.ndarray], order: np.ndarray) -> np.ndarray:
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
     """``np.concatenate`` that hands a lone part through uncopied."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _words_to_bytes(words: np.ndarray, width: int) -> np.ndarray:
-    """Merged uint64 key words back to their big-endian key byte rows."""
-    count, word_count = words.shape
-    return (
-        words.astype(">u8")
-        .view(np.uint8)
-        .reshape(count, word_count * 8)[:, :width]
-    )
 
 
 def _trailing_tie_start(prefix: np.ndarray) -> int:

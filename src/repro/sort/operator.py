@@ -4,18 +4,21 @@ The operator is a pipeline breaker: it sinks all input as vector chunks,
 then produces the fully sorted table.  The stages mirror the paper:
 
 1. **Materialize** -- incoming vectors are buffered, then the ORDER BY
-   columns become *normalized keys*: one order-preserving byte string
-   per row, with a row-id suffix (the rows the sort moves).  The payload
-   stays in its columns; fixed-width NSM *payload rows* with a string
-   heap are the spill format, built only for a run that is written out.
-2. **Run generation** -- the normalized keys are sorted, yielding a
-   sorted run: key rows plus the positions of its payload rows in key
+   columns become *normalized keys*: per row, an order-preserving key
+   packed into uint64 words, so comparing word lists is memcmp on the
+   key bytes; the row's position is its row id.  The payload stays in
+   its columns.  Key bytes with a row-id suffix and fixed-width NSM
+   *payload rows* with a string heap are the spill format, built only
+   for a run that is written out.
+2. **Run generation** -- the key words are sorted, yielding a sorted
+   run: its table, key words and the positions of its rows in key
    order (:class:`repro.sort.rungen.RunGenerator`, shared with the
    external sort).
 3. **Merge** -- sorted runs are merged in one k-way pass comparing key
-   bytes with memcmp (full strings break prefix ties), and the payload
-   is fetched by row position once, with one ``Table.take``
-   (:class:`repro.sort.merger.RunMerger`, likewise shared).
+   words (full strings break prefix ties), and the payload is fetched
+   by row position once, with one ``Table.take``
+   (:class:`repro.sort.merger.RunMerger`, likewise shared); a lone run
+   is taken as it stands.
 
 One operator family runs those stages; what differs is the *run store*
 between them.  :class:`SortOperator` is the resident store: runs are a
@@ -249,8 +252,8 @@ class SortStats:
     bytes its segment skips count) layout would cost (row-id suffix
     excluded); ``key_layout_rebases`` counts runs whose
     keys were re-encoded because later data widened the layout;
-    ``key_carried_runs`` counts runs held as keys only (the payload
-    reconstructed from the keys at merge time).
+    ``key_carried_runs`` counts runs spilled without payload (the file
+    holds the keys alone; the merge decodes the columns from them).
     ``sort_passes`` / ``sort_tied_rows`` are the run sort's exact counts
     (:func:`repro.sort.kernels.argsort_words`): sort calls made, and rows
     each sort's first pass left tied (what the kernel's cost depends on).

@@ -11,7 +11,7 @@ prefix groups:
    for truncated VARCHAR prefixes).
 2. Each row's key becomes ``[8-byte group ordinal][normalized suffix
    keys][row id]`` and one stable vectorized sort
-   (:func:`repro.sort.heuristic.vector_sort_rows`) orders the whole
+   (:func:`repro.sort.kernels.argsort_rows`) orders the whole
    table -- the group ordinal pins rows to their provided prefix order,
    so the sort only permutes within groups.
 3. Truncated VARCHAR suffix keys are repaired by the same adaptive
@@ -43,7 +43,7 @@ import dataclasses
 import numpy as np
 
 from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
-from repro.sort.heuristic import vector_sort_rows
+from repro.sort.kernels import argsort_rows
 from repro.sort.operator import SortStats
 from repro.sort.stringsort import (
     exact_group_changed,
@@ -118,8 +118,8 @@ def refine_sorted(
         group.astype(">u8").view(np.uint8).reshape(n, _GROUP_WIDTH)
     )
     matrix[:, _GROUP_WIDTH:] = suf.matrix
-    order = vector_sort_rows(
-        matrix, _GROUP_WIDTH + suf.layout.key_width, stats
+    order = argsort_rows(
+        matrix[:, : _GROUP_WIDTH + suf.layout.key_width], stats
     )
     stats.sorts_refined += 1
     stats.rows_sorted += n

@@ -1,22 +1,23 @@
 """Run generation: the stage every run store shares.
 
 :class:`RunGenerator` turns a buffer of input chunks into one sorted run
--- one ``Table.concat``, key statistics and normalization
-(:mod:`repro.keys`), a stable vectorized sort of the key bytes -- and
-hands it over as an :class:`InMemoryRun`: the sorted key rows of the
-paper's Figure 11 (key bytes plus row id) beside the payload as it
-arrived, the table and the positions of its rows in key order.  NSM
-payload rows and a string heap are the spill format: built only for a
-run written to a spill file or merged with one
-(:meth:`InMemoryRun.to_row_run`).  Runs are sorted by their key
-*bytes*: where a VARCHAR prefix truncates, the exact-string repair
-happens once, in the merger, on tie groups that by then span all runs.
+-- one ``Table.concat``, key statistics, every key packed into uint64
+words (:func:`repro.keys.normalizer.key_words`), one stable sort of the
+words -- and hands it over as an :class:`InMemoryRun`: the table as it
+arrived, its key words, and the positions of its rows in key order (the
+paper's Figure 11 sorts keys that carry a row id; here the position is
+the row id).  Nothing is gathered: a result made of one run is one
+``Table.take``.  Key bytes with a row-id suffix, NSM payload rows and a
+string heap are the spill format, built only for a run written to a
+spill file or merged with one (:meth:`InMemoryRun.to_row_run`).  Where a
+VARCHAR prefix truncates, the exact-string repair happens once, in the
+merger, on tie groups that by then span all runs.
 What happens to the run next is the *store's* business:
 :class:`~repro.sort.operator.SortOperator` keeps it resident,
 :class:`~repro.sort.external.ExternalSortOperator` spills it (and may
 regroup rows into longer runs with replacement selection first, below),
 :class:`~repro.sort.incremental.IncrementalSorter` compacts it with its
-neighbours.  The run format -- key layout, key-carried payload -- is
+neighbours.  The run format -- key layout, key-carried spill files -- is
 decided here once for all.
 
 Replacement-selection run generation over normalized-key matrices
@@ -71,6 +72,7 @@ without a re-sort.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -81,7 +83,7 @@ from repro.keys.compression import (
     key_carried_eligible,
     plain_key_width,
 )
-from repro.keys.normalizer import KeyLayout, NormalizedKeys, normalize_keys
+from repro.keys.normalizer import KeyLayout, key_words, words_to_bytes
 from repro.rows.block import RowBlock
 from repro.sort.heuristic import vector_sort_rows
 from repro.sort.kernels import argsort_rows
@@ -445,17 +447,21 @@ class ReplacementSelection:
 # ---------------------------------------------------------------------- #
 
 
+@dataclass(eq=False)
 class InMemoryRun:
     """A sorted run held resident: what :class:`RunGenerator` produces.
 
-    Sorted full-width key rows (row-id suffix included) and the payload
-    in columns: ``table``, the rows as they arrived, ``positions``, the
-    int64 position in ``table`` of each key row, and ``encoded``, the
-    UTF-8 ``(buffer, lengths)`` of each VARCHAR *key* column in table
-    order (the key statistics pass made them; exact-string refinement
-    reads tied strings there).  No row matrix, no heap: a result made of
-    resident runs is one ``Table.take`` by position.  Key-carried runs
-    hold their keys alone (``table`` is ``None``).
+    ``table``, the rows as they arrived; ``words``, their keys under
+    ``layout`` as the uint64 word columns
+    :func:`~repro.keys.normalizer.key_words` packs, in table order;
+    ``positions``, the int64 position in ``table`` of each row in key
+    order; ``encoded``, the UTF-8 ``(buffer, lengths)`` of each VARCHAR
+    *key* column in table order (the key statistics pass made them;
+    exact-string refinement reads tied strings there); ``row_id_base``,
+    the row id of the table's first row.  No key bytes, no row matrix, no
+    heap, whatever the columns: a result made of resident runs is one
+    ``Table.take`` by position, and the merge frontier reads
+    :meth:`key_block`'s words.
     :class:`~repro.sort.operator.SortOperator` and the incremental
     sorter keep their runs in this form;
     :class:`~repro.sort.external.ExternalSortOperator` writes a cut
@@ -463,55 +469,64 @@ class InMemoryRun:
     when no spill target is writable) and keeps the tail run.
     """
 
+    words: list[np.ndarray]
+    layout: KeyLayout
+    table: Table
+    positions: np.ndarray
+    encoded: dict
+    row_id_base: int
+
     on_disk = False
     path = "<memory>"
 
-    def __init__(
-        self,
-        keys: np.ndarray,
-        layout: KeyLayout,
-        table: Table | None = None,
-        positions: np.ndarray | None = None,
-        encoded: dict | None = None,
-    ) -> None:
-        self.keys = np.ascontiguousarray(keys)
-        #: the key layout the run's keys were encoded under.
-        self.layout = layout
-        self.table = table
-        self.positions = positions
-        self.encoded = encoded or {}
-
     @property
     def num_rows(self) -> int:
-        return len(self.keys)
+        return len(self.positions)
 
-    def read_key_block(self, start: int, stop: int, stats=None) -> np.ndarray:
-        return self.keys[start:stop]
+    def key_block(self, start: int, stop: int) -> list[np.ndarray]:
+        """Key word columns of the rows ``[start, stop)`` in key order."""
+        positions = self.positions[start:stop]
+        return [word[positions] for word in self.words]
 
-    def to_row_run(self) -> "RowRun":
-        """The run in the spill format: NSM payload rows in key order.
+    def rebased(self, layout: KeyLayout) -> "InMemoryRun":
+        """The run with its keys packed anew under a wider ``layout``
+        (from its own table: the values, not the old codes, are encoded)."""
+        words = key_words(self.table, layout, self.encoded)
+        return dataclasses.replace(self, words=words, layout=layout)
+
+    def to_row_run(self, keys_only: bool = False) -> "RowRun":
+        """The run in the spill format: key rows (key bytes plus the
+        big-endian row-id suffix), NSM payload rows, heap, in key order.
 
         Built for a run written to a spill file, or merged with one; the
         heap is the run's string columns in table order, VARCHAR keys
-        from ``encoded`` as they are.
+        from ``encoded`` as they are.  ``keys_only`` (a key-carried sort)
+        leaves the rows and heap empty.
         """
-        if self.table is None:
-            rows, heap = np.empty((self.num_rows, 0), dtype=np.uint8), b""
-        else:
-            block = RowBlock.from_table(self.table, self.encoded)
-            block = block.take(self.positions)
-            rows, heap = block.rows, block.heap
-        return RowRun(self.keys, rows, heap, self.layout)
+        layout, count = self.layout, self.num_rows
+        keys = np.empty((count, layout.total_width), dtype=np.uint8)
+        keys[:, : layout.key_width] = words_to_bytes(
+            self.key_block(0, count), layout.key_width
+        )
+        ids = (self.positions + self.row_id_base).astype(">u8").view(np.uint8)
+        keys[:, layout.key_width :] = ids.reshape(count, ROW_ID_WIDTH)
+        if keys_only:
+            return RowRun.keys_only(keys, layout)
+        block = RowBlock.from_table(self.table, self.encoded)
+        block = block.take(self.positions)
+        return RowRun(keys, block.rows, block.heap, layout)
 
 
 class RowRun:
     """A resident run in the spill format: key rows, NSM rows, heap.
 
-    What :meth:`InMemoryRun.to_row_run` builds, and what a merge that
-    reads spilled runs makes of an intermediate pass (kept resident when
-    no spill target takes it).  ``read_key_block`` / ``read_row_block``
-    / ``read_heap`` are :class:`~repro.sort.external.SpilledRun`'s
-    reads, so such a merge streams any mix of the two alike.
+    What :meth:`InMemoryRun.to_row_run` builds, what replacement
+    selection packs, and what a merge that reads spilled runs makes of an
+    intermediate pass (kept resident when no spill target takes it).
+    ``read_key_block`` / ``read_row_block`` / ``read_heap`` are
+    :class:`~repro.sort.external.SpilledRun`'s reads, so such a merge
+    streams any mix of the two alike.  Key-carried runs have zero-width
+    rows and an empty heap.
     """
 
     on_disk = False
@@ -529,11 +544,16 @@ class RowRun:
         self.heap = heap
         self.layout = layout
 
+    @classmethod
+    def keys_only(cls, keys: np.ndarray, layout: KeyLayout) -> "RowRun":
+        """A key-carried run: zero-width rows, no heap."""
+        return cls(keys, np.empty((len(keys), 0), dtype=np.uint8), b"", layout)
+
     @property
     def num_rows(self) -> int:
         return len(self.keys)
 
-    def to_row_run(self) -> "RowRun":
+    def to_row_run(self, keys_only: bool = False) -> "RowRun":
         return self
 
     def read_key_block(self, start: int, stop: int, stats=None) -> np.ndarray:
@@ -577,9 +597,9 @@ class RunGenerator:
             for name in spec.column_names
         )
         self._key_acc = KeyStatsAccumulator(schema, spec, config.string_prefix)
-        #: Key-carried runs: when the key segments alone reconstruct
-        #: every column exactly, a run carries its sorted keys and no
-        #: payload rows at all.
+        #: Key-carried spill files: when the key segments alone
+        #: reconstruct every column exactly, a spilled run writes its
+        #: keys and no payload rows at all.
         self.key_carried = key_carried_eligible(schema, spec)
         #: The key layout covering every run generated so far (the
         #: accumulator's latest, widest one); ``None`` before the first.
@@ -588,13 +608,17 @@ class RunGenerator:
 
     def encode(
         self, chunks: list[DataChunk]
-    ) -> tuple[Table, NormalizedKeys, dict]:
-        """Concatenate the buffered chunks once and normalize their keys.
+    ) -> tuple[Table, list[np.ndarray], dict, int]:
+        """Concatenate the buffered chunks once and pack their keys.
 
-        Third: the VARCHAR key columns' UTF-8 ``(buffer, lengths)``, the
-        run's one crossing from ``str``: made by the statistics pass,
-        read by the key windows, by exact-string refinement and, once the
-        run is written to a spill file, as its heap.
+        Returns ``(table, words, encoded, row_id_base)``: the
+        :func:`~repro.keys.normalizer.key_words` of ``table`` under
+        :attr:`layout`, made from the order codes and UTF-8 buffers the
+        statistics pass computed; the VARCHAR key columns' ``(buffer,
+        lengths)``, the run's one crossing from ``str``, read by the key
+        windows, by exact-string refinement and, once the run is written
+        to a spill file, as its heap; and the row id of the table's first
+        row.
         """
         self.check_cancelled()
         stats = self.stats
@@ -604,66 +628,49 @@ class RunGenerator:
             # layout is at least as wide as every earlier run's; the
             # merge rebases narrower runs onto the last.
             encoded = self._key_acc.update(table)
-            self.layout = self._key_acc.build_layout(
+            layout = self.layout = self._key_acc.build_layout(
                 include_row_id=True, row_id_width=ROW_ID_WIDTH
             )
-            keys = normalize_keys(
-                table,
-                self.spec,
-                row_id_base=self._next_row_id,
-                layout=self.layout,
-                encoded=encoded,
-            )
+            words = key_words(table, layout, encoded)
+        row_id_base = self._next_row_id
         self._next_row_id += len(table)
-        stats.key_width_used = keys.layout.key_width
-        stats.key_width_full = plain_key_width(keys.layout)
-        stats.prefix_exact = stats.prefix_exact and keys.prefix_exact
-        stats.rows_sorted += len(table)
-        return table, keys, encoded
-
-    def argsort(self, keys: NormalizedKeys) -> np.ndarray:
-        """Stable vectorized sort of the key bytes.
-
-        The row-id suffix ascends with row index, so a stable sort of
-        the key bytes alone is byte-identical to memcmp over the full
-        row.  Truncated VARCHAR prefixes sort by their bytes here; the
-        merger repairs the tie groups.
-        """
-        return vector_sort_rows(
-            keys.matrix, keys.layout.key_width, self.stats
+        stats.key_width_used = layout.key_width
+        stats.key_width_full = plain_key_width(layout)
+        stats.prefix_exact = stats.prefix_exact and all(
+            segment.prefix_exact for segment in layout.segments
         )
+        stats.rows_sorted += len(table)
+        strings = {k: v for k, v in encoded.items() if isinstance(v, tuple)}
+        return table, words, strings, row_id_base
+
+    def argsort(self, words: list[np.ndarray]) -> np.ndarray:
+        """Stable vectorized sort of the key words.
+
+        Row ids ascend with row index, so a stable sort of the key alone
+        is the order of the whole key rows.  Truncated VARCHAR prefixes
+        sort by their bytes here; the merger repairs the tie groups.
+        """
+        return vector_sort_rows(words, self.stats)
 
     def sort_run(
-        self, table: Table, keys: NormalizedKeys, encoded: dict | None = None
+        self, table: Table, words: list, encoded: dict, row_id_base: int
     ) -> InMemoryRun:
-        """Sort one encoded batch into a run."""
+        """Sort one encoded batch into a run: nothing is gathered."""
         with self.stats.time_phase("run_gen"):
-            order = self.argsort(keys)
-            return self.pack(
-                keys.matrix[order], keys.layout, table, order, encoded
-            )
+            order = self.argsort(words)
+        self._count(len(order))
+        layout = self.layout
+        return InMemoryRun(words, layout, table, order, encoded, row_id_base)
 
-    def pack(
-        self,
-        sorted_keys: np.ndarray,
-        layout: KeyLayout,
-        payload: Table,
-        order: np.ndarray | None = None,
-        encoded: dict | None = None,
-    ) -> InMemoryRun:
-        """Seal a run: sorted keys plus ``payload``'s rows in key order.
-
-        ``order`` holds those rows' positions in ``payload``; without it
-        ``payload`` already is in key order (replacement-selection runs).
-        ``encoded`` is :meth:`encode`'s, when ``payload`` is its table.
-        Nothing is gathered or converted here.
-        """
-        stats = self.stats
-        stats.runs_generated += 1
-        stats.run_lengths.append(len(sorted_keys))
+    def pack(self, keys: np.ndarray, layout: KeyLayout, payload: Table):
+        """Seal a replacement-selection run in the spill format: its key
+        rows (row ids included) and ``payload``, both in key order."""
+        self._count(len(keys))
         if self.key_carried:
-            stats.key_carried_runs += 1
-            return InMemoryRun(sorted_keys, layout)
-        if order is None:
-            order = np.arange(len(sorted_keys), dtype=np.int64)
-        return InMemoryRun(sorted_keys, layout, payload, order, encoded)
+            return RowRun.keys_only(keys, layout)
+        block = RowBlock.from_table(payload)
+        return RowRun(keys, block.rows, block.heap, layout)
+
+    def _count(self, rows: int) -> None:
+        self.stats.runs_generated += 1
+        self.stats.run_lengths.append(rows)

@@ -61,8 +61,7 @@ from repro.keys.normalizer import (
     KeySegment,
     normalize_keys,
 )
-from repro.sort.heuristic import vector_sort_rows
-from repro.sort.kernels import cutoff_mask, smallest_mask
+from repro.sort.kernels import argsort_rows, cutoff_mask, smallest_mask
 from repro.sort.operator import SortConfig, SortStats, raise_if_cancelled
 from repro.sort.stringsort import (
     and_prefix_exact,
@@ -245,7 +244,7 @@ class TopNOperator:
             if not mask.all():
                 table, matrix = table.take(np.flatnonzero(mask)), matrix[mask]
         self.stats.rows_sorted += len(matrix)
-        order = vector_sort_rows(matrix, self._layout.key_width, self.stats)
+        order = argsort_rows(matrix[:, : self._layout.key_width], self.stats)
         if not self.stats.prefix_exact:
             order = refine_table_order(
                 table, matrix, self._layout, order, self.stats

@@ -15,7 +15,7 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.sort.external import ExternalSortOperator  # noqa: E402
-from repro.sort.kernels import kway_merge_blocks  # noqa: E402
+from repro.sort.kernels import _chunk_columns, kway_merge_blocks  # noqa: E402
 from repro.sort.merger import RunMerger  # noqa: E402
 from repro.sort.operator import SortConfig, SortStats  # noqa: E402
 from repro.sort.rungen import RunGenerator  # noqa: E402
@@ -142,14 +142,14 @@ def merge_run_indices(runs, block_rows: int = 4096):
     """``(run_ids, row_ids)`` of one k-way merge of sorted key matrices.
 
     Drives ``kernels.kway_merge_blocks`` directly: every non-empty run
-    streams in ``block_rows`` blocks, and the kernel's ids (which number
-    its sources) are mapped back to positions in ``runs``.
+    streams in ``block_rows`` blocks, each read as word columns, and the
+    kernel's ids (which number its sources) are mapped back to positions
+    in ``runs``.
     """
 
     def blocks(run):
-        run = np.ascontiguousarray(run)
         for start in range(0, len(run), block_rows):
-            yield run[start : start + block_rows]
+            yield _chunk_columns(run[start : start + block_rows])
 
     alive = np.flatnonzero([len(run) for run in runs])
     sources = [blocks(runs[index]) for index in alive]

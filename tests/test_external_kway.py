@@ -12,7 +12,7 @@ import pytest
 from conftest import merge_run_indices, reference_sort
 from repro.scalar.reference import reference_sort as scalar_reference_sort
 from repro.sort.external import ExternalSortOperator
-from repro.sort.kernels import KWayBlockStats, kway_merge_blocks
+from repro.sort.kernels import KWayBlockStats, _chunk_columns, kway_merge_blocks
 from repro.sort.operator import SortConfig, sort_table
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
@@ -131,7 +131,7 @@ class TestBoundedMemory:
 
         def blocks(matrix, size=64):
             for start in range(0, len(matrix), size):
-                yield matrix[start : start + size]
+                yield _chunk_columns(matrix[start : start + size])
 
         stats = KWayBlockStats()
         emitted = sum(

@@ -118,11 +118,13 @@ class TestNothingCutsAResidentRun:
         assert stats.kernel_kway_merges == 0
         assert None in table.column("c_last_name").to_pylist()
 
-    def test_key_carried_run_decodes_from_its_keys(self):
+    def test_all_key_run_is_taken_not_decoded(self):
+        # Every column is a key, yet a resident run is its table taken by
+        # position: only a run spilled without payload is key-carried.
         table, spec, expected = scenario_case("uniform")
         operator = SortOperator(table.schema, spec)
         assert_byte_identical(expected, run_operator(operator, table))
-        assert operator.stats.key_carried_runs == 1
+        assert operator.stats.key_carried_runs == 0
         assert operator.stats.kernel_kway_merges == 0
 
     def test_cancel_after_last_sink_stops_finalize(self):

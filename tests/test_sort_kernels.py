@@ -317,10 +317,12 @@ class TestChunkColumns:
                 assert (key(i) < key(j)) == (raw[i] < raw[j])
 
     def test_kway_merge_chunks_once_per_refill(self, rng, monkeypatch):
-        # Regression: the k-way merge must re-chunk a run's keys exactly
-        # once per block refill, never once per emitted round (the old
+        # Regression: a run's key block becomes words exactly once per
+        # block refill, never once per emitted round (the old
         # zero-pad-per-call pattern made every chunking a full-matrix
-        # copy, so per-round re-chunking was quadratic).
+        # copy, so per-round re-chunking was quadratic).  The kernel
+        # takes word blocks and converts nothing itself; a spilled block
+        # is converted as it is read, as the source below does.
         runs = []
         for _ in range(4):
             matrix = random_matrix(rng, 600, 13, alphabet=5)
@@ -338,7 +340,8 @@ class TestChunkColumns:
 
         def block_iter(matrix):
             for start in range(0, len(matrix), block_rows):
-                yield matrix[start : start + block_rows]
+                block = matrix[start : start + block_rows]
+                yield kernels._chunk_columns(block)
 
         stats = KWayBlockStats()
         emitted = [
@@ -492,7 +495,7 @@ class TestPackedWordSort:
 
     @pytest.mark.parametrize("shape", [(100, 16), (6000, 6), (6000, 16)])
     def test_vector_sort_rows_sorts_the_key_prefix(self, rng, shape):
-        # The run-sort entry orders by the leading key bytes only; an
+        # The run-sort entry orders rows by their key words only; an
         # ascending row-id suffix makes that the order of the whole rows.
         n, width = shape
         matrix = np.empty((n, width + 8), dtype=np.uint8)
@@ -501,7 +504,8 @@ class TestPackedWordSort:
             np.arange(n, dtype=">u8").view(np.uint8).reshape(n, 8)
         )
         stats = SortStats()
-        order = vector_sort_rows(matrix, width, stats)
+        words = kernels._chunk_columns(matrix[:, :width])
+        order = vector_sort_rows(words, stats)
         assert order.tolist() == stable_reference(matrix).tolist()
         assert stats.sort_passes >= 1
 
