@@ -26,8 +26,9 @@ must not change a single row).  The sort-savings counters
 (``sorts_elided`` per cell) are asserted, recorded, and gated by
 ``benchmarks/regress.py --planner-candidate`` against the committed
 ``BENCH_planner.json``: each cell carries its own ``min_speedup`` floor
-(3x for the two single-input elisions, parity for the join) so a future
-planner change that silently stops eliding fails the build.
+(3x for the elided ORDER BY, 1.5x for the elided GROUP BY, parity for
+the join) so a future planner change that silently stops eliding fails
+the build.
 
 String-heavy scenarios are used deliberately: exact VARCHAR sorting is
 the most expensive thing the pipeline does, so it is where order reuse
@@ -50,6 +51,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from bench_key_compression import commit_id  # noqa: E402
 from repro.engine import Database  # noqa: E402
 from repro.service import SortService  # noqa: E402
 from repro.sort.operator import sort_table  # noqa: E402
@@ -124,7 +126,14 @@ def cell_ordered_view(rows: int) -> dict:
 
 
 def cell_groupby_sorted(rows: int) -> dict:
-    """GROUP BY whose keys match the input's declared ordering."""
+    """GROUP BY whose keys match the input's declared ordering.
+
+    The floor is 1.5x, not the ORDER BY cell's 3x: the forced sort of
+    these strings is now about 3x cheaper than when the floor was set, so
+    most of either plan is work both share -- the group boundaries
+    re-encoded from the sorted keys and the aggregation.  A planner that
+    stops eliding still reads about 1.0x and fails.
+    """
     db = Database()
     table = SCENARIOS["long_string"].table(rows, seed=SEED)
     db.register("v", sort_table(table, SortSpec.of("s")))
@@ -143,7 +152,7 @@ def cell_groupby_sorted(rows: int) -> dict:
         "forced_s": forced_s,
         "elided_s": elided_s,
         "speedup": forced_s / elided_s,
-        "min_speedup": 3.0,
+        "min_speedup": 1.5,
         "identical": True,
         "sorts_elided": sorts_elided,
         "sorts_subsumed": sorts_subsumed,
@@ -248,6 +257,8 @@ def main(rows: int = DEFAULT_ROWS, out: str = OUTPUT) -> dict:
         "seed": SEED,
         "reps": REPS,
         "gated": gated,
+        "cpu_count": os.cpu_count(),
+        "commit": commit_id(),
         "cells": {},
     }
     for name, fn in CELLS.items():

@@ -50,7 +50,7 @@ from repro.bench import (
 from repro.engine import Database
 from repro.errors import ReproError
 from repro.sort.operator import SortConfig, make_sort_operator
-from repro.table.chunk import chunk_table
+from repro.table.chunk import DataChunk
 from repro.table.io import read_csv, table_to_csv_string, write_csv
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
@@ -331,8 +331,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     )
     spec = SortSpec.of(*[part.strip() for part in args.by.split(",")])
     with make_sort_operator(table.schema, spec, config) as operator:
-        for chunk in chunk_table(table, config.vector_size):
-            operator.sink(chunk)
+        operator.sink(DataChunk.from_table(table))
         result = operator.finalize()
     _emit(result, args.output)
     if args.stats:

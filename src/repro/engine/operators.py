@@ -1,21 +1,30 @@
 """Physical vector-at-a-time operators.
 
 Pull-based execution: each operator is an iterator of
-:class:`~repro.table.chunk.DataChunk` batches, which is the vectorized
-interpreted model of the paper (interpretation overhead amortized per
-vector, not per tuple).  Sort and TopN are the pipeline breakers: they
-drain their child before producing anything, exactly as Section V
-describes.
+:class:`~repro.table.chunk.DataChunk` batches (``chunks()``), which is
+the vectorized interpreted model of the paper (interpretation overhead
+amortized per vector, not per tuple), and gives the same rows as one
+table (``table()``).  Sort, Top-N, GROUP BY and merge join are the
+pipeline breakers: they drain their child before producing anything,
+exactly as Section V describes.  A breaker materializes its whole input
+anyway, so it reads a *resident* child -- a scan, a projection of one,
+another breaker -- as one table (a sink takes a chunk of any length);
+only a streaming child (a filter, a LIMIT) is drained vector by vector.
+A breaker's ``table()`` is the result it computed, and its ``chunks()``
+slices that table for a streaming consumer (LIMIT, ``count(*)``).
+:func:`collect` returns the root's ``table()``, so a result may share
+column arrays with a registered table (tables are immutable).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.errors import EngineError
-from repro.sort.operator import SortConfig, make_sort_operator
+from repro.sort import topn
+from repro.sort.operator import SortConfig, SortStats, make_sort_operator
 from repro.sort.topn import TopNOperator
 from repro.table.chunk import (
     VECTOR_SIZE,
@@ -45,7 +54,15 @@ __all__ = [
 
 
 class PhysicalOperator:
-    """Base: a schema plus a chunk iterator."""
+    """Base: a schema, a chunk iterator, and the same rows as one table.
+
+    ``resident`` is true when :meth:`table` copies nothing: the rows
+    already exist as one table (a scan, a projection of a resident
+    child, a pipeline breaker's result).  A streaming operator's table
+    is its chunks concatenated.
+    """
+
+    resident = False
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
@@ -53,27 +70,36 @@ class PhysicalOperator:
     def chunks(self) -> Iterator[DataChunk]:
         raise NotImplementedError
 
+    def table(self) -> Table:
+        """The whole output as one table."""
+        chunks = list(self.chunks())
+        if not chunks:
+            return Table.empty(self.schema)
+        return concat_chunks(chunks)
+
 
 def collect(operator: PhysicalOperator) -> Table:
     """Drain an operator into one table (the client's result set)."""
-    chunks = list(operator.chunks())
-    if not chunks:
-        return Table.empty(operator.schema)
-    return concat_chunks(chunks)
+    return operator.table()
 
 
 class ScanOperator(PhysicalOperator):
-    """Reads a base table in vector batches."""
+    """Reads a base table: whole, or in vector batches."""
+
+    resident = True
 
     def __init__(self, table: Table, vector_size: int = VECTOR_SIZE) -> None:
         super().__init__(table.schema)
-        self.table = table
+        self.source = table
         self.vector_size = vector_size
 
     def chunks(self) -> Iterator[DataChunk]:
-        if self.table.num_rows == 0:
+        if self.source.num_rows == 0:
             return
-        yield from chunk_table(self.table, self.vector_size)
+        yield from chunk_table(self.source, self.vector_size)
+
+    def table(self) -> Table:
+        return self.source
 
 
 class ProjectOperator(PhysicalOperator):
@@ -84,10 +110,19 @@ class ProjectOperator(PhysicalOperator):
         self.child = child
         self.columns = columns
 
+    @property
+    def resident(self) -> bool:
+        return self.child.resident
+
     def chunks(self) -> Iterator[DataChunk]:
         for chunk in self.child.chunks():
             vectors = [chunk.vector(name) for name in self.columns]
             yield DataChunk(self.schema, vectors)
+
+    def table(self) -> Table:
+        if not self.child.resident:
+            return super().table()
+        return self.child.table().select(self.columns)
 
 
 class FilterOperator(PhysicalOperator):
@@ -120,7 +155,7 @@ class SortExecOperator(PhysicalOperator):
     ``mode``:
 
     * ``"elided"`` / ``"subsumed"``: the input already arrives in (at
-      least) the requested order -- stream the child through untouched
+      least) the requested order -- pass the child through untouched
       and record only a ``sorts_elided`` / ``sorts_subsumed`` counter.
     * ``"refine"``: the input is exactly sorted by ``refine_prefix``, a
       leading prefix of ``spec`` -- run the vectorized tie-group
@@ -145,40 +180,51 @@ class SortExecOperator(PhysicalOperator):
         self.refine_prefix = refine_prefix
         self.last_stats = None
 
-    def chunks(self) -> Iterator[DataChunk]:
-        from repro.sort.operator import SortStats
+    @property
+    def resident(self) -> bool:
+        return self.mode not in ("elided", "subsumed") or self.child.resident
 
-        if self.mode in ("elided", "subsumed"):
-            stats = SortStats()
-            if self.mode == "elided":
-                stats.sorts_elided += 1
-            else:
-                stats.sorts_subsumed += 1
-            self.last_stats = stats
+    def chunks(self) -> Iterator[DataChunk]:
+        if self._passes_through():
             yield from self.child.chunks()
-            return
+        else:
+            yield from chunk_table(self.table(), self.config.vector_size)
+
+    def table(self) -> Table:
+        if self._passes_through():
+            return self.child.table()
         if self.mode == "refine" and self.refine_prefix is not None:
             from repro.sort.refine import refine_sorted
 
-            source = collect(self.child)
+            source = self.child.table()
             stats = SortStats()
             refined = refine_sorted(
                 source, self.spec, self.refine_prefix, stats
             )
             if refined is not None:
                 self.last_stats = stats
-                yield from chunk_table(refined, self.config.vector_size)
-                return
+                return refined
             # The refinement pass declined; run the full sort.
-            result = self._full_sort(
-                chunk_table(source, self.config.vector_size)
-            )
+            result = self._full_sort([DataChunk.from_table(source)])
             self.last_stats.refine_fallbacks += 1
-        else:
-            result = self._full_sort(self.child.chunks())
-        yield from chunk_table(result, self.config.vector_size)
+            return result
+        if self.child.resident:
+            return self._full_sort([DataChunk.from_table(self.child.table())])
+        return self._full_sort(self.child.chunks())
 
-    def _full_sort(self, chunks: Iterator[DataChunk]) -> Table:
+    def _passes_through(self) -> bool:
+        """Record an elided or subsumed sort; true when it is one."""
+        if self.mode not in ("elided", "subsumed"):
+            return False
+        stats = SortStats()
+        if self.mode == "elided":
+            stats.sorts_elided += 1
+        else:
+            stats.sorts_subsumed += 1
+        self.last_stats = stats
+        return True
+
+    def _full_sort(self, chunks: Iterable[DataChunk]) -> Table:
         """Run ``chunks`` through the configured full sort."""
         with make_sort_operator(self.schema, self.spec, self.config) as sorter:
             for chunk in chunks:
@@ -191,11 +237,16 @@ class SortExecOperator(PhysicalOperator):
 class TopNExecOperator(PhysicalOperator):
     """ORDER BY + LIMIT fused into the cutoff-pruning top-N operator.
 
-    The config carries the cooperative cancellation event (checked per
-    sunk chunk), so a service can abort a long Top-N scan mid-stream
-    just like a full sort.  ``last_stats`` holds the operator's
-    ``SortStats`` (compaction sorts and string tie repair) once drained.
+    A resident child is sunk in :data:`repro.sort.topn.BATCH_ROWS`-row
+    views of its table: the batches its vectors would make, with nothing
+    to concatenate.  The config carries the cooperative cancellation
+    event (checked per sunk chunk), so a service can abort a long Top-N
+    scan mid-stream just like a full sort.  ``last_stats`` holds the
+    operator's ``SortStats`` (compaction sorts and string tie repair)
+    once drained.
     """
+
+    resident = True
 
     def __init__(
         self,
@@ -214,14 +265,25 @@ class TopNExecOperator(PhysicalOperator):
         self.last_stats = None
 
     def chunks(self) -> Iterator[DataChunk]:
+        yield from chunk_table(self.table(), self.config.vector_size)
+
+    def table(self) -> Table:
         top = TopNOperator(
             self.schema, self.spec, self.limit, self.offset, self.config
         )
-        for chunk in self.child.chunks():
+        if self.child.resident:
+            whole, step = self.child.table(), topn.BATCH_ROWS
+            source = (
+                DataChunk.from_table(whole.slice(start, start + step))
+                for start in range(0, whole.num_rows, step)
+            )
+        else:
+            source = self.child.chunks()
+        for chunk in source:
             top.sink(chunk)
         result = top.finalize()
         self.last_stats = top.stats
-        yield from chunk_table(result, self.config.vector_size)
+        return result
 
 
 class LimitOperator(PhysicalOperator):
@@ -272,6 +334,8 @@ class GroupByOperator(PhysicalOperator):
     straight off the group boundaries.
     """
 
+    resident = True
+
     def __init__(
         self,
         child: PhysicalOperator,
@@ -290,22 +354,23 @@ class GroupByOperator(PhysicalOperator):
         self.last_stats = None
 
     def chunks(self) -> Iterator[DataChunk]:
-        from repro.aggregate.groupby import group_by
-        from repro.sort.operator import SortStats
+        yield from chunk_table(self.table())
 
-        source = collect(self.child)
+    def table(self) -> Table:
+        from repro.aggregate.groupby import group_by
+
+        source = self.child.table()
         if self.presorted:
             stats = SortStats()
             stats.sorts_elided += 1
             self.last_stats = stats
-        result = group_by(
+        return group_by(
             source,
             self.keys,
             self.aggregates,
             self.config,
             presorted=self.presorted,
         )
-        yield from chunk_table(result)
 
 
 class MergeJoinOperator(PhysicalOperator):
@@ -315,6 +380,8 @@ class MergeJoinOperator(PhysicalOperator):
     that input already arrives sorted by its join keys; the join then
     skips that side's sort and ``last_stats`` records the elision.
     """
+
+    resident = True
 
     def __init__(
         self,
@@ -338,13 +405,15 @@ class MergeJoinOperator(PhysicalOperator):
         self.last_stats = None
 
     def chunks(self) -> Iterator[DataChunk]:
+        yield from chunk_table(self.table())
+
+    def table(self) -> Table:
         from repro.join.merge_join import merge_join
-        from repro.sort.operator import SortStats
 
         stats = SortStats()
         result = merge_join(
-            collect(self.left),
-            collect(self.right),
+            self.left.table(),
+            self.right.table(),
             self.left_keys,
             self.right_keys,
             config=self.config,
@@ -353,7 +422,7 @@ class MergeJoinOperator(PhysicalOperator):
             stats=stats,
         )
         self.last_stats = stats
-        yield from chunk_table(result)
+        return result
 
 
 class CountAggregateOperator(PhysicalOperator):

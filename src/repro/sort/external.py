@@ -8,19 +8,15 @@ storage".  This module implements that design for the sort operator:
 * :class:`ExternalSortOperator` *extends* the resident
   :class:`repro.sort.operator.SortOperator` (same construction,
   validation, buffer, :class:`repro.sort.rungen.RunGenerator` and
-  cancellation checkpoint): its ``sink`` is the inherited one plus "the
-  buffer reached the live run threshold: cut a run and **spill** it";
+  cancellation checkpoint): its ``sink`` also cuts a run where the
+  buffer reaches the live run threshold, and **spills** it;
 * input that never reaches the threshold is finished by the inherited
-  ``finalize`` -- one resident run, returned unmerged, no file written,
-  no directory made: spilling is what the sort does on overflow;
+  ``finalize``: one resident run, no file written, no directory made;
 * otherwise the rows still buffered at ``finalize`` become one more
-  *resident* run beside the spilled ones (sorting them is the memory
-  peak either way, and writing them afterwards frees nothing the return
-  does not), and all runs stream block-by-block through the shared
-  :class:`repro.sort.merger.RunMerger` (the block-streaming k-way
-  kernel, :func:`repro.sort.kernels.kway_merge_blocks`), so the merge
-  working set is O(num_runs * block_rows) key rows instead of O(n),
-  with zero per-row Python between frontier refills.
+  *resident* run beside the spilled ones, and all runs stream
+  block-by-block through the shared :class:`repro.sort.merger.RunMerger`
+  (:func:`repro.sort.kernels.kway_merge_blocks`), so the merge working
+  set is O(num_runs * block_rows) key rows instead of O(n).
 
 What this module adds to the inherited stages is the spilling *run
 store*: the spill-file reader (:class:`SpilledRun`), the temp-directory
@@ -400,11 +396,7 @@ class ExternalSortOperator(SortOperator):
     ``spill_directory`` defaults to a fresh temporary directory, made by
     the first spill; ``SortConfig.spill_directories`` names failover
     targets tried in order when writes to the primary keep failing,
-    after which runs fall back to memory.  ``stats`` records run
-    counts, k-way merges, the merge's peak frontier size, per-phase
-    (encode / run_gen / merge / spill_io) wall-clock, and the fault
-    counters (retries, failovers, memory fallbacks, checksum
-    verifications/failures, cleanup errors).
+    after which runs fall back to memory (``stats`` counts each rung).
     """
 
     def __init__(
@@ -546,15 +538,26 @@ class ExternalSortOperator(SortOperator):
         return max(1, threshold // 2) if self._degraded else threshold
 
     def sink(self, chunk: DataChunk) -> None:
-        """Accept one vector batch; cut and spill a run at the threshold."""
+        """Accept a chunk of any length; cut and spill a run at the first
+        vector boundary (every ``vector_size`` rows from the chunk's start)
+        at or past the live threshold: a table sunk whole is cut into the
+        zero-copy slices its vectors would make."""
         if self._closed and not (self._finalized or self._cancelled):
             raise SortError("cannot sink into a closed sort")
-        super().sink(chunk)
-        self._buffered_rows += len(chunk)
-        if self._buffered_rows >= self._run_threshold:
+        start, rows, vector = 0, len(chunk), self.config.vector_size
+        while True:
+            need = self._run_threshold - self._buffered_rows
+            stop = min(rows, start + max(1, -(-need // vector)) * vector)
+            super().sink(chunk.slice(start, stop))
+            self._buffered_rows += stop - start
+            if self._buffered_rows < self._run_threshold:
+                return
             if effective_run_threshold(self.config) < self.config.run_threshold:
                 self.stats.governor_forced_spills += 1
             self._spill_run()
+            if stop == rows:
+                return
+            start = stop
 
     def _spill_targets(self) -> Iterator[str]:
         """Candidate directories for the next run file, in failover order."""
@@ -678,9 +681,9 @@ class ExternalSortOperator(SortOperator):
 
         The stored run is appended to ``self._runs`` (so cleanup always
         sees it) and returned -- the run itself when it stays resident;
-        the fan-in-limited merge stores
-        intermediate runs through the same ladder.  Filenames come from a never-reused
-        sequence counter, not the live run count, because multi-pass
+        the fan-in-limited merge stores intermediate runs through the
+        same ladder.  Filenames come from a never-reused sequence
+        counter, not the live run count, because multi-pass
         merging shrinks the list while old files still exist; the
         per-operator random token keeps names collision-proof across
         concurrent sorts sharing a spill directory.

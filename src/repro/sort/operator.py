@@ -1,7 +1,7 @@
 """The relational sort operator: DuckDB's pipeline from Figure 11.
 
-The operator is a pipeline breaker: it sinks all input as vector chunks,
-then produces the fully sorted table.  The stages mirror the paper:
+The operator is a pipeline breaker: it sinks all input as chunks of any
+length, then produces the fully sorted table.  The stages mirror the paper:
 
 1. **Materialize** -- incoming vectors are buffered, then the ORDER BY
    columns become *normalized keys*: per row, an order-preserving key
@@ -42,7 +42,7 @@ from typing import Sequence
 from repro.errors import SortCancelledError, SortError
 from repro.sort.merger import RunMerger
 from repro.sort.rungen import InMemoryRun, RunGenerator
-from repro.table.chunk import VECTOR_SIZE, DataChunk, chunk_table
+from repro.table.chunk import VECTOR_SIZE, DataChunk
 from repro.table.table import Table
 from repro.types.schema import Schema
 from repro.types.sortspec import SortSpec
@@ -73,10 +73,9 @@ def raise_if_cancelled(config: "SortConfig") -> None:
 def effective_run_threshold(config: "SortConfig") -> int:
     """The live run threshold: the configured one, shrunk by the grant.
 
-    The external sort re-evaluates it at every sink, so a governor
-    revoking grant bytes mid-query takes effect at the next checkpoint:
-    the run is cut and spilled earlier than the static configuration
-    would have.  (The in-memory operator cuts no run and never asks.)
+    The external sort re-reads it at every sink and after every run cut,
+    so a governor revoking grant bytes mid-query cuts the next run
+    earlier.  (The in-memory operator cuts no run and never asks.)
     """
     threshold = config.run_threshold
     grant = config.memory_grant
@@ -97,15 +96,15 @@ class SortConfig:
 
     Attributes:
         run_threshold: rows a sort that may spill (``external``)
-            accumulates before it cuts a sorted run and spills it.
-            Ignored otherwise: a resident cut frees nothing (buffered
-            chunks become keys plus payload of the same size), so
-            everything is one run.
+            accumulates before it cuts a sorted run (at a multiple of
+            ``vector_size`` rows into the chunk that reaches it) and
+            spills it.  Ignored otherwise: a resident cut frees nothing,
+            so everything is one run.
         string_prefix: forced VARCHAR prefix length in normalized keys
             (default: chosen from the data, capped at 12 like DuckDB).
             An input of the statistics layout like the data's own
             lengths; the paper-face prefix ablation is its caller.
-        vector_size: chunk granularity used by :func:`sort_table`.
+        vector_size: the granularity of those run cuts.
         external: the sort may spill.  Input that reaches the live run
             threshold is cut into runs that go to disk and stream back
             through the k-way merge; input that never reaches it is
@@ -368,8 +367,7 @@ class SortOperator:
     Use as::
 
         op = SortOperator(schema, SortSpec.of("a DESC", "b"))
-        for chunk in chunks:
-            op.sink(chunk)
+        op.sink(chunk)  # any number of chunks, of any length
         result = op.finalize()
 
     ``sink`` buffers; ``finalize`` runs the two shared stages:
@@ -411,7 +409,7 @@ class SortOperator:
         raise_if_cancelled(self.config)
 
     def sink(self, chunk: DataChunk) -> None:
-        """Accept one vector batch of input."""
+        """Accept a chunk of input, of any length."""
         if self._finalized:
             raise SortError("cannot sink into a finalized sort")
         if chunk.schema.names != self.schema.names:
@@ -467,8 +465,6 @@ def sort_table(
     """
     if isinstance(spec, str):
         spec = SortSpec.of(*[part.strip() for part in spec.split(",")])
-    config = config or SortConfig()
     with make_sort_operator(table.schema, spec, config) as operator:
-        for chunk in chunk_table(table, config.vector_size):
-            operator.sink(chunk)
+        operator.sink(DataChunk.from_table(table))
         return operator.finalize()

@@ -1,17 +1,18 @@
 """Run generation: the stage every run store shares.
 
 :class:`RunGenerator` turns a buffer of input chunks into one sorted run
--- one ``Table.concat``, key statistics, every key packed into uint64
-words (:func:`repro.keys.normalizer.key_words`), one stable sort of the
-words -- and hands it over as an :class:`InMemoryRun`: the table as it
-arrived, its key words, and the positions of its rows in key order (the
-paper's Figure 11 sorts keys that carry a row id; here the position is
-the row id).  Nothing is gathered: a result made of one run is one
-``Table.take``.  Key bytes with a row-id suffix, NSM payload rows and a
-string heap are the spill format, built only for a run written to a
-spill file or merged with one (:meth:`InMemoryRun.to_row_run`).  Where a
-VARCHAR prefix truncates, the exact-string repair happens once, in the
-merger, on tie groups that by then span all runs.
+-- the chunks joined (a lone chunk is not copied), key statistics, every
+key packed into uint64 words (:func:`repro.keys.normalizer.key_words`),
+one stable sort of the words -- and hands it over as an
+:class:`InMemoryRun`: the table as it arrived, its key words, and the
+positions of its rows in key order (the paper's Figure 11 sorts keys
+that carry a row id; here the position is the row id).  Nothing is
+gathered: a result made of one run is one ``Table.take``.  Key bytes
+with a row-id suffix, NSM payload rows and a string heap are the spill
+format, built only for a run written to a spill file or merged with one
+(:meth:`InMemoryRun.to_row_run`).  Where a VARCHAR prefix truncates, the
+exact-string repair happens once, in the merger, on tie groups that by
+then span all runs.
 What happens to the run next is the *store's* business:
 :class:`~repro.sort.operator.SortOperator` keeps it resident,
 :class:`~repro.sort.external.ExternalSortOperator` spills it (and may

@@ -273,6 +273,6 @@ def top_n(
     if isinstance(spec, str):
         spec = SortSpec.of(*[part.strip() for part in spec.split(",")])
     operator = TopNOperator(table.schema, spec, limit, offset)
-    for chunk in chunk_table(table):
+    for chunk in chunk_table(table, BATCH_ROWS):
         operator.sink(chunk)
     return operator.finalize()

@@ -3,9 +3,13 @@
 Vectorized interpreted engines (VectorWise, DuckDB) move data between
 operators in fixed-size batches of column vectors so interpretation overhead
 is amortized "vector-at-a-time" instead of paid per tuple.  A
-:class:`DataChunk` is one such batch: a horizontal slice of a table, at most
-:data:`VECTOR_SIZE` rows (DuckDB uses 2048; we default to 1024, matching the
-paper's description of conversion "one block of vectors at a time").
+:class:`DataChunk` is one such batch: a horizontal slice of a table.  A
+streaming operator emits at most :data:`VECTOR_SIZE` rows per chunk (DuckDB
+uses 2048; we default to 1024, matching the paper's description of
+conversion "one block of vectors at a time"); a sink (the sorts, Top-N)
+takes a chunk of any length, so a pipeline breaker reads a table that is
+already resident as one chunk instead of slicing it into vectors and
+concatenating them back.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ VECTOR_SIZE = 1024
 
 
 class DataChunk:
-    """A batch of up to ``VECTOR_SIZE`` rows in columnar (DSM) form."""
+    """A batch of rows in columnar (DSM) form."""
 
     __slots__ = ("schema", "vectors")
 
@@ -51,6 +55,15 @@ class DataChunk:
 
     def to_table(self) -> Table:
         return Table(self.schema, list(self.vectors))
+
+    def slice(self, start: int, stop: int) -> "DataChunk":
+        """Rows ``[start, stop)`` as a zero-copy view (all rows: the chunk
+        itself)."""
+        if start == 0 and stop == len(self):
+            return self
+        return DataChunk(
+            self.schema, [vector.slice(start, stop) for vector in self.vectors]
+        )
 
     @classmethod
     def from_table(cls, table: Table) -> "DataChunk":
