@@ -11,9 +11,9 @@ equally.  The headline number is the end-to-end overhead ratio (the
 median over rounds of one round's verified / unverified time), which
 the tier-2 ``slow`` test asserts stays under 10%.
 
-Results land in ``BENCH_faults.json`` at the repository root.  Runs
-standalone (``python benchmarks/bench_fault_overhead.py``) or under
-pytest.
+Results land in ``BENCH_faults.json`` at the repository root, with the
+machine's ``cpu_count`` and the commit measured.  Runs standalone
+(``python benchmarks/bench_fault_overhead.py``) or under pytest.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
 from repro.types.sortspec import SortSpec  # noqa: E402
 
+from bench_key_compression import commit_id  # noqa: E402
 from scenarios import uniform_values  # noqa: E402
 
 OUTPUT = os.path.join(os.path.dirname(_SRC), "BENCH_faults.json")
@@ -112,7 +113,11 @@ def bench_checksum_overhead():
 
 
 def main():
-    results = {"checksum_overhead": bench_checksum_overhead()}
+    results = {
+        "cpu_count": os.cpu_count(),
+        "commit": commit_id(),
+        "checksum_overhead": bench_checksum_overhead(),
+    }
     with open(OUTPUT, "w") as fh:
         json.dump(results, fh, indent=2)
         fh.write("\n")

@@ -407,7 +407,8 @@ def rebase_matrix(
     The result is byte-identical to normalizing the original rows under
     ``new_layout`` directly -- except NULL rows of key-carried decodes,
     whose unrecoverable filler re-encodes as the NULL code anyway.
-    Returns ``matrix`` itself when the layouts already agree.
+    A row-id suffix is carried over when ``matrix`` has one (spilled key
+    words hold none).  Returns ``matrix`` itself when the layouts agree.
     """
     if old_layout == new_layout:
         return matrix
@@ -415,11 +416,11 @@ def rebase_matrix(
         raise KeyEncodingError("row-id width may not change across runs")
     if len(old_layout.segments) != len(new_layout.segments):
         raise KeyEncodingError("layouts have different segment counts")
-    out = np.empty((len(matrix), new_layout.total_width), dtype=np.uint8)
+    width = new_layout.key_width + matrix.shape[1] - old_layout.key_width
+    out = np.empty((len(matrix), width), dtype=np.uint8)
     for old_seg, new_seg in zip(old_layout.segments, new_layout.segments):
         _rebase_segment(matrix, out, old_seg, new_seg)
-    if new_layout.row_id_width:
-        out[:, new_layout.key_width :] = matrix[:, old_layout.key_width :]
+    out[:, new_layout.key_width :] = matrix[:, old_layout.key_width :]
     return out
 
 

@@ -16,7 +16,7 @@ storage".  This module implements that design for the sort operator:
   *resident* run beside the spilled ones, and all runs stream
   block-by-block through the shared :class:`repro.sort.merger.RunMerger`
   (:func:`repro.sort.kernels.kway_merge_blocks`), so the merge working
-  set is O(num_runs * block_rows) key rows instead of O(n).
+  set is O(num_runs * block_rows) key word rows instead of O(n).
 
 What this module adds to the inherited stages is the spilling *run
 store*: the spill-file reader (:class:`SpilledRun`), the temp-directory
@@ -30,14 +30,15 @@ Runs are encoded under the runtime key-compression layer
 (:mod:`repro.keys.compression`): each run's layout comes from one
 monotone statistics accumulator, so layouts only ever widen run-to-run
 and the merge rebases earlier (narrower) runs onto the final layout
-block-by-block as it streams them -- spilled key bytes shrink without a
+block-by-block as it streams them -- spilled keys shrink without a
 re-spill pass.  A spill header's ``extra`` blob is its run's serialized
 layout.
 When the key segments alone can reconstruct every column exactly
 (``key_carried_eligible``: all columns are fixed-width non-float sort
 keys), runs are spilled **key-carried**: the payload row matrix and heap
 sections are empty and the output table is decoded straight from the
-merged key rows, cutting spill volume by the full payload width.
+merged key words (written big-endian: the key bytes the decode reads),
+cutting spill volume by the full payload width.
 
 Truncated VARCHAR prefixes spill in key-byte order and the streamed
 merge repairs them with the adaptive re-encode loop
@@ -47,8 +48,11 @@ across round boundaries, refined against their full strings' bytes in
 the spilled heaps (no ``str`` decoded), then emitted.
 
 The spill format per run is one file of three contiguous data sections --
-the sorted key matrix, the payload row matrix, and the string heap --
-preceded by a versioned, checksummed header (:mod:`repro.sort.spillfile`).
+the sorted key words (uint64 rows, the words the merge compares: a block
+reads back with no conversion), the payload row matrix, and the string
+heap -- preceded by a versioned, checksummed header
+(:mod:`repro.sort.spillfile`).  Key bytes exist only in Top-N, string
+refinement, the key-carried decode and the rebase of a stale block.
 The NSM rows and heap exist for the file: a resident run keeps its
 payload in columns, and one ``RowBlock.from_table`` builds them when the
 run is written (:meth:`~repro.sort.rungen.InMemoryRun.to_row_run`), or
@@ -105,7 +109,7 @@ from repro.keys.compression import (
     rebase_matrix,
     serialize_layout,
 )
-from repro.keys.normalizer import KeyLayout
+from repro.keys.normalizer import KeyLayout, words_to_bytes
 from repro.sort.faults import SpillIO
 from repro.sort.merger import RunMerger
 from repro.sort.operator import (
@@ -116,6 +120,7 @@ from repro.sort.operator import (
 )
 from repro.sort.prefetch import BlockPrefetcher, prefetch_budget_blocks
 from repro.sort.rungen import (
+    ROW_ID_WIDTH,
     RUN_CAP_FACTOR,
     InMemoryRun,
     ReplacementSelection,
@@ -149,7 +154,7 @@ class SpilledRun:
     """A sorted run on disk: path, validated header, and block readers.
 
     The file layout is :mod:`repro.sort.spillfile`: a checksummed header
-    followed by three contiguous sections (sorted key matrix, payload
+    followed by three contiguous sections (sorted key words, payload
     row matrix, string heap), each written with one ``tobytes()`` buffer
     -- no per-row serialization -- so any row range reads back as a
     single ``seek`` + ``read``.  With ``verify`` on (the default), every
@@ -217,8 +222,8 @@ class SpilledRun:
         return self.header.num_rows
 
     @property
-    def key_width(self) -> int:
-        return self.header.key_width
+    def key_words(self) -> int:
+        return self.header.key_words
 
     @property
     def row_width(self) -> int:
@@ -354,15 +359,13 @@ class SpilledRun:
     def read_key_block(
         self, start: int, stop: int, stats: SortStats | None = None
     ) -> np.ndarray:
-        """Key rows ``[start, stop)`` as an ``(m, key_width)`` matrix."""
+        """Key rows ``[start, stop)`` as ``(m, key_words)`` uint64 words."""
+        width = 8 * self.key_words
         raw = self._read_section(
-            _KEYS,
-            start * self.key_width,
-            (stop - start) * self.key_width,
-            stats,
+            _KEYS, start * width, (stop - start) * width, stats
         )
-        return np.frombuffer(raw, dtype=np.uint8).reshape(
-            stop - start, self.key_width
+        return np.frombuffer(raw, dtype=np.uint64).reshape(
+            stop - start, self.key_words
         )
 
     def read_row_block(
@@ -625,16 +628,19 @@ class ExternalSortOperator(SortOperator):
     def _rs_feed(self, table: Table, words, encoded, base: int) -> None:
         """Sort one batch into the selection working set, then drain.
 
-        The selection works on the batch's key rows in the spill format
-        (key bytes plus row id), made here once.
+        The selection works on the batch's key bytes plus the big-endian
+        row id (ids make its keys unique), made here once.
         """
         if self._selection is None:
             self._selection = ReplacementSelection(rebase=rebase_matrix)
         layout = self._generator.layout
         with self.stats.time_phase("run_gen"):
             order = self._generator.argsort(words)
-            run = InMemoryRun(words, layout, table, order, encoded, base)
-            keys = run.to_row_run(keys_only=True).keys
+            keys = np.empty((len(order), layout.total_width), dtype=np.uint8)
+            width = layout.key_width
+            keys[:, :width] = words_to_bytes([w[order] for w in words], width)
+            ids = (order + base).astype(">u8").view(np.uint8)
+            keys[:, width:] = ids.reshape(len(order), ROW_ID_WIDTH)
             self._selection.feed(keys, order, table, layout)
         self._rs_drain(final=False)
 
@@ -701,7 +707,7 @@ class ExternalSortOperator(SortOperator):
         try:
             if not self._degraded:
                 with self.stats.time_phase("run_gen"):
-                    # The run's key bytes and NSM rows, once.
+                    # The run's key word rows and NSM rows, once.
                     written = run.to_row_run(self._generator.key_carried)
                 sections = (
                     written.keys.tobytes(),

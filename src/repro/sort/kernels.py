@@ -6,10 +6,12 @@ is a row of big-endian uint64 *words* (word ``w`` is key bytes ``[8w,
 8w + 8)``), so **numpy scalar order is memcmp order**, and merging and
 sorting become single numpy calls with zero Python-level per-row work.
 
-Resident runs hold their keys as such word columns
-(:func:`repro.keys.normalizer.key_words`); a key-byte matrix (a spilled
-block, Top-N's keys) is read as words by :func:`_chunk_columns` or, word
-by word on first use, ``_MatrixWords``.  On top of them:
+Runs hold their keys as such word columns
+(:func:`repro.keys.normalizer.key_words`), and a spill file holds them as
+word rows; key bytes exist only in Top-N, string refinement and the
+key-carried decode.  A key-byte matrix is read as words by
+:func:`_chunk_columns` or, word by word on first use, ``_MatrixWords``.
+On top of them:
 
 * :func:`argsort_words` / :func:`argsort_rows` -- the one stable
   whole-row sort: key bits and row position packed into one uint64 and
@@ -113,8 +115,8 @@ def _chunk_columns(matrix: np.ndarray) -> list[np.ndarray]:
     byte-swapping cast, one transpose copy -- instead of a pad + cast per
     word.  The returned word columns are contiguous views sharing a single
     backing buffer (callers and tests rely on this: re-chunking a block
-    never allocates per-word temporaries).  The merge runs it at the spill
-    boundary: a key block read from a spill file becomes words once, here.
+    never allocates per-word temporaries).  The merge runs it on a stale
+    spilled block rebased as bytes, and on a replacement-selection run.
     """
     _check_matrix(matrix)
     n, width = matrix.shape
@@ -449,29 +451,31 @@ class KWayBlockStats:
         self.peak_frontier_rows = 0
 
 
-def _count_below(
-    columns: Sequence[np.ndarray], cutoff: tuple[int, ...]
-) -> tuple[int, int]:
-    """``(lt, le)`` counts of sorted frontier rows vs. a cutoff key.
+def _cut(
+    columns: Sequence[np.ndarray],
+    lo: int,
+    hi: int,
+    cutoff: tuple[int, ...],
+    inclusive: bool,
+) -> int:
+    """End of the sorted rows ``[lo, hi)`` that sort before ``cutoff`` (or
+    equal it, when ``inclusive``).
 
-    Progressive binary search: after narrowing on word ``j``, positions
-    ``[0, lo)`` are strictly below the cutoff and ``[lo, hi)`` tie it on
-    every word so far, so the final ``lo`` counts rows < cutoff and the
-    final ``hi`` rows <= cutoff.  Costs O(words * log n) -- no per-row
-    work.
+    One binary search per word, narrowing to the rows that tie the cutoff
+    on every word so far; a scalar check of the first row at or past the
+    cutoff's word stops it as soon as no row ties -- on distinct keys,
+    after the first word.  No per-row work.
     """
-    lo, hi = 0, len(columns[0])
     for column, word in zip(columns, cutoff):
-        segment = column[lo:hi]
         # np.uint64, not Python int: mixing int with a uint64 array
-        # promotes to float64, which rounds words above 2**53.
+        # promoted to float64 before NumPy 2, rounding words above 2**53.
         value = np.uint64(word)
-        left = lo + int(np.searchsorted(segment, value, side="left"))
-        right = lo + int(np.searchsorted(segment, value, side="right"))
-        lo, hi = left, right
-        if lo == hi:
-            break
-    return lo, hi
+        segment = column[lo:hi]
+        start = lo + int(segment.searchsorted(value))
+        if start == hi or column[start] != value:
+            return start
+        lo, hi = start, lo + int(segment.searchsorted(value, "right"))
+    return hi if inclusive else lo
 
 
 def kway_merge_blocks(
@@ -485,7 +489,7 @@ def kway_merge_blocks(
     ``sources`` holds one iterable per run, each yielding successive key
     blocks of that run in sorted order, as uint64 word columns (all runs
     share one word count): a resident run's words as they are, a spilled
-    block's bytes converted once at read (:func:`_chunk_columns`).
+    block's word rows transposed.
     Yields one ``(order, spans)`` pair per round, the round's
     globally-sorted slice of the merge: ``spans`` lists, ascending by run,
     one ``(run, lo, hi)`` per contributing run -- the contiguous rows
@@ -494,25 +498,27 @@ def kway_merge_blocks(
     puts the spans' rows, concatenated as listed, into merge order (one
     entry per emitted row; the identity when a single run contributes).
     With ``emit_keys`` each item gains a third element, the round's
-    merged key word columns (callers doing exact-string tie repair need
-    the merged keys to find cross-run tie groups without re-reading the
-    runs).
+    merged key word columns (a spilling merge's key-carried result or new
+    run, and exact-string tie repair, take the merged keys from here
+    instead of re-reading the runs).
 
     Instead of a per-row tournament, every round works on the buffered
-    *frontier* of each run:
+    *frontier* of each run -- its block from an offset on:
 
-    1. refill any drained frontier with its run's next block;
+    1. refill any drained frontier with its run's next block, caching
+       the block's tail key as a tuple of Python ints;
     2. the global **cutoff** is the smallest frontier-tail key over runs
        that still have unread blocks -- every unread row of any run is >=
        its own frontier tail >= the cutoff, so a buffered row < cutoff is
        always safe to emit, and a row == cutoff is safe in runs at or
        before the cutoff's owner (later runs must wait for the owner's
        unread equal keys, or stability would break);
-    3. the counts of emittable rows per frontier are found by binary
-       search (:func:`_count_below`) and the selected prefixes of all
-       frontiers are ordered with one stable :func:`argsort_words` over
-       the uint64 word columns (ties resolve to the earlier run; words
-       and leading bits the round's rows share cost it nothing).
+    3. a run whose tail is itself emittable (a tuple compare) gives its
+       whole frontier; only a run the cutoff splits is searched
+       (:func:`_cut`); the selected rows of all frontiers are ordered with
+       one stable :func:`argsort_words` over the uint64 word columns
+       (ties resolve to the earlier run; words and leading bits the
+       round's rows share cost it nothing).
 
     Progress is guaranteed: the run holding the cutoff drains its whole
     frontier each round.  At most one block per run is buffered, so the
@@ -522,29 +528,32 @@ def kway_merge_blocks(
     """
     iterators = [iter(source) for source in sources]
     k = len(iterators)
-    # Each frontier is its block's unemitted rows as uint64 word columns.
-    frontiers: list[tuple[np.ndarray, ...] | None] = [None] * k
-    starts = [0] * k  # absolute row index of each frontier's first row
+    # Per run: its block's word columns (None once drained), the block row
+    # the frontier starts at, the run row the block starts at, its tail.
+    blocks: list[tuple[np.ndarray, ...] | None] = [None] * k
+    offsets, bases = [0] * k, [0] * k
+    tails: list[tuple[int, ...]] = [()] * k
     exhausted = [False] * k
 
     while True:
         for index in range(k):
-            if frontiers[index] is not None or exhausted[index]:
+            if blocks[index] is not None or exhausted[index]:
                 continue
             # Skip empty blocks a source may yield.
             block = next((b for b in iterators[index] if len(b[0])), None)
             if block is None:
                 exhausted[index] = True
                 continue
-            frontiers[index] = tuple(block)
+            blocks[index] = block = tuple(block)
+            tails[index] = tuple(int(column[-1]) for column in block)
             if stats is not None:
                 stats.refills += 1
-        live = [index for index in range(k) if frontiers[index] is not None]
+        live = [index for index in range(k) if blocks[index] is not None]
         if not live:
             return
         if stats is not None:
             stats.rounds += 1
-            buffered = sum(len(frontiers[i][0]) for i in live)
+            buffered = sum(len(blocks[i][0]) - offsets[i] for i in live)
             if buffered > stats.peak_frontier_rows:
                 stats.peak_frontier_rows = buffered
 
@@ -557,38 +566,30 @@ def kway_merge_blocks(
         cutoff: tuple[int, ...] | None = None
         cutoff_run = -1
         for index in live:
-            if exhausted[index]:
-                continue
-            tail = tuple(int(column[-1]) for column in frontiers[index])
-            if cutoff is None or tail < cutoff:
-                cutoff = tail
-                cutoff_run = index
+            tail = tails[index]
+            if not exhausted[index] and (cutoff is None or tail < cutoff):
+                cutoff, cutoff_run = tail, index
 
         emit_columns: list[tuple[np.ndarray, ...]] = []
         spans: list[tuple[int, int, int]] = []
         for index in live:
-            columns = frontiers[index]
-            length = len(columns[0])
-            if cutoff is None:
-                take = length
-            else:
-                below, at_or_below = _count_below(columns, cutoff)
-                take = at_or_below if index <= cutoff_run else below
-            if take == 0:
+            columns, offset, tail = blocks[index], offsets[index], tails[index]
+            stop = length = len(columns[0])
+            inclusive = index <= cutoff_run
+            if cutoff is not None and (
+                tail > cutoff or (tail == cutoff and not inclusive)
+            ):
+                stop = _cut(columns, offset, length, cutoff, inclusive)
+            if stop == offset:
                 continue
-            emit_columns.append(tuple(column[:take] for column in columns))
-            spans.append((index, starts[index], starts[index] + take))
-            starts[index] += take
-            frontiers[index] = (
-                None
-                if take == length
-                else tuple(column[take:] for column in columns)
-            )
+            emit_columns.append(tuple(c[offset:stop] for c in columns))
+            spans.append((index, bases[index] + offset, bases[index] + stop))
+            if stop == length:
+                blocks[index], offsets[index] = None, 0
+                bases[index] += length
+            else:
+                offsets[index] = stop
 
-        if not spans:
-            # The run holding the cutoff always emits at least its tail
-            # row, so an empty round means a source yielded unsorted data.
-            raise SortError("k-way merge made no progress; runs not sorted?")
         several = len(spans) > 1
         if several:
             # One stable sort over the selected prefixes IS the k-way

@@ -11,17 +11,17 @@ and emits everything below it with one stable sort, so every row is moved
 once and the key working set is ``k * block_rows`` rows no matter how
 large the runs are.
 
-* **Keys are words, a key byte is read once** -- the kernel reads uint64
-  key word columns: a resident run's own, unconverted, or a spilled
-  block's, read (CRC-checked, rebased) at full width, converted once and
-  held while its frontier drains.  The kernel reports each round as one
-  contiguous span per contributing run plus one permutation, and the
-  full key rows a spilling round needs (key-carried results, every
-  intermediate run) are sliced out of the held blocks: no second read,
-  no second CRC pass, no second rebase.
+* **Keys are words end to end** -- the kernel reads uint64 key word
+  columns: a resident run's own, or a spilled block's, which the file
+  holds as word rows (read and CRC-checked once, transposed once).  The
+  kernel reports each round as one contiguous span per contributing run
+  plus one permutation, and hands over the round's merged key words when
+  a pass needs them (key-carried results, every intermediate run,
+  string repair): key bytes exist only for ``decode_key_table``, the
+  string repair's tie detection and a stale block's rebase.
 * **Layout rebase** -- runs encoded under a narrower key layout are
   re-encoded onto the final one: a resident run from its table, a
-  spilled one block by block as it streams.
+  spilled one block by block as it streams (words to bytes and back).
 * **Exact strings** -- runs arrive sorted by key bytes, so rows tied
   on the bytes up to the first truncated VARCHAR segment may still
   reorder once the full strings are consulted, and such a tie group can
@@ -52,7 +52,7 @@ large the runs are.
   permutation; string heaps are concatenated once up front and each
   row's offsets shifted by its run's base at the end.  Key-carried spill
   files hold no payload, and such a merge decodes the table from its
-  gathered key rows.
+  merged key words.
 """
 
 from __future__ import annotations
@@ -181,41 +181,28 @@ class RunMerger:
         return run.layout != self.key_layout
 
     def _key_block(self, run, start: int, stop: int, stats) -> np.ndarray:
-        """Full-width key rows ``[start, stop)`` on the final layout.
+        """Key word rows ``[start, stop)`` on the final layout.
 
-        This is the one read (and CRC check, and rebase) of these key
-        bytes.  (Prefetch workers call this with a thread-private
-        ``stats``.)
+        This is the one read (and CRC check) of these words; only a
+        stale block crosses into key bytes and back, for the rebase.
+        (Prefetch workers call this with a thread-private ``stats``.)
         """
         block = run.read_key_block(start, stop, stats)
         if self._stale(run):
-            block = rebase_matrix(block, run.layout, self.key_layout)
+            old, new = run.layout, self.key_layout
+            matrix = words_to_bytes(block.T, old.key_width)
+            matrix = rebase_matrix(matrix, old, new)
+            block = np.stack(_chunk_columns(matrix), axis=1)
         return block
 
     def _key_source(self, run) -> Iterator:
-        """A resident run's key words, else full-width key rows, by block."""
+        """A resident run's key words, else its key word rows, by block."""
         for start in range(0, run.num_rows, self.block_rows):
             stop = min(start + self.block_rows, run.num_rows)
             if isinstance(run, InMemoryRun):
                 yield run.key_block(start, stop)
             else:
                 yield self._key_block(run, start, stop, self.stats)
-
-    def _frontier(self, blocks, held: list, index: int) -> Iterator[list]:
-        """A spilled run's key blocks as words, each full-width one held.
-
-        The merge compares key bytes only: every run carries a row-id
-        suffix that ascends with run order, so the kernel's stable
-        earlier-run-first tie handling reproduces full-key memcmp order
-        without the suffix.  The full-width block is remembered at
-        delivery to the kernel, not at fetch: a read-ahead worker may be
-        a block ahead of the frontier the round's spans are cut from.
-        """
-        width, start = self.key_layout.key_width, 0
-        for block in blocks:
-            held[index] = (start, block)
-            start += len(block)
-            yield _chunk_columns(block[:, :width])
 
     # ------------------------------------------------------------------ #
     # The pass
@@ -224,17 +211,18 @@ class RunMerger:
     def _merge(
         self, runs: Sequence, payload, final: bool
     ) -> tuple[np.ndarray | None, tuple[list[np.ndarray], ...]]:
-        """One pass over ``runs``: ``(full keys | None, payload columns)``.
+        """One pass over ``runs``: ``(keys | None, payload columns)``.
 
         The ``final`` pass repairs truncated-VARCHAR tie groups and
-        gathers only what the result is made from; an intermediate one
-        keeps byte order and gathers the new run's full keys too.  The
-        payload columns hold, per array ``payload.gather`` returns, its
-        settled batches in order.
+        gathers only what the result is made from (a key-carried result
+        its key bytes, the merged words written big-endian); an intermediate
+        one keeps byte order and gathers the new run's key word rows
+        too.  The payload columns hold, per array ``payload.gather``
+        returns, its settled batches in order.
         """
         stats = self.stats
-        # A spilling merge gathers key rows for a key-carried result or
-        # a new run; resident runs hold their keys as words.
+        # A spilling merge takes the kernel's merged key words for a
+        # key-carried result or a new run; resident runs hold their own.
         want_keys = not isinstance(payload, _PositionPayload) and (
             self.key_carried or not final
         )
@@ -255,36 +243,43 @@ class RunMerger:
         else:
             blocks = [self._key_source(run) for run in runs]
 
-        #: per spilled run, ``(first row, full-width block)`` delivered last.
-        held: list[tuple[int, np.ndarray] | None] = [None] * len(runs)
+        # The kernel reads word columns: a spilled block's are its rows
+        # transposed (one copy per block, none per round).
         sources = [
             source if isinstance(run, InMemoryRun)
-            else self._frontier(source, held, index)
-            for index, (run, source) in enumerate(zip(runs, blocks))
+            else (np.ascontiguousarray(block.T) for block in source)
+            for run, source in zip(runs, blocks)
         ]
-
-        def key_rows(index, lo, hi):
-            first, block = held[index]
-            return block[lo - first : hi - first]
-
         kernel_stats = KWayBlockStats()
         refine_end = self.refine_end if final else None
         rounds = kway_merge_blocks(
-            sources, kernel_stats, emit_keys=refine_end is not None
+            sources, kernel_stats,
+            emit_keys=want_keys or refine_end is not None,
         )
 
+        # The merged keys a pass keeps, as word rows each round copies in
+        # (big-endian for a key-carried result: they are its key bytes).
+        keys = None
+        if want_keys:
+            count = sum(run.num_rows for run in runs)
+            words = -(-self.key_layout.key_width // 8)
+            keys = np.empty((count, words), ">u8" if final else np.uint64)
+
         def gathered() -> Iterator[tuple]:
-            """Each round's ``(full keys, payload arrays, *words)``: its
-            spans' slices (key rows out of the held blocks) through its
-            permutation."""
-            for order, spans, *words in rounds:
+            """Each round's ``(merged key words | None, payload arrays)``:
+            its spans' payload slices through its permutation."""
+            filled = 0
+            for order, spans, *merged in rounds:
                 # A cancelled sort unwinds between rounds, never
                 # mid-read: cleanup sees a consistent set of spill files.
                 self._check_cancelled()
-                keys = None
-                if want_keys:
-                    keys = _gather([key_rows(*s) for s in spans], order)
-                yield (keys, payload.gather(spans, order), *words)
+                if want_keys:  # taken out of the batch, copied in place
+                    stop = filled + len(order)
+                    for index, word in enumerate(merged.pop()):
+                        keys[filled:stop, index] = word
+                    filled = stop
+                words = merged[0] if merged else None
+                yield words, payload.gather(spans, order)
 
         batches = gathered()
         if refine_end is not None:
@@ -302,8 +297,9 @@ class RunMerger:
         stats.kway_peak_frontier_rows = max(
             stats.kway_peak_frontier_rows, kernel_stats.peak_frontier_rows
         )
-        keys, arrays = zip(*parts)
-        keys = _concat(list(keys)) if want_keys else None
+        _, arrays = zip(*parts)
+        if want_keys and final:
+            keys = keys.view(np.uint8)[:, : self.key_layout.key_width]
         return keys, tuple(list(column) for column in zip(*arrays))
 
     # ------------------------------------------------------------------ #
@@ -339,7 +335,7 @@ class RunMerger:
                 arrays = [array[perm] for array in arrays]
             return None, tuple(arrays)
 
-        for _, arrays, words in batches:
+        for words, arrays in batches:
             batch = (words_to_bytes(words, width), *arrays)
             prefix = batch[0][:, :refine_end]
             tail = _trailing_tie_start(prefix)
@@ -363,7 +359,7 @@ class RunMerger:
 
 class _KeyPayload:
     """Key-carried spill files: no payload; the table is decoded from the
-    merged key rows."""
+    merged keys (a new run keeps them as word rows)."""
 
     def __init__(self, key_layout, schema) -> None:
         self.key_layout, self.schema = key_layout, schema

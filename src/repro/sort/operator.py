@@ -7,9 +7,9 @@ length, then produces the fully sorted table.  The stages mirror the paper:
    columns become *normalized keys*: per row, an order-preserving key
    packed into uint64 words, so comparing word lists is memcmp on the
    key bytes; the row's position is its row id.  The payload stays in
-   its columns.  Key bytes with a row-id suffix and fixed-width NSM
-   *payload rows* with a string heap are the spill format, built only
-   for a run that is written out.
+   its columns.  Key word rows and fixed-width NSM *payload rows* with
+   a string heap are the spill format, built only for a run that is
+   written out.
 2. **Run generation** -- the key words are sorted, yielding a sorted
    run: its table, key words and the positions of its rows in key
    order (:class:`repro.sort.rungen.RunGenerator`, shared with the

@@ -10,10 +10,9 @@ only when read-ahead could not keep up.
 Up to two block streams are prefetched per run, mirroring how the merge
 consumes a spilled run:
 
-* **key blocks** -- the full-width frontier blocks :func:`~repro.sort.
-  kernels.kway_merge_blocks` refills from (the merge also slices the key
-  rows it emits out of them), consumed strictly in order through
-  :meth:`BlockPrefetcher.key_source`;
+* **key blocks** -- the key word rows :func:`~repro.sort.kernels.
+  kway_merge_blocks` refills its frontiers from, consumed strictly in
+  order through :meth:`BlockPrefetcher.key_source`;
 * **payload rows** -- each emitted round gathers one contiguous prefix
   of every contributing run's rows, so payload consumption trails key
   consumption run-by-run.  :meth:`BlockPrefetcher.read_rows` serves
@@ -25,9 +24,9 @@ consumes a spilled run:
 below), so they go to the runs that will exhaust their buffered data
 first.  The merge kernel's round cutoff is the minimum over the runs'
 frontier-tail keys; the prefetcher applies the same rule to its own
-buffers: each run's last-delivered block tail is compared against the
-global minimum tail (one vectorized whole-row comparison via
-:func:`~repro.sort.kernels.argsort_rows`), and runs are refilled in
+buffers: each run's last-delivered block tail, kept as a tuple of its
+key words, is compared against the others (``min`` over tuples, the
+order the kernel compares its tails in), and runs are refilled in
 ascending tail order -- the run owning the cutoff drains its frontier
 every round, so its next block is needed soonest.
 
@@ -65,7 +64,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.sort.kernels import argsort_rows
 from repro.sort.operator import SortStats
 
 __all__ = ["BlockPrefetcher", "prefetch_budget_blocks"]
@@ -136,15 +134,15 @@ class _RunState:
         self.row_submitted = 0  # payload rows scheduled so far
         self.row_delivered = 0  # payload rows materialized into the buffer
         self.row_buffer: deque[tuple[int, np.ndarray]] = deque()
-        self.tail: bytes | None = None  # last delivered key-block tail row
+        self.tail: tuple | None = None  # last delivered block's tail words
 
 
 class BlockPrefetcher:
     """Double-buffered read-ahead over one merge's spilled runs.
 
     ``key_fetch(index, start, stop, stats)`` must return the run's key
-    block for rows ``[start, stop)`` -- rebased exactly as the merge
-    wants it, every run's at one width (the exhaustion forecast compares
+    word rows ``[start, stop)`` -- rebased exactly as the merge wants
+    them, every run's on one layout (the exhaustion forecast compares
     their tail rows) -- and ``row_fetch(index, start, stop, stats)`` the
     payload rows backing the same range, or ``None`` when the runs hold
     none.  Both are called with the merge's stats on its own thread and
@@ -283,7 +281,7 @@ class BlockPrefetcher:
             block = self._consume(state.key_queue.popleft())
         state.key_delivered += 1
         if len(block):
-            state.tail = block[-1].tobytes()
+            state.tail = tuple(block[-1].tolist())
         self._schedule()
         return block
 
@@ -427,12 +425,7 @@ class BlockPrefetcher:
         no_tail = [i for i in candidates if self._runs[i].tail is None]
         if no_tail:
             return no_tail[0]
-        if len(candidates) == 1:
-            return candidates[0]
-        tails = np.frombuffer(
-            b"".join(self._runs[i].tail for i in candidates), dtype=np.uint8
-        ).reshape(len(candidates), -1)
-        return candidates[int(argsort_rows(tails)[0])]
+        return min(candidates, key=lambda i: self._runs[i].tail)
 
     def _task(self, fetch, index: int, start: int, stop: int):
         local = SortStats()  # a worker's counters stay thread-private

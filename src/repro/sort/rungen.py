@@ -7,9 +7,9 @@ one stable sort of the words -- and hands it over as an
 :class:`InMemoryRun`: the table as it arrived, its key words, and the
 positions of its rows in key order (the paper's Figure 11 sorts keys
 that carry a row id; here the position is the row id).  Nothing is
-gathered: a result made of one run is one ``Table.take``.  Key bytes
-with a row-id suffix, NSM payload rows and a string heap are the spill
-format, built only for a run written to a spill file or merged with one
+gathered: a result made of one run is one ``Table.take``.  Key word
+rows, NSM payload rows and a string heap are the spill format, built
+only for a run written to a spill file or merged with one
 (:meth:`InMemoryRun.to_row_run`).  Where a VARCHAR prefix truncates, the
 exact-string repair happens once, in the merger, on tie groups that by
 then span all runs.
@@ -58,7 +58,7 @@ segments**:
   prefix is recorded and the cursor skips them, so each step advances
   even when nothing is emittable.
 
-Because every spilled key row carries a unique ascending row-id suffix,
+Because every selection key row carries a unique ascending row-id suffix,
 keys are distinct and the final k-way merge produces byte-identical
 output no matter how rows were partitioned into runs -- replacement
 selection only changes *how many* runs there are, never the result.
@@ -84,10 +84,10 @@ from repro.keys.compression import (
     key_carried_eligible,
     plain_key_width,
 )
-from repro.keys.normalizer import KeyLayout, key_words, words_to_bytes
+from repro.keys.normalizer import KeyLayout, key_words
 from repro.rows.block import RowBlock
 from repro.sort.heuristic import vector_sort_rows
-from repro.sort.kernels import argsort_rows
+from repro.sort.kernels import _chunk_columns, argsort_rows
 from repro.table.chunk import DataChunk, concat_chunks
 from repro.table.table import Table
 from repro.types.datatypes import TypeId
@@ -106,7 +106,8 @@ __all__ = [
 ]
 
 ROW_ID_WIDTH = 8
-"""Bytes of the row-id suffix every run appends to its keys."""
+"""Bytes of the row-id suffix of a key layout (replacement selection's
+key rows carry it; spilled key words do not)."""
 
 RUN_CAP_FACTOR = 4
 """A replacement-selection run closes at this multiple of the run
@@ -496,38 +497,33 @@ class InMemoryRun:
         return dataclasses.replace(self, words=words, layout=layout)
 
     def to_row_run(self, keys_only: bool = False) -> "RowRun":
-        """The run in the spill format: key rows (key bytes plus the
-        big-endian row-id suffix), NSM payload rows, heap, in key order.
+        """The run in the spill format: key word rows, NSM payload rows,
+        heap, in key order.
 
         Built for a run written to a spill file, or merged with one; the
         heap is the run's string columns in table order, VARCHAR keys
         from ``encoded`` as they are.  ``keys_only`` (a key-carried sort)
         leaves the rows and heap empty.
         """
-        layout, count = self.layout, self.num_rows
-        keys = np.empty((count, layout.total_width), dtype=np.uint8)
-        keys[:, : layout.key_width] = words_to_bytes(
-            self.key_block(0, count), layout.key_width
-        )
-        ids = (self.positions + self.row_id_base).astype(">u8").view(np.uint8)
-        keys[:, layout.key_width :] = ids.reshape(count, ROW_ID_WIDTH)
+        keys = np.stack(self.key_block(0, self.num_rows), axis=1)
         if keys_only:
-            return RowRun.keys_only(keys, layout)
+            return RowRun.keys_only(keys, self.layout)
         block = RowBlock.from_table(self.table, self.encoded)
         block = block.take(self.positions)
-        return RowRun(keys, block.rows, block.heap, layout)
+        return RowRun(keys, block.rows, block.heap, self.layout)
 
 
 class RowRun:
-    """A resident run in the spill format: key rows, NSM rows, heap.
+    """A resident run in the spill format: key words, NSM rows, heap.
 
     What :meth:`InMemoryRun.to_row_run` builds, what replacement
     selection packs, and what a merge that reads spilled runs makes of an
     intermediate pass (kept resident when no spill target takes it).
     ``read_key_block`` / ``read_row_block`` / ``read_heap`` are
     :class:`~repro.sort.external.SpilledRun`'s reads, so such a merge
-    streams any mix of the two alike.  Key-carried runs have zero-width
-    rows and an empty heap.
+    streams any mix of the two alike.  ``keys`` is ``(rows, words)``
+    uint64, a row's words most significant first.  Key-carried runs have
+    zero-width rows and an empty heap.
     """
 
     on_disk = False
@@ -665,8 +661,10 @@ class RunGenerator:
 
     def pack(self, keys: np.ndarray, layout: KeyLayout, payload: Table):
         """Seal a replacement-selection run in the spill format: its key
-        rows (row ids included) and ``payload``, both in key order."""
+        byte rows (row ids dropped) as words and ``payload``, both in key
+        order."""
         self._count(len(keys))
+        keys = np.stack(_chunk_columns(keys[:, : layout.key_width]), axis=1)
         if self.key_carried:
             return RowRun.keys_only(keys, layout)
         block = RowBlock.from_table(payload)

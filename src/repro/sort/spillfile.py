@@ -1,13 +1,13 @@
 """The checksummed on-disk format of external-sort spill files.
 
 A spill file holds one sorted run as three contiguous data sections
-(sorted key matrix, payload row matrix, string heap) preceded by a
+(sorted key words, payload row matrix, string heap) preceded by a
 versioned header::
 
     +--------------------------------------------------------------+
     | fixed header (48 bytes, little-endian)                       |
     |   magic "RSPL" | version | header_bytes | num_rows           |
-    |   key_width | row_width | heap_bytes | page_size             |
+    |   key_words | row_width | heap_bytes | page_size             |
     |   crc_count | header_crc32                                   |
     +--------------------------------------------------------------+
     | page CRC32 table: crc_count x u32                            |
@@ -16,11 +16,16 @@ versioned header::
     | extra: header_bytes - 48 - 4*crc_count bytes, the run's      |
     |   serialized key layout                                      |
     +--------------------------------------------------------------+
-    | keys  section: num_rows x key_width bytes                    |
+    | keys  section: num_rows x key_words native-endian uint64,    |
+    |   row-major (a row's words most significant first)           |
     | rows  section: num_rows x row_width bytes                    |
     | heap  section: heap_bytes bytes                              |
     +--------------------------------------------------------------+
 
+The key section is the run's key words as the merge compares them
+(:func:`repro.keys.normalizer.key_words`: word ``w`` of a row is its key
+bytes ``[8w, 8w + 8)`` read big-endian), so a block reads back as words
+with no conversion; no row id rides beside them.
 The variable-length ``extra`` blob sits between the CRC table and the
 data sections; readers locate it purely from ``header_bytes``.  It holds
 the run's key layout (:func:`repro.keys.compression.serialize_layout`),
@@ -61,7 +66,7 @@ __all__ = [
 ]
 
 MAGIC = b"RSPL"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 SPILL_PAGE_SIZE = 1 << 12
 """Default CRC page size (4 KiB).
@@ -77,7 +82,7 @@ the acceptance bar is the <10% end-to-end overhead asserted by
 SECTION_NAMES = ("keys", "rows", "heap")
 
 _FIXED = struct.Struct("<4sIIQIIQIII")
-"""magic, version, header_bytes, num_rows, key_width, row_width,
+"""magic, version, header_bytes, num_rows, key_words, row_width,
 heap_bytes, page_size, crc_count, header_crc32."""
 
 
@@ -145,7 +150,7 @@ class SpillHeader:
     """
 
     num_rows: int
-    key_width: int
+    key_words: int
     row_width: int
     heap_bytes: int
     page_size: int
@@ -162,7 +167,7 @@ class SpillHeader:
 
     def section_length(self, section: int) -> int:
         return (
-            self.num_rows * self.key_width,
+            self.num_rows * 8 * self.key_words,
             self.num_rows * self.row_width,
             self.heap_bytes,
         )[section]
@@ -188,7 +193,7 @@ class SpillHeader:
             FORMAT_VERSION,
             self.header_bytes,
             self.num_rows,
-            self.key_width,
+            self.key_words,
             self.row_width,
             self.heap_bytes,
             self.page_size,
@@ -201,7 +206,7 @@ class SpillHeader:
 
 def build_header(
     num_rows: int,
-    key_width: int,
+    key_words: int,
     row_width: int,
     sections: tuple[bytes | memoryview, bytes | memoryview, bytes],
     page_size: int = SPILL_PAGE_SIZE,
@@ -216,7 +221,7 @@ def build_header(
         raise ValueError("page_size must be positive")
     return SpillHeader(
         num_rows=num_rows,
-        key_width=key_width,
+        key_words=key_words,
         row_width=row_width,
         heap_bytes=len(sections[2]),
         page_size=page_size,
@@ -245,7 +250,7 @@ def read_header(io, path: str) -> SpillHeader:
         version,
         header_bytes,
         num_rows,
-        key_width,
+        key_words,
         row_width,
         heap_bytes,
         page_size,
@@ -279,7 +284,7 @@ def read_header(io, path: str) -> SpillHeader:
             path,
         )
     flat = struct.unpack(f"<{crc_count}I", table)
-    lengths = (num_rows * key_width, num_rows * row_width, heap_bytes)
+    lengths = (num_rows * 8 * key_words, num_rows * row_width, heap_bytes)
     counts = [_page_count(length, page_size) for length in lengths]
     if sum(counts) != crc_count:
         raise SpillCorruptionError(
@@ -293,7 +298,7 @@ def read_header(io, path: str) -> SpillHeader:
         cursor += count
     return SpillHeader(
         num_rows=num_rows,
-        key_width=key_width,
+        key_words=key_words,
         row_width=row_width,
         heap_bytes=heap_bytes,
         page_size=page_size,

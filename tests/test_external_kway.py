@@ -202,14 +202,15 @@ class TestSpillFormat:
             ]
         )
         assert (whole_keys == streamed).all()
-        assert whole_keys.shape == (run.num_rows, run.key_width)
+        assert whole_keys.shape == (run.num_rows, run.key_words)
+        assert whole_keys.dtype == np.uint64
         rows = run.read_row_block(5, 25)
         assert rows.shape == (20, run.row_width)
         assert (rows == run.read_row_block(0, run.num_rows)[5:25]).all()
         assert len(run.read_heap()) == run.heap_bytes
-        # Keys are stored sorted: streamed blocks arrive in memcmp order.
-        raw = [whole_keys[i].tobytes() for i in range(run.num_rows)]
-        assert raw == sorted(raw)
+        # Keys are stored sorted: streamed word rows arrive in key order.
+        words = [tuple(row) for row in whole_keys.tolist()]
+        assert words == sorted(words)
         operator.finalize()
 
     def test_phase_timings_recorded(self, rng, tmp_path):

@@ -16,6 +16,7 @@ Three properties anchor every test here:
 from __future__ import annotations
 
 import os
+import sys
 import threading
 
 import numpy as np
@@ -239,6 +240,45 @@ class TestPoolStartsOnSlowReads:
         assert stats.phase_seconds["spill_io_overlap"] == pytest.approx(2 * slow)
 
 
+class TestForecastComparesWordTails:
+    """The read-ahead slot goes to the run whose tail *key* is smallest.
+
+    Key blocks are uint64 word rows in native byte order.  Run 0's tail
+    word 256 sorts after run 1's tail word 1, but on a little-endian
+    machine its bytes (``00 01 ..``) sort before run 1's (``01 00 ..``):
+    a forecast comparing tail bytes would fetch run 0 first.
+    """
+
+    def test_smaller_word_tail_is_fetched_first(self):
+        blocks = {0: [[0, 1], [2, 256], [300, 400]], 1: [[0, 1], [5, 6], [7, 8]]}
+        fetched_by = {}
+
+        def key_fetch(index, start, stop, fetch_stats):
+            fetch_stats.add_phase_seconds("spill_io", 1e-3)  # every read slow
+            fetched_by[index, start] = threading.current_thread().name
+            return np.array(blocks[index][start // 2], dtype=np.uint64)[:, None]
+
+        tail_bytes = [np.uint64(word).tobytes() for word in (256, 1)]
+        assert (tail_bytes[0] < tail_bytes[1]) == (sys.byteorder == "little")
+        prefetcher = BlockPrefetcher(
+            [6, 6], [True, True], 2, key_fetch, None,
+            depth=1, budget_blocks=1, stats=SortStats(),
+        )
+        try:
+            zero, one = prefetcher.key_source(0), prefetcher.key_source(1)
+            next(zero), next(one)
+            # The third slow read in a row starts the pool, and its one
+            # slot goes to the run with the smaller tail: run 1.
+            assert next(zero).tolist() == [[2], [256]]
+            assert next(one).tolist() == [[5], [6]]
+        finally:
+            prefetcher.close()
+        assert no_prefetch_threads()
+        assert fetched_by[0, 2] == fetched_by[1, 0] == "MainThread"
+        assert fetched_by[1, 2].startswith("spill-prefetch")
+        assert (0, 4) not in fetched_by
+
+
 class TestReplacementSelection:
     @pytest.mark.parametrize("spec", SPECS)
     def test_forced_rs_byte_identical(self, rng, tmp_path, spec):
@@ -454,7 +494,7 @@ class TestVerifiedTailCache:
             page = run.header.page_size
             # First row whose bytes start inside page 1 (rows do not
             # align to page boundaries, so round up).
-            inside = -(-page // run.key_width)
+            inside = -(-page // (8 * run.key_words))
             # Warm: verifies every page the range touches, caches the
             # tail page (page 1).
             first = run.read_key_block(0, inside + 2, stats)

@@ -597,11 +597,11 @@ class TestKeyCarriedExternal:
         for run in runs:
             assert run.row_width == 0
             assert run.heap_bytes == 0
-        # a in [0, 150) is one byte, b in [-1000, 1000) with NULLs two,
-        # the row id eight: a file is its header and that many key bytes.
-        assert [run.key_width for run in runs] == [1 + 2 + 8] * 6
+        # a in [0, 150) is one byte, b in [-1000, 1000) with NULLs two:
+        # one key word, no row id, so a file is its header and 8 bytes a row.
+        assert [run.key_words for run in runs] == [1] * 6
         assert spilled == sum(
-            len(run.header.pack()) + run.num_rows * 11 for run in runs
+            len(run.header.pack()) + run.num_rows * 8 for run in runs
         )
         # Value-level equality: key-carried NULL rows decode with a zero
         # filler, so raw data bytes under NULL slots may differ.

@@ -157,7 +157,7 @@ class TestReadOnce:
 
     def test_key_carried_spill_file_is_header_plus_keys(self, tmp_path):
         # Nothing per row rides beside the keys: the file is its header
-        # and ``rows * key_width`` key bytes.
+        # and ``rows * key_words`` uint64 key words.
         table = SCENARIOS["uniform"].table(20_000, 29)
         spec = SortSpec.of("a", "p")
         operator = ExternalSortOperator(
@@ -185,7 +185,7 @@ class TestReadOnce:
         )
         assert os.path.getsize(run.path) == (
             len(header.pack())
-            + run.num_rows * (run.key_width + run.row_width)
+            + run.num_rows * (8 * run.key_words + run.row_width)
             + run.heap_bytes
         )
         reopened = SpilledRun.open(run.path, table.schema, spec)
@@ -285,7 +285,7 @@ class TestReadOnce:
             # A byte of the second block (rows 4,096..), well inside the
             # keys section: the frontier reaches it mid-merge.
             position = (
-                victim.header.section_offset(0) + 5000 * victim.key_width
+                victim.header.section_offset(0) + 5000 * 8 * victim.key_words
             )
             with open(victim.path, "r+b") as fh:
                 fh.seek(position)

@@ -5,8 +5,9 @@ encoder: the words must equal the byte matrix read as big-endian words
 (``kernels._chunk_columns``) for every segment shape, and the bytes must
 equal the scalar reference encoder's.  A resident sort then sorts the
 words and ends in one ``Table.take``: no key bytes, no conversion to
-words and no key decode (call counts pinned here), while a spilled sort
-still writes, reads and decodes key bytes.
+words and no key decode (call counts pinned here).  A spilled sort
+writes and reads key words too, converts none, and writes the merged
+words big-endian: the key-carried decode's bytes, made in place.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.keys.normalizer import (
     normalize_keys,
     normalized_key_for_row,
 )
-from repro.sort import kernels, merger, rungen
+from repro.sort import external, kernels, merger
 from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig, SortOperator
 from repro.table.chunk import chunk_table
@@ -189,7 +190,7 @@ COUNTED = {
     "decode_key_table": [merger],
     "_MatrixWords": [kernels],
     "_chunk_columns": [kernels, merger],
-    "words_to_bytes": [merger, rungen],
+    "words_to_bytes": [merger, external],
 }
 
 
@@ -244,9 +245,8 @@ class TestResidentPathByCallCounts:
         calls = dict(key_calls)
         assert_byte_identical(oracle_sort(table, spec), result)
         stats = operator.stats
-        # Three files without payload and the resident tail: the tail's
-        # key rows are made once, every block read becomes words once.
+        # Three files without payload and the resident tail: every run
+        # is written and read as words, nothing converts them, and the
+        # merged words are written as key bytes for the one decode.
         assert stats.key_carried_runs == 3 and stats.runs_generated == 4
-        assert calls == {
-            "decode_key_table": 1, "words_to_bytes": 4, "_chunk_columns": 4
-        }
+        assert calls == {"decode_key_table": 1}

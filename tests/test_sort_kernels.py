@@ -361,6 +361,72 @@ class TestChunkColumns:
         assert max(calls) <= block_rows
 
 
+class TestKWayRound:
+    """``kway_merge_blocks`` against a stable ``np.lexsort`` of the runs
+    concatenated in run order: ties go to the earlier run, then the
+    earlier row.
+
+    Words come from five values, two above 2**53 (a float promotion
+    would merge them), so keys repeat within and across runs and equal
+    block tails on every word; sources yield empty blocks between and
+    after their real ones, and some runs are empty.
+    """
+
+    VALUES = np.array([0, 1, 2**53, 2**53 + 1, 2**64 - 1], dtype=np.uint64)
+    LENGTHS = (0, 1, 9, 40, 300, 0, 701, 17)
+
+    def runs(self, rng, words):
+        runs = []
+        for length in self.LENGTHS:
+            rows = self.VALUES[rng.integers(0, len(self.VALUES), (length, words))]
+            runs.append(rows[np.lexsort(rows.T[::-1])])
+        return runs
+
+    @staticmethod
+    def blocks(run, block_rows, as_list):
+        empty = np.empty((run.shape[1], 0), dtype=np.uint64)
+        for start in range(0, len(run), block_rows):
+            yield empty
+            columns = np.ascontiguousarray(run[start : start + block_rows].T)
+            yield list(columns) if as_list else columns
+        yield empty
+
+    @pytest.mark.parametrize("emit_keys", [False, True])
+    @pytest.mark.parametrize("block_rows", [1, 2, 7, 1024])
+    @pytest.mark.parametrize("words", [1, 2, 3])
+    def test_matches_stable_lexsort(self, rng, words, block_rows, emit_keys):
+        runs = self.runs(rng, words)
+        # Some block tail of run 4 equals, on every word, a row of run 6.
+        tails = {
+            tuple(runs[4][min(stop, len(runs[4])) - 1])
+            for stop in range(block_rows, len(runs[4]) + block_rows, block_rows)
+        }
+        assert tails & {tuple(row) for row in runs[6]}
+        stats = KWayBlockStats()
+        sources = [
+            self.blocks(run, block_rows, index % 2)
+            for index, run in enumerate(runs)
+        ]
+        items = list(kway_merge_blocks(sources, stats, emit_keys=emit_keys))
+        assert all(len(item) == 2 + emit_keys for item in items)
+        run_ids, row_ids = (
+            np.concatenate(part)
+            for part in zip(*(round_ids(*item[:2]) for item in items))
+        )
+        stacked = np.concatenate(runs)
+        order = np.lexsort(stacked.T[::-1])
+        owner = np.repeat(np.arange(len(runs)), self.LENGTHS)
+        first = np.cumsum((0,) + self.LENGTHS[:-1])
+        assert run_ids.tolist() == owner[order].tolist()
+        assert row_ids.tolist() == (order - first[owner[order]]).tolist()
+        if emit_keys:
+            merged = [np.concatenate(w) for w in zip(*(i[2] for i in items))]
+            assert np.array_equal(np.stack(merged, axis=1), stacked[order])
+        assert stats.rows_emitted == len(stacked)
+        assert stats.refills == sum(-(-len(run) // block_rows) for run in runs)
+        assert stats.peak_frontier_rows <= len(runs) * block_rows
+
+
 def stable_reference(matrix):
     """The contract: a stable sort of the rows as memcmp-ordered scalars."""
     return np.argsort(void_view(matrix), kind="stable")

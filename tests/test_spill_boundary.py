@@ -1,25 +1,35 @@
-"""Spill files are byte-identical across changes to the resident run format.
+"""Spill files are byte-identical across changes to the run format.
 
 A resident run keeps its keys as uint64 word columns and its payload in
-columns; key bytes with a row-id suffix, NSM rows and a heap exist only
-where a run is written to a spill file.  The sha256 of every written
-file's key, row and heap sections is pinned here for external sorts of
-the catalog scenarios, including intermediate merge passes (whose runs
-mix spilled and resident inputs), layout rebases and replacement
-selection.  A change to any of these digests changes the spill format.
+columns; key word rows, NSM rows and a heap exist only where a run is
+written to a spill file.  For external sorts of the catalog scenarios,
+including intermediate merge passes (whose runs mix spilled and resident
+inputs), layout rebases and replacement selection, this pins the number
+of files written, the sha256 of their key sections, and apart from it
+the sha256 of their row and heap sections.  A change to any of these
+changes the spill format.
+
+The row and heap digests were recorded at spill format 4 and still hold.
+The key digests were re-recorded for format 5: a key section became the
+run's key words (native uint64, row-major) and lost its 8-byte row-id
+suffix, which no merge read.  Its words are format 4's key bytes read
+big-endian, word by word.
 """
 
 from __future__ import annotations
 
 import hashlib
+import zlib
 
 import pytest
 
 from test_external_kway import assert_byte_identical
 from test_oracle import oracle_sort
-from repro.sort.external import ExternalSortOperator
+from repro.errors import SpillCorruptionError
+from repro.sort.external import ExternalSortOperator, SpilledRun
 from repro.sort.faults import SpillIO
 from repro.sort.operator import SortConfig
+from repro.sort.spillfile import _FIXED, FORMAT_VERSION
 from repro.table.chunk import chunk_table
 from repro.types.sortspec import SortSpec
 from repro.workloads.scenarios import SCENARIOS
@@ -29,52 +39,74 @@ SEED = 7
 
 
 class DigestingIO(SpillIO):
-    """The real backend, hashing the key, row and heap section of every
-    file written (the header, section 0, is left out)."""
+    """The real backend, hashing every written file's key section, and
+    apart from it its row and heap sections (the header is left out)."""
 
     def __init__(self) -> None:
         self.files = 0
-        self._digest = hashlib.sha256()
+        self._keys = hashlib.sha256()
+        self._rest = hashlib.sha256()
 
     def write_file(self, path, sections):
         self.files += 1
-        for section in sections[1:]:
-            self._digest.update(len(section).to_bytes(8, "little"))
-            self._digest.update(section)
+        for digest, section in zip(
+            (self._keys, self._rest, self._rest), sections[1:]
+        ):
+            digest.update(len(section).to_bytes(8, "little"))
+            digest.update(section)
         super().write_file(path, sections)
 
-    def hexdigest(self) -> str:
-        return self._digest.hexdigest()
+    def digests(self) -> tuple[int, str, str]:
+        return self.files, self._keys.hexdigest(), self._rest.hexdigest()
 
 
-# (scenario, config overrides) -> (files written, sha256 of their sections),
-# recorded when resident keys were still byte matrices.  A merge fan-in
-# of 2 spills intermediate runs (the last group merges the resident tail
-# with a file); ``near_sorted`` at 1,024 rows a run rebases layouts.
+# (scenario, config overrides) -> (files written, keys sha256, rows and
+# heap sha256).  A merge fan-in of 2 spills intermediate runs (the last
+# group merges the resident tail with a file); ``near_sorted`` at 1,024
+# rows a run rebases layouts.  Key-carried files (``uniform``,
+# ``near_sorted``) have empty row and heap sections.
+NO_PAYLOAD_3 = "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1"
+NO_PAYLOAD_5 = "5b6fb58e61fa475939767d68a446f97f1bff02c0e5935a3ea8bb51e6515783d8"
 CASES = {
     ("uniform", ()): (
-        3, "9bba2c6e79ff3ab28e4219f729f9ba89ce19b98010992e839c542c96385efae2"
+        3,
+        "865d49e07bf1de406620ea1d55ab7dd93c61d37cbd2f3fcc047168f583553a97",
+        NO_PAYLOAD_3,
     ),
     ("uniform", (("merge_fan_in", 2),)): (
-        5, "e4c4bb2861c6da8d8443ccec597815635576dc93bed7a01f179fc39dfa3efe30"
+        5,
+        "4ff1eb47d104ce798b4864d2723ca27688ffb6e589117be4f28920e6e5fe0896",
+        NO_PAYLOAD_5,
     ),
     ("uniform", (("replacement_selection", True),)): (
-        2, "f1f1bba73748ebcfc52dfcb511bd91c97246c3e07a454a3ee11aeeba1b43adb9"
+        2,
+        "ade16fe1b19b1f02d0f78eff79687cba54fba9507185be63263a4a2d7aa1a879",
+        "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
     ),
     ("near_sorted", (("run_threshold", 1024),)): (
-        3, "0547002565d7b6b7a1f3cf1566a01000cc55dd77eb2de4af7a4ff6e5ffd8bdd3"
+        3,
+        "2aad0e63e0543aaf70b883cb57ba88fef15ad0e3e8ba4e35aa0092066a90729d",
+        NO_PAYLOAD_3,
     ),
     ("near_sorted", (("run_threshold", 1024), ("merge_fan_in", 2))): (
-        5, "12a481008935bc550438890317f9480c8d5a97a4e67fe2c51f883b09b2c5de39"
+        5,
+        "dec426f634445edd8f11545a59262eab32ea7aba3d4798607fe54d2a45b77d6e",
+        NO_PAYLOAD_5,
     ),
     ("long_string", ()): (
-        3, "f0c94bc7358a770f58979b439a504c448818206e2fd6f658750e22e9f1ed3964"
+        3,
+        "7b3658b3be0591b9151d564f77f38aa79bb821a69f27c8a2a2acdfa7105d303e",
+        "139d95fbe4818b55cc26845173cc8c41e121b72e1c965bf57f046c4943d9fc3f",
     ),
     ("mixed_null", ()): (
-        3, "7012c697ca30cb9a327d527faddf7513725763a95a770874a0158ad574fcde86"
+        3,
+        "74a75e69a826967cd948b55c8b430f147133d676b7625271777a64ac54df20b6",
+        "af9856333a835fd48091717428e0e6accfb9db71a6401956633873e1347bad41",
     ),
     ("tpcds_customer", (("merge_fan_in", 2),)): (
-        5, "dbdb0e7d254dd2f04ce1881a11e3ce22264d42d9a2bb699ff5c5e2c013029c75"
+        5,
+        "9d1e3a60d51fd9339bca93ffae3cbeac672946d7033e56c4cb21c93c778490a7",
+        "e8ebecc48e0edd87013158436814f743a0f1c68c7da5a1d63f308293e64cc298",
     ),
 }
 
@@ -92,7 +124,7 @@ def spill_digest(name: str, overrides: tuple, directory):
             operator.sink(chunk)
         result = operator.finalize()
     assert_byte_identical(oracle_sort(table, spec), result)
-    return io.files, io.hexdigest()
+    return io.digests()
 
 
 @pytest.mark.parametrize(
@@ -102,3 +134,30 @@ def spill_digest(name: str, overrides: tuple, directory):
 )
 def test_spill_sections_are_pinned(case, tmp_path):
     assert spill_digest(*case, tmp_path) == CASES[case]
+
+
+def test_a_format_4_header_is_refused(tmp_path):
+    # A file whose header says format 4 (key bytes plus a row-id suffix)
+    # is refused typed, even with a valid header CRC.
+    table = SCENARIOS["uniform"].table(ROWS, SEED)
+    spec = SortSpec.of("a", "p")
+    operator = ExternalSortOperator(
+        table.schema, spec, SortConfig(run_threshold=1500), str(tmp_path)
+    )
+    with operator:
+        for chunk in chunk_table(table, 500):
+            operator.sink(chunk)
+        path = operator._runs[0].path
+        with open(path, "r+b") as fh:
+            fields = list(_FIXED.unpack(fh.read(_FIXED.size)))
+            tail = fh.read(fields[2] - _FIXED.size)
+            fields[1], fields[9] = 4, 0
+            fields[9] = zlib.crc32(tail, zlib.crc32(_FIXED.pack(*fields)))
+            fh.seek(0)
+            fh.write(_FIXED.pack(*fields))
+        assert FORMAT_VERSION == 5
+        with pytest.raises(SpillCorruptionError, match="version 4"):
+            SpilledRun.open(path, table.schema, spec)
+        with pytest.raises(SpillCorruptionError, match="version 4"):
+            operator.finalize()
+    assert list(tmp_path.iterdir()) == []
