@@ -13,6 +13,9 @@ data's physical order is already known (declared via
 * **merge_join** -- an equality join whose *both* inputs are pre-sorted
   on the join key: the merge join elides both of its per-side sorts and
   goes straight to group alignment.
+* **prefix_provided** -- the full ``ORDER BY`` of ``tpcds_catalog`` over
+  a view declared by its first key only: no rewrite applies, so the
+  planned query must run as fast as the forced full sort.
 * **topn_cached_prefix** -- a ``LIMIT`` query answered by slicing a
   cached full ORDER BY result (:meth:`ResultCache.serve_prefix`): zero
   sort work, proven by the service's ``cache_prefix_hits`` counter
@@ -27,8 +30,8 @@ must not change a single row).  The sort-savings counters
 ``benchmarks/regress.py --planner-candidate`` against the committed
 ``BENCH_planner.json``: each cell carries its own ``min_speedup`` floor
 (3x for the elided ORDER BY, 1.5x for the elided GROUP BY, parity for
-the join) so a future planner change that silently stops eliding fails
-the build.
+the join, 0.8x for the provided prefix) so a future planner change that
+silently stops eliding, or slows a sort down, fails the build.
 
 String-heavy scenarios are used deliberately: exact VARCHAR sorting is
 the most expensive thing the pipeline does, so it is where order reuse
@@ -202,6 +205,53 @@ def cell_merge_join(rows: int) -> dict:
     }
 
 
+def cell_prefix_provided(rows: int) -> dict:
+    """The full ORDER BY over a view declared by its first key only.
+
+    A provided leading prefix earns no rewrite: the planned query is the
+    forced full sort, so the floor (``min_speedup`` 0.8) only allows
+    noise.  A planner that swaps in a slower special path for this shape
+    fails it.  The two sides run alternately, best of five each, so a
+    drift in machine speed cannot favour one of them.
+    """
+    sc = SCENARIOS["tpcds_catalog"]
+    declared = sc.order_by.split(",")[0].strip()
+    db = Database()
+    table = sc.table(rows, seed=SEED)
+    db.register("v", sort_table(table, SortSpec.of(declared)))
+    db.declare_ordering("v", declared)
+    sql = f"SELECT * FROM v ORDER BY {sc.order_by}"
+
+    forced_s = planned_s = float("inf")
+    for _ in range(5):
+        started = time.perf_counter()
+        forced = db.execute(sql, propagate_order=False)
+        middle = time.perf_counter()
+        planned, stats = db.execute_detailed(sql)
+        forced_s = min(forced_s, middle - started)
+        planned_s = min(planned_s, time.perf_counter() - middle)
+    _assert_identical("prefix_provided", planned, forced)
+    sorts_elided, sorts_subsumed = _elision_counters(stats)
+    assert (sorts_elided, sorts_subsumed) == (0, 0), (
+        f"expected a full sort, saw {sorts_elided} elided and "
+        f"{sorts_subsumed} subsumed"
+    )
+    assert db.explain(sql).startswith("Sort("), "plan is not a full sort"
+    return {
+        "scenario": "tpcds_catalog",
+        "rows": rows,
+        "declared": declared,
+        "sql": sql,
+        "forced_s": forced_s,
+        "elided_s": planned_s,
+        "speedup": forced_s / planned_s,
+        "min_speedup": 0.8,
+        "identical": True,
+        "sorts_elided": sorts_elided,
+        "sorts_subsumed": sorts_subsumed,
+    }
+
+
 def cell_topn_cached_prefix(rows: int) -> dict:
     """Top-N served by slicing a cached full ORDER BY result."""
     sc = SCENARIOS["uniform"]
@@ -246,6 +296,7 @@ CELLS = {
     "ordered_view": cell_ordered_view,
     "groupby_sorted": cell_groupby_sorted,
     "merge_join": cell_merge_join,
+    "prefix_provided": cell_prefix_provided,
     "topn_cached_prefix": cell_topn_cached_prefix,
 }
 

@@ -408,18 +408,11 @@ def _print_sort_stats(stats) -> None:
         f"reencoded_rows={stats.reencoded_rows}",
         file=err,
     )
-    if (
-        stats.sorts_elided
-        or stats.sorts_subsumed
-        or stats.sorts_refined
-        or stats.refine_fallbacks
-    ):
+    if stats.sorts_elided or stats.sorts_subsumed:
         print(
             "order_propagation: "
             f"elided={stats.sorts_elided} "
-            f"subsumed={stats.sorts_subsumed} "
-            f"refined={stats.sorts_refined} "
-            f"refine_fallbacks={stats.refine_fallbacks}",
+            f"subsumed={stats.sorts_subsumed}",
             file=err,
         )
     if stats.key_width_used:

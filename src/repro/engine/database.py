@@ -157,11 +157,7 @@ class Database:
             return FilterOperator(child(), logical.condition)
         if isinstance(logical, planmod.LogicalSort):
             operator = SortExecOperator(
-                child(),
-                logical.spec,
-                config,
-                mode=logical.mode,
-                refine_prefix=logical.refine_prefix,
+                child(), logical.spec, config, mode=logical.mode
             )
             if sinks is not None:
                 sinks.append(operator)
@@ -254,7 +250,7 @@ class Database:
         """Execute an already-bound plan, returning (result, sort stats).
 
         The stats list holds one ``SortStats`` per sort-bearing pipeline
-        breaker (full/elided/refined sorts, Top-N, merge joins,
+        breaker (full/elided/subsumed sorts, Top-N, merge joins,
         presorted group-bys), in plan order; streaming operators
         contribute none.  The service layer plans once (for the cache
         key's table set), then executes here under its per-query

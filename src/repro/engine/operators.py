@@ -151,17 +151,12 @@ class SortExecOperator(PhysicalOperator):
     checksum verification), so the fault-tolerance ladder is reachable
     end-to-end from ``Database(sort_config=...)``.
 
-    The optimizer's order-propagation pass downgrades the operator via
-    ``mode``:
-
-    * ``"elided"`` / ``"subsumed"``: the input already arrives in (at
-      least) the requested order -- pass the child through untouched
-      and record only a ``sorts_elided`` / ``sorts_subsumed`` counter.
-    * ``"refine"``: the input is exactly sorted by ``refine_prefix``, a
-      leading prefix of ``spec`` -- run the vectorized tie-group
-      refinement (:func:`repro.sort.refine.refine_sorted`) and fall
-      back to the full sort -- which may spill like any other --
-      counting ``refine_fallbacks`` when that pass declines.
+    The optimizer's order-propagation pass sets ``mode`` to ``"elided"``
+    or ``"subsumed"`` when the input already arrives in (at least) the
+    requested order: the operator then passes the child through
+    untouched and records only a ``sorts_elided`` / ``sorts_subsumed``
+    counter.  Any other input, including one that provides a leading
+    prefix of ``spec``, gets the full sort.
     """
 
     def __init__(
@@ -170,14 +165,12 @@ class SortExecOperator(PhysicalOperator):
         spec: SortSpec,
         config: SortConfig | None = None,
         mode: str = "full",
-        refine_prefix: SortSpec | None = None,
     ) -> None:
         super().__init__(child.schema)
         self.child = child
         self.spec = spec
         self.config = config or SortConfig()
         self.mode = mode
-        self.refine_prefix = refine_prefix
         self.last_stats = None
 
     @property
@@ -193,21 +186,6 @@ class SortExecOperator(PhysicalOperator):
     def table(self) -> Table:
         if self._passes_through():
             return self.child.table()
-        if self.mode == "refine" and self.refine_prefix is not None:
-            from repro.sort.refine import refine_sorted
-
-            source = self.child.table()
-            stats = SortStats()
-            refined = refine_sorted(
-                source, self.spec, self.refine_prefix, stats
-            )
-            if refined is not None:
-                self.last_stats = stats
-                return refined
-            # The refinement pass declined; run the full sort.
-            result = self._full_sort([DataChunk.from_table(source)])
-            self.last_stats.refine_fallbacks += 1
-            return result
         if self.child.resident:
             return self._full_sort([DataChunk.from_table(self.child.table())])
         return self._full_sort(self.child.chunks())

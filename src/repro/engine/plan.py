@@ -20,10 +20,10 @@ requirement is already provided:
   a pass-through.
 * **subsumed** -- the spec is a proper prefix of the provided ordering
   (``ORDER BY a, b`` over input sorted ``a, b, c``); also pass-through.
-* **refine** -- a proper prefix of the spec is provided; the sort
-  downgrades to the vectorized tie-group refinement pass
-  (:func:`repro.sort.refine.refine_sorted`) that only orders rows
-  *within* already-sorted prefix groups.
+
+An input that provides only a proper leading prefix of the spec gets a
+full sort (or Top-N under a LIMIT): ordering rows within the provided
+prefix groups costs more than the normalized-key sort it would replace.
 
 The same derivation marks ``LogicalGroupBy`` inputs as presorted (the
 aggregate skips its internal sort) and elides either input sort of a
@@ -58,7 +58,6 @@ from repro.types.schema import ColumnDef, Schema
 from repro.types.sortspec import (
     SortKey,
     SortSpec,
-    common_order_prefix,
     ordering_satisfies,
 )
 
@@ -117,9 +116,6 @@ class LogicalSort(LogicalPlan):
     * ``"elided"`` / ``"subsumed"`` -- the input's provided ordering
       already satisfies (equals / extends beyond) the spec; execution
       streams chunks through untouched.
-    * ``"refine"`` -- the input provides ``refine_prefix`` (a proper
-      leading prefix of the spec); execution only orders rows within
-      the existing prefix groups.
 
     ``reason`` names the order source for ``explain`` output.
     """
@@ -128,7 +124,6 @@ class LogicalSort(LogicalPlan):
     spec: SortSpec
     mode: str = "full"
     reason: str = ""
-    refine_prefix: SortSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -509,8 +504,8 @@ def _optimize(
     if isinstance(plan, LogicalLimit) and isinstance(plan.child, LogicalSort):
         # ORDER BY ... LIMIT n [OFFSET m] -> top-N (paper, Section VII-A)
         # -- but only for a sort that would actually run: a pass-through
-        # or refine-mode sort under a streaming Limit is already cheaper
-        # than a heap over the whole input.
+        # sort under a streaming Limit is already cheaper than a heap
+        # over the whole input.
         if plan.limit is not None and plan.child.mode == "full":
             sort = plan.child
             return LogicalTopN(
@@ -522,30 +517,16 @@ def _optimize(
 def _apply_order_property(
     sort: LogicalSort, lookup: OrderingLookup
 ) -> LogicalSort:
-    """Downgrade a sort whose requirement is (partly) provided."""
+    """Pass a sort through when its input already provides its spec."""
     provided = provided_ordering(sort.child, lookup)
-    if provided is None:
+    if not ordering_satisfies(provided, sort.spec):
         return sort
-    shared = common_order_prefix(provided, sort.spec)
-    if shared >= len(sort.spec.keys):
-        mode = (
-            "elided" if len(provided.keys) == len(sort.spec.keys)
-            else "subsumed"
-        )
-        return replace(
-            sort,
-            mode=mode,
-            reason=f"provided by {_order_source(sort.child)}",
-            refine_prefix=None,
-        )
-    if shared > 0:
-        return replace(
-            sort,
-            mode="refine",
-            reason=f"prefix provided by {_order_source(sort.child)}",
-            refine_prefix=SortSpec(sort.spec.keys[:shared]),
-        )
-    return sort
+    mode = (
+        "elided" if len(provided.keys) == len(sort.spec.keys) else "subsumed"
+    )
+    return replace(
+        sort, mode=mode, reason=f"provided by {_order_source(sort.child)}"
+    )
 
 
 def _elide_join_input_sorts(
@@ -626,11 +607,6 @@ def explain(plan: LogicalPlan, indent: int = 0) -> str:
     if isinstance(plan, LogicalSort):
         if plan.mode == "full":
             label = f"Sort({plan.spec})"
-        elif plan.mode == "refine":
-            label = (
-                f"Sort[refine: {plan.refine_prefix} {plan.reason}]"
-                f"({plan.spec})"
-            )
         else:
             label = f"Sort[{plan.mode}: {plan.reason}]({plan.spec})"
         return f"{pad}{label}\n" + explain(plan.child, indent + 1)

@@ -208,14 +208,12 @@ def build_layout(
     spec: SortSpec,
     string_prefix: int | None = None,
     include_row_id: bool = True,
-    row_id_width: int | None = None,
 ) -> KeyLayout:
     """Compute the key layout for sorting ``table`` by ``spec``.
 
     ``string_prefix`` forces a fixed VARCHAR prefix length; by default the
     prefix is chosen per column from the data (capped at 12, like DuckDB).
-    ``row_id_width`` (4 or 8) overrides the automatic row-id width, which
-    the sort operator uses so every run shares one layout.
+    The row-id suffix is 4 bytes wide, or 8 when the row count needs it.
     """
     segments = []
     offset = 0
@@ -234,17 +232,9 @@ def build_layout(
             width = dtype.fixed_width
         segments.append(KeySegment(key, dtype, offset, width, exact))
         offset += 1 + width
-    n = table.num_rows
     suffix_width = 0
     if include_row_id:
-        if row_id_width is not None:
-            if row_id_width not in (4, 8):
-                raise KeyEncodingError(
-                    f"row_id_width must be 4 or 8, got {row_id_width}"
-                )
-            suffix_width = row_id_width
-        else:
-            suffix_width = 4 if n <= 0xFFFFFFFF else 8
+        suffix_width = 4 if table.num_rows <= 0xFFFFFFFF else 8
     return KeyLayout(tuple(segments), offset, suffix_width)
 
 
@@ -518,8 +508,6 @@ def normalize_keys(
     spec: SortSpec,
     string_prefix: int | None = None,
     include_row_id: bool = True,
-    row_id_base: int = 0,
-    row_id_width: int | None = None,
     layout: KeyLayout | None = None,
     encoded: dict | None = None,
 ) -> NormalizedKeys:
@@ -527,22 +515,19 @@ def normalize_keys(
 
     This is the paper's Figure 7 applied column-by-column, vectorized with
     numpy: each key column contributes a NULL byte and its value encoding
-    (inverted for DESC), and an optional big-endian row-id suffix follows.
-    The key bytes are :func:`key_words`'s fields, written as bytes.
-    ``row_id_base`` offsets the generated row ids (the sort operator gives
-    each run a distinct base so ids are globally unique and stable).
+    (inverted for DESC), and an optional big-endian row-id suffix (the
+    row's index in ``table``) follows.  The key bytes are
+    :func:`key_words`'s fields, written as bytes.
 
     When ``layout`` is given it is used as-is -- this is how a compressed
     layout built from column statistics (:mod:`repro.keys.compression`)
-    is applied; ``string_prefix``/``row_id_width`` are then ignored.
+    is applied; ``string_prefix`` is then ignored.
     Compressed segments must cover the table's values (``bias``/
     ``code_range`` from a stats pass that saw this table).  ``encoded``
     is :func:`key_words`'s.
     """
     if layout is None:
-        layout = build_layout(
-            table, spec, string_prefix, include_row_id, row_id_width
-        )
+        layout = build_layout(table, spec, string_prefix, include_row_id)
     n = table.num_rows
     # Every key byte is written below; only the row ids remain.
     matrix = np.empty((n, layout.total_width), dtype=np.uint8)
@@ -551,13 +536,7 @@ def normalize_keys(
     prefix_exact = all(segment.prefix_exact for segment in layout.segments)
     if layout.has_row_id:
         unsigned = np.uint32 if layout.row_id_width == 4 else np.uint64
-        limit = 1 << (8 * layout.row_id_width)
-        if row_id_base + n > limit:
-            raise KeyEncodingError(
-                f"row ids {row_id_base}..{row_id_base + n} overflow "
-                f"{layout.row_id_width}-byte suffix"
-            )
-        ids = np.arange(row_id_base, row_id_base + n, dtype=unsigned)
+        ids = np.arange(n, dtype=unsigned)
         big_endian = ids.astype(np.dtype(unsigned).newbyteorder(">"))
         matrix[:, layout.key_width :] = (
             big_endian.view(np.uint8).reshape(n, layout.row_id_width)

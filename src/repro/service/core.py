@@ -497,8 +497,8 @@ class SortService:
         the result as table ``name``, and declares its ordering via
         :meth:`repro.engine.database.Database.declare_ordering` -- so
         subsequent queries over the published view get planner-level
-        sort elision, subsumption, and tie-group refinement.  Blocks
-        for the snapshot; returns the published table.
+        sort elision and subsumption.  Blocks for the snapshot; returns
+        the published table.
         """
         view = self._view(name)
         table = self.view_snapshot(name, priority, deadline_s).result(timeout)

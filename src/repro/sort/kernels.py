@@ -16,7 +16,7 @@ On top of them:
 * :func:`argsort_words` / :func:`argsort_rows` -- the one stable
   whole-row sort: key bits and row position packed into one uint64 and
   sorted *by value*, ties refined bit chunk by bit chunk (run generation,
-  Top-N, refinement and every k-way merge round go through it),
+  Top-N and every k-way merge round go through it),
 * :func:`cutoff_mask` / :func:`smallest_mask` -- which rows sort before
   one cutoff key, or may be among the ``count`` smallest (Top-N's filters),
 * :func:`kway_merge_blocks` -- the production merge over word blocks:

@@ -292,14 +292,10 @@ class SortStats:
     The order-propagation counters describe planner-level sortedness
     reuse (:mod:`repro.engine.plan`): ``sorts_elided`` counts sorts
     skipped entirely because the input's provided ordering already
-    satisfied the spec, ``sorts_subsumed`` sorts satisfied by a strictly
-    longer provided ordering (``ORDER BY a, b`` over input sorted
-    ``a, b, c``), ``sorts_refined`` sorts downgraded to the tie-group
-    refinement pass (:func:`repro.sort.refine.refine_sorted`) because a
-    proper prefix of the spec was provided, and ``refine_fallbacks``
-    refine attempts that fell back to a full sort (truncated-VARCHAR
-    suffixes where :func:`repro.sort.stringsort.refinement_must_defer`
-    says byte order is inexact).
+    satisfied the spec, and ``sorts_subsumed`` sorts satisfied by a
+    strictly longer provided ordering (``ORDER BY a, b`` over input
+    sorted ``a, b, c``).  An input that provides only a proper prefix of
+    the spec gets a full sort and counts in neither.
     """
 
     rows_sorted: int = 0
@@ -333,8 +329,6 @@ class SortStats:
     governor_forced_spills: int = 0
     sorts_elided: int = 0
     sorts_subsumed: int = 0
-    sorts_refined: int = 0
-    refine_fallbacks: int = 0
 
     def add_phase_seconds(self, phase: str, seconds: float) -> None:
         self.phase_seconds[phase] = (

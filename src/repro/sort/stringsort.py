@@ -52,7 +52,6 @@ __all__ = [
     "inexact_prefix_end",
     "refine_key_order",
     "refine_table_order",
-    "refinement_must_defer",
 ]
 
 
@@ -85,24 +84,6 @@ def and_prefix_exact(kept, new):
         for a, b in zip(kept.segments, new.segments)
     )
     return dataclasses.replace(kept, segments=segments)
-
-
-def refinement_must_defer(layout) -> bool:
-    """True when key bytes follow the first truncated VARCHAR segment.
-
-    Refinement stable-sorts byte-equal tie groups on their full strings,
-    which scrambles every *later* key segment's bytes within the group.
-    With nothing after the truncated segment but the row-id suffix
-    (which merges never compare) a refined run stays memcmp-mergeable;
-    with later ORDER BY columns it does not -- the merge kernels would
-    consume runs that are no longer byte-sorted.  Such sorts must keep
-    every run and intermediate merge in raw byte order and refine only
-    the final merged result (whose tie groups then arrive ordered by
-    the remaining key bytes and row id, exactly the stable-refinement
-    precondition).
-    """
-    end = inexact_prefix_end(layout)
-    return end is not None and end < layout.key_width
 
 
 def _tie_groups(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

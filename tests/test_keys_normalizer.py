@@ -59,15 +59,6 @@ class TestLayout:
         )
         assert layout.segments[0].value_width == 4
 
-    def test_row_id_width_override(self):
-        table = paper_example_table()
-        layout = build_layout(SPEC_EXAMPLE and table, SPEC_EXAMPLE, row_id_width=8)
-        assert layout.row_id_width == 8
-
-    def test_bad_row_id_width(self):
-        with pytest.raises(KeyEncodingError):
-            build_layout(paper_example_table(), SPEC_EXAMPLE, row_id_width=3)
-
 
 class TestPaperFigure7:
     """The worked example of the paper's Figure 7."""
@@ -111,15 +102,9 @@ class TestPaperFigure7:
 class TestRowIds:
     def test_row_ids_round_trip(self):
         table = paper_example_table()
-        keys = normalize_keys(table, SPEC_EXAMPLE, row_id_base=7)
-        assert keys.row_ids().tolist() == [7, 8, 9]
-
-    def test_row_id_overflow_raises(self):
-        table = paper_example_table()
-        with pytest.raises(KeyEncodingError):
-            normalize_keys(
-                table, SPEC_EXAMPLE, row_id_base=2**32 - 1, row_id_width=4
-            )
+        keys = normalize_keys(table, SPEC_EXAMPLE)
+        assert keys.layout.row_id_width == 4  # automatic: 3 rows fit
+        assert keys.row_ids().tolist() == [0, 1, 2]
 
     def test_row_ids_require_suffix(self):
         keys = normalize_keys(

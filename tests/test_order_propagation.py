@@ -1,21 +1,18 @@
 """Differential tests for planner-level order propagation.
 
 Every fast path the order-property framework enables -- sort elision,
-prefix subsumption, tie-group refinement, presorted GROUP BY/window,
-merge joins over pre-sorted inputs, and prefix-serving result-cache
-hits -- is checked for **byte identity** against the same query run
-with ``propagate_order=False``: the differential oracle that re-sorts
+prefix subsumption, presorted GROUP BY/window, merge joins over
+pre-sorted inputs, and prefix-serving result-cache hits -- is checked
+for **byte identity** against the same query run with
+``propagate_order=False``: the differential oracle that re-sorts
 everything in full.  The suites parameterize over the scenario catalog
 (:mod:`repro.workloads.scenarios`), so skew, near-sortedness,
 duplicate-heavy keys, NULL mixes, and truncated long-VARCHAR prefixes
 all pass through the same assertions.
 
-The refinement boundary is pinned exactly where
-:func:`repro.sort.stringsort.refinement_must_defer` draws it: a
-truncated VARCHAR in the *provided prefix* refines in place, while one
-in the suffix followed by further ORDER BY columns must fall back to a
-full sort (counted by ``refine_fallbacks``) -- and both sides of the
-boundary stay byte-identical to the oracle.
+An input that provides only a proper leading prefix of the ORDER BY
+has no fast path: the planner keeps the full sort, or Top-N under a
+LIMIT, and the tests pin that plan and its byte identity.
 """
 
 from __future__ import annotations
@@ -25,10 +22,10 @@ import pytest
 from repro.engine import Database
 from repro.service import SortService
 from repro.sort.operator import SortConfig, sort_table
-from repro.table.table import Table
 from repro.types.sortspec import SortSpec
 from repro.window.functions import WindowFunction, WindowSpec, window
 from repro.workloads.scenarios import SCENARIOS
+from test_external_kway import assert_byte_identical
 
 ROWS = 2_000
 SEED = 29
@@ -63,9 +60,19 @@ def _counters(stats_list):
     return {
         "elided": sum(s.sorts_elided for s in stats_list),
         "subsumed": sum(s.sorts_subsumed for s in stats_list),
-        "refined": sum(s.sorts_refined for s in stats_list),
-        "fallbacks": sum(s.refine_fallbacks for s in stats_list),
     }
+
+
+# Each scenario's ORDER BY over a view declared by its first key, plus
+# mixed_null with its truncated VARCHAR ahead of a later key.
+PREFIX_CASES = [
+    pytest.param(name, SCENARIOS[name].order_by, id=name)
+    for name in ALL_SCENARIOS
+] + [
+    pytest.param(
+        "mixed_null", "a NULLS FIRST, s, f DESC", id="mixed_null-s_before_f"
+    )
+]
 
 
 class TestSortElision:
@@ -95,66 +102,42 @@ class TestSortElision:
         assert _counters(stats)["subsumed"] == 1
         assert "subsumed" in db.explain(sql)
 
-    @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
-    def test_provided_prefix_refined_and_identical(self, scenario):
+    @pytest.mark.parametrize("scenario, order_by", PREFIX_CASES)
+    def test_provided_prefix_refined_and_identical(self, scenario, order_by):
         """Declared ordering covers only the first ORDER BY key.
 
-        The planner downgrades the sort to tie-group refinement; where
-        the refinement pass declines (truncated-VARCHAR suffix followed
-        by more keys) it falls back to a full sort.  Either way the
-        output must match the forced full re-sort byte for byte.
+        Nothing is refined: the planner keeps the plain full sort, so
+        the output is the forced full re-sort's, byte for byte.
         """
-        order_by = SCENARIOS[scenario].order_by
-        db, sc = _view_db(scenario, declared=_first_key(order_by))
+        db, _ = _view_db(scenario, declared=_first_key(order_by))
         sql = f"SELECT * FROM v ORDER BY {order_by}"
         forced = db.execute(sql, propagate_order=False)
         result, stats = db.execute_detailed(sql)
-        assert result.equals(forced), scenario
-        counters = _counters(stats)
-        assert counters["refined"] + counters["fallbacks"] == 1
-        assert "refine" in db.explain(sql)
+        assert_byte_identical(result, forced)
+        assert _counters(stats) == {"elided": 0, "subsumed": 0}
+        plan_text = db.explain(sql)
+        assert plan_text.startswith("Sort("), plan_text
 
-    def test_truncated_prefix_refines_in_place(self):
-        """Truncated VARCHAR in the *provided prefix*: refinement runs.
-
-        The view is exactly sorted on ``s`` (long strings beyond the
-        key prefix); the suffix key ``p`` is exact, so
-        ``refinement_must_defer`` does not apply and the cheap path
-        serves the sort.
-        """
-        db, _ = _view_db("long_string", declared="s")
-        sql = "SELECT * FROM v ORDER BY s, p"
+    @pytest.mark.parametrize("scenario, order_by", PREFIX_CASES)
+    def test_provided_prefix_under_limit_is_topn(self, scenario, order_by):
+        """The same query under a LIMIT plans Top-N, like any full sort."""
+        db, _ = _view_db(scenario, declared=_first_key(order_by))
+        sql = f"SELECT * FROM v ORDER BY {order_by} LIMIT 37 OFFSET 5"
         forced = db.execute(sql, propagate_order=False)
         result, stats = db.execute_detailed(sql)
-        assert result.equals(forced)
-        counters = _counters(stats)
-        assert counters["refined"] == 1
-        assert counters["fallbacks"] == 0
+        assert_byte_identical(result, forced)
+        assert result.num_rows == 37
+        assert _counters(stats) == {"elided": 0, "subsumed": 0}
+        plan_text = db.explain(sql)
+        assert plan_text.startswith("TopN("), plan_text
 
-    def test_truncated_suffix_defers_to_full_sort(self):
-        """Truncated VARCHAR in the suffix, followed by another key.
+    def test_provided_prefix_sort_honours_external_config(self, tmp_path):
+        """A provided-prefix sort runs the *configured* full sort.
 
-        ``refinement_must_defer`` reports the suffix byte order inexact
-        past the truncated segment, so the refinement pass must decline
-        and the operator must fall back to a full sort -- counted, and
-        still byte-identical.
-        """
-        db, _ = _view_db("mixed_null", declared="a NULLS FIRST")
-        sql = "SELECT * FROM v ORDER BY a NULLS FIRST, s, f DESC"
-        forced = db.execute(sql, propagate_order=False)
-        result, stats = db.execute_detailed(sql)
-        assert result.equals(forced)
-        counters = _counters(stats)
-        assert counters["fallbacks"] == 1
-        assert counters["refined"] == 0
-
-    def test_fallback_honours_external_config(self, tmp_path):
-        """A declined refinement runs the *configured* full sort.
-
-        With ``SortConfig.external`` the fallback must spill like any
-        other ORDER BY on the same database (spill reads are CRC-checked,
-        so ``checksum_verifications`` observes them), not quietly sort
-        in memory.
+        With ``SortConfig.external`` it must spill like any other ORDER
+        BY on the same database (spill reads are CRC-checked, so
+        ``checksum_verifications`` observes them), not quietly sort in
+        memory.
         """
         config = SortConfig(
             external=True,
@@ -165,8 +148,8 @@ class TestSortElision:
         sql = "SELECT * FROM v ORDER BY a NULLS FIRST, s, f DESC"
         forced = db.execute(sql, propagate_order=False)
         result, stats = db.execute_detailed(sql)
-        assert result.equals(forced)
-        assert _counters(stats)["fallbacks"] == 1
+        assert_byte_identical(result, forced)
+        assert _counters(stats) == {"elided": 0, "subsumed": 0}
         assert sum(s.checksum_verifications for s in stats) > 0
 
     def test_propagation_off_is_the_oracle(self):
