@@ -47,6 +47,7 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from bench_key_compression import commit_id  # noqa: E402
 from repro.engine import Database  # noqa: E402
 from repro.service import SortService  # noqa: E402
 from repro.scalar.reference import reference_sort  # noqa: E402
@@ -281,6 +282,7 @@ def main(rows: int = DEFAULT_ROWS, out: str = OUTPUT) -> dict:
         "seed": SEED,
         "reps": REPS,
         "cpu_count": os.cpu_count(),
+        "commit": commit_id(),
         "paths": list(PATHS),
         "reference_cell": list(REFERENCE_CELL),
         "scenarios": {},
@@ -318,8 +320,8 @@ def test_matrix_smoke(tmp_path, capsys):
             assert cell["identical"] is True
             assert cell["seconds"] > 0
     # The counters the regression gate keys on must be present on every
-    # path (Top-N generates no runs, but its compactions go through the
-    # same run sort).
+    # path (Top-N generates no runs, but its survivor sorts go through
+    # the same run sort).
     for numbers in results["scenarios"].values():
         for path, cell in numbers["paths"].items():
             assert cell["dispatch"] is not None

@@ -23,7 +23,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.errors import EngineError
-from repro.sort import topn
 from repro.sort.operator import SortConfig, SortStats, make_sort_operator
 from repro.sort.topn import TopNOperator
 from repro.table.chunk import (
@@ -213,15 +212,15 @@ class SortExecOperator(PhysicalOperator):
 
 
 class TopNExecOperator(PhysicalOperator):
-    """ORDER BY + LIMIT fused into the cutoff-pruning top-N operator.
+    """ORDER BY + LIMIT fused into the selecting top-N operator.
 
-    A resident child is sunk in :data:`repro.sort.topn.BATCH_ROWS`-row
-    views of its table: the batches its vectors would make, with nothing
-    to concatenate.  The config carries the cooperative cancellation
-    event (checked per sunk chunk), so a service can abort a long Top-N
-    scan mid-stream just like a full sort.  ``last_stats`` holds the
-    operator's ``SortStats`` (compaction sorts and string tie repair)
-    once drained.
+    A resident child's table is sunk whole, as one batch, as the full
+    sort sinks it; a streaming child is sunk vector by vector and
+    absorbed every :data:`repro.sort.topn.BATCH_ROWS` rows.  The config
+    carries the cooperative cancellation event (checked per sunk chunk),
+    so a service can abort a long streaming Top-N mid-stream just like a
+    full sort.  ``last_stats`` holds the operator's ``SortStats``
+    (survivor sorts and string tie repair) once drained.
     """
 
     resident = True
@@ -250,11 +249,7 @@ class TopNExecOperator(PhysicalOperator):
             self.schema, self.spec, self.limit, self.offset, self.config
         )
         if self.child.resident:
-            whole, step = self.child.table(), topn.BATCH_ROWS
-            source = (
-                DataChunk.from_table(whole.slice(start, start + step))
-                for start in range(0, whole.num_rows, step)
-            )
+            source = [DataChunk.from_table(self.child.table())]
         else:
             source = self.child.chunks()
         for chunk in source:

@@ -19,7 +19,7 @@ into the key's uint64 *words* (word ``w`` of a row is bytes ``[8w, 8w +
 two rows' word lists is memcmp on their key bytes: the sort keeps a
 resident run's keys in that form.  :func:`normalize_keys` writes them as
 bytes and appends the row-id suffix: a dense ``(n, width)`` uint8 matrix,
-what Top-N, GROUP BY, window, merge join, the reference sort and spill
+what GROUP BY, window, merge join, the reference sort and spill
 files read.  Comparing two rows of the matrix with memcmp is exactly
 ``tuple_compare`` on the original values, except when a VARCHAR key
 exceeds its prefix or ends in NUL; then the key is "inexact" and ties

@@ -26,7 +26,6 @@ from repro.sort.heuristic import vector_sort_rows
 from repro.sort.kernels import (
     KWayBlockStats,
     argsort_rows,
-    cutoff_mask,
     kway_merge_blocks,
     merge_indices,
     void_view,
@@ -58,7 +57,6 @@ __all__ = [
     "IncrementalStats",
     "KWayBlockStats",
     "argsort_rows",
-    "cutoff_mask",
     "kway_merge_blocks",
     "merge_indices",
     "void_view",

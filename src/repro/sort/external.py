@@ -51,7 +51,7 @@ The spill format per run is one file of three contiguous data sections --
 the sorted key words (uint64 rows, the words the merge compares: a block
 reads back with no conversion), the payload row matrix, and the string
 heap -- preceded by a versioned, checksummed header
-(:mod:`repro.sort.spillfile`).  Key bytes exist only in Top-N, string
+(:mod:`repro.sort.spillfile`).  Key bytes exist only in string
 refinement, the key-carried decode and the rebase of a stale block.
 The NSM rows and heap exist for the file: a resident run keeps its
 payload in columns, and one ``RowBlock.from_table`` builds them when the

@@ -8,7 +8,7 @@ sorting become single numpy calls with zero Python-level per-row work.
 
 Runs hold their keys as such word columns
 (:func:`repro.keys.normalizer.key_words`), and a spill file holds them as
-word rows; key bytes exist only in Top-N, string refinement and the
+word rows; key bytes exist only in string refinement and the
 key-carried decode.  A key-byte matrix is read as words by
 :func:`_chunk_columns` or, word by word on first use, ``_MatrixWords``.
 On top of them:
@@ -17,8 +17,6 @@ On top of them:
   whole-row sort: key bits and row position packed into one uint64 and
   sorted *by value*, ties refined bit chunk by bit chunk (run generation,
   Top-N and every k-way merge round go through it),
-* :func:`cutoff_mask` / :func:`smallest_mask` -- which rows sort before
-  one cutoff key, or may be among the ``count`` smallest (Top-N's filters),
 * :func:`kway_merge_blocks` -- the production merge over word blocks:
   block-streaming, one stable sort of the emittable frontier rows per
   round (the two-run :func:`merge_indices` and :func:`ovc_codes` have no
@@ -43,8 +41,6 @@ __all__ = [
     "void_view",
     "argsort_rows",
     "argsort_words",
-    "cutoff_mask",
-    "smallest_mask",
     "merge_indices",
     "ovc_codes",
     "KWayBlockStats",
@@ -136,7 +132,7 @@ LEXSORT_FINISH_ROWS = 1 << 10
 ``np.lexsort`` call instead of further packed passes (the paper's MSD
 radix finishes small buckets with insertion sort): a packed pass costs
 ~20 us before it touches a row and 60-90 us once it has ties to book,
-a lexsort of a few hundred rows 10-30 us in all (Top-N compacts 100-800
+a lexsort of a few hundred rows 10-30 us in all (Top-N sorts 100-800
 survivors at a time).  Measured crossover, 5- to 40-byte keys: 128-1,536
 rows when the pass leaves no ties, 1,024-4,096 when every row ties."""
 
@@ -323,43 +319,6 @@ def argsort_rows(matrix: np.ndarray, stats=None) -> np.ndarray:
     """Stable argsort of whole key rows (memcmp order), fully vectorized:
     :func:`argsort_words` over the matrix's lazily converted words."""
     return argsort_words(_MatrixWords(matrix), stats)
-
-
-def cutoff_mask(
-    matrix: np.ndarray, cutoff: np.ndarray, inclusive: bool
-) -> np.ndarray:
-    """Mask of key rows sorting before a cutoff key (memcmp order).
-
-    ``cutoff`` is one key row of ``matrix``'s width.  Rows equal to it
-    are selected only when ``inclusive``.  This is Top-N's pruning
-    filter: the lexicographic ``<`` is evaluated word column by word
-    column (``below |= tied & (word < bound)``), stopping at the first
-    word that leaves no row tied with the cutoff -- on high-entropy keys
-    that is the first one, and the only one converted.
-    """
-    columns = _MatrixWords(matrix)
-    if cutoff.shape != (matrix.shape[1],):
-        raise SortError(
-            f"cutoff key of shape {cutoff.shape} does not match key "
-            f"width {matrix.shape[1]}"
-        )
-    bounds = _chunk_columns(cutoff[None, :])
-    below = columns[0] < bounds[0]
-    tied = columns[0] == bounds[0]
-    for word in range(1, len(bounds)):
-        if not tied.any():
-            break
-        below |= tied & (columns[word] < bounds[word])
-        tied &= columns[word] == bounds[word]
-    return below | tied if inclusive else below
-
-
-def smallest_mask(matrix: np.ndarray, count: int) -> np.ndarray:
-    """Mask keeping a superset of the ``count`` smallest key rows: a row
-    whose leading uint64 word exceeds the ``count``-th smallest word has
-    ``count`` rows strictly before it (Top-N selects before it sorts)."""
-    words = _MatrixWords(matrix)[0]
-    return words <= np.partition(words, count - 1)[count - 1]
 
 
 def ovc_codes(matrix: np.ndarray) -> np.ndarray:

@@ -34,7 +34,6 @@ a value that ends in NUL is therefore inexact whatever its width.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
 import numpy as np
@@ -47,7 +46,6 @@ from repro.keys.encoding import (
 
 __all__ = [
     "CHUNK_WIDTH",
-    "and_prefix_exact",
     "exact_group_changed",
     "inexact_prefix_end",
     "refine_key_order",
@@ -67,23 +65,6 @@ def inexact_prefix_end(layout) -> int | None:
         if not segment.prefix_exact:
             return segment.offset + segment.total_width
     return None
-
-
-def and_prefix_exact(kept, new):
-    """``kept`` with each segment's ``prefix_exact`` AND-ed with ``new``'s.
-
-    Consumers that encode one stream batch by batch under a fixed string
-    prefix (Top-N chunks, incremental deltas) get layouts that differ
-    only in these flags; the AND is the layout under which every batch
-    seen so far may be refined together.
-    """
-    segments = tuple(
-        dataclasses.replace(
-            a, prefix_exact=a.prefix_exact and b.prefix_exact
-        )
-        for a, b in zip(kept.segments, new.segments)
-    )
-    return dataclasses.replace(kept, segments=segments)
 
 
 def _tie_groups(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

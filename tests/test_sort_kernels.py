@@ -23,7 +23,6 @@ from repro.sort.kernels import (
     KWayBlockStats,
     argsort_rows,
     argsort_words,
-    cutoff_mask,
     kway_merge_blocks,
     merge_indices,
     void_view,
@@ -90,44 +89,6 @@ class TestArgsortRows:
     def test_stability_on_duplicates(self, rng):
         matrix = np.zeros((64, 5), dtype=np.uint8)  # all rows identical
         assert argsort_rows(matrix).tolist() == list(range(64))
-
-
-class TestCutoffMask:
-    @pytest.mark.parametrize("width", [1, 7, 8, 9, 13, 16, 18, 29])
-    @pytest.mark.parametrize("alphabet", [2, 256])
-    def test_matches_void_view_order(self, rng, width, alphabet):
-        # A small alphabet makes rows tie the cutoff on whole leading
-        # words, so the later word columns decide.
-        matrix = random_matrix(rng, 400, width, alphabet)
-        scalars = void_view(matrix)
-        for cutoff in (matrix[17], matrix[0], random_matrix(rng, 1, width)[0]):
-            bound = void_view(cutoff[None, :])
-            # searchsorted against the one-element [bound]: 0 from the
-            # right means row < bound, 0 from the left means row <= bound.
-            below = np.searchsorted(bound, scalars, side="right") == 0
-            at_or_below = np.searchsorted(bound, scalars, side="left") == 0
-            assert cutoff_mask(matrix, cutoff, False).tolist() == below.tolist()
-            assert (
-                cutoff_mask(matrix, cutoff, True).tolist()
-                == at_or_below.tolist()
-            )
-            raw = row_bytes(matrix)
-            assert below.tolist() == [r < cutoff.tobytes() for r in raw]
-
-    def test_sliced_inputs_and_extremes(self, rng):
-        matrix = random_matrix(rng, 50, 21, alphabet=3)
-        prefix = matrix[:, :13]  # non-contiguous view, as Top-N passes it
-        cutoff = matrix[9, :13]
-        expected = [r < cutoff.tobytes() for r in row_bytes(prefix)]
-        assert cutoff_mask(prefix, cutoff, False).tolist() == expected
-        low = np.zeros(13, dtype=np.uint8)
-        high = np.full(13, 255, dtype=np.uint8)
-        assert not cutoff_mask(prefix, low, False).any()
-        assert cutoff_mask(prefix, high, True).all()
-
-    def test_rejects_mismatched_cutoff(self, rng):
-        with pytest.raises(SortError):
-            cutoff_mask(random_matrix(rng, 4, 9), np.zeros(8, dtype=np.uint8), True)
 
 
 class TestMergeIndices:

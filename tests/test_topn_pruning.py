@@ -1,17 +1,18 @@
-"""Top-N as run generation with a cutoff: the boundaries pruning created.
+"""Top-N as selection on the lead word: the boundaries selection created.
 
 The per-row heap compared every row exactly; the vectorized operator
-decides whole batches against one cutoff key, so what needs pinning is
-everything that happens *at* the cutoff: equal keys arriving later,
-truncated-VARCHAR tie groups straddling it, the decisive prefix
-shrinking mid-stream, inputs where nothing or everything is pruned, and
-degenerate capacities and vector sizes.  Every case is checked against
-the tuple-key ``sorted()`` oracle byte for byte.
+keeps the rows whose leading key word is at most the ``capacity``-th
+smallest and sorts only those, so what needs pinning is everything that
+happens *at* that cut: equal keys arriving later, truncated-VARCHAR tie
+groups straddling it, later batches whose layout differs from the first
+one's, inputs where nothing or everything is dropped, and degenerate
+capacities and vector sizes.  Every case is checked against the
+tuple-key ``sorted()`` oracle byte for byte.
 
-The operator filters every ``topn.BATCH_ROWS`` rows (eight default
+The operator absorbs every ``topn.BATCH_ROWS`` rows (eight default
 vectors).  The inputs here are a few thousand rows, so :func:`batches_of`
 shrinks the constant -- to eight of the *test's* vectors unless a case
-says otherwise -- and the cutoff is live while most of the input arrives.
+says otherwise -- and most of the input arrives after the first absorb.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import stems_first
 from test_external_kway import assert_byte_identical
 from test_oracle import oracle_sort
 from repro.engine.database import Database
@@ -43,7 +43,7 @@ def spec_of(order_by: str) -> SortSpec:
 
 
 def batches_of(rows: int):
-    """Filter every ``rows`` sunk rows instead of every ``BATCH_ROWS``."""
+    """Absorb every ``rows`` sunk rows instead of every ``BATCH_ROWS``."""
     return mock.patch.object(topn, "BATCH_ROWS", rows)
 
 
@@ -68,6 +68,14 @@ def assert_matches_oracle(table, spec, limit, offset, vector_size, context=""):
         ) from exc
 
 
+def assert_sorts_bounded(operator, rows, batch):
+    """No survivor sort took more than ``2 * capacity + batch`` rows: one
+    per absorb (one per ``batch`` sunk rows) and finalize's."""
+    absorbs = -(-rows // batch) + 1
+    capacity = operator.limit + operator.offset
+    assert operator.stats.rows_sorted <= absorbs * (2 * capacity + batch)
+
+
 def straddled_capacity(table, spec) -> int:
     """A capacity whose cutoff row sits inside a truncated-prefix tie group.
 
@@ -89,6 +97,23 @@ def straddled_capacity(table, spec) -> int:
     return int(late[0])
 
 
+def first_byte_stems(rows: int, seed: int) -> Table:
+    """Strings ``<a|b|c> + 20 x + digits``, ``a`` and ``b`` rare.
+
+    The rows a small capacity keeps start with ``a`` or ``b``: they share
+    no byte for the key to skip, and their 12 key bytes tie inside each
+    first byte, so their order comes from the full strings.
+    """
+    rng = np.random.default_rng(seed)
+    firsts = rng.permutation(["a"] * 20 + ["b"] * 60 + ["c"] * (rows - 80))
+    return Table.from_pydict(
+        {
+            "s": [f + "x" * 20 + str(rng.integers(10**6)) for f in firsts],
+            "p": rng.integers(0, 50, rows).tolist(),
+        }
+    )
+
+
 class TestTiesAtTheCutoff:
     def test_cutoff_duplicates_in_later_chunks_keep_arrival_order(self):
         keys = SCENARIOS["dup_heavy"].table(5000, seed=3).column("a").data
@@ -104,14 +129,7 @@ class TestTiesAtTheCutoff:
             stable = np.argsort(keys, kind="stable")[offset : offset + limit]
             assert result.column("seq").data.tolist() == stable.tolist()
             assert result.column("a").data.tolist() == keys[stable].tolist()
-        # Strict '<' on a fully decisive key: after the first batch set
-        # the cutoff to the smallest key, none of its ~200 later
-        # duplicates was gathered (the last sort is finalize's, of the
-        # one kept row).  The 16 keys share their leading word, so the
-        # selection before the first sort dropped nothing.
-        batch = 8 * 256
-        assert keys[:batch].min() == keys.min()
-        assert operator.stats.rows_sorted == batch + 1
+        assert_sorts_bounded(operator, table.num_rows, 8 * 256)
 
     @pytest.mark.parametrize(
         "name,order_by",
@@ -131,6 +149,16 @@ class TestTiesAtTheCutoff:
             assert_matches_oracle(
                 table, spec, limit, offset, vector_size, f"scenario={name}"
             )
+
+    @pytest.mark.parametrize("vector_size", [97, 1024])
+    def test_stems_tied_past_the_key_straddle_cutoff(self, vector_size):
+        table = first_byte_stems(3000, seed=11)
+        spec = spec_of("s, p")
+        capacity = straddled_capacity(table, spec)
+        for limit, offset in ((capacity, 0), (5, capacity - 5)):
+            assert_matches_oracle(table, spec, limit, offset, vector_size)
+        _, operator = run_topn(table, spec, capacity, 0, vector_size)
+        assert operator.stats.full_key_compares > 0
 
     def test_later_column_never_preempts_a_truncated_string(self):
         stem = "m" * MAX_STRING_PREFIX
@@ -161,11 +189,11 @@ class TestDecisivePrefixShrinks:
         spec = spec_of("s, k DESC")
         operator = TopNOperator(table.schema, spec, 3)
         chunks = list(chunk_table(table, 8))
-        with batches_of(8):  # one vector per batch: a flip between sinks
+        # One vector per batch: the second absorb's rows truncate where
+        # the first's fit their window, and each gets its own layout.
+        with batches_of(8):
             operator.sink(chunks[0])
-            assert operator.stats.prefix_exact
             operator.sink(chunks[1])
-            assert not operator.stats.prefix_exact
             expected = oracle_sort(table, spec).slice(0, 3)
             assert_byte_identical(expected, operator.finalize())
         for limit in range(1, 10):
@@ -174,8 +202,9 @@ class TestDecisivePrefixShrinks:
 
 
 class TestSkippedPrefix:
-    """The first batch's shared string bytes are skipped for good; a later
-    string without them is escaped through its indicator byte."""
+    """Each absorb skips the string bytes its own rows share: a later
+    batch whose strings lack the first batch's stem gets a layout of its
+    own, and nothing is escaped or rebased."""
 
     @pytest.mark.parametrize("direction", ["", " DESC"])
     def test_later_batches_without_the_prefix(self, direction):
@@ -195,14 +224,48 @@ class TestSkippedPrefix:
         with batches_of(40):
             for chunk in chunk_table(table, 40):
                 operator.sink(chunk)
-            assert operator._layout.segments[0].skipped == b"shared-prefix-"
+            expected = oracle_sort(table, spec).slice(0, 5)
+            assert_byte_identical(expected, operator.finalize())
         for limit in (1, 5, 30, 100):
             for offset in (0, 3):
                 assert_matches_oracle(table, spec, limit, offset, 5)
 
+    @pytest.mark.parametrize("direction", ["", " DESC"])
+    def test_later_batches_widen_the_statistics(self, direction):
+        # The first batch: stemmed strings and small non-NULL ints.  Later
+        # batches bring NULLs, ints outside the first batch's range and
+        # strings without its stem, on both the lead key and a later one.
+        rng = np.random.default_rng(5)
+        stems = [
+            "stem-shared-" + "".join(rng.choice(list("xy"), 16))
+            for _ in range(64)
+        ]
+        later = [None, "", "a", "stem-", "stem-shared-x", "zz" * 9, "😀"]
+        strings = stems + [later[i % 7] for i in range(448)]
+        ints = [int(i % 5) for i in range(64)] + [
+            None if i % 11 == 0 else int(rng.integers(-(10**12), 10**12))
+            for i in range(448)
+        ]
+        table = Table.from_pydict(
+            {"a": ints, "s": strings, "keep": [1] * len(ints)}
+        )
+        db = Database()
+        db.register("t", table)
+        for order_by in (f"s{direction}, a", f"a{direction} NULLS FIRST, s"):
+            spec = spec_of(order_by)
+            for limit, offset in ((1, 0), (7, 3), (70, 0), (600, 0)):
+                assert_matches_oracle(table, spec, limit, offset, 8)
+                # A filter is a streaming child: sunk vector by vector.
+                expected = oracle_sort(table, spec).slice(offset, offset + limit)
+                streamed = db.execute(
+                    f"SELECT * FROM t WHERE keep = 1 "
+                    f"ORDER BY {order_by} LIMIT {limit} OFFSET {offset}"
+                )
+                assert_byte_identical(expected, streamed)
+
     def test_lead_filter_keeps_rows_tied_on_the_lead(self):
-        # Every row ties the cutoff's leading key: the lead filter keeps
-        # them all and the later keys decide.
+        # Every row ties on the leading key: the lead-word selection
+        # keeps them all and the later keys decide.
         table = Table.from_pydict(
             {
                 "a": [7] * 600,
@@ -220,24 +283,16 @@ class TestPruningExtremes:
         spec = spec_of("a, p")
         assert_matches_oracle(table, spec, 100, 7, 64, "scenario=reverse")
         _, operator = run_topn(table, spec, 100, 7, 64)
-        # No row is ever pruned by the cutoff (each batch beats it
-        # whole), yet no compaction sorts a whole batch: selection on
-        # the leading key word keeps the 107 best plus at most the 255
-        # rows tied with the last of them on everything but a's low byte.
-        compactions = -(-table.num_rows // (8 * 64)) + 1
-        assert operator.stats.rows_sorted >= compactions * 107
-        assert operator.stats.rows_sorted <= compactions * (107 + 255)
+        # Every batch beats the rows held before it, yet no sort takes
+        # more than the held rows and one batch.
+        assert_sorts_bounded(operator, table.num_rows, 8 * 64)
 
     def test_sorted_input_prunes_everything_after_the_first_compaction(self):
         values = np.arange(5000, dtype=np.int64)
         table = Table.from_numpy({"a": values, "p": values[::-1].copy()})
         result, operator = run_topn(table, spec_of("a"), 10, 2, 500)
         assert result.column("a").data.tolist() == list(range(2, 12))
-        # One compaction of the first batch (eight chunks), which sorts
-        # only the 256 rows sharing the smallest leading key word (a's
-        # upper seven bytes), plus finalize re-sorting the 12 kept rows;
-        # the last two chunks are filtered out whole.
-        assert operator.stats.rows_sorted == 256 + 12
+        assert_sorts_bounded(operator, table.num_rows, 8 * 500)
 
     @pytest.mark.parametrize("vector_size", [1, 7, 1024])
     def test_buffer_stays_below_twice_capacity(self, vector_size):
@@ -249,8 +304,7 @@ class TestPruningExtremes:
             for chunk in chunk_table(table, vector_size):
                 operator.sink(chunk)
                 assert operator._pending_rows < batch
-                assert operator._held < max(2 * capacity, batch + capacity)
-                assert operator._held == sum(map(len, operator._matrices))
+                assert operator._held.num_rows <= 2 * capacity
 
 
 class TestDegenerateShapes:
@@ -321,19 +375,18 @@ class TestEngineSurface:
         assert len(stats) == 1
         topn = stats[0]
         assert topn.rows_sorted > 0
-        # Two compaction sorts (the 3,000 buffered rows, then the 23
-        # kept), and the first leaves no prefix tie for the kernel: the
+        # The survivors' sort leaves no prefix tie for the kernel: the
         # shared stem is skipped as constant words.
-        assert (topn.sort_passes, topn.sort_tied_rows) == (2, 0)
+        assert topn.sort_passes >= 1
+        assert topn.sort_tied_rows == 0
         # The strings share their first 15 bytes, which the key skips as
-        # the full sort's does: the 12 after them still truncate, but
-        # decide every row, so no string is consulted.
-        assert not topn.prefix_exact
+        # the full sort's does: the bytes after them decide every row, so
+        # no string is consulted.
         assert (topn.reencoded_rows, topn.full_key_compares) == (0, 0)
-        # Stems that differ in their first byte leave nothing to skip and
-        # tie on the 12 bytes after it: the order comes from the
+        # Survivors that differ in their first byte leave nothing to skip
+        # and tie on the 12 bytes after it: the order comes from the
         # tie-group refinement, and the counters say so.
-        db.register("u", stems_first(db.table("t")))
+        db.register("u", first_byte_stems(3000, seed=4))
         sql = "SELECT * FROM u ORDER BY s, p LIMIT 20 OFFSET 3"
         result, (topn,) = db.execute_detailed(sql)
         assert result.equals(db.execute(sql.split(" LIMIT")[0]).slice(3, 23))
