@@ -43,6 +43,7 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from repro.sort.external import ExternalSortOperator  # noqa: E402
 from repro.sort.faults import SlowStorageIO, SpillIO  # noqa: E402
@@ -261,6 +262,28 @@ def test_external_overlap_bench_smoke(capsys):
     assert rungen["run_reduction"] >= 1.5
     assert rungen["merge_pass_reduction"] >= 1.5
     assert os.path.exists(OUTPUT)
+
+
+@pytest.mark.slow
+def test_key_carried_decode_is_a_small_share_of_the_spilled_sort():
+    """A same-process relation: a spilled int64 sort whose every column is
+    a key spills keys only and decodes the result from the merged key
+    words' native columns, so ``decode`` is at most 5% of the sort."""
+    rows = DEFAULT_ROWS
+    rng = np.random.default_rng(41)
+    table = Table.from_numpy(
+        {
+            "a": uniform_values(rng, rows),
+            "p": rng.integers(0, 1 << 62, rows).astype(np.int64),
+        }
+    )
+    spec, config = SortSpec.of("a", "p"), SortConfig(run_threshold=rows // 16)
+    shares = []
+    for _ in range(ROUNDS + 1):
+        elapsed, _, stats = _external_sort(table, spec, config)
+        assert stats.key_carried_runs == stats.runs_generated - 1 == 15
+        shares.append(stats.phase_seconds["decode"] / elapsed)
+    assert min(shares) <= 0.05, shares
 
 
 if __name__ == "__main__":

@@ -33,6 +33,8 @@ import random
 import sys
 import time
 
+import pytest
+
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
@@ -42,6 +44,7 @@ from repro.sort.operator import make_sort_operator  # noqa: E402
 from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
 from repro.types.sortspec import SortSpec  # noqa: E402
+from repro.workloads.scenarios import SCENARIOS  # noqa: E402
 
 from bench_key_compression import commit_id  # noqa: E402
 
@@ -89,8 +92,8 @@ def _shared_prefix_table(seed: int, rows: int) -> Table:
     return Table.from_pydict({"s": values})
 
 
-def _sort(table: Table):
-    with make_sort_operator(table.schema, SortSpec.of("s")) as operator:
+def _sort(table: Table, spec: SortSpec = SortSpec.of("s")):
+    with make_sort_operator(table.schema, spec) as operator:
         for chunk in chunk_table(table, 16_384):
             operator.sink(chunk)
         return operator.finalize(), operator.stats
@@ -184,6 +187,28 @@ def test_string_bench_smoke(capsys):
     shared = results["shared_prefix"]
     assert shared["prefix_exact"] and shared["reencoded_rows"] == 0
     assert os.path.exists(OUTPUT)
+
+
+@pytest.mark.slow
+def test_tie_detection_is_a_small_share_of_a_long_string_sort():
+    """A same-process relation on the catalog's ``long_string`` rows (the
+    e2e ``string_inmem`` table) at 200,000 rows: every key window
+    truncates, few rows tie, and the string repair finds its tie groups on
+    the merged key words, so ``refine`` is at most 10% of the sort.  The
+    ``long_string_sort`` input above ties every row, so re-encoding, not
+    tie detection, is most of its refinement.
+    """
+    scenario = SCENARIOS["long_string"]
+    table = scenario.table(ACCEPTANCE_ROWS, seed=17)
+    spec = SortSpec.of(*scenario.order_by.split(", "))
+    shares = []
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        _, stats = _sort(table, spec)
+        seconds = time.perf_counter() - start
+        shares.append(stats.phase_seconds["refine"] / seconds)
+    assert not stats.prefix_exact
+    assert min(shares) <= 0.10, shares
 
 
 if __name__ == "__main__":

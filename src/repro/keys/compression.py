@@ -32,7 +32,9 @@ This module supplies the pieces the sort pipeline wires together:
 * :func:`key_carried_eligible` / :func:`decode_key_table` -- when every
   output column is a key column of a losslessly-decodable type, the sorted
   payload can be reconstructed from the keys alone and runs spill *keys
-  only* (the paper's key-carried rows taken to its extreme).
+  only* (the paper's key-carried rows taken to its extreme).  The decode
+  reads each segment's codes straight from the key words
+  (:func:`segment_codes`: a shift and a mask of a known word).
 
 Compressed segments apply DESC in the code domain (``rel -> range-1-rel``)
 instead of byte inversion, so one rule covers NULL folding and direction.
@@ -60,7 +62,7 @@ from repro.keys.normalizer import (
     MODE_PLAIN,
     KeyLayout,
     KeySegment,
-    write_compressed_segment,
+    write_fixed_segment,
 )
 from repro.table.column import ColumnVector
 from repro.table.table import Table
@@ -270,40 +272,49 @@ def plain_key_width(layout: KeyLayout) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# Decoding segment bytes back to order codes, and re-basing
+# Decoding key words back to order codes, and re-basing
 # ---------------------------------------------------------------------- #
 
 
-def _big_endian_codes(raw: np.ndarray) -> np.ndarray:
-    """Big-endian (n, w) uint8 bytes -> writable uint64 codes."""
-    n, width = raw.shape
-    padded = np.zeros((n, 8), dtype=np.uint8)
-    padded[:, 8 - width :] = raw
-    return padded.view(">u8").reshape(n).astype(np.uint64)
+def _field(words, offset: int, width: int) -> np.ndarray:
+    """Key bytes ``[offset, offset + width)`` of every row as a uint64,
+    read from the word columns (``width <= 8``: at most two words).
+
+    The inverse of ``normalizer._fold_field``: a shift and a mask, or two
+    shifts OR-ed together.  A field that fills its word is that word.
+    """
+    word, last = divmod(offset + width - 1, 8)
+    shift = 8 * (7 - last)  # bits after the field's last byte in its word
+    value = words[word] >> np.uint64(shift) if shift else words[word]
+    if offset < 8 * word:  # leading bytes end the word before; shift > 0
+        value |= words[word - 1] << np.uint64(64 - shift)
+    if width < 8:
+        value = value & np.uint64((1 << 8 * width) - 1)
+    return value
 
 
-def segment_codes(
-    matrix: np.ndarray, segment: KeySegment
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recover ``(order codes, null mask)`` from a fixed-width segment.
+def segment_codes(words, segment: KeySegment) -> tuple[np.ndarray, np.ndarray]:
+    """Recover ``(order codes, null mask)`` of a fixed-width segment from
+    key word columns (:func:`~repro.keys.normalizer.key_words`' form).
 
-    The exact inverse of what :func:`repro.keys.normalizer.normalize_keys`
-    wrote: un-fold the NULL code, undo DESC, add the bias back.  NULL rows
-    get code 0 (their original filler value is not recoverable).
+    The exact inverse of the encoder: read the field, un-fold the NULL
+    code, undo DESC, add the bias back.  NULL rows get code 0 (their
+    original filler value is not recoverable).  ``words`` is consumed:
+    the codes of a segment that fills a word may be that word, zeroed at
+    NULL rows in place.
     """
     if segment.dtype.type_id is TypeId.VARCHAR:
         raise KeyEncodingError("VARCHAR segments have no code domain")
     start = segment.offset
     width = segment.value_width
     if segment.mode == MODE_PLAIN:
-        null_mask = matrix[:, start] == segment.null_byte_for_null
-        raw = matrix[:, start + 1 : start + 1 + width]
+        null_mask = _field(words, start, 1) == segment.null_byte_for_null
+        codes = _field(words, start + 1, width)
         if segment.key.descending:
-            raw = 0xFF - raw
-        codes = _big_endian_codes(raw)
+            codes = np.uint64((1 << 8 * width) - 1) - codes
         codes[null_mask] = 0
         return codes, null_mask
-    stored = _big_endian_codes(matrix[:, start : start + width])
+    stored = _field(words, start, width)
     code_range = segment.code_range
     if segment.mode == MODE_FOLDED:
         if segment.key.nulls_first:
@@ -313,40 +324,25 @@ def segment_codes(
             null_mask = stored == np.uint64(code_range)
             rel = stored
     else:
-        null_mask = np.zeros(len(matrix), dtype=bool)
+        null_mask = np.zeros(len(stored), dtype=bool)
         rel = stored
     if segment.key.descending:
         rel = np.uint64(code_range - 1) - rel
-    codes = rel + np.uint64(segment.bias)
-    codes[null_mask] = 0
+    codes = rel + np.uint64(segment.bias) if segment.bias else rel
+    if segment.mode == MODE_FOLDED:
+        codes[null_mask] = 0
     return codes, null_mask
 
 
-def _write_plain_fixed(
-    out: np.ndarray,
-    segment: KeySegment,
-    codes: np.ndarray,
-    null_mask: np.ndarray,
-) -> None:
-    """Write a plain fixed-width segment from order codes."""
-    width = segment.dtype.fixed_width
-    assert width is not None and width == segment.value_width
-    start = segment.offset
-    n = len(codes)
-    out[:, start] = np.where(
-        null_mask, segment.null_byte_for_null, segment.null_byte_for_valid
-    )
-    big = np.ascontiguousarray(codes.astype(">u8")).view(np.uint8)
-    value = big.reshape(n, 8)[:, 8 - width :]
-    if segment.key.descending:
-        value = 0xFF - value
-    out[:, start + 1 : start + 1 + width] = value
-    if null_mask.any():
-        out[null_mask, start + 1 : start + 1 + width] = 0
+def _matrix_words(matrix: np.ndarray, width: int) -> list[np.ndarray]:
+    """The first ``width`` bytes of a key matrix's rows as word columns."""
+    padded = np.zeros((len(matrix), -(-width // 8) * 8), dtype=np.uint8)
+    padded[:, :width] = matrix[:, :width]
+    return list(np.ascontiguousarray(padded.view(">u8").T, dtype=np.uint64))
 
 
 def _rebase_segment(
-    src: np.ndarray, dst: np.ndarray, old: KeySegment, new: KeySegment
+    src: np.ndarray, words, dst: np.ndarray, old: KeySegment, new: KeySegment
 ) -> None:
     if old.key != new.key or old.dtype is not new.dtype:
         raise KeyEncodingError("layouts do not describe the same sort spec")
@@ -387,14 +383,10 @@ def _rebase_segment(
         return
     if old.mode == MODE_PLAIN:
         raise KeyEncodingError("segment modes only widen toward plain")
-    codes, null_mask = segment_codes(src, old)
-    if new.mode == MODE_PLAIN:
-        _write_plain_fixed(dst, new, codes, null_mask)
-        return
-    if null_mask.any() and new.mode != MODE_FOLDED:
+    codes, null_mask = segment_codes(words, old)
+    if null_mask.any() and new.mode == MODE_NOBYTE:
         raise KeyEncodingError("NULL rows need a folded or plain segment")
-    valid = ~null_mask if null_mask.any() else None
-    write_compressed_segment(dst, new, codes, valid)
+    write_fixed_segment(dst, new, codes, ~null_mask if null_mask.any() else None)
 
 
 def rebase_matrix(
@@ -418,8 +410,10 @@ def rebase_matrix(
         raise KeyEncodingError("layouts have different segment counts")
     width = new_layout.key_width + matrix.shape[1] - old_layout.key_width
     out = np.empty((len(matrix), width), dtype=np.uint8)
+    # Fixed-width codes are read from words: one decoder, made once.
+    words = _matrix_words(matrix, old_layout.key_width)
     for old_seg, new_seg in zip(old_layout.segments, new_layout.segments):
-        _rebase_segment(matrix, out, old_seg, new_seg)
+        _rebase_segment(matrix, words, out, old_seg, new_seg)
     out[:, new_layout.key_width :] = matrix[:, old_layout.key_width :]
     return out
 
@@ -570,15 +564,15 @@ def key_carried_eligible(schema: Schema, spec: SortSpec) -> bool:
     return True
 
 
-def decode_key_table(
-    matrix: np.ndarray, layout: KeyLayout, schema: Schema
-) -> Table:
-    """Rebuild a table from key bytes (key-carried sorts, vectorized).
+def decode_key_table(words, layout: KeyLayout, schema: Schema) -> Table:
+    """Rebuild a table from its key word columns (key-carried sorts).
 
-    ``matrix`` rows must be (at least) ``layout.key_width`` wide; a
-    trailing row-id suffix is ignored.  NULL rows decode with a zero data
-    filler -- value-level equality with the source column holds, raw
-    filler bytes may differ.
+    ``words`` are uint64 columns in :func:`~repro.keys.normalizer.key_words`'
+    form, and they are *consumed*: a column whose segment fills a word has
+    its sign bit flipped in place and keeps that word's buffer, so the
+    caller must own them.  NULL rows decode with a zero data filler --
+    value-level equality with the source column holds, raw filler bytes
+    may differ.
     """
     decoded: dict[str, ColumnVector] = {}
     for segment in layout.segments:
@@ -591,11 +585,11 @@ def decode_key_table(
             raise KeyEncodingError(
                 f"column {name!r} ({dtype.name}) is not key-carried decodable"
             )
-        codes, null_mask = segment_codes(matrix, segment)
+        codes, null_mask = segment_codes(words, segment)
         unsigned = _WIDTH_TO_UNSIGNED[width]
-        bits = codes.astype(unsigned)
+        bits = codes if width == 8 else codes.astype(unsigned)
         if dtype.is_signed:
-            bits = bits ^ (unsigned(1) << unsigned(8 * width - 1))
+            bits ^= unsigned(1) << unsigned(8 * width - 1)
         data = bits.view(np.dtype(dtype.numpy_dtype))
         validity = None
         if null_mask.any():

@@ -62,7 +62,7 @@ __all__ = [
     "normalize_keys",
     "normalized_key_for_row",
     "words_to_bytes",
-    "write_compressed_segment",
+    "write_fixed_segment",
 ]
 
 DEFAULT_STRING_PREFIX = 12
@@ -318,16 +318,32 @@ def _compressed_codes(
     return rel
 
 
-def write_compressed_segment(
-    matrix: np.ndarray,
-    segment: KeySegment,
-    codes: np.ndarray,
-    valid: np.ndarray | None,
-) -> None:
-    """Write a compressed (``nobyte``/``folded``) segment's bytes: the
+def _fixed_fields(segment: KeySegment, codes, valid: np.ndarray | None):
+    """A fixed-width segment's ``(offset, width, values)`` fields, from its
+    order codes: bias, DESC and the NULL byte or folded NULL code are
+    arithmetic on them (``valid`` as in :func:`_compressed_codes`)."""
+    offset, width = segment.offset, segment.value_width
+    if not segment.has_null_byte:
+        yield offset, width, _compressed_codes(segment, codes, valid)
+        return
+    # Plain: the NULL indicator byte, then the code, byte-inverted for
+    # DESC; NULL rows get zero value bytes so all NULLs tie.
+    indicator = np.uint64(segment.null_byte_for_valid)
+    if segment.key.descending:
+        codes = np.uint64((1 << 8 * width) - 1) - codes
+    if valid is not None:
+        null = np.uint64(segment.null_byte_for_null)
+        indicator = np.where(valid, indicator, null)
+        codes = np.where(valid, codes, np.uint64(0))
+    yield offset, 1, indicator
+    yield offset + 1, width, codes
+
+
+def write_fixed_segment(matrix, segment: KeySegment, codes, valid) -> None:
+    """Write a fixed-width segment's bytes from order codes: the
     layout-rebase path of :mod:`repro.keys.compression` (spilled runs)."""
-    values = _compressed_codes(segment, codes, valid)
-    _write_field(matrix, segment.offset, segment.value_width, values)
+    for field in _fixed_fields(segment, codes, valid):
+        _write_field(matrix, *field)
 
 
 def _string_windows(
@@ -404,20 +420,7 @@ def _key_fields(table: Table, layout: KeyLayout, encoded: dict | None):
         if codes is None:
             codes = fixed_column_codes(column.data, segment.dtype)
         valid = column.validity if column.has_nulls else None
-        if not segment.has_null_byte:
-            yield offset, width, _compressed_codes(segment, codes, valid)
-            continue
-        # Plain: the NULL indicator byte, then the code, byte-inverted for
-        # DESC; NULL rows get zero value bytes so all NULLs tie.
-        indicator = np.uint64(segment.null_byte_for_valid)
-        if segment.key.descending:
-            codes = np.uint64((1 << 8 * width) - 1) - codes
-        if valid is not None:
-            null = np.uint64(segment.null_byte_for_null)
-            indicator = np.where(valid, indicator, null)
-            codes = np.where(valid, codes, np.uint64(0))
-        yield offset, 1, indicator
-        yield offset + 1, width, codes
+        yield from _fixed_fields(segment, codes, valid)
 
 
 def _write_field(matrix: np.ndarray, offset: int, width: int, values) -> None:
@@ -582,7 +585,7 @@ def normalized_key_for_row(
 
 
 def _compressed_scalar_bytes(value, segment: KeySegment) -> bytes:
-    """Scalar mirror of :func:`write_compressed_segment` for one value."""
+    """Scalar mirror of :func:`write_fixed_segment` for one compressed value."""
     code_range = segment.code_range
     if value is None:
         if segment.mode != MODE_FOLDED:

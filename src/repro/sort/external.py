@@ -37,8 +37,7 @@ When the key segments alone can reconstruct every column exactly
 (``key_carried_eligible``: all columns are fixed-width non-float sort
 keys), runs are spilled **key-carried**: the payload row matrix and heap
 sections are empty and the output table is decoded straight from the
-merged key words (written big-endian: the key bytes the decode reads),
-cutting spill volume by the full payload width.
+merged key word columns, cutting spill volume by the full payload width.
 
 Truncated VARCHAR prefixes spill in key-byte order and the streamed
 merge repairs them with the adaptive re-encode loop
@@ -51,8 +50,8 @@ The spill format per run is one file of three contiguous data sections --
 the sorted key words (uint64 rows, the words the merge compares: a block
 reads back with no conversion), the payload row matrix, and the string
 heap -- preceded by a versioned, checksummed header
-(:mod:`repro.sort.spillfile`).  Key bytes exist only in string
-refinement, the key-carried decode and the rebase of a stale block.
+(:mod:`repro.sort.spillfile`).  Key bytes exist only for the rows string
+refinement finds tied and the rebase of a stale block.
 The NSM rows and heap exist for the file: a resident run keeps its
 payload in columns, and one ``RowBlock.from_table`` builds them when the
 run is written (:meth:`~repro.sort.rungen.InMemoryRun.to_row_run`), or

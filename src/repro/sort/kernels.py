@@ -8,8 +8,8 @@ sorting become single numpy calls with zero Python-level per-row work.
 
 Runs hold their keys as such word columns
 (:func:`repro.keys.normalizer.key_words`), and a spill file holds them as
-word rows; key bytes exist only in string refinement and the
-key-carried decode.  A key-byte matrix is read as words by
+word rows; key bytes exist only for the rows string refinement finds
+tied and a stale block's rebase.  A key-byte matrix is read as words by
 :func:`_chunk_columns` or, word by word on first use, ``_MatrixWords``.
 On top of them:
 

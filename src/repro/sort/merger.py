@@ -17,8 +17,8 @@ large the runs are.
   kernel reports each round as one contiguous span per contributing run
   plus one permutation, and hands over the round's merged key words when
   a pass needs them (key-carried results, every intermediate run,
-  string repair): key bytes exist only for ``decode_key_table``, the
-  string repair's tie detection and a stale block's rebase.
+  string repair), and its consumers read words: key bytes exist only for
+  the rows the string repair finds tied and a stale block's rebase.
 * **Layout rebase** -- runs encoded under a narrower key layout are
   re-encoded onto the final one: a resident run from its table, a
   spilled one block by block as it streams (words to bytes and back).
@@ -68,7 +68,7 @@ from repro.rows.block import RowBlock, heap_bases, string_slots
 from repro.rows.layout import RowLayout
 from repro.sort.kernels import KWayBlockStats, _chunk_columns, kway_merge_blocks
 from repro.sort.rungen import InMemoryRun, RowRun, RunGenerator
-from repro.sort.stringsort import inexact_prefix_end, refine_key_order
+from repro.sort.stringsort import inexact_prefix_end, prefix_words, refine_key_order
 from repro.table.table import Table
 
 __all__ = ["RunMerger"]
@@ -108,6 +108,7 @@ class RunMerger:
         self._make_prefetcher = make_prefetcher
         #: First inexact key byte, or ``None`` when byte order is exact.
         self.refine_end = inexact_prefix_end(key_layout)
+        self._words_per_row = -(-key_layout.key_width // 8)
 
     # ------------------------------------------------------------------ #
     # Entry points
@@ -215,10 +216,10 @@ class RunMerger:
 
         The ``final`` pass repairs truncated-VARCHAR tie groups and
         gathers only what the result is made from (a key-carried result
-        its key bytes, the merged words written big-endian); an intermediate
-        one keeps byte order and gathers the new run's key word rows
-        too.  The payload columns hold, per array ``payload.gather``
-        returns, its settled batches in order.
+        its merged key word columns); an intermediate one keeps byte
+        order and gathers the new run's key word rows too.  The payload
+        columns hold, per array ``payload.gather`` returns, its settled
+        batches in order.
         """
         stats = self.stats
         # A spilling merge takes the kernel's merged key words for a
@@ -257,13 +258,13 @@ class RunMerger:
             emit_keys=want_keys or refine_end is not None,
         )
 
-        # The merged keys a pass keeps, as word rows each round copies in
-        # (big-endian for a key-carried result: they are its key bytes).
+        # The merged keys a pass keeps, copied in by each round: a new
+        # run's word rows, or the word columns a result is decoded from.
         keys = None
         if want_keys:
-            count = sum(run.num_rows for run in runs)
-            words = -(-self.key_layout.key_width // 8)
-            keys = np.empty((count, words), ">u8" if final else np.uint64)
+            shape = (sum(r.num_rows for r in runs), self._words_per_row)
+            keys = np.empty(shape[::-1] if final else shape, np.uint64)
+            columns = keys if final else keys.T
 
         def gathered() -> Iterator[tuple]:
             """Each round's ``(merged key words | None, payload arrays)``:
@@ -275,8 +276,8 @@ class RunMerger:
                 self._check_cancelled()
                 if want_keys:  # taken out of the batch, copied in place
                     stop = filled + len(order)
-                    for index, word in enumerate(merged.pop()):
-                        keys[filled:stop, index] = word
+                    for column, word in zip(columns, merged.pop()):
+                        column[filled:stop] = word
                     filled = stop
                 words = merged[0] if merged else None
                 yield words, payload.gather(spans, order)
@@ -298,8 +299,6 @@ class RunMerger:
             stats.kway_peak_frontier_rows, kernel_stats.peak_frontier_rows
         )
         _, arrays = zip(*parts)
-        if want_keys and final:
-            keys = keys.view(np.uint8)[:, : self.key_layout.key_width]
         return keys, tuple(list(column) for column in zip(*arrays))
 
     # ------------------------------------------------------------------ #
@@ -315,18 +314,18 @@ class RunMerger:
         trailing tie group is held back (the carry) until a later round
         closes it, and every settled batch is refined, then emitted.
         """
-        width, refine_end = self.key_layout.key_width, self.refine_end
-        # (key bytes, *payload arrays) slices of the open tie group.
+        # (*key words, *payload arrays) slices of the open tie group.
         carry: list[tuple[np.ndarray, ...]] = []
+        last: list = []
 
         def settle(parts):
-            key_bytes, *arrays = (
-                _concat(list(column)) for column in zip(*parts)
-            )
+            columns = [_concat(list(column)) for column in zip(*parts)]
+            count = self._words_per_row
+            words, arrays = columns[:count], columns[count:]
             with self.stats.time_phase("refine"):
                 # Only the tied rows' strings are consulted.
                 perm = refine_key_order(
-                    key_bytes,
+                    words,
                     self.key_layout,
                     lambda tied: payload.fetch_tied(arrays, tied),
                     self.stats,
@@ -336,13 +335,12 @@ class RunMerger:
             return None, tuple(arrays)
 
         for words, arrays in batches:
-            batch = (words_to_bytes(words, width), *arrays)
-            prefix = batch[0][:, :refine_end]
+            batch = (*words, *arrays)
+            prefix = prefix_words(words, self.refine_end)
             tail = _trailing_tie_start(prefix)
-            if tail == 0 and (
-                not carry
-                or np.array_equal(carry[-1][0][-1, :refine_end], prefix[0])
-            ):
+            joins = not carry or all(w[0] == v for w, v in zip(prefix, last))
+            last = [word[-1] for word in prefix]
+            if tail == 0 and joins:
                 carry.append(batch)  # the open group runs on
                 continue
             carry.append(tuple(part[:tail] for part in batch))
@@ -359,7 +357,7 @@ class RunMerger:
 
 class _KeyPayload:
     """Key-carried spill files: no payload; the table is decoded from the
-    merged keys (a new run keeps them as word rows)."""
+    merged word columns, its own to consume (a new run keeps word rows)."""
 
     def __init__(self, key_layout, schema) -> None:
         self.key_layout, self.schema = key_layout, schema
@@ -518,18 +516,18 @@ def _concat(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _trailing_tie_start(prefix: np.ndarray) -> int:
+def _trailing_tie_start(prefix: list[np.ndarray]) -> int:
     """First row of the trailing maximal group of equal prefix rows.
 
-    Returns 0 when every row of ``prefix`` belongs to one tied group
-    (the whole batch must be carried into the next merge round).  Rows
-    are compared with the last one from the end, in growing steps: the
-    group is usually short, and the rows before it are never read.
+    ``prefix`` holds the rows' :func:`prefix_words`.  Returns 0 when every
+    row belongs to one tied group (the whole batch must be carried into
+    the next merge round).  Rows are compared with the last one from the
+    end, in growing steps: the group is usually short.
     """
-    end, step = len(prefix), 64
+    end, step = len(prefix[0]), 64
     while end > 0:
         start = max(0, end - step)
-        differs = np.any(prefix[start:end] != prefix[-1], axis=1)
+        differs = np.logical_or.reduce([w[start:end] != w[-1] for w in prefix])
         if differs.any():
             return start + int(np.flatnonzero(differs)[-1]) + 1
         end, step = start, 2 * step

@@ -7,20 +7,20 @@ demoted the whole pipeline to per-row Python compares (or a hard error in the
 external sort).  This module makes the vector path exact instead:
 
 * :func:`refine_key_order` repairs a prefix-sorted permutation.  Rows tied
-  on the key bytes up to the first inexact VARCHAR segment are grouped with
-  one vectorized adjacent-row comparison; each inexact segment is then
-  resolved in key order -- its tie groups are re-encoded at progressively
-  wider string offsets (chunks of :data:`CHUNK_WIDTH` bytes past the key
-  window, which starts after the segment's ``skipped`` bytes unless the
-  row's indicator byte says it is escaped) and re-sorted with a stable
-  ``np.lexsort``, subdividing groups until every group is a singleton or
-  the strings are exhausted.
+  on the key bytes up to the first inexact VARCHAR segment are grouped by
+  one adjacent-row compare of their key words, and only they become key
+  bytes; each inexact segment is then resolved in key order -- its tie
+  groups are re-encoded at progressively wider string offsets (chunks of
+  :data:`CHUNK_WIDTH` bytes past the key window, which starts after the
+  segment's ``skipped`` bytes unless the row's indicator byte says it is
+  escaped) and re-sorted with a stable ``np.lexsort``, subdividing groups
+  until every group is a singleton or the strings are exhausted.
   Between segments the groups are extended with the key bytes separating
   them, so a full string always outranks every later ORDER BY column.  Work
   per round is proportional to the rows still tied: unique-prefix inputs pay
   nothing, pathological shared-prefix inputs pay ``O(ties * extra_bytes)``.
   :func:`refine_table_order` is the same repair for the common caller
-  shape: a table, its key matrix and a stable prefix-sorted permutation.
+  shape: a table, its key words and a stable prefix-sorted permutation.
 * :func:`exact_group_changed` is the boundary-detection analogue for
   GROUP BY / PARTITION BY consumers: the prefix boundary mask ORed with an
   exact elementwise string comparison on the inexact segments.
@@ -38,16 +38,14 @@ from typing import Callable
 
 import numpy as np
 
-from repro.keys.encoding import (
-    CHUNK_WIDTH,
-    encode_utf8_column,
-    gather_windows,
-)
+from repro.keys.encoding import CHUNK_WIDTH, encode_utf8_column, gather_windows
+from repro.keys.normalizer import words_to_bytes
 
 __all__ = [
     "CHUNK_WIDTH",
     "exact_group_changed",
     "inexact_prefix_end",
+    "prefix_words",
     "refine_key_order",
     "refine_table_order",
 ]
@@ -67,18 +65,23 @@ def inexact_prefix_end(layout) -> int | None:
     return None
 
 
-def _tie_groups(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Positions and group ids of rows tied with a neighbour.
+def prefix_words(words, end: int) -> list[np.ndarray]:
+    """The key word columns holding key bytes ``[0, end)``, the last one
+    AND-ed down to them: later key bytes sharing that word must not split
+    a group the full string decides."""
+    full, part = divmod(end, 8)
+    if not part:
+        return list(words[:full])
+    return [*words[:full], words[full] & np.uint64(2**64 - 2 ** (64 - 8 * part))]
 
-    ``matrix`` rows must be sorted, so equal rows are adjacent.  Returns
-    ``(tied, group_ids)`` -- the ascending positions of every row in a group
-    of two or more equal rows, and the 0-based non-decreasing group ordinal
-    of each -- or ``None`` when every row is unique.
-    """
-    n = len(matrix)
-    if n < 2:
-        return None
-    same = np.all(matrix[1:] == matrix[:-1], axis=1)
+
+def _tie_groups(prefix: list) -> tuple[np.ndarray, np.ndarray] | None:
+    """Positions and group ids of rows tied with a neighbour on ``prefix``
+    (sorted rows' :func:`prefix_words`, so equal rows are adjacent):
+    ``(tied, group_ids)`` -- the ascending positions of every row in a
+    group of two or more equal rows, and the 0-based non-decreasing group
+    ordinal of each -- or ``None`` when every row is unique."""
+    same = np.logical_and.reduce([word[1:] == word[:-1] for word in prefix])
     if not same.any():
         return None
     boundary = np.concatenate(([True], ~same))
@@ -166,7 +169,7 @@ def _sort_in_groups(
 
 
 def refine_key_order(
-    matrix: np.ndarray,
+    words,
     layout,
     fetch_tied: Callable[[np.ndarray], Callable[[str], tuple[np.ndarray, ...]]],
     stats=None,
@@ -174,10 +177,10 @@ def refine_key_order(
     """Turn a prefix-sorted permutation into an exact one.
 
     Args:
-        matrix: the sorted key matrix truncated to ``layout.key_width``
-            (no row-id suffix).
+        words: the sorted rows' key word columns; only tied rows become
+            key bytes.
         layout: the :class:`~repro.keys.normalizer.KeyLayout` that produced
-            it; only segments with ``prefix_exact=False`` are refined.
+            them; only segments with ``prefix_exact=False`` are refined.
         fetch_tied: called once with the tied row positions; returns a
             getter ``get(column_name) -> (buffer, starts, lengths)``: tied
             row ``i``'s UTF-8 bytes are ``buffer[starts[i]:][:lengths[i]]``
@@ -188,12 +191,12 @@ def refine_key_order(
             ``reencoded_rows`` the re-encode work.
 
     Tie groups start as runs of rows equal on the key bytes up to the first
-    inexact segment (later bytes must not pre-partition them: the full
-    string outranks every later ORDER BY column).  Each inexact segment is
-    refined in key order; before the next one, groups are extended with the
-    exact key bytes separating the two segments -- within a group the rows
-    are stable-sorted by those bytes already, so adjacent comparison
-    suffices.
+    inexact segment (:func:`prefix_words`: later bytes must not
+    pre-partition them, the full string outranks every later ORDER BY
+    column).  Each inexact segment is refined in key order; before the
+    next one, groups are extended with the exact key bytes separating the
+    two segments -- within a group the rows are stable-sorted by those
+    bytes already, so adjacent comparison suffices.
 
     Returns a full-length permutation to apply on top of the prefix order,
     or ``None`` when the prefix order is already exact.
@@ -202,11 +205,12 @@ def refine_key_order(
     if not inexact:
         return None
     covered = inexact[0].offset + inexact[0].total_width
-    found = _tie_groups(matrix[:, :covered])
+    found = _tie_groups(prefix_words(words, covered))
     if found is None:
         return None
     tied, groups = found
     groups = groups.astype(np.int64)
+    matrix = words_to_bytes([word[tied] for word in words], layout.key_width)
     get = fetch_tied(tied)
     if stats is not None:
         stats.full_key_compares += len(tied)
@@ -218,17 +222,16 @@ def refine_key_order(
             # previous inexact segment and this one, in current slot
             # order (stable refinement kept equal-tail rows sorted by
             # their remaining key bytes, so runs stay adjacent).
-            block = matrix[tied[order], covered:end]
+            block = matrix[order, covered:end]
             changed = np.concatenate(([True], groups[1:] != groups[:-1]))
-            if len(block) > 1:
-                changed[1:] |= np.any(block[1:] != block[:-1], axis=1)
+            changed[1:] |= np.any(block[1:] != block[:-1], axis=1)
             groups = np.cumsum(changed) - 1
             covered = end
         if np.bincount(groups).max() <= 1:
             break
         start_byte = segment.value_width
         if segment.skipped:
-            shares = matrix[tied, segment.offset] == segment.null_byte_for_valid
+            shares = matrix[:, segment.offset] == segment.null_byte_for_valid
             start_byte = start_byte + len(segment.skipped) * shares
         order, groups = _refine_segment(
             order,
@@ -238,18 +241,18 @@ def refine_key_order(
             start_byte,
             stats,
         )
-    perm = np.arange(len(matrix), dtype=np.int64)
+    perm = np.arange(len(words[0]), dtype=np.int64)
     perm[tied] = tied[order]
     return perm
 
 
 def refine_table_order(
-    table, matrix: np.ndarray, layout, order: np.ndarray, stats=None
+    table, words, layout, order: np.ndarray, stats=None
 ) -> np.ndarray:
     """Exact-string repair of a prefix-sorted permutation of ``table``.
 
-    ``matrix`` holds ``table``'s keys under ``layout`` (a row-id suffix
-    is ignored) and ``order`` is a stable sort of its rows, so every
+    ``words`` holds ``table``'s key word columns under ``layout``, in
+    table order, and ``order`` is a stable sort of its rows, so every
     prefix tie group arrives ordered by its remaining key bytes and then
     arrival -- the precondition of :func:`refine_key_order`, whose
     permutation is folded into the returned one.
@@ -268,9 +271,8 @@ def refine_table_order(
 
         return get
 
-    perm = refine_key_order(
-        matrix[order][:, : layout.key_width], layout, fetch_tied, stats
-    )
+    words = [word[order] for word in words]
+    perm = refine_key_order(words, layout, fetch_tied, stats)
     return order if perm is None else order[perm]
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.errors import SortError
 from repro.keys.compression import KeyStatsAccumulator
-from repro.keys.normalizer import key_words, words_to_bytes
+from repro.keys.normalizer import key_words
 from repro.sort.kernels import argsort_words
 from repro.sort.operator import SortConfig, SortStats, raise_if_cancelled
 from repro.sort.stringsort import inexact_prefix_end, refine_table_order
@@ -124,8 +124,7 @@ class TopNOperator:
         order = argsort_words(words, self.stats)
         if inexact_prefix_end(layout) is not None:
             self.stats.prefix_exact = False
-            matrix = words_to_bytes(words, layout.key_width)
-            order = refine_table_order(table, matrix, layout, order, self.stats)
+            order = refine_table_order(table, words, layout, order, self.stats)
         return order
 
     def finalize(self) -> Table:

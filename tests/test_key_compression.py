@@ -40,6 +40,7 @@ from repro.keys.normalizer import (
     MODE_NOBYTE,
     MODE_PLAIN,
     build_layout,
+    key_words,
     normalize_keys,
     normalized_key_for_row,
 )
@@ -626,9 +627,10 @@ class TestKeyCarriedExternal:
         layout = build_compressed_layout(table, spec)
         assert [s.bias for s in layout.segments] == [0, 0]
         assert layout.key_width == 12
-        keys = normalize_keys(table, spec, layout=layout)
-        decoded = decode_key_table(keys.matrix, layout, table.schema)
+        words = key_words(table, layout)
+        decoded = decode_key_table(words, layout, table.schema)
         assert_byte_identical(decoded, table)
+        keys = normalize_keys(table, spec, layout=layout)
         order = np.lexsort(keys.matrix[:, : layout.key_width].T[::-1])
         assert_byte_identical(table.take(order), reference_sort(table, spec))
 
@@ -636,8 +638,8 @@ class TestKeyCarriedExternal:
         table = self.int_table(rng, 500)
         spec = SortSpec.of("a DESC", "b NULLS LAST")
         layout = build_compressed_layout(table, spec)
-        keys = normalize_keys(table, spec, layout=layout)
-        decoded = decode_key_table(keys.matrix, layout, table.schema)
+        words = key_words(table, layout)
+        decoded = decode_key_table(words, layout, table.schema)
         assert decoded.equals(table)
 
 

@@ -1,13 +1,16 @@
-"""A resident run's keys are uint64 words; key bytes are the spill format.
+"""A run's keys are uint64 words, and the merger hands them on as words.
 
 ``key_words`` and ``normalize_keys`` are the two sinks of one key
 encoder: the words must equal the byte matrix read as big-endian words
 (``kernels._chunk_columns``) for every segment shape, and the bytes must
-equal the scalar reference encoder's.  A resident sort then sorts the
-words and ends in one ``Table.take``: no key bytes, no conversion to
-words and no key decode (call counts pinned here).  A spilled sort
-writes and reads key words too, converts none, and writes the merged
-words big-endian: the key-carried decode's bytes, made in place.
+equal the scalar reference encoder's.  ``segment_codes`` reads a
+fixed-width segment back from the words, and must agree with the scalar
+paper-face decoder (``keys.decoder.decode_segment``) on the bytes.  A
+resident sort then sorts the words and ends in one ``Table.take``: no
+key bytes, no conversion to words and no key decode (call counts pinned
+here).  A spilled sort writes and reads key words too, converts none,
+and decodes a key-carried result from native word columns; the string
+repair finds its tie groups on words.
 """
 
 from __future__ import annotations
@@ -19,10 +22,13 @@ import pytest
 
 from test_external_kway import assert_byte_identical
 from test_oracle import oracle_sort
-from repro.keys.compression import KeyStatsAccumulator
+from repro.keys.compression import KeyStatsAccumulator, segment_codes
+from repro.keys.decoder import decode_segment
+from repro.keys.encoding import fixed_column_codes
 from repro.keys.normalizer import (
     MODE_FOLDED,
     MODE_NOBYTE,
+    MODE_PLAIN,
     build_layout,
     key_words,
     normalize_keys,
@@ -31,7 +37,7 @@ from repro.keys.normalizer import (
 from repro.sort import external, kernels, merger
 from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig, SortOperator
-from repro.table.chunk import chunk_table
+from repro.table.chunk import DataChunk, chunk_table
 from repro.table.column import ColumnVector
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
@@ -76,6 +82,44 @@ def with_nulls(table: Table, name: str, every: int) -> Table:
     valid = np.arange(table.num_rows) % every != every - 1
     columns[index] = ColumnVector(old.dtype, old.data, valid)
     return Table(table.schema, columns)
+
+
+def spanning(rng, rows, count):
+    """int64 values whose codes span exactly ``count`` values (the first
+    two rows hold the extremes)."""
+    lo = INT64_MIN if count > 2**62 else -12_345
+    values = rng.integers(lo, lo + count - 1, rows, endpoint=True)
+    values[:2] = lo, lo + count - 1
+    return values.tolist()
+
+
+def full_range(rng, rows, dtype):
+    """Values of ``dtype`` spanning its whole range (uint8 is BOOLEAN)."""
+    info = np.iinfo(dtype)
+    lo, hi = (0, 1) if dtype == np.uint8 else (info.min, info.max)
+    values = rng.integers(lo, hi, rows, endpoint=True, dtype=dtype)
+    values[:2] = lo, hi
+    return values
+
+
+def assert_codes_are_the_scalar_decode(table, spec, layout, encoded=None):
+    """``segment_codes`` over the words equals ``decode_segment`` over the
+    bytes, row by row, for every fixed-width segment."""
+    words = key_words(table, layout, encoded)
+    key = normalize_keys(table, spec, layout=layout, encoded=encoded).matrix
+    for segment in layout.segments:
+        # The decoder consumes its words: hand it copies.
+        codes, nulls = segment_codes([w.copy() for w in words], segment)
+        assert codes.dtype == np.uint64 and len(codes) == table.num_rows
+        dtype = np.dtype(segment.dtype.numpy_dtype)
+        raw = key[:, segment.offset : segment.offset + segment.total_width]
+        for row in range(table.num_rows):
+            value = decode_segment(raw[row].tobytes(), segment)
+            assert nulls[row] == (value is None)
+            want = 0 if value is None else fixed_column_codes(
+                np.array([value], dtype=dtype), segment.dtype
+            )[0]
+            assert codes[row] == want, (segment, row)
 
 
 def ints(rng, rows, width, base=-12_345):
@@ -186,6 +230,56 @@ class TestWordEncoderIsTheByteEncoder:
         assert_words_are_the_bytes(table, spec, build_layout(table, spec))
 
 
+class TestWordDecoderIsTheScalarDecoder:
+    @pytest.mark.parametrize("nulls", ["NULLS FIRST", "NULLS LAST"])
+    @pytest.mark.parametrize("direction", ["", "DESC"])
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_compressed_segments_at_every_offset(
+        self, rng, width, direction, nulls
+    ):
+        # A lead of 1-8 bytes puts the second segment at every byte
+        # offset of a word, so a 2-8 byte one straddles two words.
+        for lead in range(1, 9):
+            for mode in (MODE_NOBYTE, MODE_FOLDED):
+                # A folded segment keeps a spare code for NULL.
+                count = 2 ** (8 * width) - (mode == MODE_FOLDED)
+                table = Table.from_pydict(
+                    {"a": ints(rng, 48, lead), "b": spanning(rng, 48, count)}
+                )
+                if mode == MODE_FOLDED:
+                    table = with_nulls(table, "b", 5)
+                spec = spec_of(f"a {direction}, b {direction} {nulls}")
+                layout, encoded = stats_layout([table], spec)
+                second = layout.segments[1]
+                assert (second.mode, second.offset) == (mode, lead)
+                assert second.value_width == width
+                assert_codes_are_the_scalar_decode(table, spec, layout, encoded)
+
+    @pytest.mark.parametrize("nulls", ["NULLS FIRST", "NULLS LAST"])
+    @pytest.mark.parametrize("direction", ["", "DESC"])
+    @pytest.mark.parametrize("lead", [np.uint8, np.int16, np.int32, np.int64])
+    def test_plain_segments(self, rng, lead, direction, nulls):
+        # Plain: a NULL byte, then the type's full width (1, 2, 4, 8).
+        for dtype in (np.uint8, np.int16, np.int32, np.int64):
+            table = Table.from_numpy(
+                {"a": full_range(rng, 48, lead), "b": full_range(rng, 48, dtype)}
+            )
+            table = with_nulls(with_nulls(table, "a", 3), "b", 4)
+            spec = spec_of(f"a {direction} {nulls}, b {direction} {nulls}")
+            layout = build_layout(table, spec, include_row_id=False)
+            assert [s.mode for s in layout.segments] == [MODE_PLAIN] * 2
+            assert_codes_are_the_scalar_decode(table, spec, layout)
+        # The statistics layout's one plain case: full range with NULLs.
+        table = with_nulls(
+            Table.from_pydict({"b": ints(rng, 48, 8), "a": ints(rng, 48, 3)}),
+            "b", 6,
+        )
+        spec = spec_of(f"a {direction}, b {direction} {nulls}")
+        layout, encoded = stats_layout([table], spec)
+        assert layout.segments[1].total_width == 9
+        assert_codes_are_the_scalar_decode(table, spec, layout, encoded)
+
+
 COUNTED = {
     "decode_key_table": [merger],
     "_MatrixWords": [kernels],
@@ -234,7 +328,32 @@ class TestResidentPathByCallCounts:
         assert operator.stats.prefix_exact
         assert operator.stats.key_carried_runs == 0
 
-    def test_spilled_sort_still_decodes(self, key_calls, tmp_path):
+    def test_string_repair_finds_ties_on_words(self, key_calls):
+        # The resident string sort's one repair pass reads the merged
+        # words; only the rows it finds tied become key bytes, and those
+        # are the string repair's own (not the merger's) conversion.
+        table, spec = scenario_case("long_string")
+        config = SortConfig(string_prefix=4)  # the window truncates
+        operator = SortOperator(table.schema, spec, config)
+        operator.sink(DataChunk.from_table(table))
+        result = operator.finalize()
+        assert key_calls == {"take": 1}
+        assert_byte_identical(oracle_sort(table, spec), result)
+        assert operator.stats.full_key_compares > 0
+
+    def test_spilled_sort_still_decodes(
+        self, key_calls, monkeypatch, tmp_path
+    ):
+        received = []
+        counted = merger.decode_key_table
+
+        def recording(words, layout, schema):
+            received.extend(
+                (w.dtype, w.ndim, w.flags.c_contiguous) for w in words
+            )
+            return counted(words, layout, schema)
+
+        monkeypatch.setattr(merger, "decode_key_table", recording)
         table, spec = scenario_case("uniform")
         with ExternalSortOperator(
             table.schema, spec, SortConfig(run_threshold=3000), str(tmp_path)
@@ -247,6 +366,7 @@ class TestResidentPathByCallCounts:
         stats = operator.stats
         # Three files without payload and the resident tail: every run
         # is written and read as words, nothing converts them, and the
-        # merged words are written as key bytes for the one decode.
+        # result is decoded from the merged words' native columns.
         assert stats.key_carried_runs == 3 and stats.runs_generated == 4
         assert calls == {"decode_key_table": 1}
+        assert received == [(np.dtype(np.uint64), 1, True)] * 2

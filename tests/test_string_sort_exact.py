@@ -12,6 +12,7 @@ byte-identical to the oracle.
 
 from __future__ import annotations
 
+import collections
 import random
 import sys
 
@@ -24,7 +25,8 @@ from test_oracle import oracle_sort
 from repro.aggregate.groupby import Aggregate, group_by
 from repro.engine.database import Database
 from repro.join.merge_join import merge_join
-from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
+from repro.keys.compression import KeyStatsAccumulator
+from repro.keys.normalizer import MAX_STRING_PREFIX, key_words, normalize_keys
 from repro.service.core import SortService
 from repro.rows.block import RowBlock, string_slots
 from repro.scalar.reference import reference_sort as scalar_reference_sort
@@ -621,12 +623,12 @@ class TestRefineKeyOrderUnit:
         order = np.argsort(
             [row.tobytes() for row in keys.matrix], kind="stable"
         )
-        matrix = np.ascontiguousarray(keys.matrix[order])
+        words = [word[order] for word in key_words(table, keys.layout)]
 
         def fetch(tied):
             raise AssertionError("no ties to fetch")
 
-        assert refine_key_order(matrix, keys.layout, fetch) is None
+        assert refine_key_order(words, keys.layout, fetch) is None
 
     @pytest.mark.parametrize("spec_str", SPECS)
     def test_refine_from_row_slots_and_heap(self, spec_str):
@@ -650,9 +652,10 @@ class TestRefineKeyOrderUnit:
         order = np.argsort(
             [row.tobytes() for row in keys.matrix], kind="stable"
         )
+        words = key_words(table, keys.layout)
         expected_stats, stats = SortStats(), SortStats()
         expected = refine_table_order(
-            table, keys.matrix, keys.layout, order, expected_stats
+            table, words, keys.layout, order, expected_stats
         )
         block = RowBlock.from_table(table).take(order)
         heap = np.frombuffer(block.heap, dtype=np.uint8)
@@ -666,7 +669,8 @@ class TestRefineKeyOrderUnit:
 
             return get
 
-        perm = refine_key_order(keys.matrix[order], keys.layout, fetch, stats)
+        sorted_words = [word[order] for word in words]
+        perm = refine_key_order(sorted_words, keys.layout, fetch, stats)
         assert perm is not None
         assert order[perm].tolist() == expected.tolist()
         assert stats.reencode_rounds > 2
@@ -675,3 +679,70 @@ class TestRefineKeyOrderUnit:
             expected_stats.reencoded_rows,
         )
         assert_matches_oracle(table.take(order[perm]), table, spec)
+
+
+class TestMaskedPrefixWord:
+    """``ORDER BY i, s, x`` where the string's key bytes end mid-word.
+
+    A one-byte ``i``, then ``s``'s indicator byte and 12-byte window, end
+    at key byte 14; ``x``'s first two bytes share that word.  The strings
+    tie on their windows within a stem, and ``x`` runs opposite to their
+    full order, so a tie compare that read the whole last word would let
+    ``x`` split the groups and decide the order.
+    """
+
+    SPEC = "i, s, x"
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        rng = random.Random(29)
+        stems = ["a" + "m" * 20, "b" + "m" * 20]
+        svals = [
+            rng.choice(stems)
+            + "".join(rng.choice("0123456789") for _ in range(rng.randrange(5)))
+            for _ in range(3000)
+        ]
+        rank = {s: r for r, s in enumerate(sorted(set(svals)))}
+        xvals = [2**63 - 1 - rank[s] * 2**50 - rng.randrange(2**40) for s in svals]
+        ivals = [rng.randrange(2) for _ in svals]
+        return Table.from_pydict({"i": ivals, "s": svals, "x": xvals})
+
+    def test_layout_ends_the_string_mid_word(self, table):
+        acc = KeyStatsAccumulator(table.schema, spec_of(self.SPEC))
+        acc.update(table)
+        layout = acc.build_layout(include_row_id=False)
+        assert [(s.offset, s.total_width) for s in layout.segments] == [
+            (0, 1), (1, 13), (14, 8),
+        ]
+        assert inexact_prefix_end(layout) == 14
+
+    def test_resident(self, table):
+        spec = spec_of(self.SPEC)
+        assert_matches_oracle(sort_table(table, spec), table, spec)
+
+    def test_spilled_with_groups_across_merge_blocks(self, table, tmp_path):
+        spec = spec_of(self.SPEC)
+        block_rows = 128
+        with ExternalSortOperator(
+            table.schema, spec, SortConfig(run_threshold=1024),
+            str(tmp_path), merge_block_rows=block_rows,
+        ) as operator:
+            for chunk in chunk_table(table, 512):
+                operator.sink(chunk)
+            result = operator.finalize()
+        assert_matches_oracle(result, table, spec)
+        stats = operator.stats
+        # Every (i, stem) tie group outgrows the most one round can emit.
+        groups = collections.Counter(
+            zip(table.column("i").to_pylist(),
+                (s[0] for s in table.column("s").to_pylist()))
+        )
+        assert min(groups.values()) > stats.runs_generated * block_rows
+        assert stats.full_key_compares == table.num_rows
+
+    def test_top_n(self, table):
+        spec = spec_of(self.SPEC)
+        got = top_n(table, spec, 200, offset=7)
+        want = reference_sort(table, spec).slice(7, 207)
+        for name in table.schema.names:
+            assert got.column(name).to_pylist() == want.column(name).to_pylist()
