@@ -8,8 +8,8 @@ data's physical order is already known (declared via
   already sorted on exactly that spec: the sort is *elided* and the
   query degenerates to a scan.
 * **groupby_sorted** -- ``GROUP BY s`` over input sorted on ``s``: the
-  group-by's internal sort is skipped and groups are detected by the
-  exact boundary kernel alone.
+  group-by's internal sort is skipped and groups are found by
+  ``group_changed`` on the key column alone.
 * **merge_join** -- an equality join whose *both* inputs are pre-sorted
   on the join key: the merge join elides both of its per-side sorts and
   goes straight to group alignment.

@@ -4,12 +4,13 @@ The paper's future work observes that "the aggregate, join, and window
 operators are also blocking operators" sharing DuckDB's unified row
 format.  This module is the aggregate: it materializes its input, sorts
 by the grouping keys with the normalized-key sort operator, detects group
-boundaries on the key bytes, and evaluates aggregates per group with
-vectorized numpy (``np.add.reduceat`` and friends).
+boundaries by comparing adjacent rows of the sorted key columns
+(:func:`~repro.table.table.group_changed`), and evaluates aggregates per
+group with vectorized numpy (``np.add.reduceat`` and friends).
 
 Sort-based (rather than hash-based) aggregation is exactly the design the
-paper's row format enables: groups come out in key order, and the same
-normalized keys drive both the sort and the boundary detection.
+paper's row format enables: groups come out in key order, so a group is
+a run of equal adjacent rows and no key is encoded a second time.
 
 Supported aggregates: ``count`` (non-NULL of a column, or ``count(*)``),
 ``sum``, ``min``, ``max``, ``avg``.
@@ -23,11 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import SortError
-from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
-from repro.sort.stringsort import exact_group_changed
 from repro.sort.operator import SortConfig, sort_table
 from repro.table.column import ColumnVector
-from repro.table.table import Table
+from repro.table.table import Table, group_changed
 from repro.types.datatypes import BIGINT, DOUBLE
 from repro.types.schema import ColumnDef, Schema
 from repro.types.sortspec import SortKey, SortSpec
@@ -108,20 +107,8 @@ def group_by(
         sorted_table = sort_table(table, spec, config)
     n = sorted_table.num_rows
 
-    norm = normalize_keys(
-        sorted_table, spec, string_prefix=MAX_STRING_PREFIX,
-        include_row_id=False,
-    )
-    if n == 0:
-        starts = np.zeros(0, dtype=np.int64)
-    else:
-        # Exact even for strings longer than the key prefix: truncated
-        # VARCHAR segments are patched with one vectorized comparison of
-        # the original values.
-        changed = exact_group_changed(sorted_table, norm)
-        starts = np.concatenate(([0], np.flatnonzero(changed) + 1)).astype(
-            np.int64
-        )
+    changed = group_changed(sorted_table, keys)
+    starts = np.flatnonzero(np.concatenate(([n > 0], changed)))
 
     # Key columns: first row of each group.
     out_columns: list[ColumnVector] = []

@@ -8,13 +8,16 @@ interpreted engines slow and normalized keys attractive (Section V-B).
 This operator does exactly that: both inputs are sorted by their join
 keys with the paper's sort operator (normalized keys and all), then the
 equal-key groups of the two sides are aligned and their cross products
-emitted.  The alignment itself is vectorized over the kernel layer's
-whole-row scalars (:func:`repro.sort.kernels.void_view`): one
-``searchsorted`` matches every left group against the right side's
-group representatives in memcmp order -- the same comparison the k-way
-merge kernel streams through -- and the matched groups' cross products
-are expanded with ``repeat``/arange arithmetic, no per-group Python
-loop.
+emitted.  After the sort nothing needs the normalized keys again: each
+side's groups are runs of equal adjacent rows
+(:func:`repro.table.table.group_changed` compares the key columns
+themselves, exactly, strings included), and one representative row per
+group carries the group's key.  The representatives of both sides get
+joint dense codes -- one ``np.unique`` per key column over both sides'
+values, folded column by column -- so two groups match exactly when
+their codes are equal, and one lookup pairs every left group with its
+right group.  The matched groups' cross products are expanded with
+``repeat``/arange arithmetic, no per-group Python loop.
 
 Planner integration: ``left_presorted`` / ``right_presorted`` skip that
 side's input sort when the caller (the optimizer's order-propagation
@@ -34,10 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import SortError
-from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
-from repro.sort.kernels import void_view
 from repro.sort.operator import SortConfig, sort_table
-from repro.table.table import Table
+from repro.table.table import Table, group_changed
 from repro.types.schema import ColumnDef, Schema
 from repro.types.sortspec import SortKey, SortSpec
 
@@ -53,16 +54,6 @@ def _prefixed_schema(schema: Schema, prefix: str, other: Schema) -> list[str]:
         else:
             names.append(column)
     return names
-
-
-def _group_boundaries(matrix: np.ndarray) -> np.ndarray:
-    """Start offsets of equal-key groups in a sorted key matrix."""
-    n = len(matrix)
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    changed = np.any(matrix[1:] != matrix[:-1], axis=1)
-    starts = np.concatenate(([0], np.flatnonzero(changed) + 1, [n]))
-    return starts.astype(np.int64)
 
 
 def merge_join(
@@ -128,21 +119,8 @@ def merge_join(
     else:
         right_sorted = sort_table(right, right_spec, config)
 
-    # Normalized keys with a fixed string prefix: both sides share one
-    # encoding, so group alignment is memcmp over byte rows.  A truncated
-    # prefix only over-groups; exact equality is re-checked per pair.
-    left_norm = normalize_keys(
-        left_sorted, left_spec, string_prefix=MAX_STRING_PREFIX,
-        include_row_id=False,
-    )
-    right_norm = normalize_keys(
-        right_sorted, right_spec, string_prefix=MAX_STRING_PREFIX,
-        include_row_id=False,
-    )
-
     left_index, right_index = _align_groups(
-        left_sorted, right_sorted, left_keys, right_keys,
-        left_norm, right_norm,
+        left_sorted, right_sorted, left_keys, right_keys
     )
     left_rows = left_sorted.take(left_index)
     right_rows = right_sorted.take(right_index)
@@ -164,45 +142,75 @@ def _all_keys_valid(table: Table, keys: list[str]) -> np.ndarray:
     return valid
 
 
+def _key_groups(sorted_table: Table, keys: list[str]):
+    """Rows with no NULL key, and where their equal-key groups start.
+
+    Returns ``(rows, starts)``; ``starts`` indexes ``rows``.  Dropping the
+    NULL-key rows keeps every group whole: equal keys are adjacent in a
+    sorted table, so the row before a group's first valid row differs
+    from it whether or not that row is dropped.
+    """
+    rows = np.flatnonzero(_all_keys_valid(sorted_table, keys))
+    opens = np.concatenate(([True], group_changed(sorted_table, keys)))
+    return rows, np.flatnonzero(opens[rows])
+
+
+def _joint_codes(
+    left: Table,
+    left_reps: np.ndarray,
+    left_keys: list[str],
+    right: Table,
+    right_reps: np.ndarray,
+    right_keys: list[str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense codes of both sides' group representatives: equal keys, equal
+    codes.  ``np.unique`` treats NaN as NaN and ``-0.0`` as ``0.0``, as the
+    sort does; a fold is re-densified so the next one cannot overflow."""
+    code = np.zeros(len(left_reps) + len(right_reps), dtype=np.int64)
+    for lk, rk in zip(left_keys, right_keys):
+        values = np.concatenate(
+            (left.column(lk).data[left_reps], right.column(rk).data[right_reps])
+        )
+        distinct, inverse = np.unique(values, return_inverse=True)
+        code = np.unique(
+            code * len(distinct) + inverse, return_inverse=True
+        )[1]
+    return code[: len(left_reps)], code[len(left_reps):]
+
+
 def _align_groups(
     left_sorted: Table,
     right_sorted: Table,
     left_keys: list[str],
     right_keys: list[str],
-    left_norm,
-    right_norm,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row index pairs of the join, fully vectorized.
 
-    NULL keys are dropped up front (they match nothing, and both specs
-    sort them last so removal preserves group contiguity); group
-    representatives are matched side-to-side with one ``searchsorted``
-    over whole-row void scalars; matched groups expand to their cross
-    products with repeat/arange arithmetic.  When a string prefix was
-    truncated the candidate pairs are re-checked against the full
-    values in one vectorized comparison per affected key column.
+    NULL keys are dropped up front (they match nothing); each side's
+    exact groups are matched through their representatives' joint codes;
+    matched groups expand to their cross products with repeat/arange
+    arithmetic, left groups in left-sorted order.
     """
     empty = np.zeros(0, dtype=np.int64)
-    l_rows = np.flatnonzero(_all_keys_valid(left_sorted, left_keys))
-    r_rows = np.flatnonzero(_all_keys_valid(right_sorted, right_keys))
-    if len(l_rows) == 0 or len(r_rows) == 0:
+    l_rows, l_starts = _key_groups(left_sorted, left_keys)
+    r_rows, r_starts = _key_groups(right_sorted, right_keys)
+    if len(l_starts) == 0 or len(r_starts) == 0:
         return empty, empty
-    l_matrix = left_norm.matrix[l_rows]
-    r_matrix = right_norm.matrix[r_rows]
-    left_starts = _group_boundaries(l_matrix)
-    right_starts = _group_boundaries(r_matrix)
-
-    l_group_keys = void_view(np.ascontiguousarray(l_matrix[left_starts[:-1]]))
-    r_group_keys = void_view(np.ascontiguousarray(r_matrix[right_starts[:-1]]))
-    pos = np.searchsorted(r_group_keys, l_group_keys)
-    in_range = pos < len(r_group_keys)
-    matched = np.zeros(len(l_group_keys), dtype=bool)
-    matched[in_range] = r_group_keys[pos[in_range]] == l_group_keys[in_range]
-    lg = np.flatnonzero(matched)
-    rg = pos[matched]
+    l_code, r_code = _joint_codes(
+        left_sorted, l_rows[l_starts], left_keys,
+        right_sorted, r_rows[r_starts], right_keys,
+    )
+    # Right group of each code (-1: none); a side's codes are distinct.
+    right_group = np.full(len(l_code) + len(r_code), -1, dtype=np.int64)
+    right_group[r_code] = np.arange(len(r_code))
+    rg = right_group[l_code]
+    lg = np.flatnonzero(rg >= 0)
+    rg = rg[lg]
     if len(lg) == 0:
         return empty, empty
 
+    left_starts = np.append(l_starts, len(l_rows))
+    right_starts = np.append(r_starts, len(r_rows))
     l_start = left_starts[lg]
     l_len = left_starts[lg + 1] - l_start
     r_start = right_starts[rg]
@@ -214,23 +222,4 @@ def _align_groups(
     r_len_rep = np.repeat(r_len, pair_counts)
     left_pos = np.repeat(l_start, pair_counts) + ordinal // r_len_rep
     right_pos = np.repeat(r_start, pair_counts) + ordinal % r_len_rep
-    left_index = l_rows[left_pos]
-    right_index = r_rows[right_pos]
-
-    # Truncated prefixes over-group: re-check exact equality per pair,
-    # only for key columns whose prefix was inexact on either side.
-    l_segments = left_norm.layout.segments
-    r_segments = right_norm.layout.segments
-    keep = None
-    for i, (lk, rk) in enumerate(zip(left_keys, right_keys)):
-        if l_segments[i].prefix_exact and r_segments[i].prefix_exact:
-            continue
-        equal = (
-            left_sorted.column(lk).data[left_index]
-            == right_sorted.column(rk).data[right_index]
-        )
-        keep = equal if keep is None else (keep & equal)
-    if keep is not None:
-        left_index = left_index[keep]
-        right_index = right_index[keep]
-    return left_index, right_index
+    return l_rows[left_pos], r_rows[right_pos]

@@ -28,7 +28,6 @@ from repro.sort.kernels import (
     argsort_rows,
     kway_merge_blocks,
     merge_indices,
-    void_view,
 )
 from repro.sort.operator import (
     SortConfig,
@@ -59,7 +58,6 @@ __all__ = [
     "argsort_rows",
     "kway_merge_blocks",
     "merge_indices",
-    "void_view",
     "SortConfig",
     "SortOperator",
     "SortStats",

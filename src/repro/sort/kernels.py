@@ -86,12 +86,12 @@ def void_view(matrix: np.ndarray) -> np.ndarray:
     order of the rows.  No data is copied unless the matrix is not
     C-contiguous.
 
-    This is the semantic core of the kernel layer.  The sorting kernels
-    below use the equivalent :func:`_chunk_columns` representation
-    (native-endian uint64 words) instead, because numpy compares
-    structured scalars through a generic field-walking routine while
-    plain uint64 columns hit the type-specialized (vectorized) sort and
-    search loops.
+    The kernel tests' memcmp reference: nothing in the engine calls it.
+    The sorting kernels below use the equivalent :func:`_chunk_columns`
+    representation (native-endian uint64 words) instead, because numpy
+    compares structured scalars through a generic field-walking routine
+    while plain uint64 columns hit the type-specialized (vectorized) sort
+    and search loops.
     """
     _check_matrix(matrix)
     contiguous = np.ascontiguousarray(matrix)

@@ -21,9 +21,6 @@ external sort).  This module makes the vector path exact instead:
   nothing, pathological shared-prefix inputs pay ``O(ties * extra_bytes)``.
   :func:`refine_table_order` is the same repair for the common caller
   shape: a table, its key words and a stable prefix-sorted permutation.
-* :func:`exact_group_changed` is the boundary-detection analogue for
-  GROUP BY / PARTITION BY consumers: the prefix boundary mask ORed with an
-  exact elementwise string comparison on the inexact segments.
 
 String order here is zero-padded UTF-8 byte order, then length: identical
 to Python's ``str`` ordering (UTF-8 preserves codepoint order, the zero pad
@@ -43,7 +40,6 @@ from repro.keys.normalizer import words_to_bytes
 
 __all__ = [
     "CHUNK_WIDTH",
-    "exact_group_changed",
     "inexact_prefix_end",
     "prefix_words",
     "refine_key_order",
@@ -274,26 +270,3 @@ def refine_table_order(
     words = [word[order] for word in words]
     perm = refine_key_order(words, layout, fetch_tied, stats)
     return order if perm is None else order[perm]
-
-
-def exact_group_changed(sorted_table, norm) -> np.ndarray:
-    """Exact adjacent-row "key changed" mask for a sorted table.
-
-    ``norm`` is the :class:`~repro.keys.normalizer.NormalizedKeys` of the
-    sorted table (no row-id suffix).  The prefix mask is exact for every
-    segment except truncated VARCHAR prefixes; those are patched with one
-    vectorized elementwise comparison of the original string values -- the
-    prefix already separates NULL from valid rows, so only valid/valid pairs
-    need the value check.
-    """
-    changed = np.any(norm.matrix[1:] != norm.matrix[:-1], axis=1)
-    if norm.prefix_exact:
-        return changed
-    for segment in norm.layout.segments:
-        if segment.prefix_exact:
-            continue
-        column = sorted_table.column(segment.key.column)
-        values = column.data
-        valid = column.validity
-        changed |= (values[1:] != values[:-1]) & valid[1:] & valid[:-1]
-    return changed

@@ -18,7 +18,7 @@ from repro.types.datatypes import DataType
 from repro.types.schema import ColumnDef, Schema
 from repro.types.sortspec import SortSpec, tuple_compare
 
-__all__ = ["Table"]
+__all__ = ["Table", "group_changed"]
 
 
 class Table:
@@ -179,3 +179,27 @@ class Table:
 
     def __repr__(self) -> str:
         return f"Table{self.schema} with {self.num_rows} rows"
+
+
+def group_changed(table: Table, names: Iterable[str]) -> np.ndarray:
+    """``changed[i]``: row ``i + 1`` differs from row ``i`` on ``names``.
+
+    A row differs on a column when its validity differs from the row
+    before, or when both rows are valid and their values differ.  This is
+    the grouping equality of the sort's normalized keys: NULL equals NULL
+    whatever the data slot holds, NaN equals NaN, ``-0.0 == 0.0``, and
+    strings compare by exact value (``"a"`` differs from ``"a\\0"``).  Over
+    a table sorted on ``names``, the ``True`` entries are the group
+    boundaries that GROUP BY, window and merge join need.
+    """
+    changed = np.zeros(max(table.num_rows - 1, 0), dtype=bool)
+    for name in names:
+        column = table.column(name)
+        values, valid = column.data, column.validity
+        differs = values[1:] != values[:-1]
+        if column.dtype.is_float:
+            differs &= ~(np.isnan(values[1:]) & np.isnan(values[:-1]))
+        changed |= (valid[1:] != valid[:-1]) | (
+            differs & valid[1:] & valid[:-1]
+        )
+    return changed

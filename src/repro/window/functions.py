@@ -3,9 +3,9 @@
 The paper opens with "The ORDER BY and WINDOW operators explicitly invoke
 sorting"; this module is the WINDOW half.  A window computation sorts the
 input by (PARTITION BY keys, ORDER BY keys) with the normalized-key sort
-operator, detects partition boundaries on the partition-key prefix of the
-normalized keys, and evaluates the requested functions per partition with
-vectorized numpy.
+operator, detects partition and peer boundaries by comparing adjacent rows
+of the sorted key columns (:func:`~repro.table.table.group_changed`), and
+evaluates the requested functions per partition with vectorized numpy.
 
 Supported functions: ``row_number``, ``rank``, ``dense_rank``,
 ``lag``/``lead`` (offset 1 over any column), ``running_count``, and
@@ -24,11 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import SortError
-from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
 from repro.sort.operator import SortConfig, sort_table
-from repro.sort.stringsort import exact_group_changed
 from repro.table.column import ColumnVector
-from repro.table.table import Table
+from repro.table.table import Table, group_changed
 from repro.types.datatypes import BIGINT, DOUBLE
 from repro.types.schema import ColumnDef, Schema
 from repro.types.sortspec import SortKey, SortSpec
@@ -99,34 +97,10 @@ class WindowSpec:
         return SortSpec(keys)
 
 
-def _partition_ids(sorted_table: Table, spec: WindowSpec) -> np.ndarray:
-    """0-based partition ordinal of each row of the sorted table."""
-    n = sorted_table.num_rows
-    if not spec.partition_by or n == 0:
-        return np.zeros(n, dtype=np.int64)
-    part_spec = SortSpec(tuple(SortKey(c) for c in spec.partition_by))
-    keys = normalize_keys(
-        sorted_table, part_spec, string_prefix=MAX_STRING_PREFIX,
-        include_row_id=False,
-    )
-    # exact_group_changed patches truncated VARCHAR prefixes with the
-    # original values, so long partition keys never fuse two partitions.
-    changed = exact_group_changed(sorted_table, keys)
-    return np.concatenate(([0], np.cumsum(changed))).astype(np.int64)
-
-
-def _order_ids(sorted_table: Table, spec: WindowSpec) -> np.ndarray:
-    """Group ordinal of equal ORDER BY values (for rank/dense_rank)."""
-    n = sorted_table.num_rows
-    if not spec.order_by or n == 0:
-        return np.zeros(n, dtype=np.int64)
-    order_spec = SortSpec(spec.order_by)
-    keys = normalize_keys(
-        sorted_table, order_spec, string_prefix=MAX_STRING_PREFIX,
-        include_row_id=False,
-    )
-    changed = exact_group_changed(sorted_table, keys)
-    return np.concatenate(([0], np.cumsum(changed))).astype(np.int64)
+def _group_starts(sorted_table: Table, names: Sequence[str]) -> np.ndarray:
+    """``starts[i]``: row ``i`` of the sorted table opens a new group."""
+    changed = group_changed(sorted_table, names)
+    return np.concatenate(([True], changed))[: sorted_table.num_rows]
 
 
 def window(
@@ -163,80 +137,66 @@ def window(
     else:
         sorted_table = sort_table(table, spec.sort_spec(), config)
     n = sorted_table.num_rows
-    partitions = _partition_ids(sorted_table, spec)
-
-    # Per-row position within its partition, vectorized: global index
-    # minus the first index of the row's partition.
-    first_of_partition = np.zeros(n, dtype=np.int64)
-    if n:
-        starts = np.flatnonzero(
-            np.concatenate(([True], partitions[1:] != partitions[:-1]))
-        )
-        first_of_partition = starts[
-            np.searchsorted(starts, np.arange(n), side="right") - 1
-        ]
+    new_partition = _group_starts(sorted_table, spec.partition_by)
+    # Per-row position within its partition: global index minus the
+    # index of the partition's first row.
+    partition_ordinal = np.cumsum(new_partition) - 1
+    first_of_partition = np.flatnonzero(new_partition)[partition_ordinal]
     position = np.arange(n, dtype=np.int64) - first_of_partition
 
     columns = list(sorted_table.columns)
     defs = list(sorted_table.schema.columns)
-    order_groups = None
+    new_peer = None
     for f in functions:
         if f.name == "row_number":
             data = position + 1
             new = ColumnVector(BIGINT, data.astype(np.int64))
         elif f.name in ("rank", "dense_rank"):
-            if order_groups is None:
-                order_groups = _order_ids(sorted_table, spec)
+            if new_peer is None:
+                order_columns = [k.column for k in spec.order_by]
+                new_peer = new_partition | _group_starts(
+                    sorted_table, order_columns
+                )
             new = _rank_column(
-                partitions, position, order_groups, dense=f.name == "dense_rank"
+                new_peer, first_of_partition, dense=f.name == "dense_rank"
             )
         elif f.name in ("lag", "lead"):
             new = _shift_column(
-                sorted_table.column(f.column), partitions, f.name == "lead"
+                sorted_table.column(f.column), new_partition, f.name == "lead"
             )
         elif f.name == "running_count":
             new = ColumnVector(BIGINT, (position + 1).astype(np.int64))
         else:  # running_sum
-            new = _running_sum(sorted_table.column(f.column), partitions)
+            new = _running_sum(
+                sorted_table.column(f.column), first_of_partition
+            )
         columns.append(new)
         defs.append(ColumnDef(f.output_name, new.dtype))
     return Table(Schema(tuple(defs)), columns)
 
 
 def _rank_column(
-    partitions: np.ndarray,
-    position: np.ndarray,
-    order_groups: np.ndarray,
-    dense: bool,
+    new_peer: np.ndarray, first_of_partition: np.ndarray, dense: bool
 ) -> ColumnVector:
-    n = len(partitions)
-    ranks = np.ones(n, dtype=np.int64)
-    if n:
-        new_group = np.concatenate(
-            ([True], (order_groups[1:] != order_groups[:-1])
-             | (partitions[1:] != partitions[:-1]))
-        )
-        if dense:
-            # Count of distinct order groups so far within the partition.
-            group_ordinal = np.cumsum(new_group)
-            first = np.zeros(n, dtype=np.int64)
-            starts = np.flatnonzero(
-                np.concatenate(([True], partitions[1:] != partitions[:-1]))
-            )
-            first = starts[
-                np.searchsorted(starts, np.arange(n), side="right") - 1
-            ]
-            ranks = group_ordinal - group_ordinal[first] + 1
-        else:
-            # rank = position of the first row of the tie group + 1.
-            group_start = np.where(new_group, np.arange(n), 0)
-            group_start = np.maximum.accumulate(group_start)
-            ranks = position - (np.arange(n) - group_start) + 1
+    """rank / dense_rank from the rows that open a peer group.
+
+    ``new_peer[i]`` is true where row ``i`` differs from row ``i - 1`` on
+    the PARTITION BY or ORDER BY columns.
+    """
+    if dense:
+        # Count of distinct peer groups so far within the partition.
+        peer_ordinal = np.cumsum(new_peer)
+        ranks = peer_ordinal - peer_ordinal[first_of_partition] + 1
+    else:
+        # rank = position of the peer group's first row + 1.
+        n = len(new_peer)
+        peer_start = np.maximum.accumulate(np.where(new_peer, np.arange(n), 0))
+        ranks = peer_start - first_of_partition + 1
     return ColumnVector(BIGINT, ranks.astype(np.int64))
 
 
 def _shift_column(
-    column: ColumnVector, partitions: np.ndarray, lead: bool
+    column: ColumnVector, new_partition: np.ndarray, lead: bool
 ) -> ColumnVector:
     n = len(column)
     data = np.empty_like(column.data)
@@ -245,12 +205,11 @@ def _shift_column(
         if lead:
             data[:-1] = column.data[1:]
             validity[:-1] = column.validity[1:]
-            same = np.concatenate((partitions[1:] == partitions[:-1], [False]))
+            validity[:-1] &= ~new_partition[1:]
         else:
             data[1:] = column.data[:-1]
             validity[1:] = column.validity[:-1]
-            same = np.concatenate(([False], partitions[1:] == partitions[:-1]))
-        validity &= same
+            validity &= ~new_partition
         if column.dtype.is_variable_width:
             data[~validity] = ""
         else:
@@ -258,17 +217,15 @@ def _shift_column(
     return ColumnVector(column.dtype, data, validity)
 
 
-def _running_sum(column: ColumnVector, partitions: np.ndarray) -> ColumnVector:
+def _running_sum(
+    column: ColumnVector, first_of_partition: np.ndarray
+) -> ColumnVector:
     if column.dtype.is_variable_width:
         raise SortError("running_sum needs a numeric column")
     values = np.where(column.validity, column.data, 0).astype(np.float64)
     cumulative = np.cumsum(values)
-    n = len(values)
-    if n:
-        starts = np.flatnonzero(
-            np.concatenate(([True], partitions[1:] != partitions[:-1]))
-        )
-        first = starts[np.searchsorted(starts, np.arange(n), side="right") - 1]
+    if len(values):
+        first = first_of_partition
         base = np.where(first > 0, cumulative[first - 1], 0.0)
         cumulative = cumulative - base
     return ColumnVector(DOUBLE, cumulative)

@@ -1,5 +1,7 @@
 """Tests for merge join and inequality joins, against brute force."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import SortError
 from repro.join import Predicate, ie_join, inequality_join, merge_join
 from repro.table.table import Table
+from repro.workloads.scenarios import SCENARIOS
 
 OPS = {
     "<": lambda a, b: a < b,
@@ -74,6 +77,45 @@ class TestMergeJoin:
         )
         result = merge_join(left, right, ["k"], ["k"])
         assert pairs_of(result) == [(1, 0)]
+
+    def test_long_string_key_then_second_key(self):
+        # Sorted by the full strings, the second key is out of order
+        # under the strings' shared 12-byte prefix: groups must be found
+        # on the values, not on that prefix.
+        stem = "p" * 14
+        left = Table.from_pydict(
+            {"s": [f"{stem}b", f"{stem}a"], "k": [1, 2], "lid": [0, 1]}
+        )
+        right = Table.from_pydict(
+            {"s": [f"{stem}a", f"{stem}b"], "k": [2, 1], "rid": [0, 1]}
+        )
+        result = merge_join(left, right, ["s", "k"], ["s", "k"])
+        assert pairs_of(result) == [(0, 1), (1, 0)]
+
+    def test_long_string_join_builds_no_prefix_cross_product(self):
+        # Every long_string key starts with the same 12 bytes; a join
+        # that grouped on those bytes would build the 6,000 x 2,000
+        # cross product before discarding all but 2,000 pairs.
+        values = SCENARIOS["long_string"].table(6000, seed=17).column("s")
+        keys = values.to_pylist()
+        left = Table.from_pydict({"s": keys, "lid": list(range(6000))})
+        right = Table.from_pydict(
+            {"s": keys[::3], "rid": list(range(0, 6000, 3))}
+        )
+        tracemalloc.start()
+        try:
+            result = merge_join(left, right, ["s"], ["s"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows_of: dict[str, list[int]] = {}
+        for i, key in enumerate(keys):
+            rows_of.setdefault(key, []).append(i)
+        expected = sorted(
+            (i, j) for j in range(0, 6000, 3) for i in rows_of[keys[j]]
+        )
+        assert pairs_of(result) == expected
+        assert peak < 32 * 2**20
 
     def test_empty_inputs(self):
         left = Table.from_pydict({"k": [], "lid": []})

@@ -35,7 +35,6 @@ from repro.sort.incremental import IncrementalSorter
 from repro.sort.kernels import ovc_codes
 from repro.sort.operator import SortConfig, SortOperator, SortStats, sort_table
 from repro.sort.stringsort import (
-    exact_group_changed,
     CHUNK_WIDTH,
     inexact_prefix_end,
     refine_key_order,
@@ -577,23 +576,6 @@ class TestGroupingConsumers:
         assert per_group[self.LONG_A] == [(1, 1), (3, 2), (5, 3)]
         assert per_group[self.LONG_B] == [(2, 1), (4, 2)]
         assert per_group[None] == [(6, 1)]
-
-    def test_exact_group_changed_property(self):
-        table = string_table(23, 1200, dup_heavy=True)
-        spec = SortSpec.of("s")
-        sorted_table = sort_table(table, spec)
-        norm = normalize_keys(
-            sorted_table,
-            spec,
-            string_prefix=MAX_STRING_PREFIX,
-            include_row_id=False,
-        )
-        changed = exact_group_changed(sorted_table, norm)
-        values = sorted_table.column("s").to_pylist()
-        expected = [
-            values[i] != values[i - 1] for i in range(1, len(values))
-        ]
-        assert changed.tolist() == expected
 
 
 class TestRefineKeyOrderUnit:
