@@ -23,9 +23,10 @@ This module supplies the pieces the sort pipeline wires together:
   bias (``bias 0``, the whole code space): the bytes per key are the
   same, and a later run that moves min or max no longer changes the
   layout, so nothing encoded earlier has to be rebased.
-* :func:`rebase_matrix` -- rewrite a key matrix encoded under an earlier
-  (narrower) layout into a later (wider) one, byte-identical to encoding
-  the original values directly under the wider layout.
+* :func:`rebase_words` -- rewrite key words encoded under an earlier
+  (narrower) layout into a later (wider) one, identical to encoding the
+  original values directly under the wider layout (:func:`rebase_matrix`
+  does the same to key bytes).
 * :func:`serialize_layout` / :func:`deserialize_layout` -- the compact
   geometry blob the spill-file header carries so a spilled run can be
   merged by a reader that only knows the sort spec and schema.
@@ -62,7 +63,9 @@ from repro.keys.normalizer import (
     MODE_PLAIN,
     KeyLayout,
     KeySegment,
-    write_fixed_segment,
+    _fixed_fields,
+    pack_fields,
+    words_to_bytes,
 )
 from repro.table.column import ColumnVector
 from repro.table.table import Table
@@ -74,6 +77,7 @@ __all__ = [
     "KeyStatsAccumulator",
     "build_compressed_layout",
     "rebase_matrix",
+    "rebase_words",
     "segment_codes",
     "serialize_layout",
     "deserialize_layout",
@@ -177,7 +181,7 @@ class KeyStatsAccumulator:
     :meth:`build_layout` yields the narrowest :class:`KeyLayout` covering
     all data seen so far.  Layouts built after more updates only ever
     widen earlier ones (see the module docstring), so runs encoded early
-    can be re-based with :func:`rebase_matrix` instead of re-encoded.
+    can be re-based with :func:`rebase_words` instead of re-encoded.
     ``string_prefix`` forces every VARCHAR segment's width instead of
     choosing it from the lengths seen, and nothing is skipped.
     """
@@ -334,87 +338,82 @@ def segment_codes(words, segment: KeySegment) -> tuple[np.ndarray, np.ndarray]:
     return codes, null_mask
 
 
-def _matrix_words(matrix: np.ndarray, width: int) -> list[np.ndarray]:
-    """The first ``width`` bytes of a key matrix's rows as word columns."""
-    padded = np.zeros((len(matrix), -(-width // 8) * 8), dtype=np.uint8)
-    padded[:, :width] = matrix[:, :width]
-    return list(np.ascontiguousarray(padded.view(">u8").T, dtype=np.uint64))
-
-
-def _rebase_segment(
-    src: np.ndarray, words, dst: np.ndarray, old: KeySegment, new: KeySegment
-) -> None:
+def _rebase_fields(words, old: KeySegment, new: KeySegment):
+    """One segment's fields under ``new`` (``(offset, width, uint64)``,
+    :func:`~repro.keys.normalizer.pack_fields`' input), read from key
+    words under ``old``."""
     if old.key != new.key or old.dtype is not new.dtype:
         raise KeyEncodingError("layouts do not describe the same sort spec")
     if old.skipped != new.skipped:
         # The skipped bytes are fixed by the first run holding a valid
         # value, so only all-NULL runs precede them.
-        null_rows = src[:, old.offset] == old.null_byte_for_null
+        null_rows = _field(words, old.offset, 1) == old.null_byte_for_null
         if old.skipped or not null_rows.all():
             raise KeyEncodingError("a segment's skipped bytes may not change")
-        dst[:, new.offset : new.offset + new.total_width] = 0
-        dst[:, new.offset] = new.null_byte_for_null
+        yield new.offset, 1, np.uint64(new.null_byte_for_null)
         return
     if old.mode == MODE_PLAIN and new.mode == MODE_PLAIN:
-        if old.value_width == new.value_width:
-            dst[:, new.offset : new.offset + new.total_width] = src[
-                :, old.offset : old.offset + old.total_width
-            ]
-            return
-        if (
-            old.dtype.type_id is not TypeId.VARCHAR
-            or old.value_width > new.value_width
-        ):
+        # (A fixed-width plain segment is always its type's width.)
+        if old.value_width > new.value_width:
             raise KeyEncodingError("cannot narrow a plain segment")
-        # VARCHAR prefix widening.  An old width below the cap equals the
-        # old runs' exact maximum length, so every old value's bytes past
-        # it are pure padding: extend with the padding byte (0xFF under
-        # DESC after inversion, else 0x00), keeping NULL rows all-zero.
-        copied = 1 + old.value_width
-        dst[:, new.offset : new.offset + copied] = src[
-            :, old.offset : old.offset + copied
-        ]
-        pad = 0xFF if new.key.descending else 0x00
-        tail = slice(new.offset + copied, new.offset + 1 + new.value_width)
-        dst[:, tail] = pad
-        if pad:
-            null_rows = src[:, old.offset] == old.null_byte_for_null
-            dst[null_rows, tail] = 0
+        # The indicator byte and the window, copied.  A VARCHAR window
+        # below the cap is as wide as the old runs' longest value, so the
+        # bytes it widens by are padding: 0x00 (unwritten bytes are
+        # zero), or 0xFF on valid rows under DESC (after inversion).
+        copied, total = 1 + old.value_width, new.total_width
+        for start in range(0, copied, 8):
+            width = min(8, copied - start)
+            value = _field(words, old.offset + start, width)
+            yield new.offset + start, width, value
+        if new.key.descending and total > copied:
+            valid = _field(words, old.offset, 1) != old.null_byte_for_null
+            for start in range(copied, total, 8):
+                width = min(8, total - start)
+                pad = valid * np.uint64((1 << 8 * width) - 1)
+                yield new.offset + start, width, pad
         return
     if old.mode == MODE_PLAIN:
         raise KeyEncodingError("segment modes only widen toward plain")
     codes, null_mask = segment_codes(words, old)
     if null_mask.any() and new.mode == MODE_NOBYTE:
         raise KeyEncodingError("NULL rows need a folded or plain segment")
-    write_fixed_segment(dst, new, codes, ~null_mask if null_mask.any() else None)
+    yield from _fixed_fields(new, codes, ~null_mask if null_mask.any() else None)
+
+
+def rebase_words(words, old: KeyLayout, new: KeyLayout) -> list[np.ndarray]:
+    """Key word columns under ``old`` re-encoded into ``new``, a later
+    layout of the same accumulator: :func:`~repro.keys.normalizer.key_words`
+    of the rows under ``new`` (a key-carried decode's NULL rows' lost
+    filler re-encodes as the NULL code anyway).  ``words`` is consumed
+    (:func:`segment_codes`), and the result may share them."""
+    if len(old.segments) != len(new.segments):
+        raise KeyEncodingError("layouts have different segment counts")
+    fields = (
+        field
+        for pair in zip(old.segments, new.segments)
+        for field in _rebase_fields(words, *pair)
+    )
+    return pack_fields(fields, len(words[0]), new.key_width)
 
 
 def rebase_matrix(
     matrix: np.ndarray, old_layout: KeyLayout, new_layout: KeyLayout
 ) -> np.ndarray:
-    """Re-encode a key matrix from ``old_layout`` into ``new_layout``.
-
-    ``new_layout`` must be a widening of ``old_layout`` (both built from
-    the same accumulator, the new one after at least as many updates).
-    The result is byte-identical to normalizing the original rows under
-    ``new_layout`` directly -- except NULL rows of key-carried decodes,
-    whose unrecoverable filler re-encodes as the NULL code anyway.
-    A row-id suffix is carried over when ``matrix`` has one (spilled key
-    words hold none).  Returns ``matrix`` itself when the layouts agree.
-    """
+    """:func:`rebase_words` on a key byte matrix (replacement selection's
+    keys), a row-id suffix carried over.  Returns ``matrix`` itself when
+    the layouts agree."""
     if old_layout == new_layout:
         return matrix
     if old_layout.row_id_width != new_layout.row_id_width:
         raise KeyEncodingError("row-id width may not change across runs")
-    if len(old_layout.segments) != len(new_layout.segments):
-        raise KeyEncodingError("layouts have different segment counts")
-    width = new_layout.key_width + matrix.shape[1] - old_layout.key_width
-    out = np.empty((len(matrix), width), dtype=np.uint8)
-    # Fixed-width codes are read from words: one decoder, made once.
-    words = _matrix_words(matrix, old_layout.key_width)
-    for old_seg, new_seg in zip(old_layout.segments, new_layout.segments):
-        _rebase_segment(matrix, words, out, old_seg, new_seg)
-    out[:, new_layout.key_width :] = matrix[:, old_layout.key_width :]
+    old_width, width = old_layout.key_width, new_layout.key_width
+    padded = np.zeros((len(matrix), -(-old_width // 8) * 8), dtype=np.uint8)
+    padded[:, :old_width] = matrix[:, :old_width]
+    words = np.ascontiguousarray(padded.view(">u8").T, dtype=np.uint64)
+    words = rebase_words(words, old_layout, new_layout)
+    out = np.empty((len(matrix), width + old_layout.row_id_width), np.uint8)
+    out[:, :width] = words_to_bytes(words, width)
+    out[:, width:] = matrix[:, old_width:]
     return out
 
 

@@ -17,14 +17,14 @@ order codes, and two sinks lay them out.  :func:`key_words` packs them
 into the key's uint64 *words* (word ``w`` of a row is bytes ``[8w, 8w +
 8)`` of its key read big-endian, the last one zero-padded), so comparing
 two rows' word lists is memcmp on their key bytes: the sort keeps a
-resident run's keys in that form.  :func:`normalize_keys` writes them as
+resident run's keys in that form (:func:`pack_fields` is that sink; a
+stale run's rebase feeds it too).  :func:`normalize_keys` writes them as
 bytes and appends the row-id suffix: a dense ``(n, width)`` uint8 matrix,
-what GROUP BY, window, merge join, the reference sort and spill
-files read.  Comparing two rows of the matrix with memcmp is exactly
-``tuple_compare`` on the original values, except when a VARCHAR key
-exceeds its prefix or ends in NUL; then the key is "inexact" and ties
-must be broken on the full strings (``NormalizedKeys.prefix_exact`` tells
-the sort operator whether that pass is needed).
+what the paper face (the reference sort, ``systems/``) reads.  Comparing
+two rows of the matrix with memcmp is exactly ``tuple_compare`` on the
+original values, except when a VARCHAR key exceeds its prefix or ends in
+NUL; then the key is "inexact" and ties must be broken on the full
+strings (``NormalizedKeys.prefix_exact`` says whether that is needed).
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ __all__ = [
     "key_words",
     "normalize_keys",
     "normalized_key_for_row",
+    "pack_fields",
     "words_to_bytes",
-    "write_fixed_segment",
 ]
 
 DEFAULT_STRING_PREFIX = 12
@@ -339,13 +339,6 @@ def _fixed_fields(segment: KeySegment, codes, valid: np.ndarray | None):
     yield offset + 1, width, codes
 
 
-def write_fixed_segment(matrix, segment: KeySegment, codes, valid) -> None:
-    """Write a fixed-width segment's bytes from order codes: the
-    layout-rebase path of :mod:`repro.keys.compression` (spilled runs)."""
-    for field in _fixed_fields(segment, codes, valid):
-        _write_field(matrix, *field)
-
-
 def _string_windows(
     segment: KeySegment,
     buffer: np.ndarray,
@@ -488,12 +481,20 @@ def key_words(
     cut from that buffer, not a second encoding), a fixed-width column's
     uint64 order codes (not computed twice).  The words are read only.
     """
-    words: list = [None] * ((layout.key_width + 7) // 8)
-    for field in _key_fields(table, layout, encoded):
+    fields = _key_fields(table, layout, encoded)
+    return pack_fields(fields, table.num_rows, layout.key_width)
+
+
+def pack_fields(fields, rows: int, key_width: int) -> list[np.ndarray]:
+    """The word sink: ``(offset, width, values)`` fields in byte order
+    (:func:`_key_fields`', or a rebase's) folded into the uint64 word
+    columns of ``key_width`` key bytes; bytes no field reaches are zero."""
+    words: list = [None] * ((key_width + 7) // 8)
+    for field in fields:
         _fold_field(words, *field)
     return [
         word if isinstance(word, np.ndarray)
-        else np.full(table.num_rows, word, dtype=np.uint64)
+        else np.full(rows, word or 0, dtype=np.uint64)
         for word in words
     ]
 
@@ -585,7 +586,7 @@ def normalized_key_for_row(
 
 
 def _compressed_scalar_bytes(value, segment: KeySegment) -> bytes:
-    """Scalar mirror of :func:`write_fixed_segment` for one compressed value."""
+    """Scalar mirror of :func:`_fixed_fields` for one compressed value."""
     code_range = segment.code_range
     if value is None:
         if segment.mode != MODE_FOLDED:

@@ -50,8 +50,8 @@ The spill format per run is one file of three contiguous data sections --
 the sorted key words (uint64 rows, the words the merge compares: a block
 reads back with no conversion), the payload row matrix, and the string
 heap -- preceded by a versioned, checksummed header
-(:mod:`repro.sort.spillfile`).  Key bytes exist only for the rows string
-refinement finds tied and the rebase of a stale block.
+(:mod:`repro.sort.spillfile`).  Key bytes exist only inside replacement
+selection (its ``_rs_*`` methods); the merge rebases a stale block in words.
 The NSM rows and heap exist for the file: a resident run keeps its
 payload in columns, and one ``RowBlock.from_table`` builds them when the
 run is written (:meth:`~repro.sort.rungen.InMemoryRun.to_row_run`), or

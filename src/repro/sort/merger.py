@@ -17,11 +17,11 @@ large the runs are.
   kernel reports each round as one contiguous span per contributing run
   plus one permutation, and hands over the round's merged key words when
   a pass needs them (key-carried results, every intermediate run,
-  string repair), and its consumers read words: key bytes exist only for
-  the rows the string repair finds tied and a stale block's rebase.
+  string repair), and its consumers read words: no key byte is made.
 * **Layout rebase** -- runs encoded under a narrower key layout are
   re-encoded onto the final one: a resident run from its table, a
-  spilled one block by block as it streams (words to bytes and back).
+  spilled one block by block as it streams, on the word columns the
+  kernel reads (:func:`~repro.keys.compression.rebase_words`).
 * **Exact strings** -- runs arrive sorted by key bytes, so rows tied
   on the bytes up to the first truncated VARCHAR segment may still
   reorder once the full strings are consulted, and such a tie group can
@@ -62,11 +62,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.keys.compression import decode_key_table, rebase_matrix
-from repro.keys.normalizer import words_to_bytes
+from repro.keys.compression import decode_key_table, rebase_words
 from repro.rows.block import RowBlock, heap_bases, string_slots
 from repro.rows.layout import RowLayout
-from repro.sort.kernels import KWayBlockStats, _chunk_columns, kway_merge_blocks
+from repro.sort.kernels import KWayBlockStats, kway_merge_blocks
 from repro.sort.rungen import InMemoryRun, RowRun, RunGenerator
 from repro.sort.stringsort import inexact_prefix_end, prefix_words, refine_key_order
 from repro.table.table import Table
@@ -181,23 +180,23 @@ class RunMerger:
         """Was the run encoded under a narrower layout than the final?"""
         return run.layout != self.key_layout
 
-    def _key_block(self, run, start: int, stop: int, stats) -> np.ndarray:
-        """Key word rows ``[start, stop)`` on the final layout.
+    def _key_block(self, run, start: int, stop: int, stats):
+        """Key word columns of rows ``[start, stop)`` on the final layout.
 
-        This is the one read (and CRC check) of these words; only a
-        stale block crosses into key bytes and back, for the rebase.
-        (Prefetch workers call this with a thread-private ``stats``.)
+        This is the one read (and CRC check) of these words, transposed
+        into the columns the kernel reads (one copy per block, none per
+        round); a stale block is rebased on them.  (Prefetch workers call
+        this with a thread-private ``stats``.)
         """
         block = run.read_key_block(start, stop, stats)
-        if self._stale(run):
-            old, new = run.layout, self.key_layout
-            matrix = words_to_bytes(block.T, old.key_width)
-            matrix = rebase_matrix(matrix, old, new)
-            block = np.stack(_chunk_columns(matrix), axis=1)
-        return block
+        if not self._stale(run):
+            return np.ascontiguousarray(block.T)
+        # The rebase consumes its words: a copy, never the run's own.
+        words = np.array(block.T, order="C")
+        return rebase_words(words, run.layout, self.key_layout)
 
     def _key_source(self, run) -> Iterator:
-        """A resident run's key words, else its key word rows, by block."""
+        """A run's key word columns on the final layout, by block."""
         for start in range(0, run.num_rows, self.block_rows):
             stop = min(start + self.block_rows, run.num_rows)
             if isinstance(run, InMemoryRun):
@@ -238,19 +237,11 @@ class RunMerger:
                 payload.fetch_rows if streams_rows else None,
             )
         if prefetcher is not None:
-            blocks = [prefetcher.key_source(i) for i in range(len(runs))]
+            sources = [prefetcher.key_source(i) for i in range(len(runs))]
             if streams_rows:
                 payload.read_rows = prefetcher.read_rows
         else:
-            blocks = [self._key_source(run) for run in runs]
-
-        # The kernel reads word columns: a spilled block's are its rows
-        # transposed (one copy per block, none per round).
-        sources = [
-            source if isinstance(run, InMemoryRun)
-            else (np.ascontiguousarray(block.T) for block in source)
-            for run, source in zip(runs, blocks)
-        ]
+            sources = [self._key_source(run) for run in runs]
         kernel_stats = KWayBlockStats()
         refine_end = self.refine_end if final else None
         rounds = kway_merge_blocks(

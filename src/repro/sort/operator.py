@@ -200,6 +200,8 @@ class SortConfig:
             raise SortError("run_threshold must be positive")
         if self.vector_size <= 0:
             raise SortError("vector_size must be positive")
+        if self.string_prefix is not None and self.string_prefix < 0:
+            raise SortError("string_prefix must be non-negative")
         if self.spill_retries < 0:
             raise SortError("spill_retries must be non-negative")
         if self.prefetch_blocks < 0:

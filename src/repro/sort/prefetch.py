@@ -140,13 +140,13 @@ class _RunState:
 class BlockPrefetcher:
     """Double-buffered read-ahead over one merge's spilled runs.
 
-    ``key_fetch(index, start, stop, stats)`` must return the run's key
-    word rows ``[start, stop)`` -- rebased exactly as the merge wants
-    them, every run's on one layout (the exhaustion forecast compares
-    their tail rows) -- and ``row_fetch(index, start, stop, stats)`` the
-    payload rows backing the same range, or ``None`` when the runs hold
-    none.  Both are called with the merge's stats on its own thread and
-    with a private stats object on a worker; they time their
+    ``key_fetch(index, start, stop, stats)`` must return the key word
+    columns of the run's rows ``[start, stop)`` -- rebased exactly as the
+    merge wants them, every run's on one layout (the exhaustion forecast
+    compares their tail rows) -- and ``row_fetch(index, start, stop,
+    stats)`` the payload rows backing the same range, or ``None`` when the
+    runs hold none.  Both are called with the merge's stats on its own
+    thread and with a private stats object on a worker; they time their
     raw read as ``spill_io`` (what starts the pool) and raise only typed
     spill errors.  Inactive (in-memory fallback) runs bypass all of it.
     """
@@ -280,8 +280,8 @@ class BlockPrefetcher:
         else:
             block = self._consume(state.key_queue.popleft())
         state.key_delivered += 1
-        if len(block):
-            state.tail = tuple(block[-1].tolist())
+        if len(block[0]):
+            state.tail = tuple(int(word[-1]) for word in block)
         self._schedule()
         return block
 

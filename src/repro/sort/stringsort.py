@@ -8,14 +8,14 @@ external sort).  This module makes the vector path exact instead:
 
 * :func:`refine_key_order` repairs a prefix-sorted permutation.  Rows tied
   on the key bytes up to the first inexact VARCHAR segment are grouped by
-  one adjacent-row compare of their key words, and only they become key
-  bytes; each inexact segment is then resolved in key order -- its tie
+  one adjacent-row compare of their key words (no key byte is made);
+  each inexact segment is then resolved in key order -- its tie
   groups are re-encoded at progressively wider string offsets (chunks of
   :data:`CHUNK_WIDTH` bytes past the key window, which starts after the
   segment's ``skipped`` bytes unless the row's indicator byte says it is
   escaped) and re-sorted with a stable ``np.lexsort``, subdividing groups
   until every group is a singleton or the strings are exhausted.
-  Between segments the groups are extended with the key bytes separating
+  Between segments the groups are extended with the key words separating
   them, so a full string always outranks every later ORDER BY column.  Work
   per round is proportional to the rows still tied: unique-prefix inputs pay
   nothing, pathological shared-prefix inputs pay ``O(ties * extra_bytes)``.
@@ -35,8 +35,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.keys.compression import _field
 from repro.keys.encoding import CHUNK_WIDTH, encode_utf8_column, gather_windows
-from repro.keys.normalizer import words_to_bytes
 
 __all__ = [
     "CHUNK_WIDTH",
@@ -173,8 +173,7 @@ def refine_key_order(
     """Turn a prefix-sorted permutation into an exact one.
 
     Args:
-        words: the sorted rows' key word columns; only tied rows become
-            key bytes.
+        words: the sorted rows' key word columns.
         layout: the :class:`~repro.keys.normalizer.KeyLayout` that produced
             them; only segments with ``prefix_exact=False`` are refined.
         fetch_tied: called once with the tied row positions; returns a
@@ -206,7 +205,7 @@ def refine_key_order(
         return None
     tied, groups = found
     groups = groups.astype(np.int64)
-    matrix = words_to_bytes([word[tied] for word in words], layout.key_width)
+    tied_words = [word[tied] for word in words]
     get = fetch_tied(tied)
     if stats is not None:
         stats.full_key_compares += len(tied)
@@ -217,17 +216,23 @@ def refine_key_order(
             # Extend group equality with the exact bytes between the
             # previous inexact segment and this one, in current slot
             # order (stable refinement kept equal-tail rows sorted by
-            # their remaining key bytes, so runs stay adjacent).
-            block = matrix[order, covered:end]
+            # their remaining key bytes, so runs stay adjacent).  A
+            # group's rows agree on bytes [0, covered): the words from
+            # the one holding byte ``covered`` on compare the new ones.
+            new = prefix_words(tied_words, end)[covered // 8 :]
+            prefix = [word[order] for word in new]
             changed = np.concatenate(([True], groups[1:] != groups[:-1]))
-            changed[1:] |= np.any(block[1:] != block[:-1], axis=1)
+            changed[1:] |= np.logical_or.reduce(
+                [word[1:] != word[:-1] for word in prefix]
+            )
             groups = np.cumsum(changed) - 1
             covered = end
         if np.bincount(groups).max() <= 1:
             break
         start_byte = segment.value_width
         if segment.skipped:
-            shares = matrix[:, segment.offset] == segment.null_byte_for_valid
+            indicator = _field(tied_words, segment.offset, 1)
+            shares = indicator == segment.null_byte_for_valid
             start_byte = start_byte + len(segment.skipped) * shares
         order, groups = _refine_segment(
             order,

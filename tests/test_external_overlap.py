@@ -139,7 +139,7 @@ class TestHeldBackRanges:
             [100],
             [True],
             10,
-            lambda index, start, stop, _: np.zeros((stop - start, 1)),
+            lambda index, start, stop, _: np.zeros((1, stop - start)),
             lambda index, start, stop, _: np.arange(start, stop),
             depth=1,
             # One slot, taken by the first key block: every payload
@@ -205,7 +205,7 @@ class TestPoolStartsOnSlowReads:
 
         def key_fetch(index, start, stop, fetch_stats):
             fetch_stats.add_phase_seconds("spill_io", next(reads))
-            return np.zeros((stop - start, 1), dtype=np.uint8)
+            return np.zeros((1, stop - start), dtype=np.uint8)
 
         prefetcher = BlockPrefetcher(
             [10 * len(read_seconds)], [True], 10, key_fetch, None,
@@ -243,7 +243,7 @@ class TestPoolStartsOnSlowReads:
 class TestForecastComparesWordTails:
     """The read-ahead slot goes to the run whose tail *key* is smallest.
 
-    Key blocks are uint64 word rows in native byte order.  Run 0's tail
+    Key blocks are uint64 word columns in native byte order.  Run 0's tail
     word 256 sorts after run 1's tail word 1, but on a little-endian
     machine its bytes (``00 01 ..``) sort before run 1's (``01 00 ..``):
     a forecast comparing tail bytes would fetch run 0 first.
@@ -256,7 +256,7 @@ class TestForecastComparesWordTails:
         def key_fetch(index, start, stop, fetch_stats):
             fetch_stats.add_phase_seconds("spill_io", 1e-3)  # every read slow
             fetched_by[index, start] = threading.current_thread().name
-            return np.array(blocks[index][start // 2], dtype=np.uint64)[:, None]
+            return np.array(blocks[index][start // 2], dtype=np.uint64)[None, :]
 
         tail_bytes = [np.uint64(word).tobytes() for word in (256, 1)]
         assert (tail_bytes[0] < tail_bytes[1]) == (sys.byteorder == "little")
@@ -269,8 +269,8 @@ class TestForecastComparesWordTails:
             next(zero), next(one)
             # The third slow read in a row starts the pool, and its one
             # slot goes to the run with the smaller tail: run 1.
-            assert next(zero).tolist() == [[2], [256]]
-            assert next(one).tolist() == [[5], [6]]
+            assert next(zero).tolist() == [[2, 256]]
+            assert next(one).tolist() == [[5, 6]]
         finally:
             prefetcher.close()
         assert no_prefetch_threads()

@@ -32,6 +32,7 @@ from repro.keys.compression import (
     key_carried_eligible,
     plain_key_width,
     rebase_matrix,
+    rebase_words,
     serialize_layout,
 )
 from repro.keys.decoder import decode_key_row
@@ -46,10 +47,12 @@ from repro.keys.normalizer import (
 )
 from repro.scalar.reference import reference_sort as scalar_reference_sort
 from repro.sort.external import ExternalSortOperator
-from repro.sort.operator import SortConfig, SortOperator, sort_table
-from repro.table.chunk import chunk_table
+from repro.sort.merger import RunMerger
+from repro.sort.operator import SortConfig, SortOperator, SortStats, sort_table
+from repro.sort.rungen import RunGenerator
+from repro.table.chunk import DataChunk, chunk_table
 from repro.table.table import Table
-from repro.types.datatypes import VARCHAR
+from repro.types.datatypes import BIGINT, VARCHAR
 from repro.types.sortspec import SortSpec, tuple_compare
 
 SPECS = [
@@ -515,6 +518,174 @@ class TestProgressiveWidening:
         rebased = rebase_matrix(keys.matrix, narrow_layout, wide_layout)
         direct = normalize_keys(narrow, spec, layout=wide_layout)
         assert rebased.tobytes() == direct.matrix.tobytes()
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def layouts_after(tables, spec):
+    """The layout one accumulator builds after each of ``tables``."""
+    acc = KeyStatsAccumulator(tables[0].schema, spec)
+    layouts = []
+    for table in tables:
+        acc.update(table)
+        layouts.append(acc.build_layout(include_row_id=False))
+    return layouts
+
+
+def assert_words_equal(got, want):
+    assert len(got) == len(want)
+    for index, (left, right) in enumerate(zip(got, want)):
+        assert left.tolist() == right.tolist(), f"word {index}"
+
+
+class TestRebaseWords:
+    """``rebase_words`` from every layout a table was encoded under to
+    every later one equals packing the table under the later one."""
+
+    @staticmethod
+    def assert_rebases_like_packing(tables, spec):
+        layouts = layouts_after(tables, spec)
+        for k, table in enumerate(tables):
+            for i, early in enumerate(layouts[k:], k):
+                for new in layouts[i:]:
+                    rebased = rebase_words(key_words(table, early), early, new)
+                    assert_words_equal(rebased, key_words(table, new))
+        return layouts
+
+    @pytest.mark.parametrize("nulls", ["FIRST", "LAST"])
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    def test_nobyte_folded_plain_and_a_moved_bias(self, direction, nulls):
+        # ``b`` after ``a``: every widening of ``a`` moves ``b`` and
+        # ``c`` across word boundaries.
+        tables = [
+            Table.from_pydict(
+                {"a": a, "b": [7, -3, 12, 0][: len(a)], "c": [1, 2, 3, 4][: len(a)]},
+                {"a": BIGINT, "b": BIGINT, "c": BIGINT},
+            )
+            for a in (
+                [100, 150, 199],
+                [50, 399, 120],
+                [-70_000, None, 3, 10**9],
+                [INT64_MIN, None, INT64_MAX, 0],
+            )
+        ]
+        spec = SortSpec.of(f"a {direction} NULLS {nulls}", "b DESC", "c")
+        layouts = self.assert_rebases_like_packing(tables, spec)
+        segments = [layout.segments[0] for layout in layouts]
+        assert [s.mode for s in segments] == [
+            MODE_NOBYTE, MODE_NOBYTE, MODE_FOLDED, MODE_PLAIN
+        ]
+        assert segments[0].bias != segments[1].bias
+        assert [s.value_width for s in segments] == [1, 2, 4, 8]
+
+    @pytest.mark.parametrize("nulls", ["FIRST", "LAST"])
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    def test_varchar_widening_with_nulls(self, direction, nulls):
+        tables = [
+            Table.from_pydict({"s": s, "a": list(range(len(s)))}, {"s": VARCHAR})
+            for s in (
+                ["ab", None, "a", "ac"],
+                ["abcd", None, "b"],
+                ["a" + "z" * 20, "abcdefgh", None, "日"],
+            )
+        ]
+        # Alone, an ASC widening reaches no byte of the key's last word.
+        spec = SortSpec.of(f"s {direction} NULLS {nulls}")
+        self.assert_rebases_like_packing(tables, spec)
+        spec = SortSpec.of(f"s {direction} NULLS {nulls}", "a DESC")
+        layouts = self.assert_rebases_like_packing(tables, spec)
+        segments = [layout.segments[0] for layout in layouts]
+        assert [s.value_width for s in segments] == [1, 3, 12]
+        assert {s.skipped for s in segments} == {b"a"}
+
+    @pytest.mark.parametrize("nulls", ["FIRST", "LAST"])
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    def test_skipped_bytes_decided_after_an_all_null_run(
+        self, direction, nulls
+    ):
+        tables = [
+            Table.from_pydict({"s": s, "a": [3, 1, 2][: len(s)]}, {"s": VARCHAR})
+            for s in (
+                [None, None],
+                ["shared-x", None, "shared-yy"],
+                ["shared-" + "q" * 30, "other"],
+            )
+        ]
+        spec = SortSpec.of(f"s {direction} NULLS {nulls}", "a")
+        layouts = self.assert_rebases_like_packing(tables, spec)
+        assert [layout.segments[0].skipped for layout in layouts] == [
+            b"", b"shared-", b"shared-"
+        ]
+
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    def test_escaped_strings(self, direction):
+        # The first run decides the skipped bytes; the second holds
+        # values that do not start with them, and the third widens.
+        tables = [
+            Table.from_pydict({"s": s, "a": list(range(len(s)))}, {"s": VARCHAR})
+            for s in (
+                ["stem-a", "stem-b"],
+                ["", "a", "stem", "zzz", None, "stem-ab", "\U0001f600"],
+                ["stem-" + "x" * 11, "stem\x7f"],
+            )
+        ]
+        spec = SortSpec.of(f"s {direction}", "a")
+        layouts = self.assert_rebases_like_packing(tables, spec)
+        assert layouts[0].segments[0].skipped == b"stem-"
+        assert [layout.segments[0].value_width for layout in layouts] == [
+            1, 4, 11
+        ]
+
+    def test_typed_errors(self):
+        strings = [
+            Table.from_pydict({"s": s}, {"s": VARCHAR})
+            for s in ([None], ["stem-a", "stem-bcd"], ["other"])
+        ]
+        spec = SortSpec.of("s")
+        undecided, decided, wider = layouts_after(strings, spec)
+        with pytest.raises(KeyEncodingError, match="narrow"):
+            words = key_words(strings[1], wider)
+            rebase_words(words, wider, decided)
+        # Valid rows under undecided skipped bytes: not a widening.
+        with pytest.raises(KeyEncodingError, match="skipped"):
+            rebase_words(key_words(strings[1], undecided), undecided, decided)
+        ints = [
+            Table.from_pydict({"a": a}, {"a": BIGINT})
+            for a in ([1, 2], [INT64_MIN, None, INT64_MAX])
+        ]
+        compressed, plain = layouts_after(ints, SortSpec.of("a"))
+        assert plain.segments[0].mode == MODE_PLAIN
+        with pytest.raises(KeyEncodingError, match="toward plain"):
+            rebase_words(key_words(ints[1], plain), plain, compressed)
+
+    def test_a_merge_rebases_row_runs_without_writing_them(self):
+        # The stale run's one key word is a folded 8-byte segment with
+        # no bias: its codes are that word, zeroed at NULL rows in place,
+        # and one word's rows transposed are a view of the run's keys.
+        spec = SortSpec.of("a NULLS LAST")
+        tables = [
+            Table.from_pydict({"a": a}, {"a": BIGINT})
+            for a in ([INT64_MIN + 2**60, None, INT64_MIN], [INT64_MAX, None, 5])
+        ]
+        stats = SortStats()
+        generator = RunGenerator(
+            tables[0].schema, spec, SortConfig(), stats, lambda: None
+        )
+        runs = [
+            generator.sort_run(*generator.encode([DataChunk.from_table(t)]))
+            for t in tables
+        ]
+        stale = runs[0].layout.segments[0]
+        assert (stale.mode, stale.value_width, stale.bias) == (MODE_FOLDED, 8, 0)
+        runs = [run.to_row_run(generator.key_carried) for run in runs]
+        before = [run.keys.copy() for run in runs]
+        result = RunMerger(generator, block_rows=2).merge(runs)
+        assert stats.key_layout_rebases == 1
+        for run, keys in zip(runs, before):
+            assert np.array_equal(run.keys, keys)
+        expected = reference_sort(tables[0].concat(tables[1]), spec)
+        assert_byte_identical(result, expected)
 
 
 class TestPipelineIdentity:

@@ -85,3 +85,32 @@ def test_import_scan_sees_every_form(tmp_path, source, expected):
     probe = root / "sort" / "probe.py"
     probe.write_text(source)
     assert expected in imported_modules(probe, root)
+
+
+# Key bytes: the engine's keys are uint64 words.  Replacement selection
+# (``external.py``'s ``_rs_*`` methods) is the one engine path left on
+# key bytes; the allowlist empties when it goes.
+BYTE_KEY_FUNCTIONS = {"words_to_bytes", "rebase_matrix", "normalize_keys"}
+BYTE_KEY_ALLOWED = {"sort/external.py"}
+
+
+def byte_key_uses(path: Path) -> set[str]:
+    """The byte-key functions a file imports or reaches as attributes."""
+    names = {module.rsplit(".", 1)[-1] for module in imported_modules(path)}
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names & BYTE_KEY_FUNCTIONS
+
+
+@pytest.mark.parametrize(
+    "directory", ["sort", "aggregate", "window", "join", "engine"]
+)
+def test_the_engine_makes_no_key_bytes(directory):
+    found = [
+        f"{directory}/{path.name} uses {sorted(used)}"
+        for path in sorted((PACKAGE_ROOT / directory).glob("*.py"))
+        if (used := byte_key_uses(path))
+        and f"{directory}/{path.name}" not in BYTE_KEY_ALLOWED
+    ]
+    assert found == []

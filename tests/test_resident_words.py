@@ -22,6 +22,7 @@ import pytest
 
 from test_external_kway import assert_byte_identical
 from test_oracle import oracle_sort
+from repro.keys import compression, normalizer
 from repro.keys.compression import KeyStatsAccumulator, segment_codes
 from repro.keys.decoder import decode_segment
 from repro.keys.encoding import fixed_column_codes
@@ -283,8 +284,10 @@ class TestWordDecoderIsTheScalarDecoder:
 COUNTED = {
     "decode_key_table": [merger],
     "_MatrixWords": [kernels],
-    "_chunk_columns": [kernels, merger],
-    "words_to_bytes": [merger, external],
+    "_chunk_columns": [kernels],
+    # The module that defines it, and its two callers: the byte rebase
+    # (``rebase_matrix``) and replacement selection.
+    "words_to_bytes": [normalizer, compression, external],
 }
 
 
@@ -330,8 +333,7 @@ class TestResidentPathByCallCounts:
 
     def test_string_repair_finds_ties_on_words(self, key_calls):
         # The resident string sort's one repair pass reads the merged
-        # words; only the rows it finds tied become key bytes, and those
-        # are the string repair's own (not the merger's) conversion.
+        # words, and its tied rows' words: no key byte is made.
         table, spec = scenario_case("long_string")
         config = SortConfig(string_prefix=4)  # the window truncates
         operator = SortOperator(table.schema, spec, config)
@@ -370,3 +372,36 @@ class TestResidentPathByCallCounts:
         assert stats.key_carried_runs == 3 and stats.runs_generated == 4
         assert calls == {"decode_key_table": 1}
         assert received == [(np.dtype(np.uint64), 1, True)] * 2
+
+
+class TestSpilledPathByCallCounts:
+    """A spilling sort makes no key bytes either: a stale block is
+    rebased on its word columns, and the string repair reads words."""
+
+    @staticmethod
+    def sort_spilled(table, spec, config, directory):
+        with ExternalSortOperator(
+            table.schema, spec, config, str(directory)
+        ) as operator:
+            for chunk in chunk_table(table, 1000):
+                operator.sink(chunk)
+            return operator.finalize(), operator.stats
+
+    def test_stale_runs_are_rebased_in_words(self, key_calls, tmp_path):
+        # ``a`` ascends: every file but the last was written under a
+        # narrower layout.
+        table, spec = scenario_case("near_sorted")
+        result, stats = self.sort_spilled(
+            table, spec, SortConfig(run_threshold=2000), tmp_path
+        )
+        assert_byte_identical(oracle_sort(table, spec), result)
+        assert stats.key_layout_rebases > 0
+        assert key_calls["words_to_bytes"] == key_calls["_chunk_columns"] == 0
+
+    def test_spilled_string_repair_reads_words(self, key_calls, tmp_path):
+        table, spec = scenario_case("long_string")
+        config = SortConfig(run_threshold=3000, string_prefix=4)
+        result, stats = self.sort_spilled(table, spec, config, tmp_path)
+        assert_byte_identical(oracle_sort(table, spec), result)
+        assert stats.full_key_compares > 0 and stats.runs_generated == 4
+        assert key_calls["words_to_bytes"] == key_calls["_chunk_columns"] == 0

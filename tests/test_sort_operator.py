@@ -36,6 +36,19 @@ class TestSortConfig:
         with pytest.raises(SortError, match="vector_size"):
             SortConfig(vector_size=vector_size)
 
+    @pytest.mark.parametrize("string_prefix", [-1])
+    def test_invalid_string_prefix(self, string_prefix):
+        # Rejected up front, not an IndexError mid-sort; 0 and widths
+        # above the 12-byte cap sort exactly.
+        with pytest.raises(SortError, match="string_prefix"):
+            SortConfig(string_prefix=string_prefix)
+        table = scenario_table("long_string", 300, seed=3)
+        spec = SortSpec.of("s", "p")
+        expected = reference_sort(table, spec)
+        for valid in (0, 40):
+            config = SortConfig(string_prefix=valid)
+            assert sort_table(table, spec, config).equals(expected)
+
     @pytest.mark.parametrize(
         "removed",
         # Spelled in halves so a grep for the removed names stays empty.

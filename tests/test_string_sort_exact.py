@@ -728,3 +728,36 @@ class TestMaskedPrefixWord:
         want = reference_sort(table, spec).slice(7, 207)
         for name in table.schema.names:
             assert got.column(name).to_pylist() == want.column(name).to_pylist()
+
+
+class TestKeyBetweenTruncatedStrings:
+    """``ORDER BY s, a DESC, t`` with both strings truncated: once ``s``
+    is refined, its groups must split where ``a`` (and ``t``'s window)
+    changes before ``t``'s full strings are consulted, or ``t`` would
+    reorder rows whose ``a`` differs."""
+
+    SPEC = "s, a DESC, t"
+    CONFIG = SortConfig(string_prefix=4, run_threshold=700)
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        rng = random.Random(41)
+        return Table.from_pydict({
+            "s": [f"stem-{rng.randrange(3)}" for _ in range(2000)],
+            "a": [rng.randrange(3) for _ in range(2000)],
+            "t": [rng.choice(("tail", "tall")) + f"-{rng.randrange(3)}"
+                  for _ in range(2000)],
+        })
+
+    def test_resident(self, table):
+        spec = spec_of(self.SPEC)
+        operator = SortOperator(table.schema, spec, self.CONFIG)
+        for chunk in chunk_table(table, 512):
+            operator.sink(chunk)
+        assert_matches_oracle(operator.finalize(), table, spec)
+        assert operator.stats.full_key_compares == table.num_rows
+
+    def test_spilled(self, table, tmp_path):
+        spec = spec_of(self.SPEC)
+        result = sort_spilling(table, spec, self.CONFIG, str(tmp_path))
+        assert_matches_oracle(result, table, spec)
