@@ -398,7 +398,8 @@ class KWayBlockStats:
 
     ``peak_frontier_rows`` is the maximum number of key rows buffered
     across all run frontiers at any point -- the merge's working set, which
-    stays bounded by ``k * block_rows`` no matter how large the runs are.
+    stays within ``k * (block_rows + block_rows // 4)`` however large the
+    runs are.
     """
 
     __slots__ = ("rounds", "rows_emitted", "refills", "peak_frontier_rows")
@@ -437,11 +438,15 @@ def _cut(
     return hi if inclusive else lo
 
 
+_TOP_UP = 4  # a frontier under 1/_TOP_UP of its last block pulls the next
+
+
 def kway_merge_blocks(
     sources: Sequence[Iterable[np.ndarray]],
     stats: KWayBlockStats | None = None,
     *,
     emit_keys: bool = False,
+    out: Sequence[np.ndarray] | None = None,
 ) -> Iterator[tuple]:
     """Streaming k-way merge of sorted runs, one bounded block at a time.
 
@@ -452,26 +457,29 @@ def kway_merge_blocks(
     Yields one ``(order, spans)`` pair per round, the round's
     globally-sorted slice of the merge: ``spans`` lists, ascending by run,
     one ``(run, lo, hi)`` per contributing run -- the contiguous rows
-    ``[lo, hi)`` of that run (absolute positions), all cut from the block
-    the run delivered last -- and ``order`` is the int64 permutation that
-    puts the spans' rows, concatenated as listed, into merge order (one
-    entry per emitted row; the identity when a single run contributes).
+    ``[lo, hi)`` of that run (absolute positions) -- and ``order`` is the
+    int64 permutation that puts the spans' rows, concatenated as listed,
+    into merge order (the identity when a single run contributes).
     With ``emit_keys`` each item gains a third element, the round's
-    merged key word columns (a spilling merge's key-carried result or new
-    run, and exact-string tie repair, take the merged keys from here
-    instead of re-reading the runs).
+    merged key word columns.  ``out`` (one column per key word, a row
+    per merged row: a key-carried result, or a new run's rows
+    transposed) receives each round's merged words after the last
+    round's; the third element is then that slice of it.
 
     Instead of a per-row tournament, every round works on the buffered
-    *frontier* of each run -- its block from an offset on:
+    *frontier* of each run -- its unemitted rows, contiguous:
 
-    1. refill any drained frontier with its run's next block, caching
-       the block's tail key as a tuple of Python ints;
+    1. a run whose frontier is empty, or holds fewer rows than a quarter
+       of the block it pulled last, pulls its next block (a remainder and
+       the block join into one frontier) and caches the block's tail key
+       as a tuple of Python ints;
     2. the global **cutoff** is the smallest frontier-tail key over runs
        that still have unread blocks -- every unread row of any run is >=
        its own frontier tail >= the cutoff, so a buffered row < cutoff is
        always safe to emit, and a row == cutoff is safe in runs at or
        before the cutoff's owner (later runs must wait for the owner's
-       unread equal keys, or stability would break);
+       unread equal keys, or stability would break).  Topped up, no
+       frontier is a sliver the last round left: a round emits ~k blocks;
     3. a run whose tail is itself emittable (a tuple compare) gives its
        whole frontier; only a run the cutoff splits is searched
        (:func:`_cut`); the selected rows of all frontiers are ordered with
@@ -480,41 +488,45 @@ def kway_merge_blocks(
        round's rows share cost it nothing).
 
     Progress is guaranteed: the run holding the cutoff drains its whole
-    frontier each round.  At most one block per run is buffered, so the
-    working set never exceeds ``k * block_rows`` key rows (reported via
-    ``stats.peak_frontier_rows``); per-round Python cost is O(k), with no
-    per-row interpretation between refills.
+    frontier each round.  A frontier holds at most a quarter block left
+    over plus a block, so the working set never exceeds ``k * (block_rows
+    + block_rows // 4)`` key rows (``stats.peak_frontier_rows``); per-round
+    Python cost is O(k), with no per-row interpretation between refills.
     """
     iterators = [iter(source) for source in sources]
-    k = len(iterators)
-    # Per run: its block's word columns (None once drained), the block row
-    # the frontier starts at, the run row the block starts at, its tail.
-    blocks: list[tuple[np.ndarray, ...] | None] = [None] * k
-    offsets, bases = [0] * k, [0] * k
+    k, stats = len(iterators), KWayBlockStats() if stats is None else stats
+    # Per run: its frontier (word columns from ``offsets`` on), the run
+    # row they start at, their tail, the rows of the block pulled last.
+    blocks = [(np.empty(0, np.uint64),)] * k
+    offsets, bases, lasts = [0] * k, [0] * k, [0] * k
     tails: list[tuple[int, ...]] = [()] * k
-    exhausted = [False] * k
+    exhausted, filled = [False] * k, 0
 
     while True:
         for index in range(k):
-            if blocks[index] is not None or exhausted[index]:
+            columns, offset = blocks[index], offsets[index]
+            held = len(columns[0]) - offset
+            if exhausted[index] or held and _TOP_UP * held >= lasts[index]:
                 continue
             # Skip empty blocks a source may yield.
             block = next((b for b in iterators[index] if len(b[0])), None)
             if block is None:
                 exhausted[index] = True
                 continue
-            blocks[index] = block = tuple(block)
+            lasts[index] = len(block[0])
             tails[index] = tuple(int(column[-1]) for column in block)
-            if stats is not None:
-                stats.refills += 1
-        live = [index for index in range(k) if blocks[index] is not None]
+            if held:  # the remainder runs on into the block
+                pairs = zip(columns, block)
+                block = [np.concatenate((c[offset:], b)) for c, b in pairs]
+            blocks[index], offsets[index] = tuple(block), 0
+            bases[index] += offset
+            stats.refills += 1
+        live = [i for i in range(k) if offsets[i] < len(blocks[i][0])]
         if not live:
             return
-        if stats is not None:
-            stats.rounds += 1
-            buffered = sum(len(blocks[i][0]) - offsets[i] for i in live)
-            if buffered > stats.peak_frontier_rows:
-                stats.peak_frontier_rows = buffered
+        stats.rounds += 1
+        buffered = sum(len(blocks[i][0]) - offsets[i] for i in live)
+        stats.peak_frontier_rows = max(stats.peak_frontier_rows, buffered)
 
         # Cutoff: min frontier-tail key over runs with unread blocks.
         # Fully-buffered runs impose no bound (nothing unseen remains).
@@ -522,12 +534,9 @@ def kway_merge_blocks(
         # blocks may still hold keys equal to the cutoff, so for
         # stability only runs at or before it may emit rows == cutoff;
         # later runs emit strictly-below rows this round.
-        cutoff: tuple[int, ...] | None = None
-        cutoff_run = -1
-        for index in live:
-            tail = tails[index]
-            if not exhausted[index] and (cutoff is None or tail < cutoff):
-                cutoff, cutoff_run = tail, index
+        pending = [index for index in live if not exhausted[index]]
+        cutoff_run = min(pending, key=tails.__getitem__, default=-1)
+        cutoff = tails[cutoff_run] if pending else None
 
         emit_columns: list[tuple[np.ndarray, ...]] = []
         spans: list[tuple[int, int, int]] = []
@@ -543,11 +552,7 @@ def kway_merge_blocks(
                 continue
             emit_columns.append(tuple(c[offset:stop] for c in columns))
             spans.append((index, bases[index] + offset, bases[index] + stop))
-            if stop == length:
-                blocks[index], offsets[index] = None, 0
-                bases[index] += length
-            else:
-                offsets[index] = stop
+            offsets[index] = stop
 
         several = len(spans) > 1
         if several:
@@ -559,11 +564,18 @@ def kway_merge_blocks(
         else:  # one contributing run needs no merge
             merged = emit_columns[0]
             order = np.arange(len(merged[0]), dtype=np.int64)
-        if stats is not None:
-            stats.rows_emitted += len(order)
-        if emit_keys:
-            if several:
-                merged = [word[order] for word in merged]
-            yield order, spans, merged
-        else:
-            yield order, spans
+        stats.rows_emitted += len(order)
+        if out is not None:
+            stop = filled + len(order)
+            target = [column[filled:stop] for column in out]
+            for word, column in zip(merged, target):
+                if several and column.flags.c_contiguous:  # unbuffered
+                    np.take(word, order, out=column, mode="clip")
+                else:  # a strided take buffers: a copy is cheaper
+                    column[...] = word[order] if several else word
+            merged, filled = target, stop
+            del word  # the loop's last merged word, a round's worth
+        elif emit_keys and several:
+            merged = [word[order] for word in merged]
+        yield (order, spans, merged) if emit_keys else (order, spans)
+        del order, merged  # not held while the next round sorts

@@ -1,23 +1,23 @@
 """The merger: one k-way pass over sorted runs, whatever store holds them.
 
 Every run store -- resident, spilling, compacting -- finishes through
-:class:`RunMerger`.  It streams every
-run's key blocks -- resident (:class:`~repro.sort.rungen.InMemoryRun`),
-spilled (:class:`~repro.sort.external.SpilledRun`) or a mix -- through
-the block-streaming frontier kernel
-(:func:`repro.sort.kernels.kway_merge_blocks`): each round refills at most
-one key block per run, finds the global cutoff from the frontier tails
-and emits everything below it with one stable sort, so every row is moved
-once and the key working set is ``k * block_rows`` rows no matter how
-large the runs are.
+:class:`RunMerger`.  It streams every run's key blocks -- resident
+(:class:`~repro.sort.rungen.InMemoryRun`), spilled
+(:class:`~repro.sort.external.SpilledRun`) or a mix -- through the
+block-streaming frontier kernel (:func:`repro.sort.kernels.
+kway_merge_blocks`): each round tops up every run frontier that runs low
+with its next key block, finds the global cutoff from the frontier tails
+and emits everything below it with one stable sort, so every row is
+moved once and the key working set is ``k * (block_rows + block_rows //
+4)`` rows no matter how large the runs are.
 
 * **Keys are words end to end** -- the kernel reads uint64 key word
   columns: a resident run's own, or a spilled block's, which the file
   holds as word rows (read and CRC-checked once, transposed once).  The
   kernel reports each round as one contiguous span per contributing run
-  plus one permutation, and hands over the round's merged key words when
-  a pass needs them (key-carried results, every intermediate run,
-  string repair), and its consumers read words: no key byte is made.
+  plus one permutation, writes the round's merged key words straight
+  into the key buffer of a pass that keeps them (a key-carried result, a
+  new run) and hands them to the string repair: no key byte is made.
 * **Layout rebase** -- runs encoded under a narrower key layout are
   re-encoded onto the final one: a resident run from its table, a
   spilled one block by block as it streams, on the word columns the
@@ -242,36 +242,30 @@ class RunMerger:
                 payload.read_rows = prefetcher.read_rows
         else:
             sources = [self._key_source(run) for run in runs]
-        kernel_stats = KWayBlockStats()
-        refine_end = self.refine_end if final else None
-        rounds = kway_merge_blocks(
-            sources, kernel_stats,
-            emit_keys=want_keys or refine_end is not None,
-        )
-
-        # The merged keys a pass keeps, copied in by each round: a new
-        # run's word rows, or the word columns a result is decoded from.
-        keys = None
+        # The merged keys a pass keeps, which the kernel gathers into
+        # place: a new run's word rows, or the word columns a result is
+        # decoded from.
+        keys = out = None
         if want_keys:
             shape = (sum(r.num_rows for r in runs), self._words_per_row)
             keys = np.empty(shape[::-1] if final else shape, np.uint64)
-            columns = keys if final else keys.T
+            out = keys if final else keys.T
+        kernel_stats = KWayBlockStats()
+        refine_end = self.refine_end if final else None
+        rounds = kway_merge_blocks(
+            sources, kernel_stats, emit_keys=refine_end is not None, out=out
+        )
 
         def gathered() -> Iterator[tuple]:
             """Each round's ``(merged key words | None, payload arrays)``:
             its spans' payload slices through its permutation."""
-            filled = 0
             for order, spans, *merged in rounds:
                 # A cancelled sort unwinds between rounds, never
                 # mid-read: cleanup sees a consistent set of spill files.
                 self._check_cancelled()
-                if want_keys:  # taken out of the batch, copied in place
-                    stop = filled + len(order)
-                    for column, word in zip(columns, merged.pop()):
-                        column[filled:stop] = word
-                    filled = stop
                 words = merged[0] if merged else None
                 yield words, payload.gather(spans, order)
+                del order  # not held while the kernel sorts the next round
 
         batches = gathered()
         if refine_end is not None:

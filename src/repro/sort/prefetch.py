@@ -28,7 +28,9 @@ buffers: each run's last-delivered block tail, kept as a tuple of its
 key words, is compared against the others (``min`` over tuples, the
 order the kernel compares its tails in), and runs are refilled in
 ascending tail order -- the run owning the cutoff drains its frontier
-every round, so its next block is needed soonest.
+every round, so its next block is needed soonest.  A frontier the kernel
+tops up before it runs dry takes its run's next block all the same: blocks
+are consumed in one order per run, only sooner.
 
 **Memory budget.**  At most ``depth`` blocks per run per open stream are in
 flight, and the *total* of in-flight fetches plus buffered-but-unread
@@ -94,10 +96,11 @@ def prefetch_budget_blocks(
     run's memory allowance (``run_threshold`` rows' worth of blocks) --
     but never below one block per run per stream, so that each has one
     in flight.  That floor is proportional to the merge kernel's own
-    frontier working set (``k * block_rows`` rows), so the prefetch
-    layer stays within a constant factor of memory the merge already
-    commits; without it, a small ``run_threshold`` would starve
-    read-ahead into all-miss synchronous fallbacks.  Zero depth disables.
+    frontier working set (``k * (block_rows + block_rows // 4)`` rows),
+    so the prefetch layer stays within a constant factor of memory the
+    merge already commits; without it, a small ``run_threshold`` would
+    starve read-ahead into all-miss synchronous fallbacks.  Zero depth
+    disables.
     """
     if depth <= 0 or on_disk_runs <= 0:
         return 0
@@ -417,15 +420,10 @@ class BlockPrefetcher:
             ):
                 keys_wanted.append(index)
         for candidates, kind in ((rows_lagging, "rows"), (keys_wanted, "keys")):
-            if candidates:
-                return self._most_urgent(candidates), kind
+            if candidates:  # a run with no tail yet (None -> ()) first
+                urgent = min(candidates, key=lambda i: self._runs[i].tail or ())
+                return urgent, kind
         return None
-
-    def _most_urgent(self, candidates: list[int]) -> int:
-        no_tail = [i for i in candidates if self._runs[i].tail is None]
-        if no_tail:
-            return no_tail[0]
-        return min(candidates, key=lambda i: self._runs[i].tail)
 
     def _task(self, fetch, index: int, start: int, stop: int):
         local = SortStats()  # a worker's counters stay thread-private

@@ -173,14 +173,8 @@ class SpillHeader:
         )[section]
 
     def section_offset(self, section: int) -> int:
-        offset = self.header_bytes
-        for index in range(section):
-            offset += self.section_length(index)
-        return offset
-
-    @property
-    def file_bytes(self) -> int:
-        return self.section_offset(len(SECTION_NAMES) - 1) + self.heap_bytes
+        lengths = (self.section_length(index) for index in range(section))
+        return self.header_bytes + sum(lengths)
 
     def pack(self) -> bytes:
         """Serialize header + page table, computing ``header_crc32``."""

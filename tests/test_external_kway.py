@@ -3,7 +3,9 @@
 The kernel path (frontier blocks + cutoff + one lexsort per round) must be
 byte-identical to the scalar reference sort on every workload the
 external sort accepts, and its working set must stay bounded by
-``k * merge_block_rows`` key rows no matter the input size.
+``k * (merge_block_rows + merge_block_rows // 4)`` key rows (a block per
+run, plus the remainder under a quarter block a top-up joins to it) no
+matter the input size.
 """
 
 import numpy as np
@@ -11,12 +13,14 @@ import pytest
 
 from conftest import merge_run_indices, reference_sort
 from repro.scalar.reference import reference_sort as scalar_reference_sort
+from repro.sort import merger
 from repro.sort.external import ExternalSortOperator
 from repro.sort.kernels import KWayBlockStats, _chunk_columns, kway_merge_blocks
 from repro.sort.operator import SortConfig, sort_table
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
+from repro.workloads.scenarios import SCENARIOS
 
 
 def mixed_table(rng, n):
@@ -116,7 +120,8 @@ class TestBoundedMemory:
         )
         runs = operator.stats.runs_generated
         assert runs >= 4
-        bound = runs * operator.merge_block_rows
+        block_rows = operator.merge_block_rows
+        bound = runs * (block_rows + block_rows // 4)
         assert 0 < operator.stats.kway_peak_frontier_rows <= bound
         # Far below materializing every run's keys at once.
         assert operator.stats.kway_peak_frontier_rows <= bound < table.num_rows
@@ -142,7 +147,59 @@ class TestBoundedMemory:
         )
         assert emitted == stats.rows_emitted == 5000
         assert stats.rounds > 1
-        assert stats.peak_frontier_rows <= 5 * 64
+        assert stats.peak_frontier_rows <= 5 * (64 + 64 // 4)
+
+
+class TestMergedKeysThroughTheOperator:
+    """The pass's key buffer as the kernel's ``out``, and the string
+    repair's carry on the emitted keys instead, against the scalar sort."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        calls = []
+
+        def spy(sources, stats=None, **kwargs):
+            calls.append(kwargs)
+            return kway_merge_blocks(sources, stats, **kwargs)
+
+        monkeypatch.setattr(merger, "kway_merge_blocks", spy)
+        return calls
+
+    @staticmethod
+    def sort(table, spec, tmp_path, config):
+        with ExternalSortOperator(
+            table.schema, spec_of(spec), config, str(tmp_path),
+            merge_block_rows=64,
+        ) as operator:
+            for chunk in chunk_table(table, 512):
+                operator.sink(chunk)
+            return operator.finalize(), operator
+
+    def test_fan_in_two_gathers_into_a_new_runs_strided_keys(
+        self, tmp_path, monkeypatch
+    ):
+        calls = self.spied(monkeypatch)
+        table = SCENARIOS["uniform"].table(6000, 17)
+        config = SortConfig(run_threshold=1000, merge_fan_in=2)
+        result, operator = self.sort(table, "a, p", tmp_path, config)
+        assert operator.stats.key_carried_runs > 0
+        assert operator.stats.merge_passes > 1
+        outs = [call["out"] for call in calls]
+        # Intermediate passes write a new run's (rows, words) matrix
+        # through its transpose; the final pass writes word columns.
+        assert all(not out.flags.c_contiguous for out in outs[:-1])
+        assert outs[-1].flags.c_contiguous
+        assert not any(call["emit_keys"] for call in calls)
+        assert_byte_identical(result, scalar_reference_sort(table, spec_of("a, p")))
+
+    def test_string_repair_carries_the_emitted_keys(self, tmp_path, monkeypatch):
+        calls = self.spied(monkeypatch)
+        table = SCENARIOS["long_string"].table(4000, 17)
+        config = SortConfig(run_threshold=1000, string_prefix=4)
+        result, operator = self.sort(table, "s, p", tmp_path, config)
+        assert operator.stats.full_key_compares > 0
+        assert [(c["emit_keys"], c["out"]) for c in calls] == [(True, None)]
+        assert_byte_identical(result, scalar_reference_sort(table, spec_of("s, p")))
 
 
 class TestKernelSmoke:

@@ -152,7 +152,10 @@ class TestReadOnce:
         assert io.read_bytes <= io.written_bytes
         # One fetch per 4,096-row block, none per round.
         assert stats.prefetch_hits + stats.prefetch_misses == 3 * spilled
-        assert stats.kway_rounds > 3 * spilled
+        # Frontiers are topped up before they run dry, so no round is
+        # cut on a sliver one run kept back: 4 rounds for 6 runs of 3
+        # blocks (a drain-only refill made 16).
+        assert stats.kway_rounds <= 4
         assert result.equals(scalar_reference_sort(table, spec))
 
     def test_key_carried_spill_file_is_header_plus_keys(self, tmp_path):

@@ -330,7 +330,8 @@ class TestKWayRound:
     Words come from five values, two above 2**53 (a float promotion
     would merge them), so keys repeat within and across runs and equal
     block tails on every word; sources yield empty blocks between and
-    after their real ones, and some runs are empty.
+    after their real ones, and some runs are empty.  Merged words handed
+    to ``out`` must be those a merge without it emits.
     """
 
     VALUES = np.array([0, 1, 2**53, 2**53 + 1, 2**64 - 1], dtype=np.uint64)
@@ -353,39 +354,110 @@ class TestKWayRound:
         yield empty
 
     @pytest.mark.parametrize("emit_keys", [False, True])
-    @pytest.mark.parametrize("block_rows", [1, 2, 7, 1024])
+    @pytest.mark.parametrize("block_rows", [1, 2, 7, 64, 1024])
     @pytest.mark.parametrize("words", [1, 2, 3])
     def test_matches_stable_lexsort(self, rng, words, block_rows, emit_keys):
         runs = self.runs(rng, words)
+        stacked = np.concatenate(runs)
         # Some block tail of run 4 equals, on every word, a row of run 6.
         tails = {
             tuple(runs[4][min(stop, len(runs[4])) - 1])
             for stop in range(block_rows, len(runs[4]) + block_rows, block_rows)
         }
         assert tails & {tuple(row) for row in runs[6]}
-        stats = KWayBlockStats()
-        sources = [
-            self.blocks(run, block_rows, index % 2)
-            for index, run in enumerate(runs)
-        ]
-        items = list(kway_merge_blocks(sources, stats, emit_keys=emit_keys))
-        assert all(len(item) == 2 + emit_keys for item in items)
-        run_ids, row_ids = (
-            np.concatenate(part)
-            for part in zip(*(round_ids(*item[:2]) for item in items))
-        )
-        stacked = np.concatenate(runs)
         order = np.lexsort(stacked.T[::-1])
         owner = np.repeat(np.arange(len(runs)), self.LENGTHS)
         first = np.cumsum((0,) + self.LENGTHS[:-1])
-        assert run_ids.tolist() == owner[order].tolist()
-        assert row_ids.tolist() == (order - first[owner[order]]).tolist()
-        if emit_keys:
-            merged = [np.concatenate(w) for w in zip(*(i[2] for i in items))]
-            assert np.array_equal(np.stack(merged, axis=1), stacked[order])
-        assert stats.rows_emitted == len(stacked)
-        assert stats.refills == sum(-(-len(run) // block_rows) for run in runs)
-        assert stats.peak_frontier_rows <= len(runs) * block_rows
+        # No ``out``; ``out`` as word columns (a key-carried result); as a
+        # row matrix's strided transpose (a new run's keys).
+        for out in (
+            None,
+            np.zeros(stacked.shape[::-1], np.uint64),
+            np.zeros(stacked.shape, np.uint64).T,
+        ):
+            stats = KWayBlockStats()
+            sources = [
+                self.blocks(run, block_rows, index % 2)
+                for index, run in enumerate(runs)
+            ]
+            items = list(
+                kway_merge_blocks(sources, stats, emit_keys=emit_keys, out=out)
+            )
+            assert all(len(item) == 2 + emit_keys for item in items)
+            run_ids, row_ids = (
+                np.concatenate(part)
+                for part in zip(*(round_ids(*item[:2]) for item in items))
+            )
+            assert run_ids.tolist() == owner[order].tolist()
+            assert row_ids.tolist() == (order - first[owner[order]]).tolist()
+            if emit_keys:
+                merged = [np.concatenate(w) for w in zip(*(i[2] for i in items))]
+                assert np.array_equal(np.stack(merged, axis=1), stacked[order])
+                if out is not None:  # the rounds' slices of ``out``
+                    assert all(np.shares_memory(i[2][0], out) for i in items)
+            if out is not None:
+                assert np.array_equal(out.T, stacked[order])
+            assert stats.rows_emitted == len(stacked)
+            assert stats.refills == sum(-(-len(r) // block_rows) for r in runs)
+            bound = len(runs) * (block_rows + block_rows // 4)
+            assert stats.peak_frontier_rows <= bound
+
+
+class TestFrontierTopUp:
+    """A frontier holding fewer than a quarter of its last block's rows
+    pulls its run's next block before the round's cutoff is taken, so a
+    round is not cut on a sliver one run kept from the round before."""
+
+    def test_rounds_stay_near_one_per_block_layer(self, rng):
+        # 16 runs of 4 blocks of uniform keys: the sliver rounds of a
+        # drain-only refill made 64 rounds of this.
+        k, layers, block_rows = 16, 4, 1024
+        runs = [
+            np.sort(rng.integers(0, 2**63, layers * block_rows, np.uint64))[:, None]
+            for _ in range(k)
+        ]
+        stats = KWayBlockStats()
+        sources = [TestKWayRound.blocks(run, block_rows, False) for run in runs]
+        rounds = list(kway_merge_blocks(sources, stats))
+        assert stats.rounds == len(rounds) <= 2 * layers
+        assert stats.rows_emitted == k * layers * block_rows
+        assert stats.refills == k * layers  # each block pulled once
+        assert stats.peak_frontier_rows <= k * (block_rows + block_rows // 4)
+
+    @pytest.mark.parametrize("block_rows", [7, 64, 66])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_remainder_at_the_top_up_threshold(self, block_rows, extra):
+        # Run 0's first block ends on the cutoff; every other run keeps
+        # ``keep + extra`` rows above it.  ``keep`` is one row under the
+        # threshold (4 * keep < block_rows), ``keep + 1`` at it.
+        k, keep = 5, (block_rows - 1) // 4
+        assert 4 * keep < block_rows <= 4 * (keep + 1)
+        cutoff = 10**6
+        above = cutoff + 1 + np.arange(2 * block_rows + keep + extra)
+        runs = [np.concatenate([np.arange(block_rows - 1), [cutoff], above])]
+        runs += [
+            np.concatenate([np.arange(block_rows - keep - extra), above])
+            for _ in range(k - 1)
+        ]
+        runs = [run.astype(np.uint64)[:, None] for run in runs]
+        stats = KWayBlockStats()
+        sources = [TestKWayRound.blocks(run, block_rows, False) for run in runs]
+        items = kway_merge_blocks(sources, stats, emit_keys=True)
+        two = [next(items), next(items)]
+        bound = k * (block_rows + block_rows // 4)
+        if extra:  # no top-up: the first round's k blocks stay the peak
+            assert stats.peak_frontier_rows == k * block_rows
+        else:
+            # Round two: run 0 drained (the cutoff owner always does) and
+            # holds its next block; the others hold ``keep`` + a block.
+            # Unless 4 divides the block, ``keep`` is ``block_rows // 4``:
+            # the bound, short of the quarter block run 0 did not keep.
+            peak = k * (block_rows + keep) - keep
+            assert stats.peak_frontier_rows == peak > k * block_rows
+            assert block_rows % 4 == 0 or peak == bound - keep
+        merged = np.concatenate([item[2][0] for item in [*two, *items]])
+        assert merged.tolist() == np.sort(np.concatenate(runs)[:, 0]).tolist()
+        assert stats.peak_frontier_rows <= bound
 
 
 def stable_reference(matrix):
