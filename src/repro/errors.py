@@ -38,8 +38,9 @@ class SortCancelledError(SortError):
 class SpillError(SortError):
     """Base class for external-sort spill failures.
 
-    Every spill failure names the run file it concerns via ``path`` so
-    callers (and operators) can report *which* spill file went bad.
+    Every spill failure names the run it concerns via ``path``
+    (``<spill file>#<run>``) so callers (and operators) can report
+    *which* spill file went bad.
     """
 
     def __init__(self, message: str, path: str | None = None) -> None:

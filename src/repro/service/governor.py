@@ -28,7 +28,7 @@ and the first moment an acquire starts waiting the ``on_starved`` hook
 fires so the service can shed queued low-priority work.
 
 Spill accounting rides the same object: operators report each written
-run file via ``record_spill`` and the governor tracks the byte
+run (its own bytes) via ``record_spill`` and the governor tracks the byte
 high-watermark of concurrently live spill data
 (``peak_concurrent_spill_bytes``), released when the grant is.
 """

@@ -46,22 +46,24 @@ bytes up to the first truncated segment are held in a carry buffer
 across round boundaries, refined against their full strings' bytes in
 the spilled heaps (no ``str`` decoded), then emitted.
 
-The spill format per run is one file of three contiguous data sections --
-the sorted key words (uint64 rows, the words the merge compares: a block
-reads back with no conversion), the payload row matrix, and the string
-heap -- preceded by a versioned, checksummed header
-(:mod:`repro.sort.spillfile`).  Key bytes exist only inside replacement
-selection (its ``_rs_*`` methods); the merge rebases a stale block in words.
+A sort spills to one file per directory, each run an extent appended to
+it: three contiguous data sections -- the sorted key words (uint64 rows,
+the words the merge compares: a block reads back with no conversion),
+the payload row matrix, and the string heap -- preceded by a versioned,
+checksummed header (:mod:`repro.sort.spillfile`).  Key bytes exist only
+inside replacement selection (its ``_rs_*`` methods); the merge rebases a
+stale block in words.
 The NSM rows and heap exist for the file: a resident run keeps its
 payload in columns, and one ``RowBlock.from_table`` builds them when the
 run is written (:meth:`~repro.sort.rungen.InMemoryRun.to_row_run`), or
 once in the merge for a resident run (the tail, a memory fallback) that
 joins spilled ones.
-Sections are written with whole-buffer ``tobytes()`` calls and indexed by
-offset arithmetic, so any row range reads back with a single seek; every
-block read verifies the CRC32 pages it touches, so a truncated or
-bit-flipped file raises :class:`repro.errors.SpillCorruptionError` naming
-the run instead of an opaque numpy error mid-merge.
+Sections are written from flat views of the run's arrays (one
+``pwritev``, no ``tobytes``) and indexed by offset arithmetic, so any row
+range reads back with a single ``pread``; every merge block carries one
+CRC32, checked as it is read, so a truncated or bit-flipped run raises
+:class:`repro.errors.SpillCorruptionError` naming the run instead of an
+opaque numpy error mid-merge.
 
 A production sorter is judged by how it fails, so spill I/O is fault
 tolerant end to end (all of it routed through a swappable
@@ -79,8 +81,9 @@ point for the tests).  The degradation ladder on write failure:
    ``SortConfig.allow_memory_fallback=False``).
 
 The operator is a context manager; ``close()`` (idempotent, also run by
-``finalize`` and ``cancel``) always removes the temp files, recording any
-removal failure in ``SortStats.cleanup_errors`` instead of swallowing it.
+``finalize`` and ``cancel``) always releases every run and closes its
+files (a file goes with its last run), recording any removal failure in
+``SortStats.cleanup_errors`` instead of swallowing it.
 """
 
 from __future__ import annotations
@@ -128,7 +131,6 @@ from repro.sort.rungen import (
 from repro.sort.spillfile import (
     SECTION_NAMES,
     SpillHeader,
-    VerifiedTailCache,
     build_header,
     read_header,
 )
@@ -152,15 +154,17 @@ _KEYS, _ROWS, _HEAP = range(3)
 class SpilledRun:
     """A sorted run on disk: path, validated header, and block readers.
 
-    The file layout is :mod:`repro.sort.spillfile`: a checksummed header
-    followed by three contiguous sections (sorted key words, payload
-    row matrix, string heap), each written with one ``tobytes()`` buffer
-    -- no per-row serialization -- so any row range reads back as a
-    single ``seek`` + ``read``.  With ``verify`` on (the default), every
-    read checks the CRC32 pages it covers and raises
-    :class:`SpillCorruptionError` on mismatch or truncation;
-    OS-level read failures surface as :class:`SpillIOError`.  Both carry
-    the offending ``path``.
+    ``path`` names the run to its :class:`SpillIO`: an extent of its
+    sort's spill file, which starts at ``base`` of what ``path`` reads
+    (0, unless the run was reopened by file and offset).  The extent's
+    layout is :mod:`repro.sort.spillfile`: a checksummed header followed
+    by three contiguous sections (sorted key words, payload row matrix,
+    string heap) -- no per-row serialization -- so any row range reads
+    back as a single ``pread``.  With ``verify`` on (the default), every
+    read checks the CRC32 of each block it covers (a merge read is one
+    block) and raises :class:`SpillCorruptionError` on mismatch or
+    truncation; OS-level read failures surface as :class:`SpillIOError`.
+    Both carry the offending ``path``, which names the file.
     """
 
     on_disk = True
@@ -172,6 +176,7 @@ class SpilledRun:
         layout: KeyLayout,
         io: SpillIO | None = None,
         verify: bool = True,
+        base: int = 0,
     ) -> None:
         self.path = path
         self.header = header
@@ -180,11 +185,7 @@ class SpilledRun:
         self.layout = layout
         self.io = io or SpillIO()
         self.verify = verify
-        # One verified page of bytes per section: consecutive block reads
-        # whose boundary straddles a CRC page share it from memory
-        # instead of re-reading and re-verifying it (thread-safe; see
-        # :class:`repro.sort.spillfile.VerifiedTailCache`).
-        self._tail_cache = VerifiedTailCache()
+        self.base = base
 
     @classmethod
     def open(
@@ -194,16 +195,19 @@ class SpilledRun:
         spec: SortSpec,
         io: SpillIO | None = None,
         verify: bool = True,
+        offset: int = 0,
     ) -> "SpilledRun":
-        """Attach to an existing spill file, validating its header.
+        """Attach to an existing spill run, validating its header.
 
-        The run's key layout is rebuilt from the header's extra blob and
-        cross-checked against ``schema`` and ``spec``; a blob that does
-        not describe this sort raises :class:`SpillCorruptionError`.
+        ``path`` is a run ``io`` wrote, or a spill file whose run starts
+        at ``offset``.  The run's key layout is rebuilt from the header's
+        extra blob and cross-checked against ``schema`` and ``spec``; a
+        blob that does not describe this sort raises
+        :class:`SpillCorruptionError`.
         """
         io = io or SpillIO()
         try:
-            header = read_header(io, path)
+            header = read_header(io, path, offset)
         except OSError as error:
             raise SpillIOError(
                 f"spill header read failed: {error}", path
@@ -214,7 +218,7 @@ class SpilledRun:
             raise SpillCorruptionError(
                 f"spill header key layout: {error}", path
             ) from error
-        return cls(path, header, layout, io, verify)
+        return cls(path, header, layout, io, verify, offset)
 
     @property
     def num_rows(self) -> int:
@@ -236,17 +240,22 @@ class SpilledRun:
         """Re-read the on-disk header and check it matches this run's.
 
         Catches a replaced, truncated, or header-corrupted file before
-        any geometry derived from the in-memory header is trusted.
+        any geometry derived from the in-memory header is trusted: the
+        bytes must be this header's, CRC included, and bytes that are
+        not are parsed for the typed error that says why.
         """
+        packed = self.header.pack()
         try:
-            on_disk = read_header(self.io, self.path)
+            on_disk = self.io.read(self.path, self.base, len(packed))
+            if on_disk != packed:
+                on_disk = read_header(self.io, self.path, self.base).pack()
         except OSError as error:
             raise SpillIOError(
                 f"spill header read failed: {error}", self.path
             ) from error
         if stats is not None:
             stats.checksum_verifications += 1
-        if on_disk != self.header:
+        if on_disk != packed:
             if stats is not None:
                 stats.checksum_failures += 1
             raise SpillCorruptionError(
@@ -260,7 +269,7 @@ class SpilledRun:
     ) -> bytes:
         start = time.perf_counter()
         try:
-            return self.io.read(self.path, offset, nbytes)
+            return self.io.read(self.path, self.base + offset, nbytes)
         except OSError as error:
             raise SpillIOError(
                 f"spill read failed: {error}", self.path
@@ -280,11 +289,9 @@ class SpilledRun:
     ) -> bytes:
         """Bytes ``[start, start+nbytes)`` of a section, CRC-verified.
 
-        Verification is page-granular: the read is widened to the CRC
-        pages it touches, each covered page is checked against the
-        header's table, and the requested slice is returned -- so
-        integrity never requires reading more than one page beyond the
-        block on either side.
+        Verification is block-granular: the read is widened to the blocks
+        it covers (a merge read is one block already), each is checked
+        against the header's table, and the requested slice is returned.
         """
         header = self.header
         length = header.section_length(section)
@@ -297,63 +304,33 @@ class SpilledRun:
             )
         if nbytes == 0:
             return b""
-        base = header.section_offset(section)
-        if not self.verify:
-            raw = self._raw_read(base + start, nbytes, stats)
-            if len(raw) != nbytes:
-                raise SpillCorruptionError(
-                    f"truncated {name} section "
-                    f"(got {len(raw)} of {nbytes} bytes)",
-                    self.path,
-                )
-            return raw
-        page = header.page_size
-        first = start // page
-        last = -(-(start + nbytes) // page)
-        aligned_start = first * page
-        aligned_stop = min(last * page, length)
-        # Serve the head page from the tail cache when the previous read
-        # already verified it; a request entirely inside the cached page
-        # needs no I/O (and no re-verification) at all.
-        head = b""
-        cached = self._tail_cache.get(section, first)
-        if cached is not None:
-            if last == first + 1:
-                offset = start - aligned_start
-                return cached[offset : offset + nbytes]
-            head = cached
-            first += 1
-            aligned_start = first * page
+        # Unverified reads take just their bytes; verified ones whole blocks.
+        unit = header.block_bytes(section) if self.verify else 1
+        lo = start - start % unit
+        hi = min(start + nbytes + (-(start + nbytes) % unit), length)
         raw = self._raw_read(
-            base + aligned_start, aligned_stop - aligned_start, stats
+            header.section_offset(section) + lo, hi - lo, stats
         )
-        if len(raw) != aligned_stop - aligned_start:
+        if len(raw) != hi - lo:
             raise SpillCorruptionError(
                 f"truncated {name} section (got {len(raw)} of "
-                f"{aligned_stop - aligned_start} bytes at offset "
-                f"{aligned_start})",
+                f"{hi - lo} bytes at offset {lo})",
                 self.path,
             )
-        crcs = header.page_crcs[section]
-        view = memoryview(raw)
-        for index in range(first, last):
-            lo = index * page - aligned_start
-            hi = min((index + 1) * page, length) - aligned_start
-            if stats is not None:
-                stats.checksum_verifications += 1
-            if zlib.crc32(view[lo:hi]) != crcs[index]:
+        if self.verify:
+            crcs, view = header.block_crcs[section], memoryview(raw)
+            for index in range(lo // unit, -(-hi // unit)):
                 if stats is not None:
-                    stats.checksum_failures += 1
-                raise SpillCorruptionError(
-                    f"CRC32 mismatch in {name} section page {index}",
-                    self.path,
-                )
-        self._tail_cache.put(
-            section, last - 1, raw[(last - 1) * page - aligned_start :]
-        )
-        full = head + raw if head else raw
-        offset = start - (aligned_start - len(head))
-        return full[offset : offset + nbytes]
+                    stats.checksum_verifications += 1
+                at = index * unit - lo
+                if zlib.crc32(view[at : at + unit]) != crcs[index]:
+                    if stats is not None:
+                        stats.checksum_failures += 1
+                    raise SpillCorruptionError(
+                        f"CRC32 mismatch in {name} section block {index}",
+                        self.path,
+                    )
+        return raw[start - lo : start - lo + nbytes]
 
     def read_key_block(
         self, start: int, stop: int, stats: SortStats | None = None
@@ -427,11 +404,11 @@ class ExternalSortOperator(SortOperator):
         # Replacement selection: the selection object holds the working
         # set of sorted segments between spills.
         self._selection: ReplacementSelection | None = None
-        self._run_seq = 0  # spill filename counter (never reused)
+        self._run_seq = 0  # spill run counter (never reused)
         # Collision-proof spill names: concurrent sorts sharing a spill
         # directory (a service pool, user-provided failover targets)
-        # must never write the same filename, so every operator salts
-        # its run files with a per-instance random token.
+        # must never write the same file, so every operator salts its
+        # spill file's name with a per-instance random token.
         self._spill_token = secrets.token_hex(4)
 
     # ------------------------------------------------------------------ #
@@ -454,6 +431,7 @@ class ExternalSortOperator(SortOperator):
         for run in self._runs:
             if run.on_disk:
                 self._remove_file(run.path)
+        self._io.close()
         if self._own_dir is not None:
             try:
                 os.rmdir(self._own_dir)
@@ -562,7 +540,7 @@ class ExternalSortOperator(SortOperator):
             start = stop
 
     def _spill_targets(self) -> Iterator[str]:
-        """Candidate directories for the next run file, in failover order."""
+        """Candidate directories for the next run, in failover order."""
         yield self._dir
         for directory in self.config.spill_directories:
             try:
@@ -574,14 +552,15 @@ class ExternalSortOperator(SortOperator):
     def _write_run_file(
         self, filename: str, sections: Sequence[bytes]
     ) -> str | None:
-        """Write one run file through the retry -> failover ladder.
+        """Append one run through the retry -> failover ladder.
 
         Per candidate directory, transient ``OSError`` failures are
         retried ``SortConfig.spill_retries`` times with bounded
         exponential backoff; a directory that keeps failing is failed
-        over.  Returns the written path, or ``None`` when every target
-        was exhausted (the caller degrades to an in-memory run).
-        Partial files from failed attempts are removed best-effort.
+        over.  Returns the written run's path, or ``None`` when every
+        target was exhausted (the caller degrades to an in-memory run).
+        A failed attempt's partial run is released, so its retry is
+        written at the same offset.
         """
         config = self.config
         for position, directory in enumerate(self._spill_targets()):
@@ -687,19 +666,20 @@ class ExternalSortOperator(SortOperator):
         The stored run is appended to ``self._runs`` (so cleanup always
         sees it) and returned -- the run itself when it stays resident;
         the fan-in-limited merge stores intermediate runs through the
-        same ladder.  Filenames come from a never-reused sequence
+        same ladder.  Run names come from a never-reused sequence
         counter, not the live run count, because multi-pass
-        merging shrinks the list while old files still exist; the
-        per-operator random token keeps names collision-proof across
-        concurrent sorts sharing a spill directory.
+        merging shrinks the list while old runs still exist; the
+        per-operator random token names the sort's file in each
+        directory, collision-proof across concurrent sorts sharing one.
 
         A ``cancel()``/``close()`` that raced the write (e.g. a fault
         hook firing mid-spill) is honored *after* the write: the fresh
-        file -- which ``close()`` could not have seen -- is removed here
+        run -- which ``close()`` could not have seen -- is removed here
         and the sort raises :class:`SortCancelledError` instead of
         tracking a run past its own cleanup.
         """
-        filename = f"run-{self._spill_token}-{self._run_seq:05d}.bin"
+        # A run of the sort's file in a directory: ``<file>#<run>``.
+        filename = f"sort-{self._spill_token}.spill#run-{self._run_seq:05d}.bin"
         self._run_seq += 1
         path = None
         self._spilling = True
@@ -708,16 +688,16 @@ class ExternalSortOperator(SortOperator):
                 with self.stats.time_phase("run_gen"):
                     # The run's key word rows and NSM rows, once.
                     written = run.to_row_run(self._generator.key_carried)
-                sections = (
-                    written.keys.tobytes(),
-                    written.rows.tobytes(),
-                    written.heap,
-                )
+                # Flat byte views of the (C-order) arrays, no tobytes copy:
+                # pwritev and crc32 take them as they are.
+                keys, rows = written.keys.view(np.uint8), written.rows
+                sections = (keys.ravel(), rows.ravel(), written.heap)
                 header = build_header(
                     *written.keys.shape,
                     written.rows.shape[1],
                     sections,
-                    extra=serialize_layout(run.layout),
+                    self.merge_block_rows,
+                    serialize_layout(run.layout),
                 )
                 path = self._write_run_file(
                     filename, [header.pack(), *sections]

@@ -42,31 +42,98 @@ __all__ = [
 
 
 class SpillIO:
-    """Real filesystem backend for spill files.
+    """Real filesystem backend for spill runs.
 
     The external sort performs exactly three kinds of storage operation,
-    all routed through this object: whole-file sequential writes, ranged
-    reads, and removals.  Subclasses (the fault injector, or a future
-    remote/async backend) override these three methods.
+    all routed through this object: run appends, ranged reads of a run,
+    and run releases.  A run's ``path`` is ``<file>#<run name>``: an
+    extent of ``<file>``, the one spill file its sort keeps in that
+    directory (a path without ``#`` is a file of its own).  The backend
+    opens each file once, appends runs with ``pwritev`` and reads them
+    with ``pread``; releasing a file's last run unlinks it.  A path it
+    did not write reads as a plain file (a run reopened by file and
+    offset).  Subclasses (the fault injector, or a future remote/async
+    backend) override these methods and call ``super().__init__()``.
     """
 
+    def __init__(self) -> None:
+        self._files: dict[str, list[int]] = {}  # file -> [fd, end offset]
+        self._extents: dict[str, tuple[int, int]] = {}  # run -> (at, len)
+        self._io_lock = threading.Lock()
+
     def write_file(self, path: str, sections: Sequence[bytes]) -> None:
-        """Write ``sections`` contiguously to ``path`` (created/truncated)."""
-        with open(path, "wb") as fh:
-            for section in sections:
-                fh.write(section)
+        """Append ``sections`` (flat byte buffers) as run ``path``'s extent.
+
+        A failed append moves no end: the retry writes at the same offset.
+        """
+        file = _file_of(path)
+        total = sum(map(len, sections))
+        with self._io_lock:
+            if file not in self._files:
+                flags = os.O_RDWR | os.O_CREAT | os.O_TRUNC
+                self._files[file] = [os.open(file, flags, 0o600), 0]
+            fd, start = self._files[file]
+            done = os.pwritev(fd, sections, start)
+            while done < total:  # a short write: the rest as one buffer
+                rest = b"".join(sections)[done:]
+                done += os.pwrite(fd, rest, start + done)
+            self._extents[path] = (start, total)
+            self._files[file][1] = start + total
 
     def read(self, path: str, offset: int, nbytes: int) -> bytes:
-        """Read up to ``nbytes`` at ``offset``; may return short at EOF."""
-        with open(path, "rb") as fh:
-            fh.seek(offset)
-            return fh.read(nbytes)
+        """Read up to ``nbytes`` at ``offset``; may return short at the end."""
+        with self._io_lock:
+            extent = self._extents.get(path)
+            if extent is not None:
+                fd = self._files[_file_of(path)][0]
+        if extent is None:
+            with open(path, "rb") as fh:
+                return os.pread(fh.fileno(), nbytes, offset)
+        start, length = extent
+        nbytes = max(0, min(nbytes, length - offset))
+        return os.pread(fd, nbytes, start + offset)
 
     def remove(self, path: str) -> None:
-        os.remove(path)
+        """Release run ``path``; a file goes with its last run (or, runless
+        after a failed first append, with that append's release)."""
+        file = _file_of(path)
+        with self._io_lock:
+            extent = self._extents.pop(path, None)
+            entry = self._files.get(file)
+            if entry is not None and extent is not None:
+                if extent[0] + extent[1] == entry[1]:
+                    entry[1] = extent[0]  # the tail: the next append reuses it
+            live = any(_file_of(run) == file for run in self._extents)
+            if entry is None or live:
+                if extent is None:
+                    raise FileNotFoundError(errno.ENOENT, "no run", path)
+                return
+            del self._files[file]
+        os.close(entry[0])
+        os.unlink(file)
 
     def file_size(self, path: str) -> int:
-        return os.path.getsize(path)
+        """The length of run ``path``'s extent (never its whole file)."""
+        extent = self._extents.get(path)
+        if extent is None:
+            raise FileNotFoundError(errno.ENOENT, "no run", path)
+        return extent[1]
+
+    def locate(self, path: str) -> tuple[str, int]:
+        """``(file, offset)`` of run ``path``'s extent."""
+        return _file_of(path), self._extents[path][0]
+
+    def close(self) -> None:
+        """Close files a failed release left open (they stay on disk)."""
+        with self._io_lock:
+            files, self._files, self._extents = self._files, {}, {}
+        for fd, _ in files.values():
+            os.close(fd)
+
+
+def _file_of(path: str) -> str:
+    file, mark, _ = path.rpartition("#")
+    return file if mark else path
 
 
 class SlowStorageIO(SpillIO):
@@ -85,6 +152,7 @@ class SlowStorageIO(SpillIO):
     def __init__(
         self, read_delay_s: float = 0.0005, write_delay_s: float = 0.0
     ) -> None:
+        super().__init__()
         self.read_delay_s = read_delay_s
         self.write_delay_s = write_delay_s
         self.reads = 0
@@ -219,6 +287,7 @@ class FaultInjector(SpillIO):
         seed: int = 0,
         on_op: Callable[[str, str, int], None] | None = None,
     ) -> None:
+        super().__init__()
         self.faults = list(faults)
         self.stats = FaultStats()
         self.on_op = on_op

@@ -121,8 +121,8 @@ class SortConfig:
             (bounded exponential backoff between attempts).
         spill_retry_backoff_s: initial backoff; doubles per retry,
             capped at 1 second.  Zero disables sleeping (tests).
-        verify_spill_checksums: verify the per-page CRC32 checksums of
-            every spill block read (and each run's header at merge
+        verify_spill_checksums: verify the CRC32 of every spill block
+            read, one per merge block (and each run's header at merge
             start).  On by default; off trades integrity for a little
             read throughput.
         allow_memory_fallback: when no spill target is writable, keep
@@ -243,7 +243,7 @@ class SortStats:
     ``spill_failovers`` (runs redirected to a secondary spill
     directory), ``memory_run_fallbacks`` (runs kept in memory because no
     spill target was writable), ``checksum_verifications`` /
-    ``checksum_failures`` (CRC32 pages checked on spill reads), and
+    ``checksum_failures`` (CRC32 blocks checked on spill reads), and
     ``cleanup_errors`` (temp files/directories that could not be
     removed -- recorded, warned about, never silently swallowed).
 

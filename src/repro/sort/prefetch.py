@@ -1,6 +1,6 @@
 """Overlapped, forecast-prioritized read-ahead for the external merge.
 
-Where spill-page reads wait on storage (:meth:`BlockPrefetcher._fetch_now`
+Where spill-block reads wait on storage (:meth:`BlockPrefetcher._fetch_now`
 decides), this module moves the seek + read + CRC32 verification off the
 k-way merge's critical path: a small thread pool fetches and verifies
 blocks *ahead* of the merge -- file reads release the GIL, so the latency
@@ -197,7 +197,8 @@ class BlockPrefetcher:
 
         The merge consumes each run's payload as ascending contiguous
         ranges, so the window only ever grows forward; ranges the
-        scheduler has not reached yet are read synchronously (a miss).
+        scheduler has not reached yet are read synchronously (a miss), in
+        whole blocks, the unit the spill file verifies.
         """
         state = self._runs[index]
         if self._budget <= 0 or not state.active:
@@ -211,14 +212,17 @@ class BlockPrefetcher:
             buffer.append((lo, block))
             state.row_delivered = hi
         if state.row_delivered < stop:
-            # Not read ahead: fetch the remainder on the critical path
-            # (rows below row_delivered are in the window already, and
-            # reading them again would buffer them twice).
-            lo = max(start, state.row_delivered)
-            block = self._fetch_now(self._row_fetch, index, lo, stop)
+            # Not read ahead: fetch the blocks the remainder lies in on
+            # the critical path (rows below row_delivered are in the
+            # window already, and reading them again would buffer them
+            # twice).
+            rows = self._block_rows
+            lo = max(start - start % rows, state.row_delivered)
+            hi = min(stop + (-stop % rows), state.num_rows)
+            block = self._fetch_now(self._row_fetch, index, lo, hi)
             buffer.append((lo, block))
-            state.row_delivered = stop
-            state.row_submitted = max(state.row_submitted, stop)
+            state.row_delivered = hi
+            state.row_submitted = max(state.row_submitted, hi)
         parts: list[np.ndarray] = []
         for lo, block in buffer:
             if lo >= stop:
@@ -292,8 +296,8 @@ class BlockPrefetcher:
         """A miss: fetch on the consumer thread (timed as plain spill_io).
 
         Until reads prove slow no thread exists and every fetch comes
-        through here: a block the page cache holds is CPU work (4 KiB CRC
-        pages, views) a worker needs the GIL for, not latency to hide.
+        through here: a block the page cache holds is a short read plus
+        one CRC32, cheaper to take here than to hand to a thread.
         """
         stats = self._stats
         stats.prefetch_misses += 1

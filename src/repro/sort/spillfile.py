@@ -1,17 +1,22 @@
-"""The checksummed on-disk format of external-sort spill files.
+"""The checksummed on-disk format of external-sort spill runs.
 
-A spill file holds one sorted run as three contiguous data sections
-(sorted key words, payload row matrix, string heap) preceded by a
-versioned header::
+A sort keeps one spill file per directory and appends each run to it as
+an *extent* (:class:`repro.sort.faults.SpillIO` opens the file once and
+maps run names to extents).  An extent holds one sorted run as three
+contiguous data sections (sorted key words, payload row matrix, string
+heap) preceded by a versioned header; every offset below is relative to
+the extent's start, so a header is re-read in place::
+
+    spill file:  | run 0 extent | run 1 extent | run 2 extent | ...
 
     +--------------------------------------------------------------+
     | fixed header (48 bytes, little-endian)                       |
     |   magic "RSPL" | version | header_bytes | num_rows           |
-    |   key_words | row_width | heap_bytes | page_size             |
+    |   key_words | row_width | heap_bytes | block_rows            |
     |   crc_count | header_crc32                                   |
     +--------------------------------------------------------------+
-    | page CRC32 table: crc_count x u32                            |
-    |   (keys pages, then rows pages, then heap pages)             |
+    | block CRC32 table: crc_count x u32                           |
+    |   (keys blocks, then rows blocks, then the heap)             |
     +--------------------------------------------------------------+
     | extra: header_bytes - 48 - 4*crc_count bytes, the run's      |
     |   serialized key layout                                      |
@@ -33,22 +38,25 @@ opaque to this module.  Spill files are private to the process that
 wrote them (randomly named, removed on ``close``), so there is one
 format version and :func:`read_header` rejects any other.
 
-Integrity is page-granular *within* each section: section bytes are
-covered by CRC32 checksums over ``page_size``-byte pages (the last page
-of a section may be short), so a block read verifies exactly the pages it
-touches -- no whole-file scan, and the merge's working set stays bounded.
+Integrity is block-granular: a block is ``block_rows`` rows of the key
+section, the same rows of the row section (the last block of a section
+may be short), and the whole heap, each covered by one CRC32.  A block
+is what the merge reads, so a merge read is one ``pread`` and one
+``crc32``; a read that is not aligned (a reopened run, a test) widens to
+the blocks it covers and verifies each.
 ``header_crc32`` covers the fixed header (with the CRC field zeroed), the
-page table and ``extra``, so a damaged header is detected before any
+block table and ``extra``, so a damaged header is detected before any
 geometry derived from it is trusted.
 
 Every mismatch raises :class:`repro.errors.SpillCorruptionError` naming
-the file, instead of surfacing later as a numpy shape/decode error.
+the run, instead of surfacing later as a numpy shape/decode error.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import struct
-import threading
 import zlib
 from dataclasses import dataclass
 
@@ -58,108 +66,42 @@ __all__ = [
     "FORMAT_VERSION",
     "MAGIC",
     "SECTION_NAMES",
-    "SPILL_PAGE_SIZE",
     "SpillHeader",
-    "VerifiedTailCache",
     "build_header",
     "read_header",
 ]
 
 MAGIC = b"RSPL"
-FORMAT_VERSION = 5
-
-SPILL_PAGE_SIZE = 1 << 12
-"""Default CRC page size (4 KiB).
-
-Verified reads widen to page boundaries, so the page size bounds the
-extra bytes a small read drags in (at most one page on either side).
-4 KiB keeps that widening negligible even for the merge's narrow
-payload-row gathers while the per-page ``zlib.crc32`` calls stay cheap;
-the acceptance bar is the <10% end-to-end overhead asserted by
-``benchmarks/bench_fault_overhead.py``.
-"""
+FORMAT_VERSION = 6
 
 SECTION_NAMES = ("keys", "rows", "heap")
 
 _FIXED = struct.Struct("<4sIIQIIQIII")
 """magic, version, header_bytes, num_rows, key_words, row_width,
-heap_bytes, page_size, crc_count, header_crc32."""
-
-
-class VerifiedTailCache:
-    """The last CRC-verified page of each spill section, bytes included.
-
-    Verified reads widen to page boundaries, so two consecutive block
-    reads whose boundary straddles a page used to re-read *and*
-    re-verify the shared page -- once as the first read's tail, once as
-    the second read's head.  This cache keeps the bytes of the last page
-    each section read (one page per section, 12 KiB total at the default
-    page size): a follow-up read that starts inside the cached page is
-    served the overlap from memory and only reads/verifies from the next
-    page boundary on.  Because the cached bytes were themselves
-    CRC-verified when first read, integrity guarantees are unchanged --
-    nothing is ever trusted unverified, it is simply not re-fetched.
-
-    Access is guarded by a lock: the prefetch layer
-    (:mod:`repro.sort.prefetch`) reads key blocks from worker threads
-    while the merge gathers payload rows on the consumer thread.  On a
-    racing update the cache may simply miss -- correctness never depends
-    on a hit.
-    """
-
-    __slots__ = ("_pages", "_lock")
-
-    def __init__(self) -> None:
-        self._pages: dict[int, tuple[int, bytes]] = {}
-        self._lock = threading.Lock()
-
-    def get(self, section: int, page_index: int) -> bytes | None:
-        """The cached bytes of ``page_index``, or ``None`` on a miss."""
-        with self._lock:
-            entry = self._pages.get(section)
-        if entry is not None and entry[0] == page_index:
-            return entry[1]
-        return None
-
-    def put(self, section: int, page_index: int, data: bytes) -> None:
-        """Remember ``data`` as the verified bytes of ``page_index``."""
-        with self._lock:
-            self._pages[section] = (page_index, data)
-
-
-def _page_count(nbytes: int, page_size: int) -> int:
-    return -(-nbytes // page_size) if nbytes else 0
-
-
-def _page_crcs(data: bytes | memoryview, page_size: int) -> tuple[int, ...]:
-    view = memoryview(data)
-    return tuple(
-        zlib.crc32(view[start : start + page_size])
-        for start in range(0, len(view), page_size)
-    )
+heap_bytes, block_rows, crc_count, header_crc32."""
 
 
 @dataclass(frozen=True)
 class SpillHeader:
-    """Parsed (or freshly built) spill-file header.
+    """Parsed (or freshly built) spill-run header.
 
-    ``page_crcs`` holds one CRC tuple per section, in
-    :data:`SECTION_NAMES` order.  All byte offsets below are absolute
-    file offsets.  ``extra`` is the run's serialized key layout; it is
-    covered by ``header_crc32``.
+    ``block_crcs`` holds one CRC tuple per section, in
+    :data:`SECTION_NAMES` order.  All byte offsets below are relative to
+    the run's extent.  ``extra`` is the run's serialized key layout; it
+    is covered by ``header_crc32``.
     """
 
     num_rows: int
     key_words: int
     row_width: int
     heap_bytes: int
-    page_size: int
-    page_crcs: tuple[tuple[int, ...], ...]
+    block_rows: int
+    block_crcs: tuple[tuple[int, ...], ...]
     extra: bytes = b""
 
     @property
     def crc_count(self) -> int:
-        return sum(len(crcs) for crcs in self.page_crcs)
+        return sum(len(crcs) for crcs in self.block_crcs)
 
     @property
     def header_bytes(self) -> int:
@@ -172,15 +114,26 @@ class SpillHeader:
             self.heap_bytes,
         )[section]
 
+    def block_bytes(self, section: int) -> int:
+        """Bytes one CRC covers: a block of rows, or the whole heap."""
+        rows = self.block_rows
+        return (
+            rows * 8 * self.key_words, rows * self.row_width, self.heap_bytes
+        )[section]
+
+    def block_count(self, section: int) -> int:
+        length = self.section_length(section)
+        return -(-length // self.block_bytes(section)) if length else 0
+
     def section_offset(self, section: int) -> int:
         lengths = (self.section_length(index) for index in range(section))
         return self.header_bytes + sum(lengths)
 
     def pack(self) -> bytes:
-        """Serialize header + page table, computing ``header_crc32``."""
+        """Serialize header + block table, computing ``header_crc32``."""
         table = struct.pack(
             f"<{self.crc_count}I",
-            *(crc for crcs in self.page_crcs for crc in crcs),
+            *(crc for crcs in self.block_crcs for crc in crcs),
         )
         fixed_fields = (
             MAGIC,
@@ -190,11 +143,11 @@ class SpillHeader:
             self.key_words,
             self.row_width,
             self.heap_bytes,
-            self.page_size,
+            self.block_rows,
             self.crc_count,
         )
         tail = table + self.extra
-        crc = zlib.crc32(tail, zlib.crc32(_FIXED.pack(*fixed_fields, 0)))
+        crc = zlib.crc32(_FIXED.pack(*fixed_fields, 0) + tail)
         return _FIXED.pack(*fixed_fields, crc) + tail
 
 
@@ -202,38 +155,42 @@ def build_header(
     num_rows: int,
     key_words: int,
     row_width: int,
-    sections: tuple[bytes | memoryview, bytes | memoryview, bytes],
-    page_size: int = SPILL_PAGE_SIZE,
+    sections: tuple,
+    block_rows: int,
     extra: bytes = b"",
 ) -> SpillHeader:
-    """Header for a run about to be written, CRCs computed per page.
+    """Header for a run about to be written, one CRC computed per block.
 
+    ``sections`` are the three sections' bytes (flat byte buffers);
     ``extra`` is an opaque blob stored (and CRC-protected) in the header;
     the external sort puts the run's serialized key layout there.
     """
-    if page_size <= 0:
-        raise ValueError("page_size must be positive")
-    return SpillHeader(
-        num_rows=num_rows,
-        key_words=key_words,
-        row_width=row_width,
-        heap_bytes=len(sections[2]),
-        page_size=page_size,
-        page_crcs=tuple(
-            _page_crcs(section, page_size) for section in sections
-        ),
-        extra=bytes(extra),
+    if block_rows <= 0:
+        raise ValueError("block_rows must be positive")
+    header = SpillHeader(
+        num_rows, key_words, row_width, len(sections[2]), block_rows, (),
+        bytes(extra),
     )
+    crcs = []
+    for index, section in enumerate(sections):
+        step, view = header.block_bytes(index) or 1, memoryview(section)
+        crcs.append(tuple(
+            zlib.crc32(view[lo : lo + step])
+            for lo in range(0, len(view), step)
+        ))
+    return dataclasses.replace(header, block_crcs=tuple(crcs))
 
 
-def read_header(io, path: str) -> SpillHeader:
-    """Read and validate the header of the spill file at ``path``.
+def read_header(io, path: str, base: int = 0) -> SpillHeader:
+    """Read and validate the header of the spill run at ``path``.
 
-    ``io`` is a :class:`repro.sort.faults.SpillIO`.  Raises
-    :class:`SpillCorruptionError` on a bad magic, unsupported version,
-    truncated header, or header-CRC mismatch.
+    ``io`` is a :class:`repro.sort.faults.SpillIO`; ``base`` is the
+    offset of the run's header in what ``path`` names (0 for a run the
+    backend wrote, the extent's offset for a run reopened by file).
+    Raises :class:`SpillCorruptionError` on a bad magic, unsupported
+    version, truncated header, or header-CRC mismatch.
     """
-    fixed = io.read(path, 0, _FIXED.size)
+    fixed = io.read(path, base, _FIXED.size)
     if len(fixed) != _FIXED.size:
         raise SpillCorruptionError(
             f"truncated spill header ({len(fixed)} of {_FIXED.size} bytes)",
@@ -247,7 +204,7 @@ def read_header(io, path: str) -> SpillHeader:
         key_words,
         row_width,
         heap_bytes,
-        page_size,
+        block_rows,
         crc_count,
         header_crc,
     ) = _FIXED.unpack(fixed)
@@ -261,16 +218,16 @@ def read_header(io, path: str) -> SpillHeader:
             f"(this build reads version {FORMAT_VERSION})",
             path,
         )
-    if page_size <= 0 or header_bytes < _FIXED.size + 4 * crc_count:
+    if block_rows <= 0 or header_bytes < _FIXED.size + 4 * crc_count:
         raise SpillCorruptionError(
             "inconsistent spill header geometry", path
         )
     extra_bytes = header_bytes - _FIXED.size - 4 * crc_count
-    tail = io.read(path, _FIXED.size, 4 * crc_count + extra_bytes)
+    tail = io.read(path, base + _FIXED.size, 4 * crc_count + extra_bytes)
     if len(tail) != 4 * crc_count + extra_bytes:
-        raise SpillCorruptionError("truncated spill page-CRC table", path)
+        raise SpillCorruptionError("truncated spill block-CRC table", path)
     table, extra = tail[: 4 * crc_count], tail[4 * crc_count :]
-    expected = zlib.crc32(tail, zlib.crc32(fixed[:-4] + b"\x00" * 4))
+    expected = zlib.crc32(fixed[:-4] + b"\x00" * 4 + tail)
     if expected != header_crc:
         raise SpillCorruptionError(
             f"spill header CRC mismatch (stored {header_crc:#010x}, "
@@ -278,24 +235,16 @@ def read_header(io, path: str) -> SpillHeader:
             path,
         )
     flat = struct.unpack(f"<{crc_count}I", table)
-    lengths = (num_rows * 8 * key_words, num_rows * row_width, heap_bytes)
-    counts = [_page_count(length, page_size) for length in lengths]
+    header = SpillHeader(
+        num_rows, key_words, row_width, heap_bytes, block_rows, (),
+        bytes(extra),
+    )
+    counts = [header.block_count(section) for section in range(3)]
     if sum(counts) != crc_count:
         raise SpillCorruptionError(
-            "spill page-CRC table does not match the section geometry",
+            "spill block-CRC table does not match the section geometry",
             path,
         )
-    crcs: list[tuple[int, ...]] = []
-    cursor = 0
-    for count in counts:
-        crcs.append(flat[cursor : cursor + count])
-        cursor += count
-    return SpillHeader(
-        num_rows=num_rows,
-        key_words=key_words,
-        row_width=row_width,
-        heap_bytes=heap_bytes,
-        page_size=page_size,
-        page_crcs=tuple(crcs),
-        extra=bytes(extra),
-    )
+    ends = itertools.accumulate(counts)
+    crcs = tuple(flat[end - count : end] for count, end in zip(counts, ends))
+    return dataclasses.replace(header, block_crcs=crcs)

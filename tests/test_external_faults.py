@@ -71,6 +71,14 @@ def expected_result(table):
     return sort_table(table, SPEC, SortConfig())
 
 
+def open_extent(run):
+    """The sort's spill file, positioned at ``run``'s extent."""
+    file, offset = run.io.locate(run.path)
+    fh = open(file, "r+b")
+    fh.seek(offset)
+    return fh
+
+
 def assert_no_spill_files(*directories):
     for directory in directories:
         assert os.path.isdir(directory)
@@ -120,8 +128,7 @@ class TestSpillIntegrity:
         with operator:
             for chunk in chunk_table(table, 256):
                 operator.sink(chunk)
-            path = operator._runs[0].path
-            with open(path, "r+b") as fh:
+            with open_extent(operator._runs[1]) as fh:
                 fh.write(b"NOPE")
             with pytest.raises(SpillCorruptionError, match="magic"):
                 operator.finalize()
@@ -133,20 +140,19 @@ class TestSpillIntegrity:
         with operator:
             for chunk in chunk_table(table, 256):
                 operator.sink(chunk)
-            path = operator._runs[0].path
             # Repack the fixed header with a future version and a *valid*
             # CRC so the version check itself must reject the file.
-            with open(path, "r+b") as fh:
+            with open_extent(operator._runs[1]) as fh:
+                start = fh.tell()
                 fixed = fh.read(_FIXED.size)
                 fields = list(_FIXED.unpack(fixed))
                 fields[1] = FORMAT_VERSION + 1
                 crc_count = fields[8]
-                fh.seek(_FIXED.size)
                 table_bytes = fh.read(4 * crc_count)
                 fields[9] = 0
                 crc = zlib.crc32(table_bytes, zlib.crc32(_FIXED.pack(*fields)))
                 fields[9] = crc
-                fh.seek(0)
+                fh.seek(start)
                 fh.write(_FIXED.pack(*fields))
             with pytest.raises(SpillCorruptionError, match="version"):
                 operator.finalize()
@@ -158,9 +164,11 @@ class TestSpillIntegrity:
         with operator:
             for chunk in chunk_table(table, 256):
                 operator.sink(chunk)
-            original = operator._runs[0]
+            original = operator._runs[1]
+            # By file and offset, through a backend that did not write it.
+            file, offset = original.io.locate(original.path)
             reopened = SpilledRun.open(
-                original.path, table.schema, operator.spec
+                file, table.schema, operator.spec, offset=offset
             )
             assert reopened.header == original.header
             assert MAGIC == b"RSPL"
@@ -177,8 +185,7 @@ class TestSpillIntegrity:
         with operator:
             for chunk in chunk_table(table, 256):
                 operator.sink(chunk)
-            path = operator._runs[0].path
-            with open(path, "r+b") as fh:
+            with open_extent(operator._runs[1]) as fh:
                 fh.write(bytes(range(48)))
             with pytest.raises(SpillCorruptionError):
                 operator.finalize()

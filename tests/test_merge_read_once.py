@@ -48,6 +48,7 @@ class CountingIO(SpillIO):
     """The real backend, counting the bytes that cross it."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.read_bytes = self.written_bytes = 0
         self._lock = threading.Lock()
 
@@ -186,12 +187,13 @@ class TestReadOnce:
         assert len(header.pack()) == (
             _FIXED.size + 4 * header.crc_count + len(header.extra)
         )
-        assert os.path.getsize(run.path) == (
+        assert run.io.file_size(run.path) == (
             len(header.pack())
             + run.num_rows * (8 * run.key_words + run.row_width)
             + run.heap_bytes
         )
-        reopened = SpilledRun.open(run.path, table.schema, spec)
+        file, offset = run.io.locate(run.path)
+        reopened = SpilledRun.open(file, table.schema, spec, offset=offset)
         assert reopened.header == header
         assert reopened.layout == run.layout
 
@@ -214,16 +216,17 @@ class TestReadOnce:
             victim = operator._runs[1]
             blob = victim.header.extra
             assert victim.layout.segments[1].skipped == blob[-1:] == b"s"
-            start = _FIXED.size + 4 * victim.header.crc_count
+            file, offset = victim.io.locate(victim.path)
+            start = offset + _FIXED.size + 4 * victim.header.crc_count
             for position in (start + 1, start + len(blob) - 1):
-                with open(victim.path, "r+b") as fh:
+                with open(file, "r+b") as fh:
                     intact = fh.read()
                     fh.seek(position)
                     fh.write(bytes([intact[position] ^ 0x04]))
                 with pytest.raises(SpillCorruptionError, match="header CRC"):
-                    SpilledRun.open(victim.path, table.schema, spec)
+                    SpilledRun.open(victim.path, table.schema, spec, victim.io)
                 if position == start + 1:
-                    with open(victim.path, "wb") as fh:
+                    with open(file, "r+b") as fh:
                         fh.write(intact)
             with pytest.raises(SpillCorruptionError, match="header CRC"):
                 operator.finalize()
@@ -238,9 +241,11 @@ class TestReadOnce:
         with operator:
             for chunk in chunk_table(table, BLOCK_ROWS):
                 operator.sink(chunk)
-            path = operator._runs[0].path
+            run = operator._runs[0]
             with pytest.raises(SpillCorruptionError, match="key layout"):
-                SpilledRun.open(path, table.schema, spec_of("a, b NULLS FIRST"))
+                SpilledRun.open(
+                    run.path, table.schema, spec_of("a, b NULLS FIRST"), run.io
+                )
 
     def test_skipped_bytes_of_another_sort_never_give_a_wrong_answer(
         self, rng, tmp_path
@@ -268,7 +273,7 @@ class TestReadOnce:
             foreign = left._runs[0]
             ints = Table.from_pydict({"s": [1]})
             with pytest.raises(SpillCorruptionError, match="key layout"):
-                SpilledRun.open(foreign.path, ints.schema, spec)
+                SpilledRun.open(foreign.path, ints.schema, spec, foreign.io)
             right._runs.insert(0, foreign)
             with pytest.raises(KeyEncodingError, match="skipped"):
                 right.finalize()
@@ -287,10 +292,13 @@ class TestReadOnce:
             victim = operator._runs[1]
             # A byte of the second block (rows 4,096..), well inside the
             # keys section: the frontier reaches it mid-merge.
+            file, offset = victim.io.locate(victim.path)
             position = (
-                victim.header.section_offset(0) + 5000 * 8 * victim.key_words
+                offset
+                + victim.header.section_offset(0)
+                + 5000 * 8 * victim.key_words
             )
-            with open(victim.path, "r+b") as fh:
+            with open(file, "r+b") as fh:
                 fh.seek(position)
                 byte = fh.read(1)[0]
                 fh.seek(position)

@@ -13,7 +13,9 @@ The row and heap digests were recorded at spill format 4 and still hold.
 The key digests were re-recorded for format 5: a key section became the
 run's key words (native uint64, row-major) and lost its 8-byte row-id
 suffix, which no merge read.  Its words are format 4's key bytes read
-big-endian, word by word.
+big-endian, word by word.  Format 6 (one CRC32 per merge block, runs as
+extents of one file per sort per directory) changed only the header: the
+sections and the count of ``write_file`` calls, one per run, still hold.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ class DigestingIO(SpillIO):
     apart from it its row and heap sections (the header is left out)."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.files = 0
         self._keys = hashlib.sha256()
         self._rest = hashlib.sha256()
@@ -136,9 +139,9 @@ def test_spill_sections_are_pinned(case, tmp_path):
     assert spill_digest(*case, tmp_path) == CASES[case]
 
 
-def test_a_format_4_header_is_refused(tmp_path):
-    # A file whose header says format 4 (key bytes plus a row-id suffix)
-    # is refused typed, even with a valid header CRC.
+def assert_old_format_refused(version, tmp_path):
+    # A run whose header says an older format is refused typed, even
+    # with a valid header CRC, by a reopen and by the merge.
     table = SCENARIOS["uniform"].table(ROWS, SEED)
     spec = SortSpec.of("a", "p")
     operator = ExternalSortOperator(
@@ -147,17 +150,29 @@ def test_a_format_4_header_is_refused(tmp_path):
     with operator:
         for chunk in chunk_table(table, 500):
             operator.sink(chunk)
-        path = operator._runs[0].path
-        with open(path, "r+b") as fh:
+        run = operator._runs[1]
+        file, offset = run.io.locate(run.path)
+        with open(file, "r+b") as fh:
+            fh.seek(offset)
             fields = list(_FIXED.unpack(fh.read(_FIXED.size)))
             tail = fh.read(fields[2] - _FIXED.size)
-            fields[1], fields[9] = 4, 0
+            fields[1], fields[9] = version, 0
             fields[9] = zlib.crc32(tail, zlib.crc32(_FIXED.pack(*fields)))
-            fh.seek(0)
+            fh.seek(offset)
             fh.write(_FIXED.pack(*fields))
-        assert FORMAT_VERSION == 5
-        with pytest.raises(SpillCorruptionError, match="version 4"):
-            SpilledRun.open(path, table.schema, spec)
-        with pytest.raises(SpillCorruptionError, match="version 4"):
+        assert FORMAT_VERSION == 6
+        with pytest.raises(SpillCorruptionError, match=f"version {version}"):
+            SpilledRun.open(file, table.schema, spec, offset=offset)
+        with pytest.raises(SpillCorruptionError, match=f"version {version}"):
             operator.finalize()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_format_4_header_is_refused(tmp_path):
+    # Format 4: key bytes plus a row-id suffix.
+    assert_old_format_refused(4, tmp_path)
+
+
+def test_a_format_5_header_is_refused(tmp_path):
+    # Format 5: one CRC32 per 4 KiB page of each section.
+    assert_old_format_refused(5, tmp_path)

@@ -44,6 +44,7 @@ class RecordingIO(SpillIO):
     cancellation between run cuts)."""
 
     def __init__(self, on_write=None) -> None:
+        super().__init__()
         self.files: list[bytes] = []
         self.on_write = on_write
 
