@@ -17,6 +17,12 @@ per-row comparator it replaced:
   in the 8 bytes after it: the key statistics skip the prefix, the key
   window holds the rest, so the sort is exact on key bytes
   (``prefix_exact``, zero rows re-encoded); records its seconds.
+* **key_passes** -- the per-layer split of a VARCHAR key's encoding on
+  the e2e ``string_inmem`` table (62,500 catalog ``long_string`` rows,
+  seed 17): best-of-5 seconds of the statistics pass
+  (``KeyStatsAccumulator.update``) and of the word packing
+  (``key_words``), and how often a 4-run spilled sort of 8,192 such rows
+  (``run_threshold=2048``) calls the passes that read string bytes.
 
 Hardware varies across CI boxes, so timing numbers are *recorded, not
 gated* below acceptance scale.  Results land in ``BENCH_strings.json``
@@ -39,8 +45,11 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.keys import compression, encoding  # noqa: E402
+from repro.keys.compression import KeyStatsAccumulator  # noqa: E402
+from repro.keys.normalizer import key_words  # noqa: E402
 from repro.scalar.reference import reference_sort  # noqa: E402
-from repro.sort.operator import make_sort_operator  # noqa: E402
+from repro.sort.operator import SortConfig, make_sort_operator  # noqa: E402
 from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
 from repro.types.sortspec import SortSpec  # noqa: E402
@@ -54,6 +63,16 @@ DEFAULT_ROWS = 200_000
 ACCEPTANCE_ROWS = 200_000  # gate the speedup assertions here
 ROUNDS = 3  # best-of for every timed side
 SPEEDUP_FLOOR = 3.0
+KEY_PASS_ROWS = 62_500  # the e2e string_inmem table
+KEY_PASS_ROUNDS = 5
+#: The passes that read a VARCHAR key's bytes, by the module binding the
+#: key code calls (refinement's own ``gather_windows`` is not counted).
+KEY_PASSES = {
+    "encode_utf8_column": compression,
+    "common_prefix": compression,
+    "prefix_classes": encoding,
+    "gather_windows": encoding,
+}
 
 
 def _best_of(fn, rounds=ROUNDS):
@@ -149,12 +168,76 @@ def bench_shared_prefix(rows: int) -> dict:
     }
 
 
+def _count_calls(fn) -> dict:
+    """How often ``fn()`` calls each of :data:`KEY_PASSES`."""
+    counts = dict.fromkeys(KEY_PASSES, 0)
+    originals = {
+        name: getattr(module, name) for name, module in KEY_PASSES.items()
+    }
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return wrapper
+
+    try:
+        for name, module in KEY_PASSES.items():
+            setattr(module, name, counting(name))
+        fn()
+    finally:
+        for name, module in KEY_PASSES.items():
+            setattr(module, name, originals[name])
+    return counts
+
+
+def bench_key_passes(rows: int) -> dict:
+    scenario = SCENARIOS["long_string"]
+    spec = SortSpec.of(*scenario.order_by.split(", "))
+    table = scenario.table(rows, seed=17)
+
+    def update():
+        acc = KeyStatsAccumulator(table.schema, spec)
+        return acc, acc.update(table)
+
+    update_s, (acc, encoded) = _best_of(update, KEY_PASS_ROUNDS)
+    layout = acc.build_layout()
+    words_s, _ = _best_of(
+        lambda: key_words(table, layout, encoded), KEY_PASS_ROUNDS
+    )
+    spilled = scenario.table(8192, seed=17)
+    config = SortConfig(external=True, run_threshold=2048)
+    runs = []
+
+    def spilled_sort():
+        with make_sort_operator(spilled.schema, spec, config) as operator:
+            for chunk in chunk_table(spilled, 1024):
+                operator.sink(chunk)
+            operator.finalize()
+        runs.append(operator.stats.runs_generated)
+
+    calls = _count_calls(spilled_sort)
+    return {
+        "rows": rows,
+        "update_seconds": update_s,
+        "key_words_seconds": words_s,
+        "spilled_sort": {
+            "rows": spilled.num_rows,
+            "run_threshold": config.run_threshold,
+            "runs": runs[0],
+            "calls": calls,
+        },
+    }
+
+
 def main(rows: int = DEFAULT_ROWS) -> dict:
     results = {
         "cpu_count": os.cpu_count(),
         "commit": commit_id(),
         "long_string_sort": bench_long_strings(rows),
         "shared_prefix": bench_shared_prefix(min(rows, 100_000)),
+        "key_passes": bench_key_passes(min(rows, KEY_PASS_ROWS)),
     }
     with open(OUTPUT, "w") as fh:
         json.dump(results, fh, indent=2)
@@ -172,6 +255,13 @@ def main(rows: int = DEFAULT_ROWS) -> dict:
         f"key bytes {shared['key_width_used']} of {shared['key_width_full']}, "
         f"{shared['reencoded_rows']:,} rows re-encoded"
     )
+    passes = results["key_passes"]
+    print(
+        f"key_passes: update {passes['update_seconds'] * 1e3:.2f} ms, "
+        f"key_words {passes['key_words_seconds'] * 1e3:.2f} ms for "
+        f"{passes['rows']:,} rows; spilled sort calls "
+        f"{passes['spilled_sort']['calls']}"
+    )
     print(f"wrote {OUTPUT} (cpu_count={results['cpu_count']})")
     return results
 
@@ -186,6 +276,9 @@ def test_string_bench_smoke(capsys):
     assert results["long_string_sort"]["vector_exact"]["reencoded_rows"] > 0
     shared = results["shared_prefix"]
     assert shared["prefix_exact"] and shared["reencoded_rows"] == 0
+    passes = results["key_passes"]
+    assert passes["update_seconds"] > 0 and passes["key_words_seconds"] > 0
+    assert passes["spilled_sort"]["runs"] == 4
     assert os.path.exists(OUTPUT)
 
 

@@ -50,11 +50,11 @@ import numpy as np
 from repro.errors import KeyEncodingError
 from repro.keys.encoding import (
     _WIDTH_TO_UNSIGNED,
+    EncodedStrings,
     common_prefix,
     encode_utf8_column,
     ends_in_nul,
     fixed_column_codes,
-    prefix_classes,
 )
 from repro.keys.normalizer import (
     MAX_STRING_PREFIX,
@@ -109,17 +109,18 @@ class _ColumnAcc:
         #: run holds a valid value, fixed from then on.
         self.skipped: bytes | None = None if skip else b""
 
-    def fold_strings(
-        self, buffer: np.ndarray, lengths: np.ndarray, valid: np.ndarray
-    ) -> None:
-        """Fold in one run's encoded VARCHAR column."""
-        self.nul_tail = self.nul_tail or ends_in_nul(buffer, lengths)
-        starts = np.cumsum(lengths) - lengths
+    def fold_strings(self, strings: EncodedStrings, valid: np.ndarray) -> None:
+        """Fold in one run's encoded VARCHAR column, and keep its prefix
+        classes against the skipped bytes on ``strings``."""
+        lengths = strings.lengths
+        self.nul_tail = self.nul_tail or ends_in_nul(strings.buffer, lengths)
         if self.skipped:
-            shares = prefix_classes(buffer, starts, lengths, self.skipped) == 0
+            shares = strings.classes(self.skipped) == 0
             lengths = lengths - len(self.skipped) * shares
         elif self.skipped is None and valid.any():
-            self.skipped = common_prefix(buffer, starts[valid], lengths[valid])
+            self.skipped = strings.skipped = common_prefix(
+                strings.buffer, strings.starts[valid], lengths[valid]
+            )
             lengths = lengths - len(self.skipped)  # NULL rows go negative
         self.max_len = max(self.max_len, int(lengths.max(initial=0)))
 
@@ -203,9 +204,11 @@ class KeyStatsAccumulator:
 
         Returns what the pass made of each key column, for
         :func:`~repro.keys.normalizer.key_words` to pack: a VARCHAR
-        column's one UTF-8 encoding ``(buffer, lengths)`` (the key
-        windows are cut from it and the row block takes it as its heap),
-        a fixed-width column's uint64 order codes, NULL rows' filler
+        column's :class:`~repro.keys.encoding.EncodedStrings` (its one
+        UTF-8 encoding, value starts, and prefix classes against the
+        sort's skipped bytes: the key windows are read from its buffer as
+        words, and the row block takes that buffer as its heap), a
+        fixed-width column's uint64 order codes, NULL rows' filler
         included.
         """
         encoded = {}
@@ -215,10 +218,10 @@ class KeyStatsAccumulator:
             has_nulls = column.has_nulls
             acc.has_nulls = acc.has_nulls or has_nulls
             if dtype.type_id is TypeId.VARCHAR:
-                encoded[name] = encode_utf8_column(
-                    column.data, column.validity, name
+                encoded[name] = EncodedStrings(
+                    *encode_utf8_column(column.data, column.validity, name)
                 )
-                acc.fold_strings(*encoded[name], column.validity)
+                acc.fold_strings(encoded[name], column.validity)
                 continue
             codes = encoded[name] = fixed_column_codes(column.data, dtype)
             live = codes[column.validity] if has_nulls else codes

@@ -40,8 +40,8 @@ __all__ = [
     "encode_scalar",
     "encode_fixed_column",
     "fixed_column_codes",
-    "encode_string_column",
     "encode_utf8_column",
+    "EncodedStrings",
     "ends_in_nul",
     "gather_windows",
     "common_prefix",
@@ -62,13 +62,21 @@ F64_CANONICAL_NAN = np.uint64(0x7FF8000000000000)
 _WIDTH_TO_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 #: String bytes read per row per step where strings are compared past their
-#: key bytes (:mod:`repro.sort.stringsort`'s refinement rounds, the escape
-#: scan below).  Wide enough that a typical tie resolves in one round, narrow
-#: enough that rows differing right after the prefix drag in no long tail.
+#: key bytes (:mod:`repro.sort.stringsort`'s refinement rounds).  Wide enough
+#: that a typical tie resolves in one round, narrow enough that rows
+#: differing right after the prefix drag in no long tail.
 CHUNK_WIDTH = 16
 
 #: Most bytes a VARCHAR key segment skips (a one-byte count in the blob).
 MAX_SKIPPED = 255
+
+#: Zero bytes :func:`encode_utf8_column` appends to its bytes object: a
+#: word reads at up to ``MAX_SKIPPED + 16`` bytes past the buffer's end
+#: (a prefix compare, or a key window of up to 24 bytes after skipped ones).
+_PAD = MAX_SKIPPED + 8 + 16
+
+#: ``TOP_BYTES[k]``: a uint64 mask of its ``k`` most significant bytes.
+TOP_BYTES = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], np.uint64)
 
 
 # ---------------------------------------------------------------------- #
@@ -158,7 +166,7 @@ def _order_bits(values: np.ndarray, dtype: DataType) -> np.ndarray:
     """
     width = dtype.fixed_width
     if width is None:
-        raise KeyEncodingError("use encode_string_column for VARCHAR")
+        raise KeyEncodingError("use encode_utf8_column for VARCHAR")
     unsigned = _WIDTH_TO_UNSIGNED[width]
     if dtype.is_float:
         bits = np.ascontiguousarray(values).view(unsigned).copy()
@@ -207,7 +215,9 @@ def encode_utf8_column(
     """The engine's one UTF-8 column codec: ``(buffer, lengths)``.
 
     ``buffer`` is the uint8 view of the column's values joined and encoded
-    in one pass (``str`` applied to non-string objects), ``lengths`` the int64
+    in one pass (``str`` applied to non-string objects); the bytes object
+    it views ends in :data:`_PAD` zero bytes past it, which
+    :func:`_words_at` reads through.  ``lengths`` is the int64
     UTF-8 byte length of every value, back to back in row order.  Rows
     ``validity`` marks NULL contribute no bytes and length 0.  Lengths are
     character counts when the buffer is ASCII, else read off the UTF-8
@@ -223,6 +233,7 @@ def encode_utf8_column(
     items = values[rows].tolist()
     try:
         chars = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
+        items.append("\0" * _PAD)
         encoded = "".join(items).encode("utf-8")
     except TypeError:  # non-str objects in the column: encode their str()
         return encode_utf8_column(list(map(str, values)), validity, column)
@@ -232,7 +243,7 @@ def encode_utf8_column(
         raise KeyEncodingError(
             f"column {column!r} row {row}: not encodable as UTF-8 ({exc.reason})"
         ) from None
-    buffer = np.frombuffer(encoded, dtype=np.uint8)
+    buffer = np.frombuffer(encoded, np.uint8, count=len(encoded) - _PAD)
     if len(buffer) > chars.sum():
         char_starts = np.flatnonzero((buffer & 0xC0) != 0x80)
         ends = np.append(char_starts, len(buffer))[np.cumsum(chars)]
@@ -277,10 +288,12 @@ def gather_windows(
 
 
 def _words_at(buffer: np.ndarray) -> np.ndarray:
-    """The little-endian uint64 at every byte offset of ``buffer``, which
-    is zero-padded so offsets up to ``MAX_SKIPPED`` past its end read."""
-    padded = np.zeros(len(buffer) + MAX_SKIPPED + 8, dtype=np.uint8)
-    padded[: len(buffer)] = buffer
+    """The little-endian uint64 at every byte offset of ``buffer``, read
+    on through :data:`_PAD` zero bytes past its end: a stride-1 view of
+    the padded bytes object a codec buffer views, else of a padded copy."""
+    padded = buffer.base
+    if not isinstance(padded, bytes) or len(padded) != len(buffer) + _PAD:
+        padded = buffer.tobytes() + bytes(_PAD)
     return np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
 
 
@@ -315,8 +328,8 @@ def prefix_classes(
     int8 per value: 0 when it starts with ``prefix``, -1 when it sorts
     below every value that does (a value that ends inside ``prefix``
     having matched that far included), +1 when above.  Word compares
-    find the values that start with it; the rest are read
-    :data:`CHUNK_WIDTH` bytes at a time up to their first mismatch.
+    find the values that start with it; the rest are read a big-endian
+    word at a time up to their first mismatch.
     """
     words = _words_at(buffer)
     shares = lengths >= len(prefix)
@@ -328,40 +341,58 @@ def prefix_classes(
         shares &= word == np.uint64(int.from_bytes(part, "little"))
     classes = np.zeros(len(starts), dtype=np.int8)
     live = np.flatnonzero(~shares)
-    want = np.frombuffer(prefix, dtype=np.uint8)
-    for at in range(0, len(want), CHUNK_WIDTH):
+    for at in range(0, len(prefix), 8):
         if not len(live):
             break
-        part = want[at : at + CHUNK_WIDTH]
+        part = prefix[at : at + 8]
+        want = np.uint64(int.from_bytes(part.ljust(8, b"\0"), "big"))
         take = np.clip(lengths[live] - at, 0, len(part))
-        chunk = gather_windows(buffer, starts[live] + at, take, len(part))
-        # The zero pad of an exhausted value may equal a NUL of the
-        # prefix, so "ended" is a mismatch of its own.
-        differs = (chunk != part) | (np.arange(len(part)) >= take[:, None])
-        split = differs.any(axis=1)
-        first = differs[split].argmax(axis=1)
-        above = (first < take[split]) & (chunk[split, first] > part[first])
-        classes[live[split]] = np.where(above, 1, -1)
+        word = words[starts[live] + at]
+        word.byteswap(inplace=True)  # big-endian: the first byte on top
+        word &= TOP_BYTES[take]
+        # The zero pad of a value that ends inside ``part`` may equal a
+        # NUL of the prefix, so ending is a mismatch of its own.
+        below = (word < want) | ((word == want) & (take < len(part)))
+        split = below | (word > want)
+        classes[live[split]] = np.where(below[split], -1, 1)
         live = live[~split]
     return classes
 
 
-def encode_string_column(
-    values: np.ndarray,
-    prefix_len: int,
-    validity: np.ndarray | None = None,
-    column: str = "",
-) -> np.ndarray:
-    """Encode a VARCHAR column into an (n, prefix_len) uint8 prefix matrix.
-
-    One :func:`encode_utf8_column` buffer for the whole column; each
-    value's prefix is one :func:`gather_windows` read at its cumsum
-    offset.  NULL rows (per ``validity``) encode as all zero.
+class EncodedStrings:
+    """One run's VARCHAR key column, read into bytes once: the codec's
+    ``buffer`` and ``lengths``, each value's ``starts`` in the buffer,
+    and :meth:`classes` against the sort's skipped bytes (the statistics
+    pass computes them; the key words and a rebase of the run read them).
     """
-    if prefix_len <= 0:
-        raise KeyEncodingError(f"prefix_len must be positive, got {prefix_len}")
-    buffer, lengths = encode_utf8_column(values, validity, column)
-    starts = np.cumsum(lengths) - lengths
-    return gather_windows(
-        buffer, starts, np.minimum(lengths, prefix_len), prefix_len
-    )
+
+    __slots__ = ("buffer", "lengths", "starts", "skipped", "_classes")
+
+    def __init__(self, buffer: np.ndarray, lengths: np.ndarray) -> None:
+        self.buffer, self.lengths = buffer, lengths
+        self.starts = np.cumsum(lengths) - lengths
+        # The prefix ``_classes`` answers (None: not asked yet); the run
+        # that chose it sets it with no classes: every value shares it.
+        self.skipped, self._classes = None, None
+
+    def classes(self, skipped: bytes) -> np.ndarray | None:
+        """:func:`prefix_classes` against ``skipped``, computed at most
+        once; ``None`` when every valid value starts with it."""
+        if skipped != self.skipped:
+            self.skipped, self._classes = skipped, None
+            if skipped:
+                self._classes = prefix_classes(
+                    self.buffer, self.starts, self.lengths, skipped
+                )
+        return self._classes
+
+    @classmethod
+    def concat(cls, parts: list) -> "EncodedStrings":
+        """The parts' values back to back, in one padded buffer."""
+        if len(parts) == 1:
+            return parts[0]
+        joined = b"".join([*(part.buffer for part in parts), bytes(_PAD)])
+        return cls(
+            np.frombuffer(joined, dtype=np.uint8, count=len(joined) - _PAD),
+            np.concatenate([part.lengths for part in parts]),
+        )

@@ -35,14 +35,14 @@ import numpy as np
 
 from repro.errors import KeyEncodingError
 from repro.keys.encoding import (
+    TOP_BYTES,
+    EncodedStrings,
+    _words_at,
     encode_scalar,
-    encode_string_column,
     encode_utf8_column,
     ends_in_nul,
     fixed_column_codes,
-    gather_windows,
     invert_bytes,
-    prefix_classes,
 )
 from repro.table.table import Table
 from repro.types.datatypes import DataType, TypeId
@@ -180,29 +180,6 @@ class KeyLayout:
         return self.row_id_width > 0
 
 
-def _string_prefix_for(
-    column, requested: int | None, name: str = ""
-) -> tuple[int, bool]:
-    """Choose a VARCHAR prefix length and report whether it is exact.
-
-    DuckDB chooses the prefix at runtime from string-length statistics,
-    capped at 12 bytes.  We do the same: use the maximum UTF-8 length if it
-    is <= MAX_STRING_PREFIX (making prefix comparison exact), else the cap.
-    The lengths are :func:`repro.keys.encoding.encode_utf8_column`'s -- the
-    codec :func:`encode_string_column` places its prefixes with, so the
-    prefix choice and the encoding agree by construction.  A value ending
-    in NUL makes the segment inexact whatever the width: the zero pad ties
-    it with the string its trailing NULs extend.
-    """
-    buffer, lengths = encode_utf8_column(column.data, column.validity, name)
-    max_len = max(1, int(lengths.max(initial=0)))
-    if requested is not None:
-        width = requested
-    else:
-        width = min(max_len, MAX_STRING_PREFIX)
-    return width, max_len <= width and not ends_in_nul(buffer, lengths)
-
-
 def build_layout(
     table: Table,
     spec: SortSpec,
@@ -212,21 +189,27 @@ def build_layout(
     """Compute the key layout for sorting ``table`` by ``spec``.
 
     ``string_prefix`` forces a fixed VARCHAR prefix length; by default the
-    prefix is chosen per column from the data (capped at 12, like DuckDB).
-    The row-id suffix is 4 bytes wide, or 8 when the row count needs it.
+    prefix is chosen per column from the data, as DuckDB does: the longest
+    UTF-8 value (the codec's lengths), capped at 12 bytes.  The segment is
+    exact unless a value is cut or ends in NUL (the zero pad ties it with
+    the string its NULs extend).  The row-id suffix is 4 bytes wide, or 8
+    when the row count needs it.
     """
     segments = []
     offset = 0
     for key in spec.keys:
-        col_def = table.schema.column(key.column)
-        dtype = col_def.dtype
+        dtype = table.schema.column(key.column).dtype
         exact = True
         if dtype.type_id is TypeId.VARCHAR:
-            # One vectorized scan chooses the width AND settles exactness;
-            # normalize_keys reuses the stored flag instead of rescanning.
-            width, exact = _string_prefix_for(
-                table.column(key.column), string_prefix, key.column
+            column = table.column(key.column)
+            buffer, lengths = encode_utf8_column(
+                column.data, column.validity, key.column
             )
+            longest = max(1, int(lengths.max(initial=0)))
+            width = string_prefix
+            if width is None:
+                width = min(longest, MAX_STRING_PREFIX)
+            exact = longest <= width and not ends_in_nul(buffer, lengths)
         else:
             assert dtype.fixed_width is not None
             width = dtype.fixed_width
@@ -339,55 +322,44 @@ def _fixed_fields(segment: KeySegment, codes, valid: np.ndarray | None):
     yield offset + 1, width, codes
 
 
-def _string_windows(
-    segment: KeySegment,
-    buffer: np.ndarray,
-    lengths: np.ndarray,
-    valid: np.ndarray,
-    indicator: np.ndarray,
-) -> np.ndarray:
-    """A VARCHAR segment's ascending value bytes, cut from the encoded
-    column; escaped rows' class is written into ``indicator``."""
-    starts = np.cumsum(lengths) - lengths
-    if segment.skipped:
-        classes = prefix_classes(buffer, starts, lengths, segment.skipped)
-        escaped = valid & (classes != 0)
-        skip = len(segment.skipped)
-        if escaped.any():
-            indicator[escaped] = segment.null_byte_for_escaped(
-                classes[escaped] > 0
-            )
-            skip = np.where(escaped, 0, skip)
-        starts, lengths = starts + skip, lengths - skip
-    width = segment.value_width
-    return gather_windows(buffer, starts, np.clip(lengths, 0, width), width)
-
-
-def _string_bytes(segment: KeySegment, column, pair) -> np.ndarray:
-    """A VARCHAR segment's ``(n, 1 + value_width)`` bytes: the NULL (or
-    escape class) indicator byte, then the window."""
+def _string_fields(segment: KeySegment, column, strings: EncodedStrings):
+    """A VARCHAR segment's fields: the NULL (or escape class) indicator
+    byte, then the window in fields of at most 8 bytes.  Each is one word
+    read at the row's window start (byte 0 for a row the prefix classes
+    escape), byteswapped, its bytes past the row's ``take`` masked off and
+    shifted down to the field's width; DESC is an XOR, NULL rows are 0."""
     valid, width = column.validity, segment.value_width
-    block = np.empty((len(column), 1 + width), dtype=np.uint8)
-    indicator = block[:, 0]
-    indicator[:] = np.where(
-        valid, segment.null_byte_for_valid, segment.null_byte_for_null
-    )
-    name = segment.key.column
-    if pair is None and not segment.skipped:
-        value = encode_string_column(column.data, width, valid, name)
-    else:
-        value = _string_windows(
-            segment,
-            *(pair or encode_utf8_column(column.data, valid, name)),
-            valid,
-            indicator,
-        )
-    if segment.key.descending:
-        np.subtract(0xFF, value, out=value)
-    if column.has_nulls:
-        value[~valid] = 0  # all NULLs tie
-    block[:, 1:] = value
-    return block
+    skip = len(segment.skipped)
+    present, null = segment.null_byte_for_valid, segment.null_byte_for_null
+    indicator = np.where(valid, np.uint64(present), np.uint64(null))
+    classes = strings.classes(segment.skipped)
+    escaped = None if classes is None else valid & (classes != 0)
+    if escaped is not None and escaped.any():
+        above = classes[escaped] > 0
+        indicator[escaped] = segment.null_byte_for_escaped(above)
+        skip = np.where(escaped, 0, skip)
+    yield segment.offset, 1, indicator
+    starts = strings.starts + skip
+    take = np.clip(strings.lengths - skip, 0, width)
+    words = _words_at(strings.buffer)
+    # A start is at most len(buffer) + MAX_SKIPPED, and the pad covers a
+    # 24-byte window past that: only a wider forced one needs the clamp.
+    last = len(words) - 1 - len(strings.buffer) - len(segment.skipped)
+    for at in range(0, width, 8):
+        index = starts + at if at else starts
+        if at > last:
+            index = np.minimum(index, len(words) - 1)
+        value = words[index]
+        value.byteswap(inplace=True)
+        # Indexed by ``take``: the field's bytes before the row's end.
+        value &= TOP_BYTES[np.clip(np.arange(width + 1) - at, 0, 8)][take]
+        field = min(8, width - at)
+        shift = np.uint64(64 - 8 * field)
+        if shift:
+            value >>= shift
+        if segment.key.descending:  # NULL rows stay zero
+            value ^= (valid * np.uint64((1 << 64) - 1)) >> shift
+        yield segment.offset + 1 + at, field, value
 
 
 def _key_fields(table: Table, layout: KeyLayout, encoded: dict | None):
@@ -395,19 +367,23 @@ def _key_fields(table: Table, layout: KeyLayout, encoded: dict | None):
     values)`` fields, in byte order.
 
     ``values`` is a big-endian field of at most 8 bytes held as uint64
-    order codes (an array, or one scalar for every row) -- a fixed-width
-    segment is encoded in the code domain: bias, DESC and the folded NULL
-    are arithmetic on its codes -- or the ``(n, width)`` uint8 bytes of a
-    VARCHAR segment.  :func:`key_words` packs the fields into words and
-    :func:`normalize_keys` writes them as bytes: two sinks of one encoder.
+    (an array, or one scalar for every row): a fixed-width segment is
+    encoded in the code domain (bias, DESC and the folded NULL are
+    arithmetic on its codes), a VARCHAR segment's window is read from its
+    UTF-8 bytes as words (:func:`_string_fields`).  :func:`key_words`
+    packs the fields into words and :func:`normalize_keys` writes them as
+    bytes: two sinks of one encoder.
     """
     for segment in layout.segments:
         name = segment.key.column
         column = table.column(name)
         given = encoded.get(name) if encoded else None
-        offset, width = segment.offset, segment.value_width
         if segment.dtype.type_id is TypeId.VARCHAR:
-            yield offset, 1 + width, _string_bytes(segment, column, given)
+            if given is None:
+                given = EncodedStrings(
+                    *encode_utf8_column(column.data, column.validity, name)
+                )
+            yield from _string_fields(segment, column, given)
             continue
         codes = given
         if codes is None:
@@ -418,9 +394,7 @@ def _key_fields(table: Table, layout: KeyLayout, encoded: dict | None):
 
 def _write_field(matrix: np.ndarray, offset: int, width: int, values) -> None:
     """The byte sink: one field into its columns of the key matrix."""
-    if np.ndim(values) == 2:
-        matrix[:, offset : offset + width] = values
-    elif width == 1:
+    if width == 1:
         matrix[:, offset] = values
     else:
         big = values.astype(">u8").view(np.uint8).reshape(-1, 8)
@@ -430,21 +404,12 @@ def _write_field(matrix: np.ndarray, offset: int, width: int, values) -> None:
 def _fold_field(words: list, offset: int, width: int, values) -> None:
     """The word sink: one field into the key words at byte ``offset``.
 
-    A field of at most 8 bytes spans at most two words; a VARCHAR block
-    is laid into the zeroed bytes of the words it spans and read back as
-    big-endian words.  The first field to reach a word *becomes* it:
-    either a fresh shifted array or, for a field that fills the word
-    exactly, ``values`` itself (nothing else reaches that word, so it is
-    never written to); later fields are OR-ed in.
+    A field of at most 8 bytes spans at most two words.  The first field
+    to reach a word *becomes* it: either a fresh shifted array or, for a
+    field that fills the word exactly, ``values`` itself (nothing else
+    reaches that word, so it is never written to); later fields are
+    OR-ed in.
     """
-    if np.ndim(values) == 2:
-        first, lead = divmod(offset, 8)
-        span = -(-(lead + width) // 8)
-        padded = np.zeros((len(values), 8 * span), dtype=np.uint8)
-        padded[:, lead : lead + width] = values
-        for index, word in enumerate(padded.view(">u8").T, first):
-            _or_word(words, index, word.astype(np.uint64))
-        return
     word, last = divmod(offset + width - 1, 8)
     shift = 8 * (7 - last)  # bits after the field's last byte in its word
     if offset < 8 * word:  # the field's leading bytes end the word before
@@ -477,9 +442,12 @@ def key_words(
 
     ``encoded`` maps key columns to what
     :meth:`~repro.keys.compression.KeyStatsAccumulator.update` made of
-    them: a VARCHAR column's UTF-8 ``(buffer, lengths)`` (its windows are
-    cut from that buffer, not a second encoding), a fixed-width column's
-    uint64 order codes (not computed twice).  The words are read only.
+    them: a VARCHAR column's
+    :class:`~repro.keys.encoding.EncodedStrings` (its windows are read
+    from that buffer as words, and its prefix classes are the statistics
+    pass's: no second encoding, no second prefix scan), a fixed-width
+    column's uint64 order codes (not computed twice).  The words are read
+    only.
     """
     fields = _key_fields(table, layout, encoded)
     return pack_fields(fields, table.num_rows, layout.key_width)

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConversionError
-from repro.keys.encoding import encode_utf8_column
+from repro.keys.encoding import EncodedStrings, encode_utf8_column
 from repro.rows.layout import RowLayout
 from repro.table.column import ColumnVector
 from repro.table.table import Table
@@ -121,9 +121,10 @@ class RowBlock:
     def from_table(cls, table: Table, encoded: dict | None = None) -> "RowBlock":
         """Convert a columnar table to rows (the paper's 'columns to rows').
 
-        ``encoded`` maps string columns to the ``(buffer, lengths)``
-        :func:`~repro.keys.encoding.encode_utf8_column` already made of
-        them (a sort's VARCHAR keys): the heap is those bytes as they are.
+        ``encoded`` maps string columns to the
+        :class:`~repro.keys.encoding.EncodedStrings` a sort's statistics
+        pass already made of them (its VARCHAR keys): the heap is those
+        bytes as they are.
         """
         layout = RowLayout.for_schema(table.schema)
         n = table.num_rows
@@ -138,14 +139,16 @@ class RowBlock:
             if slot.is_string:
                 # One codec pass for the whole column; the per-value
                 # (offset, length) slots follow by offset arithmetic.
-                pair = encoded.get(slot.name) if encoded else None
-                buffer, lengths = pair or encode_utf8_column(
-                    column.data, column.validity, slot.name
-                )
+                strings = encoded.get(slot.name) if encoded else None
+                if strings is None:
+                    strings = EncodedStrings(*encode_utf8_column(
+                        column.data, column.validity, slot.name
+                    ))
+                buffer, lengths = strings.buffer, strings.lengths
                 base = heap_bases([sum(map(len, heaps)), len(buffer)])[1]
                 offset_slots, length_slots = string_slots(rows, slot)
                 offset_slots[:] = np.where(
-                    column.validity, base + np.cumsum(lengths) - lengths, 0
+                    column.validity, base + strings.starts, 0
                 )
                 length_slots[:] = lengths
                 heaps.append(buffer)
@@ -154,10 +157,7 @@ class RowBlock:
                 data = np.ascontiguousarray(column.data)
                 raw = data.view(np.uint8).reshape(n, width)
                 rows[:, slot.offset : slot.offset + width] = raw
-        # One string column: the bytes object the codec viewed is the heap.
-        heap = heaps[0].base if len(heaps) == 1 else None
-        if not isinstance(heap, bytes):  # several columns, or a slice
-            heap = b"".join(part.data for part in heaps)
+        heap = b"".join(part.data for part in heaps)
         return cls(layout, rows, heap)
 
     # ------------------------------------------------------------------ #

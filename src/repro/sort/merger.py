@@ -63,6 +63,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.keys.compression import decode_key_table, rebase_words
+from repro.keys.encoding import EncodedStrings
 from repro.rows.block import RowBlock, heap_bases, string_slots
 from repro.rows.layout import RowLayout
 from repro.sort.kernels import KWayBlockStats, kway_merge_blocks
@@ -376,8 +377,8 @@ class _PositionPayload:
         ids = arrays[0][tied]
 
         def get(name):
-            buffer, starts, lengths = self._strings[name]
-            return buffer, starts[ids], lengths[ids]
+            strings = self._encoded[name]
+            return strings.buffer, strings.starts[ids], strings.lengths[ids]
 
         return get
 
@@ -389,32 +390,20 @@ class _PositionPayload:
         words = [_concat(list(word)) for word in zip(*(r.words for r in runs))]
         return InMemoryRun(
             words, key_layout, self._table(), _concat(columns[0]),
-            self._encoded(), runs[0].row_id_base,
+            self._encoded, runs[0].row_id_base,
         )
 
     def _table(self) -> Table:
         tables = [run.table for run in self.runs]
         return tables[0].concat(*tables[1:]) if len(tables) > 1 else tables[0]
 
+    @functools.cached_property
     def _encoded(self) -> dict:
         """The runs' VARCHAR key encodings joined like their tables."""
         encodings = [run.encoded for run in self.runs]
-        if len(encodings) == 1:
-            return encodings[0]
         return {
-            name: tuple(
-                np.concatenate(part)
-                for part in zip(*(encoded[name] for encoded in encodings))
-            )
+            name: EncodedStrings.concat([each[name] for each in encodings])
             for name in encodings[0]
-        }
-
-    @functools.cached_property
-    def _strings(self) -> dict:
-        """``{column: (buffer, starts, lengths)}`` by joined position."""
-        return {
-            name: (buffer, np.cumsum(lengths) - lengths, lengths)
-            for name, (buffer, lengths) in self._encoded().items()
         }
 
 

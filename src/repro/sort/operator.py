@@ -426,7 +426,9 @@ class SortOperator:
             return Table.empty(self.schema)
         run = self._sort_buffer()
         with self.stats.time_phase("merge", RunMerger.NESTED_PHASES):
-            return RunMerger(self._generator, run.num_rows).merge([run])
+            result = RunMerger(self._generator, run.num_rows).merge([run])
+            del run  # the run's table and keys are freed inside the phase
+        return result
 
     def _sort_buffer(self) -> InMemoryRun:
         """Everything buffered as one resident run; the buffer is released."""

@@ -84,6 +84,7 @@ from repro.keys.compression import (
     key_carried_eligible,
     plain_key_width,
 )
+from repro.keys.encoding import EncodedStrings
 from repro.keys.normalizer import KeyLayout, key_words
 from repro.rows.block import RowBlock
 from repro.sort.heuristic import vector_sort_rows
@@ -457,9 +458,10 @@ class InMemoryRun:
     ``layout`` as the uint64 word columns
     :func:`~repro.keys.normalizer.key_words` packs, in table order;
     ``positions``, the int64 position in ``table`` of each row in key
-    order; ``encoded``, the UTF-8 ``(buffer, lengths)`` of each VARCHAR
-    *key* column in table order (the key statistics pass made them;
-    exact-string refinement reads tied strings there); ``row_id_base``,
+    order; ``encoded``, the :class:`~repro.keys.encoding.EncodedStrings`
+    of each VARCHAR *key* column in table order (the key statistics pass
+    made them; a rebase reads their prefix classes and exact-string
+    refinement reads tied strings there); ``row_id_base``,
     the row id of the table's first row.  No key bytes, no row matrix, no
     heap, whatever the columns: a result made of resident runs is one
     ``Table.take`` by position, and the merge frontier reads
@@ -611,11 +613,11 @@ class RunGenerator:
         Returns ``(table, words, encoded, row_id_base)``: the
         :func:`~repro.keys.normalizer.key_words` of ``table`` under
         :attr:`layout`, made from the order codes and UTF-8 buffers the
-        statistics pass computed; the VARCHAR key columns' ``(buffer,
-        lengths)``, the run's one crossing from ``str``, read by the key
-        windows, by exact-string refinement and, once the run is written
-        to a spill file, as its heap; and the row id of the table's first
-        row.
+        statistics pass computed; the VARCHAR key columns'
+        ``EncodedStrings``, the run's one crossing from ``str``, read by
+        the key windows, by exact-string refinement and, once the run is
+        written to a spill file, as its heap; and the row id of the
+        table's first row.
         """
         self.check_cancelled()
         stats = self.stats
@@ -637,7 +639,9 @@ class RunGenerator:
             segment.prefix_exact for segment in layout.segments
         )
         stats.rows_sorted += len(table)
-        strings = {k: v for k, v in encoded.items() if isinstance(v, tuple)}
+        strings = {
+            k: v for k, v in encoded.items() if isinstance(v, EncodedStrings)
+        }
         return table, words, strings, row_id_base
 
     def argsort(self, words: list[np.ndarray]) -> np.ndarray:

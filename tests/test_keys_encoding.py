@@ -14,7 +14,6 @@ from repro.keys.encoding import (
     encode_float,
     encode_signed,
     encode_string,
-    encode_string_column,
     encode_unsigned,
     encode_utf8_column,
     gather_windows,
@@ -179,17 +178,24 @@ class TestVectorizedEncoders:
         for i, v in enumerate(values):
             assert matrix[i].tobytes() == encode_float(float(v), 8)
 
+    @staticmethod
+    def string_windows(values, prefix):
+        """The value bytes of a forced-width VARCHAR key, one per row."""
+        table = Table.from_pydict({"s": values}, dtypes={"s": VARCHAR})
+        keys = normalize_keys(
+            table, SortSpec.of("s"), string_prefix=prefix, include_row_id=False
+        )
+        return [row[1:].tobytes() for row in keys.matrix]
+
     def test_string_column(self):
-        values = np.array(["GERMANY", "NETHERLANDS", ""], dtype=object)
-        matrix = encode_string_column(values, 11)
-        assert matrix[0].tobytes() == encode_string("GERMANY", 11)
-        assert matrix[1].tobytes() == b"NETHERLANDS"
-        assert matrix[2].tobytes() == b"\x00" * 11
+        windows = self.string_windows(["GERMANY", "NETHERLANDS", ""], 11)
+        assert windows[0] == encode_string("GERMANY", 11)
+        assert windows[1] == b"NETHERLANDS"
+        assert windows[2] == b"\x00" * 11
 
     def test_string_column_utf8_truncation(self):
-        values = np.array(["héllo"], dtype=object)
-        matrix = encode_string_column(values, 3)
-        assert matrix[0].tobytes() == "héllo".encode("utf-8")[:3]
+        windows = self.string_windows(["héllo"], 3)
+        assert windows[0] == "héllo".encode("utf-8")[:3]
 
     @given(STRING_COLUMN)
     def test_utf8_column_codec(self, values):
@@ -216,19 +222,22 @@ class TestVectorizedEncoders:
         for i, (value,) in enumerate(table.iter_rows()):
             expected = normalized_key_for_row((value,), spec, keys.layout)
             assert keys.matrix[i].tobytes() == expected
-        column = table.column("s")
-        prefixes = encode_string_column(column.data, prefix, column.validity)
+        # The window is the scalar prefix encoder's (inverted for DESC);
+        # NULL rows are zero.
         for i, (value,) in enumerate(table.iter_rows()):
-            scalar = encode_string(value or "", prefix)
-            assert prefixes[i].tobytes() == scalar
+            window = keys.matrix[i, 1:].tobytes()
+            if desc and value is not None:
+                window = invert_bytes(window)
+            assert window == encode_string(value or "", prefix)
 
     def test_unencodable_value_names_column_and_row(self):
         data = np.array(["a", "filler\ud800", "b\ud800", "c"], dtype=object)
         validity = np.array([True, False, True, True])
         with pytest.raises(KeyEncodingError, match=r"'s' row 2"):
             encode_utf8_column(data, validity, "s")
+        # Without a validity mask the filler at row 1 is encoded too.
         with pytest.raises(KeyEncodingError, match=r"'s' row 1"):
-            encode_string_column(data, 4, column="s")
+            encode_utf8_column(data, column="s")
 
     def test_gather_windows(self):
         buffer = np.frombuffer(b"abcdefghij", dtype=np.uint8)
