@@ -1,6 +1,7 @@
-"""Overlapped prefetch + replacement selection; writes BENCH_external.json.
+"""Overlapped prefetch, replacement selection, spilled payload; writes
+BENCH_external.json.
 
-Two experiments over the external sort, both asserting byte identity
+Three experiments over the external sort, each asserting byte identity
 between every timed configuration:
 
 * **overlap** -- a multi-run external sort of uniform int64 rows, merge
@@ -24,6 +25,15 @@ between every timed configuration:
   is off by default.  The JSON records both sides' seconds, run counts,
   run-length lists, pass/round counts, and the pass ratio.
 
+* **payload_spill** -- spilled runs that carry a payload beside their
+  keys: the ``tpcds_customer`` and ``mixed_null`` catalog scenarios
+  (VARCHAR keys and payload, NULLs, a double), 8 spilled runs, no
+  resident tail.  Records the median of five sorts' seconds, the last
+  sort's ``phase_seconds`` (``decode`` is the spilled payload read back
+  into columns plus the result's assembly) and the ``tracemalloc`` peak
+  of one ``finalize``.  Every end-to-end workload that spills is
+  key-carried, so this cell is the record of the payload spill path.
+
 Results land in ``BENCH_external.json`` at the repository root.  Runs
 standalone (``python benchmarks/bench_external_overlap.py [--rows N]``)
 or under pytest.
@@ -35,8 +45,10 @@ import argparse
 import json
 import os
 import sys
+import statistics
 import tempfile
 import time
+import tracemalloc
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if os.path.isdir(_SRC) and _SRC not in sys.path:
@@ -51,6 +63,7 @@ from repro.sort.operator import SortConfig  # noqa: E402
 from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
 from repro.types.sortspec import SortSpec  # noqa: E402
+from repro.workloads.scenarios import SCENARIOS  # noqa: E402
 
 from bench_key_compression import commit_id  # noqa: E402
 from scenarios import near_sorted_values, uniform_values  # noqa: E402
@@ -63,6 +76,10 @@ PREFETCH_DEPTH = 2
 MERGE_FAN_IN = 4
 READ_DELAY_S = 0.002  # SlowStorageIO per-read latency (cold spill store)
 ROUNDS = 2  # best-of for every timed side
+PAYLOAD_SCENARIOS = ("tpcds_customer", "mixed_null")
+PAYLOAD_ROWS = 200_000  # at most; a smaller --rows runs the cell at --rows
+PAYLOAD_SEED = 17
+PAYLOAD_REPEATS = 5  # the median of these
 
 
 def _run_rows(rows: int) -> int:
@@ -215,12 +232,65 @@ def bench_rungen(rows: int) -> dict:
     return result
 
 
+def _finalize_peak_mib(table, spec, config) -> float:
+    """The ``tracemalloc`` peak of one ``finalize`` (the merge), in MiB."""
+    with tempfile.TemporaryDirectory(prefix="bench_external_") as spill_dir:
+        with ExternalSortOperator(
+            table.schema, spec, config, spill_directory=spill_dir
+        ) as operator:
+            for chunk in chunk_table(table, CHUNK_ROWS):
+                operator.sink(chunk)
+            tracemalloc.start()
+            try:
+                operator.finalize()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    return peak / (1 << 20)
+
+
+def bench_payload_spill(rows: int = PAYLOAD_ROWS) -> dict:
+    run_rows = rows // 8
+    result = {
+        "rows": rows,
+        "rows_per_run": run_rows,
+        "seed": PAYLOAD_SEED,
+        "repeats": PAYLOAD_REPEATS,
+        "scenarios": {},
+    }
+    config = SortConfig(run_threshold=run_rows)
+    for name in PAYLOAD_SCENARIOS:
+        scenario = SCENARIOS[name]
+        table = scenario.table(rows, PAYLOAD_SEED)
+        spec = SortSpec.of(*[p.strip() for p in scenario.order_by.split(",")])
+        seconds, reference = [], None
+        for _ in range(PAYLOAD_REPEATS):
+            elapsed, output, stats = _external_sort(table, spec, config)
+            if reference is None:
+                reference = output
+            assert output.equals(reference), f"output diverged: {name}"
+            seconds.append(elapsed)
+        assert stats.runs_generated == 8 and stats.key_carried_runs == 0
+        result["scenarios"][name] = {
+            "seconds": statistics.median(seconds),
+            "all_seconds": seconds,
+            "runs": stats.runs_generated,
+            "phase_seconds": {
+                phase: round(value, 6)
+                for phase, value in sorted(stats.phase_seconds.items())
+            },
+            "finalize_peak_mib": _finalize_peak_mib(table, spec, config),
+        }
+    return result
+
+
 def main(rows: int = DEFAULT_ROWS, output: str = OUTPUT) -> dict:
     results = {
         "cpu_count": os.cpu_count(),
         "commit": commit_id(),
         "overlap_int64": bench_overlap(rows),
         "rungen_near_sorted": bench_rungen(rows),
+        "payload_spill": bench_payload_spill(min(rows, PAYLOAD_ROWS)),
     }
     with open(output, "w") as fh:
         json.dump(results, fh, indent=2)
@@ -244,6 +314,12 @@ def main(rows: int = DEFAULT_ROWS, output: str = OUTPUT) -> dict:
         f"{rungen['sides']['replacement']['seconds']:.3f}s "
         f"({rungen['merge_pass_reduction']:.2f}x fewer passes)"
     )
+    for name, cell in results["payload_spill"]["scenarios"].items():
+        print(
+            f"payload_spill[{name}]: {cell['seconds']:.3f}s median, decode "
+            f"{cell['phase_seconds'].get('decode', 0.0):.3f}s, finalize "
+            f"peak {cell['finalize_peak_mib']:.1f} MiB"
+        )
     print(f"wrote {output} (cpu_count={results['cpu_count']})")
     return results
 
@@ -268,6 +344,7 @@ def test_external_overlap_bench_smoke(capsys, tmp_path):
     rungen = results["rungen_near_sorted"]
     assert rungen["run_reduction"] >= 1.5
     assert rungen["merge_pass_reduction"] >= 1.5
+    assert set(results["payload_spill"]["scenarios"]) == set(PAYLOAD_SCENARIOS)
     assert output.exists()
 
 

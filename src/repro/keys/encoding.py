@@ -41,6 +41,7 @@ __all__ = [
     "encode_fixed_column",
     "fixed_column_codes",
     "encode_utf8_column",
+    "decode_utf8_column",
     "EncodedStrings",
     "ends_in_nul",
     "gather_windows",
@@ -251,6 +252,38 @@ def encode_utf8_column(
     lengths = np.zeros(len(values), dtype=np.int64)
     lengths[rows] = chars
     return buffer, lengths
+
+
+def decode_utf8_column(
+    buffer, starts: np.ndarray, lengths: np.ndarray, validity: np.ndarray
+) -> np.ndarray:
+    """The inverse of :func:`encode_utf8_column`: value ``i`` of an object
+    column is ``buffer[starts[i]:][:lengths[i]]`` decoded (``buffer`` any
+    bytes-like object).
+
+    The buffer span the rows reference is decoded once and sliced per
+    row.  Byte offsets are character offsets when the span is ASCII;
+    otherwise they map to character offsets through one cumsum over the
+    span's UTF-8 lead bytes.  NULL and empty rows decode as ``""``.
+    """
+    data = np.empty(len(starts), dtype=object)
+    live = validity & (lengths > 0)
+    if not live.any():
+        data.fill("")
+        return data
+    starts = starts.astype(np.int64)
+    ends = starts + lengths
+    lo = int(starts[live].min())
+    span = buffer[lo : int(ends[live].max())]
+    text = str(span, "utf-8")
+    starts = np.where(live, starts - lo, 0)
+    ends = np.where(live, ends - lo, 0)
+    if len(text) != len(span):
+        lead = (np.frombuffer(span, dtype=np.uint8) & 0xC0) != 0x80
+        char_at = np.concatenate(([0], np.cumsum(lead)))
+        starts, ends = char_at[starts], char_at[ends]
+    data[:] = [text[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    return data
 
 
 def ends_in_nul(buffer: np.ndarray, lengths: np.ndarray) -> bool:

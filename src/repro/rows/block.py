@@ -4,11 +4,9 @@ A :class:`RowBlock` holds ``n`` fixed-width rows as an ``(n, row_width)``
 uint8 matrix plus a string heap, per the layout in
 :mod:`repro.rows.layout`.  It provides the two conversions the paper's
 Figure 1 shows -- DSM (vectors) to NSM (rows) and back -- and a row
-gather.  In the sort it is the spill format: a run written to a spill
-file is converted once (:meth:`RowBlock.from_table`), and a merge that
-read spilled rows converts its result back (:meth:`RowBlock.to_table`).
-Resident runs keep their payload in columns and are gathered with
-``Table.take``.
+gather.  No engine path uses it (see :mod:`repro.rows`); its string
+decode is the key codec's inverse,
+:func:`repro.keys.encoding.decode_utf8_column`.
 
 The scatter/gather is vectorized per column: each column's values are
 written into a strided view of the row matrix in one numpy operation, which
@@ -22,7 +20,11 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConversionError
-from repro.keys.encoding import EncodedStrings, encode_utf8_column
+from repro.keys.encoding import (
+    EncodedStrings,
+    decode_utf8_column,
+    encode_utf8_column,
+)
 from repro.rows.layout import RowLayout
 from repro.table.column import ColumnVector
 from repro.table.table import Table
@@ -52,36 +54,6 @@ def string_slots(rows: np.ndarray, slot) -> tuple[np.ndarray, np.ndarray]:
     """Writable uint32 ``(offsets, lengths)`` views of a string slot."""
     pairs = rows[:, slot.offset : slot.offset + 8].view(np.uint32)
     return pairs[:, 0], pairs[:, 1]
-
-
-def _decode_string_slot(
-    heap: bytes, offsets: np.ndarray, lengths: np.ndarray, validity: np.ndarray
-) -> np.ndarray:
-    """Decode one string column out of the heap.
-
-    The heap span the rows reference is decoded once and sliced per row.
-    Byte offsets are character offsets when the span is ASCII; otherwise
-    they map to character offsets through one cumsum over the span's
-    UTF-8 lead bytes.  NULL and empty rows decode as ``""``.
-    """
-    data = np.empty(len(offsets), dtype=object)
-    live = validity & (lengths > 0)
-    if not live.any():
-        data.fill("")
-        return data
-    starts = offsets.astype(np.int64)
-    ends = starts + lengths
-    lo = int(starts[live].min())
-    span = heap[lo : int(ends[live].max())]
-    text = span.decode("utf-8")
-    starts = np.where(live, starts - lo, 0)
-    ends = np.where(live, ends - lo, 0)
-    if len(text) != len(span):
-        lead = (np.frombuffer(span, dtype=np.uint8) & 0xC0) != 0x80
-        char_at = np.concatenate(([0], np.cumsum(lead)))
-        starts, ends = char_at[starts], char_at[ends]
-    data[:] = [text[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
-    return data
 
 
 class RowBlock:
@@ -173,7 +145,7 @@ class RowBlock:
             validity = (self.rows[:, byte_off] >> np.uint8(bit)) & 1
             validity = validity.astype(bool)
             if slot.is_string:
-                data = _decode_string_slot(
+                data = decode_utf8_column(
                     self.heap, *string_slots(self.rows, slot), validity
                 )
             else:

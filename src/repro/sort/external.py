@@ -35,35 +35,34 @@ re-spill pass.  A spill header's ``extra`` blob is its run's serialized
 layout.
 When the key segments alone can reconstruct every column exactly
 (``key_carried_eligible``: all columns are fixed-width non-float sort
-keys), runs are spilled **key-carried**: the payload row matrix and heap
-sections are empty and the output table is decoded straight from the
-merged key word columns, cutting spill volume by the full payload width.
+keys), runs are spilled **key-carried**: the payload section is empty
+and the output table is decoded straight from the merged key word
+columns, cutting spill volume by the full payload width.
 
 Truncated VARCHAR prefixes spill in key-byte order and the streamed
 merge repairs them with the adaptive re-encode loop
 (:func:`repro.sort.stringsort.refine_key_order`) -- rows tied on the
 bytes up to the first truncated segment are held in a carry buffer
-across round boundaries, refined against their full strings' bytes in
-the spilled heaps (no ``str`` decoded), then emitted.
+across round boundaries, refined against their full strings' bytes as
+the spill file holds them (no ``str`` decoded), then emitted.
 
 A sort spills to one file per directory, each run an extent appended to
-it: three contiguous data sections -- the sorted key words (uint64 rows,
-the words the merge compares: a block reads back with no conversion),
-the payload row matrix, and the string heap -- preceded by a versioned,
-checksummed header (:mod:`repro.sort.spillfile`).  Key bytes exist only
-inside replacement selection (its ``_rs_*`` methods); the merge rebases a
-stale block in words.
-The NSM rows and heap exist for the file: a resident run keeps its
-payload in columns, and one ``RowBlock.from_table`` builds them when the
-run is written (:meth:`~repro.sort.rungen.InMemoryRun.to_row_run`), or
-once in the merge for a resident run (the tail, a memory fallback) that
-joins spilled ones.
+it: two contiguous data sections -- the sorted key words (uint64 rows,
+the words the merge compares: a block reads back with no conversion)
+and the payload, the run as it is held resident (its table's columns in
+arrival order, VARCHAR ones as UTF-8 bytes, and its rows' positions in
+key order) -- preceded by a versioned, checksummed header
+(:mod:`repro.sort.spillfile`).  A spilled run read back is a resident
+run whose key words stream from disk, so a merge of any mix of the two
+gathers row positions alone.  Key bytes exist only inside replacement
+selection (its ``_rs_*`` methods); the merge rebases a stale block in
+words.
 Sections are written from flat views of the run's arrays (one
-``pwritev``, no ``tobytes``) and indexed by offset arithmetic, so any row
-range reads back with a single ``pread``; every merge block carries one
-CRC32, checked as it is read, so a truncated or bit-flipped run raises
-:class:`repro.errors.SpillCorruptionError` naming the run instead of an
-opaque numpy error mid-merge.
+``pwritev``, no ``tobytes``); a key row range reads back with a single
+``pread`` and the payload with one more.  Every merge block and the
+payload carry one CRC32, checked as they are read, so a truncated or
+bit-flipped run raises :class:`repro.errors.SpillCorruptionError`
+naming the run instead of an opaque numpy error mid-merge.
 
 A production sorter is judged by how it fails, so spill I/O is fault
 tolerant end to end (all of it routed through a swappable
@@ -126,13 +125,14 @@ from repro.sort.rungen import (
     RUN_CAP_FACTOR,
     InMemoryRun,
     ReplacementSelection,
-    RowRun,
 )
 from repro.sort.spillfile import (
     SECTION_NAMES,
     SpillHeader,
     build_header,
+    pack_payload,
     read_header,
+    unpack_payload,
 )
 from repro.table.chunk import DataChunk
 from repro.table.table import Table
@@ -148,7 +148,7 @@ __all__ = [
 _BACKOFF_CAP_S = 1.0
 """Upper bound of one exponential-backoff sleep between write retries."""
 
-_KEYS, _ROWS, _HEAP = range(3)
+_KEYS, _PAYLOAD = range(2)
 
 
 class SpilledRun:
@@ -158,12 +158,13 @@ class SpilledRun:
     sort's spill file, which starts at ``base`` of what ``path`` reads
     (0, unless the run was reopened by file and offset).  The extent's
     layout is :mod:`repro.sort.spillfile`: a checksummed header followed
-    by three contiguous sections (sorted key words, payload row matrix,
-    string heap) -- no per-row serialization -- so any row range reads
-    back as a single ``pread``.  With ``verify`` on (the default), every
-    read checks the CRC32 of each block it covers (a merge read is one
-    block) and raises :class:`SpillCorruptionError` on mismatch or
-    truncation; OS-level read failures surface as :class:`SpillIOError`.
+    by two contiguous sections (sorted key words, payload) -- no per-row
+    serialization -- so any key row range reads back as a single
+    ``pread``, and the payload as one more.  With ``verify`` on (the
+    default), every read checks the CRC32 of each block it covers (a
+    merge read is one block, the payload is one) and raises
+    :class:`SpillCorruptionError` on mismatch or truncation; OS-level
+    read failures surface as :class:`SpillIOError`.
     Both carry the offending ``path``, which names the file.
     """
 
@@ -229,12 +230,8 @@ class SpilledRun:
         return self.header.key_words
 
     @property
-    def row_width(self) -> int:
-        return self.header.row_width
-
-    @property
-    def heap_bytes(self) -> int:
-        return self.header.heap_bytes
+    def payload_bytes(self) -> int:
+        return self.header.payload_bytes
 
     def verify_header(self, stats: SortStats | None = None) -> None:
         """Re-read the on-disk header and check it matches this run's.
@@ -344,23 +341,18 @@ class SpilledRun:
             stop - start, self.key_words
         )
 
-    def read_row_block(
-        self, start: int, stop: int, stats: SortStats | None = None
-    ) -> np.ndarray:
-        """Payload rows ``[start, stop)`` as an ``(m, row_width)`` matrix."""
-        raw = self._read_section(
-            _ROWS,
-            start * self.row_width,
-            (stop - start) * self.row_width,
-            stats,
+    def read_payload(
+        self, schema: Schema, stats: SortStats | None = None
+    ) -> InMemoryRun:
+        """The run's payload, read and CRC-checked whole: the resident run
+        it was, whose key words stay on disk (``words`` is ``None``)."""
+        raw = self._read_section(_PAYLOAD, 0, self.payload_bytes, stats)
+        table, positions, strings = unpack_payload(
+            raw, schema, self.num_rows, self.path
         )
-        return np.frombuffer(raw, dtype=np.uint8).reshape(
-            stop - start, self.row_width
-        )
-
-    def read_heap(self, stats: SortStats | None = None) -> bytes:
-        """The whole string heap (offsets in rows are run-relative)."""
-        return self._read_section(_HEAP, 0, self.heap_bytes, stats)
+        columns = {segment.key.column for segment in self.layout.segments}
+        encoded = {name: strings[name] for name in strings if name in columns}
+        return InMemoryRun(None, self.layout, table, positions, encoded)
 
 
 class ExternalSortOperator(SortOperator):
@@ -395,7 +387,7 @@ class ExternalSortOperator(SortOperator):
         self._own_dir: str | None = None  # made by the first spill
         self.merge_block_rows = merge_block_rows
         self._buffered_rows = 0
-        self._runs: list[SpilledRun | InMemoryRun | RowRun] = []
+        self._runs: list[SpilledRun | InMemoryRun] = []
         self._closed = False
         self._cancelled = False
         self._merging = False
@@ -658,9 +650,7 @@ class ExternalSortOperator(SortOperator):
     # The spilling run store
     # ------------------------------------------------------------------ #
 
-    def _store_run(
-        self, run: "InMemoryRun | RowRun"
-    ) -> "SpilledRun | InMemoryRun | RowRun":
+    def _store_run(self, run: InMemoryRun) -> "SpilledRun | InMemoryRun":
         """Spill one sorted run, degrading to memory when disk is gone.
 
         The stored run is appended to ``self._runs`` (so cleanup always
@@ -686,22 +676,23 @@ class ExternalSortOperator(SortOperator):
         try:
             if not self._degraded:
                 with self.stats.time_phase("run_gen"):
-                    # The run's key word rows and NSM rows, once.
-                    written = run.to_row_run(self._generator.key_carried)
-                # Flat byte views of the (C-order) arrays, no tobytes copy:
+                    # The run's key word rows, in key order, once.
+                    keys = np.stack(run.key_block(0, run.num_rows), axis=1)
+                # Flat byte views of the run's arrays, no tobytes copy:
                 # pwritev and crc32 take them as they are.
-                keys, rows = written.keys.view(np.uint8), written.rows
-                sections = (keys.ravel(), rows.ravel(), written.heap)
+                payload = []
+                if not self._generator.key_carried:
+                    payload = pack_payload(
+                        run.table, run.positions, run.encoded
+                    )
                 header = build_header(
-                    *written.keys.shape,
-                    written.rows.shape[1],
-                    sections,
+                    keys,
+                    payload,
                     self.merge_block_rows,
                     serialize_layout(run.layout),
                 )
-                path = self._write_run_file(
-                    filename, [header.pack(), *sections]
-                )
+                sections = [header.pack(), keys.view(np.uint8).ravel()]
+                path = self._write_run_file(filename, sections + payload)
         finally:
             self._spilling = False
         if self._cancelled or self._closed:
@@ -827,7 +818,7 @@ class ExternalSortOperator(SortOperator):
             # (for cleanup visibility), and iterating the live list would
             # let a group slice swallow a run created earlier this pass.
             current = list(self._runs)
-            survivors: list[SpilledRun | InMemoryRun | RowRun] = []
+            survivors: list[SpilledRun | InMemoryRun] = []
             for start in range(0, len(current), fan_in):
                 group = current[start : start + fan_in]
                 if len(group) == 1:
@@ -843,10 +834,7 @@ class ExternalSortOperator(SortOperator):
             self.stats.merge_passes += 1
 
     def _make_prefetcher(
-        self,
-        runs: "list[SpilledRun | InMemoryRun | RowRun]",
-        key_fetch,
-        row_fetch,
+        self, runs: "list[SpilledRun | InMemoryRun]", key_fetch
     ) -> BlockPrefetcher | None:
         """Build the read-ahead layer for one merge over ``runs``.
 
@@ -861,21 +849,18 @@ class ExternalSortOperator(SortOperator):
             return None
         # The budget derives from the *live* (grant-shrunk) threshold,
         # so a governor revoking memory also shrinks the read-ahead
-        # window the moment the next merge starts; it counts the streams
-        # this merge opens (key-carried runs have no payload stream).
+        # window the moment the next merge starts.
         budget = prefetch_budget_blocks(
             depth,
             sum(active),
             self.merge_block_rows,
             effective_run_threshold(self.config),
-            streams=1 if row_fetch is None else 2,
         )
         return BlockPrefetcher(
             [run.num_rows for run in runs],
             active,
             self.merge_block_rows,
             key_fetch,
-            row_fetch,
             depth,
             budget,
             self.stats,

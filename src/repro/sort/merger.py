@@ -29,9 +29,8 @@ moved once and the key working set is ``k * (block_rows + block_rows //
   back (the carry); every settled batch is refined with the adaptive
   re-encode loop (:func:`repro.sort.stringsort.refine_key_order`)
   on the tied rows' string bytes where they lie -- the UTF-8 buffers the
-  key statistics made of resident runs' VARCHAR key columns, or the
-  joined heaps spilled rows' ``(offset, length)`` slots point into; no
-  ``str`` decoded -- then emitted.
+  key statistics made of the runs' VARCHAR key columns, which a spill
+  file holds as they are; no ``str`` decoded -- then emitted.
   This is the sort's one string repair, made by the final pass only
   (:meth:`RunMerger.merge`; an intermediate :meth:`~RunMerger.merge_to_run`
   leaves byte order alone): a tie group reaches it ordered
@@ -39,20 +38,15 @@ moved once and the key working set is ``k * (block_rows + block_rows //
   refinement's precondition -- whereas repairing runs first would hand
   the kernel runs that are no longer byte-sorted whenever key bytes
   follow the truncated segment.
-* **Payload** -- resident runs keep theirs in columns, so a merge of
-  resident runs (the in-memory sort, incremental compactions and
-  views, memory-fallback runs) moves row positions only: each round
-  gathers its rows' positions in the run tables joined end to end, and
-  the result is one ``Table.take`` by them (an intermediate pass keeps
-  the joined table, the runs' words and the positions as its run).  A
-  merge that reads a spilled run streams NSM rows instead, a resident
-  run's built once (:meth:`~repro.sort.rungen.InMemoryRun.to_row_run`):
-  per round one contiguous read per span (served from the read-ahead
-  window when the store provides a prefetcher) put through the round's
-  permutation; string heaps are concatenated once up front and each
-  row's offsets shifted by its run's base at the end.  Key-carried spill
-  files hold no payload, and such a merge decodes the table from its
-  merged key words.
+* **Payload** -- one format, whatever the store: a run's table in
+  columns plus the positions of its rows in key order, which a spill
+  file holds as they are (:mod:`repro.sort.spillfile`) and a pass reads
+  whole, once, when it opens the run.  So every merge moves row
+  positions only: each round gathers its rows' positions in the run
+  tables joined end to end, and the result is one ``Table.take`` by them
+  (an intermediate pass keeps the joined table, the merged words and the
+  positions as its run).  Key-carried spill files hold no payload, and
+  such a merge decodes the table from its merged key words.
 """
 
 from __future__ import annotations
@@ -64,10 +58,8 @@ import numpy as np
 
 from repro.keys.compression import decode_key_table, rebase_words
 from repro.keys.encoding import EncodedStrings
-from repro.rows.block import RowBlock, heap_bases, string_slots
-from repro.rows.layout import RowLayout
 from repro.sort.kernels import KWayBlockStats, kway_merge_blocks
-from repro.sort.rungen import InMemoryRun, RowRun, RunGenerator
+from repro.sort.rungen import InMemoryRun, RunGenerator
 from repro.sort.stringsort import inexact_prefix_end, prefix_words, refine_key_order
 from repro.table.table import Table
 
@@ -86,8 +78,8 @@ class RunMerger:
     covering every run, whether runs are key-carried), the config, the
     stats and the cancellation checkpoint are the generator's.
     ``block_rows`` bounds each run's frontier block.
-    ``make_prefetcher(runs, key_fetch, row_fetch)`` is the spilling
-    store's read-ahead hook; it may return ``None``.
+    ``make_prefetcher(runs, key_fetch)`` is the spilling store's
+    read-ahead hook; it may return ``None``.
     """
 
     NESTED_PHASES = ("refine", "decode")
@@ -122,11 +114,7 @@ class RunMerger:
         prefix takes the rounds: the one string repair.)
         """
         runs, payload = self._payload(runs)
-        if (
-            len(runs) == 1
-            and self.refine_end is None
-            and isinstance(payload, _PositionPayload)
-        ):
+        if len(runs) == 1 and self.refine_end is None and not runs[0].on_disk:
             keys, columns = None, ([runs[0].positions],)
         else:
             self.stats.merge_passes += 1
@@ -151,27 +139,25 @@ class RunMerger:
 
         A run on a narrower layout than the final is rebased: a resident
         one packed anew here, a spilled one block by block as it streams.
-        Resident runs merged with a spilled one are read in the spill
-        format (key rows, NSM rows unless key-carried), built here once
-        per run.
+        A spilled run's payload (none when key-carried) is read and
+        decoded here, whole, before any prefetcher exists: a read error
+        here leaks no pool.
         """
         stale = [self._stale(run) for run in runs]
         self.stats.key_layout_rebases += sum(stale)
         runs = [
-            run.rebased(self.key_layout)
-            if old and isinstance(run, InMemoryRun) else run
+            run.rebased(self.key_layout) if old and not run.on_disk else run
             for run, old in zip(runs, stale)
         ]
-        if all(isinstance(run, InMemoryRun) for run in runs):
-            return runs, _PositionPayload(runs)
-        runs = [
-            run if run.on_disk else run.to_row_run(self.key_carried)
-            for run in runs
-        ]
-        if self.key_carried:
+        if self.key_carried and any(run.on_disk for run in runs):
             return runs, _KeyPayload(self.key_layout, self.schema)
-        layout = RowLayout.for_schema(self.schema)
-        return runs, _RowPayload(runs, layout, self.stats)
+        with self.stats.time_phase("decode", ("spill_io",)):
+            resident = [
+                run.read_payload(self.schema, self.stats)
+                if run.on_disk else run
+                for run in runs
+            ]
+        return runs, _PositionPayload(resident)
 
     # ------------------------------------------------------------------ #
     # Streaming reads
@@ -184,11 +170,14 @@ class RunMerger:
     def _key_block(self, run, start: int, stop: int, stats):
         """Key word columns of rows ``[start, stop)`` on the final layout.
 
-        This is the one read (and CRC check) of these words, transposed
-        into the columns the kernel reads (one copy per block, none per
-        round); a stale block is rebased on them.  (Prefetch workers call
-        this with a thread-private ``stats``.)
+        A resident run gathers its own (rebased already, if stale).  For a
+        spilled run this is the one read (and CRC check) of these words,
+        transposed into the columns the kernel reads (one copy per block,
+        none per round); a stale block is rebased on them.  (Prefetch
+        workers call this with a thread-private ``stats``.)
         """
+        if not run.on_disk:
+            return run.key_block(start, stop)
         block = run.read_key_block(start, stop, stats)
         if not self._stale(run):
             return np.ascontiguousarray(block.T)
@@ -200,10 +189,7 @@ class RunMerger:
         """A run's key word columns on the final layout, by block."""
         for start in range(0, run.num_rows, self.block_rows):
             stop = min(start + self.block_rows, run.num_rows)
-            if isinstance(run, InMemoryRun):
-                yield run.key_block(start, stop)
-            else:
-                yield self._key_block(run, start, stop, self.stats)
+            yield self._key_block(run, start, stop, self.stats)
 
     # ------------------------------------------------------------------ #
     # The pass
@@ -224,23 +210,16 @@ class RunMerger:
         stats = self.stats
         # A spilling merge takes the kernel's merged key words for a
         # key-carried result or a new run; resident runs hold their own.
-        want_keys = not isinstance(payload, _PositionPayload) and (
+        want_keys = any(run.on_disk for run in runs) and (
             self.key_carried or not final
         )
-        streams_rows = isinstance(payload, _RowPayload)
         prefetcher = None
         if self._make_prefetcher:
-            # Payload rows are the one stream besides the key blocks;
-            # resident and key-carried payloads are not read.
             prefetcher = self._make_prefetcher(
-                runs,
-                lambda i, lo, hi, s: self._key_block(runs[i], lo, hi, s),
-                payload.fetch_rows if streams_rows else None,
+                runs, lambda i, lo, hi, s: self._key_block(runs[i], lo, hi, s)
             )
         if prefetcher is not None:
             sources = [prefetcher.key_source(i) for i in range(len(runs))]
-            if streams_rows:
-                payload.read_rows = prefetcher.read_rows
         else:
             sources = [self._key_source(run) for run in runs]
         # The merged keys a pass keeps, which the kernel gathers into
@@ -343,7 +322,8 @@ class RunMerger:
 
 class _KeyPayload:
     """Key-carried spill files: no payload; the table is decoded from the
-    merged word columns, its own to consume (a new run keeps word rows)."""
+    merged word columns, its own to consume (a new run keeps the words
+    and decodes its table from a copy)."""
 
     def __init__(self, key_layout, schema) -> None:
         self.key_layout, self.schema = key_layout, schema
@@ -354,14 +334,17 @@ class _KeyPayload:
     def table(self, keys, columns) -> Table:
         return decode_key_table(keys, self.key_layout, self.schema)
 
-    def run(self, keys, columns, key_layout) -> RowRun:
-        return RowRun.keys_only(keys, key_layout)
+    def run(self, keys, columns, key_layout) -> InMemoryRun:
+        table = self.table([np.array(word) for word in keys.T], columns)
+        positions = np.arange(len(keys), dtype=np.int64)
+        return InMemoryRun(list(keys.T), key_layout, table, positions, {})
 
 
 class _PositionPayload:
-    """Resident runs: each row's position in the run tables joined end
-    to end (run ``i``'s rows start at ``bases[i]``).  The runs come in
-    generation order, so the joined rows' ids run on from the first's."""
+    """Each row's position in the run tables joined end to end (run
+    ``i``'s rows start at ``bases[i]``): resident runs, and spilled runs'
+    payloads read back.  The runs come in generation order, so the joined
+    rows' positions are their row ids."""
 
     def __init__(self, runs: Sequence[InMemoryRun]) -> None:
         self.runs = runs
@@ -386,11 +369,19 @@ class _PositionPayload:
         return self._table().take(_concat(columns[0]))
 
     def run(self, keys, columns, key_layout) -> InMemoryRun:
-        runs = self.runs
-        words = [_concat(list(word)) for word in zip(*(r.words for r in runs))]
+        """The pass's new run.  Its words are the runs' own, joined like
+        their tables, or -- read from spill files -- the merged ones put
+        back in table order."""
+        positions = _concat(columns[0])
+        if keys is None:
+            runs = self.runs
+            words = [_concat(list(w)) for w in zip(*(r.words for r in runs))]
+        else:
+            words = [np.empty(len(positions), np.uint64) for _ in keys.T]
+            for word, merged in zip(words, keys.T):
+                word[positions] = merged
         return InMemoryRun(
-            words, key_layout, self._table(), _concat(columns[0]),
-            self._encoded, runs[0].row_id_base,
+            words, key_layout, self._table(), positions, self._encoded
         )
 
     def _table(self) -> Table:
@@ -405,79 +396,6 @@ class _PositionPayload:
             name: EncodedStrings.concat([each[name] for each in encodings])
             for name in encodings[0]
         }
-
-
-class _RowPayload:
-    """NSM payload rows: a merge that reads a spilled run.
-
-    Each round reads one contiguous row block per span (through the
-    store's read-ahead window once one is attached, else ``fetch_rows``)
-    and puts them through its permutation.  String slots hold
-    run-relative heap offsets: the run heaps are joined once, up front,
-    and each row carries its run's base there (the shift), added at the
-    end.
-    """
-
-    def __init__(self, runs: Sequence, layout: RowLayout, stats) -> None:
-        self.runs, self.layout, self.stats = runs, layout, stats
-        # Read before any prefetcher exists: a read error here must not
-        # leak its pool.
-        self.heap, self.bases = b"", None
-        if any(slot.is_string for slot in layout.slots):
-            heaps = [run.read_heap(stats) for run in runs]
-            self.bases = heap_bases([len(part) for part in heaps])
-            self.heap = b"".join(heaps)
-
-    def fetch_rows(self, index, lo, hi, stats) -> np.ndarray:
-        return self.runs[index].read_row_block(lo, hi, stats)
-
-    def read_rows(self, index, lo, hi) -> np.ndarray:
-        return self.fetch_rows(index, lo, hi, self.stats)
-
-    def gather(self, spans, order) -> tuple:
-        rows = _gather([self.read_rows(*span) for span in spans], order)
-        if self.bases is None:
-            return (rows,)
-        shift = _gather(
-            [np.full(hi - lo, self.bases[i]) for i, lo, hi in spans], order
-        )
-        return rows, shift
-
-    def fetch_tied(self, arrays, tied):
-        rows, shift = arrays[0][tied], arrays[1][tied]
-        heap = np.frombuffer(self.heap, dtype=np.uint8)
-
-        def get(name):
-            offsets, lengths = string_slots(rows, self.layout.slot(name))
-            return heap, shift + offsets, lengths.astype(np.int64)
-
-        return get
-
-    def table(self, keys, columns) -> Table:
-        return RowBlock(self.layout, self._rows(columns), self.heap).to_table()
-
-    def run(self, keys, columns, key_layout) -> RowRun:
-        return RowRun(keys, self._rows(columns), self.heap, key_layout)
-
-    def _rows(self, columns) -> np.ndarray:
-        """The merged rows, string slots pointing into the joined heap.
-
-        Adding each row's run base re-targets its run-relative offsets
-        without touching a string byte.
-        """
-        # A copy even of a lone span's view of its run: patched below.
-        rows = np.concatenate(columns[0])
-        if self.bases is None:
-            return rows
-        shift = _concat(columns[1]).astype(np.uint32)
-        layout = self.layout
-        for col_index, slot in enumerate(layout.slots):
-            if not slot.is_string:
-                continue
-            byte_off, bit = layout.validity_position(col_index)
-            valid = ((rows[:, byte_off] >> np.uint8(bit)) & 1).astype(bool)
-            string_slots(rows, slot)[0][valid] += shift[valid]
-        return rows
 
 
 def _gather(parts: list[np.ndarray], order: np.ndarray) -> np.ndarray:

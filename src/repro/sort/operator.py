@@ -7,9 +7,10 @@ length, then produces the fully sorted table.  The stages mirror the paper:
    columns become *normalized keys*: per row, an order-preserving key
    packed into uint64 words, so comparing word lists is memcmp on the
    key bytes; the row's position is its row id.  The payload stays in
-   its columns.  Key word rows and fixed-width NSM *payload rows* with
-   a string heap are the spill format, built only for a run that is
-   written out.
+   its columns, and a run written out holds it the same way: its
+   columns, its rows' positions in key order, and its key words in key
+   order beside them (the paper spills NSM rows; here the result is
+   columns, so a spilled run keeps columns too).
 2. **Run generation** -- the key words are sorted, yielding a sorted
    run: its table, key words and the positions of its rows in key
    order (:class:`repro.sort.rungen.RunGenerator`, shared with the

@@ -7,12 +7,10 @@ one stable sort of the words -- and hands it over as an
 :class:`InMemoryRun`: the table as it arrived, its key words, and the
 positions of its rows in key order (the paper's Figure 11 sorts keys
 that carry a row id; here the position is the row id).  Nothing is
-gathered: a result made of one run is one ``Table.take``.  Key word
-rows, NSM payload rows and a string heap are the spill format, built
-only for a run written to a spill file or merged with one
-(:meth:`InMemoryRun.to_row_run`).  Where a VARCHAR prefix truncates, the
-exact-string repair happens once, in the merger, on tie groups that by
-then span all runs.
+gathered: a result made of one run is one ``Table.take``, and a spill
+file holds the same three things (:mod:`repro.sort.spillfile`).  Where a
+VARCHAR prefix truncates, the exact-string repair happens once, in the
+merger, on tie groups that by then span all runs.
 What happens to the run next is the *store's* business:
 :class:`~repro.sort.operator.SortOperator` keeps it resident,
 :class:`~repro.sort.external.ExternalSortOperator` spills it (and may
@@ -86,7 +84,6 @@ from repro.keys.compression import (
 )
 from repro.keys.encoding import EncodedStrings
 from repro.keys.normalizer import KeyLayout, key_words
-from repro.rows.block import RowBlock
 from repro.sort.heuristic import vector_sort_rows
 from repro.sort.kernels import _chunk_columns, argsort_rows
 from repro.table.chunk import DataChunk, concat_chunks
@@ -100,7 +97,6 @@ __all__ = [
     "RUN_CAP_FACTOR",
     "InMemoryRun",
     "ReplacementSelection",
-    "RowRun",
     "RunGenerator",
     "SelectionRun",
     "presortedness",
@@ -461,24 +457,24 @@ class InMemoryRun:
     order; ``encoded``, the :class:`~repro.keys.encoding.EncodedStrings`
     of each VARCHAR *key* column in table order (the key statistics pass
     made them; a rebase reads their prefix classes and exact-string
-    refinement reads tied strings there); ``row_id_base``,
-    the row id of the table's first row.  No key bytes, no row matrix, no
-    heap, whatever the columns: a result made of resident runs is one
+    refinement reads tied strings there).  No key bytes, no row matrix,
+    no heap, whatever the columns: a result made of resident runs is one
     ``Table.take`` by position, and the merge frontier reads
     :meth:`key_block`'s words.
     :class:`~repro.sort.operator.SortOperator` and the incremental
     sorter keep their runs in this form;
-    :class:`~repro.sort.external.ExternalSortOperator` writes a cut
-    run's :meth:`to_row_run` to a spill file (keeping the run as it is
-    when no spill target is writable) and keeps the tail run.
+    :class:`~repro.sort.external.ExternalSortOperator` writes a cut run
+    to a spill file as it is -- its key words in key order, then its
+    table, positions and encodings -- keeping the run when no spill
+    target is writable, and keeps the tail run.  A spilled run's payload
+    read back is one of these whose ``words`` stay on disk (``None``).
     """
 
-    words: list[np.ndarray]
+    words: list[np.ndarray] | None
     layout: KeyLayout
     table: Table
     positions: np.ndarray
     encoded: dict
-    row_id_base: int
 
     on_disk = False
     path = "<memory>"
@@ -497,72 +493,6 @@ class InMemoryRun:
         (from its own table: the values, not the old codes, are encoded)."""
         words = key_words(self.table, layout, self.encoded)
         return dataclasses.replace(self, words=words, layout=layout)
-
-    def to_row_run(self, keys_only: bool = False) -> "RowRun":
-        """The run in the spill format: key word rows, NSM payload rows,
-        heap, in key order.
-
-        Built for a run written to a spill file, or merged with one; the
-        heap is the run's string columns in table order, VARCHAR keys
-        from ``encoded`` as they are.  ``keys_only`` (a key-carried sort)
-        leaves the rows and heap empty.
-        """
-        keys = np.stack(self.key_block(0, self.num_rows), axis=1)
-        if keys_only:
-            return RowRun.keys_only(keys, self.layout)
-        block = RowBlock.from_table(self.table, self.encoded)
-        block = block.take(self.positions)
-        return RowRun(keys, block.rows, block.heap, self.layout)
-
-
-class RowRun:
-    """A resident run in the spill format: key words, NSM rows, heap.
-
-    What :meth:`InMemoryRun.to_row_run` builds, what replacement
-    selection packs, and what a merge that reads spilled runs makes of an
-    intermediate pass (kept resident when no spill target takes it).
-    ``read_key_block`` / ``read_row_block`` / ``read_heap`` are
-    :class:`~repro.sort.external.SpilledRun`'s reads, so such a merge
-    streams any mix of the two alike.  ``keys`` is ``(rows, words)``
-    uint64, a row's words most significant first.  Key-carried runs have
-    zero-width rows and an empty heap.
-    """
-
-    on_disk = False
-    path = "<memory>"
-
-    def __init__(
-        self,
-        keys: np.ndarray,
-        rows: np.ndarray,
-        heap: bytes,
-        layout: KeyLayout,
-    ) -> None:
-        self.keys = np.ascontiguousarray(keys)
-        self.rows = np.ascontiguousarray(rows)
-        self.heap = heap
-        self.layout = layout
-
-    @classmethod
-    def keys_only(cls, keys: np.ndarray, layout: KeyLayout) -> "RowRun":
-        """A key-carried run: zero-width rows, no heap."""
-        return cls(keys, np.empty((len(keys), 0), dtype=np.uint8), b"", layout)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.keys)
-
-    def to_row_run(self, keys_only: bool = False) -> "RowRun":
-        return self
-
-    def read_key_block(self, start: int, stop: int, stats=None) -> np.ndarray:
-        return self.keys[start:stop]
-
-    def read_row_block(self, start: int, stop: int, stats=None) -> np.ndarray:
-        return self.rows[start:stop]
-
-    def read_heap(self, stats=None) -> bytes:
-        return self.heap
 
 
 class RunGenerator:
@@ -616,7 +546,7 @@ class RunGenerator:
         statistics pass computed; the VARCHAR key columns'
         ``EncodedStrings``, the run's one crossing from ``str``, read by
         the key windows, by exact-string refinement and, once the run is
-        written to a spill file, as its heap; and the row id of the
+        written to a spill file, as its VARCHAR payload; and the row id of the
         table's first row.
         """
         self.check_cancelled()
@@ -656,23 +586,24 @@ class RunGenerator:
     def sort_run(
         self, table: Table, words: list, encoded: dict, row_id_base: int
     ) -> InMemoryRun:
-        """Sort one encoded batch into a run: nothing is gathered."""
+        """Sort one encoded batch into a run: nothing is gathered.
+
+        ``row_id_base`` is replacement selection's; a run needs none (its
+        positions are its row ids, and runs merge in generation order).
+        """
         with self.stats.time_phase("run_gen"):
             order = self.argsort(words)
         self._count(len(order))
         layout = self.layout
-        return InMemoryRun(words, layout, table, order, encoded, row_id_base)
+        return InMemoryRun(words, layout, table, order, encoded)
 
     def pack(self, keys: np.ndarray, layout: KeyLayout, payload: Table):
-        """Seal a replacement-selection run in the spill format: its key
-        byte rows (row ids dropped) as words and ``payload``, both in key
-        order."""
+        """Seal a replacement-selection run: its key byte rows (row ids
+        dropped) as word columns and ``payload``, both in key order."""
         self._count(len(keys))
-        keys = np.stack(_chunk_columns(keys[:, : layout.key_width]), axis=1)
-        if self.key_carried:
-            return RowRun.keys_only(keys, layout)
-        block = RowBlock.from_table(payload)
-        return RowRun(keys, block.rows, block.heap, layout)
+        words = _chunk_columns(keys[:, : layout.key_width])
+        positions = np.arange(len(keys), dtype=np.int64)
+        return InMemoryRun(words, layout, payload, positions, {})
 
     def _count(self, rows: int) -> None:
         self.stats.runs_generated += 1

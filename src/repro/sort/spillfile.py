@@ -2,35 +2,46 @@
 
 A sort keeps one spill file per directory and appends each run to it as
 an *extent* (:class:`repro.sort.faults.SpillIO` opens the file once and
-maps run names to extents).  An extent holds one sorted run as three
-contiguous data sections (sorted key words, payload row matrix, string
-heap) preceded by a versioned header; every offset below is relative to
-the extent's start, so a header is re-read in place::
+maps run names to extents).  An extent holds one sorted run as two
+contiguous data sections (sorted key words, payload) preceded by a
+versioned header; every offset below is relative to the extent's start,
+so a header is re-read in place::
 
     spill file:  | run 0 extent | run 1 extent | run 2 extent | ...
 
     +--------------------------------------------------------------+
-    | fixed header (48 bytes, little-endian)                       |
+    | fixed header (44 bytes, little-endian)                       |
     |   magic "RSPL" | version | header_bytes | num_rows           |
-    |   key_words | row_width | heap_bytes | block_rows            |
-    |   crc_count | header_crc32                                   |
+    |   key_words | payload_bytes | block_rows | crc_count         |
+    |   header_crc32                                               |
     +--------------------------------------------------------------+
     | block CRC32 table: crc_count x u32                           |
-    |   (keys blocks, then rows blocks, then the heap)             |
+    |   (keys blocks, then the payload's one)                      |
     +--------------------------------------------------------------+
-    | extra: header_bytes - 48 - 4*crc_count bytes, the run's      |
+    | extra: header_bytes - 44 - 4*crc_count bytes, the run's      |
     |   serialized key layout                                      |
     +--------------------------------------------------------------+
-    | keys  section: num_rows x key_words native-endian uint64,    |
+    | keys    section: num_rows x key_words native-endian uint64,  |
     |   row-major (a row's words most significant first)           |
-    | rows  section: num_rows x row_width bytes                    |
-    | heap  section: heap_bytes bytes                              |
+    | payload section: payload_bytes bytes (empty when the run is  |
+    |   key-carried), each part below zero-padded to 8 bytes:      |
+    |     positions: num_rows x int64                              |
+    |     per column, in schema order:                             |
+    |       validity: num_rows bytes                               |
+    |       fixed-width: num_rows native-endian values             |
+    |       VARCHAR: num_rows x int64 UTF-8 byte lengths (0 when   |
+    |         NULL), then the bytes back to back                   |
     +--------------------------------------------------------------+
 
 The key section is the run's key words as the merge compares them
 (:func:`repro.keys.normalizer.key_words`: word ``w`` of a row is its key
-bytes ``[8w, 8w + 8)`` read big-endian), so a block reads back as words
-with no conversion; no row id rides beside them.
+bytes ``[8w, 8w + 8)`` read big-endian), in key order, so a block reads
+back as words with no conversion; no row id rides beside them.  The
+payload is what a resident run holds (:class:`repro.sort.rungen.
+InMemoryRun`): its table's columns in arrival order, a VARCHAR column in
+the form :class:`repro.keys.encoding.EncodedStrings` holds, and the
+positions of its rows in key order -- so a run read back is a resident
+run whose key words stream from disk.
 The variable-length ``extra`` blob sits between the CRC table and the
 data sections; readers locate it purely from ``header_bytes``.  It holds
 the run's key layout (:func:`repro.keys.compression.serialize_layout`),
@@ -39,11 +50,11 @@ wrote them (randomly named, removed on ``close``), so there is one
 format version and :func:`read_header` rejects any other.
 
 Integrity is block-granular: a block is ``block_rows`` rows of the key
-section, the same rows of the row section (the last block of a section
-may be short), and the whole heap, each covered by one CRC32.  A block
-is what the merge reads, so a merge read is one ``pread`` and one
-``crc32``; a read that is not aligned (a reopened run, a test) widens to
-the blocks it covers and verifies each.
+section (the last may be short), each covered by one CRC32, and the
+payload, read whole once per merge pass, is one block.  A block is what
+the merge reads, so a merge read is one ``pread`` and one ``crc32``; a
+read that is not aligned (a reopened run, a test) widens to the blocks
+it covers and verifies each.
 ``header_crc32`` covers the fixed header (with the CRC field zeroed), the
 block table and ``extra``, so a damaged header is detected before any
 geometry derived from it is trusted.
@@ -60,7 +71,17 @@ import struct
 import zlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import SpillCorruptionError
+from repro.keys.encoding import (
+    EncodedStrings,
+    decode_utf8_column,
+    encode_utf8_column,
+)
+from repro.table.column import ColumnVector
+from repro.table.table import Table
+from repro.types.schema import Schema
 
 __all__ = [
     "FORMAT_VERSION",
@@ -68,17 +89,19 @@ __all__ = [
     "SECTION_NAMES",
     "SpillHeader",
     "build_header",
+    "pack_payload",
     "read_header",
+    "unpack_payload",
 ]
 
 MAGIC = b"RSPL"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
-SECTION_NAMES = ("keys", "rows", "heap")
+SECTION_NAMES = ("keys", "payload")
 
-_FIXED = struct.Struct("<4sIIQIIQIII")
-"""magic, version, header_bytes, num_rows, key_words, row_width,
-heap_bytes, block_rows, crc_count, header_crc32."""
+_FIXED = struct.Struct("<4sIIQIQIII")
+"""magic, version, header_bytes, num_rows, key_words, payload_bytes,
+block_rows, crc_count, header_crc32."""
 
 
 @dataclass(frozen=True)
@@ -93,8 +116,7 @@ class SpillHeader:
 
     num_rows: int
     key_words: int
-    row_width: int
-    heap_bytes: int
+    payload_bytes: int
     block_rows: int
     block_crcs: tuple[tuple[int, ...], ...]
     extra: bytes = b""
@@ -108,18 +130,13 @@ class SpillHeader:
         return _FIXED.size + 4 * self.crc_count + len(self.extra)
 
     def section_length(self, section: int) -> int:
-        return (
-            self.num_rows * 8 * self.key_words,
-            self.num_rows * self.row_width,
-            self.heap_bytes,
-        )[section]
+        keys = self.num_rows * 8 * self.key_words
+        return (keys, self.payload_bytes)[section]
 
     def block_bytes(self, section: int) -> int:
-        """Bytes one CRC covers: a block of rows, or the whole heap."""
-        rows = self.block_rows
-        return (
-            rows * 8 * self.key_words, rows * self.row_width, self.heap_bytes
-        )[section]
+        """Bytes one CRC covers: a block of key rows, or the payload."""
+        block = self.block_rows * 8 * self.key_words
+        return (block, self.payload_bytes)[section]
 
     def block_count(self, section: int) -> int:
         length = self.section_length(section)
@@ -141,8 +158,7 @@ class SpillHeader:
             self.header_bytes,
             self.num_rows,
             self.key_words,
-            self.row_width,
-            self.heap_bytes,
+            self.payload_bytes,
             self.block_rows,
             self.crc_count,
         )
@@ -152,33 +168,34 @@ class SpillHeader:
 
 
 def build_header(
-    num_rows: int,
-    key_words: int,
-    row_width: int,
-    sections: tuple,
+    keys: np.ndarray,
+    payload: list,
     block_rows: int,
     extra: bytes = b"",
 ) -> SpillHeader:
     """Header for a run about to be written, one CRC computed per block.
 
-    ``sections`` are the three sections' bytes (flat byte buffers);
+    ``keys`` is the run's ``(rows, words)`` uint64 key word rows,
+    ``payload`` the flat byte buffers :func:`pack_payload` returns;
     ``extra`` is an opaque blob stored (and CRC-protected) in the header;
     the external sort puts the run's serialized key layout there.
     """
     if block_rows <= 0:
         raise ValueError("block_rows must be positive")
-    header = SpillHeader(
-        num_rows, key_words, row_width, len(sections[2]), block_rows, (),
-        bytes(extra),
+    rows, words = keys.shape
+    step = block_rows * 8 * words or 1
+    view = memoryview(keys.view(np.uint8).ravel())
+    crcs = tuple(
+        zlib.crc32(view[lo : lo + step]) for lo in range(0, len(view), step)
     )
-    crcs = []
-    for index, section in enumerate(sections):
-        step, view = header.block_bytes(index) or 1, memoryview(section)
-        crcs.append(tuple(
-            zlib.crc32(view[lo : lo + step])
-            for lo in range(0, len(view), step)
-        ))
-    return dataclasses.replace(header, block_crcs=tuple(crcs))
+    payload_crc = 0
+    for part in payload:
+        payload_crc = zlib.crc32(part, payload_crc)
+    payload_bytes = sum(map(len, payload))
+    return SpillHeader(
+        rows, words, payload_bytes, block_rows,
+        (crcs, (payload_crc,) if payload_bytes else ()), bytes(extra),
+    )
 
 
 def read_header(io, path: str, base: int = 0) -> SpillHeader:
@@ -202,8 +219,7 @@ def read_header(io, path: str, base: int = 0) -> SpillHeader:
         header_bytes,
         num_rows,
         key_words,
-        row_width,
-        heap_bytes,
+        payload_bytes,
         block_rows,
         crc_count,
         header_crc,
@@ -236,10 +252,9 @@ def read_header(io, path: str, base: int = 0) -> SpillHeader:
         )
     flat = struct.unpack(f"<{crc_count}I", table)
     header = SpillHeader(
-        num_rows, key_words, row_width, heap_bytes, block_rows, (),
-        bytes(extra),
+        num_rows, key_words, payload_bytes, block_rows, (), bytes(extra)
     )
-    counts = [header.block_count(section) for section in range(3)]
+    counts = [header.block_count(section) for section in range(2)]
     if sum(counts) != crc_count:
         raise SpillCorruptionError(
             "spill block-CRC table does not match the section geometry",
@@ -248,3 +263,70 @@ def read_header(io, path: str, base: int = 0) -> SpillHeader:
     ends = itertools.accumulate(counts)
     crcs = tuple(flat[end - count : end] for count, end in zip(counts, ends))
     return dataclasses.replace(header, block_crcs=crcs)
+
+
+def pack_payload(table: Table, positions: np.ndarray, encoded: dict) -> list:
+    """A run's payload section as flat byte buffers, each padded to 8 bytes.
+
+    Views of the run's arrays: nothing is copied but a VARCHAR column
+    ``encoded`` (its key statistics' :class:`EncodedStrings`) lacks, which
+    the codec encodes here.
+    """
+    parts = [np.ascontiguousarray(positions, dtype=np.int64)]
+    for name, column in zip(table.schema.names, table.columns):
+        parts.append(np.ascontiguousarray(column.validity))
+        if name in encoded:
+            parts += [encoded[name].lengths, encoded[name].buffer]
+        elif column.dtype.is_variable_width:
+            buffer, lengths = encode_utf8_column(
+                column.data, column.validity, name
+            )
+            parts += [lengths, buffer]
+        else:
+            parts.append(np.ascontiguousarray(column.data))
+    padded = []
+    for part in parts:
+        padded.append(part.view(np.uint8))
+        if part.nbytes % 8:
+            padded.append(bytes(-part.nbytes % 8))
+    return padded
+
+
+def unpack_payload(raw: bytes, schema: Schema, num_rows: int, path: str):
+    """``(table, positions, strings)`` of a payload :func:`pack_payload`
+    wrote: ``strings`` maps each VARCHAR column to its
+    :class:`EncodedStrings`; every array but a decoded ``str`` column is
+    a view of ``raw``.  A payload that does not hold ``schema``'s columns
+    raises :class:`SpillCorruptionError` naming ``path``."""
+    at = 0
+
+    def take(dtype, count):
+        nonlocal at
+        array = np.frombuffer(raw, dtype, count, at)
+        at += array.nbytes + -array.nbytes % 8
+        return array
+
+    try:
+        positions = take(np.int64, num_rows)
+        columns, strings = [], {}
+        for column in schema:
+            validity = take(np.bool_, num_rows)
+            if column.dtype.is_variable_width:
+                lengths = take(np.int64, num_rows)
+                encoded = EncodedStrings(
+                    take(np.uint8, int(lengths.sum())), lengths
+                )
+                strings[column.name] = encoded
+                data = decode_utf8_column(
+                    encoded.buffer, encoded.starts, lengths, validity
+                )
+            else:
+                data = take(column.dtype.numpy_dtype, num_rows)
+            columns.append(ColumnVector(column.dtype, data, validity))
+    except ValueError as error:
+        raise SpillCorruptionError(f"payload: {error}", path) from error
+    if at != len(raw):
+        raise SpillCorruptionError(
+            f"payload of {len(raw)} bytes holds {at} for the schema", path
+        )
+    return Table(schema, columns), positions, strings

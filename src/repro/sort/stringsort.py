@@ -179,8 +179,9 @@ def refine_key_order(
         fetch_tied: called once with the tied row positions; returns a
             getter ``get(column_name) -> (buffer, starts, lengths)``: tied
             row ``i``'s UTF-8 bytes are ``buffer[starts[i]:][:lengths[i]]``
-            (length 0 for NULL).  The merger answers from row slots and
-            run heaps, :func:`refine_table_order` by encoding the column.
+            (length 0 for NULL).  The merger answers from its runs'
+            ``EncodedStrings``, :func:`refine_table_order` by encoding the
+            column.
         stats: optional ``SortStats``; ``full_key_compares`` counts the tied
             rows whose full strings were consulted, ``reencode_rounds`` /
             ``reencoded_rows`` the re-encode work.

@@ -1,16 +1,15 @@
-"""Resident runs keep their payload in columns; NSM rows are the spill format.
+"""Runs keep their payload in columns, on disk too: no store makes NSM rows.
 
 A resident run is its input table plus the positions of its rows in key
 order, so a result made of resident runs is one ``Table.take`` by row
-position and holds the input's own ``str`` objects.
-``RowBlock.from_table`` builds NSM rows and a heap once per run written
-to a spill file, and once for a resident run merged with spilled ones;
-``RowBlock.to_table`` decodes only a merge that read a spill file.  The
-call counts are pinned here, with byte identity against both oracles on
-every store (VARCHAR payload with NULLs, empty strings, embedded and
-trailing NULs and 2/3/4-byte code points), and the one mixed
-resident-plus-spilled merge the end-to-end benchmark's README once
-recorded as a wrong answer.
+position and holds the input's own ``str`` objects.  A spill file holds
+the same columns and positions, and a merge that reads one gathers row
+positions alike.  ``RowBlock.from_table`` / ``to_table`` (the paper's
+NSM codec, :mod:`repro.rows`) run on no store; the call counts are
+pinned at zero here, with byte identity against both oracles on every
+store (VARCHAR payload with NULLs, empty strings, embedded and trailing
+NULs and 2/3/4-byte code points), and the one mixed resident-plus-spilled
+merge the end-to-end benchmark's README once recorded as a wrong answer.
 """
 
 from __future__ import annotations
@@ -166,15 +165,15 @@ class TestSpillFormatOnlyForSpills:
         result, stats = spill_sort(table, tmp_path)
         assert_matches_both_oracles(result, table)
         assert stats.runs_generated == 4
-        assert row_calls == {"from_table": 4, "to_table": 1}
+        assert row_calls == {}
 
     def test_resident_tail_merged_with_spilled_runs(self, row_calls, tmp_path):
         table = tricky_table(4 * RUN_ROWS + 321, 19)
         result, stats = spill_sort(table, tmp_path)
         assert_matches_both_oracles(result, table)
         assert stats.runs_generated == 5
-        # Four files, plus the tail's rows once for the merge.
-        assert row_calls == {"from_table": 5, "to_table": 1}
+        # Four files and the resident tail: positions in one table each.
+        assert row_calls == {}
 
 
 class TestMixedNullSpilledAndResident:

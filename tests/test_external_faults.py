@@ -50,12 +50,16 @@ def fast_config(**overrides):
     return SortConfig(**defaults)
 
 
-def build_operator(table, tmp_path, io=None, config=None, **config_overrides):
+def build_operator(
+    table, tmp_path, io=None, config=None, merge_block_rows=4096,
+    **config_overrides,
+):
     return ExternalSortOperator(
         table.schema,
         SortSpec.of(*[part.strip() for part in SPEC.split(",")]),
         config or fast_config(**config_overrides),
         spill_directory=str(tmp_path),
+        merge_block_rows=merge_block_rows,
         io=io,
     )
 
@@ -112,12 +116,15 @@ class TestSpillIntegrity:
 
     def test_bit_flipped_read_detected(self, rng, tmp_path):
         table = mixed_table(rng, 2000)
+        # Three files: three header checks, three payload reads, then
+        # one key block each; the flip lands in the second key block.
         injector = FaultInjector(
-            [InjectedFault("bitflip", at=9)], seed=3
+            [InjectedFault("bitflip", at=7)], seed=3
         )
         operator = build_operator(table, tmp_path, io=injector)
         with pytest.raises(SpillCorruptionError) as info:
             run_sort(operator, table)
+        assert injector.stats.fired["bitflip"] == 1
         assert info.value.path is not None
         assert operator.stats.checksum_failures <= 1
         assert_no_spill_files(tmp_path)
@@ -176,7 +183,12 @@ class TestSpillIntegrity:
                 reopened.read_key_block(0, reopened.num_rows).tobytes()
                 == original.read_key_block(0, original.num_rows).tobytes()
             )
-            assert reopened.read_heap() == original.read_heap()
+            again, first = (
+                run.read_payload(table.schema) for run in (reopened, original)
+            )
+            assert again.table.equals(first.table)
+            assert again.positions.tobytes() == first.positions.tobytes()
+            assert list(again.encoded) == list(first.encoded) == ["s"]
 
     def test_corrupt_header_never_reaches_numpy(self, rng, tmp_path):
         """Garbage over the whole header still fails typed, not numpy."""
@@ -545,6 +557,9 @@ class TestRandomizedConcurrentFaults:
     """
 
     KINDS = ("short_read", "bitflip", "slow_io")
+    # Several key blocks a run, so reads prove slow with blocks left for
+    # the workers to fetch (a run's payload is one read at pass open).
+    BLOCK_ROWS = 64
 
     @staticmethod
     def _assert_no_prefetch_threads():
@@ -571,7 +586,8 @@ class TestRandomizedConcurrentFaults:
         baseline_dir = tmp_path / "baseline"
         baseline_dir.mkdir()
         operator = build_operator(
-            table, baseline_dir, io=baseline_io, config=config
+            table, baseline_dir, io=baseline_io, config=config,
+            merge_block_rows=self.BLOCK_ROWS,
         )
         expected = run_sort(operator, table)
         reads = baseline_io.stats.reads
@@ -591,7 +607,8 @@ class TestRandomizedConcurrentFaults:
             spill_dir = tmp_path / f"trial-{trial}"
             spill_dir.mkdir()
             operator = build_operator(
-                table, spill_dir, io=injector, config=config
+                table, spill_dir, io=injector, config=config,
+                merge_block_rows=self.BLOCK_ROWS,
             )
             try:
                 result = run_sort(operator, table)
@@ -617,7 +634,8 @@ class TestRandomizedConcurrentFaults:
             seed=11,
         )
         operator = build_operator(
-            table, tmp_path, io=injector, config=config
+            table, tmp_path, io=injector, config=config,
+            merge_block_rows=self.BLOCK_ROWS,
         )
         with pytest.raises(SpillCorruptionError) as info:
             run_sort(operator, table)

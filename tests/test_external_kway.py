@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import merge_run_indices, reference_sort
+from repro.keys.encoding import encode_utf8_column
 from repro.scalar.reference import reference_sort as scalar_reference_sort
 from repro.sort import merger
 from repro.sort.external import ExternalSortOperator
@@ -261,10 +262,20 @@ class TestSpillFormat:
         assert (whole_keys == streamed).all()
         assert whole_keys.shape == (run.num_rows, run.key_words)
         assert whole_keys.dtype == np.uint64
-        rows = run.read_row_block(5, 25)
-        assert rows.shape == (20, run.row_width)
-        assert (rows == run.read_row_block(0, run.num_rows)[5:25]).all()
-        assert len(run.read_heap()) == run.heap_bytes
+        # The payload is the resident run it was: the run's rows in
+        # arrival order, their positions in key order, the key strings.
+        payload = run.read_payload(table.schema)
+        head = table.slice(0, run.num_rows)
+        assert payload.words is None and payload.table.equals(head)
+        assert payload.table.take(payload.positions).equals(
+            sort_table(head, "a, s")
+        )
+        buffer, lengths = encode_utf8_column(
+            head.column("s").data, head.column("s").validity
+        )
+        assert list(payload.encoded) == ["s"]
+        assert payload.encoded["s"].buffer.tobytes() == buffer.tobytes()
+        assert payload.encoded["s"].lengths.tolist() == lengths.tolist()
         # Keys are stored sorted: streamed word rows arrive in key order.
         words = [tuple(row) for row in whole_keys.tolist()]
         assert words == sorted(words)

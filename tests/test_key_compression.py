@@ -662,7 +662,7 @@ class TestRebaseWords:
     def test_a_merge_rebases_row_runs_without_writing_them(self):
         # The stale run's one key word is a folded 8-byte segment with
         # no bias: its codes are that word, zeroed at NULL rows in place,
-        # and one word's rows transposed are a view of the run's keys.
+        # so the rebase must work on words of its own, never the run's.
         spec = SortSpec.of("a NULLS LAST")
         tables = [
             Table.from_pydict({"a": a}, {"a": BIGINT})
@@ -678,12 +678,11 @@ class TestRebaseWords:
         ]
         stale = runs[0].layout.segments[0]
         assert (stale.mode, stale.value_width, stale.bias) == (MODE_FOLDED, 8, 0)
-        runs = [run.to_row_run(generator.key_carried) for run in runs]
-        before = [run.keys.copy() for run in runs]
+        before = [[word.copy() for word in run.words] for run in runs]
         result = RunMerger(generator, block_rows=2).merge(runs)
         assert stats.key_layout_rebases == 1
-        for run, keys in zip(runs, before):
-            assert np.array_equal(run.keys, keys)
+        for run, words in zip(runs, before):
+            assert all(map(np.array_equal, run.words, words))
         expected = reference_sort(tables[0].concat(tables[1]), spec)
         assert_byte_identical(result, expected)
 
@@ -767,8 +766,7 @@ class TestKeyCarriedExternal:
             result = op.finalize()
         assert op.stats.key_carried_runs == op.stats.runs_generated
         for run in runs:
-            assert run.row_width == 0
-            assert run.heap_bytes == 0
+            assert run.payload_bytes == 0
         # a in [0, 150) is one byte, b in [-1000, 1000) with NULLs two:
         # one key word, no row id, so a file is its header and 8 bytes a row.
         assert [run.key_words for run in runs] == [1] * 6

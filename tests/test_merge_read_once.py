@@ -63,6 +63,29 @@ class CountingIO(SpillIO):
         super().write_file(path, sections)
 
 
+class RecordingIO(SlowStorageIO):
+    """Storage of a fixed read latency (none by default) that records
+    every read's thread, run and byte range, and the section lengths of
+    every run written: ``layout[path] = (header, keys, payload)``."""
+
+    def __init__(self, read_delay_s: float = 0.0) -> None:
+        super().__init__(read_delay_s=read_delay_s)
+        self.log: list[tuple[str, str, int, int]] = []
+        self.layout: dict[str, tuple[int, int, int]] = {}
+        self._log_lock = threading.Lock()
+
+    def write_file(self, path, sections):
+        header, keys, *payload = sections
+        self.layout[path] = (len(header), len(keys), sum(map(len, payload)))
+        super().write_file(path, sections)
+
+    def read(self, path, offset, nbytes):
+        with self._log_lock:
+            name = threading.current_thread().name
+            self.log.append((name, path, offset, nbytes))
+        return super().read(path, offset, nbytes)
+
+
 def int_table(rng, n):
     """Every column an integer sort key: runs spill key-carried."""
     return Table.from_pydict(
@@ -172,7 +195,7 @@ class TestReadOnce:
                 operator.sink(chunk)
             assert operator.spilled_runs == 3
             for run in operator._runs:
-                assert run.row_width == run.heap_bytes == 0
+                assert run.payload_bytes == 0
                 self.assert_file_is_header_plus_sections(run, table, spec)
             result = operator.finalize()
         assert operator.stats.key_carried_runs == 3  # the files, not the tail
@@ -189,8 +212,8 @@ class TestReadOnce:
         )
         assert run.io.file_size(run.path) == (
             len(header.pack())
-            + run.num_rows * (8 * run.key_words + run.row_width)
-            + run.heap_bytes
+            + run.num_rows * 8 * run.key_words
+            + run.payload_bytes
         )
         file, offset = run.io.locate(run.path)
         reopened = SpilledRun.open(file, table.schema, spec, offset=offset)
@@ -207,7 +230,7 @@ class TestReadOnce:
                 operator.sink(chunk)
             assert operator.spilled_runs == 3
             for run in operator._runs:
-                assert run.row_width > 0 and run.heap_bytes > 0
+                assert run.payload_bytes > 0
                 self.assert_file_is_header_plus_sections(run, table, spec)
             # The header CRC covers the blob: one flipped layout byte --
             # the row-id width, or the last of the bytes the VARCHAR
@@ -310,6 +333,47 @@ class TestReadOnce:
         assert info.value.path == victim.path
         assert operator.stats.checksum_failures == 1
         assert list(tmp_path.iterdir()) == []
+
+
+class TestPayloadReadOnce:
+    """A spilled run's payload is one read (and one CRC) per pass that
+    opens the run, beside its key blocks, each read once; read-ahead
+    workers fetch key blocks alone."""
+
+    @pytest.mark.parametrize("fan_in", [0, 2])
+    def test_each_file_is_read_once(self, rng, tmp_path, fan_in):
+        table, spec = payload_table(rng, 3 * RUN_ROWS + 37), spec_of("a DESC, s")
+        io = RecordingIO()
+        result, stats = spill_sort(table, spec, tmp_path, io, merge_fan_in=fan_in)
+        assert_matches_both_oracles(result, table, spec)
+        # Three cut runs, then (fan-in 2) two merged pairs.
+        assert len(io.layout) == (5 if fan_in else 3)
+        for path, (header, keys, payload) in io.layout.items():
+            reads = [(at, n) for _, p, at, n in io.log if p == path]
+            assert payload > 0 and reads.count((header + keys, payload)) == 1
+            key_reads = [(at, n) for at, n in reads if header <= at < header + keys]
+            assert len(set(key_reads)) == len(key_reads)
+            assert sum(n for _, n in key_reads) == keys
+        # Each read is one check: a header, a payload or one key block.
+        assert stats.checksum_verifications == len(io.log)
+
+    def test_workers_fetch_key_blocks_alone(self, rng, tmp_path):
+        table, spec = payload_table(rng, 9 * RUN_ROWS + 37), spec_of("a DESC, s")
+        io = RecordingIO(read_delay_s=0.0002)
+        result, stats = spill_sort(table, spec, tmp_path, io, prefetch_blocks=2)
+        assert_matches_both_oracles(result, table, spec)
+        ahead = [
+            (path, at) for name, path, at, _ in io.log
+            if name.startswith("spill-prefetch")
+        ]
+        assert ahead  # reads proved slow, so the pool read ahead
+        for path, at in ahead:
+            header, keys, _ = io.layout[path]
+            assert header <= at < header + keys
+        # One stream a run: depth 2 for each of the 9 files, capped at a
+        # run threshold's worth of blocks (four) but never below a block
+        # a file.
+        assert stats.prefetch_peak_blocks <= 9
 
 
 @pytest.mark.parametrize("case", CASES)

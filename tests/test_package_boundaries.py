@@ -1,10 +1,12 @@
 """The dependency direction between the sort pipeline and the paper face.
 
 ``repro.sort`` is the production pipeline: it may import the layers under
-it (``keys``, ``rows``, ``table``, ``types``) and nothing the paper face
-is built from.  ``repro.scalar`` (the scalar algorithm family and the
-reference sort) sits beside it and shares only the key encoding, so the
-two never import each other.  Lazy imports inside functions count too.
+it (``keys``, ``table``, ``types``) and nothing the paper face is built
+from.  ``repro.scalar`` (the scalar algorithm family and the reference
+sort) sits beside it and shares only the key encoding, so the two never
+import each other.  ``repro.rows``, the paper's NSM codec, is imported by
+no other module: a sort keeps its payload in columns, spilled or not.
+Lazy imports inside functions count too.
 """
 
 from __future__ import annotations
@@ -66,6 +68,17 @@ def test_sort_imports_nothing_from_the_paper_face():
 
 def test_scalar_does_not_import_the_pipeline():
     assert violations("scalar", ("repro.sort",)) == []
+
+
+def test_no_module_imports_the_nsm_codec():
+    found = [
+        f"{path.relative_to(PACKAGE_ROOT)} imports {module}"
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        if path.relative_to(PACKAGE_ROOT).parts[0] != "rows"
+        for module in sorted(imported_modules(path))
+        if within(module, "repro.rows")
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize(

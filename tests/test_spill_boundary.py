@@ -1,21 +1,23 @@
 """Spill files are byte-identical across changes to the run format.
 
 A resident run keeps its keys as uint64 word columns and its payload in
-columns; key word rows, NSM rows and a heap exist only where a run is
-written to a spill file.  For external sorts of the catalog scenarios,
-including intermediate merge passes (whose runs mix spilled and resident
-inputs), layout rebases and replacement selection, this pins the number
-of files written, the sha256 of their key sections, and apart from it
-the sha256 of their row and heap sections.  A change to any of these
-changes the spill format.
+columns; a spill file holds the key words in key order (row-major) and
+the payload as the run holds it.  For external sorts of the catalog
+scenarios, including intermediate merge passes (whose runs mix spilled
+and resident inputs), layout rebases and replacement selection, this
+pins the number of files written, the sha256 of their key sections, and
+apart from it the sha256 of their payload sections.  A change to any of
+these changes the spill format.
 
-The row and heap digests were recorded at spill format 4 and still hold.
-The key digests were re-recorded for format 5: a key section became the
+The key digests were recorded for format 5: a key section became the
 run's key words (native uint64, row-major) and lost its 8-byte row-id
 suffix, which no merge read.  Its words are format 4's key bytes read
 big-endian, word by word.  Format 6 (one CRC32 per merge block, runs as
-extents of one file per sort per directory) changed only the header: the
-sections and the count of ``write_file`` calls, one per run, still hold.
+extents of one file per sort per directory) changed only the header.
+Format 7 replaced the NSM row and heap sections with one payload section
+(the run's positions, then its columns); the key digests and the count
+of ``write_file`` calls, one per run, still hold, and the payload
+digests were recorded afresh.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ SEED = 7
 
 class DigestingIO(SpillIO):
     """The real backend, hashing every written file's key section, and
-    apart from it its row and heap sections (the header is left out)."""
+    apart from it its payload section (the header is left out)."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -52,24 +54,25 @@ class DigestingIO(SpillIO):
 
     def write_file(self, path, sections):
         self.files += 1
-        for digest, section in zip(
-            (self._keys, self._rest, self._rest), sections[1:]
-        ):
-            digest.update(len(section).to_bytes(8, "little"))
-            digest.update(section)
+        keys, payload = sections[1], sections[2:]
+        self._keys.update(len(keys).to_bytes(8, "little"))
+        self._keys.update(keys)
+        self._rest.update(sum(map(len, payload)).to_bytes(8, "little"))
+        for part in payload:
+            self._rest.update(part)
         super().write_file(path, sections)
 
     def digests(self) -> tuple[int, str, str]:
         return self.files, self._keys.hexdigest(), self._rest.hexdigest()
 
 
-# (scenario, config overrides) -> (files written, keys sha256, rows and
-# heap sha256).  A merge fan-in of 2 spills intermediate runs (the last
-# group merges the resident tail with a file); ``near_sorted`` at 1,024
-# rows a run rebases layouts.  Key-carried files (``uniform``,
-# ``near_sorted``) have empty row and heap sections.
-NO_PAYLOAD_3 = "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1"
-NO_PAYLOAD_5 = "5b6fb58e61fa475939767d68a446f97f1bff02c0e5935a3ea8bb51e6515783d8"
+# (scenario, config overrides) -> (files written, keys sha256, payload
+# sha256).  A merge fan-in of 2 spills intermediate runs (the last group
+# merges the resident tail with a file); ``near_sorted`` at 1,024 rows a
+# run rebases layouts.  Key-carried files (``uniform``, ``near_sorted``)
+# have empty payload sections.
+NO_PAYLOAD_3 = "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0"
+NO_PAYLOAD_5 = "2c34ce1df23b838c5abf2a7f6437cca3d3067ed509ff25f11df6b11b582b51eb"
 CASES = {
     ("uniform", ()): (
         3,
@@ -84,7 +87,7 @@ CASES = {
     ("uniform", (("replacement_selection", True),)): (
         2,
         "ade16fe1b19b1f02d0f78eff79687cba54fba9507185be63263a4a2d7aa1a879",
-        "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
+        "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
     ),
     ("near_sorted", (("run_threshold", 1024),)): (
         3,
@@ -99,17 +102,17 @@ CASES = {
     ("long_string", ()): (
         3,
         "7b3658b3be0591b9151d564f77f38aa79bb821a69f27c8a2a2acdfa7105d303e",
-        "139d95fbe4818b55cc26845173cc8c41e121b72e1c965bf57f046c4943d9fc3f",
+        "18fa27ec5c52381b4a8c52d4219640cb7711949049c1c8457098ad1fd8764dfd",
     ),
     ("mixed_null", ()): (
         3,
         "74a75e69a826967cd948b55c8b430f147133d676b7625271777a64ac54df20b6",
-        "af9856333a835fd48091717428e0e6accfb9db71a6401956633873e1347bad41",
+        "4694f8f2b2fe43cfd01790ad128ef0964375e61859fdccc27adb2e968922f573",
     ),
     ("tpcds_customer", (("merge_fan_in", 2),)): (
         5,
         "9d1e3a60d51fd9339bca93ffae3cbeac672946d7033e56c4cb21c93c778490a7",
-        "e8ebecc48e0edd87013158436814f743a0f1c68c7da5a1d63f308293e64cc298",
+        "5f6bb2b08ba57abd073a8c93f699565498e2a11d9be0fddbded87345ba4ae2d6",
     ),
 }
 
@@ -156,11 +159,11 @@ def assert_old_format_refused(version, tmp_path):
             fh.seek(offset)
             fields = list(_FIXED.unpack(fh.read(_FIXED.size)))
             tail = fh.read(fields[2] - _FIXED.size)
-            fields[1], fields[9] = version, 0
-            fields[9] = zlib.crc32(tail, zlib.crc32(_FIXED.pack(*fields)))
+            fields[1], fields[-1] = version, 0
+            fields[-1] = zlib.crc32(tail, zlib.crc32(_FIXED.pack(*fields)))
             fh.seek(offset)
             fh.write(_FIXED.pack(*fields))
-        assert FORMAT_VERSION == 6
+        assert FORMAT_VERSION == 7
         with pytest.raises(SpillCorruptionError, match=f"version {version}"):
             SpilledRun.open(file, table.schema, spec, offset=offset)
         with pytest.raises(SpillCorruptionError, match=f"version {version}"):
@@ -176,3 +179,8 @@ def test_a_format_4_header_is_refused(tmp_path):
 def test_a_format_5_header_is_refused(tmp_path):
     # Format 5: one CRC32 per 4 KiB page of each section.
     assert_old_format_refused(5, tmp_path)
+
+
+def test_a_format_6_header_is_refused(tmp_path):
+    # Format 6: NSM payload rows and a string heap.
+    assert_old_format_refused(6, tmp_path)

@@ -27,6 +27,7 @@ from test_external_kway import assert_byte_identical, mixed_table
 from repro.errors import SortCancelledError, SpillCorruptionError
 from repro.service.governor import MemoryGovernor
 from repro.sort.faults import FaultInjector, InjectedFault, SpillIO
+from repro.sort.spillfile import SECTION_NAMES
 from repro.table.chunk import chunk_table
 
 PROC_FD = "/proc/self/fd"
@@ -44,7 +45,7 @@ def sink_all(operator, table):
 def run_bytes(run) -> int:
     header = run.header
     return len(header.pack()) + sum(
-        header.section_length(section) for section in range(3)
+        header.section_length(section) for section in range(len(SECTION_NAMES))
     )
 
 
@@ -143,7 +144,7 @@ def test_no_descriptor_outlives_the_sort(case, rng, tmp_path):
     assert os.listdir(directory) == []
 
 
-@pytest.mark.parametrize("section", ["keys", "rows", "heap"])
+@pytest.mark.parametrize("section", SECTION_NAMES)
 def test_a_flipped_byte_in_a_middle_extent_names_the_file(
     section, rng, tmp_path
 ):
@@ -155,7 +156,7 @@ def test_a_flipped_byte_in_a_middle_extent_names_the_file(
         victim = operator._runs[1]
         file, offset = operator._io.locate(victim.path)
         assert offset == run_bytes(operator._runs[0])
-        index = ("keys", "rows", "heap").index(section)
+        index = SECTION_NAMES.index(section)
         position = (
             offset
             + victim.header.section_offset(index)
