@@ -1,9 +1,9 @@
 """Cost of spill integrity; writes BENCH_faults.json.
 
-The external sort's spill files carry a versioned header plus
-page-granular CRC32 checksums that every block read verifies
-(:mod:`repro.sort.spillfile`).  This benchmark measures what that
-integrity layer costs on the PR 2 block-streaming k-way merge path:
+Every block the external sort reads back from a spill file is checked
+against a CRC32 its run holds in memory: one per merge block of keys and
+one per payload (:mod:`repro.sort.spillfile`).  This benchmark measures
+what that integrity layer costs on the block-streaming k-way merge path:
 the same out-of-core sort (8 spilled runs of 50k int64 rows, kernel
 merge) is timed with checksum verification **on** vs. **off** in the
 same process, the two sides alternating, so machine noise hits both
@@ -46,7 +46,7 @@ OUTPUT = os.path.join(os.path.dirname(_SRC), "BENCH_faults.json")
 KWAY_RUNS = 8
 KWAY_RUN_ROWS = 50_000
 ROUNDS = 15  # alternating pairs; the median paired ratio is the deliverable
-MAX_OVERHEAD = 0.10  # acceptance bar: checksums+header cost < 10%
+MAX_OVERHEAD = 0.10  # acceptance bar: checksums cost < 10%
 
 
 def _timed_external_sort(table, spec, verify):
@@ -138,7 +138,7 @@ def test_fault_overhead(capsys):
         results = main()
     overhead = results["checksum_overhead"]["overhead_ratio"]
     assert overhead < MAX_OVERHEAD, (
-        f"spill header+checksum overhead {overhead * 100:.1f}% exceeds "
+        f"spill checksum overhead {overhead * 100:.1f}% exceeds "
         f"the {MAX_OVERHEAD * 100:.0f}% acceptance bar"
     )
     assert os.path.exists(OUTPUT)

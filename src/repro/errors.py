@@ -53,9 +53,10 @@ class SpillError(SortError):
 class SpillCorruptionError(SpillError):
     """A spill file failed an integrity check.
 
-    Raised for a bad magic number, an unsupported format version, a
-    truncated section, or a CRC32 mismatch -- instead of letting the
-    corruption surface as an opaque numpy shape/decode error mid-merge.
+    Raised for a truncated section, a short read, a CRC32 mismatch or a
+    payload that does not hold its schema's columns -- instead of letting
+    the corruption surface as an opaque numpy shape/decode error
+    mid-merge.
     """
 
 

@@ -4,11 +4,9 @@ from repro.keys.compression import (
     KeyStatsAccumulator,
     build_compressed_layout,
     decode_key_table,
-    deserialize_layout,
     key_carried_eligible,
     plain_key_width,
     rebase_matrix,
-    serialize_layout,
 )
 from repro.keys.decoder import decode_key_row, decode_segment
 from repro.keys.encoding import (
@@ -60,9 +58,7 @@ __all__ = [
     "KeyStatsAccumulator",
     "build_compressed_layout",
     "decode_key_table",
-    "deserialize_layout",
     "key_carried_eligible",
     "plain_key_width",
     "rebase_matrix",
-    "serialize_layout",
 ]

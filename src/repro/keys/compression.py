@@ -27,9 +27,6 @@ This module supplies the pieces the sort pipeline wires together:
   (narrower) layout into a later (wider) one, identical to encoding the
   original values directly under the wider layout (:func:`rebase_matrix`
   does the same to key bytes).
-* :func:`serialize_layout` / :func:`deserialize_layout` -- the compact
-  geometry blob the spill-file header carries so a spilled run can be
-  merged by a reader that only knows the sort spec and schema.
 * :func:`key_carried_eligible` / :func:`decode_key_table` -- when every
   output column is a key column of a losslessly-decodable type, the sorted
   payload can be reconstructed from the keys alone and runs spill *keys
@@ -42,8 +39,6 @@ instead of byte inversion, so one rule covers NULL folding and direction.
 """
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
@@ -79,8 +74,6 @@ __all__ = [
     "rebase_matrix",
     "rebase_words",
     "segment_codes",
-    "serialize_layout",
-    "deserialize_layout",
     "key_carried_eligible",
     "decode_key_table",
     "plain_key_width",
@@ -418,127 +411,6 @@ def rebase_matrix(
     out[:, :width] = words_to_bytes(words, width)
     out[:, width:] = matrix[:, old_width:]
     return out
-
-
-# ---------------------------------------------------------------------- #
-# Layout serialization (spill-file header payload)
-# ---------------------------------------------------------------------- #
-
-_LAYOUT_VERSION = 2
-_LAYOUT_HEADER = struct.Struct("<BBH")  # version, row_id_width, num segments
-# flags, mode, width, bias, range-1, count of skipped bytes (they follow)
-_LAYOUT_SEGMENT = struct.Struct("<BBBQQB")
-_MODE_CODES = {MODE_PLAIN: 0, MODE_NOBYTE: 1, MODE_FOLDED: 2}
-_MODE_NAMES = {code: mode for mode, code in _MODE_CODES.items()}
-_FLAG_DESC, _FLAG_NULLS_FIRST, _FLAG_PREFIX_EXACT = 1, 2, 4
-
-
-def serialize_layout(layout: KeyLayout) -> bytes:
-    """Pack a layout's geometry into the spill-header ``extra`` blob.
-
-    Only geometry travels (column name, flags, mode, width, bias, code
-    range, skipped bytes); identity -- the :class:`SortKey` and
-    :class:`DataType` -- is reconstructed from the live spec and schema
-    on read, which every merge participant already holds.  ``code_range`` can be ``2**64`` (a
-    full-width nobyte segment) so its predecessor is stored instead.
-    """
-    parts = [
-        _LAYOUT_HEADER.pack(
-            _LAYOUT_VERSION, layout.row_id_width, len(layout.segments)
-        )
-    ]
-    for segment in layout.segments:
-        name = segment.key.column.encode("utf-8")
-        flags = (
-            (_FLAG_DESC if segment.key.descending else 0)
-            | (_FLAG_NULLS_FIRST if segment.key.nulls_first else 0)
-            | (_FLAG_PREFIX_EXACT if segment.prefix_exact else 0)
-        )
-        parts.append(struct.pack("<H", len(name)))
-        parts.append(name)
-        parts.append(
-            _LAYOUT_SEGMENT.pack(
-                flags,
-                _MODE_CODES[segment.mode],
-                segment.value_width,
-                segment.bias,
-                segment.code_range - 1,
-                len(segment.skipped),
-            )
-        )
-        parts.append(segment.skipped)
-    return b"".join(parts)
-
-
-def deserialize_layout(blob: bytes, schema: Schema, spec: SortSpec) -> KeyLayout:
-    """Rebuild a :class:`KeyLayout` from :func:`serialize_layout` output.
-
-    Cross-checks the blob against the live ``spec`` (column order,
-    direction, NULL placement): a mismatch means the spill file belongs
-    to a different sort and raises :class:`KeyEncodingError`.
-    """
-    try:
-        version, row_id_width, nsegs = _LAYOUT_HEADER.unpack_from(blob, 0)
-        if version != _LAYOUT_VERSION:
-            raise KeyEncodingError(f"unknown key-layout version {version}")
-        if nsegs != len(spec.keys):
-            raise KeyEncodingError(
-                f"layout has {nsegs} segments, spec has {len(spec.keys)}"
-            )
-        cursor = _LAYOUT_HEADER.size
-        segments = []
-        offset = 0
-        for key in spec.keys:
-            (name_len,) = struct.unpack_from("<H", blob, cursor)
-            cursor += 2
-            name = bytes(blob[cursor : cursor + name_len]).decode("utf-8")
-            if len(name.encode("utf-8")) != name_len:
-                raise KeyEncodingError("truncated key-layout blob")
-            cursor += name_len
-            flags, mode_code, value_width, bias, top, skip = (
-                _LAYOUT_SEGMENT.unpack_from(blob, cursor)
-            )
-            cursor += _LAYOUT_SEGMENT.size
-            skipped = bytes(blob[cursor : cursor + skip])
-            cursor += skip
-            if len(skipped) != skip:
-                raise KeyEncodingError("truncated key-layout blob")
-            if name != key.column:
-                raise KeyEncodingError(
-                    f"layout column {name!r} != spec column {key.column!r}"
-                )
-            if (
-                bool(flags & _FLAG_DESC) != key.descending
-                or bool(flags & _FLAG_NULLS_FIRST) != key.nulls_first
-            ):
-                raise KeyEncodingError(
-                    f"layout direction flags disagree with spec for {name!r}"
-                )
-            if mode_code not in _MODE_NAMES:
-                raise KeyEncodingError(f"unknown segment mode {mode_code}")
-            dtype = schema.column(name).dtype
-            if skip and dtype.type_id is not TypeId.VARCHAR:
-                raise KeyEncodingError(
-                    f"skipped bytes on non-VARCHAR segment {name!r}"
-                )
-            segment = KeySegment(
-                key,
-                dtype,
-                offset,
-                value_width,
-                bool(flags & _FLAG_PREFIX_EXACT),
-                _MODE_NAMES[mode_code],
-                bias,
-                top + 1,
-                skipped,
-            )
-            segments.append(segment)
-            offset += segment.total_width
-    except struct.error as exc:
-        raise KeyEncodingError(f"malformed key-layout blob: {exc}") from exc
-    if cursor != len(blob):
-        raise KeyEncodingError("trailing bytes in key-layout blob")
-    return KeyLayout(tuple(segments), offset, row_id_width)
 
 
 # ---------------------------------------------------------------------- #

@@ -36,7 +36,7 @@ from repro.sort.operator import (
     make_sort_operator,
     sort_table,
 )
-from repro.sort.spillfile import SpillHeader, build_header, read_header
+from repro.sort.spillfile import SpillExtent, build_extent
 from repro.sort.topn import TopNOperator, top_n
 
 __all__ = [
@@ -48,9 +48,8 @@ __all__ = [
     "FaultStats",
     "InjectedFault",
     "SpillIO",
-    "SpillHeader",
-    "build_header",
-    "read_header",
+    "SpillExtent",
+    "build_extent",
     "vector_sort_rows",
     "IncrementalSorter",
     "IncrementalStats",

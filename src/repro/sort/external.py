@@ -20,7 +20,7 @@ storage".  This module implements that design for the sort operator:
 
 What this module adds to the inherited stages is the spilling *run
 store*: the spill-file reader (:class:`SpilledRun`), the temp-directory
-lifecycle, the write ladder below, header/CRC verification, the
+lifecycle, the write ladder below, block CRC verification, the
 read-ahead hook (:mod:`repro.sort.prefetch`), fan-in-limited merge
 pre-passes, and -- only under ``SortConfig.replacement_selection`` --
 replacement-selection run generation, which buys fewer files and
@@ -31,8 +31,8 @@ Runs are encoded under the runtime key-compression layer
 monotone statistics accumulator, so layouts only ever widen run-to-run
 and the merge rebases earlier (narrower) runs onto the final layout
 block-by-block as it streams them -- spilled keys shrink without a
-re-spill pass.  A spill header's ``extra`` blob is its run's serialized
-layout.
+re-spill pass.  A spilled run keeps its layout in memory, beside its
+extent's CRC table.
 When the key segments alone can reconstruct every column exactly
 (``key_carried_eligible``: all columns are fixed-width non-float sort
 keys), runs are spilled **key-carried**: the payload section is empty
@@ -51,18 +51,18 @@ it: two contiguous data sections -- the sorted key words (uint64 rows,
 the words the merge compares: a block reads back with no conversion)
 and the payload, the run as it is held resident (its table's columns in
 arrival order, VARCHAR ones as UTF-8 bytes, and its rows' positions in
-key order) -- preceded by a versioned, checksummed header
-(:mod:`repro.sort.spillfile`).  A spilled run read back is a resident
-run whose key words stream from disk, so a merge of any mix of the two
-gathers row positions alone.  Key bytes exist only inside replacement
-selection (its ``_rs_*`` methods); the merge rebases a stale block in
-words.
+key order) -- and nothing else (:mod:`repro.sort.spillfile`).  A spilled
+run read back is a resident run whose key words stream from disk, so a
+merge of any mix of the two gathers row positions alone.  Key bytes
+exist only inside replacement selection (its ``_rs_*`` methods); the
+merge rebases a stale block in words.
 Sections are written from flat views of the run's arrays (one
 ``pwritev``, no ``tobytes``); a key row range reads back with a single
 ``pread`` and the payload with one more.  Every merge block and the
-payload carry one CRC32, checked as they are read, so a truncated or
-bit-flipped run raises :class:`repro.errors.SpillCorruptionError`
-naming the run instead of an opaque numpy error mid-merge.
+payload carry one CRC32, held in memory by the run and checked as they
+are read, so a truncated or bit-flipped run raises
+:class:`repro.errors.SpillCorruptionError` naming the run instead of an
+opaque numpy error mid-merge.
 
 A production sorter is judged by how it fails, so spill I/O is fault
 tolerant end to end (all of it routed through a swappable
@@ -98,18 +98,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.errors import (
-    KeyEncodingError,
     SortCancelledError,
     SortError,
     SpillCapacityError,
     SpillCorruptionError,
     SpillIOError,
 )
-from repro.keys.compression import (
-    deserialize_layout,
-    rebase_matrix,
-    serialize_layout,
-)
+from repro.keys.compression import rebase_matrix
 from repro.keys.normalizer import KeyLayout, words_to_bytes
 from repro.sort.faults import SpillIO
 from repro.sort.merger import RunMerger
@@ -128,10 +123,9 @@ from repro.sort.rungen import (
 )
 from repro.sort.spillfile import (
     SECTION_NAMES,
-    SpillHeader,
-    build_header,
+    SpillExtent,
+    build_extent,
     pack_payload,
-    read_header,
     unpack_payload,
 )
 from repro.table.chunk import DataChunk
@@ -152,20 +146,20 @@ _KEYS, _PAYLOAD = range(2)
 
 
 class SpilledRun:
-    """A sorted run on disk: path, validated header, and block readers.
+    """A sorted run on disk: its path, extent, layout and block readers.
 
     ``path`` names the run to its :class:`SpillIO`: an extent of its
-    sort's spill file, which starts at ``base`` of what ``path`` reads
-    (0, unless the run was reopened by file and offset).  The extent's
-    layout is :mod:`repro.sort.spillfile`: a checksummed header followed
-    by two contiguous sections (sorted key words, payload) -- no per-row
+    sort's spill file, laid out as :mod:`repro.sort.spillfile` says --
+    two contiguous sections (sorted key words, payload), no per-row
     serialization -- so any key row range reads back as a single
-    ``pread``, and the payload as one more.  With ``verify`` on (the
-    default), every read checks the CRC32 of each block it covers (a
-    merge read is one block, the payload is one) and raises
-    :class:`SpillCorruptionError` on mismatch or truncation; OS-level
-    read failures surface as :class:`SpillIOError`.
-    Both carry the offending ``path``, which names the file.
+    ``pread``, and the payload as one more.  The run's geometry, block
+    CRC table (``extent``) and key ``layout`` live here, not on disk.
+    With ``verify`` on (the default), every read checks the CRC32 of
+    each block it covers (a merge read is one block, the payload is one)
+    and raises :class:`SpillCorruptionError` on mismatch; a short read
+    raises it whether or not ``verify`` is on, and OS-level read
+    failures surface as :class:`SpillIOError`.  Both carry the
+    offending ``path``, which names the file.
     """
 
     on_disk = True
@@ -173,100 +167,36 @@ class SpilledRun:
     def __init__(
         self,
         path: str,
-        header: SpillHeader,
+        extent: SpillExtent,
         layout: KeyLayout,
-        io: SpillIO | None = None,
+        io: SpillIO,
         verify: bool = True,
-        base: int = 0,
     ) -> None:
         self.path = path
-        self.header = header
-        #: the key layout the run was encoded under; ``header.extra``
-        #: is its serialized form.
+        self.extent = extent
+        #: the key layout the run was encoded under
         self.layout = layout
-        self.io = io or SpillIO()
+        self.io = io
         self.verify = verify
-        self.base = base
-
-    @classmethod
-    def open(
-        cls,
-        path: str,
-        schema: Schema,
-        spec: SortSpec,
-        io: SpillIO | None = None,
-        verify: bool = True,
-        offset: int = 0,
-    ) -> "SpilledRun":
-        """Attach to an existing spill run, validating its header.
-
-        ``path`` is a run ``io`` wrote, or a spill file whose run starts
-        at ``offset``.  The run's key layout is rebuilt from the header's
-        extra blob and cross-checked against ``schema`` and ``spec``; a
-        blob that does not describe this sort raises
-        :class:`SpillCorruptionError`.
-        """
-        io = io or SpillIO()
-        try:
-            header = read_header(io, path, offset)
-        except OSError as error:
-            raise SpillIOError(
-                f"spill header read failed: {error}", path
-            ) from error
-        try:
-            layout = deserialize_layout(header.extra, schema, spec)
-        except KeyEncodingError as error:
-            raise SpillCorruptionError(
-                f"spill header key layout: {error}", path
-            ) from error
-        return cls(path, header, layout, io, verify, offset)
 
     @property
     def num_rows(self) -> int:
-        return self.header.num_rows
+        return self.extent.num_rows
 
     @property
     def key_words(self) -> int:
-        return self.header.key_words
+        return self.extent.key_words
 
     @property
     def payload_bytes(self) -> int:
-        return self.header.payload_bytes
-
-    def verify_header(self, stats: SortStats | None = None) -> None:
-        """Re-read the on-disk header and check it matches this run's.
-
-        Catches a replaced, truncated, or header-corrupted file before
-        any geometry derived from the in-memory header is trusted: the
-        bytes must be this header's, CRC included, and bytes that are
-        not are parsed for the typed error that says why.
-        """
-        packed = self.header.pack()
-        try:
-            on_disk = self.io.read(self.path, self.base, len(packed))
-            if on_disk != packed:
-                on_disk = read_header(self.io, self.path, self.base).pack()
-        except OSError as error:
-            raise SpillIOError(
-                f"spill header read failed: {error}", self.path
-            ) from error
-        if stats is not None:
-            stats.checksum_verifications += 1
-        if on_disk != packed:
-            if stats is not None:
-                stats.checksum_failures += 1
-            raise SpillCorruptionError(
-                "on-disk spill header does not match the run that was "
-                "written",
-                self.path,
-            )
+        return self.extent.payload_bytes
 
     def _raw_read(
         self, offset: int, nbytes: int, stats: SortStats | None
     ) -> bytes:
         start = time.perf_counter()
         try:
-            return self.io.read(self.path, self.base + offset, nbytes)
+            return self.io.read(self.path, offset, nbytes)
         except OSError as error:
             raise SpillIOError(
                 f"spill read failed: {error}", self.path
@@ -288,10 +218,10 @@ class SpilledRun:
 
         Verification is block-granular: the read is widened to the blocks
         it covers (a merge read is one block already), each is checked
-        against the header's table, and the requested slice is returned.
+        against the extent's table, and the requested slice is returned.
         """
-        header = self.header
-        length = header.section_length(section)
+        extent = self.extent
+        length = extent.section_length(section)
         name = SECTION_NAMES[section]
         if start < 0 or nbytes < 0 or start + nbytes > length:
             raise SpillCorruptionError(
@@ -302,11 +232,11 @@ class SpilledRun:
         if nbytes == 0:
             return b""
         # Unverified reads take just their bytes; verified ones whole blocks.
-        unit = header.block_bytes(section) if self.verify else 1
+        unit = extent.block_bytes(section) if self.verify else 1
         lo = start - start % unit
         hi = min(start + nbytes + (-(start + nbytes) % unit), length)
         raw = self._raw_read(
-            header.section_offset(section) + lo, hi - lo, stats
+            extent.section_offset(section) + lo, hi - lo, stats
         )
         if len(raw) != hi - lo:
             raise SpillCorruptionError(
@@ -315,7 +245,7 @@ class SpilledRun:
                 self.path,
             )
         if self.verify:
-            crcs, view = header.block_crcs[section], memoryview(raw)
+            crcs, view = extent.block_crcs[section], memoryview(raw)
             for index in range(lo // unit, -(-hi // unit)):
                 if stats is not None:
                     stats.checksum_verifications += 1
@@ -685,14 +615,9 @@ class ExternalSortOperator(SortOperator):
                     payload = pack_payload(
                         run.table, run.positions, run.encoded
                     )
-                header = build_header(
-                    keys,
-                    payload,
-                    self.merge_block_rows,
-                    serialize_layout(run.layout),
-                )
-                sections = [header.pack(), keys.view(np.uint8).ravel()]
-                path = self._write_run_file(filename, sections + payload)
+                extent = build_extent(keys, payload, self.merge_block_rows)
+                sections = [keys.view(np.uint8).ravel(), *payload]
+                path = self._write_run_file(filename, sections)
         finally:
             self._spilling = False
         if self._cancelled or self._closed:
@@ -712,7 +637,7 @@ class ExternalSortOperator(SortOperator):
                 grant.record_spill(nbytes)
             run = SpilledRun(
                 path,
-                header,
+                extent,
                 run.layout,
                 self._io,
                 verify=self.config.verify_spill_checksums,
@@ -771,11 +696,6 @@ class ExternalSortOperator(SortOperator):
                 self._selection = None
             if self._buffer:
                 self._runs.append(self._sort_buffer())
-            if self.config.verify_spill_checksums:
-                # Re-validate every on-disk header before trusting it.
-                for run in self._runs:
-                    if run.on_disk:
-                        run.verify_header(self.stats)
             merger = RunMerger(
                 self._generator, self.merge_block_rows, self._make_prefetcher
             )

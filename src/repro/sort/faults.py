@@ -50,9 +50,7 @@ class SpillIO:
     extent of ``<file>``, the one spill file its sort keeps in that
     directory (a path without ``#`` is a file of its own).  The backend
     opens each file once, appends runs with ``pwritev`` and reads them
-    with ``pread``; releasing a file's last run unlinks it.  A path it
-    did not write reads as a plain file (a run reopened by file and
-    offset).  Subclasses (the fault injector, or a future remote/async
+    with ``pread``; releasing a file's last run unlinks it.  Subclasses (the fault injector, or a future remote/async
     backend) override these methods and call ``super().__init__()``.
     """
 
@@ -81,14 +79,13 @@ class SpillIO:
             self._files[file][1] = start + total
 
     def read(self, path: str, offset: int, nbytes: int) -> bytes:
-        """Read up to ``nbytes`` at ``offset``; may return short at the end."""
+        """Read up to ``nbytes`` at ``offset`` of run ``path``'s extent;
+        may return short at the extent's end."""
         with self._io_lock:
             extent = self._extents.get(path)
-            if extent is not None:
-                fd = self._files[_file_of(path)][0]
-        if extent is None:
-            with open(path, "rb") as fh:
-                return os.pread(fh.fileno(), nbytes, offset)
+            if extent is None:
+                raise FileNotFoundError(errno.ENOENT, "no run", path)
+            fd = self._files[_file_of(path)][0]
         start, length = extent
         nbytes = max(0, min(nbytes, length - offset))
         return os.pread(fd, nbytes, start + offset)

@@ -123,9 +123,8 @@ class SortConfig:
         spill_retry_backoff_s: initial backoff; doubles per retry,
             capped at 1 second.  Zero disables sleeping (tests).
         verify_spill_checksums: verify the CRC32 of every spill block
-            read, one per merge block (and each run's header at merge
-            start).  On by default; off trades integrity for a little
-            read throughput.
+            read, one per merge block and one per payload.  On by
+            default; off trades integrity for a little read throughput.
         allow_memory_fallback: when no spill target is writable, keep
             runs in memory (reduced-memory degradation) instead of
             raising :class:`repro.errors.SpillCapacityError`.

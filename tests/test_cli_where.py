@@ -206,7 +206,7 @@ class TestCli:
             "retries", "failovers",
         ]
         assert int(fields["key_carried_runs"]) >= 1  # every column a key
-        assert int(fields["checksum_verifications"]) >= 2  # header + page
+        assert int(fields["checksum_verifications"]) >= 1  # a key block
         assert fields["retries"] == fields["failovers"] == "0"
 
     def test_sql(self, tmp_path, capsys):

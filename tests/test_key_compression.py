@@ -11,8 +11,8 @@ The two invariants every compressed layout must preserve:
    reference sort, which encodes plain (uncompressed) keys.
 
 Plus the machinery around them: width/mode selection, progressive layout
-widening with per-run rebasing, spill-header layout round-trips, and
-key-carried (keys-only) external runs.
+widening with per-run rebasing, and key-carried (keys-only) external
+runs.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ from repro.keys.compression import (
     KeyStatsAccumulator,
     build_compressed_layout,
     decode_key_table,
-    deserialize_layout,
     key_carried_eligible,
     plain_key_width,
     rebase_matrix,
     rebase_words,
-    serialize_layout,
 )
 from repro.keys.decoder import decode_key_row
 from repro.keys.normalizer import (
@@ -206,9 +204,6 @@ class TestWidthAndModeSelection:
         )
         # Narrower than its type: the bias is what saves the bytes.
         assert (c.value_width, c.bias) == (5, (1 << 63) + 5)
-        assert deserialize_layout(
-            serialize_layout(layout), first.schema, spec
-        ) == layout
         wider = Table.from_numpy(
             {
                 "a": np.array([-(2**63), 2**63 - 1], dtype=np.int64),
@@ -356,8 +351,6 @@ class TestSkippedPrefix:
             1 + len(segment.skipped) + segment.value_width
             + 1 + layout.segments[1].dtype.fixed_width
         )
-        blob = serialize_layout(layout)
-        assert deserialize_layout(blob, first.schema, spec) == layout
 
         # One encoding, handed over, cuts the same windows; an earlier
         # run rebases onto the final layout byte for byte.
@@ -408,57 +401,6 @@ class TestSkippedPrefix:
         acc = KeyStatsAccumulator(first.schema, spec, string_prefix=12)
         acc.update(first)
         assert acc.build_layout().segments[0].skipped == b""
-
-    def test_blob_checks(self):
-        first, _ = self.runs("13")
-        spec = SortSpec.of("s", "a")
-        blob = serialize_layout(build_compressed_layout(first, spec))
-        for bad in (blob[:-1], blob[:-9], blob + b"p"):
-            with pytest.raises(KeyEncodingError):
-                deserialize_layout(bad, first.schema, spec)
-        # Skipped bytes on an integer segment: a blob from another sort.
-        swapped = Table.from_pydict({"s": [1, 2], "a": [3, 4]})
-        with pytest.raises(KeyEncodingError, match="non-VARCHAR"):
-            deserialize_layout(blob, swapped.schema, spec)
-
-
-class TestLayoutSerialization:
-    def test_round_trip(self, rng):
-        spec = SortSpec.of("a DESC NULLS FIRST", "s", "f DESC")
-        table = mixed_table(rng, 400)
-        layout = build_compressed_layout(table, spec)
-        blob = serialize_layout(layout)
-        assert deserialize_layout(blob, table.schema, spec) == layout
-
-    def test_spec_mismatch_rejected(self, rng):
-        table = mixed_table(rng, 50)
-        blob = serialize_layout(
-            build_compressed_layout(table, SortSpec.of("a"))
-        )
-        with pytest.raises(KeyEncodingError):
-            deserialize_layout(blob, table.schema, SortSpec.of("a DESC"))
-        with pytest.raises(KeyEncodingError):
-            deserialize_layout(blob[:-3], table.schema, SortSpec.of("a"))
-
-    def test_spill_header_carries_the_run_layout(self, rng, tmp_path):
-        table = mixed_table(rng, 900)
-        spec = SortSpec.of("a", "s DESC")
-        with ExternalSortOperator(
-            table.schema,
-            spec,
-            SortConfig(run_threshold=300),
-            str(tmp_path),
-        ) as op:
-            for chunk in chunk_table(table, 150):
-                op.sink(chunk)
-            assert op.spilled_runs >= 2
-            for run in op._runs:
-                assert (
-                    deserialize_layout(run.header.extra, table.schema, spec)
-                    == run.layout
-                )
-            result = op.finalize()
-        assert result.equals(reference_sort(table, spec))
 
 
 class TestProgressiveWidening:
@@ -768,11 +710,9 @@ class TestKeyCarriedExternal:
         for run in runs:
             assert run.payload_bytes == 0
         # a in [0, 150) is one byte, b in [-1000, 1000) with NULLs two:
-        # one key word, no row id, so a file is its header and 8 bytes a row.
+        # one key word, no row id, so a file is 8 bytes a row.
         assert [run.key_words for run in runs] == [1] * 6
-        assert spilled == sum(
-            len(run.header.pack()) + run.num_rows * 8 for run in runs
-        )
+        assert spilled == sum(run.num_rows * 8 for run in runs)
         # Value-level equality: key-carried NULL rows decode with a zero
         # filler, so raw data bytes under NULL slots may differ.
         assert result.equals(reference_sort(table, spec))

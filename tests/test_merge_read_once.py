@@ -22,10 +22,9 @@ import numpy as np
 import pytest
 
 from conftest import reference_sort
-from repro.errors import KeyEncodingError, SpillCorruptionError
-from repro.keys.compression import serialize_layout
+from repro.errors import SpillCorruptionError
 from repro.scalar.reference import reference_sort as scalar_reference_sort
-from repro.sort.external import ExternalSortOperator, SpilledRun
+from repro.sort.external import ExternalSortOperator
 from repro.sort.faults import (
     FaultInjector,
     InjectedFault,
@@ -34,7 +33,6 @@ from repro.sort.faults import (
 )
 from repro.sort.incremental import IncrementalSorter
 from repro.sort.operator import SortConfig
-from repro.sort.spillfile import _FIXED
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
@@ -66,7 +64,7 @@ class CountingIO(SpillIO):
 class RecordingIO(SlowStorageIO):
     """Storage of a fixed read latency (none by default) that records
     every read's thread, run and byte range, and the section lengths of
-    every run written: ``layout[path] = (header, keys, payload)``."""
+    every run written: ``layout[path] = (keys, payload)``."""
 
     def __init__(self, read_delay_s: float = 0.0) -> None:
         super().__init__(read_delay_s=read_delay_s)
@@ -75,8 +73,8 @@ class RecordingIO(SlowStorageIO):
         self._log_lock = threading.Lock()
 
     def write_file(self, path, sections):
-        header, keys, *payload = sections
-        self.layout[path] = (len(header), len(keys), sum(map(len, payload)))
+        keys, *payload = sections
+        self.layout[path] = (len(keys), sum(map(len, payload)))
         super().write_file(path, sections)
 
     def read(self, path, offset, nbytes):
@@ -165,14 +163,16 @@ class TestReadOnce:
             for chunk in chunk_table(table, 2048):
                 operator.sink(chunk)
             spilled = operator.spilled_runs
-            pages = sum(run.header.crc_count for run in operator._runs)
+            pages = sum(
+                len(crcs) for run in operator._runs for crcs in run.extent.block_crcs
+            )
             result = operator.finalize()
         stats = operator.stats
         assert spilled == 5 and stats.runs_generated == 6
         # Every file is keys only; the resident tail is no spilled run.
         assert stats.key_carried_runs == spilled
-        # One check per page plus one header re-validation per file.
-        assert stats.checksum_verifications == pages + spilled
+        # One check per page.
+        assert stats.checksum_verifications == pages
         assert io.read_bytes <= io.written_bytes
         # One fetch per 4,096-row block, none per round.
         assert stats.prefetch_hits + stats.prefetch_misses == 3 * spilled
@@ -182,9 +182,9 @@ class TestReadOnce:
         assert stats.kway_rounds <= 4
         assert result.equals(scalar_reference_sort(table, spec))
 
-    def test_key_carried_spill_file_is_header_plus_keys(self, tmp_path):
-        # Nothing per row rides beside the keys: the file is its header
-        # and ``rows * key_words`` uint64 key words.
+    def test_key_carried_spill_file_is_its_keys(self, tmp_path):
+        # Nothing per row rides beside the keys: the extent is
+        # ``rows * key_words`` uint64 key words and nothing else.
         table = SCENARIOS["uniform"].table(20_000, 29)
         spec = SortSpec.of("a", "p")
         operator = ExternalSortOperator(
@@ -196,31 +196,24 @@ class TestReadOnce:
             assert operator.spilled_runs == 3
             for run in operator._runs:
                 assert run.payload_bytes == 0
-                self.assert_file_is_header_plus_sections(run, table, spec)
+                self.assert_extent_is_its_sections(run)
             result = operator.finalize()
         assert operator.stats.key_carried_runs == 3  # the files, not the tail
         assert result.equals(scalar_reference_sort(table, spec))
 
     @staticmethod
-    def assert_file_is_header_plus_sections(run, table, spec):
-        # The header's extra blob *is* the run's serialized key layout
-        # (no frame around it), and re-attachment reads both back.
-        header = run.header
-        assert header.extra == serialize_layout(run.layout)
-        assert len(header.pack()) == (
-            _FIXED.size + 4 * header.crc_count + len(header.extra)
-        )
-        assert run.io.file_size(run.path) == (
-            len(header.pack())
-            + run.num_rows * 8 * run.key_words
-            + run.payload_bytes
-        )
+    def assert_extent_is_its_sections(run):
+        # The extent starts with the key words the merge reads, and its
+        # length is the two sections' (no header, no layout blob).
+        keys = run.num_rows * 8 * run.key_words
+        assert run.io.file_size(run.path) == keys + run.payload_bytes
         file, offset = run.io.locate(run.path)
-        reopened = SpilledRun.open(file, table.schema, spec, offset=offset)
-        assert reopened.header == header
-        assert reopened.layout == run.layout
+        with open(file, "rb") as fh:
+            fh.seek(offset)
+            on_disk = fh.read(keys)
+        assert on_disk == run.read_key_block(0, run.num_rows).tobytes()
 
-    def test_payload_spill_file_and_a_flipped_layout_byte(self, rng, tmp_path):
+    def test_payload_spill_file_and_a_flipped_payload_byte(self, rng, tmp_path):
         table, spec = payload_table(rng, 3 * RUN_ROWS), spec_of("a DESC, s")
         operator = ExternalSortOperator(
             table.schema, spec, SortConfig(run_threshold=RUN_ROWS), str(tmp_path)
@@ -231,75 +224,23 @@ class TestReadOnce:
             assert operator.spilled_runs == 3
             for run in operator._runs:
                 assert run.payload_bytes > 0
-                self.assert_file_is_header_plus_sections(run, table, spec)
-            # The header CRC covers the blob: one flipped layout byte --
-            # the row-id width, or the last of the bytes the VARCHAR
-            # segment skips -- fails typed at re-attachment and at merge
-            # start.
+                self.assert_extent_is_its_sections(run)
+            # The payload's one CRC covers its last byte (the tail of
+            # the last VARCHAR value): one flip fails typed at merge.
             victim = operator._runs[1]
-            blob = victim.header.extra
-            assert victim.layout.segments[1].skipped == blob[-1:] == b"s"
             file, offset = victim.io.locate(victim.path)
-            start = offset + _FIXED.size + 4 * victim.header.crc_count
-            for position in (start + 1, start + len(blob) - 1):
-                with open(file, "r+b") as fh:
-                    intact = fh.read()
-                    fh.seek(position)
-                    fh.write(bytes([intact[position] ^ 0x04]))
-                with pytest.raises(SpillCorruptionError, match="header CRC"):
-                    SpilledRun.open(victim.path, table.schema, spec, victim.io)
-                if position == start + 1:
-                    with open(file, "r+b") as fh:
-                        fh.write(intact)
-            with pytest.raises(SpillCorruptionError, match="header CRC"):
+            position = offset + victim.io.file_size(victim.path) - 1
+            with open(file, "r+b") as fh:
+                fh.seek(position)
+                byte = fh.read(1)[0]
+                fh.seek(position)
+                fh.write(bytes([byte ^ 0x04]))
+            with pytest.raises(
+                SpillCorruptionError, match="payload section"
+            ) as info:
                 operator.finalize()
+        assert info.value.path == victim.path
         assert list(tmp_path.iterdir()) == []
-
-    def test_a_layout_of_another_sort_is_spill_corruption(self, rng, tmp_path):
-        # CRC-valid, but the blob describes a different ORDER BY.
-        table, spec = int_table(rng, 2 * RUN_ROWS), spec_of("a DESC, b NULLS FIRST")
-        operator = ExternalSortOperator(
-            table.schema, spec, SortConfig(run_threshold=RUN_ROWS), str(tmp_path)
-        )
-        with operator:
-            for chunk in chunk_table(table, BLOCK_ROWS):
-                operator.sink(chunk)
-            run = operator._runs[0]
-            with pytest.raises(SpillCorruptionError, match="key layout"):
-                SpilledRun.open(
-                    run.path, table.schema, spec_of("a, b NULLS FIRST"), run.io
-                )
-
-    def test_skipped_bytes_of_another_sort_never_give_a_wrong_answer(
-        self, rng, tmp_path
-    ):
-        # CRC-valid files of two sorts of one schema and ORDER BY whose
-        # first runs share different bytes: under a schema where the
-        # column is no VARCHAR the blob is corrupt; merged as one sort's
-        # runs, the stale run cannot be rebased.
-        tables = [
-            Table.from_pydict({"s": [f"{stem}{v:03d}" for v in range(RUN_ROWS)]})
-            for stem in ("left-", "right-")
-        ]
-        spec = spec_of("s")
-        left, right = (
-            ExternalSortOperator(
-                table.schema, spec, SortConfig(run_threshold=RUN_ROWS),
-                str(tmp_path),
-            )
-            for table in tables
-        )
-        with left, right:
-            for operator, table in ((left, tables[0]), (right, tables[1])):
-                operator.sink(next(chunk_table(table, RUN_ROWS)))
-                assert operator._runs[0].layout.segments[0].skipped
-            foreign = left._runs[0]
-            ints = Table.from_pydict({"s": [1]})
-            with pytest.raises(SpillCorruptionError, match="key layout"):
-                SpilledRun.open(foreign.path, ints.schema, spec, foreign.io)
-            right._runs.insert(0, foreign)
-            with pytest.raises(KeyEncodingError, match="skipped"):
-                right.finalize()
 
     def test_flipped_bit_in_a_keys_page_names_the_run(self, tmp_path):
         table = SCENARIOS["uniform"].table(20_000, 29)
@@ -316,11 +257,7 @@ class TestReadOnce:
             # A byte of the second block (rows 4,096..), well inside the
             # keys section: the frontier reaches it mid-merge.
             file, offset = victim.io.locate(victim.path)
-            position = (
-                offset
-                + victim.header.section_offset(0)
-                + 5000 * 8 * victim.key_words
-            )
+            position = offset + 5000 * 8 * victim.key_words
             with open(file, "r+b") as fh:
                 fh.seek(position)
                 byte = fh.read(1)[0]
@@ -348,13 +285,13 @@ class TestPayloadReadOnce:
         assert_matches_both_oracles(result, table, spec)
         # Three cut runs, then (fan-in 2) two merged pairs.
         assert len(io.layout) == (5 if fan_in else 3)
-        for path, (header, keys, payload) in io.layout.items():
+        for path, (keys, payload) in io.layout.items():
             reads = [(at, n) for _, p, at, n in io.log if p == path]
-            assert payload > 0 and reads.count((header + keys, payload)) == 1
-            key_reads = [(at, n) for at, n in reads if header <= at < header + keys]
+            assert payload > 0 and reads.count((keys, payload)) == 1
+            key_reads = [(at, n) for at, n in reads if at < keys]
             assert len(set(key_reads)) == len(key_reads)
             assert sum(n for _, n in key_reads) == keys
-        # Each read is one check: a header, a payload or one key block.
+        # Each read is one check: a payload or one key block.
         assert stats.checksum_verifications == len(io.log)
 
     def test_workers_fetch_key_blocks_alone(self, rng, tmp_path):
@@ -368,8 +305,8 @@ class TestPayloadReadOnce:
         ]
         assert ahead  # reads proved slow, so the pool read ahead
         for path, at in ahead:
-            header, keys, _ = io.layout[path]
-            assert header <= at < header + keys
+            keys, _ = io.layout[path]
+            assert at < keys
         # One stream a run: depth 2 for each of the 9 files, capped at a
         # run threshold's worth of blocks (four) but never below a block
         # a file.

@@ -35,6 +35,7 @@ from repro.service import (
     ResultCache,
     SortService,
 )
+from repro.sort.faults import SpillIO
 from repro.sort.operator import SortConfig
 from repro.table.table import Table
 
@@ -409,8 +410,22 @@ class TestAdmissionAndCancellation:
                 victim.result(timeout=30)
             assert service.stats.cancelled == 1
 
-    def test_cancel_mid_external_sort_leaves_no_spill_files(self, rng):
+    def test_cancel_mid_external_sort_leaves_no_spill_files(
+        self, rng, monkeypatch
+    ):
+        # The cancel fires from inside the sort, on its first spill
+        # write, so it always lands while a spill file exists.
         before = spill_dirs()
+        submitted = threading.Event()
+        tickets = []
+        write_file = SpillIO.write_file
+
+        def cancel_then_write(io, path, sections):
+            if submitted.wait(30) and tickets:
+                tickets.pop().cancel()
+            write_file(io, path, sections)
+
+        monkeypatch.setattr(SpillIO, "write_file", cancel_then_write)
         db = Database(
             sort_config=SortConfig(external=True, run_threshold=1000)
         )
@@ -419,8 +434,8 @@ class TestAdmissionAndCancellation:
             db, memory_budget=64 << 20, workers=1, cache_capacity=0
         ) as service:
             ticket = service.submit("SELECT * FROM t ORDER BY a, s, seq")
-            time.sleep(0.05)
-            ticket.cancel()
+            tickets.append(ticket)
+            submitted.set()
             with pytest.raises(SortCancelledError):
                 ticket.result(timeout=30)
             assert service.stats.cancelled == 1

@@ -9,31 +9,24 @@ pins the number of files written, the sha256 of their key sections, and
 apart from it the sha256 of their payload sections.  A change to any of
 these changes the spill format.
 
-The key digests were recorded for format 5: a key section became the
-run's key words (native uint64, row-major) and lost its 8-byte row-id
-suffix, which no merge read.  Its words are format 4's key bytes read
-big-endian, word by word.  Format 6 (one CRC32 per merge block, runs as
-extents of one file per sort per directory) changed only the header.
-Format 7 replaced the NSM row and heap sections with one payload section
-(the run's positions, then its columns); the key digests and the count
-of ``write_file`` calls, one per run, still hold, and the payload
-digests were recorded afresh.
+A key section is the run's key words (native uint64, row-major, no
+row id); a payload section is the run's positions, then its columns.
+An extent holds these two sections and nothing else (its CRC table
+stays in memory), so ``write_file`` receives the key section first and
+the payload's parts after it, one call per run.
 """
 
 from __future__ import annotations
 
 import hashlib
-import zlib
 
 import pytest
 
 from test_external_kway import assert_byte_identical
 from test_oracle import oracle_sort
-from repro.errors import SpillCorruptionError
-from repro.sort.external import ExternalSortOperator, SpilledRun
+from repro.sort.external import ExternalSortOperator
 from repro.sort.faults import SpillIO
 from repro.sort.operator import SortConfig
-from repro.sort.spillfile import _FIXED, FORMAT_VERSION
 from repro.table.chunk import chunk_table
 from repro.types.sortspec import SortSpec
 from repro.workloads.scenarios import SCENARIOS
@@ -44,7 +37,7 @@ SEED = 7
 
 class DigestingIO(SpillIO):
     """The real backend, hashing every written file's key section, and
-    apart from it its payload section (the header is left out)."""
+    apart from it its payload section."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -54,7 +47,7 @@ class DigestingIO(SpillIO):
 
     def write_file(self, path, sections):
         self.files += 1
-        keys, payload = sections[1], sections[2:]
+        keys, payload = sections[0], sections[1:]
         self._keys.update(len(keys).to_bytes(8, "little"))
         self._keys.update(keys)
         self._rest.update(sum(map(len, payload)).to_bytes(8, "little"))
@@ -140,47 +133,3 @@ def spill_digest(name: str, overrides: tuple, directory):
 )
 def test_spill_sections_are_pinned(case, tmp_path):
     assert spill_digest(*case, tmp_path) == CASES[case]
-
-
-def assert_old_format_refused(version, tmp_path):
-    # A run whose header says an older format is refused typed, even
-    # with a valid header CRC, by a reopen and by the merge.
-    table = SCENARIOS["uniform"].table(ROWS, SEED)
-    spec = SortSpec.of("a", "p")
-    operator = ExternalSortOperator(
-        table.schema, spec, SortConfig(run_threshold=1500), str(tmp_path)
-    )
-    with operator:
-        for chunk in chunk_table(table, 500):
-            operator.sink(chunk)
-        run = operator._runs[1]
-        file, offset = run.io.locate(run.path)
-        with open(file, "r+b") as fh:
-            fh.seek(offset)
-            fields = list(_FIXED.unpack(fh.read(_FIXED.size)))
-            tail = fh.read(fields[2] - _FIXED.size)
-            fields[1], fields[-1] = version, 0
-            fields[-1] = zlib.crc32(tail, zlib.crc32(_FIXED.pack(*fields)))
-            fh.seek(offset)
-            fh.write(_FIXED.pack(*fields))
-        assert FORMAT_VERSION == 7
-        with pytest.raises(SpillCorruptionError, match=f"version {version}"):
-            SpilledRun.open(file, table.schema, spec, offset=offset)
-        with pytest.raises(SpillCorruptionError, match=f"version {version}"):
-            operator.finalize()
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_a_format_4_header_is_refused(tmp_path):
-    # Format 4: key bytes plus a row-id suffix.
-    assert_old_format_refused(4, tmp_path)
-
-
-def test_a_format_5_header_is_refused(tmp_path):
-    # Format 5: one CRC32 per 4 KiB page of each section.
-    assert_old_format_refused(5, tmp_path)
-
-
-def test_a_format_6_header_is_refused(tmp_path):
-    # Format 6: NSM payload rows and a string heap.
-    assert_old_format_refused(6, tmp_path)

@@ -26,9 +26,11 @@ from test_external_faults import (
 from test_external_kway import assert_byte_identical, mixed_table
 from repro.errors import SortCancelledError, SpillCorruptionError
 from repro.service.governor import MemoryGovernor
+from repro.sort.external import ExternalSortOperator
 from repro.sort.faults import FaultInjector, InjectedFault, SpillIO
-from repro.sort.spillfile import SECTION_NAMES
 from repro.table.chunk import chunk_table
+from repro.types.sortspec import SortSpec
+from repro.workloads.scenarios import SCENARIOS
 
 PROC_FD = "/proc/self/fd"
 
@@ -43,10 +45,8 @@ def sink_all(operator, table):
 
 
 def run_bytes(run) -> int:
-    header = run.header
-    return len(header.pack()) + sum(
-        header.section_length(section) for section in range(len(SECTION_NAMES))
-    )
+    """An extent is its two sections: the key words, then the payload."""
+    return 8 * run.key_words * run.num_rows + run.payload_bytes
 
 
 def test_one_file_per_directory_through_merge_passes(rng, tmp_path):
@@ -144,24 +144,62 @@ def test_no_descriptor_outlives_the_sort(case, rng, tmp_path):
     assert os.listdir(directory) == []
 
 
-@pytest.mark.parametrize("section", SECTION_NAMES)
+def spilling_operator(kind, rng, directory):
+    """A sort of 2,000 rows that spills three or more runs: ``payload``
+    runs (a string and a float column ride in the payload) or
+    ``key_carried`` ones (every column is a key; no payload section)."""
+    if kind == "payload":
+        table = mixed_table(rng, 2000)
+        return table, build_operator(table, directory)
+    table = SCENARIOS["uniform"].table(2000, 7)
+    operator = ExternalSortOperator(
+        table.schema, SortSpec.of("a", "p"), fast_config(), str(directory)
+    )
+    return table, operator
+
+
+def flip_case(kind, section, where):
+    # A payload run's middle-byte cases keep the ids ``keys`` and
+    # ``payload``.
+    name = section if where == "middle" else f"{section}-{where}"
+    return pytest.param(
+        kind, section, where,
+        id=name if kind == "payload" else f"{kind}-{name}",
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, section, where",
+    [
+        flip_case(kind, section, where)
+        for kind, sections in (
+            ("payload", ("keys", "payload")),
+            ("key_carried", ("keys",)),
+        )
+        for section in sections
+        for where in ("first", "middle", "last")
+    ],
+)
 def test_a_flipped_byte_in_a_middle_extent_names_the_file(
-    section, rng, tmp_path
+    kind, section, where, rng, tmp_path
 ):
-    table = mixed_table(rng, 2000)
-    operator = build_operator(table, tmp_path)
+    table, operator = spilling_operator(kind, rng, tmp_path)
     with operator:
         sink_all(operator, table)
         assert operator.spilled_runs >= 3
         victim = operator._runs[1]
+        assert (victim.payload_bytes == 0) == (kind == "key_carried")
+        for run in operator._runs:
+            assert operator._io.file_size(run.path) == run_bytes(run)
         file, offset = operator._io.locate(victim.path)
         assert offset == run_bytes(operator._runs[0])
-        index = SECTION_NAMES.index(section)
-        position = (
-            offset
-            + victim.header.section_offset(index)
-            + victim.header.section_length(index) // 2
-        )
+        keys = run_bytes(victim) - victim.payload_bytes
+        start, length = {
+            "keys": (0, keys),
+            "payload": (keys, victim.payload_bytes),
+        }[section]
+        step = {"first": 0, "middle": length // 2, "last": length - 1}
+        position = offset + start + step[where]
         with open(file, "r+b") as fh:
             fh.seek(position)
             byte = fh.read(1)[0]
@@ -213,6 +251,8 @@ def test_spilled_bytes_charge_each_run_its_own_extent(rng, tmp_path):
         runs = operator._runs
         assert len(runs) >= 3
         file, _ = operator._io.locate(runs[0].path)
+        for run in runs:
+            assert operator._io.file_size(run.path) == run_bytes(run)
         total = sum(run_bytes(run) for run in runs)
         assert operator.spilled_bytes == total == os.path.getsize(file)
         assert grant.spilled_bytes == total
