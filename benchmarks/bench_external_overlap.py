@@ -1,7 +1,6 @@
-"""Overlapped prefetch, replacement selection, spilled payload; writes
-BENCH_external.json.
+"""Overlapped prefetch and spilled payload; writes BENCH_external.json.
 
-Three experiments over the external sort, each asserting byte identity
+Two experiments over the external sort, each asserting byte identity
 between every timed configuration:
 
 * **overlap** -- a multi-run external sort of uniform int64 rows, merge
@@ -15,15 +14,6 @@ between every timed configuration:
   the slow-storage profile.  Per-phase wall-clock (``io_wait``,
   ``spill_io`` vs overlapped ``spill_io_overlap``) and hit rates are
   recorded alongside.
-
-* **rungen** -- a near-sorted workload (see :mod:`scenarios`) sorted
-  with plain argsort run generation (the default) vs forced replacement
-  selection, both under ``merge_fan_in=4`` so run count shows up as
-  merge passes.  Replacement selection's longer runs (bounded only by
-  the 4x run cap) mean fewer runs, fewer merge passes, and fewer k-way
-  rounds -- and more seconds: this is the committed evidence for why it
-  is off by default.  The JSON records both sides' seconds, run counts,
-  run-length lists, pass/round counts, and the pass ratio.
 
 * **payload_spill** -- spilled runs that carry a payload beside their
   keys: the ``tpcds_customer`` and ``mixed_null`` catalog scenarios
@@ -66,14 +56,13 @@ from repro.types.sortspec import SortSpec  # noqa: E402
 from repro.workloads.scenarios import SCENARIOS  # noqa: E402
 
 from bench_key_compression import commit_id  # noqa: E402
-from scenarios import near_sorted_values, uniform_values  # noqa: E402
+from scenarios import uniform_values  # noqa: E402
 
 OUTPUT = os.path.join(os.path.dirname(_SRC), "BENCH_external.json")
 
 DEFAULT_ROWS = 1_000_000
 CHUNK_ROWS = 16_384
 PREFETCH_DEPTH = 2
-MERGE_FAN_IN = 4
 READ_DELAY_S = 0.002  # SlowStorageIO per-read latency (cold spill store)
 ROUNDS = 2  # best-of for every timed side
 PAYLOAD_SCENARIOS = ("tpcds_customer", "mixed_null")
@@ -188,50 +177,6 @@ def bench_overlap(rows: int) -> dict:
     return result
 
 
-def bench_rungen(rows: int) -> dict:
-    rng = np.random.default_rng(43)
-    table = Table.from_numpy(
-        {
-            "a": near_sorted_values(rng, rows),
-            "p": rng.integers(0, 1 << 62, rows).astype(np.int64),
-        }
-    )
-    spec = SortSpec.of("a")
-    run_rows = _run_rows(rows)
-    result = {"rows": rows, "rows_per_run": run_rows, "sides": {}}
-    reference = None
-    for side, selection in (("argsort", False), ("replacement", True)):
-        config = SortConfig(
-            run_threshold=run_rows,
-            replacement_selection=selection,
-            merge_fan_in=MERGE_FAN_IN,
-        )
-        elapsed, output, stats = _best_of(
-            lambda: _external_sort(table, spec, config)
-        )
-        if reference is None:
-            reference = output
-        assert _tables_equal(output, reference), (
-            f"output diverged: rungen={side}"
-        )
-        result["sides"][side] = {
-            "seconds": elapsed,
-            "rows_per_s": rows / elapsed,
-            "rungen_path": stats.rungen_path,
-            "run_lengths": stats.run_lengths,
-            **_stat_summary(stats),
-        }
-    argsort, replacement = result["sides"]["argsort"], result["sides"]["replacement"]
-    result["run_reduction"] = argsort["runs"] / replacement["runs"]
-    result["merge_pass_reduction"] = (
-        argsort["merge_passes"] / replacement["merge_passes"]
-    )
-    result["kway_round_reduction"] = (
-        argsort["kway_rounds"] / max(1, replacement["kway_rounds"])
-    )
-    return result
-
-
 def _finalize_peak_mib(table, spec, config) -> float:
     """The ``tracemalloc`` peak of one ``finalize`` (the merge), in MiB."""
     with tempfile.TemporaryDirectory(prefix="bench_external_") as spill_dir:
@@ -289,7 +234,6 @@ def main(rows: int = DEFAULT_ROWS, output: str = OUTPUT) -> dict:
         "cpu_count": os.cpu_count(),
         "commit": commit_id(),
         "overlap_int64": bench_overlap(rows),
-        "rungen_near_sorted": bench_rungen(rows),
         "payload_spill": bench_payload_spill(min(rows, PAYLOAD_ROWS)),
     }
     with open(output, "w") as fh:
@@ -303,17 +247,6 @@ def main(rows: int = DEFAULT_ROWS, output: str = OUTPUT) -> dict:
             f"({sides['speedup']:.2f}x, hit_rate "
             f"{sides['on']['prefetch_hit_rate']:.2f})"
         )
-    rungen = results["rungen_near_sorted"]
-    print(
-        "rungen[near_sorted]: "
-        f"argsort {rungen['sides']['argsort']['runs']} runs / "
-        f"{rungen['sides']['argsort']['merge_passes']} passes, "
-        f"{rungen['sides']['argsort']['seconds']:.3f}s, "
-        f"replacement {rungen['sides']['replacement']['runs']} runs / "
-        f"{rungen['sides']['replacement']['merge_passes']} passes / "
-        f"{rungen['sides']['replacement']['seconds']:.3f}s "
-        f"({rungen['merge_pass_reduction']:.2f}x fewer passes)"
-    )
     for name, cell in results["payload_spill"]["scenarios"].items():
         print(
             f"payload_spill[{name}]: {cell['seconds']:.3f}s median, decode "
@@ -341,9 +274,6 @@ def test_external_overlap_bench_smoke(capsys, tmp_path):
     # refill made 32, most of them slivers).
     for sides in overlap["profiles"].values():
         assert sides["off"]["kway_rounds"] == sides["on"]["kway_rounds"] <= 8
-    rungen = results["rungen_near_sorted"]
-    assert rungen["run_reduction"] >= 1.5
-    assert rungen["merge_pass_reduction"] >= 1.5
     assert set(results["payload_spill"]["scenarios"]) == set(PAYLOAD_SCENARIOS)
     assert output.exists()
 

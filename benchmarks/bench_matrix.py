@@ -8,9 +8,8 @@ incremental (maintained-view) sorter -- and records one cell per
 
 * wall-clock seconds and rows/s (best of ``REPS`` measured runs, so a
   single scheduler hiccup does not poison the recorded artifact);
-* what the run sort did and which run generator ran (``sort_passes`` /
-  ``sort_tied_rows`` summed over the generated runs, the external
-  ``rungen_path``) -- these are **deterministic**
+* what the run sort did (``sort_passes`` / ``sort_tied_rows`` summed
+  over the generated runs) -- these are **deterministic**
   for a given (rows, seed), which is what lets
   ``benchmarks/regress.py`` gate on them;
 * the run-length histogram summary, merge passes, k-way rounds, and the
@@ -115,7 +114,6 @@ def _dispatch_summary(stats) -> dict:
     return {
         "sort_passes": stats.sort_passes,
         "sort_tied_rows": stats.sort_tied_rows,
-        "rungen_path": stats.rungen_path,
         "runs_generated": stats.runs_generated,
         "run_lengths": _run_lengths_summary(stats.run_lengths),
         "merge_passes": stats.merge_passes,

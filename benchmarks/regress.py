@@ -14,9 +14,8 @@ pipeline regressed:
   identity and counts).
 * **Count drift** -- a cell whose run-sort counts (``sort_passes``,
   ``sort_tied_rows``: what the one sort kernel did on that scenario's
-  keys), external run-generation path (``rungen_path``) or elided-sort
-  count differs from the baseline.  All are exact and deterministic for
-  a given (rows, seed), so a drift means key encoding, compression, the
+  keys) or elided-sort count differs from the baseline.  All are exact
+  and deterministic for a given (rows, seed), so a drift means key encoding, compression, the
   kernel's pass structure or a heuristic changed; an *intended* change
   must ship with a regenerated baseline in the same commit (the
   "artifact update" that makes the gate pass).
@@ -93,10 +92,10 @@ SAME_RUN_ORDER = (
 )
 
 
-EXACT_COUNTS = ("sort_passes", "sort_tied_rows", "rungen_path", "sorts_elided")
+EXACT_COUNTS = ("sort_passes", "sort_tied_rows", "sorts_elided")
 """``dispatch`` entries that repeat exactly per (rows, seed): what the run
-sort did, which run generator ran, and how many sorts the planner
-elided (a drop means it stopped eliding a sort it used to)."""
+sort did, and how many sorts the planner elided (a drop means it stopped
+eliding a sort it used to)."""
 
 
 def _reference_seconds(matrix: dict) -> float:

@@ -151,15 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sort_cmd.add_argument(
-        "--replacement-selection",
-        action="store_true",
-        help=(
-            "generate --external runs by replacement selection (fewer, "
-            "longer runs on near-sorted input) instead of cutting plain "
-            "argsort runs at the threshold"
-        ),
-    )
-    sort_cmd.add_argument(
         "--merge-fan-in",
         type=int,
         default=None,
@@ -326,7 +317,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         external=args.external,
         spill_directories=tuple(args.spill_dir),
         verify_spill_checksums=not args.no_spill_checksums,
-        replacement_selection=args.replacement_selection,
         **kwargs,
     )
     spec = SortSpec.of(*[part.strip() for part in args.by.split(",")])
@@ -366,8 +356,6 @@ def _print_sort_stats(stats) -> None:
     print(f"runs_generated: {stats.runs_generated}", file=err)
     run_sort = f"passes={stats.sort_passes} tied_rows={stats.sort_tied_rows}"
     print(f"run_sort: {run_sort}", file=err)
-    if stats.rungen_path:
-        print(f"rungen: path={stats.rungen_path}", file=err)
     if stats.run_lengths:
         print(
             f"run_lengths: {_run_length_histogram(stats.run_lengths)}",

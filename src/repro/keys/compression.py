@@ -395,9 +395,9 @@ def rebase_words(words, old: KeyLayout, new: KeyLayout) -> list[np.ndarray]:
 def rebase_matrix(
     matrix: np.ndarray, old_layout: KeyLayout, new_layout: KeyLayout
 ) -> np.ndarray:
-    """:func:`rebase_words` on a key byte matrix (replacement selection's
-    keys), a row-id suffix carried over.  Returns ``matrix`` itself when
-    the layouts agree."""
+    """:func:`rebase_words` on a key byte matrix, a row-id suffix carried
+    over (no engine caller: the end-to-end probes bind it).  Returns
+    ``matrix`` itself when the layouts agree."""
     if old_layout == new_layout:
         return matrix
     if old_layout.row_id_width != new_layout.row_id_width:

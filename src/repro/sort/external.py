@@ -21,10 +21,8 @@ storage".  This module implements that design for the sort operator:
 What this module adds to the inherited stages is the spilling *run
 store*: the spill-file reader (:class:`SpilledRun`), the temp-directory
 lifecycle, the write ladder below, block CRC verification, the
-read-ahead hook (:mod:`repro.sort.prefetch`), fan-in-limited merge
-pre-passes, and -- only under ``SortConfig.replacement_selection`` --
-replacement-selection run generation, which buys fewer files and
-passes, so only a store that pays for files can use it.
+read-ahead hook (:mod:`repro.sort.prefetch`) and fan-in-limited merge
+pre-passes.
 
 Runs are encoded under the runtime key-compression layer
 (:mod:`repro.keys.compression`): each run's layout comes from one
@@ -53,9 +51,8 @@ and the payload, the run as it is held resident (its table's columns in
 arrival order, VARCHAR ones as UTF-8 bytes, and its rows' positions in
 key order) -- and nothing else (:mod:`repro.sort.spillfile`).  A spilled
 run read back is a resident run whose key words stream from disk, so a
-merge of any mix of the two gathers row positions alone.  Key bytes
-exist only inside replacement selection (its ``_rs_*`` methods); the
-merge rebases a stale block in words.
+merge of any mix of the two gathers row positions alone, and rebases a
+stale block in words: no key bytes are made.
 Sections are written from flat views of the run's arrays (one
 ``pwritev``, no ``tobytes``); a key row range reads back with a single
 ``pread`` and the payload with one more.  Every merge block and the
@@ -104,8 +101,7 @@ from repro.errors import (
     SpillCorruptionError,
     SpillIOError,
 )
-from repro.keys.compression import rebase_matrix
-from repro.keys.normalizer import KeyLayout, words_to_bytes
+from repro.keys.normalizer import KeyLayout
 from repro.sort.faults import SpillIO
 from repro.sort.merger import RunMerger
 from repro.sort.operator import (
@@ -115,12 +111,7 @@ from repro.sort.operator import (
     effective_run_threshold,
 )
 from repro.sort.prefetch import BlockPrefetcher, prefetch_budget_blocks
-from repro.sort.rungen import (
-    ROW_ID_WIDTH,
-    RUN_CAP_FACTOR,
-    InMemoryRun,
-    ReplacementSelection,
-)
+from repro.sort.rungen import InMemoryRun
 from repro.sort.spillfile import (
     SECTION_NAMES,
     SpillExtent,
@@ -323,9 +314,6 @@ class ExternalSortOperator(SortOperator):
         self._merging = False
         self._spilling = False
         self._degraded = False
-        # Replacement selection: the selection object holds the working
-        # set of sorted segments between spills.
-        self._selection: ReplacementSelection | None = None
         self._run_seq = 0  # spill run counter (never reused)
         # Collision-proof spill names: concurrent sorts sharing a spill
         # directory (a service pool, user-provided failover targets)
@@ -348,7 +336,6 @@ class ExternalSortOperator(SortOperator):
         if self._closed:
             return
         self._closed = True
-        self._selection = None
         self._buffer.clear()
         for run in self._runs:
             if run.on_disk:
@@ -415,7 +402,8 @@ class ExternalSortOperator(SortOperator):
 
     @property
     def spilled_runs(self) -> int:
-        return len(self._runs)
+        """Runs written to disk: a run kept in memory is not one."""
+        return sum(run.on_disk for run in self._runs)
 
     @property
     def spilled_bytes(self) -> int:
@@ -507,74 +495,7 @@ class ExternalSortOperator(SortOperator):
         batch = self._generator.encode(self._buffer)
         self._buffer = []
         self._buffered_rows = 0
-        # Replacement selection needs keys whose byte order *is* the sort
-        # order: a truncated VARCHAR prefix would need exact-string
-        # refinement across segment boundaries, so sorts with string keys
-        # decline it.
-        if (
-            self.config.replacement_selection
-            and not self._generator.has_string_key
-        ):
-            self.stats.rungen_path = "replacement_selection"
-            self._rs_feed(*batch)
-        else:
-            self.stats.rungen_path = "argsort"
-            self._store_run(self._generator.sort_run(*batch))
-
-    # ------------------------------------------------------------------ #
-    # Replacement-selection run generation
-    # ------------------------------------------------------------------ #
-
-    def _rs_feed(self, table: Table, words, encoded, base: int) -> None:
-        """Sort one batch into the selection working set, then drain.
-
-        The selection works on the batch's key bytes plus the big-endian
-        row id (ids make its keys unique), made here once.
-        """
-        if self._selection is None:
-            self._selection = ReplacementSelection(rebase=rebase_matrix)
-        layout = self._generator.layout
-        with self.stats.time_phase("run_gen"):
-            order = self._generator.argsort(words)
-            keys = np.empty((len(order), layout.total_width), dtype=np.uint8)
-            width = layout.key_width
-            keys[:, :width] = words_to_bytes([w[order] for w in words], width)
-            ids = (order + base).astype(">u8").view(np.uint8)
-            keys[:, width:] = ids.reshape(len(order), ROW_ID_WIDTH)
-            self._selection.feed(keys, order, table, layout)
-        self._rs_drain(final=False)
-
-    def _rs_drain(self, final: bool) -> None:
-        """Emit selection batches until occupancy returns to the budget.
-
-        Between spills the working set is drained back to one run
-        threshold of rows (classic replacement selection holds exactly
-        one memory's worth); at finalize it drains to empty.  A run
-        closes when nothing left is >= the fence, or at the
-        :data:`~repro.sort.rungen.RUN_CAP_FACTOR` safety cap -- without
-        the cap a fully sorted stream would accumulate one unbounded
-        in-memory run and defeat the point of spilling.
-        """
-        selection = self._selection
-        cap = RUN_CAP_FACTOR * self._run_threshold
-        target = 0 if final else self._run_threshold
-        while selection.pending_rows > target:
-            self._check_cancelled()
-            with self.stats.time_phase("run_gen"):
-                selection.step()
-            if selection.run_rows and (
-                selection.run_rows >= cap or selection.exhausted
-            ):
-                self._rs_store()
-        if final and selection.run_rows:
-            self._rs_store()
-
-    def _rs_store(self) -> None:
-        """Spill the selection's open run (keys ready, payload gathered)."""
-        run = self._selection.close_run()
-        with self.stats.time_phase("run_gen"):
-            packed = self._generator.pack(run.keys, run.layout, run.payload())
-        self._store_run(packed)
+        self._store_run(self._generator.sort_run(*batch))
 
     # ------------------------------------------------------------------ #
     # The spilling run store
@@ -671,11 +592,11 @@ class ExternalSortOperator(SortOperator):
     def finalize(self) -> Table:
         """The sorted output table: resident if nothing spilled, else merged.
 
-        Nothing stored and no selection open means the input never
-        reached the threshold: the inherited finish sorts it as one
-        resident run and no file is written.  Otherwise the buffered
-        tail becomes one more resident run (it holds the latest row
-        ids, so it goes last) and every run streams through one merge.
+        Nothing stored means the input never reached the threshold: the
+        inherited finish sorts it as one resident run and no file is
+        written.  Otherwise the buffered tail becomes one more resident
+        run (it holds the latest rows, so it goes last) and every run
+        streams through one merge.
         Cleanup is guaranteed: whether the merge succeeds, raises, or is
         cancelled, ``close()`` runs and removes every temp file.
         """
@@ -686,14 +607,9 @@ class ExternalSortOperator(SortOperator):
             raise SortError("cannot finalize a closed sort")
         self._merging = True
         try:
-            if not self._runs and self._selection is None:
+            if not self._runs:
                 return super().finalize()
             self._finalized = True
-            if self._selection is not None:
-                # Replacement selection: the working set still holds up
-                # to a threshold of rows; drain it into final run(s).
-                self._rs_drain(final=True)
-                self._selection = None
             if self._buffer:
                 self._runs.append(self._sort_buffer())
             merger = RunMerger(
@@ -720,9 +636,8 @@ class ExternalSortOperator(SortOperator):
         With ``SortConfig.merge_fan_in`` unset the single-pass kernel
         merges any k directly and this is a no-op.  A bounded fan-in
         models a real memory budget (k frontier blocks must fit): each
-        pass merges groups of ``fan_in`` runs into new spilled runs --
-        re-reading and re-writing their bytes -- which is exactly the
-        extra I/O that fewer, longer replacement-selection runs avoid.
+        pass merges groups of ``fan_in`` runs into new spilled runs,
+        re-reading and re-writing their bytes.
         Exact-string refinement permutes rows *within* prefix-tied
         groups, which would break the intermediate runs' key-byte
         sortedness, so such sorts stay single-pass.

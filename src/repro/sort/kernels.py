@@ -111,8 +111,8 @@ def _chunk_columns(matrix: np.ndarray) -> list[np.ndarray]:
     byte-swapping cast, one transpose copy -- instead of a pad + cast per
     word.  The returned word columns are contiguous views sharing a single
     backing buffer (callers and tests rely on this: re-chunking a block
-    never allocates per-word temporaries).  The merge runs it on a stale
-    spilled block rebased as bytes, and on a replacement-selection run.
+    never allocates per-word temporaries).  No engine stage calls it:
+    the byte-matrix kernels below and the tests do.
     """
     _check_matrix(matrix)
     n, width = matrix.shape

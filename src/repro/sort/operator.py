@@ -139,15 +139,6 @@ class SortConfig:
             so prefetch memory is charged against the same budget that
             sizes runs.  ``0`` disables prefetching (every spill read is
             synchronous on the merge's critical path).
-        replacement_selection: generate the external sort's runs by
-            replacement selection instead of cutting them at the
-            threshold: on near-sorted input runs grow past
-            ``run_threshold`` (up to
-            :data:`repro.sort.rungen.RUN_CAP_FACTOR` times it), so fewer
-            runs reach the merge.  Off by default: the selection steps
-            cost more than the run sort they replace on every input
-            measured (``BENCH_external.json``).  VARCHAR keys decline it;
-            output is byte-identical either way.
         cancel_event: cooperative cancellation flag (any object with an
             ``is_set()`` method, typically a ``threading.Event``).  Both
             sort operators poll it at their checkpoints -- sink, run
@@ -173,10 +164,10 @@ class SortConfig:
         merge_fan_in: maximum runs merged per k-way pass of the external
             sort.  ``0`` (default) merges all runs in one pass.  With a
             limit, excess runs are first combined in intermediate passes
-            that re-spill merged runs -- each pass re-reads and re-writes
-            its input, which is exactly the I/O replacement selection's
-            longer runs avoid (``SortStats.merge_passes`` records the
-            pass count).  Ignored when truncated VARCHAR prefixes require
+            that re-spill merged runs: a merge whose memory holds only
+            ``merge_fan_in`` frontier blocks pays for each pass by
+            re-reading and re-writing its input (``merge_passes`` counts
+            the passes).  Ignored when truncated VARCHAR prefixes require
             exact-string refinement (those merges stay single-pass).
     """
 
@@ -190,7 +181,6 @@ class SortConfig:
     verify_spill_checksums: bool = True
     allow_memory_fallback: bool = True
     prefetch_blocks: int = 1
-    replacement_selection: bool = False
     merge_fan_in: int = 0
     cancel_event: object | None = field(default=None, compare=False)
     memory_grant: object | None = field(default=None, compare=False)
@@ -277,11 +267,7 @@ class SortStats:
     once (the budget observably holding).
 
     The run-generation shape: ``run_lengths`` holds the row count of
-    every run in generation order (the run-length histogram --
-    replacement selection shows up as runs longer than the threshold);
-    ``rungen_path`` names the generator that cut the spilled runs
-    (``"argsort"`` or ``"replacement_selection"``; ``""`` for a sort
-    that never spilled).
+    every run in generation order (the run-length histogram).
     ``merge_passes`` counts k-way merge passes over the data: 0 when
     one resident run with exact byte order is the result (a sort that
     never spilled, without a truncated VARCHAR prefix), else 1, plus
@@ -326,7 +312,6 @@ class SortStats:
     prefetch_misses: int = 0
     prefetch_peak_blocks: int = 0
     run_lengths: list[int] = field(default_factory=list)
-    rungen_path: str = ""
     merge_passes: int = 0
     governor_forced_spills: int = 0
     sorts_elided: int = 0

@@ -13,60 +13,14 @@ VARCHAR prefix truncates, the exact-string repair happens once, in the
 merger, on tie groups that by then span all runs.
 What happens to the run next is the *store's* business:
 :class:`~repro.sort.operator.SortOperator` keeps it resident,
-:class:`~repro.sort.external.ExternalSortOperator` spills it (and may
-regroup rows into longer runs with replacement selection first, below),
+:class:`~repro.sort.external.ExternalSortOperator` spills it,
 :class:`~repro.sort.incremental.IncrementalSorter` compacts it with its
 neighbours.  The run format -- key layout, key-carried spill files -- is
 decided here once for all.
 
-Replacement-selection run generation over normalized-key matrices
------------------------------------------------------------------
-
-The external sort's run generation cuts a run at a fixed row threshold:
-buffer ``run_threshold`` rows, argsort, spill, repeat.  That ignores
-input order entirely -- a nearly sorted stream still produces
-``n / threshold`` runs.  Classic replacement selection (Knuth vol. 3,
-sec. 5.4.1; reaffirmed as one of the two big external-sort levers by
-Polyntsov et al., arXiv 2207.12713) makes fewer: keep a selection
-working set, repeatedly emit its smallest row that is still >= the last
-row written (the *fence*), and defer smaller rows to the next run.  On
-random input runs average twice the working set; on input whose
-disorder is smaller than the working set, one run can swallow the whole
-stream.  Fewer runs buy nothing while one merge pass takes them all,
-and the selection steps cost more than the run sort they replace, so it
-runs only when ``SortConfig.replacement_selection`` asks for it.
-
-A row-at-a-time tournament tree is the textbook implementation, but a
-Python loop per row is exactly what this codebase avoids.  This module
-reformulates replacement selection as a **batch tournament over sorted
-segments**:
-
-* each fed batch is argsorted once (the same vectorized kernels run
-  generation already uses) and enters the working set as a *sorted
-  segment* -- a key matrix plus the positions mapping rows back to the
-  source table;
-* one selection step takes a fixed-size candidate window from the head
-  of every segment, ranks all windows plus the fence with a single
-  :func:`~repro.sort.kernels.argsort_rows` call, and emits every
-  candidate that is above the fence and below the *cutoff* -- the
-  smallest unfinished window's tail, the same frontier rule the k-way
-  merge kernel uses, which guarantees no unseen row could precede an
-  emitted one;
-* candidates below the fence are *deferred*: their (contiguous) window
-  prefix is recorded and the cursor skips them, so each step advances
-  even when nothing is emittable.
-
-Because every selection key row carries a unique ascending row-id suffix,
-keys are distinct and the final k-way merge produces byte-identical
-output no matter how rows were partitioned into runs -- replacement
-selection only changes *how many* runs there are, never the result.
-
-When a run closes (no row in the working set is >= the fence, or the
-run hits ``RUN_CAP_FACTOR`` times the threshold), each segment compacts
-its deferred ranges and unconsumed tail into a new sorted segment: the
-deferred ranges are ascending in position order and every one is below
-the fence the tail survived, so concatenation preserves sortedness
-without a re-sort.
+The batch replacement selection and the presortedness probe at the end
+of the module have no caller in the engine: the end-to-end benchmark's
+probes bind them, and they go with ROADMAP item A.
 """
 
 from __future__ import annotations
@@ -85,16 +39,13 @@ from repro.keys.compression import (
 from repro.keys.encoding import EncodedStrings
 from repro.keys.normalizer import KeyLayout, key_words
 from repro.sort.heuristic import vector_sort_rows
-from repro.sort.kernels import _chunk_columns, argsort_rows
+from repro.sort.kernels import argsort_rows
 from repro.table.chunk import DataChunk, concat_chunks
 from repro.table.table import Table
-from repro.types.datatypes import TypeId
 from repro.types.schema import Schema
 from repro.types.sortspec import SortSpec
 
 __all__ = [
-    "ROW_ID_WIDTH",
-    "RUN_CAP_FACTOR",
     "InMemoryRun",
     "ReplacementSelection",
     "RunGenerator",
@@ -102,14 +53,146 @@ __all__ = [
     "presortedness",
 ]
 
-ROW_ID_WIDTH = 8
-"""Bytes of the row-id suffix of a key layout (replacement selection's
-key rows carry it; spilled key words do not)."""
 
-RUN_CAP_FACTOR = 4
-"""A replacement-selection run closes at this multiple of the run
-threshold even if rows are still eligible, bounding the key rows and
-payload references accumulated for one run."""
+@dataclass(eq=False)
+class InMemoryRun:
+    """A sorted run held resident: what :class:`RunGenerator` produces.
+
+    ``table``, the rows as they arrived; ``words``, their keys under
+    ``layout`` as the uint64 word columns
+    :func:`~repro.keys.normalizer.key_words` packs, in table order;
+    ``positions``, the int64 position in ``table`` of each row in key
+    order; ``encoded``, the :class:`~repro.keys.encoding.EncodedStrings`
+    of each VARCHAR *key* column in table order (the key statistics pass
+    made them; a rebase reads their prefix classes and exact-string
+    refinement reads tied strings there).  No key bytes, no row matrix,
+    no heap, whatever the columns: a result made of resident runs is one
+    ``Table.take`` by position, and the merge frontier reads
+    :meth:`key_block`'s words.
+    :class:`~repro.sort.operator.SortOperator` and the incremental
+    sorter keep their runs in this form;
+    :class:`~repro.sort.external.ExternalSortOperator` writes a cut run
+    to a spill file as it is -- its key words in key order, then its
+    table, positions and encodings -- keeping the run when no spill
+    target is writable, and keeps the tail run.  A spilled run's payload
+    read back is one of these whose ``words`` stay on disk (``None``).
+    """
+
+    words: list[np.ndarray] | None
+    layout: KeyLayout
+    table: Table
+    positions: np.ndarray
+    encoded: dict
+
+    on_disk = False
+    path = "<memory>"
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.positions)
+
+    def key_block(self, start: int, stop: int) -> list[np.ndarray]:
+        """Key word columns of the rows ``[start, stop)`` in key order."""
+        positions = self.positions[start:stop]
+        return [word[positions] for word in self.words]
+
+    def rebased(self, layout: KeyLayout) -> "InMemoryRun":
+        """The run with its keys packed anew under a wider ``layout``
+        (from its own table: the values, not the old codes, are encoded)."""
+        words = key_words(self.table, layout, self.encoded)
+        return dataclasses.replace(self, words=words, layout=layout)
+
+
+class RunGenerator:
+    """Buffered chunks in, one sorted :class:`InMemoryRun` out.
+
+    Holds what must be shared *across* the runs of one sort: the
+    monotone key-statistics accumulator (so key layouts only ever widen
+    and every earlier run rebases losslessly onto :attr:`layout`) and
+    the run-format decision (:attr:`key_carried`).
+    ``stats`` is the owning operator's
+    :class:`~repro.sort.operator.SortStats`; ``check_cancelled`` its
+    cooperative-cancellation checkpoint.
+    """
+
+    def __init__(
+        self,
+        schema: Schema,
+        spec: SortSpec,
+        config,
+        stats,
+        check_cancelled: Callable[[], None],
+    ) -> None:
+        self.schema = schema
+        self.spec = spec
+        self.config = config
+        self.stats = stats
+        self.check_cancelled = check_cancelled
+        self._key_acc = KeyStatsAccumulator(schema, spec, config.string_prefix)
+        #: Key-carried spill files: when the key segments alone
+        #: reconstruct every column exactly, a spilled run writes its
+        #: keys and no payload rows at all.
+        self.key_carried = key_carried_eligible(schema, spec)
+        #: The key layout covering every run generated so far (the
+        #: accumulator's latest, widest one); ``None`` before the first.
+        self.layout: KeyLayout | None = None
+
+    def encode(
+        self, chunks: list[DataChunk]
+    ) -> tuple[Table, list[np.ndarray], dict]:
+        """Concatenate the buffered chunks once and pack their keys.
+
+        Returns ``(table, words, encoded)``: the
+        :func:`~repro.keys.normalizer.key_words` of ``table`` under
+        :attr:`layout`, made from the order codes and UTF-8 buffers the
+        statistics pass computed; and the VARCHAR key columns'
+        ``EncodedStrings``, the run's one crossing from ``str``, read by
+        the key windows, by exact-string refinement and, once the run is
+        written to a spill file, as its VARCHAR payload.
+        """
+        self.check_cancelled()
+        stats = self.stats
+        with stats.time_phase("encode"):
+            table = concat_chunks(chunks)
+            # The accumulator has seen every row so far, so this run's
+            # layout is at least as wide as every earlier run's; the
+            # merge rebases narrower runs onto the last.
+            encoded = self._key_acc.update(table)
+            layout = self.layout = self._key_acc.build_layout(
+                include_row_id=False
+            )
+            words = key_words(table, layout, encoded)
+        stats.key_width_used = layout.key_width
+        stats.key_width_full = plain_key_width(layout)
+        stats.prefix_exact = stats.prefix_exact and all(
+            segment.prefix_exact for segment in layout.segments
+        )
+        stats.rows_sorted += len(table)
+        strings = {
+            k: v for k, v in encoded.items() if isinstance(v, EncodedStrings)
+        }
+        return table, words, strings
+
+    def sort_run(
+        self, table: Table, words: list, encoded: dict
+    ) -> InMemoryRun:
+        """Sort one encoded batch into a run: nothing is gathered.
+
+        One stable sort of the key words; a run's positions are its row
+        ids, and runs merge in generation order.  Truncated VARCHAR
+        prefixes sort by their bytes here; the merger repairs the tie
+        groups.
+        """
+        with self.stats.time_phase("run_gen"):
+            order = vector_sort_rows(words, self.stats)
+        self.stats.runs_generated += 1
+        self.stats.run_lengths.append(len(order))
+        return InMemoryRun(words, self.layout, table, order, encoded)
+
+
+# ---------------------------------------------------------------------- #
+# Uncalled: bound by benchmarks/e2e, goes with ROADMAP item A
+# ---------------------------------------------------------------------- #
 
 PROBE_SAMPLE = 4096
 """Pairs sampled by :func:`presortedness`."""
@@ -183,7 +266,7 @@ class _Segment:
 class SelectionRun:
     """One closed run: keys in emission order plus payload references.
 
-    ``keys`` is ready to spill as-is; row ``i``'s payload is row
+    ``keys`` holds the key rows in emission order; row ``i``'s payload is row
     ``positions[i]`` of ``tables[table_ids[i]]`` (:meth:`payload`).
     """
 
@@ -219,7 +302,20 @@ class SelectionRun:
 
 
 class ReplacementSelection:
-    """Batch replacement selection; the operator feeds and drains it.
+    """Batch replacement selection over normalized-key byte matrices.
+
+    Classic replacement selection (Knuth vol. 3, sec. 5.4.1) emits the
+    smallest held row still >= the last row written (the *fence*) and
+    defers smaller rows to the next run.  Here it is a batch tournament
+    over sorted segments: each fed batch is one sorted segment; one
+    :meth:`step` ranks a candidate window from the head of every segment
+    plus the fence with one :func:`~repro.sort.kernels.argsort_rows`
+    call and emits every candidate above the fence and at most the
+    smallest unfinished window's tail (the k-way merge's frontier rule),
+    deferring the candidates below the fence.  Key rows carry a unique
+    row-id suffix, so how rows split into runs never changes a merge's
+    output.  At :meth:`close_run` each segment's deferred ranges and
+    unconsumed tail concatenate, already sorted, into its next segment.
 
     Protocol: :meth:`feed` sorted batches in arrival order, call
     :meth:`step` to emit one batch of the current run, watch
@@ -439,172 +535,3 @@ class ReplacementSelection:
             if table_id in keep
         }
         return run
-
-
-# ---------------------------------------------------------------------- #
-# The shared run generator
-# ---------------------------------------------------------------------- #
-
-
-@dataclass(eq=False)
-class InMemoryRun:
-    """A sorted run held resident: what :class:`RunGenerator` produces.
-
-    ``table``, the rows as they arrived; ``words``, their keys under
-    ``layout`` as the uint64 word columns
-    :func:`~repro.keys.normalizer.key_words` packs, in table order;
-    ``positions``, the int64 position in ``table`` of each row in key
-    order; ``encoded``, the :class:`~repro.keys.encoding.EncodedStrings`
-    of each VARCHAR *key* column in table order (the key statistics pass
-    made them; a rebase reads their prefix classes and exact-string
-    refinement reads tied strings there).  No key bytes, no row matrix,
-    no heap, whatever the columns: a result made of resident runs is one
-    ``Table.take`` by position, and the merge frontier reads
-    :meth:`key_block`'s words.
-    :class:`~repro.sort.operator.SortOperator` and the incremental
-    sorter keep their runs in this form;
-    :class:`~repro.sort.external.ExternalSortOperator` writes a cut run
-    to a spill file as it is -- its key words in key order, then its
-    table, positions and encodings -- keeping the run when no spill
-    target is writable, and keeps the tail run.  A spilled run's payload
-    read back is one of these whose ``words`` stay on disk (``None``).
-    """
-
-    words: list[np.ndarray] | None
-    layout: KeyLayout
-    table: Table
-    positions: np.ndarray
-    encoded: dict
-
-    on_disk = False
-    path = "<memory>"
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.positions)
-
-    def key_block(self, start: int, stop: int) -> list[np.ndarray]:
-        """Key word columns of the rows ``[start, stop)`` in key order."""
-        positions = self.positions[start:stop]
-        return [word[positions] for word in self.words]
-
-    def rebased(self, layout: KeyLayout) -> "InMemoryRun":
-        """The run with its keys packed anew under a wider ``layout``
-        (from its own table: the values, not the old codes, are encoded)."""
-        words = key_words(self.table, layout, self.encoded)
-        return dataclasses.replace(self, words=words, layout=layout)
-
-
-class RunGenerator:
-    """Buffered chunks in, one sorted :class:`InMemoryRun` out.
-
-    Holds what must be shared *across* the runs of one sort: the
-    monotone key-statistics accumulator (so key layouts only ever widen
-    and every earlier run rebases losslessly onto :attr:`layout`), the
-    global row-id counter (unique ascending ids make every merge
-    stable), and the run-format decision (:attr:`key_carried`).
-    ``stats`` is the owning operator's
-    :class:`~repro.sort.operator.SortStats`; ``check_cancelled`` its
-    cooperative-cancellation checkpoint.
-    """
-
-    def __init__(
-        self,
-        schema: Schema,
-        spec: SortSpec,
-        config,
-        stats,
-        check_cancelled: Callable[[], None],
-    ) -> None:
-        self.schema = schema
-        self.spec = spec
-        self.config = config
-        self.stats = stats
-        self.check_cancelled = check_cancelled
-        self.has_string_key = any(
-            schema.column(name).dtype.type_id is TypeId.VARCHAR
-            for name in spec.column_names
-        )
-        self._key_acc = KeyStatsAccumulator(schema, spec, config.string_prefix)
-        #: Key-carried spill files: when the key segments alone
-        #: reconstruct every column exactly, a spilled run writes its
-        #: keys and no payload rows at all.
-        self.key_carried = key_carried_eligible(schema, spec)
-        #: The key layout covering every run generated so far (the
-        #: accumulator's latest, widest one); ``None`` before the first.
-        self.layout: KeyLayout | None = None
-        self._next_row_id = 0
-
-    def encode(
-        self, chunks: list[DataChunk]
-    ) -> tuple[Table, list[np.ndarray], dict, int]:
-        """Concatenate the buffered chunks once and pack their keys.
-
-        Returns ``(table, words, encoded, row_id_base)``: the
-        :func:`~repro.keys.normalizer.key_words` of ``table`` under
-        :attr:`layout`, made from the order codes and UTF-8 buffers the
-        statistics pass computed; the VARCHAR key columns'
-        ``EncodedStrings``, the run's one crossing from ``str``, read by
-        the key windows, by exact-string refinement and, once the run is
-        written to a spill file, as its VARCHAR payload; and the row id of the
-        table's first row.
-        """
-        self.check_cancelled()
-        stats = self.stats
-        with stats.time_phase("encode"):
-            table = concat_chunks(chunks)
-            # The accumulator has seen every row so far, so this run's
-            # layout is at least as wide as every earlier run's; the
-            # merge rebases narrower runs onto the last.
-            encoded = self._key_acc.update(table)
-            layout = self.layout = self._key_acc.build_layout(
-                include_row_id=True, row_id_width=ROW_ID_WIDTH
-            )
-            words = key_words(table, layout, encoded)
-        row_id_base = self._next_row_id
-        self._next_row_id += len(table)
-        stats.key_width_used = layout.key_width
-        stats.key_width_full = plain_key_width(layout)
-        stats.prefix_exact = stats.prefix_exact and all(
-            segment.prefix_exact for segment in layout.segments
-        )
-        stats.rows_sorted += len(table)
-        strings = {
-            k: v for k, v in encoded.items() if isinstance(v, EncodedStrings)
-        }
-        return table, words, strings, row_id_base
-
-    def argsort(self, words: list[np.ndarray]) -> np.ndarray:
-        """Stable vectorized sort of the key words.
-
-        Row ids ascend with row index, so a stable sort of the key alone
-        is the order of the whole key rows.  Truncated VARCHAR prefixes
-        sort by their bytes here; the merger repairs the tie groups.
-        """
-        return vector_sort_rows(words, self.stats)
-
-    def sort_run(
-        self, table: Table, words: list, encoded: dict, row_id_base: int
-    ) -> InMemoryRun:
-        """Sort one encoded batch into a run: nothing is gathered.
-
-        ``row_id_base`` is replacement selection's; a run needs none (its
-        positions are its row ids, and runs merge in generation order).
-        """
-        with self.stats.time_phase("run_gen"):
-            order = self.argsort(words)
-        self._count(len(order))
-        layout = self.layout
-        return InMemoryRun(words, layout, table, order, encoded)
-
-    def pack(self, keys: np.ndarray, layout: KeyLayout, payload: Table):
-        """Seal a replacement-selection run: its key byte rows (row ids
-        dropped) as word columns and ``payload``, both in key order."""
-        self._count(len(keys))
-        words = _chunk_columns(keys[:, : layout.key_width])
-        positions = np.arange(len(keys), dtype=np.int64)
-        return InMemoryRun(words, layout, payload, positions, {})
-
-    def _count(self, rows: int) -> None:
-        self.stats.runs_generated += 1
-        self.stats.run_lengths.append(rows)

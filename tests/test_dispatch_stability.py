@@ -1,14 +1,13 @@
-"""Run-sort and run-generation stability: recorded counts per scenario.
+"""Run-sort stability: recorded counts per scenario.
 
 The run sort (:func:`repro.sort.heuristic.vector_sort_rows`) has one
 kernel and no dispatch, so what a scenario can change is the work that
 kernel does: how many sort passes it makes and how many rows its first
 pass leaves tied.  Both are exact counts, deterministic for a fixed
-(rows, seed), as is the run generator a default spilled sort reports --
-which makes them testable as a *recorded expectation table*.  A change
-in key encoding, key compression or the kernel's pass structure that
-moves any cell fails here with the full table in hand, forcing the move
-to be reviewed and the expectations (and the committed
+(rows, seed) -- which makes them testable as a *recorded expectation
+table*.  A change in key encoding, key compression or the kernel's pass
+structure that moves any cell fails here with the full table in hand,
+forcing the move to be reviewed and the expectations (and the committed
 ``BENCH_matrix.json`` baseline) updated deliberately -- the same
 contract ``benchmarks/regress.py`` enforces at bench scale.
 
@@ -29,7 +28,6 @@ import pytest
 
 import repro.keys
 import repro.sort
-from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig, SortOperator, SortStats
 from repro.table.chunk import chunk_table
 from repro.types.sortspec import SortSpec
@@ -37,21 +35,18 @@ from repro.workloads.scenarios import SCENARIOS
 
 ROWS = 6_000
 SEED = 7
-EXTERNAL_RUN_THRESHOLD = 1_500
 
-# scenario -> (in-memory sort_passes, sort_tied_rows, external rungen path).
-# In-memory sorts run as one ROWS-row run; external runs are
-# EXTERNAL_RUN_THRESHOLD rows.
+# scenario -> (sort_passes, sort_tied_rows) of one ROWS-row in-memory run.
 EXPECTED = {
-    "uniform": (1, 0, "argsort"),
-    "zipf_skew": (1, 0, "argsort"),
-    "near_sorted": (1, 0, "argsort"),
-    "reverse": (1, 0, "argsort"),
-    "dup_heavy": (1, 0, "argsort"),
-    "long_string": (1, 0, "argsort"),
-    "mixed_null": (2, 230, "argsort"),
-    "tpcds_catalog": (1, 0, "argsort"),
-    "tpcds_customer": (5, 6000, "argsort"),
+    "uniform": (1, 0),
+    "zipf_skew": (1, 0),
+    "near_sorted": (1, 0),
+    "reverse": (1, 0),
+    "dup_heavy": (1, 0),
+    "long_string": (1, 0),
+    "mixed_null": (2, 230),
+    "tpcds_catalog": (1, 0),
+    "tpcds_customer": (5, 6000),
 }
 
 
@@ -71,7 +66,7 @@ def test_in_memory_dispatch_matches_recorded(name):
     for chunk in chunk_table(table, 2048):
         operator.sink(chunk)
     operator.finalize()
-    expected_passes, expected_tied, _ = EXPECTED[name]
+    expected_passes, expected_tied = EXPECTED[name]
     stats = operator.stats
     assert (stats.sort_passes, stats.sort_tied_rows) == (
         expected_passes,
@@ -84,31 +79,12 @@ def test_in_memory_dispatch_matches_recorded(name):
     )
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_external_rungen_matches_recorded(name, tmp_path):
-    scenario = SCENARIOS[name]
-    table = scenario.table(ROWS, seed=SEED)
-    config = SortConfig(external=True, run_threshold=EXTERNAL_RUN_THRESHOLD)
-    with ExternalSortOperator(
-        table.schema, _spec(scenario), config, str(tmp_path)
-    ) as operator:
-        for chunk in chunk_table(table, config.vector_size):
-            operator.sink(chunk)
-        operator.finalize()
-    _, _, expected_rungen = EXPECTED[name]
-    assert operator.stats.rungen_path == expected_rungen, (
-        f"scenario {name!r} rows={ROWS} seed={SEED}: rungen flipped "
-        f"{expected_rungen!r} -> {operator.stats.rungen_path!r}; if "
-        f"intended, update EXPECTED and regenerate BENCH_matrix.json"
-    )
-
-
 def test_knob_and_counter_counts_only_go_down():
     # A ratchet: every SortConfig field is a configuration the tests and
     # benchmarks must cover, every SortStats field a counter someone must
     # read.  These bounds are only ever lowered (ROADMAP item B).
-    assert len(dataclasses.fields(SortConfig)) <= 14
-    assert len(dataclasses.fields(SortStats)) <= 31
+    assert len(dataclasses.fields(SortConfig)) <= 13
+    assert len(dataclasses.fields(SortStats)) <= 30
 
 
 def package_lines(package) -> int:
@@ -122,7 +98,7 @@ def test_sort_package_lines_only_go_down():
     # The same ratchet for the pipeline's size: ``sort/`` holds what
     # sort_table, Top-N, IncrementalSorter and SortService reach and
     # nothing else (ROADMAP items B and C lower the bound).
-    assert package_lines(repro.sort) <= 4_498
+    assert package_lines(repro.sort) <= 4_325
 
 
 def test_keys_package_lines_only_go_down():

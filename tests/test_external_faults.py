@@ -214,6 +214,24 @@ class TestRetryFailoverFallback:
         assert all(isinstance(r, InMemoryRun) for r in operator._runs)
         assert_no_spill_files(tmp_path)
 
+    def test_runs_kept_in_memory_are_not_spilled_runs(self, rng, tmp_path):
+        table = mixed_table(rng, 20_000)
+        injector = FaultInjector([InjectedFault("enospc", times=None)])
+        operator = build_operator(
+            table, tmp_path, io=injector, spill_retries=0, run_threshold=2048
+        )
+        with pytest.warns(RuntimeWarning, match="degrading"):
+            with operator:
+                for chunk in chunk_table(table, 256):
+                    operator.sink(chunk)
+                cut = operator.stats.runs_generated
+                assert cut > 1
+                assert operator.spilled_runs == operator.spilled_bytes == 0
+                assert operator.stats.memory_run_fallbacks == cut
+                result = operator.finalize()
+        assert_byte_identical(result, expected_result(table))
+        assert_no_spill_files(tmp_path)
+
     def test_degraded_mode_halves_run_threshold(self, rng, tmp_path):
         table = mixed_table(rng, 2000)
         injector = FaultInjector([InjectedFault("enospc", times=None)])

@@ -1,16 +1,15 @@
-"""Overlapped prefetch, replacement selection, and multipass merging.
+"""Overlapped prefetch and multipass merging.
 
 Three properties anchor every test here:
 
-* **Byte identity.**  Normalized keys carry a unique ascending row-id
-  suffix, so the final output is a function of the input alone -- not of
-  run partitioning, read-ahead timing, or merge pass shape.  Every
-  feature configuration must therefore produce byte-identical output.
+* **Byte identity.**  Runs merge stably, in the order they were cut, so
+  the final output is a function of the input alone -- not of read-ahead
+  timing or merge pass shape.  Every feature configuration must
+  therefore produce byte-identical output.
 * **Bounded resources.**  Read-ahead stays within its block budget, no
   prefetch thread survives a sort, and spill directories end empty.
-* **Honest dispatch.**  Replacement selection runs only when asked
-  for, and the exact-string gate keeps it (and multipass merging) off
-  paths whose key bytes are refined later.
+* **Honest dispatch.**  The exact-string gate keeps multipass merging
+  off paths whose key bytes are refined later.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from repro.sort.external import ExternalSortOperator
 from repro.sort.faults import SlowStorageIO
 from repro.sort.operator import SortConfig, SortStats
 from repro.sort.prefetch import BlockPrefetcher, prefetch_budget_blocks
-from repro.sort.rungen import RUN_CAP_FACTOR, presortedness
+from repro.sort.rungen import presortedness
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
@@ -251,106 +250,16 @@ class TestForecastComparesWordTails:
         assert (0, 4) not in fetched_by
 
 
-class TestReplacementSelection:
-    @pytest.mark.parametrize("spec", SPECS)
-    def test_forced_rs_byte_identical(self, rng, tmp_path, spec):
-        table = mixed_table(rng, 6000)
-        plain, _ = sort_external(
-            table, spec, tmp_path / "plain", replacement_selection=False
-        )
-        forced, stats = sort_external(
-            table, spec, tmp_path / "forced", replacement_selection=True
-        )
-        assert_byte_identical(forced, plain)
-        if any(part.strip().startswith("s") for part in spec.split(",")):
-            # Exact string sorting refines key bytes during the merge;
-            # replacement selection must stay gated off.
-            assert stats.rungen_path == "argsort"
-        else:
-            assert stats.rungen_path == "replacement_selection"
-
-    def test_near_sorted_longer_fewer_runs(self, rng, tmp_path):
-        table = near_sorted_table(rng, 8000)
-        plain, plain_stats = sort_external(
-            table, "a", tmp_path / "plain", replacement_selection=False
-        )
-        forced, stats = sort_external(
-            table, "a", tmp_path / "forced", replacement_selection=True
-        )
-        assert_byte_identical(forced, plain)
-        assert stats.runs_generated < plain_stats.runs_generated
-        assert max(stats.run_lengths) > 1000  # beyond the run threshold
-        # The cap closes a run within one selection step of the limit.
-        assert max(stats.run_lengths) <= RUN_CAP_FACTOR * 1000 + 2048
-
-    def test_desc_nulls_first(self, rng, tmp_path):
-        values = [
-            None if int(v) % 17 == 0 else int(v)
-            for v in rng.integers(0, 500, 6000)
-        ]
-        table = Table.from_pydict({"a": values, "p": list(range(6000))})
-        spec = "a DESC NULLS FIRST"
-        plain, _ = sort_external(
-            table, spec, tmp_path / "plain", replacement_selection=False
-        )
-        forced, stats = sort_external(
-            table, spec, tmp_path / "forced", replacement_selection=True
-        )
-        assert stats.rungen_path == "replacement_selection"
-        assert_byte_identical(forced, plain)
-
-    def test_duplicate_heavy(self, rng, tmp_path):
-        table = Table.from_pydict(
-            {
-                "a": sorted(int(v) for v in rng.integers(0, 25, 6000)),
-                "p": list(range(6000)),
-            }
-        )
-        plain, plain_stats = sort_external(
-            table, "a", tmp_path / "plain", replacement_selection=False
-        )
-        forced, stats = sort_external(
-            table, "a", tmp_path / "forced", replacement_selection=True
-        )
-        assert_byte_identical(forced, plain)
-        assert stats.runs_generated < plain_stats.runs_generated
-
-    def test_reverse_worst_case(self, rng, tmp_path):
-        table = Table.from_pydict(
-            {
-                "a": list(range(6000, 0, -1)),
-                "p": [int(v) for v in rng.integers(0, 1 << 30, 6000)],
-            }
-        )
-        plain, _ = sort_external(
-            table, "a", tmp_path / "plain", replacement_selection=False
-        )
-        forced, _ = sort_external(
-            table, "a", tmp_path / "forced", replacement_selection=True
-        )
-        assert_byte_identical(forced, plain)
-
-    def test_mixed_numeric_types(self, rng, tmp_path):
-        table = mixed_table(rng, 6000)
-        spec = "a, f DESC"
-        plain, _ = sort_external(
-            table, spec, tmp_path / "plain", replacement_selection=False
-        )
-        forced, stats = sort_external(
-            table, spec, tmp_path / "forced", replacement_selection=True
-        )
-        assert stats.rungen_path == "replacement_selection"
-        assert_byte_identical(forced, plain)
-
-    def test_probe_shapes(self):
-        rng = np.random.default_rng(5)
-        sorted_keys = np.sort(
-            rng.integers(0, 1 << 62, 4096).astype(np.uint64)
-        ).astype(">u8").view(np.uint8).reshape(4096, 8)
-        assert presortedness(sorted_keys) == 1.0
-        assert presortedness(sorted_keys[::-1]) == 0.0
-        shuffled = sorted_keys[rng.permutation(4096)]
-        assert 0.2 < presortedness(shuffled) < 0.8
+# ``presortedness`` has no engine caller; the end-to-end probes bind it.
+def test_presortedness_probe_shapes():
+    rng = np.random.default_rng(5)
+    sorted_keys = np.sort(
+        rng.integers(0, 1 << 62, 4096).astype(np.uint64)
+    ).astype(">u8").view(np.uint8).reshape(4096, 8)
+    assert presortedness(sorted_keys) == 1.0
+    assert presortedness(sorted_keys[::-1]) == 0.0
+    shuffled = sorted_keys[rng.permutation(4096)]
+    assert 0.2 < presortedness(shuffled) < 0.8
 
 
 class TestMultipassMerge:
@@ -414,7 +323,7 @@ class TestMultipassMerge:
         with pytest.raises(SortError):
             SortConfig(prefetch_blocks=-1)
 
-    def test_fan_in_composes_with_rs_and_prefetch(self, rng, tmp_path):
+    def test_fan_in_composes_with_prefetch(self, rng, tmp_path):
         table = near_sorted_table(rng, 8000)
         reference, _ = sort_external(
             table,
@@ -422,7 +331,6 @@ class TestMultipassMerge:
             tmp_path / "ref",
             run_threshold=500,
             prefetch_blocks=0,
-            replacement_selection=False,
         )
         combined, stats = sort_external(
             table,
@@ -430,9 +338,8 @@ class TestMultipassMerge:
             tmp_path / "combined",
             run_threshold=500,
             prefetch_blocks=2,
-            replacement_selection=True,
             merge_fan_in=4,
         )
         assert_byte_identical(combined, reference)
-        assert stats.rungen_path == "replacement_selection"
+        assert stats.merge_passes >= 2
         assert no_prefetch_threads()

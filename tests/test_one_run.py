@@ -248,7 +248,6 @@ class TestThresholdBoundary:
         assert io.stats.writes == rows // THRESHOLD
         assert stats.runs_generated == -(-rows // THRESHOLD)
         if rows >= THRESHOLD:
-            assert stats.rungen_path == "argsort"
             assert stats.checksum_verifications > 0
             return
         # Below the threshold the sort is the resident operator's.
@@ -297,26 +296,6 @@ class TestThresholdBoundary:
         stats = operator.stats
         assert stats.governor_forced_spills == len(grant.spilled)
         assert stats.runs_generated == len(grant.spilled) + 1  # + the tail
-
-    def test_forced_replacement_selection_with_a_short_tail(self, tmp_path):
-        table, spec, expected = boundary_case(
-            "near_sorted", BOUNDARY_ROWS["above"]
-        )
-        config = SortConfig(
-            external=True, run_threshold=THRESHOLD, replacement_selection=True
-        )
-        with ExternalSortOperator(
-            table.schema, spec, config, str(tmp_path)
-        ) as operator:
-            result = run_operator(operator, table)
-        assert_byte_identical(expected, result)
-        stats = operator.stats
-        assert stats.rungen_path == "replacement_selection"
-        # The selection drains into spilled run(s); the 777-row tail is
-        # its own resident run, last.
-        assert stats.run_lengths[-1] == 777
-        assert sum(stats.run_lengths) == BOUNDARY_ROWS["above"]
-        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("size", ["below", "above"])
     def test_cancel_after_last_sink_stops_finalize(self, size, tmp_path):

@@ -100,11 +100,10 @@ def test_import_scan_sees_every_form(tmp_path, source, expected):
     assert expected in imported_modules(probe, root)
 
 
-# Key bytes: the engine's keys are uint64 words.  Replacement selection
-# (``external.py``'s ``_rs_*`` methods) is the one engine path left on
-# key bytes; the allowlist empties when it goes.
+# Key bytes: the engine's keys are uint64 words, packed, sorted, merged,
+# rebased and decoded as words; no engine file makes key bytes anywhere.
 BYTE_KEY_FUNCTIONS = {"words_to_bytes", "rebase_matrix", "normalize_keys"}
-BYTE_KEY_ALLOWED = {"sort/external.py"}
+BYTE_KEY_ALLOWED: set[str] = set()
 
 
 def byte_key_uses(path: Path) -> set[str]:

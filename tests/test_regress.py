@@ -31,14 +31,14 @@ from regress import compare, main  # noqa: E402
 def make_matrix() -> dict:
     """A small but structurally faithful BENCH_matrix.json payload."""
 
-    def cell(seconds, sort_counts=None, rungen=None):
+    def cell(seconds, sort_counts=None):
         dispatch = None
         if sort_counts is not None:
             passes, tied_rows = sort_counts
             dispatch = {
                 "sort_passes": passes,
                 "sort_tied_rows": tied_rows,
-                "rungen_path": rungen or "",
+                "sorts_elided": 0,
             }
         return {"seconds": seconds, "identical": True, "dispatch": dispatch}
 
@@ -50,23 +50,21 @@ def make_matrix() -> dict:
             "uniform": {
                 "paths": {
                     "in_memory": cell(0.10, (1, 0)),
-                    "external": cell(0.20, (4, 0), rungen="argsort"),
+                    "external": cell(0.20, (4, 0)),
                     "topn": cell(0.05),
                 }
             },
             "near_sorted": {
                 "paths": {
                     "in_memory": cell(0.08, (1, 0)),
-                    "external": cell(
-                        0.15, (4, 0), rungen="replacement_selection"
-                    ),
+                    "external": cell(0.15, (4, 0)),
                     "topn": cell(0.04),
                 }
             },
             "long_string": {
                 "paths": {
                     "in_memory": cell(0.40, (5, 24_000)),
-                    "external": cell(0.60, (20, 24_000), rungen="argsort"),
+                    "external": cell(0.60, (20, 24_000)),
                     "topn": cell(0.30),
                 }
             },
@@ -138,15 +136,17 @@ def test_tied_rows_drift_fails():
     ]
 
 
-def test_rungen_flip_fails():
+def test_sorts_elided_drift_fails():
+    """A planner that stops eliding a sort moves an exact count."""
     baseline = make_matrix()
     candidate = copy.deepcopy(baseline)
-    cell = candidate["scenarios"]["near_sorted"]["paths"]["external"]
-    cell["dispatch"]["rungen_path"] = "argsort"
+    cell = candidate["scenarios"]["near_sorted"]["paths"]["in_memory"]
+    cell["dispatch"]["sorts_elided"] = 1
     violations = compare(baseline, candidate)
-    assert any(
-        "near_sorted/external: rungen_path changed" in v for v in violations
-    )
+    assert violations == [
+        "near_sorted/in_memory: sorts_elided changed 0 -> 1 without a "
+        "baseline update"
+    ]
 
 
 def test_missing_path_and_scenario_fail():

@@ -35,7 +35,7 @@ from repro.keys.normalizer import (
     normalize_keys,
     normalized_key_for_row,
 )
-from repro.sort import external, kernels, merger
+from repro.sort import kernels, merger
 from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig, SortOperator
 from repro.table.chunk import DataChunk, chunk_table
@@ -285,9 +285,9 @@ COUNTED = {
     "decode_key_table": [merger],
     "_MatrixWords": [kernels],
     "_chunk_columns": [kernels],
-    # The module that defines it, and its two callers: the byte rebase
-    # (``rebase_matrix``) and replacement selection.
-    "words_to_bytes": [normalizer, compression, external],
+    # The module that defines it, and its one caller: the byte rebase
+    # (``rebase_matrix``).
+    "words_to_bytes": [normalizer, compression],
 }
 
 

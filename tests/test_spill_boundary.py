@@ -4,7 +4,7 @@ A resident run keeps its keys as uint64 word columns and its payload in
 columns; a spill file holds the key words in key order (row-major) and
 the payload as the run holds it.  For external sorts of the catalog
 scenarios, including intermediate merge passes (whose runs mix spilled
-and resident inputs), layout rebases and replacement selection, this
+and resident inputs) and layout rebases, this
 pins the number of files written, the sha256 of their key sections, and
 apart from it the sha256 of their payload sections.  A change to any of
 these changes the spill format.
@@ -76,11 +76,6 @@ CASES = {
         5,
         "4ff1eb47d104ce798b4864d2723ca27688ffb6e589117be4f28920e6e5fe0896",
         NO_PAYLOAD_5,
-    ),
-    ("uniform", (("replacement_selection", True),)): (
-        2,
-        "ade16fe1b19b1f02d0f78eff79687cba54fba9507185be63263a4a2d7aa1a879",
-        "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
     ),
     ("near_sorted", (("run_threshold", 1024),)): (
         3,
