@@ -10,16 +10,18 @@ engine without turning this into an expression-compiler project)::
     condition  := comparison (AND comparison)*
     comparison := column op literal | column IS [NOT] NULL
     op         := = | <> | < | <= | > | >=
-    literal    := number | 'string' | TRUE | FALSE
+    literal    := [-]number | 'string' | TRUE | FALSE
 
-Evaluation is vectorized per DataChunk: each comparison produces a boolean
-mask over the vector (NULL comparisons are false, SQL three-valued logic
-collapsed to filter semantics), masks are AND-ed, and the chunk is
-filtered with one gather.
+Evaluation is vectorized per DataChunk (one vector, or a whole resident
+table): each comparison produces a boolean mask over it (NULL
+comparisons are false, SQL three-valued logic collapsed to filter
+semantics), and masks are AND-ed.  A streamed chunk is then filtered
+with one gather; a whole table keeps the mask's ids as its selection.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -101,42 +103,39 @@ def _comparison_mask(chunk: DataChunk, comparison: Comparison) -> np.ndarray:
     return raw & vector.validity  # NULL never satisfies a comparison
 
 
+_COMPARE = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def _numeric_compare(data: np.ndarray, op: str, literal: Any) -> np.ndarray:
-    if op == "=":
-        return data == literal
-    if op == "<>":
-        return data != literal
-    if op == "<":
-        return data < literal
-    if op == "<=":
-        return data <= literal
-    if op == ">":
-        return data > literal
-    return data >= literal
+    return _COMPARE[op](data, literal)
 
 
 def _object_compare(values: np.ndarray, op: str, literal: str) -> np.ndarray:
     """String comparison against a literal, vectorized.
 
-    The (usually object-dtype) column is coerced once to a fixed-width
-    unicode array -- applying ``str`` element-wise in C -- and compared
-    with one whole-array numpy operator; numpy unicode comparison is the
-    same codepoint-lexicographic order as Python ``str``.
+    One whole-array numpy operator over the object column compares the
+    ``str`` values themselves, in Python ``str`` order, so a trailing
+    ``"\\0"`` counts: the literal is wrapped as an object scalar, since
+    numpy would make a bare ``str`` a fixed-width ``np.str_``, which
+    strips it (and a cast of the column would also allocate ``rows *
+    longest * 4`` bytes).  A column holding values that do not order
+    against a ``str`` (a NULL slot's filler) is compared as their
+    ``str()``.
     """
-    arr = np.asarray(values)
-    if arr.dtype.kind != "U":
-        arr = arr.astype(np.str_)
-    if op == "=":
-        return np.asarray(arr == literal, dtype=bool)
-    if op == "<>":
-        return np.asarray(arr != literal, dtype=bool)
-    if op == "<":
-        return np.asarray(arr < literal, dtype=bool)
-    if op == "<=":
-        return np.asarray(arr <= literal, dtype=bool)
-    if op == ">":
-        return np.asarray(arr > literal, dtype=bool)
-    return np.asarray(arr >= literal, dtype=bool)
+    compare = _COMPARE[op]
+    literal = np.array(literal, dtype=object)
+    try:
+        return np.asarray(compare(values, literal), dtype=bool)
+    except TypeError:
+        coerced = np.array([str(value) for value in values], dtype=object)
+        return np.asarray(compare(coerced, literal), dtype=bool)
 
 
 def evaluate_mask(chunk: DataChunk, condition: Conjunction) -> np.ndarray:

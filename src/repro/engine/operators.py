@@ -7,11 +7,16 @@ amortized per vector, not per tuple), and gives the same rows as one
 table (``table()``).  Sort, Top-N, GROUP BY and merge join are the
 pipeline breakers: they drain their child before producing anything,
 exactly as Section V describes.  A breaker materializes its whole input
-anyway, so it reads a *resident* child -- a scan, a projection of one,
-another breaker -- as one table (a sink takes a chunk of any length);
-only a streaming child (a filter, a LIMIT) is drained vector by vector.
-A breaker's ``table()`` is the result it computed, and its ``chunks()``
-slices that table for a streaming consumer (LIMIT, ``count(*)``).
+anyway, so it reads its child's *whole-output chunk* when the child has
+one (``whole_chunk()``, a sink takes a chunk of any length): a
+*resident* child -- a scan, a projection of one, another breaker -- is
+one chunk of its table, and a filter over a resident child is one chunk
+of that table's vectors plus a selection vector (DuckDB's
+``SelectionVector``: the ids of the rows that pass, one mask evaluated
+over the whole table), gathered once by whoever needs the rows.  Only a
+streaming child (a LIMIT, a filter over one) is drained vector by
+vector.  A breaker's ``table()`` is the result it computed, and its
+``chunks()`` slices that table for a streaming consumer (LIMIT).
 :func:`collect` returns the root's ``table()``, so a result may share
 column arrays with a registered table (tables are immutable).
 """
@@ -69,6 +74,11 @@ class PhysicalOperator:
     def chunks(self) -> Iterator[DataChunk]:
         raise NotImplementedError
 
+    def whole_chunk(self) -> DataChunk | None:
+        """The whole output as one chunk, or ``None`` when it only
+        streams: a resident operator's table."""
+        return DataChunk.from_table(self.table()) if self.resident else None
+
     def table(self) -> Table:
         """The whole output as one table."""
         chunks = list(self.chunks())
@@ -80,6 +90,13 @@ class PhysicalOperator:
 def collect(operator: PhysicalOperator) -> Table:
     """Drain an operator into one table (the client's result set)."""
     return operator.table()
+
+
+def _whole_or_streamed(child: PhysicalOperator) -> Iterable[DataChunk]:
+    """A breaker's input: the child's whole-output chunk, else its
+    streamed chunks."""
+    whole = child.whole_chunk()
+    return child.chunks() if whole is None else [whole]
 
 
 class ScanOperator(PhysicalOperator):
@@ -125,7 +142,8 @@ class ProjectOperator(PhysicalOperator):
 
 
 class FilterOperator(PhysicalOperator):
-    """Streaming WHERE: vectorized mask + gather per chunk."""
+    """WHERE: vectorized mask + gather per chunk when streamed; over a
+    resident child, one mask over its whole table and a selection."""
 
     def __init__(self, child: PhysicalOperator, condition) -> None:
         super().__init__(child.schema)
@@ -139,6 +157,23 @@ class FilterOperator(PhysicalOperator):
             filtered = filter_chunk(chunk, self.condition)
             if len(filtered):
                 yield filtered
+
+    def whole_chunk(self) -> DataChunk | None:
+        """The resident child's vectors and the ids of the rows that
+        pass (no selection when every row does)."""
+        from repro.engine.expressions import evaluate_mask
+
+        if not self.child.resident:
+            return None
+        source = DataChunk.from_table(self.child.table())
+        mask = evaluate_mask(source, self.condition)
+        if mask.all():
+            return source
+        return DataChunk(self.schema, source.vectors, np.flatnonzero(mask))
+
+    def table(self) -> Table:
+        chunk = self.whole_chunk()
+        return super().table() if chunk is None else chunk.to_table()
 
 
 class SortExecOperator(PhysicalOperator):
@@ -185,9 +220,7 @@ class SortExecOperator(PhysicalOperator):
     def table(self) -> Table:
         if self._passes_through():
             return self.child.table()
-        if self.child.resident:
-            return self._full_sort([DataChunk.from_table(self.child.table())])
-        return self._full_sort(self.child.chunks())
+        return self._full_sort(_whole_or_streamed(self.child))
 
     def _passes_through(self) -> bool:
         """Record an elided or subsumed sort; true when it is one."""
@@ -214,9 +247,9 @@ class SortExecOperator(PhysicalOperator):
 class TopNExecOperator(PhysicalOperator):
     """ORDER BY + LIMIT fused into the selecting top-N operator.
 
-    A resident child's table is sunk whole, as one batch, as the full
-    sort sinks it; a streaming child is sunk vector by vector and
-    absorbed every :data:`repro.sort.topn.BATCH_ROWS` rows.  The config
+    A child's whole-output chunk is sunk as one batch, as the full sort
+    sinks it; a streaming child is sunk vector by vector and absorbed
+    every :data:`repro.sort.topn.BATCH_ROWS` rows.  The config
     carries the cooperative cancellation event (checked per sunk chunk),
     so a service can abort a long streaming Top-N mid-stream just like a
     full sort.  ``last_stats`` holds the operator's ``SortStats``
@@ -248,11 +281,7 @@ class TopNExecOperator(PhysicalOperator):
         top = TopNOperator(
             self.schema, self.spec, self.limit, self.offset, self.config
         )
-        if self.child.resident:
-            source = [DataChunk.from_table(self.child.table())]
-        else:
-            source = self.child.chunks()
-        for chunk in source:
+        for chunk in _whole_or_streamed(self.child):
             top.sink(chunk)
         result = top.finalize()
         self.last_stats = top.stats
@@ -280,6 +309,8 @@ class LimitOperator(PhysicalOperator):
     def chunks(self) -> Iterator[DataChunk]:
         to_skip = self.offset
         remaining = self.limit  # None = unbounded
+        if remaining == 0:
+            return
         for chunk in self.child.chunks():
             table = chunk.to_table()
             if to_skip:
@@ -289,13 +320,13 @@ class LimitOperator(PhysicalOperator):
                 table = table.slice(to_skip, table.num_rows)
                 to_skip = 0
             if remaining is not None:
-                if remaining == 0:
-                    return
                 if table.num_rows > remaining:
                     table = table.slice(0, remaining)
                 remaining -= table.num_rows
             if table.num_rows:
                 yield DataChunk.from_table(table)
+            if remaining == 0:
+                return  # pull no further vector from the child
 
 
 class GroupByOperator(PhysicalOperator):
@@ -399,7 +430,9 @@ class MergeJoinOperator(PhysicalOperator):
 
 
 class CountAggregateOperator(PhysicalOperator):
-    """count(*): drains the child, emits one row.
+    """count(*): counts the child's whole-output chunk (a scan's rows, a
+    filter's selection: nothing is gathered) or drains its stream, and
+    emits one row.
 
     The paper's benchmark query reads the whole sorted subquery through
     this operator, forcing lazily-materializing sorts to do all their
@@ -411,8 +444,6 @@ class CountAggregateOperator(PhysicalOperator):
         self.child = child
 
     def chunks(self) -> Iterator[DataChunk]:
-        count = 0
-        for chunk in self.child.chunks():
-            count += len(chunk)
+        count = sum(map(len, _whole_or_streamed(self.child)))
         data = ColumnVector(BIGINT, np.array([count], dtype=np.int64))
         yield DataChunk(self.schema, [data])

@@ -9,7 +9,7 @@ The end-to-end benchmarks of Section VII drive every system with::
 plus plain ``SELECT ... ORDER BY ...`` statements.  The grammar:
 
     query      := select
-    select     := SELECT select_list FROM from_item
+    select     := SELECT select_list FROM from_item [WHERE condition]
                   [GROUP BY column_list] [ORDER BY order_list]
                   [LIMIT n] [OFFSET n]
     select_list:= '*' | item (',' item)*
@@ -21,6 +21,8 @@ plus plain ``SELECT ... ORDER BY ...`` statements.  The grammar:
     join_cond  := column '=' column (AND column '=' column)*
     order_list := order_key (',' order_key)*
     order_key  := column [ASC|DESC] [NULLS (FIRST|LAST)]
+    condition  := see :mod:`repro.engine.expressions` (a literal may be a
+                  negative number; ``n`` may not)
 
 Produces the AST in :mod:`repro.engine.ast_nodes`.  Hand-written
 tokenizer + recursive descent; errors carry the offending position.
@@ -52,7 +54,7 @@ _TOKEN_RE = re.compile(
   | (?P<number>\d+(\.\d+)?)
   | (?P<string>'(?:[^']|'')*')
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<symbol><=|>=|<>|<|>|=|\(|\)|,|\*|;)
+  | (?P<symbol><=|>=|<>|<|>|=|\(|\)|,|\*|;|-)
     """,
     re.VERBOSE,
 )
@@ -275,10 +277,17 @@ class _Parser:
         return Comparison(column, op, self.parse_literal())
 
     def parse_literal(self):
+        sign = -1 if self.accept_symbol("-") else 1
         token = self.current
         if token.kind == "number":
             self.advance()
-            return float(token.text) if "." in token.text else int(token.text)
+            value = float(token.text) if "." in token.text else int(token.text)
+            return sign * value
+        if sign < 0:
+            raise ParseError(
+                f"expected a number after '-' at position {token.position}, "
+                f"got {token.text or 'end of input'!r}"
+            )
         if token.kind == "string":
             self.advance()
             return token.text

@@ -102,7 +102,7 @@ class LogicalProject(LogicalPlan):
 
 @dataclass(frozen=True)
 class LogicalFilter(LogicalPlan):
-    """WHERE: an AND-conjunction of simple comparisons (streaming)."""
+    """WHERE: an AND-conjunction of simple comparisons (order-preserving)."""
 
     child: LogicalPlan
     condition: object  # engine.expressions.Conjunction

@@ -10,11 +10,19 @@ conversion "one block of vectors at a time"); a sink (the sorts, Top-N)
 takes a chunk of any length, so a pipeline breaker reads a table that is
 already resident as one chunk instead of slicing it into vectors and
 concatenating them back.
+
+A chunk may carry a *selection*: the int64 positions, in its vectors, of
+the rows it holds (DuckDB's ``SelectionVector``).  A filter over a
+resident table hands its consumer that table's vectors plus the ids of
+the rows that pass, not copies; the rows are gathered once, by
+:meth:`DataChunk.to_table`, when a consumer needs them as a table.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
+
+import numpy as np
 
 from repro.errors import SchemaError
 from repro.table.column import ColumnVector
@@ -28,11 +36,21 @@ VECTOR_SIZE = 1024
 
 
 class DataChunk:
-    """A batch of rows in columnar (DSM) form."""
+    """A batch of rows in columnar (DSM) form.
 
-    __slots__ = ("schema", "vectors")
+    ``selection``, when set, holds the positions of the chunk's rows in
+    ``vectors``; ``len``, :meth:`slice`, :meth:`vector` and
+    :meth:`to_table` see only those rows.
+    """
 
-    def __init__(self, schema: Schema, vectors: list[ColumnVector]) -> None:
+    __slots__ = ("schema", "vectors", "selection")
+
+    def __init__(
+        self,
+        schema: Schema,
+        vectors: list[ColumnVector],
+        selection: np.ndarray | None = None,
+    ) -> None:
         if len(vectors) != len(schema):
             raise SchemaError(
                 f"chunk has {len(vectors)} vectors for {len(schema)} columns"
@@ -42,25 +60,34 @@ class DataChunk:
             raise SchemaError(f"vectors have differing lengths: {sorted(lengths)}")
         self.schema = schema
         self.vectors = vectors
+        self.selection = selection
 
     @property
     def size(self) -> int:
+        if self.selection is not None:
+            return len(self.selection)
         return len(self.vectors[0]) if self.vectors else 0
 
     def __len__(self) -> int:
         return self.size
 
     def vector(self, name: str) -> ColumnVector:
-        return self.vectors[self.schema.index_of(name)]
+        vector = self.vectors[self.schema.index_of(name)]
+        return vector if self.selection is None else vector.take(self.selection)
 
     def to_table(self) -> Table:
-        return Table(self.schema, list(self.vectors))
+        """The chunk's rows as a table: its vectors, or one gather of the
+        selected rows."""
+        table = Table(self.schema, list(self.vectors))
+        return table if self.selection is None else table.take(self.selection)
 
     def slice(self, start: int, stop: int) -> "DataChunk":
         """Rows ``[start, stop)`` as a zero-copy view (all rows: the chunk
-        itself)."""
+        itself); a selection chunk cuts its ids."""
         if start == 0 and stop == len(self):
             return self
+        if self.selection is not None:
+            return DataChunk(self.schema, self.vectors, self.selection[start:stop])
         return DataChunk(
             self.schema, [vector.slice(start, stop) for vector in self.vectors]
         )

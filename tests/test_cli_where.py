@@ -1,7 +1,10 @@
 """Tests for the WHERE clause and the command-line interface."""
 
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine import Database
 from repro.engine.expressions import Comparison, Conjunction, filter_chunk
@@ -9,7 +12,10 @@ from repro.errors import BindError, EngineError, ParseError
 from repro.cli import EXPERIMENTS, main
 from repro.table.chunk import DataChunk
 from repro.table.io import read_csv, write_csv
+from repro.table.column import ColumnVector
 from repro.table.table import Table
+from repro.types.datatypes import BIGINT, VARCHAR
+from repro.types.schema import ColumnDef, Schema
 
 
 @pytest.fixture
@@ -138,6 +144,71 @@ class TestWhereClause:
     def test_explain_shows_filter(self, db):
         text = db.explain("SELECT a FROM t WHERE a < 3")
         assert "Filter(a <" in text
+
+
+ALPHABET = "a\x00é日😀"
+"""Embedded and trailing NULs, 1/2/3/4-byte code points."""
+
+COMPARE = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def varchar_rows(database: Database, values: list, sql_tail: str) -> dict:
+    """``row`` of every row ``WHERE s <op> literal`` keeps, per operator,
+    through the whole-table filter and the streamed one (a LIMIT)."""
+    table = Table(
+        Schema((ColumnDef("s", VARCHAR), ColumnDef("row", BIGINT, False))),
+        [
+            ColumnVector.from_values(values, VARCHAR),
+            ColumnVector.from_values(range(len(values)), BIGINT),
+        ],
+    )
+    database.register("v", table)
+    rows = {}
+    paths = {"whole": "", "streamed": f" LIMIT {len(values)}"}
+    for op in COMPARE:
+        for path, limit in paths.items():
+            sql = f"SELECT * FROM v WHERE s {op} {sql_tail}{limit}"
+            rows[op, path] = database.execute(sql).column("row").to_pylist()
+    return rows
+
+
+class TestVarcharPredicates:
+    """Python ``str`` order, trailing NULs included, on both filter paths."""
+
+    def test_trailing_nul_is_kept(self):
+        rows = varchar_rows(Database(), ["a", "a\x00", "b", None, ""], "'a'")
+        for path in ("whole", "streamed"):
+            assert rows["=", path] == [0]
+            assert rows[">", path] == [1, 2]
+            assert rows["<", path] == [4]
+
+    @settings(max_examples=100, deadline=None)
+    @example(values=["\x00", "", None, "a\x00", "a"], literal="")
+    @given(
+        values=st.lists(
+            st.one_of(st.none(), st.text(alphabet=ALPHABET, max_size=4)),
+            min_size=1,
+            max_size=40,
+        ),
+        literal=st.text(alphabet=ALPHABET, max_size=4),
+    )
+    def test_every_operator_matches_python(self, values, literal):
+        rows = varchar_rows(Database(), values, f"'{literal}'")
+        for op, compare in COMPARE.items():
+            want = [
+                i
+                for i, value in enumerate(values)
+                if value is not None and compare(value, literal)
+            ]
+            assert rows[op, "whole"] == want, op
+            assert rows[op, "streamed"] == want, op
 
 
 def make_csv(tmp_path, name="in.csv"):

@@ -1,7 +1,9 @@
 """Tests for the SQL subset parser."""
 
+import numpy as np
 import pytest
 
+from repro.engine.database import Database
 from repro.errors import ParseError
 from repro.engine.ast_nodes import (
     CountStar,
@@ -11,6 +13,7 @@ from repro.engine.ast_nodes import (
 )
 from repro.engine.parser import parse, tokenize
 from repro.types.sortspec import NullOrder, Order
+from repro.workloads.scenarios import SCENARIOS
 
 
 class TestTokenizer:
@@ -84,6 +87,38 @@ class TestParser:
     def test_subquery_alias_without_as(self):
         stmt = parse("SELECT count(*) FROM (SELECT a FROM t) q")
         assert stmt.source.alias == "q"
+
+    def test_negative_where_literals(self):
+        stmt = parse("SELECT * FROM t WHERE a > -5 AND b <= - 2.5 AND c = 0")
+        literals = [c.literal for c in stmt.where.comparisons]
+        assert literals == [-5, -2.5, 0]
+        assert isinstance(literals[0], int) and isinstance(literals[1], float)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "SELECT * FROM t LIMIT -1",
+            "SELECT * FROM t OFFSET -1",
+            "SELECT * FROM t LIMIT 5 OFFSET -1",
+            "SELECT * FROM t WHERE a > -",
+            "SELECT * FROM t WHERE s = -'x'",
+            "SELECT * FROM t WHERE a > --5",
+            "SELECT * FROM t WHERE -a > 5",
+        ],
+    )
+    def test_minus_only_before_a_where_number(self, bad):
+        with pytest.raises(ParseError):
+            parse(bad)
+
+    def test_negative_literal_filters_like_numpy(self):
+        table = SCENARIOS["uniform"].table(5000, seed=11)
+        a = table.column("a").data
+        cut = -int(np.median(np.abs(a)))
+        db = Database()
+        db.register("t", table)
+        result = db.execute(f"SELECT * FROM t WHERE a > {cut}")
+        assert 0 < result.num_rows < table.num_rows
+        assert result.equals(table.take(np.flatnonzero(a > cut)))
 
     def test_trailing_semicolon(self):
         parse("SELECT * FROM t;")

@@ -65,3 +65,37 @@ class TestDataChunk:
         table = make_table(3)
         with pytest.raises(SchemaError):
             DataChunk(table.schema, list(table.columns[:1]))
+
+
+class TestSelection:
+    def selected(self, ids) -> DataChunk:
+        table = make_table(10)
+        return DataChunk(
+            table.schema, list(table.columns), np.asarray(ids, dtype=np.int64)
+        )
+
+    def test_len_counts_the_selected_rows(self):
+        assert len(self.selected([1, 4, 9])) == 3
+
+    def test_vector_and_to_table_see_the_selected_rows(self):
+        chunk = self.selected([1, 4, 9])
+        assert chunk.vector("b").to_pylist() == [2, 8, 18]
+        expected = make_table(10).take(np.array([1, 4, 9]))
+        assert chunk.to_table().equals(expected)
+
+    def test_slice_cuts_the_ids_without_a_copy(self):
+        chunk = self.selected([1, 4, 5, 9])
+        part = chunk.slice(1, 3)
+        assert part.vectors is chunk.vectors
+        assert np.shares_memory(part.selection, chunk.selection)
+        assert part.vector("a").to_pylist() == [4, 5]
+        assert chunk.slice(0, 4) is chunk
+
+    def test_empty_selection(self):
+        chunk = self.selected([])
+        assert len(chunk) == 0
+        assert chunk.vector("a").to_pylist() == []
+        table = chunk.to_table()
+        assert table.num_rows == 0
+        assert table.schema.names == ("a", "b")
+        assert len(chunk.slice(0, 0)) == 0

@@ -255,13 +255,14 @@ class TestSkippedPrefix:
             spec = spec_of(order_by)
             for limit, offset in ((1, 0), (7, 3), (70, 0), (600, 0)):
                 assert_matches_oracle(table, spec, limit, offset, 8)
-                # A filter is a streaming child: sunk vector by vector.
+                # A filter over a scan is one chunk (every row passes
+                # here: the scan's own), sunk as one batch.
                 expected = oracle_sort(table, spec).slice(offset, offset + limit)
-                streamed = db.execute(
+                filtered = db.execute(
                     f"SELECT * FROM t WHERE keep = 1 "
                     f"ORDER BY {order_by} LIMIT {limit} OFFSET {offset}"
                 )
-                assert_byte_identical(expected, streamed)
+                assert_byte_identical(expected, filtered)
 
     def test_lead_filter_keeps_rows_tied_on_the_lead(self):
         # Every row ties on the leading key: the lead-word selection

@@ -6,7 +6,11 @@ vectors and nothing concatenates them back (call counts pinned here).
 The spilling sort cuts that one chunk into zero-copy runs at the rows
 where its 1,024-row vectors would have cut, so a table sunk whole and
 the same table sunk vector by vector write the same spill files, byte
-for byte.  A streaming child (a filter) still hands the sort vectors.
+for byte.  A filter over a scan hands its consumer one chunk too: the
+scan's vectors and a selection of the rows that pass.  The sort cuts
+that selection as it cuts a table and gathers each run once, so a
+filtered sort cuts the runs, and writes the spill files, of the
+pre-filtered table.
 """
 
 from __future__ import annotations
@@ -17,7 +21,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.engine import operators
+from test_external_kway import assert_byte_identical
+from test_one_run import comparable
+from test_oracle import oracle_sort
+from repro.engine import expressions, operators
 from repro.engine.database import Database
 from repro.engine.operators import ScanOperator, TopNExecOperator
 from repro.errors import SortCancelledError
@@ -28,6 +35,7 @@ from repro.sort.operator import SortConfig, SortOperator, sort_table
 from repro.sort.topn import TopNOperator
 from repro.table import chunk
 from repro.table.chunk import DataChunk, chunk_table
+from repro.table.column import ColumnVector
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
 from repro.workloads.scenarios import SCENARIOS
@@ -222,14 +230,43 @@ class TestNoCopiesAroundTheSort:
         assert "concat" not in counter and "chunk_table" not in counter
         assert result.equals(sort_table(table, spec_of("a, p")))
 
-    def test_filtered_sort_still_sinks_vectors(self, calls):
+    def test_filtered_sort_sinks_one_selection(self, calls):
         counter, sunk = calls
+        table = SCENARIOS["uniform"].table(50_000, seed=17)
+        selected = table.take(np.flatnonzero(table.column("a").data > 0))
+        counter.clear()
         db = Database()
-        db.register("t", SCENARIOS["uniform"].table(50_000, seed=17))
+        db.register("t", table)
         result = db.execute("SELECT * FROM t WHERE a > 0 ORDER BY a, p")
-        assert len(sunk) > 1 and max(sunk) <= 1024
-        assert sum(sunk) == result.num_rows
-        assert counter["chunk_table"] == 1  # the scan's
+        assert sunk == [selected.num_rows]
+        # The selection's one gather and the sort's.
+        assert dict(counter) == {"take": 2}
+        assert result.equals(sort_table(selected, spec_of("a, p")))
+
+    def test_group_by_over_a_filter_gathers_once(self, calls):
+        counter, sunk = calls
+        table = SCENARIOS["dup_heavy"].table(20_000, seed=5)
+        selected = int((table.column("p").data > 0).sum())
+        db = Database()
+        db.register("t", table)
+        result = db.execute("SELECT a, count(*) FROM t WHERE p > 0 GROUP BY a")
+        assert sum(result.column("count_star").to_pylist()) == selected
+        assert sunk == [selected]
+        assert "concat" not in counter and "chunk_table" not in counter
+
+    def test_merge_join_over_a_filter_gathers_once(self, calls):
+        counter, sunk = calls
+        left = SCENARIOS["dup_heavy"].table(2000, seed=5)
+        selected = int((left.column("p").data > 0).sum())
+        db = Database()
+        db.register("l", left)
+        db.register("r", SCENARIOS["dup_heavy"].table(300, seed=6))
+        result = db.execute(
+            "SELECT * FROM (SELECT * FROM l WHERE p > 0) f JOIN r ON a = a"
+        )
+        assert result.num_rows > 0
+        assert sorted(sunk) == [300, selected]
+        assert "concat" not in counter and "chunk_table" not in counter
 
     def test_group_by_reads_its_scan_whole(self, calls):
         counter, sunk = calls
@@ -293,3 +330,185 @@ class TestTopNBatches:
         assert sunk == [50_000]
         assert result.equals(expected)
         assert result.equals(sort_table(table, spec).slice(7, 107))
+
+
+# ---------------------------------------------------------------------- #
+# A filter over a scan: one selection, the pre-filtered table's runs
+# ---------------------------------------------------------------------- #
+
+FILTERED = {
+    # Every column an integer sort key: the files hold keys only.
+    "key_carried": ("uniform", "a > 0", "a, p"),
+    # NULLs fail the predicate; the VARCHAR column rides as payload.
+    "varchar_payload": ("mixed_null", "f > 0", "a NULLS FIRST, f DESC"),
+}
+
+
+RUN_SHAPE = (
+    "rows_sorted",
+    "runs_generated",
+    "run_lengths",
+    "governor_forced_spills",
+    "key_carried_runs",
+    "key_width_used",
+    "key_layout_rebases",
+    "merge_passes",
+)
+"""The ``SortStats`` fields that describe the runs (the merge's read
+counters depend on the prefetch pool, which starts on read timings)."""
+
+
+def run_shape(stats) -> dict:
+    return {name: getattr(stats, name) for name in RUN_SHAPE}
+
+
+@pytest.fixture
+def spills(monkeypatch):
+    """The bytes of every spill file written, and the rows of every
+    gather from the registered table's column arrays.
+
+    ``state["on_write"]`` (when set) runs after each file is written;
+    ``state["source"]`` is the table whose gathers are recorded."""
+    state = {"files": [], "gathers": [], "on_write": None, "source": None}
+    write_file, take = SpillIO.write_file, ColumnVector.take
+
+    def recording_write(self, path, sections):
+        write_file(self, path, sections)
+        state["files"].append(b"".join(sections))
+        if state["on_write"] is not None:
+            state["on_write"](len(state["files"]))
+
+    def recording_take(self, indices):
+        source = state["source"]
+        if source is not None and any(
+            self.data is column.data for column in source.columns
+        ):
+            state["gathers"].append(len(indices))
+        return take(self, indices)
+
+    monkeypatch.setattr(SpillIO, "write_file", recording_write)
+    monkeypatch.setattr(ColumnVector, "take", recording_take)
+    return state
+
+
+def database_sort(state, table, sql, threshold, revoke):
+    """Run ``sql`` over ``table`` registered as ``t``; ``threshold`` None
+    is the resident sort.  Returns ``(result, stats, file bytes)``."""
+    state["files"], state["on_write"] = [], None
+    if threshold is None:
+        config = SortConfig()
+    else:
+        grant = None
+        if revoke:
+            grant, state["on_write"], _ = revoke_after_first_file(threshold)
+        config = SortConfig(
+            external=True, run_threshold=threshold, memory_grant=grant
+        )
+    db = Database(config)
+    db.register("t", table)
+    result, (stats,) = db.execute_detailed(sql)
+    return result, stats, state["files"]
+
+
+class TestFilteredSortIsThePrefilteredSort:
+    @pytest.mark.parametrize(
+        "threshold, revoke",
+        [(None, False), (2000, False), (16_384, False), (16_384, True)],
+        ids=["resident", "spill-2000", "spill-16384", "revoked"],
+    )
+    @pytest.mark.parametrize("case", FILTERED)
+    def test_same_runs_spills_and_result(
+        self, spills, case, threshold, revoke
+    ):
+        name, where, order_by = FILTERED[case]
+        table = SCENARIOS[name].table(40_000, seed=17)
+        db = Database()
+        db.register("t", table)
+        prefiltered = db.execute(f"SELECT * FROM t WHERE {where}")
+        sql = "SELECT * FROM t {}ORDER BY " + order_by
+        expected, expected_stats, expected_files = database_sort(
+            spills, prefiltered, sql.format(""), threshold, revoke
+        )
+        spills["source"] = table
+        result, stats, files = database_sort(
+            spills, table, sql.format(f"WHERE {where} "), threshold, revoke
+        )
+        spec = spec_of(order_by)
+        assert_byte_identical(expected, result)
+        assert_byte_identical(oracle_sort(prefiltered, spec), result)
+        assert run_shape(stats) == run_shape(expected_stats)
+        assert files == expected_files
+        assert (len(files) > 0) == (threshold is not None)
+        assert (stats.governor_forced_spills > 0) == revoke
+        assert (stats.key_carried_runs > 0) == (
+            case == "key_carried" and threshold is not None
+        )
+        # Each run is gathered once from the registered table: no gather
+        # is larger than one run plus one vector.
+        gathers = spills["gathers"]
+        assert len(gathers) == stats.runs_generated * len(table.schema)
+        if threshold is None:
+            assert max(gathers) == prefiltered.num_rows
+        else:
+            assert max(gathers) <= threshold + 1024
+
+    @pytest.mark.parametrize("case", FILTERED)
+    def test_topn_over_a_filter_is_topn_over_its_rows(self, case):
+        name, where, order_by = FILTERED[case]
+        table = SCENARIOS[name].table(40_000, seed=17)
+        db = Database()
+        db.register("t", table)
+        db.register("f", db.execute(f"SELECT * FROM t WHERE {where}"))
+        tail = f"ORDER BY {order_by}, p LIMIT 100 OFFSET 7"
+        expected, (expected_stats,) = db.execute_detailed(
+            f"SELECT * FROM f {tail}"
+        )
+        result, (stats,) = db.execute_detailed(
+            f"SELECT * FROM t WHERE {where} {tail}"
+        )
+        assert_byte_identical(expected, result)
+        assert comparable(stats) == comparable(expected_stats)
+
+
+class TestStreamingConsumersOfAFilter:
+    def test_limit_without_order_evaluates_one_vector(self, monkeypatch):
+        masked: list[int] = []
+        evaluate_mask = expressions.evaluate_mask
+
+        def recording(chunk, condition):
+            masked.append(len(chunk))
+            return evaluate_mask(chunk, condition)
+
+        monkeypatch.setattr(expressions, "evaluate_mask", recording)
+        table = SCENARIOS["uniform"].table(50_000, seed=17)
+        db = Database()
+        db.register("t", table)
+        result = db.execute("SELECT * FROM t WHERE a > 0 LIMIT 5")
+        assert masked == [1024]
+        head = table.slice(0, 1024)
+        passing = np.flatnonzero(head.column("a").data > 0)
+        assert result.equals(head.take(passing[:5]))
+
+    def test_count_of_a_filter_gathers_nothing(self, monkeypatch):
+        counter = collections.Counter()
+        take = ColumnVector.take
+
+        def counting_take(self, indices):
+            counter["take"] += 1
+            return take(self, indices)
+
+        def counting_chunk_table(*args, **kwargs):
+            counter["chunk_table"] += 1
+            return chunk_table(*args, **kwargs)
+
+        monkeypatch.setattr(ColumnVector, "take", counting_take)
+        for module in (chunk, operators):
+            monkeypatch.setattr(module, "chunk_table", counting_chunk_table)
+        table = SCENARIOS["uniform"].table(50_000, seed=17)
+        db = Database()
+        db.register("t", table)
+        result = db.execute("SELECT count(*) FROM t WHERE a > 0")
+        assert result.column("count_star").to_pylist() == [
+            int((table.column("a").data > 0).sum())
+        ]
+        assert counter == {}
