@@ -16,10 +16,10 @@ data's physical order is already known (declared via
 * **prefix_provided** -- the full ``ORDER BY`` of ``tpcds_catalog`` over
   a view declared by its first key only: no rewrite applies, so the
   planned query must run as fast as the forced full sort.
-* **topn_cached_prefix** -- a ``LIMIT`` query answered by slicing a
-  cached full ORDER BY result (:meth:`ResultCache.serve_prefix`): zero
-  sort work, proven by the service's ``cache_prefix_hits`` counter
-  (prefix-served tickets never reach execution).
+* **topn_cached_prefix** -- a ``LIMIT`` query answered by slicing the
+  cached result of the same query without its ``LIMIT``
+  (:meth:`ResultCache.get`): zero sort work, proven by the service's
+  ``cache_prefix_hits`` counter (sliced tickets never reach execution).
 
 Every *forced* baseline is the same query under
 ``propagate_order=False`` -- the differential oracle that re-sorts in
@@ -272,7 +272,7 @@ def cell_topn_cached_prefix(rows: int) -> dict:
         )
         stats = service.stats
     _assert_identical("topn_cached_prefix", served, forced)
-    # Prefix-served tickets are answered before execution: each serve
+    # Sliced tickets are answered before execution: each serve
     # MUST be a prefix hit, which is the proof of zero sort work.
     assert stats.cache_prefix_hits == REPS, (
         f"expected {REPS} prefix hits, saw {stats.cache_prefix_hits}"

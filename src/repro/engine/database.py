@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.errors import BindError, EngineError
 from repro.engine import plan as planmod
+from repro.engine.ast_nodes import SelectStatement
 from repro.engine.operators import (
     CountAggregateOperator,
     FilterOperator,
@@ -110,17 +111,19 @@ class Database:
 
     def plan(
         self,
-        sql: str,
+        sql: str | SelectStatement,
         optimize: bool = True,
         propagate_order: bool = True,
     ) -> planmod.LogicalPlan:
-        """Parse and bind ``sql``; optionally run the optimizer rewrites.
+        """Bind ``sql``, parsing it first when it is text; optionally
+        run the optimizer rewrites.
 
         ``propagate_order=False`` plans without the order-propagation
         pass (every sort stays a full sort) -- the oracle configuration
         the differential tests and benchmarks compare against.
         """
-        logical = planmod.bind(parse(sql), self._schema_of)
+        statement = parse(sql) if isinstance(sql, str) else sql
+        logical = planmod.bind(statement, self._schema_of)
         if optimize:
             logical = planmod.optimize(
                 logical,
@@ -253,7 +256,7 @@ class Database:
         breaker (full/elided/subsumed sorts, Top-N, merge joins,
         presorted group-bys), in plan order; streaming operators
         contribute none.  The service layer plans once (for the cache
-        key's table set), then executes here under its per-query
+        key's table versions), then executes here under its per-query
         config.
         """
         sinks: list[PhysicalOperator] = []

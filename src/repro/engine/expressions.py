@@ -22,7 +22,7 @@ with one gather; a whole table keeps the mask's ids as its selection.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -40,15 +40,23 @@ _OPS = ("=", "<>", "<", "<=", ">", ">=")
 @dataclass(frozen=True)
 class Comparison:
     """``column op literal`` or an IS [NOT] NULL test (op = "is null" /
-    "is not null", literal ignored)."""
+    "is not null", literal ignored).
+
+    ``literal_type`` is ``type(literal)``: ``1``, ``1.0`` and ``TRUE``
+    compare and hash equal in Python but not against an int64 column
+    (a float literal compares in float64), so equality and hash see the
+    type too.
+    """
 
     column: str
     op: str
     literal: Any = None
+    literal_type: type = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.op not in _OPS + ("is null", "is not null"):
             raise EngineError(f"unsupported operator {self.op!r}")
+        object.__setattr__(self, "literal_type", type(self.literal))
 
     def validate(self, schema: Schema) -> None:
         if self.column not in schema:

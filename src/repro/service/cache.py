@@ -1,38 +1,28 @@
-"""Sorted-result cache keyed on (query text, table versions).
+"""Sorted-result cache keyed on (parsed statement, table versions).
 
 ORDER BY workloads are read-heavy and repetitive: the same sort spec
 over the same table version produces byte-identical output, so the
-service memoizes finished result tables.  The cache key is the SQL text
-plus the ``(table, version)`` pair of every base table the bound plan
-scans (:meth:`repro.engine.database.Database.table_version`); because
+service memoizes finished result tables.  The cache key is the parsed
+:class:`repro.engine.ast_nodes.SelectStatement` plus the sorted
+``(table, version)`` pair of every base table the bound plan scans
+(:meth:`repro.engine.database.Database.table_version`); because
 ``Database.register`` bumps the version on every write, a stale entry
 can never be *returned* -- its key simply stops being asked for, and
 LRU eviction reclaims it.  That makes invalidation-on-write free: no
 write hook, no cross-thread invalidation storm, just version-stamped
 keys.
 
-Key normalization is token-based: the SQL is run through the engine's
-tokenizer, keywords compare case-insensitively (the tokenizer
-uppercases them) and whitespace collapses, while identifiers and string
-literals stay byte-exact -- ``select * from t where s = 'Ab'`` and
-``SELECT * FROM t WHERE s = 'Ab'`` share a key, but ``'Ab'`` and
-``'ab'`` never do.
+The statement is the parser's output, so keyword case and whitespace
+never reach the key, while identifiers and string literals stay
+byte-exact (``'Ab'`` and ``'ab'`` never share a key) and a WHERE
+literal's type is part of its comparison (``a > 1`` and ``a > 1.0``
+never share one either).
 
-Beyond exact keys, the cache serves *below* full-query granularity
-(:meth:`ResultCache.serve_prefix`): a cached full ORDER BY answer also
-answers
-
-* the same query with ``LIMIT``/``OFFSET`` (slice the cached rows), and
-* any query over the same base whose ORDER BY is a *prefix* of the
-  cached spec (rows sorted by ``a, b, c`` are sorted by ``a, b``),
-  again sliced for Top-N.
-
-Same-spec slices are byte-identical to a fresh execution (the engine's
-Top-N equals sort-then-slice).  Proper-prefix serving returns rows
-whose prefix-tie order follows the cached spec's extra columns rather
-than a fresh stable sort's arrival order -- a correct answer for the
-requested ORDER BY, with different tie resolution; callers needing
-arrival-order ties must bypass the cache.
+One answer is served from another entry: an ordered statement with
+``LIMIT``/``OFFSET`` whose own key misses is sliced from the cached
+result of the same statement without them.  The slice is
+byte-identical to a fresh execution, because the engine's Top-N equals
+sort-then-slice.  Nothing else is served from another query's result.
 
 Thread-safe; entries are whole immutable :class:`repro.table.table.Table`
 results, shared by reference (callers must not mutate result tables --
@@ -41,153 +31,29 @@ the same contract ``Database.execute`` already implies).
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from collections import OrderedDict
 
-from repro.errors import ParseError
-from repro.engine.ast_nodes import (
-    AggregateItem,
-    CountStar,
-    JoinRef,
-    SelectStatement,
-    StarSelection,
-    SubqueryRef,
-    TableRef,
-)
-from repro.engine.parser import parse, tokenize
+from repro.engine.ast_nodes import CountStar, SelectStatement
 from repro.table.table import Table
 
-__all__ = ["ResultCache", "query_profile"]
+__all__ = ["ResultCache"]
 
 
-def _normalize_sql(sql: str) -> str:
-    """Canonical cache-key text: tokenized, single-spaced.
+def _unlimited(statement: SelectStatement) -> SelectStatement | None:
+    """The statement whose result ``statement``'s result slices, if any.
 
-    Keywords arrive uppercased from the tokenizer; identifiers keep
-    their case (the catalog is case-sensitive) and string literals are
-    re-quoted byte-exact.  Unparseable text falls back to plain
-    whitespace collapsing -- such queries fail at parse time anyway,
-    but the key function must never raise.
+    ``count(*)`` without GROUP BY counts the limited rows, so its
+    answer is no slice of the unlimited count.
     """
-    try:
-        tokens = tokenize(sql)
-    except ParseError:
-        return " ".join(sql.split())
-    parts = []
-    for token in tokens:
-        if token.kind == "eof":
-            break
-        if token.kind == "string":
-            parts.append("'" + token.text.replace("'", "''") + "'")
-        else:
-            parts.append(token.text)
-    return " ".join(parts)
-
-
-def _render_literal(value) -> str:
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    return repr(value)
-
-
-def _render_selection(selection) -> str:
-    if isinstance(selection, StarSelection):
-        return "*"
-    if isinstance(selection, CountStar):
-        return "count(*)"
-    parts = []
-    for item in selection:
-        if isinstance(item, AggregateItem):
-            parts.append(f"{item.function}({item.column or '*'})")
-        else:
-            parts.append(item)
-    return ", ".join(parts)
-
-
-def _render_source(source) -> str:
-    if isinstance(source, TableRef):
-        return source.name
-    if isinstance(source, SubqueryRef):
-        inner = _render_statement(source.query)
-        alias = f" AS {source.alias}" if source.alias else ""
-        return f"({inner}){alias}"
-    if isinstance(source, JoinRef):
-        pairs = " AND ".join(f"{a} = {b}" for a, b in source.on)
-        return (
-            f"{_render_source(source.left)} JOIN "
-            f"{_render_source(source.right)} ON {pairs}"
-        )
-    raise ParseError(f"cannot render {source!r}")
-
-
-def _render_statement(
-    statement: SelectStatement, include_order: bool = True
-) -> str:
-    """A canonical rendering of a bound-able statement.
-
-    With ``include_order=False`` the *top-level* ORDER BY / LIMIT /
-    OFFSET are stripped (subqueries keep theirs): that text is the
-    "base fingerprint" two queries must share for one's full sorted
-    result to serve the other's prefix request.
-    """
-    parts = [
-        "SELECT",
-        _render_selection(statement.selection),
-        "FROM",
-        _render_source(statement.source),
-    ]
-    if statement.where is not None:
-        conditions = " AND ".join(
-            f"{c.column} {c.op}"
-            + (
-                ""
-                if c.op.startswith("is")
-                else f" {_render_literal(c.literal)}"
-            )
-            for c in statement.where.comparisons
-        )
-        parts.append(f"WHERE {conditions}")
-    if statement.group_by:
-        parts.append("GROUP BY " + ", ".join(statement.group_by))
-    if include_order:
-        if statement.order_by:
-            keys = ", ".join(
-                str(item.to_sort_key()) for item in statement.order_by
-            )
-            parts.append(f"ORDER BY {keys}")
-        if statement.limit is not None:
-            parts.append(f"LIMIT {statement.limit}")
-        if statement.offset is not None:
-            parts.append(f"OFFSET {statement.offset}")
-    return " ".join(parts)
-
-
-def query_profile(sql: str):
-    """``(base, signature, limit, offset)`` of an ordered SELECT.
-
-    ``base`` is the canonical statement text without its top-level
-    ORDER BY / LIMIT / OFFSET; ``signature`` is the tuple of
-    ``(column, order, effective null order)`` of the ORDER BY keys.
-    Returns ``None`` for unparseable or unordered statements -- those
-    never participate in prefix serving.
-    """
-    try:
-        statement = parse(sql)
-    except ParseError:
+    if not statement.order_by or (
+        statement.limit is None and statement.offset is None
+    ):
         return None
-    if not statement.order_by:
+    if isinstance(statement.selection, CountStar) and not statement.group_by:
         return None
-    signature = tuple(
-        (key.column, key.order, key.effective_null_order)
-        for key in (item.to_sort_key() for item in statement.order_by)
-    )
-    try:
-        base = _render_statement(statement, include_order=False)
-    except ParseError:
-        return None
-    return base, signature, statement.limit, statement.offset or 0
+    return dataclasses.replace(statement, limit=None, offset=None)
 
 
 class ResultCache:
@@ -200,9 +66,8 @@ class ResultCache:
     drops).
 
     ``hits`` / ``misses`` count exact-key probes; ``prefix_hits``
-    counts requests answered below full-query granularity by
-    :meth:`serve_prefix` (a full cached ORDER BY sliced for Top-N /
-    LIMIT-OFFSET, or re-served under a prefix-compatible ORDER BY).
+    counts exact misses answered by slicing the same statement's
+    cached un-limited result.
     """
 
     def __init__(self, capacity: int = 32) -> None:
@@ -211,97 +76,55 @@ class ResultCache:
         self.misses = 0
         self.prefix_hits = 0
         self._lock = threading.Lock()
-        # key -> (table, full_ref); full_ref indexes _full when the
-        # entry is a complete (unlimited) ordered result, else None.
-        self._entries: "OrderedDict[tuple, tuple[Table, tuple | None]]" = (
-            OrderedDict()
-        )
-        # (base, versions) -> (entry key, ORDER BY signature)
-        self._full: dict[tuple, tuple[tuple, tuple]] = {}
+        self._entries: "OrderedDict[tuple, Table]" = OrderedDict()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    @staticmethod
-    def key(sql: str, versions: tuple[tuple[str, int], ...]) -> tuple:
-        """The cache key: normalized SQL text + sorted version stamps."""
-        return (_normalize_sql(sql), tuple(sorted(versions)))
-
-    def get(self, key: tuple) -> Table | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
+    def _lookup(self, key: tuple) -> Table | None:
+        table = self._entries.get(key)
+        if table is not None:
             self._entries.move_to_end(key)
-            self.hits += 1
-            return entry[0]
+        return table
 
-    def put(self, key: tuple, result: Table, sql: str | None = None) -> None:
-        """Cache a finished result; ``sql`` enables prefix serving.
-
-        When ``sql`` is a complete ordered SELECT (no LIMIT/OFFSET),
-        the entry is also indexed by its base fingerprint so later
-        Top-N / prefix-ORDER-BY requests over the same table versions
-        can be sliced from it.
-        """
-        if self.capacity <= 0:
-            return
-        full_ref = None
-        signature = None
-        if sql is not None:
-            profile = query_profile(sql)
-            if profile is not None:
-                base, signature, limit, offset = profile
-                if limit is None and offset == 0:
-                    full_ref = (base, key[1])
-        with self._lock:
-            self._entries[key] = (result, full_ref)
-            if full_ref is not None:
-                self._full[full_ref] = (key, signature)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                old_key, (_, old_ref) = self._entries.popitem(last=False)
-                if old_ref is not None:
-                    stored = self._full.get(old_ref)
-                    if stored is not None and stored[0] == old_key:
-                        del self._full[old_ref]
-
-    def serve_prefix(
-        self, sql: str, versions: tuple[tuple[str, int], ...]
+    def get(
+        self,
+        statement: SelectStatement,
+        versions: tuple[tuple[str, int], ...],
     ) -> Table | None:
-        """Answer ``sql`` from a cached full result, or ``None``.
-
-        Serves when a complete cached result exists for the same base
-        fingerprint and table versions whose ORDER BY signature has the
-        request's signature as a leading prefix; the cached rows are
-        sliced by the request's LIMIT/OFFSET.  See the module docstring
-        for the tie-order caveat on proper-prefix serving.
-        """
-        profile = query_profile(sql)
-        if profile is None:
-            return None
-        base, signature, limit, offset = profile
+        """The cached answer to ``statement`` over ``versions``, or None."""
+        versions = tuple(sorted(versions))
         with self._lock:
-            stored = self._full.get((base, tuple(sorted(versions))))
-            if stored is None:
+            table = self._lookup((statement, versions))
+            if table is not None:
+                self.hits += 1
+                return table
+            self.misses += 1
+            unlimited = _unlimited(statement)
+            if unlimited is None:
                 return None
-            full_key, full_signature = stored
-            if (
-                len(signature) > len(full_signature)
-                or full_signature[: len(signature)] != signature
-            ):
+            table = self._lookup((unlimited, versions))
+            if table is None:
                 return None
-            table = self._entries[full_key][0]
-            self._entries.move_to_end(full_key)
             self.prefix_hits += 1
-        n = table.num_rows
-        start = min(offset, n)
-        stop = n if limit is None else min(start + limit, n)
+        start = min(statement.offset or 0, table.num_rows)
+        stop = table.num_rows
+        if statement.limit is not None:
+            stop = min(start + statement.limit, stop)
         return table.slice(start, stop)
 
-    def clear(self) -> None:
+    def put(
+        self,
+        statement: SelectStatement,
+        versions: tuple[tuple[str, int], ...],
+        result: Table,
+    ) -> None:
+        if self.capacity <= 0:
+            return
+        key = (statement, tuple(sorted(versions)))
         with self._lock:
-            self._entries.clear()
-            self._full.clear()
+            self._entries[key] = result
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)

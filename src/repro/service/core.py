@@ -9,12 +9,15 @@ arbitrates one process-wide memory budget between their sorts.
 The request lifecycle::
 
     submit() -> [bounded queue, priority-ordered] -> worker picks ticket
-        -> result cache probe (hit: done)
+        -> parse the SQL once; Database.plan binds and optimizes the
+           statement
+        -> result cache probe on (statement, table versions) (hit: done)
         -> governor grant acquire (may wait; may shed queued LOW work)
         -> deadline timer armed
-        -> Database.execute_detailed under a per-query SortConfig carrying
-           the ticket's cancel event + memory grant
-        -> complete (result / typed error), grant released, timer joined
+        -> Database.execute_bound(plan) under a per-query SortConfig
+           carrying the ticket's cancel event + memory grant
+        -> result cached, complete (result / typed error), grant
+           released, timer joined
 
 Admission control is explicit and typed: a full queue either sheds the
 lowest-priority queued ticket (when the newcomer outranks it) or rejects
@@ -44,6 +47,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from repro.engine.database import Database
+from repro.engine.parser import parse
 from repro.errors import (
     QueryTimeoutError,
     ServiceError,
@@ -92,9 +96,9 @@ class ServiceStats:
     order-propagation savings (sorts skipped because their order was
     already provided).  Grant and spill watermarks come from the
     governor, cache hit counters from the result cache --
-    ``cache_prefix_hits`` counts requests answered below full-query
-    granularity (a cached full ORDER BY sliced for Top-N or served
-    under a prefix-compatible ORDER BY).  ``view_deltas`` /
+    ``cache_prefix_hits`` counts exact misses answered by slicing the
+    same statement's cached result without its LIMIT/OFFSET (each also
+    counts under ``cache_misses``).  ``view_deltas`` /
     ``view_snapshots`` count completed maintenance operations on
     incremental sorted views (:meth:`SortService.append_delta` /
     :meth:`~SortService.view_snapshot`); both also count under
@@ -134,6 +138,10 @@ class QueryTicket:
     is safe from any thread at any time: a queued ticket completes
     cancelled without running; a running ticket aborts at the sort's
     next cooperative checkpoint.
+
+    A maintenance ticket (an incremental-view append or snapshot)
+    carries its ``work`` as a callable of the per-query ``SortConfig``;
+    its ``sql`` is only a label.
     """
 
     def __init__(
@@ -142,6 +150,7 @@ class QueryTicket:
         sql: str,
         priority: Priority,
         deadline_s: float | None,
+        work=None,
     ) -> None:
         self.query_id = query_id
         self.sql = sql
@@ -151,9 +160,7 @@ class QueryTicket:
         self.cancel_event = threading.Event()
         self.sort_stats: list = []
         self.from_cache = False
-        # Maintenance tickets (incremental-view appends/snapshots) carry
-        # their work as a callable instead of SQL; see SortService.
-        self._work = None
+        self._work = work
         self._done = threading.Event()
         self._result: Table | None = None
         self._error: BaseException | None = None
@@ -230,7 +237,6 @@ class SortService:
         cache_capacity: int = 32,
         admission_timeout_s: float = 30.0,
         min_grant_bytes: int | None = None,
-        grant_row_bytes: int | None = None,
     ) -> None:
         if workers < 1:
             raise ServiceError("workers must be at least 1")
@@ -240,8 +246,6 @@ class SortService:
         governor_kwargs = {}
         if min_grant_bytes is not None:
             governor_kwargs["min_grant_bytes"] = min_grant_bytes
-        if grant_row_bytes is not None:
-            governor_kwargs["row_bytes"] = grant_row_bytes
         self.governor = MemoryGovernor(memory_budget, **governor_kwargs)
         self.cache = ResultCache(cache_capacity)
         self.queue_limit = queue_limit
@@ -316,8 +320,22 @@ class SortService:
         and the newcomer takes its place; otherwise the newcomer is
         rejected with a retry-after estimated from recent query latency.
         """
+        return self._admit(sql, priority, deadline_s, None)
+
+    def _admit(
+        self,
+        sql: str,
+        priority: Priority,
+        deadline_s: float | None,
+        work,
+    ) -> QueryTicket:
+        """Build a ticket whole, then enqueue it under the queue rules.
+
+        A maintenance ticket carries its ``work`` from construction, so
+        no worker can dequeue it as SQL.
+        """
         ticket = QueryTicket(
-            f"q{next(self._seq):06d}", sql, priority, deadline_s
+            f"q{next(self._seq):06d}", sql, priority, deadline_s, work
         )
         shed_ticket: QueryTicket | None = None
         with self._work:
@@ -402,18 +420,6 @@ class SortService:
             except KeyError:
                 raise ServiceError(f"no maintained view {name!r}") from None
 
-    def _submit_work(
-        self,
-        label: str,
-        work,
-        priority: Priority,
-        deadline_s: float | None,
-    ) -> QueryTicket:
-        """Admit a maintenance ticket through the normal queue rules."""
-        ticket = self.submit(label, priority, deadline_s)
-        ticket._work = work
-        return ticket
-
     def append_delta(
         self,
         name: str,
@@ -448,9 +454,7 @@ class SortService:
                 self._stats.view_deltas += 1
             return delta
 
-        return self._submit_work(
-            f"@view-append {name}", work, priority, deadline_s
-        )
+        return self._admit(f"@view-append {name}", priority, deadline_s, work)
 
     def view_snapshot(
         self,
@@ -480,8 +484,8 @@ class SortService:
                 self._stats.view_snapshots += 1
             return result
 
-        return self._submit_work(
-            f"@view-snapshot {name}", work, priority, deadline_s
+        return self._admit(
+            f"@view-snapshot {name}", priority, deadline_s, work
         )
 
     def publish_view(
@@ -589,26 +593,21 @@ class SortService:
                 )
             )
             return
+        statement = None
         try:
             if ticket._work is not None:
                 # Maintenance work (incremental-view appends/snapshots)
                 # has no SQL plan and never touches the result cache --
                 # a view is its own versioned state.
                 result = self._run_query(ticket, None)
-                key = None
             else:
-                plan = self.database.plan(ticket.sql)
+                statement = parse(ticket.sql)
+                plan = self.database.plan(statement)
                 versions = tuple(
                     (name, self.database.table_version(name))
                     for name in self.database.referenced_tables(plan)
                 )
-                key = ResultCache.key(ticket.sql, versions)
-                cached = self.cache.get(key)
-                if cached is None:
-                    # Below full-query granularity: a cached complete
-                    # ORDER BY result can answer this query's Top-N /
-                    # prefix-compatible ORDER BY by slicing.
-                    cached = self.cache.serve_prefix(ticket.sql, versions)
+                cached = self.cache.get(statement, versions)
                 if cached is not None:
                     with self._lock:
                         self._stats.completed += 1
@@ -619,8 +618,8 @@ class SortService:
         except BaseException as error:
             self._finish_error(ticket, error)
             return
-        if key is not None:
-            self.cache.put(key, result, ticket.sql)
+        if statement is not None:
+            self.cache.put(statement, versions, result)
         self._observe_latency(time.monotonic() - started)
         with self._lock:
             self._stats.completed += 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import glob
 import os
+import random
 import tempfile
 import threading
 import time
@@ -22,6 +23,7 @@ import pytest
 
 from test_external_kway import assert_byte_identical, mixed_table
 from repro.engine import Database
+from repro.engine.parser import parse, tokenize
 from repro.errors import (
     QueryTimeoutError,
     ServiceError,
@@ -38,6 +40,7 @@ from repro.service import (
 from repro.sort.faults import SpillIO
 from repro.sort.operator import SortConfig
 from repro.table.table import Table
+from repro.workloads.scenarios import SCENARIOS
 
 
 def spill_dirs() -> set:
@@ -184,35 +187,42 @@ class TestMemoryGovernor:
 
 
 class TestResultCache:
-    def test_key_normalizes_whitespace(self):
+    def test_key_normalizes_whitespace(self, rng):
+        """Whitespace and keyword case are gone once the SQL is parsed."""
+        cache = ResultCache()
+        table = int_table(rng, 4)
         versions = (("t", 1),)
-        assert ResultCache.key(
-            "SELECT  *\nFROM t   ORDER BY a", versions
-        ) == ResultCache.key("SELECT * FROM t ORDER BY a", versions)
-
-    def test_version_bump_changes_key(self):
-        assert ResultCache.key("q", (("t", 1),)) != ResultCache.key(
-            "q", (("t", 2),)
+        cache.put(parse("SELECT  *\nFROM t   ORDER BY a"), versions, table)
+        assert cache.get(parse("select * from t order by a"), versions) is (
+            table
         )
+        assert len(cache) == 1
+
+    def test_version_bump_changes_key(self, rng):
+        cache = ResultCache()
+        statement = parse("SELECT * FROM t ORDER BY a")
+        cache.put(statement, (("t", 1),), int_table(rng, 4))
+        assert cache.get(statement, (("t", 2),)) is None
+        assert cache.hits == 0 and cache.misses == 1
 
     def test_lru_eviction(self, rng):
         cache = ResultCache(capacity=2)
         tables = [int_table(rng, 4) for _ in range(3)]
-        keys = [ResultCache.key(f"q{i}", ()) for i in range(3)]
-        cache.put(keys[0], tables[0])
-        cache.put(keys[1], tables[1])
-        assert cache.get(keys[0]) is tables[0]  # refresh key 0
-        cache.put(keys[2], tables[2])  # evicts key 1, the LRU
-        assert cache.get(keys[1]) is None
-        assert cache.get(keys[0]) is tables[0]
-        assert cache.get(keys[2]) is tables[2]
+        statements = [parse(f"SELECT * FROM t{i}") for i in range(3)]
+        cache.put(statements[0], (), tables[0])
+        cache.put(statements[1], (), tables[1])
+        assert cache.get(statements[0], ()) is tables[0]  # refresh 0
+        cache.put(statements[2], (), tables[2])  # evicts 1, the LRU
+        assert cache.get(statements[1], ()) is None
+        assert cache.get(statements[0], ()) is tables[0]
+        assert cache.get(statements[2], ()) is tables[2]
         assert cache.hits == 3 and cache.misses == 1
 
     def test_zero_capacity_disables(self, rng):
         cache = ResultCache(capacity=0)
-        key = ResultCache.key("q", ())
-        cache.put(key, int_table(rng, 2))
-        assert cache.get(key) is None
+        statement = parse("SELECT * FROM t")
+        cache.put(statement, (), int_table(rng, 2))
+        assert cache.get(statement, ()) is None
         assert len(cache) == 0
 
 
@@ -298,6 +308,124 @@ class TestServiceBasics:
                 ticket.result(timeout=0.05)
             db.gate.set()
             ticket.result(timeout=30)
+
+    def test_maintenance_ticket_never_runs_as_sql(self, rng):
+        """A view append is whole when a worker can first dequeue it."""
+
+        class SlowSubmitService(SortService):
+            def submit(self, *args, **kwargs):
+                ticket = super().submit(*args, **kwargs)
+                time.sleep(0.05)  # a worker dequeues the ticket meanwhile
+                return ticket
+
+        db = Database()
+        delta = int_table(rng, 200)
+        db.register("t", delta)
+        with SlowSubmitService(
+            db, memory_budget=4 << 20, workers=1
+        ) as service:
+            service.maintain_view("v", "t", "a, seq")
+            assert service.append_delta("v", delta).result(timeout=30) is (
+                delta
+            )
+            snapshot = service.view_snapshot("v").result(timeout=30)
+            stats = service.stats
+        assert snapshot.equals(db.execute("SELECT * FROM t ORDER BY a, seq"))
+        assert stats.view_deltas == 1 and stats.failed == 0
+
+
+# --------------------------------------------------------------------- #
+# One answer: every cached answer is Database.execute's answer
+# --------------------------------------------------------------------- #
+
+
+class TestCachedAnswers:
+    def test_literal_type_is_part_of_the_key(self):
+        """``a > 2**60`` and ``a > 2**60.0`` are two queries: a float
+        literal compares the int64 column in float64."""
+        db = Database()
+        db.register("t", Table.from_pydict({"a": [2**60, 2**60 + 1]}))
+        queries = [
+            f"SELECT * FROM t WHERE a > {2**60} ORDER BY a",
+            f"SELECT * FROM t WHERE a > {2**60}.0 ORDER BY a",
+        ]
+        with SortService(db, memory_budget=4 << 20, workers=1) as service:
+            served = [service.execute(sql, timeout=30) for sql in queries]
+            stats = service.stats
+        for sql, result in zip(queries, served):
+            assert result.equals(db.execute(sql)), sql
+        assert [result.num_rows for result in served] == [1, 0]
+        assert stats.cache_hits == 0 and stats.cache_prefix_hits == 0
+
+    def test_each_query_tokenizes_once(self, rng, monkeypatch):
+        """An uncached query, a sliced LIMIT and an exact hit each run
+        the tokenizer once: the service parses and hands the statement
+        to ``Database.plan``."""
+        calls = []
+
+        def counting(sql):
+            calls.append(sql)
+            return tokenize(sql)
+
+        monkeypatch.setattr("repro.engine.parser.tokenize", counting)
+        db = Database()
+        db.register("t", int_table(rng, 500))
+        full = "SELECT * FROM t ORDER BY a, seq"
+        counts = []
+        with SortService(db, memory_budget=4 << 20, workers=1) as service:
+            for sql in (full, f"{full} LIMIT 5 OFFSET 2", full):
+                calls.clear()
+                service.execute(sql, timeout=30)
+                counts.append(len(calls))
+            stats = service.stats
+        assert counts == [1, 1, 1]
+        assert stats.cache_misses == 2
+        assert stats.cache_prefix_hits == 1 and stats.cache_hits == 1
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_cached_answers_match_database_execute(self, seed):
+        """A seeded mix of full sorts, LIMIT/OFFSET forms, proper-prefix
+        ORDER BYs, repeats and case/whitespace variants, with every
+        table re-registered halfway: each answer equals
+        ``Database.execute``'s."""
+        names = ("uniform", "dup_heavy", "mixed_null", "long_string")
+        shuffle = random.Random(seed).shuffle
+        db = Database()
+        queries = []
+        for name in names:
+            db.register(name, SCENARIOS[name].table(600, seed=seed))
+            keys = SCENARIOS[name].order_by
+            full = f"SELECT * FROM {name} ORDER BY {keys}"
+            prefix = f"SELECT * FROM {name} ORDER BY {keys.split(',')[0]}"
+            queries += [
+                full,
+                prefix,
+                f"{full} LIMIT 17",
+                f"{full} LIMIT 25 OFFSET 40",
+                f"{full} OFFSET 590",
+                f"{full} LIMIT 1000",
+                f"{prefix} LIMIT 30",
+                f"SELECT p FROM {name} WHERE p > 100 ORDER BY {keys} LIMIT 9",
+                f"SELECT count(*) FROM {name} ORDER BY {keys} LIMIT 5",
+            ]
+        queries += [sql.lower() for sql in queries[::2]]
+        queries += ["\n  ".join(sql.split(" ")) for sql in queries[1::3]]
+        with SortService(
+            db, memory_budget=16 << 20, workers=1, cache_capacity=64
+        ) as service:
+            for half in range(2):
+                if half:
+                    for name in names:
+                        db.register(
+                            name, SCENARIOS[name].table(600, seed=seed + 1)
+                        )
+                sequence = queries * 2
+                shuffle(sequence)
+                for sql in sequence:
+                    served = service.execute(sql, timeout=60)
+                    assert served.equals(db.execute(sql)), sql
+            stats = service.stats
+        assert stats.cache_hits > 0 and stats.cache_prefix_hits > 0
 
 
 # --------------------------------------------------------------------- #
