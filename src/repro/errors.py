@@ -72,6 +72,21 @@ class KeyEncodingError(ReproError):
     """Key normalization failed (unsupported type, bad prefix length, ...)."""
 
 
+class UnencodableString(KeyEncodingError):
+    """A VARCHAR value has no UTF-8 form (a lone surrogate): ``column``
+    and ``row`` name it, ``row`` counted from the first value encoded."""
+
+    def __init__(self, column: str, row: int, reason: str) -> None:
+        super().__init__(
+            f"column {column!r} row {row}: not encodable as UTF-8 ({reason})"
+        )
+        self.column, self.row, self.reason = column, row, reason
+
+    def shifted(self, rows: int) -> "UnencodableString":
+        """The same error, its row counted ``rows`` earlier."""
+        return UnencodableString(self.column, self.row + rows, self.reason)
+
+
 class SimulationError(ReproError):
     """The hardware simulator was misconfigured or misused."""
 

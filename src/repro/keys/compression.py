@@ -43,14 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import KeyEncodingError
-from repro.keys.encoding import (
-    _WIDTH_TO_UNSIGNED,
-    EncodedStrings,
-    common_prefix,
-    encode_utf8_column,
-    ends_in_nul,
-    fixed_column_codes,
-)
+from repro.keys.encoding import _WIDTH_TO_UNSIGNED, fixed_column_codes
 from repro.keys.normalizer import (
     MAX_STRING_PREFIX,
     MODE_FOLDED,
@@ -63,6 +56,7 @@ from repro.keys.normalizer import (
     words_to_bytes,
 )
 from repro.table.column import ColumnVector
+from repro.table.strings import EncodedStrings
 from repro.table.table import Table
 from repro.types.datatypes import DataType, TypeId
 from repro.types.schema import Schema
@@ -102,19 +96,17 @@ class _ColumnAcc:
         #: run holds a valid value, fixed from then on.
         self.skipped: bytes | None = None if skip else b""
 
-    def fold_strings(self, strings: EncodedStrings, valid: np.ndarray) -> None:
-        """Fold in one run's encoded VARCHAR column, and keep its prefix
-        classes against the skipped bytes on ``strings``."""
+    def fold_strings(self, strings: EncodedStrings) -> None:
+        """Fold in one run's VARCHAR column: the first run with a valid
+        value fixes the skipped bytes as the prefix its values share."""
         lengths = strings.lengths
-        self.nul_tail = self.nul_tail or ends_in_nul(strings.buffer, lengths)
+        self.nul_tail = self.nul_tail or strings.nul_tail()
+        if self.skipped is None and strings.valid.any():
+            self.skipped = strings.prefix()
         if self.skipped:
-            shares = strings.classes(self.skipped) == 0
-            lengths = lengths - len(self.skipped) * shares
-        elif self.skipped is None and valid.any():
-            self.skipped = strings.skipped = common_prefix(
-                strings.buffer, strings.starts[valid], lengths[valid]
-            )
-            lengths = lengths - len(self.skipped)  # NULL rows go negative
+            classes = strings.classes(self.skipped)
+            shares = True if classes is None else classes == 0
+            lengths = lengths - len(self.skipped) * shares  # NULLs: < 0
         self.max_len = max(self.max_len, int(lengths.max(initial=0)))
 
 
@@ -197,12 +189,11 @@ class KeyStatsAccumulator:
 
         Returns what the pass made of each key column, for
         :func:`~repro.keys.normalizer.key_words` to pack: a VARCHAR
-        column's :class:`~repro.keys.encoding.EncodedStrings` (its one
-        UTF-8 encoding, value starts, and prefix classes against the
-        sort's skipped bytes: the key windows are read from its buffer as
-        words, and the row block takes that buffer as its heap), a
-        fixed-width column's uint64 order codes, NULL rows' filler
-        included.
+        column's own :class:`~repro.table.strings.EncodedStrings` (made
+        by the column's first request in its life; the key windows are
+        read from its heap as words, its prefix classes against the
+        sort's skipped bytes are kept with it), a fixed-width column's
+        uint64 order codes, NULL rows' filler included.
         """
         encoded = {}
         for name, acc in self._columns.items():
@@ -211,10 +202,8 @@ class KeyStatsAccumulator:
             has_nulls = column.has_nulls
             acc.has_nulls = acc.has_nulls or has_nulls
             if dtype.type_id is TypeId.VARCHAR:
-                encoded[name] = EncodedStrings(
-                    *encode_utf8_column(column.data, column.validity, name)
-                )
-                acc.fold_strings(encoded[name], column.validity)
+                encoded[name] = column.strings(name)
+                acc.fold_strings(encoded[name])
                 continue
             codes = encoded[name] = fixed_column_codes(column.data, dtype)
             live = codes[column.validity] if has_nulls else codes

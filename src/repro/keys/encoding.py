@@ -18,7 +18,8 @@ Transforms, for ascending order:
 * strings: UTF-8 bytes of a fixed-length prefix, padded with 0x00.  Prefix
   comparison is exact only when no string exceeds the prefix or ends in a
   NUL (which the pad hides); callers must tie-break on the full strings
-  otherwise (the sort operator does).
+  otherwise (the sort operator does).  A column's UTF-8 bytes are its own
+  (:meth:`repro.table.column.ColumnVector.strings`).
 
 Descending order inverts the encoded value bytes (0xFF - b).
 """
@@ -40,15 +41,8 @@ __all__ = [
     "encode_scalar",
     "encode_fixed_column",
     "fixed_column_codes",
-    "encode_utf8_column",
-    "decode_utf8_column",
-    "EncodedStrings",
-    "ends_in_nul",
     "gather_windows",
-    "common_prefix",
-    "prefix_classes",
     "CHUNK_WIDTH",
-    "MAX_SKIPPED",
     "invert_bytes",
     "F32_CANONICAL_NAN",
     "F64_CANONICAL_NAN",
@@ -67,17 +61,6 @@ _WIDTH_TO_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 #: that a typical tie resolves in one round, narrow enough that rows
 #: differing right after the prefix drag in no long tail.
 CHUNK_WIDTH = 16
-
-#: Most bytes a VARCHAR key segment skips (a one-byte count in the blob).
-MAX_SKIPPED = 255
-
-#: Zero bytes :func:`encode_utf8_column` appends to its bytes object: a
-#: word reads at up to ``MAX_SKIPPED + 16`` bytes past the buffer's end
-#: (a prefix compare, or a key window of up to 24 bytes after skipped ones).
-_PAD = MAX_SKIPPED + 8 + 16
-
-#: ``TOP_BYTES[k]``: a uint64 mask of its ``k`` most significant bytes.
-TOP_BYTES = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], np.uint64)
 
 
 # ---------------------------------------------------------------------- #
@@ -167,7 +150,7 @@ def _order_bits(values: np.ndarray, dtype: DataType) -> np.ndarray:
     """
     width = dtype.fixed_width
     if width is None:
-        raise KeyEncodingError("use encode_utf8_column for VARCHAR")
+        raise KeyEncodingError("VARCHAR has no fixed-width code")
     unsigned = _WIDTH_TO_UNSIGNED[width]
     if dtype.is_float:
         bits = np.ascontiguousarray(values).view(unsigned).copy()
@@ -210,94 +193,6 @@ def encode_fixed_column(values: np.ndarray, dtype: DataType) -> np.ndarray:
     return np.ascontiguousarray(big_endian).view(np.uint8).reshape(len(values), width)
 
 
-def encode_utf8_column(
-    values, validity: np.ndarray | None = None, column: str = ""
-) -> tuple[np.ndarray, np.ndarray]:
-    """The engine's one UTF-8 column codec: ``(buffer, lengths)``.
-
-    ``buffer`` is the uint8 view of the column's values joined and encoded
-    in one pass (``str`` applied to non-string objects); the bytes object
-    it views ends in :data:`_PAD` zero bytes past it, which
-    :func:`_words_at` reads through.  ``lengths`` is the int64
-    UTF-8 byte length of every value, back to back in row order.  Rows
-    ``validity`` marks NULL contribute no bytes and length 0.  Lengths are
-    character counts when the buffer is ASCII, else read off the UTF-8
-    lead bytes (every byte but a ``10xxxxxx`` continuation starts a
-    character): exact for embedded or trailing NULs and every plane.  A
-    lone surrogate raises :class:`KeyEncodingError` naming ``column`` and
-    the first such row.
-    """
-    values = np.asarray(values, dtype=object)
-    # All valid: no index array, no fancy-index copy of the object array.
-    all_valid = validity is None or validity.all()
-    rows = slice(None) if all_valid else np.flatnonzero(validity)
-    items = values[rows].tolist()
-    try:
-        chars = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
-        items.append("\0" * _PAD)
-        encoded = "".join(items).encode("utf-8")
-    except TypeError:  # non-str objects in the column: encode their str()
-        return encode_utf8_column(list(map(str, values)), validity, column)
-    except UnicodeEncodeError as exc:
-        row = np.searchsorted(np.cumsum(chars), exc.start, side="right")
-        row = np.arange(len(values))[rows][row]
-        raise KeyEncodingError(
-            f"column {column!r} row {row}: not encodable as UTF-8 ({exc.reason})"
-        ) from None
-    buffer = np.frombuffer(encoded, np.uint8, count=len(encoded) - _PAD)
-    if len(buffer) > chars.sum():
-        char_starts = np.flatnonzero((buffer & 0xC0) != 0x80)
-        ends = np.append(char_starts, len(buffer))[np.cumsum(chars)]
-        chars = np.diff(ends, prepend=0)
-    lengths = np.zeros(len(values), dtype=np.int64)
-    lengths[rows] = chars
-    return buffer, lengths
-
-
-def decode_utf8_column(
-    buffer, starts: np.ndarray, lengths: np.ndarray, validity: np.ndarray
-) -> np.ndarray:
-    """The inverse of :func:`encode_utf8_column`: value ``i`` of an object
-    column is ``buffer[starts[i]:][:lengths[i]]`` decoded (``buffer`` any
-    bytes-like object).
-
-    The buffer span the rows reference is decoded once and sliced per
-    row.  Byte offsets are character offsets when the span is ASCII;
-    otherwise they map to character offsets through one cumsum over the
-    span's UTF-8 lead bytes.  NULL and empty rows decode as ``""``.
-    """
-    data = np.empty(len(starts), dtype=object)
-    live = validity & (lengths > 0)
-    if not live.any():
-        data.fill("")
-        return data
-    starts = starts.astype(np.int64)
-    ends = starts + lengths
-    lo = int(starts[live].min())
-    span = buffer[lo : int(ends[live].max())]
-    text = str(span, "utf-8")
-    starts = np.where(live, starts - lo, 0)
-    ends = np.where(live, ends - lo, 0)
-    if len(text) != len(span):
-        lead = (np.frombuffer(span, dtype=np.uint8) & 0xC0) != 0x80
-        char_at = np.concatenate(([0], np.cumsum(lead)))
-        starts, ends = char_at[starts], char_at[ends]
-    data[:] = [text[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
-    return data
-
-
-def ends_in_nul(buffer: np.ndarray, lengths: np.ndarray) -> bool:
-    """Does a value of an :func:`encode_utf8_column` result end in NUL?
-
-    Zero-padded prefix bytes tie such a value with the same string minus
-    its trailing NULs, so a VARCHAR key segment holding one is inexact.
-    """
-    if np.count_nonzero(buffer) == len(buffer):
-        return False  # no NUL byte at all
-    ends = np.cumsum(lengths)[lengths > 0] - 1
-    return not buffer[ends].all()
-
-
 def gather_windows(
     buffer: np.ndarray, starts: np.ndarray, take: np.ndarray, width: int
 ) -> np.ndarray:
@@ -318,114 +213,3 @@ def gather_windows(
     if len(take) and take.min() < width:
         out[np.arange(width) >= take[:, None]] = 0
     return out
-
-
-def _words_at(buffer: np.ndarray) -> np.ndarray:
-    """The little-endian uint64 at every byte offset of ``buffer``, read
-    on through :data:`_PAD` zero bytes past its end: a stride-1 view of
-    the padded bytes object a codec buffer views, else of a padded copy."""
-    padded = buffer.base
-    if not isinstance(padded, bytes) or len(padded) != len(buffer) + _PAD:
-        padded = buffer.tobytes() + bytes(_PAD)
-    return np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
-
-
-def common_prefix(
-    buffer: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> bytes:
-    """The bytes every value starts with, at most :data:`MAX_SKIPPED`.
-
-    Value ``i`` is ``buffer[starts[i]:][:lengths[i]]`` (at least one
-    value).  Compared one 8-byte word at a time against value 0,
-    stopping at the first word in which some value differs.
-    """
-    limit = min(int(lengths.min()), MAX_SKIPPED)
-    words = _words_at(buffer)
-    shared = 0
-    while shared < limit:
-        word = words[starts + shared]
-        differing = int(np.bitwise_or.reduce(word ^ word[0]))
-        if differing:  # its lowest set bit lies in the first byte that differs
-            shared += ((differing & -differing).bit_length() - 1) // 8
-            break
-        shared += 8
-    shared = min(shared, limit)
-    return buffer[starts[0] : starts[0] + shared].tobytes()
-
-
-def prefix_classes(
-    buffer: np.ndarray, starts: np.ndarray, lengths: np.ndarray, prefix: bytes
-) -> np.ndarray:
-    """Where each value sorts against the values starting with ``prefix``.
-
-    int8 per value: 0 when it starts with ``prefix``, -1 when it sorts
-    below every value that does (a value that ends inside ``prefix``
-    having matched that far included), +1 when above.  Word compares
-    find the values that start with it; the rest are read a big-endian
-    word at a time up to their first mismatch.
-    """
-    words = _words_at(buffer)
-    shares = lengths >= len(prefix)
-    for at in range(0, len(prefix), 8):
-        part = prefix[at : at + 8]
-        word = words[starts + at]
-        if len(part) < 8:
-            word = word & np.uint64((1 << 8 * len(part)) - 1)
-        shares &= word == np.uint64(int.from_bytes(part, "little"))
-    classes = np.zeros(len(starts), dtype=np.int8)
-    live = np.flatnonzero(~shares)
-    for at in range(0, len(prefix), 8):
-        if not len(live):
-            break
-        part = prefix[at : at + 8]
-        want = np.uint64(int.from_bytes(part.ljust(8, b"\0"), "big"))
-        take = np.clip(lengths[live] - at, 0, len(part))
-        word = words[starts[live] + at]
-        word.byteswap(inplace=True)  # big-endian: the first byte on top
-        word &= TOP_BYTES[take]
-        # The zero pad of a value that ends inside ``part`` may equal a
-        # NUL of the prefix, so ending is a mismatch of its own.
-        below = (word < want) | ((word == want) & (take < len(part)))
-        split = below | (word > want)
-        classes[live[split]] = np.where(below[split], -1, 1)
-        live = live[~split]
-    return classes
-
-
-class EncodedStrings:
-    """One run's VARCHAR key column, read into bytes once: the codec's
-    ``buffer`` and ``lengths``, each value's ``starts`` in the buffer,
-    and :meth:`classes` against the sort's skipped bytes (the statistics
-    pass computes them; the key words and a rebase of the run read them).
-    """
-
-    __slots__ = ("buffer", "lengths", "starts", "skipped", "_classes")
-
-    def __init__(self, buffer: np.ndarray, lengths: np.ndarray) -> None:
-        self.buffer, self.lengths = buffer, lengths
-        self.starts = np.cumsum(lengths) - lengths
-        # The prefix ``_classes`` answers (None: not asked yet); the run
-        # that chose it sets it with no classes: every value shares it.
-        self.skipped, self._classes = None, None
-
-    def classes(self, skipped: bytes) -> np.ndarray | None:
-        """:func:`prefix_classes` against ``skipped``, computed at most
-        once; ``None`` when every valid value starts with it."""
-        if skipped != self.skipped:
-            self.skipped, self._classes = skipped, None
-            if skipped:
-                self._classes = prefix_classes(
-                    self.buffer, self.starts, self.lengths, skipped
-                )
-        return self._classes
-
-    @classmethod
-    def concat(cls, parts: list) -> "EncodedStrings":
-        """The parts' values back to back, in one padded buffer."""
-        if len(parts) == 1:
-            return parts[0]
-        joined = b"".join([*(part.buffer for part in parts), bytes(_PAD)])
-        return cls(
-            np.frombuffer(joined, dtype=np.uint8, count=len(joined) - _PAD),
-            np.concatenate([part.lengths for part in parts]),
-        )

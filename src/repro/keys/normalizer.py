@@ -34,16 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import KeyEncodingError
-from repro.keys.encoding import (
-    TOP_BYTES,
-    EncodedStrings,
-    _words_at,
-    encode_scalar,
-    encode_utf8_column,
-    ends_in_nul,
-    fixed_column_codes,
-    invert_bytes,
-)
+from repro.keys.encoding import encode_scalar, fixed_column_codes, invert_bytes
+from repro.table.strings import TOP_BYTES, EncodedStrings, _words_at
 from repro.table.table import Table
 from repro.types.datatypes import DataType, TypeId
 from repro.types.sortspec import SortKey, SortSpec
@@ -201,15 +193,12 @@ def build_layout(
         dtype = table.schema.column(key.column).dtype
         exact = True
         if dtype.type_id is TypeId.VARCHAR:
-            column = table.column(key.column)
-            buffer, lengths = encode_utf8_column(
-                column.data, column.validity, key.column
-            )
-            longest = max(1, int(lengths.max(initial=0)))
+            strings = table.column(key.column).strings(key.column)
+            longest = max(1, int(strings.lengths.max(initial=0)))
             width = string_prefix
             if width is None:
                 width = min(longest, MAX_STRING_PREFIX)
-            exact = longest <= width and not ends_in_nul(buffer, lengths)
+            exact = longest <= width and not strings.nul_tail()
         else:
             assert dtype.fixed_width is not None
             width = dtype.fixed_width
@@ -380,9 +369,7 @@ def _key_fields(table: Table, layout: KeyLayout, encoded: dict | None):
         given = encoded.get(name) if encoded else None
         if segment.dtype.type_id is TypeId.VARCHAR:
             if given is None:
-                given = EncodedStrings(
-                    *encode_utf8_column(column.data, column.validity, name)
-                )
+                given = column.strings(name)
             yield from _string_fields(segment, column, given)
             continue
         codes = given
@@ -442,12 +429,12 @@ def key_words(
 
     ``encoded`` maps key columns to what
     :meth:`~repro.keys.compression.KeyStatsAccumulator.update` made of
-    them: a VARCHAR column's
-    :class:`~repro.keys.encoding.EncodedStrings` (its windows are read
-    from that buffer as words, and its prefix classes are the statistics
-    pass's: no second encoding, no second prefix scan), a fixed-width
-    column's uint64 order codes (not computed twice).  The words are read
-    only.
+    them: a VARCHAR column's own
+    :class:`~repro.table.strings.EncodedStrings` (its windows are read
+    from that heap as words, and its prefix classes are kept with it; a
+    VARCHAR column left out is read from its column all the same), a
+    fixed-width column's uint64 order codes (not computed twice).  The
+    words are read only.
     """
     fields = _key_fields(table, layout, encoded)
     return pack_fields(fields, table.num_rows, layout.key_width)

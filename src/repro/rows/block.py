@@ -5,8 +5,8 @@ uint8 matrix plus a string heap, per the layout in
 :mod:`repro.rows.layout`.  It provides the two conversions the paper's
 Figure 1 shows -- DSM (vectors) to NSM (rows) and back -- and a row
 gather.  No engine path uses it (see :mod:`repro.rows`); its string
-decode is the key codec's inverse,
-:func:`repro.keys.encoding.decode_utf8_column`.
+decode is the column codec's inverse,
+:func:`repro.table.strings.decode_utf8_column`.
 
 The scatter/gather is vectorized per column: each column's values are
 written into a strided view of the row matrix in one numpy operation, which
@@ -20,13 +20,9 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConversionError
-from repro.keys.encoding import (
-    EncodedStrings,
-    decode_utf8_column,
-    encode_utf8_column,
-)
 from repro.rows.layout import RowLayout
 from repro.table.column import ColumnVector
+from repro.table.strings import decode_utf8_column
 from repro.table.table import Table
 from repro.types.datatypes import TypeId
 from repro.types.schema import Schema
@@ -90,13 +86,11 @@ class RowBlock:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def from_table(cls, table: Table, encoded: dict | None = None) -> "RowBlock":
+    def from_table(cls, table: Table) -> "RowBlock":
         """Convert a columnar table to rows (the paper's 'columns to rows').
 
-        ``encoded`` maps string columns to the
-        :class:`~repro.keys.encoding.EncodedStrings` a sort's statistics
-        pass already made of them (its VARCHAR keys): the heap is those
-        bytes as they are.
+        A string column's heap is its UTF-8 form's bytes
+        (:meth:`~repro.table.column.ColumnVector.strings`), back to back.
         """
         layout = RowLayout.for_schema(table.schema)
         n = table.num_rows
@@ -109,19 +103,14 @@ class RowBlock:
                 column.validity.astype(np.uint8) << np.uint8(bit)
             )
             if slot.is_string:
-                # One codec pass for the whole column; the per-value
+                # The column's bytes back to back; the per-value
                 # (offset, length) slots follow by offset arithmetic.
-                strings = encoded.get(slot.name) if encoded else None
-                if strings is None:
-                    strings = EncodedStrings(*encode_utf8_column(
-                        column.data, column.validity, slot.name
-                    ))
-                buffer, lengths = strings.buffer, strings.lengths
+                strings = column.strings(slot.name)
+                lengths, buffer = strings.lengths, strings.packed()
                 base = heap_bases([sum(map(len, heaps)), len(buffer)])[1]
                 offset_slots, length_slots = string_slots(rows, slot)
-                offset_slots[:] = np.where(
-                    column.validity, base + strings.starts, 0
-                )
+                starts = np.cumsum(lengths) - lengths
+                offset_slots[:] = np.where(column.validity, base + starts, 0)
                 length_slots[:] = lengths
                 heaps.append(buffer)
             else:

@@ -268,12 +268,8 @@ class SpilledRun:
         """The run's payload, read and CRC-checked whole: the resident run
         it was, whose key words stay on disk (``words`` is ``None``)."""
         raw = self._read_section(_PAYLOAD, 0, self.payload_bytes, stats)
-        table, positions, strings = unpack_payload(
-            raw, schema, self.num_rows, self.path
-        )
-        columns = {segment.key.column for segment in self.layout.segments}
-        encoded = {name: strings[name] for name in strings if name in columns}
-        return InMemoryRun(None, self.layout, table, positions, encoded)
+        table, positions = unpack_payload(raw, schema, self.num_rows, self.path)
+        return InMemoryRun(None, self.layout, table, positions)
 
 
 class ExternalSortOperator(SortOperator):
@@ -533,9 +529,7 @@ class ExternalSortOperator(SortOperator):
                 # pwritev and crc32 take them as they are.
                 payload = []
                 if not self._generator.key_carried:
-                    payload = pack_payload(
-                        run.table, run.positions, run.encoded
-                    )
+                    payload = pack_payload(run.table, run.positions)
                 extent = build_extent(keys, payload, self.merge_block_rows)
                 sections = [keys.view(np.uint8).ravel(), *payload]
                 path = self._write_run_file(filename, sections)

@@ -28,9 +28,9 @@ moved once and the key working set is ``k * (block_rows + block_rows //
   straddle a round boundary.  Each round's trailing tie group is held
   back (the carry); every settled batch is refined with the adaptive
   re-encode loop (:func:`repro.sort.stringsort.refine_key_order`)
-  on the tied rows' string bytes where they lie -- the UTF-8 buffers the
-  key statistics made of the runs' VARCHAR key columns, which a spill
-  file holds as they are; no ``str`` decoded -- then emitted.
+  on the tied rows' string bytes where they lie -- the UTF-8 forms of
+  the runs' VARCHAR key columns, which a spill file holds as they are;
+  no ``str`` decoded -- then emitted.
   This is the sort's one string repair, made by the final pass only
   (:meth:`RunMerger.merge`; an intermediate :meth:`~RunMerger.merge_to_run`
   leaves byte order alone): a tie group reaches it ordered
@@ -51,16 +51,15 @@ moved once and the key working set is ``k * (block_rows + block_rows //
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.keys.compression import decode_key_table, rebase_words
-from repro.keys.encoding import EncodedStrings
 from repro.sort.kernels import KWayBlockStats, kway_merge_blocks
 from repro.sort.rungen import InMemoryRun, RunGenerator
 from repro.sort.stringsort import inexact_prefix_end, prefix_words, refine_key_order
+from repro.table.strings import EncodedStrings
 from repro.table.table import Table
 
 __all__ = ["RunMerger"]
@@ -337,7 +336,7 @@ class _KeyPayload:
     def run(self, keys, columns, key_layout) -> InMemoryRun:
         table = self.table([np.array(word) for word in keys.T], columns)
         positions = np.arange(len(keys), dtype=np.int64)
-        return InMemoryRun(list(keys.T), key_layout, table, positions, {})
+        return InMemoryRun(list(keys.T), key_layout, table, positions)
 
 
 class _PositionPayload:
@@ -350,6 +349,7 @@ class _PositionPayload:
         self.runs = runs
         sizes = [run.num_rows for run in runs]
         self.bases = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
+        self._joined: dict = {}
 
     def gather(self, spans, order) -> tuple:
         runs, bases = self.runs, self.bases
@@ -360,7 +360,7 @@ class _PositionPayload:
         ids = arrays[0][tied]
 
         def get(name):
-            strings = self._encoded[name]
+            strings = self._strings(name)
             return strings.buffer, strings.starts[ids], strings.lengths[ids]
 
         return get
@@ -371,7 +371,8 @@ class _PositionPayload:
     def run(self, keys, columns, key_layout) -> InMemoryRun:
         """The pass's new run.  Its words are the runs' own, joined like
         their tables, or -- read from spill files -- the merged ones put
-        back in table order."""
+        back in table order; its columns derive their UTF-8 forms from
+        the runs'."""
         positions = _concat(columns[0])
         if keys is None:
             runs = self.runs
@@ -380,22 +381,19 @@ class _PositionPayload:
             words = [np.empty(len(positions), np.uint64) for _ in keys.T]
             for word, merged in zip(words, keys.T):
                 word[positions] = merged
-        return InMemoryRun(
-            words, key_layout, self._table(), positions, self._encoded
-        )
+        return InMemoryRun(words, key_layout, self._table(), positions)
 
     def _table(self) -> Table:
         tables = [run.table for run in self.runs]
         return tables[0].concat(*tables[1:]) if len(tables) > 1 else tables[0]
 
-    @functools.cached_property
-    def _encoded(self) -> dict:
-        """The runs' VARCHAR key encodings joined like their tables."""
-        encodings = [run.encoded for run in self.runs]
-        return {
-            name: EncodedStrings.concat([each[name] for each in encodings])
-            for name in encodings[0]
-        }
+    def _strings(self, name: str) -> EncodedStrings:
+        """A VARCHAR key column's UTF-8 forms in the runs, joined once."""
+        if name not in self._joined:
+            self._joined[name] = EncodedStrings.concat(
+                [run.table.column(name).strings(name) for run in self.runs]
+            )
+        return self._joined[name]
 
 
 def _gather(parts: list[np.ndarray], order: np.ndarray) -> np.ndarray:

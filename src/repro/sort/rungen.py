@@ -31,12 +31,12 @@ from typing import Callable
 
 import numpy as np
 
+from repro.errors import UnencodableString
 from repro.keys.compression import (
     KeyStatsAccumulator,
     key_carried_eligible,
     plain_key_width,
 )
-from repro.keys.encoding import EncodedStrings
 from repro.keys.normalizer import KeyLayout, key_words
 from repro.sort.heuristic import vector_sort_rows
 from repro.sort.kernels import argsort_rows
@@ -62,18 +62,17 @@ class InMemoryRun:
     ``layout`` as the uint64 word columns
     :func:`~repro.keys.normalizer.key_words` packs, in table order;
     ``positions``, the int64 position in ``table`` of each row in key
-    order; ``encoded``, the :class:`~repro.keys.encoding.EncodedStrings`
-    of each VARCHAR *key* column in table order (the key statistics pass
-    made them; a rebase reads their prefix classes and exact-string
-    refinement reads tied strings there).  No key bytes, no row matrix,
-    no heap, whatever the columns: a result made of resident runs is one
-    ``Table.take`` by position, and the merge frontier reads
-    :meth:`key_block`'s words.
+    order.  A VARCHAR key column's UTF-8 form is the column's own
+    (:meth:`~repro.table.column.ColumnVector.strings`: a rebase reads its
+    prefix classes, exact-string refinement its tied strings).  No key
+    bytes, no row matrix, no heap, whatever the columns: a result made of
+    resident runs is one ``Table.take`` by position, and the merge
+    frontier reads :meth:`key_block`'s words.
     :class:`~repro.sort.operator.SortOperator` and the incremental
     sorter keep their runs in this form;
     :class:`~repro.sort.external.ExternalSortOperator` writes a cut run
     to a spill file as it is -- its key words in key order, then its
-    table, positions and encodings -- keeping the run when no spill
+    table and positions -- keeping the run when no spill
     target is writable, and keeps the tail run.  A spilled run's payload
     read back is one of these whose ``words`` stay on disk (``None``).
     """
@@ -82,7 +81,6 @@ class InMemoryRun:
     layout: KeyLayout
     table: Table
     positions: np.ndarray
-    encoded: dict
 
     on_disk = False
     path = "<memory>"
@@ -99,7 +97,7 @@ class InMemoryRun:
     def rebased(self, layout: KeyLayout) -> "InMemoryRun":
         """The run with its keys packed anew under a wider ``layout``
         (from its own table: the values, not the old codes, are encoded)."""
-        words = key_words(self.table, layout, self.encoded)
+        words = key_words(self.table, layout)
         return dataclasses.replace(self, words=words, layout=layout)
 
 
@@ -137,18 +135,15 @@ class RunGenerator:
         #: accumulator's latest, widest one); ``None`` before the first.
         self.layout: KeyLayout | None = None
 
-    def encode(
-        self, chunks: list[DataChunk]
-    ) -> tuple[Table, list[np.ndarray], dict]:
+    def encode(self, chunks: list[DataChunk]) -> tuple[Table, list[np.ndarray]]:
         """Concatenate the buffered chunks once and pack their keys.
 
-        Returns ``(table, words, encoded)``: the
+        Returns ``(table, words)``: the
         :func:`~repro.keys.normalizer.key_words` of ``table`` under
-        :attr:`layout`, made from the order codes and UTF-8 buffers the
-        statistics pass computed; and the VARCHAR key columns'
-        ``EncodedStrings``, the run's one crossing from ``str``, read by
-        the key windows, by exact-string refinement and, once the run is
-        written to a spill file, as its VARCHAR payload.
+        :attr:`layout`, made from the order codes and the UTF-8 forms the
+        statistics pass read (a VARCHAR column's own, which the key
+        windows, exact-string refinement and a spill payload read).  A
+        value with no UTF-8 form is named by its row in the sort's input.
         """
         self.check_cancelled()
         stats = self.stats
@@ -157,7 +152,10 @@ class RunGenerator:
             # The accumulator has seen every row so far, so this run's
             # layout is at least as wide as every earlier run's; the
             # merge rebases narrower runs onto the last.
-            encoded = self._key_acc.update(table)
+            try:
+                encoded = self._key_acc.update(table)
+            except UnencodableString as error:
+                raise error.shifted(stats.rows_sorted) from None
             layout = self.layout = self._key_acc.build_layout(
                 include_row_id=False
             )
@@ -168,14 +166,9 @@ class RunGenerator:
             segment.prefix_exact for segment in layout.segments
         )
         stats.rows_sorted += len(table)
-        strings = {
-            k: v for k, v in encoded.items() if isinstance(v, EncodedStrings)
-        }
-        return table, words, strings
+        return table, words
 
-    def sort_run(
-        self, table: Table, words: list, encoded: dict
-    ) -> InMemoryRun:
+    def sort_run(self, table: Table, words: list) -> InMemoryRun:
         """Sort one encoded batch into a run: nothing is gathered.
 
         One stable sort of the key words; a run's positions are its row
@@ -187,7 +180,7 @@ class RunGenerator:
             order = vector_sort_rows(words, self.stats)
         self.stats.runs_generated += 1
         self.stats.run_lengths.append(len(order))
-        return InMemoryRun(words, self.layout, table, order, encoded)
+        return InMemoryRun(words, self.layout, table, order)
 
 
 # ---------------------------------------------------------------------- #

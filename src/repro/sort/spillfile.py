@@ -28,7 +28,7 @@ bytes ``[8w, 8w + 8)`` read big-endian), in key order, so a block reads
 back as words with no conversion; no row id rides beside them.  The
 payload is what a resident run holds (:class:`repro.sort.rungen.
 InMemoryRun`): its table's columns in arrival order, a VARCHAR column in
-the form :class:`repro.keys.encoding.EncodedStrings` holds, and the
+the form :class:`repro.table.strings.EncodedStrings` holds, and the
 positions of its rows in key order -- so a run read back is a resident
 run whose key words stream from disk.
 
@@ -56,12 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SpillCorruptionError
-from repro.keys.encoding import (
-    EncodedStrings,
-    decode_utf8_column,
-    encode_utf8_column,
-)
 from repro.table.column import ColumnVector
+from repro.table.strings import EncodedStrings, decode_utf8_column
 from repro.table.table import Table
 from repro.types.schema import Schema
 
@@ -130,23 +126,20 @@ def build_extent(
     )
 
 
-def pack_payload(table: Table, positions: np.ndarray, encoded: dict) -> list:
+def pack_payload(table: Table, positions: np.ndarray) -> list:
     """A run's payload section as flat byte buffers, each padded to 8 bytes.
 
-    Views of the run's arrays: nothing is copied but a VARCHAR column
-    ``encoded`` (its key statistics' :class:`EncodedStrings`) lacks, which
-    the codec encodes here.
+    Views of the run's arrays; a VARCHAR column is its UTF-8 form's
+    lengths and its own values' bytes back to back
+    (:meth:`EncodedStrings.packed`: a view, unless its slots were
+    gathered from a larger heap).
     """
     parts = [np.ascontiguousarray(positions, dtype=np.int64)]
     for name, column in zip(table.schema.names, table.columns):
         parts.append(np.ascontiguousarray(column.validity))
-        if name in encoded:
-            parts += [encoded[name].lengths, encoded[name].buffer]
-        elif column.dtype.is_variable_width:
-            buffer, lengths = encode_utf8_column(
-                column.data, column.validity, name
-            )
-            parts += [lengths, buffer]
+        if column.dtype.is_variable_width:
+            strings = column.strings(name)
+            parts += [strings.lengths, strings.packed()]
         else:
             parts.append(np.ascontiguousarray(column.data))
     padded = []
@@ -158,11 +151,11 @@ def pack_payload(table: Table, positions: np.ndarray, encoded: dict) -> list:
 
 
 def unpack_payload(raw: bytes, schema: Schema, num_rows: int, path: str):
-    """``(table, positions, strings)`` of a payload :func:`pack_payload`
-    wrote: ``strings`` maps each VARCHAR column to its
-    :class:`EncodedStrings`; every array but a decoded ``str`` column is
-    a view of ``raw``.  A payload that does not hold ``schema``'s columns
-    raises :class:`SpillCorruptionError` naming ``path``."""
+    """``(table, positions)`` of a payload :func:`pack_payload` wrote: a
+    VARCHAR column is decoded to ``str`` and keeps the bytes it was read
+    from as its UTF-8 form; every other array is a view of ``raw``.  A
+    payload that does not hold ``schema``'s columns raises
+    :class:`SpillCorruptionError` naming ``path``."""
     at = 0
 
     def take(dtype, count):
@@ -173,25 +166,24 @@ def unpack_payload(raw: bytes, schema: Schema, num_rows: int, path: str):
 
     try:
         positions = take(np.int64, num_rows)
-        columns, strings = [], {}
+        columns = []
         for column in schema:
             validity = take(np.bool_, num_rows)
+            strings = None
             if column.dtype.is_variable_width:
                 lengths = take(np.int64, num_rows)
-                encoded = EncodedStrings(
-                    take(np.uint8, int(lengths.sum())), lengths
-                )
-                strings[column.name] = encoded
+                heap = take(np.uint8, int(lengths.sum()))
+                strings = EncodedStrings(heap, lengths, validity)
                 data = decode_utf8_column(
-                    encoded.buffer, encoded.starts, lengths, validity
+                    heap, strings.starts, lengths, validity
                 )
             else:
                 data = take(column.dtype.numpy_dtype, num_rows)
-            columns.append(ColumnVector(column.dtype, data, validity))
+            columns.append(ColumnVector(column.dtype, data, validity, strings))
     except ValueError as error:
         raise SpillCorruptionError(f"payload: {error}", path) from error
     if at != len(raw):
         raise SpillCorruptionError(
             f"payload of {len(raw)} bytes holds {at} for the schema", path
         )
-    return Table(schema, columns), positions, strings
+    return Table(schema, columns), positions

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from repro.keys.compression import _field
-from repro.keys.encoding import CHUNK_WIDTH, encode_utf8_column, gather_windows
+from repro.keys.encoding import CHUNK_WIDTH, gather_windows
 
 __all__ = [
     "CHUNK_WIDTH",
@@ -180,8 +180,8 @@ def refine_key_order(
             getter ``get(column_name) -> (buffer, starts, lengths)``: tied
             row ``i``'s UTF-8 bytes are ``buffer[starts[i]:][:lengths[i]]``
             (length 0 for NULL).  The merger answers from its runs'
-            ``EncodedStrings``, :func:`refine_table_order` by encoding the
-            column.
+            ``EncodedStrings``, :func:`refine_table_order` from the
+            table's column's.
         stats: optional ``SortStats``; ``full_key_compares`` counts the tied
             rows whose full strings were consulted, ``reencode_rounds`` /
             ``reencoded_rows`` the re-encode work.
@@ -265,11 +265,9 @@ def refine_table_order(
         source = order[tied]
 
         def get(name: str):
-            column = table.column(name)
-            buffer, lengths = encode_utf8_column(
-                column.data[source], column.validity[source], name
-            )
-            return buffer, np.cumsum(lengths) - lengths, lengths
+            strings = table.column(name).strings(name)
+            starts, lengths = strings.starts[source], strings.lengths[source]
+            return strings.buffer, starts, lengths
 
         return get
 

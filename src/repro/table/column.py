@@ -9,11 +9,13 @@ uniform dtype.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import TypeError_
+from repro.table.strings import EncodedStrings
 from repro.types.datatypes import DataType, TypeId, type_for_numpy_dtype
 
 __all__ = ["ColumnVector"]
@@ -27,17 +29,26 @@ class ColumnVector:
         data: numpy array of physical values.  Slots that are NULL hold an
             unspecified (but type-valid) filler value.
         validity: boolean numpy array, True where the value is present.  A
-            column with no NULLs may share one cached all-True mask.
+            column built without one gets its own all-True mask.
+
+    A column's values are fixed once it is built: nothing writes ``data``
+    or ``validity`` in place.  That is what lets a VARCHAR column keep its
+    UTF-8 form (:meth:`strings`) for its whole life, and hand it on, as
+    slots over the same heap, to the columns :meth:`take`, :meth:`slice`
+    and :meth:`concat` make of it.
     """
 
-    __slots__ = ("dtype", "data", "validity")
+    __slots__ = ("dtype", "data", "validity", "_strings")
 
     def __init__(
         self,
         dtype: DataType,
         data: np.ndarray,
         validity: np.ndarray | None = None,
+        strings: EncodedStrings | None = None,
     ) -> None:
+        """``strings``, for a VARCHAR column, is the UTF-8 form of
+        ``data`` (under ``validity``), when the caller holds it already."""
         dtype.validate_array(data)
         if data.ndim != 1:
             raise TypeError_(f"column data must be 1-D, got shape {data.shape}")
@@ -50,6 +61,10 @@ class ColumnVector:
         self.dtype = dtype
         self.data = data
         self.validity = np.asarray(validity, dtype=bool)
+        #: The UTF-8 form: an ``EncodedStrings``, a function deriving it
+        #: from the column this one was made from, or ``None`` (the codec
+        #: makes it from ``data`` on first request).
+        self._strings = strings
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -127,31 +142,86 @@ class ColumnVector:
     # Transformations
     # ------------------------------------------------------------------ #
 
+    def strings(self, name: str = "") -> EncodedStrings:
+        """This VARCHAR column's UTF-8 form, made on first request and kept.
+
+        A column :meth:`take`, :meth:`slice` or :meth:`concat` made of
+        encoded columns derives its slots from theirs; any other encodes
+        its own rows, ``name`` naming it in the error a value with no
+        UTF-8 form raises.  Threads may ask at once: each makes a whole
+        form and publishes it in one assignment.
+        """
+        source = self._strings
+        if isinstance(source, EncodedStrings):
+            return source
+        strings = None if source is None else source()
+        if strings is None:
+            strings = EncodedStrings.encode(self.data, self.validity, name)
+            self._strings = strings
+        elif not isinstance(source, _Gather):  # a gather keeps what it made
+            self._strings = strings
+        return strings
+
     def take(self, indices: np.ndarray) -> "ColumnVector":
-        """Gather rows by position -- the payload-reorder primitive."""
-        return ColumnVector(
+        """Gather rows by position -- the payload-reorder primitive.
+
+        The gather of an encoded column, or of such a gather, derives its
+        slots from that encoding when first asked for (``indices`` is
+        read again then), as long as the encoding is in use: it holds it
+        by a weak reference, so a result kept longer than its source
+        keeps no slots alive.
+        """
+        column = ColumnVector(
             self.dtype, self.data[indices], self.validity[indices]
         )
+        source = self._strings
+        if isinstance(source, EncodedStrings):
+            ref, ids = weakref.ref(source), indices
+        elif isinstance(source, _Gather):
+            ref, ids = source.source, source.ids[indices]
+        else:
+            return column
+        column._strings = _Gather(ref, ids, column.validity)
+        return column
 
     def slice(self, start: int, stop: int) -> "ColumnVector":
-        """A zero-copy slice view of this column."""
-        return ColumnVector(
-            self.dtype, self.data[start:stop], self.validity[start:stop]
-        )
+        """A zero-copy slice view of this column (and of its slots)."""
+        rows = slice(start, stop)
+        column = ColumnVector(self.dtype, self.data[rows], self.validity[rows])
+        source = self._strings
+        if isinstance(source, EncodedStrings):
+            column._strings = source.slice(start, stop)
+        elif isinstance(source, _Gather):
+            column._strings = _Gather(
+                source.source, source.ids[rows], column.validity
+            )
+        return column
 
     def concat(self, *others: "ColumnVector") -> "ColumnVector":
-        """This column followed by ``others`` (types must match)."""
+        """This column followed by ``others`` (types must match); the
+        parts' slots joined, when every part is encoded."""
         for other in others:
             if other.dtype.type_id is not self.dtype.type_id:
                 raise TypeError_(
                     f"cannot concat {self.dtype.name} with {other.dtype.name}"
                 )
         parts = (self, *others)
-        return ColumnVector(
+        column = ColumnVector(
             self.dtype,
             np.concatenate([part.data for part in parts]),
             np.concatenate([part.validity for part in parts]),
         )
+        sources = [part._strings for part in parts]
+        if None not in sources:
+
+            def derive() -> EncodedStrings | None:
+                forms = [_resolve(source) for source in sources]
+                if None in forms:
+                    return None
+                return EncodedStrings.concat(forms)
+
+            column._strings = derive
+        return column
 
     def equals(self, other: "ColumnVector") -> bool:
         """Value equality including NULL positions (NULL == NULL here)."""
@@ -179,6 +249,34 @@ class ColumnVector:
         preview = ", ".join(repr(v) for v in self.to_pylist()[:6])
         suffix = ", ..." if len(self) > 6 else ""
         return f"ColumnVector<{self.dtype.name}>[{preview}{suffix}]"
+
+
+class _Gather:
+    """A gather's form: the slots of rows ``ids`` (validity ``valid``) of
+    an encoding held weakly, derived on the first call and kept;
+    ``None`` when the encoding is gone by then.  A gather of a gather
+    composes the ids, so it reads the same encoding."""
+
+    __slots__ = ("source", "ids", "valid", "form")
+
+    def __init__(self, source: weakref.ref, ids, valid: np.ndarray) -> None:
+        ids = np.asarray(ids)
+        if ids.dtype == bool:  # positions compose; a mask does not
+            ids = np.flatnonzero(ids)
+        self.source, self.ids, self.valid = source, ids, valid
+        self.form: EncodedStrings | None = None
+
+    def __call__(self) -> EncodedStrings | None:
+        if self.form is None:
+            strings = self.source()
+            if strings is not None:
+                self.form = strings.take(self.ids, self.valid)
+        return self.form
+
+
+def _resolve(source) -> EncodedStrings | None:
+    """A column's form from its ``_strings``: the form, or what derives it."""
+    return source if isinstance(source, EncodedStrings) else source()
 
 
 def _infer_dtype(values: Sequence[Any]) -> DataType:

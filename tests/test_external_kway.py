@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import merge_run_indices, reference_sort
-from repro.keys.encoding import encode_utf8_column
 from repro.scalar.reference import reference_sort as scalar_reference_sort
 from repro.sort import merger
 from repro.sort.external import ExternalSortOperator
 from repro.sort.kernels import KWayBlockStats, _chunk_columns, kway_merge_blocks
 from repro.sort.operator import SortConfig, sort_table
 from repro.table.chunk import chunk_table
+from repro.table.strings import encode_utf8_column
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
 from repro.workloads.scenarios import SCENARIOS
@@ -273,9 +273,10 @@ class TestSpillFormat:
         buffer, lengths = encode_utf8_column(
             head.column("s").data, head.column("s").validity
         )
-        assert list(payload.encoded) == ["s"]
-        assert payload.encoded["s"].buffer.tobytes() == buffer.tobytes()
-        assert payload.encoded["s"].lengths.tolist() == lengths.tolist()
+        # Its string column keeps the bytes it was read from.
+        strings = payload.table.column("s").strings()
+        assert strings.buffer.tobytes() == buffer.tobytes()
+        assert strings.lengths.tolist() == lengths.tolist()
         # Keys are stored sorted: streamed word rows arrive in key order.
         words = [tuple(row) for row in whole_keys.tolist()]
         assert words == sorted(words)

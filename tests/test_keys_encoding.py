@@ -15,11 +15,11 @@ from repro.keys.encoding import (
     encode_signed,
     encode_string,
     encode_unsigned,
-    encode_utf8_column,
     gather_windows,
     invert_bytes,
 )
 from repro.keys.normalizer import normalize_keys, normalized_key_for_row
+from repro.table.strings import encode_utf8_column
 from repro.table.table import Table
 from repro.types.datatypes import DOUBLE, FLOAT, INTEGER, SMALLINT, VARCHAR
 from repro.types.sortspec import SortSpec

@@ -2,7 +2,7 @@
 
 ``repro.sort`` is the production pipeline: it may import the layers under
 it (``keys``, ``table``, ``types``) and nothing the paper face is built
-from.  ``repro.scalar`` (the scalar algorithm family and the reference
+from; ``keys`` imports ``table``, never the reverse.  ``repro.scalar`` (the scalar algorithm family and the reference
 sort) sits beside it and shares only the key encoding, so the two never
 import each other.  ``repro.rows``, the paper's NSM codec, is imported by
 no other module: a sort keeps its payload in columns, spilled or not.
@@ -68,6 +68,11 @@ def test_sort_imports_nothing_from_the_paper_face():
 
 def test_scalar_does_not_import_the_pipeline():
     assert violations("scalar", ("repro.sort",)) == []
+
+
+def test_table_does_not_import_the_layers_above_it():
+    # A column owns its UTF-8 form; the key encoding reads it from there.
+    assert violations("table", ("repro.keys", "repro.sort", "repro.rows")) == []
 
 
 def test_no_module_imports_the_nsm_codec():

@@ -202,6 +202,27 @@ class TestStringTruncation:
         with pytest.raises(KeyEncodingError, match=r"'s' row 1"):
             sort_table(table, "p", spilling)
 
+    @pytest.mark.parametrize(
+        "config", [SortConfig(), SortConfig(external=True, run_threshold=1024)]
+    )
+    def test_unencodable_string_names_its_row_in_the_input(self, config):
+        # A spilled sort encodes run by run; the error still counts rows
+        # from the start of the sort's input (a filter's output, under a
+        # WHERE), as a resident sort does.
+        values = [f"value-{i:05d}" for i in range(3000)]
+        values[1500] = "bad\ud800x"
+        table = Table.from_pydict({"s": values, "p": list(range(3000))})
+        database = Database(config)
+        database.register("t", table)
+        for sql, row in [
+            ("SELECT * FROM t ORDER BY s", 1500),
+            ("SELECT s, count(*) FROM t GROUP BY s", 1500),
+            ("SELECT * FROM t WHERE p > 1000 ORDER BY s", 499),
+            ("SELECT s, count(*) FROM t WHERE p > 1000 GROUP BY s", 499),
+        ]:
+            with pytest.raises(KeyEncodingError, match=rf"'s' row {row}\b"):
+                database.execute(sql)
+
 
 class TestPhaseAttribution:
     def test_phases_cover_a_long_string_sort(self):

@@ -19,9 +19,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.keys import compression, encoding
+from repro.keys import encoding
 from repro.keys.compression import KeyStatsAccumulator
-from repro.keys.encoding import _words_at
 from repro.keys.normalizer import (
     key_words,
     normalized_key_for_row,
@@ -29,7 +28,9 @@ from repro.keys.normalizer import (
 )
 from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig
+from repro.table import strings
 from repro.table.chunk import chunk_table
+from repro.table.strings import _words_at
 from repro.table.table import Table
 from repro.types.datatypes import BIGINT, VARCHAR
 from repro.types.sortspec import SortSpec
@@ -130,10 +131,10 @@ class TestOnePassOverAStringKey:
 
         # The key statistics and word passes' bindings: refinement's own
         # gather_windows (repro.sort.stringsort's) is not counted.
-        counting("prefix_classes", encoding)
+        counting("prefix_classes", strings)
         counting("gather_windows", encoding)
-        counting("common_prefix", compression)
-        counting("encode_utf8_column", compression)
+        counting("common_prefix", strings)
+        counting("encode_utf8_column", strings)
         table, spec = long_string_case()
         config = SortConfig(run_threshold=2048)
         with ExternalSortOperator(

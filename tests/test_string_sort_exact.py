@@ -359,9 +359,9 @@ class TestEncodeOnce:
 
     @pytest.fixture
     def codec_calls(self, monkeypatch):
-        from repro.keys import encoding
+        from repro.table import strings
 
-        real, calls = encoding.encode_utf8_column, []
+        real, calls = strings.encode_utf8_column, []
 
         def counting(values, validity=None, column=""):
             calls.append(column)
