@@ -12,11 +12,10 @@ engine without turning this into an expression-compiler project)::
     op         := = | <> | < | <= | > | >=
     literal    := [-]number | 'string' | TRUE | FALSE
 
-Evaluation is vectorized per DataChunk (one vector, or a whole resident
-table): each comparison produces a boolean mask over it (NULL
-comparisons are false, SQL three-valued logic collapsed to filter
-semantics), and masks are AND-ed.  A streamed chunk is then filtered
-with one gather; a whole table keeps the mask's ids as its selection.
+Evaluation is vectorized per DataChunk (a scanned table is one): each
+comparison produces a boolean mask over it (NULL comparisons are false,
+SQL three-valued logic collapsed to filter semantics), and masks are
+AND-ed.  The filter keeps the mask's ids as the chunk's selection.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from repro.table.chunk import DataChunk
 from repro.types.datatypes import TypeId
 from repro.types.schema import Schema
 
-__all__ = ["Comparison", "Conjunction", "evaluate_mask", "filter_chunk"]
+__all__ = ["Comparison", "Conjunction", "evaluate_mask"]
 
 _OPS = ("=", "<>", "<", "<=", ">", ">=")
 
@@ -153,12 +152,3 @@ def evaluate_mask(chunk: DataChunk, condition: Conjunction) -> np.ndarray:
         mask &= _comparison_mask(chunk, comparison)
     return mask
 
-
-def filter_chunk(chunk: DataChunk, condition: Conjunction) -> DataChunk:
-    """The chunk restricted to rows satisfying the condition."""
-    mask = evaluate_mask(chunk, condition)
-    if mask.all():
-        return chunk
-    indices = np.flatnonzero(mask)
-    vectors = [v.take(indices) for v in chunk.vectors]
-    return DataChunk(chunk.schema, vectors)

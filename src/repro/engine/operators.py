@@ -3,39 +3,38 @@
 Pull-based execution: each operator is an iterator of
 :class:`~repro.table.chunk.DataChunk` batches (``chunks()``), which is
 the vectorized interpreted model of the paper (interpretation overhead
-amortized per vector, not per tuple), and gives the same rows as one
-table (``table()``).  Sort, Top-N, GROUP BY and merge join are the
-pipeline breakers: they drain their child before producing anything,
-exactly as Section V describes.  A breaker materializes its whole input
-anyway, so it reads its child's *whole-output chunk* when the child has
-one (``whole_chunk()``, a sink takes a chunk of any length): a
-*resident* child -- a scan, a projection of one, another breaker -- is
-one chunk of its table, and a filter over a resident child is one chunk
-of that table's vectors plus a selection vector (DuckDB's
-``SelectionVector``: the ids of the rows that pass, one mask evaluated
-over the whole table), gathered once by whoever needs the rows.  Only a
-streaming child (a LIMIT, a filter over one) is drained vector by
-vector.  A breaker's ``table()`` is the result it computed, and its
-``chunks()`` slices that table for a streaming consumer (LIMIT).
-:func:`collect` returns the root's ``table()``, so a result may share
-column arrays with a registered table (tables are immutable).
+amortized per vector, not per tuple).  A chunk has any length, and
+``chunks()`` is the only way an operator produces rows:
+
+* a scan yields its registered table as one chunk;
+* a filter evaluates one mask per child chunk and yields the child's
+  vectors plus a selection vector (DuckDB's ``SelectionVector``: the ids
+  of the rows that pass), composed with the child's own selection;
+* a projection keeps fewer vectors and the same selection;
+* LIMIT yields zero-copy slices of its child's chunks and pulls no
+  further chunk once it is filled.
+
+Sort, Top-N, GROUP BY and merge join are the pipeline breakers: they
+drain their child before producing anything, exactly as Section V
+describes, and yield their result as one chunk.  A sink takes a chunk
+of any length, so a breaker sinks a scanned table whole, and a filtered
+one as one selection whose rows it gathers once.
+:meth:`PhysicalOperator.table` joins an operator's chunks and
+:func:`collect` returns the root's, so a result may share column arrays
+with a registered table (tables are immutable).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
+from repro.engine.expressions import evaluate_mask
 from repro.errors import EngineError
 from repro.sort.operator import SortConfig, SortStats, make_sort_operator
 from repro.sort.topn import TopNOperator
-from repro.table.chunk import (
-    VECTOR_SIZE,
-    DataChunk,
-    chunk_table,
-    concat_chunks,
-)
+from repro.table.chunk import DataChunk, concat_chunks
 from repro.table.column import ColumnVector
 from repro.table.table import Table
 from repro.types.datatypes import BIGINT
@@ -58,15 +57,7 @@ __all__ = [
 
 
 class PhysicalOperator:
-    """Base: a schema, a chunk iterator, and the same rows as one table.
-
-    ``resident`` is true when :meth:`table` copies nothing: the rows
-    already exist as one table (a scan, a projection of a resident
-    child, a pipeline breaker's result).  A streaming operator's table
-    is its chunks concatenated.
-    """
-
-    resident = False
+    """Base: a schema and the chunks of the operator's output."""
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
@@ -74,13 +65,9 @@ class PhysicalOperator:
     def chunks(self) -> Iterator[DataChunk]:
         raise NotImplementedError
 
-    def whole_chunk(self) -> DataChunk | None:
-        """The whole output as one chunk, or ``None`` when it only
-        streams: a resident operator's table."""
-        return DataChunk.from_table(self.table()) if self.resident else None
-
     def table(self) -> Table:
-        """The whole output as one table."""
+        """The whole output as one table: its chunks joined (one chunk
+        is its vectors, or one gather of its selection)."""
         chunks = list(self.chunks())
         if not chunks:
             return Table.empty(self.schema)
@@ -92,58 +79,35 @@ def collect(operator: PhysicalOperator) -> Table:
     return operator.table()
 
 
-def _whole_or_streamed(child: PhysicalOperator) -> Iterable[DataChunk]:
-    """A breaker's input: the child's whole-output chunk, else its
-    streamed chunks."""
-    whole = child.whole_chunk()
-    return child.chunks() if whole is None else [whole]
-
-
 class ScanOperator(PhysicalOperator):
-    """Reads a base table: whole, or in vector batches."""
+    """Reads a base table: its rows as one chunk."""
 
-    resident = True
-
-    def __init__(self, table: Table, vector_size: int = VECTOR_SIZE) -> None:
+    def __init__(self, table: Table) -> None:
         super().__init__(table.schema)
         self.source = table
-        self.vector_size = vector_size
 
     def chunks(self) -> Iterator[DataChunk]:
-        if self.source.num_rows == 0:
-            return
-        yield from chunk_table(self.source, self.vector_size)
-
-    def table(self) -> Table:
-        return self.source
+        if self.source.num_rows:
+            yield DataChunk.from_table(self.source)
 
 
 class ProjectOperator(PhysicalOperator):
-    """Column projection (pure column selection; streaming)."""
+    """Column projection: fewer vectors, the same selection."""
 
     def __init__(self, child: PhysicalOperator, columns: tuple[str, ...]) -> None:
         super().__init__(child.schema.select(columns))
         self.child = child
         self.columns = columns
 
-    @property
-    def resident(self) -> bool:
-        return self.child.resident
-
     def chunks(self) -> Iterator[DataChunk]:
         for chunk in self.child.chunks():
-            vectors = [chunk.vector(name) for name in self.columns]
-            yield DataChunk(self.schema, vectors)
-
-    def table(self) -> Table:
-        if not self.child.resident:
-            return super().table()
-        return self.child.table().select(self.columns)
+            vectors = [chunk.vectors[chunk.schema.index_of(n)] for n in self.columns]
+            yield DataChunk(self.schema, vectors, chunk.selection)
 
 
 class FilterOperator(PhysicalOperator):
-    """WHERE: vectorized mask + gather per chunk when streamed; over a
-    resident child, one mask over its whole table and a selection."""
+    """WHERE: one mask per child chunk, kept as a selection of its rows
+    (none when every row passes; a chunk no row passes is dropped)."""
 
     def __init__(self, child: PhysicalOperator, condition) -> None:
         super().__init__(child.schema)
@@ -151,29 +115,15 @@ class FilterOperator(PhysicalOperator):
         self.condition = condition
 
     def chunks(self) -> Iterator[DataChunk]:
-        from repro.engine.expressions import filter_chunk
-
         for chunk in self.child.chunks():
-            filtered = filter_chunk(chunk, self.condition)
-            if len(filtered):
-                yield filtered
-
-    def whole_chunk(self) -> DataChunk | None:
-        """The resident child's vectors and the ids of the rows that
-        pass (no selection when every row does)."""
-        from repro.engine.expressions import evaluate_mask
-
-        if not self.child.resident:
-            return None
-        source = DataChunk.from_table(self.child.table())
-        mask = evaluate_mask(source, self.condition)
-        if mask.all():
-            return source
-        return DataChunk(self.schema, source.vectors, np.flatnonzero(mask))
-
-    def table(self) -> Table:
-        chunk = self.whole_chunk()
-        return super().table() if chunk is None else chunk.to_table()
+            mask = evaluate_mask(chunk, self.condition)
+            if mask.all():
+                yield chunk
+            elif mask.any():
+                selection = np.flatnonzero(mask)
+                if chunk.selection is not None:
+                    selection = chunk.selection[selection]
+                yield DataChunk(self.schema, chunk.vectors, selection)
 
 
 class SortExecOperator(PhysicalOperator):
@@ -187,7 +137,7 @@ class SortExecOperator(PhysicalOperator):
 
     The optimizer's order-propagation pass sets ``mode`` to ``"elided"``
     or ``"subsumed"`` when the input already arrives in (at least) the
-    requested order: the operator then passes the child through
+    requested order: the operator then passes the child's chunks through
     untouched and records only a ``sorts_elided`` / ``sorts_subsumed``
     counter.  Any other input, including one that provides a leading
     prefix of ``spec``, gets the full sort.
@@ -207,56 +157,34 @@ class SortExecOperator(PhysicalOperator):
         self.mode = mode
         self.last_stats = None
 
-    @property
-    def resident(self) -> bool:
-        return self.mode not in ("elided", "subsumed") or self.child.resident
-
     def chunks(self) -> Iterator[DataChunk]:
-        if self._passes_through():
+        if self.mode in ("elided", "subsumed"):
+            stats = SortStats()
+            if self.mode == "elided":
+                stats.sorts_elided += 1
+            else:
+                stats.sorts_subsumed += 1
+            self.last_stats = stats
             yield from self.child.chunks()
-        else:
-            yield from chunk_table(self.table(), self.config.vector_size)
-
-    def table(self) -> Table:
-        if self._passes_through():
-            return self.child.table()
-        return self._full_sort(_whole_or_streamed(self.child))
-
-    def _passes_through(self) -> bool:
-        """Record an elided or subsumed sort; true when it is one."""
-        if self.mode not in ("elided", "subsumed"):
-            return False
-        stats = SortStats()
-        if self.mode == "elided":
-            stats.sorts_elided += 1
-        else:
-            stats.sorts_subsumed += 1
-        self.last_stats = stats
-        return True
-
-    def _full_sort(self, chunks: Iterable[DataChunk]) -> Table:
-        """Run ``chunks`` through the configured full sort."""
+            return
         with make_sort_operator(self.schema, self.spec, self.config) as sorter:
-            for chunk in chunks:
+            for chunk in self.child.chunks():
                 sorter.sink(chunk)
             result = sorter.finalize()
             self.last_stats = sorter.stats
-            return result
+        yield DataChunk.from_table(result)
 
 
 class TopNExecOperator(PhysicalOperator):
     """ORDER BY + LIMIT fused into the selecting top-N operator.
 
-    A child's whole-output chunk is sunk as one batch, as the full sort
-    sinks it; a streaming child is sunk vector by vector and absorbed
-    every :data:`repro.sort.topn.BATCH_ROWS` rows.  The config
-    carries the cooperative cancellation event (checked per sunk chunk),
-    so a service can abort a long streaming Top-N mid-stream just like a
-    full sort.  ``last_stats`` holds the operator's ``SortStats``
-    (survivor sorts and string tie repair) once drained.
+    Each child chunk is sunk as one batch, as the full sort sinks it
+    (a scan's table, a filter's selection).  The config carries the
+    cooperative cancellation event (checked per sunk chunk), so a
+    service can abort a Top-N just like a full sort.  ``last_stats``
+    holds the operator's ``SortStats`` (survivor sorts and string tie
+    repair) once drained.
     """
-
-    resident = True
 
     def __init__(
         self,
@@ -275,21 +203,18 @@ class TopNExecOperator(PhysicalOperator):
         self.last_stats = None
 
     def chunks(self) -> Iterator[DataChunk]:
-        yield from chunk_table(self.table(), self.config.vector_size)
-
-    def table(self) -> Table:
         top = TopNOperator(
             self.schema, self.spec, self.limit, self.offset, self.config
         )
-        for chunk in _whole_or_streamed(self.child):
+        for chunk in self.child.chunks():
             top.sink(chunk)
         result = top.finalize()
         self.last_stats = top.stats
-        return result
+        yield DataChunk.from_table(result)
 
 
 class LimitOperator(PhysicalOperator):
-    """Streaming LIMIT/OFFSET over ordered input."""
+    """LIMIT/OFFSET: slices of the child's chunks, in order."""
 
     def __init__(
         self,
@@ -312,21 +237,16 @@ class LimitOperator(PhysicalOperator):
         if remaining == 0:
             return
         for chunk in self.child.chunks():
-            table = chunk.to_table()
-            if to_skip:
-                if to_skip >= table.num_rows:
-                    to_skip -= table.num_rows
-                    continue
-                table = table.slice(to_skip, table.num_rows)
-                to_skip = 0
+            start = min(to_skip, len(chunk))
+            to_skip -= start
+            stop = len(chunk)
             if remaining is not None:
-                if table.num_rows > remaining:
-                    table = table.slice(0, remaining)
-                remaining -= table.num_rows
-            if table.num_rows:
-                yield DataChunk.from_table(table)
+                stop = min(stop, start + remaining)
+                remaining -= stop - start
+            if stop > start:
+                yield chunk.slice(start, stop)
             if remaining == 0:
-                return  # pull no further vector from the child
+                return  # pull no further chunk from the child
 
 
 class GroupByOperator(PhysicalOperator):
@@ -337,8 +257,6 @@ class GroupByOperator(PhysicalOperator):
     sort is skipped (``last_stats.sorts_elided``) and aggregation runs
     straight off the group boundaries.
     """
-
-    resident = True
 
     def __init__(
         self,
@@ -358,9 +276,6 @@ class GroupByOperator(PhysicalOperator):
         self.last_stats = None
 
     def chunks(self) -> Iterator[DataChunk]:
-        yield from chunk_table(self.table())
-
-    def table(self) -> Table:
         from repro.aggregate.groupby import group_by
 
         source = self.child.table()
@@ -368,12 +283,14 @@ class GroupByOperator(PhysicalOperator):
             stats = SortStats()
             stats.sorts_elided += 1
             self.last_stats = stats
-        return group_by(
-            source,
-            self.keys,
-            self.aggregates,
-            self.config,
-            presorted=self.presorted,
+        yield DataChunk.from_table(
+            group_by(
+                source,
+                self.keys,
+                self.aggregates,
+                self.config,
+                presorted=self.presorted,
+            )
         )
 
 
@@ -384,8 +301,6 @@ class MergeJoinOperator(PhysicalOperator):
     that input already arrives sorted by its join keys; the join then
     skips that side's sort and ``last_stats`` records the elision.
     """
-
-    resident = True
 
     def __init__(
         self,
@@ -409,9 +324,6 @@ class MergeJoinOperator(PhysicalOperator):
         self.last_stats = None
 
     def chunks(self) -> Iterator[DataChunk]:
-        yield from chunk_table(self.table())
-
-    def table(self) -> Table:
         from repro.join.merge_join import merge_join
 
         stats = SortStats()
@@ -426,13 +338,12 @@ class MergeJoinOperator(PhysicalOperator):
             stats=stats,
         )
         self.last_stats = stats
-        return result
+        yield DataChunk.from_table(result)
 
 
 class CountAggregateOperator(PhysicalOperator):
-    """count(*): counts the child's whole-output chunk (a scan's rows, a
-    filter's selection: nothing is gathered) or drains its stream, and
-    emits one row.
+    """count(*): sums the lengths of its child's chunks (a scan's rows,
+    a filter's selection: nothing is gathered) and emits one row.
 
     The paper's benchmark query reads the whole sorted subquery through
     this operator, forcing lazily-materializing sorts to do all their
@@ -444,6 +355,6 @@ class CountAggregateOperator(PhysicalOperator):
         self.child = child
 
     def chunks(self) -> Iterator[DataChunk]:
-        count = sum(map(len, _whole_or_streamed(self.child)))
+        count = sum(map(len, self.child.chunks()))
         data = ColumnVector(BIGINT, np.array([count], dtype=np.int64))
         yield DataChunk(self.schema, [data])

@@ -220,6 +220,12 @@ def bind(statement: SelectStatement, catalog: CatalogLookup) -> LogicalPlan:
     elif isinstance(selection, CountStar) and statement.group_by:
         plan = _bind_group_by(statement, plan)
         selection = ("count_star",)
+    elif isinstance(selection, CountStar):
+        # A global count(*) is one row, bound where GROUP BY is: its
+        # ORDER BY and LIMIT apply to that row, not to the counted ones.
+        count_schema = Schema((ColumnDef("count_star", BIGINT, False),))
+        plan = LogicalAggregate(count_schema, plan)
+        selection = None
     elif isinstance(selection, tuple):
         for name in selection:
             if name not in plan.schema:
@@ -247,10 +253,9 @@ def bind(statement: SelectStatement, catalog: CatalogLookup) -> LogicalPlan:
     if isinstance(selection, tuple):
         projected = plan.schema.select(selection)
         plan = LogicalProject(projected, plan, tuple(selection))
-    elif isinstance(selection, CountStar):
-        count_schema = Schema((ColumnDef("count_star", BIGINT, False),))
-        plan = LogicalAggregate(count_schema, plan)
-    elif not isinstance(selection, StarSelection):  # pragma: no cover
+    elif selection is not None and not isinstance(
+        selection, StarSelection
+    ):  # pragma: no cover
         raise BindError(f"unsupported selection {selection!r}")
     return plan
 

@@ -35,23 +35,17 @@ import dataclasses
 import threading
 from collections import OrderedDict
 
-from repro.engine.ast_nodes import CountStar, SelectStatement
+from repro.engine.ast_nodes import SelectStatement
 from repro.table.table import Table
 
 __all__ = ["ResultCache"]
 
 
 def _unlimited(statement: SelectStatement) -> SelectStatement | None:
-    """The statement whose result ``statement``'s result slices, if any.
-
-    ``count(*)`` without GROUP BY counts the limited rows, so its
-    answer is no slice of the unlimited count.
-    """
+    """The statement whose result ``statement``'s result slices, if any."""
     if not statement.order_by or (
         statement.limit is None and statement.offset is None
     ):
-        return None
-    if isinstance(statement.selection, CountStar) and not statement.group_by:
         return None
     return dataclasses.replace(statement, limit=None, offset=None)
 

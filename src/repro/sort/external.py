@@ -77,9 +77,10 @@ point for the tests).  The degradation ladder on write failure:
    ``SortConfig.allow_memory_fallback=False``).
 
 The operator is a context manager; ``close()`` (idempotent, also run by
-``finalize`` and ``cancel``) always releases every run and closes its
-files (a file goes with its last run), recording any removal failure in
-``SortStats.cleanup_errors`` instead of swallowing it.
+``finalize`` and by a cancelled spill) always releases every run and
+closes its files (a file goes with its last run), recording any removal
+failure in ``SortStats.cleanup_errors`` instead of swallowing it.
+``SortConfig.cancel_event`` is the one way to cancel it.
 """
 
 from __future__ import annotations
@@ -278,9 +279,9 @@ class ExternalSortOperator(SortOperator):
     A :class:`~repro.sort.operator.SortOperator` whose run store spills
     (see the module docstring for ``sink`` and ``finalize``), with a
     fault-tolerant lifecycle: ``close()`` always removes its temp files
-    (recording failures in ``SortStats.cleanup_errors``), and
-    ``cancel()`` aborts the sort at the next merge checkpoint with
-    guaranteed cleanup.
+    (recording failures in ``SortStats.cleanup_errors``), and a set
+    ``SortConfig.cancel_event`` aborts the sort at its next checkpoint
+    with guaranteed cleanup.
     ``spill_directory`` defaults to a fresh temporary directory, made by
     the first spill; ``SortConfig.spill_directories`` names failover
     targets tried in order when writes to the primary keep failing,
@@ -306,9 +307,6 @@ class ExternalSortOperator(SortOperator):
         self._buffered_rows = 0
         self._runs: list[SpilledRun | InMemoryRun] = []
         self._closed = False
-        self._cancelled = False
-        self._merging = False
-        self._spilling = False
         self._degraded = False
         self._run_seq = 0  # spill run counter (never reused)
         # Collision-proof spill names: concurrent sorts sharing a spill
@@ -324,10 +322,10 @@ class ExternalSortOperator(SortOperator):
     def close(self) -> None:
         """Release all resources: buffered chunks, spill files, temp dir.
 
-        Idempotent; also invoked by ``finalize`` (success or failure),
-        ``cancel``, and context-manager exit.  Removal failures are
-        recorded in ``SortStats.cleanup_errors`` and warned about --
-        never silently swallowed.
+        Idempotent; also invoked by ``finalize`` (success, failure or
+        cancellation), a cancelled spill, and context-manager exit.
+        Removal failures are recorded in ``SortStats.cleanup_errors``
+        and warned about -- never silently swallowed.
         """
         if self._closed:
             return
@@ -354,25 +352,6 @@ class ExternalSortOperator(SortOperator):
                 prefix="repro-spill-"
             )
         return self._spill_directory
-
-    def cancel(self) -> None:
-        """Abort the sort; temp files are removed, results are refused.
-
-        Safe to call from any point, including a merge-progress hook or
-        a fault-injection hook firing mid-spill: while a merge or a
-        spill write is in flight only the cancelled flag is set, and the
-        operator raises :class:`SortCancelledError` at its next
-        checkpoint (cleanup then runs in the in-flight operation's
-        ``finally``); otherwise cleanup happens immediately.
-        """
-        self._cancelled = True
-        if not self._merging and not self._spilling:
-            self.close()
-
-    def _check_cancelled(self) -> None:
-        if self._cancelled:
-            raise SortCancelledError("external sort was cancelled")
-        super()._check_cancelled()
 
     def _record_cleanup_error(self, target: str, error: OSError) -> None:
         message = f"{target}: {error}"
@@ -428,7 +407,8 @@ class ExternalSortOperator(SortOperator):
         vector boundary (every ``vector_size`` rows from the chunk's start)
         at or past the live threshold: a table sunk whole is cut into the
         zero-copy slices its vectors would make."""
-        if self._closed and not (self._finalized or self._cancelled):
+        self._check_cancelled()
+        if self._closed and not self._finalized:
             raise SortError("cannot sink into a closed sort")
         start, rows, vector = 0, len(chunk), self.config.vector_size
         while True:
@@ -509,33 +489,30 @@ class ExternalSortOperator(SortOperator):
         per-operator random token names the sort's file in each
         directory, collision-proof across concurrent sorts sharing one.
 
-        A ``cancel()``/``close()`` that raced the write (e.g. a fault
-        hook firing mid-spill) is honored *after* the write: the fresh
-        run -- which ``close()`` could not have seen -- is removed here
-        and the sort raises :class:`SortCancelledError` instead of
+        A cancellation (or a ``close()``) that raced the write (e.g. a
+        fault hook firing mid-spill) is honored *after* the write: the
+        fresh run -- which ``close()`` could not have seen -- is removed
+        here and the sort raises :class:`SortCancelledError` instead of
         tracking a run past its own cleanup.
         """
         # A run of the sort's file in a directory: ``<file>#<run>``.
         filename = f"sort-{self._spill_token}.spill#run-{self._run_seq:05d}.bin"
         self._run_seq += 1
         path = None
-        self._spilling = True
-        try:
-            if not self._degraded:
-                with self.stats.time_phase("run_gen"):
-                    # The run's key word rows, in key order, once.
-                    keys = np.stack(run.key_block(0, run.num_rows), axis=1)
-                # Flat byte views of the run's arrays, no tobytes copy:
-                # pwritev and crc32 take them as they are.
-                payload = []
-                if not self._generator.key_carried:
-                    payload = pack_payload(run.table, run.positions)
-                extent = build_extent(keys, payload, self.merge_block_rows)
-                sections = [keys.view(np.uint8).ravel(), *payload]
-                path = self._write_run_file(filename, sections)
-        finally:
-            self._spilling = False
-        if self._cancelled or self._closed:
+        if not self._degraded:
+            with self.stats.time_phase("run_gen"):
+                # The run's key word rows, in key order, once.
+                keys = np.stack(run.key_block(0, run.num_rows), axis=1)
+            # Flat byte views of the run's arrays, no tobytes copy:
+            # pwritev and crc32 take them as they are.
+            payload = []
+            if not self._generator.key_carried:
+                payload = pack_payload(run.table, run.positions)
+            extent = build_extent(keys, payload, self.merge_block_rows)
+            sections = [keys.view(np.uint8).ravel(), *payload]
+            path = self._write_run_file(filename, sections)
+        event = self.config.cancel_event
+        if self._closed or (event is not None and event.is_set()):
             if path is not None:
                 self._remove_file(path)
             self.close()
@@ -596,11 +573,10 @@ class ExternalSortOperator(SortOperator):
         """
         if self._finalized:
             raise SortError("sort already finalized")
-        self._check_cancelled()
-        if self._closed:
-            raise SortError("cannot finalize a closed sort")
-        self._merging = True
         try:
+            self._check_cancelled()
+            if self._closed:
+                raise SortError("cannot finalize a closed sort")
             if not self._runs:
                 return super().finalize()
             self._finalized = True
@@ -621,7 +597,6 @@ class ExternalSortOperator(SortOperator):
                 self._collapse_runs(merger)
                 return merger.merge(self._runs)
         finally:
-            self._merging = False
             self.close()
 
     def _collapse_runs(self, merger: RunMerger) -> None:

@@ -25,8 +25,9 @@ run's own key words and no byte layout.
   nothing is rebased or escaped, and batches never compare key bytes.
 
 Memory is at most ``2 * capacity`` held rows plus one batch: the
-:data:`BATCH_ROWS` rows a streaming child's chunks are buffered to, or a
-child's whole output (a scan's table, a filter's selection), sunk at once.
+:data:`BATCH_ROWS` rows smaller chunks are buffered to, or one larger
+chunk sunk at once (the engine's child chunks: a scan's table, a
+filter's selection over it).
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.engine import Database
-from repro.engine.expressions import Comparison, Conjunction, filter_chunk
+from repro.engine.expressions import Comparison, Conjunction
+from repro.engine.operators import FilterOperator, ScanOperator
 from repro.errors import BindError, EngineError, ParseError
 from repro.cli import EXPERIMENTS, main
-from repro.table.chunk import DataChunk
 from repro.table.io import read_csv, write_csv
 from repro.table.column import ColumnVector
 from repro.table.table import Table
@@ -43,16 +43,20 @@ class TestComparisonObjects:
             Conjunction(())
 
     def test_filter_chunk(self):
+        # One chunk: the scan's vectors and the ids of the rows that pass.
         table = Table.from_pydict({"a": [1, 5, None, 9]})
-        chunk = DataChunk.from_table(table)
-        out = filter_chunk(chunk, Conjunction((Comparison("a", ">", 2),)))
+        condition = Conjunction((Comparison("a", ">", 2),))
+        [out] = FilterOperator(ScanOperator(table), condition).chunks()
+        assert all(v is c for v, c in zip(out.vectors, table.columns))
+        assert out.selection.tolist() == [1, 3]
         assert out.vector("a").to_pylist() == [5, 9]
 
     def test_filter_all_pass_returns_same_chunk(self):
         table = Table.from_pydict({"a": [1, 2]})
-        chunk = DataChunk.from_table(table)
-        out = filter_chunk(chunk, Conjunction((Comparison("a", ">=", 0),)))
-        assert out is chunk
+        condition = Conjunction((Comparison("a", ">=", 0),))
+        [out] = FilterOperator(ScanOperator(table), condition).chunks()
+        assert out.selection is None
+        assert all(v is c for v, c in zip(out.vectors, table.columns))
 
 
 class TestWhereClause:

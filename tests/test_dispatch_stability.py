@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.engine
 import repro.keys
 import repro.sort
 from repro.sort.operator import SortConfig, SortOperator, SortStats
@@ -98,7 +99,13 @@ def test_sort_package_lines_only_go_down():
     # The same ratchet for the pipeline's size: ``sort/`` holds what
     # sort_table, Top-N, IncrementalSorter and SortService reach and
     # nothing else (ROADMAP items B and C lower the bound).
-    assert package_lines(repro.sort) <= 4_325
+    assert package_lines(repro.sort) <= 4_276
+
+
+def test_engine_package_lines_only_go_down():
+    # The same ratchet for the query engine: one operator protocol,
+    # ``chunks()``, and no second whole-output path beside it.
+    assert package_lines(repro.engine) <= 2_125
 
 
 def test_keys_package_lines_only_go_down():

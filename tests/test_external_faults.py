@@ -11,6 +11,7 @@ bare numpy/OS error -- and leaves zero temp files behind either way.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 
@@ -337,30 +338,33 @@ class TestLifecycleAndCleanup:
 
     def test_cancel_before_finalize_cleans_up(self, rng, tmp_path):
         table = mixed_table(rng, 2000)
-        operator = build_operator(table, tmp_path)
+        event = threading.Event()
+        operator = build_operator(table, tmp_path, cancel_event=event)
         for chunk in chunk_table(table, 256):
             operator.sink(chunk)
         assert operator.spilled_runs > 0
-        operator.cancel()
-        assert_no_spill_files(tmp_path)
+        event.set()
         with pytest.raises(SortCancelledError):
             operator.finalize()
+        assert_no_spill_files(tmp_path)
 
     def test_cancel_mid_merge(self, rng, tmp_path):
         table = mixed_table(rng, 2000)
-        state = {"operator": None, "merge_reads": 0}
+        event = threading.Event()
+        state = {"merge_reads": 0}
 
         def on_op(op, path, index):
-            operator = state["operator"]
-            if operator is None or not operator._merging or op != "read":
+            # Only the merge reads spilled runs.
+            if op != "read":
                 return
             state["merge_reads"] += 1
             if state["merge_reads"] == 4:
-                operator.cancel()
+                event.set()
 
         injector = FaultInjector(on_op=on_op)
-        operator = build_operator(table, tmp_path, io=injector)
-        state["operator"] = operator
+        operator = build_operator(
+            table, tmp_path, io=injector, cancel_event=event
+        )
         with pytest.raises(SortCancelledError):
             run_sort(operator, table)
         assert state["merge_reads"] >= 4
@@ -369,7 +373,7 @@ class TestLifecycleAndCleanup:
     def test_cancel_at_every_op_index(self, rng, tmp_path):
         """Cancel fired before *every* spill I/O op never leaks a file.
 
-        The injection hook drives ``operator.cancel()`` at one global op
+        The injection hook sets the sort's cancel event at one global op
         index per trial, sweeping every index a fault-free run performs:
         writes (mid run generation), reads (mid merge, including on
         prefetch pool threads) and removes (mid cleanup).  Whatever the
@@ -396,20 +400,23 @@ class TestLifecycleAndCleanup:
         assert len(ops) >= 10
 
         for cancel_at in range(len(ops)):
-            state = {"operator": None, "count": 0}
+            event = threading.Event()
+            state = {"count": 0}
 
             def on_op(op, path, index):
                 state["count"] += 1
                 if state["count"] == cancel_at + 1:
-                    state["operator"].cancel()
+                    event.set()
 
             injector = FaultInjector(on_op=on_op)
             spill_dir = tmp_path / f"cancel-{cancel_at}"
             spill_dir.mkdir()
             operator = build_operator(
-                table, spill_dir, io=injector, config=config
+                table,
+                spill_dir,
+                io=injector,
+                config=dataclasses.replace(config, cancel_event=event),
             )
-            state["operator"] = operator
             try:
                 result = run_sort(operator, table)
             except SortCancelledError:

@@ -406,7 +406,8 @@ class TestCachedAnswers:
                 f"{full} LIMIT 1000",
                 f"{prefix} LIMIT 30",
                 f"SELECT p FROM {name} WHERE p > 100 ORDER BY {keys} LIMIT 9",
-                f"SELECT count(*) FROM {name} ORDER BY {keys} LIMIT 5",
+                f"SELECT count(*) FROM (SELECT * FROM {name} "
+                f"ORDER BY {keys} LIMIT 5) q",
             ]
         queries += [sql.lower() for sql in queries[::2]]
         queries += ["\n  ".join(sql.split(" ")) for sql in queries[1::3]]

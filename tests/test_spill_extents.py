@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -97,14 +98,15 @@ def test_one_file_per_directory_through_merge_passes(rng, tmp_path):
 def test_no_descriptor_outlives_the_sort(case, rng, tmp_path):
     table = mixed_table(rng, 2000)
     expected = expected_result(table)
-    state = {"operator": None, "merge_reads": 0}
+    event = threading.Event()
+    state = {"merge_reads": 0}
 
     def cancel_mid_merge(op, path, index):
-        operator = state["operator"]
-        if op == "read" and operator._merging:
+        # Only the merge reads spilled runs.
+        if op == "read":
             state["merge_reads"] += 1
             if state["merge_reads"] == 4:
-                operator.cancel()
+                event.set()
 
     directory, config, on_op = tmp_path, None, None
     faults = {
@@ -113,6 +115,7 @@ def test_no_descriptor_outlives_the_sort(case, rng, tmp_path):
     }.get(case, [])
     if case == "cancel":
         on_op = cancel_mid_merge
+        config = fast_config(cancel_event=event)
     if case == "enospc":
         # Two runs land in the primary, the rest fail over: two files.
         directory = tmp_path / "primary"
@@ -125,7 +128,6 @@ def test_no_descriptor_outlives_the_sort(case, rng, tmp_path):
         config = fast_config(spill_directories=(str(tmp_path / "second"),))
     injector = FaultInjector(faults, seed=3, on_op=on_op)
     operator = build_operator(table, directory, io=injector, config=config)
-    state["operator"] = operator
     before = open_fds()
     error = {
         "bitflip": SpillCorruptionError,

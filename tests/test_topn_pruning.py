@@ -356,15 +356,18 @@ def test_differential_against_oracle(name, seed, rows, limit, offset, vector_siz
 
 
 class TestEngineSurface:
-    def test_result_chunks_follow_configured_vector_size(self):
+    def test_a_breakers_result_is_one_chunk(self):
         table = SCENARIOS["uniform"].table(2000, seed=2)
+        spec = spec_of("a, p")
         operator = TopNExecOperator(
             ScanOperator(table),
-            spec_of("a, p"),
+            spec,
             limit=250,
             config=SortConfig(vector_size=100),
         )
-        assert [len(chunk) for chunk in operator.chunks()] == [100, 100, 50]
+        [chunk] = operator.chunks()
+        assert len(chunk) == 250 and chunk.selection is None
+        assert chunk.to_table().equals(oracle_sort(table, spec).slice(0, 250))
 
     def test_stats_reach_execute_detailed(self):
         db = Database()

@@ -24,7 +24,7 @@ import pytest
 from test_external_kway import assert_byte_identical
 from test_one_run import comparable
 from test_oracle import oracle_sort
-from repro.engine import expressions, operators
+from repro.engine import operators
 from repro.engine.database import Database
 from repro.engine.operators import ScanOperator, TopNExecOperator
 from repro.errors import SortCancelledError
@@ -197,10 +197,9 @@ def calls(monkeypatch):
     monkeypatch.setattr(SortOperator, "sink", sink)
     monkeypatch.setattr(Table, "concat", counting("concat", Table.concat))
     monkeypatch.setattr(Table, "take", counting("take", Table.take))
-    for module in (chunk, operators):
-        monkeypatch.setattr(
-            module, "chunk_table", counting("chunk_table", chunk_table)
-        )
+    monkeypatch.setattr(
+        chunk, "chunk_table", counting("chunk_table", chunk_table)
+    )
     return counter, sunk
 
 
@@ -471,23 +470,31 @@ class TestFilteredSortIsThePrefilteredSort:
 
 
 class TestStreamingConsumersOfAFilter:
-    def test_limit_without_order_evaluates_one_vector(self, monkeypatch):
+    def test_limit_over_a_filter_gathers_5_rows(self, monkeypatch):
+        # One mask over the whole scan; LIMIT cuts the selection, and the
+        # result is one gather of exactly the rows it keeps.
         masked: list[int] = []
-        evaluate_mask = expressions.evaluate_mask
+        gathered: list[int] = []
+        evaluate_mask, take = operators.evaluate_mask, Table.take
 
         def recording(chunk, condition):
             masked.append(len(chunk))
             return evaluate_mask(chunk, condition)
 
-        monkeypatch.setattr(expressions, "evaluate_mask", recording)
+        def recording_take(self, indices):
+            gathered.append(len(indices))
+            return take(self, indices)
+
+        monkeypatch.setattr(operators, "evaluate_mask", recording)
+        monkeypatch.setattr(Table, "take", recording_take)
         table = SCENARIOS["uniform"].table(50_000, seed=17)
         db = Database()
         db.register("t", table)
         result = db.execute("SELECT * FROM t WHERE a > 0 LIMIT 5")
-        assert masked == [1024]
-        head = table.slice(0, 1024)
-        passing = np.flatnonzero(head.column("a").data > 0)
-        assert result.equals(head.take(passing[:5]))
+        assert masked == [50_000]
+        assert gathered == [5]
+        passing = np.flatnonzero(table.column("a").data > 0)
+        assert result.equals(take(table, passing[:5]))
 
     def test_count_of_a_filter_gathers_nothing(self, monkeypatch):
         counter = collections.Counter()
@@ -502,8 +509,7 @@ class TestStreamingConsumersOfAFilter:
             return chunk_table(*args, **kwargs)
 
         monkeypatch.setattr(ColumnVector, "take", counting_take)
-        for module in (chunk, operators):
-            monkeypatch.setattr(module, "chunk_table", counting_chunk_table)
+        monkeypatch.setattr(chunk, "chunk_table", counting_chunk_table)
         table = SCENARIOS["uniform"].table(50_000, seed=17)
         db = Database()
         db.register("t", table)
