@@ -138,7 +138,7 @@ def _spilling_config(rows):
 
 def _run_full_sort(table, spec, config):
     with make_sort_operator(table.schema, spec, config) as operator:
-        for chunk in chunk_table(table, config.vector_size):
+        for chunk in chunk_table(table):
             operator.sink(chunk)
         result = operator.finalize()
     return result, _dispatch_summary(operator.stats), {}

@@ -5,8 +5,8 @@ The library has two faces:
 
 * the **production face** -- a usable relational sort built the way the
   paper builds DuckDB's: normalized keys, radix sort / pdqsort run
-  generation, one-pass k-way merging, NSM payload rows for spilling, and a
-  small vectorized SQL engine around it
+  generation, one-pass k-way merging, spill files that keep a run's
+  payload columnar, and a small vectorized SQL engine around it
   (:mod:`repro.table`, :mod:`repro.keys`, :mod:`repro.sort`,
   :mod:`repro.engine`);
 * the **study face** -- an instrumented hardware simulator (caches, branch
@@ -30,7 +30,6 @@ from repro.errors import (
     ReproError,
     SortCancelledError,
     SortError,
-    SpillCapacityError,
     SpillCorruptionError,
     SpillError,
     SpillIOError,
@@ -69,7 +68,6 @@ __all__ = [
     "ReproError",
     "SortCancelledError",
     "SortError",
-    "SpillCapacityError",
     "SpillCorruptionError",
     "SpillError",
     "SpillIOError",

@@ -64,10 +64,6 @@ class SpillIOError(SpillError):
     """The operating system failed a spill read/write we could not mask."""
 
 
-class SpillCapacityError(SpillIOError):
-    """No spill target could absorb a run (e.g. persistent ``ENOSPC``)."""
-
-
 class KeyEncodingError(ReproError):
     """Key normalization failed (unsupported type, bad prefix length, ...)."""
 

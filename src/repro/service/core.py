@@ -12,12 +12,12 @@ The request lifecycle::
         -> parse the SQL once; Database.plan binds and optimizes the
            statement
         -> result cache probe on (statement, table versions) (hit: done)
-        -> governor grant acquire (may wait; may shed queued LOW work)
-        -> deadline timer armed
+        -> governor grant acquire (may wait until the deadline; may shed
+           queued LOW work)
         -> Database.execute_bound(plan) under a per-query SortConfig
-           carrying the ticket's cancel event + memory grant
+           whose cancel_event is the ticket itself, plus the memory grant
         -> result cached, complete (result / typed error), grant
-           released, timer joined
+           released
 
 Admission control is explicit and typed: a full queue either sheds the
 lowest-priority queued ticket (when the newcomer outranks it) or rejects
@@ -30,11 +30,15 @@ earlier*, which is the robustness posture of Do & Graefe
 than peak speed.
 
 Cancellation and deadlines use the sort layer's cooperative checkpoints:
-the per-query ``SortConfig.cancel_event`` is polled at sink, run
-generation, merge rounds and prefetch scheduling, so
-``QueryTicket.cancel()`` (or an expired deadline) aborts the sort at the
-next checkpoint, the operator's ``finally`` paths remove every spill
-file and join every helper thread, and the worker releases the grant.
+the ticket is the per-query ``SortConfig.cancel_event``, and its
+``is_set()`` is true once it is cancelled or past its deadline.  The sort
+polls it at sink, run generation, merge rounds and prefetch scheduling,
+so ``QueryTicket.cancel()`` (or a deadline that has passed) aborts the
+sort at the next checkpoint, the operator's ``finally`` paths remove
+every spill file and join every helper thread, and the worker releases
+the grant.  No thread times a deadline: it is read where it matters, and
+an uncancelled ticket past its deadline whose grant wait or sort stops
+fails with :class:`repro.errors.QueryTimeoutError`.
 """
 
 from __future__ import annotations
@@ -69,8 +73,8 @@ __all__ = [
 ]
 
 _THREAD_PREFIX = "repro-service"
-"""Name prefix of every thread the service creates (workers, deadline
-timers) -- the test suite's leak guard asserts none survive shutdown."""
+"""Name prefix of every thread the service creates (its workers) -- the
+test suite's leak guard asserts none survive shutdown."""
 
 
 class Priority(IntEnum):
@@ -89,7 +93,8 @@ class ServiceStats:
     tickets refused at the door (queue full, no shed candidate);
     ``shed`` queued tickets evicted to make room or relieve a starved
     governor; ``cancelled`` tickets aborted by the caller;
-    ``timed_out`` tickets whose deadline expired mid-flight.
+    ``timed_out`` tickets whose deadline passed during the grant wait
+    or the sort.
     ``governor_forced_spills`` sums the per-query
     ``SortStats.governor_forced_spills`` of completed queries, and
     ``sorts_elided`` / ``sorts_subsumed`` likewise sum the planner's
@@ -129,7 +134,7 @@ class ServiceStats:
 
 
 class QueryTicket:
-    """One submitted query: a future plus its cancellation surface.
+    """One submitted query: a future plus its cancellation checkpoint.
 
     ``result(timeout=None)`` blocks for the outcome and re-raises the
     query's typed error (``ServiceOverloadError`` when shed,
@@ -137,7 +142,9 @@ class QueryTicket:
     after ``cancel()``, or whatever the engine raised).  ``cancel()``
     is safe from any thread at any time: a queued ticket completes
     cancelled without running; a running ticket aborts at the sort's
-    next cooperative checkpoint.
+    next cooperative checkpoint, where the sort asks :meth:`is_set`.
+    ``seq`` is the ticket's admission number: FIFO order within a
+    priority class.
 
     A maintenance ticket (an incremental-view append or snapshot)
     carries its ``work`` as a callable of the per-query ``SortConfig``;
@@ -146,36 +153,47 @@ class QueryTicket:
 
     def __init__(
         self,
-        query_id: str,
+        seq: int,
         sql: str,
         priority: Priority,
         deadline_s: float | None,
         work=None,
     ) -> None:
-        self.query_id = query_id
+        self.seq = seq
+        self.query_id = f"q{seq:06d}"
         self.sql = sql
         self.priority = Priority(priority)
         self.deadline_s = deadline_s
         self.submitted_at = time.monotonic()
-        self.cancel_event = threading.Event()
         self.sort_stats: list = []
         self.from_cache = False
         self._work = work
+        self._cancelled = False
         self._done = threading.Event()
         self._result: Table | None = None
         self._error: BaseException | None = None
-        self._timed_out = False
 
     @property
     def done(self) -> bool:
         return self._done.is_set()
 
     def cancel(self) -> None:
-        self.cancel_event.set()
+        self._cancelled = True
 
     @property
     def cancelled(self) -> bool:
-        return self.cancel_event.is_set()
+        return self._cancelled
+
+    @property
+    def expired(self) -> bool:
+        """Past its deadline (a ticket without one never expires)."""
+        return self.deadline_s is not None and (
+            time.monotonic() - self.submitted_at >= self.deadline_s
+        )
+
+    def is_set(self) -> bool:
+        """The sort's checkpoint: cancelled, or past the deadline."""
+        return self._cancelled or self.expired
 
     def result(self, timeout: float | None = None) -> Table:
         if not self._done.wait(timeout):
@@ -224,8 +242,8 @@ class SortService:
     ``memory_budget`` bytes are shared by every concurrent query's sort
     (see :class:`MemoryGovernor`); ``queue_limit`` bounds queued-but-
     not-running tickets; ``workers`` threads execute queries.  Use as a
-    context manager, or call :meth:`shutdown` -- every worker and timer
-    thread is joined on the way out.
+    context manager, or call :meth:`shutdown` -- every worker thread is
+    joined on the way out.
     """
 
     def __init__(
@@ -255,9 +273,7 @@ class SortService:
         self._work = threading.Condition(self._lock)
         self._queue: list[QueryTicket] = []
         self._views: dict[str, _MaintainedView] = {}
-        self._seq = itertools.count()
-        self._order = itertools.count()  # FIFO tiebreak within a priority
-        self._queue_order: dict[str, int] = {}
+        self._seq = itertools.count()  # admission order, under the lock
         self._shutdown = False
         self._latency_ewma = 0.1  # retry-after seed, updated per query
         self._workers = [
@@ -291,7 +307,6 @@ class SortService:
                 self._shutdown = True
                 pending = list(self._queue)
                 self._queue.clear()
-                self._queue_order.clear()
             self._work.notify_all()
         for ticket in pending:
             ticket._fail(
@@ -334,13 +349,13 @@ class SortService:
         A maintenance ticket carries its ``work`` from construction, so
         no worker can dequeue it as SQL.
         """
-        ticket = QueryTicket(
-            f"q{next(self._seq):06d}", sql, priority, deadline_s, work
-        )
         shed_ticket: QueryTicket | None = None
         with self._work:
             if self._shutdown:
                 raise ServiceShutdownError("service is shut down")
+            ticket = QueryTicket(
+                next(self._seq), sql, priority, deadline_s, work
+            )
             if len(self._queue) >= self.queue_limit:
                 victim = self._lowest_priority_queued()
                 if victim is None or victim.priority >= ticket.priority:
@@ -350,11 +365,9 @@ class SortService:
                         retry_after_s=self._retry_after(),
                     )
                 self._queue.remove(victim)
-                self._queue_order.pop(victim.query_id, None)
                 self._stats.shed += 1
                 shed_ticket = victim
             self._queue.append(ticket)
-            self._queue_order[ticket.query_id] = next(self._order)
             self._stats.admitted += 1
             self._stats.queue_peak = max(
                 self._stats.queue_peak, len(self._queue)
@@ -518,10 +531,7 @@ class SortService:
         """The shed candidate: lowest priority, then newest (lock held)."""
         if not self._queue:
             return None
-        return min(
-            self._queue,
-            key=lambda t: (t.priority, -self._queue_order[t.query_id]),
-        )
+        return min(self._queue, key=lambda t: (t.priority, -t.seq))
 
     def _retry_after(self) -> float:
         return max(0.05, 2.0 * self._latency_ewma)
@@ -541,7 +551,6 @@ class SortService:
             ]
             for victim in victims:
                 self._queue.remove(victim)
-                self._queue_order.pop(victim.query_id, None)
                 self._stats.shed += 1
         for victim in victims:
             victim._fail(
@@ -563,12 +572,8 @@ class SortService:
                 self._work.wait()
             if not self._queue:
                 return None
-            ticket = max(
-                self._queue,
-                key=lambda t: (t.priority, -self._queue_order[t.query_id]),
-            )
+            ticket = max(self._queue, key=lambda t: (t.priority, -t.seq))
             self._queue.remove(ticket)
-            self._queue_order.pop(ticket.query_id, None)
             return ticket
 
     def _worker_loop(self) -> None:
@@ -632,7 +637,8 @@ class SortService:
         ticket._complete(result)
 
     def _run_query(self, ticket: QueryTicket, plan) -> Table:
-        """Grant -> deadline timer -> execute; always releases both."""
+        """Grant -> execute with the ticket as the sort's checkpoint;
+        always releases the grant."""
         timeout = self.admission_timeout_s
         if ticket.deadline_s is not None:
             elapsed = time.monotonic() - ticket.submitted_at
@@ -642,27 +648,14 @@ class SortService:
             timeout_s=timeout,
             on_starved=self._shed_for_starved_governor,
         )
-        timer: threading.Timer | None = None
         try:
-            if ticket.deadline_s is not None:
-                remaining = ticket.deadline_s - (
-                    time.monotonic() - ticket.submitted_at
+            if ticket.is_set():
+                raise SortCancelledError(
+                    f"query {ticket.query_id} stopped before it ran"
                 )
-                if remaining <= 0:
-                    ticket._timed_out = True
-                    raise SortCancelledError("deadline already expired")
-
-                def expire() -> None:
-                    ticket._timed_out = True
-                    ticket.cancel_event.set()
-
-                timer = threading.Timer(remaining, expire)
-                timer.name = f"{_THREAD_PREFIX}-deadline-{ticket.query_id}"
-                timer.daemon = True
-                timer.start()
             config = dataclasses.replace(
                 self.database.sort_config,
-                cancel_event=ticket.cancel_event,
+                cancel_event=ticket,
                 memory_grant=grant,
             )
             if ticket._work is not None:
@@ -672,25 +665,23 @@ class SortService:
             )
             return result
         finally:
-            if timer is not None:
-                timer.cancel()
-                timer.join()
             grant.release()
 
     def _finish_error(self, ticket: QueryTicket, error: BaseException) -> None:
-        if isinstance(error, SortCancelledError):
-            if ticket._timed_out:
-                with self._lock:
-                    self._stats.timed_out += 1
-                error = QueryTimeoutError(
-                    f"query {ticket.query_id} exceeded its "
-                    f"{ticket.deadline_s}s deadline"
-                )
+        """Count and deliver a failure.  A grant wait or sort checkpoint
+        that an uncancelled ticket's deadline stopped is a timeout."""
+        stopped = isinstance(error, (SortCancelledError, ServiceOverloadError))
+        if stopped and not ticket.cancelled and ticket.expired:
+            error = QueryTimeoutError(
+                f"query {ticket.query_id} exceeded its "
+                f"{ticket.deadline_s}s deadline"
+            )
+        with self._lock:
+            if isinstance(error, QueryTimeoutError):
+                self._stats.timed_out += 1
+            elif isinstance(error, SortCancelledError):
+                self._stats.cancelled += 1
             else:
-                with self._lock:
-                    self._stats.cancelled += 1
-        else:
-            with self._lock:
                 self._stats.failed += 1
         ticket._fail(error)
 

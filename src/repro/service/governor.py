@@ -43,7 +43,6 @@ from repro.errors import ServiceError, ServiceOverloadError
 
 __all__ = [
     "DEFAULT_MIN_GRANT_BYTES",
-    "DEFAULT_ROW_BYTES",
     "GovernorStats",
     "MemoryGrant",
     "MemoryGovernor",
@@ -52,7 +51,7 @@ __all__ = [
 DEFAULT_MIN_GRANT_BYTES = 64 << 10
 """Smallest useful grant: below this a sort would cut degenerate runs."""
 
-DEFAULT_ROW_BYTES = 64
+_ROW_BYTES = 64
 """Assumed buffered bytes per row when translating a grant to rows."""
 
 _STARVED_POLL_S = 0.05
@@ -92,19 +91,16 @@ class MemoryGrant:
     next checkpoint sees the shrunk grant.
     """
 
-    def __init__(
-        self, governor: "MemoryGovernor", query_id: str, row_bytes: int
-    ) -> None:
+    def __init__(self, governor: "MemoryGovernor", query_id: str) -> None:
         self.governor = governor
         self.query_id = query_id
-        self.row_bytes = max(1, row_bytes)
         self.granted_bytes = 0
         self.spilled_bytes = 0
         self.released = False
 
     def effective_run_threshold(self, base_rows: int) -> int:
         """The grant translated to buffered rows, capped at ``base_rows``."""
-        rows = self.granted_bytes // self.row_bytes
+        rows = self.granted_bytes // _ROW_BYTES
         return max(1, min(base_rows, rows))
 
     def record_spill(self, nbytes: int) -> None:
@@ -136,14 +132,12 @@ class MemoryGovernor:
         self,
         budget_bytes: int,
         min_grant_bytes: int = DEFAULT_MIN_GRANT_BYTES,
-        row_bytes: int = DEFAULT_ROW_BYTES,
     ) -> None:
         if budget_bytes <= 0:
             raise ServiceError("memory budget must be positive")
         min_grant_bytes = max(1, min(min_grant_bytes, budget_bytes))
         self.budget_bytes = budget_bytes
         self.min_grant_bytes = min_grant_bytes
-        self.row_bytes = max(1, row_bytes)
         self.max_active = max(1, budget_bytes // min_grant_bytes)
         self.stats = GovernorStats()
         self._cond = threading.Condition()
@@ -177,7 +171,7 @@ class MemoryGovernor:
         :class:`ServiceOverloadError` whose ``retry_after_s`` estimates
         one grant-hold time.
         """
-        grant = MemoryGrant(self, query_id, self.row_bytes)
+        grant = MemoryGrant(self, query_id)
         deadline = time.monotonic() + max(0.0, timeout_s)
         waited = False
         started = time.monotonic()

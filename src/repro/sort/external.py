@@ -66,15 +66,14 @@ tolerant end to end (all of it routed through a swappable
 :class:`repro.sort.faults.SpillIO`, which is also the fault-injection
 point for the tests).  The degradation ladder on write failure:
 
-1. **retry** -- transient errors are retried with bounded exponential
-   backoff (``SortConfig.spill_retries`` / ``spill_retry_backoff_s``);
+1. **retry** -- transient errors are retried twice per directory, after
+   10 ms and then 20 ms (the backoff doubles per retry);
 2. **failover** -- on persistent failure (e.g. ``ENOSPC``) the run is
    redirected to the next directory in ``SortConfig.spill_directories``;
 3. **memory fallback** -- when no spill target is writable the run is
    kept resident (:class:`InMemoryRun`, its payload still columnar) and the
    run threshold halves, degrading to a reduced-memory in-process merge
-   rather than failing the query (raise instead with
-   ``SortConfig.allow_memory_fallback=False``).
+   rather than failing the query.
 
 The operator is a context manager; ``close()`` (idempotent, also run by
 ``finalize`` and by a cancelled spill) always releases every run and
@@ -98,7 +97,6 @@ import numpy as np
 from repro.errors import (
     SortCancelledError,
     SortError,
-    SpillCapacityError,
     SpillCorruptionError,
     SpillIOError,
 )
@@ -120,7 +118,7 @@ from repro.sort.spillfile import (
     pack_payload,
     unpack_payload,
 )
-from repro.table.chunk import DataChunk
+from repro.table.chunk import VECTOR_SIZE, DataChunk
 from repro.table.table import Table
 from repro.types.schema import Schema
 from repro.types.sortspec import SortSpec
@@ -131,8 +129,12 @@ __all__ = [
     "ExternalSortOperator",
 ]
 
-_BACKOFF_CAP_S = 1.0
-"""Upper bound of one exponential-backoff sleep between write retries."""
+_WRITE_RETRIES = 2
+"""Write retries per spill directory before it is failed over."""
+
+_BACKOFF_S = 0.01
+"""The first sleep between write retries; it doubles per retry (10 ms,
+then 20 ms)."""
 
 _KEYS, _PAYLOAD = range(2)
 
@@ -404,16 +406,17 @@ class ExternalSortOperator(SortOperator):
 
     def sink(self, chunk: DataChunk) -> None:
         """Accept a chunk of any length; cut and spill a run at the first
-        vector boundary (every ``vector_size`` rows from the chunk's start)
+        vector boundary (every ``VECTOR_SIZE`` rows from the chunk's start)
         at or past the live threshold: a table sunk whole is cut into the
         zero-copy slices its vectors would make."""
         self._check_cancelled()
         if self._closed and not self._finalized:
             raise SortError("cannot sink into a closed sort")
-        start, rows, vector = 0, len(chunk), self.config.vector_size
+        start, rows = 0, len(chunk)
         while True:
             need = self._run_threshold - self._buffered_rows
-            stop = min(rows, start + max(1, -(-need // vector)) * vector)
+            vectors = max(1, -(-need // VECTOR_SIZE))
+            stop = min(rows, start + vectors * VECTOR_SIZE)
             super().sink(chunk.slice(start, stop))
             self._buffered_rows += stop - start
             if self._buffered_rows < self._run_threshold:
@@ -441,30 +444,27 @@ class ExternalSortOperator(SortOperator):
         """Append one run through the retry -> failover ladder.
 
         Per candidate directory, transient ``OSError`` failures are
-        retried ``SortConfig.spill_retries`` times with bounded
-        exponential backoff; a directory that keeps failing is failed
-        over.  Returns the written run's path, or ``None`` when every
-        target was exhausted (the caller degrades to an in-memory run).
+        retried ``_WRITE_RETRIES`` times with exponential backoff; a
+        directory that keeps failing is failed over.  Returns the written
+        run's path, or ``None`` when every target was exhausted (the
+        caller degrades to an in-memory run).
         A failed attempt's partial run is released, so its retry is
         written at the same offset.
         """
-        config = self.config
         for position, directory in enumerate(self._spill_targets()):
             if position > 0:
                 self.stats.spill_failovers += 1
             path = os.path.join(directory, filename)
-            for attempt in range(config.spill_retries + 1):
+            for attempt in range(_WRITE_RETRIES + 1):
                 try:
                     with self.stats.time_phase("spill_io"):
                         self._io.write_file(path, sections)
                     return path
                 except OSError:
                     self._remove_file(path)
-                    if attempt < config.spill_retries:
+                    if attempt < _WRITE_RETRIES:
                         self.stats.spill_retries += 1
-                        delay = config.spill_retry_backoff_s * (2**attempt)
-                        if delay:
-                            time.sleep(min(delay, _BACKOFF_CAP_S))
+                        time.sleep(_BACKOFF_S * 2**attempt)
         return None
 
     def _spill_run(self) -> None:
@@ -536,14 +536,6 @@ class ExternalSortOperator(SortOperator):
             )
             self._runs.append(run)
             return run
-        if not self.config.allow_memory_fallback:
-            raise SpillCapacityError(
-                "no spill target could absorb the run "
-                f"(primary {self._dir!r}, "
-                f"{len(self.config.spill_directories)} failover "
-                "directories); memory fallback is disabled",
-                os.path.join(self._dir, filename),
-            )
         if not self._degraded:
             self._degraded = True
             warnings.warn(

@@ -43,7 +43,7 @@ from typing import Sequence
 from repro.errors import SortCancelledError, SortError
 from repro.sort.merger import RunMerger
 from repro.sort.rungen import InMemoryRun, RunGenerator
-from repro.table.chunk import VECTOR_SIZE, DataChunk
+from repro.table.chunk import DataChunk
 from repro.table.table import Table
 from repro.types.schema import Schema
 from repro.types.sortspec import SortSpec
@@ -98,14 +98,13 @@ class SortConfig:
     Attributes:
         run_threshold: rows a sort that may spill (``external``)
             accumulates before it cuts a sorted run (at a multiple of
-            ``vector_size`` rows into the chunk that reaches it) and
-            spills it.  Ignored otherwise: a resident cut frees nothing,
-            so everything is one run.
+            :data:`repro.table.chunk.VECTOR_SIZE` rows into the chunk
+            that reaches it) and spills it.  Ignored otherwise: a
+            resident cut frees nothing, so everything is one run.
         string_prefix: forced VARCHAR prefix length in normalized keys
             (default: chosen from the data, capped at 12 like DuckDB).
             An input of the statistics layout like the data's own
             lengths; the paper-face prefix ablation is its caller.
-        vector_size: the granularity of those run cuts.
         external: the sort may spill.  Input that reaches the live run
             threshold is cut into runs that go to disk and stream back
             through the k-way merge; input that never reaches it is
@@ -115,19 +114,13 @@ class SortConfig:
             through :func:`make_sort_operator`, its one reader.
         spill_directories: ordered failover targets for spill files.
             The external sort writes each run to its primary directory
-            first; on persistent write failure (e.g. ``ENOSPC``) it
-            fails over to these, in order, before degrading to an
-            in-memory run.
-        spill_retries: transient-failure write retries per directory
-            (bounded exponential backoff between attempts).
-        spill_retry_backoff_s: initial backoff; doubles per retry,
-            capped at 1 second.  Zero disables sleeping (tests).
+            first (two retries per directory, 10 ms backoff doubling per
+            retry); on persistent write failure (e.g. ``ENOSPC``) it
+            fails over to these, in order, before keeping the run in
+            memory at half the run threshold.
         verify_spill_checksums: verify the CRC32 of every spill block
             read, one per merge block and one per payload.  On by
             default; off trades integrity for a little read throughput.
-        allow_memory_fallback: when no spill target is writable, keep
-            runs in memory (reduced-memory degradation) instead of
-            raising :class:`repro.errors.SpillCapacityError`.
         prefetch_blocks: read-ahead depth, in blocks per run per section,
             of the external merge's prefetch layer
             (:mod:`repro.sort.prefetch`).  Once reads prove slow, a small
@@ -140,7 +133,9 @@ class SortConfig:
             sizes runs.  ``0`` disables prefetching (every spill read is
             synchronous on the merge's critical path).
         cancel_event: cooperative cancellation flag (any object with an
-            ``is_set()`` method, typically a ``threading.Event``).  Both
+            ``is_set()`` method: a ``threading.Event``, or the
+            :class:`repro.service.QueryTicket` that is also set once its
+            deadline passes).  Both
             sort operators poll it at their checkpoints -- sink, run
             generation, every round of the k-way merge, and prefetch
             scheduling -- and raise
@@ -173,13 +168,9 @@ class SortConfig:
 
     run_threshold: int = DEFAULT_RUN_THRESHOLD
     string_prefix: int | None = None
-    vector_size: int = VECTOR_SIZE
     external: bool = False
     spill_directories: tuple[str, ...] = ()
-    spill_retries: int = 2
-    spill_retry_backoff_s: float = 0.01
     verify_spill_checksums: bool = True
-    allow_memory_fallback: bool = True
     prefetch_blocks: int = 1
     merge_fan_in: int = 0
     cancel_event: object | None = field(default=None, compare=False)
@@ -188,18 +179,12 @@ class SortConfig:
     def __post_init__(self) -> None:
         if self.run_threshold <= 0:
             raise SortError("run_threshold must be positive")
-        if self.vector_size <= 0:
-            raise SortError("vector_size must be positive")
         if self.string_prefix is not None and self.string_prefix < 0:
             raise SortError("string_prefix must be non-negative")
-        if self.spill_retries < 0:
-            raise SortError("spill_retries must be non-negative")
         if self.prefetch_blocks < 0:
             raise SortError("prefetch_blocks must be non-negative")
         if self.merge_fan_in < 0 or self.merge_fan_in == 1:
             raise SortError("merge_fan_in must be 0 (unlimited) or >= 2")
-        if self.spill_retry_backoff_s < 0:
-            raise SortError("spill_retry_backoff_s must be non-negative")
         if not isinstance(self.spill_directories, tuple):
             object.__setattr__(
                 self, "spill_directories", tuple(self.spill_directories)

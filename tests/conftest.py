@@ -120,7 +120,7 @@ def sort_spilling(
     with ExternalSortOperator(
         table.schema, spec, config, spill_directory
     ) as operator:
-        for chunk in chunk_table(table, config.vector_size):
+        for chunk in chunk_table(table):
             operator.sink(chunk)
         return operator.finalize()
 

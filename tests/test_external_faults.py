@@ -23,7 +23,6 @@ from repro.engine import Database
 from repro.errors import (
     SortCancelledError,
     SortError,
-    SpillCapacityError,
     SpillCorruptionError,
     SpillError,
 )
@@ -37,11 +36,7 @@ SPEC = "a, s DESC, f"
 
 
 def fast_config(**overrides):
-    defaults = dict(
-        run_threshold=500,
-        spill_retries=2,
-        spill_retry_backoff_s=0.0,
-    )
+    defaults = dict(run_threshold=500)
     defaults.update(overrides)
     return SortConfig(**defaults)
 
@@ -198,9 +193,7 @@ class TestRetryFailoverFallback:
     def test_no_writable_target_degrades_to_memory(self, rng, tmp_path):
         table = mixed_table(rng, 2000)
         injector = FaultInjector([InjectedFault("enospc", times=None)])
-        operator = build_operator(
-            table, tmp_path, io=injector, spill_retries=1
-        )
+        operator = build_operator(table, tmp_path, io=injector)
         with pytest.warns(RuntimeWarning, match="degrading"):
             result = run_sort(operator, table)
         assert_byte_identical(result, expected_result(table))
@@ -210,8 +203,9 @@ class TestRetryFailoverFallback:
             operator.stats.runs_generated - 1
         )
         assert operator.stats.memory_run_fallbacks > 0
-        # Disk was only attempted for the first run; later runs skip it.
-        assert injector.stats.writes <= operator.config.spill_retries + 1
+        # Disk was only attempted for the first run (one write and its
+        # two retries); later runs skip it.
+        assert injector.stats.writes <= 3
         assert all(isinstance(r, InMemoryRun) for r in operator._runs)
         assert_no_spill_files(tmp_path)
 
@@ -219,7 +213,7 @@ class TestRetryFailoverFallback:
         table = mixed_table(rng, 20_000)
         injector = FaultInjector([InjectedFault("enospc", times=None)])
         operator = build_operator(
-            table, tmp_path, io=injector, spill_retries=0, run_threshold=2048
+            table, tmp_path, io=injector, run_threshold=2048
         )
         with pytest.warns(RuntimeWarning, match="degrading"):
             with operator:
@@ -237,7 +231,7 @@ class TestRetryFailoverFallback:
         table = mixed_table(rng, 2000)
         injector = FaultInjector([InjectedFault("enospc", times=None)])
         operator = build_operator(
-            table, tmp_path, io=injector, spill_retries=0, run_threshold=1000
+            table, tmp_path, io=injector, run_threshold=1000
         )
         with pytest.warns(RuntimeWarning):
             with operator:
@@ -248,23 +242,6 @@ class TestRetryFailoverFallback:
                 assert operator._run_threshold == 500
                 assert operator.stats.runs_generated >= 3
                 operator.finalize()
-
-    def test_memory_fallback_disabled_raises_capacity_error(
-        self, rng, tmp_path
-    ):
-        table = mixed_table(rng, 2000)
-        injector = FaultInjector([InjectedFault("enospc", times=None)])
-        operator = build_operator(
-            table,
-            tmp_path,
-            io=injector,
-            spill_retries=0,
-            allow_memory_fallback=False,
-        )
-        with pytest.raises(SpillCapacityError) as info:
-            run_sort(operator, table)
-        assert info.value.path is not None
-        assert_no_spill_files(tmp_path)
 
     def test_uncreatable_failover_directory_skipped(self, rng, tmp_path):
         table = mixed_table(rng, 1200)
@@ -279,10 +256,7 @@ class TestRetryFailoverFallback:
             table,
             primary,
             io=injector,
-            config=fast_config(
-                spill_retries=0,
-                spill_directories=(str(blocker / "sub"),),
-            ),
+            config=fast_config(spill_directories=(str(blocker / "sub"),)),
         )
         # The only failover target cannot be created (its parent is a
         # file); it must be skipped, landing on the memory fallback
@@ -297,18 +271,17 @@ class TestRetryFailoverFallback:
 class TestLifecycleAndCleanup:
     def test_context_manager_cleans_up_when_sink_raises(self, rng):
         table = mixed_table(rng, 2000)
-        injector = FaultInjector([InjectedFault("enospc", times=None)])
+        event = threading.Event()
         operator = ExternalSortOperator(
-            table.schema,
-            SortSpec.of("a"),
-            fast_config(spill_retries=0, allow_memory_fallback=False),
-            io=injector,
+            table.schema, SortSpec.of("a"), fast_config(cancel_event=event)
         )
         own_dir = operator._dir
-        with pytest.raises(SpillCapacityError):
+        with pytest.raises(SortCancelledError):
             with operator:
                 for chunk in chunk_table(table, 256):
                     operator.sink(chunk)
+                    if operator.spilled_runs:
+                        event.set()  # the next sink raises
                 operator.finalize()
         # The operator-owned mkdtemp directory is gone, not leaked.
         assert not os.path.exists(own_dir)

@@ -356,7 +356,6 @@ class TestHeldBlockIsDeliveredBlock:
                 tmp_path,
                 io,
                 prefetch_blocks=2,
-                spill_retries=0,
             )
         assert stats.memory_run_fallbacks >= 4
         assert stats.runs_generated - stats.memory_run_fallbacks == 3

@@ -148,7 +148,7 @@ class TestExternalMemoryFallback:
         operator = ExternalSortOperator(
             table.schema,
             spec,
-            SortConfig(spill_retries=0, spill_retry_backoff_s=0.0, **config),
+            SortConfig(**config),
             spill_directory=str(tmp_path),
             io=injector,
         )
@@ -185,7 +185,7 @@ class TestExternalMemoryFallback:
         assert stats.runs_generated == stats.memory_run_fallbacks == 1
         assert stats.merge_passes == stats.kernel_kway_merges == 0
 
-THRESHOLD = 2048  # a multiple of vector_size, so cuts land exactly on it
+THRESHOLD = 2048  # a multiple of VECTOR_SIZE, so cuts land exactly on it
 BOUNDARY_ROWS = {
     "below": THRESHOLD - 1,
     "at": THRESHOLD,
@@ -237,7 +237,7 @@ class TestThresholdBoundary:
         with ExternalSortOperator(
             table.schema, spec, config, str(tmp_path), io=io
         ) as operator:
-            for chunk in chunk_table(table, config.vector_size):
+            for chunk in chunk_table(table):
                 operator.sink(chunk)
                 if rows < THRESHOLD:
                     assert os.listdir(tmp_path) == []

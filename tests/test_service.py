@@ -111,7 +111,7 @@ class TestMemoryGovernor:
         first.release()
 
     def test_grant_to_rows_translation(self):
-        governor = MemoryGovernor(1 << 20, row_bytes=64)
+        governor = MemoryGovernor(1 << 20)
         with governor.acquire("q1") as grant:
             assert grant.effective_run_threshold(10 ** 9) == (1 << 20) // 64
             # Capped at the configured base, floored at one row.
@@ -588,6 +588,44 @@ class TestAdmissionAndCancellation:
             with pytest.raises(QueryTimeoutError):
                 doomed.result(timeout=30)
             assert service.stats.timed_out == 1
+        assert not service_threads()
+
+    def test_deadline_during_grant_wait_is_a_timeout_error(self, rng):
+        # The budget fits one grant and its holder parks at the gate, so
+        # the second query's deadline runs out while it waits for one.
+        db = GatedDatabase()
+        db.register("t", int_table(rng, 100))
+        with SortService(
+            db,
+            memory_budget=128 << 10,
+            min_grant_bytes=128 << 10,
+            workers=2,
+        ) as service:
+            holder = service.submit("SELECT * FROM t ORDER BY a")
+            assert db.entered.wait(5)
+            doomed = service.submit(
+                "SELECT * FROM t ORDER BY seq", deadline_s=0.1
+            )
+            with pytest.raises(QueryTimeoutError):
+                doomed.result(timeout=10)
+            db.gate.set()
+            holder.result(timeout=30)
+            assert service.stats.timed_out == 1
+            assert service.stats.failed == 0
+
+    def test_a_deadline_starts_no_thread(self, rng):
+        db = GatedDatabase()
+        db.register("t", int_table(rng, 100))
+        with SortService(db, memory_budget=4 << 20, workers=2) as service:
+            ticket = service.submit(
+                "SELECT * FROM t ORDER BY a", deadline_s=30.0
+            )
+            assert db.entered.wait(5)  # parked with its deadline running
+            names = service_threads()
+            assert not [n for n in names if "deadline" in n]
+            assert len(names) == 2  # the workers, and nothing else
+            db.gate.set()
+            ticket.result(timeout=30)
         assert not service_threads()
 
     def test_governor_starvation_sheds_queued_low_work(self, rng):

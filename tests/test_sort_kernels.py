@@ -148,9 +148,7 @@ class TestOperatorCrossCheck:
 
     def _cross_check(self, table, spec, run_threshold):
         spec = SortSpec.of(*[part.strip() for part in spec.split(",")])
-        on = sort_table(
-            table, spec, SortConfig(run_threshold=run_threshold, vector_size=16)
-        )
+        on = sort_table(table, spec, SortConfig(run_threshold=run_threshold))
         assert on.equals(scalar_reference_sort(table, spec))
         assert on.equals(reference_sort(table, spec))
         if table.num_rows:

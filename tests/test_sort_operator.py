@@ -31,11 +31,6 @@ class TestSortConfig:
         with pytest.raises(SortError):
             SortConfig(run_threshold=0)
 
-    @pytest.mark.parametrize("vector_size", [0, -1])
-    def test_invalid_vector_size(self, vector_size):
-        with pytest.raises(SortError, match="vector_size"):
-            SortConfig(vector_size=vector_size)
-
     @pytest.mark.parametrize("string_prefix", [-1])
     def test_invalid_string_prefix(self, string_prefix):
         # Rejected up front, not an IndexError mid-sort; 0 and widths
@@ -283,7 +278,7 @@ def test_operator_matches_reference(rows, spec_text, run_threshold):
         dtypes={"i": INTEGER, "f": FLOAT, "s": VARCHAR},
     )
     spec = SortSpec.of(*[part.strip() for part in spec_text.split(",")])
-    config = SortConfig(run_threshold=run_threshold, vector_size=16)
+    config = SortConfig(run_threshold=run_threshold)
     result = sort_table(table, spec, config)
     assert result.equals(reference_sort(table, spec))
     if table.num_rows:

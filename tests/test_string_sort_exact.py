@@ -251,7 +251,7 @@ class TestEscapedRows:
     rows below it, above it, equal to it and NULL.  Their keys escape the
     skipped prefix through the indicator byte: no run is re-based."""
 
-    RUN = 240
+    RUN = 1024
     STEM = "shared-prefix-0"
     SPECS = [
         "s, k",
@@ -285,9 +285,7 @@ class TestEscapedRows:
         )
 
     def config(self, **extra) -> SortConfig:
-        return SortConfig(
-            external=True, run_threshold=self.RUN, vector_size=self.RUN, **extra
-        )
+        return SortConfig(external=True, run_threshold=self.RUN, **extra)
 
     def expected(self, table, spec):
         expected = oracle_sort(table, spec)

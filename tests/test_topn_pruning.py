@@ -28,7 +28,6 @@ from test_oracle import oracle_sort
 from repro.engine.database import Database
 from repro.engine.operators import ScanOperator, TopNExecOperator
 from repro.keys.normalizer import MAX_STRING_PREFIX, normalize_keys
-from repro.sort.operator import SortConfig
 from repro.sort.stringsort import inexact_prefix_end
 from repro.sort import topn
 from repro.sort.topn import TopNOperator
@@ -363,7 +362,6 @@ class TestEngineSurface:
             ScanOperator(table),
             spec,
             limit=250,
-            config=SortConfig(vector_size=100),
         )
         [chunk] = operator.chunks()
         assert len(chunk) == 250 and chunk.selection is None
