@@ -107,7 +107,7 @@ def _comparison_mask(chunk: DataChunk, comparison: Comparison) -> np.ndarray:
         raw = _object_compare(data, comparison.op, literal)
     else:
         raw = _numeric_compare(data, comparison.op, literal)
-    return raw & vector.validity  # NULL never satisfies a comparison
+    return raw & vector.validity if vector.has_nulls else raw  # NULL fails
 
 
 _COMPARE = {

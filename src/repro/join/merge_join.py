@@ -138,7 +138,9 @@ def merge_join(
 def _all_keys_valid(table: Table, keys: list[str]) -> np.ndarray:
     valid = np.ones(table.num_rows, dtype=bool)
     for name in keys:
-        valid &= table.column(name).validity
+        column = table.column(name)
+        if column.has_nulls:
+            valid &= column.validity
     return valid
 
 

@@ -14,25 +14,20 @@ This module supplies the pieces the sort pipeline wires together:
 * :class:`KeyStatsAccumulator` -- a monotone per-column stats pass
   (min/max code, NULL presence; VARCHAR: the bytes the first run's
   values all start with, fixed from then on, the longest tail after
-  them and whether a value ends in NUL) that can be fed run by run.
-  Because min only decreases, max only increases and the flags only
-  latch, the layout built after more data is always a *widening* of any
-  earlier one (``nobyte`` -> ``folded`` -> ``plain``, widths
-  non-decreasing), which makes cheap re-basing possible.  A
-  NULL-free segment that needs its type's full width anyway takes no
-  bias (``bias 0``, the whole code space): the bytes per key are the
-  same, and a later run that moves min or max no longer changes the
-  layout, so nothing encoded earlier has to be rebased.
+  them and whether a value ends in NUL) that can be fed run by run: a
+  later layout only ever *widens* an earlier one (``nobyte`` ->
+  ``folded`` -> ``plain``, widths non-decreasing), so re-basing is
+  cheap.  A NULL-free segment at its type's full width takes no bias,
+  so a run that moves min or max leaves the layout, and earlier runs,
+  alone.
 * :func:`rebase_words` -- rewrite key words encoded under an earlier
   (narrower) layout into a later (wider) one, identical to encoding the
   original values directly under the wider layout (:func:`rebase_matrix`
   does the same to key bytes).
 * :func:`key_carried_eligible` / :func:`decode_key_table` -- when every
-  output column is a key column of a losslessly-decodable type, the sorted
-  payload can be reconstructed from the keys alone and runs spill *keys
-  only* (the paper's key-carried rows taken to its extreme).  The decode
-  reads each segment's codes straight from the key words
-  (:func:`segment_codes`: a shift and a mask of a known word).
+  output column is a key column of a losslessly-decodable type, runs
+  spill *keys only* and the decode reads each segment's codes straight
+  from the key words (:func:`segment_codes`: a shift and a mask).
 
 Compressed segments apply DESC in the code domain (``rel -> range-1-rel``)
 instead of byte inversion, so one rule covers NULL folding and direction.
@@ -346,12 +341,13 @@ def _rebase_fields(words, old: KeySegment, new: KeySegment):
         # bytes it widens by are padding: 0x00 (unwritten bytes are
         # zero), or 0xFF on valid rows under DESC (after inversion).
         copied, total = 1 + old.value_width, new.total_width
+        # Read before the sink consumes a copied field that is a word.
+        valid = _field(words, old.offset, 1) != old.null_byte_for_null
         for start in range(0, copied, 8):
             width = min(8, copied - start)
             value = _field(words, old.offset + start, width)
             yield new.offset + start, width, value
-        if new.key.descending and total > copied:
-            valid = _field(words, old.offset, 1) != old.null_byte_for_null
+        if new.key.descending:
             for start in range(copied, total, 8):
                 width = min(8, total - start)
                 pad = valid * np.uint64((1 << 8 * width) - 1)

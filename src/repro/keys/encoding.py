@@ -1,10 +1,8 @@
 """Order-preserving binary encodings for single values and columns.
 
 Key normalization (Blasgen et al. 1977, used since System R) turns a typed
-value into bytes whose lexicographic (memcmp) order equals the value order.
-This module implements the per-type transforms, both scalar (for tests and
-documentation -- see the paper's Figure 7) and vectorized over numpy arrays
-(what the production sort operator uses).
+value into bytes whose memcmp order equals the value order: the per-type
+transforms, scalar (the paper's Figure 7) and vectorized over columns.
 
 Transforms, for ascending order:
 
@@ -169,13 +167,11 @@ def _order_bits(values: np.ndarray, dtype: DataType) -> np.ndarray:
 
 
 def fixed_column_codes(values: np.ndarray, dtype: DataType) -> np.ndarray:
-    """Order-preserving unsigned codes of a fixed-width column, as uint64.
+    """Order-preserving unsigned codes of a fixed-width column, as uint64:
+    a new array (never ``values``), the caller's to consume.
 
-    The code domain the key-compression layer works in
-    (:mod:`repro.keys.compression`): integer comparison of the returned
-    codes equals value order, so per-column min/max statistics, the
-    bias-to-unsigned subtraction, and the width truncation all become
-    plain unsigned arithmetic.
+    The code domain of :mod:`repro.keys.compression`: min/max statistics,
+    the bias subtraction and the width cut are unsigned arithmetic.
     """
     return _order_bits(values, dtype).astype(np.uint64, copy=False)
 

@@ -7,24 +7,20 @@ A normalized key concatenates, for each ORDER BY column in order:
 * the order-preserving encoding of the value (see
   :mod:`repro.keys.encoding`), inverted byte-wise for DESC.
 
-Optionally a big-endian row-id suffix is appended.  The suffix makes any
-sort of the keys stable with respect to the input order and doubles as the
-gather index used to re-order the payload afterwards -- the "pointer packed
-within the row" of the paper's ``OrderKey`` struct.
+Optionally a big-endian row-id suffix (the "pointer packed within the
+row" of the paper's ``OrderKey`` struct) makes any sort of the keys stable.
 
 One encoder (:func:`_key_fields`) turns each segment into fields of
 order codes, and two sinks lay them out.  :func:`key_words` packs them
 into the key's uint64 *words* (word ``w`` of a row is bytes ``[8w, 8w +
 8)`` of its key read big-endian, the last one zero-padded), so comparing
-two rows' word lists is memcmp on their key bytes: the sort keeps a
-resident run's keys in that form (:func:`pack_fields` is that sink; a
-stale run's rebase feeds it too).  :func:`normalize_keys` writes them as
-bytes and appends the row-id suffix: a dense ``(n, width)`` uint8 matrix,
-what the paper face (the reference sort, ``systems/``) reads.  Comparing
-two rows of the matrix with memcmp is exactly ``tuple_compare`` on the
-original values, except when a VARCHAR key exceeds its prefix or ends in
-NUL; then the key is "inexact" and ties must be broken on the full
-strings (``NormalizedKeys.prefix_exact`` says whether that is needed).
+two rows' word lists is memcmp on their key bytes: the sort's form
+(:func:`pack_fields` is that sink; a stale run's rebase feeds it too).
+:func:`normalize_keys` writes them as bytes plus the row-id suffix, the
+``(n, width)`` uint8 matrix the paper face (``systems/``) reads.  Memcmp
+order is ``tuple_compare`` order unless a VARCHAR key exceeds its prefix
+or ends in NUL: then ties are broken on the full strings
+(``NormalizedKeys.prefix_exact`` says whether that is needed).
 """
 
 from __future__ import annotations
@@ -266,34 +262,30 @@ class NormalizedKeys:
 def _compressed_codes(
     segment: KeySegment, codes: np.ndarray, valid: np.ndarray | None
 ) -> np.ndarray:
-    """A compressed (``nobyte``/``folded``) segment's stored values.
-
-    ``codes`` are the uint64 order-preserving codes of the column
-    (:func:`repro.keys.encoding.fixed_column_codes`); ``valid`` is the
-    validity mask or None for an all-valid column.  Rows where ``valid``
-    is False may hold arbitrary codes (the column's NULL filler): their
-    relative code may wrap during the bias subtraction, which is harmless
-    because they take the NULL code.  ``codes`` is never written to (it
-    may be returned as it is).
+    """A compressed (``nobyte``/``folded``) segment's stored values, made
+    of the encoder's own ``codes`` (uint64 order codes,
+    :func:`repro.keys.encoding.fixed_column_codes`) in place.  ``valid``
+    is the validity mask, None for an all-valid column; a NULL row's code
+    (its filler's) may wrap under the bias, then takes the NULL code.
     """
-    rel = codes - np.uint64(segment.bias) if segment.bias else codes
+    if segment.bias:
+        codes -= np.uint64(segment.bias)
     if segment.key.descending:
-        rel = np.uint64(segment.code_range - 1) - rel
+        np.subtract(np.uint64(segment.code_range - 1), codes, out=codes)
     if segment.mode == MODE_FOLDED:
         if segment.key.nulls_first:
-            rel = rel + np.uint64(1)
-            null_code = np.uint64(0)
-        else:
-            null_code = np.uint64(segment.code_range)
-        if valid is not None and not valid.all():
-            rel = np.where(valid, rel, null_code)
-    return rel
+            codes += np.uint64(1)
+        if valid is not None:
+            null = 0 if segment.key.nulls_first else segment.code_range
+            codes[~valid] = null
+    return codes
 
 
 def _fixed_fields(segment: KeySegment, codes, valid: np.ndarray | None):
     """A fixed-width segment's ``(offset, width, values)`` fields, from its
-    order codes: bias, DESC and the NULL byte or folded NULL code are
-    arithmetic on them (``valid`` as in :func:`_compressed_codes`)."""
+    order codes, which it consumes: bias, DESC and the NULL byte or folded
+    NULL code are arithmetic on them in place (``valid`` as in
+    :func:`_compressed_codes`)."""
     offset, width = segment.offset, segment.value_width
     if not segment.has_null_byte:
         yield offset, width, _compressed_codes(segment, codes, valid)
@@ -302,11 +294,11 @@ def _fixed_fields(segment: KeySegment, codes, valid: np.ndarray | None):
     # DESC; NULL rows get zero value bytes so all NULLs tie.
     indicator = np.uint64(segment.null_byte_for_valid)
     if segment.key.descending:
-        codes = np.uint64((1 << 8 * width) - 1) - codes
+        np.subtract(np.uint64((1 << 8 * width) - 1), codes, out=codes)
     if valid is not None:
         null = np.uint64(segment.null_byte_for_null)
         indicator = np.where(valid, indicator, null)
-        codes = np.where(valid, codes, np.uint64(0))
+        codes[~valid] = 0
     yield offset, 1, indicator
     yield offset + 1, width, codes
 
@@ -317,14 +309,17 @@ def _string_fields(segment: KeySegment, column, strings: EncodedStrings):
     read at the row's window start (byte 0 for a row the prefix classes
     escape), byteswapped, its bytes past the row's ``take`` masked off and
     shifted down to the field's width; DESC is an XOR, NULL rows are 0."""
-    valid, width = column.validity, segment.value_width
-    skip = len(segment.skipped)
-    present, null = segment.null_byte_for_valid, segment.null_byte_for_null
-    indicator = np.where(valid, np.uint64(present), np.uint64(null))
+    nulls, width = column.has_nulls, segment.value_width
+    valid = column.validity if nulls else np.True_
+    skip, null = len(segment.skipped), np.uint64(segment.null_byte_for_null)
+    indicator = np.uint64(segment.null_byte_for_valid)
+    if nulls:
+        indicator = np.where(valid, indicator, null)
     classes = strings.classes(segment.skipped)
     escaped = None if classes is None else valid & (classes != 0)
     if escaped is not None and escaped.any():
         above = classes[escaped] > 0
+        indicator = np.where(escaped, np.uint64(0), indicator)
         indicator[escaped] = segment.null_byte_for_escaped(above)
         skip = np.where(escaped, 0, skip)
     yield segment.offset, 1, indicator
@@ -347,7 +342,7 @@ def _string_fields(segment: KeySegment, column, strings: EncodedStrings):
         if shift:
             value >>= shift
         if segment.key.descending:  # NULL rows stay zero
-            value ^= (valid * np.uint64((1 << 64) - 1)) >> shift
+            value ^= valid * np.uint64((1 << 64) - 1 >> int(shift))
         yield segment.offset + 1 + at, field, value
 
 
@@ -372,8 +367,8 @@ def _key_fields(table: Table, layout: KeyLayout, encoded: dict | None):
                 given = column.strings(name)
             yield from _string_fields(segment, column, given)
             continue
-        codes = given
-        if codes is None:
+        codes = encoded.pop(name) if given is not None else None
+        if codes is None:  # a new array: the encoder's own
             codes = fixed_column_codes(column.data, segment.dtype)
         valid = column.validity if column.has_nulls else None
         yield from _fixed_fields(segment, codes, valid)
@@ -388,30 +383,44 @@ def _write_field(matrix: np.ndarray, offset: int, width: int, values) -> None:
         matrix[:, offset : offset + width] = big[:, 8 - width :]
 
 
+_BLOCK_ROWS = 1 << 14  # rows OR-ed at a time: the only temporary
+
+
 def _fold_field(words: list, offset: int, width: int, values) -> None:
     """The word sink: one field into the key words at byte ``offset``.
 
-    A field of at most 8 bytes spans at most two words.  The first field
-    to reach a word *becomes* it: either a fresh shifted array or, for a
-    field that fills the word exactly, ``values`` itself (nothing else
-    reaches that word, so it is never written to); later fields are
-    OR-ed in.
+    A field of at most 8 bytes spans at most two words.  ``values`` (an
+    array the encoder owns, or one scalar for every row) is consumed: the
+    first field to reach a word *becomes* it, shifted in place (after its
+    leading bytes went to the word before); later ones are OR-ed in.
     """
     word, last = divmod(offset + width - 1, 8)
     shift = 8 * (7 - last)  # bits after the field's last byte in its word
-    if offset < 8 * word:  # the field's leading bytes end the word before
-        _or_word(words, word - 1, values >> np.uint64(64 - shift))
-    _or_word(words, word, values << np.uint64(shift) if shift else values)
+    if offset < 8 * word:
+        _or_word(words, word - 1, values, shift - 64)
+    _or_word(words, word, values, shift)
 
 
-def _or_word(words: list, index: int, part) -> None:
-    word = words[index]
-    if word is None:
-        words[index] = part
-    elif isinstance(word, np.ndarray):
-        word |= part
-    else:  # a scalar so far: every field before was one
-        words[index] = word | part
+def _or_word(words: list, index: int, values, shift: int) -> None:
+    """OR ``values`` shifted left by ``shift`` bits (right, if negative)
+    into word ``index``: ``None`` until a field reaches it, a scalar
+    while only scalars did, then the first array that did."""
+    word, bits = words[index], np.uint64(abs(shift))
+    move = np.left_shift if shift >= 0 else np.right_shift
+    if isinstance(word, np.ndarray) and isinstance(values, np.ndarray):
+        for start in range(0, len(word), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            word[rows] |= move(values[rows], bits)
+        return
+    in_place = isinstance(values, np.ndarray) and shift >= 0
+    if bits or not in_place:
+        values = move(values, bits, out=values if in_place else None)
+    if isinstance(word, np.ndarray):
+        word |= values
+        return
+    if word is not None:
+        values |= word
+    words[index] = values
 
 
 def key_words(
@@ -424,8 +433,7 @@ def key_words(
     zero-padded) read big-endian; the columns come most significant
     first, so comparing rows' word lists is memcmp on their key bytes and
     each column sorts at native speed.  A fixed-width segment is shifted
-    to its bit offset as codes, never written out as bytes; a column
-    whose codes fill a word exactly is that word, uncopied.
+    to its bit offset as codes, in place, never written out as bytes.
 
     ``encoded`` maps key columns to what
     :meth:`~repro.keys.compression.KeyStatsAccumulator.update` made of
@@ -433,8 +441,8 @@ def key_words(
     :class:`~repro.table.strings.EncodedStrings` (its windows are read
     from that heap as words, and its prefix classes are kept with it; a
     VARCHAR column left out is read from its column all the same), a
-    fixed-width column's uint64 order codes (not computed twice).  The
-    words are read only.
+    fixed-width column's uint64 order codes, which the encoder pops
+    from ``encoded`` and consumes (not computed twice).
     """
     fields = _key_fields(table, layout, encoded)
     return pack_fields(fields, table.num_rows, layout.key_width)

@@ -1,7 +1,6 @@
 """The concurrent sort service: thread pool, admission control, deadlines.
 
-This is the ROADMAP's "millions of users" first rung: a
-:class:`SortService` wraps one :class:`repro.engine.Database` behind a
+A :class:`SortService` wraps one :class:`repro.engine.Database` behind a
 pool of worker threads and runs many ORDER BY / Top-N / window queries
 concurrently while a :class:`repro.service.governor.MemoryGovernor`
 arbitrates one process-wide memory budget between their sorts.
@@ -22,23 +21,20 @@ The request lifecycle::
 Admission control is explicit and typed: a full queue either sheds the
 lowest-priority queued ticket (when the newcomer outranks it) or rejects
 the newcomer with :class:`repro.errors.ServiceOverloadError` carrying a
-retry-after estimate.  A governor starving mid-acquire triggers the same
-shedding.  Nothing ever waits unbounded and nothing OOMs silently: under
-overload the service degrades to *fewer admitted queries each spilling
-earlier*, which is the robustness posture of Do & Graefe
-(arXiv 2209.08420) -- graceful behavior across adverse conditions rather
-than peak speed.
+retry-after estimate; a starving governor sheds the same way.  Nothing
+waits unbounded and nothing OOMs silently: under overload the service
+degrades to *fewer admitted queries each spilling earlier*, the
+robustness posture of Do & Graefe (arXiv 2209.08420).
 
-Cancellation and deadlines use the sort layer's cooperative checkpoints:
-the ticket is the per-query ``SortConfig.cancel_event``, and its
-``is_set()`` is true once it is cancelled or past its deadline.  The sort
-polls it at sink, run generation, merge rounds and prefetch scheduling,
-so ``QueryTicket.cancel()`` (or a deadline that has passed) aborts the
-sort at the next checkpoint, the operator's ``finally`` paths remove
-every spill file and join every helper thread, and the worker releases
-the grant.  No thread times a deadline: it is read where it matters, and
-an uncancelled ticket past its deadline whose grant wait or sort stops
-fails with :class:`repro.errors.QueryTimeoutError`.
+Cancellation and deadlines use cooperative checkpoints: the ticket is
+the per-query ``SortConfig.cancel_event``, and its ``is_set()`` is true
+once it is cancelled or past its deadline.  The grant wait reads it
+every wait slice, the sort at sink, run generation, merge rounds and
+prefetch scheduling; the operator's ``finally`` paths remove every spill
+file and join every helper thread, and the worker releases the grant.
+No thread times a deadline: an uncancelled ticket past its deadline
+whose grant wait or sort stops fails with
+:class:`repro.errors.QueryTimeoutError`.
 """
 
 from __future__ import annotations
@@ -647,6 +643,7 @@ class SortService:
             ticket.query_id,
             timeout_s=timeout,
             on_starved=self._shed_for_starved_governor,
+            cancel=ticket,
         )
         try:
             if ticket.is_set():

@@ -1,12 +1,10 @@
 """The global memory governor: byte grants arbitrating concurrent sorts.
 
-PR 3 gave each external sort a *private* degradation ladder (retry ->
-spill failover -> in-memory fallback), but nothing arbitrated between
-operators: eight concurrent ORDER BYs would each buffer a full
-``run_threshold`` of rows and the process would blow through any real
-memory budget.  Polyntsov et al. (arXiv 2207.12713) frame external-sort
-behavior as governed by the memory *grant*; this module is that grant
-layer for the query service.
+Each external sort has a private degradation ladder, but without an
+arbiter eight concurrent ORDER BYs would each buffer a full
+``run_threshold`` of rows.  Polyntsov et al. (arXiv 2207.12713) frame
+external-sort behavior as governed by the memory *grant*; this module is
+that grant layer for the query service.
 
 One :class:`MemoryGovernor` owns a fixed byte budget.  Each admitted
 query acquires a :class:`MemoryGrant` before it executes; the governor
@@ -15,17 +13,16 @@ query **revokes** part of every running query's grant -- the grant's
 ``granted_bytes`` simply shrinks, and because the external sort re-reads
 ``SortConfig.memory_grant.effective_run_threshold(...)`` at every sink
 checkpoint, the revocation takes effect at the next buffered chunk: runs
-are cut and spilled earlier, via the degradation machinery that already
-exists.  (The in-memory operator has nothing to give back -- cutting a
-resident run frees no memory -- and ignores the grant.)  No operator
-code ever blocks on the governor; pressure propagates purely by
-shrinking numbers.
+are cut and spilled earlier.  (The in-memory operator has nothing to
+give back -- cutting a resident run frees no memory -- and ignores the
+grant.)  No operator blocks on the governor.
 
 Admission blocks (bounded by a timeout) only when the budget cannot fit
 another *minimum* grant; a timed-out acquire raises
 :class:`repro.errors.ServiceOverloadError` with a retry-after estimate,
-and the first moment an acquire starts waiting the ``on_starved`` hook
-fires so the service can shed queued low-priority work.
+a cancelled one :class:`repro.errors.SortCancelledError`, and the first
+moment an acquire starts waiting the ``on_starved`` hook fires so the
+service can shed queued low-priority work.
 
 Spill accounting rides the same object: operators report each written
 run (its own bytes) via ``record_spill`` and the governor tracks the byte
@@ -39,7 +36,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ServiceError, ServiceOverloadError
+from repro.errors import ServiceError, ServiceOverloadError, SortCancelledError
 
 __all__ = [
     "DEFAULT_MIN_GRANT_BYTES",
@@ -158,6 +155,7 @@ class MemoryGovernor:
         query_id: str,
         timeout_s: float = 30.0,
         on_starved=None,
+        cancel=None,
     ) -> MemoryGrant:
         """Block until a minimum grant fits, then return the new grant.
 
@@ -169,7 +167,9 @@ class MemoryGovernor:
         began); it runs under the governor lock and must not re-enter
         the governor.  A wait exceeding ``timeout_s`` raises
         :class:`ServiceOverloadError` whose ``retry_after_s`` estimates
-        one grant-hold time.
+        one grant-hold time; ``cancel`` (an object with ``is_set()``, the
+        query's ticket) is read every wait slice, and once set the wait
+        raises :class:`SortCancelledError`.
         """
         grant = MemoryGrant(self, query_id)
         deadline = time.monotonic() + max(0.0, timeout_s)
@@ -183,9 +183,12 @@ class MemoryGovernor:
                 if on_starved is not None:
                     on_starved()
                 remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self.stats.grant_timeouts += 1
+                stopped = cancel is not None and cancel.is_set()
+                if remaining <= 0 or stopped:
                     self.stats.grant_wait_s += time.monotonic() - started
+                    if stopped:
+                        raise SortCancelledError(f"{query_id} cancelled")
+                    self.stats.grant_timeouts += 1
                     raise ServiceOverloadError(
                         f"memory governor starved: {len(self._active)} "
                         f"grants hold the {self.budget_bytes}-byte budget "

@@ -7,11 +7,9 @@ is a row of big-endian uint64 *words* (word ``w`` is key bytes ``[8w,
 sorting become single numpy calls with zero Python-level per-row work.
 
 Runs hold their keys as such word columns
-(:func:`repro.keys.normalizer.key_words`), and a spill file holds them as
-word rows; key bytes exist only for the rows string refinement finds
-tied and a stale block's rebase.  A key-byte matrix is read as words by
-:func:`_chunk_columns` or, word by word on first use, ``_MatrixWords``.
-On top of them:
+(:func:`repro.keys.normalizer.key_words`), a spill file as word rows; a
+key-byte matrix is read as words by :func:`_chunk_columns` or, word by
+word on first use, ``_MatrixWords``.  On top of them:
 
 * :func:`argsort_words` / :func:`argsort_rows` -- the one stable
   whole-row sort: key bits and row position packed into one uint64 and
@@ -22,9 +20,8 @@ On top of them:
   round (the two-run :func:`merge_indices` and :func:`ovc_codes` have no
   caller and stay only because ``benchmarks/e2e`` binds them).
 
-Correctness requires that memcmp order over the key bytes is the intended
-order, i.e. the keys' ``prefix_exact`` flag holds; callers with truncated
-VARCHAR prefixes run these kernels on the prefix bytes and then repair the
+Memcmp order over the key bytes must be the intended order (the keys'
+``prefix_exact``); callers with truncated VARCHAR prefixes repair the
 byte-equal tie groups with :mod:`repro.sort.stringsort`.
 """
 
@@ -69,13 +66,10 @@ def _row_dtype(width: int) -> np.dtype:
 
 
 def _check_matrix(matrix: np.ndarray) -> None:
-    if not isinstance(matrix, np.ndarray) or matrix.dtype != np.uint8:
-        raise SortError("kernels expect an (n, width) uint8 key matrix")
-    if matrix.ndim != 2 or matrix.shape[1] == 0:
-        raise SortError(
-            f"kernels expect an (n, width) uint8 key matrix with width >= 1, "
-            f"got shape {matrix.shape}"
-        )
+    shape = getattr(matrix, "shape", ())
+    uint8 = getattr(matrix, "dtype", None) == np.uint8
+    if not uint8 or len(shape) != 2 or not shape[1]:
+        raise SortError(f"need an (n, width >= 1) uint8 key matrix: {shape}")
 
 
 def void_view(matrix: np.ndarray) -> np.ndarray:
@@ -86,12 +80,9 @@ def void_view(matrix: np.ndarray) -> np.ndarray:
     order of the rows.  No data is copied unless the matrix is not
     C-contiguous.
 
-    The kernel tests' memcmp reference: nothing in the engine calls it.
-    The sorting kernels below use the equivalent :func:`_chunk_columns`
-    representation (native-endian uint64 words) instead, because numpy
-    compares structured scalars through a generic field-walking routine
-    while plain uint64 columns hit the type-specialized (vectorized) sort
-    and search loops.
+    The kernel tests' memcmp reference: nothing in the engine calls it
+    (numpy compares structured scalars field by field, uint64 word
+    columns in its vectorized loops).
     """
     _check_matrix(matrix)
     contiguous = np.ascontiguousarray(matrix)
@@ -106,13 +97,10 @@ def _chunk_columns(matrix: np.ndarray) -> list[np.ndarray]:
     list lexicographically equals comparing the rows with memcmp, and each
     word column sorts/searches at full native-integer speed.
 
-    The whole matrix is processed with three whole-matrix operations at
-    most -- one zero-pad (only when the width is not a multiple of 8), one
-    byte-swapping cast, one transpose copy -- instead of a pad + cast per
-    word.  The returned word columns are contiguous views sharing a single
-    backing buffer (callers and tests rely on this: re-chunking a block
-    never allocates per-word temporaries).  No engine stage calls it:
-    the byte-matrix kernels below and the tests do.
+    At most three whole-matrix operations (a zero-pad when the width is
+    no multiple of 8, a byte-swapping cast, a transpose copy); the word
+    columns are contiguous views of one buffer.  No engine stage calls
+    it: the byte-matrix kernels below and the tests do.
     """
     _check_matrix(matrix)
     n, width = matrix.shape
@@ -175,25 +163,37 @@ class _MatrixWords:
         return column
 
 
+_BLOCK_ROWS = 1 << 14  # rows per block of a pass's position OR, tie test
+
+
 def _packed_pass(
     packed: np.ndarray, take: int, index_bits: int, groups: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sort positions by the top ``take`` bits of ``packed`` (overwritten).
+    """Sort positions by the top ``take`` bits of ``packed`` (consumed).
 
     Key bits and position (and the tie-group id above them, when given)
     share one uint64, so ``np.sort`` *by value* is the argsort: it moves
     what it compares, and packed words are unique, so it is stable.
-    Returns the sorted positions and, per adjacent pair, whether they tie.
+    Returns the sorted positions (``packed``, masked in place) and, per
+    adjacent pair, whether they tie: differ in position bits alone,
+    ``p[i + 1] ^ p[i] < 2**index_bits``.  Beside ``packed`` the pass
+    holds one block's temporary, never a column.
     """
     packed >>= np.uint64(64 - take)
     packed <<= np.uint64(index_bits)
     if groups is not None:
         packed |= groups << np.uint64(index_bits + take)
-    packed |= np.arange(len(packed), dtype=np.uint64)
+    for start in range(0, len(packed), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(packed))
+        packed[start:stop] |= np.arange(start, stop, dtype=np.uint64)
     packed.sort()
-    order = (packed & np.uint64((1 << index_bits) - 1)).view(np.int64)
-    packed >>= np.uint64(index_bits)
-    return order, packed[1:] == packed[:-1]
+    same, limit = np.empty(len(packed) - 1, bool), np.uint64(1 << index_bits)
+    for start in range(0, len(same), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        pair = packed[start : stop + 1]
+        np.less(pair[1:] ^ pair[:-1], limit, out=same[start:stop])
+    packed &= limit - np.uint64(1)
+    return packed.view(np.int64), same
 
 
 def _split_groups(

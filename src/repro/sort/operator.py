@@ -19,16 +19,16 @@ length, then produces the fully sorted table.  The stages mirror the paper:
    words (full strings break prefix ties), and the payload is fetched
    by row position once, with one ``Table.take``
    (:class:`repro.sort.merger.RunMerger`, likewise shared); a lone run
-   is taken as it stands.
+   is taken as it stands, its key words dropped first: at any moment a
+   resident sort holds key words and packed words, or order and result.
 
 One operator family runs those stages; what differs is the *run store*
 between them.  :class:`SortOperator` is the resident store: runs are a
 unit of spilling (DuckDB's come from 48 threads and a memory limit), so
-it sorts everything as one run and the merger takes the result from
-that run.  :class:`repro.sort.external.ExternalSortOperator` extends it
-with the spilling store (the same sink plus "cut and spill a run once
-``run_threshold`` rows are buffered", the same finalize while nothing
-was spilled); :class:`repro.sort.incremental.IncrementalSorter` is the
+it sorts everything as one run.
+:class:`repro.sort.external.ExternalSortOperator` adds spilling (the
+same sink plus "cut and spill a run once ``run_threshold`` rows are
+buffered"); :class:`repro.sort.incremental.IncrementalSorter` is the
 third, compacting, store.  :func:`make_sort_operator` picks between the
 first two from ``SortConfig.external``; ``sort_table`` wraps it.
 """
@@ -214,13 +214,12 @@ class SortStats:
     wall clock.
 
     The fault counters describe the external sort's degradation ladder:
-    ``spill_retries`` (write attempts retried after a transient error),
-    ``spill_failovers`` (runs redirected to a secondary spill
-    directory), ``memory_run_fallbacks`` (runs kept in memory because no
-    spill target was writable), ``checksum_verifications`` /
-    ``checksum_failures`` (CRC32 blocks checked on spill reads), and
-    ``cleanup_errors`` (temp files/directories that could not be
-    removed -- recorded, warned about, never silently swallowed).
+    ``spill_retries`` (writes retried after a transient error),
+    ``spill_failovers`` (runs redirected to a secondary directory),
+    ``memory_run_fallbacks`` (runs kept because no target was writable),
+    ``checksum_verifications`` / ``checksum_failures`` (CRC32 blocks
+    checked on spill reads), ``cleanup_errors`` (temp files that could
+    not be removed: recorded and warned about).
 
     The key-compression counters: ``key_width_used`` is the final
     layout's key bytes per row and ``key_width_full`` what the plain
@@ -263,12 +262,10 @@ class SortStats:
     live threshold -- the governor forcing an early spill.
 
     The order-propagation counters describe planner-level sortedness
-    reuse (:mod:`repro.engine.plan`): ``sorts_elided`` counts sorts
-    skipped entirely because the input's provided ordering already
-    satisfied the spec, and ``sorts_subsumed`` sorts satisfied by a
-    strictly longer provided ordering (``ORDER BY a, b`` over input
-    sorted ``a, b, c``).  An input that provides only a proper prefix of
-    the spec gets a full sort and counts in neither.
+    reuse (:mod:`repro.engine.plan`): ``sorts_elided`` counts sorts the
+    input's ordering already satisfied, ``sorts_subsumed`` those a
+    strictly longer one did (``ORDER BY a, b`` over input sorted ``a, b,
+    c``); an input sorted on a proper prefix gets a full sort.
     """
 
     rows_sorted: int = 0
@@ -396,8 +393,11 @@ class SortOperator:
             return Table.empty(self.schema)
         run = self._sort_buffer()
         with self.stats.time_phase("merge", RunMerger.NESTED_PHASES):
-            result = RunMerger(self._generator, run.num_rows).merge([run])
-            del run  # the run's table and keys are freed inside the phase
+            merger = RunMerger(self._generator, run.num_rows)
+            if merger.refine_end is None:  # taken as it stands: keys unread
+                run.words = None
+            result = merger.merge([run])
+            del run  # the run's table is freed inside the phase
         return result
 
     def _sort_buffer(self) -> InMemoryRun:

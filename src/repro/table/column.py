@@ -15,10 +15,14 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.errors import TypeError_
-from repro.table.strings import EncodedStrings
+from repro.table.strings import EncodedStrings, all_valid
 from repro.types.datatypes import DataType, TypeId, type_for_numpy_dtype
 
 __all__ = ["ColumnVector"]
+
+_NO_NULLS = np.broadcast_to(np.True_, (np.iinfo(np.intp).max,))
+"""Read-only and zero-stride: its first ``n`` rows are the mask of an
+``n``-row column without NULLs (a slice costs no ``broadcast_to`` call)."""
 
 
 class ColumnVector:
@@ -29,7 +33,11 @@ class ColumnVector:
         data: numpy array of physical values.  Slots that are NULL hold an
             unspecified (but type-valid) filler value.
         validity: boolean numpy array, True where the value is present.  A
-            column built without one gets its own all-True mask.
+            column without NULLs holds no mask bytes: its mask is the
+            read-only zero-stride view ``np.broadcast_to(True, (n,))``,
+            which the constructor makes of a missing or all-True mask, and
+            :meth:`take`, :meth:`slice` and :meth:`concat` hand on.
+            :attr:`has_nulls` tells the two apart without a scan.
 
     A column's values are fixed once it is built: nothing writes ``data``
     or ``validity`` in place.  That is what lets a VARCHAR column keep its
@@ -52,15 +60,22 @@ class ColumnVector:
         dtype.validate_array(data)
         if data.ndim != 1:
             raise TypeError_(f"column data must be 1-D, got shape {data.shape}")
+        if validity is not None:
+            validity = np.asarray(validity, dtype=bool)
+            if validity.shape != data.shape:
+                raise TypeError_(
+                    f"validity shape {validity.shape} != data shape "
+                    f"{data.shape}"
+                )
+            if all_valid(validity):
+                validity = None  # no NULLs: no mask bytes
+            elif validity.strides == (0,):  # a broadcast False
+                validity = validity.copy()
         if validity is None:
-            validity = np.ones(len(data), dtype=bool)
-        if validity.shape != data.shape:
-            raise TypeError_(
-                f"validity shape {validity.shape} != data shape {data.shape}"
-            )
+            validity = _NO_NULLS[: len(data)]
         self.dtype = dtype
         self.data = data
-        self.validity = np.asarray(validity, dtype=bool)
+        self.validity = validity
         #: The UTF-8 form: an ``EncodedStrings``, a function deriving it
         #: from the column this one was made from, or ``None`` (the codec
         #: makes it from ``data`` on first request).
@@ -115,11 +130,18 @@ class ColumnVector:
 
     @property
     def has_nulls(self) -> bool:
-        return not bool(self.validity.all())
+        """No scan: a column without NULLs holds the zero-stride mask."""
+        return self.validity.strides != (0,)
 
     @property
     def null_count(self) -> int:
+        if not self.has_nulls:
+            return 0
         return int(len(self) - self.validity.sum())
+
+    def _mask(self, rows) -> np.ndarray | None:
+        """The mask of ``rows``; ``None`` (no bytes) for a NULL-free column."""
+        return self.validity[rows] if self.has_nulls else None
 
     def value(self, index: int) -> Any:
         """The Python value at ``index`` (``None`` for NULL)."""
@@ -172,7 +194,7 @@ class ColumnVector:
         keeps no slots alive.
         """
         column = ColumnVector(
-            self.dtype, self.data[indices], self.validity[indices]
+            self.dtype, self.data[indices], self._mask(indices)
         )
         source = self._strings
         if isinstance(source, EncodedStrings):
@@ -187,7 +209,7 @@ class ColumnVector:
     def slice(self, start: int, stop: int) -> "ColumnVector":
         """A zero-copy slice view of this column (and of its slots)."""
         rows = slice(start, stop)
-        column = ColumnVector(self.dtype, self.data[rows], self.validity[rows])
+        column = ColumnVector(self.dtype, self.data[rows], self._mask(rows))
         source = self._strings
         if isinstance(source, EncodedStrings):
             column._strings = source.slice(start, stop)
@@ -206,10 +228,11 @@ class ColumnVector:
                     f"cannot concat {self.dtype.name} with {other.dtype.name}"
                 )
         parts = (self, *others)
+        masks = None
+        if any(part.has_nulls for part in parts):
+            masks = np.concatenate([part.validity for part in parts])
         column = ColumnVector(
-            self.dtype,
-            np.concatenate([part.data for part in parts]),
-            np.concatenate([part.validity for part in parts]),
+            self.dtype, np.concatenate([part.data for part in parts]), masks
         )
         sources = [part._strings for part in parts]
         if None not in sources:
@@ -229,13 +252,17 @@ class ColumnVector:
             return False
         if len(self) != len(other):
             return False
-        if not np.array_equal(self.validity, other.validity):
+        if self.has_nulls != other.has_nulls:
             return False
-        valid = self.validity
+        valid = slice(None)
+        if self.has_nulls:
+            valid = self.validity
+            if not np.array_equal(valid, other.validity):
+                return False
         if self.dtype.type_id is TypeId.VARCHAR:
             return all(
                 self.data[i] == other.data[i]
-                for i in np.flatnonzero(valid)
+                for i in np.arange(len(self))[valid]
             )
         mine, theirs = self.data[valid], other.data[valid]
         if self.dtype.is_float:

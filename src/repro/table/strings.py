@@ -20,6 +20,7 @@ __all__ = [
     "EncodedStrings",
     "MAX_SKIPPED",
     "TOP_BYTES",
+    "all_valid",
     "common_prefix",
     "decode_utf8_column",
     "encode_utf8_column",
@@ -58,8 +59,7 @@ def encode_utf8_column(
     """
     values = np.asarray(values, dtype=object)
     # All valid: no index array, no fancy-index copy of the object array.
-    all_valid = validity is None or validity.all()
-    rows = slice(None) if all_valid else np.flatnonzero(validity)
+    rows = slice(None) if all_valid(validity) else np.flatnonzero(validity)
     items = values[rows].tolist()
     try:
         chars = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
@@ -79,6 +79,16 @@ def encode_utf8_column(
     lengths = np.zeros(len(values), dtype=np.int64)
     lengths[rows] = chars
     return buffer, lengths
+
+
+def all_valid(validity: np.ndarray | None) -> bool:
+    """Is every row valid?  The zero-stride mask of a column without
+    NULLs answers from its first element, with no scan."""
+    if validity is None:
+        return True
+    if validity.strides == (0,):
+        return bool(validity[:1].all())
+    return bool(validity.all())
 
 
 def decode_utf8_column(
@@ -246,7 +256,7 @@ class EncodedStrings:
         """The bytes every valid value starts with (:func:`common_prefix`;
         at least one value is valid)."""
         if self._prefix is None:
-            valid = self.valid
+            valid = slice(None) if all_valid(self.valid) else self.valid
             self._prefix = common_prefix(
                 self.buffer, self.starts[valid], self.lengths[valid]
             )

@@ -199,7 +199,8 @@ def group_changed(table: Table, names: Iterable[str]) -> np.ndarray:
         differs = values[1:] != values[:-1]
         if column.dtype.is_float:
             differs &= ~(np.isnan(values[1:]) & np.isnan(values[:-1]))
-        changed |= (valid[1:] != valid[:-1]) | (
-            differs & valid[1:] & valid[:-1]
-        )
+        if column.has_nulls:
+            differs &= valid[1:] & valid[:-1]
+            differs |= valid[1:] != valid[:-1]
+        changed |= differs
     return changed

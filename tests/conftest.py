@@ -160,6 +160,22 @@ def merge_run_indices(runs, block_rows: int = 4096):
     return alive[run_ids], row_ids
 
 
+def peak_bytes(fn) -> tuple[int, object]:
+    """``(peak, result)``: the most bytes ``fn()`` held allocated at once,
+    by ``tracemalloc`` (numpy reports its array buffers to it), counting
+    only what it allocated itself, and what it returned."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture(autouse=True, scope="session")
 def no_resource_leaks():
     """Session guard: tests must not leak spill dirs or threads.

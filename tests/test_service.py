@@ -613,6 +613,40 @@ class TestAdmissionAndCancellation:
             assert service.stats.timed_out == 1
             assert service.stats.failed == 0
 
+    def test_cancel_during_grant_wait_is_a_cancellation(self, rng):
+        # The budget fits one grant and its holder parks at the gate; the
+        # second query is cancelled 0.1 s into its wait for one.  The wait
+        # reads the ticket every slice: it ends within two, counted as a
+        # cancellation, long before the admission timeout.
+        from repro.service.governor import _STARVED_POLL_S
+
+        db = GatedDatabase()
+        db.register("t", int_table(rng, 100))
+        with SortService(
+            db,
+            memory_budget=128 << 10,
+            min_grant_bytes=128 << 10,
+            workers=2,
+            admission_timeout_s=2.0,
+        ) as service:
+            holder = service.submit("SELECT * FROM t ORDER BY a")
+            assert db.entered.wait(5)
+            waiting = service.submit("SELECT * FROM t ORDER BY seq")
+            deadline = time.monotonic() + 5
+            while not service.governor.stats.grant_waits:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            time.sleep(0.1)
+            cancelled = time.monotonic()
+            waiting.cancel()
+            error = waiting.exception(timeout=5)
+            assert time.monotonic() - cancelled < 2 * _STARVED_POLL_S
+            assert isinstance(error, SortCancelledError)
+            db.gate.set()
+            holder.result(timeout=30)
+            assert service.stats.cancelled == 1
+            assert service.stats.failed == 0
+
     def test_a_deadline_starts_no_thread(self, rng):
         db = GatedDatabase()
         db.register("t", int_table(rng, 100))

@@ -620,3 +620,73 @@ class TestPackedWordSort:
         matrix = random_matrix(rng, n, width, alphabet)
         matrix[:, : min(shared, width - 1)] = 0x5A
         assert_kernel_matches(matrix)
+
+
+def low_bit_rows(base: int, count: int) -> np.ndarray:
+    """``count`` one-word keys, pairs that differ in the lowest key bit a
+    first pass over ``count`` rows packs (the bit just above the position
+    bits), the larger key first and with the smaller low bits: packed,
+    a pair sorts side by side less than ``2**index_bits`` apart, so a
+    subtract-based tie test calls it tied and the next pass, on the low
+    bits, swaps it.  Row 0 holds the top bit and row 1 none, so the pass
+    takes every key bit it has room for."""
+    bit = 1 << (count - 1).bit_length()
+    larger, smaller = (base | bit) & ~1, base | 1
+    values = [larger, smaller] * (count // 2) + [smaller] * (count % 2)
+    values[:2] = 1 << 63, 0
+    return np.array(values, dtype=np.uint64)
+
+
+class TestPackedPassBlocks:
+    """The packed pass ORs positions and compares neighbours block by
+    block (``kernels._BLOCK_ROWS``): lengths at a block's edges, ties and
+    keys that differ in the lowest packed key bit must sort as
+    ``np.lexsort`` does."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lexsort_at_block_edges(self, data):
+        from unittest import mock
+
+        block = data.draw(st.sampled_from([2, 3, 8, 64]))
+        n = data.draw(st.sampled_from([0, 1, block - 1, block, block + 1]))
+        pool = data.draw(
+            st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4)
+        )
+        low = (1 << max(n - 1, 0).bit_length()) % 2**64
+        value = st.one_of(
+            st.sampled_from(pool),  # duplicates and tie groups
+            st.sampled_from([v ^ low for v in pool]),  # the lowest key bit
+            st.integers(0, 2**64 - 1),
+        )
+        rows = st.lists(value, min_size=n, max_size=n)
+        columns = [
+            np.array(data.draw(rows), dtype=np.uint64)
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        # No lexsort finish: every tie set goes through packed passes.
+        with mock.patch.multiple(
+            kernels, _BLOCK_ROWS=block, LEXSORT_FINISH_ROWS=1
+        ):
+            order = argsort_words([column.copy() for column in columns])
+        want = np.lexsort(columns[::-1]) if n else np.empty(0, np.int64)
+        assert order.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_real_block_size(self, rng, offset):
+        n = kernels._BLOCK_ROWS + offset
+        assert n > kernels.LEXSORT_FINISH_ROWS  # the packed pass runs
+        dups = rng.integers(0, 40, (2, n)).astype(np.uint64) << np.uint64(40)
+        for columns in (list(dups), [low_bit_rows(7 << 40, n)]):
+            order = argsort_words([column.copy() for column in columns])
+            assert order.tolist() == np.lexsort(columns[::-1]).tolist()
+
+    def test_lowest_key_bit_is_no_tie(self, monkeypatch):
+        monkeypatch.setattr(kernels, "LEXSORT_FINISH_ROWS", 1)
+        for count in (6, 9, 33):
+            column = low_bit_rows(5 << 20, count)
+            stats = SortStats()
+            order = argsort_words([column.copy()], stats)
+            assert order.tolist() == np.argsort(column, kind="stable").tolist()
+            # One pass decides: what it leaves tied are full duplicates.
+            assert stats.sort_passes == 1
