@@ -198,11 +198,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve_cmd = commands.add_parser(
         "serve",
-        help="run queries concurrently under a shared memory budget",
+        help="run queries through the service under one memory budget",
         description=(
             "Drive the thread-pool query service: register CSVs, submit "
-            "every --query concurrently, and let the memory governor "
-            "arbitrate sort memory between them.  Queries that cannot be "
+            "every --query at once, and let the memory governor lend the "
+            "sort memory to one query at a time.  Queries that cannot be "
             "admitted are rejected with a typed overload error instead "
             "of exhausting memory."
         ),
@@ -268,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--run-threshold",
         type=int,
         default=None,
-        help="rows per spilled run before the governor shrinks it (--external)",
+        help="rows per spilled run, capped by a memory grant (--external)",
     )
     serve_cmd.add_argument(
         "-o",
@@ -532,8 +532,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "governor: "
             f"waits={stats.grant_waits} "
             f"wait_s={stats.grant_wait_s:.3f} "
-            f"revocations={stats.revocations} "
-            f"peak_grants={stats.peak_active_grants} "
             f"forced_spills={stats.governor_forced_spills} "
             f"peak_spill_bytes={stats.peak_concurrent_spill_bytes}",
             file=err,

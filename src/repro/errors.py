@@ -99,7 +99,7 @@ class ServiceOverloadError(ServiceError):
     """The service refused (or shed) a query because it is saturated.
 
     Raised instead of queueing without bound: the admission queue was
-    full, the memory governor stayed starved past the admission
+    full, another query held the memory grant past the admission
     timeout, or the query was load-shed to make room for higher
     priority work.  ``retry_after_s`` is the server's estimate of when
     capacity will free up; ``shed`` distinguishes a query evicted from

@@ -1,9 +1,10 @@
 """The concurrent sort service: thread pool, admission control, deadlines.
 
 A :class:`SortService` wraps one :class:`repro.engine.Database` behind a
-pool of worker threads and runs many ORDER BY / Top-N / window queries
-concurrently while a :class:`repro.service.governor.MemoryGovernor`
-arbitrates one process-wide memory budget between their sorts.
+pool of worker threads that parse, plan and answer cached ORDER BY /
+Top-N / window queries side by side, while a
+:class:`repro.service.governor.MemoryGovernor` lends the whole
+process-wide sort memory budget to one executing query at a time.
 
 The request lifecycle::
 
@@ -11,8 +12,7 @@ The request lifecycle::
         -> parse the SQL once; Database.plan binds and optimizes the
            statement
         -> result cache probe on (statement, table versions) (hit: done)
-        -> governor grant acquire (may wait until the deadline; may shed
-           queued LOW work)
+        -> governor grant acquire (may wait until the deadline)
         -> Database.execute_bound(plan) under a per-query SortConfig
            whose cancel_event is the ticket itself, plus the memory grant
         -> result cached, complete (result / typed error), grant
@@ -21,10 +21,9 @@ The request lifecycle::
 Admission control is explicit and typed: a full queue either sheds the
 lowest-priority queued ticket (when the newcomer outranks it) or rejects
 the newcomer with :class:`repro.errors.ServiceOverloadError` carrying a
-retry-after estimate; a starving governor sheds the same way.  Nothing
-waits unbounded and nothing OOMs silently: under overload the service
-degrades to *fewer admitted queries each spilling earlier*, the
-robustness posture of Do & Graefe (arXiv 2209.08420).
+retry-after estimate.  Nothing waits unbounded and nothing OOMs
+silently: under overload queries wait their turn for the budget, then
+fail typed, the robustness posture of Do & Graefe (arXiv 2209.08420).
 
 Cancellation and deadlines use cooperative checkpoints: the ticket is
 the per-query ``SortConfig.cancel_event``, and its ``is_set()`` is true
@@ -87,8 +86,8 @@ class ServiceStats:
 
     ``admitted`` counts tickets accepted into the queue; ``rejected``
     tickets refused at the door (queue full, no shed candidate);
-    ``shed`` queued tickets evicted to make room or relieve a starved
-    governor; ``cancelled`` tickets aborted by the caller;
+    ``shed`` queued tickets evicted to make room for higher-priority
+    work; ``cancelled`` tickets aborted by the caller;
     ``timed_out`` tickets whose deadline passed during the grant wait
     or the sort.
     ``governor_forced_spills`` sums the per-query
@@ -122,8 +121,6 @@ class ServiceStats:
     sorts_subsumed: int = 0
     grant_waits: int = 0
     grant_wait_s: float = 0.0
-    revocations: int = 0
-    peak_active_grants: int = 0
     peak_concurrent_spill_bytes: int = 0
     governor_forced_spills: int = 0
     queue_peak: int = 0
@@ -235,11 +232,14 @@ class _MaintainedView:
 class SortService:
     """Thread-pool query service over one :class:`Database`.
 
-    ``memory_budget`` bytes are shared by every concurrent query's sort
+    ``memory_budget`` bytes are lent whole to one query's sort at a time
     (see :class:`MemoryGovernor`); ``queue_limit`` bounds queued-but-
-    not-running tickets; ``workers`` threads execute queries.  Use as a
-    context manager, or call :meth:`shutdown` -- every worker thread is
-    joined on the way out.
+    not-running tickets; ``workers`` threads parse, plan and serve cache
+    hits side by side and take turns on the grant to execute.
+    ``min_grant_bytes`` is accepted only because the end-to-end
+    benchmark's settings pass it, and has no effect (ROADMAP item A's
+    benchmark change removes it).  Use as a context manager, or call
+    :meth:`shutdown` -- every worker thread is joined on the way out.
     """
 
     def __init__(
@@ -257,10 +257,7 @@ class SortService:
         if queue_limit < 1:
             raise ServiceError("queue_limit must be at least 1")
         self.database = database
-        governor_kwargs = {}
-        if min_grant_bytes is not None:
-            governor_kwargs["min_grant_bytes"] = min_grant_bytes
-        self.governor = MemoryGovernor(memory_budget, **governor_kwargs)
+        self.governor = MemoryGovernor(memory_budget)
         self.cache = ResultCache(cache_capacity)
         self.queue_limit = queue_limit
         self.admission_timeout_s = admission_timeout_s
@@ -532,32 +529,6 @@ class SortService:
     def _retry_after(self) -> float:
         return max(0.05, 2.0 * self._latency_ewma)
 
-    def _shed_for_starved_governor(self) -> None:
-        """Governor-starved hook: shed the lowest-priority queued LOW ticket.
-
-        Runs on a worker thread that is *waiting* for a grant; freeing
-        queue slots keeps submitters unblocked and sheds work that would
-        only deepen the starvation.  Only ``LOW`` tickets are shed here
-        -- a starved governor is not a reason to drop normal work that
-        admission already accepted.
-        """
-        with self._work:
-            victims = [
-                t for t in self._queue if t.priority == Priority.LOW
-            ]
-            for victim in victims:
-                self._queue.remove(victim)
-                self._stats.shed += 1
-        for victim in victims:
-            victim._fail(
-                ServiceOverloadError(
-                    f"query {victim.query_id} shed: memory governor "
-                    "starved",
-                    retry_after_s=self._retry_after(),
-                    shed=True,
-                )
-            )
-
     # ------------------------------------------------------------------ #
     # Worker loop
     # ------------------------------------------------------------------ #
@@ -640,10 +611,7 @@ class SortService:
             elapsed = time.monotonic() - ticket.submitted_at
             timeout = min(timeout, max(0.0, ticket.deadline_s - elapsed))
         grant = self.governor.acquire(
-            ticket.query_id,
-            timeout_s=timeout,
-            on_starved=self._shed_for_starved_governor,
-            cancel=ticket,
+            ticket.query_id, timeout_s=timeout, cancel=ticket
         )
         try:
             if ticket.is_set():
@@ -698,8 +666,6 @@ class SortService:
         gov = self.governor.stats
         snapshot.grant_waits = gov.grant_waits
         snapshot.grant_wait_s = gov.grant_wait_s
-        snapshot.revocations = gov.revocations
-        snapshot.peak_active_grants = gov.peak_active_grants
         snapshot.peak_concurrent_spill_bytes = (
             gov.peak_concurrent_spill_bytes
         )

@@ -398,9 +398,8 @@ class ExternalSortOperator(SortOperator):
     def _run_threshold(self) -> int:
         # Reduced-memory degradation: once runs stay resident, cut them
         # at half the configured threshold to curb buffer growth.  The
-        # base threshold is the grant-shrunk live value
-        # (:func:`effective_run_threshold`), re-read per sink so a
-        # governor revoking bytes mid-query forces earlier spills.
+        # base threshold is the live value, capped by the memory grant
+        # (:func:`effective_run_threshold`).
         threshold = effective_run_threshold(self.config)
         return max(1, threshold // 2) if self._degraded else threshold
 
@@ -448,8 +447,8 @@ class ExternalSortOperator(SortOperator):
         directory that keeps failing is failed over.  Returns the written
         run's path, or ``None`` when every target was exhausted (the
         caller degrades to an in-memory run).
-        A failed attempt's partial run is released, so its retry is
-        written at the same offset.
+        A failed or interrupted attempt's run is released: a retry is
+        written at the same offset, and no untracked extent is left.
         """
         for position, directory in enumerate(self._spill_targets()):
             if position > 0:
@@ -460,8 +459,10 @@ class ExternalSortOperator(SortOperator):
                     with self.stats.time_phase("spill_io"):
                         self._io.write_file(path, sections)
                     return path
-                except OSError:
+                except BaseException as error:
                     self._remove_file(path)
+                    if not isinstance(error, OSError):
+                        raise
                     if attempt < _WRITE_RETRIES:
                         self.stats.spill_retries += 1
                         time.sleep(_BACKOFF_S * 2**attempt)
@@ -643,9 +644,8 @@ class ExternalSortOperator(SortOperator):
         active = [run.on_disk for run in runs]
         if not any(active):
             return None
-        # The budget derives from the *live* (grant-shrunk) threshold,
-        # so a governor revoking memory also shrinks the read-ahead
-        # window the moment the next merge starts.
+        # The budget derives from the live (grant-capped) threshold, so
+        # a grant below the threshold also bounds the read-ahead window.
         budget = prefetch_budget_blocks(
             depth,
             sum(active),

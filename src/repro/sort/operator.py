@@ -72,11 +72,11 @@ def raise_if_cancelled(config: "SortConfig") -> None:
 
 
 def effective_run_threshold(config: "SortConfig") -> int:
-    """The live run threshold: the configured one, shrunk by the grant.
+    """The live run threshold: the configured one, capped by the grant.
 
-    The external sort re-reads it at every sink and after every run cut,
-    so a governor revoking grant bytes mid-query cuts the next run
-    earlier.  (The in-memory operator cuts no run and never asks.)
+    The external sort reads it at every sink and after every run cut; a
+    grant below the configured threshold cuts every run at the grant.
+    (The in-memory operator cuts no run and never asks.)
     """
     threshold = config.run_threshold
     grant = config.memory_grant
@@ -150,12 +150,11 @@ class SortConfig:
             :class:`repro.service.governor.MemoryGrant`).  The external
             sort treats ``min(run_threshold,
             grant.effective_run_threshold(run_threshold))`` as its live
-            run threshold, re-read at every sink -- so a governor
-            shrinking the grant under memory pressure forces runs (and
-            the prefetch budget derived from the threshold) to shrink
-            mid-query, spilling earlier via the existing degradation
-            ladder (``SortStats.governor_forced_spills`` counts the
-            runs so cut).  Ignored in memory, like ``run_threshold``.
+            run threshold, read at every sink -- so a grant smaller
+            than the threshold cuts runs (and the prefetch budget
+            derived from the threshold) at its size, spilling earlier
+            (``SortStats.governor_forced_spills`` counts the runs so
+            cut).  Ignored in memory, like ``run_threshold``.
         merge_fan_in: maximum runs merged per k-way pass of the external
             sort.  ``0`` (default) merges all runs in one pass.  With a
             limit, excess runs are first combined in intermediate passes
@@ -257,9 +256,9 @@ class SortStats:
     never spilled, without a truncated VARCHAR prefix), else 1, plus
     the intermediate passes ``SortConfig.merge_fan_in`` makes the
     spilling store insert.  ``governor_forced_spills`` counts runs the
-    external sort cut below the configured ``run_threshold`` because a
-    shrinking memory grant (``SortConfig.memory_grant``) lowered the
-    live threshold -- the governor forcing an early spill.
+    external sort cut below the configured ``run_threshold`` because the
+    memory grant (``SortConfig.memory_grant``) capped the live
+    threshold -- the governor forcing an early spill.
 
     The order-propagation counters describe planner-level sortedness
     reuse (:mod:`repro.engine.plan`): ``sorts_elided`` counts sorts the

@@ -116,5 +116,6 @@ def test_keys_package_lines_only_go_down():
 
 def test_service_package_lines_only_go_down():
     # The same ratchet for the query service: a deadline is read at the
-    # sort's checkpoints, and no thread beside the workers times it.
-    assert package_lines(repro.service) <= 1_129
+    # sort's checkpoints, and no thread beside the workers times it; the
+    # governor lends the whole budget to one grant at a time.
+    assert package_lines(repro.service) <= 1_037

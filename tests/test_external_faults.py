@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import tempfile
 import threading
 
 import numpy as np
@@ -29,8 +30,9 @@ from repro.errors import (
 from repro.sort.external import ExternalSortOperator, InMemoryRun
 from repro.sort.faults import FaultInjector, InjectedFault, SpillIO
 from repro.sort.operator import SortConfig, sort_table
-from repro.table.chunk import chunk_table
+from repro.table.chunk import DataChunk, chunk_table
 from repro.types.sortspec import SortSpec
+from repro.workloads.scenarios import SCENARIOS
 
 SPEC = "a, s DESC, f"
 
@@ -286,6 +288,37 @@ class TestLifecycleAndCleanup:
         # The operator-owned mkdtemp directory is gone, not leaked.
         assert not os.path.exists(own_dir)
         assert operator._closed
+
+    def test_interrupted_run_write_leaves_no_spill_file(
+        self, monkeypatch, tmp_path
+    ):
+        # An exception that is no OSError, raised after the second run's
+        # extent has landed, must still take the sort's spill file with
+        # it, or close() cannot remove the sort's own directory.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+        class InterruptedIO(SpillIO):
+            writes = 0
+
+            def write_file(self, path, sections):
+                super().write_file(path, sections)
+                self.writes += 1
+                if self.writes == 2:
+                    raise KeyboardInterrupt
+
+        table = SCENARIOS["uniform"].table(20_000, seed=7)
+        operator = ExternalSortOperator(
+            table.schema,
+            SortSpec.of("a", "p"),
+            SortConfig(run_threshold=4096),
+            io=InterruptedIO(),
+        )
+        with pytest.raises(KeyboardInterrupt):
+            with operator:
+                operator.sink(DataChunk.from_table(table))
+                operator.finalize()
+        assert operator.stats.cleanup_errors == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_own_directory_removed_without_finalize(self, rng):
         table = mixed_table(rng, 300)

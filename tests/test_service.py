@@ -1,9 +1,9 @@
 """The concurrent query service: governor, admission, cancellation, cache.
 
 The acceptance bar mirrors the robustness posture of the service layer:
-under a memory budget sized for two queries, eight concurrent external
-sorts must all complete byte-identical to their serial runs with the
-governor's forced spills visible in stats; a deliberately overloaded
+under a memory budget lent to one query at a time, eight external
+sorts submitted at once must all complete byte-identical to their
+serial runs with the governor's forced spills visible in stats; a deliberately overloaded
 service must reject or shed with typed errors instead of OOMing or
 deadlocking; and no outcome -- completion, cancellation, timeout,
 shedding -- may leak a grant, a spill file, or a thread.
@@ -91,24 +91,10 @@ class GatedDatabase(Database):
 
 class TestMemoryGovernor:
     def test_single_grant_gets_full_budget(self):
-        governor = MemoryGovernor(1 << 20, min_grant_bytes=64 << 10)
+        governor = MemoryGovernor(1 << 20)
         with governor.acquire("q1") as grant:
             assert grant.granted_bytes == 1 << 20
         assert governor.active_grants == 0
-
-    def test_admission_revokes_fair_shares(self):
-        governor = MemoryGovernor(1 << 20, min_grant_bytes=64 << 10)
-        first = governor.acquire("q1")
-        assert first.granted_bytes == 1 << 20
-        second = governor.acquire("q2")
-        # Admitting q2 shrank q1's grant in place: a revocation.
-        assert first.granted_bytes == (1 << 20) // 2
-        assert second.granted_bytes == (1 << 20) // 2
-        assert governor.stats.revocations >= 1
-        second.release()
-        # Shares regrow when a peer leaves.
-        assert first.granted_bytes == 1 << 20
-        first.release()
 
     def test_grant_to_rows_translation(self):
         governor = MemoryGovernor(1 << 20)
@@ -120,16 +106,13 @@ class TestMemoryGovernor:
             assert grant.effective_run_threshold(100) == 1
 
     def test_acquire_blocks_then_times_out_typed(self):
-        governor = MemoryGovernor(128 << 10, min_grant_bytes=128 << 10)
-        assert governor.max_active == 1
+        governor = MemoryGovernor(128 << 10)
         holder = governor.acquire("q1")
-        starved = []
         with pytest.raises(ServiceOverloadError) as info:
-            governor.acquire(
-                "q2", timeout_s=0.15, on_starved=lambda: starved.append(1)
-            )
+            governor.acquire("q2", timeout_s=0.15)
         assert info.value.retry_after_s > 0
-        assert len(starved) >= 1  # fired on every wait slice
+        # The holder's grant never shrinks while another query waits.
+        assert holder.granted_bytes == 128 << 10
         assert governor.stats.grant_timeouts == 1
         assert governor.stats.grant_waits == 1  # one acquire, counted once
         holder.release()
@@ -137,7 +120,7 @@ class TestMemoryGovernor:
         governor.acquire("q3", timeout_s=0.1).release()
 
     def test_release_unblocks_waiter(self):
-        governor = MemoryGovernor(128 << 10, min_grant_bytes=128 << 10)
+        governor = MemoryGovernor(128 << 10)
         holder = governor.acquire("q1")
         got = []
 
@@ -157,13 +140,15 @@ class TestMemoryGovernor:
     def test_spill_accounting_high_watermark(self):
         governor = MemoryGovernor(1 << 20)
         first = governor.acquire("q1")
-        second = governor.acquire("q2")
         first.record_spill(1000)
-        second.record_spill(500)
+        first.record_spill(500)
         assert governor.concurrent_spill_bytes == 1500
         first.release()
-        assert governor.concurrent_spill_bytes == 500
+        assert governor.concurrent_spill_bytes == 0
+        first.record_spill(300)  # a released grant records nothing
+        second = governor.acquire("q2")
         second.record_spill(200)
+        assert governor.concurrent_spill_bytes == 200
         second.release()
         assert governor.concurrent_spill_bytes == 0
         assert governor.stats.peak_concurrent_spill_bytes == 1500
@@ -598,7 +583,6 @@ class TestAdmissionAndCancellation:
         with SortService(
             db,
             memory_budget=128 << 10,
-            min_grant_bytes=128 << 10,
             workers=2,
         ) as service:
             holder = service.submit("SELECT * FROM t ORDER BY a")
@@ -618,14 +602,13 @@ class TestAdmissionAndCancellation:
         # second query is cancelled 0.1 s into its wait for one.  The wait
         # reads the ticket every slice: it ends within two, counted as a
         # cancellation, long before the admission timeout.
-        from repro.service.governor import _STARVED_POLL_S
+        from repro.service.governor import _WAIT_SLICE_S
 
         db = GatedDatabase()
         db.register("t", int_table(rng, 100))
         with SortService(
             db,
             memory_budget=128 << 10,
-            min_grant_bytes=128 << 10,
             workers=2,
             admission_timeout_s=2.0,
         ) as service:
@@ -640,7 +623,7 @@ class TestAdmissionAndCancellation:
             cancelled = time.monotonic()
             waiting.cancel()
             error = waiting.exception(timeout=5)
-            assert time.monotonic() - cancelled < 2 * _STARVED_POLL_S
+            assert time.monotonic() - cancelled < 2 * _WAIT_SLICE_S
             assert isinstance(error, SortCancelledError)
             db.gate.set()
             holder.result(timeout=30)
@@ -662,32 +645,57 @@ class TestAdmissionAndCancellation:
             ticket.result(timeout=30)
         assert not service_threads()
 
-    def test_governor_starvation_sheds_queued_low_work(self, rng):
-        # Budget fits exactly one grant and the sole holder parks at the
-        # gate, so the second worker's acquire starves; the on_starved
-        # hook must shed the queued LOW ticket with a typed error.
+
+class TestOneGrantAtATime:
+    def test_a_schedule_repeats_its_runs_and_forced_spills(self, rng):
+        # The grant is the whole budget for its whole life, so which
+        # queries overlap on the two workers cannot change a run cut.
+        db = Database(
+            sort_config=SortConfig(external=True, run_threshold=8192)
+        )
+        for i, rows in enumerate((9_000, 12_000, 15_000)):
+            db.register(f"t{i}", mixed_table(rng, rows))
+        queries = [
+            f"SELECT * FROM t{i % 3} ORDER BY a, s DESC, seq OFFSET {i}"
+            for i in range(6)
+        ]
+
+        def play() -> tuple[list, int]:
+            with SortService(
+                db, memory_budget=256 << 10, workers=2, cache_capacity=0
+            ) as service:
+                tickets = [service.submit(sql) for sql in queries]
+                for ticket in tickets:
+                    ticket.result(timeout=60)
+                runs = [
+                    [stats.runs_generated for stats in ticket.sort_stats]
+                    for ticket in tickets
+                ]
+                return runs, service.stats.governor_forced_spills
+
+        first, second = play(), play()
+        assert first == second
+        assert first[1] > 0
+
+    def test_a_cache_hit_is_served_while_a_sort_holds_the_grant(self, rng):
         db = GatedDatabase()
         db.register("t", int_table(rng, 100))
-        with SortService(
-            db,
-            memory_budget=128 << 10,
-            min_grant_bytes=128 << 10,
-            workers=2,
-            queue_limit=8,
-            admission_timeout_s=5.0,
-        ) as service:
-            first = service.submit("SELECT * FROM t ORDER BY a")
-            assert db.entered.wait(5)  # the sole grant is now held
-            second = service.submit("SELECT * FROM t ORDER BY seq")
-            low = service.submit("SELECT * FROM t ORDER BY b", Priority.LOW)
-            error = low.exception(timeout=10)
-            assert isinstance(error, ServiceOverloadError)
-            assert error.shed
+        cached_sql = "SELECT * FROM t ORDER BY a, seq"
+        with SortService(db, memory_budget=128 << 10, workers=2) as service:
             db.gate.set()
-            first.result(timeout=30)
-            second.result(timeout=30)
-            assert service.stats.shed == 1
-            assert service.stats.grant_waits >= 1
+            expected = service.execute(cached_sql, timeout=30)
+            db.gate.clear()
+            db.entered.clear()
+            holder = service.submit("SELECT * FROM t ORDER BY seq")
+            assert db.entered.wait(5)  # parked at the gate with the grant
+            assert service.governor.active_grants == 1
+            hit = service.submit(cached_sql)
+            assert hit.result(timeout=5) is expected
+            assert hit.from_cache
+            assert not holder.done
+            db.gate.set()
+            holder.result(timeout=30)
+            assert service.stats.grant_waits == 0
 
 
 # --------------------------------------------------------------------- #
@@ -699,10 +707,11 @@ class TestAcceptanceScenarios:
     def test_eight_sorts_under_budget_for_two(self, rng):
         """The ISSUE's headline scenario, executed literally.
 
-        The budget admits two minimum grants; eight concurrent external
-        sorts must all finish byte-identical to their serial runs, with
-        the governor's revocations and forced early spills visible in
-        stats, every grant returned, and zero spill files left behind.
+        The budget holds 4,096 rows of a grant against an 8,192-row
+        threshold; eight external sorts submitted at once must all
+        finish byte-identical to their serial runs, taking turns on the
+        grant, with the governor's forced early spills visible in stats,
+        every grant returned, and zero spill files left behind.
         """
         before = spill_dirs()
         config = SortConfig(external=True, run_threshold=8192)
@@ -717,7 +726,6 @@ class TestAcceptanceScenarios:
         with SortService(
             db,
             memory_budget=budget,
-            min_grant_bytes=budget // 2,  # sized for exactly two queries
             workers=8,
             cache_capacity=0,
             admission_timeout_s=60.0,
@@ -734,12 +742,10 @@ class TestAcceptanceScenarios:
 
         assert stats.completed == 8
         assert stats.failed == 0
-        # Two grants max, so six of eight queries waited their turn...
-        assert stats.peak_active_grants == 2
+        # One grant at a time, so queries waited their turn...
         assert stats.grant_waits >= 1
-        # ...and every admission shrank someone: with half the budget a
-        # grant covers 2048 rows against the 8192-row threshold, so the
-        # governor forced runs to cut (and spill) early.
+        # ...and the grant covers 4,096 rows against the 8,192-row
+        # threshold, so the governor forced runs to cut (and spill) early.
         assert stats.governor_forced_spills > 0
         assert stats.peak_concurrent_spill_bytes > 0
         assert service.governor.active_grants == 0
@@ -829,7 +835,6 @@ class TestConcurrentStress:
         service = SortService(
             db,
             memory_budget=192 << 10,
-            min_grant_bytes=64 << 10,
             workers=6,
             queue_limit=6,
             cache_capacity=4,

@@ -48,8 +48,8 @@ def spec_of(text: str) -> SortSpec:
 class RecordingIO(SpillIO):
     """The real backend, keeping the bytes of every file it writes.
 
-    ``on_write`` runs after each file is written (a revocation or a
-    cancellation between run cuts)."""
+    ``on_write`` runs after each file is written (a cancellation between
+    run cuts)."""
 
     def __init__(self, on_write=None) -> None:
         super().__init__()
@@ -63,20 +63,16 @@ class RecordingIO(SpillIO):
             self.on_write(len(self.files))
 
 
-def revoke_after_first_file(config_threshold: int):
-    """A live grant of 6,000 rows that a second query halves while the
-    first run is written; returns ``(grant, on_write, governor)``."""
-    governor = MemoryGovernor(6000 * 64, min_grant_bytes=6000 * 16)
-    grant = governor.acquire("sort")
+GRANT_ROWS = 3000
+
+
+def grant_from_the_first_row(config_threshold: int):
+    """A grant of 3,000 rows (64 bytes a row), held for the whole sort."""
+    grant = MemoryGovernor(GRANT_ROWS * 64).acquire("sort")
     assert grant.effective_run_threshold(config_threshold) == min(
-        6000, config_threshold
+        GRANT_ROWS, config_threshold
     )
-
-    def on_write(files: int) -> None:
-        if files == 1:
-            governor.acquire("other")
-
-    return grant, on_write, governor
+    return grant
 
 
 CASES = {
@@ -87,15 +83,13 @@ CASES = {
 }
 
 
-def spill_sort(table, spec, tmp_path, threshold, feed, revoke):
+def spill_sort(table, spec, tmp_path, threshold, feed, granted):
     """Sort through ``ExternalSortOperator``; ``feed`` is ``"whole"`` or
     ``"vectors"``.  Returns ``(result, stats, file bytes)``."""
     directory = tmp_path / feed
     directory.mkdir()
-    grant = on_write = None
-    if revoke:
-        grant, on_write, _ = revoke_after_first_file(threshold)
-    io = RecordingIO(on_write)
+    grant = grant_from_the_first_row(threshold) if granted else None
+    io = RecordingIO()
     config = SortConfig(run_threshold=threshold, memory_grant=grant)
     with ExternalSortOperator(
         table.schema, spec, config, str(directory), io=io
@@ -111,19 +105,19 @@ def spill_sort(table, spec, tmp_path, threshold, feed, revoke):
 
 
 class TestRunCutsDoNotMove:
-    @pytest.mark.parametrize("revoke", [False, True], ids=["fixed", "revoked"])
+    @pytest.mark.parametrize("granted", [False, True], ids=["fixed", "granted"])
     @pytest.mark.parametrize("threshold", [2000, 16_384])
     @pytest.mark.parametrize("case", CASES)
     def test_whole_table_cuts_where_vectors_cut(
-        self, tmp_path, case, threshold, revoke
+        self, tmp_path, case, threshold, granted
     ):
         name, order_by = CASES[case]
         table, spec = SCENARIOS[name].table(40_000, seed=17), spec_of(order_by)
         whole, whole_stats, whole_files = spill_sort(
-            table, spec, tmp_path, threshold, "whole", revoke
+            table, spec, tmp_path, threshold, "whole", granted
         )
         vectors, vector_stats, vector_files = spill_sort(
-            table, spec, tmp_path, threshold, "vectors", revoke
+            table, spec, tmp_path, threshold, "vectors", granted
         )
         assert whole.equals(vectors)
         assert whole.equals(sort_table(table, spec))
@@ -135,12 +129,12 @@ class TestRunCutsDoNotMove:
         )
         assert whole_files == vector_files
         # Cuts land on the first vector boundary at or past the live
-        # threshold: 6,000 rows under the grant, 3,000 once it is halved.
-        first, later = (6000, 3000) if revoke else (threshold, threshold)
+        # threshold: the configured one, capped at 3,000 rows by a grant.
+        first, later = (GRANT_ROWS,) * 2 if granted else (threshold,) * 2
         assert whole_stats.run_lengths[:2] == [
             -(-min(threshold, live) // 1024) * 1024 for live in (first, later)
         ]
-        forced = revoke and threshold > 3000
+        forced = granted and threshold > GRANT_ROWS
         assert whole_stats.governor_forced_spills == (
             len(whole_files) if forced else 0
         )
@@ -366,16 +360,13 @@ def spills(monkeypatch):
     """The bytes of every spill file written, and the rows of every
     gather from the registered table's column arrays.
 
-    ``state["on_write"]`` (when set) runs after each file is written;
     ``state["source"]`` is the table whose gathers are recorded."""
-    state = {"files": [], "gathers": [], "on_write": None, "source": None}
+    state = {"files": [], "gathers": [], "source": None}
     write_file, take = SpillIO.write_file, ColumnVector.take
 
     def recording_write(self, path, sections):
         write_file(self, path, sections)
         state["files"].append(b"".join(sections))
-        if state["on_write"] is not None:
-            state["on_write"](len(state["files"]))
 
     def recording_take(self, indices):
         source = state["source"]
@@ -390,16 +381,14 @@ def spills(monkeypatch):
     return state
 
 
-def database_sort(state, table, sql, threshold, revoke):
+def database_sort(state, table, sql, threshold, granted):
     """Run ``sql`` over ``table`` registered as ``t``; ``threshold`` None
     is the resident sort.  Returns ``(result, stats, file bytes)``."""
-    state["files"], state["on_write"] = [], None
+    state["files"] = []
     if threshold is None:
         config = SortConfig()
     else:
-        grant = None
-        if revoke:
-            grant, state["on_write"], _ = revoke_after_first_file(threshold)
+        grant = grant_from_the_first_row(threshold) if granted else None
         config = SortConfig(
             external=True, run_threshold=threshold, memory_grant=grant
         )
@@ -411,13 +400,13 @@ def database_sort(state, table, sql, threshold, revoke):
 
 class TestFilteredSortIsThePrefilteredSort:
     @pytest.mark.parametrize(
-        "threshold, revoke",
+        "threshold, granted",
         [(None, False), (2000, False), (16_384, False), (16_384, True)],
-        ids=["resident", "spill-2000", "spill-16384", "revoked"],
+        ids=["resident", "spill-2000", "spill-16384", "granted"],
     )
     @pytest.mark.parametrize("case", FILTERED)
     def test_same_runs_spills_and_result(
-        self, spills, case, threshold, revoke
+        self, spills, case, threshold, granted
     ):
         name, where, order_by = FILTERED[case]
         table = SCENARIOS[name].table(40_000, seed=17)
@@ -426,11 +415,11 @@ class TestFilteredSortIsThePrefilteredSort:
         prefiltered = db.execute(f"SELECT * FROM t WHERE {where}")
         sql = "SELECT * FROM t {}ORDER BY " + order_by
         expected, expected_stats, expected_files = database_sort(
-            spills, prefiltered, sql.format(""), threshold, revoke
+            spills, prefiltered, sql.format(""), threshold, granted
         )
         spills["source"] = table
         result, stats, files = database_sort(
-            spills, table, sql.format(f"WHERE {where} "), threshold, revoke
+            spills, table, sql.format(f"WHERE {where} "), threshold, granted
         )
         spec = spec_of(order_by)
         assert_byte_identical(expected, result)
@@ -438,7 +427,7 @@ class TestFilteredSortIsThePrefilteredSort:
         assert run_shape(stats) == run_shape(expected_stats)
         assert files == expected_files
         assert (len(files) > 0) == (threshold is not None)
-        assert (stats.governor_forced_spills > 0) == revoke
+        assert (stats.governor_forced_spills > 0) == granted
         assert (stats.key_carried_runs > 0) == (
             case == "key_carried" and threshold is not None
         )
