@@ -31,6 +31,12 @@ tables are the end-to-end benchmark's at its default scale; below it,
 cut points of the two clients coincide, and a cross-client cache hit
 would depend on timing.
 
+The JSON's ``decision_input`` is what chose the one-grant governor: the
+same two mixes measured at commit aef2a70, where the governor still split
+the budget into fair shares (``min_grant_bytes`` a quarter of it) and
+revoked them on each admit.  This tree cannot re-measure it, so a rewrite
+of the output file keeps the recorded entry as it is.
+
 Runs standalone (``python benchmarks/bench_service.py [--pairs N]
 [--out PATH]``, about 30 s at the default 10 pairs on a 2-core VM) or
 under pytest (a 2-pair smoke that writes under ``tmp_path``).
@@ -249,6 +255,14 @@ def bench_mix(mix: Mix, pairs: int) -> dict:
     }
 
 
+def _recorded_decision_input(out: str) -> dict | None:
+    try:
+        with open(out) as fh:
+            return json.load(fh).get("decision_input")
+    except (OSError, ValueError):
+        return None
+
+
 def main(pairs: int = PAIRS, out: str = OUTPUT) -> dict:
     results = {
         "cpu_count": os.cpu_count(),
@@ -259,6 +273,9 @@ def main(pairs: int = PAIRS, out: str = OUTPUT) -> dict:
         "workers": list(WORKERS),
         "workloads": {},
     }
+    decision_input = _recorded_decision_input(out)
+    if decision_input is not None:
+        results["decision_input"] = decision_input
     for build in (service_mix, string_inmem):
         mix = build()
         numbers = bench_mix(mix, pairs)

@@ -47,9 +47,8 @@ from repro.types.sortspec import SortSpec
 
 __all__ = ["BATCH_ROWS", "TopNOperator", "top_n"]
 
-BATCH_ROWS = 32 * VECTOR_SIZE
-"""Rows ``sink`` buffers before one absorb: four times the ~8,000 rows whose
-work matches an absorb's fixed ~0.25 ms (statistics passes, concat, take)."""
+BATCH_ROWS = 8 * VECTOR_SIZE
+"""Rows ``sink`` buffers before one absorb."""
 
 
 class TopNOperator:

@@ -9,7 +9,7 @@ one's, inputs where nothing or everything is dropped, and degenerate
 capacities and vector sizes.  Every case is checked against the
 tuple-key ``sorted()`` oracle byte for byte.
 
-The operator absorbs every ``topn.BATCH_ROWS`` rows (32 default
+The operator absorbs every ``topn.BATCH_ROWS`` rows (eight default
 vectors).  The inputs here are a few thousand rows, so :func:`batches_of`
 shrinks the constant -- to eight of the *test's* vectors unless a case
 says otherwise -- and most of the input arrives after the first absorb.

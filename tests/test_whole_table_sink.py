@@ -16,7 +16,9 @@ pre-filtered table.
 from __future__ import annotations
 
 import collections
+import errno
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +65,17 @@ class RecordingIO(SpillIO):
             self.on_write(len(self.files))
 
 
+class FullAfterFirstFile(RecordingIO):
+    """Every write after the first fails with ``ENOSPC``: the sort keeps
+    later runs resident and, from the third on, cuts them at half its
+    threshold."""
+
+    def write_file(self, path, sections):
+        if self.files:
+            raise OSError(errno.ENOSPC, "No space left on device", path)
+        super().write_file(path, sections)
+
+
 GRANT_ROWS = 3000
 
 
@@ -83,41 +96,45 @@ CASES = {
 }
 
 
-def spill_sort(table, spec, tmp_path, threshold, feed, granted):
+def spill_sort(table, spec, tmp_path, threshold, feed, live):
     """Sort through ``ExternalSortOperator``; ``feed`` is ``"whole"`` or
-    ``"vectors"``.  Returns ``(result, stats, file bytes)``."""
+    ``"vectors"``, ``live`` what moves the threshold (``"fixed"``,
+    ``"granted"`` or ``"degraded"``).  Returns ``(result, stats, file
+    bytes)``."""
     directory = tmp_path / feed
     directory.mkdir()
-    grant = grant_from_the_first_row(threshold) if granted else None
-    io = RecordingIO()
+    grant = grant_from_the_first_row(threshold) if live == "granted" else None
+    io = FullAfterFirstFile() if live == "degraded" else RecordingIO()
     config = SortConfig(run_threshold=threshold, memory_grant=grant)
     with ExternalSortOperator(
         table.schema, spec, config, str(directory), io=io
     ) as operator:
-        if feed == "whole":
-            operator.sink(DataChunk.from_table(table))
-        else:
-            for part in chunk_table(table, 1024):
-                operator.sink(part)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "external sort: no spill target")
+            if feed == "whole":
+                operator.sink(DataChunk.from_table(table))
+            else:
+                for part in chunk_table(table, 1024):
+                    operator.sink(part)
         result = operator.finalize()
     assert list(directory.iterdir()) == []
     return result, operator.stats, io.files
 
 
 class TestRunCutsDoNotMove:
-    @pytest.mark.parametrize("granted", [False, True], ids=["fixed", "granted"])
+    @pytest.mark.parametrize("live", ["fixed", "granted", "degraded"])
     @pytest.mark.parametrize("threshold", [2000, 16_384])
     @pytest.mark.parametrize("case", CASES)
     def test_whole_table_cuts_where_vectors_cut(
-        self, tmp_path, case, threshold, granted
+        self, tmp_path, case, threshold, live
     ):
         name, order_by = CASES[case]
         table, spec = SCENARIOS[name].table(40_000, seed=17), spec_of(order_by)
         whole, whole_stats, whole_files = spill_sort(
-            table, spec, tmp_path, threshold, "whole", granted
+            table, spec, tmp_path, threshold, "whole", live
         )
         vectors, vector_stats, vector_files = spill_sort(
-            table, spec, tmp_path, threshold, "vectors", granted
+            table, spec, tmp_path, threshold, "vectors", live
         )
         assert whole.equals(vectors)
         assert whole.equals(sort_table(table, spec))
@@ -129,16 +146,33 @@ class TestRunCutsDoNotMove:
         )
         assert whole_files == vector_files
         # Cuts land on the first vector boundary at or past the live
-        # threshold: the configured one, capped at 3,000 rows by a grant.
-        first, later = (GRANT_ROWS,) * 2 if granted else (threshold,) * 2
-        assert whole_stats.run_lengths[:2] == [
-            -(-min(threshold, live) // 1024) * 1024 for live in (first, later)
-        ]
-        forced = granted and threshold > GRANT_ROWS
+        # threshold: the configured one, capped at 3,000 rows by a grant,
+        # or halved from the third run on, once the second run's write
+        # found the disk full.
+        def live_threshold(run: int) -> int:
+            if live == "granted":
+                return min(threshold, GRANT_ROWS)
+            if live == "degraded" and run >= 2:
+                return threshold // 2
+            return threshold
+
+        left, cuts = table.num_rows, []
+        while left >= live_threshold(len(cuts)):
+            cuts.append(-(-live_threshold(len(cuts)) // 1024) * 1024)
+            left -= cuts[-1]
+        assert whole_stats.run_lengths == cuts + [left]
+        forced = live == "granted" and threshold > GRANT_ROWS
         assert whole_stats.governor_forced_spills == (
             len(whole_files) if forced else 0
         )
-        assert len(whole_files) == whole_stats.runs_generated - 1
+        assert len(whole_files) == (
+            1 if live == "degraded" else whole_stats.runs_generated - 1
+        )
+        # Every cut run that found no disk stayed resident; the tail run
+        # is resident from the start.
+        assert whole_stats.memory_run_fallbacks == (
+            whole_stats.runs_generated - 1 - len(whole_files)
+        )
         assert (whole_stats.key_carried_runs > 0) == (case == "key_carried")
 
     def test_set_cancel_event_refuses_a_whole_table(self, tmp_path):
