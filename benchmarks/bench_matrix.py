@@ -11,6 +11,9 @@ incremental (maintained-view) sorter -- and records one cell per
   reps of a scenario's paths alternate, so the same-run relations
   ``regress.py`` checks, such as Top-N against the in-memory sort,
   compare cells measured side by side under the same conditions);
+* the minor page faults of that best run (``minor_faults``, the
+  process's ``ru_minflt`` delta: memory the allocator handed back to the
+  OS and faulted in again shows here), recorded and not gated;
 * what the run sort did (``sort_passes`` / ``sort_tied_rows`` summed
   over the generated runs) -- these are **deterministic**
   for a given (rows, seed), which is what lets
@@ -39,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -210,11 +214,17 @@ def _run_incremental(table, spec, rows):
 # ---------------------------------------------------------------------- #
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def run_cell(path, scenario, table, spec, oracle, rows):
-    """One measured rep of one cell: ``(seconds, dispatch, extras)``."""
+    """One measured rep of one cell: ``(seconds, minor_faults, dispatch,
+    extras)``."""
     context = (
         f"scenario={scenario.name} path={path} rows={rows} seed={SEED}"
     )
+    faults = _minor_faults()
     started = time.perf_counter()
     if path == "in_memory":
         result, dispatch, extras = _run_full_sort(table, spec, SortConfig())
@@ -231,6 +241,7 @@ def run_cell(path, scenario, table, spec, oracle, rows):
     else:  # pragma: no cover - registry drift is a programming error
         raise ValueError(f"unknown path {path!r}")
     elapsed = time.perf_counter() - started
+    faults = _minor_faults() - faults
     if path == "topn":
         expected = oracle.take(np.arange(TOPN_OFFSET, TOPN_OFFSET + TOPN_LIMIT))
         assert_identical(result, expected, context)
@@ -239,7 +250,7 @@ def run_cell(path, scenario, table, spec, oracle, rows):
             assert_identical(result_table, oracle, context)
     else:
         assert_identical(result, oracle, context)
-    return elapsed, dispatch, extras
+    return elapsed, faults, dispatch, extras
 
 
 def bench_scenario(scenario, rows):
@@ -251,7 +262,7 @@ def bench_scenario(scenario, rows):
     cells = {}
     for _ in range(REPS):
         for path in PATHS:
-            elapsed, dispatch, extras = run_cell(
+            elapsed, faults, dispatch, extras = run_cell(
                 path, scenario, table, spec, oracle, rows
             )
             best = cells.get(path)
@@ -262,6 +273,7 @@ def bench_scenario(scenario, rows):
             sorted_rows = rows * SERVICE_QUERIES if path == "service" else rows
             cells[path] = {
                 "seconds": elapsed,
+                "minor_faults": faults,
                 "rows_per_s": sorted_rows / elapsed,
                 "identical": True,
                 "dispatch": dispatch,
@@ -318,6 +330,7 @@ def test_matrix_smoke(tmp_path, capsys):
         for cell in numbers["paths"].values():
             assert cell["identical"] is True
             assert cell["seconds"] > 0
+            assert cell["minor_faults"] >= 0
     # The counters the regression gate keys on must be present on every
     # path (Top-N generates no runs, but its survivor sorts go through
     # the same run sort).

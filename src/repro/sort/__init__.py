@@ -6,11 +6,7 @@ merge kernels, and the spill files and fault injection around them.  The
 paper's scalar algorithms live beside it in :mod:`repro.scalar`.
 """
 
-from repro.sort.external import (
-    ExternalSortOperator,
-    InMemoryRun,
-    SpilledRun,
-)
+from repro.sort.external import ExternalSortOperator, InMemoryRun, SpilledRun
 from repro.sort.faults import (
     FAULT_KINDS,
     FaultInjector,
@@ -18,10 +14,7 @@ from repro.sort.faults import (
     InjectedFault,
     SpillIO,
 )
-from repro.sort.incremental import (
-    IncrementalSorter,
-    IncrementalStats,
-)
+from repro.sort.incremental import IncrementalSorter, IncrementalStats
 from repro.sort.heuristic import vector_sort_rows
 from repro.sort.kernels import (
     KWayBlockStats,

@@ -19,67 +19,21 @@ storage".  This module implements that design for the sort operator:
   set is O(num_runs * block_rows) key word rows instead of O(n).
 
 What this module adds to the inherited stages is the spilling *run
-store*: the spill-file reader (:class:`SpilledRun`), the temp-directory
-lifecycle, the write ladder below, block CRC verification, the
-read-ahead hook (:mod:`repro.sort.prefetch`) and fan-in-limited merge
-pre-passes.
-
-Runs are encoded under the runtime key-compression layer
-(:mod:`repro.keys.compression`): each run's layout comes from one
-monotone statistics accumulator, so layouts only ever widen run-to-run
-and the merge rebases earlier (narrower) runs onto the final layout
-block-by-block as it streams them -- spilled keys shrink without a
-re-spill pass.  A spilled run keeps its layout in memory, beside its
-extent's CRC table.
-When the key segments alone can reconstruct every column exactly
-(``key_carried_eligible``: all columns are fixed-width non-float sort
-keys), runs are spilled **key-carried**: the payload section is empty
-and the output table is decoded straight from the merged key word
-columns, cutting spill volume by the full payload width.
-
-Truncated VARCHAR prefixes spill in key-byte order and the streamed
-merge repairs them with the adaptive re-encode loop
-(:func:`repro.sort.stringsort.refine_key_order`) -- rows tied on the
-bytes up to the first truncated segment are held in a carry buffer
-across round boundaries, refined against their full strings' bytes as
-the spill file holds them (no ``str`` decoded), then emitted.
-
-A sort spills to one file per directory, each run an extent appended to
-it: two contiguous data sections -- the sorted key words (uint64 rows,
-the words the merge compares: a block reads back with no conversion)
-and the payload, the run as it is held resident (its table's columns in
-arrival order, VARCHAR ones as UTF-8 bytes, and its rows' positions in
-key order) -- and nothing else (:mod:`repro.sort.spillfile`).  A spilled
-run read back is a resident run whose key words stream from disk, so a
-merge of any mix of the two gathers row positions alone, and rebases a
-stale block in words: no key bytes are made.
-Sections are written from flat views of the run's arrays (one
-``pwritev``, no ``tobytes``); a key row range reads back with a single
-``pread`` and the payload with one more.  Every merge block and the
-payload carry one CRC32, held in memory by the run and checked as they
-are read, so a truncated or bit-flipped run raises
-:class:`repro.errors.SpillCorruptionError` naming the run instead of an
-opaque numpy error mid-merge.
-
-A production sorter is judged by how it fails, so spill I/O is fault
-tolerant end to end (all of it routed through a swappable
-:class:`repro.sort.faults.SpillIO`, which is also the fault-injection
-point for the tests).  The degradation ladder on write failure:
-
-1. **retry** -- transient errors are retried twice per directory, after
-   10 ms and then 20 ms (the backoff doubles per retry);
-2. **failover** -- on persistent failure (e.g. ``ENOSPC``) the run is
-   redirected to the next directory in ``SortConfig.spill_directories``;
-3. **memory fallback** -- when no spill target is writable the run is
-   kept resident (:class:`InMemoryRun`, its payload still columnar) and the
-   run threshold halves, degrading to a reduced-memory in-process merge
-   rather than failing the query.
-
+store*: the spill-file reader (:class:`SpilledRun`, an extent of one file
+per directory: the run's key words, then its payload or nothing when the
+keys carry every column, :mod:`repro.sort.spillfile`), the temp-directory
+lifecycle, CRC32 verification of every merge block and payload read,
+the read-ahead hook (:mod:`repro.sort.prefetch`), fan-in-limited merge
+pre-passes, and the write ladder every spill goes through
+(:class:`repro.sort.faults.SpillIO`, also the fault-injection point):
+**retry** twice per directory after 10 then 20 ms, **failover** to the
+next ``SortConfig.spill_directories`` entry, and **memory fallback**, the
+run kept resident and the threshold halved, when no target is writable.
 The operator is a context manager; ``close()`` (idempotent, also run by
-``finalize`` and by a cancelled spill) always releases every run and
-closes its files (a file goes with its last run), recording any removal
-failure in ``SortStats.cleanup_errors`` instead of swallowing it.
-``SortConfig.cancel_event`` is the one way to cancel it.
+``finalize`` and by a cancelled spill) releases every run and closes its
+files, recording a removal failure in ``SortStats.cleanup_errors``.  The
+spill format, the ladder and the merge are set out in
+``docs/sort-pipeline.md`` ("External sort").
 """
 
 from __future__ import annotations

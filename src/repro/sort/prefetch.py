@@ -10,44 +10,17 @@ only when read-ahead could not keep up.
 One block stream is prefetched per run: the key blocks
 :func:`~repro.sort.kernels.kway_merge_blocks` refills its frontiers
 from, consumed strictly in order through
-:meth:`BlockPrefetcher.key_source`.  A run's payload is no stream: the
-merge reads it whole, once, when the pass opens the run.
-
-**Forecasting.**  Read-ahead slots are a scarce resource (see budget
-below), so they go to the runs that will exhaust their buffered data
-first.  The merge kernel's round cutoff is the minimum over the runs'
-frontier-tail keys; the prefetcher applies the same rule to its own
-buffers: each run's last-delivered block tail, kept as a tuple of its
-key words, is compared against the others (``min`` over tuples, the
-order the kernel compares its tails in), and runs are refilled in
-ascending tail order -- the run owning the cutoff drains its frontier
-every round, so its next block is needed soonest.  A frontier the kernel
-tops up before it runs dry takes its run's next block all the same: blocks
-are consumed in one order per run, only sooner.
-
-**Memory budget.**  At most ``depth`` blocks per run are in flight, and
-the *total* of in-flight fetches never exceeds a global block budget the
-caller charges against ``SortConfig.run_threshold`` -- prefetch memory
-comes out of the same budget that sizes runs, it is not an unaccounted
-side buffer.
-``SortStats.prefetch_peak_blocks`` records the observed peak.
-
-**Faults.**  Fetch tasks run the exact same verified-read path as
-synchronous reads, so injected faults (:mod:`repro.sort.faults`) fire
-inside prefetch threads; the raised typed :class:`~repro.errors.
-SpillError` is captured by the future and re-raised on the consumer
-thread at the point the merge consumes the block -- callers observe the
-same error surface as the synchronous path, and :meth:`BlockPrefetcher.
-close` (idempotent, called from the merge's ``finally``) cancels queued
-fetches and joins the pool so no thread outlives the sort.
-
-Counter attribution: background read+verify seconds land in
-``phase_seconds["spill_io_overlap"]`` (overlapped, off the critical
-path), consumer waits for not-yet-finished fetches in
-``phase_seconds["io_wait"]``, and synchronous fallback reads stay in
-``phase_seconds["spill_io"]`` as before.  All shared-stats mutation
-happens on the consumer thread: worker tasks record into a private
-:class:`~repro.sort.operator.SortStats` that is merged at delivery.
+:meth:`BlockPrefetcher.key_source`.  Refill slots go first to the run
+whose last-delivered block tail is the smallest (it owns the kernel's
+round cutoff, so it drains soonest); at most ``depth`` blocks per run
+and a global budget charged against ``SortConfig.run_threshold`` are in
+flight.  A fetch runs the synchronous verified-read path, so a
+:class:`~repro.errors.SpillError` raised in a worker is re-raised where
+the merge consumes the block; workers record into private
+:class:`~repro.sort.operator.SortStats` merged at delivery, and
+:meth:`BlockPrefetcher.close` (idempotent) cancels and joins the pool.
+The budget, the forecast and the phase attribution are set out in
+``docs/sort-pipeline.md`` ("Overlapped prefetching").
 """
 
 from __future__ import annotations

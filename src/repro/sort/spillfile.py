@@ -22,30 +22,16 @@ payload.  Every offset below is relative to the extent's start::
     |         NULL), then the bytes back to back                   |
     +--------------------------------------------------------------+
 
-The key section is the run's key words as the merge compares them
-(:func:`repro.keys.normalizer.key_words`: word ``w`` of a row is its key
-bytes ``[8w, 8w + 8)`` read big-endian), in key order, so a block reads
-back as words with no conversion; no row id rides beside them.  The
-payload is what a resident run holds (:class:`repro.sort.rungen.
-InMemoryRun`): its table's columns in arrival order, a VARCHAR column in
-the form :class:`repro.table.strings.EncodedStrings` holds, and the
-positions of its rows in key order -- so a run read back is a resident
-run whose key words stream from disk.
-
-The extent's geometry and block CRC table (:class:`SpillExtent`) stay in
-memory, with the run that wrote it: corruption on disk can reach the
-data, never the table it is checked against.  Spill files are private
-to the operator that wrote them (randomly named, removed on ``close``),
-so nothing ever reads an extent it did not write.
-
-Integrity is block-granular: a block is ``block_rows`` rows of the key
-section (the last may be short), each covered by one CRC32, and the
-payload, read whole once per merge pass, is one block.  A block is what
-the merge reads, so a merge read is one ``pread`` and one ``crc32``; a
-read that is not aligned (a test) widens to the blocks it covers and
-verifies each.  Every mismatch or short read raises
-:class:`repro.errors.SpillCorruptionError` naming the run, instead of
-surfacing later as a numpy shape/decode error.
+The keys are the words the merge compares
+(:func:`repro.keys.normalizer.key_words`), so a block reads back with no
+conversion, and the payload is what a resident run holds
+(:class:`repro.sort.rungen.InMemoryRun`), so a run read back is a
+resident run whose key words stream from disk.  The extent's geometry
+and CRC32 table (:class:`SpillExtent`) stay in memory with the run that
+wrote it: one CRC per ``block_rows`` key rows and one for the payload,
+checked as they are read, so a mismatch or short read raises
+:class:`repro.errors.SpillCorruptionError` naming the run.  The format's
+rationale is in ``docs/sort-pipeline.md`` ("Spill file format").
 """
 
 from __future__ import annotations

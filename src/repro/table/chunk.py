@@ -112,8 +112,19 @@ def chunk_table(table: Table, vector_size: int = VECTOR_SIZE) -> Iterator[DataCh
 
 
 def concat_chunks(chunks: list[DataChunk]) -> Table:
-    """Reassemble chunks into one table (inverse of :func:`chunk_table`)."""
+    """Reassemble chunks into one table (inverse of :func:`chunk_table`):
+    each column joined once, from the chunks' vectors."""
     if not chunks:
         raise SchemaError("cannot concat zero chunks")
-    head, *rest = (chunk.to_table() for chunk in chunks)
-    return head.concat(*rest) if rest else head
+    if len(chunks) == 1:
+        return chunks[0].to_table()
+    schema = chunks[0].schema
+    parts = []
+    for chunk in chunks:
+        if chunk.schema.names != schema.names:
+            raise SchemaError("cannot concat chunks with different schemas")
+        if chunk.selection is None:
+            parts.append(chunk.vectors)
+        else:
+            parts.append(chunk.to_table().columns)
+    return Table(schema, [first.concat(*rest) for first, *rest in zip(*parts)])

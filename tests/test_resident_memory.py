@@ -6,7 +6,8 @@ packed words while it sorts, then the order and the result columns while
 the result is gathered (the key words are dropped first).  A column
 without NULLs holds no mask bytes at all: its validity is the read-only
 zero-stride view ``np.broadcast_to(True, (n,))``, and every gather,
-slice, join or selection of it keeps that view.
+slice, join or selection of it keeps that view.  A Top-N of the same
+table holds one: the lead key words it cuts on.
 """
 
 import numpy as np
@@ -47,6 +48,22 @@ def test_execute_holds_three_arrays_per_row(name):
     assert peak <= bound, (
         f"{name}: one execute held {peak / MIB:.2f} MiB at its peak, "
         f"more than three 8-byte arrays per row ({bound / MIB:.2f} MiB)"
+    )
+
+
+def test_top_n_holds_one_array_per_row():
+    # Top-N over the scanned table, one batch: its lead words are the one
+    # array as long as the table; the cut reads a sample of them and
+    # partitions only the few hundred rows under the sample's cut.
+    db = database("uniform", ROWS)
+    sql = "SELECT * FROM t ORDER BY a, p LIMIT 100 OFFSET 7"
+    want = db.execute(sql)
+    peak, got = peak_bytes(lambda: db.execute(sql))
+    assert got.equals(want) and got.num_rows == 100
+    bound = 8 * ROWS + MIB // 2
+    assert peak <= bound, (
+        f"Top-N held {peak / MIB:.2f} MiB at its peak, more than one "
+        f"8-byte array per row ({bound / MIB:.2f} MiB)"
     )
 
 

@@ -51,6 +51,17 @@ class TestChunking:
         with pytest.raises(SchemaError):
             concat_chunks([])
 
+    def test_concat_joins_selections_and_refuses_other_schemas(self):
+        table = make_table(100)
+        ids = np.arange(0, 100, 3)
+        picked = DataChunk(table.schema, list(table.columns), ids)
+        head = DataChunk.from_table(table.slice(0, 10))
+        joined = concat_chunks([head, picked])
+        assert joined.equals(table.slice(0, 10).concat(table.take(ids)))
+        other = DataChunk.from_table(Table.from_numpy({"z": np.arange(3)}))
+        with pytest.raises(SchemaError):
+            concat_chunks([picked, other])
+
 
 class TestDataChunk:
     def test_vector_lookup(self):
