@@ -262,6 +262,18 @@ class EncodedStrings:
             )
         return self._prefix
 
+    def lead_word(self) -> np.ndarray:
+        """Per row, the 8 bytes after :meth:`prefix` as a big-endian uint64,
+        zero past the value's end: it never falls as the value rises.  A
+        NULL row's is zero, and so is every row's when none is valid."""
+        if not all_valid(self.valid) and not self.valid.any():
+            return np.zeros(len(self.lengths), dtype=np.uint64)
+        skip = len(self.prefix())
+        word = _words_at(self.buffer)[self.starts + skip]
+        word.byteswap(inplace=True)
+        word &= TOP_BYTES[np.clip(self.lengths - skip, 0, 8)]
+        return word
+
     def nul_tail(self) -> bool:
         """Does a value end in NUL (:func:`ends_in_nul`)?"""
         if self._nul_tail is None:

@@ -177,6 +177,21 @@ def string_columns(draw):
     return ColumnVector.from_values(values, VARCHAR), stem.encode()
 
 
+@settings(max_examples=80, deadline=None)
+@given(string_columns(), st.integers(0, 29))
+def test_the_lead_word_never_falls_as_the_value_rises(drawn, cut):
+    # Top-N cuts a VARCHAR lead on this word: the 8 bytes after the
+    # valid values' common prefix, zero past each value's end.
+    column, _ = drawn
+    part = column.slice(cut, len(column)) if cut < len(column) else column
+    words = part.strings().lead_word()
+    values = part.to_pylist()
+    valid = [i for i, value in enumerate(values) if value is not None]
+    ranked = sorted(valid, key=lambda i: values[i])
+    assert all(words[a] <= words[b] for a, b in zip(ranked, ranked[1:]))
+    assert all(words[i] == 0 for i, value in enumerate(values) if value is None)
+
+
 def assert_reads_as_fresh(column: ColumnVector, stem: bytes) -> None:
     form = column.strings()
     fresh = ColumnVector(column.dtype, column.data, column.validity).strings()
