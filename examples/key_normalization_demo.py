@@ -10,7 +10,8 @@ see the padding, the byte swap, the sign-bit flip, and the DESC inversion.
 """
 
 from repro import Table
-from repro.keys import decode_key_row, normalize_keys
+from repro.keys import normalize_keys
+from repro.scalar.decoder import decode_key_row
 from repro.types.sortspec import SortSpec
 
 

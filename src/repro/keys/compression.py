@@ -46,6 +46,7 @@ from repro.keys.normalizer import (
     MODE_PLAIN,
     KeyLayout,
     KeySegment,
+    _BLOCK_ROWS,
     _fixed_fields,
     pack_fields,
     words_to_bytes,
@@ -155,6 +156,28 @@ def _segment_for(
     return KeySegment(key, dtype, offset, dtype.fixed_width, True)
 
 
+def _extrema(data: np.ndarray, valid: np.ndarray | None):
+    """``[least, greatest]`` of ``data`` where ``valid`` (None: every row)
+    in the order of their codes, or None when no value is valid.  A NaN
+    is the greatest and the least only when every value is one (``fmin``
+    skips it); -0.0 and 0.0 share a code.  A mask is read a block at a
+    time: no temporary as long as the column."""
+    least = np.fmin if data.dtype.kind == "f" else np.minimum
+    if valid is not None:
+        blocks = (
+            data[start : start + _BLOCK_ROWS][valid[start : start + _BLOCK_ROWS]]
+            for start in range(0, len(data), _BLOCK_ROWS)
+        )
+        reduce = (least.reduce, np.maximum.reduce)
+        data = np.array(
+            [f(block) for block in blocks if len(block) for f in reduce],
+            data.dtype,
+        )
+    if not len(data):
+        return None
+    return np.array([least.reduce(data), np.maximum.reduce(data)], data.dtype)
+
+
 class KeyStatsAccumulator:
     """Monotone per-column statistics over the tables fed to a sort.
 
@@ -182,13 +205,14 @@ class KeyStatsAccumulator:
     def update(self, table: Table) -> dict:
         """Fold one table's key columns into the running statistics.
 
-        Returns what the pass made of each key column, for
-        :func:`~repro.keys.normalizer.key_words` to pack: a VARCHAR
-        column's own :class:`~repro.table.strings.EncodedStrings` (made
-        by the column's first request in its life; the key windows are
-        read from its heap as words, its prefix classes against the
-        sort's skipped bytes are kept with it), a fixed-width column's
-        uint64 order codes, NULL rows' filler included.
+        A fixed-width column's extrema are read from its values (NULL
+        rows skipped) and only they are encoded: the pass holds no array
+        as long as the column.  Returns each VARCHAR key column's own
+        :class:`~repro.table.strings.EncodedStrings` (made by the
+        column's first request in its life; the key windows are read from
+        its heap as words, its prefix classes against the sort's skipped
+        bytes are kept with it), for
+        :func:`~repro.keys.normalizer.key_words` to read.
         """
         encoded = {}
         for name, acc in self._columns.items():
@@ -200,11 +224,11 @@ class KeyStatsAccumulator:
                 encoded[name] = column.strings(name)
                 acc.fold_strings(encoded[name])
                 continue
-            codes = encoded[name] = fixed_column_codes(column.data, dtype)
-            live = codes[column.validity] if has_nulls else codes
-            if len(live) == 0:
+            valid = column.validity if has_nulls else None
+            extrema = _extrema(column.data, valid)
+            if extrema is None:
                 continue
-            lo, hi = int(live.min()), int(live.max())
+            lo, hi = fixed_column_codes(extrema, dtype).tolist()
             acc.min_code = lo if acc.min_code is None else min(acc.min_code, lo)
             acc.max_code = hi if acc.max_code is None else max(acc.max_code, hi)
         return encoded

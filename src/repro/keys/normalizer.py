@@ -44,6 +44,7 @@ __all__ = [
     "MODE_FOLDED",
     "KeySegment",
     "KeyLayout",
+    "KeyWords",
     "NormalizedKeys",
     "build_layout",
     "key_words",
@@ -303,19 +304,27 @@ def _fixed_fields(segment: KeySegment, codes, valid: np.ndarray | None):
     yield offset + 1, width, codes
 
 
-def _string_fields(segment: KeySegment, column, strings: EncodedStrings):
+def _string_fields(
+    segment: KeySegment, column, strings: EncodedStrings, rows=None
+):
     """A VARCHAR segment's fields: the NULL (or escape class) indicator
     byte, then the window in fields of at most 8 bytes.  Each is one word
     read at the row's window start (byte 0 for a row the prefix classes
     escape), byteswapped, its bytes past the row's ``take`` masked off and
-    shifted down to the field's width; DESC is an XOR, NULL rows are 0."""
+    shifted down to the field's width; DESC is an XOR, NULL rows are 0.
+    ``rows`` (None: every row) picks the rows from the column's slots."""
     nulls, width = column.has_nulls, segment.value_width
     valid = column.validity if nulls else np.True_
+    classes = strings.classes(segment.skipped)
+    starts, lengths = strings.starts, strings.lengths
+    if rows is not None:
+        starts, lengths = starts[rows], lengths[rows]
+        valid = valid[rows] if nulls else valid
+        classes = None if classes is None else classes[rows]
     skip, null = len(segment.skipped), np.uint64(segment.null_byte_for_null)
     indicator = np.uint64(segment.null_byte_for_valid)
     if nulls:
         indicator = np.where(valid, indicator, null)
-    classes = strings.classes(segment.skipped)
     escaped = None if classes is None else valid & (classes != 0)
     if escaped is not None and escaped.any():
         above = classes[escaped] > 0
@@ -323,8 +332,8 @@ def _string_fields(segment: KeySegment, column, strings: EncodedStrings):
         indicator[escaped] = segment.null_byte_for_escaped(above)
         skip = np.where(escaped, 0, skip)
     yield segment.offset, 1, indicator
-    starts = strings.starts + skip
-    take = np.clip(strings.lengths - skip, 0, width)
+    starts = starts + skip
+    take = np.clip(lengths - skip, 0, width)
     words = _words_at(strings.buffer)
     # A start is at most len(buffer) + MAX_SKIPPED, and the pad covers a
     # 24-byte window past that: only a wider forced one needs the clamp.
@@ -346,31 +355,34 @@ def _string_fields(segment: KeySegment, column, strings: EncodedStrings):
         yield segment.offset + 1 + at, field, value
 
 
-def _key_fields(table: Table, layout: KeyLayout, encoded: dict | None):
-    """The key encoder: every segment of every row as ``(offset, width,
+def _key_fields(table: Table, segments, encoded: dict | None, rows=None):
+    """The key encoder: ``segments`` of every row (or of ``rows``, read
+    from the key columns' values and UTF-8 slots) as ``(offset, width,
     values)`` fields, in byte order.
 
     ``values`` is a big-endian field of at most 8 bytes held as uint64
     (an array, or one scalar for every row): a fixed-width segment is
     encoded in the code domain (bias, DESC and the folded NULL are
     arithmetic on its codes), a VARCHAR segment's window is read from its
-    UTF-8 bytes as words (:func:`_string_fields`).  :func:`key_words`
-    packs the fields into words and :func:`normalize_keys` writes them as
-    bytes: two sinks of one encoder.
+    UTF-8 bytes as words (:func:`_string_fields`; ``encoded`` may hold the
+    column's form).  :func:`key_words` packs the fields into words and
+    :func:`normalize_keys` writes them as bytes: two sinks of one encoder.
     """
-    for segment in layout.segments:
+    for segment in segments:
         name = segment.key.column
         column = table.column(name)
-        given = encoded.get(name) if encoded else None
         if segment.dtype.type_id is TypeId.VARCHAR:
-            if given is None:
-                given = column.strings(name)
-            yield from _string_fields(segment, column, given)
+            strings = encoded.get(name) if encoded else None
+            if strings is None:
+                strings = column.strings(name)
+            yield from _string_fields(segment, column, strings, rows)
             continue
-        codes = encoded.pop(name) if given is not None else None
-        if codes is None:  # a new array: the encoder's own
-            codes = fixed_column_codes(column.data, segment.dtype)
-        valid = column.validity if column.has_nulls else None
+        data, valid = column.data, None
+        if column.has_nulls:
+            valid = column.validity if rows is None else column.validity[rows]
+        if rows is not None:
+            data = data[rows]
+        codes = fixed_column_codes(data, segment.dtype)  # the encoder's own
         yield from _fixed_fields(segment, codes, valid)
 
 
@@ -423,42 +435,135 @@ def _or_word(words: list, index: int, values, shift: int) -> None:
     words[index] = values
 
 
+class KeyWords:
+    """The key of every row of a table as uint64 word columns, each packed
+    on first read (:func:`key_words`): a sort whose first pass decides
+    every row reads word 0 alone.
+
+    The words one segment straddles are packed together, so no field is
+    encoded twice.  :meth:`take` reads a word for some rows only: while it
+    is unpacked and they are under a quarter of the table (a later pass
+    over tied rows), those rows are packed straight from the key columns'
+    values and UTF-8 slots.  :meth:`own` hands a word to a caller that
+    consumes it.
+    """
+
+    def __init__(
+        self, table: Table, layout: KeyLayout, encoded: dict | None = None
+    ) -> None:
+        self.table, self._rows = table, table.num_rows
+        self._encoded = dict(encoded or {})
+        for segment in layout.segments:  # a VARCHAR column's form, once
+            name = segment.key.column
+            if segment.dtype.is_variable_width and name not in self._encoded:
+                self._encoded[name] = table.column(name).strings(name)
+        self._words: list = [None] * ((layout.key_width + 7) // 8)
+        # Per word, ``(first, last, segments)``: the words its group of
+        # straddling segments spans, and those segments.
+        groups: list = []
+        for segment in layout.segments:
+            first = segment.offset // 8
+            last = (segment.offset + segment.total_width - 1) // 8
+            members = (segment,)
+            if groups and first <= groups[-1][1]:
+                first, _, shared = groups.pop()
+                members = (*shared, segment)
+            groups.append((first, last, members))
+        self._groups = [g for g in groups for _ in range(g[0], g[1] + 1)]
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def __iter__(self):
+        return (self[word] for word in range(len(self._words)))
+
+    def __getitem__(self, word):
+        if isinstance(word, slice):
+            return [self[w] for w in range(len(self._words))[word]]
+        column = self._words[word]
+        if column is None:
+            first, last, segments = self._groups[word]
+            # A group's first read packs all of it; a word read again
+            # (after :meth:`own`) is packed alone, no field after it made.
+            if any(w is not None for w in self._words[first : last + 1]):
+                last = word
+            packed = self._pack(first, last, segments, None)
+            for index, fresh in enumerate(packed, first):
+                if self._words[index] is None:
+                    self._words[index] = fresh
+            column = self._words[word]
+        return column
+
+    def take(self, word: int, rows: np.ndarray) -> np.ndarray:
+        """Word ``word`` of the rows at ``rows``: a new array."""
+        if self._words[word] is not None or 4 * len(rows) > self._rows:
+            return self[word][rows]
+        first, _, segments = self._groups[word]
+        return self._pack(first, word, segments, rows)[-1]
+
+    def own(self, word: int) -> np.ndarray:
+        """Word ``word``, the caller's to consume: forgotten here, and
+        packed anew if read again.  A word a VARCHAR window reaches is
+        copied instead: packing it again is a gather from the heap for
+        every row a sort leaves tied (every row of ``tpcds_customer``)."""
+        column = self[word]
+        if any(
+            s.dtype.is_variable_width and s.offset < 8 * word + 8
+            and s.offset + s.total_width > 8 * word
+            for s in self._groups[word][2]
+        ):
+            return column.copy()
+        self._words[word] = None
+        return column
+
+    def _pack(self, first: int, stop: int, segments, rows) -> list:
+        count = self._rows if rows is None else len(rows)
+        fields = _key_fields(self.table, segments, self._encoded, rows)
+        return pack_fields(fields, count, 8 * stop + 8, first)
+
+
 def key_words(
     table: Table, layout: KeyLayout, encoded: dict | None = None
-) -> list[np.ndarray]:
-    """The key of every row of ``table`` as uint64 word columns.
+) -> KeyWords:
+    """The key of every row of ``table`` as uint64 word columns, each
+    packed on first read (:class:`KeyWords`).
 
     Word ``w`` of row ``i`` is bytes ``[8w, 8w + 8)`` of row ``i``'s key
     (the ``layout.key_width`` bytes before any row id, the last word
     zero-padded) read big-endian; the columns come most significant
     first, so comparing rows' word lists is memcmp on their key bytes and
-    each column sorts at native speed.  A fixed-width segment is shifted
-    to its bit offset as codes, in place, never written out as bytes.
+    each column sorts at native speed.  A fixed-width segment is encoded
+    from its column's values and shifted to its bit offset as codes, in
+    place, never written out as bytes.
 
-    ``encoded`` maps key columns to what
+    ``encoded`` maps VARCHAR key columns to what
     :meth:`~repro.keys.compression.KeyStatsAccumulator.update` made of
-    them: a VARCHAR column's own
-    :class:`~repro.table.strings.EncodedStrings` (its windows are read
-    from that heap as words, and its prefix classes are kept with it; a
-    VARCHAR column left out is read from its column all the same), a
-    fixed-width column's uint64 order codes, which the encoder pops
-    from ``encoded`` and consumes (not computed twice).
+    them, their own :class:`~repro.table.strings.EncodedStrings` (the
+    windows are read from that heap as words, and its prefix classes are
+    kept with it); a VARCHAR column left out is read from its column all
+    the same.
     """
-    fields = _key_fields(table, layout, encoded)
-    return pack_fields(fields, table.num_rows, layout.key_width)
+    return KeyWords(table, layout, encoded)
 
 
-def pack_fields(fields, rows: int, key_width: int) -> list[np.ndarray]:
+def pack_fields(
+    fields, rows: int, key_width: int, first: int = 0
+) -> list[np.ndarray]:
     """The word sink: ``(offset, width, values)`` fields in byte order
     (:func:`_key_fields`', or a rebase's) folded into the uint64 word
-    columns of ``key_width`` key bytes; bytes no field reaches are zero."""
-    words: list = [None] * ((key_width + 7) // 8)
+    columns of the first ``key_width`` key bytes, from word ``first`` on
+    (the fields reach none before it); bytes no field reaches are zero.
+    The fields are read up to the first that starts past those bytes."""
+    count = (key_width + 7) // 8
+    words: list = [None] * (count + 1)  # and the tail of a straddling field
     for field in fields:
+        if field[0] >= key_width:
+            break
         _fold_field(words, *field)
     return [
         word if isinstance(word, np.ndarray)
         else np.full(rows, word or 0, dtype=np.uint64)
-        for word in words
+        for word in words[first:count]
     ]
 
 
@@ -498,7 +603,7 @@ def normalize_keys(
     n = table.num_rows
     # Every key byte is written below; only the row ids remain.
     matrix = np.empty((n, layout.total_width), dtype=np.uint8)
-    for field in _key_fields(table, layout, encoded):
+    for field in _key_fields(table, layout.segments, encoded):
         _write_field(matrix, *field)
     prefix_exact = all(segment.prefix_exact for segment in layout.segments)
     if layout.has_row_id:

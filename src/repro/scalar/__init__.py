@@ -4,7 +4,9 @@
 :mod:`repro.scalar.pdqsort` (the comparison sort DuckDB uses with string
 keys) and :mod:`repro.scalar.reference`, which puts both behind one call
 (:func:`~repro.scalar.reference.reference_sort`) together with the
-cost-based algorithm chooser of the paper's Section IX.  The family sorts
+cost-based algorithm chooser of the paper's Section IX;
+:mod:`repro.scalar.decoder` reads normalized key bytes back into values
+one row at a time.  The family sorts
 one row at a time over normalized keys: it is the differential tests'
 second oracle and what the paper-face ablations and the DuckDB system
 model measure.  :mod:`repro.sort` never imports it.

@@ -179,8 +179,11 @@ def _packed_pass(
     ``p[i + 1] ^ p[i] < 2**index_bits``.  Beside ``packed`` the pass
     holds one block's temporary, never a column.
     """
-    packed >>= np.uint64(64 - take)
-    packed <<= np.uint64(index_bits)
+    if take + index_bits < 64:
+        packed >>= np.uint64(64 - take)
+        packed <<= np.uint64(index_bits)
+    else:  # the key bits stay where they are: one mask
+        packed &= np.uint64((1 << 64) - (1 << index_bits))
     if groups is not None:
         packed |= groups << np.uint64(index_bits + take)
     for start in range(0, len(packed), _BLOCK_ROWS):
@@ -213,7 +216,7 @@ def _split_groups(
     split = np.zeros(len(starts), dtype=bool)
     differs = np.zeros(len(rows), dtype=bool)
     for word in range(first_word, len(columns)):
-        values = columns[word][rows]
+        values = _read(columns, word, rows)
         np.not_equal(values[1:], values[:-1], out=differs[1:])
         differs[starts] = False  # a group's first row differs from no one
         split |= np.logical_or.reduceat(differs, starts)
@@ -222,7 +225,17 @@ def _split_groups(
     return split[np.cumsum(heads) - 1]
 
 
-def argsort_words(columns: Sequence[np.ndarray], stats=None) -> np.ndarray:
+def _read(columns, word: int, rows, own: bool = False) -> np.ndarray:
+    """Word ``word`` of ``rows``: a new array, or for every row (None) the
+    source's column (``own``: one it hands over).  A lazy source's
+    ``take`` packs just the rows asked for."""
+    if rows is None:
+        return columns.own(word) if own else columns[word]
+    take = getattr(columns, "take", None)
+    return take(word, rows) if take else columns[word][rows]
+
+
+def argsort_words(columns, stats=None, consume: bool = False) -> np.ndarray:
     """Stable argsort of rows given as uint64 word columns, most
     significant first (memcmp order of the rows they decompose).
 
@@ -241,7 +254,9 @@ def argsort_words(columns: Sequence[np.ndarray], stats=None) -> np.ndarray:
     finishes with one ``np.lexsort``.
 
     ``stats``, if given, must expose ``sort_passes`` (sort calls made)
-    and ``sort_tied_rows`` (rows the first pass left tied).
+    and ``sort_tied_rows`` (rows the first pass left tied).  ``consume``
+    lets the first pass own its word of a lazy source
+    (:class:`~repro.keys.normalizer.KeyWords`) and sort it in place.
     """
     words, count = len(columns), len(columns[0])
     order = None
@@ -254,31 +269,28 @@ def argsort_words(columns: Sequence[np.ndarray], stats=None) -> np.ndarray:
         index_bits = (count - 1).bit_length()
         key_bits = _PACK_BITS - (group_count - 1).bit_length() - index_bits
         if count <= LEXSORT_FINISH_ROWS or key_bits < 1:
-            keys = [
-                columns[w] if rows is None else columns[w][rows]
-                for w in range(words - 1, word - 1, -1)
-            ]
+            keys = [_read(columns, w, rows) for w in range(words - 1, word - 1, -1)]
             if groups is not None:
                 keys.append(groups)
             perm = np.lexsort(keys).astype(np.int64, copy=False)
             same, bit = None, 64 * words
         else:
-            values = columns[word] if rows is None else columns[word][rows]
-            if used:  # drop the bits earlier passes sorted (a fresh gather)
+            fresh = consume or rows is not None  # shifted in place
+            values = _read(columns, word, rows, consume)
+            if used:  # drop the bits earlier passes sorted
                 values <<= np.uint64(used)
             span = int(values.min()) ^ int(values.max())
             if not span:
                 bit = 64 * (word + 1)
                 continue
             skip = 64 - span.bit_length()
-            window = values << np.uint64(skip)
+            window = values if fresh else values << np.uint64(skip)
+            if fresh and skip:
+                window <<= np.uint64(skip)
             take = 64 - used - skip
             if take < key_bits and word + 1 < words:
                 # Fill the bits the two shifts vacated from the next word.
-                following = columns[word + 1]
-                if rows is not None:
-                    following = following[rows]
-                window |= following >> np.uint64(take)
+                window |= _read(columns, word + 1, rows) >> np.uint64(take)
                 take = 64
             take = min(take, key_bits)
             perm, same = _packed_pass(

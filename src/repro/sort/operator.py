@@ -390,7 +390,7 @@ class SortOperator:
         self._finalized = True
         if not self._buffer:
             return Table.empty(self.schema)
-        run = self._sort_buffer()
+        run = self._sort_buffer(lone=True)
         with self.stats.time_phase("merge", RunMerger.NESTED_PHASES):
             merger = RunMerger(self._generator, run.num_rows)
             if merger.refine_end is None:  # taken as it stands: keys unread
@@ -399,11 +399,14 @@ class SortOperator:
             del run  # the run's table is freed inside the phase
         return result
 
-    def _sort_buffer(self) -> InMemoryRun:
-        """Everything buffered as one resident run; the buffer is released."""
-        batch = self._generator.encode(self._buffer)
+    def _sort_buffer(self, lone: bool = False) -> InMemoryRun:
+        """Everything buffered as one resident run; the buffer is released.
+        The words of a ``lone`` run with exact byte order go unread after
+        the sort, which may consume them."""
+        table, words = self._generator.encode(self._buffer)
         self._buffer = []
-        return self._generator.sort_run(*batch)
+        lone = lone and self.stats.prefix_exact
+        return self._generator.sort_run(table, words, consume=lone)
 
 
 def make_sort_operator(

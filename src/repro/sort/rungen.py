@@ -1,9 +1,9 @@
 """Run generation: the stage every run store shares.
 
 :class:`RunGenerator` turns a buffer of input chunks into one sorted run
--- the chunks joined (a lone chunk is not copied), key statistics, every
-key packed into uint64 words (:func:`repro.keys.normalizer.key_words`),
-one stable sort of the words -- and hands it over as an
+-- the chunks joined (a lone chunk is not copied), key statistics, one
+stable sort of the keys as uint64 words, each packed when first read
+(:func:`repro.keys.normalizer.key_words`) -- and hands it over as an
 :class:`InMemoryRun`: the table as it arrived, its key words, and the
 positions of its rows in key order (the paper's Figure 11 sorts keys
 that carry a row id; here the position is the row id).  Nothing is
@@ -37,7 +37,7 @@ from repro.keys.compression import (
     key_carried_eligible,
     plain_key_width,
 )
-from repro.keys.normalizer import KeyLayout, key_words
+from repro.keys.normalizer import KeyLayout, KeyWords, key_words
 from repro.sort.heuristic import vector_sort_rows
 from repro.sort.kernels import argsort_rows
 from repro.table.chunk import DataChunk, concat_chunks
@@ -59,21 +59,15 @@ class InMemoryRun:
     """A sorted run held resident: what :class:`RunGenerator` produces.
 
     ``table``, the rows as they arrived; ``words``, their keys under
-    ``layout`` as the uint64 word columns
-    :func:`~repro.keys.normalizer.key_words` packs, in table order;
-    ``positions``, the int64 position in ``table`` of each row in key
-    order.  A VARCHAR key column's UTF-8 form is the column's own
-    (:meth:`~repro.table.column.ColumnVector.strings`: a rebase reads its
-    prefix classes, exact-string refinement its tied strings).  No key
-    bytes, no row matrix, no heap, whatever the columns: a result made of
-    resident runs is one ``Table.take`` by position, and the merge
-    frontier reads :meth:`key_block`'s words.
-    :class:`~repro.sort.operator.SortOperator` and the incremental
-    sorter keep their runs in this form;
-    :class:`~repro.sort.external.ExternalSortOperator` writes a cut run
-    to a spill file as it is -- its key words in key order, then its
-    table and positions -- keeping the run when no spill
-    target is writable, and keeps the tail run.  A spilled run's payload
+    ``layout`` as uint64 word columns in table order
+    (:func:`~repro.keys.normalizer.key_words`); ``positions``, the int64
+    position in ``table`` of each row in key order.  A VARCHAR key
+    column's UTF-8 form is the column's own (a rebase reads its prefix
+    classes, exact-string refinement its tied strings).  No key bytes, no
+    row matrix, no heap: a result made of resident runs is one
+    ``Table.take`` by position, and the merge frontier reads
+    :meth:`key_block`'s words.  A spill file holds a run as it is -- its
+    key words in key order, then its table and positions; its payload
     read back is one of these whose ``words`` stay on disk (``None``).
     """
 
@@ -135,15 +129,14 @@ class RunGenerator:
         #: accumulator's latest, widest one); ``None`` before the first.
         self.layout: KeyLayout | None = None
 
-    def encode(self, chunks: list[DataChunk]) -> tuple[Table, list[np.ndarray]]:
-        """Concatenate the buffered chunks once and pack their keys.
+    def encode(self, chunks: list[DataChunk]) -> tuple[Table, KeyWords]:
+        """Concatenate the buffered chunks once and read their statistics.
 
-        Returns ``(table, words)``: the
-        :func:`~repro.keys.normalizer.key_words` of ``table`` under
-        :attr:`layout`, made from the order codes and the UTF-8 forms the
-        statistics pass read (a VARCHAR column's own, which the key
-        windows, exact-string refinement and a spill payload read).  A
-        value with no UTF-8 form is named by its row in the sort's input.
+        Returns ``(table, words)``: ``table``'s
+        :func:`~repro.keys.normalizer.key_words` under :attr:`layout`,
+        packed on first read from the values and the UTF-8 forms (a
+        VARCHAR column's own) the statistics pass read.  A value with no
+        UTF-8 form is named by its row in the sort's input.
         """
         self.check_cancelled()
         stats = self.stats
@@ -168,16 +161,17 @@ class RunGenerator:
         stats.rows_sorted += len(table)
         return table, words
 
-    def sort_run(self, table: Table, words: list) -> InMemoryRun:
+    def sort_run(self, table: Table, words, consume=False) -> InMemoryRun:
         """Sort one encoded batch into a run: nothing is gathered.
 
-        One stable sort of the key words; a run's positions are its row
-        ids, and runs merge in generation order.  Truncated VARCHAR
-        prefixes sort by their bytes here; the merger repairs the tie
-        groups.
+        One stable sort of the key words it reads (``consume``: sorted in
+        place, for a run whose words are dropped unread); a run's
+        positions are its row ids, and runs merge in generation order.
+        Truncated VARCHAR prefixes sort by their bytes here; the merger
+        repairs the tie groups.
         """
         with self.stats.time_phase("run_gen"):
-            order = vector_sort_rows(words, self.stats)
+            order = vector_sort_rows(words, self.stats, consume)
         self.stats.runs_generated += 1
         self.stats.run_lengths.append(len(order))
         return InMemoryRun(words, self.layout, table, order)

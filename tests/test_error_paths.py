@@ -16,8 +16,8 @@ from repro.errors import (
     SimulationError,
     SortError,
 )
-from repro.keys.decoder import decode_key_row, decode_segment
 from repro.keys.normalizer import build_layout, normalize_keys
+from repro.scalar.decoder import decode_key_row, decode_segment
 from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig, SortOperator, sort_table
 from repro.table.chunk import DataChunk

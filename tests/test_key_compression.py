@@ -33,7 +33,7 @@ from repro.keys.compression import (
     rebase_matrix,
     rebase_words,
 )
-from repro.keys.decoder import decode_key_row
+from repro.keys.encoding import fixed_column_codes
 from repro.keys.normalizer import (
     MODE_FOLDED,
     MODE_NOBYTE,
@@ -43,13 +43,16 @@ from repro.keys.normalizer import (
     normalize_keys,
     normalized_key_for_row,
 )
+from repro.scalar.decoder import decode_key_row
 from repro.scalar.reference import reference_sort as scalar_reference_sort
 from repro.sort.external import ExternalSortOperator
 from repro.sort.merger import RunMerger
 from repro.sort.operator import SortConfig, SortOperator, SortStats, sort_table
 from repro.sort.rungen import RunGenerator
 from repro.table.chunk import DataChunk, chunk_table
+from repro.table.column import ColumnVector
 from repro.table.table import Table
+from repro.types import datatypes
 from repro.types.datatypes import BIGINT, VARCHAR
 from repro.types.sortspec import SortSpec, tuple_compare
 
@@ -222,6 +225,65 @@ class TestWidthAndModeSelection:
         (segment,) = layout.segments
         assert segment.mode == MODE_FOLDED
         assert segment.total_width == 1
+
+    @pytest.mark.parametrize("nulls", ["NULLS FIRST", "NULLS LAST"])
+    @pytest.mark.parametrize(
+        "name", ["BOOLEAN", "SMALLINT", "INTEGER", "DATE", "BIGINT", "FLOAT", "DOUBLE"]
+    )
+    def test_extrema_read_from_values_are_the_codes_extrema(
+        self, rng, name, nulls
+    ):
+        # The statistics pass encodes a column's least and greatest valid
+        # value only.  Its layouts are the ones the min and max of every
+        # valid row's code give, over empty, all-NULL and NULL-bearing
+        # chunks (NULL rows hold values outside the valid ones' range,
+        # and one chunk spans several of the pass's blocks).
+        dtype = getattr(datatypes, name)
+        kind = np.dtype(dtype.numpy_dtype)
+
+        def chunk(rows, null_every=0, edges=()):
+            if dtype.is_float:
+                data = (rng.normal(size=rows) * 1e3).astype(kind)
+            else:
+                info = np.iinfo(kind)
+                span = int(rng.integers(1, 64)) if kind.itemsize > 1 else 1
+                lo = max(int(info.min), -(2 ** span))
+                hi = min(int(info.max), 2**span)
+                data = rng.integers(lo, hi, rows, endpoint=True).astype(kind)
+            data[rng.integers(0, max(rows, 1), len(edges))] = edges
+            valid = np.ones(rows, dtype=bool)
+            if null_every:
+                valid[:: null_every] = False
+                data[~valid] = (
+                    np.array(np.inf, kind) if dtype.is_float
+                    else np.iinfo(kind).max
+                )
+            return ColumnVector(dtype, data, valid)
+
+        floats = dtype.is_float
+        chunks = [
+            chunk(0),
+            chunk(5, null_every=1),
+            chunk(7, edges=[np.nan] * 3 if floats else []),
+            chunk(40_000, null_every=3, edges=[np.nan, -0.0] if floats else []),
+            chunk(300, edges=[-0.0, 0.0] if floats else []),
+            chunk(200, null_every=2, edges=[-np.inf] if floats else []),
+        ]
+        spec = SortSpec.of(f"a {nulls}")
+        first = Table.from_pydict({"a": []}, {"a": dtype})
+        acc = KeyStatsAccumulator(first.schema, spec)
+        want = KeyStatsAccumulator(first.schema, spec)
+        column = want._columns["a"]
+        for vector in chunks:
+            acc.update(Table(first.schema, [vector]))
+            codes = fixed_column_codes(vector.data, dtype)[vector.validity]
+            column.has_nulls |= vector.has_nulls
+            if len(codes):
+                seen = [int(codes.min()), int(codes.max())]
+                if column.min_code is not None:
+                    seen += [column.min_code, column.max_code]
+                column.min_code, column.max_code = min(seen), max(seen)
+            assert acc.build_layout() == want.build_layout()
 
     def test_forced_string_prefix_feeds_the_layout(self, rng, tmp_path):
         # The forced width replaces min(max_len, 12) and nothing else:

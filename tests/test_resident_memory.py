@@ -1,9 +1,13 @@
 """What a resident sort holds: each array only while something reads it.
 
 A fixed-width ORDER BY without a truncated VARCHAR prefix keeps at most
-three arrays of 8 bytes per row alive at once: its key words and the
-packed words while it sorts, then the order and the result columns while
-the result is gathered (the key words are dropped first).  A column
+three arrays of 8 bytes per row alive at once: the key words the sort
+reads while it sorts, then the order and the result columns while the
+result is gathered (the key words are dropped first).  The statistics
+pass holds no array as long as the table, a key word is packed when the
+sort first reads it, and the first pass sorts word 0 in place: where it
+decides every row, the run sort holds one array, which becomes the
+order.  A column
 without NULLs holds no mask bytes at all: its validity is the read-only
 zero-stride view ``np.broadcast_to(True, (n,))``, and every gather,
 slice, join or selection of it keeps that view.  A Top-N of the same
@@ -15,9 +19,13 @@ import pytest
 
 from conftest import peak_bytes
 from repro.engine.database import Database
+from repro.sort.operator import SortConfig, SortStats
+from repro.sort.rungen import RunGenerator
+from repro.table.chunk import DataChunk
 from repro.table.column import ColumnVector
 from repro.table.table import Table
 from repro.types.datatypes import BIGINT
+from repro.types.sortspec import SortSpec
 from repro.workloads.scenarios import SCENARIOS
 
 ROWS = 250_000
@@ -35,7 +43,7 @@ def database(name: str, rows: int, seed: int = 7) -> Database:
     return db
 
 
-@pytest.mark.parametrize("name", ["uniform", "near_sorted"])
+@pytest.mark.parametrize("name", ["uniform", "near_sorted", "zipf_skew"])
 def test_execute_holds_three_arrays_per_row(name):
     # The table is registered, and a first run made every cache the
     # engine keeps, before the count starts: what is counted is the
@@ -48,6 +56,27 @@ def test_execute_holds_three_arrays_per_row(name):
     assert peak <= bound, (
         f"{name}: one execute held {peak / MIB:.2f} MiB at its peak, "
         f"more than three 8-byte arrays per row ({bound / MIB:.2f} MiB)"
+    )
+
+
+def test_run_sort_holds_one_array_per_row():
+    # The lone resident run of ``uniform`` (encode, then sort): its
+    # first pass decides every row, so word 0 is the one key word packed,
+    # and it is sorted in place into the run's positions.
+    table = SCENARIOS["uniform"].table(ROWS, seed=7)
+    spec = SortSpec.of("a", "p")
+    stats = SortStats()
+    generator = RunGenerator(table.schema, spec, SortConfig(), stats, lambda: None)
+    chunks = [DataChunk.from_table(table)]
+    peak, run = peak_bytes(
+        lambda: generator.sort_run(*generator.encode(chunks), consume=True)
+    )
+    assert (stats.sort_passes, stats.sort_tied_rows) == (1, 0)
+    assert np.array_equal(np.sort(run.positions), np.arange(ROWS))
+    bound = 8 * ROWS + MIB // 2
+    assert peak <= bound, (
+        f"the run sort held {peak / MIB:.2f} MiB at its peak, more than "
+        f"one 8-byte array per row ({bound / MIB:.2f} MiB)"
     )
 
 

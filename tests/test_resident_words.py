@@ -5,10 +5,13 @@ encoder: the words must equal the byte matrix read as big-endian words
 (``kernels._chunk_columns``) for every segment shape, and the bytes must
 equal the scalar reference encoder's.  ``segment_codes`` reads a
 fixed-width segment back from the words, and must agree with the scalar
-paper-face decoder (``keys.decoder.decode_segment``) on the bytes.  A
+paper-face decoder (``scalar.decoder.decode_segment``) on the bytes.  A
 resident sort then sorts the words and ends in one ``Table.take``: no
 key bytes, no conversion to words and no key decode (call counts pinned
-here).  A spilled sort writes and reads key words too, converts none,
+here).  ``key_words`` packs each word on first read: words read in any
+order, for any rows, and sorted by ``argsort_words`` (owning word 0 or
+not) equal the words packed at once.  A spilled sort writes and reads
+key words too, converts none,
 and decodes a key-carried result from native word columns; the string
 repair finds its tie groups on words.
 """
@@ -16,31 +19,37 @@ repair finds its tie groups on words.
 from __future__ import annotations
 
 import collections
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_external_kway import assert_byte_identical
 from test_oracle import oracle_sort
 from repro.keys import compression, normalizer
 from repro.keys.compression import KeyStatsAccumulator, segment_codes
-from repro.keys.decoder import decode_segment
 from repro.keys.encoding import fixed_column_codes
 from repro.keys.normalizer import (
     MODE_FOLDED,
     MODE_NOBYTE,
     MODE_PLAIN,
+    _key_fields,
     build_layout,
     key_words,
     normalize_keys,
     normalized_key_for_row,
+    pack_fields,
 )
+from repro.scalar.decoder import decode_segment
 from repro.sort import kernels, merger
 from repro.sort.external import ExternalSortOperator
-from repro.sort.operator import SortConfig, SortOperator
+from repro.sort.operator import SortConfig, SortOperator, SortStats
 from repro.table.chunk import DataChunk, chunk_table
 from repro.table.column import ColumnVector
 from repro.table.table import Table
+from repro.types import datatypes
 from repro.types.sortspec import SortSpec
 from repro.workloads.scenarios import SCENARIOS
 
@@ -279,6 +288,133 @@ class TestWordDecoderIsTheScalarDecoder:
         layout, encoded = stats_layout([table], spec)
         assert layout.segments[1].total_width == 9
         assert_codes_are_the_scalar_decode(table, spec, layout, encoded)
+
+
+# ---------------------------------------------------------------------- #
+# Words packed on first read are the words packed at once
+# ---------------------------------------------------------------------- #
+
+FIXED_TYPES = ["BIGINT", "INTEGER", "SMALLINT", "BOOLEAN", "DATE", "DOUBLE", "FLOAT"]
+FLOAT_EDGES = [np.nan, -0.0, 0.0, np.inf, -np.inf]
+
+
+@st.composite
+def fixed_values(draw, rows: int):
+    """A fixed-width column's type and values: integers over a range of
+    any width (the type's extremes, now and then), floats with NaN, -0.0
+    and the infinities."""
+    name = draw(st.sampled_from(FIXED_TYPES))
+    dtype = getattr(datatypes, name)
+    if dtype.is_float:
+        width = 8 * dtype.fixed_width
+        value = st.one_of(
+            st.floats(width=width), st.sampled_from(FLOAT_EDGES)
+        )
+    else:
+        info = np.iinfo(dtype.numpy_dtype)
+        bits = draw(st.integers(0, 8 * dtype.fixed_width))
+        lo = draw(st.integers(int(info.min), int(info.max)))
+        value = st.integers(lo, min(int(info.max), lo + 2**bits - 1))
+        if draw(st.booleans()):
+            value = st.one_of(value, st.sampled_from([info.min, info.max]))
+        value = value.map(int)
+    return dtype, draw(st.lists(value, min_size=rows, max_size=rows))
+
+
+@st.composite
+def string_values(draw, rows: int):
+    """VARCHAR values around one stem: sharing it (a skipped stem), and
+    not (escaped rows), short and long enough to straddle words."""
+    alphabet = "ab\x00\xe9"
+    stem = draw(st.text(alphabet=alphabet, max_size=14))
+    tail = st.text(alphabet=alphabet, max_size=20)
+    value = st.one_of(
+        tail.map(lambda text: stem + text),
+        tail,
+        st.integers(0, len(stem)).map(lambda cut: stem[:cut]),
+    )
+    return datatypes.VARCHAR, draw(st.lists(value, min_size=rows, max_size=rows))
+
+
+@st.composite
+def keyed_tables(draw):
+    """A table, its ORDER BY (DESC, NULLS FIRST/LAST at random) and a key
+    layout: the statistics layout after its first rows and then all of
+    them (later rows may escape the skipped stem), with a forced string
+    prefix or not, or the plain layout."""
+    rows = draw(st.integers(1, 80))
+    columns, dtypes, keys = {}, {}, []
+    for index in range(draw(st.integers(1, 4))):
+        kind = fixed_values(rows) | string_values(rows)
+        dtype, values = draw(kind)
+        if draw(st.booleans()):
+            nulls = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+            values = [None if null else v for v, null in zip(values, nulls)]
+        name = f"c{index}"
+        columns[name], dtypes[name] = values, dtype
+        direction = draw(st.sampled_from(["", " DESC"]))
+        nulls = draw(st.sampled_from(["", " NULLS FIRST", " NULLS LAST"]))
+        keys.append(name + direction + nulls)
+    table = Table.from_pydict(columns, dtypes)
+    spec = SortSpec.of(*keys)
+    how = draw(st.sampled_from(["statistics", "forced", "plain"]))
+    if how == "plain":
+        return table, spec, build_layout(table, spec, include_row_id=False)
+    forced = draw(st.integers(1, 20)) if how == "forced" else None
+    acc = KeyStatsAccumulator(table.schema, spec, forced)
+    acc.update(table.slice(0, draw(st.integers(1, rows))))
+    acc.update(table)
+    return table, spec, acc.build_layout(include_row_id=False)
+
+
+def eager_words(table, layout, rows=None):
+    """Every word of ``rows`` (None: all) packed at once."""
+    fields = _key_fields(table, layout.segments, None)
+    words = pack_fields(fields, table.num_rows, layout.key_width)
+    return words if rows is None else [word[rows] for word in words]
+
+
+class TestWordsPackedOnFirstRead:
+    @settings(max_examples=150, deadline=None)
+    @given(case=keyed_tables(), data=st.data())
+    def test_words_read_in_any_order_for_any_rows(self, case, data):
+        table, _, layout = case
+        n, eager = table.num_rows, eager_words(table, layout)
+        lazy = key_words(table, layout)
+        assert len(lazy) == len(eager) == -(-layout.key_width // 8)
+        reads = st.tuples(
+            st.integers(0, len(eager) - 1),
+            st.none() | st.lists(st.integers(0, n - 1), max_size=n // 3 + 1),
+        )
+        for word, rows in data.draw(st.lists(reads, min_size=1, max_size=8)):
+            if rows is None:
+                got, want = lazy[word], eager[word]
+            else:
+                rows = np.array(rows, dtype=np.int64)
+                got, want = lazy.take(word, rows), eager[word][rows]
+            assert got.dtype == np.uint64 and np.array_equal(got, want)
+        # A word a caller owns is packed anew when read again.
+        owned = lazy.own(0)
+        assert np.array_equal(owned, eager[0]) and lazy[0] is not owned
+        assert np.array_equal(lazy[0], eager[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=keyed_tables(), finish=st.sampled_from([1, 3, 1024]))
+    def test_the_sort_reads_them_as_it_reads_packed_words(self, case, finish):
+        # A small lexsort finish sends tie sets through packed passes,
+        # which read the tied rows' words alone.
+        table, _, layout = case
+        runs = []
+        with mock.patch.object(kernels, "LEXSORT_FINISH_ROWS", finish):
+            for words, consume in (
+                (eager_words(table, layout), False),
+                (key_words(table, layout), False),
+                (key_words(table, layout), True),
+            ):
+                stats = SortStats()
+                order = kernels.argsort_words(words, stats, consume)
+                runs.append((order.tolist(), stats.sort_passes, stats.sort_tied_rows))
+        assert runs[0] == runs[1] == runs[2]
 
 
 COUNTED = {
