@@ -101,9 +101,6 @@ class Database:
         self.table(name)  # raises BindError on unknown tables
         return self._versions[name]
 
-    def table_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._tables))
-
     def _schema_of(self, name: str) -> Schema:
         return self.table(name).schema
 

@@ -2,22 +2,12 @@
 
 from repro.keys.compression import (
     KeyStatsAccumulator,
-    build_compressed_layout,
     decode_key_table,
     key_carried_eligible,
     plain_key_width,
     rebase_matrix,
 )
-from repro.keys.encoding import (
-    encode_fixed_column,
-    encode_float,
-    encode_scalar,
-    encode_signed,
-    encode_string,
-    encode_unsigned,
-    fixed_column_codes,
-    invert_bytes,
-)
+from repro.keys.encoding import fixed_column_codes
 from repro.keys.normalizer import (
     DEFAULT_STRING_PREFIX,
     MAX_STRING_PREFIX,
@@ -29,18 +19,10 @@ from repro.keys.normalizer import (
     NormalizedKeys,
     build_layout,
     normalize_keys,
-    normalized_key_for_row,
 )
 
 __all__ = [
-    "encode_fixed_column",
-    "encode_float",
-    "encode_scalar",
-    "encode_signed",
-    "encode_string",
-    "encode_unsigned",
     "fixed_column_codes",
-    "invert_bytes",
     "DEFAULT_STRING_PREFIX",
     "MAX_STRING_PREFIX",
     "MODE_PLAIN",
@@ -51,9 +33,7 @@ __all__ = [
     "NormalizedKeys",
     "build_layout",
     "normalize_keys",
-    "normalized_key_for_row",
     "KeyStatsAccumulator",
-    "build_compressed_layout",
     "decode_key_table",
     "key_carried_eligible",
     "plain_key_width",

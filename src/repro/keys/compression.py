@@ -60,7 +60,6 @@ from repro.types.sortspec import SortKey, SortSpec
 
 __all__ = [
     "KeyStatsAccumulator",
-    "build_compressed_layout",
     "rebase_matrix",
     "rebase_words",
     "segment_codes",
@@ -253,18 +252,6 @@ class KeyStatsAccumulator:
                 )
             suffix = row_id_width
         return KeyLayout(tuple(segments), offset, suffix)
-
-
-def build_compressed_layout(
-    table: Table,
-    spec: SortSpec,
-    include_row_id: bool = True,
-    row_id_width: int = 8,
-) -> KeyLayout:
-    """One-shot compressed layout for a single table."""
-    acc = KeyStatsAccumulator(table.schema, spec)
-    acc.update(table)
-    return acc.build_layout(include_row_id, row_id_width)
 
 
 def plain_key_width(layout: KeyLayout) -> int:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import KeyEncodingError
-from repro.keys.encoding import encode_scalar, fixed_column_codes, invert_bytes
+from repro.keys.encoding import fixed_column_codes
 from repro.table.strings import TOP_BYTES, EncodedStrings, _words_at
 from repro.table.table import Table
 from repro.types.datatypes import DataType, TypeId
@@ -49,7 +49,6 @@ __all__ = [
     "build_layout",
     "key_words",
     "normalize_keys",
-    "normalized_key_for_row",
     "pack_fields",
     "words_to_bytes",
 ]
@@ -614,65 +613,3 @@ def normalize_keys(
             big_endian.view(np.uint8).reshape(n, layout.row_id_width)
         )
     return NormalizedKeys(layout, matrix, prefix_exact)
-
-
-def normalized_key_for_row(
-    row: tuple, spec: SortSpec, layout: KeyLayout
-) -> bytes:
-    """Scalar reference encoder: the normalized key of one Python tuple.
-
-    ``row`` holds the key-column values in spec order (``None`` for NULL).
-    Used by tests to cross-check the vectorized path, and by the paper's
-    Figure 7 worked example.
-    """
-    out = bytearray()
-    for value, segment in zip(row, layout.segments):
-        if not segment.has_null_byte:
-            out.extend(_compressed_scalar_bytes(value, segment))
-            continue
-        if value is None:
-            out.append(segment.null_byte_for_null)
-            out.extend(b"\x00" * segment.value_width)
-            continue
-        indicator = segment.null_byte_for_valid
-        encoded = encode_scalar(value, segment.dtype, segment.value_width)
-        if segment.skipped:
-            raw = str(value).encode("utf-8")
-            if raw.startswith(segment.skipped):
-                tail = raw[len(segment.skipped) :][: segment.value_width]
-                encoded = tail.ljust(segment.value_width, b"\x00")
-            else:
-                head = raw[: len(segment.skipped)]
-                indicator = segment.null_byte_for_escaped(
-                    head > segment.skipped
-                )
-        out.append(indicator)
-        if segment.key.descending:
-            encoded = invert_bytes(encoded)
-        out.extend(encoded)
-    return bytes(out)
-
-
-def _compressed_scalar_bytes(value, segment: KeySegment) -> bytes:
-    """Scalar mirror of :func:`_fixed_fields` for one compressed value."""
-    code_range = segment.code_range
-    if value is None:
-        if segment.mode != MODE_FOLDED:
-            raise KeyEncodingError(
-                f"NULL in {segment.mode!r} segment {segment.key.column!r}"
-            )
-        stored = 0 if segment.key.nulls_first else code_range
-    else:
-        arr = np.array([value], dtype=segment.dtype.numpy_dtype)
-        rel = int(fixed_column_codes(arr, segment.dtype)[0]) - segment.bias
-        if not 0 <= rel < code_range:
-            raise KeyEncodingError(
-                f"value {value!r} outside compressed range of segment "
-                f"{segment.key.column!r}"
-            )
-        if segment.key.descending:
-            rel = (code_range - 1) - rel
-        stored = rel + 1 if (
-            segment.mode == MODE_FOLDED and segment.key.nulls_first
-        ) else rel
-    return stored.to_bytes(segment.value_width, "big")

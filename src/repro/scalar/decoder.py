@@ -1,6 +1,6 @@
 """Decoding normalized key bytes back into values, one row at a time.
 
-Decoding is the inverse of :mod:`repro.keys.normalizer` for fixed-width
+Decoding is the inverse of :mod:`repro.scalar.encoder` for fixed-width
 types and recovers the stored *prefix* for VARCHAR (the full string is not
 in the key).  It exists for verification and the paper's Figure 7 demo:
 the pipeline decodes key words with

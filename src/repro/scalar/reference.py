@@ -36,6 +36,7 @@ heuristic against both fixed choices on workloads where they disagree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -57,6 +58,7 @@ __all__ = [
     "choose_algorithm",
     "estimate_costs",
     "reference_sort",
+    "void_view",
 ]
 
 ALGORITHMS = (None, "radix", "pdqsort", "heuristic")
@@ -319,3 +321,41 @@ def reference_sort(
     stats.algorithm = _choose_algorithm(algorithm, keys, has_string_key)
     order = _scalar_argsort(table, keys, spec, stats.algorithm, stats.radix)
     return table.take(order)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_dtype(width: int) -> np.dtype:
+    """Structured dtype of ``width`` bytes whose order is memcmp order.
+
+    The row is covered greedily with big-endian unsigned fields (8, 4, 2,
+    then 1 bytes wide); lexicographic comparison of big-endian words equals
+    byte-wise comparison, and numpy compares structured scalars field by
+    field in declaration order.
+    """
+    fields = []
+    remaining = width
+    while remaining:
+        for chunk in (8, 4, 2, 1):
+            if chunk <= remaining:
+                fields.append((f"b{len(fields)}", f">u{chunk}"))
+                remaining -= chunk
+                break
+    return np.dtype(fields)
+
+
+def void_view(matrix: np.ndarray) -> np.ndarray:
+    """View an ``(n, width)`` uint8 matrix as ``n`` whole-row scalars.
+
+    The returned 1-D array holds one structured (void) scalar per key row;
+    numpy ``np.argsort`` and ``np.searchsorted`` over it follow memcmp
+    order of the rows.  No data is copied unless the matrix is not
+    C-contiguous.  The kernel tests' memcmp reference (numpy compares
+    structured scalars field by field, uint64 word columns in its
+    vectorized loops).
+    """
+    shape = getattr(matrix, "shape", ())
+    uint8 = getattr(matrix, "dtype", None) == np.uint8
+    if not uint8 or len(shape) != 2 or not shape[1]:
+        raise SortError(f"need an (n, width >= 1) uint8 key matrix: {shape}")
+    contiguous = np.ascontiguousarray(matrix)
+    return contiguous.view(_row_dtype(matrix.shape[1])).reshape(len(matrix))

@@ -12,7 +12,8 @@ The request lifecycle::
         -> parse the SQL once; Database.plan binds and optimizes the
            statement
         -> result cache probe on (statement, table versions) (hit: done)
-        -> governor grant acquire (may wait until the deadline)
+        -> governor grant acquire if the database's sorts may spill (may
+           wait until the deadline)
         -> Database.execute_bound(plan) under a per-query SortConfig
            whose cancel_event is the ticket itself, plus the memory grant
         -> result cached, complete (result / typed error), grant
@@ -189,12 +190,9 @@ class QueryTicket:
         return self._cancelled or self.expired
 
     def result(self, timeout: float | None = None) -> Table:
-        if not self._done.wait(timeout):
-            raise ServiceError(
-                f"query {self.query_id} still running after {timeout}s"
-            )
-        if self._error is not None:
-            raise self._error
+        error = self.exception(timeout)
+        if error is not None:
+            raise error
         return self._result
 
     def exception(self, timeout: float | None = None) -> BaseException | None:
@@ -233,9 +231,10 @@ class SortService:
     """Thread-pool query service over one :class:`Database`.
 
     ``memory_budget`` bytes are lent whole to one query's sort at a time
-    (see :class:`MemoryGovernor`); ``queue_limit`` bounds queued-but-
-    not-running tickets; ``workers`` threads parse, plan and serve cache
-    hits side by side and take turns on the grant to execute.
+    (see :class:`MemoryGovernor`) when the database's sorts may spill;
+    ``queue_limit`` bounds queued-but-not-running tickets; ``workers``
+    threads parse, plan and serve cache hits side by side and take turns
+    on the grant, if there is one, to execute.
     ``min_grant_bytes`` is accepted only because the end-to-end
     benchmark's settings pass it, and has no effect (ROADMAP item A's
     benchmark change removes it).  Use as a context manager, or call
@@ -350,8 +349,9 @@ class SortService:
                 next(self._seq), sql, priority, deadline_s, work
             )
             if len(self._queue) >= self.queue_limit:
-                victim = self._lowest_priority_queued()
-                if victim is None or victim.priority >= ticket.priority:
+                # The shed candidate: lowest priority, then newest.
+                victim = min(self._queue, key=lambda t: (t.priority, -t.seq))
+                if victim.priority >= ticket.priority:
                     self._stats.rejected += 1
                     raise ServiceOverloadError(
                         f"admission queue full ({self.queue_limit} queued)",
@@ -403,9 +403,9 @@ class SortService:
         The view begins empty and is fed by :meth:`append_delta`; its
         schema comes from the registered ``table``.  Maintenance runs as
         ordinary tickets on the worker pool: appends and snapshots queue
-        behind queries, acquire a governor grant while they merge, honor
-        deadlines/cancellation through the sorter's cooperative
-        checkpoints, and are serialized per view.
+        behind queries, acquire a governor grant while they merge if the
+        database's sorts may spill, honor deadlines/cancellation through
+        the sorter's cooperative checkpoints, and are serialized per view.
         """
         schema = self.database.table(table).schema
         sorter = IncrementalSorter(
@@ -520,12 +520,6 @@ class SortService:
         """The view's :class:`repro.sort.incremental.IncrementalStats`."""
         return self._view(name).sorter.stats
 
-    def _lowest_priority_queued(self) -> QueryTicket | None:
-        """The shed candidate: lowest priority, then newest (lock held)."""
-        if not self._queue:
-            return None
-        return min(self._queue, key=lambda t: (t.priority, -t.seq))
-
     def _retry_after(self) -> float:
         return max(0.05, 2.0 * self._latency_ewma)
 
@@ -604,15 +598,17 @@ class SortService:
         ticket._complete(result)
 
     def _run_query(self, ticket: QueryTicket, plan) -> Table:
-        """Grant -> execute with the ticket as the sort's checkpoint;
-        always releases the grant."""
-        timeout = self.admission_timeout_s
-        if ticket.deadline_s is not None:
-            elapsed = time.monotonic() - ticket.submitted_at
-            timeout = min(timeout, max(0.0, ticket.deadline_s - elapsed))
-        grant = self.governor.acquire(
-            ticket.query_id, timeout_s=timeout, cancel=ticket
-        )
+        """Grant (only a sort that may spill reads one) -> execute with the
+        ticket as the sort's checkpoint; always releases the grant."""
+        grant = None
+        if self.database.sort_config.external:
+            timeout = self.admission_timeout_s
+            if ticket.deadline_s is not None:
+                elapsed = time.monotonic() - ticket.submitted_at
+                timeout = min(timeout, max(0.0, ticket.deadline_s - elapsed))
+            grant = self.governor.acquire(
+                ticket.query_id, timeout_s=timeout, cancel=ticket
+            )
         try:
             if ticket.is_set():
                 raise SortCancelledError(
@@ -630,7 +626,8 @@ class SortService:
             )
             return result
         finally:
-            grant.release()
+            if grant is not None:
+                grant.release()
 
     def _finish_error(self, ticket: QueryTicket, error: BaseException) -> None:
         """Count and deliver a failure.  A grant wait or sort checkpoint

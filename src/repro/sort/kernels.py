@@ -27,7 +27,6 @@ byte-equal tie groups with :mod:`repro.sort.stringsort`.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ import numpy as np
 from repro.errors import SortError
 
 __all__ = [
-    "void_view",
     "argsort_rows",
     "argsort_words",
     "merge_indices",
@@ -45,48 +43,11 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=None)
-def _row_dtype(width: int) -> np.dtype:
-    """Structured dtype of ``width`` bytes whose order is memcmp order.
-
-    The row is covered greedily with big-endian unsigned fields (8, 4, 2,
-    then 1 bytes wide); lexicographic comparison of big-endian words equals
-    byte-wise comparison, and numpy compares structured scalars field by
-    field in declaration order.
-    """
-    fields = []
-    remaining = width
-    while remaining:
-        for chunk in (8, 4, 2, 1):
-            if chunk <= remaining:
-                fields.append((f"b{len(fields)}", f">u{chunk}"))
-                remaining -= chunk
-                break
-    return np.dtype(fields)
-
-
 def _check_matrix(matrix: np.ndarray) -> None:
     shape = getattr(matrix, "shape", ())
     uint8 = getattr(matrix, "dtype", None) == np.uint8
     if not uint8 or len(shape) != 2 or not shape[1]:
         raise SortError(f"need an (n, width >= 1) uint8 key matrix: {shape}")
-
-
-def void_view(matrix: np.ndarray) -> np.ndarray:
-    """View an ``(n, width)`` uint8 matrix as ``n`` whole-row scalars.
-
-    The returned 1-D array holds one structured (void) scalar per key row;
-    numpy ``np.argsort`` and ``np.searchsorted`` over it follow memcmp
-    order of the rows.  No data is copied unless the matrix is not
-    C-contiguous.
-
-    The kernel tests' memcmp reference: nothing in the engine calls it
-    (numpy compares structured scalars field by field, uint64 word
-    columns in its vectorized loops).
-    """
-    _check_matrix(matrix)
-    contiguous = np.ascontiguousarray(matrix)
-    return contiguous.view(_row_dtype(matrix.shape[1])).reshape(len(matrix))
 
 
 def _chunk_columns(matrix: np.ndarray) -> list[np.ndarray]:

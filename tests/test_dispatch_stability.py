@@ -100,22 +100,22 @@ def test_sort_package_lines_only_go_down():
     # The same ratchet for the pipeline's size: ``sort/`` holds what
     # sort_table, Top-N, IncrementalSorter and SortService reach and
     # nothing else (ROADMAP items B and C lower the bound).
-    assert package_lines(repro.sort) <= 4_251
+    assert package_lines(repro.sort) <= 4_212
 
 
 def test_engine_package_lines_only_go_down():
     # The same ratchet for the query engine: one operator protocol,
     # ``chunks()``, and no second whole-output path beside it.
-    assert package_lines(repro.engine) <= 2_125
+    assert package_lines(repro.engine) <= 2_122
 
 
 def test_keys_package_lines_only_go_down():
     # The same ratchet for the key codec ``sort/`` encodes with.
-    assert package_lines(repro.keys) <= 1_438
+    assert package_lines(repro.keys) <= 1_237
 
 
 def test_service_package_lines_only_go_down():
     # The same ratchet for the query service: a deadline is read at the
     # sort's checkpoints, and no thread beside the workers times it; the
     # governor lends the whole budget to one grant at a time.
-    assert package_lines(repro.service) <= 1_037
+    assert package_lines(repro.service) <= 1_034

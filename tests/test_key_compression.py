@@ -26,7 +26,6 @@ from conftest import reference_sort, sort_resident_runs, sort_spilling
 from repro.errors import KeyEncodingError
 from repro.keys.compression import (
     KeyStatsAccumulator,
-    build_compressed_layout,
     decode_key_table,
     key_carried_eligible,
     plain_key_width,
@@ -41,9 +40,9 @@ from repro.keys.normalizer import (
     build_layout,
     key_words,
     normalize_keys,
-    normalized_key_for_row,
 )
 from repro.scalar.decoder import decode_key_row
+from repro.scalar.encoder import normalized_key_for_row
 from repro.scalar.reference import reference_sort as scalar_reference_sort
 from repro.sort.external import ExternalSortOperator
 from repro.sort.merger import RunMerger
@@ -114,7 +113,9 @@ class TestMemcmpEqualsTupleCompare:
     def test_randomized(self, rng, spec_text, all_null):
         spec = SortSpec.of(*[s.strip() for s in spec_text.split(",")])
         table = mixed_table(rng, 300, all_null_column=all_null)
-        layout = build_compressed_layout(table, spec, include_row_id=False)
+        acc = KeyStatsAccumulator(table.schema, spec)
+        acc.update(table)
+        layout = acc.build_layout(include_row_id=False)
         assert layout.key_width <= plain_key_width(layout)
         keys = normalize_keys(
             table, spec, include_row_id=False, layout=layout
@@ -135,7 +136,9 @@ class TestMemcmpEqualsTupleCompare:
     def test_scalar_encoder_matches_vectorized(self, rng, spec_text):
         spec = SortSpec.of(*[s.strip() for s in spec_text.split(",")])
         table = mixed_table(rng, 64)
-        layout = build_compressed_layout(table, spec, include_row_id=False)
+        acc = KeyStatsAccumulator(table.schema, spec)
+        acc.update(table)
+        layout = acc.build_layout(include_row_id=False)
         keys = normalize_keys(
             table, spec, include_row_id=False, layout=layout
         )
@@ -152,9 +155,9 @@ class TestWidthAndModeSelection:
         table = Table.from_numpy(
             {"a": np.arange(0, 200, 3, dtype=np.int64)}
         )
-        layout = build_compressed_layout(
-            table, SortSpec.of("a"), include_row_id=False
-        )
+        acc = KeyStatsAccumulator(table.schema, SortSpec.of("a"))
+        acc.update(table)
+        layout = acc.build_layout(include_row_id=False)
         (segment,) = layout.segments
         assert segment.mode == MODE_NOBYTE
         assert segment.value_width == 1
@@ -164,9 +167,9 @@ class TestWidthAndModeSelection:
 
     def test_nulls_fold_into_value_byte_when_headroom_exists(self):
         table = Table.from_pydict({"a": [None, 0, 150, None]})
-        layout = build_compressed_layout(
-            table, SortSpec.of("a"), include_row_id=False
-        )
+        acc = KeyStatsAccumulator(table.schema, SortSpec.of("a"))
+        acc.update(table)
+        layout = acc.build_layout(include_row_id=False)
         (segment,) = layout.segments
         assert segment.mode == MODE_FOLDED
         assert segment.value_width == 1
@@ -176,9 +179,9 @@ class TestWidthAndModeSelection:
         table = Table.from_pydict(
             {"a": [None, -(2**63), 2**63 - 1]}
         )
-        layout = build_compressed_layout(
-            table, SortSpec.of("a"), include_row_id=False
-        )
+        acc = KeyStatsAccumulator(table.schema, SortSpec.of("a"))
+        acc.update(table)
+        layout = acc.build_layout(include_row_id=False)
         (segment,) = layout.segments
         assert segment.mode == MODE_PLAIN
         assert segment.total_width == 9
@@ -219,9 +222,9 @@ class TestWidthAndModeSelection:
 
     def test_all_null_column_compresses_to_one_byte(self):
         table = Table.from_pydict({"a": [None, None, None]})
-        layout = build_compressed_layout(
-            table, SortSpec.of("a"), include_row_id=False
-        )
+        acc = KeyStatsAccumulator(table.schema, SortSpec.of("a"))
+        acc.update(table)
+        layout = acc.build_layout(include_row_id=False)
         (segment,) = layout.segments
         assert segment.mode == MODE_FOLDED
         assert segment.total_width == 1
@@ -795,7 +798,9 @@ class TestKeyCarriedExternal:
             }
         )
         spec = SortSpec.of(f"a{direction}", f"b{direction}")
-        layout = build_compressed_layout(table, spec)
+        acc = KeyStatsAccumulator(table.schema, spec)
+        acc.update(table)
+        layout = acc.build_layout()
         assert [s.bias for s in layout.segments] == [0, 0]
         assert layout.key_width == 12
         words = key_words(table, layout)
@@ -808,7 +813,9 @@ class TestKeyCarriedExternal:
     def test_decode_key_table_round_trip(self, rng):
         table = self.int_table(rng, 500)
         spec = SortSpec.of("a DESC", "b NULLS LAST")
-        layout = build_compressed_layout(table, spec)
+        acc = KeyStatsAccumulator(table.schema, spec)
+        acc.update(table)
+        layout = acc.build_layout()
         words = key_words(table, layout)
         decoded = decode_key_table(words, layout, table.schema)
         assert decoded.equals(table)

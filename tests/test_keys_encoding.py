@@ -1,4 +1,10 @@
-"""Tests for per-type order-preserving encodings (paper, Figure 7)."""
+"""Tests for per-type order-preserving encodings (paper, Figure 7).
+
+The scalar encoders (:mod:`repro.scalar.encoder`) are the reference; the
+engine's column transform, :func:`repro.keys.encoding.fixed_column_codes`,
+must give the same bytes when its codes are written big-endian at the
+type's width.
+"""
 
 import math
 import struct
@@ -9,19 +15,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import KeyEncodingError
-from repro.keys.encoding import (
-    encode_fixed_column,
+from repro.keys.encoding import fixed_column_codes, gather_windows
+from repro.keys.normalizer import normalize_keys
+from repro.scalar.encoder import (
     encode_float,
+    encode_scalar,
     encode_signed,
     encode_string,
     encode_unsigned,
-    gather_windows,
     invert_bytes,
+    normalized_key_for_row,
 )
-from repro.keys.normalizer import normalize_keys, normalized_key_for_row
 from repro.table.strings import encode_utf8_column
 from repro.table.table import Table
-from repro.types.datatypes import DOUBLE, FLOAT, INTEGER, SMALLINT, VARCHAR
+from repro.types.datatypes import (
+    BIGINT,
+    BOOLEAN,
+    DATE,
+    DOUBLE,
+    FLOAT,
+    INTEGER,
+    SMALLINT,
+    VARCHAR,
+)
 from repro.types.sortspec import SortSpec
 
 # NULLs, empty strings, embedded/trailing NULs, 1/2/3/4-byte code points
@@ -35,6 +51,30 @@ STRING_COLUMN = st.lists(
     ),
     max_size=30,
 )
+
+
+def code_bytes(values, dtype):
+    """Each value's engine code, big-endian at its type's width."""
+    codes = fixed_column_codes(values, dtype).tolist()
+    return [code.to_bytes(dtype.fixed_width, "big") for code in codes]
+
+
+def scalar_bytes(values, dtype):
+    """Each value's scalar Figure 7 encoding."""
+    return [encode_scalar(v, dtype, dtype.fixed_width) for v in values.tolist()]
+
+
+def float_specials(np_dtype):
+    """NaNs of both signs and two payloads, both zeros, both infinities
+    and the finite extremes of ``np_dtype``."""
+    bits = np.uint32 if np_dtype == np.float32 else np.uint64
+    width = np.dtype(np_dtype).itemsize * 8
+    quiet = bits(0x7FC00000) if width == 32 else bits(0x7FF8000000000000)
+    sign = bits(1) << bits(width - 1)
+    nans = np.array([quiet, quiet | bits(1), quiet | sign], dtype=bits)
+    info = np.finfo(np_dtype)
+    finite = [0.0, -0.0, np.inf, -np.inf, info.max, -info.max, info.tiny]
+    return np.concatenate([nans.view(np_dtype), np.array(finite, np_dtype)])
 
 
 class TestUnsigned:
@@ -155,28 +195,36 @@ class TestVectorizedEncoders:
         [
             (INTEGER, np.int32, -(2**31), 2**31 - 1),
             (SMALLINT, np.int16, -(2**15), 2**15 - 1),
+            (BIGINT, np.int64, -(2**63), 2**63 - 1),
+            (DATE, np.int32, -(2**31), 2**31 - 1),
         ],
     )
     def test_matches_scalar_signed(self, rng, dtype, np_dtype, lo, hi):
-        values = rng.integers(lo, hi, size=64).astype(np_dtype)
-        matrix = encode_fixed_column(values, dtype)
-        for i, v in enumerate(values):
-            assert matrix[i].tobytes() == encode_signed(int(v), dtype.fixed_width)
+        drawn = rng.integers(lo, hi, size=64, endpoint=True)
+        values = np.concatenate([[lo, hi, -1, 0, 1], drawn]).astype(np_dtype)
+        assert code_bytes(values, dtype) == scalar_bytes(values, dtype)
+
+    def test_matches_scalar_boolean(self):
+        values = np.array([1, 0, 0, 1], dtype=np.uint8)
+        assert code_bytes(values, BOOLEAN) == [b"\x01", b"\x00", b"\x00", b"\x01"]
+        assert code_bytes(values, BOOLEAN) == scalar_bytes(values, BOOLEAN)
 
     def test_matches_scalar_float32(self, rng):
         values = rng.standard_normal(64).astype(np.float32)
-        values[0] = np.nan
-        values[1] = -0.0
-        values[2] = np.inf
-        matrix = encode_fixed_column(values, FLOAT)
-        for i, v in enumerate(values):
-            assert matrix[i].tobytes() == encode_float(float(v), 4)
+        values = np.concatenate([float_specials(np.float32), values])
+        assert code_bytes(values, FLOAT) == scalar_bytes(values, FLOAT)
 
     def test_matches_scalar_float64(self, rng):
-        values = rng.standard_normal(32)
-        matrix = encode_fixed_column(values, DOUBLE)
-        for i, v in enumerate(values):
-            assert matrix[i].tobytes() == encode_float(float(v), 8)
+        values = rng.standard_normal(32) * 1e300
+        values = np.concatenate([float_specials(np.float64), values])
+        assert code_bytes(values, DOUBLE) == scalar_bytes(values, DOUBLE)
+
+    def test_float_codes_canonicalize_nan_and_zero(self):
+        for np_dtype, dtype in ((np.float32, FLOAT), (np.float64, DOUBLE)):
+            codes = code_bytes(float_specials(np_dtype), dtype)
+            nans, zeros, (inf, neg_inf) = codes[:3], codes[3:5], codes[5:7]
+            assert len(set(nans)) == 1 and len(set(zeros)) == 1
+            assert neg_inf < zeros[0] < inf < nans[0]
 
     @staticmethod
     def string_windows(values, prefix):
@@ -262,7 +310,5 @@ class TestVectorizedEncoders:
         assert gather_windows(buffer, none, none, 4).shape == (0, 4)
 
     def test_varchar_via_fixed_raises(self):
-        from repro.types.datatypes import VARCHAR
-
         with pytest.raises(KeyEncodingError):
-            encode_fixed_column(np.array(["a"], dtype=object), VARCHAR)
+            fixed_column_codes(np.array(["a"], dtype=object), VARCHAR)

@@ -13,12 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KeyEncodingError
-from repro.keys.normalizer import (
-    build_layout,
-    normalize_keys,
-    normalized_key_for_row,
-)
+from repro.keys.normalizer import build_layout, normalize_keys
 from repro.scalar.decoder import decode_key_row
+from repro.scalar.encoder import normalized_key_for_row
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec, tuple_compare
 

@@ -2,16 +2,19 @@
 
 ``repro.sort`` is the production pipeline: it may import the layers under
 it (``keys``, ``table``, ``types``) and nothing the paper face is built
-from; ``keys`` imports ``table``, never the reverse.  ``repro.scalar`` (the scalar algorithm family and the reference
-sort) sits beside it and shares only the key encoding, so the two never
-import each other.  ``repro.rows``, the paper's NSM codec, is imported by
-no other module: a sort keeps its payload in columns, spilled or not.
+from; ``keys`` imports ``table``, never the reverse.  ``repro.scalar`` (the
+scalar algorithm family, the reference sort and the one-value-at-a-time
+key codec) sits beside it and reads the key encoding: ``sort``, ``keys``,
+``engine`` and ``service`` never import it, and it never imports
+``sort``.  ``repro.rows``, the paper's NSM codec, is imported by no
+other module: a sort keeps its payload in columns, spilled or not.
 Lazy imports inside functions count too.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -68,6 +71,51 @@ def test_sort_imports_nothing_from_the_paper_face():
 
 def test_scalar_does_not_import_the_pipeline():
     assert violations("scalar", ("repro.sort",)) == []
+
+
+@pytest.mark.parametrize("directory", ["keys", "engine", "service"])
+def test_the_engine_imports_nothing_from_scalar(directory):
+    assert violations(directory, ("repro.scalar",)) == []
+
+
+# The one-value-at-a-time key codec and the memcmp reference live in
+# ``repro.scalar``; the two wrappers only tests called are gone.  No
+# engine module defines or re-exports any of them.
+SCALAR_ONLY_NAMES = (
+    "encode_unsigned",
+    "encode_signed",
+    "encode_float",
+    "encode_string",
+    "encode_scalar",
+    "invert_bytes",
+    "normalized_key_for_row",
+    "_compressed_scalar_bytes",
+    "void_view",
+    "_row_dtype",
+    "encode_fixed_column",
+    "build_compressed_layout",
+)
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.keys",
+        "repro.keys.compression",
+        "repro.keys.encoding",
+        "repro.keys.normalizer",
+        "repro.sort.kernels",
+    ],
+)
+def test_no_engine_module_carries_a_scalar_name(module):
+    namespace = vars(importlib.import_module(module))
+    exported = namespace.get("__all__", ())
+    found = [
+        name
+        for name in SCALAR_ONLY_NAMES
+        if name in namespace or name in exported
+    ]
+    assert found == []
 
 
 def test_table_does_not_import_the_layers_above_it():

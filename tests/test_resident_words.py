@@ -39,10 +39,10 @@ from repro.keys.normalizer import (
     build_layout,
     key_words,
     normalize_keys,
-    normalized_key_for_row,
     pack_fields,
 )
 from repro.scalar.decoder import decode_segment
+from repro.scalar.encoder import normalized_key_for_row
 from repro.sort import kernels, merger
 from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig, SortOperator, SortStats

@@ -578,7 +578,7 @@ class TestAdmissionAndCancellation:
     def test_deadline_during_grant_wait_is_a_timeout_error(self, rng):
         # The budget fits one grant and its holder parks at the gate, so
         # the second query's deadline runs out while it waits for one.
-        db = GatedDatabase()
+        db = GatedDatabase(sort_config=SortConfig(external=True))
         db.register("t", int_table(rng, 100))
         with SortService(
             db,
@@ -604,7 +604,7 @@ class TestAdmissionAndCancellation:
         # cancellation, long before the admission timeout.
         from repro.service.governor import _WAIT_SLICE_S
 
-        db = GatedDatabase()
+        db = GatedDatabase(sort_config=SortConfig(external=True))
         db.register("t", int_table(rng, 100))
         with SortService(
             db,
@@ -678,7 +678,7 @@ class TestOneGrantAtATime:
         assert first[1] > 0
 
     def test_a_cache_hit_is_served_while_a_sort_holds_the_grant(self, rng):
-        db = GatedDatabase()
+        db = GatedDatabase(sort_config=SortConfig(external=True))
         db.register("t", int_table(rng, 100))
         cached_sql = "SELECT * FROM t ORDER BY a, seq"
         with SortService(db, memory_budget=128 << 10, workers=2) as service:
@@ -696,6 +696,29 @@ class TestOneGrantAtATime:
             db.gate.set()
             holder.result(timeout=30)
             assert service.stats.grant_waits == 0
+
+    def test_a_sort_that_cannot_spill_takes_no_grant(self, rng):
+        # Only a sort that may spill reads the grant, so while one query
+        # of a database without ``external`` parks at the gate, a second
+        # one runs on the other worker and neither takes a grant.
+        db = GatedDatabase()
+        db.register("t", int_table(rng, 100))
+        with SortService(db, memory_budget=128 << 10, workers=2) as service:
+            holder = service.submit("SELECT * FROM t ORDER BY a")
+            assert db.entered.wait(5)
+            parked, db.gate = db.gate, threading.Event()
+            db.gate.set()  # the holder still waits on ``parked``
+            try:
+                second = service.submit("SELECT * FROM t ORDER BY seq")
+                assert second.result(timeout=5).num_rows == 100
+                assert not holder.done
+                assert service.governor.stats.grants_issued == 0
+            finally:
+                parked.set()
+            holder.result(timeout=30)
+            stats = service.stats
+        assert service.governor.stats.grants_issued == 0
+        assert stats.grant_waits == 0 and stats.completed == 2
 
 
 # --------------------------------------------------------------------- #

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import reference_sort, round_ids, sort_resident_runs, sort_spilling
 from repro.errors import SortError
 from repro.scalar.radix import RadixStats, lsd_radix_argsort
-from repro.scalar.reference import reference_sort as scalar_reference_sort
+from repro.scalar.reference import reference_sort as scalar_reference_sort, void_view
 from repro.sort import kernels
 from repro.sort.heuristic import vector_sort_rows
 from repro.sort.kernels import (
@@ -25,7 +25,6 @@ from repro.sort.kernels import (
     argsort_words,
     kway_merge_blocks,
     merge_indices,
-    void_view,
 )
 from repro.sort.operator import SortConfig, SortOperator, SortStats, sort_table
 from repro.table.chunk import chunk_table

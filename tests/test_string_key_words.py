@@ -21,11 +21,8 @@ from hypothesis import strategies as st
 
 from repro.keys import encoding
 from repro.keys.compression import KeyStatsAccumulator
-from repro.keys.normalizer import (
-    key_words,
-    normalized_key_for_row,
-    words_to_bytes,
-)
+from repro.keys.normalizer import key_words, words_to_bytes
+from repro.scalar.encoder import normalized_key_for_row
 from repro.sort.external import ExternalSortOperator
 from repro.sort.operator import SortConfig
 from repro.table import strings
