@@ -14,11 +14,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.bench.report import FigureResult
-from repro.engine.parallel import merge_tree_makespan
 from repro.sim.machine import Machine
 from repro.simsort.algorithms import lsd_radix_sort, msd_radix_sort
 from repro.simsort.layouts import NormalizedKeyLayout
 from repro.sort.operator import SortConfig, SortOperator, sort_table
+from repro.systems.parallel import merge_tree_makespan
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec

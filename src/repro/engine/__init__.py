@@ -1,4 +1,4 @@
-"""The mini vectorized SQL engine and the virtual-time parallel model."""
+"""The mini vectorized SQL engine."""
 
 from repro.engine.ast_nodes import (
     CountStar,
@@ -9,7 +9,6 @@ from repro.engine.ast_nodes import (
     TableRef,
 )
 from repro.engine.database import Database
-from repro.engine.parallel import PhaseModel, makespan, merge_tree_makespan
 from repro.engine.parser import parse, tokenize
 from repro.engine.plan import (
     LogicalAggregate,
@@ -32,9 +31,6 @@ __all__ = [
     "SubqueryRef",
     "TableRef",
     "Database",
-    "PhaseModel",
-    "makespan",
-    "merge_tree_makespan",
     "parse",
     "tokenize",
     "LogicalAggregate",

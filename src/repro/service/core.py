@@ -58,7 +58,7 @@ from repro.errors import (
 from repro.service.cache import ResultCache
 from repro.service.governor import MemoryGovernor
 from repro.sort.incremental import DEFAULT_COMPACT_THRESHOLD, IncrementalSorter
-from repro.sort.operator import SortConfig
+from repro.sort.operator import PhaseClock, SortConfig
 from repro.table.table import Table
 
 __all__ = [
@@ -127,7 +127,7 @@ class ServiceStats:
     queue_peak: int = 0
 
 
-class QueryTicket:
+class QueryTicket(PhaseClock):
     """One submitted query: a future plus its cancellation checkpoint.
 
     ``result(timeout=None)`` blocks for the outcome and re-raises the
@@ -142,7 +142,8 @@ class QueryTicket:
 
     A maintenance ticket (an incremental-view append or snapshot)
     carries its ``work`` as a callable of the per-query ``SortConfig``;
-    its ``sql`` is only a label.
+    its ``sql`` is only a label.  Once done, its ``phase_seconds`` hold
+    its ``queue`` and ``grant`` waits and the rest, ``execute``.
     """
 
     def __init__(
@@ -166,6 +167,8 @@ class QueryTicket:
         self._done = threading.Event()
         self._result: Table | None = None
         self._error: BaseException | None = None
+        self.phase_seconds: dict[str, float] = {}
+        PhaseClock.__post_init__(self)
 
     @property
     def done(self) -> bool:
@@ -549,44 +552,15 @@ class SortService:
                     ticket._fail(error)
 
     def _run_ticket(self, ticket: QueryTicket) -> None:
-        started = time.monotonic()
-        if ticket.cancelled:
-            with self._lock:
-                self._stats.cancelled += 1
-            ticket._fail(
-                SortCancelledError(
-                    f"query {ticket.query_id} cancelled before it ran"
-                )
-            )
-            return
-        statement = None
+        ticket.add_phase_seconds("queue", time.monotonic() - ticket.submitted_at)
         try:
-            if ticket._work is not None:
-                # Maintenance work (incremental-view appends/snapshots)
-                # has no SQL plan and never touches the result cache --
-                # a view is its own versioned state.
-                result = self._run_query(ticket, None)
-            else:
-                statement = parse(ticket.sql)
-                plan = self.database.plan(statement)
-                versions = tuple(
-                    (name, self.database.table_version(name))
-                    for name in self.database.referenced_tables(plan)
-                )
-                cached = self.cache.get(statement, versions)
-                if cached is not None:
-                    with self._lock:
-                        self._stats.completed += 1
-                    ticket.from_cache = True
-                    ticket._complete(cached)
-                    return
-                result = self._run_query(ticket, plan)
+            with ticket.time_phase("execute"):
+                result = self._answer(ticket)
         except BaseException as error:
             self._finish_error(ticket, error)
             return
-        if statement is not None:
-            self.cache.put(statement, versions, result)
-        self._observe_latency(time.monotonic() - started)
+        if not ticket.from_cache:
+            self._observe_latency(ticket)
         with self._lock:
             self._stats.completed += 1
             for stats in ticket.sort_stats:
@@ -597,6 +571,29 @@ class SortService:
                 self._stats.sorts_subsumed += stats.sorts_subsumed
         ticket._complete(result)
 
+    def _answer(self, ticket: QueryTicket) -> Table:
+        if ticket.cancelled:
+            raise SortCancelledError(
+                f"query {ticket.query_id} cancelled before it ran"
+            )
+        if ticket._work is not None:
+            # Maintenance work (incremental-view appends/snapshots) has
+            # no SQL plan and never touches the result cache -- a view is
+            # its own versioned state.
+            return self._run_query(ticket, None)
+        statement = parse(ticket.sql)
+        plan = self.database.plan(statement)
+        versions = tuple(
+            (name, self.database.table_version(name))
+            for name in self.database.referenced_tables(plan)
+        )
+        result = self.cache.get(statement, versions)
+        ticket.from_cache = result is not None
+        if result is None:
+            result = self._run_query(ticket, plan)
+            self.cache.put(statement, versions, result)
+        return result
+
     def _run_query(self, ticket: QueryTicket, plan) -> Table:
         """Grant (only a sort that may spill reads one) -> execute with the
         ticket as the sort's checkpoint; always releases the grant."""
@@ -606,9 +603,10 @@ class SortService:
             if ticket.deadline_s is not None:
                 elapsed = time.monotonic() - ticket.submitted_at
                 timeout = min(timeout, max(0.0, ticket.deadline_s - elapsed))
-            grant = self.governor.acquire(
-                ticket.query_id, timeout_s=timeout, cancel=ticket
-            )
+            with ticket.time_phase("grant"):
+                grant = self.governor.acquire(
+                    ticket.query_id, timeout_s=timeout, cancel=ticket
+                )
         try:
             if ticket.is_set():
                 raise SortCancelledError(
@@ -647,7 +645,9 @@ class SortService:
                 self._stats.failed += 1
         ticket._fail(error)
 
-    def _observe_latency(self, seconds: float) -> None:
+    def _observe_latency(self, ticket: QueryTicket) -> None:
+        phases = ticket.phase_seconds
+        seconds = phases.get("grant", 0.0) + phases["execute"]
         with self._lock:
             self._latency_ewma = 0.8 * self._latency_ewma + 0.2 * seconds
 

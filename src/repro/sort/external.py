@@ -532,15 +532,7 @@ class ExternalSortOperator(SortOperator):
             merger = RunMerger(
                 self._generator, self.merge_block_rows, self._make_prefetcher
             )
-            # The merge phase is timed net of the spill I/O on its
-            # critical path: synchronous reads/writes ("spill_io") plus
-            # stalls waiting on an unfinished prefetch ("io_wait").
-            # Overlapped background reads ("spill_io_overlap")
-            # deliberately do NOT subtract -- they happened concurrently
-            # with merge compute.
-            with self.stats.time_phase(
-                "merge", ("spill_io", "io_wait") + merger.NESTED_PHASES
-            ):
+            with self.stats.time_phase("merge"):
                 self._collapse_runs(merger)
                 return merger.merge(self._runs)
         finally:

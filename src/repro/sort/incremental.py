@@ -189,7 +189,7 @@ class IncrementalSorter:
             return Table.empty(self.schema)
         if self._view_cache is None:
             self._compact()
-            with self.stats.sort.time_phase("merge", RunMerger.NESTED_PHASES):
+            with self.stats.sort.time_phase("merge"):
                 self._view_cache = self._merger().merge(self._runs)
         return self._view_cache
 
@@ -202,7 +202,7 @@ class IncrementalSorter:
         """
         if len(self._runs) <= 1:
             return
-        with self.stats.sort.time_phase("merge", RunMerger.NESTED_PHASES):
+        with self.stats.sort.time_phase("merge"):
             merged = self._merger().merge_to_run(self._runs)
         self.stats.compactions += 1
         self.stats.runs_compacted += len(self._runs)

@@ -68,10 +68,8 @@ __all__ = ["RunMerger"]
 class RunMerger:
     """K-way merge of sorted runs into the result table (or one new run).
 
-    ``phase_seconds["refine"]`` (exact-string repair) and
-    ``["decode"]`` (the result table) are timed here;
-    callers timing a ``"merge"`` phase around a pass declare it net of
-    :attr:`NESTED_PHASES`.
+    ``phase_seconds["refine"]`` (exact-string repair) and ``["decode"]``
+    (the result table) are timed here, inside a caller's ``"merge"``.
 
     Finishes what ``generator`` began: the run format (the key layout
     covering every run, whether runs are key-carried), the config, the
@@ -80,8 +78,6 @@ class RunMerger:
     ``make_prefetcher(runs, key_fetch)`` is the spilling store's
     read-ahead hook; it may return ``None``.
     """
-
-    NESTED_PHASES = ("refine", "decode")
 
     def __init__(
         self,
@@ -150,7 +146,7 @@ class RunMerger:
         ]
         if self.key_carried and any(run.on_disk for run in runs):
             return runs, _KeyPayload(self.key_layout, self.schema)
-        with self.stats.time_phase("decode", ("spill_io",)):
+        with self.stats.time_phase("decode"):
             resident = [
                 run.read_payload(self.schema, self.stats)
                 if run.on_disk else run

@@ -36,9 +36,7 @@ first two from ``SortConfig.external``; ``sort_table`` wraps it.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.errors import SortCancelledError, SortError
 from repro.sort.merger import RunMerger
@@ -190,8 +188,48 @@ class SortConfig:
             )
 
 
+class PhaseClock:
+    """Each phase's self time into ``phase_seconds``: its :meth:`time_phase`
+    block's wall clock less every phase opened or charged inside it (per
+    open phase, innermost last, ``_open`` sums those).  :class:`SortStats`
+    and the service's ``QueryTicket`` use it."""
+
+    def __post_init__(self) -> None:
+        self._open: list[float] = []
+
+    def add_phase_seconds(self, phase: str, seconds: float) -> None:
+        """Charge ``seconds`` to ``phase``, out of the innermost open one."""
+        self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + seconds
+        if self._open:
+            self._open[-1] += seconds
+
+    def time_phase(self, phase: str) -> "_OpenPhase":
+        """Charge the ``with`` block's self time to ``phase``."""
+        return _OpenPhase(self, phase)
+
+
+class _OpenPhase:
+    """One :meth:`PhaseClock.time_phase` block (half a generator's cost)."""
+
+    __slots__ = ("clock", "phase", "start")
+
+    def __init__(self, clock: PhaseClock, phase: str) -> None:
+        self.clock, self.phase = clock, phase
+
+    def __enter__(self) -> None:
+        self.clock._open.append(0.0)
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        elapsed = time.perf_counter() - self.start
+        inner = self.clock._open.pop()
+        self.clock.add_phase_seconds(self.phase, elapsed - inner)
+        if self.clock._open:  # the enclosing phase loses all of ``elapsed``
+            self.clock._open[-1] += inner
+
+
 @dataclass
-class SortStats:
+class SortStats(PhaseClock):
     """What the operator did: run counts, dispatch, merge work.
 
     Both operators run the same pipeline, so every counter means the
@@ -201,16 +239,14 @@ class SortStats:
     ``kernel_kway_merges`` counts k-way merge passes of the
     block-streaming kernel; ``kway_rounds`` and
     ``kway_peak_frontier_rows`` describe its frontier loop.
-    ``phase_seconds`` accumulates wall-clock per
-    pipeline phase: ``encode`` (the run's buffered chunks joined, its
-    key statistics and normalization), ``run_gen`` (sorting
-    runs), ``merge`` (merging runs and gathering their payload; I/O,
-    ``refine`` and ``decode`` excluded), ``refine`` (exact-string repair
-    of prefix-tied rows inside the merge), ``decode`` (the result table:
+    ``phase_seconds`` holds each pipeline phase's self time
+    (:class:`PhaseClock`), so the phases partition the sort's wall clock:
+    ``encode`` (the run's buffered chunks joined, its key statistics and
+    normalization), ``run_gen`` (sorting runs), ``merge`` (merging runs
+    and gathering their payload), ``refine`` (exact-string repair of
+    prefix-tied rows inside the merge), ``decode`` (the result table:
     resident payload taken by row position, spilled rows or keys
-    decoded) and ``spill_io``
-    (reading/writing spill files).  The phases partition the sort's
-    wall clock.
+    decoded) and ``spill_io`` (reading/writing spill files).
 
     The fault counters describe the external sort's degradation ladder:
     ``spill_retries`` (writes retried after a transient error),
@@ -244,8 +280,8 @@ class SortStats:
     (blocks the merge had to wait for, or fetch synchronously), with the
     consumer-side wait recorded under ``phase_seconds["io_wait"]`` and
     the background threads' read+verify time under
-    ``phase_seconds["spill_io_overlap"]`` (overlapped, so it does not
-    extend the critical path the way ``spill_io`` does);
+    ``phase_seconds["spill_io_overlap"]`` (overlapped, so it is taken
+    out of no phase and falls outside the partition);
     ``prefetch_peak_blocks`` is the most read-ahead blocks buffered at
     once (the budget observably holding).
 
@@ -298,31 +334,6 @@ class SortStats:
     sorts_elided: int = 0
     sorts_subsumed: int = 0
 
-    def add_phase_seconds(self, phase: str, seconds: float) -> None:
-        self.phase_seconds[phase] = (
-            self.phase_seconds.get(phase, 0.0) + seconds
-        )
-
-    @contextmanager
-    def time_phase(self, phase: str, net_of: Sequence[str] = ()):
-        """Accumulate the wall-clock of a ``with`` block into a phase.
-
-        Time the block itself charged to the ``net_of`` phases is
-        subtracted, so nested phases partition the wall clock.
-        """
-
-        def nested() -> float:
-            return sum(self.phase_seconds.get(name, 0.0) for name in net_of)
-
-        before = nested()
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.add_phase_seconds(phase, elapsed - (nested() - before))
-
-
 class SortOperator:
     """Materializing ORDER BY operator (paper Figure 11).
 
@@ -374,7 +385,7 @@ class SortOperator:
         """Accept a chunk of input, of any length."""
         if self._finalized:
             raise SortError("cannot sink into a finalized sort")
-        if chunk.schema.names != self.schema.names:
+        if chunk.schema is not self.schema and chunk.schema.names != self.schema.names:
             raise SortError(
                 f"chunk schema {chunk.schema.names} does not match "
                 f"operator schema {self.schema.names}"
@@ -391,7 +402,7 @@ class SortOperator:
         if not self._buffer:
             return Table.empty(self.schema)
         run = self._sort_buffer(lone=True)
-        with self.stats.time_phase("merge", RunMerger.NESTED_PHASES):
+        with self.stats.time_phase("merge"):
             merger = RunMerger(self._generator, run.num_rows)
             if merger.refine_end is None:  # taken as it stands: keys unread
                 run.words = None

@@ -245,10 +245,10 @@ class BlockPrefetcher:
         stats = self._stats
         stats.checksum_verifications += local.checksum_verifications
         stats.checksum_failures += local.checksum_failures
-        for phase, seconds in local.phase_seconds.items():
-            if phase == "spill_io":
-                phase = "spill_io_overlap"
-            stats.add_phase_seconds(phase, seconds)
+        # A worker's read overlapped the merge: no open phase pays for it.
+        phases, read_s = stats.phase_seconds, local.phase_seconds.get("spill_io")
+        if read_s is not None:
+            phases["spill_io_overlap"] = phases.get("spill_io_overlap", 0.0) + read_s
 
     # ------------------------------------------------------------------ #
     # Scheduling (consumer thread only)

@@ -153,12 +153,12 @@ class RunGenerator:
                 include_row_id=False
             )
             words = key_words(table, layout, encoded)
-        stats.key_width_used = layout.key_width
-        stats.key_width_full = plain_key_width(layout)
-        stats.prefix_exact = stats.prefix_exact and all(
-            segment.prefix_exact for segment in layout.segments
-        )
-        stats.rows_sorted += len(table)
+            stats.key_width_used = layout.key_width
+            stats.key_width_full = plain_key_width(layout)
+            stats.prefix_exact = stats.prefix_exact and all(
+                segment.prefix_exact for segment in layout.segments
+            )
+            stats.rows_sorted += len(table)
         return table, words
 
     def sort_run(self, table: Table, words, consume=False) -> InMemoryRun:
@@ -172,9 +172,9 @@ class RunGenerator:
         """
         with self.stats.time_phase("run_gen"):
             order = vector_sort_rows(words, self.stats, consume)
-        self.stats.runs_generated += 1
-        self.stats.run_lengths.append(len(order))
-        return InMemoryRun(words, self.layout, table, order)
+            self.stats.runs_generated += 1
+            self.stats.run_lengths.append(len(order))
+            return InMemoryRun(words, self.layout, table, order)
 
 
 # ---------------------------------------------------------------------- #

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.parallel import PhaseModel
 from repro.errors import SimulationError
 from repro.sort.operator import sort_table
 from repro.table.table import Table
 from repro.types.datatypes import TypeId
 from repro.types.schema import Schema
 from repro.types.sortspec import SortSpec
+from repro.systems.parallel import PhaseModel
 from repro.systems.profile import (
     ComparisonProfile,
     HardwareProfile,

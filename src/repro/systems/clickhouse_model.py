@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 
-from repro.engine.parallel import PhaseModel, makespan
 from repro.systems.base import SystemModel, WorkloadFacts
+from repro.systems.parallel import PhaseModel, makespan
 from repro.systems.profile import sort_comparisons
 from repro.table.table import Table
 

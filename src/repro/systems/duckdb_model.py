@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 
-from repro.engine.parallel import PhaseModel, merge_tree_makespan
 from repro.keys.normalizer import normalize_keys
 from repro.scalar.radix import RadixStats, radix_argsort
 from repro.systems.base import SystemModel, WorkloadFacts
+from repro.systems.parallel import PhaseModel, merge_tree_makespan
 from repro.table.table import Table
 
 __all__ = ["DuckDBModel"]

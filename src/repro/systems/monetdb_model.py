@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 
-from repro.engine.parallel import PhaseModel
 from repro.systems.base import SystemModel, WorkloadFacts
+from repro.systems.parallel import PhaseModel
 from repro.table.table import Table
 
 __all__ = ["MonetDBModel"]

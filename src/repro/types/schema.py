@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import SchemaError
 from repro.types.datatypes import DataType
@@ -53,8 +54,9 @@ class Schema:
                 defs.append(ColumnDef(*col))
         return cls(tuple(defs))
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
+        # Cached: every sink and chunk join compares schemas by name.
         return tuple(c.name for c in self.columns)
 
     def __len__(self) -> int:

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import reference_sort
 from repro.engine.database import Database
-from repro.engine.parallel import PhaseModel, makespan, merge_tree_makespan
 from repro.engine.plan import (
     LogicalAggregate,
     LogicalLimit,
@@ -13,6 +12,7 @@ from repro.engine.plan import (
     LogicalTopN,
 )
 from repro.errors import BindError, EngineError, SimulationError
+from repro.systems.parallel import PhaseModel, makespan, merge_tree_makespan
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
 

@@ -721,6 +721,52 @@ class TestOneGrantAtATime:
         assert stats.grant_waits == 0 and stats.completed == 2
 
 
+class TestTicketPhases:
+    """A ticket's queue wait, grant wait and execution land in its
+    ``phase_seconds``, on the sort's phase clock, before it completes."""
+
+    HOLD_S = 0.05
+
+    def test_a_grant_wait_is_the_grant_phase(self, rng):
+        db = GatedDatabase(SortConfig(external=True))
+        db.register("t", int_table(rng, 100))
+        with SortService(db, memory_budget=128 << 10, workers=2) as service:
+            holder = service.submit("SELECT * FROM t ORDER BY a")
+            assert db.entered.wait(5)  # the holder has the grant
+            parked, db.gate = db.gate, threading.Event()
+            db.gate.set()
+            try:
+                second = service.submit("SELECT * FROM t ORDER BY seq")
+                deadline = time.monotonic() + 5
+                while service.governor.stats.grant_waits == 0:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                time.sleep(self.HOLD_S)  # the second waits on the grant
+            finally:
+                parked.set()
+            assert second.result(timeout=30).num_rows == 100
+            holder.result(timeout=30)
+        assert set(second.phase_seconds) == {"queue", "grant", "execute"}
+        assert second.phase_seconds["grant"] >= self.HOLD_S
+        assert all(seconds >= 0 for seconds in second.phase_seconds.values())
+
+    def test_a_queued_ticket_times_its_queue_wait(self, rng):
+        db = GatedDatabase(SortConfig(external=True))
+        db.register("t", int_table(rng, 100))
+        with SortService(db, memory_budget=128 << 10, workers=1) as service:
+            holder = service.submit("SELECT * FROM t ORDER BY a")
+            assert db.entered.wait(5)  # the one worker is busy
+            try:
+                second = service.submit("SELECT * FROM t ORDER BY seq")
+                time.sleep(self.HOLD_S)
+            finally:
+                db.gate.set()
+            assert second.result(timeout=30).num_rows == 100
+            holder.result(timeout=30)
+        assert second.phase_seconds["queue"] >= self.HOLD_S
+        assert holder.phase_seconds["execute"] >= self.HOLD_S
+
+
 # --------------------------------------------------------------------- #
 # Acceptance scenarios
 # --------------------------------------------------------------------- #

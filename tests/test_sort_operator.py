@@ -8,18 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import time
+from contextlib import contextmanager
 
+import repro.sort.operator as operator_module
 from conftest import reference_sort, sort_resident_runs
 from repro.engine.database import Database
 from repro.errors import KeyEncodingError, SortError
 from repro.scalar.reference import ReferenceStats
 from repro.scalar.reference import reference_sort as scalar_reference_sort
-from repro.sort.operator import SortConfig, SortOperator, sort_table
+from repro.sort.external import ExternalSortOperator
+from repro.sort.operator import SortConfig, SortOperator, SortStats, sort_table
+from repro.sort.prefetch import BlockPrefetcher
 from repro.table.chunk import DataChunk, chunk_table
 from repro.table.table import Table
 from repro.types.datatypes import FLOAT, INTEGER, VARCHAR
 from repro.types.sortspec import SortSpec
-from repro.workloads.scenarios import scenario_table
+from repro.workloads.scenarios import SCENARIOS, scenario_table
 
 
 class TestSortConfig:
@@ -219,31 +223,127 @@ class TestStringTruncation:
                 database.execute(sql)
 
 
+class FakeClock:
+    """``time.perf_counter`` that reads ``now`` and ticks ``step`` per read."""
+
+    def __init__(self, step: float = 0.0) -> None:
+        self.now, self.step = 0.0, step
+
+    def __call__(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+class TestPhaseClock:
+    """Nesting is the timer's: a phase's time is its self time."""
+
+    def test_three_nested_phases_each_get_their_self_time(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(operator_module.time, "perf_counter", clock)
+        stats = SortStats()
+        with stats.time_phase("merge"):
+            clock.now += 1
+            with stats.time_phase("decode"):
+                clock.now += 2
+                with stats.time_phase("spill_io"):
+                    clock.now += 4
+                clock.now += 8
+            clock.now += 16
+        assert stats.phase_seconds == {"merge": 17, "decode": 10, "spill_io": 4}
+        with pytest.raises(ValueError), stats.time_phase("decode"):
+            clock.now += 32
+            raise ValueError  # a phase left by an error still closes
+        with stats.time_phase("merge"):
+            clock.now += 64
+        assert stats.phase_seconds == {"merge": 81, "decode": 42, "spill_io": 4}
+
+    def test_a_leaf_is_netted_and_an_overlapped_read_is_not(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(operator_module.time, "perf_counter", clock)
+        stats = SortStats()
+        prefetcher = BlockPrefetcher(
+            [1], [True], 1, None, depth=1, budget_blocks=1, stats=stats
+        )
+        worker = SortStats()  # a prefetch worker's private stats
+        worker.add_phase_seconds("spill_io", 3)
+        with stats.time_phase("merge"):
+            clock.now += 5
+            stats.add_phase_seconds("io_wait", 2)  # the merge waited
+            prefetcher._merge_local(worker)  # read while the merge ran
+        assert stats.phase_seconds == {
+            "merge": 3, "io_wait": 2, "spill_io_overlap": 3,
+        }
+
+
 class TestPhaseAttribution:
-    def test_phases_cover_a_long_string_sort(self):
-        # Refinement and the result decode are timed net of "merge", so
-        # the phases partition the sort's wall clock (ROADMAP 1(b): most
-        # of a long-string sort used to sit in layers nobody timed).
-        table = scenario_table("long_string", 20_000, 17)
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_phases_cover_every_catalog_scenario(self, name):
+        # Every phase is a self time, so the phases partition the sort's
+        # wall clock (ROADMAP 1(b): most of a long-string sort used to
+        # sit in layers nobody timed).
+        scenario = SCENARIOS[name]
+        table = scenario.table(20_000, 17)
+        spec = SortSpec.of(*[part.strip() for part in scenario.order_by.split(",")])
         chunks = list(chunk_table(table, 2048))
         coverage = []
         for _ in range(3):  # a preemption outside every phase skews one try
             operator = SortOperator(
-                table.schema,
-                SortSpec.of("s", "p"),
-                SortConfig(run_threshold=8192),
+                table.schema, spec, SortConfig(run_threshold=8192)
             )
             start = time.perf_counter()
             for chunk in chunks:
                 operator.sink(chunk)
-            operator.finalize()
+            result = operator.finalize()
             wall = time.perf_counter() - start
+            del result  # freed by the caller, after the sort
             phases = operator.stats.phase_seconds
-            assert set(phases) == {"encode", "run_gen", "merge", "refine", "decode"}
+            assert set(phases) - {"refine"} == {"encode", "run_gen", "merge", "decode"}
+            if name == "long_string":
+                assert "refine" in phases
             assert all(seconds >= 0 for seconds in phases.values())
             assert sum(phases.values()) <= wall
             coverage.append(sum(phases.values()) / wall)
         assert max(coverage) >= 0.95, coverage
+
+    def test_a_fan_in_pre_pass_counts_its_run_gen_once(self, tmp_path, monkeypatch):
+        # The pre-pass stores each merged group as a run inside "merge":
+        # its key rows' run_gen is that phase's child, not a second count.
+        # On a clock of one tick per read the phases then sum exactly to
+        # the outermost phases' time.
+        clock = FakeClock(step=1.0)
+        monkeypatch.setattr(operator_module.time, "perf_counter", clock)
+        outermost = []
+        depth = [0]
+        time_phase = SortStats.time_phase
+
+        @contextmanager
+        def spied(stats, phase, *args):
+            depth[0] += 1
+            try:
+                with time_phase(stats, phase, *args):
+                    start = clock.now  # the timer's own first read
+                    yield
+            finally:
+                depth[0] -= 1
+            if not depth[0]:
+                outermost.append(clock.now - start)  # and its last
+
+        monkeypatch.setattr(SortStats, "time_phase", spied)
+        table = scenario_table("uniform", 40_000, 17)
+        config = SortConfig(
+            external=True, run_threshold=4096, merge_fan_in=2, prefetch_blocks=0
+        )
+        with ExternalSortOperator(
+            table.schema, SortSpec.of("a", "p"), config, str(tmp_path)
+        ) as operator:
+            operator.sink(DataChunk.from_table(table))
+            operator.finalize()
+        stats = operator.stats
+        assert stats.merge_passes > 2  # pre-passes ran
+        assert set(stats.phase_seconds) == {
+            "encode", "run_gen", "spill_io", "merge", "decode",
+        }
+        assert sum(stats.phase_seconds.values()) == sum(outermost)
 
 
 MIXED_SPECS = [
