@@ -53,10 +53,9 @@ from repro.sort.operator import SortConfig  # noqa: E402
 from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
 from repro.types.sortspec import SortSpec  # noqa: E402
-from repro.workloads.scenarios import SCENARIOS  # noqa: E402
+from repro.workloads.scenarios import SCENARIOS, uniform_values  # noqa: E402
 
 from bench_key_compression import commit_id  # noqa: E402
-from scenarios import uniform_values  # noqa: E402
 
 OUTPUT = os.path.join(os.path.dirname(_SRC), "BENCH_external.json")
 

@@ -323,8 +323,8 @@ def ablation_sorting_side_benefits(num_rows: int = 50_000) -> FigureResult:
     Besides the storage-side wins (compression, pruning), sorted data
     speeds up downstream *operators*: the last row measures a GROUP BY
     over a sorted table through the real planner path, where the
-    order-propagation pass marks the aggregate presorted and skips its
-    internal sort entirely.
+    order-propagation pass elides the Sort node the planner puts under
+    the aggregate.
     """
     from repro.analysis import sorting_benefit
     from repro.engine.database import Database

@@ -191,8 +191,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help=(
-            "print each sort, Top-N, join and group-by operator's sort "
-            "statistics to stderr, in plan order"
+            "print the sort statistics of each Sort node (ORDER BY and "
+            "the input sorts of GROUP BY and of each join side) and Top-N "
+            "to stderr, a node's inputs before the node"
         ),
     )
 

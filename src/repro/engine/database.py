@@ -167,31 +167,17 @@ class Database:
         if isinstance(logical, planmod.LogicalAggregate):
             return CountAggregateOperator(child())
         if isinstance(logical, planmod.LogicalGroupBy):
-            operator = GroupByOperator(
-                child(),
-                logical.schema,
-                logical.keys,
-                logical.aggregates,
-                config,
-                presorted=logical.presorted,
+            return GroupByOperator(
+                child(), logical.schema, logical.keys, logical.aggregates
             )
-            if sinks is not None:
-                sinks.append(operator)
-            return operator
         if isinstance(logical, planmod.LogicalJoin):
-            operator = MergeJoinOperator(
+            return MergeJoinOperator(
                 logical.schema,
                 self._physical(logical.left, sort_config, sinks),
                 self._physical(logical.right, sort_config, sinks),
                 logical.left_keys,
                 logical.right_keys,
-                config,
-                left_presorted=logical.left_presorted,
-                right_presorted=logical.right_presorted,
             )
-            if sinks is not None:
-                sinks.append(operator)
-            return operator
         if isinstance(logical, planmod.LogicalTopN):
             operator = TopNExecOperator(
                 child(),
@@ -249,12 +235,12 @@ class Database:
     ) -> tuple[Table, list]:
         """Execute an already-bound plan, returning (result, sort stats).
 
-        The stats list holds one ``SortStats`` per sort-bearing pipeline
-        breaker (full/elided/subsumed sorts, Top-N, merge joins,
-        presorted group-bys), in plan order; streaming operators
-        contribute none.  The service layer plans once (for the cache
-        key's table versions), then executes here under its per-query
-        config.
+        The stats list holds one ``SortStats`` per Sort node (full,
+        elided or subsumed; ORDER BY and the input sorts of GROUP BY and
+        of each join side) and per Top-N, a node's inputs before the
+        node; no other operator sorts.  The service layer plans once
+        (for the cache key's table versions), then executes here under
+        its per-query config.
         """
         sinks: list[PhysicalOperator] = []
         root = self._physical(logical, sort_config, sinks)

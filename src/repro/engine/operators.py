@@ -16,9 +16,11 @@ amortized per vector, not per tuple).  A chunk has any length, and
 
 Sort, Top-N, GROUP BY and merge join are the pipeline breakers: they
 drain their child before producing anything, exactly as Section V
-describes, and yield their result as one chunk.  A sink takes a chunk
-of any length, so a breaker sinks a scanned table whole, and a filtered
-one as one selection whose rows it gathers once.
+describes, and yield their result as one chunk.  Of these only Sort and
+Top-N run a sort: a GROUP BY's input and each join side come through a
+:class:`SortExecOperator` the planner put under them.  A sink takes a
+chunk of any length, so a breaker sinks a scanned table whole, and a
+filtered one as one selection whose rows it gathers once.
 :meth:`PhysicalOperator.table` joins an operator's chunks and
 :func:`collect` returns the root's, so a result may share column arrays
 with a registered table (tables are immutable).
@@ -129,9 +131,10 @@ class FilterOperator(PhysicalOperator):
 class SortExecOperator(PhysicalOperator):
     """The full-sort pipeline breaker wrapping the paper's sort operator.
 
-    With ``SortConfig.external`` set, ORDER BY may spill
-    (:func:`repro.sort.operator.make_sort_operator`) -- the same config
-    object carries the spill knobs (failover directories, retry policy,
+    It runs every full sort of a query: ORDER BY and the input sorts of
+    GROUP BY and merge join.  With ``SortConfig.external`` set it may
+    spill (:func:`repro.sort.operator.make_sort_operator`) -- the same
+    config object carries the spill knobs (failover directories,
     checksum verification), so the fault-tolerance ladder is reachable
     end-to-end from ``Database(sort_config=...)``.
 
@@ -250,13 +253,8 @@ class LimitOperator(PhysicalOperator):
 
 
 class GroupByOperator(PhysicalOperator):
-    """Sort-based GROUP BY: a pipeline breaker like the sort itself.
-
-    ``presorted`` is the optimizer's order-propagation promise that the
-    input already arrives sorted by the grouping keys; the internal
-    sort is skipped (``last_stats.sorts_elided``) and aggregation runs
-    straight off the group boundaries.
-    """
+    """Sort-based GROUP BY over a child sorted by its keys (ascending,
+    NULLS LAST): aggregation runs straight off the group boundaries."""
 
     def __init__(
         self,
@@ -264,43 +262,25 @@ class GroupByOperator(PhysicalOperator):
         schema: Schema,
         keys: tuple[str, ...],
         aggregates: tuple,
-        config: SortConfig | None = None,
-        presorted: bool = False,
     ) -> None:
         super().__init__(schema)
         self.child = child
         self.keys = keys
         self.aggregates = aggregates
-        self.config = config or SortConfig()
-        self.presorted = presorted
-        self.last_stats = None
 
     def chunks(self) -> Iterator[DataChunk]:
         from repro.aggregate.groupby import group_by
 
-        source = self.child.table()
-        if self.presorted:
-            stats = SortStats()
-            stats.sorts_elided += 1
-            self.last_stats = stats
         yield DataChunk.from_table(
             group_by(
-                source,
-                self.keys,
-                self.aggregates,
-                self.config,
-                presorted=self.presorted,
+                self.child.table(), self.keys, self.aggregates, presorted=True
             )
         )
 
 
 class MergeJoinOperator(PhysicalOperator):
-    """Sort-merge inner join: drains both children, merges sorted runs.
-
-    Order-propagation sets ``left_presorted`` / ``right_presorted`` when
-    that input already arrives sorted by its join keys; the join then
-    skips that side's sort and ``last_stats`` records the elision.
-    """
+    """Sort-merge inner join over two children, each sorted by its join
+    keys (ascending, NULLS LAST): drains both, aligns their groups."""
 
     def __init__(
         self,
@@ -309,36 +289,26 @@ class MergeJoinOperator(PhysicalOperator):
         right: PhysicalOperator,
         left_keys: tuple[str, ...],
         right_keys: tuple[str, ...],
-        config: SortConfig | None = None,
-        left_presorted: bool = False,
-        right_presorted: bool = False,
     ) -> None:
         super().__init__(schema)
         self.left = left
         self.right = right
         self.left_keys = left_keys
         self.right_keys = right_keys
-        self.config = config or SortConfig()
-        self.left_presorted = left_presorted
-        self.right_presorted = right_presorted
-        self.last_stats = None
 
     def chunks(self) -> Iterator[DataChunk]:
         from repro.join.merge_join import merge_join
 
-        stats = SortStats()
-        result = merge_join(
-            self.left.table(),
-            self.right.table(),
-            self.left_keys,
-            self.right_keys,
-            config=self.config,
-            left_presorted=self.left_presorted,
-            right_presorted=self.right_presorted,
-            stats=stats,
+        yield DataChunk.from_table(
+            merge_join(
+                self.left.table(),
+                self.right.table(),
+                self.left_keys,
+                self.right_keys,
+                left_presorted=True,
+                right_presorted=True,
+            )
         )
-        self.last_stats = stats
-        yield DataChunk.from_table(result)
 
 
 class CountAggregateOperator(PhysicalOperator):

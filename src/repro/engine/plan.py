@@ -25,14 +25,15 @@ An input that provides only a proper leading prefix of the spec gets a
 full sort (or Top-N under a LIMIT): ordering rows within the provided
 prefix groups costs more than the normalized-key sort it would replace.
 
-The same derivation marks ``LogicalGroupBy`` inputs as presorted (the
-aggregate skips its internal sort) and elides either input sort of a
-``LogicalJoin`` (sort-merge join over pre-sorted inputs).
+Every full sort the engine runs is a ``LogicalSort``: the binder puts
+one by the grouping keys under each ``LogicalGroupBy`` and one by the
+join keys under each side of each ``LogicalJoin`` (ascending, NULLS
+LAST), so the same rule elides or subsumes a breaker's input sort.
 
 Plan shape::
 
-    Scan[/Join] -> [Filter] -> [GroupBy] -> [Sort] -> [Limit]
-        -> [Project | Aggregate]
+    Scan[/Join over two Sorts] -> [Filter] -> [GroupBy over a Sort]
+        -> [Sort] -> [Limit] -> [Project | Aggregate]
 
 built from the AST by :func:`bind`, rewritten by :func:`optimize`.
 """
@@ -110,7 +111,8 @@ class LogicalFilter(LogicalPlan):
 
 @dataclass(frozen=True)
 class LogicalSort(LogicalPlan):
-    """ORDER BY.  ``mode`` records what the optimizer decided:
+    """ORDER BY, or a GROUP BY's or a join side's input sort.  ``mode``
+    records what the optimizer decided:
 
     * ``"full"`` -- run the sort operator (the default).
     * ``"elided"`` / ``"subsumed"`` -- the input's provided ordering
@@ -142,18 +144,13 @@ class LogicalAggregate(LogicalPlan):
 
 @dataclass(frozen=True)
 class LogicalGroupBy(LogicalPlan):
-    """Sort-based GROUP BY with aggregate expressions.
-
-    ``presorted`` is set by the optimizer when the input's provided
-    ordering covers the grouping keys (ascending, NULLS LAST); the
-    physical operator then skips its internal sort and detects group
-    boundaries directly.
-    """
+    """Sort-based GROUP BY with aggregate expressions.  Its child is a
+    ``LogicalSort`` by the keys (ascending, NULLS LAST), so the operator
+    finds group boundaries on input that arrives sorted."""
 
     child: LogicalPlan
     keys: tuple[str, ...]
     aggregates: tuple[Aggregate, ...]
-    presorted: bool = False
 
 
 @dataclass(frozen=True)
@@ -162,18 +159,14 @@ class LogicalJoin(LogicalPlan):
 
     Output columns are all left columns then all right columns, with
     colliding names prefixed ``l_`` / ``r_`` (mirroring
-    :func:`repro.join.merge_join.merge_join`).  ``left_presorted`` /
-    ``right_presorted`` are set by the optimizer when that side's
-    provided ordering already covers its join keys, eliding the
-    operator's input sort.
+    :func:`repro.join.merge_join.merge_join`).  Each side is a
+    ``LogicalSort`` by its join keys (ascending, NULLS LAST).
     """
 
     left: LogicalPlan
     right: LogicalPlan
     left_keys: tuple[str, ...]
     right_keys: tuple[str, ...]
-    left_presorted: bool = False
-    right_presorted: bool = False
 
 
 @dataclass(frozen=True)
@@ -318,11 +311,17 @@ def _bind_join(source: JoinRef, catalog: CatalogLookup) -> LogicalPlan:
         right_keys.append(rk)
     return LogicalJoin(
         join_output_schema(left.schema, right.schema),
-        left,
-        right,
+        _sorted_by(left, left_keys),
+        _sorted_by(right, right_keys),
         tuple(left_keys),
         tuple(right_keys),
     )
+
+
+def _sorted_by(child: LogicalPlan, keys) -> LogicalSort:
+    """A breaker's input sort: ``keys`` ascending, NULLS LAST."""
+    spec = SortSpec(tuple(SortKey(k) for k in keys))
+    return LogicalSort(child.schema, child, spec)
 
 
 def _select_item_name(item) -> str:
@@ -391,7 +390,10 @@ def _bind_group_by(
             )
         )
     return LogicalGroupBy(
-        Schema(tuple(defs)), child, tuple(keys), tuple(aggregates)
+        Schema(tuple(defs)),
+        _sorted_by(child, keys),
+        tuple(keys),
+        tuple(aggregates),
     )
 
 
@@ -415,7 +417,7 @@ def provided_ordering(
     * ``Sort`` / ``TopN`` -- establish their spec; a pass-through
       (elided/subsumed) sort re-provides the child's stronger ordering.
     * ``GroupBy`` -- output rows are in key order (ascending, NULLS
-      LAST): the sort-based aggregate emits groups sorted by its keys.
+      LAST): the aggregate emits the groups of its sorted input in order.
     * ``Join`` -- the merge join emits key groups in left-key order, so
       the output is sorted by the left join keys (ascending, NULLS
       LAST) under their output names.
@@ -483,10 +485,11 @@ def optimize(
     ``table_ordering`` resolves base-table names to declared orderings
     (:meth:`repro.engine.database.Database.table_ordering`); without it
     only orderings established *inside* the plan (sorts, group-bys,
-    joins) propagate.  ``propagate_order=False`` disables the whole
-    order-propagation pass (every sort runs in full) while keeping the
-    classic rewrites -- the oracle configuration differential tests
-    compare against.
+    joins) propagate.  The sorts under a GROUP BY and under each join
+    side are ``LogicalSort`` nodes, rewritten by the same rule.
+    ``propagate_order=False`` disables the whole order-propagation pass
+    (every sort runs in full) while keeping the classic rewrites -- the
+    oracle configuration differential tests compare against.
     """
     lookup = table_ordering or (lambda name: None)
     return _optimize(plan, lookup, propagate_order)
@@ -500,12 +503,6 @@ def _optimize(
         plan = replace(plan, child=_drop_irrelevant_sort(plan.child))
     if propagate and isinstance(plan, LogicalSort):
         plan = _apply_order_property(plan, lookup)
-    if propagate and isinstance(plan, LogicalGroupBy) and not plan.presorted:
-        needed = SortSpec(tuple(SortKey(k) for k in plan.keys))
-        if ordering_satisfies(provided_ordering(plan.child, lookup), needed):
-            plan = replace(plan, presorted=True)
-    if propagate and isinstance(plan, LogicalJoin):
-        plan = _elide_join_input_sorts(plan, lookup)
     if isinstance(plan, LogicalLimit) and isinstance(plan.child, LogicalSort):
         # ORDER BY ... LIMIT n [OFFSET m] -> top-N (paper, Section VII-A)
         # -- but only for a sort that would actually run: a pass-through
@@ -532,23 +529,6 @@ def _apply_order_property(
     return replace(
         sort, mode=mode, reason=f"provided by {_order_source(sort.child)}"
     )
-
-
-def _elide_join_input_sorts(
-    join: LogicalJoin, lookup: OrderingLookup
-) -> LogicalJoin:
-    """Mark join inputs whose provided ordering covers their keys."""
-    left_need = SortSpec(tuple(SortKey(k) for k in join.left_keys))
-    right_need = SortSpec(tuple(SortKey(k) for k in join.right_keys))
-    if not join.left_presorted and ordering_satisfies(
-        provided_ordering(join.left, lookup), left_need
-    ):
-        join = replace(join, left_presorted=True)
-    if not join.right_presorted and ordering_satisfies(
-        provided_ordering(join.right, lookup), right_need
-    ):
-        join = replace(join, right_presorted=True)
-    return join
 
 
 def _rewrite_children(
@@ -625,25 +605,16 @@ def explain(plan: LogicalPlan, indent: int = 0) -> str:
     if isinstance(plan, LogicalGroupBy):
         aggs = ", ".join(a.output_name for a in plan.aggregates)
         keys = ", ".join(plan.keys)
-        presorted = ", presorted" if plan.presorted else ""
         return (
-            f"{pad}GroupBy(keys=[{keys}], aggregates=[{aggs}]{presorted})\n"
+            f"{pad}GroupBy(keys=[{keys}], aggregates=[{aggs}])\n"
             + explain(plan.child, indent + 1)
         )
     if isinstance(plan, LogicalJoin):
         pairs = ", ".join(
             f"{lk} = {rk}" for lk, rk in zip(plan.left_keys, plan.right_keys)
         )
-        notes = "".join(
-            f", {side} presorted"
-            for side, flag in (
-                ("left", plan.left_presorted),
-                ("right", plan.right_presorted),
-            )
-            if flag
-        )
         return (
-            f"{pad}MergeJoin(on [{pairs}]{notes})\n"
+            f"{pad}MergeJoin(on [{pairs}])\n"
             + explain(plan.left, indent + 1)
             + "\n"
             + explain(plan.right, indent + 1)

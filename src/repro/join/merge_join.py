@@ -19,10 +19,11 @@ their codes are equal, and one lookup pairs every left group with its
 right group.  The matched groups' cross products are expanded with
 ``repeat``/arange arithmetic, no per-group Python loop.
 
-Planner integration: ``left_presorted`` / ``right_presorted`` skip that
-side's input sort when the caller (the optimizer's order-propagation
-pass, :mod:`repro.engine.plan`) knows the input already arrives sorted
-by its join keys; ``stats.sorts_elided`` counts each skipped sort.
+``left_presorted`` / ``right_presorted`` skip that side's input sort
+when the caller knows the input already arrives sorted by its join
+keys.  The engine's merge join passes both: :mod:`repro.engine.plan`
+puts each side's sort in a Sort node of its own, which the optimizer
+may elide and which reports its ``SortStats``.
 
 SQL semantics: NULL join keys match nothing (inner join), and rows
 within a group keep their sorted order, so output order is
@@ -66,7 +67,6 @@ def merge_join(
     config: SortConfig | None = None,
     left_presorted: bool = False,
     right_presorted: bool = False,
-    stats=None,
 ) -> Table:
     """Inner sort-merge join of two tables on equality of key columns.
 
@@ -78,10 +78,7 @@ def merge_join(
         config: sort configuration for the two input sorts.
         left_presorted, right_presorted: skip that side's input sort;
             the caller asserts the table already arrives sorted by its
-            join keys (ascending, NULLS LAST) -- the planner sets this
-            from the provided-ordering derivation.
-        stats: optional :class:`repro.sort.operator.SortStats`;
-            ``sorts_elided`` counts each presorted side.
+            join keys (ascending, NULLS LAST).
 
     Returns:
         The joined table: all left columns then all right columns, with
@@ -104,20 +101,12 @@ def merge_join(
                 f"cannot join {lk} ({lt.name}) with {rk} ({rt.name})"
             )
 
-    left_spec = SortSpec(tuple(SortKey(k) for k in left_keys))
-    right_spec = SortSpec(tuple(SortKey(k) for k in right_keys))
-    if left_presorted:
-        left_sorted = left
-        if stats is not None:
-            stats.sorts_elided += 1
-    else:
-        left_sorted = sort_table(left, left_spec, config)
-    if right_presorted:
-        right_sorted = right
-        if stats is not None:
-            stats.sorts_elided += 1
-    else:
-        right_sorted = sort_table(right, right_spec, config)
+    left_sorted = left if left_presorted else sort_table(
+        left, SortSpec(tuple(SortKey(k) for k in left_keys)), config
+    )
+    right_sorted = right if right_presorted else sort_table(
+        right, SortSpec(tuple(SortKey(k) for k in right_keys)), config
+    )
 
     left_index, right_index = _align_groups(
         left_sorted, right_sorted, left_keys, right_keys

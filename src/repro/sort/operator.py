@@ -241,7 +241,7 @@ class SortStats(PhaseClock):
     ``kway_peak_frontier_rows`` describe its frontier loop.
     ``phase_seconds`` holds each pipeline phase's self time
     (:class:`PhaseClock`), so the phases partition the sort's wall clock:
-    ``encode`` (the run's buffered chunks joined, its key statistics and
+    ``encode`` (chunks sunk and joined into a run, its key statistics and
     normalization), ``run_gen`` (sorting runs), ``merge`` (merging runs
     and gathering their payload), ``refine`` (exact-string repair of
     prefix-tied rows inside the merge), ``decode`` (the result table:
@@ -382,7 +382,8 @@ class SortOperator:
         raise_if_cancelled(self.config)
 
     def sink(self, chunk: DataChunk) -> None:
-        """Accept a chunk of input, of any length."""
+        """Accept a chunk of input, of any length (timed as ``encode``)."""
+        start = time.perf_counter()
         if self._finalized:
             raise SortError("cannot sink into a finalized sort")
         if chunk.schema is not self.schema and chunk.schema.names != self.schema.names:
@@ -393,6 +394,7 @@ class SortOperator:
         self._check_cancelled()
         if len(chunk):
             self._buffer.append(chunk)
+        self.stats.add_phase_seconds("encode", time.perf_counter() - start)
 
     def finalize(self) -> Table:
         """Sort the buffered input as one run and return it as a table."""
@@ -424,10 +426,8 @@ def make_sort_operator(
     schema: Schema, spec: SortSpec, config: SortConfig | None = None
 ) -> SortOperator:
     """The full-sort operator ``config`` asks for; use it as a context.
-
     The one reader of ``SortConfig.external`` (the spilling subclass is
-    imported here because it extends :class:`SortOperator`).
-    """
+    imported here because it extends :class:`SortOperator`)."""
     if config is not None and config.external:
         from repro.sort.external import ExternalSortOperator
 

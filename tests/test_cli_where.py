@@ -320,6 +320,17 @@ class TestCli:
         assert "rows_sorted: " in captured.err
         assert "rows_sorted: 0" not in captured.err
 
+    def test_sql_stats_reports_group_by_sort(self, tmp_path, capsys):
+        source = make_csv(tmp_path)
+        code = main(
+            ["sql", "SELECT country, count(*) FROM c WHERE year IS NOT NULL "
+             "GROUP BY country", "--table", f"c={source}", "--stats"]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.count("rows_sorted:") == 1  # the GROUP BY's input sort
+        assert "rows_sorted: 3\n" in err
+
     def test_sql_bad_table_spec(self, capsys):
         assert main(["sql", "SELECT 1 FROM t", "--table", "oops"]) == 1
         assert "error:" in capsys.readouterr().err

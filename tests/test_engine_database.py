@@ -1,12 +1,19 @@
 """Tests for binding, the optimizer rules, operators, and end-to-end SQL."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import repro.engine.operators as engine_operators
+import repro.sort.operator as sort_operator
 from conftest import reference_sort
 from repro.engine.database import Database
+from repro.engine.operators import SortExecOperator
 from repro.engine.plan import (
     LogicalAggregate,
+    LogicalGroupBy,
+    LogicalJoin,
     LogicalLimit,
     LogicalSort,
     LogicalTopN,
@@ -84,6 +91,18 @@ class TestOptimizerRules:
         plan = db.plan("SELECT * FROM t LIMIT 5")
         assert isinstance(plan, LogicalLimit)
 
+    def test_breaker_inputs_are_sort_nodes(self, db):
+        group_by = db.plan("SELECT a, count(*) FROM t GROUP BY a").child
+        assert isinstance(group_by, LogicalGroupBy)
+        assert isinstance(group_by.child, LogicalSort)
+        assert str(group_by.child.spec) == "a ASC NULLS LAST"
+        join = db.plan("SELECT * FROM t JOIN nullt ON a = x")
+        assert isinstance(join, LogicalJoin)
+        assert [str(side.spec) for side in (join.left, join.right)] == [
+            "a ASC NULLS LAST",
+            "x ASC NULLS LAST",
+        ]
+
 
 class TestExecution:
     def test_select_star(self, db):
@@ -133,6 +152,27 @@ class TestExecution:
         # ORDER BY binds pre-projection, like real engines.
         result = db.execute("SELECT y FROM nullt ORDER BY x NULLS FIRST")
         assert result.column("y").to_pylist() == [2, 4, 3, 5, 1]
+
+    def test_every_sort_runs_in_a_sort_node(self, db, monkeypatch):
+        callers = []
+
+        def recording(make):
+            def wrapper(*args, **kwargs):
+                caller = sys._getframe(1).f_locals.get("self")
+                callers.append(type(caller).__name__)
+                return make(*args, **kwargs)
+
+            return wrapper
+
+        for module in (sort_operator, engine_operators):
+            monkeypatch.setattr(
+                module,
+                "make_sort_operator",
+                recording(module.make_sort_operator),
+            )
+        db.execute("SELECT a, count(*), sum(b) FROM t GROUP BY a")
+        db.execute("SELECT * FROM t JOIN nullt ON a = x")
+        assert callers == [SortExecOperator.__name__] * 3
 
     def test_empty_table(self):
         db = Database()

@@ -180,7 +180,9 @@ class TestPresortedAggregation:
         result, stats = db.execute_detailed(sql)
         assert result.equals(forced), scenario
         assert _counters(stats)["elided"] == 1
-        assert "presorted" in db.explain(sql)
+        group_by, sort = db.explain(sql).splitlines()[1:3]
+        assert group_by.startswith("  GroupBy(keys=")
+        assert sort.startswith("    Sort[elided: provided by Scan(v)]")
 
     def test_groupby_unsorted_input_still_sorts(self):
         db = Database()
@@ -189,6 +191,8 @@ class TestPresortedAggregation:
         result, stats = db.execute_detailed(sql)
         assert result.equals(db.execute(sql, propagate_order=False))
         assert _counters(stats)["elided"] == 0
+        (sort,) = stats
+        assert sort.rows_sorted == ROWS
 
     def test_window_presorted_fast_path(self):
         """Library-level window(): presorted=True is byte-identical."""
@@ -229,6 +233,14 @@ class TestMergeJoin:
         assert result.equals(forced)
         assert result.num_rows > 0, "join matched nothing; test is vacuous"
         assert _counters(stats)["elided"] == len(sorted_sides)
+        # One Sort node per side, left then right.
+        assert len(stats) == 2
+        for side, sort in zip(("l", "r"), stats):
+            if side in sorted_sides:
+                assert (sort.sorts_elided, sort.rows_sorted) == (1, 0)
+            else:
+                rows = db.table(side).num_rows
+                assert (sort.sorts_elided, sort.rows_sorted) == (0, rows)
 
     def test_string_key_join_beyond_prefix(self):
         """Join keys whose first 12 bytes collide: exact recheck path."""

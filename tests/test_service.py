@@ -677,6 +677,22 @@ class TestOneGrantAtATime:
         assert first == second
         assert first[1] > 0
 
+    def test_a_group_by_sort_counts_its_forced_spills(self, rng):
+        # The GROUP BY's input sort is a Sort node: the runs its grant
+        # cut reach the ticket's stats and the service's counter.
+        db = Database(sort_config=SortConfig(external=True))
+        db.register("t", int_table(rng, 20_000))
+        sql = "SELECT b, count(*) FROM t GROUP BY b"
+        with SortService(db, memory_budget=64 << 10, workers=1) as service:
+            ticket = service.submit(sql)
+            result = ticket.result(timeout=60)
+            stats = service.stats
+        assert result.equals(db.execute(sql, sort_config=SortConfig()))
+        (sort,) = ticket.sort_stats
+        assert sort.rows_sorted == 20_000
+        assert sort.governor_forced_spills > 0
+        assert stats.governor_forced_spills == sort.governor_forced_spills
+
     def test_a_cache_hit_is_served_while_a_sort_holds_the_grant(self, rng):
         db = GatedDatabase(sort_config=SortConfig(external=True))
         db.register("t", int_table(rng, 100))

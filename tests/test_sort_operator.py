@@ -309,12 +309,19 @@ class TestPhaseAttribution:
         # The pre-pass stores each merged group as a run inside "merge":
         # its key rows' run_gen is that phase's child, not a second count.
         # On a clock of one tick per read the phases then sum exactly to
-        # the outermost phases' time.
+        # the outermost phases' time and the leaves charged outside every
+        # phase (the sink's own ``encode``).
         clock = FakeClock(step=1.0)
         monkeypatch.setattr(operator_module.time, "perf_counter", clock)
         outermost = []
         depth = [0]
         time_phase = SortStats.time_phase
+        add_phase_seconds = SortStats.add_phase_seconds
+
+        def charged(stats, phase, seconds):
+            if not depth[0]:
+                outermost.append(seconds)
+            add_phase_seconds(stats, phase, seconds)
 
         @contextmanager
         def spied(stats, phase, *args):
@@ -329,6 +336,7 @@ class TestPhaseAttribution:
                 outermost.append(clock.now - start)  # and its last
 
         monkeypatch.setattr(SortStats, "time_phase", spied)
+        monkeypatch.setattr(SortStats, "add_phase_seconds", charged)
         table = scenario_table("uniform", 40_000, 17)
         config = SortConfig(
             external=True, run_threshold=4096, merge_fan_in=2, prefetch_blocks=0
